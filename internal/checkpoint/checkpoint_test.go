@@ -2,6 +2,7 @@ package checkpoint_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,6 +26,7 @@ type coRunSim struct {
 	sys  *cache.System
 	work *cpu.Workload
 	plat *core.Platform
+	prog *core.Program // the kernel in flight
 
 	kernelRuns int
 	lastResult *core.Result
@@ -60,7 +62,7 @@ func buildCoRunProf(t testing.TB, shards int, prof *traffic.Profile) *coRunSim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &coRunSim{eng: eng, net: net, sys: sys, work: work, plat: plat}
+	s := &coRunSim{eng: eng, net: net, sys: sys, work: work, plat: plat, prog: prog}
 	eng.ScheduleAfter(1, func() {
 		if !plat.CPM.Submit(prog, eng.Cycle(), func(r *core.Result) {
 			s.kernelRuns++
@@ -128,6 +130,13 @@ func TestForkDeterminism(t *testing.T) {
 			if !s.plat.CPM.Busy() {
 				t.Fatal("kernel not in flight at the snapshot point; the test would not cover token state")
 			}
+			// Mid-stream: part of the program is still in memory, part is
+			// assembled tokens in the instruction buffer, and reads are in
+			// flight as typed engine events — a fork must resume all three.
+			if c := s.plat.CPM; c.Fetched() >= len(s.prog.Entries) || c.InstrBufLen() == 0 || c.Inflight() == 0 {
+				t.Fatalf("CPM not mid-stream at the snapshot point: fetched %d of %d, %d buffered, %d reads in flight",
+					c.Fetched(), len(s.prog.Entries), c.InstrBufLen(), c.Inflight())
+			}
 			st := checkpoint.Take(s.target())
 			if st.Cycle() != 4096 {
 				t.Fatalf("snapshot cycle %d, want 4096", st.Cycle())
@@ -178,6 +187,51 @@ func TestForkDeterminism(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSnapshotSizeIndependentOfProgramLength takes a mid-kernel
+// snapshot of two SGEMMs, eight times apart in length. A snapshot
+// shares the immutable program and walks only live tokens, so both must
+// fit the same bound (cloning the program cost ~100 bytes per entry:
+// 11 MB for the larger one).
+func TestSnapshotSizeIndependentOfProgramLength(t *testing.T) {
+	takeBytes := func(dim int) (bytes uint64, entries int) {
+		eng := sim.NewEngine()
+		plat, err := core.NewStandalone(eng, 4, 4, true, core.DefaultPlatformConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dims := experiments.DefaultKernelDims()
+		dims.SGEMMDim = dim
+		prog, err := experiments.CompileKernel(cpu.KernelSGEMM, dims, 16, testSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plat.CPM.Submit(prog, eng.Cycle(), func(*core.Result) {}) {
+			t.Fatal("CPM busy")
+		}
+		eng.Run(2000)
+		if c := plat.CPM; c.Fetched() >= len(prog.Entries) || c.InstrBufLen() == 0 {
+			t.Fatalf("SGEMM %d not mid-stream at cycle 2000: fetched %d of %d, %d buffered",
+				dim, c.Fetched(), len(prog.Entries), c.InstrBufLen())
+		}
+		target := checkpoint.Target{Eng: eng, Net: plat.Net, Plat: plat}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st := checkpoint.Take(target)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(st)
+		return after.TotalAlloc - before.TotalAlloc, len(prog.Entries)
+	}
+	const bound = 512 << 10
+	for _, dim := range []int{24, 48} {
+		bytes, entries := takeBytes(dim)
+		t.Logf("SGEMM %d: %d entries, snapshot %d KiB", dim, entries, bytes>>10)
+		if bytes > bound {
+			t.Errorf("SGEMM %d (%d entries): Take allocated %d bytes, want <= %d whatever the program length",
+				dim, entries, bytes, bound)
+		}
+	}
 }
 
 // TestStandaloneRoundTrip forks a zero-load kernel run (the fig13 leg2

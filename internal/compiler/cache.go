@@ -18,9 +18,9 @@ import (
 // cheaper (kernel, dims, nRCU, seed) key in front of graph construction;
 // both caches' counters feed the compiler.cache.* metrics gauges.
 //
-// Cached programs are shared and must stay read-only; CPM.Submit clones
-// before execution mutates operands, and callers that relabel a program
-// (Program.Name) must copy the struct rather than write through.
+// Cached programs are shared and immutable (execution mutates only the
+// per-fetch token copies the CPM assembles); callers that relabel a
+// program (Program.Name) must copy the struct rather than write through.
 
 var (
 	cache       sync.Map // [32]byte -> *core.Program

@@ -56,10 +56,37 @@ func (e elemRef) operand() core.Operand {
 	return core.Ref(e.dep)
 }
 
+// slab hands out token storage from fixed-capacity chunks, so a compiled
+// program costs about one allocation per slabChunk tokens instead of one
+// per token. A full chunk is never regrown — it stays behind, kept alive
+// by the entries pointing into it, and a new one is started — so the
+// pointers put returns stay valid for the life of the program.
+type slab[T any] struct {
+	chunk []T
+}
+
+// Chunks double from slabMinChunk up to slabChunk, so a small graph does
+// not pay for a full-sized chunk.
+const (
+	slabMinChunk = 64
+	slabChunk    = 1024
+)
+
+func (s *slab[T]) put(v T) *T {
+	if len(s.chunk) == cap(s.chunk) {
+		n := min(max(2*cap(s.chunk), slabMinChunk), slabChunk)
+		s.chunk = make([]T, 0, n)
+	}
+	s.chunk = append(s.chunk, v)
+	return &s.chunk[len(s.chunk)-1]
+}
+
 // compilation is the per-graph state.
 type compilation struct {
 	cfg     Config
 	prog    *core.Program
+	instrs  slab[core.InstrToken]
+	datas   slab[core.DataToken]
 	seq     uint32
 	sb      uint32
 	dep     core.DepID
@@ -78,14 +105,18 @@ func Compile(g *dataflow.Graph, cfg Config) (*core.Program, error) {
 	if cfg.MinChunk < 1 {
 		cfg.MinChunk = 1
 	}
+	order := g.PostOrder()
 	c := &compilation{
-		cfg:     cfg,
-		prog:    &core.Program{Name: "graph", OutputSlot: map[core.DepID]int{}},
-		uses:    make(map[*dataflow.Node][]int),
-		results: make(map[*dataflow.Node][]elemRef),
+		cfg: cfg,
+		prog: &core.Program{
+			Name:       "graph",
+			Entries:    make([]core.ProgEntry, 0, entryBound(order, len(cfg.RCUs))),
+			OutputSlot: make(map[core.DepID]int, g.Root.Elems()),
+		},
+		uses:    make(map[*dataflow.Node][]int, len(order)),
+		results: make(map[*dataflow.Node][]elemRef, len(order)),
 		root:    g.Root,
 	}
-	order := g.PostOrder()
 	c.countUses(order)
 	for _, n := range order {
 		if err := c.lower(n); err != nil {
@@ -96,6 +127,29 @@ func Compile(g *dataflow.Graph, cfg Config) (*core.Program, error) {
 		return nil, fmt.Errorf("compiler: produced invalid program: %w", err)
 	}
 	return c.prog, nil
+}
+
+// entryBound returns an upper bound on the command-stream length, so
+// Entries is sized once: append's regrowth cost five times the final
+// slice in garbage on a 10^5-entry kernel.
+func entryBound(order []*dataflow.Node, rcus int) int {
+	n := 0
+	for _, nd := range order {
+		switch nd.Kind {
+		case dataflow.KindMatMul:
+			n += nd.Elems() * nd.Inputs[0].Cols
+		case dataflow.KindAdd, dataflow.KindSub, dataflow.KindScale:
+			n += nd.Elems()
+		case dataflow.KindReduce, dataflow.KindDot:
+			// The chains, plus the final reduction over one partial per RCU.
+			n += nd.Inputs[0].Elems() + rcus
+		case dataflow.KindSpMV:
+			// One MAC per nonzero, a zero per empty row, and the vector's
+			// injected tokens.
+			n += nd.Sp.NNZ() + nd.Rows + nd.Inputs[0].Elems()
+		}
+	}
+	return n
 }
 
 // countUses performs the liveness lookahead of §IV-B1: each element's
@@ -188,14 +242,13 @@ func (c *compilation) newSB() uint32      { c.sb++; return c.sb }
 func (c *compilation) emit(it core.InstrToken) {
 	c.seq++
 	it.Seq = c.seq
-	cp := it
-	c.prog.Entries = append(c.prog.Entries, core.ProgEntry{Instr: &cp})
+	c.prog.Entries = append(c.prog.Entries, core.ProgEntry{Instr: c.instrs.put(it)})
 }
 
 // emitData schedules a CPM-injected input token.
 func (c *compilation) emitData(dep core.DepID, v fixed.Q, n int) {
 	c.prog.Entries = append(c.prog.Entries, core.ProgEntry{
-		Data: &core.DataToken{Dep: dep, Dependents: uint16(n), V: v},
+		Data: c.datas.put(core.DataToken{Dep: dep, Dependents: uint16(n), V: v}),
 	})
 }
 

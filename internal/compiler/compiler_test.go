@@ -277,3 +277,71 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 		}
 	}
 }
+
+// sgemmGraph is the SGEMM kernel graph (one n×n by n×n MatMul), the
+// shape experiments.BuildKernelGraph builds; n = 12 is the smoke size.
+func sgemmGraph(t *testing.T, n int) *dataflow.Graph {
+	t.Helper()
+	b := dataflow.NewBuilder()
+	a, _ := b.Input(seqVec(n*n, func(i int) float64 { return float64(i%7) - 3 }), n, n)
+	x, _ := b.Input(seqVec(n*n, func(i int) float64 { return float64(i%5) * 0.5 }), n, n)
+	ab, err := b.MatMul(a, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Build(ab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestCompileAllocatesPerChunkNotPerToken pins the slab-compiled
+// command stream: tokens come from fixed-size chunks and Entries is
+// sized once, so a program costs about one allocation per slabChunk
+// entries plus a constant for the per-node bookkeeping — not one per
+// instruction, and nothing that grows with how often append regrows.
+func TestCompileAllocatesPerChunkNotPerToken(t *testing.T) {
+	for _, n := range []int{12, 24} {
+		g := sgemmGraph(t, n)
+		var prog *core.Program
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			if prog, err = Compile(g, DefaultConfig(16)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		entries := len(prog.Entries)
+		if entries != n*n*n {
+			t.Fatalf("SGEMM %d compiled to %d entries, want %d", n, entries, n*n*n)
+		}
+		if limit := float64(entries/slabChunk + 32); allocs > limit {
+			t.Errorf("compiling %d entries allocated %.0f objects, want <= entries/%d + 32 = %.0f",
+				entries, allocs, slabChunk, limit)
+		}
+		if cap(prog.Entries) != entries {
+			t.Errorf("Entries has capacity %d for %d entries: the bound is exact for a MatMul", cap(prog.Entries), entries)
+		}
+		t.Logf("SGEMM %d: %d entries, %.0f allocations", n, entries, allocs)
+	}
+}
+
+// TestCompiledTokensKeepTheirAddresses checks the slab contract the
+// CPM relies on: starting a new chunk never moves an earlier token, so
+// every ProgEntry pointer stays valid and distinct.
+func TestCompiledTokensKeepTheirAddresses(t *testing.T) {
+	prog, err := Compile(sgemmGraph(t, 16), DefaultConfig(16)) // 4096 entries, several chunks
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[*core.InstrToken]bool, len(prog.Entries))
+	for i, e := range prog.Entries {
+		if e.Instr == nil || seen[e.Instr] {
+			t.Fatalf("entry %d: missing or aliased instruction token", i)
+		}
+		seen[e.Instr] = true
+		if e.Instr.Seq != uint32(i+1) {
+			t.Fatalf("entry %d carries sequence %d: a chunk was overwritten or regrown", i, e.Instr.Seq)
+		}
+	}
+}

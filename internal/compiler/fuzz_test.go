@@ -92,6 +92,9 @@ func TestRandomGraphsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
+			if bound := entryBound(g.PostOrder(), 16); len(prog.Entries) > bound {
+				t.Fatalf("%d entries emitted, entryBound said at most %d", len(prog.Entries), bound)
+			}
 			eng := sim.NewEngine()
 			plat, err := core.NewStandalone(eng, 4, 4, seed%2 == 0, core.DefaultPlatformConfig())
 			if err != nil {

@@ -92,7 +92,9 @@ type CPM struct {
 	stagedBuf ProgEntry  // backing store for staged, reused per issue
 	pool      *TokenPool // engine-local; nil falls back to plain allocation
 
-	state      KernelState
+	state KernelState
+	// prog is the submitted program itself — immutable and shared, never
+	// a copy; entries become private tokens as they are fetched.
 	prog       *Program
 	onDone     func(*Result)
 	result     *Result
@@ -106,22 +108,18 @@ type CPM struct {
 	writesOut  int // outstanding result write-backs
 	pendingWB  int // results not yet grouped into a write-back
 
-	// progStore is the reused backing for the stamped private copy each
-	// Submit makes; its tokens come from pool. slotCache memoizes the
-	// stamped OutputSlot map per source program (the fig9/fig12 pattern
-	// resubmits one immutable program many times; the stamped keys are a
-	// pure function of the source map and this CPM's namespace).
-	progStore Program
-	slotCache map[DepID]int
-	slotSrc   *Program
+	// nsBase is this CPM's namespace, OR-ed into every dependency and
+	// sub-block ID it issues (see assemble).
+	nsBase DepID
+	// validated is the program that last passed admit (the fig9/fig12
+	// pattern resubmits one immutable program many times).
+	validated *Program
 
 	// overflow management
 	offload []*DataToken // tokens captured into the offload buffer
 	// offloadPending holds flushed batches whose memory write is still in
-	// flight, in issue order. The write-completion callback pops the front
-	// rather than capturing its batch: DDR3 completions for one address
-	// come back in issue order, and keeping the batch in a field (instead
-	// of a closure) lets a checkpoint carry it.
+	// flight, in issue order; the write completion (cpmOffloadDone) pops
+	// the front.
 	offloadPending [][]*DataToken
 	offloadMem     []*DataToken // tokens parked in main memory
 	reinjecting    bool         // alternate offload/instruction issue
@@ -149,6 +147,7 @@ func NewCPM(cfg CPMConfig, net *noc.Network, ctrl *mem.Controller) *CPM {
 		cfg:      cfg,
 		net:      net,
 		mem:      ctrl,
+		nsBase:   (DepID(cfg.Node) + 1) * nsLimit,
 		loop:     net.Loop(),
 		alo:      noc.NewALODetector(r, cfg.ALOThreshold, cfg.ALOHysteresis),
 		snackALO: noc.NewSnackALODetector(r, net.Loop().Next(cfg.Node), cfg.SnackALOThreshold, cfg.ALOHysteresis),
@@ -187,26 +186,37 @@ func (c *CPM) BusyReplies() int64 { return c.busyReplies.Value() }
 // CongestedCycles counts cycles the ALO detector reported congestion.
 func (c *CPM) CongestedCycles() int64 { return c.congestedCy.Value() }
 
+// admit validates p unless it is the program this CPM validated last;
+// programs are immutable, so once is enough.
+func (c *CPM) admit(p *Program) error {
+	if c.validated == p {
+		return nil
+	}
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	c.validated = p
+	return nil
+}
+
 // Submit starts a kernel. It returns false (a "busy response") if one is
 // already loading or running. onDone fires when all results are in main
-// memory.
+// memory. An invalid program panics; Platform.Run checks first and
+// returns the error instead.
 func (c *CPM) Submit(p *Program, cycle int64, onDone func(*Result)) bool {
 	if c.Busy() {
 		c.busyReplies.Inc()
 		return false
 	}
-	if err := p.Validate(); err != nil {
+	if err := c.admit(p); err != nil {
 		panic(fmt.Sprintf("cpm: invalid program: %v", err))
 	}
-	// Execution fills operand references in place, so run a private copy
-	// and leave the caller's program reusable. The copy is stamped with
-	// this CPM's identity: its node as the result home, and a per-CPM
-	// namespace on dependency and sub-block IDs so concurrently executing
-	// kernels from decentralized CPMs (§VII) can never alias each other's
-	// tokens at the RCUs. The copy's tokens come from the engine-local
-	// pool (the previous kernel's were recycled as they were consumed),
-	// so resubmitting a kernel is allocation-free in steady state.
-	c.prog = c.stampClone(p)
+	// The program is streamed, not copied: each entry becomes a private
+	// pooled token when its command-stream read completes (cpmFetchDone), so
+	// live tokens are bounded by the instruction buffer plus what is in
+	// the network, and the tokens the RCUs retire early in a kernel feed
+	// the fetches later in the same kernel.
+	c.prog = p
 	c.onDone = onDone
 	c.state = StateLoading
 	c.fetched = 0
@@ -235,65 +245,37 @@ func (c *CPM) Submit(p *Program, cycle int64, onDone func(*Result)) bool {
 	return true
 }
 
-// stampClone copies p into this CPM's reused program store, stamping
-// the copy with the CPM's namespace as it goes. Dependency and
-// sub-block IDs must stay below 1<<24 (≈16.7 M per kernel). Tokens come
-// from the engine-local pool; entry and slot buffers are reused across
-// submissions.
-func (c *CPM) stampClone(p *Program) *Program {
-	base := (uint32(c.cfg.Node) + 1) << 24
-	remapDep := func(d DepID) DepID {
-		if uint32(d) >= 1<<24 {
-			panic(fmt.Sprintf("cpm: dependency id %d exceeds the namespace", d))
-		}
-		return DepID(uint32(d) | base)
+// assemble builds the private, executable copy of one command-stream
+// entry as the paper's CPM assembles an instruction flit from the values
+// DDR3 returns (§III-C1). Execution fills operand references in place
+// and decrements dependent counts, so the shared program's tokens are
+// never issued themselves. The copy is stamped with this CPM's identity:
+// its node as the result home, and its namespace on dependency and
+// sub-block IDs (Program.Validate keeps those below nsLimit) so
+// concurrently executing kernels from decentralized CPMs (§VII) can
+// never alias each other's tokens at the RCUs. Tokens come from the
+// engine-local pool.
+func (c *CPM) assemble(e ProgEntry) ProgEntry {
+	if e.Data != nil {
+		d := c.pool.GetData()
+		*d = *e.Data
+		d.Dep |= c.nsBase
+		return ProgEntry{Data: d}
 	}
-	dst := &c.progStore
-	dst.Name = p.Name
-	dst.NumOutputs = p.NumOutputs
-	if cap(dst.Entries) < len(p.Entries) {
-		dst.Entries = make([]ProgEntry, 0, len(p.Entries))
+	it := c.pool.GetInstr()
+	*it = *e.Instr
+	it.Home = c.cfg.Node
+	it.SubBlock |= uint32(c.nsBase)
+	if it.L.IsRef {
+		it.L.Dep |= c.nsBase
 	}
-	entries := dst.Entries[:0]
-	for _, e := range p.Entries {
-		var ne ProgEntry
-		if e.Instr != nil {
-			it := c.pool.GetInstr()
-			*it = *e.Instr
-			it.Home = c.cfg.Node
-			if it.SubBlock >= 1<<24 {
-				panic(fmt.Sprintf("cpm: sub-block id %d exceeds the namespace", it.SubBlock))
-			}
-			it.SubBlock |= base
-			if it.L.IsRef {
-				it.L.Dep = remapDep(it.L.Dep)
-			}
-			if it.R.IsRef {
-				it.R.Dep = remapDep(it.R.Dep)
-			}
-			if it.Emit {
-				it.EmitDep = remapDep(it.EmitDep)
-			}
-			ne.Instr = it
-		}
-		if e.Data != nil {
-			d := c.pool.GetData()
-			*d = *e.Data
-			d.Dep = remapDep(d.Dep)
-			ne.Data = d
-		}
-		entries = append(entries, ne)
+	if it.R.IsRef {
+		it.R.Dep |= c.nsBase
 	}
-	dst.Entries = entries
-	if c.slotSrc != p || c.slotCache == nil {
-		slots := make(map[DepID]int, len(p.OutputSlot))
-		for d, s := range p.OutputSlot {
-			slots[remapDep(d)] = s
-		}
-		c.slotCache, c.slotSrc = slots, p
+	if it.Emit {
+		it.EmitDep |= c.nsBase
 	}
-	dst.OutputSlot = c.slotCache
-	return dst
+	return ProgEntry{Instr: it}
 }
 
 // Evaluate implements sim.Component: refill the instruction buffer from
@@ -411,16 +393,49 @@ func (c *CPM) refill(cycle int64) {
 		c.fetched = hi
 		c.inflight++
 		addr := c.cfg.ProgBase + uint64(lo*InstrBytes)
-		c.mem.Access(addr, false, func(at int64) {
-			c.inflight--
-			for i := lo; i < hi; i++ {
-				c.bufPush(c.prog.Entries[i])
-			}
-			if c.state == StateLoading {
-				c.state = StateRunning
-			}
-		})
+		c.mem.AccessCall(addr, false, (*cpmFetchDone)(c), int64(lo))
 	}
+}
+
+// The CPM's three memory completions are typed engine events, not
+// closures: each is the CPM itself under a distinct named type, so
+// filing one allocates nothing and a checkpoint carries it by value.
+type (
+	cpmFetchDone   CPM // arg: index of the transaction's first entry
+	cpmWriteDone   CPM
+	cpmOffloadDone CPM
+)
+
+// OnCall implements sim.Callee: the command-stream transaction that
+// starts at entry lo has returned from DDR3; its entries are assembled
+// into the instruction buffer.
+func (f *cpmFetchDone) OnCall(lo, _ int64) {
+	c := (*CPM)(f)
+	c.inflight--
+	hi := min(int(lo)+c.cfg.EntriesPerTxn, len(c.prog.Entries))
+	for _, e := range c.prog.Entries[lo:hi] {
+		c.bufPush(c.assemble(e))
+	}
+	if c.state == StateLoading {
+		c.state = StateRunning
+	}
+}
+
+// OnCall implements sim.Callee: one result write-back was accepted.
+func (w *cpmWriteDone) OnCall(_, cycle int64) {
+	c := (*CPM)(w)
+	c.writesOut--
+	c.maybeFinish(cycle)
+}
+
+// OnCall implements sim.Callee: the oldest flushed offload batch is in
+// main memory. DDR3 completions for one address come back in issue
+// order, so the front of offloadPending is the batch that landed.
+func (o *cpmOffloadDone) OnCall(_, _ int64) {
+	c := (*CPM)(o)
+	b := c.offloadPending[0]
+	c.offloadPending = c.offloadPending[1:]
+	c.offloadMem = append(c.offloadMem, b...)
 }
 
 // Deliver implements noc.Client for the CPM's node: final result tokens
@@ -431,7 +446,9 @@ func (c *CPM) Deliver(p *noc.Packet, cycle int64) {
 	if !ok {
 		panic(fmt.Sprintf("cpm: unexpected packet payload %T", p.Payload))
 	}
-	slot, ok := c.prog.OutputSlot[tok.Dep]
+	// XOR strips this CPM's namespace; a token stamped by another CPM
+	// keeps high bits set and so matches no slot.
+	slot, ok := c.prog.OutputSlot[tok.Dep^c.nsBase]
 	if !ok {
 		panic(fmt.Sprintf("cpm: result token %s has no output slot", tok))
 	}
@@ -443,10 +460,7 @@ func (c *CPM) Deliver(p *noc.Packet, cycle int64) {
 		c.pendingWB = 0
 		c.writesOut++
 		addr := c.cfg.ProgBase + uint64(1<<20) + uint64(slot*4)
-		c.mem.Access(addr, true, func(at int64) {
-			c.writesOut--
-			c.maybeFinish(at)
-		})
+		c.mem.AccessCall(addr, true, (*cpmWriteDone)(c), 0)
 	}
 }
 
@@ -473,6 +487,10 @@ func (c *CPM) maybeFinish(cycle int64) {
 // InstrBufLen returns the assembled-but-unissued entry count (debug).
 func (c *CPM) InstrBufLen() int { return c.instrLen }
 
+// Fetched returns how many command-stream entries have had their memory
+// read issued; below the program's length the kernel is mid-stream.
+func (c *CPM) Fetched() int { return c.fetched }
+
 // Inflight returns outstanding command-stream fetches (debug).
 func (c *CPM) Inflight() int { return c.inflight }
 
@@ -497,11 +515,7 @@ func (c *CPM) CaptureOverflow(tok *DataToken, cycle int64) {
 		c.offload = c.offload[:0]
 		c.offloadPending = append(c.offloadPending, batch)
 		addr := c.cfg.ProgBase + uint64(2<<20)
-		c.mem.Access(addr, true, func(at int64) {
-			b := c.offloadPending[0]
-			c.offloadPending = c.offloadPending[1:]
-			c.offloadMem = append(c.offloadMem, b...)
-		})
+		c.mem.AccessCall(addr, true, (*cpmOffloadDone)(c), 0)
 	}
 }
 

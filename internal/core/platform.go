@@ -266,8 +266,12 @@ func AttachToSystem(eng *sim.Engine, sys *cache.System, cfg PlatformConfig) (*Pl
 }
 
 // Run submits a program and drives the engine until it completes,
-// returning the kernel result. maxCycles bounds the wait.
+// returning the kernel result. maxCycles bounds the wait. An invalid
+// program is rejected here, before any cycle runs.
 func (p *Platform) Run(prog *Program, maxCycles int64) (*Result, error) {
+	if err := p.CPM.admit(prog); err != nil {
+		return nil, err
+	}
 	var res *Result
 	if !p.CPM.Submit(prog, p.Eng.Cycle(), func(r *Result) { res = r }) {
 		return nil, fmt.Errorf("core: platform busy")

@@ -5,7 +5,9 @@ package core
 // are engine-local on purpose: shard goroutines never share a pool, so
 // no locking is needed (the same rule PR 6 applied to flit pools).
 //
-// Ownership: a token is pool-owned from Get until the moment it is
+// Ownership: instruction and input tokens are born when the CPM fetches
+// their command-stream entry (CPM.assemble), result tokens when an RCU
+// emits one. A token is pool-owned from Get until the moment it is
 // consumed — an instruction when it completes with every reference
 // operand filled, a data token when its dependent count reaches zero
 // (loop capture, local delivery, or CPM result collection). Tokens that

@@ -17,7 +17,10 @@ type ProgEntry struct {
 }
 
 // Program is a compiled SnackNoC kernel: the command stream the CPM
-// streams from main memory, plus result metadata.
+// streams from main memory, plus result metadata. Once built a Program
+// is immutable: every CPM and every sweep worker streams the same
+// instance, and execution only ever mutates the per-fetch token copies
+// the CPM assembles from it (CPM.assemble).
 type Program struct {
 	Name    string
 	Entries []ProgEntry
@@ -28,7 +31,15 @@ type Program struct {
 	NumOutputs int
 }
 
-// Validate checks structural invariants the CPM and RCUs rely on.
+// nsLimit bounds dependency and sub-block IDs: a CPM stamps its
+// namespace into the bits above (CPM.assemble), so concurrently
+// executing kernels from decentralized CPMs never alias each other's
+// tokens at the RCUs. That leaves ≈16.7 M of each per kernel.
+const nsLimit = 1 << 24
+
+// Validate checks the structural invariants the CPM and RCUs rely on,
+// including the namespace bounds — everything that would otherwise
+// surface as a panic inside an engine event once the kernel is running.
 func (p *Program) Validate() error {
 	if len(p.Entries) == 0 {
 		return fmt.Errorf("core: program %q has no entries", p.Name)
@@ -40,7 +51,7 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("core: program %q: %d output slots for %d outputs",
 			p.Name, len(p.OutputSlot), p.NumOutputs)
 	}
-	seen := make(map[int]bool)
+	seen := make([]bool, p.NumOutputs)
 	outs := 0
 	var lastSeq uint32
 	for i, e := range p.Entries {
@@ -55,6 +66,15 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("core: program %q: instruction %d out of sequence", p.Name, i)
 			}
 			lastSeq = it.Seq
+			if it.SubBlock >= nsLimit {
+				return fmt.Errorf("core: program %q entry %d: sub-block id %d exceeds the namespace (%d)",
+					p.Name, i, it.SubBlock, nsLimit)
+			}
+			if (it.L.IsRef && it.L.Dep >= nsLimit) || (it.R.IsRef && it.R.Dep >= nsLimit) ||
+				(it.Emit && it.EmitDep >= nsLimit) {
+				return fmt.Errorf("core: program %q entry %d: dependency id exceeds the namespace (%d)",
+					p.Name, i, nsLimit)
+			}
 			if it.ToCPM {
 				if !it.Emit {
 					return fmt.Errorf("core: program %q: ToCPM without Emit at entry %d", p.Name, i)
@@ -62,6 +82,10 @@ func (p *Program) Validate() error {
 				slot, ok := p.OutputSlot[it.EmitDep]
 				if !ok {
 					return fmt.Errorf("core: program %q: output dep %d has no slot", p.Name, it.EmitDep)
+				}
+				if slot < 0 || slot >= p.NumOutputs {
+					return fmt.Errorf("core: program %q: output slot %d outside the %d-value result",
+						p.Name, slot, p.NumOutputs)
 				}
 				if seen[slot] {
 					return fmt.Errorf("core: program %q: output slot %d written twice", p.Name, slot)
@@ -72,6 +96,10 @@ func (p *Program) Validate() error {
 		case e.Data != nil:
 			if e.Data.Dependents == 0 {
 				return fmt.Errorf("core: program %q: input token %d with zero dependents", p.Name, i)
+			}
+			if e.Data.Dep >= nsLimit {
+				return fmt.Errorf("core: program %q entry %d: dependency id %d exceeds the namespace (%d)",
+					p.Name, i, e.Data.Dep, nsLimit)
 			}
 		}
 	}
@@ -95,32 +123,6 @@ func (p *Program) Instructions() int {
 // InputTokens returns the count of CPM-injected data tokens.
 func (p *Program) InputTokens() int {
 	return len(p.Entries) - p.Instructions()
-}
-
-// Clone deep-copies the program. Execution mutates instruction tokens in
-// place (operand capture fills references), so every submission to the
-// CPM must run on a private copy; Submit clones internally.
-func (p *Program) Clone() *Program {
-	out := &Program{
-		Name:       p.Name,
-		Entries:    make([]ProgEntry, len(p.Entries)),
-		OutputSlot: make(map[DepID]int, len(p.OutputSlot)),
-		NumOutputs: p.NumOutputs,
-	}
-	for i, e := range p.Entries {
-		if e.Instr != nil {
-			it := *e.Instr
-			out.Entries[i].Instr = &it
-		}
-		if e.Data != nil {
-			d := *e.Data
-			out.Entries[i].Data = &d
-		}
-	}
-	for k, v := range p.OutputSlot {
-		out.OutputSlot[k] = v
-	}
-	return out
 }
 
 // Result is a completed kernel's output vector and timing.

@@ -12,19 +12,22 @@ import (
 // Checkpoint support. Kernel tokens are mutable (operand capture fills
 // instruction references in place; dependent counts on data tokens are
 // decremented), and one token can be referenced from several places at
-// once — a program entry, the CPM's instruction buffer, an RCU's
-// sub-block queue and its waiting index, or a flit payload in flight.
-// A TokenCloner deep-copies tokens under a single identity map so every
-// alias in one snapshot (or restore) pass resolves to the same copy.
+// once — an RCU's sub-block queue and its waiting index, or a flit
+// payload in flight. A TokenCloner deep-copies tokens under a single
+// identity map so every alias in one snapshot (or restore) pass
+// resolves to the same copy. Only live tokens are walked: the program a
+// CPM is streaming is immutable, so a snapshot shares it by pointer and
+// its size does not depend on the program's length.
 //
 // The state saved here follows the double-clone rule: SnapshotState
 // clones live tokens into the snapshot, and every RestoreState clones
 // the snapshot's tokens again into the platform, so one snapshot can be
 // forked any number of times.
 //
-// Callback values — the CPM's onDone and the completion closures held by
-// pending engine events — are shared, not cloned: they close over the
-// stable component roots whose state is restored alongside.
+// The CPM's onDone callback is shared, not cloned: it closes over the
+// submitter's state, which lives outside the platform. Pending memory
+// completions are typed engine events naming the CPM itself (see
+// cpmFetchDone), carried by the engine snapshot.
 
 // TokenCloner deep-copies instruction and data tokens — and cache
 // protocol messages, which are pool-recycled and so no longer safe to
@@ -103,17 +106,6 @@ func (tc *TokenCloner) data(d *DataToken) *DataToken {
 	return &cp
 }
 
-func (tc *TokenCloner) instrs(list []*InstrToken) []*InstrToken {
-	if list == nil {
-		return nil
-	}
-	out := make([]*InstrToken, len(list))
-	for i, it := range list {
-		out[i] = tc.instr(it)
-	}
-	return out
-}
-
 func (tc *TokenCloner) datas(list []*DataToken) []*DataToken {
 	if list == nil {
 		return nil
@@ -127,36 +119,6 @@ func (tc *TokenCloner) datas(list []*DataToken) []*DataToken {
 
 func (tc *TokenCloner) entry(e ProgEntry) ProgEntry {
 	return ProgEntry{Instr: tc.instr(e.Instr), Data: tc.data(e.Data)}
-}
-
-func (tc *TokenCloner) entries(list []ProgEntry) []ProgEntry {
-	if list == nil {
-		return nil
-	}
-	out := make([]ProgEntry, len(list))
-	for i, e := range list {
-		out[i] = tc.entry(e)
-	}
-	return out
-}
-
-// prog clones a program under the identity map — unlike Program.Clone,
-// aliases between the program's entries and tokens elsewhere (the
-// instruction buffer, in-flight flits) stay aliased in the copy.
-func (tc *TokenCloner) prog(p *Program) *Program {
-	if p == nil {
-		return nil
-	}
-	out := &Program{
-		Name:       p.Name,
-		Entries:    tc.entries(p.Entries),
-		OutputSlot: make(map[DepID]int, len(p.OutputSlot)),
-		NumOutputs: p.NumOutputs,
-	}
-	for k, v := range p.OutputSlot {
-		out.OutputSlot[k] = v
-	}
-	return out
 }
 
 func cloneResult(r *Result) *Result {
@@ -307,8 +269,10 @@ func (r *RCU) restore(s rcuState, tc *TokenCloner) {
 }
 
 // cpmState is one manager's saved state, including its private memory
-// channel. onDone is shared with the live CPM: it belongs to whoever
-// submitted the kernel, and a fork re-fires it when the fork finishes.
+// channel. prog is the shared immutable program; the entries already
+// fetched live on as tokens in instrBuf, the network and the RCUs.
+// onDone is shared with the live CPM: it belongs to whoever submitted
+// the kernel, and a fork re-fires it when the fork finishes.
 type cpmState struct {
 	staged *ProgEntry
 
@@ -344,7 +308,7 @@ type cpmState struct {
 func (c *CPM) snapshot(tc *TokenCloner) cpmState {
 	s := cpmState{
 		state:       c.state,
-		prog:        tc.prog(c.prog),
+		prog:        c.prog,
 		onDone:      c.onDone,
 		result:      cloneResult(c.result),
 		fetched:     c.fetched,
@@ -386,7 +350,7 @@ func (c *CPM) restore(s cpmState, tc *TokenCloner) {
 		c.staged = &c.stagedBuf
 	}
 	c.state = s.state
-	c.prog = tc.prog(s.prog)
+	c.prog = s.prog
 	c.onDone = s.onDone
 	c.result = cloneResult(s.result)
 	c.fetched = s.fetched

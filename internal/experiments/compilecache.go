@@ -14,9 +14,9 @@ import (
 // sweep cell recompiles the same few kernels: fig12 compiles each
 // kernel once per benchmark × priority cell, fig13 once per mesh ×
 // benchmark point. The cache memoizes CompileKernel on exactly that
-// key. Sharing the compiled *Program is safe because every consumer
-// treats it as read-only: CPM.Submit clones internally before execution
-// fills operands in place.
+// key. Sharing the compiled *Program is safe because a Program is
+// immutable: execution fills operands in the private token copy the CPM
+// assembles as it fetches each entry, never in the program.
 //
 // Counters are atomics (sweep cells compile concurrently) and surface
 // in metrics registries as compiler.cache.hits / compiler.cache.misses.

@@ -152,7 +152,7 @@ func BuildKernelGraph(k cpu.KernelName, d KernelDims, seed uint64) (*dataflow.Gr
 // CompileKernel builds and compiles one kernel for an nRCU-node
 // platform, memoized on (kernel, dims, nRCU, seed) — see
 // compilecache.go. The returned program is shared between callers and
-// must be treated as read-only; CPM.Submit clones it before execution.
+// immutable; every CPM that runs it streams the same instance.
 func CompileKernel(k cpu.KernelName, d KernelDims, nRCU int, seed uint64) (*core.Program, error) {
 	key := compileKey{kernel: k, dims: d, nRCU: nRCU, seed: seed}
 	if v, ok := compileCache.Load(key); ok {

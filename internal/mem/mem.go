@@ -108,6 +108,29 @@ func (c *Controller) rowOf(addr uint64) uint64 {
 // transfer completes. Write transactions complete when accepted by the
 // bank (posted writes); reads complete after the bus transfer.
 func (c *Controller) Access(addr uint64, write bool, done func(at int64)) int64 {
+	doneAt, at := c.issue(addr, write)
+	if done == nil {
+		return doneAt
+	}
+	c.eng.Schedule(at, func() { done(at) })
+	return at
+}
+
+// AccessCall is Access with a typed completion: callee.OnCall(arg, at)
+// runs at the completion cycle at, which is returned. No closure is
+// built, so the requester pays no allocation per transaction and a
+// checkpoint carries the pending completion by value.
+func (c *Controller) AccessCall(addr uint64, write bool, callee sim.Callee, arg int64) int64 {
+	_, at := c.issue(addr, write)
+	c.eng.ScheduleCall(at, callee, arg)
+	return at
+}
+
+// issue books one transaction against its bank and the data bus. It
+// returns the cycle the data transfer ends and the cycle the requester
+// hears back: the same for a read, acceptance by the bank for a posted
+// write.
+func (c *Controller) issue(addr uint64, write bool) (doneAt, ackAt int64) {
 	now := c.eng.Cycle()
 	b := &c.banks[c.bankOf(addr)]
 	row := c.rowOf(addr)
@@ -128,7 +151,7 @@ func (c *Controller) Access(addr uint64, write bool, done func(at int64)) int64 
 	if c.busFreeAt > busStart {
 		busStart = c.busFreeAt
 	}
-	doneAt := busStart + c.cfg.BusLat
+	doneAt = busStart + c.cfg.BusLat
 	// Bank occupancy: an open row streams back-to-back column accesses
 	// at burst rate; only activates/precharges tie the bank up for the
 	// full access time. (Without this, sequential command-stream reads
@@ -142,15 +165,10 @@ func (c *Controller) Access(addr uint64, write bool, done func(at int64)) int64 
 
 	c.accesses.Inc()
 	c.latSum += doneAt - now
-	if done != nil {
-		at := doneAt
-		if write {
-			at = start + 1 // posted write: ack on acceptance
-		}
-		c.eng.Schedule(at, func() { done(at) })
-		return at
+	if write {
+		return doneAt, start + 1 // posted write: ack on acceptance
 	}
-	return doneAt
+	return doneAt, doneAt
 }
 
 // StreamRead schedules a sequential read of n transactions starting at

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 
 	"snacknoc/internal/sim"
@@ -144,5 +145,49 @@ func TestAvgLatencyPositive(t *testing.T) {
 	eng.Run(100)
 	if c.AvgLatency() <= 0 {
 		t.Fatal("average latency should be positive")
+	}
+}
+
+// completions records typed completions as (arg, cycle) pairs.
+type completions [][2]int64
+
+func (c *completions) OnCall(arg, cycle int64) { *c = append(*c, [2]int64{arg, cycle}) }
+
+// TestAccessCallMatchesAccess drives one controller through closures
+// and a twin through typed completions with the same mixed stream: the
+// completion cycles (posted-write acks included) must be the same, the
+// argument must come back, and no transaction may allocate.
+func TestAccessCallMatchesAccess(t *testing.T) {
+	engA, a := newCtrl(t)
+	engB, b := newCtrl(t)
+	type access struct {
+		addr  uint64
+		write bool
+	}
+	stream := []access{{0, false}, {64, false}, {1 << 20, true}, {128, false}, {1 << 20, true}, {1 << 22, false}}
+	var want, got completions
+	for i, x := range stream {
+		i := int64(i)
+		atA := a.Access(x.addr, x.write, func(at int64) { want = append(want, [2]int64{i, at}) })
+		atB := b.AccessCall(x.addr, x.write, &got, i)
+		if atA != atB {
+			t.Fatalf("access %d: AccessCall completes at %d, Access at %d", i, atB, atA)
+		}
+	}
+	engA.Run(500)
+	engB.Run(500)
+	if len(got) != len(stream) || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("typed completions %v, closure completions %v", got, want)
+	}
+	if a.Accesses() != b.Accesses() || a.AvgLatency() != b.AvgLatency() || a.RowHitRate() != b.RowHitRate() {
+		t.Fatal("controller statistics diverged between the two completion forms")
+	}
+	got = got[:0]
+	if n := testing.AllocsPerRun(50, func() {
+		b.AccessCall(0, false, &got, 0)
+		engB.Run(100)
+		got = got[:0]
+	}); n != 0 {
+		t.Fatalf("AccessCall allocated %.0f objects per transaction, want 0", n)
 	}
 }

@@ -126,7 +126,7 @@ func (h *Handle) WakeAt(at int64) {
 	st.wakeAt = at
 	// Wake events carry the component directly instead of a closure, so
 	// the per-wake path (every wire push to a sleeper) allocates nothing.
-	e.scheduleEvent(at, nil, st)
+	e.fileEvent(at, nil, nil, 0, st)
 }
 
 // Engine owns global simulated time and the registered components.
@@ -141,10 +141,11 @@ type Engine struct {
 	// Evaluate phase, so N wakes cost one merge instead of N insertions.
 	woken []*compState
 	seq   int64
-	// fnScheduled counts callback schedules only (not wake-ups), so the
-	// exported event metric is identical for any shard count: barrier
-	// delivery wakes components directly where the serial kernel would
-	// schedule a wake event, but callbacks are model behaviour.
+	// fnScheduled counts Schedule and ScheduleCall events only (not
+	// wake-ups), so the exported event metric is identical for any shard
+	// count: barrier delivery wakes components directly where the serial
+	// kernel would schedule a wake event, but callbacks are model
+	// behaviour.
 	fnScheduled int64
 	wheel       timeWheel
 	// eventPool recycles event records; Schedule runs on per-miss and
@@ -209,32 +210,52 @@ func (e *Engine) SetAttrib(rec *attrib.Recorder) {
 	}
 }
 
+// Callee receives the typed events filed with ScheduleCall.
+type Callee interface {
+	// OnCall runs at the start of the cycle the event was scheduled for,
+	// with the argument given to ScheduleCall.
+	OnCall(arg, cycle int64)
+}
+
 // Schedule runs fn at the start of the given absolute cycle. Scheduling in
 // the past (or the current cycle, whose event phase already ran) is an
 // error, reported by panic because it is always a model bug.
 func (e *Engine) Schedule(at int64, fn func()) {
-	e.scheduleEvent(at, fn, nil)
+	e.fnScheduled++
+	e.fileEvent(at, fn, nil, 0, nil)
 }
 
-// scheduleEvent enqueues either a callback (fn) or a wake-up (wake) for
-// the start of cycle at. Exactly one of fn and wake is non-nil.
-func (e *Engine) scheduleEvent(at int64, fn func(), wake *compState) {
+// ScheduleCall is Schedule without the closure: callee.OnCall(arg, at)
+// runs at the start of cycle at. A callee that is a pointer costs no
+// allocation per event, and a checkpoint carries (callee, arg) by value.
+// Call events and Schedule callbacks due the same cycle fire in the order
+// they were scheduled, and both count as scheduled callbacks.
+func (e *Engine) ScheduleCall(at int64, callee Callee, arg int64) {
+	e.fnScheduled++
+	e.fileEvent(at, nil, callee, arg, nil)
+}
+
+// fileEvent enqueues a callback (fn), a call (callee, arg) or a wake-up
+// (wake) — exactly one of the three — for the start of cycle at, with
+// the next sequence number.
+func (e *Engine) fileEvent(at int64, fn func(), callee Callee, arg int64, wake *compState) {
 	if at <= e.cycle {
 		panic(fmt.Sprintf("sim: Schedule(%d) at or before current cycle %d", at, e.cycle))
 	}
-	if fn != nil {
-		e.fnScheduled++
-	}
 	e.seq++
-	var ev *event
-	if n := len(e.eventPool); n > 0 {
-		ev = e.eventPool[n-1]
-		e.eventPool = e.eventPool[:n-1]
-	} else {
-		ev = &event{}
-	}
-	ev.cycle, ev.seq, ev.fn, ev.wake = at, e.seq, fn, wake
+	ev := e.newEvent()
+	ev.cycle, ev.seq, ev.fn, ev.callee, ev.arg, ev.wake = at, e.seq, fn, callee, arg, wake
 	e.wheel.schedule(e.cycle, ev)
+}
+
+// newEvent takes a cleared record off the event pool.
+func (e *Engine) newEvent() *event {
+	if n := len(e.eventPool); n > 0 {
+		ev := e.eventPool[n-1]
+		e.eventPool = e.eventPool[:n-1]
+		return ev
+	}
+	return &event{}
 }
 
 // ScheduleAfter runs fn delay cycles from now (delay must be >= 1).
@@ -465,13 +486,16 @@ func (e *Engine) Step() {
 func (e *Engine) runEvents() {
 	due := e.wheel.collect(e.cycle)
 	for i, ev := range due {
-		fn, wake := ev.fn, ev.wake
-		ev.fn, ev.wake = nil, nil
+		fn, callee, arg, wake := ev.fn, ev.callee, ev.arg, ev.wake
+		ev.fn, ev.callee, ev.wake = nil, nil, nil
 		e.eventPool = append(e.eventPool, ev)
 		due[i] = nil
-		if wake != nil {
+		switch {
+		case wake != nil:
 			e.wake(wake)
-		} else {
+		case callee != nil:
+			callee.OnCall(arg, e.cycle)
+		default:
 			fn()
 		}
 	}

@@ -14,9 +14,10 @@ import (
 // snapshot restores any number of times: that is the fork primitive
 // internal/checkpoint builds warm sweeps on.
 //
-// Restore must target the engine the snapshot came from: pending events
-// hold closures over the registered components, so the component set
-// (and registration order) is part of the snapshot's identity.
+// Restore must target the engine the snapshot came from: pending
+// callbacks are closures over the registered components and pending
+// calls name their callee by pointer, so the component set (and
+// registration order) is part of the snapshot's identity.
 
 // EngineState is a saved engine, including shard sub-engines.
 type EngineState struct {
@@ -38,11 +39,14 @@ type compSnap struct {
 	wakeAt  int64
 }
 
-// eventSnap is one pending event by value. wakeIdx is the registration
-// index of the wake target, or -1 for callback events.
+// eventSnap is one pending event by value: a callback's closure (shared
+// with the live engine), a call's callee and argument, or — wakeIdx >= 0
+// — the registration index of a wake target.
 type eventSnap struct {
 	cycle, seq int64
 	fn         func()
+	callee     Callee
+	arg        int64
 	wakeIdx    int
 }
 
@@ -86,7 +90,7 @@ func (e *Engine) SnapshotState() *EngineState {
 }
 
 func snapEvent(ev *event) eventSnap {
-	es := eventSnap{cycle: ev.cycle, seq: ev.seq, fn: ev.fn, wakeIdx: -1}
+	es := eventSnap{cycle: ev.cycle, seq: ev.seq, fn: ev.fn, callee: ev.callee, arg: ev.arg, wakeIdx: -1}
 	if ev.wake != nil {
 		es.wakeIdx = ev.wake.idx
 	}
@@ -132,14 +136,8 @@ func (e *Engine) RestoreState(s *EngineState) {
 	e.wheel.overflow = e.wheel.overflow[:0]
 	e.wheel.pending = 0
 	for _, es := range s.events {
-		var ev *event
-		if n := len(e.eventPool); n > 0 {
-			ev = e.eventPool[n-1]
-			e.eventPool = e.eventPool[:n-1]
-		} else {
-			ev = &event{}
-		}
-		ev.cycle, ev.seq, ev.fn, ev.wake = es.cycle, es.seq, es.fn, nil
+		ev := e.newEvent()
+		ev.cycle, ev.seq, ev.fn, ev.callee, ev.arg = es.cycle, es.seq, es.fn, es.callee, es.arg
 		if es.wakeIdx >= 0 {
 			ev.wake = e.comps[es.wakeIdx]
 		}

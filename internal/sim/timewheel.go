@@ -22,14 +22,17 @@ const (
 	wheelMask = wheelSize - 1
 )
 
-// event is a scheduled callback or component wake-up (exactly one of fn
-// and wake is set). seq breaks same-cycle ties: events fire in schedule
-// order, matching the guarantee the old binary heap provided.
+// event is a scheduled callback (fn), typed call (callee, arg) or
+// component wake-up (wake); exactly one of fn, callee and wake is set.
+// seq breaks same-cycle ties: events fire in schedule order, matching the
+// guarantee the old binary heap provided.
 type event struct {
-	cycle int64
-	seq   int64
-	fn    func()
-	wake  *compState
+	cycle  int64
+	seq    int64
+	fn     func()
+	callee Callee
+	arg    int64
+	wake   *compState
 }
 
 // eventQueue is the overflow min-heap, ordered by (cycle, seq).

@@ -119,6 +119,31 @@ cmp "$scope_out" results/scope-smoke.txt
 rm -f "$scope_out"
 echo "attribution smoke: byte-identical"
 
+# Allocation budget: the kernel lifecycle (compile -> submit -> fetch ->
+# issue -> retire) is slab- and pool-fed, so one kernels_zero_load pass of
+# the repo benchmark — eight compiled-and-run kernels, ~300k instructions
+# — stays under 60000 allocations; a per-instruction allocation anywhere
+# on that path costs 300k. The count is exact and host-independent, so
+# unlike the ns/op guards below this step is never skipped; the same run
+# checks the pass's simulated results against the pinned digest.
+echo "== allocation budget (benchmark kernels_zero_load: allocs_per_pass <= 60000) =="
+alloc_out=/tmp/ci-bench.$$
+alloc_line=$(go run ./benchmark -workload kernels_zero_load -trace 0 -seconds 5 -out "$alloc_out" 2>/dev/null | tail -n 1)
+rm -rf "$alloc_out"
+case "$alloc_line" in
+*'"correct":true'*) ;;
+*)
+    echo "ERROR: kernels_zero_load did not report correct results: $alloc_line" >&2
+    exit 1
+    ;;
+esac
+allocs=$(printf '%s\n' "$alloc_line" | sed -n 's/.*"allocs_per_pass":{"value":\([0-9.]*\).*/\1/p')
+if [ -z "$allocs" ] || awk "BEGIN{exit !($allocs > 60000)}"; then
+    echo "ERROR: kernels_zero_load allocs_per_pass is '$allocs', budget 60000" >&2
+    exit 1
+fi
+echo "allocation budget: kernels_zero_load allocs_per_pass $allocs <= 60000"
+
 # Bench guard: tracing AND attribution must be free when disabled (both
 # follow the same nil-check discipline, and the benchmarks run with both
 # off). The observability-disabled Fig 2 router benchmark may not

@@ -161,8 +161,9 @@ func (p *Platform) executeLocked(ctx *Context) (*Stats, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The cached program is shared; relabel a shallow copy (entries
-		// stay shared read-only — CPM.Submit clones before execution).
+		// The cached program is shared and immutable; relabel a shallow
+		// copy (the CPM copies each entry as it fetches it, so the
+		// command stream itself stays shared).
 		prog := new(core.Program)
 		*prog = *cached
 		prog.Name = ctx.name
