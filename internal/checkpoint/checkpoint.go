@@ -37,10 +37,9 @@ import (
 type Target struct {
 	Eng  *sim.Engine
 	Net  *noc.Network
-	Sys  *cache.System          // CMP cache hierarchy
-	Work *cpu.Workload          // CMP cores
-	Plat *core.Platform         // SnackNoC compute layer
-	Syn  *noc.SyntheticInjector // synthetic traffic driver
+	Sys  *cache.System  // CMP cache hierarchy
+	Work *cpu.Workload  // CMP cores
+	Plat *core.Platform // SnackNoC compute layer
 }
 
 // State is one saved simulation, bound to the target it was taken from.
@@ -53,7 +52,6 @@ type State struct {
 	sys  *cache.SystemState
 	work *cpu.WorkloadState
 	plat *core.PlatformState
-	syn  noc.SyntheticInjectorState
 
 	// arena is the reusable restore scratch: the snapshot's own token
 	// state was cloned once at Take, and each fork reuses this identity
@@ -86,9 +84,6 @@ func Take(t Target) *State {
 	if t.Plat != nil {
 		s.plat = t.Plat.SnapshotState(tc)
 	}
-	if t.Syn != nil {
-		s.syn = t.Syn.State()
-	}
 	return s
 }
 
@@ -120,9 +115,6 @@ func (s *State) Restore() {
 	}
 	if s.plat != nil {
 		s.target.Plat.RestoreState(s.plat, tc)
-	}
-	if s.target.Syn != nil {
-		s.target.Syn.Restore(s.syn)
 	}
 	// The engine goes last: RestoreState re-files saved events, and the
 	// component state above must already be in place when they fire.

@@ -137,6 +137,11 @@ func TestForkDeterminism(t *testing.T) {
 				t.Fatalf("CPM not mid-stream at the snapshot point: fetched %d of %d, %d buffered, %d reads in flight",
 					c.Fetched(), len(s.prog.Entries), c.InstrBufLen(), c.Inflight())
 			}
+			// The sharded legs snapshot with flits on the wires that cross a
+			// shard boundary: the slab checkpoint must carry those too.
+			if shards > 1 && s.net.BoundaryFlits() == 0 {
+				t.Fatal("no flit on a shard-boundary wire at the snapshot point")
+			}
 			st := checkpoint.Take(s.target())
 			if st.Cycle() != 4096 {
 				t.Fatalf("snapshot cycle %d, want 4096", st.Cycle())
@@ -235,10 +240,20 @@ func TestSnapshotSizeIndependentOfProgramLength(t *testing.T) {
 }
 
 // TestStandaloneRoundTrip forks a zero-load kernel run (the fig13 leg2
-// shape) and checks the completion cycle and result values replay.
+// shape) and checks the completion cycle and result values replay —
+// serially, and on a two-shard compute-port mesh snapshotted with flits
+// on the wires that cross the shard boundary.
 func TestStandaloneRoundTrip(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { standaloneRoundTrip(t, shards) })
+	}
+}
+
+func standaloneRoundTrip(t *testing.T, shards int) {
 	eng := sim.NewEngine()
-	plat, err := core.NewStandalone(eng, 4, 4, true, core.DefaultPlatformConfig())
+	pc := core.DefaultPlatformConfig()
+	pc.Shards = shards
+	plat, err := core.NewStandalone(eng, 4, 4, true, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +266,12 @@ func TestStandaloneRoundTrip(t *testing.T) {
 		t.Fatal("CPM busy")
 	}
 	eng.Run(2000)
+	for n := 0; shards > 1 && plat.Net.BoundaryFlits() == 0; n++ {
+		if n == 1000 {
+			t.Fatal("no flit crossed the shard boundary in 1000 cycles")
+		}
+		eng.Run(1)
+	}
 	if !plat.CPM.Busy() {
 		t.Fatal("kernel finished before the snapshot point")
 	}

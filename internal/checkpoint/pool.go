@@ -85,17 +85,6 @@ func (p *Pool) Seal(shape string, t Target, payload any) *Entry {
 	return &Entry{shape: shape, payload: payload, state: Take(t), pool: p}
 }
 
-// Acquire is the steady-state cell path: a pooled platform rewound by
-// one Restore walk on a hit, or whatever build constructs (and Seals)
-// on a miss.
-func (p *Pool) Acquire(shape string, build func() (*Entry, error)) (*Entry, error) {
-	if e := p.Get(shape); e != nil {
-		e.Fork()
-		return e, nil
-	}
-	return build()
-}
-
 // Release retires a checked-out entry back to its pool. The platform
 // may be dirty; the next Get/Fork pair rewinds it. Entries beyond the
 // per-shape bound are dropped for the GC to collect.

@@ -50,12 +50,10 @@ func TestPoolForkDeterminism(t *testing.T) {
 
 	pool := checkpoint.NewPool(0)
 	const shape = "test/4x4"
-	first, err := pool.Acquire(shape, func() (*checkpoint.Entry, error) {
-		return standaloneEntry(t, pool, shape), nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if pool.Get(shape) != nil {
+		t.Fatal("an empty pool returned an entry")
 	}
+	first := standaloneEntry(t, pool, shape)
 	got := runMAC(t, first.Payload().(*core.Platform))
 	if got.DoneCycle != want.DoneCycle || fmt.Sprint(got.Values) != fmt.Sprint(want.Values) {
 		t.Fatalf("sealed-entry run diverged from cold run: done %d vs %d", got.DoneCycle, want.DoneCycle)
@@ -64,16 +62,11 @@ func TestPoolForkDeterminism(t *testing.T) {
 
 	// Three recycles: every one must be a pool hit rewound in place.
 	for i := 0; i < 3; i++ {
-		e, err := pool.Acquire(shape, func() (*checkpoint.Entry, error) {
-			t.Fatalf("recycle %d built instead of hitting the pool", i)
-			return nil, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := pool.Get(shape)
 		if e != first {
-			t.Fatalf("recycle %d returned a different entry", i)
+			t.Fatalf("recycle %d missed the pool or returned a different entry", i)
 		}
+		e.Fork()
 		got := runMAC(t, e.Payload().(*core.Platform))
 		if got.DoneCycle != want.DoneCycle || fmt.Sprint(got.Values) != fmt.Sprint(want.Values) {
 			t.Fatalf("recycle %d diverged: done %d vs %d", i, got.DoneCycle, want.DoneCycle)

@@ -137,3 +137,32 @@ func TestTokenPoolRecyclesWithinOneKernel(t *testing.T) {
 	}
 	t.Logf("%d instructions ran on %d instruction and %d data tokens", len(prog.Entries), len(pool.instr), len(pool.data))
 }
+
+// TestFirstRunAllocatesLikeARepeat: a platform is built at its working
+// size — wire queues at the credit bound, RCU cells and tables for a
+// mesh-wide reduction, pools and event records refilled a chunk at a
+// time — so a fresh platform's first kernel allocates tens of objects,
+// like any later one, not one per queue that has to grow (~690 before).
+func TestFirstRunAllocatesLikeARepeat(t *testing.T) {
+	prog := sgemmProg(16)
+	var p *Platform
+	build := testing.AllocsPerRun(5, func() { _, p = newPlatform(t) })
+	first := testing.AllocsPerRun(5, func() {
+		_, p = newPlatform(t)
+		if _, err := p.Run(prog, 10_000_000); err != nil {
+			t.Fatal(err)
+		}
+	}) - build
+	repeat := testing.AllocsPerRun(5, func() {
+		if _, err := p.Run(prog, 10_000_000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("build %.0f objects, first run %.0f, repeat run %.0f", build, first, repeat)
+	if first >= 64 {
+		t.Fatalf("a fresh platform's first run allocated %.0f objects, want < 64 (a repeat run: %.0f)", first, repeat)
+	}
+	if build >= 128 {
+		t.Fatalf("building the platform allocated %.0f objects, want < 128", build)
+	}
+}

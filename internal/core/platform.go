@@ -171,25 +171,39 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 	// One token pool per shard engine: every component schedules token
 	// allocation and release on its own shard's goroutine, so the pools
 	// need no locking (the per-shard flit-pool rule of the sharded NoC).
-	pools := make(map[*sim.Engine]*TokenPool)
-	poolFor := func(e *sim.Engine) *TokenPool {
-		if pl := pools[e]; pl != nil {
-			return pl
+	// The same walk counts each engine's registrations for Reserve.
+	type shardRes struct {
+		pool  *TokenPool
+		comps int
+	}
+	shard := make(map[*sim.Engine]*shardRes)
+	resFor := func(node noc.NodeID) *shardRes {
+		e := net.EngFor(node)
+		if shard[e] == nil {
+			shard[e] = &shardRes{pool: NewTokenPool()}
 		}
-		pl := NewTokenPool()
-		pools[e] = pl
-		return pl
+		return shard[e]
 	}
 	for i := 0; i < nc.Nodes(); i++ {
+		resFor(noc.NodeID(i)).comps++
+	}
+	for _, cc := range cpms {
+		resFor(cc.Node).comps++
+	}
+	for e, res := range shard {
+		e.Reserve(res.comps)
+	}
+	rcus := rcuSlabs(rcuCfg, nc.Nodes(), net.Loop(), p.CPM.Node())
+	for i := range rcus {
 		node := noc.NodeID(i)
-		rcu := NewRCU(rcuCfg, node, net.Loop(), p.CPM.Node())
+		rcu := &rcus[i]
 		var hook noc.ComputeUnit = rcu
 		if cpm := byNode[node]; cpm != nil {
 			hook = &nodeAttachment{rcu: rcu, cpm: cpm}
 		}
 		port := net.AttachCompute(node, hook)
 		rcu.SetPort(port)
-		rcu.SetPool(poolFor(net.EngFor(node)))
+		rcu.SetPool(resFor(node).pool)
 		if cpm := byNode[node]; cpm != nil {
 			// A CPM shares its router's compute port with the local RCU
 			// (Fig 5): instruction issue enters the crossbar directly
@@ -202,7 +216,7 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 		net.EngFor(node).Register(rcu)
 	}
 	for _, cpm := range p.CPMs {
-		cpm.SetPool(poolFor(net.EngFor(cpm.Node())))
+		cpm.SetPool(resFor(cpm.Node()).pool)
 		net.EngFor(cpm.Node()).Register(cpm)
 	}
 	return p, nil

@@ -28,10 +28,30 @@ const tokenPoolCap = 1 << 15
 // NewTokenPool returns an empty pool.
 func NewTokenPool() *TokenPool { return &TokenPool{} }
 
+// tokenChunk is how many tokens an empty free list allocates at once, so
+// a platform's first kernel costs a few allocations instead of one per
+// token in flight.
+const tokenChunk = 64
+
+// refill restocks an empty free list with one chunk of fresh tokens.
+func refill[T any](free []*T) []*T {
+	chunk := make([]T, tokenChunk)
+	if cap(free) < tokenChunk {
+		free = make([]*T, 0, 2*tokenChunk)
+	}
+	for i := range chunk {
+		free = append(free, &chunk[i])
+	}
+	return free
+}
+
 // GetInstr returns a zeroed instruction token.
 func (p *TokenPool) GetInstr() *InstrToken {
-	if p == nil || len(p.instr) == 0 {
+	if p == nil {
 		return new(InstrToken)
+	}
+	if len(p.instr) == 0 {
+		p.instr = refill(p.instr)
 	}
 	it := p.instr[len(p.instr)-1]
 	p.instr = p.instr[:len(p.instr)-1]
@@ -49,8 +69,11 @@ func (p *TokenPool) PutInstr(it *InstrToken) {
 
 // GetData returns a zeroed data token.
 func (p *TokenPool) GetData() *DataToken {
-	if p == nil || len(p.data) == 0 {
+	if p == nil {
 		return new(DataToken)
+	}
+	if len(p.data) == 0 {
+		p.data = refill(p.data)
 	}
 	d := p.data[len(p.data)-1]
 	p.data = p.data[:len(p.data)-1]

@@ -135,6 +135,67 @@ func NewRCU(cfg RCUConfig, node noc.NodeID, loop *noc.LoopRoute, cpmNode noc.Nod
 	}
 }
 
+// Initial per-RCU capacities: the high-water marks of the Table III
+// kernels at DSE smoke size on a 4×4 mesh — one live sub-block, two
+// inbox entries, eight queued results, 63 chain cells (MAC) and 16
+// awaited dependencies (the reduction root). Reproduction-size MAC and
+// SPMV chains, and the reduction root of a larger mesh, outgrow them.
+const (
+	rcuCellCap    = 64
+	rcuSBCap      = 4
+	rcuSBTabCap   = 16
+	rcuWaitCap    = 16
+	rcuWaitTabCap = 32
+	rcuInboxCap   = 4
+	rcuOutQCap    = 8
+)
+
+// rcuSlabs builds every RCU of a mesh in a handful of allocations: the
+// RCUs themselves and each flat structure as one slab, carved into
+// full-capacity windows. The windows are initial capacities, not limits
+// — an RCU that outgrows one reallocates it privately, as a directly
+// constructed NewRCU grows from empty.
+func rcuSlabs(cfg RCUConfig, nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) []RCU {
+	const tabCap = rcuSBTabCap + rcuWaitTabCap
+	rcus := make([]RCU, nodes)
+	cells := make([]instrNode, nodes*rcuCellCap)
+	sbSlots := make([]sbState, nodes*rcuSBCap)
+	waitSlots := make([]waitList, nodes*rcuWaitCap)
+	idx := make([]int32, nodes*(2*rcuSBCap+rcuWaitCap+tabCap))
+	keys := make([]uint32, nodes*tabCap)
+	live := make([]bool, nodes*tabCap)
+	inbox := make([]inboxEntry, nodes*rcuInboxCap)
+	outQ := make([]outToken, nodes*rcuOutQCap)
+	tab := func(n int) u32Table {
+		return u32Table{keys: carve(&keys, n), vals: carve(&idx, n), live: carve(&live, n)}
+	}
+	for i := range rcus {
+		rcus[i] = RCU{
+			cfg: cfg, node: noc.NodeID(i), loop: loop, cpmNode: cpmNode, nodeFree: -1,
+			nodes:     carve(&cells, rcuCellCap)[:0],
+			sbSlots:   carve(&sbSlots, rcuSBCap)[:0],
+			sbFree:    carve(&idx, rcuSBCap)[:0],
+			sbActive:  carve(&idx, rcuSBCap)[:0],
+			waitSlots: carve(&waitSlots, rcuWaitCap)[:0],
+			waitFree:  carve(&idx, rcuWaitCap)[:0],
+			sbTab:     tab(rcuSBTabCap),
+			waitTab:   tab(rcuWaitTabCap),
+			inbox:     carve(&inbox, rcuInboxCap)[:0],
+			outQ:      carve(&outQ, rcuOutQCap),
+		}
+	}
+	return rcus
+}
+
+// carve cuts the next n elements off the front of *slab as a
+// full-capacity window (s[a:b:b]), so growth past it reallocates instead
+// of running into the neighbouring window.
+func carve[T any](slab *[]T, n int) []T {
+	w := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return w
+}
+
 // SetPort installs the compute-port handle returned by AttachCompute.
 func (r *RCU) SetPort(p *noc.InjectPort) { r.port = p }
 

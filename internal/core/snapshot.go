@@ -145,11 +145,9 @@ type waitSnap struct {
 	list []*InstrToken
 }
 
-// rcuState is one RCU's saved state. The compute port is saved here —
-// at the CPM's node the CPM shares the RCU's port, so the platform
-// saves it exactly once.
+// rcuState is one RCU's saved state. Its compute port belongs to the
+// network and rides the network snapshot.
 type rcuState struct {
-	port    noc.InjectPortState
 	inbox   []inboxEntry
 	sbs     []sbSnap
 	waiting []waitSnap
@@ -175,7 +173,6 @@ type rcuState struct {
 
 func (r *RCU) snapshot(tc *TokenCloner) rcuState {
 	s := rcuState{
-		port:      r.port.State(),
 		acc:       r.acc,
 		accSB:     r.accSB,
 		accOpen:   r.accOpen,
@@ -219,7 +216,6 @@ func (r *RCU) snapshot(tc *TokenCloner) rcuState {
 }
 
 func (r *RCU) restore(s rcuState, tc *TokenCloner) {
-	r.port.Restore(s.port)
 	r.inbox = r.inbox[:0]
 	for _, e := range s.inbox {
 		r.inbox = append(r.inbox, inboxEntry{it: tc.instr(e.it), stamp: e.stamp})

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/checkpoint"
@@ -29,8 +30,12 @@ import (
 // are adjacent, and a checkpoint.Pool recycles built platforms between
 // legs — a steady-state leg rewinds a pooled platform with one Restore
 // walk instead of building a mesh, caches, and compute layer from
-// scratch. Outputs are deterministic: a forked platform replays exactly
-// like a fresh one (the checkpoint determinism guarantee), results are
+// scratch. A pooled platform dies with its shape: a finishing leg
+// releases its entry only while more legs of the shape are waiting than
+// platforms are already pooled for it, so the sweep holds O(workers)
+// platforms, not O(cells).
+// Outputs are deterministic: a forked platform replays exactly like a
+// fresh one (the checkpoint determinism guarantee), results are
 // assembled by index, and nothing wall-clock-dependent reaches the
 // rendered artifact.
 
@@ -210,7 +215,11 @@ func (a DSEAxes) cellAt(i int) (buf, ch, vc, rcu int) {
 // on the sweep worker pool (-j N) at kernel-leg granularity; legs
 // sharing a platform shape are adjacent in the queue so the platform
 // pool converges to one build per shape per worker.
-func RunDSE(cfg DSEConfig) (*DSEResult, error) {
+func RunDSE(cfg DSEConfig) (*DSEResult, error) { return runDSE(cfg, nil) }
+
+// runDSE is RunDSE with an observer called after every leg (tests watch
+// the platform pool through it).
+func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) {
 	if cfg.Topology == "" {
 		cfg.Topology = "mesh"
 	}
@@ -230,6 +239,16 @@ func RunDSE(cfg DSEConfig) (*DSEResult, error) {
 	}
 	pool := checkpoint.NewPool(poolDepth)
 
+	// Each cell's pool shape, and per shape how many legs have not yet
+	// been handed a platform and how many platforms sit idle in the pool.
+	// mu makes a leg's count update and its pool Get or Release one step,
+	// so idle never exceeds unstarted and a spent shape pools nothing.
+	type shapeLeft struct{ unstarted, idle int }
+	shards := Shards()
+	shapes := make([]string, nCells)
+	var mu sync.Mutex
+	left := make(map[string]*shapeLeft, nCells)
+
 	res := &DSEResult{Cfg: cfg, Cells: make([]DSECell, nCells)}
 	for i := range res.Cells {
 		buf, ch, vc, rcu := cfg.Axes.cellAt(i)
@@ -242,6 +261,12 @@ func RunDSE(cfg DSEConfig) (*DSEResult, error) {
 			Width: w, Height: h,
 			KernelCycles: make([]int64, nK),
 		}
+		shapes[i] = fmt.Sprintf("dse/%s/%dx%d/vc%d/buf%d/ch%d/pri%v/sh%d",
+			cfg.Topology, w, h, vc, buf, ch, cfg.Priority, shards)
+		if left[shapes[i]] == nil {
+			left[shapes[i]] = &shapeLeft{}
+		}
+		left[shapes[i]].unstarted += nK
 	}
 
 	// Modeled single-core CPU cycles per kernel (NoC-independent).
@@ -265,7 +290,6 @@ func RunDSE(cfg DSEConfig) (*DSEResult, error) {
 		legAttrib = make([]map[string]float64, nCells*nK)
 	}
 
-	shards := Shards()
 	err := forEach(nCells*nK, func(item int) error {
 		ci, ki := item/nK, item%nK
 		cell := &res.Cells[ci]
@@ -274,9 +298,7 @@ func RunDSE(cfg DSEConfig) (*DSEResult, error) {
 		if err != nil {
 			return err
 		}
-		shape := fmt.Sprintf("dse/%s/%dx%d/vc%d/buf%d/ch%d/pri%v/sh%d",
-			cfg.Topology, cell.Width, cell.Height, cell.VCs, cell.BufDepth,
-			cell.ChanWidth, cfg.Priority, shards)
+		shape := shapes[ci]
 		build := func() (*checkpoint.Entry, error) {
 			eng := sim.NewEngine()
 			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
@@ -295,11 +317,16 @@ func RunDSE(cfg DSEConfig) (*DSEResult, error) {
 		}
 		var entry *checkpoint.Entry
 		if usePool {
-			entry, err = pool.Acquire(shape, build)
-		} else {
-			entry, err = build()
+			mu.Lock()
+			left[shape].unstarted--
+			if entry = pool.Get(shape); entry != nil {
+				left[shape].idle--
+			}
+			mu.Unlock()
 		}
-		if err != nil {
+		if entry != nil {
+			entry.Fork()
+		} else if entry, err = build(); err != nil {
 			return err
 		}
 		dp := entry.Payload().(*dsePlatform)
@@ -316,7 +343,15 @@ func RunDSE(cfg DSEConfig) (*DSEResult, error) {
 			legAttrib[item] = m
 		}
 		if usePool {
-			entry.Release()
+			mu.Lock()
+			if l := left[shape]; l.idle < l.unstarted {
+				l.idle++
+				entry.Release()
+			} // else no leg is left to use it: drop the platform
+			mu.Unlock()
+			if afterLeg != nil {
+				afterLeg(pool)
+			}
 		}
 		if ki == 0 {
 			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,

@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"snacknoc/internal/checkpoint"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/traffic"
 )
@@ -193,5 +195,39 @@ func TestWarmSweepStateDrains(t *testing.T) {
 	// closing, not from SetWarmSweeps(false).
 	if g, z := warmStateSize(); g != 0 || z != 0 {
 		t.Fatalf("warm state after sweep: %d groups, %d zero-load memos; want a full drain", g, z)
+	}
+}
+
+// TestDSEPoolHoldsWorkersNotCells pins the retention fix: every cell has
+// its own pool shape, so a platform released after its shape's last leg
+// would sit in the pool until the final Drain — live heap proportional to
+// the grid. A spent shape's platforms are dropped instead, and mid-sweep
+// the pool never holds more idle platforms than there are workers.
+func TestDSEPoolHoldsWorkersNotCells(t *testing.T) {
+	cfg := dseTestConfig()
+	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction, cpu.KernelSPMV}
+	defer SetWorkers(0)
+	for _, j := range []int{1, 4} {
+		SetWorkers(j)
+		var mu sync.Mutex
+		legs, peak := 0, 0
+		res, err := runDSE(cfg, func(pool *checkpoint.Pool) {
+			mu.Lock()
+			defer mu.Unlock()
+			legs++
+			peak = max(peak, pool.Idle())
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cfg.Axes.Cells() * len(cfg.Kernels); legs != want {
+			t.Fatalf("-j %d: observed %d legs, want %d", j, legs, want)
+		}
+		if peak > j {
+			t.Errorf("-j %d: %d platforms idle in the pool mid-sweep, want <= %d (one per worker)", j, peak, j)
+		}
+		if got := res.PoolHits + res.PoolMisses; got != int64(legs) {
+			t.Errorf("-j %d: %d pool lookups for %d legs", j, got, legs)
+		}
 	}
 }

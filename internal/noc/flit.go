@@ -102,13 +102,25 @@ func (p *flitPool) get() *Flit {
 	if p == nil {
 		return &Flit{}
 	}
-	if n := len(p.flits); n > 0 {
-		f := p.flits[n-1]
-		p.flits = p.flits[:n-1]
-		return f
+	if len(p.flits) == 0 {
+		// Refill a chunk at a time: a network's first traffic then costs
+		// a few allocations, not one per flit in flight.
+		chunk := make([]Flit, flitChunk)
+		if cap(p.flits) < flitChunk {
+			p.flits = make([]*Flit, 0, 2*flitChunk)
+		}
+		for i := range chunk {
+			p.flits = append(p.flits, &chunk[i])
+		}
 	}
-	return &Flit{}
+	n := len(p.flits)
+	f := p.flits[n-1]
+	p.flits = p.flits[:n-1]
+	return f
 }
+
+// flitChunk is how many flits an empty pool allocates at once.
+const flitChunk = 32
 
 // put recycles a flit that has left the network. All fields are cleared so
 // a pooled flit retains no payload reference.

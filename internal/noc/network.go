@@ -11,11 +11,52 @@ import (
 
 // Network is a complete mesh NoC instance: routers, links, and network
 // interfaces, registered with a simulation engine.
+//
+// The Network owns all router, NI and wire state as a few slabs sized
+// exactly from the Config by New; routers and NIs hold windows of them.
+// Every window is carved s[a:b:b] (capacity == length), so no append
+// through one component's window can reach its neighbour's. A checkpoint
+// is a copy of the mutable slabs (see snapshot.go). DESIGN.md §9 has the
+// layout.
 type Network struct {
-	cfg     *Config
-	routers []*Router
-	nis     []*NI
-	loop    *LoopRoute
+	cfg  *Config
+	loop *LoopRoute
+
+	routers []Router
+	nis     []NI
+	ports   []InjectPort // compute injection ports, one per node (nil without compute ports)
+	rptrs   []*Router    // &routers[i], for Routers
+
+	inPorts  []inputPort  // per router, in direction order
+	outPorts []outputPort // likewise
+	// flitWires/credWires hold every wire: wire k of each slab belongs to
+	// inPorts[k] (flits in, credits back), then one pair per node for the
+	// ejection link, then the shard-boundary stubs. Slab order is the
+	// checkpoint's wire order.
+	flitWires []wire[*Flit]
+	credWires []wire[creditMsg]
+	flitQ     []wireEntry[*Flit] // queue storage, wireCap entries per wire
+	credQ     []wireEntry[creditMsg]
+
+	vcs     []inputVC // per router: port-major, then vnet, then vc
+	bufSlab []*Flit   // the VCs' ring buffers, in vcs order
+	reasm   []*Flit   // the NIs' reassembly slots
+	waiting [][]*Packet
+	staged  []stagedCredit // routers' staged-credit lists, at their bound
+
+	// tables is read-only after New: the per-vnet geometry every router
+	// and NI shares, one occupancy->bucket table per router port count,
+	// and the input ports' refBase rows. credits is every credit and
+	// round-robin counter (output ports, then NIs, then inject ports),
+	// counts every statistics array (buffer histograms, NI latency sums),
+	// work the routers' allocator work lists.
+	tables  []int32
+	credits []int32
+	counts  []int64
+	work    []int32
+
+	series []stats.TimeSeries // EnableSampling: one per router, then one per output port
+
 	// pools recycle flits per shard (one pool for the whole network when
 	// unsharded). Each shard lives on exactly one goroutine at a time, so
 	// the free-lists are lock-free; flits migrating between shards are
@@ -36,95 +77,314 @@ type Network struct {
 	credB []boundary[creditMsg]
 }
 
+// bufHistBuckets is the resolution of the Fig 3 occupancy histogram.
+const bufHistBuckets = 20
+
+// carve cuts the next n elements off the front of *slab as a full-
+// capacity window.
+func carve[T any](slab *[]T, n int) []T {
+	w := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return w
+}
+
+// slabPlan is what New counts from a Config before it allocates: the
+// size of one port and of the whole mesh.
+type slabPlan struct {
+	nv                   int // virtual networks
+	portVCs, portSlots   int // VCs and buffer slots on a full port (every vnet)
+	snackClass           int // VCs per port in the snack priority class
+	compute              int // compute ports per router (0 or 1)
+	snackVCs, snackSlots int // VCs and slots on a compute port (snack vnet only)
+	links, crossing      int // directed mesh links; those whose ends are on different shards
+	nIn, nOut, nVCs      int // input ports, output ports, input VCs
+	nWires, wireCap      int // wires per wire slab, queue entries per wire
+	nBuckets             int // entries of all occupancy->bucket tables
+}
+
+func planSlabs(cfg *Config, shardOf []int) slabPlan {
+	p := slabPlan{nv: len(cfg.VNets)}
+	maxDepth := 0
+	for _, vn := range cfg.VNets {
+		p.portVCs += vn.VCs
+		p.portSlots += vn.VCs * vn.BufDepth
+		maxDepth = max(maxDepth, vn.BufDepth)
+	}
+	if cfg.SnackVNet >= 0 {
+		p.snackClass = cfg.VNets[cfg.SnackVNet].VCs
+	}
+	if cfg.ComputePort {
+		p.compute, p.snackVCs = 1, p.snackClass
+		p.snackSlots = p.snackVCs * cfg.VNets[cfg.SnackVNet].BufDepth
+	}
+	// Routers with the same mesh degree have the same buffer-slot count
+	// and share an occupancy->bucket table.
+	var degSeen [5]bool
+	nodes := cfg.Nodes()
+	for i := 0; i < nodes; i++ {
+		deg := 0
+		for d := North; d <= West; d++ {
+			if nb, ok := cfg.neighbor(NodeID(i), d); ok {
+				deg++
+				if shardOf[nb] != shardOf[i] {
+					p.crossing++
+				}
+			}
+		}
+		p.links += deg
+		if !degSeen[deg] {
+			degSeen[deg] = true
+			p.nBuckets += p.slots(deg) + 1
+		}
+	}
+	p.nIn, p.nOut = p.links+nodes*(1+p.compute), p.links+nodes
+	p.nVCs = p.nOut*p.portVCs + nodes*p.snackVCs
+	// One wire pair per input port, one per ejection link, one stub pair
+	// per crossing link. A wire holds what its reader has not yet drained:
+	// bounded by the reader's buffer (credits) plus what the link carries.
+	p.nWires = p.nIn + nodes + p.crossing
+	p.wireCap = maxDepth + cfg.LinkLatency
+	return p
+}
+
+// slots returns the buffer slots of a router with deg mesh neighbours.
+func (p *slabPlan) slots(deg int) int { return (deg+1)*p.portSlots + p.snackSlots }
+
 // New constructs the mesh described by cfg and registers every router and
 // network interface with the engine (partitioning it into cfg.Shards
-// sub-engines first when sharding is requested).
+// sub-engines first when sharding is requested). It counts ports, VCs,
+// buffer slots and wires from cfg, allocates each slab once, and carves
+// the routers' and NIs' windows out of them — the allocation count does
+// not depend on the mesh size.
 func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := &Network{cfg: cfg, root: eng}
 	nodes := cfg.Nodes()
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
+	shards := max(cfg.Shards, 1)
 	n.engs = eng.Partition(shards)
 	n.pools = make([]flitPool, shards)
 	n.shardOf = make([]int, nodes)
-	for i := 0; i < nodes; i++ {
+	perShard := make([]int, shards)
+	for i := range n.shardOf {
 		x, _ := cfg.XY(NodeID(i))
 		n.shardOf[i] = x * shards / cfg.Width
+		perShard[n.shardOf[i]]++
 	}
-	n.routers = make([]*Router, nodes)
-	n.nis = make([]*NI, nodes)
-	for i := 0; i < nodes; i++ {
-		n.routers[i] = newRouter(NodeID(i), cfg)
-		n.routers[i].pool = &n.pools[n.shardOf[i]]
-		n.nis[i] = newNI(NodeID(i), cfg, &n.pools[n.shardOf[i]])
+	for s, e := range n.engs {
+		e.Reserve(2 * perShard[s])
 	}
 
-	// Mesh links: for each adjacent pair, create the downstream input
-	// port first, then mirror it at the upstream output. A link whose
-	// endpoints live on different shards gets stub wires interposed on
-	// both writer sides (flits downstream, credits back upstream) so no
-	// shard ever touches another shard's wires mid-cycle.
-	link := func(up *Router, dir Direction, down *Router, rdir Direction) {
-		in := down.addInput(rdir, false)
-		up.addOutput(dir, in, false)
-		if n.shardOf[up.id] != n.shardOf[down.id] {
-			n.flitB = append(n.flitB, interpose(&up.outputs[dir].out))
-			n.credB = append(n.credB, interpose(&in.credit))
-		}
+	p := planSlabs(cfg, n.shardOf)
+	n.routers = make([]Router, nodes)
+	n.nis = make([]NI, nodes)
+	n.rptrs = make([]*Router, nodes)
+	n.inPorts = make([]inputPort, p.nIn)
+	n.outPorts = make([]outputPort, p.nOut)
+	n.flitWires = make([]wire[*Flit], p.nWires)
+	n.credWires = make([]wire[creditMsg], p.nWires)
+	n.flitQ = make([]wireEntry[*Flit], p.nWires*p.wireCap)
+	n.credQ = make([]wireEntry[creditMsg], p.nWires*p.wireCap)
+	n.vcs = make([]inputVC, p.nVCs)
+	n.bufSlab = make([]*Flit, p.nOut*p.portSlots+nodes*p.snackSlots)
+	n.reasm = make([]*Flit, nodes*p.portVCs)
+	n.waiting = make([][]*Packet, nodes*p.nv)
+	n.staged = make([]stagedCredit, 2*p.nIn)
+	n.tables = make([]int32, 3*p.nv+p.nBuckets+p.nIn*p.nv)
+	n.credits = make([]int32, (p.nOut+nodes)*(p.portVCs+p.nv)+nodes*p.snackVCs)
+	n.counts = make([]int64, nodes*(bufHistBuckets+2*p.nv))
+	n.work = make([]int32, 3*p.nVCs+p.nOut*p.portVCs)
+	n.flitB = make([]boundary[*Flit], 0, p.crossing)
+	n.credB = make([]boundary[creditMsg], 0, p.crossing)
+	if cfg.ComputePort {
+		n.ports = make([]InjectPort, nodes)
 	}
-	for y := 0; y < cfg.Height; y++ {
-		for x := 0; x < cfg.Width; x++ {
-			r := n.routers[cfg.Node(x, y)]
-			if x+1 < cfg.Width {
-				east := n.routers[cfg.Node(x+1, y)]
-				link(r, East, east, West)
-				link(east, West, r, East)
-			}
-			if y+1 < cfg.Height {
-				south := n.routers[cfg.Node(x, y+1)]
-				link(r, South, south, North)
-				link(south, North, r, South)
-			}
-		}
-	}
-
-	// Local ports: NI <-> router.
-	for i := 0; i < nodes; i++ {
-		r := n.routers[i]
-		ni := n.nis[i]
-		ni.connect(r.addInput(Local, false))
-		eject := &inputPort{dir: Local, in: ni.fromRouter, credit: &wire[creditMsg]{}}
-		r.addOutput(Local, eject, true)
-	}
-
-	// Compute ports and the transient-data loop route.
 	if cfg.SnackVNet >= 0 {
 		n.loop = NewLoopRoute(cfg)
-		for i := 0; i < nodes; i++ {
-			n.routers[i].loop = n.loop
-		}
 	}
-	if cfg.ComputePort {
-		for i := 0; i < nodes; i++ {
-			n.routers[i].addInput(Compute, true)
-		}
+	for k := range n.flitWires {
+		n.flitWires[k].q = n.flitQ[k*p.wireCap : k*p.wireCap : (k+1)*p.wireCap]
+		n.credWires[k].q = n.credQ[k*p.wireCap : k*p.wireCap : (k+1)*p.wireCap]
 	}
+	n.layOut(&p)
 
-	for i := 0; i < nodes; i++ {
+	for i := range n.routers {
 		se := n.engs[n.shardOf[i]]
-		n.routers[i].finalize()
-		n.routers[i].setHandle(se.Register(n.routers[i]))
-		n.nis[i].setHandle(se.Register(n.nis[i]))
+		n.routers[i].setHandle(se.Register(&n.routers[i]))
+		n.nis[i].setHandle(se.Register(&n.nis[i]))
 	}
 	if shards > 1 {
 		eng.AtBarrier(n.exchange)
 	}
 	return n, nil
+}
+
+// layOut hands every router, NI and inject port its windows of the slabs
+// and wires the ports together. The slabs are consumed front to back;
+// each carve takes exactly what planSlabs counted (checked at the end).
+func (n *Network) layOut(p *slabPlan) {
+	cfg := n.cfg
+	inPorts, outPorts, vcs, bufSlab := n.inPorts, n.outPorts, n.vcs, n.bufSlab
+	reasm, waiting, staged := n.reasm, n.waiting, n.staged
+	tables, credits, counts, work := n.tables, n.credits, n.counts, n.work
+
+	vnetOff, depthOf, nvcOf := carve(&tables, p.nv), carve(&tables, p.nv), carve(&tables, p.nv)
+	off := int32(0)
+	for v, vn := range cfg.VNets {
+		vnetOff[v], depthOf[v], nvcOf[v] = off, int32(vn.BufDepth), int32(vn.VCs)
+		off += int32(vn.VCs)
+	}
+
+	var bucketOf [5][]int32 // by mesh degree
+	for i := range n.routers {
+		r := &n.routers[i]
+		n.rptrs[i] = r
+		*r = Router{
+			id: NodeID(i), cfg: cfg, loop: n.loop, pool: &n.pools[n.shardOf[i]],
+			vnetOff: vnetOff, depthOf: depthOf, nvcOf: nvcOf,
+			snackVNet:   cfg.SnackVNet,
+			routerLatM1: int64(cfg.RouterLatency - 1),
+			linkLat:     int64(cfg.LinkLatency),
+		}
+		deg := 0
+		for d := North; d <= West; d++ {
+			if _, ok := cfg.neighbor(r.id, d); ok {
+				deg++
+			}
+		}
+		inBase := len(n.inPorts) - len(inPorts) // r.inList[0]'s index in n.inPorts
+		r.inList = carve(&inPorts, deg+1+p.compute)
+		r.outList = carve(&outPorts, deg+1)
+		r.vcs = carve(&vcs, (deg+1)*p.portVCs+p.snackVCs)
+		r.bufSlab = carve(&bufSlab, p.slots(deg))
+		r.stagedCredits = carve(&staged, 2*len(r.inList))[:0]
+		r.needRoute = carve(&work, len(r.vcs))[:0]
+		r.waitVA = carve(&work, len(r.vcs))[:0]
+		r.vaScratch = carve(&work, len(r.vcs))[:0]
+		r.bufHist = stats.MakeHistogram(1.0, carve(&counts, bufHistBuckets))
+		if bucketOf[deg] == nil {
+			t := carve(&tables, len(r.bufSlab)+1)
+			for occ := range t {
+				t[occ] = int32(r.bufHist.BucketIndex(float64(occ) / float64(len(r.bufSlab))))
+			}
+			bucketOf[deg] = t
+		}
+		r.bufBucket = bucketOf[deg]
+
+		// Ports in direction order; input port k reads wire pair k, and the
+		// VC table follows the input ports.
+		in, out, vc, slot := 0, 0, int32(0), int32(0)
+		for d := Direction(0); d < numDirections; d++ {
+			_, mesh := cfg.neighbor(r.id, d)
+			if !mesh && d != Local && !(d == Compute && cfg.ComputePort) {
+				continue
+			}
+			ip := &r.inList[in]
+			*ip = inputPort{
+				dir: d, in: &n.flitWires[inBase+in], credit: &n.credWires[inBase+in],
+				snackOnly: d == Compute, refBase: carve(&tables, p.nv),
+			}
+			in++
+			r.inputs[d] = ip
+			for v := range cfg.VNets {
+				if ip.snackOnly && v != cfg.SnackVNet {
+					ip.refBase[v] = -1
+					continue
+				}
+				ip.refBase[v] = vc
+				cl := int8(classComm)
+				if v == cfg.SnackVNet {
+					cl = classSnack
+				}
+				for c := int32(0); c < nvcOf[v]; c++ {
+					r.vcs[vc] = inputVC{
+						port: d, vnet: int16(v), vc: int16(c), class: cl,
+						base: slot, depth: depthOf[v],
+					}
+					vc++
+					slot += depthOf[v]
+				}
+			}
+			if d == Compute {
+				continue // input only
+			}
+			op := &r.outList[out]
+			out++
+			*op = outputPort{
+				dir: d, ejection: d == Local,
+				credits: carve(&credits, p.portVCs), vcRR: carve(&credits, p.nv),
+			}
+			r.outputs[d] = op
+			r.saCand[d][classComm] = carve(&work, p.portVCs-p.snackClass)[:0]
+			r.saCand[d][classSnack] = carve(&work, p.snackClass)[:0]
+		}
+	}
+
+	// Second pass, now that every input port has its wires: point each
+	// output at the downstream input's wires and fill its credits. A link
+	// whose endpoints live on different shards gets stub wires interposed
+	// on both writer sides (flits downstream, credits back upstream) so no
+	// shard ever touches another shard's wires mid-cycle.
+	eject, stub := p.nIn, p.nIn+len(n.nis)
+	for i := range n.routers {
+		r := &n.routers[i]
+		ni := &n.nis[i]
+		*ni = NI{
+			node: r.id, cfg: cfg, pool: r.pool,
+			toRouter: r.inputs[Local].in, creditIn: r.inputs[Local].credit,
+			fromRouter: &n.flitWires[eject+i],
+			vnetOff:    vnetOff, nvcOf: nvcOf,
+			credits: carve(&credits, p.portVCs), vcRR: carve(&credits, p.nv),
+			waiting: carve(&waiting, p.nv), reasm: carve(&reasm, p.portVCs),
+			latSum: carve(&counts, p.nv), latCount: carve(&counts, p.nv),
+		}
+		for j := range r.outList {
+			op := &r.outList[j]
+			if op.ejection {
+				op.out, op.credit = ni.fromRouter, &n.credWires[eject+i]
+			} else {
+				nb, _ := cfg.neighbor(r.id, op.dir)
+				down := n.routers[nb].inputs[op.dir.opposite()]
+				op.out, op.credit = down.in, down.credit
+				if n.shardOf[nb] != n.shardOf[i] {
+					n.flitB = append(n.flitB, interpose(&op.out, &n.flitWires[stub]))
+					n.credB = append(n.credB, interpose(&down.credit, &n.credWires[stub]))
+					stub++
+				}
+			}
+			for v := range cfg.VNets {
+				room := depthOf[v]
+				if op.ejection {
+					// Network interfaces sink flits as fast as they arrive;
+					// model their ejection buffers as unbounded.
+					room = 1 << 30
+				}
+				for c := int32(0); c < nvcOf[v]; c++ {
+					op.credits[vnetOff[v]+c] = room
+				}
+			}
+		}
+		for v := range cfg.VNets {
+			for c := int32(0); c < nvcOf[v]; c++ {
+				ni.credits[vnetOff[v]+c] = depthOf[v]
+			}
+		}
+	}
+	for i := range n.ports {
+		in := n.routers[i].inputs[Compute]
+		n.ports[i] = InjectPort{
+			node: NodeID(i), vnet: cfg.SnackVNet, pool: n.routers[i].pool,
+			out: in.in, creditIn: in.credit, credits: carve(&credits, p.snackVCs),
+		}
+		for c := range n.ports[i].credits {
+			n.ports[i].credits[c] = depthOf[cfg.SnackVNet]
+		}
+	}
+	if len(inPorts)+len(outPorts)+len(vcs)+len(bufSlab)+len(reasm)+len(waiting)+len(staged)+
+		len(tables)+len(credits)+len(counts)+len(work) != 0 || stub != p.nWires {
+		panic("noc: slab layout does not match its carve")
+	}
 }
 
 // exchange drains every cross-shard boundary — flits first, then the
@@ -137,6 +397,17 @@ func (n *Network) exchange(int64) {
 	for i := range n.credB {
 		n.credB[i].drain()
 	}
+}
+
+// BoundaryFlits counts the flits in flight on links that cross a shard
+// boundary (always 0 on an unsharded network). Checkpoint tests use it to
+// snapshot with the boundary wires occupied.
+func (n *Network) BoundaryFlits() int {
+	c := 0
+	for i := range n.flitB {
+		c += n.flitB[i].real.pending()
+	}
+	return c
 }
 
 // EngFor returns the sub-engine driving the given node's shard. Components
@@ -153,13 +424,13 @@ func (n *Network) Cfg() *Config { return n.cfg }
 func (n *Network) Loop() *LoopRoute { return n.loop }
 
 // Router returns the router at the given node.
-func (n *Network) Router(id NodeID) *Router { return n.routers[id] }
+func (n *Network) Router(id NodeID) *Router { return &n.routers[id] }
 
 // NI returns the network interface at the given node.
-func (n *Network) NI(id NodeID) *NI { return n.nis[id] }
+func (n *Network) NI(id NodeID) *NI { return &n.nis[id] }
 
 // Routers returns all routers in node order.
-func (n *Network) Routers() []*Router { return n.routers }
+func (n *Network) Routers() []*Router { return n.rptrs }
 
 // AttachClient registers the packet receiver for a node.
 func (n *Network) AttachClient(id NodeID, c Client) { n.nis[id].AttachClient(c) }
@@ -170,21 +441,8 @@ func (n *Network) AttachCompute(id NodeID, cu ComputeUnit) *InjectPort {
 	if !n.cfg.ComputePort {
 		panic("noc: AttachCompute on a network without compute ports")
 	}
-	r := n.routers[id]
-	r.attachCompute(cu)
-	in := r.inputs[Compute]
-	p := &InjectPort{
-		node:     id,
-		vnet:     n.cfg.SnackVNet,
-		pool:     &n.pools[n.shardOf[id]],
-		out:      in.in,
-		creditIn: in.credit,
-		credits:  make([]int, n.cfg.VNets[n.cfg.SnackVNet].VCs),
-	}
-	for i := range p.credits {
-		p.credits[i] = n.cfg.VNets[n.cfg.SnackVNet].BufDepth
-	}
-	return p
+	n.routers[id].attachCompute(cu)
+	return &n.ports[id]
 }
 
 // Inject stamps and queues a packet at its source NI. The caller must be
@@ -198,9 +456,10 @@ func (n *Network) Inject(p *Packet, cycle int64) {
 	if p.Src < 0 || int(p.Src) >= len(n.nis) {
 		panic(fmt.Sprintf("noc: inject from invalid node %d", p.Src))
 	}
-	p.ID = n.nis[p.Src].nextPktID()
+	ni := &n.nis[p.Src]
+	p.ID = ni.nextPktID()
 	p.InjectCycle = cycle
-	n.nis[p.Src].Inject(p, cycle)
+	ni.Inject(p, cycle)
 }
 
 // InjectMsg injects a protocol message without allocating: the Packet
@@ -211,7 +470,7 @@ func (n *Network) InjectMsg(src, dst NodeID, vnet, sizeBytes int, payload any, c
 	if src < 0 || int(src) >= len(n.nis) {
 		panic(fmt.Sprintf("noc: inject from invalid node %d", src))
 	}
-	ni := n.nis[src]
+	ni := &n.nis[src]
 	p := ni.getPacket()
 	p.Src = src
 	p.Dst = dst
@@ -226,8 +485,15 @@ func (n *Network) InjectMsg(src, dst NodeID, vnet, sizeBytes int, payload any, c
 // EnableSampling turns on time-series sampling (crossbar and links) on
 // every router with the given interval in cycles.
 func (n *Network) EnableSampling(interval int64) {
-	for _, r := range n.routers {
-		r.EnableSampling(interval)
+	n.series = make([]stats.TimeSeries, len(n.routers)+len(n.outPorts))
+	for i := range n.series {
+		n.series[i] = stats.MakeTimeSeries(interval)
+	}
+	for i := range n.routers {
+		n.routers[i].xbarSeries = &n.series[i]
+	}
+	for i := range n.outPorts {
+		n.outPorts[i].series = &n.series[len(n.routers)+i]
 	}
 }
 
@@ -243,11 +509,9 @@ func (n *Network) SetTracer(t *trace.Tracer) {
 	if len(n.engs) > 1 {
 		n.root.SetSerialShards(t != nil)
 	}
-	for _, r := range n.routers {
-		r.SetTracer(t)
-	}
-	for _, ni := range n.nis {
-		ni.SetTracer(t)
+	for i := range n.routers {
+		n.routers[i].SetTracer(t)
+		n.nis[i].SetTracer(t)
 	}
 }
 
@@ -257,10 +521,12 @@ func (n *Network) SetTracer(t *trace.Tracer) {
 // each shard writes only its own components' counters, and the step
 // barrier orders those writes before the root reads them.
 func (n *Network) SetAttrib(rec *attrib.Recorder) {
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
 		r.SetAttrib(rec.NewCounters(attrib.KindRouter, r.Name()))
 	}
-	for _, ni := range n.nis {
+	for i := range n.nis {
+		ni := &n.nis[i]
 		ni.SetAttrib(rec.NewCounters(attrib.KindNI, ni.Name()))
 	}
 }
@@ -268,11 +534,11 @@ func (n *Network) SetAttrib(rec *attrib.Recorder) {
 // RegisterMetrics names every router and NI statistic in reg, plus the
 // network-wide aggregates (total packets, per-vnet mean latency).
 func (n *Network) RegisterMetrics(reg *stats.Registry) {
-	for _, r := range n.routers {
-		r.RegisterMetrics(reg)
+	for i := range n.routers {
+		n.routers[i].RegisterMetrics(reg)
 	}
-	for _, ni := range n.nis {
-		ni.RegisterMetrics(reg)
+	for i := range n.nis {
+		n.nis[i].RegisterMetrics(reg)
 	}
 	reg.AddGauge("net.packets.injected", func() float64 { return float64(n.TotalInjected()) })
 	reg.AddGauge("net.packets.ejected", func() float64 { return float64(n.TotalEjected()) })
@@ -286,8 +552,8 @@ func (n *Network) RegisterMetrics(reg *stats.Registry) {
 // TotalInjected returns packets injected across all nodes.
 func (n *Network) TotalInjected() int64 {
 	var t int64
-	for _, ni := range n.nis {
-		t += ni.InjectedPackets()
+	for i := range n.nis {
+		t += n.nis[i].InjectedPackets()
 	}
 	return t
 }
@@ -295,8 +561,8 @@ func (n *Network) TotalInjected() int64 {
 // TotalEjected returns packets delivered across all nodes.
 func (n *Network) TotalEjected() int64 {
 	var t int64
-	for _, ni := range n.nis {
-		t += ni.EjectedPackets()
+	for i := range n.nis {
+		t += n.nis[i].EjectedPackets()
 	}
 	return t
 }
@@ -305,9 +571,9 @@ func (n *Network) TotalEjected() int64 {
 // nodes for the given vnet (0 when no packets were delivered).
 func (n *Network) AvgPacketLatency(vnet int) float64 {
 	var sum, count int64
-	for _, ni := range n.nis {
-		sum += ni.latSum[vnet]
-		count += ni.latCount[vnet]
+	for i := range n.nis {
+		sum += n.nis[i].latSum[vnet]
+		count += n.nis[i].latCount[vnet]
 	}
 	if count == 0 {
 		return 0
@@ -319,7 +585,7 @@ func (n *Network) AvgPacketLatency(vnet int) float64 {
 // link (excluding local/ejection links), keyed by "router->dir".
 func (n *Network) MeshLinkUtils() map[string]float64 {
 	m := make(map[string]float64)
-	for _, r := range n.routers {
+	for _, r := range n.rptrs {
 		for d := North; d <= West; d++ {
 			if u := r.LinkUtil(d); u != nil {
 				m[fmt.Sprintf("r%d->%s", r.id, d)] = u.Fraction()
@@ -339,9 +605,16 @@ type InjectPort struct {
 	pool     *flitPool
 	out      *wire[*Flit]
 	creditIn *wire[creditMsg]
-	credits  []int
-	rr       int
-	seq      uint64
+	credits  []int32 // window of the Network's credits slab
+
+	injScalars
+}
+
+// injScalars is an inject port's mutable state outside the slabs; a
+// checkpoint copies it whole.
+type injScalars struct {
+	rr  int
+	seq uint64
 }
 
 // injectPortTag distinguishes compute-port packet IDs from NI packet IDs,
@@ -362,7 +635,7 @@ func (p *InjectPort) Update(cycle int64) {
 func (p *InjectPort) FreeSlots() int {
 	n := 0
 	for _, c := range p.credits {
-		n += c
+		n += int(c)
 	}
 	return n
 }

@@ -51,67 +51,64 @@ type NI struct {
 
 	handle *sim.Handle // engine wake handle, for Inject calls while asleep
 
-	credits [][]int
-	vcBusy  [][]bool
-	vcRR    []int
+	// vnetOff/nvcOf are the network's shared per-vnet geometry; credits
+	// ([vnetOff[v]+c], the router's local input port) and vcRR (per vnet)
+	// are windows of the Network's credits slab.
+	vnetOff []int32
+	nvcOf   []int32
+	credits []int32
+	vcRR    []int32
 
-	incoming     []injectReq
-	waiting      [][]*Packet // per-vnet FIFO of packets awaiting a VC
-	waitingCount int         // total packets across all waiting queues
-	active       []*txn
-	txRR         int
-	staged       *Flit
+	incoming []injectReq
+	waiting  [][]*Packet // per-vnet FIFO of packets awaiting a VC
+	active   []*txn
+	staged   *Flit
 
 	// free lists for per-packet bookkeeping records
-	txnFree   []*txn
-	reasmFree []*reasmState
+	txnFree []*txn
 	// pktFree recycles Packet envelopes for Network.InjectMsg; packets
 	// injected directly through Inject stay caller-owned and never enter
 	// this list.
 	pktFree []*Packet
 
 	client Client
-	reasm  map[uint64]*reasmState
+	// reasm[vnetOff[v]+c] holds the head flit of the multi-flit packet
+	// arriving on ejection VC (v, c) until its tail does: the router holds
+	// an output VC from a packet's head to its tail, so each slot carries
+	// at most one packet at a time. pkt is the envelope lent to the client
+	// for the duration of Deliver (see Client).
+	reasm []*Flit
+	pkt   Packet
 
-	// pktSeq numbers packets injected at this node; combined with the node
-	// tag it forms globally unique, interleaving-independent packet IDs.
-	pktSeq uint64
-
-	// statistics
-	injected  stats.Counter
-	ejected   stats.Counter
-	flitsIn   stats.Counter
-	flitsOut  stats.Counter
-	latSum    []int64 // per-vnet total packet latency
-	latCount  []int64
-	maxQueued int
+	// statistics (the counters are in niScalars)
+	latSum   []int64 // per-vnet total packet latency
+	latCount []int64
 
 	// tr records packet/flit lifecycle events; nil disables tracing.
 	tr *trace.Tracer
 
 	// at classifies each evaluated cycle for attribution; nil disables.
 	at *attrib.Counters
+
+	niScalars
 }
 
-// reasmState tracks one packet mid-reassembly. The Packet is embedded by
-// value so ejection never allocates: Deliver hands the client &pkt under
-// the borrow contract documented on Client, then the record is recycled.
-type reasmState struct {
-	pkt  Packet
-	seen int
-}
+// niScalars is an NI's mutable state outside the slabs; a checkpoint
+// copies it whole.
+type niScalars struct {
+	vcBusy       uint64 // bit vnetOff[v]+c: local-port VC held by a transmission
+	waitingCount int    // total packets across all waiting queues
+	txRR         int
 
-func newNI(node NodeID, cfg *Config, pool *flitPool) *NI {
-	return &NI{
-		node:       node,
-		cfg:        cfg,
-		pool:       pool,
-		fromRouter: &wire[*Flit]{},
-		waiting:    make([][]*Packet, len(cfg.VNets)),
-		reasm:      make(map[uint64]*reasmState),
-		latSum:     make([]int64, len(cfg.VNets)),
-		latCount:   make([]int64, len(cfg.VNets)),
-	}
+	// pktSeq numbers packets injected at this node; combined with the node
+	// tag it forms globally unique, interleaving-independent packet IDs.
+	pktSeq uint64
+
+	injected  stats.Counter
+	ejected   stats.Counter
+	flitsIn   stats.Counter
+	flitsOut  stats.Counter
+	maxQueued int
 }
 
 // Name implements sim.Component.
@@ -133,22 +130,6 @@ func (ni *NI) getPacket() *Packet {
 		return p
 	}
 	return &Packet{pooled: true}
-}
-
-// connect wires the NI to its router's local input port.
-func (ni *NI) connect(local *inputPort) {
-	ni.toRouter = local.in
-	ni.creditIn = local.credit
-	ni.credits = make([][]int, len(ni.cfg.VNets))
-	ni.vcBusy = make([][]bool, len(ni.cfg.VNets))
-	ni.vcRR = make([]int, len(ni.cfg.VNets))
-	for v, vn := range ni.cfg.VNets {
-		ni.credits[v] = make([]int, vn.VCs)
-		ni.vcBusy[v] = make([]bool, vn.VCs)
-		for c := range ni.credits[v] {
-			ni.credits[v][c] = vn.BufDepth
-		}
-	}
 }
 
 // setHandle installs the NI's engine wake handle on the wires it reads
@@ -247,7 +228,7 @@ func (ni *NI) Evaluate(cycle int64) {
 	if q := ni.creditIn.q; len(q) > 0 && q[0].arrive <= cycle {
 		n := 0
 		for n < len(q) && q[n].arrive <= cycle {
-			ni.credits[q[n].v.vnet][q[n].v.vc]++
+			ni.credits[ni.vnetOff[q[n].v.vnet]+q[n].v.vc]++
 			n++
 		}
 		ni.creditIn.q = append(q[:0], q[n:]...)
@@ -276,25 +257,25 @@ func (ni *NI) Evaluate(cycle int64) {
 		if len(ni.waiting[v]) == 0 {
 			continue
 		}
-		nvc := len(ni.vcBusy[v])
-		for j := 0; j < nvc; j++ {
+		nvc, off := ni.nvcOf[v], ni.vnetOff[v]
+		for j := int32(0); j < nvc; j++ {
 			c := (ni.vcRR[v] + j) % nvc
-			if ni.vcBusy[v][c] {
+			if ni.vcBusy&(1<<uint(off+c)) != 0 {
 				continue
 			}
 			p := ni.popWaiting(v)
-			ni.vcBusy[v][c] = true
+			ni.vcBusy |= 1 << uint(off+c)
 			ni.vcRR[v] = c + 1
 			flits := flitize(p, ni.cfg, ni.pool)
 			for _, f := range flits {
-				f.VC = c
+				f.VC = int(c)
 			}
 			if p.pooled {
 				// The envelope's contents now live in the flits; recycle it.
 				*p = Packet{pooled: true}
 				ni.pktFree = append(ni.pktFree, p)
 			}
-			ni.active = append(ni.active, ni.newTxn(flits, v, c))
+			ni.active = append(ni.active, ni.newTxn(flits, v, int(c)))
 			break
 		}
 	}
@@ -305,12 +286,13 @@ func (ni *NI) Evaluate(cycle int64) {
 		n := len(ni.active)
 		for i := 0; i < n; i++ {
 			t := ni.active[(ni.txRR+i)%n]
-			if ni.credits[t.vnet][t.vc] <= 0 {
+			slot := ni.vnetOff[t.vnet] + int32(t.vc)
+			if ni.credits[slot] <= 0 {
 				continue
 			}
 			f := t.flits[t.next]
 			t.next++
-			ni.credits[t.vnet][t.vc]--
+			ni.credits[slot]--
 			ni.staged = f
 			ni.flitsOut.Inc()
 			if ni.tr != nil {
@@ -321,7 +303,7 @@ func (ni *NI) Evaluate(cycle int64) {
 			}
 			ni.txRR = (ni.txRR + i + 1) % n
 			if t.next == len(t.flits) {
-				ni.vcBusy[t.vnet][t.vc] = false
+				ni.vcBusy &^= 1 << uint(slot)
 				ni.removeTxn(t)
 			}
 			break
@@ -362,39 +344,44 @@ func (ni *NI) Evaluate(cycle int64) {
 			rec.VC = int8(f.VC)
 			ni.tr.Emit(rec)
 		}
-		st := ni.reasm[f.PacketID]
-		if st == nil {
-			st = ni.newReasm(f)
-			ni.reasm[f.PacketID] = st
+		st := &ni.reasm[ni.vnetOff[f.VNet]+int32(f.VC)]
+		head := *st
+		if f.IsHead() == (head != nil) {
+			panic(fmt.Sprintf("%s: %s out of packet order on its ejection VC", ni.Name(), f))
 		}
-		if f.IsHead() {
-			st.pkt.Payload = f.Payload
-			st.pkt.Loop = f.Loop
-		}
-		st.seen++
-		done := st.seen == f.PktFlits
-		// Capture the coordinates needed below before the flit is recycled
-		// (put zeroes it). The old code read f.PacketID after put, so the
-		// reassembly record was never actually deleted from the map — one
-		// leaked entry per delivered packet — and deliver-trace records
-		// carried packet ID 0.
-		pktID, vnet, inject := f.PacketID, f.VNet, f.InjectCycle
-		ni.pool.put(f)
-		if done {
-			delete(ni.reasm, pktID)
-			ni.ejected.Inc()
-			ni.latSum[vnet] += cycle - inject
-			ni.latCount[vnet]++
-			if ni.tr != nil {
-				// Packet-lifetime span: injection to delivery.
-				ni.tr.Emit(ni.pktRecord(trace.KindDeliver, cycle, inject, pktID, vnet))
+		if !f.IsTail() {
+			// Flits of a packet arrive in order on one VC: park the head,
+			// drop the bodies, and deliver when the tail closes the packet.
+			if head == nil {
+				*st = f
+			} else {
+				ni.pool.put(f)
 			}
-			if ni.client != nil {
-				ni.client.Deliver(&st.pkt, cycle)
-			}
-			st.pkt = Packet{}
-			ni.reasmFree = append(ni.reasmFree, st)
+			continue
 		}
+		if head == nil {
+			head = f
+		} else {
+			*st = nil
+			ni.pool.put(f)
+		}
+		ni.pkt = Packet{
+			ID: head.PacketID, Src: head.Src, Dst: head.Dst, VNet: head.VNet,
+			Payload: head.Payload, Loop: head.Loop, InjectCycle: head.InjectCycle,
+		}
+		ni.pool.put(head)
+		p := &ni.pkt
+		ni.ejected.Inc()
+		ni.latSum[p.VNet] += cycle - p.InjectCycle
+		ni.latCount[p.VNet]++
+		if ni.tr != nil {
+			// Packet-lifetime span: injection to delivery.
+			ni.tr.Emit(ni.pktRecord(trace.KindDeliver, cycle, p.InjectCycle, p.ID, p.VNet))
+		}
+		if ni.client != nil {
+			ni.client.Deliver(p, cycle)
+		}
+		*p = Packet{}
 	}
 	ni.fromRouter.q = append(q[:0], q[drained:]...)
 }
@@ -431,26 +418,6 @@ func (ni *NI) newTxn(flits []*Flit, vnet, vc int) *txn {
 		return t
 	}
 	return &txn{flits: flits, vnet: vnet, vc: vc}
-}
-
-// newReasm builds a reassembly record for the packet f opens, reusing a
-// retired record when available. The embedded Packet is reused too — it is
-// only ever borrowed by the client during Deliver (see Client).
-func (ni *NI) newReasm(f *Flit) *reasmState {
-	var st *reasmState
-	if n := len(ni.reasmFree); n > 0 {
-		st = ni.reasmFree[n-1]
-		ni.reasmFree = ni.reasmFree[:n-1]
-		st.seen = 0
-	} else {
-		st = &reasmState{}
-	}
-	st.pkt.ID = f.PacketID
-	st.pkt.Src = f.Src
-	st.pkt.Dst = f.Dst
-	st.pkt.VNet = f.VNet
-	st.pkt.InjectCycle = f.InjectCycle
-	return st
 }
 
 func (ni *NI) removeTxn(t *txn) {

@@ -25,7 +25,7 @@ type NodeID int
 
 // Direction enumerates router ports. Local is the network-interface port;
 // Compute is the optional RCU injection port (input only).
-type Direction int
+type Direction int8
 
 // Router port directions.
 const (
@@ -162,6 +162,31 @@ func (c *Config) XY(n NodeID) (x, y int) {
 	return int(n) % c.Width, int(n) / c.Width
 }
 
+// neighbor returns the node one hop from n in mesh direction d, if the
+// mesh has one.
+func (c *Config) neighbor(n NodeID, d Direction) (NodeID, bool) {
+	x, y := c.XY(n)
+	switch d {
+	case North:
+		y--
+	case East:
+		x++
+	case South:
+		y++
+	case West:
+		x--
+	default:
+		return 0, false
+	}
+	if x < 0 || x >= c.Width || y < 0 || y >= c.Height {
+		return 0, false
+	}
+	return c.Node(x, y), true
+}
+
+// opposite returns the mesh direction facing d.
+func (d Direction) opposite() Direction { return (d + 2) % 4 }
+
 // Node returns the NodeID at mesh coordinates (x, y).
 func (c *Config) Node(x, y int) NodeID {
 	return NodeID(y*c.Width + x)
@@ -174,15 +199,4 @@ func (c *Config) FlitsFor(bytes int) int {
 		return 1
 	}
 	return (bytes + c.ChannelWidthBytes - 1) / c.ChannelWidthBytes
-}
-
-// maxVCs returns the largest VC count across vnets (used to size arrays).
-func (c *Config) maxVCs() int {
-	m := 0
-	for _, v := range c.VNets {
-		if v.VCs > m {
-			m = v.VCs
-		}
-	}
-	return m
 }

@@ -20,17 +20,11 @@ func runContention(t *testing.T, priority bool) (comm, snack int) {
 	commGot := 0
 	net.AttachClient(3, countClient{&commGot})
 	snackGot := 0
+	var inj *InjectPort
 	for i := 0; i < 16; i++ {
-		net.AttachCompute(NodeID(i), snackCounter{node: NodeID(i), got: &snackGot})
-	}
-	port := net.Router(1).inputs[Compute]
-	inj := &InjectPort{
-		node: 1, vnet: cfg.SnackVNet, pool: &net.pools[net.shardOf[1]],
-		out: port.in, creditIn: port.credit,
-		credits: make([]int, cfg.VNets[cfg.SnackVNet].VCs),
-	}
-	for i := range inj.credits {
-		inj.credits[i] = cfg.VNets[cfg.SnackVNet].BufDepth
+		if p := net.AttachCompute(NodeID(i), snackCounter{node: NodeID(i), got: &snackGot}); i == 1 {
+			inj = p
+		}
 	}
 	eng.Register(&contentionPump{net: net, port: inj})
 	eng.Run(2000)

@@ -53,9 +53,9 @@ const (
 
 // inputVC is one virtual-channel buffer on an input port. All VCs of a
 // router live contiguously in Router.vcs (indexed port-major, then vnet,
-// then vc) and their flit queues are fixed rings over the shared
-// Router.bufSlab, so the per-cycle allocator loops walk flat arrays
-// instead of chasing a per-port pointer forest.
+// then vc) and their flit queues are fixed rings over Router.bufSlab —
+// both windows of the Network's slabs — so the per-cycle allocator loops
+// walk flat arrays instead of chasing a per-port pointer forest.
 type inputVC struct {
 	state   vcState
 	class   int8
@@ -83,7 +83,7 @@ type inputPort struct {
 	credit    *wire[creditMsg] // credits back to the upstream sender
 	snackOnly bool
 	// refBase[v] is the Router.vcs index of this port's (v, 0) VC, or -1
-	// when the port does not carry vnet v. Built by finalize.
+	// when the port does not carry vnet v.
 	refBase []int32
 }
 
@@ -97,12 +97,18 @@ type outputPort struct {
 	credit   *wire[creditMsg] // credits from the downstream receiver
 	ejection bool
 	credits  []int32 // [vnetOff[v]+c] free downstream slots
-	busy     uint64  // bit vnetOff[v]+c: held by an in-flight packet
 	vcRR     []int32 // per-vnet round-robin pointer for output-VC allocation
 	staged   *Flit   // flit leaving on this port, committed in Advance
+	series   *stats.TimeSeries
 
-	util   stats.Utilization
-	series *stats.TimeSeries
+	outScalars
+}
+
+// outScalars is an output port's mutable state outside the slabs; a
+// checkpoint copies it whole.
+type outScalars struct {
+	busy uint64 // bit vnetOff[v]+c: held by an in-flight packet
+	util stats.Utilization
 }
 
 // Router is one mesh router: input VC buffers, XY route computation,
@@ -120,11 +126,11 @@ type Router struct {
 	inputs  [numDirections]*inputPort  // nil where no link exists
 	outputs [numDirections]*outputPort // nil where no link exists
 
-	// inList/outList hold the non-nil ports in direction order, so the
-	// per-cycle loops touch only ports that exist instead of testing all
-	// numDirections slots for nil. Built by finalize.
-	inList  []*inputPort
-	outList []*outputPort
+	// inList/outList are the router's ports in direction order — its
+	// windows of the Network's port slabs, which inputs/outputs point
+	// into — so the per-cycle loops touch only ports that exist.
+	inList  []inputPort
+	outList []outputPort
 
 	compute ComputeUnit
 	drainer LoopDrainer // compute's drain hook, cached off the hot path
@@ -132,57 +138,43 @@ type Router struct {
 	pool    *flitPool // shard-local flit free-list (nil in bare unit tests)
 
 	// vcs is the flat input-VC table (see inputVC); bufSlab backs every
-	// VC's ring queue. Built by finalize.
+	// VC's ring queue. Both are windows of the Network's slabs.
 	vcs     []inputVC
 	bufSlab []*Flit
 
 	// vnetOff[v] is the first flat VC slot of vnet v on any port carrying
 	// the full vnet set; depthOf/nvcOf hoist the per-vnet geometry out of
-	// cfg for the per-cycle loops.
+	// cfg for the per-cycle loops. One table per network, shared.
 	vnetOff []int32
 	depthOf []int32
 	nvcOf   []int32
 
-	// allocator work lists (indices into vcs)
-	needRoute []int
-	waitVA    []int
-	vaScratch []int
-	saCand    [numDirections][2][]int
-	// saMask has bit d set iff saCand[d][class] is non-empty, so switch
-	// allocation visits only outputs with candidates.
-	saMask  [2]uint32
-	saPtr   [numDirections]int
-	saRound int // shared RR start under priority arbitration
-	vaPtr   int
+	// allocator work lists (indices into vcs), carved from the Network's
+	// work arena at their bounds: a VC is on needRoute or waitVA at most
+	// once, and every switch candidate for an output holds one of that
+	// output's VCs.
+	needRoute []int32
+	waitVA    []int32
+	vaScratch []int32
+	saCand    [numDirections][2][]int32
 
 	// staged results of the current Evaluate, committed in Advance; each
 	// output port holds its own staged flit, stagedCount the total.
 	stagedCount   int
 	stagedCredits []stagedCredit
 
-	// occupancy counts buffered flits across all input VCs; when zero the
-	// allocator stages are skipped entirely.
-	occupancy int
-
 	// configuration hoisted out of cfg for the per-cycle loops
 	snackVNet   int
 	routerLatM1 int64
 	linkLat     int64
 
-	// statistics
-	xbarUtil   stats.Utilization
+	// statistics (the counters are in routerScalars)
 	xbarSeries *stats.TimeSeries
-	xbarMoves  stats.Counter
-	bufHist    *stats.Histogram
-	bufSlots   int
-	// bufBucket maps occupancy (0..bufSlots) straight to its histogram
-	// bucket, replacing a float divide per cycle with a table lookup.
+	bufHist    stats.Histogram // buckets are a window of the Network's counts slab
+	// bufBucket maps occupancy (0..buffer slots) straight to its
+	// histogram bucket, replacing a float divide per cycle with a table
+	// lookup; routers with the same port count share one table.
 	bufBucket []int32
-	consumed  stats.Counter // snack flits consumed by the compute unit
-	// classMoves splits crossbar traversals by priority class, the
-	// attribution behind the §III-D3 "snacking never displaces CMP
-	// traffic" claim.
-	classMoves [2]stats.Counter
 
 	// tr records flit-lifecycle events; nil (the default) disables
 	// tracing and must cost nothing beyond the nil checks.
@@ -191,6 +183,31 @@ type Router struct {
 	// at classifies every evaluated cycle into the attribution taxonomy;
 	// nil (the default) disables attribution under the same contract.
 	at *attrib.Counters
+
+	routerScalars
+}
+
+// routerScalars is a router's mutable state outside the slabs; a
+// checkpoint copies it whole.
+type routerScalars struct {
+	// saMask has bit d set iff saCand[d][class] is non-empty, so switch
+	// allocation visits only outputs with candidates.
+	saMask  [2]uint32
+	saPtr   [numDirections]int
+	saRound int // shared RR start under priority arbitration
+	vaPtr   int
+
+	// occupancy counts buffered flits across all input VCs; when zero the
+	// allocator stages are skipped entirely.
+	occupancy int
+
+	xbarUtil  stats.Utilization
+	xbarMoves stats.Counter
+	consumed  stats.Counter // snack flits consumed by the compute unit
+	// classMoves splits crossbar traversals by priority class, the
+	// attribution behind the §III-D3 "snacking never displaces CMP
+	// traffic" claim.
+	classMoves [2]stats.Counter
 }
 
 type stagedCredit struct {
@@ -198,122 +215,11 @@ type stagedCredit struct {
 	msg  creditMsg
 }
 
-// newRouter builds a router shell; ports are wired by the Network.
-func newRouter(id NodeID, cfg *Config) *Router {
-	r := &Router{id: id, cfg: cfg}
-	r.vnetOff = make([]int32, len(cfg.VNets))
-	r.depthOf = make([]int32, len(cfg.VNets))
-	r.nvcOf = make([]int32, len(cfg.VNets))
-	off := int32(0)
-	for v, vn := range cfg.VNets {
-		r.vnetOff[v] = off
-		r.depthOf[v] = int32(vn.BufDepth)
-		r.nvcOf[v] = int32(vn.VCs)
-		off += int32(vn.VCs)
-	}
-	return r
-}
-
 // ID returns the router's node id.
 func (r *Router) ID() NodeID { return r.id }
 
 // Name implements sim.Component.
 func (r *Router) Name() string { return fmt.Sprintf("router%d", r.id) }
-
-// addInput installs an input port; VC buffers are laid out by finalize.
-func (r *Router) addInput(dir Direction, snackOnly bool) *inputPort {
-	p := &inputPort{
-		dir:       dir,
-		in:        &wire[*Flit]{},
-		credit:    &wire[creditMsg]{},
-		snackOnly: snackOnly,
-	}
-	r.inputs[dir] = p
-	return p
-}
-
-// addOutput installs an output port whose downstream buffers mirror the
-// given input port's geometry.
-func (r *Router) addOutput(dir Direction, downstream *inputPort, ejection bool) *outputPort {
-	totVC := int32(0)
-	for _, n := range r.nvcOf {
-		totVC += n
-	}
-	p := &outputPort{
-		dir:      dir,
-		out:      downstream.in,
-		credit:   downstream.credit,
-		ejection: ejection,
-		credits:  make([]int32, totVC),
-		vcRR:     make([]int32, len(r.cfg.VNets)),
-	}
-	for v := range r.cfg.VNets {
-		for c := int32(0); c < r.nvcOf[v]; c++ {
-			if ejection {
-				// Network interfaces sink flits as fast as they arrive;
-				// model their ejection buffers as unbounded.
-				p.credits[r.vnetOff[v]+c] = 1 << 30
-			} else {
-				p.credits[r.vnetOff[v]+c] = r.depthOf[v]
-			}
-		}
-	}
-	r.outputs[dir] = p
-	return p
-}
-
-// finalize lays out the flat VC table and buffer slab and builds the
-// allocator bookkeeping; called once ports are wired.
-func (r *Router) finalize() {
-	slab := int32(0)
-	for d := Direction(0); d < numDirections; d++ {
-		in := r.inputs[d]
-		if in == nil {
-			continue
-		}
-		r.inList = append(r.inList, in)
-		in.refBase = make([]int32, len(r.cfg.VNets))
-		for v := range r.cfg.VNets {
-			if in.snackOnly && v != r.cfg.SnackVNet {
-				in.refBase[v] = -1
-				continue
-			}
-			in.refBase[v] = int32(len(r.vcs))
-			cl := int8(classComm)
-			if v == r.cfg.SnackVNet {
-				cl = classSnack
-			}
-			for c := int32(0); c < r.nvcOf[v]; c++ {
-				r.vcs = append(r.vcs, inputVC{
-					port:  d,
-					vnet:  int16(v),
-					vc:    int16(c),
-					class: cl,
-					base:  slab,
-					depth: r.depthOf[v],
-				})
-				slab += r.depthOf[v]
-				r.bufSlots += int(r.depthOf[v])
-			}
-		}
-	}
-	r.bufSlab = make([]*Flit, slab)
-	for d := Direction(0); d < numDirections; d++ {
-		if out := r.outputs[d]; out != nil {
-			r.outList = append(r.outList, out)
-		}
-	}
-	r.snackVNet = r.cfg.SnackVNet
-	r.routerLatM1 = int64(r.cfg.RouterLatency - 1)
-	r.linkLat = int64(r.cfg.LinkLatency)
-	r.bufHist = stats.NewHistogram(1.0, 20)
-	r.bufBucket = make([]int32, r.bufSlots+1)
-	if r.bufSlots > 0 {
-		for occ := range r.bufBucket {
-			r.bufBucket[occ] = int32(r.bufHist.BucketIndex(float64(occ) / float64(r.bufSlots)))
-		}
-	}
-}
 
 // front returns the flit at the head of a VC's ring queue.
 func (r *Router) front(v *inputVC) *Flit {
@@ -343,18 +249,6 @@ func (r *Router) pushBack(v *inputVC, f *Flit) {
 	v.count++
 }
 
-// EnableSampling attaches a crossbar-usage time series with the given
-// sampling interval in cycles (the paper samples every 10 K cycles) and a
-// per-link series on each output port.
-func (r *Router) EnableSampling(interval int64) {
-	r.xbarSeries = stats.NewTimeSeries(interval)
-	for _, out := range r.outputs {
-		if out != nil {
-			out.series = stats.NewTimeSeries(interval)
-		}
-	}
-}
-
 // XbarSeries returns the crossbar-usage time series, if sampling is on.
 func (r *Router) XbarSeries() *stats.TimeSeries { return r.xbarSeries }
 
@@ -366,7 +260,7 @@ func (r *Router) XbarMoves() int64 { return r.xbarMoves.Value() }
 
 // BufferHistogram returns the per-cycle buffer-occupancy histogram
 // (fraction of total input slots in use), the Fig 3 measurement.
-func (r *Router) BufferHistogram() *stats.Histogram { return r.bufHist }
+func (r *Router) BufferHistogram() *stats.Histogram { return &r.bufHist }
 
 // LinkUtil returns cumulative utilization of the output link in the given
 // direction, or nil when the router has no such link.
@@ -399,15 +293,11 @@ func (r *Router) attachCompute(cu ComputeUnit) {
 // reads (flit inputs and credit returns), so writers rouse it from
 // quiescence at exactly the entry's arrival cycle.
 func (r *Router) setHandle(h *sim.Handle) {
-	for _, in := range r.inputs {
-		if in != nil {
-			in.in.waker = h
-		}
+	for i := range r.inList {
+		r.inList[i].in.waker = h
 	}
-	for _, out := range r.outputs {
-		if out != nil {
-			out.credit.waker = h
-		}
+	for i := range r.outList {
+		r.outList[i].credit.waker = h
 	}
 }
 
@@ -419,13 +309,13 @@ func (r *Router) Quiescent() bool {
 	if r.occupancy > 0 || len(r.stagedCredits) > 0 || r.stagedCount > 0 {
 		return false
 	}
-	for _, in := range r.inList {
-		if in.in.pending() > 0 {
+	for i := range r.inList {
+		if r.inList[i].in.pending() > 0 {
 			return false
 		}
 	}
-	for _, out := range r.outList {
-		if out.credit.pending() > 0 {
+	for i := range r.outList {
+		if r.outList[i].credit.pending() > 0 {
 			return false
 		}
 	}
@@ -438,7 +328,8 @@ func (r *Router) Quiescent() bool {
 // zero-occupancy bucket of the buffer histogram. This keeps every Fig 2/3
 // measurement bit-identical with quiescence on or off.
 func (r *Router) CatchUp(idle int64) {
-	for _, out := range r.outList {
+	for i := range r.outList {
+		out := &r.outList[i]
 		out.util.ObserveN(0, idle)
 		if out.series != nil {
 			out.series.ObserveIdleN(idle)
@@ -536,7 +427,8 @@ func (r *Router) Evaluate(cycle int64) {
 		moves = r.allocateSwitch(cycle)
 	}
 	// Idle links consume an observation slot every cycle.
-	for _, out := range r.outList {
+	for i := range r.outList {
+		out := &r.outList[i]
 		if out.staged != nil {
 			continue
 		}
@@ -551,7 +443,8 @@ func (r *Router) Evaluate(cycle int64) {
 // Advance commits staged flits and credits onto their wires.
 func (r *Router) Advance(cycle int64) {
 	if r.stagedCount > 0 {
-		for _, out := range r.outList {
+		for i := range r.outList {
+			out := &r.outList[i]
 			if f := out.staged; f != nil {
 				out.out.push(f, cycle+r.linkLat)
 				out.staged = nil
@@ -571,7 +464,8 @@ func (r *Router) Advance(cycle int64) {
 // walk is hand-rolled (not drainReady) because the per-entry closure call
 // was a measurable slice of whole-figure profiles.
 func (r *Router) ingestCredits(cycle int64) {
-	for _, out := range r.outList {
+	for i := range r.outList {
+		out := &r.outList[i]
 		q := out.credit.q
 		if len(q) == 0 || q[0].arrive > cycle {
 			continue
@@ -579,7 +473,7 @@ func (r *Router) ingestCredits(cycle int64) {
 		n := 0
 		for n < len(q) && q[n].arrive <= cycle {
 			msg := q[n].v
-			slot := r.vnetOff[msg.vnet] + int32(msg.vc)
+			slot := r.vnetOff[msg.vnet] + msg.vc
 			out.credits[slot]++
 			if out.credits[slot] > r.depthOf[msg.vnet] {
 				panic(fmt.Sprintf("%s: credit overflow on %s vnet %d vc %d",
@@ -595,7 +489,8 @@ func (r *Router) ingestCredits(cycle int64) {
 // rings, running the compute OnArrival hook first. Hand-rolled for the
 // same reason as ingestCredits.
 func (r *Router) ingestArrivals(cycle int64) {
-	for _, in := range r.inList {
+	for i := range r.inList {
+		in := &r.inList[i]
 		q := in.in.q
 		if len(q) == 0 || q[0].arrive > cycle {
 			continue
@@ -613,7 +508,7 @@ func (r *Router) ingestArrivals(cycle int64) {
 						r.tr.Emit(r.flitRecord(trace.KindConsume, cycle, cycle, f, in.dir))
 					}
 					r.stagedCredits = append(r.stagedCredits,
-						stagedCredit{port: in.dir, msg: creditMsg{vnet: f.VNet, vc: f.VC}})
+						stagedCredit{port: in.dir, msg: creditMsg{vnet: int32(f.VNet), vc: int32(f.VC)}})
 					r.pool.put(f)
 					continue
 				}
@@ -623,7 +518,7 @@ func (r *Router) ingestArrivals(cycle int64) {
 				}
 			}
 			f.eligibleAt = cycle + r.routerLatM1
-			idx := int(in.refBase[f.VNet]) + f.VC
+			idx := in.refBase[f.VNet] + int32(f.VC)
 			ivc := &r.vcs[idx]
 			if ivc.count >= ivc.depth {
 				panic(fmt.Sprintf("%s: input VC overflow %s vnet %d vc %d (%s)",
@@ -693,7 +588,7 @@ func (r *Router) allocateVCs(cycle int64) {
 // tryAllocVC handles one VA work-list entry: drain it into the CPM, grant
 // it an output VC, or leave it waiting. It reports whether the entry left
 // the wait list (drained or granted).
-func (r *Router) tryAllocVC(idx int, cycle int64) bool {
+func (r *Router) tryAllocVC(idx int32, cycle int64) bool {
 	ivc := &r.vcs[idx]
 	if r.drainer != nil && int(ivc.vnet) == r.snackVNet && r.front(ivc).Loop &&
 		r.drainer.DrainLoopFlit(r.front(ivc), cycle) {
@@ -705,7 +600,7 @@ func (r *Router) tryAllocVC(idx int, cycle int64) bool {
 			r.tr.Emit(r.flitRecord(trace.KindDrain, cycle, cycle, f, ivc.port))
 		}
 		r.stagedCredits = append(r.stagedCredits,
-			stagedCredit{port: ivc.port, msg: creditMsg{vnet: int(ivc.vnet), vc: int(ivc.vc)}})
+			stagedCredit{port: ivc.port, msg: creditMsg{vnet: int32(ivc.vnet), vc: int32(ivc.vc)}})
 		if !f.IsTail() {
 			panic(fmt.Sprintf("%s: drained a multi-flit loop packet", r.Name()))
 		}
@@ -793,7 +688,7 @@ func (r *Router) allocateSwitch(cycle int64) int {
 
 // traverse moves the winning VC's head flit through the crossbar toward
 // output d, handling credits, VC release, and statistics.
-func (r *Router) traverse(d Direction, win int, cycle int64, granted *[numDirections]bool) {
+func (r *Router) traverse(d Direction, win int32, cycle int64, granted *[numDirections]bool) {
 	out := r.outputs[d]
 	ivc := &r.vcs[win]
 	f := r.popFront(ivc)
@@ -809,7 +704,7 @@ func (r *Router) traverse(d Direction, win int, cycle int64, granted *[numDirect
 	out.staged = f
 	r.stagedCount++
 	r.stagedCredits = append(r.stagedCredits,
-		stagedCredit{port: ivc.port, msg: creditMsg{vnet: int(ivc.vnet), vc: int(ivc.vc)}})
+		stagedCredit{port: ivc.port, msg: creditMsg{vnet: int32(ivc.vnet), vc: int32(ivc.vc)}})
 	granted[ivc.port] = true
 	if f.IsTail() {
 		out.busy &^= 1 << uint(r.vnetOff[ivc.vnet]+ivc.outVC)
@@ -832,7 +727,7 @@ func (r *Router) traverse(d Direction, win int, cycle int64, granted *[numDirect
 // port d this cycle under plain (non-priority) arbitration, honouring
 // round-robin fairness, credit availability, and the one-flit-per-input-
 // port crossbar constraint. It returns -1 when no candidate is ready.
-func (r *Router) pickSwitchWinner(d Direction, cycle int64, granted *[numDirections]bool) int {
+func (r *Router) pickSwitchWinner(d Direction, cycle int64, granted *[numDirections]bool) int32 {
 	comm, snack := r.saCand[d][classComm], r.saCand[d][classSnack]
 	if len(comm) == 0 && len(snack) == 0 {
 		return -1
@@ -843,7 +738,7 @@ func (r *Router) pickSwitchWinner(d Direction, cycle int64, granted *[numDirecti
 	start := r.saPtr[d]
 	for i := 0; i < n; i++ {
 		k := (start + i) % n
-		var idx int
+		var idx int32
 		if k < len(comm) {
 			idx = comm[k]
 		} else {
@@ -856,7 +751,7 @@ func (r *Router) pickSwitchWinner(d Direction, cycle int64, granted *[numDirecti
 	return -1
 }
 
-func (r *Router) scanCand(cand []int, start int, d Direction, cycle int64, granted *[numDirections]bool) int {
+func (r *Router) scanCand(cand []int32, start int, d Direction, cycle int64, granted *[numDirections]bool) int32 {
 	n := len(cand)
 	if n == 0 {
 		return -1
@@ -872,7 +767,7 @@ func (r *Router) scanCand(cand []int, start int, d Direction, cycle int64, grant
 
 // saOK checks whether the VC at vcs index idx can traverse toward output
 // d this cycle.
-func (r *Router) saOK(idx int, d Direction, cycle int64, granted *[numDirections]bool) bool {
+func (r *Router) saOK(idx int32, d Direction, cycle int64, granted *[numDirections]bool) bool {
 	ivc := &r.vcs[idx]
 	if ivc.state != vcActive || ivc.outPort != d || ivc.count == 0 {
 		return false
@@ -888,12 +783,12 @@ func (r *Router) saOK(idx int, d Direction, cycle int64, granted *[numDirections
 
 // addSACand registers a VC-allocated input VC as a switch candidate for
 // output d, keeping the non-empty mask in sync.
-func (r *Router) addSACand(d Direction, class, idx int) {
+func (r *Router) addSACand(d Direction, class int, idx int32) {
 	r.saCand[d][class] = append(r.saCand[d][class], idx)
 	r.saMask[class] |= 1 << uint(d)
 }
 
-func (r *Router) removeSACand(d Direction, class, idx int) {
+func (r *Router) removeSACand(d Direction, class int, idx int32) {
 	cand := r.saCand[d][class]
 	for i, v := range cand {
 		if v == idx {
@@ -973,20 +868,20 @@ func (r *Router) RegisterMetrics(reg *stats.Registry) {
 	reg.AddCounter(p+"xbar.moves", &r.xbarMoves)
 	reg.AddCounter(p+"xbar.moves.comm", &r.classMoves[classComm])
 	reg.AddCounter(p+"xbar.moves.snack", &r.classMoves[classSnack])
-	reg.AddHistogram(p+"buf.occupancy", r.bufHist)
+	reg.AddHistogram(p+"buf.occupancy", &r.bufHist)
 	reg.AddCounter(p+"compute.consumed", &r.consumed)
 	if r.xbarSeries != nil {
 		reg.AddTimeSeries(p+"xbar.series", r.xbarSeries)
 	}
-	for _, out := range r.outList {
+	for i := range r.outList {
+		out := &r.outList[i]
 		lp := fmt.Sprintf("%slink.%s", p, out.dir)
 		reg.AddUtilization(lp, &out.util)
 		if out.series != nil {
 			reg.AddTimeSeries(lp+".series", out.series)
 		}
 	}
-	// vcs is laid out port-major, then vnet, then vc — the same order the
-	// old per-port registration loop produced.
+	// vcs is laid out port-major, then vnet, then vc.
 	for i := range r.vcs {
 		i := i
 		v := &r.vcs[i]

@@ -1,0 +1,224 @@
+package noc
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"snacknoc/internal/sim"
+)
+
+// slabConfigs are the mesh variants the slab tests cover: two sizes,
+// with and without compute ports, serial and sharded.
+func slabConfigs() []*Config {
+	var out []*Config
+	for _, size := range [][2]int{{4, 4}, {8, 8}} {
+		for _, compute := range []bool{false, true} {
+			for _, shards := range []int{1, 2} {
+				cfg := DAPPER(size[0], size[1])
+				if compute {
+					cfg = SnackPlatform(size[0], size[1], true)
+				}
+				cfg.Shards = shards
+				out = append(out, cfg)
+			}
+		}
+	}
+	return out
+}
+
+func cfgLabel(cfg *Config) string {
+	return fmt.Sprintf("%dx%d/compute=%v/shards=%d", cfg.Width, cfg.Height, cfg.ComputePort, cfg.Shards)
+}
+
+// TestNetworkBuildAllocations pins the tentpole: New allocates its slabs
+// once each, so the object count is a small constant whatever the mesh
+// size (the per-router layout made 1 211 objects for a 4x4).
+func TestNetworkBuildAllocations(t *testing.T) {
+	const budget = 48
+	counts := make(map[string]float64) // by variant, sans mesh size
+	for _, cfg := range slabConfigs() {
+		cfg := cfg
+		// Twenty runs: AllocsPerRun truncates the mean, which hides the odd
+		// allocation the runtime makes when a collection starts mid-run.
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := New(sim.NewEngine(), cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f objects", cfgLabel(cfg), got)
+		if got > budget {
+			t.Errorf("%s: New allocated %.0f objects, budget %d", cfgLabel(cfg), got, budget)
+		}
+		variant := fmt.Sprintf("compute=%v/shards=%d", cfg.ComputePort, cfg.Shards)
+		if prev, seen := counts[variant]; seen && prev != got {
+			t.Errorf("%s: %.0f objects, but %.0f on the other mesh size", cfgLabel(cfg), got, prev)
+		}
+		counts[variant] = got
+	}
+}
+
+// loaded builds cfg's network under uniform-random multi-flit traffic
+// and stops it mid-flight.
+func loaded(t *testing.T, cfg *Config) *Network {
+	t.Helper()
+	eng := sim.NewEngine()
+	net, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Register(NewSyntheticInjector(net, UniformRandom(), 0.05, DataBytes, VNetReq, 7))
+	eng.Run(600)
+	return net
+}
+
+// held counts the flits and packets a snapshot of n must clone.
+func held(n *Network) int {
+	c := 0
+	for _, slab := range [][]*Flit{n.bufSlab, n.reasm} {
+		for _, f := range slab {
+			if f != nil {
+				c++
+			}
+		}
+	}
+	for k := range n.flitWires {
+		c += len(n.flitWires[k].q)
+	}
+	for i := range n.nis {
+		ni := &n.nis[i]
+		c += len(ni.incoming) + ni.waitingCount
+		for _, tx := range ni.active {
+			c += len(tx.flits) - tx.next
+		}
+	}
+	return c
+}
+
+// TestSnapshotAllocations: a checkpoint is a fixed number of slab copies
+// plus one clone per flit or packet in flight, on any mesh size, and a
+// restore allocates the clones only.
+func TestSnapshotAllocations(t *testing.T) {
+	const slabCopies = 24
+	for _, cfg := range slabConfigs() {
+		net := loaded(t, cfg)
+		inFlight := held(net)
+		if inFlight == 0 {
+			t.Fatalf("%s: nothing in flight at the snapshot point", cfgLabel(cfg))
+		}
+		var st *NetworkState
+		take := testing.AllocsPerRun(10, func() { st = net.SnapshotState(nil) })
+		net.RestoreState(st, nil) // warms the pooled transaction buffers
+		restore := testing.AllocsPerRun(10, func() { net.RestoreState(st, nil) })
+		t.Logf("%s: %d in flight, take %.0f objects, restore %.0f", cfgLabel(cfg), inFlight, take, restore)
+		if take > float64(inFlight+slabCopies) {
+			t.Errorf("%s: SnapshotState allocated %.0f objects, want <= %d clones + %d slabs",
+				cfgLabel(cfg), take, inFlight, slabCopies)
+		}
+		if restore > float64(inFlight) {
+			t.Errorf("%s: a repeat RestoreState allocated %.0f objects, want only the %d clones",
+				cfgLabel(cfg), restore, inFlight)
+		}
+	}
+}
+
+// TestSlabWindowsAreExact: every fixed window a router or NI holds has
+// capacity == length, and every work list's capacity ends where the next
+// window begins — so no append can run into a neighbour.
+func TestSlabWindowsAreExact(t *testing.T) {
+	for _, cfg := range slabConfigs() {
+		net, err := New(sim.NewEngine(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := func(what string, node int, length, capacity int) {
+			t.Helper()
+			if length != capacity {
+				t.Errorf("%s: node %d %s has len %d cap %d", cfgLabel(cfg), node, what, length, capacity)
+			}
+		}
+		for i := range net.routers {
+			r := &net.routers[i]
+			exact("vcs", i, len(r.vcs), cap(r.vcs))
+			exact("bufSlab", i, len(r.bufSlab), cap(r.bufSlab))
+			exact("inList", i, len(r.inList), cap(r.inList))
+			exact("outList", i, len(r.outList), cap(r.outList))
+			exact("bufBucket", i, len(r.bufBucket), cap(r.bufBucket))
+			for j := range r.inList {
+				exact("refBase", i, len(r.inList[j].refBase), cap(r.inList[j].refBase))
+				exact("flit queue window", i, cap(r.inList[j].in.q), cap(net.flitWires[0].q))
+			}
+			for j := range r.outList {
+				o := &r.outList[j]
+				exact("out credits", i, len(o.credits), cap(o.credits))
+				exact("out vcRR", i, len(o.vcRR), cap(o.vcRR))
+			}
+			// The VC rings tile the router's buffer window exactly.
+			end := int32(0)
+			for _, vc := range r.vcs {
+				if vc.base != end {
+					t.Fatalf("%s: node %d VC ring starts at %d, previous ended at %d", cfgLabel(cfg), i, vc.base, end)
+				}
+				end += vc.depth
+			}
+			exact("VC rings", i, int(end), len(r.bufSlab))
+			ni := &net.nis[i]
+			exact("ni credits", i, len(ni.credits), cap(ni.credits))
+			exact("ni vcRR", i, len(ni.vcRR), cap(ni.vcRR))
+			exact("ni reasm", i, len(ni.reasm), cap(ni.reasm))
+			exact("ni waiting", i, len(ni.waiting), cap(ni.waiting))
+			exact("ni latSum", i, len(ni.latSum), cap(ni.latSum))
+		}
+		for i := range net.ports {
+			exact("port credits", i, len(net.ports[i].credits), cap(net.ports[i].credits))
+		}
+	}
+}
+
+// TestSlabWindowsDoNotAlias fuzzes router i — ring pushes and pops on
+// every VC, and work lists appended far past their carved capacity — and
+// checks router i+1's windows of the same slabs never change.
+func TestSlabWindowsDoNotAlias(t *testing.T) {
+	net, err := New(sim.NewEngine(), SnackPlatform(4, 4, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i+1 < len(net.routers); i++ {
+		r, next := &net.routers[i], &net.routers[i+1]
+		// Everything of next's that shares a slab with r, viewed at full
+		// capacity so writes past a length would show too.
+		view := func() []any {
+			v := []any{
+				append([]*Flit(nil), next.bufSlab...),
+				append([]inputVC(nil), next.vcs...),
+				append([]stagedCredit(nil), next.stagedCredits[:cap(next.stagedCredits)]...),
+			}
+			for _, l := range next.workLists() {
+				v = append(v, append([]int32(nil), (*l)[:cap(*l)]...))
+			}
+			return v
+		}
+		before := view()
+		for step := 0; step < 2000; step++ {
+			vc := &r.vcs[rng.Intn(len(r.vcs))]
+			if vc.count < vc.depth && rng.Intn(3) > 0 {
+				r.pushBack(vc, &Flit{})
+			} else if vc.count > 0 {
+				r.popFront(vc)
+			}
+		}
+		for _, l := range r.workLists() {
+			for k, past := 0, cap(*l)+8; k < past; k++ {
+				*l = append(*l, int32(k))
+			}
+		}
+		for k, past := 0, cap(r.stagedCredits)+8; k < past; k++ {
+			r.stagedCredits = append(r.stagedCredits, stagedCredit{port: Local})
+		}
+		if !reflect.DeepEqual(before, view()) {
+			t.Fatalf("pushes on router %d changed router %d's slab windows", i, i+1)
+		}
+	}
+}

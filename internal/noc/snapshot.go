@@ -7,12 +7,16 @@ import (
 	"snacknoc/internal/stats"
 )
 
-// Checkpoint support. A NetworkState captures every piece of mutable NoC
-// state — wire queues, router VC/credit/slab state, NI rings and
-// reassembly, statistics — as deep copies, and RestoreState writes it
-// back onto the same network. Snapshot owns its copies and restore
-// clones them again into the live structures, so one snapshot restores
-// (forks) any number of times.
+// Checkpoint support. The Network owns its state as slabs, so a
+// NetworkState is those slabs over again: SnapshotState copies each
+// mutable slab (and the routers', output ports', NIs' and inject ports'
+// scalar blocks) with one copy call, and RestoreState copies them back
+// onto the same network. What is not a flat array is flattened on the
+// way: buffered flits are saved sparsely (slab index + clone), wire
+// queues and the allocator work lists are packed end to end behind their
+// lengths, and the NIs' injection queues are concatenated. Snapshot owns
+// its clones and restore clones them again into the live structures, so
+// one snapshot restores (forks) any number of times.
 //
 // Flit and packet payloads are opaque to this package: the caller passes
 // a clone function (nil shares pointers, correct for immutable payloads
@@ -28,166 +32,200 @@ import (
 
 // NetworkState is a saved network.
 type NetworkState struct {
-	flitWires [][]wireEntry[*Flit]
-	credWires [][]wireEntry[creditMsg]
-	routers   []routerState
-	nis       []niState
+	vcs     []inputVC
+	flits   []flitAt // the occupied bufSlab slots
+	reasm   []flitAt // the occupied reassembly slots
+	credits []int32
+	counts  []int64
+	routers []routerScalars
+	outs    []outScalars
+	nis     []niScalars
+	ports   []injScalars
+
+	// lens packs every variable length, in walk order: per wire its
+	// queue length; per router its work lists, each as length then
+	// entries; per NI its incoming, waiting (per vnet) and active counts.
+	lens  []int32
+	flitQ []wireEntry[*Flit]
+	credQ []wireEntry[creditMsg]
+	reqs  []injectReq // incoming, then waiting (stamp unused), per NI
+	txns  []txnState
+	tx    []*Flit // the transactions' unsent flits, concatenated
+
+	histTotals []int64
+	series     []stats.TimeSeriesState // when sampling is on
+	attrib     []attrib.CountersState  // routers then NIs, when attributed
 }
 
-type routerState struct {
-	vcs       []inputVC
-	bufSlab   []*Flit
-	needRoute []int
-	waitVA    []int
-	saCand    [numDirections][2][]int
-	saMask    [2]uint32
-	saPtr     [numDirections]int
-	saRound   int
-	vaPtr     int
-	occupancy int
-
-	outCredits [][]int32
-	outBusy    []uint64
-	outVCRR    [][]int32
-	outUtil    []stats.UtilizationState
-	outSeries  []stats.TimeSeriesState
-
-	xbarUtil   stats.UtilizationState
-	xbarSeries stats.TimeSeriesState
-	hasSeries  bool
-	xbarMoves  stats.CounterState
-	bufHist    stats.HistogramState
-	consumed   stats.CounterState
-	classMoves [2]stats.CounterState
-	attrib     attrib.CountersState
+// flitAt is one held flit and its index in Network.bufSlab or .reasm.
+type flitAt struct {
+	at int32
+	f  *Flit
 }
 
+// txnState is one packet mid-injection: its VC and how many flits (the
+// unsent suffix) it contributes to NetworkState.tx.
 type txnState struct {
-	flits    []*Flit // the unsent suffix, cloned
-	vnet, vc int
+	vnet, vc, n int32
 }
-
-type reasmSnap struct {
-	id   uint64
-	pkt  Packet
-	seen int
-}
-
-type niState struct {
-	credits      [][]int
-	vcBusy       [][]bool
-	vcRR         []int
-	incoming     []injectReq
-	waiting      [][]*Packet
-	waitingCount int
-	active       []txnState
-	txRR         int
-	reasm        []reasmSnap
-	pktSeq       uint64
-
-	injected, ejected, flitsIn, flitsOut stats.CounterState
-	latSum, latCount                     []int64
-	maxQueued                            int
-	attrib                               attrib.CountersState
-}
-
-// identityClone is the nil-cloner fallback: payloads are shared.
-func identityClone(v any) any { return v }
 
 func cloneFlit(f *Flit, clone func(any) any) *Flit {
-	if f == nil {
-		return nil
-	}
 	nf := &Flit{}
 	*nf = *f
-	if nf.Payload != nil {
+	if clone != nil && nf.Payload != nil {
 		nf.Payload = clone(nf.Payload)
 	}
 	return nf
 }
 
 func clonePacket(p *Packet, clone func(any) any) *Packet {
-	if p == nil {
-		return nil
-	}
 	np := &Packet{}
 	*np = *p
-	if np.Payload != nil {
+	if clone != nil && np.Payload != nil {
 		np.Payload = clone(np.Payload)
 	}
 	return np
 }
 
-// wireWalk visits every wire of the network in a deterministic order,
-// deduplicating aliases (an output port's wires are the downstream input
-// port's wires; NI and InjectPort wires alias router local/compute
-// ports). Snapshot and restore perform the identical walk, so saved
-// queues line up positionally without keying state by pointer.
-func (n *Network) wireWalk(fw func(*wire[*Flit]), cw func(*wire[creditMsg])) {
-	seenF := make(map[*wire[*Flit]]bool)
-	seenC := make(map[*wire[creditMsg]]bool)
-	visitF := func(w *wire[*Flit]) {
-		if w != nil && !seenF[w] {
-			seenF[w] = true
-			fw(w)
-		}
+// workLists returns r's saved allocator work lists in a fixed order.
+func (r *Router) workLists() (lists [2 + 2*numDirections]*[]int32) {
+	lists[0], lists[1] = &r.needRoute, &r.waitVA
+	for d := range r.saCand {
+		lists[2+2*d], lists[3+2*d] = &r.saCand[d][classComm], &r.saCand[d][classSnack]
 	}
-	visitC := func(w *wire[creditMsg]) {
-		if w != nil && !seenC[w] {
-			seenC[w] = true
-			cw(w)
-		}
-	}
-	for _, r := range n.routers {
-		for d := Direction(0); d < numDirections; d++ {
-			if in := r.inputs[d]; in != nil {
-				visitF(in.in)
-				visitC(in.credit)
-			}
-			if out := r.outputs[d]; out != nil {
-				visitF(out.out)
-				visitC(out.credit)
-			}
-		}
-	}
-	for _, ni := range n.nis {
-		visitF(ni.toRouter)
-		visitF(ni.fromRouter)
-		visitC(ni.creditIn)
-	}
+	return lists
 }
 
 // SnapshotState captures the network. clone deep-copies flit/packet
 // payloads (nil shares them).
 func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
-	if clone == nil {
-		clone = identityClone
-	}
 	for i := range n.flitB {
-		if n.flitB[i].stub.pending() != 0 {
+		if n.flitB[i].stub.pending() != 0 || n.credB[i].stub.pending() != 0 {
 			panic("noc: SnapshotState with undrained shard boundary (snapshot only between cycles)")
 		}
 	}
-	for i := range n.credB {
-		if n.credB[i].stub.pending() != 0 {
-			panic("noc: SnapshotState with undrained shard boundary (snapshot only between cycles)")
+	// Size the packed arrays first so each is allocated once.
+	nLens, nFlitQ, nCredQ, nFlits, nReasm, nReqs, nTxns, nTx := 2*len(n.flitWires), 0, 0, 0, 0, 0, 0, 0
+	for _, f := range n.reasm {
+		if f != nil {
+			nReasm++
 		}
 	}
-	s := &NetworkState{}
-	n.wireWalk(func(w *wire[*Flit]) {
-		var q []wireEntry[*Flit]
-		for _, e := range w.q {
-			q = append(q, wireEntry[*Flit]{v: cloneFlit(e.v, clone), arrive: e.arrive})
-		}
-		s.flitWires = append(s.flitWires, q)
-	}, func(w *wire[creditMsg]) {
-		s.credWires = append(s.credWires, append([]wireEntry[creditMsg](nil), w.q...))
-	})
-	for _, r := range n.routers {
-		s.routers = append(s.routers, r.snapshot(clone))
+	for k := range n.flitWires {
+		nFlitQ += len(n.flitWires[k].q)
+		nCredQ += len(n.credWires[k].q)
 	}
-	for _, ni := range n.nis {
-		s.nis = append(s.nis, ni.snapshot(clone))
+	for i := range n.routers {
+		r := &n.routers[i]
+		if r.stagedCount != 0 || len(r.stagedCredits) != 0 {
+			panic(fmt.Sprintf("%s: snapshot with uncommitted staged state", r.Name()))
+		}
+		nFlits += r.occupancy
+		for _, l := range r.workLists() {
+			nLens += 1 + len(*l)
+		}
+		ni := &n.nis[i]
+		if ni.staged != nil {
+			panic(fmt.Sprintf("%s: snapshot with uncommitted staged flit", ni.Name()))
+		}
+		nLens += 2 + len(ni.waiting)
+		nReqs += len(ni.incoming) + ni.waitingCount
+		nTxns += len(ni.active)
+		for _, t := range ni.active {
+			nTx += len(t.flits) - t.next
+		}
+	}
+
+	s := &NetworkState{
+		vcs:        append([]inputVC(nil), n.vcs...),
+		flits:      make([]flitAt, 0, nFlits),
+		reasm:      make([]flitAt, 0, nReasm),
+		credits:    append([]int32(nil), n.credits...),
+		counts:     append([]int64(nil), n.counts...),
+		routers:    make([]routerScalars, len(n.routers)),
+		outs:       make([]outScalars, len(n.outPorts)),
+		nis:        make([]niScalars, len(n.nis)),
+		ports:      make([]injScalars, len(n.ports)),
+		lens:       make([]int32, 0, nLens),
+		flitQ:      make([]wireEntry[*Flit], 0, nFlitQ),
+		credQ:      make([]wireEntry[creditMsg], 0, nCredQ),
+		reqs:       make([]injectReq, 0, nReqs),
+		txns:       make([]txnState, 0, nTxns),
+		tx:         make([]*Flit, 0, nTx),
+		histTotals: make([]int64, len(n.routers)),
+	}
+	for at, f := range n.bufSlab {
+		if f != nil {
+			s.flits = append(s.flits, flitAt{at: int32(at), f: cloneFlit(f, clone)})
+		}
+	}
+	for at, f := range n.reasm {
+		if f != nil {
+			s.reasm = append(s.reasm, flitAt{at: int32(at), f: cloneFlit(f, clone)})
+		}
+	}
+	for k := range n.flitWires {
+		s.lens = append(s.lens, int32(len(n.flitWires[k].q)), int32(len(n.credWires[k].q)))
+		for _, e := range n.flitWires[k].q {
+			s.flitQ = append(s.flitQ, wireEntry[*Flit]{v: cloneFlit(e.v, clone), arrive: e.arrive})
+		}
+		s.credQ = append(s.credQ, n.credWires[k].q...)
+	}
+	for i := range n.outPorts {
+		if n.outPorts[i].staged != nil {
+			panic("noc: snapshot with staged output flit")
+		}
+		s.outs[i] = n.outPorts[i].outScalars
+	}
+	for i := range n.ports {
+		s.ports[i] = n.ports[i].injScalars
+	}
+	for i := range n.routers {
+		r := &n.routers[i]
+		s.routers[i] = r.routerScalars
+		s.histTotals[i] = r.bufHist.Total()
+		for _, l := range r.workLists() {
+			s.lens = append(s.lens, int32(len(*l)))
+			s.lens = append(s.lens, *l...)
+		}
+	}
+	for i := range n.nis {
+		ni := &n.nis[i]
+		s.nis[i] = ni.niScalars
+		s.lens = append(s.lens, int32(len(ni.incoming)), int32(len(ni.active)))
+		for _, req := range ni.incoming {
+			s.reqs = append(s.reqs, injectReq{pkt: clonePacket(req.pkt, clone), stamp: req.stamp})
+		}
+		for _, q := range ni.waiting {
+			s.lens = append(s.lens, int32(len(q)))
+			for _, p := range q {
+				s.reqs = append(s.reqs, injectReq{pkt: clonePacket(p, clone)})
+			}
+		}
+		for _, t := range ni.active {
+			// Flits before t.next were already handed to the router (they
+			// live on in wires or buffers); only the unsent suffix belongs
+			// to the transaction.
+			s.txns = append(s.txns, txnState{vnet: int32(t.vnet), vc: int32(t.vc), n: int32(len(t.flits) - t.next)})
+			for _, f := range t.flits[t.next:] {
+				s.tx = append(s.tx, cloneFlit(f, clone))
+			}
+		}
+	}
+	if n.series != nil {
+		s.series = make([]stats.TimeSeriesState, len(n.series))
+		for i := range n.series {
+			s.series[i] = n.series[i].State()
+		}
+	}
+	if n.routers[0].at != nil {
+		s.attrib = make([]attrib.CountersState, 0, 2*len(n.routers))
+		for i := range n.routers {
+			s.attrib = append(s.attrib, n.routers[i].at.State())
+		}
+		for i := range n.nis {
+			s.attrib = append(s.attrib, n.nis[i].at.State())
+		}
 	}
 	return s
 }
@@ -195,246 +233,97 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 // RestoreState writes a saved network state back. clone must mirror the
 // snapshot-side cloner (same payload semantics, fresh identity map).
 func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
-	if clone == nil {
-		clone = identityClone
+	copy(n.vcs, s.vcs)
+	copy(n.credits, s.credits)
+	copy(n.counts, s.counts)
+	clear(n.bufSlab)
+	for _, e := range s.flits {
+		n.bufSlab[e.at] = cloneFlit(e.f, clone)
 	}
-	fi, ci := 0, 0
-	n.wireWalk(func(w *wire[*Flit]) {
-		q := w.q[:0]
-		for _, e := range s.flitWires[fi] {
-			q = append(q, wireEntry[*Flit]{v: cloneFlit(e.v, clone), arrive: e.arrive})
+	clear(n.reasm)
+	for _, e := range s.reasm {
+		n.reasm[e.at] = cloneFlit(e.f, clone)
+	}
+	lens, flitQ, credQ := s.lens, s.flitQ, s.credQ
+	next := func() int {
+		l := int(lens[0])
+		lens = lens[1:]
+		return l
+	}
+	for k := range n.flitWires {
+		fw, cw := &n.flitWires[k], &n.credWires[k]
+		fw.q = fw.q[:0]
+		for _, e := range flitQ[:next()] {
+			fw.q = append(fw.q, wireEntry[*Flit]{v: cloneFlit(e.v, clone), arrive: e.arrive})
 		}
-		w.q = q
-		fi++
-	}, func(w *wire[creditMsg]) {
-		w.q = append(w.q[:0], s.credWires[ci]...)
-		ci++
-	})
-	for i, r := range n.routers {
-		r.restore(&s.routers[i], clone)
+		flitQ = flitQ[len(fw.q):]
+		cw.q = append(cw.q[:0], credQ[:next()]...)
+		credQ = credQ[len(cw.q):]
 	}
-	for i, ni := range n.nis {
-		ni.restore(&s.nis[i], clone)
+	for i := range n.outPorts {
+		n.outPorts[i].outScalars = s.outs[i]
+		n.outPorts[i].staged = nil
 	}
-}
-
-func (r *Router) snapshot(clone func(any) any) routerState {
-	if r.stagedCount != 0 || len(r.stagedCredits) != 0 {
-		panic(fmt.Sprintf("%s: snapshot with uncommitted staged state", r.Name()))
+	for i := range n.ports {
+		n.ports[i].injScalars = s.ports[i]
 	}
-	s := routerState{
-		vcs:       append([]inputVC(nil), r.vcs...),
-		needRoute: append([]int(nil), r.needRoute...),
-		waitVA:    append([]int(nil), r.waitVA...),
-		saMask:    r.saMask,
-		saPtr:     r.saPtr,
-		saRound:   r.saRound,
-		vaPtr:     r.vaPtr,
-		occupancy: r.occupancy,
-
-		xbarUtil:   r.xbarUtil.State(),
-		xbarMoves:  r.xbarMoves.State(),
-		bufHist:    r.bufHist.State(),
-		consumed:   r.consumed.State(),
-		classMoves: [2]stats.CounterState{r.classMoves[0].State(), r.classMoves[1].State()},
-		attrib:     r.at.State(),
-	}
-	if r.xbarSeries != nil {
-		s.xbarSeries = r.xbarSeries.State()
-		s.hasSeries = true
-	}
-	s.bufSlab = make([]*Flit, len(r.bufSlab))
-	for i, f := range r.bufSlab {
-		s.bufSlab[i] = cloneFlit(f, clone)
-	}
-	for d := range s.saCand {
-		for c := range s.saCand[d] {
-			s.saCand[d][c] = append([]int(nil), r.saCand[d][c]...)
+	for i := range n.routers {
+		r := &n.routers[i]
+		r.routerScalars = s.routers[i]
+		r.bufHist.Restore(stats.HistogramState{Total: s.histTotals[i]}) // buckets came back with counts
+		r.stagedCount = 0
+		r.stagedCredits = r.stagedCredits[:0]
+		for _, l := range r.workLists() {
+			k := next()
+			*l = append((*l)[:0], lens[:k]...)
+			lens = lens[k:]
 		}
 	}
-	for _, out := range r.outList {
-		if out.staged != nil {
-			panic(fmt.Sprintf("%s: snapshot with staged output flit", r.Name()))
+	reqs, txns, tx := s.reqs, s.txns, s.tx
+	for i := range n.nis {
+		ni := &n.nis[i]
+		ni.niScalars = s.nis[i]
+		ni.staged = nil
+		nIncoming, nActive := next(), next()
+		ni.incoming = ni.incoming[:0]
+		for _, req := range reqs[:nIncoming] {
+			ni.incoming = append(ni.incoming, injectReq{pkt: clonePacket(req.pkt, clone), stamp: req.stamp})
 		}
-		s.outCredits = append(s.outCredits, append([]int32(nil), out.credits...))
-		s.outBusy = append(s.outBusy, out.busy)
-		s.outVCRR = append(s.outVCRR, append([]int32(nil), out.vcRR...))
-		s.outUtil = append(s.outUtil, out.util.State())
-		if out.series != nil {
-			s.outSeries = append(s.outSeries, out.series.State())
-		} else {
-			s.outSeries = append(s.outSeries, stats.TimeSeriesState{})
+		reqs = reqs[nIncoming:]
+		for v := range ni.waiting {
+			q := ni.waiting[v][:0]
+			k := next()
+			for _, req := range reqs[:k] {
+				q = append(q, clonePacket(req.pkt, clone))
+			}
+			reqs = reqs[k:]
+			ni.waiting[v] = q
+		}
+		for _, t := range ni.active {
+			ni.pool.putSlice(t.flits)
+			t.flits = nil
+			ni.txnFree = append(ni.txnFree, t)
+		}
+		ni.active = ni.active[:0]
+		for _, ts := range txns[:nActive] {
+			flits := ni.pool.getSlice(int(ts.n))
+			for j, f := range tx[:ts.n] {
+				flits[j] = cloneFlit(f, clone)
+			}
+			tx = tx[ts.n:]
+			ni.active = append(ni.active, ni.newTxn(flits, int(ts.vnet), int(ts.vc)))
+		}
+		txns = txns[nActive:]
+	}
+	for i := range s.series {
+		n.series[i].Restore(s.series[i])
+	}
+	if s.attrib != nil {
+		for i := range n.routers {
+			n.routers[i].at.Restore(s.attrib[i])
+			n.nis[i].at.Restore(s.attrib[len(n.routers)+i])
 		}
 	}
-	return s
-}
-
-func (r *Router) restore(s *routerState, clone func(any) any) {
-	copy(r.vcs, s.vcs)
-	for i, f := range s.bufSlab {
-		r.bufSlab[i] = cloneFlit(f, clone)
-	}
-	r.needRoute = append(r.needRoute[:0], s.needRoute...)
-	r.waitVA = append(r.waitVA[:0], s.waitVA...)
-	for d := range r.saCand {
-		for c := range r.saCand[d] {
-			r.saCand[d][c] = append(r.saCand[d][c][:0], s.saCand[d][c]...)
-		}
-	}
-	r.saMask = s.saMask
-	r.saPtr = s.saPtr
-	r.saRound = s.saRound
-	r.vaPtr = s.vaPtr
-	r.occupancy = s.occupancy
-	r.stagedCount = 0
-	r.stagedCredits = r.stagedCredits[:0]
-	for i, out := range r.outList {
-		copy(out.credits, s.outCredits[i])
-		out.busy = s.outBusy[i]
-		copy(out.vcRR, s.outVCRR[i])
-		out.util.Restore(s.outUtil[i])
-		if out.series != nil {
-			out.series.Restore(s.outSeries[i])
-		}
-		out.staged = nil
-	}
-	r.xbarUtil.Restore(s.xbarUtil)
-	if r.xbarSeries != nil && s.hasSeries {
-		r.xbarSeries.Restore(s.xbarSeries)
-	}
-	r.xbarMoves.Restore(s.xbarMoves)
-	r.bufHist.Restore(s.bufHist)
-	r.consumed.Restore(s.consumed)
-	r.classMoves[0].Restore(s.classMoves[0])
-	r.classMoves[1].Restore(s.classMoves[1])
-	r.at.Restore(s.attrib)
-}
-
-func (ni *NI) snapshot(clone func(any) any) niState {
-	if ni.staged != nil {
-		panic(fmt.Sprintf("%s: snapshot with uncommitted staged flit", ni.Name()))
-	}
-	s := niState{
-		vcRR:         append([]int(nil), ni.vcRR...),
-		waitingCount: ni.waitingCount,
-		txRR:         ni.txRR,
-		pktSeq:       ni.pktSeq,
-		injected:     ni.injected.State(),
-		ejected:      ni.ejected.State(),
-		flitsIn:      ni.flitsIn.State(),
-		flitsOut:     ni.flitsOut.State(),
-		latSum:       append([]int64(nil), ni.latSum...),
-		latCount:     append([]int64(nil), ni.latCount...),
-		maxQueued:    ni.maxQueued,
-		attrib:       ni.at.State(),
-	}
-	for _, c := range ni.credits {
-		s.credits = append(s.credits, append([]int(nil), c...))
-	}
-	for _, b := range ni.vcBusy {
-		s.vcBusy = append(s.vcBusy, append([]bool(nil), b...))
-	}
-	for _, req := range ni.incoming {
-		s.incoming = append(s.incoming, injectReq{pkt: clonePacket(req.pkt, clone), stamp: req.stamp})
-	}
-	for _, q := range ni.waiting {
-		var cq []*Packet
-		for _, p := range q {
-			cq = append(cq, clonePacket(p, clone))
-		}
-		s.waiting = append(s.waiting, cq)
-	}
-	for _, t := range ni.active {
-		// Flits before t.next were already handed to the router (they live
-		// on in wires or buffers); only the unsent suffix belongs to the
-		// transaction, so the saved record starts at index 0.
-		ts := txnState{vnet: t.vnet, vc: t.vc}
-		for _, f := range t.flits[t.next:] {
-			ts.flits = append(ts.flits, cloneFlit(f, clone))
-		}
-		s.active = append(s.active, ts)
-	}
-	for id, st := range ni.reasm {
-		rp := st.pkt
-		if rp.Payload != nil {
-			rp.Payload = clone(rp.Payload)
-		}
-		s.reasm = append(s.reasm, reasmSnap{id: id, pkt: rp, seen: st.seen})
-	}
-	return s
-}
-
-func (ni *NI) restore(s *niState, clone func(any) any) {
-	for i := range ni.credits {
-		copy(ni.credits[i], s.credits[i])
-	}
-	for i := range ni.vcBusy {
-		copy(ni.vcBusy[i], s.vcBusy[i])
-	}
-	copy(ni.vcRR, s.vcRR)
-	ni.incoming = ni.incoming[:0]
-	for _, req := range s.incoming {
-		ni.incoming = append(ni.incoming, injectReq{pkt: clonePacket(req.pkt, clone), stamp: req.stamp})
-	}
-	for v := range ni.waiting {
-		q := ni.waiting[v][:0]
-		for _, p := range s.waiting[v] {
-			q = append(q, clonePacket(p, clone))
-		}
-		ni.waiting[v] = q
-	}
-	ni.waitingCount = s.waitingCount
-	for _, t := range ni.active {
-		t.flits = nil
-	}
-	ni.active = ni.active[:0]
-	for _, ts := range s.active {
-		flits := make([]*Flit, 0, len(ts.flits))
-		for _, f := range ts.flits {
-			flits = append(flits, cloneFlit(f, clone))
-		}
-		ni.active = append(ni.active, &txn{flits: flits, vnet: ts.vnet, vc: ts.vc})
-	}
-	ni.txRR = s.txRR
-	ni.staged = nil
-	for id := range ni.reasm {
-		delete(ni.reasm, id)
-	}
-	for _, rs := range s.reasm {
-		st := &reasmState{pkt: rs.pkt, seen: rs.seen}
-		if st.pkt.Payload != nil {
-			st.pkt.Payload = clone(rs.pkt.Payload)
-		}
-		ni.reasm[rs.id] = st
-	}
-	ni.pktSeq = s.pktSeq
-	ni.injected.Restore(s.injected)
-	ni.ejected.Restore(s.ejected)
-	ni.flitsIn.Restore(s.flitsIn)
-	ni.flitsOut.Restore(s.flitsOut)
-	copy(ni.latSum, s.latSum)
-	copy(ni.latCount, s.latCount)
-	ni.maxQueued = s.maxQueued
-	ni.at.Restore(s.attrib)
-}
-
-// InjectPortState is a compute injection port's saved credit and
-// round-robin state.
-type InjectPortState struct {
-	Credits []int
-	RR      int
-	Seq     uint64
-}
-
-// State captures the port (its wires belong to the network snapshot).
-func (p *InjectPort) State() InjectPortState {
-	return InjectPortState{Credits: append([]int(nil), p.credits...), RR: p.rr, Seq: p.seq}
-}
-
-// Restore writes a saved state back.
-func (p *InjectPort) Restore(s InjectPortState) {
-	copy(p.credits, s.Credits)
-	p.rr, p.seq = s.RR, s.Seq
 }
 
 // ALODetectorState is an ALO congestion detector's saved state.
@@ -461,39 +350,4 @@ func (d *SnackALODetector) State() SnackALOState {
 // Restore writes a saved state back.
 func (d *SnackALODetector) Restore(s SnackALOState) {
 	d.lastBusy, d.streak, d.lastSample = s.LastBusy, s.Streak, s.LastSample
-}
-
-// SyntheticInjectorState is a synthetic traffic driver's saved state.
-type SyntheticInjectorState struct {
-	RNG      uint64
-	Injected int64
-	Sinks    []SynSinkState
-}
-
-// SynSinkState is one node sink's saved latency statistics.
-type SynSinkState struct {
-	Received, LatSum, LatMax int64
-	Hist                     stats.HistogramState
-}
-
-// State captures the injector and its per-node sinks.
-func (s *SyntheticInjector) State() SyntheticInjectorState {
-	st := SyntheticInjectorState{RNG: s.rng, Injected: s.injected}
-	for _, sk := range s.sinks {
-		st.Sinks = append(st.Sinks, SynSinkState{
-			Received: sk.received, LatSum: sk.latSum, LatMax: sk.latMax, Hist: sk.hist.State(),
-		})
-	}
-	return st
-}
-
-// Restore writes a saved state back.
-func (s *SyntheticInjector) Restore(st SyntheticInjectorState) {
-	s.rng, s.injected = st.RNG, st.Injected
-	for i, sk := range s.sinks {
-		sk.received = st.Sinks[i].Received
-		sk.latSum = st.Sinks[i].LatSum
-		sk.latMax = st.Sinks[i].LatMax
-		sk.hist.Restore(st.Sinks[i].Hist)
-	}
 }

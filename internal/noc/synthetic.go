@@ -81,7 +81,7 @@ type SyntheticInjector struct {
 
 	rng      uint64
 	injected int64
-	sinks    []*synSink
+	sinks    []synSink
 }
 
 // NewSyntheticInjector attaches sinks at every node and returns the
@@ -98,10 +98,12 @@ func NewSyntheticInjector(net *Network, pattern Pattern, rate float64, sizeBytes
 	// One sink per node: on a sharded network, deliveries at different
 	// nodes run on different shard goroutines, so the latency statistics
 	// accumulate per node and aggregate only on read.
-	inj.sinks = make([]*synSink, net.Cfg().Nodes())
-	for i := 0; i < net.Cfg().Nodes(); i++ {
-		inj.sinks[i] = &synSink{hist: stats.NewHistogram(500, 50)}
-		net.AttachClient(NodeID(i), inj.sinks[i])
+	const buckets = 50
+	inj.sinks = make([]synSink, net.Cfg().Nodes())
+	counts := make([]int64, buckets*len(inj.sinks))
+	for i := range inj.sinks {
+		inj.sinks[i].hist = stats.MakeHistogram(500, counts[i*buckets:(i+1)*buckets:(i+1)*buckets])
+		net.AttachClient(NodeID(i), &inj.sinks[i])
 	}
 	return inj
 }
@@ -111,7 +113,7 @@ type synSink struct {
 	received int64
 	latSum   int64
 	latMax   int64
-	hist     *stats.Histogram
+	hist     stats.Histogram
 }
 
 // Deliver implements Client.
@@ -156,8 +158,8 @@ func (s *SyntheticInjector) Injected() int64 { return s.injected }
 // Received returns the packets delivered so far.
 func (s *SyntheticInjector) Received() int64 {
 	var n int64
-	for _, sk := range s.sinks {
-		n += sk.received
+	for i := range s.sinks {
+		n += s.sinks[i].received
 	}
 	return n
 }
@@ -165,9 +167,9 @@ func (s *SyntheticInjector) Received() int64 {
 // AvgLatency returns mean delivered-packet latency in cycles.
 func (s *SyntheticInjector) AvgLatency() float64 {
 	var sum, n int64
-	for _, sk := range s.sinks {
-		sum += sk.latSum
-		n += sk.received
+	for i := range s.sinks {
+		sum += s.sinks[i].latSum
+		n += s.sinks[i].received
 	}
 	if n == 0 {
 		return 0
@@ -177,13 +179,11 @@ func (s *SyntheticInjector) AvgLatency() float64 {
 
 // MaxLatency returns the worst delivered-packet latency.
 func (s *SyntheticInjector) MaxLatency() int64 {
-	var max int64
-	for _, sk := range s.sinks {
-		if sk.latMax > max {
-			max = sk.latMax
-		}
+	var worst int64
+	for i := range s.sinks {
+		worst = max(worst, s.sinks[i].latMax)
 	}
-	return max
+	return worst
 }
 
 // LoadPoint is one point of a load-latency curve.

@@ -13,6 +13,11 @@ import "snacknoc/internal/sim"
 // When the reader is a quiescence-capable component, waker holds its
 // engine handle: every push wakes the reader no later than the entry's
 // arrival cycle, which is what lets routers and NIs sleep safely.
+//
+// Wires live in the Network's two wire slabs and their queues are carved
+// from its queue slabs at the credit bound (see Network), so a push
+// never allocates; drains shift the queue down in place and keep the
+// carved window.
 type wire[T any] struct {
 	q     []wireEntry[T]
 	waker *sim.Handle
@@ -31,26 +36,8 @@ func (w *wire[T]) push(v T, arrive int64) {
 	w.waker.WakeAt(arrive)
 }
 
-// popReady removes and returns, in order, all entries with arrive <= now.
-func (w *wire[T]) popReady(now int64) []T {
-	n := 0
-	for n < len(w.q) && w.q[n].arrive <= now {
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, n)
-	for i := 0; i < n; i++ {
-		out[i] = w.q[i].v
-	}
-	w.q = append(w.q[:0], w.q[n:]...)
-	return out
-}
-
 // drainReady invokes fn, in order, for every entry with arrive <= now and
-// removes them. Unlike popReady it performs no allocation, which matters
-// on the per-cycle router paths.
+// removes them, without allocating.
 func (w *wire[T]) drainReady(now int64, fn func(T)) {
 	if len(w.q) == 0 || w.q[0].arrive > now {
 		return
@@ -82,11 +69,11 @@ type boundary[T any] struct {
 	stub, real *wire[T]
 }
 
-// interpose replaces *slot (a wire the remote writer will push into) with
-// a fresh stub and returns the boundary pairing it with the real wire.
-func interpose[T any](slot **wire[T]) boundary[T] {
-	b := boundary[T]{stub: &wire[T]{}, real: *slot}
-	*slot = b.stub
+// interpose points *slot (a wire the remote writer pushes into) at stub
+// and returns the boundary pairing it with the real wire.
+func interpose[T any](slot **wire[T], stub *wire[T]) boundary[T] {
+	b := boundary[T]{stub: stub, real: *slot}
+	*slot = stub
 	return b
 }
 
@@ -108,6 +95,6 @@ func (b *boundary[T]) drain() {
 
 // creditMsg returns one buffer slot of an input VC to the sender upstream.
 type creditMsg struct {
-	vnet int
-	vc   int
+	vnet int32
+	vc   int32
 }

@@ -84,8 +84,13 @@ type Quiescer interface {
 	CatchUp(idleCycles int64)
 }
 
-// compState is the engine's per-component bookkeeping for the active list.
-type compState struct {
+// Handle is the engine's bookkeeping for one registered component — its
+// place in the active list and its sleep state — and doubles as the wake
+// handle Register returns to wake-up producers. A nil handle is valid and
+// inert, so wiring code can attach wakers unconditionally. Handles live in
+// engine-owned slabs (see Reserve), never individually on the heap.
+type Handle struct {
+	e       *Engine
 	c       Component
 	q       Quiescer // nil when the component never sleeps
 	idx     int      // registration index; the active list stays sorted by it
@@ -94,52 +99,43 @@ type compState struct {
 	wakeAt  int64 // earliest pending wake event (0 = none)
 }
 
-// Handle identifies a registered component to wake-up producers. A nil
-// handle is valid and inert, so wiring code can attach wakers
-// unconditionally.
-type Handle struct {
-	e  *Engine
-	st *compState
-}
-
 // WakeAt ensures the component is awake (and caught up) no later than the
 // start of cycle at. Calling it for an already-awake component is free;
 // redundant or superseded wake-ups are deduplicated. Producers call it
 // whenever they hand a sleeping consumer work that becomes visible at a
 // future cycle.
 func (h *Handle) WakeAt(at int64) {
-	if h == nil {
-		return
-	}
-	st := h.st
-	if !st.asleep {
+	if h == nil || !h.asleep {
 		return
 	}
 	e := h.e
 	if at <= e.cycle {
-		e.wake(st)
+		e.wake(h)
 		return
 	}
-	if st.wakeAt != 0 && st.wakeAt <= at {
+	if h.wakeAt != 0 && h.wakeAt <= at {
 		return // an earlier wake-up is already scheduled
 	}
-	st.wakeAt = at
+	h.wakeAt = at
 	// Wake events carry the component directly instead of a closure, so
 	// the per-wake path (every wire push to a sleeper) allocates nothing.
-	e.fileEvent(at, nil, nil, 0, st)
+	e.fileEvent(at, nil, nil, 0, h)
 }
 
 // Engine owns global simulated time and the registered components.
 type Engine struct {
 	cycle int64
-	comps []*compState
+	// slab is the unused tail of the current handle chunk; Register
+	// carves from it.
+	slab  []Handle
+	comps []*Handle
 	// active holds the awake components in registration order; Step
 	// iterates it instead of scanning comps for asleep flags.
-	active []*compState
+	active []*Handle
 	// woken buffers components re-activated since the last merge; Step
 	// merges it into active (restoring registration order) before the
 	// Evaluate phase, so N wakes cost one merge instead of N insertions.
-	woken []*compState
+	woken []*Handle
 	seq   int64
 	// fnScheduled counts Schedule and ScheduleCall events only (not
 	// wake-ups), so the exported event metric is identical for any shard
@@ -175,9 +171,7 @@ type Engine struct {
 
 // NewEngine returns an engine at cycle 0 with no components.
 func NewEngine() *Engine {
-	e := &Engine{quiesce: true}
-	e.wheel.init()
-	return e
+	return &Engine{quiesce: true}
 }
 
 // Register adds a component to the engine and returns its wake handle.
@@ -187,11 +181,39 @@ func (e *Engine) Register(c Component) *Handle {
 	if c == nil {
 		panic("sim: Register called with nil component")
 	}
-	st := &compState{c: c, idx: len(e.comps)}
+	if len(e.slab) == 0 {
+		e.Reserve(registerChunk)
+	}
+	st := &e.slab[0]
+	e.slab = e.slab[1:]
+	*st = Handle{e: e, c: c, idx: len(e.comps)}
 	st.q, _ = c.(Quiescer)
 	e.comps = append(e.comps, st)
 	e.active = append(e.active, st)
-	return &Handle{e: e, st: st}
+	return st
+}
+
+// registerChunk is how many handles an unreserved Register allocates at
+// once.
+const registerChunk = 8
+
+// Reserve makes room for n more Register calls in one allocation per
+// table (the handle slab, the component list, the active list), so a
+// builder that knows its component count — a mesh registers two per
+// node — does not pay two objects per component.
+func (e *Engine) Reserve(n int) {
+	if n <= len(e.slab) {
+		return
+	}
+	e.slab = make([]Handle, n)
+	need := len(e.comps) + n
+	if need > cap(e.comps) {
+		e.comps = append(make([]*Handle, 0, need), e.comps...)
+	}
+	// The active list never holds more than every registered component.
+	if need > cap(e.active) {
+		e.active = append(make([]*Handle, 0, need), e.active...)
+	}
 }
 
 // Cycle returns the current simulated cycle. During Evaluate/Advance it is
@@ -238,7 +260,7 @@ func (e *Engine) ScheduleCall(at int64, callee Callee, arg int64) {
 // fileEvent enqueues a callback (fn), a call (callee, arg) or a wake-up
 // (wake) — exactly one of the three — for the start of cycle at, with
 // the next sequence number.
-func (e *Engine) fileEvent(at int64, fn func(), callee Callee, arg int64, wake *compState) {
+func (e *Engine) fileEvent(at int64, fn func(), callee Callee, arg int64, wake *Handle) {
 	if at <= e.cycle {
 		panic(fmt.Sprintf("sim: Schedule(%d) at or before current cycle %d", at, e.cycle))
 	}
@@ -248,14 +270,26 @@ func (e *Engine) fileEvent(at int64, fn func(), callee Callee, arg int64, wake *
 	e.wheel.schedule(e.cycle, ev)
 }
 
-// newEvent takes a cleared record off the event pool.
+// eventChunk is how many event records an empty pool allocates at once.
+const eventChunk = 32
+
+// newEvent takes a cleared record off the event pool, refilling it a
+// chunk at a time: an engine's first run then costs a few allocations,
+// not one per event in flight.
 func (e *Engine) newEvent() *event {
-	if n := len(e.eventPool); n > 0 {
-		ev := e.eventPool[n-1]
-		e.eventPool = e.eventPool[:n-1]
-		return ev
+	if len(e.eventPool) == 0 {
+		chunk := make([]event, eventChunk)
+		if cap(e.eventPool) < eventChunk {
+			e.eventPool = make([]*event, 0, 2*eventChunk)
+		}
+		for i := range chunk {
+			e.eventPool = append(e.eventPool, &chunk[i])
+		}
 	}
-	return &event{}
+	n := len(e.eventPool)
+	ev := e.eventPool[n-1]
+	e.eventPool = e.eventPool[:n-1]
+	return ev
 }
 
 // ScheduleAfter runs fn delay cycles from now (delay must be >= 1).
@@ -298,7 +332,7 @@ func (e *Engine) SetQuiescence(on bool) {
 // wake marks a sleeping component awake, replaying the statistics of the
 // cycles it skipped, and buffers it for the next active-list merge. It
 // will be evaluated from the cycle the merge precedes onward.
-func (e *Engine) wake(st *compState) {
+func (e *Engine) wake(st *Handle) {
 	if !st.asleep {
 		return
 	}

@@ -287,3 +287,41 @@ func TestSetQuiescenceOffEvaluatesEveryCycle(t *testing.T) {
 		t.Fatalf("evaluated+idle = %d cycles, want 6", got)
 	}
 }
+
+// TestReserveRegistersFromOneSlab: after Reserve(n), n Register calls
+// allocate nothing — handles come out of the reserved slab.
+func TestReserveRegistersFromOneSlab(t *testing.T) {
+	const n = 64
+	comps := make([]*sleeper, n)
+	for i := range comps {
+		comps[i] = &sleeper{}
+	}
+	var e *Engine
+	reserve := testing.AllocsPerRun(10, func() {
+		e = NewEngine()
+		e.Reserve(n)
+	})
+	register := testing.AllocsPerRun(10, func() {
+		e = NewEngine()
+		e.Reserve(n)
+		for _, c := range comps {
+			e.Register(c)
+		}
+	})
+	if register != reserve {
+		t.Fatalf("%d reserved Register calls allocated %.0f objects beyond Reserve's %.0f", n, register-reserve, reserve)
+	}
+	if reserve > 4 {
+		t.Fatalf("NewEngine+Reserve allocated %.0f objects, want <= 4", reserve)
+	}
+	// Handles stay valid and distinct without a reservation too.
+	u := NewEngine()
+	seen := make(map[*Handle]bool)
+	for _, c := range comps {
+		h := u.Register(c)
+		if seen[h] {
+			t.Fatal("Register returned the same handle twice")
+		}
+		seen[h] = true
+	}
+}

@@ -104,3 +104,58 @@ func TestRandomWakeAtAccounting(t *testing.T) {
 }
 
 var horizons = []int64{1, 2, 7, wheelSize - 1, wheelSize, wheelSize + 1, 4 * wheelSize}
+
+// TestTimeWheelGrowsLazily: the ring starts small, doubles only as far as
+// the furthest in-horizon event demands, and re-files occupied slots on
+// the way without disturbing firing order.
+func TestTimeWheelGrowsLazily(t *testing.T) {
+	e := NewEngine()
+	if len(e.wheel.slots) != 0 {
+		t.Fatalf("a fresh engine holds a %d-slot ring, want none", len(e.wheel.slots))
+	}
+	var got []firing
+	at := func(cycle int64, id int) {
+		e.Schedule(cycle, func() { got = append(got, firing{cycle: e.Cycle(), id: id}) })
+	}
+	// Distances chosen so every doubling happens with earlier events
+	// already filed, some of them sharing a cycle.
+	cycles := []int64{3, 3, 15, 17, 9, 40, 17, 100, 3, 260, 40, 700, 15, 1000}
+	for id, c := range cycles {
+		at(c, id)
+		want := wheelMin
+		for int64(want) <= c {
+			want *= 2
+		}
+		if id > 0 && len(e.wheel.slots) < want {
+			t.Fatalf("after scheduling cycle %d the ring has %d slots, want >= %d", c, len(e.wheel.slots), want)
+		}
+	}
+	if len(e.wheel.slots) != wheelSize {
+		t.Fatalf("ring grew to %d slots, want %d", len(e.wheel.slots), wheelSize)
+	}
+	e.Run(1001)
+	var want []firing
+	for id, c := range cycles {
+		want = append(want, firing{cycle: c, id: id})
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].cycle < want[j].cycle })
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+
+	// An engine that never looks further than a few cycles ahead keeps the
+	// smallest ring.
+	near := NewEngine()
+	for i := 0; i < 200; i++ {
+		near.Schedule(near.Cycle()+1+int64(i%5), func() {})
+		near.Run(3)
+	}
+	if len(near.wheel.slots) != wheelMin {
+		t.Fatalf("near-horizon engine grew its ring to %d slots, want %d", len(near.wheel.slots), wheelMin)
+	}
+}

@@ -87,10 +87,17 @@ type TimeSeries struct {
 
 // NewTimeSeries returns a series that emits one sample per interval cycles.
 func NewTimeSeries(interval int64) *TimeSeries {
+	t := MakeTimeSeries(interval)
+	return &t
+}
+
+// MakeTimeSeries is NewTimeSeries by value, for owners that keep their
+// series in a slab.
+func MakeTimeSeries(interval int64) TimeSeries {
 	if interval <= 0 {
 		panic("stats: NewTimeSeries interval must be positive")
 	}
-	return &TimeSeries{interval: interval}
+	return TimeSeries{interval: interval}
 }
 
 // Observe records one cycle of the underlying signal.
@@ -168,10 +175,20 @@ type Histogram struct {
 
 // NewHistogram returns a histogram with n buckets spanning [0, max).
 func NewHistogram(max float64, n int) *Histogram {
-	if n <= 0 || max <= 0 {
+	if n <= 0 {
 		panic("stats: NewHistogram needs positive max and bucket count")
 	}
-	return &Histogram{max: max, buckets: make([]int64, n)}
+	h := MakeHistogram(max, make([]int64, n))
+	return &h
+}
+
+// MakeHistogram is NewHistogram by value over caller-owned (zeroed)
+// bucket storage, for owners that keep many histograms in one slab.
+func MakeHistogram(max float64, buckets []int64) Histogram {
+	if len(buckets) == 0 || max <= 0 {
+		panic("stats: NewHistogram needs positive max and bucket count")
+	}
+	return Histogram{max: max, buckets: buckets}
 }
 
 // BucketIndex returns the bucket Observe(v) would increment. Hot loops

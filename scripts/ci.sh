@@ -119,30 +119,45 @@ cmp "$scope_out" results/scope-smoke.txt
 rm -f "$scope_out"
 echo "attribution smoke: byte-identical"
 
-# Allocation budget: the kernel lifecycle (compile -> submit -> fetch ->
-# issue -> retire) is slab- and pool-fed, so one kernels_zero_load pass of
-# the repo benchmark — eight compiled-and-run kernels, ~300k instructions
-# — stays under 60000 allocations; a per-instruction allocation anywhere
-# on that path costs 300k. The count is exact and host-independent, so
-# unlike the ns/op guards below this step is never skipped; the same run
-# checks the pass's simulated results against the pinned digest.
-echo "== allocation budget (benchmark kernels_zero_load: allocs_per_pass <= 60000) =="
-alloc_out=/tmp/ci-bench.$$
-alloc_line=$(go run ./benchmark -workload kernels_zero_load -trace 0 -seconds 5 -out "$alloc_out" 2>/dev/null | tail -n 1)
-rm -rf "$alloc_out"
-case "$alloc_line" in
-*'"correct":true'*) ;;
-*)
-    echo "ERROR: kernels_zero_load did not report correct results: $alloc_line" >&2
-    exit 1
-    ;;
-esac
-allocs=$(printf '%s\n' "$alloc_line" | sed -n 's/.*"allocs_per_pass":{"value":\([0-9.]*\).*/\1/p')
-if [ -z "$allocs" ] || awk "BEGIN{exit !($allocs > 60000)}"; then
-    echo "ERROR: kernels_zero_load allocs_per_pass is '$allocs', budget 60000" >&2
-    exit 1
-fi
-echo "allocation budget: kernels_zero_load allocs_per_pass $allocs <= 60000"
+# Allocation budgets on the repo benchmark. The counts are exact and
+# host-independent, so unlike the ns/op guards below these steps are
+# never skipped; each run also checks the pass's simulated results
+# against the pinned digest.
+#
+# kernels_zero_load: the kernel lifecycle (compile -> submit -> fetch ->
+# issue -> retire) is slab- and pool-fed, so one pass — eight
+# compiled-and-run kernels, ~300k instructions — stays under 60000
+# allocations; a per-instruction allocation anywhere on that path costs
+# 300k.
+#
+# dse_fork_sweep: a DSE cell is mostly set-up — a platform build, its
+# pristine snapshot, a probe-mesh build — and the network, the RCUs and
+# the engine's handles are slabs, so one 64-cell pass stays under 220000
+# allocations (it was 441912 with per-router construction; a mesh built
+# router by router again costs ~1200 objects per build, 150k per pass).
+#
+# alloc_budget <workload> <max allocs_per_pass>
+alloc_budget() {
+    ab_out=/tmp/ci-bench.$$
+    ab_line=$(go run ./benchmark -workload "$1" -trace 0 -seconds 5 -out "$ab_out" 2>/dev/null | tail -n 1)
+    rm -rf "$ab_out"
+    case "$ab_line" in
+    *'"correct":true'*) ;;
+    *)
+        echo "ERROR: $1 did not report correct results: $ab_line" >&2
+        exit 1
+        ;;
+    esac
+    ab_allocs=$(printf '%s\n' "$ab_line" | sed -n 's/.*"allocs_per_pass":{"value":\([0-9.]*\).*/\1/p')
+    if [ -z "$ab_allocs" ] || awk "BEGIN{exit !($ab_allocs > $2)}"; then
+        echo "ERROR: $1 allocs_per_pass is '$ab_allocs', budget $2" >&2
+        exit 1
+    fi
+    echo "allocation budget: $1 allocs_per_pass $ab_allocs <= $2"
+}
+echo "== allocation budgets (benchmark: kernels_zero_load <= 60000, dse_fork_sweep <= 220000 allocs_per_pass) =="
+alloc_budget kernels_zero_load 60000
+alloc_budget dse_fork_sweep 220000
 
 # Bench guard: tracing AND attribution must be free when disabled (both
 # follow the same nil-check discipline, and the benchmarks run with both
@@ -223,19 +238,11 @@ if [ "${BENCH_GUARD:-1}" != "0" ]; then
     best=$(best_of_3 BenchmarkRCUDispatch ./internal/core 'allocs/op' 3x)
     guard BenchmarkRCUDispatch 'allocs/op' "$best" "$base" 10
 
-    # Pooled fork: the steady-state cost per DSE cell. Guard both ns/op
-    # (must stay far below build + double-clone) and allocs/op (the fork
-    # arena keeps the identity-map buckets; creeping allocs means the
-    # arena stopped being reused or a restore path grew an allocation).
-    base=$(json_metric "$guard_base_file" BenchmarkCheckpointFork 'ns/op')
-    if [ -z "$base" ]; then
-        echo "ERROR: no BenchmarkCheckpointFork ns/op in $guard_base_file" >&2
-        exit 1
-    fi
-    echo "== bench guard: BenchmarkCheckpointFork ns/op vs $guard_base_file (${guard_pct}% budget) =="
-    best=$(best_of_3 BenchmarkCheckpointFork . 'ns/op' 3x)
-    guard BenchmarkCheckpointFork 'ns/op' "$best" "$base" "$guard_pct"
-
+    # Pooled fork: the steady-state cost per DSE cell. Only allocs/op is
+    # guarded (the fork arena keeps the identity-map buckets; creeping
+    # allocs means the arena stopped being reused or a restore path grew
+    # an allocation). Its ns/op is not: cross-session ns/op on this host
+    # is not comparable (ROADMAP item 1).
     base=$(json_metric "$guard_base_file" BenchmarkCheckpointFork 'allocs/op')
     if [ -z "$base" ]; then
         echo "ERROR: no BenchmarkCheckpointFork allocs/op in $guard_base_file" >&2
