@@ -57,7 +57,7 @@ func (rec *Recorder) StartSampling(interval int64, settle func(), tr *trace.Trac
 			continue
 		}
 		s.reasons = append(s.reasons, r)
-		s.series[r] = stats.NewTimeSeries(interval)
+		s.series[r] = new(stats.TimeSeries)
 		if tr != nil {
 			s.tracks[r] = tr.CounterTrack("attrib." + reasonNames[r])
 		}

@@ -20,16 +20,28 @@ const l1MSHRSets = 64
 type mshrEntry struct {
 	block   uint64
 	write   bool
-	waiters []func(cycle int64)
+	waiters []waiter
 	// retry holds conflicting accesses (e.g. a write arriving while a
 	// read miss is outstanding) re-issued once the fill completes.
 	retry []retryReq
 	next  int32
 }
 
+// waiter is one access parked until a fill: a record, not a closure, so
+// a miss allocates nothing. starts sums the cycles at which the access
+// entered the miss path and misses counts them — more than one only for
+// a parked write that missed again on re-issue — so completing it at
+// cycle c adds misses*c - starts to the miss-latency sum: one sample per
+// recorded miss, each from its own start.
+type waiter struct {
+	starts int64
+	misses int64
+	done   func(cycle int64) // may be nil
+}
+
 type retryReq struct {
 	write bool
-	done  func(cycle int64)
+	waiter
 }
 
 // L1 is a private per-core cache controller. The core calls Access; the
@@ -53,7 +65,7 @@ type L1 struct {
 	// fill scratch: waiters and retries are copied here before their
 	// MSHR is released, so callbacks that recursively Access (and
 	// allocate fresh MSHRs) cannot invalidate the iteration.
-	waitScratch  []func(cycle int64)
+	waitScratch  []waiter
 	retryScratch []retryReq
 
 	hits     stats.Counter
@@ -170,13 +182,9 @@ func (l *L1) mshrRelease(block uint64, n int32) {
 		}
 	}
 	e := &l.mshrSlab[n]
-	for i := range e.waiters {
-		e.waiters[i] = nil
-	}
+	clear(e.waiters)
 	e.waiters = e.waiters[:0]
-	for i := range e.retry {
-		e.retry[i] = retryReq{}
-	}
+	clear(e.retry)
 	e.retry = e.retry[:0]
 	e.block, e.write = 0, false
 	e.next = l.mshrFree
@@ -191,16 +199,22 @@ func (l *L1) mshrRelease(block uint64, n int32) {
 // invoked when the operation completes (hit latency later on a hit, after
 // the fill on a miss). It reports whether the access hit.
 func (l *L1) Access(block uint64, write bool, done func(cycle int64)) bool {
+	return l.access(block, write, waiter{done: done})
+}
+
+// access is Access for a waiter record; a re-issued retry arrives here
+// with the misses it has already recorded.
+func (l *L1) access(block uint64, write bool, w waiter) bool {
 	if hit, _ := l.cache.Lookup(block, write); hit {
 		l.hits.Inc()
-		if done != nil {
+		if w.done != nil || w.misses > 0 {
 			l.eng.ScheduleAfter(l.sys.cfg.L1HitLat, func() {
-				done(l.eng.Cycle())
+				l.complete(w, l.eng.Cycle())
 			})
 		}
 		return true
 	}
-	return l.missPath(block, write, done)
+	return l.missPath(block, write, w)
 }
 
 // AccessFast is the core-facing fast path: hits complete inline with no
@@ -211,32 +225,27 @@ func (l *L1) AccessFast(block uint64, write bool, onMiss func(cycle int64)) bool
 		l.hits.Inc()
 		return true
 	}
-	return l.missPath(block, write, onMiss)
+	return l.missPath(block, write, waiter{done: onMiss})
 }
 
-func (l *L1) missPath(block uint64, write bool, done func(cycle int64)) bool {
+func (l *L1) missPath(block uint64, write bool, w waiter) bool {
 	l.misses.Inc()
 	start := l.eng.Cycle()
-	wrapped := func(cycle int64) {
-		l.latSum += cycle - start
-		l.latCount++
-		if done != nil {
-			done(cycle)
-		}
-	}
+	w.starts += start
+	w.misses++
 	if n := l.mshrFind(block); n >= 0 {
 		m := &l.mshrSlab[n]
 		if write && !m.write {
 			// A write cannot merge into a read miss: it needs exclusive
 			// permission. Park it and re-issue after the fill.
-			m.retry = append(m.retry, retryReq{write: true, done: wrapped})
+			m.retry = append(m.retry, retryReq{write: true, waiter: w})
 		} else {
-			m.waiters = append(m.waiters, wrapped)
+			m.waiters = append(m.waiters, w)
 		}
 		return false
 	}
 	e := l.mshrAlloc(block, write)
-	e.waiters = append(e.waiters, wrapped)
+	e.waiters = append(e.waiters, w)
 	t := GetS
 	if write {
 		t = GetX
@@ -245,6 +254,16 @@ func (l *L1) missPath(block uint64, write bool, done func(cycle int64)) bool {
 	req.Type, req.To, req.Block, req.Req = t, RoleL2, block, l.nodeID()
 	send(l.sys.Net, l.nodeID(), l.sys.Home(block), req, start)
 	return false
+}
+
+// complete finishes a waiter at the given cycle: its miss latencies are
+// recorded and its callback runs.
+func (l *L1) complete(w waiter, cycle int64) {
+	l.latSum += w.misses*cycle - w.starts
+	l.latCount += w.misses
+	if w.done != nil {
+		w.done(cycle)
+	}
 }
 
 // handle processes protocol messages addressed to this L1. Every type
@@ -268,13 +287,13 @@ func (l *L1) handle(m *Msg, cycle int64) {
 			send(l.sys.Net, l.nodeID(), l.sys.Home(v.Block), wb, cycle)
 		}
 		for _, w := range l.waitScratch {
-			w(cycle)
+			l.complete(w, cycle)
 		}
 		block := m.Block
 		for _, r := range l.retryScratch {
 			r := r
 			l.eng.ScheduleAfter(1, func() {
-				l.Access(block, r.write, r.done)
+				l.access(block, r.write, r.waiter)
 			})
 		}
 

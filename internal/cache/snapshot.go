@@ -14,10 +14,10 @@ import (
 // message is deep-copied on snapshot AND again on restore. A plain copy
 // suffices — each message is owned by exactly one cache location, and
 // in-flight messages (cloned by the network snapshot through the
-// platform's token cloner) never alias cache-held ones. Completion
-// callbacks (mshr waiters, retry funcs) are closures over stable
-// component roots plus captured values, so the func values themselves
-// are shared.
+// platform's token cloner) never alias cache-held ones. MSHR waiters and
+// retries are records copied by value; the completion callback in one
+// is a closure over stable component roots plus captured values, so the
+// func value itself is shared.
 
 // copyMsg deep-copies one held protocol message.
 func copyMsg(m *Msg) *Msg {
@@ -63,14 +63,14 @@ func (c *Cache) Restore(s CacheState) {
 	c.hits, c.misses = s.Hits, s.Misses
 }
 
-// mshrSnap is one saved MSHR. The waiter and retry callbacks are shared
-// with the live structure: they close over component roots whose state
-// is restored alongside, never over transient per-run storage.
+// mshrSnap is one saved MSHR. The waiters' and retries' callbacks are
+// shared with the live structure: they close over component roots whose
+// state is restored alongside, never over transient per-run storage.
 type mshrSnap struct {
 	block uint64
 	write bool
 
-	waiters []func(cycle int64)
+	waiters []waiter
 	retry   []retryReq
 }
 
@@ -103,7 +103,7 @@ func (l *L1) state() l1State {
 			s.mshrs = append(s.mshrs, mshrSnap{
 				block:   m.block,
 				write:   m.write,
-				waiters: append([]func(cycle int64){}, m.waiters...),
+				waiters: append([]waiter(nil), m.waiters...),
 				retry:   append([]retryReq(nil), m.retry...),
 			})
 		}

@@ -266,3 +266,40 @@ func memAccesses(sys *System) int64 {
 	}
 	return n
 }
+
+// TestL1MissAllocatesNoClosure pins the miss path the cores use: with
+// the MSHR slab, the message pool and the NI's queues warm, an
+// AccessFast that misses parks a waiter record and allocates nothing
+// (it used to wrap the callback in a closure per miss, the largest
+// allocation site of a CMP run).
+func TestL1MissAllocatesNoClosure(t *testing.T) {
+	eng, sys := newSystem(t)
+	l1 := sys.L1s[2]
+	resolved := 0
+	onMiss := func(int64) { resolved++ }
+	const burst = 64
+	block := uint64(1 << 20)
+	miss := func() {
+		block++
+		if l1.AccessFast(block, false, onMiss) {
+			t.Fatalf("block %d hit, want a miss", block)
+		}
+	}
+	drain := func(want int) {
+		if _, ok := eng.RunUntil(func() bool { return resolved == want }, 1_000_000); !ok {
+			t.Fatalf("%d of %d misses resolved", resolved, want)
+		}
+	}
+	// Warm every pool to the depth the measured burst needs.
+	for i := 0; i < burst; i++ {
+		miss()
+	}
+	drain(burst)
+	if allocs := testing.AllocsPerRun(burst-1, miss); allocs != 0 {
+		t.Errorf("a missing AccessFast allocated %v objects, want 0", allocs)
+	}
+	drain(2 * burst)
+	if got := l1.Misses(); got != 2*burst {
+		t.Fatalf("%d misses recorded, want %d", got, 2*burst)
+	}
+}

@@ -32,8 +32,14 @@ type coRunSim struct {
 	lastResult *core.Result
 }
 
+// buildCoRun runs a short LULESH whose first phase also synchronizes
+// every ~200 instructions, so that a few thousand cycles in — a cold
+// core retires well under one instruction in ten cycles — some cores are
+// blocked on misses and others are inside a synchronization stall.
 func buildCoRun(t testing.TB, shards int) *coRunSim {
-	return buildCoRunProf(t, shards, traffic.Scale(traffic.LULESH(), 0.05))
+	prof := traffic.Scale(traffic.LULESH(), 0.05)
+	prof.Phases[0].StallEvery, prof.Phases[0].StallCycles = 200, 600
+	return buildCoRunProf(t, shards, prof)
 }
 
 func buildCoRunProf(t testing.TB, shards int, prof *traffic.Profile) *coRunSim {
@@ -141,6 +147,21 @@ func TestForkDeterminism(t *testing.T) {
 			// shard boundary: the slab checkpoint must carry those too.
 			if shards > 1 && s.net.BoundaryFlits() == 0 {
 				t.Fatal("no flit on a shard-boundary wire at the snapshot point")
+			}
+			// The cores' runnable and idle sets are rebuilt by a restore, and
+			// a core mid-stall carries the start of the stall: the fork must
+			// begin with cores in both kinds of stall.
+			blocked, idle := 0, 0
+			for _, c := range s.work.State().Cores {
+				if c.Blocked {
+					blocked++
+				}
+				if c.Idle {
+					idle++
+				}
+			}
+			if blocked == 0 || idle == 0 {
+				t.Fatalf("%d cores blocked and %d idling at the snapshot point, want at least one of each", blocked, idle)
 			}
 			st := checkpoint.Take(s.target())
 			if st.Cycle() != 4096 {

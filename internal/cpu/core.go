@@ -8,6 +8,8 @@ package cpu
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"snacknoc/internal/cache"
 	"snacknoc/internal/noc"
@@ -23,13 +25,18 @@ const IssuePerCycle = 2
 // Core is one in-order CMP core executing a benchmark profile: it
 // interleaves compute slots with memory accesses drawn from the
 // profile's reference stream, stalls on dependent misses and MSHR
-// pressure, and idles across synchronization points.
+// pressure, and idles across synchronization points. The engine does not
+// see cores one by one: a coreGroup steps those that can issue.
 type Core struct {
 	id     int
 	prof   *traffic.Profile
 	stream *traffic.Stream
 	l1     *cache.L1
 	ncores int
+
+	// g steps this core; slot is its index in g.cores.
+	g    *coreGroup
+	slot int
 
 	// onMissFn caches the onMiss method value: passing c.onMiss directly
 	// would allocate a fresh closure on every L1 access, the single
@@ -46,11 +53,15 @@ type Core struct {
 	finishCycle int64
 	stallAt     int // jittered threshold for the next synchronization stall
 
-	stallCycles int64 // cycles spent blocked or idle (for reports)
+	// stallCycles counts the cycles spent blocked or idle in stalls that
+	// have ended; a stall still open began at cycle stallFrom (see
+	// StallCycles).
+	stallCycles int64
+	stallFrom   int64
 }
 
-// NewCore binds a core to its L1 and workload profile.
-func NewCore(id int, prof *traffic.Profile, l1 *cache.L1, ncores int, seed uint64) *Core {
+// newCore binds a core to its L1 and workload profile.
+func newCore(id int, prof *traffic.Profile, l1 *cache.L1, ncores int, seed uint64) *Core {
 	c := &Core{
 		id:     id,
 		prof:   prof,
@@ -62,7 +73,7 @@ func NewCore(id int, prof *traffic.Profile, l1 *cache.L1, ncores int, seed uint6
 	return c
 }
 
-// Name implements sim.Component.
+// Name identifies the core in messages.
 func (c *Core) Name() string { return fmt.Sprintf("core%d(%s)", c.id, c.prof.Name) }
 
 // Finished reports whether the core has retired its budget.
@@ -74,18 +85,20 @@ func (c *Core) FinishCycle() int64 { return c.finishCycle }
 // Retired returns the instructions retired so far.
 func (c *Core) Retired() int64 { return c.retired }
 
-// StallCycles returns cycles the core spent unable to issue.
-func (c *Core) StallCycles() int64 { return c.stallCycles }
+// StallCycles returns cycles the core spent unable to issue: one for
+// every turn it had while blocked on a miss or inside a synchronization
+// stall, the open stall's turns so far included.
+func (c *Core) StallCycles() int64 {
+	if c.finished || c.g.runnable.has(c.slot) {
+		return c.stallCycles
+	}
+	return c.stallCycles + c.g.nextTurn(c.slot) - c.stallFrom
+}
 
-// Evaluate issues up to IssuePerCycle instructions.
-func (c *Core) Evaluate(cycle int64) {
-	if c.finished {
-		return
-	}
-	if c.blocked || cycle < c.idleUntil {
-		c.stallCycles++
-		return
-	}
+// issue is one turn of a runnable core: it retires up to IssuePerCycle
+// instructions and leaves the runnable set when it blocks, starts a
+// synchronization stall or finishes.
+func (c *Core) issue(cycle int64) {
 	ph := c.prof.PhaseAt(float64(c.retired) / float64(c.prof.Instrs))
 	rng := c.stream.RNG()
 	for slot := 0; slot < IssuePerCycle; slot++ {
@@ -93,10 +106,17 @@ func (c *Core) Evaluate(cycle int64) {
 			c.sinceStall = 0
 			c.stallAt = 0
 			c.idleUntil = cycle + int64(ph.StallCycles)
+			if c.idleUntil > cycle+1 {
+				c.g.park(c, cycle)
+				c.g.idle.add(c.slot)
+				c.g.idleWake = min(c.g.idleWake, c.idleUntil)
+			}
 			return
 		}
 		c.retire(cycle)
 		if c.finished {
+			c.g.park(c, cycle)
+			c.g.finished++
 			return
 		}
 		c.sinceStall++
@@ -110,13 +130,11 @@ func (c *Core) Evaluate(cycle int64) {
 		c.outstanding++
 		if c.outstanding >= c.prof.MLP || rng.Bool(c.prof.BlockFrac) {
 			c.blocked = true
+			c.g.park(c, cycle)
 			return
 		}
 	}
 }
-
-// Advance implements sim.Component; cores commit state in Evaluate.
-func (c *Core) Advance(int64) {}
 
 // nextStall returns the jittered instruction count before the next
 // synchronization stall. Real barrier intervals vary with data; perfectly
@@ -138,38 +156,169 @@ func (c *Core) retire(cycle int64) {
 	}
 }
 
+// onMiss runs when one of the core's misses resolves — in the event
+// phase or inside an NI's Evaluate — and lets a blocked core issue again
+// from its next turn.
 func (c *Core) onMiss(cycle int64) {
 	c.outstanding--
-	c.blocked = false
+	if c.blocked {
+		c.blocked = false
+		c.g.resume(c)
+	}
+}
+
+// coreGroup steps the cores of one engine as a single component, so a
+// cycle costs the cores that can issue in it, not every core: a core
+// that blocks, idles or finishes leaves the runnable set, onMiss and the
+// end of its synchronization stall put it back, and the cycles in
+// between are added to its stall count when the stall ends instead of
+// one per cycle. Cores are stepped in id order, the order they had as
+// separately registered components.
+type coreGroup struct {
+	name  string
+	cores []*Core
+	// runnable has bit i set when cores[i] issues at its next turn; idle
+	// when cores[i] is inside a synchronization stall, which ends at the
+	// earliest at cycle idleWake (MaxInt64 when no core idles).
+	runnable coreSet
+	idle     coreSet
+	idleWake int64
+	finished int // cores that have retired their budget
+
+	// turn is the cycle of the group's next (or, with cur >= 0, current)
+	// Evaluate and cur the core being stepped in it, -1 outside Evaluate:
+	// together they tell whether a core's turn in this cycle has passed.
+	turn int64
+	cur  int
+}
+
+// coreSet is a set of a group's cores, one bit per index in its cores
+// (several words: Fig 13's 16x8 mesh has 128 cores on one engine).
+type coreSet []uint64
+
+func (s coreSet) add(i int)      { s[i/64] |= 1 << (i % 64) }
+func (s coreSet) remove(i int)   { s[i/64] &^= 1 << (i % 64) }
+func (s coreSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
+
+func (g *coreGroup) add(c *Core) {
+	c.g, c.slot = g, len(g.cores)
+	g.cores = append(g.cores, c)
+	if c.slot%64 == 0 {
+		g.runnable = append(g.runnable, 0)
+		g.idle = append(g.idle, 0)
+	}
+	g.runnable.add(c.slot)
+}
+
+// Name implements sim.Component.
+func (g *coreGroup) Name() string { return g.name }
+
+// nextTurn returns the cycle of cores[i]'s next turn. A miss can resolve
+// before the group's Evaluate in a cycle (the event phase, an NI) or
+// after it (a component registered later): the core issues in that same
+// cycle only in the first case.
+func (g *coreGroup) nextTurn(i int) int64 {
+	if i <= g.cur {
+		return g.turn + 1
+	}
+	return g.turn
+}
+
+// park takes c, which is in its turn of the given cycle, out of the
+// runnable set; a stall it begins counts from the next cycle.
+func (g *coreGroup) park(c *Core, cycle int64) {
+	g.runnable.remove(c.slot)
+	c.stallFrom = cycle + 1
+}
+
+// resume ends c's stall: the turns it missed are added to its stall
+// count and it issues again from its next one.
+func (g *coreGroup) resume(c *Core) {
+	c.stallCycles += g.nextTurn(c.slot) - c.stallFrom
+	g.runnable.add(c.slot)
+}
+
+// Evaluate steps every runnable core once, in id order.
+func (g *coreGroup) Evaluate(cycle int64) {
+	g.turn = cycle
+	if cycle >= g.idleWake {
+		g.wakeIdle(cycle)
+	}
+	for w := range g.runnable {
+		for m := g.runnable[w]; m != 0; {
+			b := bits.TrailingZeros64(m)
+			g.cur = w*64 + b
+			g.cores[g.cur].issue(cycle)
+			// Read the word again: stepping one core may make a later one
+			// runnable, and that core still has its turn this cycle.
+			m = g.runnable[w] &^ (1<<(b+1) - 1)
+		}
+	}
+	g.cur = -1
+	g.turn = cycle + 1
+}
+
+// Advance implements sim.Component; cores commit state in Evaluate.
+func (g *coreGroup) Advance(int64) {}
+
+// wakeIdle resumes the cores whose synchronization stall has run out and
+// finds the next one due.
+func (g *coreGroup) wakeIdle(cycle int64) {
+	g.idleWake = math.MaxInt64
+	for w := range g.idle {
+		for m := g.idle[w]; m != 0; m &= m - 1 {
+			c := g.cores[w*64+bits.TrailingZeros64(m)]
+			if c.idleUntil <= cycle {
+				g.idle.remove(c.slot)
+				g.resume(c)
+			} else {
+				g.idleWake = min(g.idleWake, c.idleUntil)
+			}
+		}
+	}
 }
 
 // Workload is a set of cores running one benchmark across the CMP.
 type Workload struct {
 	Profile *traffic.Profile
 	Cores   []*Core
+
+	groups []*coreGroup // one per engine, in order of their first node
 }
 
 // NewWorkload creates one core per node of the system, all running the
-// given profile. Each core registers on the engine of the shard its node
-// belongs to — a core drives its private L1 every cycle, so on a sharded
-// network it must evaluate inside that shard's goroutine.
+// given profile. The cores of one shard are stepped by one group
+// registered on that shard's engine — a core drives its private L1, so
+// on a sharded network it must evaluate inside that shard's goroutine.
 func NewWorkload(eng *sim.Engine, sys *cache.System, prof *traffic.Profile, seed uint64) (*Workload, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(sys.L1s)
 	w := &Workload{Profile: prof, Cores: make([]*Core, n)}
+	byEng := make(map[*sim.Engine]*coreGroup)
 	for i := 0; i < n; i++ {
-		w.Cores[i] = NewCore(i, prof, sys.L1s[i], n, seed)
-		sys.Net.EngFor(noc.NodeID(i)).Register(w.Cores[i])
+		w.Cores[i] = newCore(i, prof, sys.L1s[i], n, seed)
+		se := sys.Net.EngFor(noc.NodeID(i))
+		g := byEng[se]
+		if g == nil {
+			g = &coreGroup{
+				name:     fmt.Sprintf("cores%d(%s)", len(w.groups), prof.Name),
+				idleWake: math.MaxInt64, turn: se.Cycle(), cur: -1,
+			}
+			byEng[se] = g
+			w.groups = append(w.groups, g)
+			se.Register(g)
+		}
+		g.add(w.Cores[i])
 	}
 	return w, nil
 }
 
 // Done reports whether every core has retired its budget.
 func (w *Workload) Done() bool {
-	for _, c := range w.Cores {
-		if !c.Finished() {
+	for _, g := range w.groups {
+		if g.finished < len(g.cores) {
 			return false
 		}
 	}

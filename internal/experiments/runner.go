@@ -117,10 +117,8 @@ func collect(bench, nocName string, rt int64, net *noc.Network, sys *cache.Syste
 		}
 
 		for i, c := range router.BufferHistogram().Buckets() {
-			for k := int64(0); k < c; k++ {
-				// Re-observe at the bucket's midpoint to aggregate.
-				bufHist.Observe((float64(i) + 0.5) / 20)
-			}
+			// Re-observe at the bucket's midpoint to aggregate.
+			bufHist.ObserveN((float64(i)+0.5)/20, c)
 		}
 	}
 	r.XbarMedianPct = stats.Median(xbarMedians)

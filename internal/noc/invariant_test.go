@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"snacknoc/internal/sim"
@@ -224,5 +225,141 @@ func TestQuiescenceEquivalence(t *testing.T) {
 				t.Errorf("%s: CDF point %d = %+v vs %+v", rq.Name(), j, cq[j], cr[j])
 			}
 		}
+	}
+}
+
+// checkPendingMasks holds every router's and NI's pending masks to the
+// wires they summarize: a bit is set exactly when its wire holds entries.
+func checkPendingMasks(t *testing.T, net *Network, cycle int64) {
+	t.Helper()
+	for i := range net.routers {
+		r := &net.routers[i]
+		for j := range r.inList {
+			if set, held := r.rd.pending&(1<<uint(j)) != 0, len(r.inList[j].in.q) > 0; set != held {
+				t.Fatalf("cycle %d: %s input %s: pending bit %v, wire holds %d flits",
+					cycle, r.Name(), r.inList[j].dir, set, len(r.inList[j].in.q))
+			}
+		}
+		for j := range r.outList {
+			if set, held := r.rd.pending&(1<<uint(credBit+j)) != 0, len(r.outList[j].credit.q) > 0; set != held {
+				t.Fatalf("cycle %d: %s output %s: pending bit %v, wire holds %d credits",
+					cycle, r.Name(), r.outList[j].dir, set, len(r.outList[j].credit.q))
+			}
+		}
+		wires := uint32(1)<<uint(len(r.inList)) - 1 | (1<<uint(len(r.outList))-1)<<credBit
+		if r.rd.pending&^wires != 0 {
+			t.Fatalf("cycle %d: %s: pending mask %b has bits that belong to no wire", cycle, r.Name(), r.rd.pending)
+		}
+		ni := &net.nis[i]
+		want := uint32(0)
+		if len(ni.creditIn.q) > 0 {
+			want |= niCredits
+		}
+		if len(ni.fromRouter.q) > 0 {
+			want |= niEjected
+		}
+		if ni.rd.pending != want {
+			t.Fatalf("cycle %d: %s: pending mask %b, wires say %b", cycle, ni.Name(), ni.rd.pending, want)
+		}
+	}
+}
+
+// TestPendingMasksTrackWires steps a mesh carrying request/response
+// traffic and snack tokens from the compute ports one cycle at a time
+// and checks, after every cycle and at every shard count, that the
+// pending masks the routers and NIs poll instead of their wires agree
+// with the wires — across shard boundaries too, where the barrier drain
+// (not the writer) sets the bit — and again after a checkpoint restore.
+func TestPendingMasksTrackWires(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := *SnackPlatform(4, 4, true)
+			cfg.Shards = shards
+			eng := sim.NewEngine()
+			net, err := New(eng, &cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Counted per node: nodes of different shards deliver concurrently.
+			deliveredAt, consumedAt := make([]int, cfg.Nodes()), make([]int, cfg.Nodes())
+			for i := 0; i < cfg.Nodes(); i++ {
+				net.AttachClient(NodeID(i), countClient{&deliveredAt[i]})
+				port := net.AttachCompute(NodeID(i), consumeAll{&consumedAt[i]})
+				// Each compute port sends a token to the node across the mesh
+				// every few cycles; tokens are consumed on arrival.
+				net.EngFor(NodeID(i)).Register(&portPump{port: port, dst: NodeID(cfg.Nodes() - 1 - i), every: int64(3 + i%4)})
+			}
+			rng := uint64(99)
+			// Injection runs on the root engine, after the barrier, where it
+			// may touch any shard's NI.
+			eng.Register(injectEach(func(cycle int64) {
+				if cycle >= 600 {
+					return // let the mesh drain: the masks must return to zero
+				}
+				for n := 0; n < cfg.Nodes(); n++ {
+					rng = rng*6364136223846793005 + 1442695040888963407
+					if rng>>11%100 < 25 {
+						dst := NodeID(rng >> 33 % uint64(cfg.Nodes()))
+						if dst == NodeID(n) {
+							continue
+						}
+						size := CtrlBytes
+						if rng>>20&1 == 0 {
+							size = DataBytes
+						}
+						net.InjectMsg(NodeID(n), dst, int(rng>>21&1), size, nil, cycle)
+					}
+				}
+			}))
+			var snap *NetworkState
+			var snapEng *sim.EngineState
+			busy := 0
+			for cycle := int64(0); cycle < 1200; cycle++ {
+				eng.Step()
+				checkPendingMasks(t, net, cycle)
+				for i := range net.routers {
+					if net.routers[i].rd.pending != 0 {
+						busy++
+					}
+				}
+				if cycle == 300 {
+					eng.Settle()
+					snap, snapEng = net.SnapshotState(nil), eng.SnapshotState()
+				}
+			}
+			delivered, consumed := 0, 0
+			for i := range deliveredAt {
+				delivered += deliveredAt[i]
+				consumed += consumedAt[i]
+			}
+			if delivered == 0 || consumed == 0 || busy == 0 {
+				t.Fatalf("delivered %d packets, consumed %d tokens, %d router-cycles with pending wires: the run exercised nothing",
+					delivered, consumed, busy)
+			}
+			// Restoring rewinds wires and masks together.
+			net.RestoreState(snap, nil)
+			eng.RestoreState(snapEng)
+			checkPendingMasks(t, net, 300)
+			for cycle := int64(301); cycle < 400; cycle++ {
+				eng.Step()
+				checkPendingMasks(t, net, cycle)
+			}
+		})
+	}
+}
+
+// portPump sends one snack token through a compute inject port every
+// few cycles, credits permitting.
+type portPump struct {
+	port  *InjectPort
+	dst   NodeID
+	every int64
+}
+
+func (p *portPump) Name() string         { return "port-pump" }
+func (p *portPump) Evaluate(cycle int64) { p.port.Update(cycle) }
+func (p *portPump) Advance(cycle int64) {
+	if cycle < 600 && cycle%p.every == 0 {
+		p.port.Send(p.dst, nil, false, cycle)
 	}
 }

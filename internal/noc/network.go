@@ -405,7 +405,7 @@ func (n *Network) exchange(int64) {
 func (n *Network) BoundaryFlits() int {
 	c := 0
 	for i := range n.flitB {
-		c += n.flitB[i].real.pending()
+		c += len(n.flitB[i].real.q)
 	}
 	return c
 }
@@ -485,11 +485,12 @@ func (n *Network) InjectMsg(src, dst NodeID, vnet, sizeBytes int, payload any, c
 // EnableSampling turns on time-series sampling (crossbar and links) on
 // every router with the given interval in cycles.
 func (n *Network) EnableSampling(interval int64) {
-	n.series = make([]stats.TimeSeries, len(n.routers)+len(n.outPorts))
-	for i := range n.series {
-		n.series[i] = stats.MakeTimeSeries(interval)
+	if interval <= 0 {
+		panic("noc: EnableSampling interval must be positive")
 	}
+	n.series = make([]stats.TimeSeries, len(n.routers)+len(n.outPorts))
 	for i := range n.routers {
+		n.routers[i].sampleEvery = interval
 		n.routers[i].xbarSeries = &n.series[i]
 	}
 	for i := range n.outPorts {
@@ -626,9 +627,11 @@ func (p *InjectPort) Node() NodeID { return p.node }
 
 // Update ingests returned credits; call once per cycle before CanSend.
 func (p *InjectPort) Update(cycle int64) {
-	p.creditIn.drainReady(cycle, func(msg creditMsg) {
-		p.credits[msg.vc]++
-	})
+	ready := p.creditIn.ready(cycle)
+	for _, e := range ready {
+		p.credits[e.v.vc]++
+	}
+	p.creditIn.consume(len(ready))
 }
 
 // FreeSlots returns the number of free downstream buffer slots.

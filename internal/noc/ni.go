@@ -49,7 +49,10 @@ type NI struct {
 	creditIn   *wire[creditMsg] // credits from the router (we read)
 	fromRouter *wire[*Flit]     // ejected flits (we read)
 
-	handle *sim.Handle // engine wake handle, for Inject calls while asleep
+	// rd is the reading end of creditIn (bit niCredits of rd.pending) and
+	// fromRouter (niEjected); its handle also wakes the NI for Inject calls
+	// while asleep.
+	rd wireReader
 
 	// vnetOff/nvcOf are the network's shared per-vnet geometry; credits
 	// ([vnetOff[v]+c], the router's local input port) and vcRR (per vnet)
@@ -111,6 +114,12 @@ type niScalars struct {
 	maxQueued int
 }
 
+// The NI's bits in NI.rd.pending.
+const (
+	niCredits = 1 << iota
+	niEjected
+)
+
 // Name implements sim.Component.
 func (ni *NI) Name() string { return fmt.Sprintf("ni%d", ni.node) }
 
@@ -132,12 +141,12 @@ func (ni *NI) getPacket() *Packet {
 	return &Packet{pooled: true}
 }
 
-// setHandle installs the NI's engine wake handle on the wires it reads
-// and keeps it for Inject-time wake-ups.
+// setHandle makes the NI the reader of the two wires it reads and keeps
+// its engine wake handle for Inject-time wake-ups.
 func (ni *NI) setHandle(h *sim.Handle) {
-	ni.handle = h
-	ni.fromRouter.waker = h
-	ni.creditIn.waker = h
+	ni.rd.handle = h
+	ni.creditIn.rd, ni.creditIn.bit = &ni.rd, niCredits
+	ni.fromRouter.rd, ni.fromRouter.bit = &ni.rd, niEjected
 }
 
 // AttachClient sets the packet receiver for this node.
@@ -153,7 +162,7 @@ func (ni *NI) Inject(p *Packet, cycle int64) {
 		rec := ni.pktRecord(trace.KindInject, cycle, cycle, p.ID, p.VNet)
 		ni.tr.Emit(rec)
 	}
-	ni.handle.WakeAt(cycle + 1)
+	ni.rd.handle.WakeAt(cycle + 1)
 }
 
 // QueueLen returns the number of packets queued or mid-flight at the NI
@@ -190,13 +199,12 @@ func (ni *NI) AvgLatency(vnet int) float64 {
 
 // Quiescent implements sim.Quiescer: the NI may sleep when no packet is
 // queued, staged, or mid-transmission and neither wire it reads holds
-// entries. Inject and the wires' wakers rouse it. Reassembly state may
+// entries. Inject and wire pushes rouse it. Reassembly state may
 // be non-empty while asleep — the packet's remaining flits are upstream,
 // and their eventual arrival on fromRouter wakes the NI.
 func (ni *NI) Quiescent() bool {
 	return len(ni.incoming) == 0 && len(ni.active) == 0 && ni.staged == nil &&
-		ni.waitingCount == 0 &&
-		ni.creditIn.pending() == 0 && ni.fromRouter.pending() == 0
+		ni.waitingCount == 0 && ni.rd.pending == 0
 }
 
 // CatchUp implements sim.Quiescer. An idle NI records no per-cycle
@@ -210,9 +218,8 @@ func (ni *NI) CatchUp(idle int64) {
 // waiting packets, flit transmission, and ejection-side reassembly.
 func (ni *NI) Evaluate(cycle int64) {
 	// Fast path: a fully idle NI (the common case on the paper's
-	// low-utilization NoCs) costs four length checks per cycle.
-	if len(ni.incoming) == 0 && len(ni.active) == 0 &&
-		ni.creditIn.pending() == 0 && ni.fromRouter.pending() == 0 {
+	// low-utilization NoCs) costs three checks per cycle.
+	if len(ni.incoming) == 0 && len(ni.active) == 0 && ni.rd.pending == 0 {
 		if ni.at != nil {
 			// Packets can only wait on VCs while transactions drain, so
 			// waitingCount is 0 here in practice; check anyway so a stuck
@@ -225,13 +232,12 @@ func (ni *NI) Evaluate(cycle int64) {
 		}
 		return
 	}
-	if q := ni.creditIn.q; len(q) > 0 && q[0].arrive <= cycle {
-		n := 0
-		for n < len(q) && q[n].arrive <= cycle {
-			ni.credits[ni.vnetOff[q[n].v.vnet]+q[n].v.vc]++
-			n++
+	if ni.rd.pending&niCredits != 0 {
+		ready := ni.creditIn.ready(cycle)
+		for _, e := range ready {
+			ni.credits[ni.vnetOff[e.v.vnet]+e.v.vc]++
 		}
-		ni.creditIn.q = append(q[:0], q[n:]...)
+		ni.creditIn.consume(len(ready))
 	}
 
 	// Stage newly injected packets (only those issued on earlier cycles).
@@ -326,17 +332,13 @@ func (ni *NI) Evaluate(cycle int64) {
 		}
 	}
 
-	// Ejection: reassemble arriving flits into packets. The wire walk is
-	// hand-rolled (not drainReady) to keep the per-flit closure call off
-	// the delivery path.
-	q := ni.fromRouter.q
-	if len(q) == 0 || q[0].arrive > cycle {
+	// Ejection: reassemble arriving flits into packets.
+	if ni.rd.pending&niEjected == 0 {
 		return
 	}
-	drained := 0
-	for drained < len(q) && q[drained].arrive <= cycle {
-		f := q[drained].v
-		drained++
+	ready := ni.fromRouter.ready(cycle)
+	for _, e := range ready {
+		f := e.v
 		ni.flitsIn.Inc()
 		if ni.tr != nil {
 			rec := ni.pktRecord(trace.KindEject, cycle, cycle, f.PacketID, f.VNet)
@@ -383,7 +385,7 @@ func (ni *NI) Evaluate(cycle int64) {
 		}
 		*p = Packet{}
 	}
-	ni.fromRouter.q = append(q[:0], q[drained:]...)
+	ni.fromRouter.consume(len(ready))
 }
 
 // Advance pushes the staged flit onto the local link.

@@ -107,8 +107,8 @@ type outputPort struct {
 // outScalars is an output port's mutable state outside the slabs; a
 // checkpoint copies it whole.
 type outScalars struct {
-	busy uint64 // bit vnetOff[v]+c: held by an in-flight packet
-	util stats.Utilization
+	busy     uint64        // bit vnetOff[v]+c: held by an in-flight packet
+	linkBusy stats.Counter // cycles a flit left on the link, read against the router's clock
 }
 
 // Router is one mesh router: input VC buffers, XY route computation,
@@ -131,6 +131,12 @@ type Router struct {
 	// into — so the per-cycle loops touch only ports that exist.
 	inList  []inputPort
 	outList []outputPort
+
+	// rd is the reading end of the wires the router reads: bit i of
+	// rd.pending is set iff inList[i].in holds entries, bit credBit+i iff
+	// outList[i].credit does. The ingest walks visit set bits only, and a
+	// router with none set has no wire to read.
+	rd wireReader
 
 	compute ComputeUnit
 	drainer LoopDrainer // compute's drain hook, cached off the hot path
@@ -168,9 +174,11 @@ type Router struct {
 	routerLatM1 int64
 	linkLat     int64
 
-	// statistics (the counters are in routerScalars)
-	xbarSeries *stats.TimeSeries
-	bufHist    stats.Histogram // buckets are a window of the Network's counts slab
+	// statistics (the counters and the clock are in routerScalars).
+	// sampleEvery is the series' window in cycles, 0 until EnableSampling.
+	sampleEvery int64
+	xbarSeries  *stats.TimeSeries
+	bufHist     stats.Histogram // buckets are a window of the Network's counts slab
 	// bufBucket maps occupancy (0..buffer slots) straight to its
 	// histogram bucket, replacing a float divide per cycle with a table
 	// lookup; routers with the same port count share one table.
@@ -201,7 +209,12 @@ type routerScalars struct {
 	// allocator stages are skipped entirely.
 	occupancy int
 
-	xbarUtil  stats.Utilization
+	// clock counts the cycles the router has observed, evaluated or slept
+	// through: the one denominator of its crossbar's and links'
+	// utilization and the one sampling window of their series. The
+	// crossbar and the links count busy cycles only.
+	clock     stats.Clock
+	xbarBusy  stats.Counter
 	xbarMoves stats.Counter
 	consumed  stats.Counter // snack flits consumed by the compute unit
 	// classMoves splits crossbar traversals by priority class, the
@@ -253,7 +266,9 @@ func (r *Router) pushBack(v *inputVC, f *Flit) {
 func (r *Router) XbarSeries() *stats.TimeSeries { return r.xbarSeries }
 
 // XbarUtil returns cumulative crossbar utilization.
-func (r *Router) XbarUtil() *stats.Utilization { return &r.xbarUtil }
+func (r *Router) XbarUtil() *stats.Utilization {
+	return stats.NewUtilization(&r.xbarBusy, &r.clock)
+}
 
 // XbarMoves returns the cumulative count of crossbar traversals.
 func (r *Router) XbarMoves() int64 { return r.xbarMoves.Value() }
@@ -268,7 +283,7 @@ func (r *Router) LinkUtil(d Direction) *stats.Utilization {
 	if r.outputs[d] == nil {
 		return nil
 	}
-	return &r.outputs[d].util
+	return stats.NewUtilization(&r.outputs[d].linkBusy, &r.clock)
 }
 
 // LinkSeries returns the sampled usage series for an output link, if any.
@@ -289,15 +304,20 @@ func (r *Router) attachCompute(cu ComputeUnit) {
 	r.drainer, _ = cu.(LoopDrainer)
 }
 
-// setHandle installs the router's engine wake handle on every wire it
-// reads (flit inputs and credit returns), so writers rouse it from
-// quiescence at exactly the entry's arrival cycle.
+// credBit is the first credit-wire bit of Router.rd.pending; the bits
+// below it belong to the flit input wires.
+const credBit = 16
+
+// setHandle makes the router the reader of every wire it reads (flit
+// inputs and credit returns): writers set the wire's pending bit and
+// rouse the router from quiescence at exactly the entry's arrival cycle.
 func (r *Router) setHandle(h *sim.Handle) {
+	r.rd.handle = h
 	for i := range r.inList {
-		r.inList[i].in.waker = h
+		r.inList[i].in.rd, r.inList[i].in.bit = &r.rd, 1<<uint(i)
 	}
 	for i := range r.outList {
-		r.outList[i].credit.waker = h
+		r.outList[i].credit.rd, r.outList[i].credit.bit = &r.rd, 1<<uint(credBit+i)
 	}
 }
 
@@ -306,38 +326,27 @@ func (r *Router) setHandle(h *sim.Handle) {
 // has nothing staged. Input-wire pushes and credit returns wake it via
 // the wires' handles, so no work can arrive unnoticed.
 func (r *Router) Quiescent() bool {
-	if r.occupancy > 0 || len(r.stagedCredits) > 0 || r.stagedCount > 0 {
-		return false
-	}
-	for i := range r.inList {
-		if r.inList[i].in.pending() > 0 {
-			return false
-		}
-	}
+	return r.occupancy == 0 && r.rd.pending == 0 &&
+		len(r.stagedCredits) == 0 && r.stagedCount == 0
+}
+
+// closeWindows completes n sampling windows of the crossbar's and every
+// link's series together; n-1 of them passed while the router slept.
+func (r *Router) closeWindows(n int64) {
+	r.xbarSeries.Close(r.sampleEvery, n)
 	for i := range r.outList {
-		if r.outList[i].credit.pending() > 0 {
-			return false
-		}
+		r.outList[i].series.Close(r.sampleEvery, n)
 	}
-	return true
 }
 
 // CatchUp implements sim.Quiescer: replay the per-cycle statistics an
 // always-evaluated idle router would have recorded over idle cycles —
-// idle observations on the crossbar, every output link, and the
+// that many cycles on the clock, with no resource busy in them, and the
 // zero-occupancy bucket of the buffer histogram. This keeps every Fig 2/3
 // measurement bit-identical with quiescence on or off.
 func (r *Router) CatchUp(idle int64) {
-	for i := range r.outList {
-		out := &r.outList[i]
-		out.util.ObserveN(0, idle)
-		if out.series != nil {
-			out.series.ObserveIdleN(idle)
-		}
-	}
-	r.xbarUtil.ObserveN(0, idle)
-	if r.xbarSeries != nil {
-		r.xbarSeries.ObserveIdleN(idle)
+	if closed := r.clock.Skip(idle, r.sampleEvery); closed > 0 {
+		r.closeWindows(closed)
 	}
 	r.bufHist.ObserveBucketN(int(r.bufBucket[0]), idle)
 	// A quiescent router holds no flits, so every skipped cycle would have
@@ -426,17 +435,6 @@ func (r *Router) Evaluate(cycle int64) {
 		}
 		moves = r.allocateSwitch(cycle)
 	}
-	// Idle links consume an observation slot every cycle.
-	for i := range r.outList {
-		out := &r.outList[i]
-		if out.staged != nil {
-			continue
-		}
-		out.util.Observe(false)
-		if out.series != nil {
-			out.series.Observe(false)
-		}
-	}
 	r.observe(cycle, moves)
 }
 
@@ -460,45 +458,33 @@ func (r *Router) Advance(cycle int64) {
 	}
 }
 
-// ingestCredits drains ready credit returns on every output port. The wire
-// walk is hand-rolled (not drainReady) because the per-entry closure call
-// was a measurable slice of whole-figure profiles.
+// ingestCredits drains the ready credit returns of every output port
+// whose credit wire holds entries.
 func (r *Router) ingestCredits(cycle int64) {
-	for i := range r.outList {
-		out := &r.outList[i]
-		q := out.credit.q
-		if len(q) == 0 || q[0].arrive > cycle {
-			continue
-		}
-		n := 0
-		for n < len(q) && q[n].arrive <= cycle {
-			msg := q[n].v
-			slot := r.vnetOff[msg.vnet] + msg.vc
+	for m := r.rd.pending >> credBit; m != 0; m &= m - 1 {
+		out := &r.outList[bits.TrailingZeros32(m)]
+		ready := out.credit.ready(cycle)
+		for _, e := range ready {
+			slot := r.vnetOff[e.v.vnet] + e.v.vc
 			out.credits[slot]++
-			if out.credits[slot] > r.depthOf[msg.vnet] {
+			if out.credits[slot] > r.depthOf[e.v.vnet] {
 				panic(fmt.Sprintf("%s: credit overflow on %s vnet %d vc %d",
-					r.Name(), out.dir, msg.vnet, msg.vc))
+					r.Name(), out.dir, e.v.vnet, e.v.vc))
 			}
-			n++
 		}
-		out.credit.q = append(q[:0], q[n:]...)
+		out.credit.consume(len(ready))
 	}
 }
 
-// ingestArrivals drains ready flits on every input port into their VC
-// rings, running the compute OnArrival hook first. Hand-rolled for the
-// same reason as ingestCredits.
+// ingestArrivals drains the ready flits of every input port whose wire
+// holds entries into their VC rings, running the compute OnArrival hook
+// first.
 func (r *Router) ingestArrivals(cycle int64) {
-	for i := range r.inList {
-		in := &r.inList[i]
-		q := in.in.q
-		if len(q) == 0 || q[0].arrive > cycle {
-			continue
-		}
-		n := 0
-		for n < len(q) && q[n].arrive <= cycle {
-			f := q[n].v
-			n++
+	for m := r.rd.pending & (1<<credBit - 1); m != 0; m &= m - 1 {
+		in := &r.inList[bits.TrailingZeros32(m)]
+		ready := in.in.ready(cycle)
+		for _, e := range ready {
+			f := e.v
 			if f.VNet == r.snackVNet && f.Dst == r.id && r.compute != nil {
 				if r.compute.OnArrival(f, cycle) {
 					// Consumed before buffering: the reserved slot is
@@ -536,7 +522,7 @@ func (r *Router) ingestArrivals(cycle int64) {
 				r.needRoute = append(r.needRoute, idx)
 			}
 		}
-		in.in.q = append(q[:0], q[n:]...)
+		in.in.consume(len(ready))
 	}
 }
 
@@ -717,9 +703,9 @@ func (r *Router) traverse(d Direction, win int32, cycle int64, granted *[numDire
 			ivc.state = vcIdle
 		}
 	}
-	out.util.Observe(true)
+	out.linkBusy.Inc()
 	if out.series != nil {
-		out.series.Observe(true)
+		out.series.MarkBusy()
 	}
 }
 
@@ -803,13 +789,20 @@ func (r *Router) removeSACand(d Direction, class int, idx int32) {
 	panic(fmt.Sprintf("%s: ref %d missing from SA candidates", r.Name(), idx))
 }
 
+// observe records one evaluated cycle: a busy crossbar cycle if flits
+// moved (a busy link cycle was recorded by each traverse), one tick of
+// the clock all of them share, and the buffer occupancy.
 func (r *Router) observe(cycle int64, moves int) {
-	busy := moves > 0
-	r.xbarUtil.Observe(busy)
-	if r.xbarSeries != nil {
-		r.xbarSeries.Observe(busy)
+	if moves > 0 {
+		r.xbarBusy.Inc()
+		if r.xbarSeries != nil {
+			r.xbarSeries.MarkBusy()
+		}
+		r.xbarMoves.Add(int64(moves))
 	}
-	r.xbarMoves.Add(int64(moves))
+	if r.clock.Tick(r.sampleEvery) {
+		r.closeWindows(1)
+	}
 	r.bufHist.ObserveBucket(int(r.bufBucket[r.occupancy]))
 	if r.at != nil {
 		// Exactly one reason per evaluated cycle. occupancy is post-move:
@@ -864,7 +857,7 @@ func (r *Router) flitRecord(k trace.Kind, cycle, start int64, f *Flit, port Dire
 // compute-consumed flits, and per-input-VC arrival counts.
 func (r *Router) RegisterMetrics(reg *stats.Registry) {
 	p := fmt.Sprintf("router%d.", r.id)
-	reg.AddUtilization(p+"xbar", &r.xbarUtil)
+	reg.AddUtilization(p+"xbar", r.XbarUtil())
 	reg.AddCounter(p+"xbar.moves", &r.xbarMoves)
 	reg.AddCounter(p+"xbar.moves.comm", &r.classMoves[classComm])
 	reg.AddCounter(p+"xbar.moves.snack", &r.classMoves[classSnack])
@@ -876,7 +869,7 @@ func (r *Router) RegisterMetrics(reg *stats.Registry) {
 	for i := range r.outList {
 		out := &r.outList[i]
 		lp := fmt.Sprintf("%slink.%s", p, out.dir)
-		reg.AddUtilization(lp, &out.util)
+		reg.AddUtilization(lp, r.LinkUtil(out.dir))
 		if out.series != nil {
 			reg.AddTimeSeries(lp+".series", out.series)
 		}

@@ -100,7 +100,7 @@ func (r *Router) workLists() (lists [2 + 2*numDirections]*[]int32) {
 // payloads (nil shares them).
 func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 	for i := range n.flitB {
-		if n.flitB[i].stub.pending() != 0 || n.credB[i].stub.pending() != 0 {
+		if len(n.flitB[i].stub.q) != 0 || len(n.credB[i].stub.q) != 0 {
 			panic("noc: SnapshotState with undrained shard boundary (snapshot only between cycles)")
 		}
 	}
@@ -259,6 +259,8 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 		flitQ = flitQ[len(fw.q):]
 		cw.q = append(cw.q[:0], credQ[:next()]...)
 		credQ = credQ[len(cw.q):]
+		fw.sync()
+		cw.sync()
 	}
 	for i := range n.outPorts {
 		n.outPorts[i].outScalars = s.outs[i]

@@ -10,17 +10,20 @@ func buildRegistry() (*Registry, *Counter, *Histogram, *TimeSeries) {
 	reg := NewRegistry()
 	var c Counter
 	c.Add(7)
-	var u Utilization
-	u.ObserveN(3, 10)
+	var busy Counter
+	var clock Clock
+	busy.Add(3)
+	clock.Skip(10, 0)
 	h := NewHistogram(1.0, 4)
 	h.Observe(0.1)
 	h.Observe(0.9)
-	ts := NewTimeSeries(2)
-	for i := 0; i < 6; i++ {
-		ts.Observe(i%2 == 0)
+	ts := new(TimeSeries)
+	for i := 0; i < 3; i++ {
+		ts.MarkBusy()
+		ts.Close(2, 1)
 	}
 	reg.AddCounter("c", &c)
-	reg.AddUtilization("u", &u)
+	reg.AddUtilization("u", NewUtilization(&busy, &clock))
 	reg.AddHistogram("h", h)
 	reg.AddTimeSeries("ts", ts)
 	reg.AddGauge("g", func() float64 { return 42 })
@@ -163,11 +166,11 @@ func TestHistogramBucketsReturnsCopy(t *testing.T) {
 }
 
 func TestTimeSeriesSamplesReturnsCopy(t *testing.T) {
-	ts := NewTimeSeries(1)
-	ts.Observe(true)
+	var ts TimeSeries
+	ts.MarkBusy()
+	ts.Close(1, 1)
 	snap := ts.Samples()
-	ts.Observe(false)
-	ts.Observe(false)
+	ts.Close(1, 2)
 	if len(snap) != 1 || snap[0] != 1 {
 		t.Fatalf("snapshot mutated by later observations: %v", snap)
 	}

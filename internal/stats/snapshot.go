@@ -1,10 +1,11 @@
 package stats
 
-// Checkpoint support: every stat type can export its mutable state and
-// have it written back later. A CounterState (etc.) is a value type and
-// owns deep copies of any internal buffers, so one saved state can be
-// restored onto the same object any number of times — the fork semantics
-// internal/checkpoint builds on.
+// Checkpoint support: every stat type that owns buffers can export its
+// mutable state and have it written back later (a Clock is plain state
+// its owner copies; a Utilization is a view and has none). A CounterState
+// (etc.) is a value type and owns deep copies of any internal buffers, so
+// one saved state can be restored onto the same object any number of
+// times — the fork semantics internal/checkpoint builds on.
 
 // CounterState is a Counter's saved value.
 type CounterState struct{ N int64 }
@@ -15,40 +16,23 @@ func (c *Counter) State() CounterState { return CounterState{N: c.n} }
 // Restore writes a saved state back.
 func (c *Counter) Restore(s CounterState) { c.n = s.N }
 
-// UtilizationState is a Utilization tracker's saved value.
-type UtilizationState struct{ Busy, Total int64 }
-
-// State captures the tracker.
-func (u *Utilization) State() UtilizationState {
-	return UtilizationState{Busy: u.busy, Total: u.total}
-}
-
-// Restore writes a saved state back.
-func (u *Utilization) Restore(s UtilizationState) { u.busy, u.total = s.Busy, s.Total }
-
 // TimeSeriesState is a TimeSeries' saved value, including a copy of the
-// completed samples and the in-progress window.
+// completed samples and the open window's busy count.
 type TimeSeriesState struct {
-	Samples    []float64
-	Busy, Seen int64
-	StartedAt  int64
+	Samples []float64
+	Busy    int64
 }
 
 // State captures the series. The sample slice is copied.
 func (t *TimeSeries) State() TimeSeriesState {
-	return TimeSeriesState{
-		Samples:   append([]float64(nil), t.samples...),
-		Busy:      t.busy,
-		Seen:      t.seen,
-		StartedAt: t.startedAt,
-	}
+	return TimeSeriesState{Samples: append([]float64(nil), t.samples...), Busy: t.busy}
 }
 
 // Restore writes a saved state back. The saved samples are copied again
 // so the state can be restored repeatedly.
 func (t *TimeSeries) Restore(s TimeSeriesState) {
 	t.samples = append(t.samples[:0:0], s.Samples...)
-	t.busy, t.seen, t.startedAt = s.Busy, s.Seen, s.StartedAt
+	t.busy = s.Busy
 }
 
 // HistogramState is a Histogram's saved value with copied buckets.

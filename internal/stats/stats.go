@@ -31,117 +31,117 @@ func (c *Counter) Value() int64 { return c.n }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n = 0 }
 
-// Utilization tracks how many cycles a resource was busy out of total
-// cycles observed, e.g. crossbar or link utilization.
+// Clock is the observation clock of one component: how many cycles it has
+// observed and how far into the current sampling window they reach. All
+// of a component's utilizations and series are read against its one
+// clock — a router's crossbar and links are observed in lockstep — so
+// each of them counts busy cycles only, an observed cycle costs one Tick
+// however many resources were idle in it, and a span of skipped idle
+// cycles is one Skip. The sampling interval is the owner's configuration
+// and passed in (0 when nothing is sampled); the Clock itself is plain
+// state a checkpoint copies.
+type Clock struct {
+	observed int64
+	pos      int64 // cycles into the open window, in [0, interval)
+}
+
+// Observed returns the number of cycles observed.
+func (c *Clock) Observed() int64 { return c.observed }
+
+// Tick observes one cycle and reports whether it completed a sampling
+// window, in which case the owner closes the window of each of its
+// series (TimeSeries.Close).
+func (c *Clock) Tick(interval int64) bool {
+	c.observed++
+	if interval == 0 {
+		return false
+	}
+	c.pos++
+	if c.pos < interval {
+		return false
+	}
+	c.pos = 0
+	return true
+}
+
+// Skip observes n cycles in which nothing was busy and returns how many
+// sampling windows they completed: the same as n Ticks.
+func (c *Clock) Skip(n, interval int64) int64 {
+	if n < 0 {
+		panic("stats: Clock.Skip with negative count")
+	}
+	c.observed += n
+	if interval == 0 {
+		return 0
+	}
+	c.pos += n
+	closed := c.pos / interval
+	c.pos %= interval
+	return closed
+}
+
+// Utilization reads how many cycles a resource was busy out of the
+// cycles its owner's clock observed, e.g. crossbar or link utilization.
+// It is a view of the two counts, current whenever it is read.
 type Utilization struct {
-	busy  int64
-	total int64
+	busy  *Counter
+	clock *Clock
 }
 
-// Observe records one cycle; busy reports whether the resource was in use.
-func (u *Utilization) Observe(busy bool) {
-	u.total++
-	if busy {
-		u.busy++
-	}
-}
-
-// ObserveN records n cycles with the given number busy.
-func (u *Utilization) ObserveN(busy, n int64) {
-	if busy < 0 || busy > n {
-		panic("stats: ObserveN busy out of range")
-	}
-	u.busy += busy
-	u.total += n
+// NewUtilization pairs a busy-cycle counter with the clock that observed
+// the resource.
+func NewUtilization(busy *Counter, clock *Clock) *Utilization {
+	return &Utilization{busy: busy, clock: clock}
 }
 
 // Busy returns the busy-cycle count.
-func (u *Utilization) Busy() int64 { return u.busy }
+func (u *Utilization) Busy() int64 { return u.busy.Value() }
 
 // Total returns the observed-cycle count.
-func (u *Utilization) Total() int64 { return u.total }
+func (u *Utilization) Total() int64 { return u.clock.Observed() }
 
 // Fraction returns busy/total in [0,1], or 0 before any observation.
 func (u *Utilization) Fraction() float64 {
-	if u.total == 0 {
+	if u.Total() == 0 {
 		return 0
 	}
-	return float64(u.busy) / float64(u.total)
+	return float64(u.Busy()) / float64(u.Total())
 }
 
 // Percent returns utilization as a percentage.
 func (u *Utilization) Percent() float64 { return u.Fraction() * 100 }
 
-// Reset zeroes the tracker.
-func (u *Utilization) Reset() { u.busy, u.total = 0, 0 }
-
-// TimeSeries samples a utilization-style signal at a fixed cycle interval,
-// mirroring the paper's "each sample collected over 10K cycles".
+// TimeSeries samples a utilization-style signal once per sampling window
+// of its owner's Clock, mirroring the paper's "each sample collected over
+// 10K cycles": it counts the busy cycles of the open window, and the
+// owner closes the window when the clock says so. The zero value is an
+// empty series.
 type TimeSeries struct {
-	interval  int64
-	samples   []float64
-	busy      int64
-	seen      int64
-	startedAt int64
+	samples []float64
+	busy    int64
 }
 
-// NewTimeSeries returns a series that emits one sample per interval cycles.
-func NewTimeSeries(interval int64) *TimeSeries {
-	t := MakeTimeSeries(interval)
-	return &t
-}
+// MarkBusy records one busy cycle in the open window.
+func (t *TimeSeries) MarkBusy() { t.busy++ }
 
-// MakeTimeSeries is NewTimeSeries by value, for owners that keep their
-// series in a slab.
-func MakeTimeSeries(interval int64) TimeSeries {
-	if interval <= 0 {
-		panic("stats: NewTimeSeries interval must be positive")
-	}
-	return TimeSeries{interval: interval}
-}
-
-// Observe records one cycle of the underlying signal.
-func (t *TimeSeries) Observe(busy bool) {
-	if busy {
-		t.busy++
-	}
-	t.seen++
-	if t.seen == t.interval {
-		t.samples = append(t.samples, float64(t.busy)/float64(t.interval))
-		t.busy, t.seen = 0, 0
+// Close completes n windows of the given length at once: the open one
+// with the busy cycles marked in it, and n-1 further windows in which
+// nothing was busy (a component that slept across several windows).
+func (t *TimeSeries) Close(interval, n int64) {
+	t.samples = append(t.samples, float64(t.busy)/float64(interval))
+	t.busy = 0
+	for ; n > 1; n-- {
+		t.samples = append(t.samples, 0)
 	}
 }
 
-// ObserveIdleN records n consecutive idle cycles, equivalent to calling
-// Observe(false) n times. Quiescent components use it to replay skipped
-// cycles in one call; the window arithmetic (including samples completed
-// mid-batch) matches the incremental path exactly.
-func (t *TimeSeries) ObserveIdleN(n int64) {
-	if n < 0 {
-		panic("stats: ObserveIdleN with negative count")
-	}
-	for n > 0 {
-		room := t.interval - t.seen
-		if n < room {
-			t.seen += n
-			return
-		}
-		t.samples = append(t.samples, float64(t.busy)/float64(t.interval))
-		t.busy, t.seen = 0, 0
-		n -= room
-	}
-}
-
-// Record appends one completed sample directly, bypassing the per-cycle
-// Observe accounting. It is for series whose windows are closed by an
-// external sampler (the attribution interval sampler) rather than by
-// counting busy cycles; do not mix Record and Observe on one series.
+// Record appends one completed sample directly. It is for series whose
+// samples are computed by an external sampler (the attribution interval
+// sampler) rather than by counting busy cycles; do not mix Record with
+// MarkBusy and Close on one series.
 func (t *TimeSeries) Record(v float64) {
 	t.samples = append(t.samples, v)
 }
-
-// Interval returns the configured window length in cycles.
-func (t *TimeSeries) Interval() int64 { return t.interval }
 
 // Samples returns a copy of the completed samples as fractions in [0,1].
 // Returning a copy keeps snapshots taken mid-run (registry exports, the

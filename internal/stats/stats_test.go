@@ -29,10 +29,41 @@ func TestCounterNegativePanics(t *testing.T) {
 	c.Add(-1)
 }
 
+// clocked is one resource observed the way a router observes its
+// crossbar: a busy counter and a series read against one clock.
+type clocked struct {
+	interval int64
+	clock    Clock
+	busy     Counter
+	series   TimeSeries
+}
+
+func (c *clocked) observe(busy bool) {
+	if busy {
+		c.busy.Inc()
+		c.series.MarkBusy()
+	}
+	if c.clock.Tick(c.interval) {
+		c.series.Close(c.interval, 1)
+	}
+}
+
+func (c *clocked) skip(n int64) {
+	if closed := c.clock.Skip(n, c.interval); closed > 0 {
+		c.series.Close(c.interval, closed)
+	}
+}
+
+func (c *clocked) util() *Utilization { return NewUtilization(&c.busy, &c.clock) }
+
 func TestUtilization(t *testing.T) {
-	var u Utilization
+	var c clocked
+	u := c.util()
 	for i := 0; i < 10; i++ {
-		u.Observe(i < 3)
+		c.observe(i < 3)
+	}
+	if u.Busy() != 3 || u.Total() != 10 {
+		t.Fatalf("busy/total = %d/%d, want 3/10", u.Busy(), u.Total())
 	}
 	if got := u.Fraction(); math.Abs(got-0.3) > 1e-12 {
 		t.Fatalf("fraction = %v, want 0.3", got)
@@ -43,18 +74,18 @@ func TestUtilization(t *testing.T) {
 }
 
 func TestUtilizationEmpty(t *testing.T) {
-	var u Utilization
-	if u.Fraction() != 0 {
+	var c clocked
+	if c.util().Fraction() != 0 {
 		t.Fatal("empty utilization should be 0")
 	}
 }
 
 func TestTimeSeriesSampling(t *testing.T) {
-	ts := NewTimeSeries(10)
+	c := clocked{interval: 10}
 	for i := 0; i < 35; i++ {
-		ts.Observe(i%2 == 0) // 50% duty
+		c.observe(i%2 == 0) // 50% duty
 	}
-	s := ts.Samples()
+	s := c.series.Samples()
 	if len(s) != 3 {
 		t.Fatalf("got %d samples, want 3 (35 obs / 10)", len(s))
 	}
@@ -66,16 +97,16 @@ func TestTimeSeriesSampling(t *testing.T) {
 }
 
 func TestTimeSeriesMedianMax(t *testing.T) {
-	ts := NewTimeSeries(2)
+	c := clocked{interval: 2}
 	pattern := []bool{true, true, false, false, true, false}
 	for _, b := range pattern {
-		ts.Observe(b)
+		c.observe(b)
 	}
 	// samples: 1.0, 0.0, 0.5
-	if got := ts.Median(); math.Abs(got-0.5) > 1e-12 {
+	if got := c.series.Median(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("median = %v, want 0.5", got)
 	}
-	if got := ts.Max(); math.Abs(got-1.0) > 1e-12 {
+	if got := c.series.Max(); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("max = %v, want 1.0", got)
 	}
 }
@@ -186,25 +217,78 @@ func TestCDFMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestUtilizationObserveNProperty(t *testing.T) {
-	// Property: Fraction always lands in [0,1] and equals busy/total.
-	f := func(busies []uint8) bool {
-		var u Utilization
-		var wantBusy, wantTotal int64
-		for _, b := range busies {
-			n := int64(b%16) + 1
-			k := int64(b) % n
-			u.ObserveN(k, n)
-			wantBusy += k
-			wantTotal += n
-		}
-		if wantTotal == 0 {
-			return u.Fraction() == 0
-		}
-		want := float64(wantBusy) / float64(wantTotal)
-		return math.Abs(u.Fraction()-want) < 1e-12 && u.Fraction() >= 0 && u.Fraction() <= 1
+// perCycle is the arithmetic a clocked resource must reproduce: every
+// resource keeps its own total and its own place in the sampling window,
+// and is told about every cycle, idle ones included, one at a time.
+type perCycle struct {
+	interval           int64
+	busy, total        int64
+	winBusy, winCycles int64
+	samples            []float64
+}
+
+func (p *perCycle) observe(busy bool) {
+	p.total++
+	if busy {
+		p.busy++
+		p.winBusy++
 	}
-	if err := quick.Check(f, nil); err != nil {
+	p.winCycles++
+	if p.winCycles == p.interval {
+		p.samples = append(p.samples, float64(p.winBusy)/float64(p.interval))
+		p.winBusy, p.winCycles = 0, 0
+	}
+}
+
+// TestClockedMatchesPerCycleProperty: for any busy pattern broken up by
+// idle spans — skipped in one Skip, and long enough to cross several
+// windows — a busy-only counter and series on a shared clock read the
+// same busy count, total, fraction and samples as per-cycle observation.
+func TestClockedMatchesPerCycleProperty(t *testing.T) {
+	f := func(interval uint8, steps []uint16) bool {
+		c := clocked{interval: int64(interval%7) + 1}
+		ref := perCycle{interval: c.interval}
+		for _, st := range steps {
+			if st&1 == 0 {
+				// a run of observed cycles, busy by the bits of st
+				for b := uint(1); b < 8; b++ {
+					c.observe(st>>b&1 == 1)
+					ref.observe(st>>b&1 == 1)
+				}
+				continue
+			}
+			idle := int64(st >> 1 % 64) // up to nine windows at interval 7
+			c.skip(idle)
+			for ; idle > 0; idle-- {
+				ref.observe(false)
+			}
+		}
+		u := c.util()
+		if u.Busy() != ref.busy || u.Total() != ref.total {
+			return false
+		}
+		if ref.total > 0 && u.Fraction() != float64(ref.busy)/float64(ref.total) {
+			return false
+		}
+		got := c.series.Samples()
+		if len(got) != len(ref.samples) {
+			return false
+		}
+		for i := range got {
+			if got[i] != ref.samples[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+	// Without a sampling interval the clock only counts.
+	var c clocked
+	c.observe(true)
+	c.skip(1000)
+	if u := c.util(); u.Busy() != 1 || u.Total() != 1001 || len(c.series.Samples()) != 0 {
+		t.Fatalf("unsampled: busy %d total %d samples %d", u.Busy(), u.Total(), len(c.series.Samples()))
 	}
 }
