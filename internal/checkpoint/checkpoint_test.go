@@ -13,6 +13,7 @@ import (
 	"snacknoc/internal/experiments"
 	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
+	"snacknoc/internal/stats"
 	"snacknoc/internal/traffic"
 )
 
@@ -26,7 +27,8 @@ type coRunSim struct {
 	sys  *cache.System
 	work *cpu.Workload
 	plat *core.Platform
-	prog *core.Program // the kernel in flight
+	prog *core.Program   // the kernel in flight
+	reg  *stats.Registry // names the RCUs' stall counters
 
 	kernelRuns int
 	lastResult *core.Result
@@ -68,7 +70,8 @@ func buildCoRunProf(t testing.TB, shards int, prof *traffic.Profile) *coRunSim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &coRunSim{eng: eng, net: net, sys: sys, work: work, plat: plat, prog: prog}
+	s := &coRunSim{eng: eng, net: net, sys: sys, work: work, plat: plat, prog: prog, reg: stats.NewRegistry()}
+	plat.RegisterMetrics(s.reg)
 	eng.ScheduleAfter(1, func() {
 		if !plat.CPM.Submit(prog, eng.Cycle(), func(r *core.Result) {
 			s.kernelRuns++
@@ -115,6 +118,13 @@ func (s *coRunSim) digest() string {
 	fmt.Fprintf(&b, "rcu.executed=%d cpm: issued=%d offloaded=%d busy=%d\n",
 		s.plat.TotalExecuted(), s.plat.CPM.Issued(), s.plat.CPM.Offloaded(),
 		s.plat.CPM.BusyReplies())
+	// The stall counts are paid when a parked RCU resumes or the engine
+	// settles, so they replay only if a fork restores who is parked and
+	// since when.
+	vals := s.reg.Snapshot("").Values
+	for i := range s.plat.RCUs {
+		fmt.Fprintf(&b, "rcu%d: stalls=%.0f\n", i, vals[fmt.Sprintf("rcu%d.stalls.count", i)])
+	}
 	for _, r := range s.net.Routers() {
 		fmt.Fprintf(&b, "%v\n", r.XbarSeries().Samples())
 	}
@@ -162,6 +172,24 @@ func TestForkDeterminism(t *testing.T) {
 			}
 			if blocked == 0 || idle == 0 {
 				t.Fatalf("%d cores blocked and %d idling at the snapshot point, want at least one of each", blocked, idle)
+			}
+			// Likewise the RCUs' runnable sets, and a parked RCU is owed its
+			// cycles from the snapshot cycle on: the fork must begin with
+			// RCUs parked on an operand, parked idle and runnable.
+			waiting, parked, runnable := 0, 0, 0
+			for _, r := range s.plat.RCUs {
+				switch {
+				case !r.Parked():
+					runnable++
+				case r.Idle():
+					parked++
+				default:
+					waiting++
+				}
+			}
+			if waiting == 0 || parked == 0 || runnable == 0 {
+				t.Fatalf("%d RCUs parked on an operand, %d parked idle and %d runnable at the snapshot point, want at least one of each",
+					waiting, parked, runnable)
 			}
 			st := checkpoint.Take(s.target())
 			if st.Cycle() != 4096 {

@@ -1,0 +1,45 @@
+package core
+
+import "fmt"
+
+// CheckGroups verifies, between cycles, that every group's runnable set
+// agrees with its RCUs: an RCU is out of the set exactly when nothing is
+// executing on it, its inbox is empty and no result is queued; its bit is
+// set in no other group's set; and a parked RCU is owed cycles only up to
+// its group's turn, which is the engine's next cycle. It returns how many
+// RCUs are parked with live sub-blocks, parked idle, and runnable.
+func (p *Platform) CheckGroups() (waiting, idle, runnable int, err error) {
+	seen := make(map[*rcuGroup]bool)
+	for _, own := range p.RCUs {
+		g := own.g
+		if seen[g] {
+			continue
+		}
+		seen[g] = true
+		if g.turn != p.Eng.Cycle() {
+			return 0, 0, 0, fmt.Errorf("%s: turn %d, engine at cycle %d", g.Name(), g.turn, p.Eng.Cycle())
+		}
+		for i := range g.rcus {
+			r := &g.rcus[i]
+			has := g.runnable.Has(i)
+			switch {
+			case r.g != g:
+				if has {
+					return 0, 0, 0, fmt.Errorf("%s holds the bit of %s, which %s steps", g.Name(), r.Name(), r.g.Name())
+				}
+			case has == r.parkable():
+				return 0, 0, 0, fmt.Errorf("%s: runnable=%v but exec=%v inbox=%d results=%d",
+					r.Name(), has, r.exec != nil, len(r.inbox), r.outLen)
+			case has:
+				runnable++
+			case r.parkedFrom > g.turn:
+				return 0, 0, 0, fmt.Errorf("%s: parked from cycle %d, after its group's turn %d", r.Name(), r.parkedFrom, g.turn)
+			case len(r.sbActive) > 0:
+				waiting++
+			default:
+				idle++
+			}
+		}
+	}
+	return waiting, idle, runnable, nil
+}

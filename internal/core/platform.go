@@ -146,7 +146,8 @@ func Attach(eng *sim.Engine, net *noc.Network, ctrl *mem.Controller, cfg Platfor
 }
 
 // attach wires RCUs at every node and one CPM (with its own memory
-// channel) at each configured node.
+// channel) at each configured node, and registers one RCU group per
+// engine and the CPMs.
 func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfig, ctrls []*mem.Controller) (*Platform, error) {
 	nc := net.Cfg()
 	p := &Platform{
@@ -171,21 +172,24 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 	// One token pool per shard engine: every component schedules token
 	// allocation and release on its own shard's goroutine, so the pools
 	// need no locking (the per-shard flit-pool rule of the sharded NoC).
-	// The same walk counts each engine's registrations for Reserve.
+	// The engine's record also holds the group that steps its RCUs, and
+	// the same walk counts its registrations for Reserve: that group, and
+	// its CPMs.
 	type shardRes struct {
 		pool  *TokenPool
+		group rcuGroup
 		comps int
 	}
 	shard := make(map[*sim.Engine]*shardRes)
 	resFor := func(node noc.NodeID) *shardRes {
 		e := net.EngFor(node)
 		if shard[e] == nil {
-			shard[e] = &shardRes{pool: NewTokenPool()}
+			shard[e] = &shardRes{pool: NewTokenPool(), comps: 1}
 		}
 		return shard[e]
 	}
 	for i := 0; i < nc.Nodes(); i++ {
-		resFor(noc.NodeID(i)).comps++
+		resFor(noc.NodeID(i))
 	}
 	for _, cc := range cpms {
 		resFor(cc.Node).comps++
@@ -194,6 +198,11 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 		e.Reserve(res.comps)
 	}
 	rcus := rcuSlabs(rcuCfg, nc.Nodes(), net.Loop(), p.CPM.Node())
+	// Every group's runnable set spans the whole slab, so an RCU's bit is
+	// its node whatever the shard; the sets are carved from one array.
+	words := (len(rcus) + 63) / 64
+	sets := make([]uint64, len(shard)*words)
+	groups := 0
 	for i := range rcus {
 		node := noc.NodeID(i)
 		rcu := &rcus[i]
@@ -203,7 +212,8 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 		}
 		port := net.AttachCompute(node, hook)
 		rcu.SetPort(port)
-		rcu.SetPool(resFor(node).pool)
+		res := resFor(node)
+		rcu.SetPool(res.pool)
 		if cpm := byNode[node]; cpm != nil {
 			// A CPM shares its router's compute port with the local RCU
 			// (Fig 5): instruction issue enters the crossbar directly
@@ -211,9 +221,16 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 			cpm.SetPort(port)
 		}
 		p.RCUs[i] = rcu
-		// Register on the node's shard engine: an RCU touches its router's
-		// compute port every cycle, which belongs to that shard.
-		net.EngFor(node).Register(rcu)
+		// The group is registered on the node's shard engine, where its
+		// first RCU was: an RCU touches its router's compute port, which
+		// belongs to that shard. Every RCU starts parked, with no work.
+		if res.group.rcus == nil { // this engine's first node
+			e := net.EngFor(node)
+			res.group = rcuGroup{id: groups, rcus: rcus, runnable: carve(&sets, words), turn: e.Cycle()}
+			groups++
+			e.Register(&res.group)
+		}
+		rcu.g, rcu.parkedFrom = &res.group, res.group.turn
 	}
 	for _, cpm := range p.CPMs {
 		cpm.SetPool(resFor(cpm.Node()).pool)

@@ -73,6 +73,9 @@ type outToken struct {
 // capture index are open-addressed tables over index-linked slab cells,
 // sized once and reused across kernels, and the result queue is a ring.
 // No map grows or shrinks on the dispatch path.
+//
+// On a Platform the engine does not see RCUs one by one: an rcuGroup
+// steps those that hold work (see group.go).
 type RCU struct {
 	cfg     RCUConfig
 	node    noc.NodeID
@@ -81,7 +84,17 @@ type RCU struct {
 	cpmNode noc.NodeID
 	pool    *TokenPool // engine-local; nil falls back to plain allocation
 
+	// g steps this RCU; nil for one built by NewRCU and driven directly,
+	// which never parks. While the RCU is out of g's runnable set,
+	// parkedFrom is the first cycle whose stall and attribution counts it
+	// has not been paid yet.
+	g          *rcuGroup
+	parkedFrom int64
+
 	inbox []inboxEntry
+	// buffered counts the instructions in the inbox and the sub-block
+	// queues, whose high-water mark is maxBuffer.
+	buffered int
 
 	nodes    []instrNode // shared slab for sub-block queues and waiting lists
 	nodeFree int32       // slab free-list head, -1 when empty
@@ -261,7 +274,9 @@ func (r *RCU) freeInstr(it *InstrToken) {
 func (r *RCU) OnArrival(f *noc.Flit, cycle int64) bool {
 	switch pl := f.Payload.(type) {
 	case *InstrToken:
+		r.resume()
 		r.inbox = append(r.inbox, inboxEntry{it: pl, stamp: cycle})
+		r.buffered++
 		return true
 	case *DataToken:
 		if !f.Loop {
@@ -273,6 +288,7 @@ func (r *RCU) OnArrival(f *noc.Flit, cycle int64) bool {
 		if fills == 0 {
 			return false
 		}
+		r.resume()
 		r.captured.Add(int64(fills))
 		r.emitCompute(trace.KindRCUCapture, cycle, cycle, int32(fills))
 		if int(pl.Dependents) < fills {
@@ -466,17 +482,9 @@ func (r *RCU) drainInbox(cycle int64) {
 	if n > 0 {
 		r.inbox = append(r.inbox[:0], r.inbox[n:]...)
 	}
-	if b := r.buffered(); b > r.maxBuffer {
-		r.maxBuffer = b
+	if r.buffered > r.maxBuffer {
+		r.maxBuffer = r.buffered
 	}
-}
-
-func (r *RCU) buffered() int {
-	n := len(r.inbox)
-	for _, si := range r.sbActive {
-		n += int(r.sbSlots[si].count)
-	}
-	return n
 }
 
 // sbHeadReady reports whether the slot's head instruction is the next
@@ -532,6 +540,7 @@ func (r *RCU) dispatch(cycle int64) {
 	}
 	r.freeNode(n)
 	sb.count--
+	r.buffered--
 	sb.executed++
 	if it.EndSB {
 		if sb.head >= 0 {

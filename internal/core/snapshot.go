@@ -220,6 +220,7 @@ func (r *RCU) restore(s rcuState, tc *TokenCloner) {
 	for _, e := range s.inbox {
 		r.inbox = append(r.inbox, inboxEntry{it: tc.instr(e.it), stamp: e.stamp})
 	}
+	r.buffered = len(s.inbox)
 	// Reset every flat structure, keeping its capacity, and rebuild
 	// through the same insertion paths the live simulation uses so the
 	// chain layout (and hence dispatch order) is reproduced exactly.
@@ -238,6 +239,7 @@ func (r *RCU) restore(s rcuState, tc *TokenCloner) {
 		for _, it := range qs.instrs {
 			r.sbInsert(sb, tc.instr(it))
 		}
+		r.buffered += len(qs.instrs)
 	}
 	for _, ws := range s.waiting {
 		for _, it := range ws.list {
@@ -381,20 +383,33 @@ func (c *CPM) restore(s cpmState, tc *TokenCloner) {
 }
 
 // PlatformState is the whole SnackNoC's saved state: every RCU and
-// every CPM (with its memory channel). The network and engine are saved
-// separately by internal/checkpoint.
+// every CPM (with its memory channel), and the cycle it was taken at.
+// The network and engine are saved separately by internal/checkpoint.
+// The RCU groups' runnable sets are not saved: a snapshot is settled, so
+// which RCUs are parked, and since when, follows from the RCUs and the
+// cycle.
 type PlatformState struct {
-	rcus []rcuState
-	cpms []cpmState
+	cycle int64
+	rcus  []rcuState
+	cpms  []cpmState
 }
 
 // SnapshotState captures the platform's compute layer. The cloner must
 // be the same one passed to the network snapshot of the same pass, so
 // tokens in flight stay aliased with tokens buffered in RCUs and CPMs.
 func (p *Platform) SnapshotState(tc *TokenCloner) *PlatformState {
+	// A restore re-derives who is parked from the snapshot cycle on, so
+	// what parked RCUs are owed before it is paid now (a no-op right after
+	// Run or RunUntil, which settle).
+	for _, r := range p.RCUs {
+		if r.Parked() {
+			r.payParked()
+		}
+	}
 	s := &PlatformState{
-		rcus: make([]rcuState, len(p.RCUs)),
-		cpms: make([]cpmState, len(p.CPMs)),
+		cycle: p.RCUs[0].g.turn,
+		rcus:  make([]rcuState, len(p.RCUs)),
+		cpms:  make([]cpmState, len(p.CPMs)),
 	}
 	for i, r := range p.RCUs {
 		s.rcus[i] = r.snapshot(tc)
@@ -410,6 +425,13 @@ func (p *Platform) SnapshotState(tc *TokenCloner) *PlatformState {
 func (p *Platform) RestoreState(s *PlatformState, tc *TokenCloner) {
 	for i, r := range p.RCUs {
 		r.restore(s.rcus[i], tc)
+		r.g.turn = s.cycle
+		if r.parkable() {
+			r.g.runnable.Remove(i)
+			r.parkedFrom = s.cycle
+		} else {
+			r.g.runnable.Add(i)
+		}
 	}
 	for i, c := range p.CPMs {
 		c.restore(s.cpms[i], tc)

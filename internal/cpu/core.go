@@ -9,7 +9,6 @@ package cpu
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"snacknoc/internal/cache"
 	"snacknoc/internal/noc"
@@ -89,7 +88,7 @@ func (c *Core) Retired() int64 { return c.retired }
 // every turn it had while blocked on a miss or inside a synchronization
 // stall, the open stall's turns so far included.
 func (c *Core) StallCycles() int64 {
-	if c.finished || c.g.runnable.has(c.slot) {
+	if c.finished || c.g.runnable.Has(c.slot) {
 		return c.stallCycles
 	}
 	return c.stallCycles + c.g.nextTurn(c.slot) - c.stallFrom
@@ -108,7 +107,7 @@ func (c *Core) issue(cycle int64) {
 			c.idleUntil = cycle + int64(ph.StallCycles)
 			if c.idleUntil > cycle+1 {
 				c.g.park(c, cycle)
-				c.g.idle.add(c.slot)
+				c.g.idle.Add(c.slot)
 				c.g.idleWake = min(c.g.idleWake, c.idleUntil)
 			}
 			return
@@ -180,8 +179,8 @@ type coreGroup struct {
 	// runnable has bit i set when cores[i] issues at its next turn; idle
 	// when cores[i] is inside a synchronization stall, which ends at the
 	// earliest at cycle idleWake (MaxInt64 when no core idles).
-	runnable coreSet
-	idle     coreSet
+	runnable sim.IndexSet
+	idle     sim.IndexSet
 	idleWake int64
 	finished int // cores that have retired their budget
 
@@ -192,14 +191,6 @@ type coreGroup struct {
 	cur  int
 }
 
-// coreSet is a set of a group's cores, one bit per index in its cores
-// (several words: Fig 13's 16x8 mesh has 128 cores on one engine).
-type coreSet []uint64
-
-func (s coreSet) add(i int)      { s[i/64] |= 1 << (i % 64) }
-func (s coreSet) remove(i int)   { s[i/64] &^= 1 << (i % 64) }
-func (s coreSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
-
 func (g *coreGroup) add(c *Core) {
 	c.g, c.slot = g, len(g.cores)
 	g.cores = append(g.cores, c)
@@ -207,7 +198,7 @@ func (g *coreGroup) add(c *Core) {
 		g.runnable = append(g.runnable, 0)
 		g.idle = append(g.idle, 0)
 	}
-	g.runnable.add(c.slot)
+	g.runnable.Add(c.slot)
 }
 
 // Name implements sim.Component.
@@ -227,7 +218,7 @@ func (g *coreGroup) nextTurn(i int) int64 {
 // park takes c, which is in its turn of the given cycle, out of the
 // runnable set; a stall it begins counts from the next cycle.
 func (g *coreGroup) park(c *Core, cycle int64) {
-	g.runnable.remove(c.slot)
+	g.runnable.Remove(c.slot)
 	c.stallFrom = cycle + 1
 }
 
@@ -235,7 +226,7 @@ func (g *coreGroup) park(c *Core, cycle int64) {
 // count and it issues again from its next one.
 func (g *coreGroup) resume(c *Core) {
 	c.stallCycles += g.nextTurn(c.slot) - c.stallFrom
-	g.runnable.add(c.slot)
+	g.runnable.Add(c.slot)
 }
 
 // Evaluate steps every runnable core once, in id order.
@@ -244,15 +235,11 @@ func (g *coreGroup) Evaluate(cycle int64) {
 	if cycle >= g.idleWake {
 		g.wakeIdle(cycle)
 	}
-	for w := range g.runnable {
-		for m := g.runnable[w]; m != 0; {
-			b := bits.TrailingZeros64(m)
-			g.cur = w*64 + b
-			g.cores[g.cur].issue(cycle)
-			// Read the word again: stepping one core may make a later one
-			// runnable, and that core still has its turn this cycle.
-			m = g.runnable[w] &^ (1<<(b+1) - 1)
-		}
+	// Next reads the set again at every step: stepping one core may make
+	// a later one runnable, and that core still has its turn this cycle.
+	for i := g.runnable.Next(0); i >= 0; i = g.runnable.Next(i + 1) {
+		g.cur = i
+		g.cores[i].issue(cycle)
 	}
 	g.cur = -1
 	g.turn = cycle + 1
@@ -265,15 +252,13 @@ func (g *coreGroup) Advance(int64) {}
 // finds the next one due.
 func (g *coreGroup) wakeIdle(cycle int64) {
 	g.idleWake = math.MaxInt64
-	for w := range g.idle {
-		for m := g.idle[w]; m != 0; m &= m - 1 {
-			c := g.cores[w*64+bits.TrailingZeros64(m)]
-			if c.idleUntil <= cycle {
-				g.idle.remove(c.slot)
-				g.resume(c)
-			} else {
-				g.idleWake = min(g.idleWake, c.idleUntil)
-			}
+	for i := g.idle.Next(0); i >= 0; i = g.idle.Next(i + 1) {
+		c := g.cores[i]
+		if c.idleUntil <= cycle {
+			g.idle.Remove(i)
+			g.resume(c)
+		} else {
+			g.idleWake = min(g.idleWake, c.idleUntil)
 		}
 	}
 }

@@ -35,7 +35,7 @@ func (c *Core) State() CoreState {
 		Retired:     c.retired,
 		Outstanding: c.outstanding,
 		Blocked:     c.blocked,
-		Idle:        c.g.idle.has(c.slot),
+		Idle:        c.g.idle.Has(c.slot),
 		IdleUntil:   c.idleUntil,
 		SinceStall:  c.sinceStall,
 		Finished:    c.finished,
@@ -95,10 +95,10 @@ func (w *Workload) Restore(s *WorkloadState) {
 			g.finished++
 		case cs.Blocked:
 		case cs.Idle:
-			g.idle.add(c.slot)
+			g.idle.Add(c.slot)
 			g.idleWake = min(g.idleWake, cs.IdleUntil)
 		default:
-			g.runnable.add(c.slot)
+			g.runnable.Add(c.slot)
 		}
 	}
 }

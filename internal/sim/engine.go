@@ -84,6 +84,16 @@ type Quiescer interface {
 	CatchUp(idleCycles int64)
 }
 
+// Settler is optionally implemented by components that stay awake but
+// defer per-cycle statistics — a group that steps only its members that
+// hold work owes the others the cycles they sat out. Settle pays them, up
+// to the component's own next turn; Engine.Settle calls it, so whoever
+// reads counters after Run, RunUntil or an explicit Settle reads them
+// fully paid.
+type Settler interface {
+	Settle()
+}
+
 // Handle is the engine's bookkeeping for one registered component — its
 // place in the active list and its sleep state — and doubles as the wake
 // handle Register returns to wake-up producers. A nil handle is valid and
@@ -132,6 +142,8 @@ type Engine struct {
 	// active holds the awake components in registration order; Step
 	// iterates it instead of scanning comps for asleep flags.
 	active []*Handle
+	// settlers are the registered components that implement Settler.
+	settlers []Settler
 	// woken buffers components re-activated since the last merge; Step
 	// merges it into active (restoring registration order) before the
 	// Evaluate phase, so N wakes cost one merge instead of N insertions.
@@ -188,6 +200,9 @@ func (e *Engine) Register(c Component) *Handle {
 	e.slab = e.slab[1:]
 	*st = Handle{e: e, c: c, idx: len(e.comps)}
 	st.q, _ = c.(Quiescer)
+	if s, ok := c.(Settler); ok {
+		e.settlers = append(e.settlers, s)
+	}
 	e.comps = append(e.comps, st)
 	e.active = append(e.active, st)
 	return st
@@ -382,12 +397,15 @@ func (e *Engine) mergeWoken() {
 }
 
 // Settle replays idle statistics for components that are still asleep, up
-// to (but not including) the current cycle. Run and RunUntil call it
-// before returning so observers always read fully caught-up statistics;
-// callers driving Step directly should call it before reading per-cycle
-// counters.
+// to (but not including) the current cycle, and has every Settler pay
+// what it deferred. Run and RunUntil call it before returning so
+// observers always read fully caught-up statistics; callers driving Step
+// directly should call it before reading per-cycle counters.
 func (e *Engine) Settle() {
 	e.mergeWoken()
+	for _, s := range e.settlers {
+		s.Settle()
+	}
 	for _, st := range e.comps {
 		if !st.asleep {
 			continue

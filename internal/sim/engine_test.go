@@ -325,3 +325,39 @@ func TestReserveRegistersFromOneSlab(t *testing.T) {
 		seen[h] = true
 	}
 }
+
+// deferrer stays awake and counts its cycles only when asked to settle,
+// as a group that steps only its members with work does.
+type deferrer struct {
+	recorder
+	paid, settles int64
+}
+
+func (d *deferrer) Settle() {
+	d.paid = int64(len(d.evals))
+	d.settles++
+}
+
+// TestSettleReachesSettlers: Run, RunUntil and an explicit Settle all
+// have a Settler pay what it deferred, on the root engine and on shard
+// sub-engines, and a component that is not one costs nothing.
+func TestSettleReachesSettlers(t *testing.T) {
+	e := NewEngine()
+	subs := e.Partition(2)
+	root, shard := &deferrer{recorder: recorder{name: "root"}}, &deferrer{recorder: recorder{name: "shard"}}
+	e.Register(root)
+	subs[1].Register(shard)
+	subs[0].Register(&sleeper{recorder: recorder{name: "s"}})
+	e.Run(5)
+	e.RunUntil(func() bool { return e.Cycle() == 8 }, 100)
+	for _, d := range []*deferrer{root, shard} {
+		if d.paid != 8 || d.settles != 2 {
+			t.Fatalf("%s: paid %d cycles in %d settles after Run(5) and RunUntil(cycle 8), want 8 in 2", d.name, d.paid, d.settles)
+		}
+	}
+	e.Step()
+	e.Settle()
+	if root.paid != 9 || shard.paid != 9 {
+		t.Fatalf("after Step and Settle: root paid %d, shard paid %d, want 9", root.paid, shard.paid)
+	}
+}

@@ -48,13 +48,18 @@ go test ./...
 # sharded co-run legs under race verify no pool is touched cross-shard.
 # checkpoint rides along for the platform pool: the DSE invariance test
 # in experiments drives pooled forks from 4 workers, and the pool's own
-# tests cover the Get/Release/Seal paths.
+# tests cover the Get/Release/Seal paths. core's runnable-set invariant
+# (checked after every cycle) and its sliced kernel runs, which read the
+# RCUs' deferred counts from the root goroutine between slices, do not
+# skip under -short: the RCU groups step on shard goroutines at shards 2
+# and 4 there.
 echo "== go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./internal/core ./internal/cache ./internal/checkpoint =="
 go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./internal/core ./internal/cache ./internal/checkpoint
-# The core groups step on shard goroutines and the pending masks are set
-# from the barrier: the fork test (skipped by -short above) runs both at
-# shards 2 and 4 with cores blocked and idling at the snapshot, and the
-# mask invariant is checked after every cycle.
+# The core and RCU groups step on shard goroutines and the pending masks
+# are set from the barrier: the fork test (skipped by -short above) runs
+# them at shards 2 and 4 with cores blocked and idling and RCUs parked
+# and runnable at the snapshot, and the mask invariant is checked after
+# every cycle.
 echo "== go test -race: fork determinism + pending-mask invariant =="
 go test -race -run 'TestForkDeterminism|TestPendingMasksTrackWires' -count=1 ./internal/checkpoint ./internal/noc
 
@@ -125,22 +130,24 @@ cmp "$scope_out" results/scope-smoke.txt
 rm -f "$scope_out"
 echo "attribution smoke: byte-identical"
 
-# Exact counts on the repo benchmark: allocation budgets and one
-# evaluation count. They are host-independent, so unlike the ns/op guards
-# below these steps are never skipped; each run also checks the pass's
+# Exact counts on the repo benchmark: allocation budgets and evaluation
+# counts. They are host-independent, so unlike the ns/op guards below
+# these steps are never skipped; each run also checks the pass's
 # simulated results against the pinned digest.
 #
 # kernels_zero_load: the kernel lifecycle (compile -> submit -> fetch ->
-# issue -> retire) is slab- and pool-fed, so one pass — eight
-# compiled-and-run kernels, ~300k instructions — stays under 60000
-# allocations; a per-instruction allocation anywhere on that path costs
-# 300k.
+# issue -> retire) is slab- and pool-fed and the platform is built from
+# slabs, so one pass — eight compiled-and-run kernels, ~300k
+# instructions — stays under 20000 allocations (16.8k when this was
+# written, 35.6k before the network was slab-built); a per-instruction
+# allocation anywhere on that path costs 300k.
 #
 # dse_fork_sweep: a DSE cell is mostly set-up — a platform build, its
 # pristine snapshot, a probe-mesh build — and the network, the RCUs and
-# the engine's handles are slabs, so one 64-cell pass stays under 220000
-# allocations (it was 441912 with per-router construction; a mesh built
-# router by router again costs ~1200 objects per build, 150k per pass).
+# the engine's handles are slabs, so one 64-cell pass stays under 30000
+# allocations (24.8k when this was written; it was 441912 with
+# per-router construction, and a mesh built router by router again costs
+# ~1200 objects per build, 150k per pass).
 #
 # cmp_sparse_traffic: an L1 miss parks a waiter record, not a closure, so
 # one pass (16 cores, ~31k misses, ~114k packets) stays under 125000
@@ -152,6 +159,12 @@ echo "attribution smoke: byte-identical"
 # cores of an engine are one component and most routers and NIs sleep,
 # so the run stays at or under 11 component evaluations per simulated
 # cycle (9.7 when this was written; 24.7 with one component per core).
+#
+# sim.evals_per_cycle on kernels_zero_load and corun_interference (traced
+# runs): the RCUs of an engine are one component that steps those holding
+# work, so a zero-load kernel run stays at or under 8 evaluations per
+# cycle (6.4 when this was written; 21.4 with one component per RCU) and
+# the co-run at or under 15 (12.9; 20.5).
 #
 # bench_bound <workload> <trace: 0 end to end, 1 per layer> <metric> <max>
 bench_bound() {
@@ -172,11 +185,13 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 60000, dse_fork_sweep <= 220000, cmp_sparse_traffic <= 125000; cmp_sparse_traffic sim.evals_per_cycle <= 11) =="
-bench_bound kernels_zero_load 0 allocs_per_pass 60000
-bench_bound dse_fork_sweep 0 allocs_per_pass 220000
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 30000, cmp_sparse_traffic <= 125000; sim.evals_per_cycle: cmp_sparse_traffic <= 11, kernels_zero_load <= 8, corun_interference <= 15) =="
+bench_bound kernels_zero_load 0 allocs_per_pass 20000
+bench_bound dse_fork_sweep 0 allocs_per_pass 30000
 bench_bound cmp_sparse_traffic 0 allocs_per_pass 125000
 bench_bound cmp_sparse_traffic 1 sim.evals_per_cycle 11
+bench_bound kernels_zero_load 1 sim.evals_per_cycle 8
+bench_bound corun_interference 1 sim.evals_per_cycle 15
 
 # Bench guard: tracing AND attribution must be free when disabled (both
 # follow the same nil-check discipline, and the benchmarks run with both
