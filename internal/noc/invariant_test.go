@@ -240,23 +240,13 @@ func checkPendingMasks(t *testing.T, net *Network, cycle int64) {
 					cycle, r.Name(), r.inList[j].dir, set, len(r.inList[j].in.q))
 			}
 		}
-		for j := range r.outList {
-			if set, held := r.rd.pending&(1<<uint(credBit+j)) != 0, len(r.outList[j].credit.q) > 0; set != held {
-				t.Fatalf("cycle %d: %s output %s: pending bit %v, wire holds %d credits",
-					cycle, r.Name(), r.outList[j].dir, set, len(r.outList[j].credit.q))
-			}
-		}
-		wires := uint32(1)<<uint(len(r.inList)) - 1 | (1<<uint(len(r.outList))-1)<<credBit
-		if r.rd.pending&^wires != 0 {
+		if wires := uint32(1)<<uint(len(r.inList)) - 1; r.rd.pending&^wires != 0 {
 			t.Fatalf("cycle %d: %s: pending mask %b has bits that belong to no wire", cycle, r.Name(), r.rd.pending)
 		}
 		ni := &net.nis[i]
 		want := uint32(0)
-		if len(ni.creditIn.q) > 0 {
-			want |= niCredits
-		}
 		if len(ni.fromRouter.q) > 0 {
-			want |= niEjected
+			want = 1
 		}
 		if ni.rd.pending != want {
 			t.Fatalf("cycle %d: %s: pending mask %b, wires say %b", cycle, ni.Name(), ni.rd.pending, want)
@@ -264,13 +254,64 @@ func checkPendingMasks(t *testing.T, net *Network, cycle int64) {
 	}
 }
 
+// checkCredits holds every link to credit conservation, between cycles:
+// for each VC of each input port, the slots its sender may still use (for
+// an inject port, those landed since its last Update too), the flits of
+// that VC on the wire and the flits buffered in it add up to the VC's
+// depth — no slot is lost, returned twice, or left waiting for a barrier.
+// The sender's counters are found from the topology, not through the
+// port's credit sink. It returns a hash of every counter, which is the
+// same after every cycle at any shard count.
+func checkCredits(t *testing.T, net *Network, cycle int64) (hash uint64) {
+	t.Helper()
+	for i := range net.routers {
+		r := &net.routers[i]
+		for j := range r.inList {
+			in := &r.inList[j]
+			var free func(v int, c int32) int32
+			switch in.dir {
+			case Local:
+				free = func(v int, c int32) int32 { return net.nis[i].credits[r.vnetOff[v]+c] }
+			case Compute:
+				free = func(_ int, c int32) int32 { return net.ports[i].credits[c] + net.ports[i].landed[c] }
+			default:
+				up, _ := net.cfg.neighbor(r.id, in.dir)
+				out := net.routers[up].outputs[in.dir.opposite()]
+				free = func(v int, c int32) int32 { return out.credits[r.vnetOff[v]+c] }
+			}
+			for v, base := range in.refBase {
+				for c := int32(0); base >= 0 && c < r.nvcOf[v]; c++ {
+					onWire := int32(0)
+					for _, e := range in.in.q {
+						if e.f.VNet == v && e.f.VC == int(c) {
+							onWire++
+						}
+					}
+					if sum := free(v, c) + onWire + r.vcs[base+c].count; sum != r.depthOf[v] {
+						t.Fatalf("cycle %d: %s input %s vnet %d vc %d: %d free at the sender + %d on the wire + %d buffered, want %d",
+							cycle, r.Name(), in.dir, v, c, free(v, c), onWire, r.vcs[base+c].count, r.depthOf[v])
+					}
+				}
+			}
+		}
+	}
+	for _, c := range net.credits {
+		hash = hash*1099511628211 + uint64(uint32(c))
+	}
+	return hash
+}
+
 // TestPendingMasksTrackWires steps a mesh carrying request/response
 // traffic and snack tokens from the compute ports one cycle at a time
 // and checks, after every cycle and at every shard count, that the
 // pending masks the routers and NIs poll instead of their wires agree
 // with the wires — across shard boundaries too, where the barrier drain
-// (not the writer) sets the bit — and again after a checkpoint restore.
+// (not the writer) sets the bit — and that every link conserves its
+// credits, with the counters of the sharded runs equal to the serial
+// run's after every cycle (a credit crossing a shard boundary lands at
+// the barrier, never earlier); and both again after a checkpoint restore.
 func TestPendingMasksTrackWires(t *testing.T) {
+	var serial []uint64 // the credit counters' hash after each step at shards=1
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := *SnackPlatform(4, 4, true)
@@ -313,10 +354,19 @@ func TestPendingMasksTrackWires(t *testing.T) {
 			}))
 			var snap *NetworkState
 			var snapEng *sim.EngineState
-			busy := 0
-			for cycle := int64(0); cycle < 1200; cycle++ {
+			busy, steps := 0, 0
+			step := func(cycle int64) {
 				eng.Step()
 				checkPendingMasks(t, net, cycle)
+				if h := checkCredits(t, net, cycle); shards == 1 {
+					serial = append(serial, h)
+				} else if h != serial[steps] {
+					t.Fatalf("cycle %d (step %d): the credit counters differ from the serial run's", cycle, steps)
+				}
+				steps++
+			}
+			for cycle := int64(0); cycle < 1200; cycle++ {
+				step(cycle)
 				for i := range net.routers {
 					if net.routers[i].rd.pending != 0 {
 						busy++
@@ -336,13 +386,15 @@ func TestPendingMasksTrackWires(t *testing.T) {
 				t.Fatalf("delivered %d packets, consumed %d tokens, %d router-cycles with pending wires: the run exercised nothing",
 					delivered, consumed, busy)
 			}
-			// Restoring rewinds wires and masks together.
+			// Restoring rewinds wires, masks and counters together.
 			net.RestoreState(snap, nil)
 			eng.RestoreState(snapEng)
 			checkPendingMasks(t, net, 300)
+			if checkCredits(t, net, 300) != serial[300] {
+				t.Fatal("the restored credit counters are not those of the snapshot cycle")
+			}
 			for cycle := int64(301); cycle < 400; cycle++ {
-				eng.Step()
-				checkPendingMasks(t, net, cycle)
+				step(cycle)
 			}
 		})
 	}

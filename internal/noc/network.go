@@ -29,27 +29,23 @@ type Network struct {
 
 	inPorts  []inputPort  // per router, in direction order
 	outPorts []outputPort // likewise
-	// flitWires/credWires hold every wire: wire k of each slab belongs to
-	// inPorts[k] (flits in, credits back), then one pair per node for the
-	// ejection link, then the shard-boundary stubs. Slab order is the
-	// checkpoint's wire order.
-	flitWires []wire[*Flit]
-	credWires []wire[creditMsg]
-	flitQ     []wireEntry[*Flit] // queue storage, wireCap entries per wire
-	credQ     []wireEntry[creditMsg]
+	// flitWires holds every wire — wire k belongs to inPorts[k], then one
+	// per ejection link, then the shard-boundary stubs — in checkpoint order.
+	flitWires []wire
+	flitQ     []wireEntry // queue storage, wireCap entries per wire
 
 	vcs     []inputVC // per router: port-major, then vnet, then vc
 	bufSlab []*Flit   // the VCs' ring buffers, in vcs order
 	reasm   []*Flit   // the NIs' reassembly slots
-	waiting [][]*Packet
-	staged  []stagedCredit // routers' staged-credit lists, at their bound
+	waiting []pktQueue
+	staged  []credit // routers' staged-credit lists at their bound, then the crossing links' stubs
 
 	// tables is read-only after New: the per-vnet geometry every router
 	// and NI shares, one occupancy->bucket table per router port count,
 	// and the input ports' refBase rows. credits is every credit and
-	// round-robin counter (output ports, then NIs, then inject ports),
-	// counts every statistics array (buffer histograms, NI latency sums),
-	// work the routers' allocator work lists.
+	// round-robin counter (output ports, then NIs, then the inject ports'
+	// credits and landed windows), counts every statistics array (buffer
+	// histograms, NI latency sums), work the routers' allocator work lists.
 	tables  []int32
 	credits []int32
 	counts  []int64
@@ -71,11 +67,15 @@ type Network struct {
 	engs    []*sim.Engine
 	shardOf []int
 
-	// flitB/credB are the cross-shard wire boundaries in construction
-	// order, drained by the barrier hook between cycles.
-	flitB []boundary[*Flit]
-	credB []boundary[creditMsg]
+	// flitB/credB are the cross-shard wire boundaries and the same links'
+	// credit sinks in construction order, drained by the barrier hook.
+	flitB []boundary
+	credB []*creditSink
 }
+
+// stubCredits is the carved capacity of a crossing link's credit stub: a
+// port returns two slots a cycle at most, unless the CPM drains tokens.
+const stubCredits = 4
 
 // bufHistBuckets is the resolution of the Fig 3 occupancy histogram.
 const bufHistBuckets = 20
@@ -98,7 +98,7 @@ type slabPlan struct {
 	snackVCs, snackSlots int // VCs and slots on a compute port (snack vnet only)
 	links, crossing      int // directed mesh links; those whose ends are on different shards
 	nIn, nOut, nVCs      int // input ports, output ports, input VCs
-	nWires, wireCap      int // wires per wire slab, queue entries per wire
+	nWires, wireCap      int // wires, queue entries per wire
 	nBuckets             int // entries of all occupancy->bucket tables
 }
 
@@ -139,8 +139,8 @@ func planSlabs(cfg *Config, shardOf []int) slabPlan {
 	}
 	p.nIn, p.nOut = p.links+nodes*(1+p.compute), p.links+nodes
 	p.nVCs = p.nOut*p.portVCs + nodes*p.snackVCs
-	// One wire pair per input port, one per ejection link, one stub pair
-	// per crossing link. A wire holds what its reader has not yet drained:
+	// One wire per input port, one per ejection link, one stub per
+	// crossing link. A wire holds what its reader has not yet drained:
 	// bounded by the reader's buffer (credits) plus what the link carries.
 	p.nWires = p.nIn + nodes + p.crossing
 	p.wireCap = maxDepth + cfg.LinkLatency
@@ -182,21 +182,19 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	n.rptrs = make([]*Router, nodes)
 	n.inPorts = make([]inputPort, p.nIn)
 	n.outPorts = make([]outputPort, p.nOut)
-	n.flitWires = make([]wire[*Flit], p.nWires)
-	n.credWires = make([]wire[creditMsg], p.nWires)
-	n.flitQ = make([]wireEntry[*Flit], p.nWires*p.wireCap)
-	n.credQ = make([]wireEntry[creditMsg], p.nWires*p.wireCap)
+	n.flitWires = make([]wire, p.nWires)
+	n.flitQ = make([]wireEntry, p.nWires*p.wireCap)
 	n.vcs = make([]inputVC, p.nVCs)
 	n.bufSlab = make([]*Flit, p.nOut*p.portSlots+nodes*p.snackSlots)
 	n.reasm = make([]*Flit, nodes*p.portVCs)
-	n.waiting = make([][]*Packet, nodes*p.nv)
-	n.staged = make([]stagedCredit, 2*p.nIn)
+	n.waiting = make([]pktQueue, nodes*p.nv)
+	n.staged = make([]credit, 2*p.nIn+stubCredits*p.crossing)
 	n.tables = make([]int32, 3*p.nv+p.nBuckets+p.nIn*p.nv)
-	n.credits = make([]int32, (p.nOut+nodes)*(p.portVCs+p.nv)+nodes*p.snackVCs)
+	n.credits = make([]int32, (p.nOut+nodes)*(p.portVCs+p.nv)+2*nodes*p.snackVCs)
 	n.counts = make([]int64, nodes*(bufHistBuckets+2*p.nv))
 	n.work = make([]int32, 3*p.nVCs+p.nOut*p.portVCs)
-	n.flitB = make([]boundary[*Flit], 0, p.crossing)
-	n.credB = make([]boundary[creditMsg], 0, p.crossing)
+	n.flitB = make([]boundary, 0, p.crossing)
+	n.credB = make([]*creditSink, 0, p.crossing)
 	if cfg.ComputePort {
 		n.ports = make([]InjectPort, nodes)
 	}
@@ -205,7 +203,6 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	}
 	for k := range n.flitWires {
 		n.flitWires[k].q = n.flitQ[k*p.wireCap : k*p.wireCap : (k+1)*p.wireCap]
-		n.credWires[k].q = n.credQ[k*p.wireCap : k*p.wireCap : (k+1)*p.wireCap]
 	}
 	n.layOut(&p)
 
@@ -272,8 +269,8 @@ func (n *Network) layOut(p *slabPlan) {
 		}
 		r.bufBucket = bucketOf[deg]
 
-		// Ports in direction order; input port k reads wire pair k, and the
-		// VC table follows the input ports.
+		// Ports in direction order; input port k reads wire k, and the VC
+		// table follows the input ports.
 		in, out, vc, slot := 0, 0, int32(0), int32(0)
 		for d := Direction(0); d < numDirections; d++ {
 			_, mesh := cfg.neighbor(r.id, d)
@@ -282,7 +279,7 @@ func (n *Network) layOut(p *slabPlan) {
 			}
 			ip := &r.inList[in]
 			*ip = inputPort{
-				dir: d, in: &n.flitWires[inBase+in], credit: &n.credWires[inBase+in],
+				dir: d, in: &n.flitWires[inBase+in],
 				snackOnly: d == Compute, refBase: carve(&tables, p.nv),
 			}
 			in++
@@ -321,20 +318,21 @@ func (n *Network) layOut(p *slabPlan) {
 		}
 	}
 
-	// Second pass, now that every input port has its wires: point each
-	// output at the downstream input's wires and fill its credits. A link
-	// whose endpoints live on different shards gets stub wires interposed
-	// on both writer sides (flits downstream, credits back upstream) so no
-	// shard ever touches another shard's wires mid-cycle.
+	// Second pass, now that every input port has its wire: point each
+	// output at the downstream input's wire, fill its credits and make them
+	// that input's credit sink. A link that crosses shards gets a stub on both
+	// writer sides (flits down, credits back): no shard touches another's.
+	sink := func(to []int32, node NodeID, dir Direction) creditSink {
+		return creditSink{to: to, vnetOff: vnetOff, depthOf: depthOf, node: node, dir: dir}
+	}
 	eject, stub := p.nIn, p.nIn+len(n.nis)
 	for i := range n.routers {
 		r := &n.routers[i]
 		ni := &n.nis[i]
 		*ni = NI{
 			node: r.id, cfg: cfg, pool: r.pool,
-			toRouter: r.inputs[Local].in, creditIn: r.inputs[Local].credit,
-			fromRouter: &n.flitWires[eject+i],
-			vnetOff:    vnetOff, nvcOf: nvcOf,
+			toRouter: r.inputs[Local].in, fromRouter: &n.flitWires[eject+i],
+			vnetOff: vnetOff, nvcOf: nvcOf,
 			credits: carve(&credits, p.portVCs), vcRR: carve(&credits, p.nv),
 			waiting: carve(&waiting, p.nv), reasm: carve(&reasm, p.portVCs),
 			latSum: carve(&counts, p.nv), latCount: carve(&counts, p.nv),
@@ -342,14 +340,15 @@ func (n *Network) layOut(p *slabPlan) {
 		for j := range r.outList {
 			op := &r.outList[j]
 			if op.ejection {
-				op.out, op.credit = ni.fromRouter, &n.credWires[eject+i]
+				op.out = ni.fromRouter
 			} else {
 				nb, _ := cfg.neighbor(r.id, op.dir)
 				down := n.routers[nb].inputs[op.dir.opposite()]
-				op.out, op.credit = down.in, down.credit
+				op.out, down.credit = down.in, sink(op.credits, r.id, op.dir)
 				if n.shardOf[nb] != n.shardOf[i] {
 					n.flitB = append(n.flitB, interpose(&op.out, &n.flitWires[stub]))
-					n.credB = append(n.credB, interpose(&down.credit, &n.credWires[stub]))
+					down.credit.stub = carve(&staged, stubCredits)[:0]
+					n.credB = append(n.credB, &down.credit)
 					stub++
 				}
 			}
@@ -370,16 +369,20 @@ func (n *Network) layOut(p *slabPlan) {
 				ni.credits[vnetOff[v]+c] = depthOf[v]
 			}
 		}
+		r.inputs[Local].credit = sink(ni.credits, r.id, Local)
+		r.inputs[Local].credit.credited = &ni.credited
 	}
 	for i := range n.ports {
 		in := n.routers[i].inputs[Compute]
 		n.ports[i] = InjectPort{
-			node: NodeID(i), vnet: cfg.SnackVNet, pool: n.routers[i].pool,
-			out: in.in, creditIn: in.credit, credits: carve(&credits, p.snackVCs),
+			node: NodeID(i), vnet: cfg.SnackVNet, pool: n.routers[i].pool, out: in.in,
+			credits: carve(&credits, p.snackVCs), landed: carve(&credits, p.snackVCs),
 		}
 		for c := range n.ports[i].credits {
 			n.ports[i].credits[c] = depthOf[cfg.SnackVNet]
 		}
+		in.credit = sink(n.ports[i].landed, NodeID(i), Compute)
+		in.credit.base = -vnetOff[cfg.SnackVNet]
 	}
 	if len(inPorts)+len(outPorts)+len(vcs)+len(bufSlab)+len(reasm)+len(waiting)+len(staged)+
 		len(tables)+len(credits)+len(counts)+len(work) != 0 || stub != p.nWires {
@@ -388,14 +391,17 @@ func (n *Network) layOut(p *slabPlan) {
 }
 
 // exchange drains every cross-shard boundary — flits first, then the
-// credits flowing back — in construction order. It runs serially at the
+// credits coming back — in construction order. It runs serially at the
 // per-cycle barrier, after all shard goroutines have finished the cycle.
 func (n *Network) exchange(int64) {
 	for i := range n.flitB {
 		n.flitB[i].drain()
 	}
-	for i := range n.credB {
-		n.credB[i].drain()
+	for _, s := range n.credB {
+		for _, c := range s.stub {
+			s.land(c)
+		}
+		s.stub = s.stub[:0]
 	}
 }
 
@@ -598,15 +604,17 @@ func (n *Network) MeshLinkUtils() map[string]float64 {
 
 // InjectPort lets a compute unit push single-flit snack packets directly
 // into its router's compute input port, subject to credit flow control.
-// Update must be called once per cycle from the unit's Evaluate; Send must
-// be called from the unit's Advance phase.
+// Update must be called from the unit's Evaluate on every cycle it
+// evaluates; Send must be called from the unit's Advance phase.
 type InjectPort struct {
-	node     NodeID
-	vnet     int
-	pool     *flitPool
-	out      *wire[*Flit]
-	creditIn *wire[creditMsg]
-	credits  []int32 // window of the Network's credits slab
+	node NodeID
+	vnet int
+	pool *flitPool
+	out  *wire
+	// Windows of the Network's credits slab: the free slots Send may use,
+	// and those returned since the last Update (see creditSink).
+	credits []int32
+	landed  []int32
 
 	injScalars
 }
@@ -625,13 +633,13 @@ const injectPortTag = uint64(1) << 63
 // Node returns the node this port injects at.
 func (p *InjectPort) Node() NodeID { return p.node }
 
-// Update ingests returned credits; call once per cycle before CanSend.
+// Update makes the credits returned in earlier cycles usable (k cycles'
+// worth at once for a unit that sat k out); call it before CanSend.
 func (p *InjectPort) Update(cycle int64) {
-	ready := p.creditIn.ready(cycle)
-	for _, e := range ready {
-		p.credits[e.v.vc]++
+	for c, n := range p.landed {
+		p.credits[c] += n
+		p.landed[c] = 0
 	}
-	p.creditIn.consume(len(ready))
 }
 
 // FreeSlots returns the number of free downstream buffer slots.

@@ -45,13 +45,11 @@ type NI struct {
 	cfg  *Config
 	pool *flitPool
 
-	toRouter   *wire[*Flit]     // router local-port arrivals (we write)
-	creditIn   *wire[creditMsg] // credits from the router (we read)
-	fromRouter *wire[*Flit]     // ejected flits (we read)
+	toRouter   *wire // router local-port arrivals (we write)
+	fromRouter *wire // ejected flits (we read)
 
-	// rd is the reading end of creditIn (bit niCredits of rd.pending) and
-	// fromRouter (niEjected); its handle also wakes the NI for Inject calls
-	// while asleep.
+	// rd is the reading end of fromRouter (bit 1 of rd.pending); its
+	// handle also wakes the NI for Inject calls while asleep.
 	rd wireReader
 
 	// vnetOff/nvcOf are the network's shared per-vnet geometry; credits
@@ -63,7 +61,7 @@ type NI struct {
 	vcRR    []int32
 
 	incoming []injectReq
-	waiting  [][]*Packet // per-vnet FIFO of packets awaiting a VC
+	waiting  []pktQueue // per-vnet FIFO of packets awaiting a VC
 	active   []*txn
 	staged   *Flit
 
@@ -102,6 +100,9 @@ type niScalars struct {
 	vcBusy       uint64 // bit vnetOff[v]+c: local-port VC held by a transmission
 	waitingCount int    // total packets across all waiting queues
 	txRR         int
+	// credited is set when the router returns a slot (in its Advance) and
+	// cleared by the next Evaluate, whose idle fast path it rules out.
+	credited bool
 
 	// pktSeq numbers packets injected at this node; combined with the node
 	// tag it forms globally unique, interleaving-independent packet IDs.
@@ -114,11 +115,33 @@ type niScalars struct {
 	maxQueued int
 }
 
-// The NI's bits in NI.rd.pending.
-const (
-	niCredits = 1 << iota
-	niEjected
-)
+// pktQueue is a FIFO of packets over one backing array: pop advances head,
+// O(1) at any length, and q[head:] moves back to the front only when a push
+// finds the array full, which therefore grows only when the packets fill it.
+type pktQueue struct {
+	q    []*Packet
+	head int
+}
+
+func (w *pktQueue) len() int { return len(w.q) - w.head }
+
+func (w *pktQueue) push(p *Packet) {
+	if w.head > 0 && len(w.q) == cap(w.q) {
+		n := copy(w.q, w.q[w.head:])
+		clear(w.q[n:])
+		w.q, w.head = w.q[:n], 0
+	}
+	w.q = append(w.q, p)
+}
+
+func (w *pktQueue) pop() *Packet {
+	p := w.q[w.head]
+	w.q[w.head] = nil
+	if w.head++; w.head == len(w.q) {
+		w.q, w.head = w.q[:0], 0
+	}
+	return p
+}
 
 // Name implements sim.Component.
 func (ni *NI) Name() string { return fmt.Sprintf("ni%d", ni.node) }
@@ -141,12 +164,11 @@ func (ni *NI) getPacket() *Packet {
 	return &Packet{pooled: true}
 }
 
-// setHandle makes the NI the reader of the two wires it reads and keeps
-// its engine wake handle for Inject-time wake-ups.
+// setHandle makes the NI the reader of its ejection wire and keeps its
+// engine wake handle for Inject-time wake-ups.
 func (ni *NI) setHandle(h *sim.Handle) {
 	ni.rd.handle = h
-	ni.creditIn.rd, ni.creditIn.bit = &ni.rd, niCredits
-	ni.fromRouter.rd, ni.fromRouter.bit = &ni.rd, niEjected
+	ni.fromRouter.rd, ni.fromRouter.bit = &ni.rd, 1
 }
 
 // AttachClient sets the packet receiver for this node.
@@ -168,7 +190,7 @@ func (ni *NI) Inject(p *Packet, cycle int64) {
 // QueueLen returns the number of packets queued or mid-flight at the NI
 // for the given vnet, which the CPM uses for self-throttling.
 func (ni *NI) QueueLen(vnet int) int {
-	n := len(ni.waiting[vnet])
+	n := ni.waiting[vnet].len()
 	for _, t := range ni.active {
 		if t.vnet == vnet {
 			n++
@@ -198,10 +220,10 @@ func (ni *NI) AvgLatency(vnet int) float64 {
 }
 
 // Quiescent implements sim.Quiescer: the NI may sleep when no packet is
-// queued, staged, or mid-transmission and neither wire it reads holds
-// entries. Inject and wire pushes rouse it. Reassembly state may
-// be non-empty while asleep — the packet's remaining flits are upstream,
-// and their eventual arrival on fromRouter wakes the NI.
+// queued, staged, or mid-transmission and its ejection wire holds no
+// entries. Inject and wire pushes rouse it; a returned credit need not.
+// Reassembly state may be non-empty while asleep — the packet's remaining
+// flits are upstream, and their eventual arrival wakes the NI.
 func (ni *NI) Quiescent() bool {
 	return len(ni.incoming) == 0 && len(ni.active) == 0 && ni.staged == nil &&
 		ni.waitingCount == 0 && ni.rd.pending == 0
@@ -214,16 +236,17 @@ func (ni *NI) CatchUp(idle int64) {
 	ni.at.Add(attrib.NIIdle, idle)
 }
 
-// Evaluate implements sim.Component: credit ingestion, VC allocation for
-// waiting packets, flit transmission, and ejection-side reassembly.
+// Evaluate implements sim.Component: VC allocation for waiting packets,
+// flit transmission, and ejection-side reassembly.
 func (ni *NI) Evaluate(cycle int64) {
+	credited := ni.credited
+	ni.credited = false
 	// Fast path: a fully idle NI (the common case on the paper's
-	// low-utilization NoCs) costs three checks per cycle.
-	if len(ni.incoming) == 0 && len(ni.active) == 0 && ni.rd.pending == 0 {
+	// low-utilization NoCs) costs four checks per cycle. waitingCount is
+	// not one: a waiting packet gets a VC only on a cycle with an injection,
+	// a transmission, an ejected flit or a returned credit (ROADMAP item 4).
+	if len(ni.incoming) == 0 && len(ni.active) == 0 && ni.rd.pending == 0 && !credited {
 		if ni.at != nil {
-			// Packets can only wait on VCs while transactions drain, so
-			// waitingCount is 0 here in practice; check anyway so a stuck
-			// packet would surface as backpressure, not idle.
 			if ni.waitingCount > 0 {
 				ni.at.Inc(attrib.NIBackpressure)
 			} else {
@@ -232,19 +255,11 @@ func (ni *NI) Evaluate(cycle int64) {
 		}
 		return
 	}
-	if ni.rd.pending&niCredits != 0 {
-		ready := ni.creditIn.ready(cycle)
-		for _, e := range ready {
-			ni.credits[ni.vnetOff[e.v.vnet]+e.v.vc]++
-		}
-		ni.creditIn.consume(len(ready))
-	}
-
 	// Stage newly injected packets (only those issued on earlier cycles).
 	keep := ni.incoming[:0]
 	for _, req := range ni.incoming {
 		if req.stamp < cycle {
-			ni.waiting[req.pkt.VNet] = append(ni.waiting[req.pkt.VNet], req.pkt)
+			ni.waiting[req.pkt.VNet].push(req.pkt)
 			ni.waitingCount++
 			ni.injected.Inc()
 		} else {
@@ -260,7 +275,7 @@ func (ni *NI) Evaluate(cycle int64) {
 	// VC on the router's local input port. The count check skips the
 	// per-vnet scan entirely when nothing waits.
 	for v := 0; ni.waitingCount > 0 && v < len(ni.waiting); v++ {
-		if len(ni.waiting[v]) == 0 {
+		if ni.waiting[v].len() == 0 {
 			continue
 		}
 		nvc, off := ni.nvcOf[v], ni.vnetOff[v]
@@ -269,7 +284,8 @@ func (ni *NI) Evaluate(cycle int64) {
 			if ni.vcBusy&(1<<uint(off+c)) != 0 {
 				continue
 			}
-			p := ni.popWaiting(v)
+			p := ni.waiting[v].pop()
+			ni.waitingCount--
 			ni.vcBusy |= 1 << uint(off+c)
 			ni.vcRR[v] = c + 1
 			flits := flitize(p, ni.cfg, ni.pool)
@@ -333,12 +349,12 @@ func (ni *NI) Evaluate(cycle int64) {
 	}
 
 	// Ejection: reassemble arriving flits into packets.
-	if ni.rd.pending&niEjected == 0 {
+	if ni.rd.pending == 0 {
 		return
 	}
 	ready := ni.fromRouter.ready(cycle)
 	for _, e := range ready {
-		f := e.v
+		f := e.f
 		ni.flitsIn.Inc()
 		if ni.tr != nil {
 			rec := ni.pktRecord(trace.KindEject, cycle, cycle, f.PacketID, f.VNet)
@@ -396,20 +412,6 @@ func (ni *NI) Advance(cycle int64) {
 	}
 }
 
-// popWaiting dequeues the front packet of a vnet queue, preserving the
-// queue's backing array (q = q[1:] would strand capacity and force a
-// reallocation per packet).
-func (ni *NI) popWaiting(v int) *Packet {
-	q := ni.waiting[v]
-	p := q[0]
-	n := len(q) - 1
-	copy(q, q[1:])
-	q[n] = nil
-	ni.waiting[v] = q[:n]
-	ni.waitingCount--
-	return p
-}
-
 // newTxn builds a transmission record, reusing a retired one when
 // available.
 func (ni *NI) newTxn(flits []*Flit, vnet, vc int) *txn {
@@ -434,13 +436,7 @@ func (ni *NI) removeTxn(t *txn) {
 	}
 }
 
-func (ni *NI) totalQueued() int {
-	n := len(ni.incoming) + len(ni.active)
-	for _, w := range ni.waiting {
-		n += len(w)
-	}
-	return n
-}
+func (ni *NI) totalQueued() int { return len(ni.incoming) + len(ni.active) + ni.waitingCount }
 
 // SetTracer installs (or, with nil, removes) the lifecycle-event tracer.
 func (ni *NI) SetTracer(t *trace.Tracer) { ni.tr = t }

@@ -79,8 +79,8 @@ type inputVC struct {
 // inputPort groups the VCs fed by one incoming link.
 type inputPort struct {
 	dir       Direction
-	in        *wire[*Flit]     // flits from the upstream sender
-	credit    *wire[creditMsg] // credits back to the upstream sender
+	in        *wire      // flits from the upstream sender
+	credit    creditSink // buffer slots back to the upstream sender
 	snackOnly bool
 	// refBase[v] is the Router.vcs index of this port's (v, 0) VC, or -1
 	// when the port does not carry vnet v.
@@ -93,8 +93,7 @@ type inputPort struct {
 // VC count per port to 64).
 type outputPort struct {
 	dir      Direction
-	out      *wire[*Flit]     // flits to the downstream receiver
-	credit   *wire[creditMsg] // credits from the downstream receiver
+	out      *wire // flits to the downstream receiver
 	ejection bool
 	credits  []int32 // [vnetOff[v]+c] free downstream slots
 	vcRR     []int32 // per-vnet round-robin pointer for output-VC allocation
@@ -133,9 +132,8 @@ type Router struct {
 	outList []outputPort
 
 	// rd is the reading end of the wires the router reads: bit i of
-	// rd.pending is set iff inList[i].in holds entries, bit credBit+i iff
-	// outList[i].credit does. The ingest walks visit set bits only, and a
-	// router with none set has no wire to read.
+	// rd.pending is set iff inList[i].in holds entries. The ingest walk
+	// visits set bits only, and a router with none set has no wire to read.
 	rd wireReader
 
 	compute ComputeUnit
@@ -167,7 +165,7 @@ type Router struct {
 	// staged results of the current Evaluate, committed in Advance; each
 	// output port holds its own staged flit, stagedCount the total.
 	stagedCount   int
-	stagedCredits []stagedCredit
+	stagedCredits []credit
 
 	// configuration hoisted out of cfg for the per-cycle loops
 	snackVNet   int
@@ -221,11 +219,6 @@ type routerScalars struct {
 	// attribution behind the §III-D3 "snacking never displaces CMP
 	// traffic" claim.
 	classMoves [2]stats.Counter
-}
-
-type stagedCredit struct {
-	port Direction
-	msg  creditMsg
 }
 
 // ID returns the router's node id.
@@ -304,27 +297,20 @@ func (r *Router) attachCompute(cu ComputeUnit) {
 	r.drainer, _ = cu.(LoopDrainer)
 }
 
-// credBit is the first credit-wire bit of Router.rd.pending; the bits
-// below it belong to the flit input wires.
-const credBit = 16
-
-// setHandle makes the router the reader of every wire it reads (flit
-// inputs and credit returns): writers set the wire's pending bit and
-// rouse the router from quiescence at exactly the entry's arrival cycle.
+// setHandle makes the router the reader of its flit input wires: writers
+// set the wire's pending bit and rouse the router from quiescence at
+// exactly the entry's arrival cycle.
 func (r *Router) setHandle(h *sim.Handle) {
 	r.rd.handle = h
 	for i := range r.inList {
 		r.inList[i].in.rd, r.inList[i].in.bit = &r.rd, 1<<uint(i)
 	}
-	for i := range r.outList {
-		r.outList[i].credit.rd, r.outList[i].credit.bit = &r.rd, 1<<uint(credBit+i)
-	}
 }
 
 // Quiescent implements sim.Quiescer: the router may sleep when it buffers
 // no flits, no wire it reads holds entries (ready or in flight), and it
-// has nothing staged. Input-wire pushes and credit returns wake it via
-// the wires' handles, so no work can arrive unnoticed.
+// has nothing staged. Input-wire pushes wake it via the wires' handles, so
+// no work can arrive unnoticed; a returned credit needs no wake-up.
 func (r *Router) Quiescent() bool {
 	return r.occupancy == 0 && r.rd.pending == 0 &&
 		len(r.stagedCredits) == 0 && r.stagedCount == 0
@@ -419,11 +405,10 @@ func (r *Router) freeSnackOn(out *outputPort) int {
 	return free
 }
 
-// Evaluate implements one router cycle: credit ingestion, link arrival
-// (with the compute hook), route computation, VC allocation, and switch
-// allocation with crossbar traversal.
+// Evaluate implements one router cycle: link arrival (with the compute
+// hook), route computation, VC allocation, and switch allocation with
+// crossbar traversal.
 func (r *Router) Evaluate(cycle int64) {
-	r.ingestCredits(cycle)
 	r.ingestArrivals(cycle)
 	moves := 0
 	if r.occupancy > 0 {
@@ -438,7 +423,7 @@ func (r *Router) Evaluate(cycle int64) {
 	r.observe(cycle, moves)
 }
 
-// Advance commits staged flits and credits onto their wires.
+// Advance commits staged flits to their wires and credits to their sinks.
 func (r *Router) Advance(cycle int64) {
 	if r.stagedCount > 0 {
 		for i := range r.outList {
@@ -450,41 +435,21 @@ func (r *Router) Advance(cycle int64) {
 		}
 		r.stagedCount = 0
 	}
-	if len(r.stagedCredits) > 0 {
-		for _, sc := range r.stagedCredits {
-			r.inputs[sc.port].credit.push(sc.msg, cycle+1)
-		}
-		r.stagedCredits = r.stagedCredits[:0]
+	for _, c := range r.stagedCredits {
+		r.inputs[c.port].credit.put(c)
 	}
-}
-
-// ingestCredits drains the ready credit returns of every output port
-// whose credit wire holds entries.
-func (r *Router) ingestCredits(cycle int64) {
-	for m := r.rd.pending >> credBit; m != 0; m &= m - 1 {
-		out := &r.outList[bits.TrailingZeros32(m)]
-		ready := out.credit.ready(cycle)
-		for _, e := range ready {
-			slot := r.vnetOff[e.v.vnet] + e.v.vc
-			out.credits[slot]++
-			if out.credits[slot] > r.depthOf[e.v.vnet] {
-				panic(fmt.Sprintf("%s: credit overflow on %s vnet %d vc %d",
-					r.Name(), out.dir, e.v.vnet, e.v.vc))
-			}
-		}
-		out.credit.consume(len(ready))
-	}
+	r.stagedCredits = r.stagedCredits[:0]
 }
 
 // ingestArrivals drains the ready flits of every input port whose wire
 // holds entries into their VC rings, running the compute OnArrival hook
 // first.
 func (r *Router) ingestArrivals(cycle int64) {
-	for m := r.rd.pending & (1<<credBit - 1); m != 0; m &= m - 1 {
+	for m := r.rd.pending; m != 0; m &= m - 1 {
 		in := &r.inList[bits.TrailingZeros32(m)]
 		ready := in.in.ready(cycle)
 		for _, e := range ready {
-			f := e.v
+			f := e.f
 			if f.VNet == r.snackVNet && f.Dst == r.id && r.compute != nil {
 				if r.compute.OnArrival(f, cycle) {
 					// Consumed before buffering: the reserved slot is
@@ -493,8 +458,7 @@ func (r *Router) ingestArrivals(cycle int64) {
 					if r.tr != nil {
 						r.tr.Emit(r.flitRecord(trace.KindConsume, cycle, cycle, f, in.dir))
 					}
-					r.stagedCredits = append(r.stagedCredits,
-						stagedCredit{port: in.dir, msg: creditMsg{vnet: int32(f.VNet), vc: int32(f.VC)}})
+					r.stagedCredits = append(r.stagedCredits, credit{port: in.dir, vnet: int16(f.VNet), vc: int16(f.VC)})
 					r.pool.put(f)
 					continue
 				}
@@ -585,8 +549,7 @@ func (r *Router) tryAllocVC(idx int32, cycle int64) bool {
 		if r.tr != nil {
 			r.tr.Emit(r.flitRecord(trace.KindDrain, cycle, cycle, f, ivc.port))
 		}
-		r.stagedCredits = append(r.stagedCredits,
-			stagedCredit{port: ivc.port, msg: creditMsg{vnet: int32(ivc.vnet), vc: int32(ivc.vc)}})
+		r.stagedCredits = append(r.stagedCredits, credit{port: ivc.port, vnet: ivc.vnet, vc: ivc.vc})
 		if !f.IsTail() {
 			panic(fmt.Sprintf("%s: drained a multi-flit loop packet", r.Name()))
 		}
@@ -689,8 +652,7 @@ func (r *Router) traverse(d Direction, win int32, cycle int64, granted *[numDire
 	out.credits[r.vnetOff[ivc.vnet]+ivc.outVC]--
 	out.staged = f
 	r.stagedCount++
-	r.stagedCredits = append(r.stagedCredits,
-		stagedCredit{port: ivc.port, msg: creditMsg{vnet: int32(ivc.vnet), vc: int32(ivc.vc)}})
+	r.stagedCredits = append(r.stagedCredits, credit{port: ivc.port, vnet: ivc.vnet, vc: ivc.vc})
 	granted[ivc.port] = true
 	if f.IsTail() {
 		out.busy &^= 1 << uint(r.vnetOff[ivc.vnet]+ivc.outVC)

@@ -172,6 +172,7 @@ func TestSlabWindowsAreExact(t *testing.T) {
 		}
 		for i := range net.ports {
 			exact("port credits", i, len(net.ports[i].credits), cap(net.ports[i].credits))
+			exact("port landed", i, len(net.ports[i].landed), cap(net.ports[i].landed))
 		}
 	}
 }
@@ -193,7 +194,7 @@ func TestSlabWindowsDoNotAlias(t *testing.T) {
 			v := []any{
 				append([]*Flit(nil), next.bufSlab...),
 				append([]inputVC(nil), next.vcs...),
-				append([]stagedCredit(nil), next.stagedCredits[:cap(next.stagedCredits)]...),
+				append([]credit(nil), next.stagedCredits[:cap(next.stagedCredits)]...),
 			}
 			for _, l := range next.workLists() {
 				v = append(v, append([]int32(nil), (*l)[:cap(*l)]...))
@@ -215,7 +216,7 @@ func TestSlabWindowsDoNotAlias(t *testing.T) {
 			}
 		}
 		for k, past := 0, cap(r.stagedCredits)+8; k < past; k++ {
-			r.stagedCredits = append(r.stagedCredits, stagedCredit{port: Local})
+			r.stagedCredits = append(r.stagedCredits, credit{port: Local})
 		}
 		if !reflect.DeepEqual(before, view()) {
 			t.Fatalf("pushes on router %d changed router %d's slab windows", i, i+1)

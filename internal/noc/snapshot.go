@@ -46,8 +46,7 @@ type NetworkState struct {
 	// queue length; per router its work lists, each as length then
 	// entries; per NI its incoming, waiting (per vnet) and active counts.
 	lens  []int32
-	flitQ []wireEntry[*Flit]
-	credQ []wireEntry[creditMsg]
+	flitQ []wireEntry
 	reqs  []injectReq // incoming, then waiting (stamp unused), per NI
 	txns  []txnState
 	tx    []*Flit // the transactions' unsent flits, concatenated
@@ -100,12 +99,12 @@ func (r *Router) workLists() (lists [2 + 2*numDirections]*[]int32) {
 // payloads (nil shares them).
 func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 	for i := range n.flitB {
-		if len(n.flitB[i].stub.q) != 0 || len(n.credB[i].stub.q) != 0 {
+		if len(n.flitB[i].stub.q) != 0 || len(n.credB[i].stub) != 0 {
 			panic("noc: SnapshotState with undrained shard boundary (snapshot only between cycles)")
 		}
 	}
 	// Size the packed arrays first so each is allocated once.
-	nLens, nFlitQ, nCredQ, nFlits, nReasm, nReqs, nTxns, nTx := 2*len(n.flitWires), 0, 0, 0, 0, 0, 0, 0
+	nLens, nFlitQ, nFlits, nReasm, nReqs, nTxns, nTx := len(n.flitWires), 0, 0, 0, 0, 0, 0
 	for _, f := range n.reasm {
 		if f != nil {
 			nReasm++
@@ -113,7 +112,6 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 	}
 	for k := range n.flitWires {
 		nFlitQ += len(n.flitWires[k].q)
-		nCredQ += len(n.credWires[k].q)
 	}
 	for i := range n.routers {
 		r := &n.routers[i]
@@ -147,8 +145,7 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 		nis:        make([]niScalars, len(n.nis)),
 		ports:      make([]injScalars, len(n.ports)),
 		lens:       make([]int32, 0, nLens),
-		flitQ:      make([]wireEntry[*Flit], 0, nFlitQ),
-		credQ:      make([]wireEntry[creditMsg], 0, nCredQ),
+		flitQ:      make([]wireEntry, 0, nFlitQ),
 		reqs:       make([]injectReq, 0, nReqs),
 		txns:       make([]txnState, 0, nTxns),
 		tx:         make([]*Flit, 0, nTx),
@@ -165,11 +162,10 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 		}
 	}
 	for k := range n.flitWires {
-		s.lens = append(s.lens, int32(len(n.flitWires[k].q)), int32(len(n.credWires[k].q)))
+		s.lens = append(s.lens, int32(len(n.flitWires[k].q)))
 		for _, e := range n.flitWires[k].q {
-			s.flitQ = append(s.flitQ, wireEntry[*Flit]{v: cloneFlit(e.v, clone), arrive: e.arrive})
+			s.flitQ = append(s.flitQ, wireEntry{f: cloneFlit(e.f, clone), arrive: e.arrive})
 		}
-		s.credQ = append(s.credQ, n.credWires[k].q...)
 	}
 	for i := range n.outPorts {
 		if n.outPorts[i].staged != nil {
@@ -196,9 +192,9 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 		for _, req := range ni.incoming {
 			s.reqs = append(s.reqs, injectReq{pkt: clonePacket(req.pkt, clone), stamp: req.stamp})
 		}
-		for _, q := range ni.waiting {
-			s.lens = append(s.lens, int32(len(q)))
-			for _, p := range q {
+		for _, w := range ni.waiting {
+			s.lens = append(s.lens, int32(w.len()))
+			for _, p := range w.q[w.head:] {
 				s.reqs = append(s.reqs, injectReq{pkt: clonePacket(p, clone)})
 			}
 		}
@@ -244,23 +240,20 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 	for _, e := range s.reasm {
 		n.reasm[e.at] = cloneFlit(e.f, clone)
 	}
-	lens, flitQ, credQ := s.lens, s.flitQ, s.credQ
+	lens, flitQ := s.lens, s.flitQ
 	next := func() int {
 		l := int(lens[0])
 		lens = lens[1:]
 		return l
 	}
 	for k := range n.flitWires {
-		fw, cw := &n.flitWires[k], &n.credWires[k]
+		fw := &n.flitWires[k]
 		fw.q = fw.q[:0]
 		for _, e := range flitQ[:next()] {
-			fw.q = append(fw.q, wireEntry[*Flit]{v: cloneFlit(e.v, clone), arrive: e.arrive})
+			fw.q = append(fw.q, wireEntry{f: cloneFlit(e.f, clone), arrive: e.arrive})
 		}
 		flitQ = flitQ[len(fw.q):]
-		cw.q = append(cw.q[:0], credQ[:next()]...)
-		credQ = credQ[len(cw.q):]
 		fw.sync()
-		cw.sync()
 	}
 	for i := range n.outPorts {
 		n.outPorts[i].outScalars = s.outs[i]
@@ -293,13 +286,13 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 		}
 		reqs = reqs[nIncoming:]
 		for v := range ni.waiting {
-			q := ni.waiting[v][:0]
+			w := &ni.waiting[v]
+			w.q, w.head = w.q[:0], 0
 			k := next()
 			for _, req := range reqs[:k] {
-				q = append(q, clonePacket(req.pkt, clone))
+				w.q = append(w.q, clonePacket(req.pkt, clone))
 			}
 			reqs = reqs[k:]
-			ni.waiting[v] = q
 		}
 		for _, t := range ni.active {
 			ni.pool.putSlice(t.flits)

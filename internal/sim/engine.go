@@ -49,7 +49,10 @@
 // whatever crossed a shard boundary before the next cycle starts. The
 // synchronization horizon is one cycle because the NoC's credit return
 // path has a fixed one-cycle latency — that latency is the lookahead that
-// makes the conservative protocol correct (see DESIGN.md §9). Components
+// makes the conservative protocol correct (see DESIGN.md §9). A returned
+// credit needs no wake-up, here or on one engine: it is a counter the
+// receiver's Advance (or the barrier hook) increments and the sender reads
+// in its next Evaluate, whenever a flit next gives it one. Components
 // registered on the root itself still run, serially, after the barrier.
 package sim
 

@@ -55,13 +55,16 @@ go test ./...
 # and 4 there.
 echo "== go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./internal/core ./internal/cache ./internal/checkpoint =="
 go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./internal/core ./internal/cache ./internal/checkpoint
-# The core and RCU groups step on shard goroutines and the pending masks
-# are set from the barrier: the fork test (skipped by -short above) runs
-# them at shards 2 and 4 with cores blocked and idling and RCUs parked
-# and runnable at the snapshot, and the mask invariant is checked after
-# every cycle.
-echo "== go test -race: fork determinism + pending-mask invariant =="
-go test -race -run 'TestForkDeterminism|TestPendingMasksTrackWires' -count=1 ./internal/checkpoint ./internal/noc
+# The core and RCU groups step on shard goroutines, the pending masks
+# are set and the boundary credits landed from the barrier: the fork test
+# (skipped by -short above) runs them at shards 2 and 4 with cores
+# blocked and idling and RCUs parked and runnable at the snapshot, and
+# the mask and credit-conservation invariants are checked after every
+# cycle (a boundary credit landed before the barrier is a data race
+# here and a counter that differs from the serial run's there). The two
+# credit-timing pins ride along.
+echo "== go test -race: fork determinism + pending-mask and credit invariants + credit-timing pins =="
+go test -race -run 'TestForkDeterminism|TestPendingMasksTrackWires|TestInjectPortCreditTiming|TestNIWaitingPacketNeedsAnEvent' -count=1 ./internal/checkpoint ./internal/noc
 
 # Checkpoint round-trip smoke: the warm-sweep machinery rests on fork
 # determinism (one snapshot restored repeatedly replays the identical
@@ -144,10 +147,10 @@ echo "attribution smoke: byte-identical"
 #
 # dse_fork_sweep: a DSE cell is mostly set-up — a platform build, its
 # pristine snapshot, a probe-mesh build — and the network, the RCUs and
-# the engine's handles are slabs, so one 64-cell pass stays under 30000
-# allocations (24.8k when this was written; it was 441912 with
-# per-router construction, and a mesh built router by router again costs
-# ~1200 objects per build, 150k per pass).
+# the engine's handles are slabs, so one 64-cell pass stays under 25000
+# allocations (23.4k when this was written, 24.7k with credit wires; it
+# was 441912 with per-router construction, and a mesh built router by
+# router again costs ~1200 objects per build, 150k per pass).
 #
 # cmp_sparse_traffic: an L1 miss parks a waiter record, not a closure, so
 # one pass (16 cores, ~31k misses, ~114k packets) stays under 125000
@@ -156,15 +159,16 @@ echo "attribution smoke: byte-identical"
 #
 # sim.evals_per_cycle on cmp_sparse_traffic (traced run): on the sparse
 # CMP workload an awake cycle costs the components that have work. The
-# cores of an engine are one component and most routers and NIs sleep,
-# so the run stays at or under 11 component evaluations per simulated
-# cycle (9.7 when this was written; 24.7 with one component per core).
+# cores of an engine are one component, most routers and NIs sleep and a
+# returned credit wakes nobody, so the run stays at or under 8.5
+# component evaluations per simulated cycle (7.9 when this was written;
+# 9.7 with credits as wire messages, 24.7 with one component per core).
 #
 # sim.evals_per_cycle on kernels_zero_load and corun_interference (traced
 # runs): the RCUs of an engine are one component that steps those holding
 # work, so a zero-load kernel run stays at or under 8 evaluations per
 # cycle (6.4 when this was written; 21.4 with one component per RCU) and
-# the co-run at or under 15 (12.9; 20.5).
+# the co-run at or under 12 (11.3; 12.9 with credit wires; 20.5).
 #
 # bench_bound <workload> <trace: 0 end to end, 1 per layer> <metric> <max>
 bench_bound() {
@@ -185,13 +189,13 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 30000, cmp_sparse_traffic <= 125000; sim.evals_per_cycle: cmp_sparse_traffic <= 11, kernels_zero_load <= 8, corun_interference <= 15) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 25000, cmp_sparse_traffic <= 125000; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12) =="
 bench_bound kernels_zero_load 0 allocs_per_pass 20000
-bench_bound dse_fork_sweep 0 allocs_per_pass 30000
+bench_bound dse_fork_sweep 0 allocs_per_pass 25000
 bench_bound cmp_sparse_traffic 0 allocs_per_pass 125000
-bench_bound cmp_sparse_traffic 1 sim.evals_per_cycle 11
+bench_bound cmp_sparse_traffic 1 sim.evals_per_cycle 8.5
 bench_bound kernels_zero_load 1 sim.evals_per_cycle 8
-bench_bound corun_interference 1 sim.evals_per_cycle 15
+bench_bound corun_interference 1 sim.evals_per_cycle 12
 
 # Bench guard: tracing AND attribution must be free when disabled (both
 # follow the same nil-check discipline, and the benchmarks run with both
