@@ -18,13 +18,37 @@ import "fmt"
 // BlockBytes is the cache line size used throughout the platform.
 const BlockBytes = 64
 
-// line is one cache line's bookkeeping.
+// line is one cache line's bookkeeping, packed into 16 bytes so a 4-way
+// set is one 64 B host cache line: meta is lastUse<<lineFlagBits | flags.
 type line struct {
-	tag      uint64
-	valid    bool
-	dirty    bool
-	writable bool
-	lastUse  int64
+	tag  uint64
+	meta int64
+}
+
+const (
+	lineValid int64 = 1 << iota
+	lineDirty
+	lineWritable
+	lineFlagBits = 3
+	lineFlagMask = 1<<lineFlagBits - 1
+)
+
+func (l *line) valid() bool    { return l.meta&lineValid != 0 }
+func (l *line) dirty() bool    { return l.meta&lineDirty != 0 }
+func (l *line) writable() bool { return l.meta&lineWritable != 0 }
+func (l *line) lastUse() int64 { return l.meta >> lineFlagBits }
+
+// touch stamps the line with the LRU clock and adds flags.
+func (l *line) touch(tick, flags int64) {
+	l.meta = tick<<lineFlagBits | l.meta&lineFlagMask | flags
+}
+
+// flagIf returns flag when on is true, else 0.
+func flagIf(on bool, flag int64) int64 {
+	if on {
+		return flag
+	}
+	return 0
 }
 
 // Cache is a set-associative, write-back, LRU cache tag store.
@@ -60,7 +84,7 @@ func (c *Cache) find(block uint64) *line {
 	set := c.setOf(block)
 	for i := 0; i < c.ways; i++ {
 		l := &c.lines[set*c.ways+i]
-		if l.valid && l.tag == block {
+		if l.valid() && l.tag == block {
 			return l
 		}
 	}
@@ -77,18 +101,15 @@ func (c *Cache) Lookup(block uint64, write bool) (hit, writable bool) {
 		c.misses++
 		return false, false
 	}
-	if write && !l.writable {
+	if write && !l.writable() {
 		// Present but read-only: an upgrade is required; count as a miss
 		// for the controller's purposes but report presence.
 		c.misses++
 		return false, false
 	}
 	c.hits++
-	l.lastUse = c.tick
-	if write {
-		l.dirty = true
-	}
-	return true, l.writable
+	l.touch(c.tick, flagIf(write, lineDirty))
+	return true, l.writable()
 }
 
 // Contains reports whether the block is present, without LRU side effects.
@@ -104,30 +125,29 @@ type Victim struct {
 // evicted victim if a valid line was displaced.
 func (c *Cache) Fill(block uint64, writable, dirty bool) (Victim, bool) {
 	c.tick++
+	flags := flagIf(writable, lineWritable) | flagIf(dirty, lineDirty)
 	if l := c.find(block); l != nil {
-		l.writable = l.writable || writable
-		l.dirty = l.dirty || dirty
-		l.lastUse = c.tick
+		l.touch(c.tick, flags)
 		return Victim{}, false
 	}
 	set := c.setOf(block)
 	var lru *line
 	for i := 0; i < c.ways; i++ {
 		l := &c.lines[set*c.ways+i]
-		if !l.valid {
+		if !l.valid() {
 			lru = l
 			break
 		}
-		if lru == nil || l.lastUse < lru.lastUse {
+		if lru == nil || l.lastUse() < lru.lastUse() {
 			lru = l
 		}
 	}
 	var v Victim
-	evicted := lru.valid
+	evicted := lru.valid()
 	if evicted {
-		v = Victim{Block: lru.tag, Dirty: lru.dirty}
+		v = Victim{Block: lru.tag, Dirty: lru.dirty()}
 	}
-	*lru = line{tag: block, valid: true, dirty: dirty, writable: writable, lastUse: c.tick}
+	*lru = line{tag: block, meta: c.tick<<lineFlagBits | lineValid | flags}
 	return v, evicted
 }
 
@@ -137,8 +157,8 @@ func (c *Cache) Invalidate(block uint64) (present, dirty bool) {
 	if l == nil {
 		return false, false
 	}
-	d := l.dirty
-	l.valid = false
+	d := l.dirty()
+	l.meta &^= lineValid
 	return true, d
 }
 
@@ -149,9 +169,8 @@ func (c *Cache) Downgrade(block uint64) (present, dirty bool) {
 	if l == nil {
 		return false, false
 	}
-	d := l.dirty
-	l.dirty = false
-	l.writable = false
+	d := l.dirty()
+	l.meta &^= lineDirty | lineWritable
 	return true, d
 }
 

@@ -44,6 +44,15 @@ type retryReq struct {
 	waiter
 }
 
+// parkedAccess is an access waiting on an engine event: a hit's
+// completion L1HitLat cycles on, or (retry) a parked write's re-issue
+// the cycle after its block's fill.
+type parkedAccess struct {
+	block        uint64
+	write, retry bool
+	waiter
+}
+
 // L1 is a private per-core cache controller. The core calls Access; the
 // controller resolves hits locally after L1HitLat cycles and misses via
 // the block's home L2 bank over the NoC.
@@ -67,6 +76,8 @@ type L1 struct {
 	// allocate fresh MSHRs) cannot invalidate the iteration.
 	waitScratch  []waiter
 	retryScratch []retryReq
+
+	parked slab[parkedAccess]
 
 	hits     stats.Counter
 	misses   stats.Counter
@@ -208,13 +219,26 @@ func (l *L1) access(block uint64, write bool, w waiter) bool {
 	if hit, _ := l.cache.Lookup(block, write); hit {
 		l.hits.Inc()
 		if w.done != nil || w.misses > 0 {
-			l.eng.ScheduleAfter(l.sys.cfg.L1HitLat, func() {
-				l.complete(w, l.eng.Cycle())
-			})
+			l.park(l.sys.cfg.L1HitLat, parkedAccess{waiter: w})
 		}
 		return true
 	}
 	return l.missPath(block, write, w)
+}
+
+// park files p's event delay cycles on.
+func (l *L1) park(delay int64, p parkedAccess) {
+	l.eng.ScheduleCall(l.eng.Cycle()+delay, l, l.parked.park(p))
+}
+
+// OnCall implements sim.Callee: the parked access in slot is due.
+func (l *L1) OnCall(slot, cycle int64) {
+	p := l.parked.take(slot)
+	if p.retry {
+		l.access(p.block, p.write, p.waiter)
+	} else {
+		l.complete(p.waiter, cycle)
+	}
 }
 
 // AccessFast is the core-facing fast path: hits complete inline with no
@@ -289,12 +313,8 @@ func (l *L1) handle(m *Msg, cycle int64) {
 		for _, w := range l.waitScratch {
 			l.complete(w, cycle)
 		}
-		block := m.Block
 		for _, r := range l.retryScratch {
-			r := r
-			l.eng.ScheduleAfter(1, func() {
-				l.access(block, r.write, r.waiter)
-			})
+			l.park(1, parkedAccess{block: m.Block, write: r.write, retry: true, waiter: r.waiter})
 		}
 
 	case Recall:

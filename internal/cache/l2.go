@@ -37,7 +37,7 @@ type L2Bank struct {
 	sys  *System
 	node noc.NodeID
 	// eng is the shard engine of the bank's node; lookup-latency events
-	// are scheduled here so sharded runs stay race-free.
+	// are filed here so sharded runs stay race-free.
 	eng   *sim.Engine
 	cache *Cache
 	pool  *msgPool
@@ -181,11 +181,13 @@ func (b *L2Bank) start(m *Msg) {
 	t := &b.txnSlots[i]
 	*t = l2txn{req: m, pending: t.pending[:0]}
 	b.txnTab.put(m.Block, i)
-	block := m.Block
-	b.eng.ScheduleAfter(b.sys.cfg.L2Lat, func() {
-		b.advance(block, b.eng.Cycle())
-	})
+	b.eng.ScheduleCall(b.eng.Cycle()+b.sys.cfg.L2Lat, b, int64(m.Block))
 }
+
+// OnCall implements sim.Callee: the lookup of block's transaction is
+// done. The event names the block, not the transaction's slot, because a
+// checkpoint restore renumbers txnSlots.
+func (b *L2Bank) OnCall(block, cycle int64) { b.advance(uint64(block), cycle) }
 
 // advance drives the transaction state machine for a block until it
 // blocks on a remote event or completes.
@@ -284,9 +286,7 @@ func (b *L2Bank) complete(block uint64) {
 	t.pending = t.pending[:n]
 	t.req = next
 	t.needAcks, t.waitRecall, t.waitMem, t.wentToMem = 0, false, false, false
-	b.eng.ScheduleAfter(b.sys.cfg.L2Lat, func() {
-		b.advance(block, b.eng.Cycle())
-	})
+	b.eng.ScheduleCall(b.eng.Cycle()+b.sys.cfg.L2Lat, b, int64(block))
 }
 
 // fill installs a block in the data array, writing back a dirty victim.

@@ -10,10 +10,11 @@ import (
 // MemNode bridges the NoC to a mem.Controller at a memory-controller
 // node (the mesh corners in the Table IV platform).
 type MemNode struct {
-	sys  *System
-	node noc.NodeID
-	ctrl *mem.Controller
-	pool *msgPool
+	sys   *System
+	node  noc.NodeID
+	ctrl  *mem.Controller
+	pool  *msgPool
+	reads slab[Msg] // the MemReads whose DRAM access is in flight
 }
 
 func newMemNode(sys *System, node noc.NodeID, ctrl *mem.Controller) *MemNode {
@@ -26,22 +27,25 @@ func newMemNode(sys *System, node noc.NodeID, ctrl *mem.Controller) *MemNode {
 func (m *MemNode) Controller() *mem.Controller { return m.ctrl }
 
 // handle services memory protocol messages; both types are consumed
-// here, so the fields the response needs are copied out before the
-// message is recycled.
+// here, so a read is parked by value before the message is recycled.
 func (m *MemNode) handle(msg *Msg, cycle int64) {
 	addr := msg.Block * BlockBytes
 	switch msg.Type {
 	case MemRead:
-		from, block, req := msg.From, msg.Block, msg.Req
-		m.ctrl.Access(addr, false, func(at int64) {
-			resp := m.pool.get()
-			resp.Type, resp.To, resp.Block, resp.Req = MemResp, RoleL2, block, req
-			send(m.sys.Net, m.node, from, resp, at)
-		})
+		m.ctrl.AccessCall(addr, false, m, m.reads.park(*msg))
 	case MemWrite:
-		m.ctrl.Access(addr, true, nil)
+		m.ctrl.Access(addr, true)
 	default:
 		panic(fmt.Sprintf("mem %d: unexpected message %s", m.node, msg.Type))
 	}
 	m.pool.put(msg)
+}
+
+// OnCall implements sim.Callee: the DRAM read parked in slot has its
+// data, which goes back to the requesting bank.
+func (m *MemNode) OnCall(slot, at int64) {
+	r := m.reads.take(slot)
+	resp := m.pool.get()
+	resp.Type, resp.To, resp.Block, resp.Req = MemResp, RoleL2, r.Block, r.Req
+	send(m.sys.Net, m.node, r.From, resp, at)
 }

@@ -16,6 +16,10 @@ package cache
 // so nothing a snapshot holds is ever recycled under it.
 type msgPool struct {
 	free []*Msg
+	// out is gets minus puts. Summed over the pools it is 0 once a run
+	// has drained — unless it restored a checkpoint, which drops and
+	// re-makes held messages outside the pools.
+	out int
 }
 
 // msgPoolCap bounds the free list; overflow falls back to the GC.
@@ -23,7 +27,11 @@ const msgPoolCap = 1 << 15
 
 // get returns a zeroed message.
 func (p *msgPool) get() *Msg {
-	if p == nil || len(p.free) == 0 {
+	if p == nil {
+		return new(Msg)
+	}
+	p.out++
+	if len(p.free) == 0 {
 		return new(Msg)
 	}
 	m := p.free[len(p.free)-1]
@@ -34,10 +42,48 @@ func (p *msgPool) get() *Msg {
 
 // put recycles a consumed message.
 func (p *msgPool) put(m *Msg) {
-	if p == nil || m == nil || len(p.free) >= msgPoolCap {
+	if p == nil || m == nil {
 		return
 	}
-	p.free = append(p.free, m)
+	p.out--
+	if len(p.free) < msgPoolCap {
+		p.free = append(p.free, m)
+	}
+}
+
+// slab parks the records of pending typed events (sim.ScheduleCall): an
+// event's argument is its record's slot. A record is copied in before
+// the message it came from is recycled, and its slot is freed before the
+// callee acts on it, so a re-entrant park may reuse the slot. Snapshots
+// copy recs and free as they are: pending events name slots.
+type slab[T any] struct {
+	recs []T
+	free []int32
+}
+
+// park stores r and returns its slot.
+func (s *slab[T]) park(r T) int64 {
+	if k := len(s.free); k > 0 {
+		i := s.free[k-1]
+		s.free = s.free[:k-1]
+		s.recs[i] = r
+		return int64(i)
+	}
+	s.recs = append(s.recs, r)
+	return int64(len(s.recs) - 1)
+}
+
+// take frees slot, zeroing it, and returns the record it held.
+func (s *slab[T]) take(slot int64) (r T) {
+	r, s.recs[slot] = s.recs[slot], r
+	s.free = append(s.free, int32(slot))
+	return r
+}
+
+// copyFrom makes s a slot-for-slot copy of o, reusing s's storage.
+func (s *slab[T]) copyFrom(o *slab[T]) {
+	s.recs = append(s.recs[:0], o.recs...)
+	s.free = append(s.free[:0], o.free...)
 }
 
 // blockTable is a compact open-addressed uint64 → int32 map: linear

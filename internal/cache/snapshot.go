@@ -7,17 +7,16 @@ import (
 )
 
 // Checkpoint support. The hierarchy's mutable state is the tag stores,
-// the L1 MSHR files, the L2 directory and transaction slabs and the
-// DRAM controllers; pending lookup-latency and fill events live in the
-// engine snapshot. Msg values are pool-recycled (PR 8), so a snapshot
-// can no longer share pointers with the live simulation: every held
-// message is deep-copied on snapshot AND again on restore. A plain copy
-// suffices — each message is owned by exactly one cache location, and
-// in-flight messages (cloned by the network snapshot through the
-// platform's token cloner) never alias cache-held ones. MSHR waiters and
-// retries are records copied by value; the completion callback in one
-// is a closure over stable component roots plus captured values, so the
-// func value itself is shared.
+// the L1 MSHR files and parked accesses, the L2 directory and
+// transaction slabs, the memory nodes' reads in flight and the DRAM
+// controllers. Pending events live in the engine snapshot as (callee,
+// argument) pairs — a controller and a block or slab slot — so the slabs
+// are copied slot for slot. Msg values are pool-recycled (PR 8), so every
+// held message is deep-copied on snapshot AND again on restore. A plain
+// copy suffices — each message is owned by exactly one cache location,
+// and in-flight messages (cloned by the network snapshot through the
+// platform's token cloner) never alias cache-held ones. Waiters are
+// records copied by value; a waiter's done callback is the caller's.
 
 // copyMsg deep-copies one held protocol message.
 func copyMsg(m *Msg) *Msg {
@@ -63,9 +62,7 @@ func (c *Cache) Restore(s CacheState) {
 	c.hits, c.misses = s.Hits, s.Misses
 }
 
-// mshrSnap is one saved MSHR. The waiters' and retries' callbacks are
-// shared with the live structure: they close over component roots whose
-// state is restored alongside, never over transient per-run storage.
+// mshrSnap is one saved MSHR.
 type mshrSnap struct {
 	block uint64
 	write bool
@@ -78,6 +75,7 @@ type mshrSnap struct {
 type l1State struct {
 	cache    CacheState
 	mshrs    []mshrSnap
+	parked   slab[parkedAccess]
 	hits     int64
 	misses   int64
 	latSum   int64
@@ -97,6 +95,7 @@ func (l *L1) state() l1State {
 		attrib:     l.at.State(),
 		attribLast: l.attribLast,
 	}
+	s.parked.copyFrom(&l.parked)
 	for set := range l.mshrHead {
 		for n := l.mshrHead[set]; n >= 0; n = l.mshrSlab[n].next {
 			m := &l.mshrSlab[n]
@@ -116,6 +115,7 @@ func (l *L1) restore(s l1State) {
 	l.hits.Restore(stats.CounterState{N: s.hits})
 	l.misses.Restore(stats.CounterState{N: s.misses})
 	l.latSum, l.latCount = s.latSum, s.latCount
+	l.parked.copyFrom(&s.parked)
 	for i := range l.mshrHead {
 		l.mshrHead[i] = -1
 	}
@@ -204,19 +204,21 @@ func (b *L2Bank) restore(s l2State) {
 	}
 }
 
-// SystemState is the whole hierarchy's saved state. Memory controllers
-// are saved in memNodes order, which is deterministic by construction.
+// SystemState is the whole hierarchy's saved state. Memory nodes are
+// saved in memNodes order, which is deterministic by construction.
 type SystemState struct {
-	l1s  []l1State
-	l2s  []l2State
-	mems []mem.ControllerState
+	l1s   []l1State
+	l2s   []l2State
+	mems  []mem.ControllerState
+	reads []slab[Msg]
 }
 
 // State captures every controller in the hierarchy.
 func (s *System) State() *SystemState {
 	st := &SystemState{
-		l1s: make([]l1State, len(s.L1s)),
-		l2s: make([]l2State, len(s.L2s)),
+		l1s:   make([]l1State, len(s.L1s)),
+		l2s:   make([]l2State, len(s.L2s)),
+		reads: make([]slab[Msg], len(s.memNodes)),
 	}
 	for i, l := range s.L1s {
 		st.l1s[i] = l.state()
@@ -224,8 +226,9 @@ func (s *System) State() *SystemState {
 	for i, b := range s.L2s {
 		st.l2s[i] = b.state()
 	}
-	for _, mn := range s.memNodes {
+	for i, mn := range s.memNodes {
 		st.mems = append(st.mems, s.Mems[mn].ctrl.State())
+		st.reads[i].copyFrom(&s.Mems[mn].reads)
 	}
 	return st
 }
@@ -240,5 +243,6 @@ func (s *System) Restore(st *SystemState) {
 	}
 	for i, mn := range s.memNodes {
 		s.Mems[mn].ctrl.Restore(st.mems[i])
+		s.Mems[mn].reads.copyFrom(&st.reads[i])
 	}
 }

@@ -221,6 +221,10 @@ func TestSystemQuiescesAfterRandomStress(t *testing.T) {
 	if sys.OutstandingMisses() != 0 {
 		t.Fatalf("MSHRs not drained: %d", sys.OutstandingMisses())
 	}
+	eng.Run(5000) // trailing writebacks and acks
+	if err := sys.CheckDrained(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestHomeAndMemMapping(t *testing.T) {
@@ -267,39 +271,64 @@ func memAccesses(sys *System) int64 {
 	return n
 }
 
-// TestL1MissAllocatesNoClosure pins the miss path the cores use: with
-// the MSHR slab, the message pool and the NI's queues warm, an
-// AccessFast that misses parks a waiter record and allocates nothing
-// (it used to wrap the callback in a closure per miss, the largest
-// allocation site of a CMP run).
+// TestL1MissAllocatesNoClosure pins the whole miss round trip, not just
+// its issue side: with the pools, slabs and the NI's queues warm, a round
+// of four AccessFast misses that also miss at the home bank (L1 miss →
+// L2 miss → DRAM read → fill → waiter completion), one write parked
+// behind a read miss of the same block (the retry event) and one
+// L1.Access hit (the hit-completion event), run until everything has
+// completed, allocates nothing. Every event on the way is a typed call
+// on a controller; each used to be a heap closure, 89 % of the objects
+// of a CMP pass.
 func TestL1MissAllocatesNoClosure(t *testing.T) {
 	eng, sys := newSystem(t)
 	l1 := sys.L1s[2]
-	resolved := 0
-	onMiss := func(int64) { resolved++ }
-	const burst = 64
-	block := uint64(1 << 20)
-	miss := func() {
-		block++
-		if l1.AccessFast(block, false, onMiss) {
-			t.Fatalf("block %d hit, want a miss", block)
+	resolved, want := 0, 0
+	done := func(int64) { resolved++ }
+	drained := func() bool { return resolved == want }
+	// Blocks are revisited, so the directory and block tables stop
+	// growing; each list is walked cyclically and is longer than the
+	// ways of the one set it maps to (L1 stride 128, L2 bank stride
+	// 1024), so every visit misses again.
+	const base = uint64(1 << 20)
+	hit := base + 9
+	round, misses := 0, int64(0)
+	step := func() {
+		for i := 0; i < 4; i++ {
+			if l1.AccessFast(base+1024*uint64((4*round+i)%8), false, done) {
+				t.Fatalf("round %d: streamed block hit, want an L1 miss", round)
+			}
+		}
+		retry := base + 5 + 128*uint64(round%5)
+		if l1.Access(retry, false, done) || l1.Access(retry, true, done) {
+			t.Fatalf("round %d: block %d hit, want a read miss and a parked write", round, retry)
+		}
+		misses += 4 + 3 // the parked write misses again (an upgrade) on re-issue
+		if !l1.Access(hit, false, done) {
+			t.Fatalf("round %d: block %d missed, want a hit", round, hit)
+		}
+		want += 7
+		round++
+		if _, ok := eng.RunUntil(drained, 1_000_000); !ok {
+			t.Fatalf("round %d: %d of %d accesses completed", round, resolved, want)
 		}
 	}
-	drain := func(want int) {
-		if _, ok := eng.RunUntil(func() bool { return resolved == want }, 1_000_000); !ok {
-			t.Fatalf("%d of %d misses resolved", resolved, want)
-		}
+	access(t, eng, sys, 2, hit, false)
+	misses++
+	memBefore := memAccesses(sys)
+	for i := 0; i < 10; i++ { // warm every pool, slab and table
+		step()
 	}
-	// Warm every pool to the depth the measured burst needs.
-	for i := 0; i < burst; i++ {
-		miss()
+	if got := memAccesses(sys) - memBefore; got < 4*10 {
+		t.Fatalf("%d DRAM accesses in 10 rounds, want every streamed block to miss at its home bank", got)
 	}
-	drain(burst)
-	if allocs := testing.AllocsPerRun(burst-1, miss); allocs != 0 {
-		t.Errorf("a missing AccessFast allocated %v objects, want 0", allocs)
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Errorf("a miss round trip allocated %v objects per round, want 0", allocs)
 	}
-	drain(2 * burst)
-	if got := l1.Misses(); got != 2*burst {
-		t.Fatalf("%d misses recorded, want %d", got, 2*burst)
+	if got := l1.Misses(); got != misses {
+		t.Fatalf("%d misses recorded, want %d", got, misses)
+	}
+	if err := sys.CheckDrained(); err != nil {
+		t.Fatal(err)
 	}
 }

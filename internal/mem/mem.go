@@ -104,22 +104,19 @@ func (c *Controller) rowOf(addr uint64) uint64 {
 	return addr / (uint64(c.cfg.RowBytes) * uint64(len(c.banks)))
 }
 
-// Access schedules one memory transaction and invokes done when the data
-// transfer completes. Write transactions complete when accepted by the
-// bank (posted writes); reads complete after the bus transfer.
-func (c *Controller) Access(addr uint64, write bool, done func(at int64)) int64 {
-	doneAt, at := c.issue(addr, write)
-	if done == nil {
-		return doneAt
-	}
-	c.eng.Schedule(at, func() { done(at) })
-	return at
+// Access books one memory transaction nobody waits for (a posted
+// writeback) and returns the cycle its data transfer ends.
+func (c *Controller) Access(addr uint64, write bool) int64 {
+	doneAt, _ := c.issue(addr, write)
+	return doneAt
 }
 
-// AccessCall is Access with a typed completion: callee.OnCall(arg, at)
-// runs at the completion cycle at, which is returned. No closure is
-// built, so the requester pays no allocation per transaction and a
-// checkpoint carries the pending completion by value.
+// AccessCall books one memory transaction whose requester hears back:
+// callee.OnCall(arg, at) runs at the completion cycle at, which is
+// returned — after the bus transfer for a read, on acceptance by the
+// bank for a posted write. No closure is built, so the requester pays no
+// allocation per transaction and a checkpoint carries the pending
+// completion by value.
 func (c *Controller) AccessCall(addr uint64, write bool, callee sim.Callee, arg int64) int64 {
 	_, at := c.issue(addr, write)
 	c.eng.ScheduleCall(at, callee, arg)
@@ -169,23 +166,6 @@ func (c *Controller) issue(addr uint64, write bool) (doneAt, ackAt int64) {
 		return doneAt, start + 1 // posted write: ack on acceptance
 	}
 	return doneAt, doneAt
-}
-
-// StreamRead schedules a sequential read of n transactions starting at
-// addr and calls chunk for each completed 64 B transfer. It returns the
-// completion cycle of the final transfer. This is the access pattern the
-// CPM uses to fill its instruction buffer.
-func (c *Controller) StreamRead(addr uint64, n int, chunk func(i int, at int64)) int64 {
-	last := c.eng.Cycle()
-	for i := 0; i < n; i++ {
-		i := i
-		at := c.Access(addr+uint64(i*c.cfg.TransactionBytes), false, nil)
-		c.eng.Schedule(at, func() { chunk(i, at) })
-		if at > last {
-			last = at
-		}
-	}
-	return last
 }
 
 // Accesses returns the number of transactions issued.

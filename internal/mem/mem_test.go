@@ -7,6 +7,12 @@ import (
 	"snacknoc/internal/sim"
 )
 
+// completions records typed completions as (arg, cycle) pairs, in the
+// order they fire.
+type completions [][2]int64
+
+func (c *completions) OnCall(arg, cycle int64) { *c = append(*c, [2]int64{arg, cycle}) }
+
 func newCtrl(t *testing.T) (*sim.Engine, *Controller) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -33,29 +39,25 @@ func TestConfigValidation(t *testing.T) {
 
 func TestReadCompletes(t *testing.T) {
 	eng, c := newCtrl(t)
-	var doneAt int64 = -1
-	c.Access(0, false, func(at int64) { doneAt = at })
+	var got completions
+	c.AccessCall(0, false, &got, 0)
 	eng.Run(200)
-	if doneAt < 0 {
+	if len(got) != 1 {
 		t.Fatal("read never completed")
 	}
 	cfg := DefaultConfig()
 	want := 1 + cfg.RowMissLat + cfg.BusLat // cold row miss from cycle 0
-	if doneAt != want {
-		t.Fatalf("read completed at %d, want %d", doneAt, want)
+	if got[0][1] != want {
+		t.Fatalf("read completed at %d, want %d", got[0][1], want)
 	}
 }
 
 func TestRowHitFasterThanMiss(t *testing.T) {
 	eng, c := newCtrl(t)
-	var first, second int64
-	c.Access(0, false, func(at int64) { first = at })
+	first := c.AccessCall(0, false, new(completions), 0)
 	eng.Run(100)
 	start := eng.Cycle()
-	c.Access(64, false, func(at int64) { second = at }) // same bank? no: interleaved
-	// Address 64 maps to the next bank; use same-row address instead:
-	// row interleaving is TransactionBytes across banks, so stride by
-	// banks*TransactionBytes to return to bank 0 in the same row.
+	second := c.AccessCall(64, false, new(completions), 0) // same bank, same open row
 	eng.Run(100)
 	lat1 := first - 0
 	lat2 := second - start
@@ -67,13 +69,13 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 func TestRowHitRateSequentialStream(t *testing.T) {
 	eng, c := newCtrl(t)
 	n := 256
-	got := 0
+	var got completions
 	for i := 0; i < n; i++ {
-		c.Access(uint64(i*64), false, func(int64) { got++ })
+		c.AccessCall(uint64(i*64), false, &got, int64(i))
 	}
 	eng.Run(100000)
-	if got != n {
-		t.Fatalf("completed %d of %d", got, n)
+	if len(got) != n {
+		t.Fatalf("completed %d of %d", len(got), n)
 	}
 	if hr := c.RowHitRate(); hr < 0.9 {
 		t.Fatalf("sequential row hit rate = %v, want >= 0.9", hr)
@@ -85,22 +87,16 @@ func TestBankParallelismBeatsSingleBank(t *testing.T) {
 	run := func(stride uint64) int64 {
 		eng := sim.NewEngine()
 		c, _ := New(eng, cfg)
-		var last int64
 		n := 64
-		done := 0
+		var got completions
 		for i := 0; i < n; i++ {
-			c.Access(uint64(i)*stride, false, func(at int64) {
-				done++
-				if at > last {
-					last = at
-				}
-			})
+			c.AccessCall(uint64(i)*stride, false, &got, int64(i))
 		}
 		eng.Run(1000000)
-		if done != n {
-			t.Fatalf("stride %d: completed %d of %d", stride, done, n)
+		if len(got) != n {
+			t.Fatalf("stride %d: completed %d of %d", stride, len(got), n)
 		}
-		return last
+		return got[n-1][1] // completions fire in cycle order
 	}
 	// Stride of banks*txn bytes hammers one bank and one row... actually
 	// it stays in the same row (2 KB) only for a few accesses; use a
@@ -114,11 +110,11 @@ func TestBankParallelismBeatsSingleBank(t *testing.T) {
 
 func TestPostedWriteAcksEarly(t *testing.T) {
 	eng, c := newCtrl(t)
-	var wAt, rAt int64
-	c.Access(0, true, func(at int64) { wAt = at })
-	c.Access(1<<20, false, func(at int64) { rAt = at })
+	var got completions
+	wAt := c.AccessCall(0, true, &got, 0)
+	rAt := c.AccessCall(1<<20, false, &got, 1)
 	eng.Run(500)
-	if wAt == 0 || rAt == 0 {
+	if len(got) != 2 {
 		t.Fatal("accesses did not complete")
 	}
 	if wAt >= rAt {
@@ -126,66 +122,53 @@ func TestPostedWriteAcksEarly(t *testing.T) {
 	}
 }
 
-func TestStreamReadChunksArriveInBudget(t *testing.T) {
-	eng, c := newCtrl(t)
-	seen := make(map[int]bool)
-	last := c.StreamRead(0, 16, func(i int, at int64) { seen[i] = true })
-	eng.Run(last + 10)
-	if len(seen) != 16 {
-		t.Fatalf("saw %d chunks, want 16", len(seen))
-	}
-	if c.Accesses() != 16 {
-		t.Fatalf("accesses = %d, want 16", c.Accesses())
-	}
-}
-
 func TestAvgLatencyPositive(t *testing.T) {
 	eng, c := newCtrl(t)
-	c.Access(0, false, nil)
+	c.Access(0, false)
 	eng.Run(100)
 	if c.AvgLatency() <= 0 {
 		t.Fatal("average latency should be positive")
 	}
 }
 
-// completions records typed completions as (arg, cycle) pairs.
-type completions [][2]int64
-
-func (c *completions) OnCall(arg, cycle int64) { *c = append(*c, [2]int64{arg, cycle}) }
-
-// TestAccessCallMatchesAccess drives one controller through closures
-// and a twin through typed completions with the same mixed stream: the
-// completion cycles (posted-write acks included) must be the same, the
-// argument must come back, and no transaction may allocate.
-func TestAccessCallMatchesAccess(t *testing.T) {
-	engA, a := newCtrl(t)
-	engB, b := newCtrl(t)
-	type access struct {
+// TestAccessCallCompletionCycles drives a mixed stream into one bank
+// and requires every completion at its hand-computed cycle — reads after
+// the bus transfer, posted writes on acceptance — in cycle order, with
+// its argument, and no allocation per transaction.
+func TestAccessCallCompletionCycles(t *testing.T) {
+	eng, c := newCtrl(t)
+	// DefaultConfig: row miss 45, row hit 15, bus 4; every address below
+	// maps to bank 0, so each access starts when the bank frees.
+	stream := []struct {
 		addr  uint64
 		write bool
+		at    int64
+	}{
+		{0, false, 50},       // start 1, miss: bus 46–50; bank free at 46
+		{64, false, 65},      // start 46, row hit: bus 61–65; bank free at 50
+		{1 << 20, true, 51},  // start 50, acked at 51; miss holds the bank to 95
+		{128, false, 144},    // start 95, miss (row changed): bus 140–144
+		{1 << 20, true, 141}, // start 140, acked at 141; bank held to 185
+		{1 << 22, false, 234},
 	}
-	stream := []access{{0, false}, {64, false}, {1 << 20, true}, {128, false}, {1 << 20, true}, {1 << 22, false}}
-	var want, got completions
+	var got completions
 	for i, x := range stream {
-		i := int64(i)
-		atA := a.Access(x.addr, x.write, func(at int64) { want = append(want, [2]int64{i, at}) })
-		atB := b.AccessCall(x.addr, x.write, &got, i)
-		if atA != atB {
-			t.Fatalf("access %d: AccessCall completes at %d, Access at %d", i, atB, atA)
+		if at := c.AccessCall(x.addr, x.write, &got, int64(i)); at != x.at {
+			t.Fatalf("access %d: AccessCall returned %d, want %d", i, at, x.at)
 		}
 	}
-	engA.Run(500)
-	engB.Run(500)
-	if len(got) != len(stream) || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("typed completions %v, closure completions %v", got, want)
+	eng.Run(500)
+	want := completions{{0, 50}, {2, 51}, {1, 65}, {4, 141}, {3, 144}, {5, 234}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("completions %v, want %v", got, want)
 	}
-	if a.Accesses() != b.Accesses() || a.AvgLatency() != b.AvgLatency() || a.RowHitRate() != b.RowHitRate() {
-		t.Fatal("controller statistics diverged between the two completion forms")
+	if c.Accesses() != int64(len(stream)) {
+		t.Fatalf("accesses = %d, want %d", c.Accesses(), len(stream))
 	}
 	got = got[:0]
 	if n := testing.AllocsPerRun(50, func() {
-		b.AccessCall(0, false, &got, 0)
-		engB.Run(100)
+		c.AccessCall(0, false, &got, 0)
+		eng.Run(100)
 		got = got[:0]
 	}); n != 0 {
 		t.Fatalf("AccessCall allocated %.0f objects per transaction, want 0", n)

@@ -3,9 +3,9 @@ package mem
 import "snacknoc/internal/stats"
 
 // Checkpoint support. Pending access completions are engine events (the
-// Schedule/ScheduleCall calls in Access, AccessCall and StreamRead), so
-// the engine snapshot carries them; the controller itself only owns the bank/bus timing state and
-// its statistics.
+// ScheduleCall in AccessCall), so the engine snapshot carries them; the
+// controller itself only owns the bank/bus timing state and its
+// statistics.
 
 // ControllerState is a controller's saved state.
 type ControllerState struct {

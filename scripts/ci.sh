@@ -152,10 +152,13 @@ echo "attribution smoke: byte-identical"
 # was 441912 with per-router construction, and a mesh built router by
 # router again costs ~1200 objects per build, 150k per pass).
 #
-# cmp_sparse_traffic: an L1 miss parks a waiter record, not a closure, so
-# one pass (16 cores, ~31k misses, ~114k packets) stays under 125000
-# allocations (it was 168755 with a closure per miss); what is left is
-# the cache side's per-event closures.
+# cmp_sparse_traffic, corun_interference: every cache and DRAM event is a
+# typed call on a controller (an L1 miss parks a waiter record, a DRAM
+# read and a hit completion a slab record), so one sparse pass (16 cores,
+# ~31k misses, ~114k packets) stays under 25000 allocations (18.4k when
+# this was written; 105.7k with a closure per cache event, 168.8k with
+# one per miss as well) and one co-run pass under 10000 (6.8k; 52.9k).
+# The grep below keeps the closure forms from coming back.
 #
 # sim.evals_per_cycle on cmp_sparse_traffic (traced run): on the sparse
 # CMP workload an awake cycle costs the components that have work. The
@@ -189,10 +192,15 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 25000, cmp_sparse_traffic <= 125000; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 25000, cmp_sparse_traffic <= 25000, corun_interference <= 10000; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; no closure events in cache or mem) =="
+if grep -n '\.Schedule(\|\.ScheduleAfter(' $(ls internal/cache/*.go internal/mem/*.go | grep -v _test.go); then
+    echo "ERROR: internal/cache and internal/mem file typed events (ScheduleCall), not closures" >&2
+    exit 1
+fi
 bench_bound kernels_zero_load 0 allocs_per_pass 20000
 bench_bound dse_fork_sweep 0 allocs_per_pass 25000
-bench_bound cmp_sparse_traffic 0 allocs_per_pass 125000
+bench_bound cmp_sparse_traffic 0 allocs_per_pass 25000
+bench_bound corun_interference 0 allocs_per_pass 10000
 bench_bound cmp_sparse_traffic 1 sim.evals_per_cycle 8.5
 bench_bound kernels_zero_load 1 sim.evals_per_cycle 8
 bench_bound corun_interference 1 sim.evals_per_cycle 12
