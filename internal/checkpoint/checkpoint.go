@@ -15,11 +15,13 @@
 // sweep modes of the figure drivers build on. Forks of one snapshot
 // share a platform and therefore serialize.
 //
-// What is deliberately NOT captured: free pools (flit, packet, event
-// and transaction pools are unobservable — a pooled object is zeroed
-// before reuse), tracers and metrics registries (warm sweeps fall back
-// to cold runs when observability is on), and the immutable
-// configuration and wiring.
+// What is deliberately NOT captured: free pools (the mesh's flit and
+// packet-envelope pools, the engine's event pool and the cache-message
+// and token pools are unobservable — a pooled object is zeroed before
+// reuse; restoring the mesh returns what it overwrites to its pool and
+// draws what it restores from it), tracers and metrics registries (warm
+// sweeps fall back to cold runs when observability is on), and the
+// immutable configuration and wiring.
 package checkpoint
 
 import (

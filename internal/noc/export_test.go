@@ -1,0 +1,58 @@
+package noc
+
+import "fmt"
+
+// QueueLen returns the number of packets queued or mid-injection at the
+// NI for the given vnet; test injectors throttle themselves on it.
+func (ni *NI) QueueLen(vnet int) int {
+	n := ni.waiting[vnet].len()
+	for _, t := range ni.active {
+		if int(t.vnet) == vnet {
+			n++
+		}
+	}
+	for _, r := range ni.incoming {
+		if r.pkt.VNet == vnet {
+			n++
+		}
+	}
+	return n
+}
+
+// Outstanding sums gets minus puts over the network's pools: the flits
+// and the packet envelopes currently out of them.
+func (n *Network) Outstanding() (flits, envelopes int) {
+	for i := range n.pools {
+		flits += n.pools[i].flits.out
+		envelopes += n.pools[i].pkts.out
+	}
+	return flits, envelopes
+}
+
+// CheckDrained is the drain-conservation check (ROADMAP 6e, noc half): on
+// a network that has run to quiescence — whether or not it restored a
+// checkpoint on the way — every pooled flit and envelope is back in a
+// pool, no NI holds a packet and no reassembly slot a head flit. It
+// returns the first leak found.
+func (n *Network) CheckDrained() error {
+	if flits, envelopes := n.Outstanding(); flits != 0 || envelopes != 0 {
+		return fmt.Errorf("noc: %d pooled flits and %d packet envelopes outstanding at drain", flits, envelopes)
+	}
+	for i := range n.nis {
+		ni := &n.nis[i]
+		waiting := 0
+		for v := range ni.waiting {
+			waiting += ni.waiting[v].len()
+		}
+		if len(ni.incoming) != 0 || waiting != 0 || ni.waitingCount != 0 || len(ni.active) != 0 {
+			return fmt.Errorf("noc: %s holds %d incoming, %d waiting (count %d) and %d active packets at drain",
+				ni.Name(), len(ni.incoming), waiting, ni.waitingCount, len(ni.active))
+		}
+		for slot, f := range ni.reasm {
+			if f != nil {
+				return fmt.Errorf("noc: %s reassembly slot %d still holds %s at drain", ni.Name(), slot, f)
+			}
+		}
+	}
+	return nil
+}

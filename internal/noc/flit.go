@@ -45,9 +45,6 @@ type Packet struct {
 	Loop bool
 	// InjectCycle is stamped by the network interface at injection.
 	InjectCycle int64
-	// pooled marks a packet owned by its source NI's free list (created
-	// by Network.InjectMsg); the NI recycles it after flitization.
-	pooled bool
 }
 
 // Flit is the atomic transfer unit; one flit crosses one link per cycle.
@@ -83,112 +80,92 @@ func (f *Flit) String() string {
 		f.PacketID, f.Type, f.Src, f.Dst, f.VNet, f.VC, f.SeqInPkt+1, f.PktFlits)
 }
 
-// flitPool recycles Flit objects and flitization scratch slices within
-// one shard of a network (the whole network when unsharded). Each shard
-// runs on at most one goroutine at a time, so a plain free-list needs no
-// locking and — unlike sync.Pool — is fully deterministic. A flit that
-// crosses a shard boundary retires into the destination shard's pool;
-// put fully zeroes the flit, so the migration is unobservable. Flits are
+// flitPool recycles Flit objects and Packet envelopes within one shard
+// of a network (the whole network when unsharded). Each shard runs on at
+// most one goroutine at a time, so plain free-lists need no locking and
+// — unlike sync.Pool — are fully deterministic. A flit that crosses a
+// shard boundary retires into the destination shard's pool. Flits are
 // returned when they leave the network: consumed by a compute unit,
-// drained into the CPM overflow path, or reassembled at an ejection NI.
+// drained into the CPM overflow path, or reassembled at an ejection NI;
+// an envelope is returned by its source NI when the packet's tail flit
+// is minted.
 type flitPool struct {
-	flits  []*Flit
-	slices [][]*Flit
+	flits freeList[Flit]
+	pkts  freeList[Packet]
 }
 
-// get returns a zeroed flit. A nil pool degrades to plain allocation so
-// unit tests can flitize without a network.
-func (p *flitPool) get() *Flit {
-	if p == nil {
-		return &Flit{}
-	}
-	if len(p.flits) == 0 {
-		// Refill a chunk at a time: a network's first traffic then costs
-		// a few allocations, not one per flit in flight.
-		chunk := make([]Flit, flitChunk)
-		if cap(p.flits) < flitChunk {
-			p.flits = make([]*Flit, 0, 2*flitChunk)
+// freeList is a stack of zeroed objects. It refills a chunk at a time (a
+// network's first traffic costs a few allocations, not one per object in
+// flight) and put zeroes what it takes back, so which object a get hands
+// out is unobservable and nothing pooled retains a payload reference.
+type freeList[T any] struct {
+	free []*T
+	// out is gets minus puts. Summed over a network's pools it is 0 once
+	// the network has drained.
+	out int
+}
+
+// poolChunk is how many objects an empty free-list allocates at once.
+const poolChunk = 32
+
+func (l *freeList[T]) get() *T {
+	if len(l.free) == 0 {
+		chunk := make([]T, poolChunk)
+		if cap(l.free) < poolChunk {
+			l.free = make([]*T, 0, 2*poolChunk)
 		}
 		for i := range chunk {
-			p.flits = append(p.flits, &chunk[i])
+			l.free = append(l.free, &chunk[i])
 		}
 	}
-	n := len(p.flits)
-	f := p.flits[n-1]
-	p.flits = p.flits[:n-1]
+	n := len(l.free) - 1
+	x := l.free[n]
+	l.free = l.free[:n]
+	l.out++
+	return x
+}
+
+func (l *freeList[T]) put(x *T) {
+	var zero T
+	*x = zero
+	l.free = append(l.free, x)
+	l.out--
+}
+
+// envelope returns a pooled copy of p, its payload through clone (nil
+// shares it).
+func (p *flitPool) envelope(src *Packet, clone func(any) any) *Packet {
+	e := p.pkts.get()
+	*e = clonePacket(src, clone)
+	return e
+}
+
+// mintFlit builds flit i of the n that p serializes into, bound for the
+// router's local input VC vc. The head carries the payload, which leaves
+// the envelope with it: from then on the flit is its only holder.
+func mintFlit(p *Packet, i, n, vc int, pool *flitPool) *Flit {
+	f := pool.flits.get()
+	switch {
+	case n == 1:
+		f.Type = HeadTailFlit
+	case i == 0:
+		f.Type = HeadFlit
+	case i == n-1:
+		f.Type = TailFlit
+	default:
+		f.Type = BodyFlit
+	}
+	f.PacketID = p.ID
+	f.Src = p.Src
+	f.Dst = p.Dst
+	f.VNet = p.VNet
+	f.VC = vc
+	f.SeqInPkt = i
+	f.PktFlits = n
+	f.Loop = p.Loop
+	f.InjectCycle = p.InjectCycle
+	if i == 0 {
+		f.Payload, p.Payload = p.Payload, nil
+	}
 	return f
-}
-
-// flitChunk is how many flits an empty pool allocates at once.
-const flitChunk = 32
-
-// put recycles a flit that has left the network. All fields are cleared so
-// a pooled flit retains no payload reference.
-func (p *flitPool) put(f *Flit) {
-	if p == nil {
-		return
-	}
-	*f = Flit{}
-	p.flits = append(p.flits, f)
-}
-
-// getSlice returns a length-n flit slice, reusing a retired flitization
-// buffer when one is large enough.
-func (p *flitPool) getSlice(n int) []*Flit {
-	if p != nil {
-		if k := len(p.slices); k > 0 {
-			s := p.slices[k-1]
-			p.slices = p.slices[:k-1]
-			if cap(s) >= n {
-				return s[:n]
-			}
-		}
-	}
-	return make([]*Flit, n)
-}
-
-// putSlice retires a flitization buffer once its last flit has been
-// handed to the router.
-func (p *flitPool) putSlice(s []*Flit) {
-	if p == nil || cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = nil
-	}
-	p.slices = append(p.slices, s[:0])
-}
-
-// flitize serializes a packet into flits for the given channel width,
-// drawing storage from pool (which may be nil).
-func flitize(p *Packet, cfg *Config, pool *flitPool) []*Flit {
-	n := cfg.FlitsFor(p.SizeBytes)
-	flits := pool.getSlice(n)
-	for i := 0; i < n; i++ {
-		t := BodyFlit
-		switch {
-		case n == 1:
-			t = HeadTailFlit
-		case i == 0:
-			t = HeadFlit
-		case i == n-1:
-			t = TailFlit
-		}
-		f := pool.get()
-		f.PacketID = p.ID
-		f.Type = t
-		f.Src = p.Src
-		f.Dst = p.Dst
-		f.VNet = p.VNet
-		f.SeqInPkt = i
-		f.PktFlits = n
-		f.Loop = p.Loop
-		f.InjectCycle = p.InjectCycle
-		if f.IsHead() {
-			f.Payload = p.Payload
-		}
-		flits[i] = f
-	}
-	return flits
 }

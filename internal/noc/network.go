@@ -39,6 +39,12 @@ type Network struct {
 	reasm   []*Flit   // the NIs' reassembly slots
 	waiting []pktQueue
 	staged  []credit // routers' staged-credit lists at their bound, then the crossing links' stubs
+	// The NIs' injection queues start as windows of these (seedIncoming
+	// requests per NI, seedWaiting packets and one transmission per NI per
+	// vnet), so a lightly loaded NI never grows one.
+	reqSeed []injectReq
+	pktSeed []*Packet
+	txnSeed []txn
 
 	// tables is read-only after New: the per-vnet geometry every router
 	// and NI shares, one occupancy->bucket table per router port count,
@@ -53,11 +59,8 @@ type Network struct {
 
 	series []stats.TimeSeries // EnableSampling: one per router, then one per output port
 
-	// pools recycle flits per shard (one pool for the whole network when
-	// unsharded). Each shard lives on exactly one goroutine at a time, so
-	// the free-lists are lock-free; flits migrating between shards are
-	// fully zeroed on release, keeping recycling deterministic and
-	// unobservable.
+	// pools recycle flits and packet envelopes per shard (one pool for the
+	// whole network when unsharded); see flitPool.
 	pools []flitPool
 
 	// root is the engine handed to New; engs[s] is the engine driving
@@ -76,6 +79,10 @@ type Network struct {
 // stubCredits is the carved capacity of a crossing link's credit stub: a
 // port returns two slots a cycle at most, unless the CPM drains tokens.
 const stubCredits = 4
+
+// seedIncoming and seedWaiting are the carved capacities of an NI's
+// incoming list and of each of its per-vnet waiting queues.
+const seedIncoming, seedWaiting = 2, 4
 
 // bufHistBuckets is the resolution of the Fig 3 occupancy histogram.
 const bufHistBuckets = 20
@@ -189,6 +196,9 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	n.reasm = make([]*Flit, nodes*p.portVCs)
 	n.waiting = make([]pktQueue, nodes*p.nv)
 	n.staged = make([]credit, 2*p.nIn+stubCredits*p.crossing)
+	n.reqSeed = make([]injectReq, nodes*seedIncoming)
+	n.pktSeed = make([]*Packet, nodes*p.nv*seedWaiting)
+	n.txnSeed = make([]txn, nodes*p.nv)
 	n.tables = make([]int32, 3*p.nv+p.nBuckets+p.nIn*p.nv)
 	n.credits = make([]int32, (p.nOut+nodes)*(p.portVCs+p.nv)+2*nodes*p.snackVCs)
 	n.counts = make([]int64, nodes*(bufHistBuckets+2*p.nv))
@@ -224,6 +234,7 @@ func (n *Network) layOut(p *slabPlan) {
 	cfg := n.cfg
 	inPorts, outPorts, vcs, bufSlab := n.inPorts, n.outPorts, n.vcs, n.bufSlab
 	reasm, waiting, staged := n.reasm, n.waiting, n.staged
+	reqSeed, pktSeed, txnSeed := n.reqSeed, n.pktSeed, n.txnSeed
 	tables, credits, counts, work := n.tables, n.credits, n.counts, n.work
 
 	vnetOff, depthOf, nvcOf := carve(&tables, p.nv), carve(&tables, p.nv), carve(&tables, p.nv)
@@ -336,6 +347,10 @@ func (n *Network) layOut(p *slabPlan) {
 			credits: carve(&credits, p.portVCs), vcRR: carve(&credits, p.nv),
 			waiting: carve(&waiting, p.nv), reasm: carve(&reasm, p.portVCs),
 			latSum: carve(&counts, p.nv), latCount: carve(&counts, p.nv),
+			incoming: carve(&reqSeed, seedIncoming)[:0], active: carve(&txnSeed, p.nv)[:0],
+		}
+		for v := range ni.waiting {
+			ni.waiting[v].q = carve(&pktSeed, seedWaiting)[:0]
 		}
 		for j := range r.outList {
 			op := &r.outList[j]
@@ -385,6 +400,7 @@ func (n *Network) layOut(p *slabPlan) {
 		in.credit.base = -vnetOff[cfg.SnackVNet]
 	}
 	if len(inPorts)+len(outPorts)+len(vcs)+len(bufSlab)+len(reasm)+len(waiting)+len(staged)+
+		len(reqSeed)+len(pktSeed)+len(txnSeed)+
 		len(tables)+len(credits)+len(counts)+len(work) != 0 || stub != p.nWires {
 		panic("noc: slab layout does not match its carve")
 	}
@@ -451,8 +467,9 @@ func (n *Network) AttachCompute(id NodeID, cu ComputeUnit) *InjectPort {
 	return &n.ports[id]
 }
 
-// Inject stamps and queues a packet at its source NI. The caller must be
-// in its Evaluate phase; the packet enters the network on a later cycle.
+// Inject stamps p and queues a copy of it, in a pooled envelope, at its
+// source NI; p stays the caller's. The caller must be in its Evaluate
+// phase; the packet enters the network on a later cycle.
 //
 // Packet IDs are allocated per source node (node tag in the high half, a
 // local sequence number in the low), so the IDs a simulation assigns do not
@@ -465,27 +482,14 @@ func (n *Network) Inject(p *Packet, cycle int64) {
 	ni := &n.nis[p.Src]
 	p.ID = ni.nextPktID()
 	p.InjectCycle = cycle
-	ni.Inject(p, cycle)
+	ni.inject(ni.pool.envelope(p, nil), cycle)
 }
 
-// InjectMsg injects a protocol message without allocating: the Packet
-// envelope comes from the source NI's free list and is recycled once the
-// packet has been serialized into flits. Equivalent to Inject with a fresh
-// Packet, for callers that do not retain the envelope.
+// InjectMsg is Inject for callers that have no use for the stamped
+// packet: the message goes straight into a pooled envelope.
 func (n *Network) InjectMsg(src, dst NodeID, vnet, sizeBytes int, payload any, cycle int64) {
-	if src < 0 || int(src) >= len(n.nis) {
-		panic(fmt.Sprintf("noc: inject from invalid node %d", src))
-	}
-	ni := &n.nis[src]
-	p := ni.getPacket()
-	p.Src = src
-	p.Dst = dst
-	p.VNet = vnet
-	p.SizeBytes = sizeBytes
-	p.Payload = payload
-	p.ID = ni.nextPktID()
-	p.InjectCycle = cycle
-	ni.Inject(p, cycle)
+	p := Packet{Src: src, Dst: dst, VNet: vnet, SizeBytes: sizeBytes, Payload: payload}
+	n.Inject(&p, cycle)
 }
 
 // EnableSampling turns on time-series sampling (crossbar and links) on
@@ -666,7 +670,7 @@ func (p *InjectPort) Send(dst NodeID, payload any, loop bool, cycle int64) bool 
 		p.credits[c]--
 		p.rr = c + 1
 		p.seq++
-		f := p.pool.get()
+		f := p.pool.flits.get()
 		f.PacketID = injectPortTag | uint64(p.node+1)<<32 | p.seq
 		f.Type = HeadTailFlit
 		f.Src = p.node

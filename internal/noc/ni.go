@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/sim"
@@ -12,34 +13,36 @@ import (
 // Client receives packets ejected at a node: a cache controller, memory
 // controller, traffic sink, or the SnackNoC Central Packet Manager.
 //
-// The delivered Packet is borrowed: it is valid only for the duration of
-// the Deliver call, after which the NI recycles it. Clients that need any
-// field past that point must copy it out (every in-tree client consumes
-// the packet synchronously).
+// The delivered Packet is borrowed: it is the ejecting NI's own scratch
+// envelope, valid only for the duration of the Deliver call and cleared
+// after it. Clients that need any field past that point must copy it out
+// (every in-tree client consumes the packet synchronously).
 type Client interface {
 	Deliver(p *Packet, cycle int64)
 }
 
-// txn is one packet mid-injection: its flits (those at index >= next are
-// still to send) and the router input VC it holds.
+// txn is one packet mid-injection: its envelope, how many of its n flits
+// have been minted and sent (flit next is minted the cycle it leaves) and
+// the router input VC it holds.
 type txn struct {
-	flits []*Flit
-	next  int
-	vnet  int
-	vc    int
+	pkt      *Packet
+	next, n  int32
+	vnet, vc int32
 }
 
-// injectReq is a staged Inject call; it becomes visible to the NI on the
-// cycle after it was issued, keeping client/NI ordering deterministic.
+// injectReq is a staged Inject call (pkt is a pooled envelope); it becomes
+// visible to the NI on the cycle after it was issued, keeping client/NI
+// ordering deterministic.
 type injectReq struct {
 	pkt   *Packet
 	stamp int64
 }
 
-// NI is the network interface of one node: it serializes injected packets
-// into flits (performing VC allocation on the router's local input port),
-// respects credit-based flow control, and reassembles ejected flits back
-// into packets for delivery to the attached Client.
+// NI is the network interface of one node: it holds injected packets,
+// performs VC allocation on the router's local input port, serializes a
+// granted packet one flit per send under credit-based flow control, and
+// reassembles ejected flits back into packets for delivery to the
+// attached Client.
 type NI struct {
 	node NodeID
 	cfg  *Config
@@ -60,17 +63,13 @@ type NI struct {
 	credits []int32
 	vcRR    []int32
 
+	// incoming, each waiting queue and active start as windows of the
+	// Network's queue slabs and grow past them by plain append; every
+	// packet in them is an envelope from pool.
 	incoming []injectReq
 	waiting  []pktQueue // per-vnet FIFO of packets awaiting a VC
-	active   []*txn
+	active   []txn      // in VC-grant order
 	staged   *Flit
-
-	// free lists for per-packet bookkeeping records
-	txnFree []*txn
-	// pktFree recycles Packet envelopes for Network.InjectMsg; packets
-	// injected directly through Inject stay caller-owned and never enter
-	// this list.
-	pktFree []*Packet
 
 	client Client
 	// reasm[vnetOff[v]+c] holds the head flit of the multi-flit packet
@@ -154,16 +153,6 @@ func (ni *NI) nextPktID() uint64 {
 	return uint64(ni.node+1)<<32 | ni.pktSeq
 }
 
-// getPacket returns a zeroed pool-owned Packet envelope (see InjectMsg).
-func (ni *NI) getPacket() *Packet {
-	if n := len(ni.pktFree); n > 0 {
-		p := ni.pktFree[n-1]
-		ni.pktFree = ni.pktFree[:n-1]
-		return p
-	}
-	return &Packet{pooled: true}
-}
-
 // setHandle makes the NI the reader of its ejection wire and keeps its
 // engine wake handle for Inject-time wake-ups.
 func (ni *NI) setHandle(h *sim.Handle) {
@@ -174,34 +163,17 @@ func (ni *NI) setHandle(h *sim.Handle) {
 // AttachClient sets the packet receiver for this node.
 func (ni *NI) AttachClient(c Client) { ni.client = c }
 
-// Inject queues a packet for injection. The queue is unbounded (clients
-// model their own back-pressure); the packet enters NI processing on the
-// following cycle. The packet's ID and InjectCycle must already be set by
-// the Network.
-func (ni *NI) Inject(p *Packet, cycle int64) {
+// inject queues a pooled envelope, its ID and InjectCycle already stamped
+// by the Network, for injection. The queue is unbounded (clients model
+// their own back-pressure); the packet enters NI processing on the
+// following cycle.
+func (ni *NI) inject(p *Packet, cycle int64) {
 	ni.incoming = append(ni.incoming, injectReq{pkt: p, stamp: cycle})
 	if ni.tr != nil {
 		rec := ni.pktRecord(trace.KindInject, cycle, cycle, p.ID, p.VNet)
 		ni.tr.Emit(rec)
 	}
 	ni.rd.handle.WakeAt(cycle + 1)
-}
-
-// QueueLen returns the number of packets queued or mid-flight at the NI
-// for the given vnet, which the CPM uses for self-throttling.
-func (ni *NI) QueueLen(vnet int) int {
-	n := ni.waiting[vnet].len()
-	for _, t := range ni.active {
-		if t.vnet == vnet {
-			n++
-		}
-	}
-	for _, r := range ni.incoming {
-		if r.pkt.VNet == vnet {
-			n++
-		}
-	}
-	return n
 }
 
 // InjectedPackets returns the count of packets accepted for injection.
@@ -244,7 +216,7 @@ func (ni *NI) Evaluate(cycle int64) {
 	// Fast path: a fully idle NI (the common case on the paper's
 	// low-utilization NoCs) costs four checks per cycle. waitingCount is
 	// not one: a waiting packet gets a VC only on a cycle with an injection,
-	// a transmission, an ejected flit or a returned credit (ROADMAP item 4).
+	// a transmission, an ejected flit or a returned credit (ROADMAP item 3).
 	if len(ni.incoming) == 0 && len(ni.active) == 0 && ni.rd.pending == 0 && !credited {
 		if ni.at != nil {
 			if ni.waitingCount > 0 {
@@ -288,31 +260,26 @@ func (ni *NI) Evaluate(cycle int64) {
 			ni.waitingCount--
 			ni.vcBusy |= 1 << uint(off+c)
 			ni.vcRR[v] = c + 1
-			flits := flitize(p, ni.cfg, ni.pool)
-			for _, f := range flits {
-				f.VC = int(c)
-			}
-			if p.pooled {
-				// The envelope's contents now live in the flits; recycle it.
-				*p = Packet{pooled: true}
-				ni.pktFree = append(ni.pktFree, p)
-			}
-			ni.active = append(ni.active, ni.newTxn(flits, v, int(c)))
+			ni.active = append(ni.active, txn{
+				pkt: p, n: int32(ni.cfg.FlitsFor(p.SizeBytes)), vnet: int32(v), vc: c,
+			})
 			break
 		}
 	}
 
 	// Transmit: one flit per cycle across all vnets, round-robin over
-	// active transmissions with credit available.
+	// active transmissions with credit available. The flit is minted here,
+	// so only buffers and links ever hold flits.
 	if ni.staged == nil && len(ni.active) > 0 {
 		n := len(ni.active)
 		for i := 0; i < n; i++ {
-			t := ni.active[(ni.txRR+i)%n]
-			slot := ni.vnetOff[t.vnet] + int32(t.vc)
+			k := (ni.txRR + i) % n
+			t := &ni.active[k]
+			slot := ni.vnetOff[t.vnet] + t.vc
 			if ni.credits[slot] <= 0 {
 				continue
 			}
-			f := t.flits[t.next]
+			f := mintFlit(t.pkt, int(t.next), int(t.n), int(t.vc), ni.pool)
 			t.next++
 			ni.credits[slot]--
 			ni.staged = f
@@ -324,9 +291,12 @@ func (ni *NI) Evaluate(cycle int64) {
 				ni.tr.Emit(rec)
 			}
 			ni.txRR = (ni.txRR + i + 1) % n
-			if t.next == len(t.flits) {
+			if t.next == t.n {
+				// Tail sent: free the VC and the envelope; the removal keeps
+				// list order, which txRR's positions count on.
 				ni.vcBusy &^= 1 << uint(slot)
-				ni.removeTxn(t)
+				ni.pool.pkts.put(t.pkt)
+				ni.active = slices.Delete(ni.active, k, k+1)
 			}
 			break
 		}
@@ -373,7 +343,7 @@ func (ni *NI) Evaluate(cycle int64) {
 			if head == nil {
 				*st = f
 			} else {
-				ni.pool.put(f)
+				ni.pool.flits.put(f)
 			}
 			continue
 		}
@@ -381,13 +351,13 @@ func (ni *NI) Evaluate(cycle int64) {
 			head = f
 		} else {
 			*st = nil
-			ni.pool.put(f)
+			ni.pool.flits.put(f)
 		}
 		ni.pkt = Packet{
 			ID: head.PacketID, Src: head.Src, Dst: head.Dst, VNet: head.VNet,
 			Payload: head.Payload, Loop: head.Loop, InjectCycle: head.InjectCycle,
 		}
-		ni.pool.put(head)
+		ni.pool.flits.put(head)
 		p := &ni.pkt
 		ni.ejected.Inc()
 		ni.latSum[p.VNet] += cycle - p.InjectCycle
@@ -409,30 +379,6 @@ func (ni *NI) Advance(cycle int64) {
 	if ni.staged != nil {
 		ni.toRouter.push(ni.staged, cycle+1)
 		ni.staged = nil
-	}
-}
-
-// newTxn builds a transmission record, reusing a retired one when
-// available.
-func (ni *NI) newTxn(flits []*Flit, vnet, vc int) *txn {
-	if n := len(ni.txnFree); n > 0 {
-		t := ni.txnFree[n-1]
-		ni.txnFree = ni.txnFree[:n-1]
-		t.flits, t.next, t.vnet, t.vc = flits, 0, vnet, vc
-		return t
-	}
-	return &txn{flits: flits, vnet: vnet, vc: vc}
-}
-
-func (ni *NI) removeTxn(t *txn) {
-	for i, a := range ni.active {
-		if a == t {
-			ni.active = append(ni.active[:i], ni.active[i+1:]...)
-			ni.pool.putSlice(t.flits)
-			t.flits = nil
-			ni.txnFree = append(ni.txnFree, t)
-			return
-		}
 	}
 }
 

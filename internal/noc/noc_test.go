@@ -365,27 +365,52 @@ func TestFlitsFor(t *testing.T) {
 	}
 }
 
+// TestFlitize: minting a packet's flits one by one yields the head / body
+// / tail sequence, payload on the head only.
 func TestFlitize(t *testing.T) {
 	cfg := DAPPER(4, 4)
-	p := &Packet{ID: 7, Src: 1, Dst: 2, VNet: VNetResp, SizeBytes: 72, Payload: "data"}
-	fl := flitize(p, cfg, nil)
-	if len(fl) != 5 {
-		t.Fatalf("got %d flits, want 5", len(fl))
+	pool := &flitPool{}
+	p := &Packet{ID: 7, Src: 1, Dst: 2, VNet: VNetResp, SizeBytes: 72, Payload: "data", Loop: true, InjectCycle: 11}
+	n := cfg.FlitsFor(p.SizeBytes)
+	if n != 5 {
+		t.Fatalf("got %d flits, want 5", n)
 	}
-	if fl[0].Type != HeadFlit || fl[4].Type != TailFlit {
-		t.Fatalf("flit types: %v ... %v", fl[0].Type, fl[4].Type)
-	}
-	for _, f := range fl[1:4] {
-		if f.Type != BodyFlit {
-			t.Fatalf("middle flit type %v", f.Type)
+	for i := 0; i < n; i++ {
+		f := mintFlit(p, i, n, 3, pool)
+		want := BodyFlit
+		switch i {
+		case 0:
+			want = HeadFlit
+		case n - 1:
+			want = TailFlit
+		}
+		if f.Type != want {
+			t.Fatalf("flit %d has type %v, want %v", i, f.Type, want)
+		}
+		if f.SeqInPkt != i || f.PktFlits != n || f.VC != 3 {
+			t.Fatalf("flit %d: seq %d of %d on VC %d", i, f.SeqInPkt, f.PktFlits, f.VC)
+		}
+		if f.PacketID != 7 || f.Src != 1 || f.Dst != 2 || f.VNet != VNetResp || !f.Loop || f.InjectCycle != 11 {
+			t.Fatalf("flit %d does not carry the packet's header: %+v", i, *f)
+		}
+		if (f.Payload != nil) != (i == 0) {
+			t.Fatalf("flit %d payload %v: the payload rides the head flit only", i, f.Payload)
 		}
 	}
-	if fl[0].Payload != "data" || fl[1].Payload != nil {
-		t.Fatal("payload should only ride the head flit")
+	if p.Payload != nil {
+		t.Fatal("the head flit takes the payload out of the envelope")
 	}
-	single := flitize(&Packet{SizeBytes: 8}, cfg, nil)
-	if len(single) != 1 || single[0].Type != HeadTailFlit {
-		t.Fatalf("single-flit packet wrong: %v", single[0].Type)
+	if pool.flits.out != n {
+		t.Fatalf("pool counts %d flits out, want %d", pool.flits.out, n)
+	}
+}
+
+// TestFlitizeSingle: a packet that fits one flit is a head-tail flit.
+func TestFlitizeSingle(t *testing.T) {
+	p := &Packet{SizeBytes: 8, Payload: 1}
+	f := mintFlit(p, 0, DAPPER(4, 4).FlitsFor(p.SizeBytes), 0, &flitPool{})
+	if f.Type != HeadTailFlit || !f.IsHead() || !f.IsTail() || f.PktFlits != 1 || f.Payload != 1 {
+		t.Fatalf("single-flit packet wrong: %+v", *f)
 	}
 }
 

@@ -139,7 +139,7 @@ type Router struct {
 	compute ComputeUnit
 	drainer LoopDrainer // compute's drain hook, cached off the hot path
 	loop    *LoopRoute
-	pool    *flitPool // shard-local flit free-list (nil in bare unit tests)
+	pool    *flitPool // shard-local flit free-list
 
 	// vcs is the flat input-VC table (see inputVC); bufSlab backs every
 	// VC's ring queue. Both are windows of the Network's slabs.
@@ -459,7 +459,7 @@ func (r *Router) ingestArrivals(cycle int64) {
 						r.tr.Emit(r.flitRecord(trace.KindConsume, cycle, cycle, f, in.dir))
 					}
 					r.stagedCredits = append(r.stagedCredits, credit{port: in.dir, vnet: int16(f.VNet), vc: int16(f.VC)})
-					r.pool.put(f)
+					r.pool.flits.put(f)
 					continue
 				}
 				if f.Loop {
@@ -553,7 +553,7 @@ func (r *Router) tryAllocVC(idx int32, cycle int64) bool {
 		if !f.IsTail() {
 			panic(fmt.Sprintf("%s: drained a multi-flit loop packet", r.Name()))
 		}
-		r.pool.put(f)
+		r.pool.flits.put(f)
 		if ivc.count > 0 {
 			ivc.state = vcRoute
 			r.needRoute = append(r.needRoute, idx)

@@ -73,52 +73,49 @@ func loaded(t *testing.T, cfg *Config) *Network {
 	return net
 }
 
-// held counts the flits and packets a snapshot of n must clone.
-func held(n *Network) int {
-	c := 0
+// held counts the flits a snapshot of n must clone, and the packets
+// queued or mid-injection at the NIs, which ride the state by value.
+func held(n *Network) (flits, packets int) {
 	for _, slab := range [][]*Flit{n.bufSlab, n.reasm} {
 		for _, f := range slab {
 			if f != nil {
-				c++
+				flits++
 			}
 		}
 	}
 	for k := range n.flitWires {
-		c += len(n.flitWires[k].q)
+		flits += len(n.flitWires[k].q)
 	}
 	for i := range n.nis {
-		ni := &n.nis[i]
-		c += len(ni.incoming) + ni.waitingCount
-		for _, tx := range ni.active {
-			c += len(tx.flits) - tx.next
-		}
+		packets += n.nis[i].totalQueued()
 	}
-	return c
+	return flits, packets
 }
 
 // TestSnapshotAllocations: a checkpoint is a fixed number of slab copies
-// plus one clone per flit or packet in flight, on any mesh size, and a
-// restore allocates the clones only.
+// plus one clone per flit in flight — none per queued packet or unsent
+// flit — on any mesh size, and a repeat restore allocates nothing: what
+// it overwrites goes back to the pool it draws from.
 func TestSnapshotAllocations(t *testing.T) {
-	const slabCopies = 24
+	const slabCopies = 16
 	for _, cfg := range slabConfigs() {
 		net := loaded(t, cfg)
-		inFlight := held(net)
-		if inFlight == 0 {
-			t.Fatalf("%s: nothing in flight at the snapshot point", cfgLabel(cfg))
+		inFlight, queued := held(net)
+		if inFlight == 0 || queued == 0 {
+			t.Fatalf("%s: %d flits in flight and %d packets queued at the snapshot point", cfgLabel(cfg), inFlight, queued)
 		}
 		var st *NetworkState
 		take := testing.AllocsPerRun(10, func() { st = net.SnapshotState(nil) })
-		net.RestoreState(st, nil) // warms the pooled transaction buffers
+		net.RestoreState(st, nil) // the first restore may refill the pool
 		restore := testing.AllocsPerRun(10, func() { net.RestoreState(st, nil) })
-		t.Logf("%s: %d in flight, take %.0f objects, restore %.0f", cfgLabel(cfg), inFlight, take, restore)
+		t.Logf("%s: %d flits in flight, %d packets queued, take %.0f objects, restore %.0f",
+			cfgLabel(cfg), inFlight, queued, take, restore)
 		if take > float64(inFlight+slabCopies) {
 			t.Errorf("%s: SnapshotState allocated %.0f objects, want <= %d clones + %d slabs",
 				cfgLabel(cfg), take, inFlight, slabCopies)
 		}
-		if restore > float64(inFlight) {
-			t.Errorf("%s: a repeat RestoreState allocated %.0f objects, want only the %d clones",
-				cfgLabel(cfg), restore, inFlight)
+		if restore != 0 {
+			t.Errorf("%s: a repeat RestoreState allocated %.0f objects, want 0", cfgLabel(cfg), restore)
 		}
 	}
 }
@@ -169,6 +166,15 @@ func TestSlabWindowsAreExact(t *testing.T) {
 			exact("ni reasm", i, len(ni.reasm), cap(ni.reasm))
 			exact("ni waiting", i, len(ni.waiting), cap(ni.waiting))
 			exact("ni latSum", i, len(ni.latSum), cap(ni.latSum))
+			// The queue seeds are empty windows of exactly their carve.
+			exact("ni incoming seed", i, len(ni.incoming), 0)
+			exact("ni incoming seed", i, cap(ni.incoming), seedIncoming)
+			exact("ni active seed", i, len(ni.active), 0)
+			exact("ni active seed", i, cap(ni.active), len(cfg.VNets))
+			for v := range ni.waiting {
+				exact("ni waiting seed", i, len(ni.waiting[v].q), 0)
+				exact("ni waiting seed", i, cap(ni.waiting[v].q), seedWaiting)
+			}
 		}
 		for i := range net.ports {
 			exact("port credits", i, len(net.ports[i].credits), cap(net.ports[i].credits))
@@ -177,9 +183,10 @@ func TestSlabWindowsAreExact(t *testing.T) {
 	}
 }
 
-// TestSlabWindowsDoNotAlias fuzzes router i — ring pushes and pops on
-// every VC, and work lists appended far past their carved capacity — and
-// checks router i+1's windows of the same slabs never change.
+// TestSlabWindowsDoNotAlias fuzzes router and NI i — ring pushes and pops
+// on every VC, and work lists and injection queues appended far past
+// their carved capacity — and checks router and NI i+1's windows of the
+// same slabs never change.
 func TestSlabWindowsDoNotAlias(t *testing.T) {
 	net, err := New(sim.NewEngine(), SnackPlatform(4, 4, true))
 	if err != nil {
@@ -188,6 +195,7 @@ func TestSlabWindowsDoNotAlias(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i+1 < len(net.routers); i++ {
 		r, next := &net.routers[i], &net.routers[i+1]
+		ni, nextNI := &net.nis[i], &net.nis[i+1]
 		// Everything of next's that shares a slab with r, viewed at full
 		// capacity so writes past a length would show too.
 		view := func() []any {
@@ -198,6 +206,11 @@ func TestSlabWindowsDoNotAlias(t *testing.T) {
 			}
 			for _, l := range next.workLists() {
 				v = append(v, append([]int32(nil), (*l)[:cap(*l)]...))
+			}
+			v = append(v, append([]injectReq(nil), nextNI.incoming[:cap(nextNI.incoming)]...),
+				append([]txn(nil), nextNI.active[:cap(nextNI.active)]...))
+			for _, w := range nextNI.waiting {
+				v = append(v, append([]*Packet(nil), w.q[:cap(w.q)]...))
 			}
 			return v
 		}
@@ -218,8 +231,19 @@ func TestSlabWindowsDoNotAlias(t *testing.T) {
 		for k, past := 0, cap(r.stagedCredits)+8; k < past; k++ {
 			r.stagedCredits = append(r.stagedCredits, credit{port: Local})
 		}
+		for k, past := 0, cap(ni.incoming)+8; k < past; k++ {
+			ni.incoming = append(ni.incoming, injectReq{pkt: &Packet{}, stamp: 1})
+		}
+		for k, past := 0, cap(ni.active)+8; k < past; k++ {
+			ni.active = append(ni.active, txn{pkt: &Packet{}, n: 1})
+		}
+		for v := range ni.waiting {
+			for k, past := 0, cap(ni.waiting[v].q)+8; k < past; k++ {
+				ni.waiting[v].push(&Packet{})
+			}
+		}
 		if !reflect.DeepEqual(before, view()) {
-			t.Fatalf("pushes on router %d changed router %d's slab windows", i, i+1)
+			t.Fatalf("pushes on router and NI %d changed router or NI %d's slab windows", i, i+1)
 		}
 	}
 }

@@ -14,9 +14,11 @@ import (
 // onto the same network. What is not a flat array is flattened on the
 // way: buffered flits are saved sparsely (slab index + clone), wire
 // queues and the allocator work lists are packed end to end behind their
-// lengths, and the NIs' injection queues are concatenated. Snapshot owns
-// its clones and restore clones them again into the live structures, so
-// one snapshot restores (forks) any number of times.
+// lengths, and the NIs' injection queues are concatenated with their
+// packets held by value. Snapshot owns its copies; restore returns every
+// flit and envelope it overwrites to the pool and draws the restored ones
+// from it, so one snapshot restores (forks) any number of times and a
+// restored network still drains to empty pools.
 //
 // Flit and packet payloads are opaque to this package: the caller passes
 // a clone function (nil shares pointers, correct for immutable payloads
@@ -47,9 +49,8 @@ type NetworkState struct {
 	// entries; per NI its incoming, waiting (per vnet) and active counts.
 	lens  []int32
 	flitQ []wireEntry
-	reqs  []injectReq // incoming, then waiting (stamp unused), per NI
+	reqs  []reqState // incoming, then waiting (stamp unused), per NI
 	txns  []txnState
-	tx    []*Flit // the transactions' unsent flits, concatenated
 
 	histTotals []int64
 	series     []stats.TimeSeriesState // when sampling is on
@@ -62,24 +63,31 @@ type flitAt struct {
 	f  *Flit
 }
 
-// txnState is one packet mid-injection: its VC and how many flits (the
-// unsent suffix) it contributes to NetworkState.tx.
+// reqState is one queued packet, by value (see injectReq).
+type reqState struct {
+	pkt   Packet
+	stamp int64
+}
+
+// txnState is one packet mid-injection, by value (see txn). Flits before
+// next were already handed to the router and live on in wires or buffers.
 type txnState struct {
-	vnet, vc, n int32
+	pkt               Packet
+	next, n, vnet, vc int32
 }
 
-func cloneFlit(f *Flit, clone func(any) any) *Flit {
-	nf := &Flit{}
-	*nf = *f
-	if clone != nil && nf.Payload != nil {
-		nf.Payload = clone(nf.Payload)
+// cloneFlit copies f, payload through clone, into dst and returns dst.
+func cloneFlit(dst, f *Flit, clone func(any) any) *Flit {
+	*dst = *f
+	if clone != nil && dst.Payload != nil {
+		dst.Payload = clone(dst.Payload)
 	}
-	return nf
+	return dst
 }
 
-func clonePacket(p *Packet, clone func(any) any) *Packet {
-	np := &Packet{}
-	*np = *p
+// clonePacket returns a copy of p, payload through clone.
+func clonePacket(p *Packet, clone func(any) any) Packet {
+	np := *p
 	if clone != nil && np.Payload != nil {
 		np.Payload = clone(np.Payload)
 	}
@@ -104,7 +112,7 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 		}
 	}
 	// Size the packed arrays first so each is allocated once.
-	nLens, nFlitQ, nFlits, nReasm, nReqs, nTxns, nTx := len(n.flitWires), 0, 0, 0, 0, 0, 0
+	nLens, nFlitQ, nFlits, nReasm, nReqs, nTxns := len(n.flitWires), 0, 0, 0, 0, 0
 	for _, f := range n.reasm {
 		if f != nil {
 			nReasm++
@@ -129,9 +137,6 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 		nLens += 2 + len(ni.waiting)
 		nReqs += len(ni.incoming) + ni.waitingCount
 		nTxns += len(ni.active)
-		for _, t := range ni.active {
-			nTx += len(t.flits) - t.next
-		}
 	}
 
 	s := &NetworkState{
@@ -146,25 +151,24 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 		ports:      make([]injScalars, len(n.ports)),
 		lens:       make([]int32, 0, nLens),
 		flitQ:      make([]wireEntry, 0, nFlitQ),
-		reqs:       make([]injectReq, 0, nReqs),
+		reqs:       make([]reqState, 0, nReqs),
 		txns:       make([]txnState, 0, nTxns),
-		tx:         make([]*Flit, 0, nTx),
 		histTotals: make([]int64, len(n.routers)),
 	}
 	for at, f := range n.bufSlab {
 		if f != nil {
-			s.flits = append(s.flits, flitAt{at: int32(at), f: cloneFlit(f, clone)})
+			s.flits = append(s.flits, flitAt{at: int32(at), f: cloneFlit(new(Flit), f, clone)})
 		}
 	}
 	for at, f := range n.reasm {
 		if f != nil {
-			s.reasm = append(s.reasm, flitAt{at: int32(at), f: cloneFlit(f, clone)})
+			s.reasm = append(s.reasm, flitAt{at: int32(at), f: cloneFlit(new(Flit), f, clone)})
 		}
 	}
 	for k := range n.flitWires {
 		s.lens = append(s.lens, int32(len(n.flitWires[k].q)))
 		for _, e := range n.flitWires[k].q {
-			s.flitQ = append(s.flitQ, wireEntry{f: cloneFlit(e.f, clone), arrive: e.arrive})
+			s.flitQ = append(s.flitQ, wireEntry{f: cloneFlit(new(Flit), e.f, clone), arrive: e.arrive})
 		}
 	}
 	for i := range n.outPorts {
@@ -190,22 +194,18 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 		s.nis[i] = ni.niScalars
 		s.lens = append(s.lens, int32(len(ni.incoming)), int32(len(ni.active)))
 		for _, req := range ni.incoming {
-			s.reqs = append(s.reqs, injectReq{pkt: clonePacket(req.pkt, clone), stamp: req.stamp})
+			s.reqs = append(s.reqs, reqState{pkt: clonePacket(req.pkt, clone), stamp: req.stamp})
 		}
 		for _, w := range ni.waiting {
 			s.lens = append(s.lens, int32(w.len()))
 			for _, p := range w.q[w.head:] {
-				s.reqs = append(s.reqs, injectReq{pkt: clonePacket(p, clone)})
+				s.reqs = append(s.reqs, reqState{pkt: clonePacket(p, clone)})
 			}
 		}
 		for _, t := range ni.active {
-			// Flits before t.next were already handed to the router (they
-			// live on in wires or buffers); only the unsent suffix belongs
-			// to the transaction.
-			s.txns = append(s.txns, txnState{vnet: int32(t.vnet), vc: int32(t.vc), n: int32(len(t.flits) - t.next)})
-			for _, f := range t.flits[t.next:] {
-				s.tx = append(s.tx, cloneFlit(f, clone))
-			}
+			s.txns = append(s.txns, txnState{
+				pkt: clonePacket(t.pkt, clone), next: t.next, n: t.n, vnet: t.vnet, vc: t.vc,
+			})
 		}
 	}
 	if n.series != nil {
@@ -229,17 +229,14 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 // RestoreState writes a saved network state back. clone must mirror the
 // snapshot-side cloner (same payload semantics, fresh identity map).
 func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
+	// Flits go back to and come from one pool: restore is serial, and flits
+	// migrate between the shards' pools anyway. Envelopes stay with their NI's.
+	pool := &n.pools[0]
 	copy(n.vcs, s.vcs)
 	copy(n.credits, s.credits)
 	copy(n.counts, s.counts)
-	clear(n.bufSlab)
-	for _, e := range s.flits {
-		n.bufSlab[e.at] = cloneFlit(e.f, clone)
-	}
-	clear(n.reasm)
-	for _, e := range s.reasm {
-		n.reasm[e.at] = cloneFlit(e.f, clone)
-	}
+	restoreFlits(n.bufSlab, s.flits, clone, pool)
+	restoreFlits(n.reasm, s.reasm, clone, pool)
 	lens, flitQ := s.lens, s.flitQ
 	next := func() int {
 		l := int(lens[0])
@@ -248,9 +245,12 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 	}
 	for k := range n.flitWires {
 		fw := &n.flitWires[k]
+		for _, e := range fw.q {
+			pool.flits.put(e.f)
+		}
 		fw.q = fw.q[:0]
 		for _, e := range flitQ[:next()] {
-			fw.q = append(fw.q, wireEntry{f: cloneFlit(e.f, clone), arrive: e.arrive})
+			fw.q = append(fw.q, wireEntry{f: cloneFlit(pool.flits.get(), e.f, clone), arrive: e.arrive})
 		}
 		flitQ = flitQ[len(fw.q):]
 		fw.sync()
@@ -274,39 +274,41 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 			lens = lens[k:]
 		}
 	}
-	reqs, txns, tx := s.reqs, s.txns, s.tx
+	reqs, txns := s.reqs, s.txns
 	for i := range n.nis {
 		ni := &n.nis[i]
 		ni.niScalars = s.nis[i]
 		ni.staged = nil
 		nIncoming, nActive := next(), next()
+		for _, req := range ni.incoming {
+			ni.pool.pkts.put(req.pkt)
+		}
 		ni.incoming = ni.incoming[:0]
-		for _, req := range reqs[:nIncoming] {
-			ni.incoming = append(ni.incoming, injectReq{pkt: clonePacket(req.pkt, clone), stamp: req.stamp})
+		for j := range reqs[:nIncoming] {
+			ni.incoming = append(ni.incoming, injectReq{pkt: ni.pool.envelope(&reqs[j].pkt, clone), stamp: reqs[j].stamp})
 		}
 		reqs = reqs[nIncoming:]
 		for v := range ni.waiting {
 			w := &ni.waiting[v]
+			for _, p := range w.q[w.head:] {
+				ni.pool.pkts.put(p)
+			}
 			w.q, w.head = w.q[:0], 0
 			k := next()
-			for _, req := range reqs[:k] {
-				w.q = append(w.q, clonePacket(req.pkt, clone))
+			for j := range reqs[:k] {
+				w.q = append(w.q, ni.pool.envelope(&reqs[j].pkt, clone))
 			}
 			reqs = reqs[k:]
 		}
 		for _, t := range ni.active {
-			ni.pool.putSlice(t.flits)
-			t.flits = nil
-			ni.txnFree = append(ni.txnFree, t)
+			ni.pool.pkts.put(t.pkt)
 		}
 		ni.active = ni.active[:0]
-		for _, ts := range txns[:nActive] {
-			flits := ni.pool.getSlice(int(ts.n))
-			for j, f := range tx[:ts.n] {
-				flits[j] = cloneFlit(f, clone)
-			}
-			tx = tx[ts.n:]
-			ni.active = append(ni.active, ni.newTxn(flits, int(ts.vnet), int(ts.vc)))
+		for j := range txns[:nActive] {
+			ts := &txns[j]
+			ni.active = append(ni.active, txn{
+				pkt: ni.pool.envelope(&ts.pkt, clone), next: ts.next, n: ts.n, vnet: ts.vnet, vc: ts.vc,
+			})
 		}
 		txns = txns[nActive:]
 	}
@@ -318,6 +320,20 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 			n.routers[i].at.Restore(s.attrib[i])
 			n.nis[i].at.Restore(s.attrib[len(n.routers)+i])
 		}
+	}
+}
+
+// restoreFlits makes slab hold clones of exactly the saved flits, through
+// pool both ways.
+func restoreFlits(slab []*Flit, saved []flitAt, clone func(any) any, pool *flitPool) {
+	for _, f := range slab {
+		if f != nil {
+			pool.flits.put(f)
+		}
+	}
+	clear(slab)
+	for _, e := range saved {
+		slab[e.at] = cloneFlit(pool.flits.get(), e.f, clone)
 	}
 }
 

@@ -147,10 +147,19 @@ echo "attribution smoke: byte-identical"
 #
 # dse_fork_sweep: a DSE cell is mostly set-up — a platform build, its
 # pristine snapshot, a probe-mesh build — and the network, the RCUs and
-# the engine's handles are slabs, so one 64-cell pass stays under 25000
-# allocations (23.4k when this was written, 24.7k with credit wires; it
-# was 441912 with per-router construction, and a mesh built router by
-# router again costs ~1200 objects per build, 150k per pass).
+# the engine's handles are slabs and the NIs' queues start as windows of
+# them, so one 64-cell pass stays under 17000 allocations (12.5k when
+# this was written; 23.4k with NI queues grown on first use, 24.7k with
+# credit wires; it was 441912 with per-router construction, and a mesh
+# built router by router again costs ~1200 objects per build, 150k per
+# pass).
+#
+# mesh_saturation: the NI holds packets in pooled envelopes refilled a
+# chunk at a time and mints a flit the cycle it leaves, so one pass of
+# the load-latency curve — ~23k packets backed up in the source queues at
+# the saturated point — stays under 3000 allocations (1.7k when this was
+# written; 26.7k with one heap object per queued packet). The grep below
+# keeps the per-packet forms from coming back.
 #
 # cmp_sparse_traffic, corun_interference: every cache and DRAM event is a
 # typed call on a controller (an L1 miss parks a waiter record, a DRAM
@@ -192,13 +201,18 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 25000, cmp_sparse_traffic <= 25000, corun_interference <= 10000; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; no closure events in cache or mem) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 17000, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; no closure events in cache or mem; no per-packet objects in noc) =="
 if grep -n '\.Schedule(\|\.ScheduleAfter(' $(ls internal/cache/*.go internal/mem/*.go | grep -v _test.go); then
     echo "ERROR: internal/cache and internal/mem file typed events (ScheduleCall), not closures" >&2
     exit 1
 fi
+if grep -n '&Packet{\|&txn{\|flitize(' $(ls internal/noc/*.go | grep -v _test.go); then
+    echo "ERROR: internal/noc holds packets in pooled envelopes and value txns and mints flits at send" >&2
+    exit 1
+fi
 bench_bound kernels_zero_load 0 allocs_per_pass 20000
-bench_bound dse_fork_sweep 0 allocs_per_pass 25000
+bench_bound dse_fork_sweep 0 allocs_per_pass 17000
+bench_bound mesh_saturation 0 allocs_per_pass 3000
 bench_bound cmp_sparse_traffic 0 allocs_per_pass 25000
 bench_bound corun_interference 0 allocs_per_pass 10000
 bench_bound cmp_sparse_traffic 1 sim.evals_per_cycle 8.5
