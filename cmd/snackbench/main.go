@@ -33,7 +33,6 @@ func main() {
 	jobs := flag.Int("j", 0, "parallel sweep workers (0 = all CPUs, 1 = serial)")
 	shards := flag.Int("shards", 0, "simulation-kernel shards per mesh (<=1 = serial; results are identical for any value)")
 	warm := flag.Bool("warm-sweeps", false, "fork checkpointed baseline platforms and memoize zero-load legs across sweep cells (byte-identical output, faster fig12/fig13; ignored while -trace/-metrics are active)")
-	printWorkers := flag.Bool("print-workers", false, "print the resolved sweep worker count and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	blockprofile := flag.String("blockprofile", "", "write a pprof goroutine-blocking profile to this file on exit (shard-barrier waits)")
@@ -47,14 +46,13 @@ func main() {
 	experiments.SetWorkers(*jobs)
 	experiments.SetShards(*shards)
 	experiments.SetWarmSweeps(*warm)
-	if *printWorkers {
-		fmt.Println(experiments.Workers())
-		return
-	}
 
 	if *exp == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *traceLast < 0 {
+		fatalf("-trace-last requires a non-negative count")
 	}
 	if *traceLast > 0 && *tracePath == "" {
 		fatalf("-trace-last requires -trace")
@@ -65,18 +63,22 @@ func main() {
 	if *metricsPath != "" {
 		experiments.EnableMetrics()
 	}
+	if *attribInterval < 0 {
+		fatalf("-attrib-interval requires a non-negative cycle count")
+	}
 	if *attribInterval != 0 && !*attribOn {
 		fatalf("-attrib-interval requires -attrib")
 	}
 	if *attribOn {
 		experiments.EnableAttribution(*attribInterval)
 	}
-	stopProf, err := experiments.StartProfiling(experiments.ProfileSpec{
+	stop, err := experiments.StartProfiling(experiments.ProfileSpec{
 		CPU: *cpuprofile, Mem: *memprofile, Block: *blockprofile, Mutex: *mutexprofile,
 	})
 	if err != nil {
 		fatalf("%v", err)
 	}
+	stopProf = stop
 	defer stopProf()
 	benches := traffic.All()
 	if *benchList != "" {
@@ -144,8 +146,14 @@ func main() {
 	}
 }
 
+// stopProf writes out the profiles StartProfiling began. fatalf runs it
+// because os.Exit skips main's deferred call, and a run that fails is
+// the one whose profile is wanted.
+var stopProf = func() {}
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "snackbench: "+format+"\n", args...)
+	stopProf()
 	os.Exit(1)
 }
 

@@ -51,6 +51,9 @@ func main() {
 	experiments.SetWorkers(*jobs)
 	experiments.SetShards(*shards)
 	experiments.SetWarmSweeps(*warm)
+	if *traceLast < 0 {
+		fatalf("-trace-last requires a non-negative count")
+	}
 	if *traceLast > 0 && *tracePath == "" {
 		fatalf("-trace-last requires -trace")
 	}
@@ -60,18 +63,22 @@ func main() {
 	if *metricsPath != "" {
 		experiments.EnableMetrics()
 	}
+	if *attribInterval < 0 {
+		fatalf("-attrib-interval requires a non-negative cycle count")
+	}
 	if *attribInterval != 0 && !*attribOn {
 		fatalf("-attrib-interval requires -attrib")
 	}
 	if *attribOn {
 		experiments.EnableAttribution(*attribInterval)
 	}
-	stopProf, err := experiments.StartProfiling(experiments.ProfileSpec{
+	stop, err := experiments.StartProfiling(experiments.ProfileSpec{
 		CPU: *cpuprofile, Mem: *memprofile, Block: *blockprofile, Mutex: *mutexprofile,
 	})
 	if err != nil {
 		fatalf("%v", err)
 	}
+	stopProf = stop
 	defer stopProf()
 
 	w, h := parseMesh(*mesh)
@@ -86,6 +93,7 @@ func main() {
 		runKernel(*kernel, w, h, *priority)
 	default:
 		flag.Usage()
+		stopProf()
 		os.Exit(2)
 	}
 	if *tracePath != "" {
@@ -106,8 +114,14 @@ func main() {
 	}
 }
 
+// stopProf writes out the profiles StartProfiling began. fatalf runs it
+// because os.Exit skips main's deferred call, and a run that fails is
+// the one whose profile is wanted.
+var stopProf = func() {}
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "snacksim: "+format+"\n", args...)
+	stopProf()
 	os.Exit(1)
 }
 

@@ -120,3 +120,31 @@ func TestPoolBoundsAndShapes(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want 2/1", h, m)
 	}
 }
+
+// TestPooledForkAllocations pins the steady-state cost of one pooled
+// fork of a warmed co-run platform (every layer live, a kernel in
+// flight): Get, one arena-backed Restore walk, Release. What remains
+// are the walk's per-record clones in core, cache, cpu and sim; a count
+// that creeps means the arena stopped being reused or a restore path
+// grew an allocation.
+func TestPooledForkAllocations(t *testing.T) {
+	s := buildCoRun(t, 1)
+	s.eng.Run(8192)
+	pool := checkpoint.NewPool(1)
+	const shape = "corun/4x4"
+	pool.Seal(shape, s.target(), nil).Release()
+	fork := func() {
+		e := pool.Get(shape)
+		if e == nil {
+			t.Fatal("pool miss")
+		}
+		e.Fork()
+		e.Release()
+	}
+	fork()
+	got := testing.AllocsPerRun(10, fork)
+	if got > 1500 {
+		t.Fatalf("a pooled fork allocated %.0f objects, want <= 1500", got)
+	}
+	t.Logf("pooled fork: %.0f allocations", got)
+}

@@ -1,7 +1,9 @@
 #!/bin/sh
-# Tier-1 gate: formatting, vet, build, full test suite, and race-
-# detector passes over the concurrent sweep runner and the sharded
-# simulation kernel. Run from the repo root.
+# Tier-1 gate: formatting, vet, build, the full test suite, race-detector
+# passes over the concurrent sweep runner and the sharded simulation
+# kernel, CLI smokes byte-compared against results/, and exact counts on
+# the repo benchmark (go run ./benchmark). No step compares host time, so
+# none has a skip switch. Run from the repo root.
 #
 # Usage: scripts/ci.sh [-heavy]
 #   -heavy additionally regenerates the fig12/fig13 full sweeps (minutes
@@ -66,14 +68,6 @@ go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./inte
 echo "== go test -race: fork determinism + pending-mask and credit invariants + credit-timing pins =="
 go test -race -run 'TestForkDeterminism|TestPendingMasksTrackWires|TestInjectPortCreditTiming|TestNIWaitingPacketNeedsAnEvent' -count=1 ./internal/checkpoint ./internal/noc
 
-# Checkpoint round-trip smoke: the warm-sweep machinery rests on fork
-# determinism (one snapshot restored repeatedly replays the identical
-# future). Run the property tests by name so a checkpoint regression is
-# called out as such rather than surfacing as a figure diff later. The
-# pool tests cover the pooled-fork contract the DSE driver rides on.
-echo "== checkpoint round-trip (fork determinism + pool) =="
-go test -run 'TestForkDeterminism|TestStandaloneRoundTrip|TestPool' -count=1 ./internal/checkpoint
-
 # DSE smoke: regenerate the tiny committed grid through the real CLI and
 # byte-compare it against results/. The flags mirror dseTestConfig() in
 # internal/experiments/dse_test.go — the golden test pins the library,
@@ -95,12 +89,31 @@ if [ "$heavy" = "1" ]; then
     SNACKNOC_EQUIV_HEAVY=1 go test -run 'TestFig1[23]Regeneration' -timeout 60m ./internal/experiments
 fi
 
-# Benchmark smoke: one iteration of the scheduler and router micro-
-# benchmarks, so a panic or hang in the hot paths breaks the gate even
-# when no correctness test exercises the perf-only code.
+# Benchmark smoke: one iteration of the scheduler, router and shard-seam
+# micro-benchmarks, so a panic or hang in the hot paths breaks the gate
+# even when no correctness test exercises the perf-only code. go test
+# exits 0 when -bench matches nothing, so each name must print its line.
+#
+# bench_smoke <package> <benchmark>...
+bench_smoke() {
+    bs_pkg=$1
+    shift
+    bs_re=$(printf '%s|' "$@")
+    bs_out=$(go test -run '^$' -bench "^(${bs_re%|})\$" -benchtime 1x "$bs_pkg") || {
+        printf '%s\n' "$bs_out"
+        exit 1
+    }
+    printf '%s\n' "$bs_out"
+    for bs_b in "$@"; do
+        if ! printf '%s\n' "$bs_out" | grep -q "^$bs_b[/-]"; then
+            echo "ERROR: $bs_b did not run in $bs_pkg (renamed or deleted?)" >&2
+            exit 1
+        fi
+    done
+}
 echo "== benchmark smoke (1 iteration) =="
-go test -run '^$' -bench 'BenchmarkEngineSchedule' -benchtime 1x ./internal/sim
-go test -run '^$' -bench 'BenchmarkRouterEvaluate|BenchmarkBoundaryExchange|BenchmarkShardBarrier' -benchtime 1x ./internal/noc
+bench_smoke ./internal/sim BenchmarkEngineSchedule BenchmarkEngineStepIdle
+bench_smoke ./internal/noc BenchmarkRouterEvaluate BenchmarkBoundaryExchange BenchmarkShardBarrier
 
 # Observability smoke: trace, attribute, and snapshot a tiny
 # deterministic kernel run, validate the trace-event JSON, and diff the
@@ -114,12 +127,26 @@ echo "== observability smoke (traced+attributed Reduction kernel) =="
 obs_bin=/tmp/snacksim.ci.$$
 obs_trace=/tmp/ci-trace.$$.json
 obs_metrics=/tmp/ci-metrics.$$.json
-trap 'rm -f "$obs_bin" "$obs_trace" "$obs_metrics"' EXIT
+obs_prof=/tmp/ci-cpu.$$.prof
+trap 'rm -f "$obs_bin" "$obs_trace" "$obs_metrics" "$obs_prof"' EXIT
 go build -o "$obs_bin" ./cmd/snacksim
 "$obs_bin" -kernel Reduction -trace "$obs_trace" -trace-last 4096 \
     -attrib -attrib-interval 2000 -metrics "$obs_metrics" >/dev/null 2>/dev/null
 go run ./cmd/tracecheck "$obs_trace"
 go run ./cmd/metricsdiff "$obs_metrics" results/smoke-metrics.json
+
+# A run that fails is the one whose profile is wanted: the profilers are
+# stopped on the error exit too, so the CPU profile is not left empty.
+echo "== failed run keeps its profile (snacksim -bench Nope -cpuprofile) =="
+if "$obs_bin" -bench Nope -cpuprofile "$obs_prof" 2>/dev/null; then
+    echo "ERROR: snacksim -bench Nope exited 0" >&2
+    exit 1
+fi
+if [ ! -s "$obs_prof" ]; then
+    echo "ERROR: a failed snacksim run left an empty -cpuprofile" >&2
+    exit 1
+fi
+echo "failed-run profile: written"
 
 # Attribution smoke: the snackscope report for a zero-load Reduction
 # kernel is a pure function of the simulated cycles — byte-compare it
@@ -134,9 +161,9 @@ rm -f "$scope_out"
 echo "attribution smoke: byte-identical"
 
 # Exact counts on the repo benchmark: allocation budgets and evaluation
-# counts. They are host-independent, so unlike the ns/op guards below
-# these steps are never skipped; each run also checks the pass's
-# simulated results against the pinned digest.
+# counts. They are host-independent, so these steps are never skipped;
+# each run also checks the pass's simulated results against the pinned
+# digest.
 #
 # kernels_zero_load: the kernel lifecycle (compile -> submit -> fetch ->
 # issue -> retire) is slab- and pool-fed and the platform is built from
@@ -218,99 +245,5 @@ bench_bound corun_interference 0 allocs_per_pass 10000
 bench_bound cmp_sparse_traffic 1 sim.evals_per_cycle 8.5
 bench_bound kernels_zero_load 1 sim.evals_per_cycle 8
 bench_bound corun_interference 1 sim.evals_per_cycle 12
-
-# Bench guard: tracing AND attribution must be free when disabled (both
-# follow the same nil-check discipline, and the benchmarks run with both
-# off). The observability-disabled Fig 2 router benchmark may not
-# regress more than BENCH_GUARD_PCT (default 2%) against the ns/op
-# recorded in BENCH_GUARD_BASE; the fig13 guard below holds the compute
-# path (RCU/CPM/cache, which now carry attribution sites too) to the
-# same budget. The best of three runs is compared, not a single sample —
-# a loaded host skews individual runs by more than the budget being
-# enforced.
-# BENCH_GUARD=0 skips the guard (e.g. on a machine the baseline was not
-# recorded on, where absolute ns/op is not comparable).
-if [ "${BENCH_GUARD:-1}" != "0" ]; then
-    guard_base_file=${BENCH_GUARD_BASE:-BENCH_9.json}
-    guard_pct=${BENCH_GUARD_PCT:-2}
-
-    # json_metric <file> <bench> <unit>: one metric from a BENCH_<n>.json.
-    json_metric() {
-        awk -F"\"$3\": " "/\"$2\"/ {split(\$2, a, /[,}]/); print a[1]; exit}" "$1"
-    }
-    # best_of_3 <bench> <pkg> <unit> <benchtime>: minimum of three runs;
-    # a single sample is skewed by host load beyond the budget enforced.
-    best_of_3() {
-        bo3_best=""
-        for bo3_i in 1 2 3; do
-            bo3_v=$(go test -run '^$' -bench "^$1\$" -benchtime "$4" -benchmem -count 1 "$2" |
-                awk -v unit="$3" '$1 ~ /^Benchmark/ {for (i = 1; i < NF; i++) if ($(i+1) == unit) print $i}')
-            if [ -z "$bo3_v" ]; then
-                echo "ERROR: benchmark $1 produced no $3" >&2
-                exit 1
-            fi
-            echo "  run $bo3_i: $bo3_v $3" >&2
-            if [ -z "$bo3_best" ] || awk "BEGIN{exit !($bo3_v < $bo3_best)}"; then
-                bo3_best=$bo3_v
-            fi
-        done
-        echo "$bo3_best"
-    }
-    # guard <bench> <unit> <best> <base> <pct>: fail on a regression.
-    guard() {
-        if awk "BEGIN{exit !($3 > $4 * (1 + $5 / 100))}"; then
-            echo "ERROR: $1 regressed: best $3 $2 vs baseline $4 (budget $5%)" >&2
-            exit 1
-        fi
-        echo "bench guard: $1 best $3 $2 vs baseline $4 — within $5%"
-    }
-
-    # Communication path: tracing must be free when disabled.
-    base=$(json_metric "$guard_base_file" BenchmarkFig2RouterUsage 'ns/op')
-    if [ -z "$base" ]; then
-        echo "ERROR: no BenchmarkFig2RouterUsage ns/op in $guard_base_file" >&2
-        exit 1
-    fi
-    echo "== bench guard: BenchmarkFig2RouterUsage vs $guard_base_file (${guard_pct}% budget) =="
-    best=$(best_of_3 BenchmarkFig2RouterUsage . 'ns/op' 3x)
-    guard BenchmarkFig2RouterUsage 'ns/op' "$best" "$base" "$guard_pct"
-
-    # Compute path: the fig13 scaling leg is dominated by RCU dispatch,
-    # CPM streaming and the cache substrate — the flattened hot paths.
-    base=$(json_metric "$guard_base_file" BenchmarkFig13Scaling 'ns/op')
-    if [ -z "$base" ]; then
-        echo "ERROR: no BenchmarkFig13Scaling ns/op in $guard_base_file" >&2
-        exit 1
-    fi
-    echo "== bench guard: BenchmarkFig13Scaling vs $guard_base_file (${guard_pct}% budget) =="
-    best=$(best_of_3 BenchmarkFig13Scaling . 'ns/op' 1x)
-    guard BenchmarkFig13Scaling 'ns/op' "$best" "$base" "$guard_pct"
-
-    # Kernel-execution allocation guard: dispatch→compute→complete→emit
-    # is pool-fed; creeping allocs/op means a pool leak or a new per-token
-    # allocation. 10% headroom absorbs one-off warmup allocations.
-    base=$(json_metric "$guard_base_file" BenchmarkRCUDispatch 'allocs/op')
-    if [ -z "$base" ]; then
-        echo "ERROR: no BenchmarkRCUDispatch allocs/op in $guard_base_file" >&2
-        exit 1
-    fi
-    echo "== bench guard: BenchmarkRCUDispatch allocs/op vs $guard_base_file (10% budget) =="
-    best=$(best_of_3 BenchmarkRCUDispatch ./internal/core 'allocs/op' 3x)
-    guard BenchmarkRCUDispatch 'allocs/op' "$best" "$base" 10
-
-    # Pooled fork: the steady-state cost per DSE cell. Only allocs/op is
-    # guarded (the fork arena keeps the identity-map buckets; creeping
-    # allocs means the arena stopped being reused or a restore path grew
-    # an allocation). Its ns/op is not: cross-session ns/op on this host
-    # is not comparable (ROADMAP item 1).
-    base=$(json_metric "$guard_base_file" BenchmarkCheckpointFork 'allocs/op')
-    if [ -z "$base" ]; then
-        echo "ERROR: no BenchmarkCheckpointFork allocs/op in $guard_base_file" >&2
-        exit 1
-    fi
-    echo "== bench guard: BenchmarkCheckpointFork allocs/op vs $guard_base_file (10% budget) =="
-    best=$(best_of_3 BenchmarkCheckpointFork . 'allocs/op' 3x)
-    guard BenchmarkCheckpointFork 'allocs/op' "$best" "$base" 10
-fi
 
 echo "tier-1: OK"
