@@ -55,16 +55,11 @@ func main() {
 		}
 		cfg.Axes = axes
 	}
-	switch *dims {
-	case "default":
-		cfg.Dims = experiments.DefaultKernelDims()
-	case "paper":
-		cfg.Dims = experiments.PaperKernelDims()
-	case "smoke":
-		cfg.Dims = experiments.DSESmokeDims()
-	default:
-		fatalf("unknown -dims %q (want default, paper, or smoke)", *dims)
+	kd, err := experiments.KernelDimsByName(*dims)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	cfg.Dims = kd
 	if *kernelList != "" {
 		cfg.Kernels = nil
 		for _, name := range strings.Split(*kernelList, ",") {

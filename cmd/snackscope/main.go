@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/core"
@@ -83,20 +82,13 @@ func fromJSON(path string) {
 // platform with attribution attached, checks the per-cycle sum
 // invariant, and reports.
 func fromKernel(name, meshSpec, dimsName string, priority bool) {
-	var w, h int
-	if _, err := fmt.Sscanf(strings.ToLower(meshSpec), "%dx%d", &w, &h); err != nil || w < 2 || h < 2 {
-		fatalf("bad mesh %q (want e.g. 4x4)", meshSpec)
+	w, h, err := experiments.ParseMesh(meshSpec)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	var kd experiments.KernelDims
-	switch dimsName {
-	case "default":
-		kd = experiments.DefaultKernelDims()
-	case "paper":
-		kd = experiments.PaperKernelDims()
-	case "smoke":
-		kd = experiments.DSESmokeDims()
-	default:
-		fatalf("unknown -dims %q (want default, paper, or smoke)", dimsName)
+	kd, err := experiments.KernelDimsByName(dimsName)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	k := cpu.KernelName(name)
 	prog, err := experiments.CompileKernel(k, kd, w*h, experiments.Seed)

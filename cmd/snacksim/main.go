@@ -81,7 +81,10 @@ func main() {
 	stopProf = stop
 	defer stopProf()
 
-	w, h := parseMesh(*mesh)
+	w, h, err := experiments.ParseMesh(*mesh)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	switch {
 	case *synthetic != "":
 		loadLatency(*synthetic, *nocName, w, h)
@@ -123,14 +126,6 @@ func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "snacksim: "+format+"\n", args...)
 	stopProf()
 	os.Exit(1)
-}
-
-func parseMesh(s string) (int, int) {
-	var w, h int
-	if _, err := fmt.Sscanf(strings.ToLower(s), "%dx%d", &w, &h); err != nil || w < 2 || h < 2 {
-		fatalf("bad mesh %q (want e.g. 4x4)", s)
-	}
-	return w, h
 }
 
 func nocConfig(name string, w, h int) *noc.Config {

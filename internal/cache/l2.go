@@ -21,10 +21,11 @@ type dirEntry struct {
 // l2txn is the in-flight transaction for one block; the home bank
 // serializes transactions per block, which keeps the protocol race-free.
 // pending holds requests that arrived while the transaction was busy,
-// in arrival order (the per-block queue map folded into the slot).
+// in arrival order (the per-block queue map folded into the slot). Both
+// are copies: the messages themselves were recycled on arrival.
 type l2txn struct {
-	req        *Msg
-	pending    []*Msg
+	req        Msg
+	pending    []Msg
 	needAcks   int
 	waitRecall bool
 	waitMem    bool
@@ -97,17 +98,16 @@ func (b *L2Bank) txn(block uint64) *l2txn {
 }
 
 // handle processes protocol messages addressed to this bank. GetS/GetX
-// are retained (they become the transaction's request and are recycled
-// at completion); every other type is consumed here.
+// are kept by value (they become the transaction's request); every type
+// is recycled on return.
 func (b *L2Bank) handle(m *Msg, cycle int64) {
 	switch m.Type {
 	case GetS, GetX:
 		if t := b.txn(m.Block); t != nil {
-			t.pending = append(t.pending, m)
-			return
+			t.pending = append(t.pending, *m)
+		} else {
+			b.start(m)
 		}
-		b.start(m)
-		return
 
 	case PutData:
 		e := b.entry(m.Block)
@@ -179,14 +179,14 @@ func (b *L2Bank) start(m *Msg) {
 		i = int32(len(b.txnSlots) - 1)
 	}
 	t := &b.txnSlots[i]
-	*t = l2txn{req: m, pending: t.pending[:0]}
+	*t = l2txn{req: *m, pending: t.pending[:0]}
 	b.txnTab.put(m.Block, i)
 	b.eng.ScheduleCall(b.eng.Cycle()+b.sys.cfg.L2Lat, b, int64(m.Block))
 }
 
 // OnCall implements sim.Callee: the lookup of block's transaction is
-// done. The event names the block, not the transaction's slot, because a
-// checkpoint restore renumbers txnSlots.
+// done. The event names the block, which advance finds the transaction
+// by.
 func (b *L2Bank) OnCall(block, cycle int64) { b.advance(uint64(block), cycle) }
 
 // advance drives the transaction state machine for a block until it
@@ -265,26 +265,21 @@ func (b *L2Bank) advance(block uint64, cycle int64) {
 	b.complete(block)
 }
 
-// complete retires the active transaction: its request is recycled, and
-// the oldest pending request (if any) restarts the slot in place.
+// complete retires the active transaction; the oldest pending request
+// (if any) restarts the slot in place.
 func (b *L2Bank) complete(block uint64) {
 	i, ok := b.txnTab.get(block)
 	if !ok {
 		return
 	}
 	t := &b.txnSlots[i]
-	b.pool.put(t.req)
-	t.req = nil
 	if len(t.pending) == 0 {
 		b.txnTab.del(block)
 		b.txnFree = append(b.txnFree, i)
 		return
 	}
-	next := t.pending[0]
-	n := copy(t.pending, t.pending[1:])
-	t.pending[n] = nil
-	t.pending = t.pending[:n]
-	t.req = next
+	t.req = t.pending[0]
+	t.pending = t.pending[:copy(t.pending, t.pending[1:])]
 	t.needAcks, t.waitRecall, t.waitMem, t.wentToMem = 0, false, false, false
 	b.eng.ScheduleCall(b.eng.Cycle()+b.sys.cfg.L2Lat, b, int64(block))
 }

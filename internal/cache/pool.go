@@ -9,16 +9,17 @@ package cache
 // another shard eventually frees — which is safe because a message is
 // owned by exactly one controller at a time.
 //
-// Ownership: a message is pool-owned from get until its consumer frees
-// it — GetS/GetX when their transaction completes at the home bank,
-// every other type at the end of the handler that received it. Pools
-// are invisible to the checkpoint layer: snapshots deep-copy messages,
-// so nothing a snapshot holds is ever recycled under it.
+// Ownership: a message is pool-owned from get until the handler that
+// receives it returns; every controller that keeps one past that (a
+// home bank's transaction request and pending queue, a memory node's
+// read in flight) keeps a copy. So between deliveries a message has one
+// holder, the packet carrying it, and the checkpoint layer copies it
+// plainly.
 type msgPool struct {
 	free []*Msg
 	// out is gets minus puts. Summed over the pools it is 0 once a run
-	// has drained — unless it restored a checkpoint, which drops and
-	// re-makes held messages outside the pools.
+	// has drained — unless it restored a checkpoint, which drops the
+	// messages in flight and re-makes the saved ones outside the pools.
 	out int
 }
 
@@ -168,12 +169,18 @@ func (t *blockTable) del(key uint64) {
 	t.n--
 }
 
-// reset empties the table, keeping its capacity.
-func (t *blockTable) reset() {
-	for i := range t.live {
-		t.live[i] = false
+// copyFrom makes t a copy of o, reusing t's storage. An empty o resets
+// t instead: where an empty table's slots lie is unobservable.
+func (t *blockTable) copyFrom(o *blockTable) {
+	if o.n == 0 {
+		clear(t.live)
+		t.n = 0
+		return
 	}
-	t.n = 0
+	t.keys = append(t.keys[:0], o.keys...)
+	t.vals = append(t.vals[:0], o.vals...)
+	t.live = append(t.live[:0], o.live...)
+	t.n = o.n
 }
 
 func (t *blockTable) grow() {

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"slices"
+
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/mem"
 	"snacknoc/internal/stats"
@@ -10,33 +12,14 @@ import (
 // the L1 MSHR files and parked accesses, the L2 directory and
 // transaction slabs, the memory nodes' reads in flight and the DRAM
 // controllers. Pending events live in the engine snapshot as (callee,
-// argument) pairs — a controller and a block or slab slot — so the slabs
-// are copied slot for slot. Msg values are pool-recycled (PR 8), so every
-// held message is deep-copied on snapshot AND again on restore. A plain
-// copy suffices — each message is owned by exactly one cache location,
-// and in-flight messages (cloned by the network snapshot through the
-// platform's token cloner) never alias cache-held ones. Waiters are
-// records copied by value; a waiter's done callback is the caller's.
-
-// copyMsg deep-copies one held protocol message.
-func copyMsg(m *Msg) *Msg {
-	if m == nil {
-		return nil
-	}
-	cp := *m
-	return &cp
-}
-
-func copyMsgs(list []*Msg) []*Msg {
-	if len(list) == 0 {
-		return nil
-	}
-	out := make([]*Msg, len(list))
-	for i, m := range list {
-		out[i] = copyMsg(m)
-	}
-	return out
-}
+// argument) pairs — a controller and a block or slab slot — and every
+// held message is a value in a slab (messages are recycled by the
+// handler that receives them), so a snapshot copies the slabs, their
+// lookup tables and free lists slot for slot and a restore copies them
+// back. A slot that owns a slice (an MSHR's waiters and retries, a home
+// transaction's pending requests) is copied into that slot's own
+// storage. Waiters are records copied by value; a waiter's done callback
+// is the caller's.
 
 // CacheState is a tag store's saved state.
 type CacheState struct {
@@ -62,19 +45,42 @@ func (c *Cache) Restore(s CacheState) {
 	c.hits, c.misses = s.Hits, s.Misses
 }
 
-// mshrSnap is one saved MSHR.
-type mshrSnap struct {
-	block uint64
-	write bool
+// copyFrom makes e a copy of o, its waiters and retries in e's own
+// storage.
+func (e *mshrEntry) copyFrom(o *mshrEntry) {
+	w, r := e.waiters[:0], e.retry[:0]
+	*e = *o
+	e.waiters = append(w, o.waiters...)
+	e.retry = append(r, o.retry...)
+}
 
-	waiters []waiter
-	retry   []retryReq
+// copyFrom makes t a copy of o, its pending requests in t's own storage.
+func (t *l2txn) copyFrom(o *l2txn) {
+	p := t.pending[:0]
+	*t = *o
+	t.pending = append(p, o.pending...)
+}
+
+// copySlots makes dst a slot-for-slot copy of src, each slot copied into
+// the storage dst's slot already owns, and returns it.
+func copySlots[T any, P interface {
+	*T
+	copyFrom(*T)
+}](dst, src []T) []T {
+	dst = slices.Grow(dst[:0], len(src))[:len(src)]
+	for i := range src {
+		P(&dst[i]).copyFrom(&src[i])
+	}
+	return dst
 }
 
 // l1State is one L1 controller's saved state.
 type l1State struct {
 	cache    CacheState
-	mshrs    []mshrSnap
+	mshrHead [l1MSHRSets]int32
+	mshrSlab []mshrEntry
+	mshrFree int32
+	mshrN    int
 	parked   slab[parkedAccess]
 	hits     int64
 	misses   int64
@@ -88,6 +94,10 @@ type l1State struct {
 func (l *L1) state() l1State {
 	s := l1State{
 		cache:      l.cache.State(),
+		mshrHead:   l.mshrHead,
+		mshrSlab:   copySlots(nil, l.mshrSlab),
+		mshrFree:   l.mshrFree,
+		mshrN:      l.mshrN,
 		hits:       l.hits.Value(),
 		misses:     l.misses.Value(),
 		latSum:     l.latSum,
@@ -96,61 +106,32 @@ func (l *L1) state() l1State {
 		attribLast: l.attribLast,
 	}
 	s.parked.copyFrom(&l.parked)
-	for set := range l.mshrHead {
-		for n := l.mshrHead[set]; n >= 0; n = l.mshrSlab[n].next {
-			m := &l.mshrSlab[n]
-			s.mshrs = append(s.mshrs, mshrSnap{
-				block:   m.block,
-				write:   m.write,
-				waiters: append([]waiter(nil), m.waiters...),
-				retry:   append([]retryReq(nil), m.retry...),
-			})
-		}
-	}
 	return s
 }
 
-func (l *L1) restore(s l1State) {
+func (l *L1) restore(s *l1State) {
 	l.cache.Restore(s.cache)
+	l.mshrHead = s.mshrHead
+	l.mshrSlab = copySlots(l.mshrSlab, s.mshrSlab)
+	l.mshrFree, l.mshrN = s.mshrFree, s.mshrN
+	l.parked.copyFrom(&s.parked)
 	l.hits.Restore(stats.CounterState{N: s.hits})
 	l.misses.Restore(stats.CounterState{N: s.misses})
 	l.latSum, l.latCount = s.latSum, s.latCount
-	l.parked.copyFrom(&s.parked)
-	for i := range l.mshrHead {
-		l.mshrHead[i] = -1
-	}
-	l.mshrSlab = l.mshrSlab[:0]
-	l.mshrFree = -1
-	l.mshrN = 0
-	for _, ms := range s.mshrs {
-		e := l.mshrAlloc(ms.block, ms.write)
-		e.waiters = append(e.waiters, ms.waiters...)
-		e.retry = append(e.retry, ms.retry...)
-	}
-	// Overwrite last: the mshrAlloc rebuild above ticked the attribution
-	// counters, and those increments belong to the discarded timeline.
 	l.at.Restore(s.attrib)
 	l.attribLast = s.attribLast
 }
 
-// l2txnSnap is one saved in-flight home transaction, request and
-// pending queue deep-copied.
-type l2txnSnap struct {
-	block uint64
-	txn   l2txn
-}
-
-// dirSnap is one saved directory entry.
-type dirSnap struct {
-	block uint64
-	entry dirEntry
-}
-
 // l2State is one bank's saved state.
 type l2State struct {
-	cache        CacheState
-	dir          []dirSnap
-	txns         []l2txnSnap
+	cache     CacheState
+	dirTab    blockTable
+	dirSlots  []dirEntry
+	dirBlocks []uint64
+	txnTab    blockTable
+	txnSlots  []l2txn
+	txnFree   []int32
+
 	hits, misses int64
 	recalls      int64
 	invs         int64
@@ -158,50 +139,33 @@ type l2State struct {
 
 func (b *L2Bank) state() l2State {
 	s := l2State{
-		cache:   b.cache.State(),
-		hits:    b.hits.Value(),
-		misses:  b.misses.Value(),
-		recalls: b.recalls.Value(),
-		invs:    b.invs.Value(),
+		cache:     b.cache.State(),
+		dirSlots:  slices.Clone(b.dirSlots),
+		dirBlocks: slices.Clone(b.dirBlocks),
+		txnSlots:  copySlots(nil, b.txnSlots),
+		txnFree:   slices.Clone(b.txnFree),
+		hits:      b.hits.Value(),
+		misses:    b.misses.Value(),
+		recalls:   b.recalls.Value(),
+		invs:      b.invs.Value(),
 	}
-	for i := range b.dirSlots {
-		s.dir = append(s.dir, dirSnap{block: b.dirBlocks[i], entry: b.dirSlots[i]})
-	}
-	for i, ok := range b.txnTab.live {
-		if !ok {
-			continue
-		}
-		t := &b.txnSlots[b.txnTab.vals[i]]
-		cp := *t
-		cp.req = copyMsg(t.req)
-		cp.pending = copyMsgs(t.pending)
-		s.txns = append(s.txns, l2txnSnap{block: b.txnTab.keys[i], txn: cp})
-	}
+	s.dirTab.copyFrom(&b.dirTab)
+	s.txnTab.copyFrom(&b.txnTab)
 	return s
 }
 
-func (b *L2Bank) restore(s l2State) {
+func (b *L2Bank) restore(s *l2State) {
 	b.cache.Restore(s.cache)
+	b.dirTab.copyFrom(&s.dirTab)
+	b.dirSlots = append(b.dirSlots[:0], s.dirSlots...)
+	b.dirBlocks = append(b.dirBlocks[:0], s.dirBlocks...)
+	b.txnTab.copyFrom(&s.txnTab)
+	b.txnSlots = copySlots(b.txnSlots, s.txnSlots)
+	b.txnFree = append(b.txnFree[:0], s.txnFree...)
 	b.hits.Restore(stats.CounterState{N: s.hits})
 	b.misses.Restore(stats.CounterState{N: s.misses})
 	b.recalls.Restore(stats.CounterState{N: s.recalls})
 	b.invs.Restore(stats.CounterState{N: s.invs})
-	b.dirTab.reset()
-	b.dirSlots = b.dirSlots[:0]
-	b.dirBlocks = b.dirBlocks[:0]
-	for _, d := range s.dir {
-		*b.entry(d.block) = d.entry
-	}
-	b.txnTab.reset()
-	b.txnSlots = b.txnSlots[:0]
-	b.txnFree = b.txnFree[:0]
-	for _, ts := range s.txns {
-		t := ts.txn
-		t.req = copyMsg(ts.txn.req)
-		t.pending = copyMsgs(ts.txn.pending)
-		b.txnSlots = append(b.txnSlots, t)
-		b.txnTab.put(ts.block, int32(len(b.txnSlots)-1))
-	}
 }
 
 // SystemState is the whole hierarchy's saved state. Memory nodes are
@@ -236,10 +200,10 @@ func (s *System) State() *SystemState {
 // Restore writes a saved state back onto the same system.
 func (s *System) Restore(st *SystemState) {
 	for i, l := range s.L1s {
-		l.restore(st.l1s[i])
+		l.restore(&st.l1s[i])
 	}
 	for i, b := range s.L2s {
-		b.restore(st.l2s[i])
+		b.restore(&st.l2s[i])
 	}
 	for i, mn := range s.memNodes {
 		s.Mems[mn].ctrl.Restore(st.mems[i])

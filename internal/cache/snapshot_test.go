@@ -28,8 +28,9 @@ func parkedEvents(s *System) (l1, dram, l1Free, dramFree int) {
 	return
 }
 
-// slabLayout prints every parked-event slab slot for slot, free lists in
-// order: what a snapshot has to carry unchanged.
+// slabLayout prints every parked-event, MSHR and home-transaction slab
+// slot for slot, free lists in order: what a snapshot has to carry
+// unchanged.
 func slabLayout(s *System) string {
 	var out string
 	for i, l := range s.L1s {
@@ -37,7 +38,18 @@ func slabLayout(s *System) string {
 		for _, p := range l.parked.recs {
 			out += fmt.Sprintf(" {%d %v %v %d %d %v}", p.block, p.write, p.retry, p.starts, p.misses, p.done != nil)
 		}
-		out += fmt.Sprintf(" free %v\n", l.parked.free)
+		out += fmt.Sprintf(" free %v\n mshr %v", l.parked.free, l.mshrHead)
+		for _, m := range l.mshrSlab {
+			out += fmt.Sprintf(" {%d %v %d %d %d}", m.block, m.write, len(m.waiters), len(m.retry), m.next)
+		}
+		out += fmt.Sprintf(" free %d\n", l.mshrFree)
+	}
+	for i, b := range s.L2s {
+		out += fmt.Sprintf("l2.%d", i)
+		for _, t := range b.txnSlots {
+			out += fmt.Sprintf(" {%v %v %t%t%t %d}", t.req, t.pending, t.waitRecall, t.waitMem, t.wentToMem, t.needAcks)
+		}
+		out += fmt.Sprintf(" free %v\n", b.txnFree)
 	}
 	for _, mn := range s.memNodes {
 		out += fmt.Sprintf("mem.%d %v free %v\n", mn, s.Mems[mn].reads.recs, s.Mems[mn].reads.free)
@@ -144,7 +156,8 @@ func TestMidFlightCheckpointReplays(t *testing.T) {
 	}
 	clone := func(v any) any {
 		if m, ok := v.(*Msg); ok {
-			return copyMsg(m)
+			cp := *m
+			return &cp
 		}
 		return v
 	}
@@ -160,7 +173,7 @@ func TestMidFlightCheckpointReplays(t *testing.T) {
 	sys.Restore(sysS)
 	eng.RestoreState(engS)
 	if got := slabLayout(sys); got != slabsS {
-		t.Fatalf("parked-event slabs were saved as\n%sand restored as\n%s", slabsS, got)
+		t.Fatalf("slabs were saved as\n%sand restored as\n%s", slabsS, got)
 	}
 	rng = rngS
 	runB := append([]int64(nil), warm...)
@@ -185,6 +198,6 @@ func TestMidFlightCheckpointReplays(t *testing.T) {
 		t.Errorf("drained at cycle %d, on the replay at %d", a.endCycle, b.endCycle)
 	}
 	if a.slabs != b.slabs {
-		t.Errorf("parked-event slabs ended as\n%son the replay as\n%s", a.slabs, b.slabs)
+		t.Errorf("slabs ended as\n%son the replay as\n%s", a.slabs, b.slabs)
 	}
 }

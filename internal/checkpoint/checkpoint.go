@@ -8,20 +8,23 @@
 // and their reference streams; and the SnackNoC compute layer.
 //
 // Restore writes the state back onto the SAME simulation instance —
-// pending events hold closures over the live components, so the
-// component graph is part of a snapshot's identity. A State is
-// immutable once taken (every Restore deep-copies out of it again), so
-// one warmed snapshot forks any number of runs; that is what the warm
-// sweep modes of the figure drivers build on. Forks of one snapshot
-// share a platform and therefore serialize.
+// pending events name the live components, so the component graph is
+// part of a snapshot's identity. A State is immutable once taken (every
+// Restore copies out of it again), so one warmed snapshot forks any
+// number of runs; the warm sweeps and the platform pool build on that.
+// Forks of one snapshot share a platform and therefore serialize.
+//
+// Every layer keeps its state in slabs and holds tokens and cache
+// messages by value or by slab index, so a snapshot is slab copies; the
+// only pointers saved are the payloads of packets in flight.
 //
 // What is deliberately NOT captured: free pools (the mesh's flit and
 // packet-envelope pools, the engine's event pool and the cache-message
 // and token pools are unobservable — a pooled object is zeroed before
 // reuse; restoring the mesh returns what it overwrites to its pool and
 // draws what it restores from it), tracers and metrics registries (warm
-// sweeps fall back to cold runs when observability is on), and the
-// immutable configuration and wiring.
+// sweeps run cold while observability is on), and the immutable
+// configuration and wiring.
 package checkpoint
 
 import (
@@ -54,13 +57,26 @@ type State struct {
 	sys  *cache.SystemState
 	work *cpu.WorkloadState
 	plat *core.PlatformState
+}
 
-	// arena is the reusable restore scratch: the snapshot's own token
-	// state was cloned once at Take, and each fork reuses this identity
-	// map (reset, buckets kept) instead of growing a fresh one. Forks of
-	// one snapshot share a platform and already serialize, so a single
-	// arena per State is safe.
-	arena *core.TokenCloner
+// clonePayload copies a payload in flight, for the network snapshot and
+// each restore of it. A payload has one holder, the flit or envelope
+// carrying it, so a plain copy aliases nothing.
+func clonePayload(v any) any {
+	switch p := v.(type) {
+	case *core.InstrToken:
+		return clone(p)
+	case *core.DataToken:
+		return clone(p)
+	case *cache.Msg:
+		return clone(p)
+	}
+	return v
+}
+
+func clone[T any](p *T) *T {
+	c := *p
+	return &c
 }
 
 // Take captures the target at its current (settled) cycle. It panics if
@@ -70,12 +86,11 @@ func Take(t Target) *State {
 	if t.Eng == nil || t.Net == nil {
 		panic("checkpoint: Take needs at least an engine and a network")
 	}
-	tc := core.NewTokenCloner()
 	s := &State{
 		target: t,
 		cycle:  t.Eng.Cycle(),
 		eng:    t.Eng.SnapshotState(),
-		net:    t.Net.SnapshotState(tc.Clone),
+		net:    t.Net.SnapshotState(clonePayload),
 	}
 	if t.Sys != nil {
 		s.sys = t.Sys.State()
@@ -84,7 +99,7 @@ func Take(t Target) *State {
 		s.work = t.Work.State()
 	}
 	if t.Plat != nil {
-		s.plat = t.Plat.SnapshotState(tc)
+		s.plat = t.Plat.SnapshotState()
 	}
 	return s
 }
@@ -96,19 +111,7 @@ func (s *State) Cycle() int64 { return s.cycle }
 // itself is untouched, so Restore can be called again — each call is an
 // independent fork of the same warmed simulation.
 func (s *State) Restore() {
-	// One identity map per restore pass keeps token aliasing consistent
-	// between the network's in-flight payloads and the compute layer's
-	// buffers, while never sharing a mutable token with the snapshot or
-	// an earlier fork. The map itself is arena-recycled across forks
-	// (cleared, buckets kept); every clone it hands out is still a fresh
-	// allocation, so forks never alias each other.
-	if s.arena == nil {
-		s.arena = core.NewTokenCloner()
-	} else {
-		s.arena.Reset()
-	}
-	tc := s.arena
-	s.target.Net.RestoreState(s.net, tc.Clone)
+	s.target.Net.RestoreState(s.net, clonePayload)
 	if s.sys != nil {
 		s.target.Sys.Restore(s.sys)
 	}
@@ -116,7 +119,7 @@ func (s *State) Restore() {
 		s.target.Work.Restore(s.work)
 	}
 	if s.plat != nil {
-		s.target.Plat.RestoreState(s.plat, tc)
+		s.target.Plat.RestoreState(s.plat)
 	}
 	// The engine goes last: RestoreState re-files saved events, and the
 	// component state above must already be in place when they fire.

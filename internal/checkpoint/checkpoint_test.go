@@ -147,7 +147,7 @@ func TestForkDeterminism(t *testing.T) {
 				t.Fatal("kernel not in flight at the snapshot point; the test would not cover token state")
 			}
 			// Mid-stream: part of the program is still in memory, part is
-			// assembled tokens in the instruction buffer, and reads are in
+			// fetched entries in the instruction buffer, and reads are in
 			// flight as typed engine events — a fork must resume all three.
 			if c := s.plat.CPM; c.Fetched() >= len(s.prog.Entries) || c.InstrBufLen() == 0 || c.Inflight() == 0 {
 				t.Fatalf("CPM not mid-stream at the snapshot point: fetched %d of %d, %d buffered, %d reads in flight",

@@ -11,12 +11,12 @@ import (
 // Pool recycles fully-built simulation platforms between sweep cells.
 //
 // A checkpoint State can only restore onto the platform it was taken
-// from (pending events close over the live components), so a pool entry
+// from (pending events name the live components), so a pool entry
 // is not a bare platform: it is a platform plus a pristine State taken
 // from it once, at Seal time. Reusing an entry is then a single Restore
-// walk — the build and the snapshot-side clone are paid once per
-// pooled platform instead of once per cell, and the restore-side
-// identity map is arena-recycled inside the State itself.
+// walk, copying the saved slabs into the storage the platform already
+// has — the build and the snapshot are paid once per pooled platform
+// instead of once per cell.
 //
 // Entries are keyed by an opaque shape string; callers must fold every
 // parameter that changes the component graph into it (mesh dimensions,

@@ -30,9 +30,8 @@ func (s KernelState) String() string {
 // CPMConfig sizes the Central Packet Manager.
 type CPMConfig struct {
 	Node noc.NodeID
-	// InstrBufCap bounds the assembled-instruction buffer; the paper
-	// sizes it against the peak rate values stream from a two-rank DDR3
-	// (§III-C1).
+	// InstrBufCap bounds the instruction buffer; the paper sizes it
+	// against the peak rate values stream from a two-rank DDR3 (§III-C1).
 	InstrBufCap int
 	// FetchAhead is the number of outstanding 64 B command-stream reads.
 	FetchAhead int
@@ -75,6 +74,11 @@ func DefaultCPMConfig(node noc.NodeID) CPMConfig {
 // kernel from main memory, assembles and issues instruction flits at one
 // per cycle, throttles against NoC congestion, spills transient tokens to
 // memory under overflow, collects final results, and writes them back.
+//
+// The CPM holds no pooled token: its instruction buffer names program
+// entries by index, an entry is assembled into a token only as it is
+// staged or sent, and spilled tokens are kept by value. A checkpoint
+// copies the buffer, offloadBufs and cpmScalars.
 type CPM struct {
 	cfg      CPMConfig
 	net      *noc.Network
@@ -87,26 +91,15 @@ type CPM struct {
 	// interface). It shares the compute input port with the co-located
 	// RCU so instruction issue never serializes against the memory
 	// controller's response traffic at the node's NI.
-	port      *noc.InjectPort
-	staged    *ProgEntry // entry awaiting injection through the port
-	stagedBuf ProgEntry  // backing store for staged, reused per issue
-	pool      *TokenPool // engine-local; nil falls back to plain allocation
+	port *noc.InjectPort
+	pool *TokenPool // engine-local; nil falls back to plain allocation
 
-	state KernelState
 	// prog is the submitted program itself — immutable and shared, never
-	// a copy; entries become private tokens as they are fetched.
-	prog       *Program
-	onDone     func(*Result)
-	result     *Result
-	fetched    int         // entries whose memory read has been issued
-	inflight   int         // outstanding command-stream transactions
-	instrBuf   []ProgEntry // ring
-	instrHead  int
-	instrLen   int
-	issuedIdx  int // entries issued onto the NoC
-	resultsGot int
-	writesOut  int // outstanding result write-backs
-	pendingWB  int // results not yet grouped into a write-back
+	// a copy; entries become private tokens as they are sent.
+	prog     *Program
+	onDone   func(*Result)
+	result   *Result
+	instrBuf ring[int32] // fetched, unstaged entries of prog, by index
 
 	// nsBase is this CPM's namespace, OR-ed into every dependency and
 	// sub-block ID it issues (see assemble).
@@ -115,27 +108,62 @@ type CPM struct {
 	// pattern resubmits one immutable program many times).
 	validated *Program
 
-	// overflow management
-	offload []*DataToken // tokens captured into the offload buffer
-	// offloadPending holds flushed batches whose memory write is still in
-	// flight, in issue order; the write completion (cpmOffloadDone) pops
-	// the front.
-	offloadPending [][]*DataToken
-	offloadMem     []*DataToken // tokens parked in main memory
-	reinjecting    bool         // alternate offload/instruction issue
-
-	// statistics
-	issued      stats.Counter
-	offloaded   stats.Counter
-	reinjected  stats.Counter
-	busyReplies stats.Counter
-	congestedCy stats.Counter
+	offloadBufs
 
 	// tr records scheduling decisions; nil disables tracing.
 	tr *trace.Tracer
 
 	// at classifies each evaluated cycle for attribution; nil disables.
 	at *attrib.Counters
+
+	cpmScalars
+}
+
+// offloadBufs is the overflow path of §III-C2, every token by value.
+type offloadBufs struct {
+	offload []DataToken // captured into the Offload Data Memory Buffer
+	// offloadPending holds flushed batches whose memory write is still in
+	// flight, oldest first; the write completion (cpmOffloadDone) moves
+	// the front batch on.
+	offloadPending []DataToken
+	offloadMem     []DataToken // parked in main memory, next to re-inject first
+}
+
+// copyFrom makes b a copy of o, reusing b's storage.
+func (b *offloadBufs) copyFrom(o *offloadBufs) {
+	b.offload = append(b.offload[:0], o.offload...)
+	b.offloadPending = append(b.offloadPending[:0], o.offloadPending...)
+	b.offloadMem = append(b.offloadMem[:0], o.offloadMem...)
+}
+
+// staged values other than a program entry's index.
+const (
+	stageNone = -1 // nothing awaits injection
+	stageData = -2 // the data token in stagedTok does
+)
+
+// cpmScalars is a CPM's mutable state outside its buffers; a checkpoint
+// copies it whole.
+type cpmScalars struct {
+	state KernelState
+	// staged is what Advance injects next: an instruction entry of prog,
+	// assembled as it is sent, or stageData for stagedTok — an input
+	// token assembled when it was staged, or a spilled token on its way
+	// back.
+	staged      int32
+	stagedTok   DataToken
+	fetched     int // entries whose memory read has been issued
+	inflight    int // outstanding command-stream transactions
+	resultsGot  int
+	writesOut   int  // outstanding result write-backs
+	pendingWB   int  // results not yet grouped into a write-back
+	reinjecting bool // alternate offload/instruction issue
+
+	issued      stats.Counter
+	offloaded   stats.Counter
+	reinjected  stats.Counter
+	busyReplies stats.Counter
+	congestedCy stats.Counter
 }
 
 // NewCPM builds the manager. Attach it at its node (as the NI client and,
@@ -151,6 +179,10 @@ func NewCPM(cfg CPMConfig, net *noc.Network, ctrl *mem.Controller) *CPM {
 		loop:     net.Loop(),
 		alo:      noc.NewALODetector(r, cfg.ALOThreshold, cfg.ALOHysteresis),
 		snackALO: noc.NewSnackALODetector(r, net.Loop().Next(cfg.Node), cfg.SnackALOThreshold, cfg.ALOHysteresis),
+		// refill keeps the buffer under InstrBufCap entries counting the
+		// reads in flight, so one transaction past it never overflows.
+		instrBuf:   ring[int32]{buf: make([]int32, cfg.InstrBufCap+cfg.EntriesPerTxn)},
+		cpmScalars: cpmScalars{staged: stageNone},
 	}
 }
 
@@ -211,27 +243,22 @@ func (c *CPM) Submit(p *Program, cycle int64, onDone func(*Result)) bool {
 	if err := c.admit(p); err != nil {
 		panic(fmt.Sprintf("cpm: invalid program: %v", err))
 	}
-	// The program is streamed, not copied: each entry becomes a private
-	// pooled token when its command-stream read completes (cpmFetchDone), so
-	// live tokens are bounded by the instruction buffer plus what is in
-	// the network, and the tokens the RCUs retire early in a kernel feed
-	// the fetches later in the same kernel.
+	// The program is streamed, not copied: the instruction buffer holds
+	// entry indices, and each entry becomes a private pooled token only
+	// as the CPM sends it, so live tokens are bounded by what is in the
+	// network.
 	c.prog = p
 	c.onDone = onDone
 	c.state = StateLoading
 	c.fetched = 0
 	c.inflight = 0
-	for i := range c.instrBuf {
-		c.instrBuf[i] = ProgEntry{}
-	}
-	c.instrHead, c.instrLen = 0, 0
-	c.issuedIdx = 0
+	c.instrBuf.head, c.instrBuf.n = 0, 0
 	c.resultsGot = 0
 	c.writesOut = 0
 	c.pendingWB = 0
 	c.offload = c.offload[:0]
 	c.offloadMem = c.offloadMem[:0]
-	c.staged = nil
+	c.staged = stageNone
 	c.result = &Result{
 		Values:     make([]fixed.Q, p.NumOutputs),
 		StartCycle: cycle,
@@ -245,25 +272,17 @@ func (c *CPM) Submit(p *Program, cycle int64, onDone func(*Result)) bool {
 	return true
 }
 
-// assemble builds the private, executable copy of one command-stream
-// entry as the paper's CPM assembles an instruction flit from the values
-// DDR3 returns (§III-C1). Execution fills operand references in place
-// and decrements dependent counts, so the shared program's tokens are
-// never issued themselves. The copy is stamped with this CPM's identity:
-// its node as the result home, and its namespace on dependency and
-// sub-block IDs (Program.Validate keeps those below nsLimit) so
-// concurrently executing kernels from decentralized CPMs (§VII) can
-// never alias each other's tokens at the RCUs. Tokens come from the
-// engine-local pool.
-func (c *CPM) assemble(e ProgEntry) ProgEntry {
-	if e.Data != nil {
-		d := c.pool.GetData()
-		*d = *e.Data
-		d.Dep |= c.nsBase
-		return ProgEntry{Data: d}
-	}
-	it := c.pool.GetInstr()
-	*it = *e.Instr
+// assemble builds in it the private, executable copy of an instruction
+// entry, as the paper's CPM assembles an instruction flit from the values
+// DDR3 returns (§III-C1). Execution fills operand references in place, so
+// the shared program's tokens are never issued themselves. The copy is
+// stamped with this CPM's identity: its node as the result home, and its
+// namespace on dependency and sub-block IDs (Program.Validate keeps those
+// below nsLimit) so concurrently executing kernels from decentralized
+// CPMs (§VII) can never alias each other's tokens at the RCUs. An input
+// token is stamped the same way as it is staged (see Evaluate).
+func (c *CPM) assemble(it, e *InstrToken) {
+	*it = *e
 	it.Home = c.cfg.Node
 	it.SubBlock |= uint32(c.nsBase)
 	if it.L.IsRef {
@@ -275,7 +294,6 @@ func (c *CPM) assemble(e ProgEntry) ProgEntry {
 	if it.Emit {
 		it.EmitDep |= c.nsBase
 	}
-	return ProgEntry{Instr: it}
 }
 
 // Evaluate implements sim.Component: refill the instruction buffer from
@@ -288,7 +306,7 @@ func (c *CPM) Evaluate(cycle int64) {
 	}
 	c.port.Update(cycle)
 	c.refill(cycle)
-	if c.staged != nil {
+	if c.staged != stageNone {
 		c.at.Inc(attrib.CPMThrottled)
 		return // a previous entry is still waiting for a buffer slot
 	}
@@ -312,69 +330,50 @@ func (c *CPM) Evaluate(cycle int64) {
 	// Alternate between re-injecting spilled tokens and fresh
 	// instructions once resources free up (§III-C2).
 	if c.reinjecting && len(c.offloadMem) > 0 {
-		tok := c.offloadMem[0]
+		c.stagedTok, c.staged = c.offloadMem[0], stageData
 		c.offloadMem = c.offloadMem[1:]
-		c.stagedBuf = ProgEntry{Data: tok}
-		c.staged = &c.stagedBuf
 		c.reinjected.Inc()
 		c.reinjecting = false
 		c.at.Inc(attrib.CPMIssue)
 		return
 	}
 	c.reinjecting = true
-	if c.instrLen == 0 {
+	if c.instrBuf.n == 0 {
 		// Resources were free but the program has nothing left to stage:
 		// the CPM is drained, waiting only on in-flight completions.
 		c.at.Inc(attrib.CPMDrained)
 		return
 	}
-	c.stagedBuf = c.instrBuf[c.instrHead]
-	c.instrBuf[c.instrHead] = ProgEntry{}
-	c.instrHead = (c.instrHead + 1) % len(c.instrBuf)
-	c.instrLen--
-	c.staged = &c.stagedBuf
+	c.staged = c.instrBuf.pop()
+	if d := c.prog.Entries[c.staged].Data; d != nil {
+		c.stagedTok, c.staged = *d, stageData
+		c.stagedTok.Dep |= c.nsBase
+	}
 	c.at.Inc(attrib.CPMIssue)
 }
 
-// bufPush appends one assembled entry to the instruction-buffer ring.
-func (c *CPM) bufPush(e ProgEntry) {
-	if c.instrLen == len(c.instrBuf) {
-		n := len(c.instrBuf) * 2
-		if n < 64 {
-			n = 64
-		}
-		q := make([]ProgEntry, n)
-		for i := 0; i < c.instrLen; i++ {
-			q[i] = c.instrBuf[(c.instrHead+i)%len(c.instrBuf)]
-		}
-		c.instrBuf = q
-		c.instrHead = 0
-	}
-	c.instrBuf[(c.instrHead+c.instrLen)%len(c.instrBuf)] = e
-	c.instrLen++
-}
-
 // Advance injects the staged entry through the CPM's router port at the
-// paper's one-flit-per-cycle rate.
+// paper's one-flit-per-cycle rate, minting its token as the port takes
+// it.
 func (c *CPM) Advance(cycle int64) {
-	if c.staged == nil {
+	if c.staged == stageNone || !c.port.CanSend() {
 		return
 	}
-	var sent bool
-	switch {
-	case c.staged.Instr != nil:
-		sent = c.port.Send(c.staged.Instr.Dst, c.staged.Instr, false, cycle)
-	case c.staged.Data != nil:
-		sent = c.port.Send(c.loop.Next(c.cfg.Node), c.staged.Data, true, cycle)
+	if c.staged == stageData {
+		d := c.pool.GetData()
+		*d = c.stagedTok
+		c.port.Send(c.loop.Next(c.cfg.Node), d, true, cycle)
+	} else {
+		it := c.pool.GetInstr()
+		c.assemble(it, c.prog.Entries[c.staged].Instr)
+		c.port.Send(it.Dst, it, false, cycle)
 	}
-	if sent {
-		c.staged = nil
-		c.issued.Inc()
-		if c.tr != nil {
-			rec := trace.Instant(trace.KindCPMIssue, cycle, int32(c.cfg.Node))
-			rec.Class = trace.ClassSnack
-			c.tr.Emit(rec)
-		}
+	c.staged = stageNone
+	c.issued.Inc()
+	if c.tr != nil {
+		rec := trace.Instant(trace.KindCPMIssue, cycle, int32(c.cfg.Node))
+		rec.Class = trace.ClassSnack
+		c.tr.Emit(rec)
 	}
 }
 
@@ -384,7 +383,7 @@ func (c *CPM) refill(cycle int64) {
 	total := len(c.prog.Entries)
 	for c.inflight < c.cfg.FetchAhead &&
 		c.fetched < total &&
-		c.instrLen+c.inflight*c.cfg.EntriesPerTxn < c.cfg.InstrBufCap {
+		c.instrBuf.n+c.inflight*c.cfg.EntriesPerTxn < c.cfg.InstrBufCap {
 		lo := c.fetched
 		hi := lo + c.cfg.EntriesPerTxn
 		if hi > total {
@@ -407,14 +406,14 @@ type (
 )
 
 // OnCall implements sim.Callee: the command-stream transaction that
-// starts at entry lo has returned from DDR3; its entries are assembled
-// into the instruction buffer.
+// starts at entry lo has returned from DDR3; its entries join the
+// instruction buffer.
 func (f *cpmFetchDone) OnCall(lo, _ int64) {
 	c := (*CPM)(f)
 	c.inflight--
 	hi := min(int(lo)+c.cfg.EntriesPerTxn, len(c.prog.Entries))
-	for _, e := range c.prog.Entries[lo:hi] {
-		c.bufPush(c.assemble(e))
+	for i := int32(lo); i < int32(hi); i++ {
+		c.instrBuf.push(i)
 	}
 	if c.state == StateLoading {
 		c.state = StateRunning
@@ -428,14 +427,14 @@ func (w *cpmWriteDone) OnCall(_, cycle int64) {
 	c.maybeFinish(cycle)
 }
 
-// OnCall implements sim.Callee: the oldest flushed offload batch is in
-// main memory. DDR3 completions for one address come back in issue
-// order, so the front of offloadPending is the batch that landed.
-func (o *cpmOffloadDone) OnCall(_, _ int64) {
+// OnCall implements sim.Callee: the oldest flushed offload batch, of n
+// tokens, is in main memory. DDR3 completions for one address come back
+// in issue order, so the front of offloadPending is the batch that
+// landed.
+func (o *cpmOffloadDone) OnCall(n, _ int64) {
 	c := (*CPM)(o)
-	b := c.offloadPending[0]
-	c.offloadPending = c.offloadPending[1:]
-	c.offloadMem = append(c.offloadMem, b...)
+	c.offloadMem = append(c.offloadMem, c.offloadPending[:n]...)
+	c.offloadPending = c.offloadPending[:copy(c.offloadPending, c.offloadPending[n:])]
 }
 
 // Deliver implements noc.Client for the CPM's node: final result tokens
@@ -484,8 +483,8 @@ func (c *CPM) maybeFinish(cycle int64) {
 	c.state = StateIdle
 }
 
-// InstrBufLen returns the assembled-but-unissued entry count (debug).
-func (c *CPM) InstrBufLen() int { return c.instrLen }
+// InstrBufLen returns the fetched-but-unstaged entry count (debug).
+func (c *CPM) InstrBufLen() int { return c.instrBuf.n }
 
 // Fetched returns how many command-stream entries have had their memory
 // read issued; below the program's length the kernel is mid-stream.
@@ -505,17 +504,18 @@ func (c *CPM) WantsOverflowCapture(cycle int64) bool {
 	return c.Busy() && c.snackALO.Congested(cycle)
 }
 
-// CaptureOverflow takes one transient token into the Offload Data Memory
-// Buffer; a full buffer flushes to main memory as one 64 B transaction.
+// CaptureOverflow copies one transient token into the Offload Data
+// Memory Buffer, consuming it off the loop; a full buffer flushes to main
+// memory as one 64 B transaction.
 func (c *CPM) CaptureOverflow(tok *DataToken, cycle int64) {
-	c.offload = append(c.offload, tok)
+	c.offload = append(c.offload, *tok)
+	c.pool.PutData(tok)
 	c.offloaded.Inc()
-	if len(c.offload) >= c.cfg.OffloadBufFlits {
-		batch := append([]*DataToken(nil), c.offload...)
+	if n := len(c.offload); n >= c.cfg.OffloadBufFlits {
+		c.offloadPending = append(c.offloadPending, c.offload...)
 		c.offload = c.offload[:0]
-		c.offloadPending = append(c.offloadPending, batch)
 		addr := c.cfg.ProgBase + uint64(2<<20)
-		c.mem.AccessCall(addr, true, (*cpmOffloadDone)(c), 0)
+		c.mem.AccessCall(addr, true, (*cpmOffloadDone)(c), int64(n))
 	}
 }
 

@@ -9,13 +9,8 @@ import "fmt"
 // its group's turn, which is the engine's next cycle. It returns how many
 // RCUs are parked with live sub-blocks, parked idle, and runnable.
 func (p *Platform) CheckGroups() (waiting, idle, runnable int, err error) {
-	seen := make(map[*rcuGroup]bool)
-	for _, own := range p.RCUs {
-		g := own.g
-		if seen[g] {
-			continue
-		}
-		seen[g] = true
+	for gi := range p.groups {
+		g := &p.groups[gi]
 		if g.turn != p.Eng.Cycle() {
 			return 0, 0, 0, fmt.Errorf("%s: turn %d, engine at cycle %d", g.Name(), g.turn, p.Eng.Cycle())
 		}
@@ -29,7 +24,7 @@ func (p *Platform) CheckGroups() (waiting, idle, runnable int, err error) {
 				}
 			case has == r.parkable():
 				return 0, 0, 0, fmt.Errorf("%s: runnable=%v but exec=%v inbox=%d results=%d",
-					r.Name(), has, r.exec != nil, len(r.inbox), r.outLen)
+					r.Name(), has, r.exec >= 0, len(r.inbox), r.outQ.n)
 			case has:
 				runnable++
 			case r.parkedFrom > g.turn:

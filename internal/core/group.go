@@ -30,6 +30,8 @@ type rcuGroup struct {
 	// nodes clear.
 	rcus     []RCU
 	runnable sim.IndexSet
+	// instrs holds the instructions of the group's RCUs.
+	instrs instrSlab
 	// turn is the next cycle the group's RCUs are stepped in: the current
 	// cycle until the group's Evaluate has run, the one after from then
 	// on. A parked RCU is owed the cycles before it, whoever asks and
@@ -76,7 +78,7 @@ func (g *rcuGroup) Settle() {
 // result awaits injection. Queued instructions may remain — none of them
 // is ready, or dispatch would have started one.
 func (r *RCU) parkable() bool {
-	return r.exec == nil && len(r.inbox) == 0 && r.outLen == 0
+	return r.exec < 0 && len(r.inbox) == 0 && r.outQ.n == 0
 }
 
 // Parked reports whether the RCU is out of its group's runnable set.

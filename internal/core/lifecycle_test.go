@@ -85,7 +85,7 @@ func TestInvalidProgramIsAnErrorNotAPanic(t *testing.T) {
 // TestRepeatRunIsAllocationFree pins the steady state: running a
 // program again on the same platform validates nothing (programs are
 // immutable, once is enough), copies nothing up front, and feeds every
-// fetched entry from the token pool.
+// issued entry from the token pool.
 func TestRepeatRunIsAllocationFree(t *testing.T) {
 	_, p := newPlatform(t)
 	prog := sgemmProg(16)
@@ -108,10 +108,11 @@ func TestRepeatRunIsAllocationFree(t *testing.T) {
 }
 
 // TestTokenPoolRecyclesWithinOneKernel runs a DefaultKernelDims-sized
-// SGEMM on a fresh platform. Tokens are born at fetch, so the pool only
-// ever holds the instruction buffer's worth plus what was in the
-// network — not the program. (Stamping the whole program at Submit left
-// 110 592 tokens to free, overflowing tokenPoolCap into the GC.)
+// SGEMM on a fresh platform. Pooled tokens exist only in flight — minted
+// as they are sent, returned as they are consumed or copied into an RCU
+// — so the pool only ever holds what was in the network, not the
+// program. (Stamping the whole program at Submit left 110 592 tokens to
+// free, overflowing tokenPoolCap into the GC.)
 func TestTokenPoolRecyclesWithinOneKernel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 110k-instruction kernel")

@@ -92,6 +92,8 @@ type Platform struct {
 	// CPMs lists every manager, one per configured node.
 	CPMs []*CPM
 	Mem  *mem.Controller
+
+	groups []rcuGroup // by id: one per engine
 }
 
 // NewStandalone builds a zero-load platform (the Fig 9 measurement
@@ -172,12 +174,12 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 	// One token pool per shard engine: every component schedules token
 	// allocation and release on its own shard's goroutine, so the pools
 	// need no locking (the per-shard flit-pool rule of the sharded NoC).
-	// The engine's record also holds the group that steps its RCUs, and
+	// The engine's record also names the group that steps its RCUs, and
 	// the same walk counts its registrations for Reserve: that group, and
 	// its CPMs.
 	type shardRes struct {
 		pool  *TokenPool
-		group rcuGroup
+		group *rcuGroup
 		comps int
 	}
 	shard := make(map[*sim.Engine]*shardRes)
@@ -197,12 +199,12 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 	for e, res := range shard {
 		e.Reserve(res.comps)
 	}
-	rcus := rcuSlabs(rcuCfg, nc.Nodes(), net.Loop(), p.CPM.Node())
+	rcus := newRCUs(rcuCfg, nc.Nodes(), net.Loop(), p.CPM.Node())
 	// Every group's runnable set spans the whole slab, so an RCU's bit is
 	// its node whatever the shard; the sets are carved from one array.
 	words := (len(rcus) + 63) / 64
 	sets := make([]uint64, len(shard)*words)
-	groups := 0
+	p.groups = make([]rcuGroup, 0, len(shard))
 	for i := range rcus {
 		node := noc.NodeID(i)
 		rcu := &rcus[i]
@@ -224,13 +226,14 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 		// The group is registered on the node's shard engine, where its
 		// first RCU was: an RCU touches its router's compute port, which
 		// belongs to that shard. Every RCU starts parked, with no work.
-		if res.group.rcus == nil { // this engine's first node
+		if res.group == nil { // this engine's first node
 			e := net.EngFor(node)
-			res.group = rcuGroup{id: groups, rcus: rcus, runnable: carve(&sets, words), turn: e.Cycle()}
-			groups++
-			e.Register(&res.group)
+			p.groups = append(p.groups, rcuGroup{id: len(p.groups), rcus: rcus,
+				runnable: carve(&sets, words), instrs: instrSlab{free: -1}, turn: e.Cycle()})
+			res.group = &p.groups[len(p.groups)-1]
+			e.Register(res.group)
 		}
-		rcu.g, rcu.parkedFrom = &res.group, res.group.turn
+		rcu.g, rcu.parkedFrom, rcu.instrs = res.group, res.group.turn, &res.group.instrs
 	}
 	for _, cpm := range p.CPMs {
 		cpm.SetPool(resFor(cpm.Node()).pool)

@@ -5,17 +5,17 @@ package core
 // are engine-local on purpose: shard goroutines never share a pool, so
 // no locking is needed (the same rule PR 6 applied to flit pools).
 //
-// Ownership: instruction and input tokens are born when the CPM fetches
-// their command-stream entry (CPM.assemble), result tokens when an RCU
-// emits one. A token is pool-owned from Get until the moment it is
-// consumed — an instruction when it completes with every reference
-// operand filled, a data token when its dependent count reaches zero
-// (loop capture, local delivery, or CPM result collection). Tokens that
-// were created by a checkpoint restore are ordinary GC objects; freeing
-// them into a pool is fine, and tokens still referenced by a snapshot
-// are never freed because snapshots hold clones, not the originals.
-// Free lists are deliberately invisible to internal/checkpoint: pool
-// contents are unobservable, like the flit free lists.
+// Ownership: a pooled token exists only in flight. It is minted when it
+// enters the network — an instruction or input token when the CPM sends
+// its command-stream entry, a spilled token when the CPM re-injects it,
+// a result when an RCU's port takes it — and goes back to the pool the
+// moment it leaves: an instruction when its RCU copies it into a slot, a
+// data token when its dependent count reaches zero (loop capture or CPM
+// result collection) or the CPM's overflow path copies it out. Every
+// other holder keeps tokens by value, so a token has one holder at a
+// time and a checkpoint copies it plainly. Free lists are deliberately
+// invisible to internal/checkpoint: pool contents are unobservable, like
+// the flit free lists.
 type TokenPool struct {
 	instr []*InstrToken
 	data  []*DataToken
@@ -169,6 +169,19 @@ func (t *u32Table) del(key uint32) {
 	t.n--
 }
 
+// copyFrom makes t a copy of o, reusing t's storage. An empty o resets
+// t instead: where an empty table's slots lie is unobservable.
+func (t *u32Table) copyFrom(o *u32Table) {
+	if o.n == 0 {
+		t.reset()
+		return
+	}
+	t.keys = append(t.keys[:0], o.keys...)
+	t.vals = append(t.vals[:0], o.vals...)
+	t.live = append(t.live[:0], o.live...)
+	t.n = o.n
+}
+
 // reset empties the table, keeping its capacity.
 func (t *u32Table) reset() {
 	for i := range t.live {
@@ -192,4 +205,52 @@ func (t *u32Table) grow() {
 			t.put(keys[i], vals[i])
 		}
 	}
+}
+
+// ring is a FIFO of values over one backing array that doubles when
+// full.
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+// push appends v.
+func (q *ring[T]) push(v T) {
+	if q.n == len(q.buf) {
+		buf := make([]T, max(2*len(q.buf), 8))
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.n++
+}
+
+// pop removes and returns the oldest entry.
+func (q *ring[T]) pop() T {
+	v := q.buf[q.head]
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return v
+}
+
+// live returns a copy of the entries, oldest first; nil when empty.
+func (q *ring[T]) live() []T {
+	if q.n == 0 {
+		return nil
+	}
+	out := make([]T, q.n)
+	k := copy(out, q.buf[q.head:])
+	copy(out[k:], q.buf)
+	return out
+}
+
+// restore makes the ring hold entries, oldest first, from the front of
+// its array: where a ring starts in its array is unobservable.
+func (q *ring[T]) restore(entries []T) {
+	if len(q.buf) < len(entries) {
+		q.buf = make([]T, len(entries))
+	}
+	q.head, q.n = 0, copy(q.buf, entries)
 }

@@ -19,8 +19,8 @@ type ProgEntry struct {
 // Program is a compiled SnackNoC kernel: the command stream the CPM
 // streams from main memory, plus result metadata. Once built a Program
 // is immutable: every CPM and every sweep worker streams the same
-// instance, and execution only ever mutates the per-fetch token copies
-// the CPM assembles from it (CPM.assemble).
+// instance, and execution only ever mutates the token copies the CPM
+// assembles from it as it issues them (CPM.assemble).
 type Program struct {
 	Name    string
 	Entries []ProgEntry

@@ -25,7 +25,7 @@ func DefaultRCUConfig() RCUConfig {
 
 // inboxEntry is an instruction awaiting its enqueue stage.
 type inboxEntry struct {
-	it    *InstrToken
+	slot  int32 // in the RCU's instrSlab
 	stamp int64
 }
 
@@ -33,10 +33,10 @@ type inboxEntry struct {
 // the per-sub-block instruction queues and the per-dependency waiting
 // lists are singly linked chains of these, so an instruction buffered
 // in a sub-block and indexed under two unresolved operands occupies
-// three cells. Free cells are chained through next.
+// three cells, all naming its one slot. Free cells are chained through
+// next.
 type instrNode struct {
-	it   *InstrToken
-	next int32
+	slot, next int32
 }
 
 // sbState is one active sub-block: an intra-dependent chain executed
@@ -57,11 +57,71 @@ type waitList struct {
 	head, tail int32
 }
 
-// outToken is a result awaiting injection through the compute port.
+// outToken is a result awaiting injection through the compute port. It
+// is minted into a pooled token only once the port has a credit for it.
 type outToken struct {
 	dst  noc.NodeID
-	tok  *DataToken
+	tok  DataToken
 	loop bool
+}
+
+// instrSlot is one slot of an instrSlab.
+type instrSlot struct {
+	it   InstrToken
+	next int32 // the next free slot, while this one is free
+	// retired marks an instruction that completed while a reference
+	// operand was still unfilled; the fill frees the slot (see deliver).
+	retired bool
+}
+
+// instrChunk is how many slots an instrSlab adds at a time.
+const instrChunk = 64
+
+// instrSlab holds by value every instruction the RCUs of one engine
+// hold, from the cycle its flit arrives until it retires; an RCU names
+// its instructions by slot. It grows a chunk at a time, so growth never
+// moves a slot, and free slots are chained through next, so recycling
+// one allocates nothing. The zero value needs free set to -1.
+type instrSlab struct {
+	chunks [][]instrSlot
+	n      int32 // slots handed out at least once
+	free   int32 // free-list head, -1 when empty
+}
+
+func (s *instrSlab) at(i int32) *instrSlot { return &s.chunks[i/instrChunk][i%instrChunk] }
+
+// add copies it into a free slot and returns the slot.
+func (s *instrSlab) add(it *InstrToken) int32 {
+	i := s.free
+	if i >= 0 {
+		s.free = s.at(i).next
+	} else {
+		if int(s.n) == len(s.chunks)*instrChunk {
+			s.chunks = append(s.chunks, make([]instrSlot, instrChunk))
+		}
+		i = s.n
+		s.n++
+	}
+	*s.at(i) = instrSlot{it: *it}
+	return i
+}
+
+// release returns slot i to the free list.
+func (s *instrSlab) release(i int32) {
+	*s.at(i) = instrSlot{next: s.free}
+	s.free = i
+}
+
+// copyFrom makes s a slot-for-slot copy of o, reusing s's chunks.
+func (s *instrSlab) copyFrom(o *instrSlab) {
+	used := (int(o.n) + instrChunk - 1) / instrChunk
+	for len(s.chunks) < used {
+		s.chunks = append(s.chunks, make([]instrSlot, instrChunk))
+	}
+	for i := range used {
+		copy(s.chunks[i], o.chunks[i])
+	}
+	s.n, s.free = o.n, o.free
 }
 
 // RCU is the Router Compute Unit of §III-D: flit decode, an ordered
@@ -69,10 +129,14 @@ type outToken struct {
 // capture path fed by transient loop tokens, a fixed-point ALU with an
 // accumulator register, and result re-encoding back onto the NoC.
 //
-// The hot state is flat (PR 8): sub-block queues and the dependency-
-// capture index are open-addressed tables over index-linked slab cells,
-// sized once and reused across kernels, and the result queue is a ring.
-// No map grows or shrinks on the dispatch path.
+// The state is flat: sub-block queues and the dependency-capture index
+// are open-addressed tables over index-linked slab cells, sized once and
+// reused across kernels, and the result queue is a ring. No map grows or
+// shrinks on the dispatch path. The RCU holds every instruction by
+// value, in a slot of its engine's instrSlab, from the cycle its flit
+// arrives until it retires; the inbox, the cells and exec name slots. A
+// checkpoint is therefore a copy of the slab, rcuSlabs, the ring and
+// rcuScalars.
 //
 // On a Platform the engine does not see RCUs one by one: an rcuGroup
 // steps those that hold work (see group.go).
@@ -91,13 +155,23 @@ type RCU struct {
 	g          *rcuGroup
 	parkedFrom int64
 
-	inbox []inboxEntry
-	// buffered counts the instructions in the inbox and the sub-block
-	// queues, whose high-water mark is maxBuffer.
-	buffered int
+	instrs *instrSlab // shared with the RCUs of the same engine
+	rcuSlabs
+	outQ ring[outToken]
 
-	nodes    []instrNode // shared slab for sub-block queues and waiting lists
-	nodeFree int32       // slab free-list head, -1 when empty
+	// tr records operand/compute events; nil disables tracing.
+	tr *trace.Tracer
+
+	// at classifies each evaluated cycle for attribution; nil disables.
+	at *attrib.Counters
+
+	rcuScalars
+}
+
+// rcuSlabs holds the flat structures an RCU indexes its instructions with.
+type rcuSlabs struct {
+	inbox []inboxEntry
+	nodes []instrNode // shared slab for sub-block queues and waiting lists
 
 	sbSlots  []sbState
 	sbFree   []int32
@@ -107,32 +181,43 @@ type RCU struct {
 	waitSlots []waitList
 	waitFree  []int32
 	waitTab   u32Table // DepID -> waitSlots index
+}
+
+// copyFrom makes s a slot-for-slot copy of o, reusing s's storage.
+func (s *rcuSlabs) copyFrom(o *rcuSlabs) {
+	s.inbox = append(s.inbox[:0], o.inbox...)
+	s.nodes = append(s.nodes[:0], o.nodes...)
+	s.sbSlots = append(s.sbSlots[:0], o.sbSlots...)
+	s.sbFree = append(s.sbFree[:0], o.sbFree...)
+	s.sbActive = append(s.sbActive[:0], o.sbActive...)
+	s.sbTab.copyFrom(&o.sbTab)
+	s.waitSlots = append(s.waitSlots[:0], o.waitSlots...)
+	s.waitFree = append(s.waitFree[:0], o.waitFree...)
+	s.waitTab.copyFrom(&o.waitTab)
+}
+
+// rcuScalars is an RCU's mutable state outside its slabs and ring; a
+// checkpoint copies it whole.
+type rcuScalars struct {
+	// buffered counts the instructions in the inbox and the sub-block
+	// queues, whose high-water mark is maxBuffer.
+	buffered  int
+	maxBuffer int
+	nodeFree  int32 // slab free-list head, -1 when empty
 
 	acc     fixed.Q
 	accSB   uint32
 	accOpen bool
 
-	exec      *InstrToken
+	exec      int32 // slot of the executing instruction, -1 when none
 	execVal   fixed.Q
 	busyUntil int64
 	execStart int64 // dispatch cycle of exec, for the trace span
 
-	outQ    []outToken // ring
-	outHead int
-	outLen  int
-
-	// statistics
 	executed   stats.Counter
 	captured   stats.Counter // dependency values captured from loop tokens
 	emitted    stats.Counter
-	maxBuffer  int
 	stallCount stats.Counter // cycles with buffered work but nothing ready
-
-	// tr records operand/compute events; nil disables tracing.
-	tr *trace.Tracer
-
-	// at classifies each evaluated cycle for attribution; nil disables.
-	at *attrib.Counters
 }
 
 // NewRCU builds the compute unit for one router. The Network's
@@ -140,11 +225,12 @@ type RCU struct {
 // it its injection port.
 func NewRCU(cfg RCUConfig, node noc.NodeID, loop *noc.LoopRoute, cpmNode noc.NodeID) *RCU {
 	return &RCU{
-		cfg:      cfg,
-		node:     node,
-		loop:     loop,
-		cpmNode:  cpmNode,
-		nodeFree: -1,
+		cfg:        cfg,
+		node:       node,
+		loop:       loop,
+		cpmNode:    cpmNode,
+		instrs:     &instrSlab{free: -1},
+		rcuScalars: rcuScalars{nodeFree: -1, exec: -1},
 	}
 }
 
@@ -163,12 +249,13 @@ const (
 	rcuOutQCap    = 8
 )
 
-// rcuSlabs builds every RCU of a mesh in a handful of allocations: the
+// newRCUs builds every RCU of a mesh in a handful of allocations: the
 // RCUs themselves and each flat structure as one slab, carved into
 // full-capacity windows. The windows are initial capacities, not limits
 // — an RCU that outgrows one reallocates it privately, as a directly
-// constructed NewRCU grows from empty.
-func rcuSlabs(cfg RCUConfig, nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) []RCU {
+// constructed NewRCU grows from empty. The caller hands each RCU its
+// engine's instrSlab.
+func newRCUs(cfg RCUConfig, nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) []RCU {
 	const tabCap = rcuSBTabCap + rcuWaitTabCap
 	rcus := make([]RCU, nodes)
 	cells := make([]instrNode, nodes*rcuCellCap)
@@ -184,17 +271,20 @@ func rcuSlabs(cfg RCUConfig, nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID)
 	}
 	for i := range rcus {
 		rcus[i] = RCU{
-			cfg: cfg, node: noc.NodeID(i), loop: loop, cpmNode: cpmNode, nodeFree: -1,
-			nodes:     carve(&cells, rcuCellCap)[:0],
-			sbSlots:   carve(&sbSlots, rcuSBCap)[:0],
-			sbFree:    carve(&idx, rcuSBCap)[:0],
-			sbActive:  carve(&idx, rcuSBCap)[:0],
-			waitSlots: carve(&waitSlots, rcuWaitCap)[:0],
-			waitFree:  carve(&idx, rcuWaitCap)[:0],
-			sbTab:     tab(rcuSBTabCap),
-			waitTab:   tab(rcuWaitTabCap),
-			inbox:     carve(&inbox, rcuInboxCap)[:0],
-			outQ:      carve(&outQ, rcuOutQCap),
+			cfg: cfg, node: noc.NodeID(i), loop: loop, cpmNode: cpmNode,
+			rcuSlabs: rcuSlabs{
+				inbox:     carve(&inbox, rcuInboxCap)[:0],
+				nodes:     carve(&cells, rcuCellCap)[:0],
+				sbSlots:   carve(&sbSlots, rcuSBCap)[:0],
+				sbFree:    carve(&idx, rcuSBCap)[:0],
+				sbActive:  carve(&idx, rcuSBCap)[:0],
+				sbTab:     tab(rcuSBTabCap),
+				waitSlots: carve(&waitSlots, rcuWaitCap)[:0],
+				waitFree:  carve(&idx, rcuWaitCap)[:0],
+				waitTab:   tab(rcuWaitTabCap),
+			},
+			outQ:       ring[outToken]{buf: carve(&outQ, rcuOutQCap)},
+			rcuScalars: rcuScalars{nodeFree: -1, exec: -1},
 		}
 	}
 	return rcus
@@ -236,18 +326,18 @@ func (r *RCU) MaxBuffered() int { return r.maxBuffer }
 
 // Idle reports whether the RCU holds no work at all.
 func (r *RCU) Idle() bool {
-	return r.exec == nil && len(r.inbox) == 0 && len(r.sbActive) == 0 && r.outLen == 0
+	return r.exec < 0 && len(r.inbox) == 0 && len(r.sbActive) == 0 && r.outQ.n == 0
 }
 
 // newNode takes a slab cell off the free list.
-func (r *RCU) newNode(it *InstrToken) int32 {
+func (r *RCU) newNode(slot int32) int32 {
 	if r.nodeFree >= 0 {
 		n := r.nodeFree
 		r.nodeFree = r.nodes[n].next
-		r.nodes[n] = instrNode{it: it, next: -1}
+		r.nodes[n] = instrNode{slot: slot, next: -1}
 		return n
 	}
-	r.nodes = append(r.nodes, instrNode{it: it, next: -1})
+	r.nodes = append(r.nodes, instrNode{slot: slot, next: -1})
 	return int32(len(r.nodes) - 1)
 }
 
@@ -257,25 +347,33 @@ func (r *RCU) freeNode(n int32) {
 	r.nodeFree = n
 }
 
-// freeInstr recycles a completed instruction. An instruction with an
-// unfilled reference operand may still be indexed in a waiting list
-// (only OpAccAdd can dispatch with R unresolved), so it is left to the
-// GC rather than recycled under a live alias.
-func (r *RCU) freeInstr(it *InstrToken) {
-	if (it.L.IsRef && !it.L.filled) || (it.R.IsRef && !it.R.filled) {
+// instrAt returns the instruction cell n names.
+func (r *RCU) instrAt(n int32) *InstrToken { return &r.instrs.at(r.nodes[n].slot).it }
+
+// retire frees a completed instruction's slot. An instruction with an
+// unfilled reference operand is still named by a waiting-list cell (only
+// OpAccAdd dispatches with R unresolved), so it is only marked, and the
+// fill that resolves it frees the slot (see deliver).
+func (r *RCU) retire(s int32) {
+	sl := r.instrs.at(s)
+	if it := &sl.it; (it.L.IsRef && !it.L.filled) || (it.R.IsRef && !it.R.filled) {
+		sl.retired = true
 		return
 	}
-	r.pool.PutInstr(it)
+	r.instrs.release(s)
 }
 
-// OnArrival implements noc.ComputeUnit: instruction flits are consumed
-// into the inbox; passing data tokens fill any waiting operands and are
-// consumed once their dependent count reaches zero.
+// OnArrival implements noc.ComputeUnit: instruction flits are copied
+// into an instruction slot and the inbox; passing data tokens fill any
+// waiting operands and are consumed once their dependent count reaches
+// zero. A consumed token goes back to the pool at once; the flit is
+// recycled by the router.
 func (r *RCU) OnArrival(f *noc.Flit, cycle int64) bool {
 	switch pl := f.Payload.(type) {
 	case *InstrToken:
 		r.resume()
-		r.inbox = append(r.inbox, inboxEntry{it: pl, stamp: cycle})
+		r.inbox = append(r.inbox, inboxEntry{slot: r.instrs.add(pl), stamp: cycle})
+		r.pool.PutInstr(pl)
 		r.buffered++
 		return true
 	case *DataToken:
@@ -296,7 +394,7 @@ func (r *RCU) OnArrival(f *noc.Flit, cycle int64) bool {
 		}
 		pl.Dependents -= uint16(fills)
 		if pl.Dependents == 0 {
-			r.pool.PutData(pl) // consumed off the loop; the flit is recycled by the router
+			r.pool.PutData(pl)
 			return true
 		}
 		return false
@@ -306,7 +404,8 @@ func (r *RCU) OnArrival(f *noc.Flit, cycle int64) bool {
 }
 
 // deliver fills every waiting operand that references dep, returning the
-// number of operand fills performed.
+// number of operand fills performed. A retired instruction whose last
+// unfilled operand this was gives up its slot.
 func (r *RCU) deliver(dep DepID, v fixed.Q) int {
 	wi, ok := r.waitTab.get(uint32(dep))
 	if !ok {
@@ -314,7 +413,9 @@ func (r *RCU) deliver(dep DepID, v fixed.Q) int {
 	}
 	fills := 0
 	for n := r.waitSlots[wi].head; n >= 0; {
-		it := r.nodes[n].it
+		s := r.nodes[n].slot
+		sl := r.instrs.at(s)
+		it := &sl.it
 		if it.L.IsRef && !it.L.filled && it.L.Dep == dep {
 			it.L.fill(v)
 			fills++
@@ -322,6 +423,9 @@ func (r *RCU) deliver(dep DepID, v fixed.Q) int {
 		if it.R.IsRef && !it.R.filled && it.R.Dep == dep {
 			it.R.fill(v)
 			fills++
+		}
+		if sl.retired {
+			r.retire(s)
 		}
 		next := r.nodes[n].next
 		r.freeNode(n)
@@ -334,8 +438,8 @@ func (r *RCU) deliver(dep DepID, v fixed.Q) int {
 
 // waitAdd indexes an unresolved operand: the instruction joins dep's
 // chain at the tail, preserving arrival order.
-func (r *RCU) waitAdd(dep DepID, it *InstrToken) {
-	n := r.newNode(it)
+func (r *RCU) waitAdd(dep DepID, slot int32) {
+	n := r.newNode(slot)
 	if wi, ok := r.waitTab.get(uint32(dep)); ok {
 		w := &r.waitSlots[wi]
 		r.nodes[w.tail].next = n
@@ -361,10 +465,10 @@ func (r *RCU) Evaluate(cycle int64) {
 		r.port.Update(cycle)
 	}
 	r.drainInbox(cycle)
-	if r.exec != nil && cycle >= r.busyUntil {
+	if r.exec >= 0 && cycle >= r.busyUntil {
 		r.complete(cycle)
 	}
-	if r.exec == nil {
+	if r.exec < 0 {
 		r.dispatch(cycle)
 	}
 	// Attribution, exactly once per cycle: executing beats everything;
@@ -372,9 +476,9 @@ func (r *RCU) Evaluate(cycle int64) {
 	// queued instructions or live scoreboards are operand wait; else idle.
 	if r.at != nil {
 		switch {
-		case r.exec != nil:
+		case r.exec >= 0:
 			r.at.Inc(attrib.RCUExec)
-		case r.outLen > 0:
+		case r.outQ.n > 0:
 			r.at.Inc(attrib.RCUOutputBackpressure)
 		case len(r.inbox) > 0 || len(r.sbActive) > 0:
 			r.at.Inc(attrib.RCUOperandWait)
@@ -384,35 +488,16 @@ func (r *RCU) Evaluate(cycle int64) {
 	}
 }
 
-// Advance injects at most one queued result token per cycle.
+// Advance injects at most one queued result token per cycle, minting it
+// into a pooled token as the port takes it.
 func (r *RCU) Advance(cycle int64) {
-	if r.outLen == 0 || r.port == nil {
+	if r.outQ.n == 0 || r.port == nil || !r.port.CanSend() {
 		return
 	}
-	o := &r.outQ[r.outHead]
-	if r.port.Send(o.dst, o.tok, o.loop, cycle) {
-		*o = outToken{}
-		r.outHead = (r.outHead + 1) % len(r.outQ)
-		r.outLen--
-	}
-}
-
-// outPush appends a result to the injection ring.
-func (r *RCU) outPush(o outToken) {
-	if r.outLen == len(r.outQ) {
-		n := len(r.outQ) * 2
-		if n < 8 {
-			n = 8
-		}
-		q := make([]outToken, n)
-		for i := 0; i < r.outLen; i++ {
-			q[i] = r.outQ[(r.outHead+i)%len(r.outQ)]
-		}
-		r.outQ = q
-		r.outHead = 0
-	}
-	r.outQ[(r.outHead+r.outLen)%len(r.outQ)] = o
-	r.outLen++
+	o := r.outQ.pop()
+	tok := r.pool.GetData()
+	*tok = o.tok
+	r.port.Send(o.dst, tok, o.loop, cycle)
 }
 
 // sbFor returns the sub-block slot for id, creating it on first use.
@@ -435,13 +520,15 @@ func (r *RCU) sbFor(id uint32) *sbState {
 	return &r.sbSlots[si]
 }
 
-// sbInsert places it into the sub-block's chain, sorted on SBIdx (flits
-// may arrive out of order); equal indices keep arrival order.
-func (r *RCU) sbInsert(sb *sbState, it *InstrToken) {
-	n := r.newNode(it)
+// sbInsert places the instruction in slot into the sub-block's chain,
+// sorted on SBIdx (flits may arrive out of order); equal indices keep
+// arrival order.
+func (r *RCU) sbInsert(sb *sbState, slot int32) {
+	n := r.newNode(slot)
+	idx := r.instrs.at(slot).it.SBIdx
 	// Flits usually arrive in sub-block order, so appending at the tail
 	// is the hot case; the head-walk below only runs for the stragglers.
-	if sb.tail >= 0 && r.nodes[sb.tail].it.SBIdx <= it.SBIdx {
+	if sb.tail >= 0 && r.instrAt(sb.tail).SBIdx <= idx {
 		r.nodes[n].next = -1
 		r.nodes[sb.tail].next = n
 		sb.tail = n
@@ -449,7 +536,7 @@ func (r *RCU) sbInsert(sb *sbState, it *InstrToken) {
 		return
 	}
 	prev, cur := int32(-1), sb.head
-	for cur >= 0 && r.nodes[cur].it.SBIdx <= it.SBIdx {
+	for cur >= 0 && r.instrAt(cur).SBIdx <= idx {
 		prev, cur = cur, r.nodes[cur].next
 	}
 	r.nodes[n].next = cur
@@ -469,13 +556,14 @@ func (r *RCU) sbInsert(sb *sbState, it *InstrToken) {
 func (r *RCU) drainInbox(cycle int64) {
 	n := 0
 	for n < len(r.inbox) && cycle-r.inbox[n].stamp >= r.cfg.EnqueueLat {
-		it := r.inbox[n].it
-		r.sbInsert(r.sbFor(it.SubBlock), it)
+		s := r.inbox[n].slot
+		it := &r.instrs.at(s).it
+		r.sbInsert(r.sbFor(it.SubBlock), s)
 		if it.L.IsRef && !it.L.filled {
-			r.waitAdd(it.L.Dep, it)
+			r.waitAdd(it.L.Dep, s)
 		}
 		if it.R.IsRef && !it.R.filled {
-			r.waitAdd(it.R.Dep, it)
+			r.waitAdd(it.R.Dep, s)
 		}
 		n++
 	}
@@ -494,7 +582,7 @@ func (r *RCU) sbHeadReady(si int32) bool {
 	if sb.head < 0 {
 		return false
 	}
-	it := r.nodes[sb.head].it
+	it := r.instrAt(sb.head)
 	return it.SBIdx == sb.executed && operandsReady(it)
 }
 
@@ -519,7 +607,7 @@ func (r *RCU) dispatch(cycle int64) {
 			if !r.sbHeadReady(si) {
 				continue
 			}
-			seq := r.nodes[r.sbSlots[si].head].it.Seq
+			seq := r.instrAt(r.sbSlots[si].head).Seq
 			if pick < 0 || seq < pickSeq {
 				pick, pickSeq = si, seq
 			}
@@ -533,7 +621,8 @@ func (r *RCU) dispatch(cycle int64) {
 	}
 	sb := &r.sbSlots[pick]
 	n := sb.head
-	it := r.nodes[n].it
+	r.exec = r.nodes[n].slot
+	it := r.instrAt(n)
 	sb.head = r.nodes[n].next
 	if sb.head < 0 {
 		sb.tail = -1
@@ -548,7 +637,6 @@ func (r *RCU) dispatch(cycle int64) {
 		}
 		r.removeSB(pick)
 	}
-	r.exec = it
 	r.busyUntil = cycle + it.Op.Latency()
 	r.execStart = cycle
 	r.execVal = r.compute(it)
@@ -607,39 +695,38 @@ func (r *RCU) compute(it *InstrToken) fixed.Q {
 // satisfied immediately (§III-A: same-PE results are preserved locally),
 // and any remaining dependents receive a data token — to the CPM for
 // final outputs, onto the loop route for transient intermediates. The
-// retired instruction and any fully consumed token go back to the pool.
+// retired instruction's slot is freed.
 func (r *RCU) complete(cycle int64) {
-	it := r.exec
-	r.exec = nil
+	s := r.exec
+	it := &r.instrs.at(s).it
+	r.exec = -1
 	r.executed.Inc()
 	// ALU-occupancy span: dispatch to completion.
 	r.emitCompute(trace.KindRCUExec, cycle, r.execStart, 0)
 	if !it.Emit {
-		r.freeInstr(it)
+		r.retire(s)
 		return
 	}
 	r.emitted.Inc()
 	r.emitCompute(trace.KindRCUEmit, cycle, cycle, 0)
-	tok := r.pool.GetData()
-	tok.Dep, tok.Dependents, tok.V = it.EmitDep, it.Dependents, r.execVal
-	toCPM, home := it.ToCPM, it.Home
-	r.freeInstr(it)
+	o := outToken{dst: it.Home, tok: DataToken{Dep: it.EmitDep, Dependents: it.Dependents, V: r.execVal}}
+	toCPM := it.ToCPM
+	r.retire(s)
 	if toCPM {
-		r.outPush(outToken{dst: home, tok: tok, loop: false})
+		r.outQ.push(o)
 		return
 	}
-	if fills := r.deliver(tok.Dep, tok.V); fills > 0 {
+	if fills := r.deliver(o.tok.Dep, o.tok.V); fills > 0 {
 		r.captured.Add(int64(fills))
 		r.emitCompute(trace.KindRCUCapture, cycle, cycle, int32(fills))
-		if int(tok.Dependents) < fills {
-			panic(fmt.Sprintf("%s: local delivery over-consumed %s", r.Name(), tok))
+		if tok := o.tok; int(tok.Dependents) < fills {
+			panic(fmt.Sprintf("%s: local delivery over-consumed %s", r.Name(), &tok))
 		}
-		tok.Dependents -= uint16(fills)
+		o.tok.Dependents -= uint16(fills)
 	}
-	if tok.Dependents > 0 {
-		r.outPush(outToken{dst: r.loop.Next(r.node), tok: tok, loop: true})
-	} else {
-		r.pool.PutData(tok)
+	if o.tok.Dependents > 0 {
+		o.dst, o.loop = r.loop.Next(r.node), true
+		r.outQ.push(o)
 	}
 }
 

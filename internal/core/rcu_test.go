@@ -46,11 +46,11 @@ func TestRCUReordersSubBlock(t *testing.T) {
 	if r.Executed() != 3 {
 		t.Fatalf("executed %d instructions, want 3", r.Executed())
 	}
-	if r.outLen != 1 {
-		t.Fatalf("outQ has %d tokens, want 1", r.outLen)
+	if r.outQ.n != 1 {
+		t.Fatalf("outQ has %d tokens, want 1", r.outQ.n)
 	}
 	// 1*2 + 3*4 + 5*6 = 44 — correct only if the chain ran in SBIdx order.
-	if got := r.outQ[r.outHead].tok.V.Float(); got != 44 {
+	if got := r.outQ.pop().tok.V.Float(); got != 44 {
 		t.Fatalf("chain result %v, want 44 (out-of-order execution?)", got)
 	}
 }
@@ -78,7 +78,7 @@ func TestRCUWaitsForMissingOperand(t *testing.T) {
 	if r.Executed() != 1 {
 		t.Fatal("did not fire after capture")
 	}
-	if got := r.outQ[r.outHead].tok.V.Float(); got != 10 {
+	if got := r.outQ.pop().tok.V.Float(); got != 10 {
 		t.Fatalf("9+1 = %v", got)
 	}
 }
@@ -128,12 +128,38 @@ func TestRCUEnqueueStageDelaysDispatch(t *testing.T) {
 		Emit: true, EmitDep: 9, Dependents: 1, ToCPM: true}
 	feedInstr(r, it, 5)
 	step(r, 5) // same cycle as arrival: still in the enqueue stage
-	if r.Executed() != 0 || r.exec != nil {
+	if r.Executed() != 0 || r.exec >= 0 {
 		t.Fatal("instruction dispatched without the §III-D2 enqueue stage")
 	}
 	step(r, 6) // enqueue + dispatch
 	step(r, 7) // complete
 	if r.Executed() != 1 {
 		t.Fatalf("executed = %d after latency elapsed", r.Executed())
+	}
+}
+
+// TestAccAddFreesItsSlotOnTheLateFill: OpAccAdd ignores R, so it can
+// complete while R still waits for its token. The slot stays reserved
+// for that fill — which still consumes a dependent — and the fill frees
+// it.
+func TestAccAddFreesItsSlotOnTheLateFill(t *testing.T) {
+	r := NewRCU(DefaultRCUConfig(), 3, nil, 0)
+	feedInstr(r, &InstrToken{Op: OpAccAdd, Dst: 3, Seq: 1, SubBlock: 1, EndSB: true, AccInit: true,
+		L: Imm32(fixed.FromInt(5)), R: Ref(42)}, 0)
+	for c := int64(1); c < 5; c++ {
+		step(r, c)
+	}
+	if r.Executed() != 1 {
+		t.Fatalf("executed %d, want 1", r.Executed())
+	}
+	if !r.instrs.at(0).retired || r.instrs.free >= 0 {
+		t.Fatal("the slot was freed while a waiting-list cell still names it")
+	}
+	tok := &DataToken{Dep: 42, Dependents: 2, V: fixed.FromInt(1)}
+	if r.OnArrival(&noc.Flit{Payload: tok, Loop: true}, 5) || tok.Dependents != 1 {
+		t.Fatalf("the late fill left %d dependents, want 1", tok.Dependents)
+	}
+	if r.instrs.free != 0 || r.instrs.at(0).retired {
+		t.Fatal("the late fill did not free the retired slot")
 	}
 }

@@ -139,6 +139,40 @@ func TestKernelDimsHelpers(t *testing.T) {
 	}
 }
 
+// TestCommandLineShapes covers the -mesh and -dims parsers the commands
+// share: a mesh with trailing input is rejected, not cut short.
+func TestCommandLineShapes(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		w, h int // 0: an error
+	}{
+		{"4x4", 4, 4}, {"8X4", 8, 4}, {"16x16", 16, 16},
+		{"4x4x9", 0, 0}, {"4x4 ", 0, 0}, {"4x", 0, 0}, {"x4", 0, 0}, {"4", 0, 0},
+		{"1x4", 0, 0}, {"4x1", 0, 0}, {"", 0, 0}, {"axb", 0, 0},
+	} {
+		w, h, err := ParseMesh(tc.in)
+		if w != tc.w || h != tc.h || (err == nil) != (tc.w != 0) {
+			t.Errorf("ParseMesh(%q) = %d, %d, %v; want %d, %d", tc.in, w, h, err, tc.w, tc.h)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		want KernelDims
+		ok   bool
+	}{
+		{"default", DefaultKernelDims(), true},
+		{"paper", PaperKernelDims(), true},
+		{"smoke", DSESmokeDims(), true},
+		{"Smoke", KernelDims{}, false},
+		{"", KernelDims{}, false},
+	} {
+		got, err := KernelDimsByName(tc.name)
+		if got != tc.want || (err == nil) != tc.ok {
+			t.Errorf("KernelDimsByName(%q) = %+v, %v; want %+v", tc.name, got, err, tc.want)
+		}
+	}
+}
+
 func TestBuildKernelGraphsEvaluate(t *testing.T) {
 	dims := KernelDims{SGEMMDim: 6, ReduceLen: 40, MACLen: 40, SPMVDim: 12, SPMVDensity: 0.4}
 	for _, k := range cpu.Kernels() {

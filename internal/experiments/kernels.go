@@ -7,6 +7,8 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"snacknoc/internal/compiler"
 	"snacknoc/internal/core"
@@ -50,6 +52,32 @@ func PaperKernelDims() KernelDims {
 		SPMVDim:     4096,
 		SPMVDensity: 0.30, // "70% sparsity"
 	}
+}
+
+// KernelDimsByName returns the sizes a command's -dims flag names:
+// default, paper or smoke.
+func KernelDimsByName(name string) (KernelDims, error) {
+	switch name {
+	case "default":
+		return DefaultKernelDims(), nil
+	case "paper":
+		return PaperKernelDims(), nil
+	case "smoke":
+		return DSESmokeDims(), nil
+	}
+	return KernelDims{}, fmt.Errorf("unknown -dims %q (want default, paper, or smoke)", name)
+}
+
+// ParseMesh parses a mesh shape written WxH (or Wxh), each side at least
+// 2; anything else, trailing input included, is an error.
+func ParseMesh(s string) (w, h int, err error) {
+	ws, hs, _ := strings.Cut(strings.ToLower(s), "x")
+	w, werr := strconv.Atoi(ws)
+	h, herr := strconv.Atoi(hs)
+	if werr != nil || herr != nil || w < 2 || h < 2 {
+		return 0, 0, fmt.Errorf("bad mesh %q (want e.g. 4x4)", s)
+	}
+	return w, h, nil
 }
 
 // CPUDims exposes the CPU-model sizing conversion for a kernel.

@@ -56,3 +56,46 @@ func (n *Network) CheckDrained() error {
 	}
 	return nil
 }
+
+// Payloads returns the payload of every packet the network holds, in
+// walk order: on a buffered flit, a head flit parked for reassembly or a
+// flit on a wire, and in an NI's incoming, waiting and active envelopes.
+// Call it between cycles, when no router or NI has a flit staged.
+func (n *Network) Payloads() []any {
+	var out []any
+	add := func(p any) {
+		if p != nil {
+			out = append(out, p)
+		}
+	}
+	for _, f := range n.bufSlab {
+		if f != nil {
+			add(f.Payload)
+		}
+	}
+	for _, f := range n.reasm {
+		if f != nil {
+			add(f.Payload)
+		}
+	}
+	for k := range n.flitWires {
+		for _, e := range n.flitWires[k].q {
+			add(e.f.Payload)
+		}
+	}
+	for i := range n.nis {
+		ni := &n.nis[i]
+		for _, r := range ni.incoming {
+			add(r.pkt.Payload)
+		}
+		for _, w := range ni.waiting {
+			for _, p := range w.q[w.head:] {
+				add(p.Payload)
+			}
+		}
+		for _, t := range ni.active {
+			add(t.pkt.Payload)
+		}
+	}
+	return out
+}

@@ -21,10 +21,9 @@ import (
 // restored network still drains to empty pools.
 //
 // Flit and packet payloads are opaque to this package: the caller passes
-// a clone function (nil shares pointers, correct for immutable payloads
-// such as cache protocol messages). The SnackNoC layer passes an
-// identity-preserving token cloner so the aliasing between buffered
-// tokens and RCU/CPM bookkeeping survives the copy.
+// a clone function (nil shares pointers, correct for immutable
+// payloads). A payload in flight has one holder, the flit or envelope
+// carrying it, so a clone need only copy it.
 //
 // Snapshots must be taken at a settled point — between engine runs, when
 // every staged output has been committed by Advance and, on a sharded
@@ -103,8 +102,8 @@ func (r *Router) workLists() (lists [2 + 2*numDirections]*[]int32) {
 	return lists
 }
 
-// SnapshotState captures the network. clone deep-copies flit/packet
-// payloads (nil shares them).
+// SnapshotState captures the network. clone copies flit/packet payloads
+// (nil shares them).
 func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 	for i := range n.flitB {
 		if len(n.flitB[i].stub.q) != 0 || len(n.credB[i].stub) != 0 {
@@ -226,8 +225,8 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 	return s
 }
 
-// RestoreState writes a saved network state back. clone must mirror the
-// snapshot-side cloner (same payload semantics, fresh identity map).
+// RestoreState writes a saved network state back. clone copies payloads
+// out of the state, as the snapshot's clone copied them in.
 func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 	// Flits go back to and come from one pool: restore is serial, and flits
 	// migrate between the shards' pools anyway. Envelopes stay with their NI's.

@@ -64,9 +64,12 @@ go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./inte
 # the mask and credit-conservation invariants are checked after every
 # cycle (a boundary credit landed before the barrier is a data race
 # here and a counter that differs from the serial run's there). The two
-# credit-timing pins ride along.
-echo "== go test -race: fork determinism + pending-mask and credit invariants + credit-timing pins =="
-go test -race -run 'TestForkDeterminism|TestPendingMasksTrackWires|TestInjectPortCreditTiming|TestNIWaitingPacketNeedsAnEvent' -count=1 ./internal/checkpoint ./internal/noc
+# credit-timing pins ride along, and so do the checks a checkpoint's
+# plain slab copies rest on: every payload in flight has one holder (at
+# the fork test's snapshot points, sharded included), and a mid-flight
+# restore gives the cache back its slabs slot for slot.
+echo "== go test -race: fork determinism + pending-mask and credit invariants + credit-timing pins + one payload holder + mid-flight slab restore =="
+go test -race -run 'TestForkDeterminism|TestPendingMasksTrackWires|TestInjectPortCreditTiming|TestNIWaitingPacketNeedsAnEvent|TestInFlightPayloadsHaveOneHolder|TestMidFlightCheckpointReplays' -count=1 ./internal/checkpoint ./internal/noc ./internal/cache
 
 # DSE smoke: regenerate the tiny committed grid through the real CLI and
 # byte-compare it against results/. The flags mirror dseTestConfig() in
@@ -228,13 +231,20 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 17000, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; no closure events in cache or mem; no per-packet objects in noc) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 17000, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint) =="
 if grep -n '\.Schedule(\|\.ScheduleAfter(' $(ls internal/cache/*.go internal/mem/*.go | grep -v _test.go); then
     echo "ERROR: internal/cache and internal/mem file typed events (ScheduleCall), not closures" >&2
     exit 1
 fi
 if grep -n '&Packet{\|&txn{\|flitize(' $(ls internal/noc/*.go | grep -v _test.go); then
     echo "ERROR: internal/noc holds packets in pooled envelopes and value txns and mints flits at send" >&2
+    exit 1
+fi
+# Outside the network every token and cache message has one holder that
+# keeps it by value or by slab index, so a checkpoint copies slabs: no
+# identity map, no token cloner, no per-message deep copy.
+if grep -n 'TokenCloner\|copyMsg\|map\[any\]any' $(ls internal/core/*.go internal/cache/*.go internal/checkpoint/*.go | grep -v _test.go); then
+    echo "ERROR: internal/core, internal/cache and internal/checkpoint checkpoint by slab copy, not by cloning pointer graphs" >&2
     exit 1
 fi
 bench_bound kernels_zero_load 0 allocs_per_pass 20000
