@@ -1,6 +1,6 @@
-// Command snackscope renders cycle-attribution bottleneck reports
-// (DESIGN.md §13). It has two modes sharing one fold path
-// (attrib.Summarize):
+// Command snackscope inspects what the other commands write and renders
+// cycle-attribution bottleneck reports (DESIGN.md §13). Its two report
+// modes share one fold path (attrib.Summarize):
 //
 //	snackscope -metrics run-metrics.json      # fold a dump written with -attrib -metrics
 //	snackscope -kernel SGEMM -mesh 4x4        # run a kernel live and report it
@@ -8,46 +8,63 @@
 // The report is a pure function of the counters, so for a fixed kernel,
 // mesh, and dims the output is byte-identical across runs, -shards
 // values, and machines — scripts/ci.sh pins a golden copy.
+//
+// Two subcommands check the files themselves:
+//
+//	snackscope check-trace trace.json [more.json ...]  # validate -trace dumps
+//	snackscope diff [-tol 1e-9] before.json after.json # compare -metrics dumps
+//
+// check-trace checks well-formed JSON, a traceEvents array and the
+// per-phase required fields on every event, and warns when a -trace-last
+// ring dropped events. diff matches snapshots by label and metrics by
+// name and prints every divergence beyond -tol. Both exit 0 when the
+// files check out, 1 when one is invalid or they differ, and 2 on a
+// usage or I/O error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"snacknoc/internal/attrib"
+	"snacknoc/internal/cli"
 	"snacknoc/internal/core"
-	"snacknoc/internal/cpu"
 	"snacknoc/internal/experiments"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
+	"snacknoc/internal/trace"
 )
 
+var subcommands = map[string]func(args []string, stdout, stderr io.Writer) int{
+	"check-trace": checkTrace,
+	"diff":        diff,
+}
+
 func main() {
+	if len(os.Args) > 1 {
+		if sub := subcommands[os.Args[1]]; sub != nil {
+			os.Exit(sub(os.Args[2:], os.Stdout, os.Stderr))
+		}
+	}
+	c := cli.New("snackscope", cli.Shards|cli.Priority)
 	metricsPath := flag.String("metrics", "", "fold attribution counters out of this metrics JSON (written with -attrib -metrics)")
 	kernel := flag.String("kernel", "", "run this SnackNoC kernel live: SGEMM, Reduction, MAC, SPMV")
 	mesh := flag.String("mesh", "4x4", "mesh dimensions WxH for -kernel")
 	dims := flag.String("dims", "default", "kernel input sizes for -kernel: default, paper, or smoke")
-	priority := flag.Bool("priority", true, "priority arbitration for -kernel")
-	shards := flag.Int("shards", 0, "simulation-kernel shards (<=1 = serial; the report is identical for any value)")
-	flag.Parse()
+	c.Start()
 	switch {
 	case *metricsPath != "" && *kernel != "":
-		fatalf("-metrics and -kernel are mutually exclusive")
+		cli.Fatalf("-metrics and -kernel are mutually exclusive")
 	case *metricsPath != "":
 		fromJSON(*metricsPath)
 	case *kernel != "":
-		experiments.SetShards(*shards)
-		fromKernel(*kernel, *mesh, *dims, *priority)
+		fromKernel(*kernel, *mesh, *dims, c.Priority)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		cli.Usage()
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "snackscope: "+format+"\n", args...)
-	os.Exit(1)
+	c.Finish()
 }
 
 // fromJSON folds every snapshot in a metrics dump that carries
@@ -55,11 +72,11 @@ func fatalf(format string, args ...any) {
 func fromJSON(path string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	snaps, err := stats.ReadSnapshots(data)
 	if err != nil {
-		fatalf("%s: %v", path, err)
+		cli.Fatalf("%s: %v", path, err)
 	}
 	reported := 0
 	for _, s := range snaps {
@@ -74,7 +91,7 @@ func fromJSON(path string) {
 		reported++
 	}
 	if reported == 0 {
-		fatalf("%s: no attribution counters in any snapshot (was the run made with -attrib?)", path)
+		cli.Fatalf("%s: no attribution counters in any snapshot (was the run made with -attrib?)", path)
 	}
 }
 
@@ -84,33 +101,103 @@ func fromJSON(path string) {
 func fromKernel(name, meshSpec, dimsName string, priority bool) {
 	w, h, err := experiments.ParseMesh(meshSpec)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	kd, err := experiments.KernelDimsByName(dimsName)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
-	k := cpu.KernelName(name)
+	k, err := experiments.KernelByName(name)
+	if err != nil {
+		cli.Fatalf("%v", err)
+	}
 	prog, err := experiments.CompileKernel(k, kd, w*h, experiments.Seed)
 	if err != nil {
-		fatalf("compile: %v", err)
+		cli.Fatalf("compile: %v", err)
 	}
 	eng := sim.NewEngine()
 	pc := core.DefaultPlatformConfig()
 	pc.Shards = experiments.Shards()
 	plat, err := core.NewStandalone(eng, w, h, priority, pc)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	rec := attrib.NewRecorder()
 	plat.SetAttrib(rec)
 	if _, err := plat.Run(prog, 1_000_000_000); err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	values := rec.Fold()
 	if err := attrib.CheckTotals(values, eng.Cycle()); err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
-	label := fmt.Sprintf("kernel/%s@%dx%d dims=%s", string(k), w, h, dimsName)
+	label := fmt.Sprintf("kernel/%s@%dx%d dims=%s", k, w, h, dimsName)
 	attrib.Summarize(values).Render(os.Stdout, label)
+}
+
+// checkTrace validates Chrome trace-event JSON files written with -trace.
+func checkTrace(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, "usage: snackscope check-trace trace.json [more.json ...]")
+		return 2
+	}
+	status := 0
+	for _, path := range args {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			fmt.Fprintf(stderr, "snackscope check-trace: %v\n", err)
+			status = 2
+			continue
+		}
+		if err := trace.Validate(data); err != nil {
+			fmt.Fprintf(stderr, "snackscope check-trace: %s: %v\n", path, err)
+			status = max(status, 1)
+			continue
+		}
+		if n := trace.DroppedFromJSON(data); n > 0 {
+			fmt.Fprintf(stderr,
+				"snackscope check-trace: %s: WARNING: ring dropped %d events (oldest records lost; raise -trace-last)\n",
+				path, n)
+		}
+		fmt.Fprintf(stdout, "snackscope check-trace: %s OK (%d bytes)\n", path, len(data))
+	}
+	return status
+}
+
+// diff structurally compares two metrics-snapshot files written with
+// -metrics.
+func diff(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("snackscope diff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { fmt.Fprintln(stderr, "usage: snackscope diff [-tol T] a.json b.json") }
+	tol := fs.Float64("tol", 0, "absolute tolerance below which values compare equal")
+	if err := fs.Parse(args); err != nil || fs.NArg() != 2 {
+		if err == nil {
+			fs.Usage()
+		}
+		return 2
+	}
+	var snaps [2][]stats.Snapshot
+	for i, path := range fs.Args() {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			fmt.Fprintf(stderr, "snackscope diff: %v\n", err)
+			return 2
+		}
+		if snaps[i], err = stats.ReadSnapshots(data); err != nil {
+			fmt.Fprintf(stderr, "snackscope diff: %s: %v\n", path, err)
+			return 2
+		}
+	}
+	lines := stats.DiffSnapshots(snaps[0], snaps[1], *tol)
+	for _, l := range lines {
+		fmt.Fprintln(stdout, l.String())
+	}
+	if len(lines) > 0 {
+		fmt.Fprintf(stderr, "snackscope diff: %d difference(s) between %s and %s\n",
+			len(lines), fs.Arg(0), fs.Arg(1))
+		return 1
+	}
+	fmt.Fprintf(stdout, "snackscope diff: no differences (%d snapshot(s), tol %g)\n", len(snaps[0]), *tol)
+	return 0
 }

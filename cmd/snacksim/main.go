@@ -15,117 +15,53 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
+	"snacknoc/internal/attrib"
+	"snacknoc/internal/cli"
 	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/experiments"
 	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
-	"snacknoc/internal/stats"
+	"snacknoc/internal/trace"
 	"snacknoc/internal/traffic"
 )
 
 func main() {
+	c := cli.New("snacksim", cli.Sweep|cli.Scale|cli.Priority|cli.Observe|cli.Profile)
 	bench := flag.String("bench", "", "Table III benchmark to run on the CMP cores")
 	synthetic := flag.String("synthetic", "", "synthetic pattern: uniform, transpose, bitcomp, hotspot")
 	kernel := flag.String("kernel", "", "SnackNoC kernel: SGEMM, Reduction, MAC, SPMV")
 	nocName := flag.String("noc", "DAPPER", "NoC for benchmark-only runs: DAPPER, AxNoC, BiNoCHS")
 	mesh := flag.String("mesh", "4x4", "mesh dimensions WxH")
-	scale := flag.Float64("scale", 1.0, "benchmark instruction-budget scale")
-	priority := flag.Bool("priority", true, "priority arbitration (snack runs)")
-	jobs := flag.Int("j", 0, "parallel sweep workers (0 = all CPUs, 1 = serial)")
-	shards := flag.Int("shards", 0, "simulation-kernel shards per mesh (<=1 = serial; results are identical for any value)")
-	warm := flag.Bool("warm-sweeps", false, "fork checkpointed baseline platforms and memoize zero-load legs across co-run cells (byte-identical output; ignored while -trace/-metrics are active)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-	blockprofile := flag.String("blockprofile", "", "write a pprof goroutine-blocking profile to this file on exit (shard-barrier waits)")
-	mutexprofile := flag.String("mutexprofile", "", "write a pprof contended-mutex profile to this file on exit")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the simulation to this file")
-	traceLast := flag.Int("trace-last", 0, "with -trace, keep only the newest N events per simulation")
-	metricsPath := flag.String("metrics", "", "write metrics snapshots to this file (.csv for CSV)")
-	attribOn := flag.Bool("attrib", false, "attach cycle-attribution counters and print a bottleneck report to stderr")
-	attribInterval := flag.Int64("attrib-interval", 0, "with -attrib, sample windowed per-reason deltas every N cycles (exported as attrib.series.* and as trace counter tracks)")
-	flag.Parse()
-	experiments.SetWorkers(*jobs)
-	experiments.SetShards(*shards)
-	experiments.SetWarmSweeps(*warm)
-	if *traceLast < 0 {
-		fatalf("-trace-last requires a non-negative count")
-	}
-	if *traceLast > 0 && *tracePath == "" {
-		fatalf("-trace-last requires -trace")
-	}
-	if *tracePath != "" {
-		experiments.EnableTracing(*traceLast)
-	}
-	if *metricsPath != "" {
-		experiments.EnableMetrics()
-	}
-	if *attribInterval < 0 {
-		fatalf("-attrib-interval requires a non-negative cycle count")
-	}
-	if *attribInterval != 0 && !*attribOn {
-		fatalf("-attrib-interval requires -attrib")
-	}
-	if *attribOn {
-		experiments.EnableAttribution(*attribInterval)
-	}
-	stop, err := experiments.StartProfiling(experiments.ProfileSpec{
-		CPU: *cpuprofile, Mem: *memprofile, Block: *blockprofile, Mutex: *mutexprofile,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	stopProf = stop
-	defer stopProf()
+	c.Start()
 
 	w, h, err := experiments.ParseMesh(*mesh)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	switch {
 	case *synthetic != "":
 		loadLatency(*synthetic, *nocName, w, h)
 	case *bench != "" && *kernel != "":
-		corun(*bench, *kernel, w, h, *priority, *scale)
+		corun(*bench, kernelByName(*kernel), w, h, c.Priority, c.Scale)
 	case *bench != "":
-		benchmark(*bench, *nocName, w, h, *scale)
+		benchmark(*bench, *nocName, w, h, c.Scale)
 	case *kernel != "":
-		runKernel(*kernel, w, h, *priority)
+		runKernel(kernelByName(*kernel), w, h, c.Priority)
 	default:
-		flag.Usage()
-		stopProf()
-		os.Exit(2)
+		cli.Usage()
 	}
-	if *tracePath != "" {
-		if err := experiments.WriteTrace(*tracePath); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if *metricsPath != "" {
-		if err := experiments.WriteMetrics(*metricsPath); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if *attribOn {
-		for _, s := range experiments.AttribSummaries() {
-			s.Summary.Render(os.Stderr, s.Label)
-			fmt.Fprintln(os.Stderr)
-		}
-	}
+	c.Finish()
 }
 
-// stopProf writes out the profiles StartProfiling began. fatalf runs it
-// because os.Exit skips main's deferred call, and a run that fails is
-// the one whose profile is wanted.
-var stopProf = func() {}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "snacksim: "+format+"\n", args...)
-	stopProf()
-	os.Exit(1)
+func kernelByName(name string) cpu.KernelName {
+	k, err := experiments.KernelByName(name)
+	if err != nil {
+		cli.Fatalf("%v", err)
+	}
+	return k
 }
 
 func nocConfig(name string, w, h int) *noc.Config {
@@ -137,20 +73,20 @@ func nocConfig(name string, w, h int) *noc.Config {
 	case "binochs":
 		return noc.BiNoCHS(w, h)
 	}
-	fatalf("unknown NoC %q", name)
+	cli.Fatalf("unknown NoC %q", name)
 	return nil
 }
 
 func benchmark(name, nocName string, w, h int, scale float64) {
 	prof := traffic.ByName(name)
 	if prof == nil {
-		fatalf("unknown benchmark %q; available: %v", name, benchNames())
+		cli.Fatalf("unknown benchmark %q; available: %v", name, benchNames())
 	}
 	cfg := nocConfig(nocName, w, h)
 	fmt.Printf("running %s on %s (%dx%d mesh, scale %.2f)...\n", name, cfg.Name, w, h, scale)
 	run, err := experiments.RunBenchmark(cfg, prof, experiments.Scale(scale))
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	fmt.Printf("runtime:                 %d cycles\n", run.Runtime)
 	fmt.Printf("crossbar median / peak:  %5.2f%% / %5.2f%%\n", run.XbarMedianPct, run.XbarMaxPct)
@@ -170,37 +106,29 @@ func benchmark(name, nocName string, w, h int, scale float64) {
 	fmt.Printf("buffers empty:           %5.2f%% of cycles (p99 occupancy %.1f%%)\n", zero, p99)
 }
 
-func runKernel(name string, w, h int, priority bool) {
-	k := cpu.KernelName(name)
+func runKernel(k cpu.KernelName, w, h int, priority bool) {
 	prog, err := experiments.CompileKernel(k, experiments.DefaultKernelDims(), w*h, experiments.Seed)
 	if err != nil {
-		fatalf("compile: %v", err)
+		cli.Fatalf("compile: %v", err)
 	}
 	eng := sim.NewEngine()
 	pc := core.DefaultPlatformConfig()
 	pc.Shards = experiments.Shards()
 	plat, err := core.NewStandalone(eng, w, h, priority, pc)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
-	label := fmt.Sprintf("kernel/%s@%dx%d", name, w, h)
-	tr := experiments.ObserveTracer(label)
-	plat.SetTracer(tr)
-	rec := experiments.ObserveRecorder()
-	plat.SetAttrib(rec)
-	experiments.ObserveSampling(rec, eng, tr)
+	obs := experiments.Observe(fmt.Sprintf("kernel/%s@%dx%d", k, w, h), eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
+		plat.SetTracer(tr)
+		plat.SetAttrib(rec)
+	})
 	fmt.Printf("running %s on a zero-load %dx%d SnackNoC (%d entries)...\n",
-		name, w, h, len(prog.Entries))
+		k, w, h, len(prog.Entries))
 	res, err := plat.Run(prog, 1_000_000_000)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
-	if experiments.MetricsEnabled() || rec != nil {
-		reg := stats.NewRegistry()
-		plat.RegisterMetrics(reg)
-		experiments.RegisterRunMetrics(reg, rec, tr)
-		experiments.RecordSnapshot(reg.Snapshot(label))
-	}
+	obs.Record(plat.RegisterMetrics)
 	fmt.Printf("kernel latency:      %d cycles (%.2f cycles/entry)\n",
 		res.Cycles(), float64(res.Cycles())/float64(len(prog.Entries)))
 	fmt.Printf("instructions issued: %d\n", plat.CPM.Issued())
@@ -218,20 +146,20 @@ func runKernel(name string, w, h int, priority bool) {
 	fmt.Printf("tokens offloaded:    %d\n", plat.CPM.Offloaded())
 }
 
-func corun(benchName, kernelName string, w, h int, priority bool, scale float64) {
+func corun(benchName string, k cpu.KernelName, w, h int, priority bool, scale float64) {
 	prof := traffic.ByName(benchName)
 	if prof == nil {
-		fatalf("unknown benchmark %q; available: %v", benchName, benchNames())
+		cli.Fatalf("unknown benchmark %q; available: %v", benchName, benchNames())
 	}
 	fmt.Printf("co-running %s with %s on a %dx%d mesh (priority=%v, scale %.2f)...\n",
-		benchName, kernelName, w, h, priority, scale)
+		benchName, k, w, h, priority, scale)
 	r, err := experiments.RunCoRun(experiments.CoRunSpec{
-		Bench: prof, Kernel: cpu.KernelName(kernelName),
+		Bench: prof, Kernel: k,
 		Dims: experiments.DefaultKernelDims(), Width: w, Height: h,
 		Priority: priority, Scale: experiments.Scale(scale),
 	})
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	fmt.Printf("benchmark impact:    %+.3f%%\n", r.ImpactPct())
 	fmt.Printf("kernel runs:         %d (avg %.0f cycles)\n", r.KernelRuns, r.KernelCyclesAvg)
@@ -255,7 +183,7 @@ func loadLatency(patName, nocName string, w, h int) {
 	case "hotspot":
 		pat = noc.Hotspot(0, 30)
 	default:
-		fatalf("unknown pattern %q", patName)
+		cli.Fatalf("unknown pattern %q", patName)
 	}
 	cfg := nocConfig(nocName, w, h)
 	rates := []float64{0.01, 0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.45, 0.60}
@@ -263,7 +191,7 @@ func loadLatency(patName, nocName string, w, h int) {
 		pat.Name, cfg.Name, w, h, noc.DataBytes)
 	pts, err := noc.LoadLatencyCurve(cfg, pat, rates, noc.DataBytes, 30000, 3)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	fmt.Printf("%8s %12s %14s %10s\n", "rate", "avg-lat(cy)", "thruput(pkt/n/cy)", "saturated")
 	for _, p := range pts {

@@ -41,7 +41,7 @@ func TestAttribByteIdentityFig2(t *testing.T) {
 		t.Fatalf("fig2 output diverges under -attrib:\nplain:\n%s\nattributed:\n%s",
 			plain.String(), attributed.String())
 	}
-	sums := AttribSummaries()
+	sums := attribSummaries()
 	if len(sums) != len(Fig2Benchmarks()) {
 		t.Fatalf("got %d attribution summaries, want %d", len(sums), len(Fig2Benchmarks()))
 	}
@@ -72,7 +72,7 @@ func TestAttribByteIdentityCompute(t *testing.T) {
 		t.Fatalf("fig9 output diverges under -attrib:\nplain:\n%s\nattributed:\n%s",
 			plain.String(), attributed.String())
 	}
-	if len(AttribSummaries()) == 0 {
+	if len(attribSummaries()) == 0 {
 		t.Fatal("attributed fig9 produced no summaries")
 	}
 }
@@ -82,7 +82,7 @@ func TestAttribByteIdentityCompute(t *testing.T) {
 // snapshot as attrib.series.* time series, counter samples land in the
 // trace JSON as validating "C"-phase tracks, and the deliberately tiny
 // trace ring surfaces its overflow both as the trace.dropped metric and
-// through the dump's marker (the tracecheck warning path).
+// through the dump's marker (the snackscope check-trace warning path).
 func TestAttribIntervalSampling(t *testing.T) {
 	run := func(t *testing.T, ringLimit int) (map[string]float64, []byte) {
 		t.Helper()
@@ -129,7 +129,7 @@ func TestAttribIntervalSampling(t *testing.T) {
 
 	// A ring far too small for the run: the overflow surfaces as the
 	// trace.dropped metric and through the dump's marker (the
-	// cmd/tracecheck warning path).
+	// snackscope check-trace warning path).
 	v, dump = run(t, 256)
 	dropped, ok := v["trace.dropped"]
 	if !ok || dropped <= 0 {
@@ -199,14 +199,33 @@ func TestScopeSGEMMGolden(t *testing.T) {
 	compareArtifact(t, "../../results/scope-sgemm.txt", []byte(got))
 }
 
+// labelledSummary is one attributed run's folded bottleneck summary.
+type labelledSummary struct {
+	label string
+	sum   *attrib.Summary
+}
+
+// attribSummaries folds every collected snapshot that carries
+// attribution counters, in label order: the reports the commands print
+// after an attributed run.
+func attribSummaries() []labelledSummary {
+	var out []labelledSummary
+	for _, s := range MetricsSnapshots() {
+		if sum := attrib.Summarize(s.Values); len(sum.Layers) > 0 {
+			out = append(out, labelledSummary{s.Label, sum})
+		}
+	}
+	return out
+}
+
 // attribDigest renders every collected summary, optionally dropping the
 // engine layer (its per-shard split legitimately depends on -shards;
 // everything else must not).
 func attribDigest(t *testing.T, dropEngine bool) string {
 	t.Helper()
 	var b strings.Builder
-	for _, s := range AttribSummaries() {
-		text := s.Summary.RenderString(s.Label)
+	for _, s := range attribSummaries() {
+		text := s.sum.RenderString(s.label)
 		if dropEngine {
 			var kept []string
 			for _, line := range strings.Split(text, "\n") {
@@ -274,14 +293,15 @@ func TestAttribDeterminismAcrossScheduling(t *testing.T) {
 	}
 }
 
-// TestDSEAttribVerdicts pins the per-cell verdict column: with Attrib
-// on, every zero-load DSE cell is CPM-issue-bound, the rendered report
-// grows a verdict column, and the report stays byte-identical across
-// workers and with pooled forking disabled (counters rewind with the
-// checkpoint, fold before release).
+// TestDSEAttribVerdicts pins the per-cell verdict column: with
+// attribution on, every zero-load DSE cell is CPM-issue-bound, the
+// rendered report grows a verdict column, and the report stays
+// byte-identical across workers and with pooled forking disabled
+// (counters rewind with the checkpoint, fold before release).
 func TestDSEAttribVerdicts(t *testing.T) {
 	cfg := dseTestConfig()
-	cfg.Attrib = true
+	EnableAttribution(0)
+	defer DisableObservability()
 	render := func(t *testing.T) []byte {
 		t.Helper()
 		res, err := RunDSE(cfg)
@@ -314,8 +334,9 @@ func TestDSEAttribVerdicts(t *testing.T) {
 		t.Fatal("pool-disabled attributed DSE report diverged")
 	}
 
-	// Without Attrib the column must not appear — the committed
-	// dse-smoke.txt golden is unchanged by this PR.
+	// Without attribution the column must not appear — the committed
+	// dse-smoke.txt golden is unchanged by it.
+	DisableObservability()
 	plain := dseTestConfig()
 	res, err := RunDSE(plain)
 	if err != nil {

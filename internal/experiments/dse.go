@@ -77,11 +77,6 @@ type DSEConfig struct {
 	// worker (the steady-state need), < 0 disables pooling entirely so
 	// every leg builds cold (the A side of the determinism tests).
 	PoolDepth int
-	// Attrib attaches cycle-attribution counters to every cell's
-	// platform (before the pool seals it, so forks rewind them) and
-	// stamps each cell with its folded bottleneck verdict. The global
-	// -attrib switch (EnableAttribution) implies it.
-	Attrib bool
 }
 
 // DefaultDSEConfig explores the default grid with every Table III
@@ -281,10 +276,13 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 	// simulation, independent of the pooled platform).
 	cellLat := make([]float64, nCells)
 
-	// Per-leg attribution folds, indexed like the work queue; merged
-	// per cell (in kernel order) after the sweep, so worker scheduling
-	// cannot reorder the accumulation.
-	attribOn := cfg.Attrib || AttribEnabled()
+	// With attribution on (EnableAttribution), every cell's platform gets
+	// counters before the pool seals it, so forks rewind them, and each
+	// cell is stamped with its folded bottleneck verdict. Per-leg folds
+	// are indexed like the work queue and merged per cell (in kernel
+	// order) after the sweep, so worker scheduling cannot reorder the
+	// accumulation.
+	attribOn := AttribEnabled()
 	var legAttrib []map[string]float64
 	if attribOn {
 		legAttrib = make([]map[string]float64, nCells*nK)
@@ -405,10 +403,10 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 
 	res.PoolHits, res.PoolMisses = pool.Hits(), pool.Misses()
 	res.Forks, res.AvgForkNs = pool.Forks(), pool.AvgForkNs()
-	if obsMetricsOn() {
+	if MetricsEnabled() {
 		reg := stats.NewRegistry()
 		pool.RegisterMetrics(reg, "dse")
-		obsRecord(reg.Snapshot("dse/pool"))
+		RecordSnapshot(reg.Snapshot("dse/pool"))
 	}
 	return res, nil
 }

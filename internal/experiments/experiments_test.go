@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"snacknoc/internal/cpu"
@@ -139,8 +140,9 @@ func TestKernelDimsHelpers(t *testing.T) {
 	}
 }
 
-// TestCommandLineShapes covers the -mesh and -dims parsers the commands
-// share: a mesh with trailing input is rejected, not cut short.
+// TestCommandLineShapes covers the -mesh, -dims, -kernel and -grid
+// parsers the commands share: a mesh with trailing input is rejected,
+// not cut short.
 func TestCommandLineShapes(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -169,6 +171,36 @@ func TestCommandLineShapes(t *testing.T) {
 		got, err := KernelDimsByName(tc.name)
 		if got != tc.want || (err == nil) != tc.ok {
 			t.Errorf("KernelDimsByName(%q) = %+v, %v; want %+v", tc.name, got, err, tc.want)
+		}
+	}
+	// Kernel names resolve in any letter case, the same in every command.
+	for _, tc := range []struct {
+		name string
+		want cpu.KernelName // "": an error
+	}{
+		{"SGEMM", cpu.KernelSGEMM}, {"sgemm", cpu.KernelSGEMM}, {"reduction", cpu.KernelReduction},
+		{"Mac", cpu.KernelMAC}, {"spmv", cpu.KernelSPMV}, {"gemm", ""}, {"", ""},
+	} {
+		got, err := KernelByName(tc.name)
+		if got != tc.want || (err == nil) != (tc.want != "") {
+			t.Errorf("KernelByName(%q) = %q, %v; want %q", tc.name, got, err, tc.want)
+		}
+	}
+	// A -grid axis left out keeps its default; one named twice, an unknown
+	// axis or a non-positive value is an error, not a silent last-wins.
+	def := DefaultDSEAxes()
+	for _, tc := range []struct {
+		in   string
+		want *DSEAxes // nil: an error
+	}{
+		{"buf=1,2:chan=16:vc=2,4:rcu=16,32", &DSEAxes{[]int{1, 2}, []int{16}, []int{2, 4}, []int{16, 32}}},
+		{"rcu=32", &DSEAxes{def.BufDepths, def.ChanWidths, def.VCCounts, []int{32}}},
+		{"buf=2:buf=4", nil}, {"buf=2:vc=2:buf=2", nil}, {"bufs=2", nil},
+		{"buf=0", nil}, {"buf=1,x", nil}, {"buf", nil}, {"", nil},
+	} {
+		got, err := ParseGrid(tc.in)
+		if (err == nil) != (tc.want != nil) || (tc.want != nil && !reflect.DeepEqual(got, *tc.want)) {
+			t.Errorf("ParseGrid(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
 		}
 	}
 }

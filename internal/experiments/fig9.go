@@ -3,10 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"snacknoc/internal/attrib"
 	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/sim"
-	"snacknoc/internal/stats"
+	"snacknoc/internal/trace"
 )
 
 // Fig9Row is one kernel's bars in Fig 9: speedups over a single CPU
@@ -68,23 +69,15 @@ func RunFig9(dims KernelDims, cpuCfg cpu.CPUConfig) (*Fig9Result, error) {
 		if err != nil {
 			return err
 		}
-		label := "fig9/" + string(k)
-		tr := obsTracer(label)
-		plat.SetTracer(tr)
-		rec := obsRecorder()
-		plat.SetAttrib(rec)
-		startAttribSampling(rec, eng, tr)
+		obs := Observe("fig9/"+string(k), eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
+			plat.SetTracer(tr)
+			plat.SetAttrib(rec)
+		})
 		r, err := plat.Run(prog, 1_000_000_000)
 		if err != nil {
 			return fmt.Errorf("fig9 %s: %w", k, err)
 		}
-		if obsMetricsOn() || rec != nil {
-			reg := stats.NewRegistry()
-			plat.RegisterMetrics(reg)
-			rec.RegisterMetrics(reg)
-			registerTraceMetrics(reg, tr)
-			obsRecord(reg.Snapshot(label))
-		}
+		obs.Record(plat.RegisterMetrics)
 		row.SnackCycles = r.Cycles()
 		row.SnackSpeedup = float64(row.CPUOneCycles) / float64(row.SnackCycles)
 

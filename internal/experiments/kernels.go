@@ -80,6 +80,53 @@ func ParseMesh(s string) (w, h int, err error) {
 	return w, h, nil
 }
 
+// KernelByName resolves a command's kernel name, in any letter case, to
+// one of the four Table III kernels.
+func KernelByName(name string) (cpu.KernelName, error) {
+	for _, k := range cpu.Kernels() {
+		if strings.EqualFold(string(k), name) {
+			return k, nil
+		}
+	}
+	return "", fmt.Errorf("unknown kernel %q (want one of %v)", name, cpu.Kernels())
+}
+
+// ParseGrid decodes a -grid spec such as "buf=1,2:chan=16,32:vc=2:rcu=16"
+// into DSE axes. An axis left out keeps its DefaultDSEAxes values; an
+// axis named twice is an error.
+func ParseGrid(s string) (DSEAxes, error) {
+	axes := DefaultDSEAxes()
+	byName := map[string]*[]int{
+		"buf": &axes.BufDepths, "chan": &axes.ChanWidths,
+		"vc": &axes.VCCounts, "rcu": &axes.RCUCounts,
+	}
+	seen := make(map[string]bool)
+	for _, part := range strings.Split(s, ":") {
+		name, list, ok := strings.Cut(part, "=")
+		if !ok {
+			return axes, fmt.Errorf("bad -grid segment %q (want axis=v1,v2,...)", part)
+		}
+		var vals []int
+		for _, f := range strings.Split(list, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil || n <= 0 {
+				return axes, fmt.Errorf("bad -grid value %q in %q", f, part)
+			}
+			vals = append(vals, n)
+		}
+		axis := byName[name]
+		switch {
+		case axis == nil:
+			return axes, fmt.Errorf("unknown -grid axis %q (want buf, chan, vc, rcu)", name)
+		case seen[name]:
+			return axes, fmt.Errorf("-grid axis %q given twice", name)
+		}
+		seen[name] = true
+		*axis = vals
+	}
+	return axes, nil
+}
+
 // CPUDims exposes the CPU-model sizing conversion for a kernel.
 func (d KernelDims) CPUDims(k cpu.KernelName) cpu.KernelDims { return d.cpuDims(k) }
 

@@ -1,23 +1,24 @@
 package experiments
 
 import (
-	"fmt"
-	"os"
 	"sort"
-	"strings"
 	"sync"
 
+	"snacknoc/internal/attrib"
+	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
 	"snacknoc/internal/trace"
 )
 
-// Observability for experiment sweeps. Tracing and metrics export are off
-// by default and cost nothing beyond a nil check per run; once enabled,
-// every simulation a runner builds gets its own trace.Tracer (merged
-// through one Collector) and contributes one labelled metrics snapshot.
-// Cells of a parallel sweep register concurrently, so the package state
-// is mutex-protected; the dump orders everything by label, keeping the
-// output independent of completion order.
+// Observability for experiment sweeps. Tracing, metrics export and
+// cycle attribution are off by default and cost nothing beyond a nil
+// check per run; once enabled, every simulation a runner builds gets its
+// own trace.Tracer (merged through one Collector) and attrib.Recorder,
+// and contributes one labelled metrics snapshot — the shape both the
+// commands' end-of-run reports and snackscope's JSON mode fold with
+// attrib.Summarize. Cells of a parallel sweep register concurrently, so
+// the package state is mutex-protected; the dump orders everything by
+// label, keeping the output independent of completion order.
 
 var (
 	obsMu       sync.Mutex
@@ -67,11 +68,11 @@ func AttribEnabled() bool {
 	return obsAttrib
 }
 
-// AttribInterval returns the sampling window in cycles (0: no sampling).
-func AttribInterval() int64 {
+// MetricsEnabled reports whether EnableMetrics is in effect.
+func MetricsEnabled() bool {
 	obsMu.Lock()
 	defer obsMu.Unlock()
-	return obsAttribIv
+	return obsMetrics
 }
 
 // DisableObservability turns tracing, metrics, and attribution back off
@@ -103,89 +104,76 @@ func MetricsSnapshots() []stats.Snapshot {
 	return out
 }
 
-// obsTracer returns a fresh tracer labelled label, or nil when tracing is
-// off (the disabled fast path every instrumentation site relies on).
-func obsTracer(label string) *trace.Tracer {
-	obsMu.Lock()
-	defer obsMu.Unlock()
-	if obsTraces == nil {
-		return nil
-	}
-	return obsTraces.NewTracer(label)
-}
-
-// registerTraceMetrics surfaces a run's tracer health in its metrics
-// snapshot: trace.dropped counts ring-overwritten events (nonzero means
-// the -trace-last window was too small for the run; cmd/tracecheck
-// prints the same warning when validating the dump). No-op without a
-// tracer.
-func registerTraceMetrics(reg *stats.Registry, tr *trace.Tracer) {
-	if tr == nil {
-		return
-	}
-	reg.AddGauge("trace.dropped", func() float64 { return float64(tr.Dropped()) })
-}
-
-// obsMetricsOn reports whether runs should snapshot their registries.
-func obsMetricsOn() bool {
-	obsMu.Lock()
-	defer obsMu.Unlock()
-	return obsMetrics
-}
-
-// obsRecord adds one run's snapshot to the export set.
-func obsRecord(s stats.Snapshot) {
+// RecordSnapshot adds one run's snapshot to the export set.
+func RecordSnapshot(s stats.Snapshot) {
 	obsMu.Lock()
 	defer obsMu.Unlock()
 	obsSnaps = append(obsSnaps, s)
 }
 
-// ObserveTracer returns a labelled tracer for a simulation the caller
-// builds itself (cmd/snacksim's standalone kernel path), or nil when
-// tracing is off. Pass the result straight to SetTracer.
-func ObserveTracer(label string) *trace.Tracer { return obsTracer(label) }
-
-// MetricsEnabled reports whether EnableMetrics is in effect, for callers
-// that build their own simulations and registries.
-func MetricsEnabled() bool { return obsMetricsOn() }
-
-// RecordSnapshot adds a caller-built snapshot to the export set.
-func RecordSnapshot(s stats.Snapshot) { obsRecord(s) }
-
-// WriteTrace dumps the collected trace to path as Chrome trace-event JSON
-// (load it in chrome://tracing or ui.perfetto.dev).
-func WriteTrace(path string) error {
-	c := TraceCollector()
-	if c == nil {
-		return fmt.Errorf("experiments: tracing was not enabled")
+// ObserveRecorder returns a fresh recorder when attribution is enabled,
+// or nil — the disabled value every SetAttrib walk accepts.
+func ObserveRecorder() *attrib.Recorder {
+	if !AttribEnabled() {
+		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return attrib.NewRecorder()
 }
 
-// WriteMetrics dumps the collected metrics snapshots to path; a .csv
-// suffix selects the CSV shape, anything else the canonical JSON that
-// stats.ReadSnapshots and scripts/metricsdiff.sh consume.
-func WriteMetrics(path string) error {
-	snaps := MetricsSnapshots()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// RegisterRunMetrics adds a run's attribution gauges and series and its
+// tracer health to reg (rec and tr may be nil). trace.dropped counts
+// ring-overwritten events: nonzero means the -trace-last window was too
+// small for the run, and snackscope check-trace warns on the same count
+// in the dump.
+func RegisterRunMetrics(reg *stats.Registry, rec *attrib.Recorder, tr *trace.Tracer) {
+	rec.RegisterMetrics(reg)
+	if tr != nil {
+		reg.AddGauge("trace.dropped", func() float64 { return float64(tr.Dropped()) })
 	}
-	write := stats.WriteSnapshotsJSON
-	if strings.HasSuffix(path, ".csv") {
-		write = stats.WriteSnapshotsCSV
+}
+
+// Observation is one simulation's share of the enabled observability:
+// its labelled tracer and attribution recorder, each nil while off.
+type Observation struct {
+	label string
+	tr    *trace.Tracer
+	rec   *attrib.Recorder
+}
+
+// Observe starts observing the simulation on eng: attach installs the
+// run's tracer and recorder on its components — nil while tracing or
+// attribution is off, the disabled value every SetTracer and SetAttrib
+// accepts — and the interval sampler is then registered on eng. Call it
+// once the components are built and before the run, and Record once it
+// has run. With observability off it allocates nothing.
+func Observe(label string, eng *sim.Engine, attach func(*trace.Tracer, *attrib.Recorder)) Observation {
+	o := Observation{label: label, rec: ObserveRecorder()}
+	obsMu.Lock()
+	if obsTraces != nil {
+		o.tr = obsTraces.NewTracer(label)
 	}
-	if err := write(f, snaps); err != nil {
-		f.Close()
-		return err
+	interval := obsAttribIv
+	obsMu.Unlock()
+	attach(o.tr, o.rec)
+	if o.rec != nil {
+		// After the SetAttrib walk: the sampler freezes the attached
+		// reason set.
+		if s := o.rec.StartSampling(interval, eng.Settle, o.tr); s != nil {
+			eng.Register(s)
+		}
 	}
-	return f.Close()
+	return o
+}
+
+// Record adds the finished run's snapshot to the export set when metrics
+// or attribution is on: register names the run's own statistics, and the
+// recorder's counters and the tracer's health follow them.
+func (o Observation) Record(register func(*stats.Registry)) {
+	if !MetricsEnabled() && o.rec == nil {
+		return
+	}
+	reg := stats.NewRegistry()
+	register(reg)
+	RegisterRunMetrics(reg, o.rec, o.tr)
+	RecordSnapshot(reg.Snapshot(o.label))
 }

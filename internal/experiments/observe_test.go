@@ -5,7 +5,9 @@ import (
 	"sort"
 	"testing"
 
+	"snacknoc/internal/attrib"
 	"snacknoc/internal/cpu"
+	"snacknoc/internal/sim"
 	"snacknoc/internal/trace"
 	"snacknoc/internal/traffic"
 )
@@ -74,6 +76,29 @@ func TestTraceDisabledByteIdentityCompute(t *testing.T) {
 	}
 	if TraceCollector().Events() == 0 {
 		t.Fatal("traced kernel runs recorded no events")
+	}
+}
+
+// TestObserveOffAllocatesNothing pins the disabled path every runner
+// takes once per simulation: with observability off, Observe hands the
+// attach step nil sinks and Record returns without building a registry,
+// so neither allocates.
+func TestObserveOffAllocatesNothing(t *testing.T) {
+	DisableObservability()
+	eng := sim.NewEngine()
+	attached := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		obs := Observe("run", eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
+			eng.SetAttrib(rec)
+			attached++
+		})
+		obs.Record(eng.RegisterMetrics)
+	})
+	if allocs != 0 || attached == 0 {
+		t.Fatalf("Observe+Record with observability off: %v allocations, %d attaches; want 0 and some", allocs, attached)
+	}
+	if n := len(MetricsSnapshots()); n != 0 {
+		t.Fatalf("disabled Record kept %d snapshots", n)
 	}
 }
 

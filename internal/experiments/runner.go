@@ -3,12 +3,14 @@ package experiments
 import (
 	"fmt"
 
+	"snacknoc/internal/attrib"
 	"snacknoc/internal/cache"
 	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
+	"snacknoc/internal/trace"
 	"snacknoc/internal/traffic"
 )
 
@@ -62,18 +64,16 @@ func RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scale) (*BenchRu
 		return nil, err
 	}
 	net.EnableSampling(sampleInterval)
-	label := prof.Name + "@" + cfg.Name
-	tr := obsTracer(label)
-	net.SetTracer(tr)
 	sys, err := cache.NewSystem(eng, net, cache.DefaultSystemConfig())
 	if err != nil {
 		return nil, err
 	}
-	rec := obsRecorder()
-	net.SetAttrib(rec)
-	sys.SetAttrib(rec)
-	eng.SetAttrib(rec)
-	startAttribSampling(rec, eng, tr)
+	obs := Observe(prof.Name+"@"+cfg.Name, eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
+		net.SetTracer(tr)
+		net.SetAttrib(rec)
+		sys.SetAttrib(rec)
+		eng.SetAttrib(rec)
+	})
 	w, err := cpu.NewWorkload(eng, sys, traffic.Scale(prof, float64(scale)), Seed)
 	if err != nil {
 		return nil, err
@@ -82,17 +82,18 @@ func RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scale) (*BenchRu
 	if !ok {
 		return nil, fmt.Errorf("experiments: %s on %s did not complete", prof.Name, cfg.Name)
 	}
-	if obsMetricsOn() || rec != nil {
-		reg := stats.NewRegistry()
+	obs.Record(func(reg *stats.Registry) {
 		net.RegisterMetrics(reg)
 		eng.RegisterMetrics(reg)
-		reg.AddGauge("cache.l1.hitrate", sys.L1HitRate)
-		reg.AddGauge("cache.l2.hitrate", sys.L2HitRate)
-		rec.RegisterMetrics(reg)
-		registerTraceMetrics(reg, tr)
-		obsRecord(reg.Snapshot(label))
-	}
+		registerHitRates(reg, sys)
+	})
 	return collect(prof.Name, cfg.Name, rt, net, sys), nil
+}
+
+// registerHitRates names a CMP run's L1 and L2 hit rates in reg.
+func registerHitRates(reg *stats.Registry, sys *cache.System) {
+	reg.AddGauge("cache.l1.hitrate", sys.L1HitRate)
+	reg.AddGauge("cache.l2.hitrate", sys.L2HitRate)
 }
 
 func collect(bench, nocName string, rt int64, net *noc.Network, sys *cache.System) *BenchRun {
@@ -283,24 +284,19 @@ func RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		zeroTr := obsTracer(cell + "/zero")
-		zeroPlat.SetTracer(zeroTr)
-		zeroRec := obsRecorder()
-		zeroPlat.SetAttrib(zeroRec)
-		startAttribSampling(zeroRec, zeroEng, zeroTr)
+		obs := Observe(cell+"/zero", zeroEng, func(tr *trace.Tracer, rec *attrib.Recorder) {
+			zeroPlat.SetTracer(tr)
+			zeroPlat.SetAttrib(rec)
+		})
 		zr, err := zeroPlat.Run(prog, 500_000_000)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: zero-load %s: %w", spec.Kernel, err)
 		}
 		res.ZeroLoadCycles = zr.Cycles()
-		if obsMetricsOn() || zeroRec != nil {
-			reg := stats.NewRegistry()
+		obs.Record(func(reg *stats.Registry) {
 			zeroPlat.RegisterMetrics(reg)
 			registerCompileCacheMetrics(reg)
-			zeroRec.RegisterMetrics(reg)
-			registerTraceMetrics(reg, zeroTr)
-			obsRecord(reg.Snapshot(cell + "/zero"))
-		}
+		})
 	}
 
 	// Leg 3: co-run.
@@ -330,8 +326,6 @@ func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRun
 		return nil, err
 	}
 	net.EnableSampling(sampleInterval)
-	tr := obsTracer(label)
-	net.SetTracer(tr)
 	sys, err := cache.NewSystem(eng, net, cache.DefaultSystemConfig())
 	if err != nil {
 		return nil, err
@@ -340,15 +334,12 @@ func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRun
 	if err != nil {
 		return nil, err
 	}
-	rec := obsRecorder()
 	var plat *core.Platform
 	if prog != nil {
 		plat, err = core.AttachToSystem(eng, sys, core.DefaultPlatformConfig())
 		if err != nil {
 			return nil, err
 		}
-		plat.SetTracer(tr)
-		plat.SetAttrib(rec)
 		var kernelCycles int64
 		var resubmit func(r *core.Result)
 		resubmit = func(r *core.Result) {
@@ -368,36 +359,34 @@ func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRun
 		}
 		resubmit(nil)
 	}
-	if plat == nil {
-		// No platform walk covered the mesh and engine for this leg.
-		net.SetAttrib(rec)
-		eng.SetAttrib(rec)
-	}
-	sys.SetAttrib(rec)
-	startAttribSampling(rec, eng, tr)
+	obs := Observe(label, eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
+		if plat != nil {
+			plat.SetTracer(tr)
+			plat.SetAttrib(rec)
+		} else {
+			// No platform walk covers the mesh and engine for this leg.
+			net.SetTracer(tr)
+			net.SetAttrib(rec)
+			eng.SetAttrib(rec)
+		}
+		sys.SetAttrib(rec)
+	})
 	if _, ok := cpu.Run(eng, w, 2_000_000_000); !ok {
 		return nil, fmt.Errorf("experiments: co-run %s did not complete", spec.Bench.Name)
 	}
 	if plat != nil {
 		out.Offloaded = plat.CPM.Offloaded()
 	}
-	if obsMetricsOn() || rec != nil {
-		reg := stats.NewRegistry()
+	obs.Record(func(reg *stats.Registry) {
 		if plat != nil {
 			plat.RegisterMetrics(reg)
+			registerCompileCacheMetrics(reg)
 		} else {
 			net.RegisterMetrics(reg)
 			eng.RegisterMetrics(reg)
 		}
-		reg.AddGauge("cache.l1.hitrate", sys.L1HitRate)
-		reg.AddGauge("cache.l2.hitrate", sys.L2HitRate)
-		if prog != nil {
-			registerCompileCacheMetrics(reg)
-		}
-		rec.RegisterMetrics(reg)
-		registerTraceMetrics(reg, tr)
-		obsRecord(reg.Snapshot(label))
-	}
+		registerHitRates(reg, sys)
+	})
 	return collectLegStats(net, w), nil
 }
 

@@ -100,7 +100,7 @@ func WarmSweeps() bool {
 // counts as a sink: warm legs fork memoized platforms whose counters
 // belong to another cell's timeline, so attributed sweeps run cold.
 func warmActive() bool {
-	return WarmSweeps() && TraceCollector() == nil && !obsMetricsOn() && !AttribEnabled()
+	return WarmSweeps() && TraceCollector() == nil && !MetricsEnabled() && !AttribEnabled()
 }
 
 // resetWarmState drops all warmed platforms and memoized results.

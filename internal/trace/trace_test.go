@@ -150,7 +150,7 @@ func TestCounterTracks(t *testing.T) {
 
 // TestDroppedSurfaces pins the ring-overflow satellite: the dropped
 // count reaches the process_name marker and DroppedFromJSON recovers it
-// from the dump (what cmd/tracecheck warns on).
+// from the dump (what snackscope check-trace warns on).
 func TestDroppedSurfaces(t *testing.T) {
 	tr := New("ring", 4)
 	for i := 0; i < 10; i++ {

@@ -113,7 +113,7 @@ func number(v any) (float64, bool) {
 
 // DroppedFromJSON sums the ring-overwritten event counts a dump's
 // process names advertise ("<name> (ring: N events dropped)").
-// cmd/tracecheck warns when the total is nonzero — a wrapped ring means
+// snackscope check-trace warns when the total is nonzero — a wrapped ring means
 // the trace silently lost its oldest events. Malformed input returns 0;
 // run Validate first for structural errors.
 func DroppedFromJSON(data []byte) int64 {

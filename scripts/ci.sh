@@ -71,18 +71,41 @@ go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./inte
 echo "== go test -race: fork determinism + pending-mask and credit invariants + credit-timing pins + one payload holder + mid-flight slab restore =="
 go test -race -run 'TestForkDeterminism|TestPendingMasksTrackWires|TestInjectPortCreditTiming|TestNIWaitingPacketNeedsAnEvent|TestInFlightPayloadsHaveOneHolder|TestMidFlightCheckpointReplays' -count=1 ./internal/checkpoint ./internal/noc ./internal/cache
 
+# The four commands, built once for the smokes below into a scratch
+# directory that is removed on exit. They share one front end
+# (internal/cli): one flag set and one run lifecycle, so no command
+# switches observability on or profiles by itself, and the set of
+# commands is exactly these four (snackscope absorbed the trace checker
+# and the metrics differ as its check-trace and diff subcommands). Their
+# -h output is pinned; a deliberate flag or wording change regenerates
+# results/cli-help.txt with the same loop.
+echo "== commands (one front end; help text vs results/cli-help.txt) =="
+ci_tmp=$(mktemp -d "${TMPDIR:-/tmp}/snacknoc-ci.XXXXXX")
+trap 'rm -rf "$ci_tmp"' EXIT
+commands="snackbench snackdse snackscope snacksim"
+if [ "$(ls cmd | tr '\n' ' ')" != "$commands " ]; then
+    echo "ERROR: cmd/ holds $(ls cmd | tr '\n' ' '); want exactly $commands" >&2
+    exit 1
+fi
+if grep -rn 'StartProfiling\|EnableTracing\|EnableMetrics\|EnableAttribution\|WriteTrace\|WriteMetrics' cmd; then
+    echo "ERROR: the commands observe and profile through internal/cli, not by themselves" >&2
+    exit 1
+fi
+for c in $commands; do
+    go build -o "$ci_tmp/$c" "./cmd/$c"
+done
+(cd "$ci_tmp" && for c in $commands; do ./$c -h 2>&1; done) >"$ci_tmp/help.txt"
+cmp "$ci_tmp/help.txt" results/cli-help.txt
+echo "commands: four, help text unchanged"
+
 # DSE smoke: regenerate the tiny committed grid through the real CLI and
 # byte-compare it against results/. The flags mirror dseTestConfig() in
 # internal/experiments/dse_test.go — the golden test pins the library,
 # this pins the cmd/snackdse flag parsing and rendering on top of it.
 echo "== DSE smoke (tiny grid vs results/dse-smoke.txt) =="
-dse_bin=/tmp/snackdse.ci.$$
-dse_out=/tmp/ci-dse.$$.txt
-go build -o "$dse_bin" ./cmd/snackdse
-"$dse_bin" -grid 'buf=1,2,4:chan=16,32:vc=2,4:rcu=16' -kernels MAC \
-    -dims smoke -j 1 -out "$dse_out" 2>/dev/null
-cmp "$dse_out" results/dse-smoke.txt
-rm -f "$dse_bin" "$dse_out"
+"$ci_tmp/snackdse" -grid 'buf=1,2,4:chan=16,32:vc=2,4:rcu=16' -kernels MAC \
+    -dims smoke -j 1 -out "$ci_tmp/dse.txt" 2>/dev/null
+cmp "$ci_tmp/dse.txt" results/dse-smoke.txt
 echo "dse smoke: byte-identical"
 
 # -heavy (or CI_HEAVY=1) additionally regenerates the fig12/fig13 full
@@ -127,29 +150,31 @@ bench_smoke ./internal/noc BenchmarkRouterEvaluate BenchmarkBoundaryExchange Ben
 # change shows up here as a metrics diff (regenerate the golden
 # alongside results/ when intended).
 echo "== observability smoke (traced+attributed Reduction kernel) =="
-obs_bin=/tmp/snacksim.ci.$$
-obs_trace=/tmp/ci-trace.$$.json
-obs_metrics=/tmp/ci-metrics.$$.json
-obs_prof=/tmp/ci-cpu.$$.prof
-trap 'rm -f "$obs_bin" "$obs_trace" "$obs_metrics" "$obs_prof"' EXIT
-go build -o "$obs_bin" ./cmd/snacksim
-"$obs_bin" -kernel Reduction -trace "$obs_trace" -trace-last 4096 \
-    -attrib -attrib-interval 2000 -metrics "$obs_metrics" >/dev/null 2>/dev/null
-go run ./cmd/tracecheck "$obs_trace"
-go run ./cmd/metricsdiff "$obs_metrics" results/smoke-metrics.json
+"$ci_tmp/snacksim" -kernel Reduction -trace "$ci_tmp/trace.json" -trace-last 4096 \
+    -attrib -attrib-interval 2000 -metrics "$ci_tmp/metrics.json" >/dev/null 2>/dev/null
+"$ci_tmp/snackscope" check-trace "$ci_tmp/trace.json"
+"$ci_tmp/snackscope" diff "$ci_tmp/metrics.json" results/smoke-metrics.json
 
 # A run that fails is the one whose profile is wanted: the profilers are
 # stopped on the error exit too, so the CPU profile is not left empty.
-echo "== failed run keeps its profile (snacksim -bench Nope -cpuprofile) =="
-if "$obs_bin" -bench Nope -cpuprofile "$obs_prof" 2>/dev/null; then
-    echo "ERROR: snacksim -bench Nope exited 0" >&2
-    exit 1
-fi
-if [ ! -s "$obs_prof" ]; then
-    echo "ERROR: a failed snacksim run left an empty -cpuprofile" >&2
-    exit 1
-fi
-echo "failed-run profile: written"
+#
+# failed_run <command> <args>...
+failed_run() {
+    fr_cmd=$1
+    shift
+    if "$ci_tmp/$fr_cmd" "$@" -cpuprofile "$ci_tmp/$fr_cmd.prof" 2>/dev/null; then
+        echo "ERROR: $fr_cmd $* exited 0" >&2
+        exit 1
+    fi
+    if [ ! -s "$ci_tmp/$fr_cmd.prof" ]; then
+        echo "ERROR: a failed $fr_cmd run left an empty -cpuprofile" >&2
+        exit 1
+    fi
+}
+echo "== failed runs keep their profiles (snacksim -bench Nope, snackbench -exp nope) =="
+failed_run snacksim -bench Nope
+failed_run snackbench -exp nope
+echo "failed-run profiles: written"
 
 # Attribution smoke: the snackscope report for a zero-load Reduction
 # kernel is a pure function of the simulated cycles — byte-compare it
@@ -157,10 +182,8 @@ echo "failed-run profile: written"
 # cpm-issue-bound). snackscope itself enforces the sum-to-cycles
 # invariant before rendering, so a taxonomy hole fails here too.
 echo "== attribution smoke (snackscope Reduction kernel vs results/scope-smoke.txt) =="
-scope_out=/tmp/ci-scope.$$.txt
-go run ./cmd/snackscope -kernel Reduction -dims smoke >"$scope_out"
-cmp "$scope_out" results/scope-smoke.txt
-rm -f "$scope_out"
+"$ci_tmp/snackscope" -kernel Reduction -dims smoke >"$ci_tmp/scope.txt"
+cmp "$ci_tmp/scope.txt" results/scope-smoke.txt
 echo "attribution smoke: byte-identical"
 
 # Exact counts on the repo benchmark: allocation budgets and evaluation
@@ -214,9 +237,8 @@ echo "attribution smoke: byte-identical"
 #
 # bench_bound <workload> <trace: 0 end to end, 1 per layer> <metric> <max>
 bench_bound() {
-    bb_out=/tmp/ci-bench.$$
-    bb_line=$(go run ./benchmark -workload "$1" -trace "$2" -seconds 5 -out "$bb_out" 2>/dev/null | tail -n 1)
-    rm -rf "$bb_out"
+    bb_line=$(go run ./benchmark -workload "$1" -trace "$2" -seconds 5 -out "$ci_tmp/bench" 2>/dev/null | tail -n 1)
+    rm -rf "$ci_tmp/bench"
     case "$bb_line" in
     *'"correct":true'*) ;;
     *)
