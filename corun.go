@@ -2,6 +2,7 @@ package snacknoc
 
 import (
 	"fmt"
+	"math"
 
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/experiments"
@@ -57,8 +58,9 @@ type CoRunReport struct {
 
 // CoRun executes the multiprogram scenario: the named Table III
 // benchmark on the CMP cores with the given kernel executing continually
-// in the communication layer. Scale (0 < scale ≤ 1 typical) trades
-// benchmark length for wall-clock time; use 1.0 for report-quality runs.
+// in the communication layer. Scale trades benchmark length for
+// wall-clock time: it must be positive and finite, 0 < scale ≤ 1 is
+// typical, and 1.0 is the report-quality (hours-long) run.
 func CoRun(benchmark string, kernel Kernel, scale float64, opts ...Option) (*CoRunReport, error) {
 	prof := traffic.ByName(benchmark)
 	if prof == nil {
@@ -68,8 +70,8 @@ func CoRun(benchmark string, kernel Kernel, scale float64, opts ...Option) (*CoR
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if scale <= 0 {
-		scale = 1
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return nil, fmt.Errorf("snacknoc: scale must be positive and finite, got %g", scale)
 	}
 	spec := experiments.CoRunSpec{
 		Bench:    prof,

@@ -1,6 +1,7 @@
 package snacknoc_test
 
 import (
+	"math"
 	"testing"
 
 	"snacknoc"
@@ -29,6 +30,16 @@ func TestCoRunAPI(t *testing.T) {
 	// At this scale the impact is noisy but must stay far from pathological.
 	if rep.ImpactPct > 10 || rep.ImpactPct < -10 {
 		t.Fatalf("impact %v%% outside any plausible band", rep.ImpactPct)
+	}
+}
+
+// TestCoRunRejectsBadScale: a scale that is not positive and finite is an
+// error, not a silent full-length run; 0.25 runs (TestCoRunAPI).
+func TestCoRunRejectsBadScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if rep, err := snacknoc.CoRun("CoMD", snacknoc.Reduction, scale); err == nil || rep != nil {
+			t.Errorf("CoRun at scale %g = (%v, %v), want an error", scale, rep, err)
+		}
 	}
 }
 

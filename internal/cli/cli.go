@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -117,8 +118,8 @@ func register(fs *flag.FlagSet, g Group) *Command {
 // check reports the first shared flag value the run cannot honour.
 func (c *Command) check() error {
 	switch {
-	case !(c.Scale > 0):
-		return fmt.Errorf("-scale must be positive, got %g", c.Scale)
+	case !(c.Scale > 0) || math.IsInf(c.Scale, 1):
+		return fmt.Errorf("-scale must be positive and finite, got %g", c.Scale)
 	case c.traceLast < 0:
 		return errors.New("-trace-last requires a non-negative count")
 	case c.traceLast > 0 && c.tracePath == "":

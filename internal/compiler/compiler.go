@@ -14,6 +14,7 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 
 	"snacknoc/internal/core"
 	"snacknoc/internal/dataflow"
@@ -56,37 +57,10 @@ func (e elemRef) operand() core.Operand {
 	return core.Ref(e.dep)
 }
 
-// slab hands out token storage from fixed-capacity chunks, so a compiled
-// program costs about one allocation per slabChunk tokens instead of one
-// per token. A full chunk is never regrown — it stays behind, kept alive
-// by the entries pointing into it, and a new one is started — so the
-// pointers put returns stay valid for the life of the program.
-type slab[T any] struct {
-	chunk []T
-}
-
-// Chunks double from slabMinChunk up to slabChunk, so a small graph does
-// not pay for a full-sized chunk.
-const (
-	slabMinChunk = 64
-	slabChunk    = 1024
-)
-
-func (s *slab[T]) put(v T) *T {
-	if len(s.chunk) == cap(s.chunk) {
-		n := min(max(2*cap(s.chunk), slabMinChunk), slabChunk)
-		s.chunk = make([]T, 0, n)
-	}
-	s.chunk = append(s.chunk, v)
-	return &s.chunk[len(s.chunk)-1]
-}
-
 // compilation is the per-graph state.
 type compilation struct {
 	cfg     Config
 	prog    *core.Program
-	instrs  slab[core.InstrToken]
-	datas   slab[core.DataToken]
 	seq     uint32
 	sb      uint32
 	dep     core.DepID
@@ -106,11 +80,17 @@ func Compile(g *dataflow.Graph, cfg Config) (*core.Program, error) {
 		cfg.MinChunk = 1
 	}
 	order := g.PostOrder()
+	entries, datas := entryBound(order, len(cfg.RCUs))
+	if entries > math.MaxInt32 {
+		return nil, fmt.Errorf("compiler: graph may emit %d entries, past the int32 index of a ProgEntry", entries)
+	}
 	c := &compilation{
 		cfg: cfg,
 		prog: &core.Program{
 			Name:       "graph",
-			Entries:    make([]core.ProgEntry, 0, entryBound(order, len(cfg.RCUs))),
+			Entries:    make([]core.ProgEntry, 0, entries),
+			Instrs:     make([]core.InstrToken, 0, entries-datas),
+			Datas:      make([]core.DataToken, 0, datas),
 			OutputSlot: make(map[core.DepID]int, g.Root.Elems()),
 		},
 		uses:    make(map[*dataflow.Node][]int, len(order)),
@@ -129,11 +109,12 @@ func Compile(g *dataflow.Graph, cfg Config) (*core.Program, error) {
 	return c.prog, nil
 }
 
-// entryBound returns an upper bound on the command-stream length, so
-// Entries is sized once: append's regrowth cost five times the final
-// slice in garbage on a 10^5-entry kernel.
-func entryBound(order []*dataflow.Node, rcus int) int {
-	n := 0
+// entryBound returns upper bounds on the command-stream length and on
+// the input data tokens in it, so Entries, Datas and Instrs (the
+// difference) are each sized once: append's regrowth cost five times the
+// final slice in garbage on a 10^5-entry kernel. Both are exact for a
+// MatMul.
+func entryBound(order []*dataflow.Node, rcus int) (n, datas int) {
 	for _, nd := range order {
 		switch nd.Kind {
 		case dataflow.KindMatMul:
@@ -147,9 +128,10 @@ func entryBound(order []*dataflow.Node, rcus int) int {
 			// One MAC per nonzero, a zero per empty row, and the vector's
 			// injected tokens.
 			n += nd.Sp.NNZ() + nd.Rows + nd.Inputs[0].Elems()
+			datas += nd.Inputs[0].Elems()
 		}
 	}
-	return n
+	return n, datas
 }
 
 // countUses performs the liveness lookahead of §IV-B1: each element's
@@ -242,14 +224,14 @@ func (c *compilation) newSB() uint32      { c.sb++; return c.sb }
 func (c *compilation) emit(it core.InstrToken) {
 	c.seq++
 	it.Seq = c.seq
-	c.prog.Entries = append(c.prog.Entries, core.ProgEntry{Instr: c.instrs.put(it)})
+	c.prog.Entries = append(c.prog.Entries, core.ProgEntry(len(c.prog.Instrs)))
+	c.prog.Instrs = append(c.prog.Instrs, it)
 }
 
 // emitData schedules a CPM-injected input token.
 func (c *compilation) emitData(dep core.DepID, v fixed.Q, n int) {
-	c.prog.Entries = append(c.prog.Entries, core.ProgEntry{
-		Data: c.datas.put(core.DataToken{Dep: dep, Dependents: uint16(n), V: v}),
-	})
+	c.prog.Entries = append(c.prog.Entries, ^core.ProgEntry(len(c.prog.Datas)))
+	c.prog.Datas = append(c.prog.Datas, core.DataToken{Dep: dep, Dependents: uint16(n), V: v})
 }
 
 // resultDisposition fills the Emit metadata for the element produced for
@@ -313,7 +295,7 @@ func (c *compilation) lowerMatMul(n *dataflow.Node) error {
 			sb := c.newSB()
 			for k := 0; k < m; k++ {
 				it := core.InstrToken{
-					Op: core.OpMAC, Dst: rcu, SubBlock: sb, SBIdx: k,
+					Op: core.OpMAC, Dst: rcu, SubBlock: sb, SBIdx: int32(k),
 					L: x[i*m+k].operand(), R: y[k*p+j].operand(),
 					AccInit: k == 0,
 				}
@@ -416,7 +398,7 @@ func (c *compilation) emitPartialChain(xs, ys []elemRef, lo, hi int, dep core.De
 	rcu := c.nextRCUExcept(avoid)
 	sb := c.newSB()
 	for k := lo; k < hi; k++ {
-		it := core.InstrToken{Dst: rcu, SubBlock: sb, SBIdx: k - lo, AccInit: k == lo}
+		it := core.InstrToken{Dst: rcu, SubBlock: sb, SBIdx: int32(k - lo), AccInit: k == lo}
 		if ys == nil {
 			it.Op = core.OpAccAdd
 			it.L = xs[k].operand()
@@ -442,7 +424,7 @@ func (c *compilation) emitChainSlice(n *dataflow.Node, xs, ys []elemRef, lo, hi 
 	sb := c.newSB()
 	refs := make([]elemRef, 1)
 	for k := lo; k < hi; k++ {
-		it := core.InstrToken{Dst: rcu, SubBlock: sb, SBIdx: k - lo, AccInit: k == lo}
+		it := core.InstrToken{Dst: rcu, SubBlock: sb, SBIdx: int32(k - lo), AccInit: k == lo}
 		if ys == nil {
 			it.Op = core.OpAccAdd
 			it.L = xs[k].operand()
@@ -505,7 +487,7 @@ func (c *compilation) lowerSpMV(n *dataflow.Node) error {
 		sb := c.newSB()
 		for k := lo; k < hi; k++ {
 			it := core.InstrToken{
-				Op: core.OpMAC, Dst: rcu, SubBlock: sb, SBIdx: k - lo, AccInit: k == lo,
+				Op: core.OpMAC, Dst: rcu, SubBlock: sb, SBIdx: int32(k - lo), AccInit: k == lo,
 				L: core.Imm32(n.Sp.Val[k]), R: tokRefs[n.Sp.ColIdx[k]].operand(),
 			}
 			if k == hi-1 {

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"strings"
 	"testing"
 
 	"snacknoc/internal/core"
@@ -236,10 +237,10 @@ func TestIntermediateTokensCarryDependentCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := 0
-	for _, e := range prog.Entries {
-		if e.Instr != nil && e.Instr.Emit && !e.Instr.ToCPM {
-			if e.Instr.Dependents != 4 {
-				t.Fatalf("intermediate dependents = %d, want 4", e.Instr.Dependents)
+	for _, it := range prog.Instrs {
+		if it.Emit && !it.ToCPM {
+			if it.Dependents != 4 {
+				t.Fatalf("intermediate dependents = %d, want 4", it.Dependents)
 			}
 			found++
 		}
@@ -262,10 +263,8 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	perRCU := map[int]int{}
-	for _, e := range prog.Entries {
-		if e.Instr != nil {
-			perRCU[int(e.Instr.Dst)]++
-		}
+	for _, it := range prog.Instrs {
+		perRCU[int(it.Dst)]++
 	}
 	if len(perRCU) != 16 {
 		t.Fatalf("mapped to %d RCUs, want all 16", len(perRCU))
@@ -296,52 +295,89 @@ func sgemmGraph(t *testing.T, n int) *dataflow.Graph {
 	return g
 }
 
-// TestCompileAllocatesPerChunkNotPerToken pins the slab-compiled
-// command stream: tokens come from fixed-size chunks and Entries is
-// sized once, so a program costs about one allocation per slabChunk
-// entries plus a constant for the per-node bookkeeping — not one per
-// instruction, and nothing that grows with how often append regrows.
-func TestCompileAllocatesPerChunkNotPerToken(t *testing.T) {
-	for _, n := range []int{12, 24} {
+// TestCompileAllocatesPerGraphNotPerToken pins the value-array command
+// stream: Entries, Instrs and Datas are each allocated once at their
+// bound, so a program's object count depends on its graph's shape, not
+// its size — an SGEMM 24 costs what an SGEMM 12 does — and, the bounds
+// being exact for a MatMul, nothing is left over.
+func TestCompileAllocatesPerGraphNotPerToken(t *testing.T) {
+	var allocs [2]float64
+	for k, n := range []int{12, 24} {
 		g := sgemmGraph(t, n)
 		var prog *core.Program
-		allocs := testing.AllocsPerRun(3, func() {
+		// Ten runs: AllocsPerRun rounds the mean down, so a stray
+		// runtime allocation in one run cannot tip the count.
+		allocs[k] = testing.AllocsPerRun(10, func() {
 			var err error
 			if prog, err = Compile(g, DefaultConfig(16)); err != nil {
 				t.Fatal(err)
 			}
 		})
 		entries := len(prog.Entries)
-		if entries != n*n*n {
-			t.Fatalf("SGEMM %d compiled to %d entries, want %d", n, entries, n*n*n)
+		if entries != n*n*n || len(prog.Instrs) != entries || len(prog.Datas) != 0 {
+			t.Fatalf("SGEMM %d compiled to %d entries, %d instructions and %d input tokens, want %d, %d and 0",
+				n, entries, len(prog.Instrs), len(prog.Datas), n*n*n, n*n*n)
 		}
-		if limit := float64(entries/slabChunk + 32); allocs > limit {
-			t.Errorf("compiling %d entries allocated %.0f objects, want <= entries/%d + 32 = %.0f",
-				entries, allocs, slabChunk, limit)
+		if cap(prog.Entries) != entries || cap(prog.Instrs) != entries {
+			t.Errorf("SGEMM %d: capacities %d entries and %d instructions for %d: the bounds are exact for a MatMul",
+				n, cap(prog.Entries), cap(prog.Instrs), entries)
 		}
-		if cap(prog.Entries) != entries {
-			t.Errorf("Entries has capacity %d for %d entries: the bound is exact for a MatMul", cap(prog.Entries), entries)
+		for i, e := range prog.Entries {
+			if e != core.ProgEntry(i) || prog.Instrs[i].Seq != uint32(i+1) {
+				t.Fatalf("entry %d names %d, sequence %d: want instruction %d, sequence %d",
+					i, e, prog.Instrs[i].Seq, i, i+1)
+			}
 		}
-		t.Logf("SGEMM %d: %d entries, %.0f allocations", n, entries, allocs)
+		t.Logf("SGEMM %d: %d entries, %.0f allocations", n, entries, allocs[k])
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("SGEMM 12 allocated %.0f objects and SGEMM 24 %.0f: a program should cost the same objects at any size",
+			allocs[0], allocs[1])
 	}
 }
 
-// TestCompiledTokensKeepTheirAddresses checks the slab contract the
-// CPM relies on: starting a new chunk never moves an earlier token, so
-// every ProgEntry pointer stays valid and distinct.
-func TestCompiledTokensKeepTheirAddresses(t *testing.T) {
-	prog, err := Compile(sgemmGraph(t, 16), DefaultConfig(16)) // 4096 entries, several chunks
+// outerGraph is the rows×1 · 1×cols outer product: rows·cols entries
+// from two small inputs.
+func outerGraph(t *testing.T, b *dataflow.Builder, rows, cols int) *dataflow.Node {
+	t.Helper()
+	x, _ := b.Input(make([]fixed.Q, rows), rows, 1)
+	y, _ := b.Input(make([]fixed.Q, cols), 1, cols)
+	xy, err := b.MatMul(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[*core.InstrToken]bool, len(prog.Entries))
-	for i, e := range prog.Entries {
-		if e.Instr == nil || seen[e.Instr] {
-			t.Fatalf("entry %d: missing or aliased instruction token", i)
-		}
-		seen[e.Instr] = true
-		if e.Instr.Seq != uint32(i+1) {
-			t.Fatalf("entry %d carries sequence %d: a chunk was overwritten or regrown", i, e.Instr.Seq)
-		}
+	return xy
+}
+
+// TestCompileRejectsGraphsPastTheEntryIndex: a ProgEntry is an int32, so
+// a graph whose entry bound passes math.MaxInt32 is an error before
+// anything is sized from it.
+func TestCompileRejectsGraphsPastTheEntryIndex(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(b *dataflow.Builder) *dataflow.Node
+		fails bool
+	}{
+		{"smoke outer product", func(b *dataflow.Builder) *dataflow.Node { return outerGraph(t, b, 12, 12) }, false},
+		{"2^31 entries", func(b *dataflow.Builder) *dataflow.Node { return outerGraph(t, b, 1<<16, 1<<15) }, true},
+		{"2^32 entries", func(b *dataflow.Builder) *dataflow.Node { return outerGraph(t, b, 1<<16, 1<<16) }, true},
+		{"two nodes of 2^30", func(b *dataflow.Builder) *dataflow.Node {
+			xy := outerGraph(t, b, 1<<15, 1<<15)
+			sum, _ := b.Add(xy, xy)
+			return sum
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := dataflow.NewBuilder()
+			g, err := b.Build(tc.build(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Compile(g, DefaultConfig(16))
+			if tc.fails != (err != nil) || (err != nil && !strings.Contains(err.Error(), "ProgEntry")) {
+				t.Fatalf("Compile = %v, want a ProgEntry index error: %v", err, tc.fails)
+			}
+		})
 	}
 }

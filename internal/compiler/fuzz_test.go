@@ -92,7 +92,7 @@ func TestRandomGraphsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			if bound := entryBound(g.PostOrder(), 16); len(prog.Entries) > bound {
+			if bound, _ := entryBound(g.PostOrder(), 16); len(prog.Entries) > bound {
 				t.Fatalf("%d entries emitted, entryBound said at most %d", len(prog.Entries), bound)
 			}
 			eng := sim.NewEngine()

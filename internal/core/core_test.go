@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"snacknoc/internal/fixed"
 	"snacknoc/internal/noc"
@@ -33,6 +34,8 @@ func newProg(name string) *progBuilder {
 func (b *progBuilder) dep() DepID { b.nextDep++; return b.nextDep }
 func (b *progBuilder) sb() uint32 { b.nextSB++; return b.nextSB }
 
+// instr appends an instruction; the token it returns stays valid until
+// the next instr call.
 func (b *progBuilder) instr(it InstrToken) *InstrToken {
 	b.seq++
 	it.Seq = b.seq
@@ -40,14 +43,14 @@ func (b *progBuilder) instr(it InstrToken) *InstrToken {
 		it.SubBlock = b.sb()
 		it.EndSB = true
 	}
-	b.prog.Entries = append(b.prog.Entries, ProgEntry{Instr: &it})
-	return b.prog.Entries[len(b.prog.Entries)-1].Instr
+	b.prog.Entries = append(b.prog.Entries, ProgEntry(len(b.prog.Instrs)))
+	b.prog.Instrs = append(b.prog.Instrs, it)
+	return &b.prog.Instrs[len(b.prog.Instrs)-1]
 }
 
 func (b *progBuilder) data(dep DepID, v float64, n int) {
-	b.prog.Entries = append(b.prog.Entries, ProgEntry{
-		Data: &DataToken{Dep: dep, Dependents: uint16(n), V: fixed.FromFloat(v)},
-	})
+	b.prog.Entries = append(b.prog.Entries, ^ProgEntry(len(b.prog.Datas)))
+	b.prog.Datas = append(b.prog.Datas, DataToken{Dep: dep, Dependents: uint16(n), V: fixed.FromFloat(v)})
 }
 
 func (b *progBuilder) output(dep DepID) {
@@ -122,7 +125,7 @@ func TestMACSubBlockDotProduct(t *testing.T) {
 	sb := b.sb()
 	vals := [][2]float64{{1, 2}, {3, 4}, {5, 6}}
 	for i, v := range vals {
-		it := InstrToken{Op: OpMAC, Dst: 10, SubBlock: sb, SBIdx: i,
+		it := InstrToken{Op: OpMAC, Dst: 10, SubBlock: sb, SBIdx: int32(i),
 			L: Imm32(fixed.FromFloat(v[0])), R: Imm32(fixed.FromFloat(v[1]))}
 		if i == 0 {
 			it.AccInit = true
@@ -258,7 +261,7 @@ func TestAccAddReduction(t *testing.T) {
 	out := b.dep()
 	sb := b.sb()
 	for i := 1; i <= 6; i++ {
-		it := InstrToken{Op: OpAccAdd, Dst: 7, SubBlock: sb, SBIdx: i - 1, L: Imm32(fixed.FromInt(i))}
+		it := InstrToken{Op: OpAccAdd, Dst: 7, SubBlock: sb, SBIdx: int32(i - 1), L: Imm32(fixed.FromInt(i))}
 		if i == 1 {
 			it.AccInit = true
 		}
@@ -287,7 +290,7 @@ func TestInterleavedSubBlocksKeepAccumulatorsSeparate(t *testing.T) {
 	sbA, sbB := b.sb(), b.sb()
 	mk := func(sb uint32, out DepID, vals []float64) {
 		for i, v := range vals {
-			it := InstrToken{Op: OpAccAdd, Dst: 4, SubBlock: sb, SBIdx: i, L: Imm32(fixed.FromFloat(v))}
+			it := InstrToken{Op: OpAccAdd, Dst: 4, SubBlock: sb, SBIdx: int32(i), L: Imm32(fixed.FromFloat(v))}
 			if i == 0 {
 				it.AccInit = true
 			}
@@ -396,5 +399,17 @@ func TestIssueRateIsOnePerCycle(t *testing.T) {
 		if got := res.Values[i].Int(); got != i+1 {
 			t.Fatalf("slot %d = %d, want %d", i, got, i+1)
 		}
+	}
+}
+
+// TestTokenSizes pins the compiled-program layout: a program is one
+// 56-byte token per instruction plus a 4-byte entry per command, so a
+// new token field is a conscious choice, made here.
+func TestTokenSizes(t *testing.T) {
+	if n := unsafe.Sizeof(InstrToken{}); n != 56 {
+		t.Errorf("InstrToken is %d bytes, want 56", n)
+	}
+	if n := unsafe.Sizeof(ProgEntry(0)); n != 4 {
+		t.Errorf("ProgEntry is %d bytes, want 4", n)
 	}
 }

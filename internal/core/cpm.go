@@ -136,7 +136,7 @@ func (b *offloadBufs) copyFrom(o *offloadBufs) {
 	b.offloadMem = append(b.offloadMem[:0], o.offloadMem...)
 }
 
-// staged values other than a program entry's index.
+// staged values other than an instruction's index in prog.Instrs.
 const (
 	stageNone = -1 // nothing awaits injection
 	stageData = -2 // the data token in stagedTok does
@@ -146,8 +146,8 @@ const (
 // copies it whole.
 type cpmScalars struct {
 	state KernelState
-	// staged is what Advance injects next: an instruction entry of prog,
-	// assembled as it is sent, or stageData for stagedTok — an input
+	// staged is what Advance injects next: an instruction of prog, by its
+	// Instrs index, assembled as it is sent, or stageData for stagedTok — an input
 	// token assembled when it was staged, or a spilled token on its way
 	// back.
 	staged      int32
@@ -344,9 +344,9 @@ func (c *CPM) Evaluate(cycle int64) {
 		c.at.Inc(attrib.CPMDrained)
 		return
 	}
-	c.staged = c.instrBuf.pop()
-	if d := c.prog.Entries[c.staged].Data; d != nil {
-		c.stagedTok, c.staged = *d, stageData
+	c.staged = int32(c.prog.Entries[c.instrBuf.pop()])
+	if c.staged < 0 {
+		c.stagedTok, c.staged = c.prog.Datas[^c.staged], stageData
 		c.stagedTok.Dep |= c.nsBase
 	}
 	c.at.Inc(attrib.CPMIssue)
@@ -365,7 +365,7 @@ func (c *CPM) Advance(cycle int64) {
 		c.port.Send(c.loop.Next(c.cfg.Node), d, true, cycle)
 	} else {
 		it := c.pool.GetInstr()
-		c.assemble(it, c.prog.Entries[c.staged].Instr)
+		c.assemble(it, &c.prog.Instrs[c.staged])
 		c.port.Send(it.Dst, it, false, cycle)
 	}
 	c.staged = stageNone

@@ -19,7 +19,7 @@ func sgemmProg(n int) *Program {
 		out := b.dep()
 		sb := b.sb()
 		for k := 0; k < n; k++ {
-			it := InstrToken{Op: OpMAC, Dst: noc.NodeID(e % 16), SubBlock: sb, SBIdx: k, AccInit: k == 0,
+			it := InstrToken{Op: OpMAC, Dst: noc.NodeID(e % 16), SubBlock: sb, SBIdx: int32(k), AccInit: k == 0,
 				L: Imm32(fixed.FromInt(k%5 + 1)), R: Imm32(fixed.FromInt(e%3 + 1))}
 			if k == n-1 {
 				it.EndSB, it.Emit, it.EmitDep, it.Dependents, it.ToCPM = true, true, out, 1, true
@@ -57,8 +57,10 @@ func TestInvalidProgramIsAnErrorNotAPanic(t *testing.T) {
 			it.EmitDep = nsLimit
 			b.prog.OutputSlot[it.EmitDep] = 0
 		}, "dependency id"},
-		{"input token dep", func(b *progBuilder, _ *InstrToken) { b.prog.Entries[0].Data.Dep = nsLimit }, "dependency id"},
+		{"input token dep", func(b *progBuilder, _ *InstrToken) { b.prog.Datas[0].Dep = nsLimit }, "dependency id"},
 		{"output slot", func(b *progBuilder, it *InstrToken) { b.prog.OutputSlot[it.EmitDep] = 1 }, "output slot 1 outside"},
+		{"entry past its array", func(b *progBuilder, _ *InstrToken) { b.prog.Entries[1] = 1 }, "out of order"},
+		{"token without an entry", func(b *progBuilder, it *InstrToken) { b.prog.Instrs = append(b.prog.Instrs, *it) }, "entries for"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

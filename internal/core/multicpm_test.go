@@ -21,7 +21,7 @@ func buildReduce(vals []float64, rcus []noc.NodeID) *Program {
 	// Final chain first (consumers before producers).
 	sb := b.sb()
 	for i, d := range partialDeps {
-		it := InstrToken{Op: OpAccAdd, Dst: final, SubBlock: sb, SBIdx: i, L: Ref(d), AccInit: i == 0}
+		it := InstrToken{Op: OpAccAdd, Dst: final, SubBlock: sb, SBIdx: int32(i), L: Ref(d), AccInit: i == 0}
 		if i == len(partialDeps)-1 {
 			it.EndSB, it.Emit, it.EmitDep, it.Dependents, it.ToCPM = true, true, out, 1, true
 		}
@@ -35,7 +35,7 @@ func buildReduce(vals []float64, rcus []noc.NodeID) *Program {
 		}
 		sb := b.sb()
 		for i := lo; i < hi; i++ {
-			it := InstrToken{Op: OpAccAdd, Dst: rcu, SubBlock: sb, SBIdx: i - lo,
+			it := InstrToken{Op: OpAccAdd, Dst: rcu, SubBlock: sb, SBIdx: int32(i - lo),
 				L: Imm32(fixed.FromFloat(vals[i])), AccInit: i == lo}
 			if i == hi-1 {
 				it.EndSB, it.Emit, it.EmitDep, it.Dependents = true, true, partialDeps[ci], 1

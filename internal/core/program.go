@@ -6,24 +6,28 @@ import (
 	"snacknoc/internal/fixed"
 )
 
-// ProgEntry is one element of a compiled kernel's command stream: either
-// an instruction token to issue to an RCU, or an input data token the CPM
-// injects onto the transient-data loop (how reused inputs such as the
-// SPMV vector reach their many consumers without being copied into every
-// instruction).
-type ProgEntry struct {
-	Instr *InstrToken
-	Data  *DataToken
-}
+// ProgEntry is one element of a compiled kernel's command stream, an
+// index into its program's token arrays: a value i ≥ 0 names Instrs[i],
+// an instruction token to issue to an RCU, and a value i < 0 names
+// Datas[^i], an input data token the CPM injects onto the transient-data
+// loop (how reused inputs such as the SPMV vector reach their many
+// consumers without being copied into every instruction).
+type ProgEntry int32
 
 // Program is a compiled SnackNoC kernel: the command stream the CPM
 // streams from main memory, plus result metadata. Once built a Program
 // is immutable: every CPM and every sweep worker streams the same
 // instance, and execution only ever mutates the token copies the CPM
-// assembles from it as it issues them (CPM.assemble).
+// assembles from it as it issues them (CPM.assemble). Its tokens are
+// held by value and its entries are indices, so none of its arrays holds
+// a pointer for the collector to scan.
 type Program struct {
-	Name    string
+	Name string
+	// Entries names every token of Instrs and Datas once, each array in
+	// order, in the order the CPM issues them.
 	Entries []ProgEntry
+	Instrs  []InstrToken
+	Datas   []DataToken
 	// OutputSlot maps each ToCPM dependency ID to its index in the
 	// result vector.
 	OutputSlot map[DepID]int
@@ -51,56 +55,66 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("core: program %q: %d output slots for %d outputs",
 			p.Name, len(p.OutputSlot), p.NumOutputs)
 	}
+	var ni, nd ProgEntry
+	for i, e := range p.Entries {
+		switch {
+		case e == ni:
+			ni++
+		case ^e == nd:
+			nd++
+		default:
+			return fmt.Errorf("core: program %q entry %d names token %d out of order", p.Name, i, e)
+		}
+	}
+	if int(ni) != len(p.Instrs) || int(nd) != len(p.Datas) {
+		return fmt.Errorf("core: program %q: %d entries for %d instructions and %d input tokens",
+			p.Name, len(p.Entries), len(p.Instrs), len(p.Datas))
+	}
 	seen := make([]bool, p.NumOutputs)
 	outs := 0
 	var lastSeq uint32
-	for i, e := range p.Entries {
-		switch {
-		case e.Instr != nil && e.Data != nil:
-			return fmt.Errorf("core: program %q entry %d is both instruction and data", p.Name, i)
-		case e.Instr == nil && e.Data == nil:
-			return fmt.Errorf("core: program %q entry %d is empty", p.Name, i)
-		case e.Instr != nil:
-			it := e.Instr
-			if it.Seq < lastSeq {
-				return fmt.Errorf("core: program %q: instruction %d out of sequence", p.Name, i)
-			}
-			lastSeq = it.Seq
-			if it.SubBlock >= nsLimit {
-				return fmt.Errorf("core: program %q entry %d: sub-block id %d exceeds the namespace (%d)",
-					p.Name, i, it.SubBlock, nsLimit)
-			}
-			if (it.L.IsRef && it.L.Dep >= nsLimit) || (it.R.IsRef && it.R.Dep >= nsLimit) ||
-				(it.Emit && it.EmitDep >= nsLimit) {
-				return fmt.Errorf("core: program %q entry %d: dependency id exceeds the namespace (%d)",
-					p.Name, i, nsLimit)
-			}
-			if it.ToCPM {
-				if !it.Emit {
-					return fmt.Errorf("core: program %q: ToCPM without Emit at entry %d", p.Name, i)
-				}
-				slot, ok := p.OutputSlot[it.EmitDep]
-				if !ok {
-					return fmt.Errorf("core: program %q: output dep %d has no slot", p.Name, it.EmitDep)
-				}
-				if slot < 0 || slot >= p.NumOutputs {
-					return fmt.Errorf("core: program %q: output slot %d outside the %d-value result",
-						p.Name, slot, p.NumOutputs)
-				}
-				if seen[slot] {
-					return fmt.Errorf("core: program %q: output slot %d written twice", p.Name, slot)
-				}
-				seen[slot] = true
-				outs++
-			}
-		case e.Data != nil:
-			if e.Data.Dependents == 0 {
-				return fmt.Errorf("core: program %q: input token %d with zero dependents", p.Name, i)
-			}
-			if e.Data.Dep >= nsLimit {
-				return fmt.Errorf("core: program %q entry %d: dependency id %d exceeds the namespace (%d)",
-					p.Name, i, e.Data.Dep, nsLimit)
-			}
+	for i := range p.Instrs {
+		it := &p.Instrs[i]
+		if it.Seq < lastSeq {
+			return fmt.Errorf("core: program %q: instruction %d out of sequence", p.Name, i)
+		}
+		lastSeq = it.Seq
+		if it.SubBlock >= nsLimit {
+			return fmt.Errorf("core: program %q instruction %d: sub-block id %d exceeds the namespace (%d)",
+				p.Name, i, it.SubBlock, nsLimit)
+		}
+		if (it.L.IsRef && it.L.Dep >= nsLimit) || (it.R.IsRef && it.R.Dep >= nsLimit) ||
+			(it.Emit && it.EmitDep >= nsLimit) {
+			return fmt.Errorf("core: program %q instruction %d: dependency id exceeds the namespace (%d)",
+				p.Name, i, nsLimit)
+		}
+		if !it.ToCPM {
+			continue
+		}
+		if !it.Emit {
+			return fmt.Errorf("core: program %q: ToCPM without Emit at instruction %d", p.Name, i)
+		}
+		slot, ok := p.OutputSlot[it.EmitDep]
+		if !ok {
+			return fmt.Errorf("core: program %q: output dep %d has no slot", p.Name, it.EmitDep)
+		}
+		if slot < 0 || slot >= p.NumOutputs {
+			return fmt.Errorf("core: program %q: output slot %d outside the %d-value result",
+				p.Name, slot, p.NumOutputs)
+		}
+		if seen[slot] {
+			return fmt.Errorf("core: program %q: output slot %d written twice", p.Name, slot)
+		}
+		seen[slot] = true
+		outs++
+	}
+	for i, d := range p.Datas {
+		if d.Dependents == 0 {
+			return fmt.Errorf("core: program %q: input token %d with zero dependents", p.Name, i)
+		}
+		if d.Dep >= nsLimit {
+			return fmt.Errorf("core: program %q input token %d: dependency id %d exceeds the namespace (%d)",
+				p.Name, i, d.Dep, nsLimit)
 		}
 	}
 	if outs != p.NumOutputs {
@@ -110,20 +124,10 @@ func (p *Program) Validate() error {
 }
 
 // Instructions returns the count of instruction entries.
-func (p *Program) Instructions() int {
-	n := 0
-	for _, e := range p.Entries {
-		if e.Instr != nil {
-			n++
-		}
-	}
-	return n
-}
+func (p *Program) Instructions() int { return len(p.Instrs) }
 
 // InputTokens returns the count of CPM-injected data tokens.
-func (p *Program) InputTokens() int {
-	return len(p.Entries) - p.Instructions()
-}
+func (p *Program) InputTokens() int { return len(p.Datas) }
 
 // Result is a completed kernel's output vector and timing.
 type Result struct {

@@ -583,7 +583,7 @@ func (r *RCU) sbHeadReady(si int32) bool {
 		return false
 	}
 	it := r.instrAt(sb.head)
-	return it.SBIdx == sb.executed && operandsReady(it)
+	return int(it.SBIdx) == sb.executed && operandsReady(it)
 }
 
 // dispatch picks the next instruction under the §III-D1 partial order:

@@ -28,7 +28,7 @@ func TestRCUReordersSubBlock(t *testing.T) {
 	// Deliver a 3-MAC chain REVERSED: idx 2, 1, 0.
 	mk := func(idx int, l, rr float64, last bool) *InstrToken {
 		it := &InstrToken{
-			Op: OpMAC, Dst: 3, Seq: uint32(10 + idx), SubBlock: 7, SBIdx: idx,
+			Op: OpMAC, Dst: 3, Seq: uint32(10 + idx), SubBlock: 7, SBIdx: int32(idx),
 			L: Imm32(fixed.FromFloat(l)), R: Imm32(fixed.FromFloat(rr)),
 			AccInit: idx == 0,
 		}

@@ -98,40 +98,40 @@ func (o *Operand) fill(v fixed.Q) {
 // with the static-mapping metadata the compiler produces: a global
 // sequence number, the sub-block it belongs to (an intra-dependent
 // accumulator chain that must not be interleaved, §III-D1), and where the
-// result goes.
+// result goes. Its fields run from the widest alignment down, so the
+// token packs into 56 bytes.
 type InstrToken struct {
 	Seq      uint32
-	Op       Op
 	Dst      noc.NodeID // P: the RCU this instruction executes on
-	L, R     Operand    // Vl, Vr
 	SubBlock uint32
 	// SBIdx is the instruction's position within its sub-block. Arrival
 	// order over the NoC is non-deterministic (packets ride different
 	// VCs), so the RCU's ordered instruction buffer re-sorts on this and
 	// executes each sub-block strictly in order (§III-D1).
-	SBIdx int
+	SBIdx int32
+	// Result disposition. When Emit is set the result becomes a data
+	// token ⟨EmitDep, Dependents, v⟩: a transient loop token, or a final
+	// output routed to the issuing CPM when ToCPM is set. Without Emit
+	// the result only persists in the accumulator (§III-A: "the data is
+	// preserved at the source PE for further accumulate operations").
+	EmitDep DepID
+	// Home is the node of the CPM that issued this instruction and that
+	// collects its ToCPM result. With a single CPM it equals the
+	// platform's CPM node; the decentralized configuration (§VII) places
+	// one CPM per memory controller and stamps each kernel's
+	// instructions with its own home.
+	Home       noc.NodeID
+	L, R       Operand // Vl, Vr
+	Dependents uint16
+	Op         Op
 	// AccInit starts a fresh accumulator chain (acc = result) instead of
 	// accumulating into the previous value.
 	AccInit bool
 	// EndSB marks the final instruction of its sub-block; executing it
 	// closes the accumulator chain.
 	EndSB bool
-
-	// Result disposition. When Emit is set the result becomes a data
-	// token ⟨EmitDep, Dependents, v⟩: a transient loop token, or a final
-	// output routed to the issuing CPM when ToCPM is set. Without Emit
-	// the result only persists in the accumulator (§III-A: "the data is
-	// preserved at the source PE for further accumulate operations").
-	Emit       bool
-	EmitDep    DepID
-	Dependents uint16
-	ToCPM      bool
-	// Home is the node of the CPM that issued this instruction and that
-	// collects its ToCPM result. With a single CPM it equals the
-	// platform's CPM node; the decentralized configuration (§VII) places
-	// one CPM per memory controller and stamps each kernel's
-	// instructions with its own home.
-	Home noc.NodeID
+	Emit  bool
+	ToCPM bool
 }
 
 // String formats the instruction for traces.

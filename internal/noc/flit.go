@@ -4,7 +4,7 @@ import "fmt"
 
 // FlitType distinguishes the positions of a flit within a packet under
 // wormhole switching.
-type FlitType int
+type FlitType int8
 
 // Flit positions within a packet.
 const (
@@ -48,24 +48,23 @@ type Packet struct {
 }
 
 // Flit is the atomic transfer unit; one flit crosses one link per cycle.
+// It is one 64-byte cache line: the narrow fields share a word, and
+// Config.Validate's 64-VC port bound keeps VNet and VC in an int8.
 type Flit struct {
-	PacketID    uint64
-	Type        FlitType
-	Src, Dst    NodeID
-	VNet        int
-	VC          int // input VC at the current router (set by upstream VA)
-	SeqInPkt    int
-	PktFlits    int
-	Payload     any // carried on head/headtail flits only
-	Loop        bool
-	InjectCycle int64
+	PacketID           uint64
+	Type               FlitType
+	VNet               int8
+	VC                 int8 // input VC at the current router (set by upstream VA)
+	Loop               bool
+	Src, Dst           NodeID
+	SeqInPkt, PktFlits int32
+	Payload            any // carried on head/headtail flits only
+	InjectCycle        int64
 
-	// router-internal state, reset at each hop
-	outPort    Direction
+	// eligibleAt is router-internal, reset at each hop: the cycle the flit
+	// clears the router pipeline, which ingest sets routerLatency-1 cycles
+	// past the cycle it buffered the flit, so it also dates the arrival.
 	eligibleAt int64
-	// arrivedAt is the cycle this flit was buffered at the current router,
-	// stamped only while tracing so flit spans know their start.
-	arrivedAt int64
 }
 
 // IsHead reports whether the flit opens a packet.
@@ -143,7 +142,7 @@ func (p *flitPool) envelope(src *Packet, clone func(any) any) *Packet {
 // mintFlit builds flit i of the n that p serializes into, bound for the
 // router's local input VC vc. The head carries the payload, which leaves
 // the envelope with it: from then on the flit is its only holder.
-func mintFlit(p *Packet, i, n, vc int, pool *flitPool) *Flit {
+func mintFlit(p *Packet, i, n int32, vc int8, pool *flitPool) *Flit {
 	f := pool.flits.get()
 	switch {
 	case n == 1:
@@ -158,7 +157,7 @@ func mintFlit(p *Packet, i, n, vc int, pool *flitPool) *Flit {
 	f.PacketID = p.ID
 	f.Src = p.Src
 	f.Dst = p.Dst
-	f.VNet = p.VNet
+	f.VNet = int8(p.VNet)
 	f.VC = vc
 	f.SeqInPkt = i
 	f.PktFlits = n

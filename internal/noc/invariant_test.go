@@ -283,7 +283,7 @@ func checkCredits(t *testing.T, net *Network, cycle int64) (hash uint64) {
 				for c := int32(0); base >= 0 && c < r.nvcOf[v]; c++ {
 					onWire := int32(0)
 					for _, e := range in.in.q {
-						if e.f.VNet == v && e.f.VC == int(c) {
+						if int(e.f.VNet) == v && int32(e.f.VC) == c {
 							onWire++
 						}
 					}

@@ -251,7 +251,7 @@ func (n *Network) layOut(p *slabPlan) {
 		*r = Router{
 			id: NodeID(i), cfg: cfg, loop: n.loop, pool: &n.pools[n.shardOf[i]],
 			vnetOff: vnetOff, depthOf: depthOf, nvcOf: nvcOf,
-			snackVNet:   cfg.SnackVNet,
+			snackVNet:   int8(cfg.SnackVNet),
 			routerLatM1: int64(cfg.RouterLatency - 1),
 			linkLat:     int64(cfg.LinkLatency),
 		}
@@ -307,7 +307,7 @@ func (n *Network) layOut(p *slabPlan) {
 				}
 				for c := int32(0); c < nvcOf[v]; c++ {
 					r.vcs[vc] = inputVC{
-						port: d, vnet: int16(v), vc: int16(c), class: cl,
+						port: d, vnet: int8(v), vc: int8(c), class: cl,
 						base: slot, depth: depthOf[v],
 					}
 					vc++
@@ -390,7 +390,7 @@ func (n *Network) layOut(p *slabPlan) {
 	for i := range n.ports {
 		in := n.routers[i].inputs[Compute]
 		n.ports[i] = InjectPort{
-			node: NodeID(i), vnet: cfg.SnackVNet, pool: n.routers[i].pool, out: in.in,
+			node: NodeID(i), vnet: int8(cfg.SnackVNet), pool: n.routers[i].pool, out: in.in,
 			credits: carve(&credits, p.snackVCs), landed: carve(&credits, p.snackVCs),
 		}
 		for c := range n.ports[i].credits {
@@ -612,7 +612,7 @@ func (n *Network) MeshLinkUtils() map[string]float64 {
 // evaluates; Send must be called from the unit's Advance phase.
 type InjectPort struct {
 	node NodeID
-	vnet int
+	vnet int8
 	pool *flitPool
 	out  *wire
 	// Windows of the Network's credits slab: the free slots Send may use,
@@ -676,7 +676,7 @@ func (p *InjectPort) Send(dst NodeID, payload any, loop bool, cycle int64) bool 
 		f.Src = p.node
 		f.Dst = dst
 		f.VNet = p.vnet
-		f.VC = c
+		f.VC = int8(c)
 		f.PktFlits = 1
 		f.Payload = payload
 		f.Loop = loop

@@ -279,15 +279,15 @@ func (ni *NI) Evaluate(cycle int64) {
 			if ni.credits[slot] <= 0 {
 				continue
 			}
-			f := mintFlit(t.pkt, int(t.next), int(t.n), int(t.vc), ni.pool)
+			f := mintFlit(t.pkt, t.next, t.n, int8(t.vc), ni.pool)
 			t.next++
 			ni.credits[slot]--
 			ni.staged = f
 			ni.flitsOut.Inc()
 			if ni.tr != nil {
-				rec := ni.pktRecord(trace.KindFlitSend, cycle, cycle, f.PacketID, f.VNet)
+				rec := ni.pktRecord(trace.KindFlitSend, cycle, cycle, f.PacketID, int(f.VNet))
 				rec.Seq = int16(f.SeqInPkt)
-				rec.VC = int8(f.VC)
+				rec.VC = f.VC
 				ni.tr.Emit(rec)
 			}
 			ni.txRR = (ni.txRR + i + 1) % n
@@ -327,9 +327,9 @@ func (ni *NI) Evaluate(cycle int64) {
 		f := e.f
 		ni.flitsIn.Inc()
 		if ni.tr != nil {
-			rec := ni.pktRecord(trace.KindEject, cycle, cycle, f.PacketID, f.VNet)
+			rec := ni.pktRecord(trace.KindEject, cycle, cycle, f.PacketID, int(f.VNet))
 			rec.Seq = int16(f.SeqInPkt)
-			rec.VC = int8(f.VC)
+			rec.VC = f.VC
 			ni.tr.Emit(rec)
 		}
 		st := &ni.reasm[ni.vnetOff[f.VNet]+int32(f.VC)]
@@ -354,7 +354,7 @@ func (ni *NI) Evaluate(cycle int64) {
 			ni.pool.flits.put(f)
 		}
 		ni.pkt = Packet{
-			ID: head.PacketID, Src: head.Src, Dst: head.Dst, VNet: head.VNet,
+			ID: head.PacketID, Src: head.Src, Dst: head.Dst, VNet: int(head.VNet),
 			Payload: head.Payload, Loop: head.Loop, InjectCycle: head.InjectCycle,
 		}
 		ni.pool.flits.put(head)

@@ -18,10 +18,14 @@
 //     storage medium for data tokens (§III-E).
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NodeID identifies a mesh node (router + network interface).
-type NodeID int
+// Config.Validate bounds a mesh to the int32 range.
+type NodeID int32
 
 // Direction enumerates router ports. Local is the network-interface port;
 // Compute is the optional RCU injection port (input only).
@@ -114,6 +118,9 @@ func (c *Config) Nodes() int { return c.Width * c.Height }
 func (c *Config) Validate() error {
 	if c.Width < 2 || c.Height < 2 {
 		return fmt.Errorf("noc: mesh must be at least 2x2, got %dx%d", c.Width, c.Height)
+	}
+	if c.Height > math.MaxInt32/c.Width { // Width*Height > MaxInt32, without overflow
+		return fmt.Errorf("noc: %dx%d mesh has more nodes than a NodeID can name", c.Width, c.Height)
 	}
 	if c.ChannelWidthBytes <= 0 {
 		return fmt.Errorf("noc: channel width must be positive, got %d", c.ChannelWidthBytes)

@@ -1,7 +1,9 @@
 package noc
 
 import (
+	"math"
 	"testing"
+	"unsafe"
 
 	"snacknoc/internal/sim"
 )
@@ -68,6 +70,30 @@ func TestConfigValidate(t *testing.T) {
 	for _, c := range []*Config{DAPPER(4, 4), AxNoC(4, 4), BiNoCHS(4, 4), SnackPlatform(4, 4, true)} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
+		}
+	}
+}
+
+// TestConfigValidateBoundsNodeIDs: a NodeID is an int32, so a mesh with
+// more nodes than that is an error, even where Width*Height overflows.
+func TestConfigValidateBoundsNodeIDs(t *testing.T) {
+	cases := []struct {
+		w, h int
+		ok   bool
+	}{
+		{4, 4, true},
+		{2, math.MaxInt32 / 2, true},
+		{32768, 65535, true},
+		{2, 1 << 30, false},
+		{65536, 32768, false},
+		{46341, 46341, false},
+		{1 << 40, 1 << 40, false},
+	}
+	for _, tc := range cases {
+		c := DAPPER(4, 4)
+		c.Width, c.Height = tc.w, tc.h
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%dx%d: Validate = %v, want ok=%v", tc.w, tc.h, err, tc.ok)
 		}
 	}
 }
@@ -371,11 +397,11 @@ func TestFlitize(t *testing.T) {
 	cfg := DAPPER(4, 4)
 	pool := &flitPool{}
 	p := &Packet{ID: 7, Src: 1, Dst: 2, VNet: VNetResp, SizeBytes: 72, Payload: "data", Loop: true, InjectCycle: 11}
-	n := cfg.FlitsFor(p.SizeBytes)
+	n := int32(cfg.FlitsFor(p.SizeBytes))
 	if n != 5 {
 		t.Fatalf("got %d flits, want 5", n)
 	}
-	for i := 0; i < n; i++ {
+	for i := int32(0); i < n; i++ {
 		f := mintFlit(p, i, n, 3, pool)
 		want := BodyFlit
 		switch i {
@@ -400,7 +426,7 @@ func TestFlitize(t *testing.T) {
 	if p.Payload != nil {
 		t.Fatal("the head flit takes the payload out of the envelope")
 	}
-	if pool.flits.out != n {
+	if pool.flits.out != int(n) {
 		t.Fatalf("pool counts %d flits out, want %d", pool.flits.out, n)
 	}
 }
@@ -408,7 +434,7 @@ func TestFlitize(t *testing.T) {
 // TestFlitizeSingle: a packet that fits one flit is a head-tail flit.
 func TestFlitizeSingle(t *testing.T) {
 	p := &Packet{SizeBytes: 8, Payload: 1}
-	f := mintFlit(p, 0, DAPPER(4, 4).FlitsFor(p.SizeBytes), 0, &flitPool{})
+	f := mintFlit(p, 0, int32(DAPPER(4, 4).FlitsFor(p.SizeBytes)), 0, &flitPool{})
 	if f.Type != HeadTailFlit || !f.IsHead() || !f.IsTail() || f.PktFlits != 1 || f.Payload != 1 {
 		t.Fatalf("single-flit packet wrong: %+v", *f)
 	}
@@ -425,5 +451,21 @@ func TestFreeOutputVCsIdleNetwork(t *testing.T) {
 	// Including snack vnet: 2 × 3 × 4 = 24.
 	if got := net.Router(0).FreeOutputVCs(false); got != 24 {
 		t.Fatalf("free total VCs = %d, want 24", got)
+	}
+}
+
+// TestHotRecordSizes pins the layout of the records a network allocates
+// by the hundred thousand: a flit is one cache line, an input VC half
+// of one, a packet envelope one. A new field in any of them is a
+// conscious choice, made here.
+func TestHotRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Flit{}); n > 64 {
+		t.Errorf("Flit is %d bytes, want at most 64", n)
+	}
+	if n := unsafe.Sizeof(inputVC{}); n != 32 {
+		t.Errorf("inputVC is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(Packet{}); n != 64 {
+		t.Errorf("Packet is %d bytes, want 64", n)
 	}
 }

@@ -61,9 +61,9 @@ type inputVC struct {
 	class   int8
 	port    Direction // owning input port
 	outPort Direction // routed output (valid from vcWaitVA on)
-	vnet    int16
-	vc      int16
-	outVC   int32 // granted output VC (valid in vcActive)
+	vnet    int8
+	vc      int8
+	outVC   int8 // granted output VC (valid in vcActive)
 
 	// ring queue over Router.bufSlab[base : base+depth]
 	head  int32 // offset of the front flit, in [0, depth)
@@ -168,7 +168,7 @@ type Router struct {
 	stagedCredits []credit
 
 	// configuration hoisted out of cfg for the per-cycle loops
-	snackVNet   int
+	snackVNet   int8
 	routerLatM1 int64
 	linkLat     int64
 
@@ -458,7 +458,7 @@ func (r *Router) ingestArrivals(cycle int64) {
 					if r.tr != nil {
 						r.tr.Emit(r.flitRecord(trace.KindConsume, cycle, cycle, f, in.dir))
 					}
-					r.stagedCredits = append(r.stagedCredits, credit{port: in.dir, vnet: int16(f.VNet), vc: int16(f.VC)})
+					r.stagedCredits = append(r.stagedCredits, credit{port: in.dir, vnet: f.VNet, vc: f.VC})
 					r.pool.flits.put(f)
 					continue
 				}
@@ -478,7 +478,6 @@ func (r *Router) ingestArrivals(cycle int64) {
 			ivc.arrived++
 			r.occupancy++
 			if r.tr != nil {
-				f.arrivedAt = cycle
 				r.tr.Emit(r.flitRecord(trace.KindFlitArrive, cycle, cycle, f, in.dir))
 			}
 			if ivc.state == vcIdle {
@@ -540,7 +539,7 @@ func (r *Router) allocateVCs(cycle int64) {
 // the wait list (drained or granted).
 func (r *Router) tryAllocVC(idx int32, cycle int64) bool {
 	ivc := &r.vcs[idx]
-	if r.drainer != nil && int(ivc.vnet) == r.snackVNet && r.front(ivc).Loop &&
+	if r.drainer != nil && ivc.vnet == r.snackVNet && r.front(ivc).Loop &&
 		r.drainer.DrainLoopFlit(r.front(ivc), cycle) {
 		// Absorbed into the CPM's overflow buffer: free the slot.
 		f := r.popFront(ivc)
@@ -574,7 +573,7 @@ func (r *Router) tryAllocVC(idx int32, cycle int64) bool {
 		if out.busy&(1<<uint(off+c)) == 0 {
 			out.busy |= 1 << uint(off+c)
 			out.vcRR[vn] = c + 1
-			ivc.outVC = c
+			ivc.outVC = int8(c)
 			ivc.state = vcActive
 			r.addSACand(ivc.outPort, int(ivc.class), idx)
 			if r.tr != nil {
@@ -644,18 +643,20 @@ func (r *Router) traverse(d Direction, win int32, cycle int64, granted *[numDire
 	r.occupancy--
 	r.classMoves[ivc.class].Inc()
 	if r.tr != nil {
-		rec := r.flitRecord(trace.KindSwitch, cycle, f.arrivedAt, f, d)
-		rec.VC = int8(ivc.outVC)
+		// The span starts at the flit's arrival, which ingest dated
+		// routerLatM1 cycles before eligibleAt.
+		rec := r.flitRecord(trace.KindSwitch, cycle, f.eligibleAt-r.routerLatM1, f, d)
+		rec.VC = ivc.outVC
 		r.tr.Emit(rec)
 	}
-	f.VC = int(ivc.outVC)
-	out.credits[r.vnetOff[ivc.vnet]+ivc.outVC]--
+	f.VC = ivc.outVC
+	out.credits[r.vnetOff[ivc.vnet]+int32(ivc.outVC)]--
 	out.staged = f
 	r.stagedCount++
 	r.stagedCredits = append(r.stagedCredits, credit{port: ivc.port, vnet: ivc.vnet, vc: ivc.vc})
 	granted[ivc.port] = true
 	if f.IsTail() {
-		out.busy &^= 1 << uint(r.vnetOff[ivc.vnet]+ivc.outVC)
+		out.busy &^= 1 << uint(r.vnetOff[ivc.vnet]+int32(ivc.outVC))
 		r.removeSACand(d, int(ivc.class), win)
 		if ivc.count > 0 {
 			// The next packet's head is already queued.
@@ -726,7 +727,7 @@ func (r *Router) saOK(idx int32, d Direction, cycle int64, granted *[numDirectio
 	if r.front(ivc).eligibleAt > cycle {
 		return false
 	}
-	return r.outputs[d].credits[r.vnetOff[ivc.vnet]+ivc.outVC] > 0
+	return r.outputs[d].credits[r.vnetOff[ivc.vnet]+int32(ivc.outVC)] > 0
 }
 
 // addSACand registers a VC-allocated input VC as a switch candidate for
@@ -808,8 +809,8 @@ func (r *Router) flitRecord(k trace.Kind, cycle, start int64, f *Flit, port Dire
 		Seq:    int16(f.SeqInPkt),
 		Class:  cl,
 		Port:   int8(port),
-		VNet:   int8(f.VNet),
-		VC:     int8(f.VC),
+		VNet:   f.VNet,
+		VC:     f.VC,
 	}
 }
 

@@ -123,7 +123,7 @@ func (b *boundary) drain() {
 // credit is one buffer slot a router hands back.
 type credit struct {
 	port     Direction // the input port that freed it
-	vnet, vc int16
+	vnet, vc int8
 }
 
 // creditSink is where an input port returns the slots its flits vacate. A

@@ -21,12 +21,13 @@ func TestInvalidProgramIsAnErrorAtTheRuntime(t *testing.T) {
 	}
 	const out = core.DepID(1 << 24)
 	bad := &core.Program{
-		Name: "overflow",
-		Entries: []core.ProgEntry{{Instr: &core.InstrToken{
+		Name:    "overflow",
+		Entries: []core.ProgEntry{0},
+		Instrs: []core.InstrToken{{
 			Seq: 1, Op: core.OpAdd, Dst: 3, SubBlock: 1, EndSB: true,
 			L: core.Imm32(fixed.FromInt(1)), R: core.Imm32(fixed.FromInt(2)),
 			Emit: true, EmitDep: out, Dependents: 1, ToCPM: true,
-		}}},
+		}},
 		OutputSlot: map[core.DepID]int{out: 0},
 		NumOutputs: 1,
 	}

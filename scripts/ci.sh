@@ -235,6 +235,14 @@ echo "attribution smoke: byte-identical"
 # cycle (6.4 when this was written; 21.4 with one component per RCU) and
 # the co-run at or under 12 (11.3; 12.9 with credit wires; 20.5).
 #
+# alloc_mb_per_pass on kernels_zero_load and dse_fork_sweep: a compiled
+# kernel is three pointer-free arrays sized once (a 4-byte entry per
+# command, a 56-byte token per instruction) and a flit is one 64-byte
+# line, so a kernels pass stays under 28 MB (25.0 when this was written;
+# 36.7 with 80-byte tokens in chunked slabs behind 16-byte pointer-pair
+# entries) and a DSE pass under 64 MB (61.8; 67.3). The grep below keeps
+# the slab and the token pointers out of the compiled program.
+#
 # bench_bound <workload> <trace: 0 end to end, 1 per layer> <metric> <max>
 bench_bound() {
     bb_line=$(go run ./benchmark -workload "$1" -trace "$2" -seconds 5 -out "$ci_tmp/bench" 2>/dev/null | tail -n 1)
@@ -253,7 +261,7 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 17000, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 17000, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 28, dse_fork_sweep <= 64; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program) =="
 if grep -n '\.Schedule(\|\.ScheduleAfter(' $(ls internal/cache/*.go internal/mem/*.go | grep -v _test.go); then
     echo "ERROR: internal/cache and internal/mem file typed events (ScheduleCall), not closures" >&2
     exit 1
@@ -269,11 +277,17 @@ if grep -n 'TokenCloner\|copyMsg\|map\[any\]any' $(ls internal/core/*.go interna
     echo "ERROR: internal/core, internal/cache and internal/checkpoint checkpoint by slab copy, not by cloning pointer graphs" >&2
     exit 1
 fi
+if grep -n 'slab\[\|\*InstrToken\|\*DataToken' $(ls internal/compiler/*.go | grep -v _test.go) internal/core/program.go; then
+    echo "ERROR: a compiled program holds its tokens by value in three flat arrays, not in slabs behind pointers" >&2
+    exit 1
+fi
 bench_bound kernels_zero_load 0 allocs_per_pass 20000
 bench_bound dse_fork_sweep 0 allocs_per_pass 17000
 bench_bound mesh_saturation 0 allocs_per_pass 3000
 bench_bound cmp_sparse_traffic 0 allocs_per_pass 25000
 bench_bound corun_interference 0 allocs_per_pass 10000
+bench_bound kernels_zero_load 0 alloc_mb_per_pass 28
+bench_bound dse_fork_sweep 0 alloc_mb_per_pass 64
 bench_bound cmp_sparse_traffic 1 sim.evals_per_cycle 8.5
 bench_bound kernels_zero_load 1 sim.evals_per_cycle 8
 bench_bound corun_interference 1 sim.evals_per_cycle 12
