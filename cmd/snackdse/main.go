@@ -11,8 +11,9 @@
 //	snackdse -kernels SGEMM,MAC -dims smoke -out results/dse.txt
 //
 // The rendered report is byte-identical for any -j and -shards value
-// and whether or not platforms are pool-recycled; wall-clock throughput
-// (cells/second, pool hit/miss traffic) goes to stderr only.
+// and whether or not platforms are pool-recycled; the number of kernel
+// legs simulated and wall-clock throughput (cells/second, pool hit/miss
+// traffic) go to stderr only.
 package main
 
 import (
@@ -76,6 +77,9 @@ func main() {
 	} else {
 		os.Stdout.Write(buf.Bytes())
 	}
+	fmt.Fprintf(os.Stderr,
+		"snackdse: %d cells x %d kernels: %d legs simulated (cells differing only in channel width share theirs)\n",
+		nCells, len(cfg.Kernels), res.Legs)
 	fmt.Fprintf(os.Stderr,
 		"snackdse: %d cells in %.2fs (%.2f cells/s); pool %d hits / %d misses, %d forks avg %.0f ns\n",
 		nCells, wall.Seconds(), float64(nCells)/wall.Seconds(),

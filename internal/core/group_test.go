@@ -326,3 +326,25 @@ func TestRunnableSetsTrackWork(t *testing.T) {
 		}
 	}
 }
+
+// TestStandaloneKernelsInjectNothingAtNIs pins what lets the DSE share a
+// kernel leg across cells that differ only in channel width: on a
+// standalone platform the CPM and the RCUs send one-flit packets through
+// their compute ports, so no packet goes through an NI, where its flit
+// count would depend on the width.
+func TestStandaloneKernelsInjectNothingAtNIs(t *testing.T) {
+	for _, m := range [][2]int{{4, 4}, {8, 4}} {
+		for _, k := range cpu.Kernels() {
+			plat, err := core.NewStandalone(sim.NewEngine(), m[0], m[1], true, core.DefaultPlatformConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := plat.Run(compile(t, k, m[0]*m[1]), 1_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if n := plat.Net.TotalInjected(); n != 0 {
+				t.Errorf("%s on %dx%d: %d packets injected at NIs, want 0", k, m[0], m[1], n)
+			}
+		}
+	}
+}

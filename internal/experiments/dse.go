@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,15 +26,17 @@ import (
 // snack-vnet latency, router+SnackNoC power, and area (minimize) — with
 // the non-dominated cells reported as the Pareto frontier.
 //
-// Throughput comes from the pooled forking path: the work queue is one
-// item per (cell, kernel) leg, ordered so legs sharing a platform shape
-// are adjacent, and a checkpoint.Pool recycles built platforms between
-// legs — a steady-state leg rewinds a pooled platform with one Restore
-// walk instead of building a mesh, caches, and compute layer from
-// scratch. A pooled platform dies with its shape: a finishing leg
-// releases its entry only while more legs of the shape are waiting than
-// platforms are already pooled for it, so the sweep holds O(workers)
-// platforms, not O(cells).
+// Throughput comes from two places. A kernel leg never reads the channel
+// width (see runLeg), so cells that differ only in channel width form one
+// leg group and its legs run once, on the group's first cell. And the
+// pooled forking path: the work queue is one item per (group, kernel)
+// leg, group-major so legs sharing a platform shape are adjacent, and a
+// checkpoint.Pool recycles built platforms between legs — a steady-state
+// leg rewinds a pooled platform with one Restore walk instead of building
+// a mesh, caches, and compute layer from scratch. A pooled platform dies
+// with its shape: a finishing leg releases its entry only while more legs
+// of the shape are waiting than platforms are already pooled for it, so
+// the sweep holds O(workers) platforms, not O(groups).
 // Outputs are deterministic: a forked platform replays exactly like a
 // fresh one (the checkpoint determinism guarantee), results are
 // assembled by index, and nothing wall-clock-dependent reaches the
@@ -144,6 +147,11 @@ type DSEResult struct {
 	Cells    []DSECell // grid order: rcu-major, then vc, chan, buf
 	Frontier []int     // indices of frontier cells, ascending
 
+	// Legs is how many kernel legs were simulated: one per kernel per leg
+	// group (cells differing only in channel width share theirs), pooled
+	// or not.
+	Legs int
+
 	// Scheduler/pool traffic. Wall-clock and scheduling dependent —
 	// reported on stderr and as stats gauges, never rendered into the
 	// deterministic artifact.
@@ -206,10 +214,33 @@ func (a DSEAxes) cellAt(i int) (buf, ch, vc, rcu int) {
 	return
 }
 
-// RunDSE evaluates the grid and computes its Pareto frontier. Cells run
-// on the sweep worker pool (-j N) at kernel-leg granularity; legs
-// sharing a platform shape are adjacent in the queue so the platform
-// pool converges to one build per shape per worker.
+// runLeg runs one kernel leg on a built or forked standalone platform
+// and returns its completion cycles.
+//
+// Every cell of a leg group shares the leg, which is sound only while a
+// kernel leg never reads the channel width. It does not: the width is
+// read only by noc.Config.FlitsFor, only NI injection calls that, and on
+// a standalone platform the CPM and the RCUs send one-flit packets
+// through their compute ports. So a leg that injected anything at an NI
+// may have depended on the width, and runLeg fails it rather than let it
+// be shared.
+func runLeg(plat *core.Platform, prog *core.Program) (int64, error) {
+	r, err := plat.Run(prog, 2_000_000_000)
+	if err != nil {
+		return 0, err
+	}
+	if n := plat.Net.TotalInjected(); n != 0 {
+		return 0, fmt.Errorf("kernel leg injected %d packets at NIs, whose flit counts depend on the channel width its leg group leaves out", n)
+	}
+	return r.Cycles(), nil
+}
+
+// RunDSE evaluates the grid and computes its Pareto frontier. Legs run
+// on the sweep worker pool (-j N), one per kernel per leg group — the
+// cells that differ only in channel width — and a group's legs are
+// adjacent in the queue so the platform pool converges to one build per
+// group per worker. The zero-load probe reads every axis, so it runs
+// once per cell.
 func RunDSE(cfg DSEConfig) (*DSEResult, error) { return runDSE(cfg, nil) }
 
 // runDSE is RunDSE with an observer called after every leg (tests watch
@@ -224,6 +255,11 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 	if len(cfg.Kernels) == 0 || cfg.Axes.Cells() == 0 {
 		return nil, fmt.Errorf("experiments: empty DSE grid")
 	}
+	for i, k := range cfg.Kernels {
+		if slices.Contains(cfg.Kernels[:i], k) {
+			return nil, fmt.Errorf("experiments: DSE kernel %s listed twice", k)
+		}
+	}
 	nCells := cfg.Axes.Cells()
 	nK := len(cfg.Kernels)
 
@@ -234,15 +270,23 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 	}
 	pool := checkpoint.NewPool(poolDepth)
 
-	// Each cell's pool shape, and per shape how many legs have not yet
-	// been handed a platform and how many platforms sit idle in the pool.
-	// mu makes a leg's count update and its pool Get or Release one step,
-	// so idle never exceeds unstarted and a spent shape pools nothing.
-	type shapeLeft struct{ unstarted, idle int }
+	// Cells map to leg groups: the platform shape with the channel width
+	// left out, which is also the group's pool key. A group's first cell
+	// in grid order is its representative, the cell whose platform is
+	// built. Per group, unstarted counts the legs not yet handed a
+	// platform and idle the platforms idle in the pool; mu makes a leg's
+	// count update and its pool Get or Release one step, so idle never
+	// exceeds unstarted and a spent group pools nothing.
+	type legGroup struct {
+		shape           string
+		rep             int
+		unstarted, idle int
+	}
 	shards := Shards()
-	shapes := make([]string, nCells)
+	var groups []legGroup
+	groupOf := make([]int, nCells)
+	groupIdx := make(map[string]int)
 	var mu sync.Mutex
-	left := make(map[string]*shapeLeft, nCells)
 
 	res := &DSEResult{Cfg: cfg, Cells: make([]DSECell, nCells)}
 	for i := range res.Cells {
@@ -254,15 +298,19 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 		res.Cells[i] = DSECell{
 			BufDepth: buf, ChanWidth: ch, VCs: vc, RCUs: rcu,
 			Width: w, Height: h,
-			KernelCycles: make([]int64, nK),
 		}
-		shapes[i] = fmt.Sprintf("dse/%s/%dx%d/vc%d/buf%d/ch%d/pri%v/sh%d",
-			cfg.Topology, w, h, vc, buf, ch, cfg.Priority, shards)
-		if left[shapes[i]] == nil {
-			left[shapes[i]] = &shapeLeft{}
+		shape := fmt.Sprintf("dse/%s/%dx%d/vc%d/buf%d/pri%v/sh%d",
+			cfg.Topology, w, h, vc, buf, cfg.Priority, shards)
+		g, ok := groupIdx[shape]
+		if !ok {
+			g = len(groups)
+			groupIdx[shape] = g
+			groups = append(groups, legGroup{shape: shape, rep: i, unstarted: nK})
 		}
-		left[shapes[i]].unstarted += nK
+		groupOf[i] = g
 	}
+	nLegs := len(groups) * nK
+	res.Legs = nLegs
 
 	// Modeled single-core CPU cycles per kernel (NoC-independent).
 	cpuCfg := cpu.DefaultCPUConfig()
@@ -271,32 +319,46 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 		cpuOne[ki] = cpu.CPUKernelCycles(k, cfg.Dims.cpuDims(k), 1, cpuCfg)
 	}
 
-	// Per-cell zero-load probe latency, measured once per cell (on the
-	// first kernel leg's work item — the probe is its own tiny bare-NoC
+	// Per-cell zero-load probe latency, measured once per cell by the
+	// work items after the legs (the probe is its own tiny bare-NoC
 	// simulation, independent of the pooled platform).
 	cellLat := make([]float64, nCells)
 
-	// With attribution on (EnableAttribution), every cell's platform gets
-	// counters before the pool seals it, so forks rewind them, and each
-	// cell is stamped with its folded bottleneck verdict. Per-leg folds
-	// are indexed like the work queue and merged per cell (in kernel
-	// order) after the sweep, so worker scheduling cannot reorder the
-	// accumulation.
+	// Per-leg results, indexed like the leg items (group-major) and
+	// copied to every cell of the group after the sweep. With attribution
+	// on (EnableAttribution), every group's platform gets counters before
+	// the pool seals it, so forks rewind them, and each cell is stamped
+	// with its group's folded bottleneck verdict. The folds are merged (in
+	// kernel order) after the sweep, so worker scheduling cannot reorder
+	// the accumulation.
+	legCycles := make([]int64, nLegs)
 	attribOn := AttribEnabled()
 	var legAttrib []map[string]float64
 	if attribOn {
-		legAttrib = make([]map[string]float64, nCells*nK)
+		legAttrib = make([]map[string]float64, nLegs)
 	}
 
-	err := forEach(nCells*nK, func(item int) error {
-		ci, ki := item/nK, item%nK
-		cell := &res.Cells[ci]
-		k := cfg.Kernels[ki]
-		prog, err := CompileKernel(k, cfg.Dims, cell.RCUs, Seed)
+	err := forEach(nLegs+nCells, func(item int) error {
+		if item >= nLegs {
+			ci := item - nLegs
+			cell := &res.Cells[ci]
+			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
+				cell.VCs, cell.BufDepth, cell.ChanWidth)
+			pts, err := noc.LoadLatencyCurve(applyShards(nc), noc.UniformRandom(),
+				[]float64{dseProbeRate}, noc.DataBytes, dseProbeCycles, Seed)
+			if err != nil {
+				return err
+			}
+			cellLat[ci] = pts[0].AvgLatency
+			return nil
+		}
+		grp := &groups[item/nK]
+		cell := &res.Cells[grp.rep]
+		prog, err := CompileKernel(cfg.Kernels[item%nK], cfg.Dims, cell.RCUs, Seed)
 		if err != nil {
 			return err
 		}
-		shape := shapes[ci]
+		shape := grp.shape
 		build := func() (*checkpoint.Entry, error) {
 			eng := sim.NewEngine()
 			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
@@ -316,9 +378,9 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 		var entry *checkpoint.Entry
 		if usePool {
 			mu.Lock()
-			left[shape].unstarted--
+			grp.unstarted--
 			if entry = pool.Get(shape); entry != nil {
-				left[shape].idle--
+				grp.idle--
 			}
 			mu.Unlock()
 		}
@@ -328,11 +390,9 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 			return err
 		}
 		dp := entry.Payload().(*dsePlatform)
-		r, err := dp.plat.Run(prog, 2_000_000_000)
-		if err != nil {
-			return fmt.Errorf("dse cell %d (%s): %w", ci, shape, err)
+		if legCycles[item], err = runLeg(dp.plat, prog); err != nil {
+			return fmt.Errorf("dse cell %d (%s): %w", grp.rep, shape, err)
 		}
-		cell.KernelCycles[ki] = r.Cycles()
 		if dp.rec != nil {
 			// Fold before Release: once pooled again, another worker may
 			// rewind and rerun this platform concurrently.
@@ -342,24 +402,14 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 		}
 		if usePool {
 			mu.Lock()
-			if l := left[shape]; l.idle < l.unstarted {
-				l.idle++
+			if grp.idle < grp.unstarted {
+				grp.idle++
 				entry.Release()
 			} // else no leg is left to use it: drop the platform
 			mu.Unlock()
 			if afterLeg != nil {
 				afterLeg(pool)
 			}
-		}
-		if ki == 0 {
-			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
-				cell.VCs, cell.BufDepth, cell.ChanWidth)
-			pts, err := noc.LoadLatencyCurve(applyShards(nc), noc.UniformRandom(),
-				[]float64{dseProbeRate}, noc.DataBytes, dseProbeCycles, Seed)
-			if err != nil {
-				return err
-			}
-			cellLat[ci] = pts[0].AvgLatency
 		}
 		return nil
 	})
@@ -368,17 +418,19 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 	}
 	pool.Drain()
 
-	// Fold legs into cell scores.
+	// Fold each cell's group legs into its scores.
 	for ci := range res.Cells {
 		cell := &res.Cells[ci]
+		legs := groupOf[ci] * nK
+		cell.KernelCycles = slices.Clone(legCycles[legs : legs+nK])
 		logSum := 0.0
 		for ki := range cfg.Kernels {
 			logSum += math.Log(float64(cpuOne[ki]) / float64(cell.KernelCycles[ki]))
 		}
 		if attribOn {
 			merged := make(map[string]float64)
-			for ki := 0; ki < nK; ki++ {
-				for key, v := range legAttrib[ci*nK+ki] {
+			for _, m := range legAttrib[legs : legs+nK] {
+				for key, v := range m {
 					merged[key] += v
 				}
 			}

@@ -3,11 +3,16 @@ package experiments
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"snacknoc/internal/checkpoint"
+	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
+	"snacknoc/internal/noc"
+	"snacknoc/internal/sim"
 	"snacknoc/internal/traffic"
 )
 
@@ -76,9 +81,15 @@ func TestDSEInvariantToSchedulingAndPooling(t *testing.T) {
 	}
 }
 
+// legGroups is the number of leg groups of a grid whose axes repeat no
+// value: one per cell shape with the channel width left out.
+func legGroups(a DSEAxes) int {
+	return len(a.BufDepths) * len(a.VCCounts) * len(a.RCUCounts)
+}
+
 // TestDSEPoolTraffic checks that the leg scheduler actually recycles
-// platforms: with K kernels per cell and serial workers, every cell
-// after its first leg must hit the pool.
+// platforms: with K kernels per leg group and serial workers, every
+// group after its first leg must hit the pool.
 func TestDSEPoolTraffic(t *testing.T) {
 	cfg := dseTestConfig()
 	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction}
@@ -88,12 +99,82 @@ func TestDSEPoolTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := int64(cfg.Axes.Cells())
-	if res.PoolMisses != cells {
-		t.Fatalf("misses = %d, want one build per cell (%d)", res.PoolMisses, cells)
+	groups := int64(legGroups(cfg.Axes))
+	if res.PoolMisses != groups {
+		t.Fatalf("misses = %d, want one build per leg group (%d)", res.PoolMisses, groups)
 	}
-	if res.PoolHits != cells || res.Forks != cells {
-		t.Fatalf("hits = %d forks = %d, want one recycled leg per cell (%d)", res.PoolHits, res.Forks, cells)
+	if res.PoolHits != groups || res.Forks != groups {
+		t.Fatalf("hits = %d forks = %d, want one recycled leg per leg group (%d)", res.PoolHits, res.Forks, groups)
+	}
+}
+
+// TestDSELegsSharedAcrossChannelWidths pins the leg sharing: every cell
+// of a grid over four channel widths must carry the kernel cycles a
+// one-cell sweep of exactly that cell measures, while the sweep runs one
+// leg per kernel per leg group. A model change that makes a kernel's
+// packets width-dependent fails here (or in runLeg's guard).
+func TestDSELegsSharedAcrossChannelWidths(t *testing.T) {
+	cfg := DefaultDSEConfig()
+	cfg.Axes = DSEAxes{
+		BufDepths:  []int{1, 4},
+		ChanWidths: []int{8, 16, 32, 64},
+		VCCounts:   []int{2, 4},
+		RCUCounts:  []int{16, 32},
+	}
+	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelSGEMM}
+	cfg.Dims = DSESmokeDims()
+	defer SetWorkers(0)
+	SetWorkers(1)
+	res, err := RunDSE(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := legGroups(cfg.Axes)
+	if want := groups * len(cfg.Kernels); res.Legs != want {
+		t.Errorf("Legs = %d, want %d (one per kernel per leg group)", res.Legs, want)
+	}
+	if res.PoolMisses != int64(groups) {
+		t.Errorf("pool misses = %d, want one build per leg group (%d)", res.PoolMisses, groups)
+	}
+	for i, c := range res.Cells {
+		one := cfg
+		one.Axes = DSEAxes{[]int{c.BufDepth}, []int{c.ChanWidth}, []int{c.VCs}, []int{c.RCUs}}
+		ref, err := RunDSE(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(c.KernelCycles, ref.Cells[0].KernelCycles) {
+			t.Errorf("cell %d (buf %d chan %d vc %d rcu %d): kernel cycles %v, a one-cell sweep measures %v",
+				i, c.BufDepth, c.ChanWidth, c.VCs, c.RCUs, c.KernelCycles, ref.Cells[0].KernelCycles)
+		}
+	}
+}
+
+// TestDSERejectsRepeatedKernel: a kernel listed twice would score every
+// cell on it twice; it is an error, not a skewed geometric mean.
+func TestDSERejectsRepeatedKernel(t *testing.T) {
+	cfg := dseTestConfig()
+	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelMAC}
+	if _, err := RunDSE(cfg); err == nil {
+		t.Fatal("RunDSE accepted MAC listed twice")
+	}
+}
+
+// TestRunLegGuardsNIInjection: a leg whose platform injected a packet at
+// an NI may have read the channel width, so runLeg must fail it rather
+// than return cycles the whole leg group would share.
+func TestRunLegGuardsNIInjection(t *testing.T) {
+	plat, err := core.NewStandalone(sim.NewEngine(), 4, 4, true, platformCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := CompileKernel(cpu.KernelMAC, DSESmokeDims(), 16, Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat.Net.InjectMsg(1, 2, 0, noc.DataBytes, nil, 0)
+	if _, err := runLeg(plat, prog); err == nil || !strings.Contains(err.Error(), "at NIs") {
+		t.Fatalf("runLeg of a leg that injected a packet at an NI returned %v, want the guard's error", err)
 	}
 }
 
@@ -198,11 +279,12 @@ func TestWarmSweepStateDrains(t *testing.T) {
 	}
 }
 
-// TestDSEPoolHoldsWorkersNotCells pins the retention fix: every cell has
-// its own pool shape, so a platform released after its shape's last leg
-// would sit in the pool until the final Drain — live heap proportional to
-// the grid. A spent shape's platforms are dropped instead, and mid-sweep
-// the pool never holds more idle platforms than there are workers.
+// TestDSEPoolHoldsWorkersNotCells pins the retention fix: every leg
+// group has its own pool shape, so a platform released after its group's
+// last leg would sit in the pool until the final Drain — live heap
+// proportional to the grid. A spent group's platforms are dropped
+// instead, and mid-sweep the pool never holds more idle platforms than
+// there are workers.
 func TestDSEPoolHoldsWorkersNotCells(t *testing.T) {
 	cfg := dseTestConfig()
 	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction, cpu.KernelSPMV}
@@ -220,8 +302,8 @@ func TestDSEPoolHoldsWorkersNotCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := cfg.Axes.Cells() * len(cfg.Kernels); legs != want {
-			t.Fatalf("-j %d: observed %d legs, want %d", j, legs, want)
+		if want := legGroups(cfg.Axes) * len(cfg.Kernels); legs != want || res.Legs != want {
+			t.Fatalf("-j %d: observed %d legs (Legs %d), want %d", j, legs, res.Legs, want)
 		}
 		if peak > j {
 			t.Errorf("-j %d: %d platforms idle in the pool mid-sweep, want <= %d (one per worker)", j, peak, j)

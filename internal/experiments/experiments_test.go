@@ -187,7 +187,8 @@ func TestCommandLineShapes(t *testing.T) {
 		}
 	}
 	// A -grid axis left out keeps its default; one named twice, an unknown
-	// axis or a non-positive value is an error, not a silent last-wins.
+	// axis or a non-positive value is an error, not a silent last-wins, and
+	// a value repeated within an axis is an error, not a duplicated cell.
 	def := DefaultDSEAxes()
 	for _, tc := range []struct {
 		in   string
@@ -197,6 +198,7 @@ func TestCommandLineShapes(t *testing.T) {
 		{"rcu=32", &DSEAxes{def.BufDepths, def.ChanWidths, def.VCCounts, []int{32}}},
 		{"buf=2:buf=4", nil}, {"buf=2:vc=2:buf=2", nil}, {"bufs=2", nil},
 		{"buf=0", nil}, {"buf=1,x", nil}, {"buf", nil}, {"", nil},
+		{"buf=2,2", nil}, {"chan=16,32,16", nil},
 	} {
 		got, err := ParseGrid(tc.in)
 		if (err == nil) != (tc.want != nil) || (tc.want != nil && !reflect.DeepEqual(got, *tc.want)) {

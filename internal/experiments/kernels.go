@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -93,7 +94,7 @@ func KernelByName(name string) (cpu.KernelName, error) {
 
 // ParseGrid decodes a -grid spec such as "buf=1,2:chan=16,32:vc=2:rcu=16"
 // into DSE axes. An axis left out keeps its DefaultDSEAxes values; an
-// axis named twice is an error.
+// axis named twice, or a value repeated within an axis, is an error.
 func ParseGrid(s string) (DSEAxes, error) {
 	axes := DefaultDSEAxes()
 	byName := map[string]*[]int{
@@ -111,6 +112,9 @@ func ParseGrid(s string) (DSEAxes, error) {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil || n <= 0 {
 				return axes, fmt.Errorf("bad -grid value %q in %q", f, part)
+			}
+			if slices.Contains(vals, n) {
+				return axes, fmt.Errorf("-grid value %d repeated in %q", n, part)
 			}
 			vals = append(vals, n)
 		}

@@ -201,11 +201,15 @@ echo "attribution smoke: byte-identical"
 # dse_fork_sweep: a DSE cell is mostly set-up — a platform build, its
 # pristine snapshot, a probe-mesh build — and the network, the RCUs and
 # the engine's handles are slabs and the NIs' queues start as windows of
-# them, so one 64-cell pass stays under 17000 allocations (12.5k when
-# this was written; 23.4k with NI queues grown on first use, 24.7k with
-# credit wires; it was 441912 with per-router construction, and a mesh
-# built router by router again costs ~1200 objects per build, 150k per
-# pass).
+# them, and the cells that differ only in channel width share their
+# kernel legs (16 leg groups of 4 cells: 16 platform builds and 32 legs
+# for 64 cells), so one 64-cell pass stays under 8000 allocations (6.7k
+# when this was written; 12.7k with a platform and two legs per cell,
+# 23.4k with NI queues grown on first use, 24.7k with credit wires; it
+# was 441912 with per-router construction, and a mesh built router by
+# router again costs ~1200 objects per build, 150k per pass). The pool
+# misses of the traced run count the platform builds: at most 16 (16
+# when this was written, 64 with one pool shape per cell).
 #
 # mesh_saturation: the NI holds packets in pooled envelopes refilled a
 # chunk at a time and mints a flit the cycle it leaves, so one pass of
@@ -240,8 +244,10 @@ echo "attribution smoke: byte-identical"
 # command, a 56-byte token per instruction) and a flit is one 64-byte
 # line, so a kernels pass stays under 28 MB (25.0 when this was written;
 # 36.7 with 80-byte tokens in chunked slabs behind 16-byte pointer-pair
-# entries) and a DSE pass under 64 MB (61.8; 67.3). The grep below keeps
-# the slab and the token pointers out of the compiled program.
+# entries) and a DSE pass under 38 MB (33.8 with legs shared across
+# channel widths; 61.7 with two legs per cell, 67.3 with 80-byte
+# tokens). The grep below keeps the slab and the token pointers out of
+# the compiled program.
 #
 # bench_bound <workload> <trace: 0 end to end, 1 per layer> <metric> <max>
 bench_bound() {
@@ -261,7 +267,7 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 17000, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 28, dse_fork_sweep <= 64; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 8000, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 28, dse_fork_sweep <= 38; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program) =="
 if grep -n '\.Schedule(\|\.ScheduleAfter(' $(ls internal/cache/*.go internal/mem/*.go | grep -v _test.go); then
     echo "ERROR: internal/cache and internal/mem file typed events (ScheduleCall), not closures" >&2
     exit 1
@@ -282,14 +288,15 @@ if grep -n 'slab\[\|\*InstrToken\|\*DataToken' $(ls internal/compiler/*.go | gre
     exit 1
 fi
 bench_bound kernels_zero_load 0 allocs_per_pass 20000
-bench_bound dse_fork_sweep 0 allocs_per_pass 17000
+bench_bound dse_fork_sweep 0 allocs_per_pass 8000
 bench_bound mesh_saturation 0 allocs_per_pass 3000
 bench_bound cmp_sparse_traffic 0 allocs_per_pass 25000
 bench_bound corun_interference 0 allocs_per_pass 10000
 bench_bound kernels_zero_load 0 alloc_mb_per_pass 28
-bench_bound dse_fork_sweep 0 alloc_mb_per_pass 64
+bench_bound dse_fork_sweep 0 alloc_mb_per_pass 38
 bench_bound cmp_sparse_traffic 1 sim.evals_per_cycle 8.5
 bench_bound kernels_zero_load 1 sim.evals_per_cycle 8
 bench_bound corun_interference 1 sim.evals_per_cycle 12
+bench_bound dse_fork_sweep 1 checkpoint.pool_misses 16
 
 echo "tier-1: OK"
