@@ -1,11 +1,11 @@
 // Package attrib is the cycle-attribution layer: every hot component
 // classifies each simulated cycle into a small fixed stall/activity
-// taxonomy, accumulated in flat per-component counter slabs. The
-// disabled path follows the tracer discipline (DESIGN.md §13): a
-// component holds a plain *Counters field that is nil when attribution
-// is off, and every instrumentation site either guards with a nil check
-// or calls a nil-safe method, so the cost of the disabled path is one
-// predictable branch per site.
+// taxonomy. The counts are plain component state (DESIGN.md §13): each
+// component keeps a Counts value beside its other statistics and counts
+// into it on every cycle, attributed or not, so a checkpoint carries the
+// counts with the rest of the component's scalars. A Recorder is only a
+// read-side view: Attach zeroes a component's counts and reads them from
+// then on, as a stats.Registry reads counters it did not create.
 //
 // The taxonomy is exhaustive for the per-cycle components (router, NI,
 // RCU, CPM): exactly one reason is counted per evaluated cycle, and
@@ -22,7 +22,7 @@ import (
 	"snacknoc/internal/stats"
 )
 
-// Kind is the class of instrumented component a Counters belongs to.
+// Kind is the class of instrumented component a Counts belongs to.
 type Kind uint8
 
 // Component kinds. Router, NI, RCU and CPM are per-cycle exhaustive:
@@ -141,125 +141,82 @@ func KindOf(r Reason) Kind {
 // classification (sum equals total simulated cycles).
 func perCycle(k Kind) bool { return k <= KindCPM }
 
-// Counters is one component's flat reason slab. A nil *Counters is the
-// disabled state: Inc/Add/Max on nil are no-ops, so components hold the
-// pointer unconditionally and hot sites pay one nil check when
-// attribution is off.
+// Counts is one component's reason counters: slot i holds the i-th
+// reason of its kind in taxonomy order, and no kind has more than four.
+// Components hold it by value and count into it unconditionally.
+type Counts [4]int64
+
+// slotOf maps every reason to its slot in its kind's Counts.
+var slotOf = func() (s [NumReasons]uint8) {
+	for _, rs := range kindReasons {
+		for i, r := range rs {
+			s[r] = uint8(i)
+		}
+	}
+	return s
+}()
+
+// Inc counts one cycle (or event) under r.
+func (c *Counts) Inc(r Reason) { c[slotOf[r]]++ }
+
+// Add counts d cycles under r (quiescence catch-up replay).
+func (c *Counts) Add(r Reason, d int64) { c[slotOf[r]] += d }
+
+// Max raises r to v if v is larger (high-water counters).
+func (c *Counts) Max(r Reason, v int64) {
+	if v > c[slotOf[r]] {
+		c[slotOf[r]] = v
+	}
+}
+
+// Counters is a recorder's view of one attached component: its kind,
+// its label and the counts it owns.
 type Counters struct {
 	kind  Kind
 	label string
-	n     [NumReasons]int64
+	n     *Counts
 }
 
-// Inc counts one cycle (or event) under r.
-func (c *Counters) Inc(r Reason) {
-	if c == nil {
-		return
-	}
-	c.n[r]++
-}
-
-// Add counts d cycles under r (quiescence catch-up replay).
-func (c *Counters) Add(r Reason, d int64) {
-	if c == nil {
-		return
-	}
-	c.n[r] += d
-}
-
-// Max raises r to v if v is larger (high-water counters).
-func (c *Counters) Max(r Reason, v int64) {
-	if c == nil {
-		return
-	}
-	if v > c.n[r] {
-		c.n[r] = v
-	}
-}
-
-// Value returns the count under r (0 on nil).
-func (c *Counters) Value(r Reason) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.n[r]
-}
+// Value returns the count under r.
+func (c Counters) Value(r Reason) int64 { return c.n[slotOf[r]] }
 
 // Kind returns the component class.
-func (c *Counters) Kind() Kind { return c.kind }
+func (c Counters) Kind() Kind { return c.kind }
 
-// Label returns the owning component's name.
-func (c *Counters) Label() string { return c.label }
-
-// Total sums this component's own reasons. For per-cycle kinds this is
-// the component's total attributed cycles.
-func (c *Counters) Total() int64 {
-	if c == nil {
-		return 0
-	}
-	var t int64
-	for _, r := range kindReasons[c.kind] {
-		t += c.n[r]
-	}
-	return t
-}
-
-// CountersState is a Counters checkpoint; component snapshot structs
-// embed one so attribution survives Take/Restore/Fork.
-type CountersState struct {
-	N [NumReasons]int64
-}
-
-// State captures the slab (zero state on nil).
-func (c *Counters) State() CountersState {
-	if c == nil {
-		return CountersState{}
-	}
-	return CountersState{N: c.n}
-}
-
-// Restore writes a saved slab back (no-op on nil).
-func (c *Counters) Restore(s CountersState) {
-	if c == nil {
-		return
-	}
-	c.n = s.N
-}
-
-// Recorder owns the Counters of one run (or one sweep/DSE cell). It is
+// Recorder reads the Counts of one run (or one sweep/DSE cell). It is
 // attached single-threaded at platform build time; under a sharded
-// engine each Counters is written only by its owner component's shard
+// engine each Counts is written only by its owner component's shard
 // goroutine, and the shard barrier orders those writes before any
 // root-side read, so the recorder needs no locks.
 type Recorder struct {
-	comps   []*Counters
+	comps   []Counters
 	sampler *Sampler
 }
 
 // NewRecorder starts an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// NewCounters registers one component's slab, in attach order. A nil
-// recorder returns nil — the disabled Counters — so SetAttrib walks can
-// pass their recorder through unconditionally.
-func (rec *Recorder) NewCounters(kind Kind, label string) *Counters {
+// Attach zeroes a component's counts and reads them from then on, in
+// attach order. A nil recorder attaches nothing and leaves the counts
+// alone, so aggregate SetAttrib walks pass their recorder through
+// unconditionally.
+func (rec *Recorder) Attach(kind Kind, label string, n *Counts) {
 	if rec == nil {
-		return nil
+		return
 	}
-	c := &Counters{kind: kind, label: label}
-	rec.comps = append(rec.comps, c)
-	return c
+	*n = Counts{}
+	rec.comps = append(rec.comps, Counters{kind: kind, label: label, n: n})
 }
 
-// Components returns the slabs in attach order.
-func (rec *Recorder) Components() []*Counters {
+// Components returns the attached components in attach order.
+func (rec *Recorder) Components() []Counters {
 	if rec == nil {
 		return nil
 	}
 	return rec.comps
 }
 
-// Fold flattens every counter into metric-style keys
+// Fold flattens every attached count into metric-style keys
 // ("<label>.attrib.<layer>.<reason>"), the shape Summarize consumes.
 // Reading it is only safe once the engine is settled (between runs, or
 // after the shard barrier).
@@ -280,8 +237,8 @@ func (rec *Recorder) FoldInto(m map[string]float64) {
 		return
 	}
 	for _, c := range rec.comps {
-		for _, r := range kindReasons[c.kind] {
-			m[c.label+".attrib."+reasonNames[r]] += float64(c.n[r])
+		for i, r := range kindReasons[c.kind] {
+			m[c.label+".attrib."+reasonNames[r]] += float64(c.n[i])
 		}
 	}
 }
@@ -295,11 +252,9 @@ func (rec *Recorder) RegisterMetrics(reg *stats.Registry) {
 		return
 	}
 	for _, c := range rec.comps {
-		c := c
-		for _, r := range kindReasons[c.kind] {
-			r := r
+		for i, r := range kindReasons[c.kind] {
 			reg.AddGauge(c.label+".attrib."+reasonNames[r],
-				func() float64 { return float64(c.n[r]) })
+				func() float64 { return float64(c.n[i]) })
 		}
 	}
 	if rec.sampler != nil {

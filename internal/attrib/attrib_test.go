@@ -6,24 +6,19 @@ import (
 	"testing"
 )
 
-// TestNilCountersAreNoOps pins the disabled-path contract: every method
-// a hot site may call is safe (and free of effect) on a nil receiver.
-func TestNilCountersAreNoOps(t *testing.T) {
-	var c *Counters
-	c.Inc(RouterActive)
-	c.Add(RouterEmpty, 100)
-	c.Max(CacheMSHRPeak, 7)
-	if c.Value(RouterActive) != 0 || c.Total() != 0 {
-		t.Fatal("nil counters reported nonzero values")
-	}
-	if s := c.State(); s != (CountersState{}) {
-		t.Fatal("nil counters produced a non-zero state")
-	}
-	c.Restore(CountersState{}) // must not panic
+// TestNilRecorderAttachesNothing pins the disabled-path contract: a nil
+// recorder's Attach leaves the counts untouched, and the recorder
+// reports nothing.
+func TestNilRecorderAttachesNothing(t *testing.T) {
+	var n Counts
+	n.Inc(RouterActive)
+	n.Add(RouterEmpty, 100)
+	want := n
 
 	var rec *Recorder
-	if rec.NewCounters(KindRouter, "r") != nil {
-		t.Fatal("nil recorder handed out live counters")
+	rec.Attach(KindRouter, "r", &n)
+	if n != want {
+		t.Fatalf("nil recorder's Attach changed the counts: %v, want %v", n, want)
 	}
 	if rec.Components() != nil || rec.Fold() != nil {
 		t.Fatal("nil recorder reported components")
@@ -38,6 +33,9 @@ func TestNilCountersAreNoOps(t *testing.T) {
 // and that names are layer-prefixed and invertible.
 func TestKindReasonMapping(t *testing.T) {
 	for k := Kind(0); k < NumKinds; k++ {
+		if len(kindReasons[k]) > len(Counts{}) {
+			t.Errorf("kind %v has %d reasons, more than a Counts holds", k, len(kindReasons[k]))
+		}
 		for _, r := range kindReasons[k] {
 			if KindOf(r) != k {
 				t.Errorf("KindOf(%v) = %v, want %v", r, KindOf(r), k)
@@ -76,20 +74,28 @@ func TestSplitKey(t *testing.T) {
 	}
 }
 
-// TestFoldStateRoundTrip: counters fold into labelled keys, survive a
-// State/Restore round trip, and FoldInto sums across legs.
+// TestFoldStateRoundTrip: Attach zeroes the counts, they fold into
+// labelled keys, a copy of the Counts value (what a checkpoint holds)
+// rewinds them, and FoldInto sums across legs.
 func TestFoldStateRoundTrip(t *testing.T) {
 	rec := NewRecorder()
-	r := rec.NewCounters(KindRouter, "router0")
+	r := Counts{9, 9, 9, 9}
+	rec.Attach(KindRouter, "router0", &r)
+	if r != (Counts{}) {
+		t.Fatalf("Attach did not zero the counts: %v", r)
+	}
 	r.Inc(RouterActive)
 	r.Add(RouterEmpty, 9)
+	r.Max(RouterVCStall, 3)
+	r.Max(RouterVCStall, 2)
 	m := rec.Fold()
-	if m["router0.attrib.router.active"] != 1 || m["router0.attrib.router.empty"] != 9 {
+	if m["router0.attrib.router.active"] != 1 || m["router0.attrib.router.empty"] != 9 ||
+		m["router0.attrib.router.vc-stall"] != 3 {
 		t.Fatalf("fold = %v", m)
 	}
-	saved := r.State()
+	saved := r
 	r.Inc(RouterActive)
-	r.Restore(saved)
+	r = saved
 	if got := rec.Fold(); !reflect.DeepEqual(got, m) {
 		t.Fatalf("restore did not rewind counters: %v != %v", got, m)
 	}

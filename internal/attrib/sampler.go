@@ -79,8 +79,8 @@ func (s *Sampler) Evaluate(cycle int64) {
 	}
 	var totals [NumReasons]int64
 	for _, c := range s.rec.comps {
-		for _, r := range kindReasons[c.kind] {
-			totals[r] += c.n[r]
+		for i, r := range kindReasons[c.kind] {
+			totals[r] += c.n[i]
 		}
 	}
 	for _, r := range s.reasons {

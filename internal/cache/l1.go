@@ -84,10 +84,10 @@ type L1 struct {
 	latSum   int64
 	latCount int64
 
-	// at holds event-driven attribution (MSHR volume, occupancy integral,
-	// high-water mark); nil disables. attribLast is the cycle the
-	// occupancy integral was last advanced to.
-	at         *attrib.Counters
+	// attrib holds event-driven attribution (MSHR volume, occupancy
+	// integral, high-water mark); attribLast is the cycle the occupancy
+	// integral was last advanced to.
+	attrib     attrib.Counts
 	attribLast int64
 }
 
@@ -127,13 +127,6 @@ func (l *L1) Hits() int64 { return l.hits.Value() }
 // Misses returns the L1 miss count (upgrades included).
 func (l *L1) Misses() int64 { return l.misses.Value() }
 
-// SetAttrib installs (or, with nil, removes) the cycle-attribution
-// counters and re-bases the occupancy integral at the current cycle.
-func (l *L1) SetAttrib(c *attrib.Counters) {
-	l.at = c
-	l.attribLast = l.eng.Cycle()
-}
-
 // mshrFind returns the slab index of block's MSHR, or -1.
 func (l *L1) mshrFind(block uint64) int32 {
 	for n := l.mshrHead[block&(l1MSHRSets-1)]; n >= 0; n = l.mshrSlab[n].next {
@@ -159,11 +152,9 @@ func (l *L1) mshrAlloc(block uint64, write bool) *mshrEntry {
 	set := block & (l1MSHRSets - 1)
 	e.block, e.write, e.next = block, write, l.mshrHead[set]
 	l.mshrHead[set] = n
-	if l.at != nil {
-		l.attribTick()
-		l.at.Inc(attrib.CacheMSHRAlloc)
-		l.at.Max(attrib.CacheMSHRPeak, int64(l.mshrN+1))
-	}
+	l.attribTick()
+	l.attrib.Inc(attrib.CacheMSHRAlloc)
+	l.attrib.Max(attrib.CacheMSHRPeak, int64(l.mshrN+1))
 	l.mshrN++
 	return e
 }
@@ -174,7 +165,7 @@ func (l *L1) mshrAlloc(block uint64, write bool) *mshrEntry {
 // held across it.
 func (l *L1) attribTick() {
 	now := l.eng.Cycle()
-	l.at.Add(attrib.CacheMissCycles, (now-l.attribLast)*int64(l.mshrN))
+	l.attrib.Add(attrib.CacheMissCycles, (now-l.attribLast)*int64(l.mshrN))
 	l.attribLast = now
 }
 
@@ -200,9 +191,7 @@ func (l *L1) mshrRelease(block uint64, n int32) {
 	e.block, e.write = 0, false
 	e.next = l.mshrFree
 	l.mshrFree = n
-	if l.at != nil {
-		l.attribTick()
-	}
+	l.attribTick()
 	l.mshrN--
 }
 

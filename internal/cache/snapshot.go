@@ -87,7 +87,7 @@ type l1State struct {
 	latSum   int64
 	latCount int64
 
-	attrib     attrib.CountersState
+	attrib     attrib.Counts
 	attribLast int64
 }
 
@@ -102,7 +102,7 @@ func (l *L1) state() l1State {
 		misses:     l.misses.Value(),
 		latSum:     l.latSum,
 		latCount:   l.latCount,
-		attrib:     l.at.State(),
+		attrib:     l.attrib,
 		attribLast: l.attribLast,
 	}
 	s.parked.copyFrom(&l.parked)
@@ -118,7 +118,7 @@ func (l *L1) restore(s *l1State) {
 	l.hits.Restore(stats.CounterState{N: s.hits})
 	l.misses.Restore(stats.CounterState{N: s.misses})
 	l.latSum, l.latCount = s.latSum, s.latCount
-	l.at.Restore(s.attrib)
+	l.attrib = s.attrib
 	l.attribLast = s.attribLast
 }
 

@@ -128,11 +128,14 @@ func (s *System) Cfg() SystemConfig { return s.cfg }
 // MemNodes returns the memory-controller node list.
 func (s *System) MemNodes() []noc.NodeID { return s.memNodes }
 
-// SetAttrib attaches one event-driven attribution slab per L1 from rec
-// (nil rec yields nil slabs, the disabled state).
+// SetAttrib attaches every L1's event-driven attribution counts to rec
+// (nil attaches nothing). Each L1 first advances its miss integral to
+// the current cycle, which changes no total; the integral then restarts
+// at that cycle, so an attached recorder reads only the cycles after it.
 func (s *System) SetAttrib(rec *attrib.Recorder) {
 	for i, l := range s.L1s {
-		l.SetAttrib(rec.NewCounters(attrib.KindCache, fmt.Sprintf("l1.%d", i)))
+		l.attribTick()
+		rec.Attach(attrib.KindCache, fmt.Sprintf("l1.%d", i), &l.attrib)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -411,5 +412,21 @@ func TestTokenSizes(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(ProgEntry(0)); n != 4 {
 		t.Errorf("ProgEntry is %d bytes, want 4", n)
+	}
+}
+
+// TestRejectsUnreachableALOThreshold: at one VC per vnet the CPM's
+// corner router offers at most four free communication VCs (two mesh
+// outputs, two communication vnets), below the default ALO threshold of
+// six, so the CPM would report congestion from the first cycle and never
+// issue. The build fails instead; at two VCs per vnet it offers eight.
+func TestRejectsUnreachableALOThreshold(t *testing.T) {
+	cfg := DefaultPlatformConfig()
+	_, err := NewStandaloneOn(sim.NewEngine(), noc.SnackPlatformCustom(4, 4, true, 1, 2, 16), cfg)
+	if err == nil || !strings.Contains(err.Error(), "threshold 6") || !strings.Contains(err.Error(), "at most 4") {
+		t.Fatalf("vc=1 build: err = %v, want the threshold 6 / at most 4 rejection", err)
+	}
+	if _, err := NewStandaloneOn(sim.NewEngine(), noc.SnackPlatformCustom(4, 4, true, 2, 2, 16), cfg); err != nil {
+		t.Fatalf("vc=2 build: %v", err)
 	}
 }

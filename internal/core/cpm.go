@@ -113,9 +113,6 @@ type CPM struct {
 	// tr records scheduling decisions; nil disables tracing.
 	tr *trace.Tracer
 
-	// at classifies each evaluated cycle for attribution; nil disables.
-	at *attrib.Counters
-
 	cpmScalars
 }
 
@@ -164,6 +161,7 @@ type cpmScalars struct {
 	reinjected  stats.Counter
 	busyReplies stats.Counter
 	congestedCy stats.Counter
+	attrib      attrib.Counts // one reason per cycle
 }
 
 // NewCPM builds the manager. Attach it at its node (as the NI client and,
@@ -301,13 +299,13 @@ func (c *CPM) assemble(it, e *InstrToken) {
 // control.
 func (c *CPM) Evaluate(cycle int64) {
 	if !c.Busy() {
-		c.at.Inc(attrib.CPMIdle)
+		c.attrib.Inc(attrib.CPMIdle)
 		return
 	}
 	c.port.Update(cycle)
 	c.refill(cycle)
 	if c.staged != stageNone {
-		c.at.Inc(attrib.CPMThrottled)
+		c.attrib.Inc(attrib.CPMThrottled)
 		return // a previous entry is still waiting for a buffer slot
 	}
 	congested := c.alo.Congested(cycle)
@@ -324,7 +322,7 @@ func (c *CPM) Evaluate(cycle int64) {
 		c.FlushOffload()
 	}
 	if congested || !c.port.CanSend() {
-		c.at.Inc(attrib.CPMThrottled)
+		c.attrib.Inc(attrib.CPMThrottled)
 		return // hold issue this cycle
 	}
 	// Alternate between re-injecting spilled tokens and fresh
@@ -334,14 +332,14 @@ func (c *CPM) Evaluate(cycle int64) {
 		c.offloadMem = c.offloadMem[1:]
 		c.reinjected.Inc()
 		c.reinjecting = false
-		c.at.Inc(attrib.CPMIssue)
+		c.attrib.Inc(attrib.CPMIssue)
 		return
 	}
 	c.reinjecting = true
 	if c.instrBuf.n == 0 {
 		// Resources were free but the program has nothing left to stage:
 		// the CPM is drained, waiting only on in-flight completions.
-		c.at.Inc(attrib.CPMDrained)
+		c.attrib.Inc(attrib.CPMDrained)
 		return
 	}
 	c.staged = int32(c.prog.Entries[c.instrBuf.pop()])
@@ -349,7 +347,7 @@ func (c *CPM) Evaluate(cycle int64) {
 		c.stagedTok, c.staged = c.prog.Datas[^c.staged], stageData
 		c.stagedTok.Dep |= c.nsBase
 	}
-	c.at.Inc(attrib.CPMIssue)
+	c.attrib.Inc(attrib.CPMIssue)
 }
 
 // Advance injects the staged entry through the CPM's router port at the
@@ -526,15 +524,9 @@ func (c *CPM) FlushOffload() {
 	c.offload = c.offload[:0]
 }
 
-// SetTracer installs (or, with nil, removes) the scheduling-event tracer.
-func (c *CPM) SetTracer(t *trace.Tracer) { c.tr = t }
-
-// SetAttrib installs (or, with nil, removes) the cycle-attribution counters.
-func (c *CPM) SetAttrib(at *attrib.Counters) { c.at = at }
-
-// RegisterMetrics names the CPM's statistics in reg under the prefix
+// registerMetrics names the CPM's statistics in reg under the prefix
 // "cpmN.".
-func (c *CPM) RegisterMetrics(reg *stats.Registry) {
+func (c *CPM) registerMetrics(reg *stats.Registry) {
 	p := fmt.Sprintf("cpm%d.", c.cfg.Node)
 	reg.AddCounter(p+"issued", &c.issued)
 	reg.AddCounter(p+"offloaded", &c.offloaded)

@@ -106,8 +106,8 @@ func (r *RCU) payParked() {
 	r.parkedFrom = r.g.turn
 	if len(r.sbActive) > 0 {
 		r.stallCount.Add(n)
-		r.at.Add(attrib.RCUOperandWait, n)
+		r.attrib.Add(attrib.RCUOperandWait, n)
 	} else {
-		r.at.Add(attrib.RCUIdle, n)
+		r.attrib.Add(attrib.RCUIdle, n)
 	}
 }

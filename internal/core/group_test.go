@@ -68,9 +68,9 @@ func compile(t testing.TB, k cpu.KernelName, nRCU int) *core.Program {
 	return prog
 }
 
-// rcuAttrib returns the RCUs' attribution slabs in node order.
-func (s *rcuSim) rcuAttrib() []*attrib.Counters {
-	var out []*attrib.Counters
+// rcuAttrib returns the RCUs' attribution counts in node order.
+func (s *rcuSim) rcuAttrib() []attrib.Counters {
+	var out []attrib.Counters
 	for _, c := range s.rec.Components() {
 		if c.Kind() == attrib.KindRCU {
 			out = append(out, c)

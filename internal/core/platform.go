@@ -166,6 +166,13 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 		if _, dup := byNode[cc.Node]; dup {
 			return nil, fmt.Errorf("core: two CPMs at node %d", cc.Node)
 		}
+		// The platform is attached before the network runs, while every VC
+		// is free, so this is the most the CPM's router can ever offer: a
+		// higher floor would hold issue forever.
+		if free := net.Router(cc.Node).FreeOutputVCs(true); cc.ALOThreshold > free {
+			return nil, fmt.Errorf("core: CPM at node %d has ALO threshold %d, but its router offers at most %d free communication VCs",
+				cc.Node, cc.ALOThreshold, free)
+		}
 		cpm := NewCPM(cc, net, ctrls[i])
 		byNode[cc.Node] = cpm
 		p.CPMs = append(p.CPMs, cpm)
@@ -323,24 +330,23 @@ func (p *Platform) Run(prog *Program, maxCycles int64) (*Result, error) {
 func (p *Platform) SetTracer(t *trace.Tracer) {
 	p.Net.SetTracer(t)
 	for _, r := range p.RCUs {
-		r.SetTracer(t)
+		r.tr = t
 	}
 	for _, cpm := range p.CPMs {
-		cpm.SetTracer(t)
+		cpm.tr = t
 	}
 }
 
-// SetAttrib attaches cycle-attribution counter slabs across the whole
-// platform — every router and NI of the mesh, every RCU, every CPM, and
-// the engine (plus its shard sub-engines). A nil recorder yields nil
-// slabs everywhere, the zero-cost disabled state.
+// SetAttrib attaches the attribution counts of the whole platform to rec
+// — every router and NI of the mesh, every RCU, every CPM, and the
+// engine (plus its shard sub-engines). A nil recorder attaches nothing.
 func (p *Platform) SetAttrib(rec *attrib.Recorder) {
 	p.Net.SetAttrib(rec)
 	for _, r := range p.RCUs {
-		r.SetAttrib(rec.NewCounters(attrib.KindRCU, fmt.Sprintf("rcu%d", r.node)))
+		rec.Attach(attrib.KindRCU, fmt.Sprintf("rcu%d", r.node), &r.attrib)
 	}
 	for _, cpm := range p.CPMs {
-		cpm.SetAttrib(rec.NewCounters(attrib.KindCPM, fmt.Sprintf("cpm%d", cpm.cfg.Node)))
+		rec.Attach(attrib.KindCPM, cpm.Name(), &cpm.attrib)
 	}
 	p.Eng.SetAttrib(rec)
 }
@@ -350,10 +356,10 @@ func (p *Platform) SetAttrib(rec *attrib.Recorder) {
 func (p *Platform) RegisterMetrics(reg *stats.Registry) {
 	p.Net.RegisterMetrics(reg)
 	for _, r := range p.RCUs {
-		r.RegisterMetrics(reg)
+		r.registerMetrics(reg)
 	}
 	for _, cpm := range p.CPMs {
-		cpm.RegisterMetrics(reg)
+		cpm.registerMetrics(reg)
 	}
 	p.Eng.RegisterMetrics(reg)
 }

@@ -162,9 +162,6 @@ type RCU struct {
 	// tr records operand/compute events; nil disables tracing.
 	tr *trace.Tracer
 
-	// at classifies each evaluated cycle for attribution; nil disables.
-	at *attrib.Counters
-
 	rcuScalars
 }
 
@@ -218,6 +215,7 @@ type rcuScalars struct {
 	captured   stats.Counter // dependency values captured from loop tokens
 	emitted    stats.Counter
 	stallCount stats.Counter // cycles with buffered work but nothing ready
+	attrib     attrib.Counts // one reason per cycle
 }
 
 // NewRCU builds the compute unit for one router. The Network's
@@ -474,17 +472,15 @@ func (r *RCU) Evaluate(cycle int64) {
 	// Attribution, exactly once per cycle: executing beats everything;
 	// a backed-up output ring means results can't drain into the NoC;
 	// queued instructions or live scoreboards are operand wait; else idle.
-	if r.at != nil {
-		switch {
-		case r.exec >= 0:
-			r.at.Inc(attrib.RCUExec)
-		case r.outQ.n > 0:
-			r.at.Inc(attrib.RCUOutputBackpressure)
-		case len(r.inbox) > 0 || len(r.sbActive) > 0:
-			r.at.Inc(attrib.RCUOperandWait)
-		default:
-			r.at.Inc(attrib.RCUIdle)
-		}
+	switch {
+	case r.exec >= 0:
+		r.attrib.Inc(attrib.RCUExec)
+	case r.outQ.n > 0:
+		r.attrib.Inc(attrib.RCUOutputBackpressure)
+	case len(r.inbox) > 0 || len(r.sbActive) > 0:
+		r.attrib.Inc(attrib.RCUOperandWait)
+	default:
+		r.attrib.Inc(attrib.RCUIdle)
 	}
 }
 
@@ -752,12 +748,6 @@ func (r *RCU) removeSB(si int32) {
 	r.sbFree = append(r.sbFree, si)
 }
 
-// SetTracer installs (or, with nil, removes) the compute-event tracer.
-func (r *RCU) SetTracer(t *trace.Tracer) { r.tr = t }
-
-// SetAttrib installs (or, with nil, removes) the cycle-attribution counters.
-func (r *RCU) SetAttrib(c *attrib.Counters) { r.at = c }
-
 // emitCompute records one compute-track event when tracing is on.
 func (r *RCU) emitCompute(k trace.Kind, cycle, start int64, aux int32) {
 	if r.tr == nil {
@@ -770,9 +760,9 @@ func (r *RCU) emitCompute(k trace.Kind, cycle, start int64, aux int32) {
 	r.tr.Emit(rec)
 }
 
-// RegisterMetrics names the RCU's statistics in reg under the prefix
+// registerMetrics names the RCU's statistics in reg under the prefix
 // "rcuN.".
-func (r *RCU) RegisterMetrics(reg *stats.Registry) {
+func (r *RCU) registerMetrics(reg *stats.Registry) {
 	p := fmt.Sprintf("rcu%d.", r.node)
 	reg.AddCounter(p+"executed", &r.executed)
 	reg.AddCounter(p+"captured", &r.captured)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"snacknoc/internal/attrib"
 	"snacknoc/internal/fixed"
 	"snacknoc/internal/mem"
 	"snacknoc/internal/noc"
@@ -40,12 +39,11 @@ func cloneResult(r *Result) *Result {
 type rcuState struct {
 	rcuScalars
 	rcuSlabs
-	outQ   []outToken
-	attrib attrib.CountersState
+	outQ []outToken
 }
 
 func (r *RCU) snapshot() rcuState {
-	s := rcuState{rcuScalars: r.rcuScalars, outQ: r.outQ.live(), attrib: r.at.State()}
+	s := rcuState{rcuScalars: r.rcuScalars, outQ: r.outQ.live()}
 	s.rcuSlabs.copyFrom(&r.rcuSlabs)
 	return s
 }
@@ -54,7 +52,6 @@ func (r *RCU) restore(s *rcuState) {
 	r.rcuScalars = s.rcuScalars
 	r.rcuSlabs.copyFrom(&s.rcuSlabs)
 	r.outQ.restore(s.outQ)
-	r.at.Restore(s.attrib)
 }
 
 // cpmState is one manager's saved state, including its private memory
@@ -71,7 +68,6 @@ type cpmState struct {
 	alo      noc.ALODetectorState
 	snackALO noc.SnackALOState
 	mem      mem.ControllerState
-	attrib   attrib.CountersState
 }
 
 func (c *CPM) snapshot() cpmState {
@@ -84,7 +80,6 @@ func (c *CPM) snapshot() cpmState {
 		alo:        c.alo.State(),
 		snackALO:   c.snackALO.State(),
 		mem:        c.mem.State(),
-		attrib:     c.at.State(),
 	}
 	s.offloadBufs.copyFrom(&c.offloadBufs)
 	return s
@@ -100,7 +95,6 @@ func (c *CPM) restore(s *cpmState) {
 	c.alo.Restore(s.alo)
 	c.snackALO.Restore(s.snackALO)
 	c.mem.Restore(s.mem)
-	c.at.Restore(s.attrib)
 }
 
 // PlatformState is the whole SnackNoC's saved state: every instruction

@@ -72,10 +72,6 @@ type DSEConfig struct {
 	Dims    KernelDims
 	// Priority selects §III-D3 priority arbitration on every cell.
 	Priority bool
-	// Topology names the mesh family. Only "mesh" exists today; the knob
-	// is part of the cell shape key so the pluggable-topology work
-	// (ROADMAP item 1) extends the grid without touching the scheduler.
-	Topology string
 	// PoolDepth bounds idle pooled platforms per shape: 0 means one per
 	// worker (the steady-state need), < 0 disables pooling entirely so
 	// every leg builds cold (the A side of the determinism tests).
@@ -90,7 +86,6 @@ func DefaultDSEConfig() DSEConfig {
 		Kernels:  cpu.Kernels(),
 		Dims:     DefaultKernelDims(),
 		Priority: true,
-		Topology: "mesh",
 	}
 }
 
@@ -194,8 +189,8 @@ func dseMesh(rcus int) (w, h int, err error) {
 type dsePlatform struct {
 	eng  *sim.Engine
 	plat *core.Platform
-	// rec owns the platform's attribution slabs (nil when off). The
-	// slabs are attached before Seal, so every fork rewinds them to
+	// rec reads the platform's attribution counts (nil when off). It is
+	// attached, zeroing them, before Seal, so every fork rewinds them to
 	// zero and a post-run fold reads exactly one leg's counts.
 	rec *attrib.Recorder
 }
@@ -246,12 +241,6 @@ func RunDSE(cfg DSEConfig) (*DSEResult, error) { return runDSE(cfg, nil) }
 // runDSE is RunDSE with an observer called after every leg (tests watch
 // the platform pool through it).
 func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) {
-	if cfg.Topology == "" {
-		cfg.Topology = "mesh"
-	}
-	if cfg.Topology != "mesh" {
-		return nil, fmt.Errorf("experiments: unknown DSE topology %q (ROADMAP item 1 will add more)", cfg.Topology)
-	}
 	if len(cfg.Kernels) == 0 || cfg.Axes.Cells() == 0 {
 		return nil, fmt.Errorf("experiments: empty DSE grid")
 	}
@@ -299,8 +288,8 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 			BufDepth: buf, ChanWidth: ch, VCs: vc, RCUs: rcu,
 			Width: w, Height: h,
 		}
-		shape := fmt.Sprintf("dse/%s/%dx%d/vc%d/buf%d/pri%v/sh%d",
-			cfg.Topology, w, h, vc, buf, cfg.Priority, shards)
+		shape := fmt.Sprintf("dse/%dx%d/vc%d/buf%d/pri%v/sh%d",
+			w, h, vc, buf, cfg.Priority, shards)
 		g, ok := groupIdx[shape]
 		if !ok {
 			g = len(groups)
@@ -501,8 +490,8 @@ func paretoFrontier(cells []DSECell) []int {
 func RenderDSE(w io.Writer, res *DSEResult) {
 	a := res.Cfg.Axes
 	RenderHeader(w, "DSE: Pareto Frontier over Router/Platform Resources")
-	fmt.Fprintf(w, "grid: buf%v x chan%v x vc%v x rcu%v = %d cells, topology %s\n",
-		a.BufDepths, a.ChanWidths, a.VCCounts, a.RCUCounts, a.Cells(), res.Cfg.Topology)
+	fmt.Fprintf(w, "grid: buf%v x chan%v x vc%v x rcu%v = %d cells, topology mesh\n",
+		a.BufDepths, a.ChanWidths, a.VCCounts, a.RCUCounts, a.Cells())
 	kn := make([]string, len(res.Cfg.Kernels))
 	for i, k := range res.Cfg.Kernels {
 		kn[i] = string(k)

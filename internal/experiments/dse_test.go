@@ -160,6 +160,19 @@ func TestDSERejectsRepeatedKernel(t *testing.T) {
 	}
 }
 
+// TestDSERejectsUnreachableALOThreshold: at one VC per vnet the CPM's
+// router can never offer the free VCs its ALO threshold asks for, so the
+// cell would never issue and spin to the cycle cap; the sweep fails with
+// the build's error instead.
+func TestDSERejectsUnreachableALOThreshold(t *testing.T) {
+	cfg := dseTestConfig()
+	cfg.Axes.VCCounts = []int{1}
+	_, err := RunDSE(cfg)
+	if err == nil || !strings.Contains(err.Error(), "ALO threshold 6") {
+		t.Fatalf("RunDSE at vc=1: err = %v, want the ALO threshold rejection", err)
+	}
+}
+
 // TestRunLegGuardsNIInjection: a leg whose platform injected a packet at
 // an NI may have read the channel width, so runLeg must fail it rather
 // than return cycles the whole leg group would share.

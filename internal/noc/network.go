@@ -521,24 +521,24 @@ func (n *Network) SetTracer(t *trace.Tracer) {
 		n.root.SetSerialShards(t != nil)
 	}
 	for i := range n.routers {
-		n.routers[i].SetTracer(t)
-		n.nis[i].SetTracer(t)
+		n.routers[i].tr = t
+		n.nis[i].tr = t
 	}
 }
 
-// SetAttrib attaches one cycle-attribution slab per router and NI from
-// rec (nil rec yields nil slabs, the disabled state). Unlike a tracer
-// the slabs are component-owned, so sharded execution stays parallel:
-// each shard writes only its own components' counters, and the step
-// barrier orders those writes before the root reads them.
+// SetAttrib attaches every router's and then every NI's attribution
+// counts to rec (nil attaches nothing). Unlike a tracer the counts are
+// component state, so sharded execution stays parallel: each shard
+// writes only its own components' counts, and the step barrier orders
+// those writes before the root reads them.
 func (n *Network) SetAttrib(rec *attrib.Recorder) {
 	for i := range n.routers {
 		r := &n.routers[i]
-		r.SetAttrib(rec.NewCounters(attrib.KindRouter, r.Name()))
+		rec.Attach(attrib.KindRouter, r.Name(), &r.attrib)
 	}
 	for i := range n.nis {
 		ni := &n.nis[i]
-		ni.SetAttrib(rec.NewCounters(attrib.KindNI, ni.Name()))
+		rec.Attach(attrib.KindNI, ni.Name(), &ni.attrib)
 	}
 }
 
@@ -546,10 +546,10 @@ func (n *Network) SetAttrib(rec *attrib.Recorder) {
 // network-wide aggregates (total packets, per-vnet mean latency).
 func (n *Network) RegisterMetrics(reg *stats.Registry) {
 	for i := range n.routers {
-		n.routers[i].RegisterMetrics(reg)
+		n.routers[i].registerMetrics(reg)
 	}
 	for i := range n.nis {
-		n.nis[i].RegisterMetrics(reg)
+		n.nis[i].registerMetrics(reg)
 	}
 	reg.AddGauge("net.packets.injected", func() float64 { return float64(n.TotalInjected()) })
 	reg.AddGauge("net.packets.ejected", func() float64 { return float64(n.TotalEjected()) })

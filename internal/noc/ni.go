@@ -87,9 +87,6 @@ type NI struct {
 	// tr records packet/flit lifecycle events; nil disables tracing.
 	tr *trace.Tracer
 
-	// at classifies each evaluated cycle for attribution; nil disables.
-	at *attrib.Counters
-
 	niScalars
 }
 
@@ -112,6 +109,7 @@ type niScalars struct {
 	flitsIn   stats.Counter
 	flitsOut  stats.Counter
 	maxQueued int
+	attrib    attrib.Counts // one reason per cycle, injection side
 }
 
 // pktQueue is a FIFO of packets over one backing array: pop advances head,
@@ -205,7 +203,7 @@ func (ni *NI) Quiescent() bool {
 // statistics, so skipped cycles need no replay beyond the attribution
 // idle count: a quiescent NI has no injection work at all.
 func (ni *NI) CatchUp(idle int64) {
-	ni.at.Add(attrib.NIIdle, idle)
+	ni.attrib.Add(attrib.NIIdle, idle)
 }
 
 // Evaluate implements sim.Component: VC allocation for waiting packets,
@@ -218,12 +216,10 @@ func (ni *NI) Evaluate(cycle int64) {
 	// not one: a waiting packet gets a VC only on a cycle with an injection,
 	// a transmission, an ejected flit or a returned credit (ROADMAP item 3).
 	if len(ni.incoming) == 0 && len(ni.active) == 0 && ni.rd.pending == 0 && !credited {
-		if ni.at != nil {
-			if ni.waitingCount > 0 {
-				ni.at.Inc(attrib.NIBackpressure)
-			} else {
-				ni.at.Inc(attrib.NIIdle)
-			}
+		if ni.waitingCount > 0 {
+			ni.attrib.Inc(attrib.NIBackpressure)
+		} else {
+			ni.attrib.Inc(attrib.NIIdle)
 		}
 		return
 	}
@@ -307,15 +303,13 @@ func (ni *NI) Evaluate(cycle int64) {
 	// packets with nothing staged are injection backpressure (no credit,
 	// or the one-flit-per-cycle port is the limit); otherwise only
 	// ejection-side work ran, which the taxonomy counts as idle.
-	if ni.at != nil {
-		switch {
-		case ni.staged != nil:
-			ni.at.Inc(attrib.NIActive)
-		case len(ni.active) > 0 || ni.waitingCount > 0:
-			ni.at.Inc(attrib.NIBackpressure)
-		default:
-			ni.at.Inc(attrib.NIIdle)
-		}
+	switch {
+	case ni.staged != nil:
+		ni.attrib.Inc(attrib.NIActive)
+	case len(ni.active) > 0 || ni.waitingCount > 0:
+		ni.attrib.Inc(attrib.NIBackpressure)
+	default:
+		ni.attrib.Inc(attrib.NIIdle)
 	}
 
 	// Ejection: reassemble arriving flits into packets.
@@ -384,12 +378,6 @@ func (ni *NI) Advance(cycle int64) {
 
 func (ni *NI) totalQueued() int { return len(ni.incoming) + len(ni.active) + ni.waitingCount }
 
-// SetTracer installs (or, with nil, removes) the lifecycle-event tracer.
-func (ni *NI) SetTracer(t *trace.Tracer) { ni.tr = t }
-
-// SetAttrib installs (or, with nil, removes) the cycle-attribution counters.
-func (ni *NI) SetAttrib(c *attrib.Counters) { ni.at = c }
-
 // pktRecord builds a trace record for a packet-level NI event.
 func (ni *NI) pktRecord(k trace.Kind, cycle, start int64, pktID uint64, vnet int) trace.Record {
 	cl := int8(trace.ClassComm)
@@ -410,10 +398,10 @@ func (ni *NI) pktRecord(k trace.Kind, cycle, start int64, pktID uint64, vnet int
 	}
 }
 
-// RegisterMetrics names the NI's statistics in reg under the prefix
+// registerMetrics names the NI's statistics in reg under the prefix
 // "niN.": packet and flit counts, the peak injection-queue depth, and
 // per-vnet delivered-packet latency.
-func (ni *NI) RegisterMetrics(reg *stats.Registry) {
+func (ni *NI) registerMetrics(reg *stats.Registry) {
 	p := fmt.Sprintf("ni%d.", ni.node)
 	reg.AddCounter(p+"packets.injected", &ni.injected)
 	reg.AddCounter(p+"packets.ejected", &ni.ejected)

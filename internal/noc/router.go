@@ -186,10 +186,6 @@ type Router struct {
 	// tracing and must cost nothing beyond the nil checks.
 	tr *trace.Tracer
 
-	// at classifies every evaluated cycle into the attribution taxonomy;
-	// nil (the default) disables attribution under the same contract.
-	at *attrib.Counters
-
 	routerScalars
 }
 
@@ -219,6 +215,8 @@ type routerScalars struct {
 	// attribution behind the §III-D3 "snacking never displaces CMP
 	// traffic" claim.
 	classMoves [2]stats.Counter
+	// attrib classifies every cycle into the attribution taxonomy.
+	attrib attrib.Counts
 }
 
 // ID returns the router's node id.
@@ -337,7 +335,7 @@ func (r *Router) CatchUp(idle int64) {
 	r.bufHist.ObserveBucketN(int(r.bufBucket[0]), idle)
 	// A quiescent router holds no flits, so every skipped cycle would have
 	// classified as empty.
-	r.at.Add(attrib.RouterEmpty, idle)
+	r.attrib.Add(attrib.RouterEmpty, idle)
 }
 
 // FreeOutputVCs counts free useful virtual output channels across the
@@ -767,30 +765,22 @@ func (r *Router) observe(cycle int64, moves int) {
 		r.closeWindows(1)
 	}
 	r.bufHist.ObserveBucket(int(r.bufBucket[r.occupancy]))
-	if r.at != nil {
-		// Exactly one reason per evaluated cycle. occupancy is post-move:
-		// a router that drained its last flit this cycle counts active, not
-		// empty. The credit-stall bucket is the catch-all for buffered
-		// flits that cleared VC allocation but could not traverse — out of
-		// credits, or ineligible this cycle from pipeline/link latency.
-		switch {
-		case moves > 0:
-			r.at.Inc(attrib.RouterActive)
-		case r.occupancy == 0:
-			r.at.Inc(attrib.RouterEmpty)
-		case len(r.waitVA) > 0:
-			r.at.Inc(attrib.RouterVCStall)
-		default:
-			r.at.Inc(attrib.RouterCreditStall)
-		}
+	// Exactly one reason per evaluated cycle. occupancy is post-move: a
+	// router that drained its last flit this cycle counts active, not
+	// empty. The credit-stall bucket is the catch-all for buffered flits
+	// that cleared VC allocation but could not traverse — out of credits,
+	// or ineligible this cycle from pipeline/link latency.
+	switch {
+	case moves > 0:
+		r.attrib.Inc(attrib.RouterActive)
+	case r.occupancy == 0:
+		r.attrib.Inc(attrib.RouterEmpty)
+	case len(r.waitVA) > 0:
+		r.attrib.Inc(attrib.RouterVCStall)
+	default:
+		r.attrib.Inc(attrib.RouterCreditStall)
 	}
 }
-
-// SetTracer installs (or, with nil, removes) the lifecycle-event tracer.
-func (r *Router) SetTracer(t *trace.Tracer) { r.tr = t }
-
-// SetAttrib installs (or, with nil, removes) the cycle-attribution slab.
-func (r *Router) SetAttrib(c *attrib.Counters) { r.at = c }
 
 // flitRecord builds a trace record carrying f's coordinates. port is the
 // input direction for arrival-side kinds and the output direction for
@@ -814,11 +804,11 @@ func (r *Router) flitRecord(k trace.Kind, cycle, start int64, f *Flit, port Dire
 	}
 }
 
-// RegisterMetrics names the router's statistics in reg under the prefix
+// registerMetrics names the router's statistics in reg under the prefix
 // "routerN.": crossbar utilization and traversal counts (split by priority
 // class), the buffer-occupancy histogram, per-output-link utilization,
 // compute-consumed flits, and per-input-VC arrival counts.
-func (r *Router) RegisterMetrics(reg *stats.Registry) {
+func (r *Router) registerMetrics(reg *stats.Registry) {
 	p := fmt.Sprintf("router%d.", r.id)
 	reg.AddUtilization(p+"xbar", r.XbarUtil())
 	reg.AddCounter(p+"xbar.moves", &r.xbarMoves)

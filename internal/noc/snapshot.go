@@ -3,7 +3,6 @@ package noc
 import (
 	"fmt"
 
-	"snacknoc/internal/attrib"
 	"snacknoc/internal/stats"
 )
 
@@ -53,7 +52,6 @@ type NetworkState struct {
 
 	histTotals []int64
 	series     []stats.TimeSeriesState // when sampling is on
-	attrib     []attrib.CountersState  // routers then NIs, when attributed
 }
 
 // flitAt is one held flit and its index in Network.bufSlab or .reasm.
@@ -213,15 +211,6 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 			s.series[i] = n.series[i].State()
 		}
 	}
-	if n.routers[0].at != nil {
-		s.attrib = make([]attrib.CountersState, 0, 2*len(n.routers))
-		for i := range n.routers {
-			s.attrib = append(s.attrib, n.routers[i].at.State())
-		}
-		for i := range n.nis {
-			s.attrib = append(s.attrib, n.nis[i].at.State())
-		}
-	}
 	return s
 }
 
@@ -313,12 +302,6 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 	}
 	for i := range s.series {
 		n.series[i].Restore(s.series[i])
-	}
-	if s.attrib != nil {
-		for i := range n.routers {
-			n.routers[i].at.Restore(s.attrib[i])
-			n.nis[i].at.Restore(s.attrib[len(n.routers)+i])
-		}
 	}
 }
 

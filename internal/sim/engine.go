@@ -178,10 +178,10 @@ type Engine struct {
 	// (used when a shared observer such as a tracer is attached).
 	serialShards bool
 
-	// at counts per-step evaluation volume for attribution; nil disables.
-	// Each engine (root and every shard) owns its own slab, so sharded
-	// writes stay goroutine-local behind the step barrier.
-	at *attrib.Counters
+	// attrib counts per-step evaluation volume for attribution. Each
+	// engine (root and every shard) owns its own counts, so sharded writes
+	// stay goroutine-local behind the step barrier.
+	attrib attrib.Counts
 }
 
 // NewEngine returns an engine at cycle 0 with no components.
@@ -238,15 +238,15 @@ func (e *Engine) Reserve(n int) {
 // the cycle being executed; after Run it is the next cycle to execute.
 func (e *Engine) Cycle() int64 { return e.cycle }
 
-// SetAttrib attaches per-engine evaluation-volume counters from rec (nil
-// rec detaches): one slab for this engine ("engine") plus one per shard
+// SetAttrib attaches the per-engine evaluation-volume counts to rec (nil
+// attaches nothing): this engine's ("engine") plus one per shard
 // sub-engine ("engine.shardK"). Call it after Partition. The per-engine
 // split depends on the shard count; only the layer total (awake
 // component-evaluations per run) is shard-invariant.
 func (e *Engine) SetAttrib(rec *attrib.Recorder) {
-	e.at = rec.NewCounters(attrib.KindEngine, "engine")
+	rec.Attach(attrib.KindEngine, "engine", &e.attrib)
 	for i, s := range e.subs {
-		s.at = rec.NewCounters(attrib.KindEngine, fmt.Sprintf("engine.shard%d", i))
+		rec.Attach(attrib.KindEngine, fmt.Sprintf("engine.shard%d", i), &s.attrib)
 	}
 }
 
@@ -509,9 +509,7 @@ func (e *Engine) Step() {
 		e.mergeWoken()
 	}
 	act := e.active
-	if e.at != nil {
-		e.at.Add(attrib.EngineEvals, int64(len(act)))
-	}
+	e.attrib.Add(attrib.EngineEvals, int64(len(act)))
 	for _, st := range act {
 		st.c.Evaluate(e.cycle)
 	}

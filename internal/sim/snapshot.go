@@ -28,7 +28,7 @@ type EngineState struct {
 	comps       []compSnap
 	activeIdx   []int
 	events      []eventSnap
-	attrib      attrib.CountersState
+	attrib      attrib.Counts
 	subs        []*EngineState
 }
 
@@ -64,7 +64,7 @@ func (e *Engine) SnapshotState() *EngineState {
 		stopped:     e.stopped,
 		comps:       make([]compSnap, len(e.comps)),
 		activeIdx:   make([]int, len(e.active)),
-		attrib:      e.at.State(),
+		attrib:      e.attrib,
 	}
 	for i, st := range e.comps {
 		s.comps[i] = compSnap{asleep: st.asleep, sleptAt: st.sleptAt, wakeAt: st.wakeAt}
@@ -143,7 +143,7 @@ func (e *Engine) RestoreState(s *EngineState) {
 		}
 		e.wheel.schedule(e.cycle, ev)
 	}
-	e.at.Restore(s.attrib)
+	e.attrib = s.attrib
 	for i, sub := range e.subs {
 		sub.RestoreState(s.subs[i])
 	}

@@ -28,10 +28,11 @@ func (t *TimeSeries) State() TimeSeriesState {
 	return TimeSeriesState{Samples: append([]float64(nil), t.samples...), Busy: t.busy}
 }
 
-// Restore writes a saved state back. The saved samples are copied again
-// so the state can be restored repeatedly.
+// Restore writes a saved state back. The saved samples are copied into
+// the series' own storage, so the state can be restored repeatedly; no
+// reader holds that storage, since Samples and Median copy out of it.
 func (t *TimeSeries) Restore(s TimeSeriesState) {
-	t.samples = append(t.samples[:0:0], s.Samples...)
+	t.samples = append(t.samples[:0], s.Samples...)
 	t.busy = s.Busy
 }
 

@@ -267,7 +267,7 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 8000, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 28, dse_fork_sweep <= 38; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 8000, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 28, dse_fork_sweep <= 38; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
 if grep -n '\.Schedule(\|\.ScheduleAfter(' $(ls internal/cache/*.go internal/mem/*.go | grep -v _test.go); then
     echo "ERROR: internal/cache and internal/mem file typed events (ScheduleCall), not closures" >&2
     exit 1
@@ -285,6 +285,16 @@ if grep -n 'TokenCloner\|copyMsg\|map\[any\]any' $(ls internal/core/*.go interna
 fi
 if grep -n 'slab\[\|\*InstrToken\|\*DataToken' $(ls internal/compiler/*.go | grep -v _test.go) internal/core/program.go; then
     echo "ERROR: a compiled program holds its tokens by value in three flat arrays, not in slabs behind pointers" >&2
+    exit 1
+fi
+# Attribution counts are component state that a recorder only reads, and
+# the aggregates (Network, Platform, System, Engine) are the only probe
+# fan-out: no counter pointers, no per-layer counter snapshots, no nil
+# guards around counting, and no per-component probe setters.
+attrib_src=$(ls internal/noc/*.go internal/core/*.go internal/cache/*.go internal/sim/*.go | grep -v _test.go)
+if grep -n '\*attrib\.Counters\|CountersState\|\.at != nil' $attrib_src ||
+    grep -nE 'func \([a-z]+ \*(Router|NI|RCU|CPM|L1)\) Set(Tracer|Attrib)\(' $attrib_src; then
+    echo "ERROR: components count attribution in their own state; only Network, Platform, System and Engine attach probes" >&2
     exit 1
 fi
 bench_bound kernels_zero_load 0 allocs_per_pass 20000
