@@ -28,7 +28,9 @@ import (
 //
 // Throughput comes from two places. A kernel leg never reads the channel
 // width (see runLeg), so cells that differ only in channel width form one
-// leg group and its legs run once, on the group's first cell. And the
+// leg group and its legs run once, on the group's first cell; the width
+// shapes no part of the zero-load probe's network either, so the group's
+// cells are points on one probe network (noc.LoadLatencyPoints). And the
 // pooled forking path: the work queue is one item per (group, kernel)
 // leg, group-major so legs sharing a platform shape are adjacent, and a
 // checkpoint.Pool recycles built platforms between legs — a steady-state
@@ -234,8 +236,8 @@ func runLeg(plat *core.Platform, prog *core.Program) (int64, error) {
 // on the sweep worker pool (-j N), one per kernel per leg group — the
 // cells that differ only in channel width — and a group's legs are
 // adjacent in the queue so the platform pool converges to one build per
-// group per worker. The zero-load probe reads every axis, so it runs
-// once per cell.
+// group per worker. The zero-load probe's network is likewise built once
+// per leg group, and each of the group's cells is one point on it.
 func RunDSE(cfg DSEConfig) (*DSEResult, error) { return runDSE(cfg, nil) }
 
 // runDSE is RunDSE with an observer called after every leg (tests watch
@@ -260,15 +262,15 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 	pool := checkpoint.NewPool(poolDepth)
 
 	// Cells map to leg groups: the platform shape with the channel width
-	// left out, which is also the group's pool key. A group's first cell
-	// in grid order is its representative, the cell whose platform is
-	// built. Per group, unstarted counts the legs not yet handed a
-	// platform and idle the platforms idle in the pool; mu makes a leg's
-	// count update and its pool Get or Release one step, so idle never
-	// exceeds unstarted and a spent group pools nothing.
+	// left out, which is also the group's pool key. A group's cells are in
+	// grid order, and its first is its representative, the cell whose
+	// platform is built. Per group, unstarted counts the legs not yet
+	// handed a platform and idle the platforms idle in the pool; mu makes
+	// a leg's count update and its pool Get or Release one step, so idle
+	// never exceeds unstarted and a spent group pools nothing.
 	type legGroup struct {
 		shape           string
-		rep             int
+		cells           []int
 		unstarted, idle int
 	}
 	shards := Shards()
@@ -294,9 +296,10 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 		if !ok {
 			g = len(groups)
 			groupIdx[shape] = g
-			groups = append(groups, legGroup{shape: shape, rep: i, unstarted: nK})
+			groups = append(groups, legGroup{shape: shape, unstarted: nK})
 		}
 		groupOf[i] = g
+		groups[g].cells = append(groups[g].cells, i)
 	}
 	nLegs := len(groups) * nK
 	res.Legs = nLegs
@@ -308,9 +311,11 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 		cpuOne[ki] = cpu.CPUKernelCycles(k, cfg.Dims.cpuDims(k), 1, cpuCfg)
 	}
 
-	// Per-cell zero-load probe latency, measured once per cell by the
-	// work items after the legs (the probe is its own tiny bare-NoC
-	// simulation, independent of the pooled platform).
+	// Per-cell zero-load probe latency, measured by one work item per leg
+	// group after the legs. The probe is its own tiny bare-NoC simulation,
+	// independent of the pooled platform, and the channel width shapes no
+	// part of its network either, so a group's cells share one probe
+	// network and its draws (noc.LoadLatencyPoints), one point per cell.
 	cellLat := make([]float64, nCells)
 
 	// Per-leg results, indexed like the leg items (group-major) and
@@ -327,22 +332,28 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 		legAttrib = make([]map[string]float64, nLegs)
 	}
 
-	err := forEach(nLegs+nCells, func(item int) error {
+	err := forEach(nLegs+len(groups), func(item int) error {
 		if item >= nLegs {
-			ci := item - nLegs
-			cell := &res.Cells[ci]
+			grp := &groups[item-nLegs]
+			points := make([]noc.ProbePoint, len(grp.cells))
+			for j, ci := range grp.cells {
+				points[j] = noc.ProbePoint{Rate: dseProbeRate, ChannelWidthBytes: res.Cells[ci].ChanWidth}
+			}
+			cell := &res.Cells[grp.cells[0]]
 			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
 				cell.VCs, cell.BufDepth, cell.ChanWidth)
-			pts, err := noc.LoadLatencyCurve(applyShards(nc), noc.UniformRandom(),
-				[]float64{dseProbeRate}, noc.DataBytes, dseProbeCycles, Seed)
+			pts, err := noc.LoadLatencyPoints(applyShards(nc), noc.UniformRandom(),
+				points, noc.DataBytes, dseProbeCycles, Seed)
 			if err != nil {
 				return err
 			}
-			cellLat[ci] = pts[0].AvgLatency
+			for j, ci := range grp.cells {
+				cellLat[ci] = pts[j].AvgLatency
+			}
 			return nil
 		}
 		grp := &groups[item/nK]
-		cell := &res.Cells[grp.rep]
+		cell := &res.Cells[grp.cells[0]]
 		prog, err := CompileKernel(cfg.Kernels[item%nK], cfg.Dims, cell.RCUs, Seed)
 		if err != nil {
 			return err
@@ -380,7 +391,7 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 		}
 		dp := entry.Payload().(*dsePlatform)
 		if legCycles[item], err = runLeg(dp.plat, prog); err != nil {
-			return fmt.Errorf("dse cell %d (%s): %w", grp.rep, shape, err)
+			return fmt.Errorf("dse cell %d (%s): %w", grp.cells[0], shape, err)
 		}
 		if dp.rec != nil {
 			// Fold before Release: once pooled again, another worker may

@@ -65,9 +65,11 @@ func TestDSEInvariantToSchedulingAndPooling(t *testing.T) {
 	SetWorkers(1)
 	want := render()
 
-	SetWorkers(4)
-	if got := render(); !bytes.Equal(got, want) {
-		t.Fatal("-j 4 report diverged from -j 1")
+	for _, j := range []int{2, 4} {
+		SetWorkers(j)
+		if got := render(); !bytes.Equal(got, want) {
+			t.Fatalf("-j %d report diverged from -j 1", j)
+		}
 	}
 	cfg.PoolDepth = -1 // every leg builds cold
 	if got := render(); !bytes.Equal(got, want) {
@@ -108,11 +110,12 @@ func TestDSEPoolTraffic(t *testing.T) {
 	}
 }
 
-// TestDSELegsSharedAcrossChannelWidths pins the leg sharing: every cell
-// of a grid over four channel widths must carry the kernel cycles a
-// one-cell sweep of exactly that cell measures, while the sweep runs one
-// leg per kernel per leg group. A model change that makes a kernel's
-// packets width-dependent fails here (or in runLeg's guard).
+// TestDSELegsSharedAcrossChannelWidths pins the leg and probe sharing:
+// every cell of a grid over four channel widths must carry the kernel
+// cycles and the probe latency a one-cell sweep of exactly that cell
+// measures, while the sweep runs one leg per kernel per leg group. A
+// model change that makes a kernel's packets width-dependent fails here
+// (or in runLeg's guard).
 func TestDSELegsSharedAcrossChannelWidths(t *testing.T) {
 	cfg := DefaultDSEConfig()
 	cfg.Axes = DSEAxes{
@@ -147,6 +150,33 @@ func TestDSELegsSharedAcrossChannelWidths(t *testing.T) {
 			t.Errorf("cell %d (buf %d chan %d vc %d rcu %d): kernel cycles %v, a one-cell sweep measures %v",
 				i, c.BufDepth, c.ChanWidth, c.VCs, c.RCUs, c.KernelCycles, ref.Cells[0].KernelCycles)
 		}
+		if c.LatencyCycles != ref.Cells[0].LatencyCycles {
+			t.Errorf("cell %d (buf %d chan %d vc %d rcu %d): probe latency %v, a one-cell sweep measures %v",
+				i, c.BufDepth, c.ChanWidth, c.VCs, c.RCUs, c.LatencyCycles, ref.Cells[0].LatencyCycles)
+		}
+	}
+}
+
+// TestDSENetworkBuilds pins what the benchmark's dse_fork_sweep grid
+// (64 cells in 16 leg groups, two kernels) costs in network builds at
+// -j 1: one platform per leg group, which the pool then forks for the
+// group's second leg, and one probe network per leg group: 32 builds.
+func TestDSENetworkBuilds(t *testing.T) {
+	cfg := DefaultDSEConfig()
+	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelSGEMM}
+	cfg.Dims = DSESmokeDims()
+	cfg.Axes.BufDepths = []int{2, 8}
+	defer SetWorkers(0)
+	SetWorkers(1)
+	before := noc.Built()
+	res, err := RunDSE(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := legGroups(cfg.Axes)
+	if got := noc.Built() - before; got != 32 || res.PoolMisses != int64(groups) {
+		t.Errorf("%d networks built, %d of them platforms; want 32: %d platforms and %d probes",
+			got, res.PoolMisses, groups, groups)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"snacknoc/internal/cpu"
@@ -199,11 +200,23 @@ func TestCommandLineShapes(t *testing.T) {
 		{"buf=2:buf=4", nil}, {"buf=2:vc=2:buf=2", nil}, {"bufs=2", nil},
 		{"buf=0", nil}, {"buf=1,x", nil}, {"buf", nil}, {"", nil},
 		{"buf=2,2", nil}, {"chan=16,32,16", nil},
+		{"buf=2:chan=16:vc=1:rcu=16", &DSEAxes{[]int{2}, []int{16}, []int{1}, []int{16}}},
 	} {
 		got, err := ParseGrid(tc.in)
 		if (err == nil) != (tc.want != nil) || (tc.want != nil && !reflect.DeepEqual(got, *tc.want)) {
 			t.Errorf("ParseGrid(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
 		}
+	}
+	// One VC per vnet is a well-formed grid, but its CPM's router can never
+	// offer the free VCs the ALO threshold asks for: the sweep fails when it
+	// builds the cell's platform, not at the cycle cap.
+	axes, err := ParseGrid("buf=2:chan=16:vc=1:rcu=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DSEConfig{Axes: axes, Kernels: []cpu.KernelName{cpu.KernelMAC}, Dims: DSESmokeDims()}
+	if _, err := RunDSE(cfg); err == nil || !strings.Contains(err.Error(), "ALO threshold 6") {
+		t.Errorf("RunDSE on -grid vc=1: err = %v, want the ALO threshold rejection", err)
 	}
 }
 

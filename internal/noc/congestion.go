@@ -23,7 +23,7 @@ func NewALODetector(r *Router, threshold int, hysteresis int64) *ALODetector {
 
 // Congested reports the detector state at the given cycle.
 func (d *ALODetector) Congested(cycle int64) bool {
-	if d.router.FreeOutputVCs(true) < d.threshold {
+	if !d.router.freeOutputVCsAtLeast(d.threshold) {
 		d.lastBusy = cycle
 		return true
 	}

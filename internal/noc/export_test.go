@@ -99,3 +99,6 @@ func (n *Network) Payloads() []any {
 	}
 	return out
 }
+
+// FreeOutputVCsAtLeast exposes the ALO detector's early-exit count.
+func (r *Router) FreeOutputVCsAtLeast(n int) bool { return r.freeOutputVCsAtLeast(n) }

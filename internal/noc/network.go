@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/sim"
@@ -75,6 +76,13 @@ type Network struct {
 	flitB []boundary
 	credB []*creditSink
 }
+
+// built counts the networks New has built in this process.
+var built atomic.Int64
+
+// Built returns how many networks New has built in this process, so a
+// caller can pin how many builds a sweep costs.
+func Built() int64 { return built.Load() }
 
 // stubCredits is the carved capacity of a crossing link's credit stub: a
 // port returns two slots a cycle at most, unless the CPM drains tokens.
@@ -167,6 +175,7 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	built.Add(1)
 	n := &Network{cfg: cfg, root: eng}
 	nodes := cfg.Nodes()
 	shards := max(cfg.Shards, 1)

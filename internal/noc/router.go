@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"snacknoc/internal/attrib"
@@ -342,7 +343,16 @@ func (r *Router) CatchUp(idle int64) {
 // router's mesh output ports, the quantity tracked by the ALO congestion
 // estimator of Baydal et al. used by the CPM (§III-C2). When commOnly is
 // true the snack vnet is excluded.
-func (r *Router) FreeOutputVCs(commOnly bool) int {
+func (r *Router) FreeOutputVCs(commOnly bool) int { return r.freeOutputVCs(commOnly, math.MaxInt) }
+
+// freeOutputVCsAtLeast reports FreeOutputVCs(true) >= n. The ALO detector
+// asks this of the CPM's router every cycle and needs only the
+// comparison, so the count stops at n.
+func (r *Router) freeOutputVCsAtLeast(n int) bool { return r.freeOutputVCs(true, n) >= n }
+
+// freeOutputVCs is FreeOutputVCs, except that it returns as soon as the
+// count reaches limit.
+func (r *Router) freeOutputVCs(commOnly bool, limit int) int {
 	free := 0
 	for d := North; d <= West; d++ {
 		out := r.outputs[d]
@@ -356,7 +366,9 @@ func (r *Router) FreeOutputVCs(commOnly bool) int {
 			off := r.vnetOff[v]
 			for c := int32(0); c < r.nvcOf[v]; c++ {
 				if out.busy&(1<<uint(off+c)) == 0 && out.credits[off+c] > 0 {
-					free++
+					if free++; free >= limit {
+						return free
+					}
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"snacknoc/internal/sim"
@@ -244,6 +245,59 @@ func TestSlabWindowsDoNotAlias(t *testing.T) {
 		}
 		if !reflect.DeepEqual(before, view()) {
 			t.Fatalf("pushes on router and NI %d changed router or NI %d's slab windows", i, i+1)
+		}
+	}
+}
+
+// networkShape is what New sized from a Config: the slab plan, the length
+// of every slab, and the contents of the read-only geometry tables and of
+// the initial credits.
+type networkShape struct {
+	plan            slabPlan
+	lens            []int
+	tables, credits []int32
+}
+
+func shapeOf(t *testing.T, cfg *Config) networkShape {
+	t.Helper()
+	n, err := New(sim.NewEngine(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return networkShape{
+		plan: planSlabs(cfg, n.shardOf),
+		lens: []int{
+			len(n.routers), len(n.nis), len(n.ports), len(n.rptrs), len(n.inPorts), len(n.outPorts),
+			len(n.flitWires), len(n.flitQ), len(n.vcs), len(n.bufSlab), len(n.reasm), len(n.waiting),
+			len(n.staged), len(n.reqSeed), len(n.pktSeed), len(n.txnSeed), len(n.tables),
+			len(n.credits), len(n.counts), len(n.work), len(n.series), len(n.pools), len(n.engs),
+			len(n.shardOf), cap(n.flitB), cap(n.credB),
+		},
+		tables:  slices.Clone(n.tables),
+		credits: slices.Clone(n.credits),
+	}
+}
+
+// TestNetworkShapeIgnoresChannelWidth guards the premise LoadLatencyPoints
+// shares one network across channel widths on: New sizes nothing from the
+// width (only NI injection reads it, through FlitsFor, while running). For
+// every width from 8 to 64 bytes the network's shape equals the one at 16.
+func TestNetworkShapeIgnoresChannelWidth(t *testing.T) {
+	sharded := DAPPER(4, 4)
+	sharded.Shards = 2
+	for _, base := range []*Config{
+		SnackPlatformCustom(4, 4, true, 2, 8, 16),
+		SnackPlatformCustom(8, 4, false, 16, 1, 16),
+		sharded,
+	} {
+		ref := shapeOf(t, base)
+		for w := 8; w <= 64; w++ {
+			cfg := *base
+			cfg.ChannelWidthBytes = w
+			if got := shapeOf(t, &cfg); !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s at %d-byte channels: shape %+v, at %d bytes %+v",
+					cfgLabel(base), w, got, base.ChannelWidthBytes, ref)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
@@ -82,29 +83,38 @@ type SyntheticInjector struct {
 	rng      uint64
 	injected int64
 	sinks    []synSink
+	counts   []int64 // the sinks' histogram buckets, end to end
+
+	// tape, when set, records every draw Evaluate makes; replaying, when
+	// set, makes Evaluate inject replay's draws instead of drawing. Only
+	// LoadLatencyPoints sets them.
+	tape      *[]synDraw
+	replay    []synDraw
+	replaying bool
+}
+
+// synDraw is one packet a SyntheticInjector drew: at cycle, src sends to
+// dst.
+type synDraw struct {
+	cycle    int64
+	src, dst NodeID
 }
 
 // NewSyntheticInjector attaches sinks at every node and returns the
 // injector (register it with the engine to start traffic).
 func NewSyntheticInjector(net *Network, pattern Pattern, rate float64, sizeBytes, vnet int, seed uint64) *SyntheticInjector {
-	inj := &SyntheticInjector{
-		net:       net,
-		pattern:   pattern,
-		Rate:      rate,
-		SizeBytes: sizeBytes,
-		vnet:      vnet,
-		rng:       seed*0x9E3779B97F4A7C15 + 1,
-	}
+	inj := &SyntheticInjector{net: net, pattern: pattern, SizeBytes: sizeBytes, vnet: vnet}
 	// One sink per node: on a sharded network, deliveries at different
 	// nodes run on different shard goroutines, so the latency statistics
 	// accumulate per node and aggregate only on read.
 	const buckets = 50
 	inj.sinks = make([]synSink, net.Cfg().Nodes())
-	counts := make([]int64, buckets*len(inj.sinks))
+	inj.counts = make([]int64, buckets*len(inj.sinks))
 	for i := range inj.sinks {
-		inj.sinks[i].hist = stats.MakeHistogram(500, counts[i*buckets:(i+1)*buckets:(i+1)*buckets])
+		inj.sinks[i].hist = stats.MakeHistogram(500, inj.counts[i*buckets:(i+1)*buckets:(i+1)*buckets])
 		net.AttachClient(NodeID(i), &inj.sinks[i])
 	}
+	inj.reset(rate, seed)
 	return inj
 }
 
@@ -137,16 +147,44 @@ func (s *SyntheticInjector) next() uint64 {
 
 // Evaluate injects per-node Bernoulli traffic.
 func (s *SyntheticInjector) Evaluate(cycle int64) {
+	if s.replaying {
+		for len(s.replay) > 0 && s.replay[0].cycle == cycle {
+			d := s.replay[0]
+			s.replay = s.replay[1:]
+			s.net.InjectMsg(d.src, d.dst, s.vnet, s.SizeBytes, nil, cycle)
+			s.injected++
+		}
+		return
+	}
 	nodes := s.net.Cfg().Nodes()
 	for n := 0; n < nodes; n++ {
 		if float64(s.next()%1_000_000)/1_000_000 >= s.Rate {
 			continue
 		}
 		src := NodeID(n)
-		s.net.InjectMsg(src, s.pattern.Dst(s.net.Cfg(), src, s.next()),
-			s.vnet, s.SizeBytes, nil, cycle)
+		dst := s.pattern.Dst(s.net.Cfg(), src, s.next())
+		if s.tape != nil {
+			*s.tape = append(*s.tape, synDraw{cycle: cycle, src: src, dst: dst})
+		}
+		s.net.InjectMsg(src, dst, s.vnet, s.SizeBytes, nil, cycle)
 		s.injected++
 	}
+}
+
+// reset returns the injector to what NewSyntheticInjector(…, rate, …,
+// seed) would return on its network: a fresh RNG, empty sinks, nothing
+// injected, and neither recording nor replaying.
+func (s *SyntheticInjector) reset(rate float64, seed uint64) {
+	s.Rate = rate
+	s.rng = seed*0x9E3779B97F4A7C15 + 1
+	s.injected = 0
+	clear(s.counts)
+	for i := range s.sinks {
+		sk := &s.sinks[i]
+		sk.received, sk.latSum, sk.latMax = 0, 0, 0
+		sk.hist.Restore(stats.HistogramState{}) // the buckets were cleared above
+	}
+	s.tape, s.replay, s.replaying = nil, nil, false
 }
 
 // Advance implements sim.Component.
@@ -188,35 +226,98 @@ func (s *SyntheticInjector) MaxLatency() int64 {
 
 // LoadPoint is one point of a load-latency curve.
 type LoadPoint struct {
-	Rate       float64 // injection probability per node per cycle
+	Rate float64 // injection probability per node per cycle
+	// AvgLatency is the mean latency of the packets delivered within the
+	// point's cycles, from a cold network. Packets still in flight at the
+	// end are left out, which is why Saturated exists.
 	AvgLatency float64
 	Throughput float64 // delivered packets per node per cycle
 	Saturated  bool    // network could not absorb the offered load
 }
 
 // LoadLatencyCurve sweeps injection rates on the given configuration and
-// pattern, running warmup+measure cycles per point — the standard NoC
-// characterization experiment.
+// pattern — the standard NoC characterization experiment. Each point runs
+// cycles cycles from a cold network; its AvgLatency is the mean latency
+// of the packets delivered within them, and undelivered packets are
+// excluded, which is why the Saturated flag exists.
 func LoadLatencyCurve(cfg *Config, pattern Pattern, rates []float64, sizeBytes int, cycles int64, seed uint64) ([]LoadPoint, error) {
-	var out []LoadPoint
-	for _, rate := range rates {
-		eng := sim.NewEngine()
-		net, err := New(eng, cfg)
-		if err != nil {
-			return nil, err
+	points := make([]ProbePoint, len(rates))
+	for i, rate := range rates {
+		points[i] = ProbePoint{Rate: rate, ChannelWidthBytes: cfg.ChannelWidthBytes}
+	}
+	return LoadLatencyPoints(cfg, pattern, points, sizeBytes, cycles, seed)
+}
+
+// ProbePoint is one point of LoadLatencyPoints: an injection rate on the
+// configuration with its channel width set to ChannelWidthBytes.
+type ProbePoint struct {
+	Rate              float64
+	ChannelWidthBytes int
+}
+
+// LoadLatencyPoints measures each point as LoadLatencyCurve measures a
+// rate, on cfg with the point's channel width, and returns the points in
+// order. Every point equals a fresh single-rate LoadLatencyCurve on its
+// own configuration, bit for bit; cfg itself is not modified.
+//
+// It builds one network for all of them. The channel width shapes no part
+// of a network — New sizes nothing from it (TestNetworkShapeIgnoresChannelWidth)
+// and only NI injection reads it, through FlitsFor — so the network is
+// built once on a private copy of cfg, snapshotted while pristine, and
+// restored before each later point, whose width is then set on the copy.
+// A single point takes no snapshot, and the last point runs after the
+// snapshot is released. The injector is reset per point. A rate an
+// earlier point already ran replays that point's draws instead of
+// drawing them again: the draws depend on the seed, the rate and the
+// pattern over the mesh shape, none of which a point changes, provided
+// pattern.Dst does not read the channel width (no pattern here does).
+func LoadLatencyPoints(cfg *Config, pattern Pattern, points []ProbePoint, sizeBytes int, cycles int64, seed uint64) ([]LoadPoint, error) {
+	if len(points) == 0 {
+		return nil, nil
+	}
+	own := *cfg
+	own.ChannelWidthBytes = points[0].ChannelWidthBytes
+	eng := sim.NewEngine()
+	net, err := New(eng, &own)
+	if err != nil {
+		return nil, err
+	}
+	inj := NewSyntheticInjector(net, pattern, points[0].Rate, sizeBytes, VNetReq, seed)
+	eng.Register(inj)
+	var engSnap *sim.EngineState
+	var netSnap *NetworkState
+	if len(points) > 1 {
+		engSnap, netSnap = eng.SnapshotState(), net.SnapshotState(nil)
+	}
+	// tapes[i] holds point i's draws when a later point repeats its rate.
+	tapes := make([][]synDraw, len(points))
+	out := make([]LoadPoint, len(points))
+	for i, pt := range points {
+		if i > 0 {
+			own.ChannelWidthBytes = pt.ChannelWidthBytes
+			if err := own.Validate(); err != nil {
+				return nil, err
+			}
+			net.RestoreState(netSnap, nil)
+			eng.RestoreState(engSnap)
+			inj.reset(pt.Rate, seed)
 		}
-		inj := NewSyntheticInjector(net, pattern, rate, sizeBytes, VNetReq, seed)
-		eng.Register(inj)
+		if i == len(points)-1 {
+			engSnap, netSnap = nil, nil
+		}
+		if j := slices.IndexFunc(points[:i], func(p ProbePoint) bool { return p.Rate == pt.Rate }); j >= 0 {
+			inj.replay, inj.replaying = tapes[j], true
+		} else if slices.ContainsFunc(points[i+1:], func(p ProbePoint) bool { return p.Rate == pt.Rate }) {
+			inj.tape = &tapes[i]
+		}
 		eng.Run(cycles)
-		nodes := float64(cfg.Nodes())
-		pt := LoadPoint{
-			Rate:       rate,
+		out[i] = LoadPoint{
+			Rate:       pt.Rate,
 			AvgLatency: inj.AvgLatency(),
-			Throughput: float64(inj.Received()) / float64(cycles) / nodes,
+			Throughput: float64(inj.Received()) / float64(cycles) / float64(own.Nodes()),
+			// Saturation: deliveries fall clearly behind injections.
+			Saturated: float64(inj.Received()) < 0.8*float64(inj.Injected()),
 		}
-		// Saturation: deliveries fall clearly behind injections.
-		pt.Saturated = float64(inj.Received()) < 0.8*float64(inj.Injected())
-		out = append(out, pt)
 	}
 	return out, nil
 }

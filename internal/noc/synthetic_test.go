@@ -1,6 +1,9 @@
 package noc
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"snacknoc/internal/sim"
@@ -117,6 +120,71 @@ func TestLoadLatencyCurveShape(t *testing.T) {
 	for i := 1; i < len(pts); i++ {
 		if !pts[i].Saturated && pts[i].Throughput+1e-9 < pts[i-1].Throughput {
 			t.Errorf("throughput dropped before saturation at rate %v", pts[i].Rate)
+		}
+	}
+}
+
+// TestLoadLatencyPointsMatchFreshCurves: every point LoadLatencyPoints
+// measures on its one shared network is bit-equal to a fresh
+// single-point LoadLatencyCurve on that point's own configuration, and
+// the caller's configuration is left as it was. The mini-grid is the DSE
+// probe's case (one rate, four channel widths, so later points replay
+// the first point's draws); the DAPPER rows restore after a saturated
+// point and replay a rate two points back, serial and sharded.
+func TestLoadLatencyPointsMatchFreshCurves(t *testing.T) {
+	type probe struct {
+		cfg    *Config
+		points []ProbePoint
+		cycles int64
+	}
+	var probes []probe
+	for _, size := range [][2]int{{4, 4}, {8, 4}} {
+		for _, vc := range []int{2, 16} {
+			for _, buf := range []int{1, 8} {
+				var points []ProbePoint
+				for _, w := range []int{8, 16, 32, 64} {
+					points = append(points, ProbePoint{Rate: 0.03, ChannelWidthBytes: w})
+				}
+				probes = append(probes, probe{SnackPlatformCustom(size[0], size[1], true, vc, buf, 16), points, 800})
+			}
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		cfg := DAPPER(4, 4)
+		cfg.Shards = shards
+		w := cfg.ChannelWidthBytes
+		probes = append(probes, probe{cfg, []ProbePoint{{0.02, w}, {0.30, w}, {0.02, w}}, 1500})
+	}
+	for _, p := range probes {
+		label := fmt.Sprintf("%s %dx%d vc %d buf %d shards %d", p.cfg.Name, p.cfg.Width, p.cfg.Height,
+			p.cfg.VNets[0].VCs, p.cfg.VNets[0].BufDepth, p.cfg.Shards)
+		before, vnets := *p.cfg, slices.Clone(p.cfg.VNets)
+		got, err := LoadLatencyPoints(p.cfg, UniformRandom(), p.points, DataBytes, p.cycles, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*p.cfg, before) || !slices.Equal(p.cfg.VNets, vnets) {
+			t.Errorf("%s: LoadLatencyPoints changed the caller's config to %+v", label, *p.cfg)
+		}
+		for i, pt := range p.points {
+			own := *p.cfg
+			own.ChannelWidthBytes = pt.ChannelWidthBytes
+			want, err := LoadLatencyCurve(&own, UniformRandom(), []float64{pt.Rate}, DataBytes, p.cycles, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != want[0] {
+				t.Errorf("%s point %d (rate %v, width %d): %+v, a fresh curve measures %+v",
+					label, i, pt.Rate, pt.ChannelWidthBytes, got[i], want[0])
+			}
+		}
+		// The rows must tell their points apart, or the equality above
+		// proves nothing about restoring and resetting between them.
+		if p.cfg.Name == "SnackNoC" && got[0].AvgLatency == got[len(got)-1].AvgLatency {
+			t.Errorf("%s: widths 8 and 64 measure the same latency %v", label, got[0].AvgLatency)
+		}
+		if p.cfg.Name == "DAPPER" && (got[0].Saturated || !got[1].Saturated) {
+			t.Errorf("%s: want the middle point saturated and the first not, got %+v", label, got)
 		}
 	}
 }
