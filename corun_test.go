@@ -2,6 +2,7 @@ package snacknoc_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"snacknoc"
@@ -65,5 +66,14 @@ func TestBenchmarksListsAll16(t *testing.T) {
 		if !seen[want] {
 			t.Fatalf("missing benchmark %q", want)
 		}
+	}
+}
+
+// TestCoRunRejectsMeshPastTheSharerSets: the directory's sharer sets
+// cover 128 nodes, so a 16x9 co-run is an error that names the bound.
+func TestCoRunRejectsMeshPastTheSharerSets(t *testing.T) {
+	_, err := snacknoc.CoRun("Graph500", snacknoc.MAC, 0.01, snacknoc.WithMesh(16, 9))
+	if err == nil || !strings.Contains(err.Error(), "128") {
+		t.Fatalf("16x9 co-run: err = %v, want the 128-node bound", err)
 	}
 }

@@ -2,6 +2,7 @@ package snacknoc
 
 import (
 	"fmt"
+	"slices"
 
 	"snacknoc/internal/compiler"
 	"snacknoc/internal/core"
@@ -60,7 +61,9 @@ func (p *DecentralizedPlatform) NewContext() *Context {
 
 // ExecuteConcurrent runs up to CPMs() contexts simultaneously, one per
 // packet manager, each mapped onto a disjoint slice of the RCUs. It
-// returns per-context statistics in input order.
+// returns per-context statistics in input order. Every context is
+// checked and compiled before any is submitted, so a call that fails
+// there leaves every context's requests in place for a retry.
 func (p *DecentralizedPlatform) ExecuteConcurrent(ctxs ...*Context) ([]*Stats, error) {
 	if len(ctxs) == 0 {
 		return nil, fmt.Errorf("snacknoc: no contexts")
@@ -82,6 +85,9 @@ func (p *DecentralizedPlatform) ExecuteConcurrent(ctxs ...*Context) ([]*Stats, e
 	for i, ctx := range ctxs {
 		if len(ctx.requests) == 0 {
 			return nil, fmt.Errorf("snacknoc: context %d has no GetValue requests", i)
+		}
+		if k := slices.Index(ctxs, ctx); k < i {
+			return nil, fmt.Errorf("snacknoc: context %d repeats context %d", i, k)
 		}
 		cc := compiler.DefaultConfig(nRCU)
 		cc.RCUs = cc.RCUs[i*per : (i+1)*per]
@@ -105,7 +111,6 @@ func (p *DecentralizedPlatform) ExecuteConcurrent(ctxs ...*Context) ([]*Stats, e
 			j.prog = append(j.prog, prog)
 			j.outs = append(j.outs, req.out)
 		}
-		ctx.requests = nil
 		jobs[i] = j
 	}
 
@@ -130,6 +135,9 @@ func (p *DecentralizedPlatform) ExecuteConcurrent(ctxs ...*Context) ([]*Stats, e
 	}
 	for _, j := range jobs {
 		submit(j)
+	}
+	for _, ctx := range ctxs {
+		ctx.requests = nil
 	}
 	var budget int64
 	for _, j := range jobs {

@@ -2,6 +2,7 @@ package snacknoc_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"snacknoc"
@@ -115,5 +116,64 @@ func TestDecentralizedRejectsTooManyContexts(t *testing.T) {
 	}
 	if _, err := p.ExecuteConcurrent(ctxs...); err == nil {
 		t.Fatal("5 contexts on 4 CPMs accepted")
+	}
+}
+
+// TestExecuteConcurrentFailureKeepsRequests: a call rejected before it
+// submits anything — a context given twice, or a later context that
+// does not compile — leaves every context's requests in place, and a
+// retry runs them.
+func TestExecuteConcurrentFailureKeepsRequests(t *testing.T) {
+	p, err := snacknoc.NewDecentralizedPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reduce := func(vals []float64) (*snacknoc.Context, []float64) {
+		c := p.NewContext()
+		x, err := c.Input(vals, 1, len(vals))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Reduce(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, 1)
+		if err := c.GetValue(r, out); err != nil {
+			t.Fatal(err)
+		}
+		return c, out
+	}
+	c, out := reduce([]float64{1, 2, 3, 4})
+	if _, err := p.ExecuteConcurrent(c, c); err == nil || !strings.Contains(err.Error(), "repeats") {
+		t.Fatalf("a repeated context: err = %v, want a repeat error", err)
+	}
+	// A 65536x1 by 1x32768 outer product needs 2^31 entries: past a
+	// ProgEntry's index, so it fails to compile.
+	big := p.NewContext()
+	x, _ := big.Input(make([]float64, 1<<16), 1<<16, 1)
+	y, _ := big.Input(make([]float64, 1<<15), 1, 1<<15)
+	xy, err := big.MatMul(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := big.Reduce(xy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := big.GetValue(r, make([]float64, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ExecuteConcurrent(c, big); err == nil || !strings.Contains(err.Error(), "ProgEntry") {
+		t.Fatalf("a context past the entry index: err = %v, want a compile error", err)
+	}
+	if _, err := p.ExecuteConcurrent(c); err != nil {
+		t.Fatalf("retry after the failed calls: %v", err)
+	}
+	if out[0] != 10 {
+		t.Fatalf("retry computed %v, want 10", out[0])
+	}
+	if _, err := p.ExecuteConcurrent(c); err == nil {
+		t.Fatal("a context ran twice: its requests were not consumed by the successful call")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"snacknoc/internal/attrib"
+	"snacknoc/internal/flat"
 	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
@@ -64,7 +65,7 @@ type L1 struct {
 	// from a shard goroutine.
 	eng   *sim.Engine
 	cache *Cache
-	pool  *msgPool
+	pool  *flat.Pool[Msg]
 
 	mshrHead [l1MSHRSets]int32 // per-set chain heads, -1 when empty
 	mshrSlab []mshrEntry
@@ -77,7 +78,7 @@ type L1 struct {
 	waitScratch  []waiter
 	retryScratch []retryReq
 
-	parked slab[parkedAccess]
+	parked flat.Slots[parkedAccess]
 
 	hits     stats.Counter
 	misses   stats.Counter
@@ -217,12 +218,12 @@ func (l *L1) access(block uint64, write bool, w waiter) bool {
 
 // park files p's event delay cycles on.
 func (l *L1) park(delay int64, p parkedAccess) {
-	l.eng.ScheduleCall(l.eng.Cycle()+delay, l, l.parked.park(p))
+	l.eng.ScheduleCall(l.eng.Cycle()+delay, l, int64(l.parked.Park(p)))
 }
 
 // OnCall implements sim.Callee: the parked access in slot is due.
 func (l *L1) OnCall(slot, cycle int64) {
-	p := l.parked.take(slot)
+	p := l.parked.Take(int32(slot))
 	if p.retry {
 		l.access(p.block, p.write, p.waiter)
 	} else {
@@ -263,7 +264,7 @@ func (l *L1) missPath(block uint64, write bool, w waiter) bool {
 	if write {
 		t = GetX
 	}
-	req := l.pool.get()
+	req := l.pool.Get()
 	req.Type, req.To, req.Block, req.Req = t, RoleL2, block, l.nodeID()
 	send(l.sys.Net, l.nodeID(), l.sys.Home(block), req, start)
 	return false
@@ -295,7 +296,7 @@ func (l *L1) handle(m *Msg, cycle int64) {
 		l.mshrRelease(m.Block, n)
 		writable := m.Type == DataRespX
 		if v, evicted := l.cache.Fill(m.Block, writable, wasWrite); evicted && v.Dirty {
-			wb := l.pool.get()
+			wb := l.pool.Get()
 			wb.Type, wb.To, wb.Block, wb.Req = PutData, RoleL2, v.Block, l.nodeID()
 			send(l.sys.Net, l.nodeID(), l.sys.Home(v.Block), wb, cycle)
 		}
@@ -308,26 +309,26 @@ func (l *L1) handle(m *Msg, cycle int64) {
 
 	case Recall:
 		_, dirty := l.cache.Downgrade(m.Block)
-		ack := l.pool.get()
+		ack := l.pool.Get()
 		ack.Type, ack.To, ack.Block, ack.Req, ack.WithData = RecallAck, RoleL2, m.Block, m.Req, dirty
 		send(l.sys.Net, l.nodeID(), l.sys.Home(m.Block), ack, cycle)
 
 	case RecallInv:
 		_, dirty := l.cache.Invalidate(m.Block)
-		ack := l.pool.get()
+		ack := l.pool.Get()
 		ack.Type, ack.To, ack.Block, ack.Req, ack.WithData = RecallAck, RoleL2, m.Block, m.Req, dirty
 		send(l.sys.Net, l.nodeID(), l.sys.Home(m.Block), ack, cycle)
 
 	case Inv:
 		l.cache.Invalidate(m.Block)
-		ack := l.pool.get()
+		ack := l.pool.Get()
 		ack.Type, ack.To, ack.Block, ack.Req = InvAck, RoleL2, m.Block, m.Req
 		send(l.sys.Net, l.nodeID(), l.sys.Home(m.Block), ack, cycle)
 
 	default:
 		panic(fmt.Sprintf("l1 %d: unexpected message %s", l.node, m.Type))
 	}
-	l.pool.put(m)
+	l.pool.Put(m)
 }
 
 func (l *L1) nodeID() noc.NodeID { return noc.NodeID(l.node) }

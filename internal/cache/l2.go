@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 
+	"snacknoc/internal/flat"
 	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
@@ -41,15 +42,14 @@ type L2Bank struct {
 	// are filed here so sharded runs stay race-free.
 	eng   *sim.Engine
 	cache *Cache
-	pool  *msgPool
+	pool  *flat.Pool[Msg]
 
-	dirTab    blockTable // block -> dirSlots index
+	dirTab    flat.Table[uint64] // block -> dirSlots index
 	dirSlots  []dirEntry
 	dirBlocks []uint64 // block of each slot, for deterministic snapshots
 
-	txnTab   blockTable // block -> txnSlots index
-	txnSlots []l2txn
-	txnFree  []int32
+	txnTab flat.Table[uint64] // block -> txns slot
+	txns   flat.Slots[l2txn]
 
 	hits, misses stats.Counter
 	recalls      stats.Counter
@@ -79,20 +79,20 @@ func (b *L2Bank) Misses() int64 { return b.misses.Value() }
 // entry returns the directory slot for block, creating it on first use.
 // The returned pointer is invalidated by the next creating entry call.
 func (b *L2Bank) entry(block uint64) *dirEntry {
-	if i, ok := b.dirTab.get(block); ok {
+	if i, ok := b.dirTab.Get(block); ok {
 		return &b.dirSlots[i]
 	}
 	b.dirSlots = append(b.dirSlots, dirEntry{})
 	b.dirBlocks = append(b.dirBlocks, block)
 	i := int32(len(b.dirSlots) - 1)
-	b.dirTab.put(block, i)
+	b.dirTab.Put(block, i)
 	return &b.dirSlots[i]
 }
 
 // txn returns the active transaction for block, or nil.
 func (b *L2Bank) txn(block uint64) *l2txn {
-	if i, ok := b.txnTab.get(block); ok {
-		return &b.txnSlots[i]
+	if i, ok := b.txnTab.Get(block); ok {
+		return b.txns.At(i)
 	}
 	return nil
 }
@@ -164,23 +164,16 @@ func (b *L2Bank) handle(m *Msg, cycle int64) {
 	default:
 		panic(fmt.Sprintf("l2 %d: unexpected message %s", b.node, m.Type))
 	}
-	b.pool.put(m)
+	b.pool.Put(m)
 }
 
 // start begins a transaction after the bank's lookup latency, reusing a
 // free transaction slot.
 func (b *L2Bank) start(m *Msg) {
-	var i int32
-	if k := len(b.txnFree); k > 0 {
-		i = b.txnFree[k-1]
-		b.txnFree = b.txnFree[:k-1]
-	} else {
-		b.txnSlots = append(b.txnSlots, l2txn{})
-		i = int32(len(b.txnSlots) - 1)
-	}
-	t := &b.txnSlots[i]
+	i := b.txns.Alloc()
+	t := b.txns.At(i)
 	*t = l2txn{req: *m, pending: t.pending[:0]}
-	b.txnTab.put(m.Block, i)
+	b.txnTab.Put(m.Block, i)
 	b.eng.ScheduleCall(b.eng.Cycle()+b.sys.cfg.L2Lat, b, int64(m.Block))
 }
 
@@ -207,7 +200,7 @@ func (b *L2Bank) advance(block uint64, cycle int64) {
 		}
 		b.recalls.Inc()
 		t.waitRecall = true
-		rc := b.pool.get()
+		rc := b.pool.Get()
 		rc.Type, rc.To, rc.Block, rc.Req = kind, RoleL1, block, req.Req
 		send(b.sys.Net, b.node, e.owner, rc, cycle)
 		return
@@ -220,7 +213,7 @@ func (b *L2Bank) advance(block uint64, cycle int64) {
 			}
 			b.invs.Inc()
 			pending++
-			inv := b.pool.get()
+			inv := b.pool.Get()
 			inv.Type, inv.To, inv.Block, inv.Req = Inv, RoleL1, block, req.Req
 			send(b.sys.Net, b.node, s, inv, cycle)
 			e.sharers.del(s)
@@ -236,7 +229,7 @@ func (b *L2Bank) advance(block uint64, cycle int64) {
 		b.misses.Inc()
 		t.waitMem = true
 		t.wentToMem = true
-		rd := b.pool.get()
+		rd := b.pool.Get()
 		rd.Type, rd.To, rd.Block, rd.Req = MemRead, RoleMem, block, req.Req
 		send(b.sys.Net, b.node, b.sys.MemFor(block), rd, cycle)
 		return
@@ -252,13 +245,13 @@ func (b *L2Bank) advance(block uint64, cycle int64) {
 		if e.hasOwner && e.owner == req.Req {
 			e.hasOwner = false
 		}
-		resp := b.pool.get()
+		resp := b.pool.Get()
 		resp.Type, resp.To, resp.Block, resp.Req = DataResp, RoleL1, block, req.Req
 		send(b.sys.Net, b.node, req.Req, resp, cycle)
 	} else {
 		e.owner, e.hasOwner = req.Req, true
 		e.sharers.clear()
-		resp := b.pool.get()
+		resp := b.pool.Get()
 		resp.Type, resp.To, resp.Block, resp.Req = DataRespX, RoleL1, block, req.Req
 		send(b.sys.Net, b.node, req.Req, resp, cycle)
 	}
@@ -268,14 +261,14 @@ func (b *L2Bank) advance(block uint64, cycle int64) {
 // complete retires the active transaction; the oldest pending request
 // (if any) restarts the slot in place.
 func (b *L2Bank) complete(block uint64) {
-	i, ok := b.txnTab.get(block)
+	i, ok := b.txnTab.Get(block)
 	if !ok {
 		return
 	}
-	t := &b.txnSlots[i]
+	t := b.txns.At(i)
 	if len(t.pending) == 0 {
-		b.txnTab.del(block)
-		b.txnFree = append(b.txnFree, i)
+		b.txnTab.Del(block)
+		b.txns.Free(i)
 		return
 	}
 	t.req = t.pending[0]
@@ -287,7 +280,7 @@ func (b *L2Bank) complete(block uint64) {
 // fill installs a block in the data array, writing back a dirty victim.
 func (b *L2Bank) fill(block uint64, dirty bool, cycle int64) {
 	if v, evicted := b.cache.Fill(block, true, dirty); evicted && v.Dirty {
-		wb := b.pool.get()
+		wb := b.pool.Get()
 		wb.Type, wb.To, wb.Block, wb.Req = MemWrite, RoleMem, v.Block, noc.NodeID(b.node)
 		send(b.sys.Net, b.node, b.sys.MemFor(v.Block), wb, cycle)
 	}

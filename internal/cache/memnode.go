@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 
+	"snacknoc/internal/flat"
 	"snacknoc/internal/mem"
 	"snacknoc/internal/noc"
 )
@@ -13,8 +14,8 @@ type MemNode struct {
 	sys   *System
 	node  noc.NodeID
 	ctrl  *mem.Controller
-	pool  *msgPool
-	reads slab[Msg] // the MemReads whose DRAM access is in flight
+	pool  *flat.Pool[Msg]
+	reads flat.Slots[Msg] // the MemReads whose DRAM access is in flight
 }
 
 func newMemNode(sys *System, node noc.NodeID, ctrl *mem.Controller) *MemNode {
@@ -32,20 +33,20 @@ func (m *MemNode) handle(msg *Msg, cycle int64) {
 	addr := msg.Block * BlockBytes
 	switch msg.Type {
 	case MemRead:
-		m.ctrl.AccessCall(addr, false, m, m.reads.park(*msg))
+		m.ctrl.AccessCall(addr, false, m, int64(m.reads.Park(*msg)))
 	case MemWrite:
 		m.ctrl.Access(addr, true)
 	default:
 		panic(fmt.Sprintf("mem %d: unexpected message %s", m.node, msg.Type))
 	}
-	m.pool.put(msg)
+	m.pool.Put(msg)
 }
 
 // OnCall implements sim.Callee: the DRAM read parked in slot has its
 // data, which goes back to the requesting bank.
 func (m *MemNode) OnCall(slot, at int64) {
-	r := m.reads.take(slot)
-	resp := m.pool.get()
+	r := m.reads.Take(int32(slot))
+	resp := m.pool.Get()
 	resp.Type, resp.To, resp.Block, resp.Req = MemResp, RoleL2, r.Block, r.Req
 	send(m.sys.Net, m.node, r.From, resp, at)
 }

@@ -15,6 +15,9 @@ type nodeSet struct {
 	w [2]uint64
 }
 
+// maxNodes is the largest mesh a nodeSet covers.
+const maxNodes = len(nodeSet{}.w) * 64
+
 func (s *nodeSet) add(n noc.NodeID)      { s.w[n>>6] |= 1 << (uint(n) & 63) }
 func (s *nodeSet) del(n noc.NodeID)      { s.w[n>>6] &^= 1 << (uint(n) & 63) }
 func (s *nodeSet) has(n noc.NodeID) bool { return s.w[n>>6]&(1<<(uint(n)&63)) != 0 }

@@ -82,47 +82,6 @@ func TestDowngradeIdempotent(t *testing.T) {
 	}
 }
 
-// TestBlockTableMatchesMapProperty: under any interleaving of puts,
-// deletes and lookups, the open-addressed block table answers exactly
-// like a built-in map. Deletions exercise the backward-shift path with
-// colliding keys (many blocks land in one probe run).
-func TestBlockTableMatchesMapProperty(t *testing.T) {
-	f := func(ops []uint16) bool {
-		var tab blockTable
-		ref := make(map[uint64]int32)
-		for i, op := range ops {
-			// A small key space forces probe-run collisions.
-			key := uint64(op % 97)
-			switch op % 3 {
-			case 0:
-				tab.put(key, int32(i))
-				ref[key] = int32(i)
-			case 1:
-				tab.del(key)
-				delete(ref, key)
-			case 2:
-				v, ok := tab.get(key)
-				rv, rok := ref[key]
-				if ok != rok || (ok && v != rv) {
-					return false
-				}
-			}
-			if tab.n != len(ref) {
-				return false
-			}
-		}
-		for k, rv := range ref {
-			if v, ok := tab.get(k); !ok || v != rv {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestL2DirectoryMatchesMapProperty: the flat directory (slab + block
 // table, entries never deleted) behaves exactly like the map-based
 // directory it replaced under a random request stream — every lookup
@@ -157,11 +116,11 @@ func TestL2DirectoryMatchesMapProperty(t *testing.T) {
 				re.hasOwner = false
 			}
 		}
-		if len(b.dirSlots) != len(ref) || b.dirTab.n != len(ref) {
+		if len(b.dirSlots) != len(ref) || b.dirTab.Len() != len(ref) {
 			return false
 		}
 		for block, re := range ref {
-			i, ok := b.dirTab.get(block)
+			i, ok := b.dirTab.Get(block)
 			if !ok || b.dirBlocks[i] != block {
 				return false
 			}

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"snacknoc/internal/attrib"
+	"snacknoc/internal/flat"
 	"snacknoc/internal/mem"
 	"snacknoc/internal/stats"
 )
@@ -81,7 +82,7 @@ type l1State struct {
 	mshrSlab []mshrEntry
 	mshrFree int32
 	mshrN    int
-	parked   slab[parkedAccess]
+	parked   flat.Slots[parkedAccess]
 	hits     int64
 	misses   int64
 	latSum   int64
@@ -105,7 +106,7 @@ func (l *L1) state() l1State {
 		attrib:     l.attrib,
 		attribLast: l.attribLast,
 	}
-	s.parked.copyFrom(&l.parked)
+	s.parked.CopyFrom(&l.parked, nil)
 	return s
 }
 
@@ -114,7 +115,7 @@ func (l *L1) restore(s *l1State) {
 	l.mshrHead = s.mshrHead
 	l.mshrSlab = copySlots(l.mshrSlab, s.mshrSlab)
 	l.mshrFree, l.mshrN = s.mshrFree, s.mshrN
-	l.parked.copyFrom(&s.parked)
+	l.parked.CopyFrom(&s.parked, nil)
 	l.hits.Restore(stats.CounterState{N: s.hits})
 	l.misses.Restore(stats.CounterState{N: s.misses})
 	l.latSum, l.latCount = s.latSum, s.latCount
@@ -125,12 +126,11 @@ func (l *L1) restore(s *l1State) {
 // l2State is one bank's saved state.
 type l2State struct {
 	cache     CacheState
-	dirTab    blockTable
+	dirTab    flat.Table[uint64]
 	dirSlots  []dirEntry
 	dirBlocks []uint64
-	txnTab    blockTable
-	txnSlots  []l2txn
-	txnFree   []int32
+	txnTab    flat.Table[uint64]
+	txns      flat.Slots[l2txn]
 
 	hits, misses int64
 	recalls      int64
@@ -142,26 +142,24 @@ func (b *L2Bank) state() l2State {
 		cache:     b.cache.State(),
 		dirSlots:  slices.Clone(b.dirSlots),
 		dirBlocks: slices.Clone(b.dirBlocks),
-		txnSlots:  copySlots(nil, b.txnSlots),
-		txnFree:   slices.Clone(b.txnFree),
 		hits:      b.hits.Value(),
 		misses:    b.misses.Value(),
 		recalls:   b.recalls.Value(),
 		invs:      b.invs.Value(),
 	}
-	s.dirTab.copyFrom(&b.dirTab)
-	s.txnTab.copyFrom(&b.txnTab)
+	s.dirTab.CopyFrom(&b.dirTab)
+	s.txnTab.CopyFrom(&b.txnTab)
+	s.txns.CopyFrom(&b.txns, (*l2txn).copyFrom)
 	return s
 }
 
 func (b *L2Bank) restore(s *l2State) {
 	b.cache.Restore(s.cache)
-	b.dirTab.copyFrom(&s.dirTab)
+	b.dirTab.CopyFrom(&s.dirTab)
 	b.dirSlots = append(b.dirSlots[:0], s.dirSlots...)
 	b.dirBlocks = append(b.dirBlocks[:0], s.dirBlocks...)
-	b.txnTab.copyFrom(&s.txnTab)
-	b.txnSlots = copySlots(b.txnSlots, s.txnSlots)
-	b.txnFree = append(b.txnFree[:0], s.txnFree...)
+	b.txnTab.CopyFrom(&s.txnTab)
+	b.txns.CopyFrom(&s.txns, (*l2txn).copyFrom)
 	b.hits.Restore(stats.CounterState{N: s.hits})
 	b.misses.Restore(stats.CounterState{N: s.misses})
 	b.recalls.Restore(stats.CounterState{N: s.recalls})
@@ -174,7 +172,7 @@ type SystemState struct {
 	l1s   []l1State
 	l2s   []l2State
 	mems  []mem.ControllerState
-	reads []slab[Msg]
+	reads []flat.Slots[Msg]
 }
 
 // State captures every controller in the hierarchy.
@@ -182,7 +180,7 @@ func (s *System) State() *SystemState {
 	st := &SystemState{
 		l1s:   make([]l1State, len(s.L1s)),
 		l2s:   make([]l2State, len(s.L2s)),
-		reads: make([]slab[Msg], len(s.memNodes)),
+		reads: make([]flat.Slots[Msg], len(s.memNodes)),
 	}
 	for i, l := range s.L1s {
 		st.l1s[i] = l.state()
@@ -192,7 +190,7 @@ func (s *System) State() *SystemState {
 	}
 	for i, mn := range s.memNodes {
 		st.mems = append(st.mems, s.Mems[mn].ctrl.State())
-		st.reads[i].copyFrom(&s.Mems[mn].reads)
+		st.reads[i].CopyFrom(&s.Mems[mn].reads, nil)
 	}
 	return st
 }
@@ -207,6 +205,6 @@ func (s *System) Restore(st *SystemState) {
 	}
 	for i, mn := range s.memNodes {
 		s.Mems[mn].ctrl.Restore(st.mems[i])
-		s.Mems[mn].reads.copyFrom(&st.reads[i])
+		s.Mems[mn].reads.CopyFrom(&st.reads[i], nil)
 	}
 }

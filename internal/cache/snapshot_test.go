@@ -19,11 +19,11 @@ func parkedEvents(s *System) (l1, dram, l1Free, dramFree int) {
 		}
 	}
 	for _, l := range s.L1s {
-		count(l.parked.live(), len(l.parked.free), &l1, &l1Free)
+		count(l.parked.Live(), len(l.parked.FreeSlots()), &l1, &l1Free)
 	}
 	for _, mn := range s.memNodes {
 		r := &s.Mems[mn].reads
-		count(r.live(), len(r.free), &dram, &dramFree)
+		count(r.Live(), len(r.FreeSlots()), &dram, &dramFree)
 	}
 	return
 }
@@ -35,10 +35,11 @@ func slabLayout(s *System) string {
 	var out string
 	for i, l := range s.L1s {
 		out += fmt.Sprintf("l1.%d", i)
-		for _, p := range l.parked.recs {
+		for k := range int32(l.parked.Len()) {
+			p := l.parked.At(k)
 			out += fmt.Sprintf(" {%d %v %v %d %d %v}", p.block, p.write, p.retry, p.starts, p.misses, p.done != nil)
 		}
-		out += fmt.Sprintf(" free %v\n mshr %v", l.parked.free, l.mshrHead)
+		out += fmt.Sprintf(" free %v\n mshr %v", l.parked.FreeSlots(), l.mshrHead)
 		for _, m := range l.mshrSlab {
 			out += fmt.Sprintf(" {%d %v %d %d %d}", m.block, m.write, len(m.waiters), len(m.retry), m.next)
 		}
@@ -46,13 +47,14 @@ func slabLayout(s *System) string {
 	}
 	for i, b := range s.L2s {
 		out += fmt.Sprintf("l2.%d", i)
-		for _, t := range b.txnSlots {
+		for k := range int32(b.txns.Len()) {
+			t := b.txns.At(k)
 			out += fmt.Sprintf(" {%v %v %t%t%t %d}", t.req, t.pending, t.waitRecall, t.waitMem, t.wentToMem, t.needAcks)
 		}
-		out += fmt.Sprintf(" free %v\n", b.txnFree)
+		out += fmt.Sprintf(" free %v\n", b.txns.FreeSlots())
 	}
 	for _, mn := range s.memNodes {
-		out += fmt.Sprintf("mem.%d %v free %v\n", mn, s.Mems[mn].reads.recs, s.Mems[mn].reads.free)
+		out += fmt.Sprintf("mem.%d %v\n", mn, s.Mems[mn].reads)
 	}
 	return out
 }

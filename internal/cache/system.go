@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"snacknoc/internal/attrib"
+	"snacknoc/internal/flat"
 	"snacknoc/internal/mem"
 	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
@@ -57,19 +58,23 @@ type System struct {
 
 	memNodes []noc.NodeID
 
-	// pools holds one protocol-message free list per shard engine; every
+	// pools holds one protocol-message pool per shard engine; every
 	// controller allocates and frees through the pool of the engine it
-	// runs on, so no pool is ever shared between goroutines.
-	pools map[*sim.Engine]*msgPool
+	// runs on, so no pool is ever shared between goroutines. A message
+	// migrates between pools (an L1 gets a GetS its home bank puts) and
+	// has one holder at a time: the receiving handler puts it when it
+	// returns, and whatever keeps one longer keeps a copy, so between
+	// deliveries the packet carrying it is its only holder.
+	pools map[*sim.Engine]*flat.Pool[Msg]
 }
 
 // poolFor returns the message pool of one shard engine, creating it on
 // first use.
-func (s *System) poolFor(eng *sim.Engine) *msgPool {
+func (s *System) poolFor(eng *sim.Engine) *flat.Pool[Msg] {
 	if p, ok := s.pools[eng]; ok {
 		return p
 	}
-	p := &msgPool{}
+	p := &flat.Pool[Msg]{}
 	s.pools[eng] = p
 	return p
 }
@@ -77,12 +82,15 @@ func (s *System) poolFor(eng *sim.Engine) *msgPool {
 // NewSystem builds the hierarchy on an existing network.
 func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, error) {
 	nodes := net.Cfg().Nodes()
+	if nodes > maxNodes {
+		return nil, fmt.Errorf("cache: a %d-node mesh exceeds the directory's %d-node sharer sets", nodes, maxNodes)
+	}
 	s := &System{
 		Eng:   eng,
 		Net:   net,
 		cfg:   cfg,
 		Mems:  make(map[noc.NodeID]*MemNode),
-		pools: make(map[*sim.Engine]*msgPool),
+		pools: make(map[*sim.Engine]*flat.Pool[Msg]),
 	}
 	s.memNodes = cfg.MemNodes
 	if len(s.memNodes) == 0 {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 
 	"snacknoc/internal/noc"
@@ -330,5 +331,25 @@ func TestL1MissAllocatesNoClosure(t *testing.T) {
 	}
 	if err := sys.CheckDrained(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewSystemBoundsTheMesh: a sharer set covers 128 nodes, so Fig
+// 13's 16x8 mesh builds and a 16x9 one is an error that names the bound
+// rather than an index panic at the first shared block.
+func TestNewSystemBoundsTheMesh(t *testing.T) {
+	for _, h := range []int{8, 9} {
+		eng := sim.NewEngine()
+		net, err := noc.New(eng, noc.BiNoCHS(16, h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewSystem(eng, net, DefaultSystemConfig())
+		if h == 8 && err != nil {
+			t.Fatalf("16x8: %v", err)
+		}
+		if h == 9 && (err == nil || !strings.Contains(err.Error(), "128")) {
+			t.Fatalf("16x9: err = %v, want the 128-node bound", err)
+		}
 	}
 }

@@ -163,7 +163,7 @@ func TestForkDeterminism(t *testing.T) {
 			// begin with cores in both kinds of stall.
 			blocked, idle := 0, 0
 			for _, c := range s.work.State().Cores {
-				if c.Blocked {
+				if c.Blocked() {
 					blocked++
 				}
 				if c.Idle {

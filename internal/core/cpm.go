@@ -5,6 +5,7 @@ import (
 
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/fixed"
+	"snacknoc/internal/flat"
 	"snacknoc/internal/mem"
 	"snacknoc/internal/noc"
 	"snacknoc/internal/stats"
@@ -92,14 +93,14 @@ type CPM struct {
 	// RCU so instruction issue never serializes against the memory
 	// controller's response traffic at the node's NI.
 	port *noc.InjectPort
-	pool *TokenPool // engine-local; nil falls back to plain allocation
+	pool *TokenPool // its engine's; the Platform wires it
 
 	// prog is the submitted program itself — immutable and shared, never
 	// a copy; entries become private tokens as they are sent.
 	prog     *Program
 	onDone   func(*Result)
 	result   *Result
-	instrBuf ring[int32] // fetched, unstaged entries of prog, by index
+	instrBuf flat.Ring[int32] // fetched, unstaged entries of prog, by index
 
 	// nsBase is this CPM's namespace, OR-ed into every dependency and
 	// sub-block ID it issues (see assemble).
@@ -179,17 +180,13 @@ func NewCPM(cfg CPMConfig, net *noc.Network, ctrl *mem.Controller) *CPM {
 		snackALO: noc.NewSnackALODetector(r, net.Loop().Next(cfg.Node), cfg.SnackALOThreshold, cfg.ALOHysteresis),
 		// refill keeps the buffer under InstrBufCap entries counting the
 		// reads in flight, so one transaction past it never overflows.
-		instrBuf:   ring[int32]{buf: make([]int32, cfg.InstrBufCap+cfg.EntriesPerTxn)},
+		instrBuf:   flat.RingOver(make([]int32, cfg.InstrBufCap+cfg.EntriesPerTxn)),
 		cpmScalars: cpmScalars{staged: stageNone},
 	}
 }
 
 // SetPort installs the router injection port; the Platform wires it.
 func (c *CPM) SetPort(p *noc.InjectPort) { c.port = p }
-
-// SetPool installs the engine-local token pool; the Platform wires one
-// per shard. A nil pool (direct NewCPM construction) allocates.
-func (c *CPM) SetPool(p *TokenPool) { c.pool = p }
 
 // Name implements sim.Component.
 func (c *CPM) Name() string { return fmt.Sprintf("cpm%d", c.cfg.Node) }
@@ -250,7 +247,7 @@ func (c *CPM) Submit(p *Program, cycle int64, onDone func(*Result)) bool {
 	c.state = StateLoading
 	c.fetched = 0
 	c.inflight = 0
-	c.instrBuf.head, c.instrBuf.n = 0, 0
+	c.instrBuf.Restore(nil)
 	c.resultsGot = 0
 	c.writesOut = 0
 	c.pendingWB = 0
@@ -336,13 +333,13 @@ func (c *CPM) Evaluate(cycle int64) {
 		return
 	}
 	c.reinjecting = true
-	if c.instrBuf.n == 0 {
+	if c.instrBuf.Len() == 0 {
 		// Resources were free but the program has nothing left to stage:
 		// the CPM is drained, waiting only on in-flight completions.
 		c.attrib.Inc(attrib.CPMDrained)
 		return
 	}
-	c.staged = int32(c.prog.Entries[c.instrBuf.pop()])
+	c.staged = int32(c.prog.Entries[c.instrBuf.Pop()])
 	if c.staged < 0 {
 		c.stagedTok, c.staged = c.prog.Datas[^c.staged], stageData
 		c.stagedTok.Dep |= c.nsBase
@@ -358,11 +355,11 @@ func (c *CPM) Advance(cycle int64) {
 		return
 	}
 	if c.staged == stageData {
-		d := c.pool.GetData()
+		d := c.pool.data.Get()
 		*d = c.stagedTok
 		c.port.Send(c.loop.Next(c.cfg.Node), d, true, cycle)
 	} else {
-		it := c.pool.GetInstr()
+		it := c.pool.instr.Get()
 		c.assemble(it, &c.prog.Instrs[c.staged])
 		c.port.Send(it.Dst, it, false, cycle)
 	}
@@ -381,7 +378,7 @@ func (c *CPM) refill(cycle int64) {
 	total := len(c.prog.Entries)
 	for c.inflight < c.cfg.FetchAhead &&
 		c.fetched < total &&
-		c.instrBuf.n+c.inflight*c.cfg.EntriesPerTxn < c.cfg.InstrBufCap {
+		c.instrBuf.Len()+c.inflight*c.cfg.EntriesPerTxn < c.cfg.InstrBufCap {
 		lo := c.fetched
 		hi := lo + c.cfg.EntriesPerTxn
 		if hi > total {
@@ -411,7 +408,7 @@ func (f *cpmFetchDone) OnCall(lo, _ int64) {
 	c.inflight--
 	hi := min(int(lo)+c.cfg.EntriesPerTxn, len(c.prog.Entries))
 	for i := int32(lo); i < int32(hi); i++ {
-		c.instrBuf.push(i)
+		c.instrBuf.Push(i)
 	}
 	if c.state == StateLoading {
 		c.state = StateRunning
@@ -450,7 +447,7 @@ func (c *CPM) Deliver(p *noc.Packet, cycle int64) {
 		panic(fmt.Sprintf("cpm: result token %s has no output slot", tok))
 	}
 	c.result.Values[slot] = tok.V
-	c.pool.PutData(tok) // the result is recorded; the token is consumed
+	c.pool.data.Put(tok) // the result is recorded; the token is consumed
 	c.resultsGot++
 	c.pendingWB++
 	if c.pendingWB >= c.cfg.ResultBatch || c.resultsGot == c.prog.NumOutputs {
@@ -482,7 +479,7 @@ func (c *CPM) maybeFinish(cycle int64) {
 }
 
 // InstrBufLen returns the fetched-but-unstaged entry count (debug).
-func (c *CPM) InstrBufLen() int { return c.instrBuf.n }
+func (c *CPM) InstrBufLen() int { return c.instrBuf.Len() }
 
 // Fetched returns how many command-stream entries have had their memory
 // read issued; below the program's length the kernel is mid-stream.
@@ -507,7 +504,7 @@ func (c *CPM) WantsOverflowCapture(cycle int64) bool {
 // memory as one 64 B transaction.
 func (c *CPM) CaptureOverflow(tok *DataToken, cycle int64) {
 	c.offload = append(c.offload, *tok)
-	c.pool.PutData(tok)
+	c.pool.data.Put(tok)
 	c.offloaded.Inc()
 	if n := len(c.offload); n >= c.cfg.OffloadBufFlits {
 		c.offloadPending = append(c.offloadPending, c.offload...)

@@ -24,7 +24,7 @@ func (p *Platform) CheckGroups() (waiting, idle, runnable int, err error) {
 				}
 			case has == r.parkable():
 				return 0, 0, 0, fmt.Errorf("%s: runnable=%v but exec=%v inbox=%d results=%d",
-					r.Name(), has, r.exec >= 0, len(r.inbox), r.outQ.n)
+					r.Name(), has, r.exec >= 0, len(r.inbox), r.outQ.Len())
 			case has:
 				runnable++
 			case r.parkedFrom > g.turn:
@@ -37,4 +37,27 @@ func (p *Platform) CheckGroups() (waiting, idle, runnable int, err error) {
 		}
 	}
 	return waiting, idle, runnable, nil
+}
+
+// CheckDrained is the token-conservation check: on a platform whose
+// kernels have all completed, without a checkpoint restore, every pooled
+// token is back in a pool. Tokens migrate between the engines' pools, so
+// it sums gets minus puts over all of them.
+func (p *Platform) CheckDrained() error {
+	pools := map[*TokenPool]bool{}
+	for _, r := range p.RCUs {
+		pools[r.pool] = true
+	}
+	for _, c := range p.CPMs {
+		pools[c.pool] = true
+	}
+	instr, data := 0, 0
+	for tp := range pools {
+		instr += tp.instr.Out()
+		data += tp.data.Out()
+	}
+	if instr != 0 || data != 0 {
+		return fmt.Errorf("core: %d instruction and %d data tokens outstanding after the kernel", instr, data)
+	}
+	return nil
 }

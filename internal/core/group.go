@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"snacknoc/internal/attrib"
-	"snacknoc/internal/sim"
+	"snacknoc/internal/flat"
 )
 
 // rcuGroup steps the RCUs of one engine as a single component, so a
@@ -29,7 +29,7 @@ type rcuGroup struct {
 	// node: the group of one shard leaves the bits of the other shards'
 	// nodes clear.
 	rcus     []RCU
-	runnable sim.IndexSet
+	runnable flat.IndexSet
 	// instrs holds the instructions of the group's RCUs.
 	instrs instrSlab
 	// turn is the next cycle the group's RCUs are stepped in: the current
@@ -78,7 +78,7 @@ func (g *rcuGroup) Settle() {
 // result awaits injection. Queued instructions may remain — none of them
 // is ready, or dispatch would have started one.
 func (r *RCU) parkable() bool {
-	return r.exec < 0 && len(r.inbox) == 0 && r.outQ.n == 0
+	return r.exec < 0 && len(r.inbox) == 0 && r.outQ.Len() == 0
 }
 
 // Parked reports whether the RCU is out of its group's runnable set.

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"snacknoc/internal/fixed"
+	"snacknoc/internal/flat"
 	"snacknoc/internal/noc"
+	"snacknoc/internal/sim"
 )
 
 // sgemmProg builds the command stream the compiler emits for an n×n
@@ -114,7 +116,7 @@ func TestRepeatRunIsAllocationFree(t *testing.T) {
 // as they are sent, returned as they are consumed or copied into an RCU
 // — so the pool only ever holds what was in the network, not the
 // program. (Stamping the whole program at Submit left 110 592 tokens to
-// free, overflowing tokenPoolCap into the GC.)
+// free, overflowing flat.PoolCap into the GC.)
 func TestTokenPoolRecyclesWithinOneKernel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 110k-instruction kernel")
@@ -128,17 +130,17 @@ func TestTokenPoolRecyclesWithinOneKernel(t *testing.T) {
 	// free lists are at their high-water mark.
 	pool := p.CPM.pool
 	bound := 4 * p.CPM.cfg.InstrBufCap
-	if bound >= tokenPoolCap {
-		t.Fatalf("test bound %d does not sit under tokenPoolCap %d", bound, tokenPoolCap)
+	if bound >= flat.PoolCap {
+		t.Fatalf("test bound %d does not sit under flat.PoolCap %d", bound, flat.PoolCap)
 	}
-	if n := len(pool.instr); n == 0 || n > bound {
+	if n := pool.instr.Idle(); n == 0 || n > bound {
 		t.Fatalf("instruction free list holds %d tokens after %d instructions, want 1..%d",
 			n, len(prog.Entries), bound)
 	}
-	if n := len(pool.data); n == 0 || n > bound {
+	if n := pool.data.Idle(); n == 0 || n > bound {
 		t.Fatalf("data free list holds %d tokens, want 1..%d", n, bound)
 	}
-	t.Logf("%d instructions ran on %d instruction and %d data tokens", len(prog.Entries), len(pool.instr), len(pool.data))
+	t.Logf("%d instructions ran on %d instruction and %d data tokens", len(prog.Entries), pool.instr.Idle(), pool.data.Idle())
 }
 
 // TestFirstRunAllocatesLikeARepeat: a platform is built at its working
@@ -167,5 +169,43 @@ func TestFirstRunAllocatesLikeARepeat(t *testing.T) {
 	}
 	if build >= 128 {
 		t.Fatalf("building the platform allocated %.0f objects, want < 128", build)
+	}
+}
+
+// TestKernelsReturnEveryToken runs kernels back to back on fresh
+// platforms, unsharded and at two shards — a dependency fan-out and an
+// SGEMM, then a token storm that spills through the CPM's overflow path
+// — and requires every pooled token to be back in a pool after each
+// kernel.
+func TestKernelsReturnEveryToken(t *testing.T) {
+	fanOut := func() *Program {
+		b := newProg("fanout")
+		x := b.dep()
+		b.data(x, 2, 4)
+		for i := 0; i < 4; i++ {
+			out := b.dep()
+			b.instr(InstrToken{Op: OpMul, Dst: noc.NodeID(3 + i*4), L: Ref(x),
+				R: Imm32(fixed.FromInt(i + 1)), Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
+			b.output(out)
+		}
+		return b.build(t)
+	}
+	for _, shards := range []int{1, 2} {
+		for _, run := range [][]*Program{{fanOut(), sgemmProg(8), fanOut()}, {buildTokenStorm(600), fanOut()}} {
+			cfg := DefaultPlatformConfig()
+			cfg.Shards = shards
+			p, err := NewStandalone(sim.NewEngine(), 4, 4, true, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, prog := range run {
+				if _, err := p.Run(prog, 5_000_000); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.CheckDrained(); err != nil {
+					t.Fatalf("shards %d, after %s: %v", shards, prog.Name, err)
+				}
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/cache"
+	"snacknoc/internal/flat"
 	"snacknoc/internal/mem"
 	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
@@ -115,6 +116,9 @@ func NewStandaloneOn(eng *sim.Engine, nc *noc.Config, cfg PlatformConfig) (*Plat
 	if c.Shards > c.Width {
 		c.Shards = c.Width
 	}
+	if err := checkCPMNode(&c, cfg.CPM.Node); err != nil {
+		return nil, err
+	}
 	net, err := noc.New(eng, &c)
 	if err != nil {
 		return nil, err
@@ -141,10 +145,19 @@ func Attach(eng *sim.Engine, net *noc.Network, ctrl *mem.Controller, cfg Platfor
 	if nc.SnackVNet < 0 || !nc.ComputePort {
 		return nil, fmt.Errorf("core: network %q lacks a snack vnet or compute ports", nc.Name)
 	}
-	if int(cfg.CPM.Node) < 0 || int(cfg.CPM.Node) >= nc.Nodes() {
-		return nil, fmt.Errorf("core: CPM node %d outside mesh", cfg.CPM.Node)
+	if err := checkCPMNode(nc, cfg.CPM.Node); err != nil {
+		return nil, err
 	}
 	return attach(eng, net, cfg.RCU, []CPMConfig{cfg.CPM}, []*mem.Controller{ctrl})
+}
+
+// checkCPMNode rejects a CPM node outside the mesh, before anything
+// indexes a per-node table with it.
+func checkCPMNode(nc *noc.Config, node noc.NodeID) error {
+	if int(node) < 0 || int(node) >= nc.Nodes() {
+		return fmt.Errorf("core: CPM node %d outside mesh", node)
+	}
+	return nil
 }
 
 // attach wires RCUs at every node and one CPM (with its own memory
@@ -193,7 +206,7 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 	resFor := func(node noc.NodeID) *shardRes {
 		e := net.EngFor(node)
 		if shard[e] == nil {
-			shard[e] = &shardRes{pool: NewTokenPool(), comps: 1}
+			shard[e] = &shardRes{pool: new(TokenPool), comps: 1}
 		}
 		return shard[e]
 	}
@@ -222,7 +235,7 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 		port := net.AttachCompute(node, hook)
 		rcu.SetPort(port)
 		res := resFor(node)
-		rcu.SetPool(res.pool)
+		rcu.pool = res.pool
 		if cpm := byNode[node]; cpm != nil {
 			// A CPM shares its router's compute port with the local RCU
 			// (Fig 5): instruction issue enters the crossbar directly
@@ -236,14 +249,14 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 		if res.group == nil { // this engine's first node
 			e := net.EngFor(node)
 			p.groups = append(p.groups, rcuGroup{id: len(p.groups), rcus: rcus,
-				runnable: carve(&sets, words), instrs: instrSlab{free: -1}, turn: e.Cycle()})
+				runnable: flat.Carve(&sets, words), instrs: instrSlab{free: -1}, turn: e.Cycle()})
 			res.group = &p.groups[len(p.groups)-1]
 			e.Register(res.group)
 		}
 		rcu.g, rcu.parkedFrom, rcu.instrs = res.group, res.group.turn, &res.group.instrs
 	}
 	for _, cpm := range p.CPMs {
-		cpm.SetPool(resFor(cpm.Node()).pool)
+		cpm.pool = resFor(cpm.Node()).pool
 		net.EngFor(cpm.Node()).Register(cpm)
 	}
 	return p, nil
@@ -265,6 +278,9 @@ func NewStandaloneMulti(eng *sim.Engine, width, height int, priority bool, rcu R
 	cfgs := make([]CPMConfig, len(nodes))
 	ctrls := make([]*mem.Controller, len(nodes))
 	for i, n := range nodes {
+		if err := checkCPMNode(net.Cfg(), n); err != nil {
+			return nil, err
+		}
 		cfgs[i] = DefaultCPMConfig(n)
 		ctrls[i], err = mem.New(net.EngFor(n), mem.DefaultConfig())
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/fixed"
+	"snacknoc/internal/flat"
 	"snacknoc/internal/noc"
 	"snacknoc/internal/stats"
 	"snacknoc/internal/trace"
@@ -146,7 +147,7 @@ type RCU struct {
 	port    *noc.InjectPort
 	loop    *noc.LoopRoute
 	cpmNode noc.NodeID
-	pool    *TokenPool // engine-local; nil falls back to plain allocation
+	pool    *TokenPool // its engine's, wired by the Platform
 
 	// g steps this RCU; nil for one built by NewRCU and driven directly,
 	// which never parks. While the RCU is out of g's runnable set,
@@ -157,7 +158,7 @@ type RCU struct {
 
 	instrs *instrSlab // shared with the RCUs of the same engine
 	rcuSlabs
-	outQ ring[outToken]
+	outQ flat.Ring[outToken]
 
 	// tr records operand/compute events; nil disables tracing.
 	tr *trace.Tracer
@@ -170,27 +171,22 @@ type rcuSlabs struct {
 	inbox []inboxEntry
 	nodes []instrNode // shared slab for sub-block queues and waiting lists
 
-	sbSlots  []sbState
-	sbFree   []int32
-	sbActive []int32  // live sub-block slots, in arrival order
-	sbTab    u32Table // SubBlock id -> sbSlots index
-
-	waitSlots []waitList
-	waitFree  []int32
-	waitTab   u32Table // DepID -> waitSlots index
+	sbs      flat.Slots[sbState]
+	sbActive []int32            // live sub-block slots, in arrival order
+	sbTab    flat.Table[uint32] // SubBlock id -> sbs slot
+	waits    flat.Slots[waitList]
+	waitTab  flat.Table[uint32] // DepID -> waits slot
 }
 
 // copyFrom makes s a slot-for-slot copy of o, reusing s's storage.
 func (s *rcuSlabs) copyFrom(o *rcuSlabs) {
 	s.inbox = append(s.inbox[:0], o.inbox...)
 	s.nodes = append(s.nodes[:0], o.nodes...)
-	s.sbSlots = append(s.sbSlots[:0], o.sbSlots...)
-	s.sbFree = append(s.sbFree[:0], o.sbFree...)
+	s.sbs.CopyFrom(&o.sbs, nil)
 	s.sbActive = append(s.sbActive[:0], o.sbActive...)
-	s.sbTab.copyFrom(&o.sbTab)
-	s.waitSlots = append(s.waitSlots[:0], o.waitSlots...)
-	s.waitFree = append(s.waitFree[:0], o.waitFree...)
-	s.waitTab.copyFrom(&o.waitTab)
+	s.sbTab.CopyFrom(&o.sbTab)
+	s.waits.CopyFrom(&o.waits, nil)
+	s.waitTab.CopyFrom(&o.waitTab)
 }
 
 // rcuScalars is an RCU's mutable state outside its slabs and ring; a
@@ -227,6 +223,7 @@ func NewRCU(cfg RCUConfig, node noc.NodeID, loop *noc.LoopRoute, cpmNode noc.Nod
 		node:       node,
 		loop:       loop,
 		cpmNode:    cpmNode,
+		pool:       new(TokenPool),
 		instrs:     &instrSlab{free: -1},
 		rcuScalars: rcuScalars{nodeFree: -1, exec: -1},
 	}
@@ -264,45 +261,30 @@ func newRCUs(cfg RCUConfig, nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) 
 	live := make([]bool, nodes*tabCap)
 	inbox := make([]inboxEntry, nodes*rcuInboxCap)
 	outQ := make([]outToken, nodes*rcuOutQCap)
-	tab := func(n int) u32Table {
-		return u32Table{keys: carve(&keys, n), vals: carve(&idx, n), live: carve(&live, n)}
+	tab := func(n int) flat.Table[uint32] {
+		return flat.TableOver(flat.Carve(&keys, n), flat.Carve(&idx, n), flat.Carve(&live, n))
 	}
 	for i := range rcus {
 		rcus[i] = RCU{
 			cfg: cfg, node: noc.NodeID(i), loop: loop, cpmNode: cpmNode,
 			rcuSlabs: rcuSlabs{
-				inbox:     carve(&inbox, rcuInboxCap)[:0],
-				nodes:     carve(&cells, rcuCellCap)[:0],
-				sbSlots:   carve(&sbSlots, rcuSBCap)[:0],
-				sbFree:    carve(&idx, rcuSBCap)[:0],
-				sbActive:  carve(&idx, rcuSBCap)[:0],
-				sbTab:     tab(rcuSBTabCap),
-				waitSlots: carve(&waitSlots, rcuWaitCap)[:0],
-				waitFree:  carve(&idx, rcuWaitCap)[:0],
-				waitTab:   tab(rcuWaitTabCap),
+				inbox:    flat.Carve(&inbox, rcuInboxCap)[:0],
+				nodes:    flat.Carve(&cells, rcuCellCap)[:0],
+				sbs:      flat.SlotsOver(flat.Carve(&sbSlots, rcuSBCap), flat.Carve(&idx, rcuSBCap)),
+				sbActive: flat.Carve(&idx, rcuSBCap)[:0],
+				sbTab:    tab(rcuSBTabCap),
+				waits:    flat.SlotsOver(flat.Carve(&waitSlots, rcuWaitCap), flat.Carve(&idx, rcuWaitCap)),
+				waitTab:  tab(rcuWaitTabCap),
 			},
-			outQ:       ring[outToken]{buf: carve(&outQ, rcuOutQCap)},
+			outQ:       flat.RingOver(flat.Carve(&outQ, rcuOutQCap)),
 			rcuScalars: rcuScalars{nodeFree: -1, exec: -1},
 		}
 	}
 	return rcus
 }
 
-// carve cuts the next n elements off the front of *slab as a
-// full-capacity window (s[a:b:b]), so growth past it reallocates instead
-// of running into the neighbouring window.
-func carve[T any](slab *[]T, n int) []T {
-	w := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return w
-}
-
 // SetPort installs the compute-port handle returned by AttachCompute.
 func (r *RCU) SetPort(p *noc.InjectPort) { r.port = p }
-
-// SetPool installs the engine-local token pool; the Platform wires one
-// per shard. A nil pool (direct NewRCU construction) allocates.
-func (r *RCU) SetPool(p *TokenPool) { r.pool = p }
 
 // Name implements sim.Component.
 func (r *RCU) Name() string { return fmt.Sprintf("rcu%d", r.node) }
@@ -324,7 +306,7 @@ func (r *RCU) MaxBuffered() int { return r.maxBuffer }
 
 // Idle reports whether the RCU holds no work at all.
 func (r *RCU) Idle() bool {
-	return r.exec < 0 && len(r.inbox) == 0 && len(r.sbActive) == 0 && r.outQ.n == 0
+	return r.exec < 0 && len(r.inbox) == 0 && len(r.sbActive) == 0 && r.outQ.Len() == 0
 }
 
 // newNode takes a slab cell off the free list.
@@ -371,7 +353,7 @@ func (r *RCU) OnArrival(f *noc.Flit, cycle int64) bool {
 	case *InstrToken:
 		r.resume()
 		r.inbox = append(r.inbox, inboxEntry{slot: r.instrs.add(pl), stamp: cycle})
-		r.pool.PutInstr(pl)
+		r.pool.instr.Put(pl)
 		r.buffered++
 		return true
 	case *DataToken:
@@ -392,7 +374,7 @@ func (r *RCU) OnArrival(f *noc.Flit, cycle int64) bool {
 		}
 		pl.Dependents -= uint16(fills)
 		if pl.Dependents == 0 {
-			r.pool.PutData(pl)
+			r.pool.data.Put(pl)
 			return true
 		}
 		return false
@@ -405,12 +387,12 @@ func (r *RCU) OnArrival(f *noc.Flit, cycle int64) bool {
 // number of operand fills performed. A retired instruction whose last
 // unfilled operand this was gives up its slot.
 func (r *RCU) deliver(dep DepID, v fixed.Q) int {
-	wi, ok := r.waitTab.get(uint32(dep))
+	wi, ok := r.waitTab.Get(uint32(dep))
 	if !ok {
 		return 0
 	}
 	fills := 0
-	for n := r.waitSlots[wi].head; n >= 0; {
+	for n := r.waits.At(wi).head; n >= 0; {
 		s := r.nodes[n].slot
 		sl := r.instrs.at(s)
 		it := &sl.it
@@ -429,8 +411,8 @@ func (r *RCU) deliver(dep DepID, v fixed.Q) int {
 		r.freeNode(n)
 		n = next
 	}
-	r.waitFree = append(r.waitFree, wi)
-	r.waitTab.del(uint32(dep))
+	r.waits.Free(wi)
+	r.waitTab.Del(uint32(dep))
 	return fills
 }
 
@@ -438,22 +420,13 @@ func (r *RCU) deliver(dep DepID, v fixed.Q) int {
 // chain at the tail, preserving arrival order.
 func (r *RCU) waitAdd(dep DepID, slot int32) {
 	n := r.newNode(slot)
-	if wi, ok := r.waitTab.get(uint32(dep)); ok {
-		w := &r.waitSlots[wi]
+	if wi, ok := r.waitTab.Get(uint32(dep)); ok {
+		w := r.waits.At(wi)
 		r.nodes[w.tail].next = n
 		w.tail = n
 		return
 	}
-	var wi int32
-	if k := len(r.waitFree); k > 0 {
-		wi = r.waitFree[k-1]
-		r.waitFree = r.waitFree[:k-1]
-	} else {
-		r.waitSlots = append(r.waitSlots, waitList{})
-		wi = int32(len(r.waitSlots) - 1)
-	}
-	r.waitSlots[wi] = waitList{head: n, tail: n}
-	r.waitTab.put(uint32(dep), wi)
+	r.waitTab.Put(uint32(dep), r.waits.Park(waitList{head: n, tail: n}))
 }
 
 // Evaluate implements sim.Component: enqueue arrived instructions,
@@ -475,7 +448,7 @@ func (r *RCU) Evaluate(cycle int64) {
 	switch {
 	case r.exec >= 0:
 		r.attrib.Inc(attrib.RCUExec)
-	case r.outQ.n > 0:
+	case r.outQ.Len() > 0:
 		r.attrib.Inc(attrib.RCUOutputBackpressure)
 	case len(r.inbox) > 0 || len(r.sbActive) > 0:
 		r.attrib.Inc(attrib.RCUOperandWait)
@@ -487,11 +460,11 @@ func (r *RCU) Evaluate(cycle int64) {
 // Advance injects at most one queued result token per cycle, minting it
 // into a pooled token as the port takes it.
 func (r *RCU) Advance(cycle int64) {
-	if r.outQ.n == 0 || r.port == nil || !r.port.CanSend() {
+	if r.outQ.Len() == 0 || r.port == nil || !r.port.CanSend() {
 		return
 	}
-	o := r.outQ.pop()
-	tok := r.pool.GetData()
+	o := r.outQ.Pop()
+	tok := r.pool.data.Get()
 	*tok = o.tok
 	r.port.Send(o.dst, tok, o.loop, cycle)
 }
@@ -499,21 +472,13 @@ func (r *RCU) Advance(cycle int64) {
 // sbFor returns the sub-block slot for id, creating it on first use.
 // The returned pointer is invalidated by the next sbFor call.
 func (r *RCU) sbFor(id uint32) *sbState {
-	if si, ok := r.sbTab.get(id); ok {
-		return &r.sbSlots[si]
+	if si, ok := r.sbTab.Get(id); ok {
+		return r.sbs.At(si)
 	}
-	var si int32
-	if k := len(r.sbFree); k > 0 {
-		si = r.sbFree[k-1]
-		r.sbFree = r.sbFree[:k-1]
-	} else {
-		r.sbSlots = append(r.sbSlots, sbState{})
-		si = int32(len(r.sbSlots) - 1)
-	}
-	r.sbSlots[si] = sbState{id: id, head: -1, tail: -1}
-	r.sbTab.put(id, si)
+	si := r.sbs.Park(sbState{id: id, head: -1, tail: -1})
+	r.sbTab.Put(id, si)
 	r.sbActive = append(r.sbActive, si)
-	return &r.sbSlots[si]
+	return r.sbs.At(si)
 }
 
 // sbInsert places the instruction in slot into the sub-block's chain,
@@ -574,7 +539,7 @@ func (r *RCU) drainInbox(cycle int64) {
 // sbHeadReady reports whether the slot's head instruction is the next
 // in sub-block order with every operand available.
 func (r *RCU) sbHeadReady(si int32) bool {
-	sb := &r.sbSlots[si]
+	sb := r.sbs.At(si)
 	if sb.head < 0 {
 		return false
 	}
@@ -589,7 +554,7 @@ func (r *RCU) sbHeadReady(si int32) bool {
 func (r *RCU) dispatch(cycle int64) {
 	pick := int32(-1)
 	if r.accOpen {
-		si, ok := r.sbTab.get(r.accSB)
+		si, ok := r.sbTab.Get(r.accSB)
 		if !ok || !r.sbHeadReady(si) {
 			if len(r.sbActive) > 0 {
 				r.stallCount.Inc()
@@ -603,7 +568,7 @@ func (r *RCU) dispatch(cycle int64) {
 			if !r.sbHeadReady(si) {
 				continue
 			}
-			seq := r.instrAt(r.sbSlots[si].head).Seq
+			seq := r.instrAt(r.sbs.At(si).head).Seq
 			if pick < 0 || seq < pickSeq {
 				pick, pickSeq = si, seq
 			}
@@ -615,7 +580,7 @@ func (r *RCU) dispatch(cycle int64) {
 			return
 		}
 	}
-	sb := &r.sbSlots[pick]
+	sb := r.sbs.At(pick)
 	n := sb.head
 	r.exec = r.nodes[n].slot
 	it := r.instrAt(n)
@@ -709,7 +674,7 @@ func (r *RCU) complete(cycle int64) {
 	toCPM := it.ToCPM
 	r.retire(s)
 	if toCPM {
-		r.outQ.push(o)
+		r.outQ.Push(o)
 		return
 	}
 	if fills := r.deliver(o.tok.Dep, o.tok.V); fills > 0 {
@@ -722,7 +687,7 @@ func (r *RCU) complete(cycle int64) {
 	}
 	if o.tok.Dependents > 0 {
 		o.dst, o.loop = r.loop.Next(r.node), true
-		r.outQ.push(o)
+		r.outQ.Push(o)
 	}
 }
 
@@ -738,14 +703,14 @@ func (r *RCU) checkAccChain(it *InstrToken) {
 // removeSB retires an emptied sub-block slot, preserving the arrival
 // order of the remaining active sub-blocks.
 func (r *RCU) removeSB(si int32) {
-	r.sbTab.del(r.sbSlots[si].id)
+	r.sbTab.Del(r.sbs.At(si).id)
 	for i, s := range r.sbActive {
 		if s == si {
 			r.sbActive = append(r.sbActive[:i], r.sbActive[i+1:]...)
 			break
 		}
 	}
-	r.sbFree = append(r.sbFree, si)
+	r.sbs.Free(si)
 }
 
 // emitCompute records one compute-track event when tracing is on.

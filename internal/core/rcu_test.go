@@ -46,11 +46,11 @@ func TestRCUReordersSubBlock(t *testing.T) {
 	if r.Executed() != 3 {
 		t.Fatalf("executed %d instructions, want 3", r.Executed())
 	}
-	if r.outQ.n != 1 {
-		t.Fatalf("outQ has %d tokens, want 1", r.outQ.n)
+	if r.outQ.Len() != 1 {
+		t.Fatalf("outQ has %d tokens, want 1", r.outQ.Len())
 	}
 	// 1*2 + 3*4 + 5*6 = 44 — correct only if the chain ran in SBIdx order.
-	if got := r.outQ.pop().tok.V.Float(); got != 44 {
+	if got := r.outQ.Pop().tok.V.Float(); got != 44 {
 		t.Fatalf("chain result %v, want 44 (out-of-order execution?)", got)
 	}
 }
@@ -78,7 +78,7 @@ func TestRCUWaitsForMissingOperand(t *testing.T) {
 	if r.Executed() != 1 {
 		t.Fatal("did not fire after capture")
 	}
-	if got := r.outQ.pop().tok.V.Float(); got != 10 {
+	if got := r.outQ.Pop().tok.V.Float(); got != 10 {
 		t.Fatalf("9+1 = %v", got)
 	}
 }

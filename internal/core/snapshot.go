@@ -43,7 +43,7 @@ type rcuState struct {
 }
 
 func (r *RCU) snapshot() rcuState {
-	s := rcuState{rcuScalars: r.rcuScalars, outQ: r.outQ.live()}
+	s := rcuState{rcuScalars: r.rcuScalars, outQ: r.outQ.AppendTo(nil)}
 	s.rcuSlabs.copyFrom(&r.rcuSlabs)
 	return s
 }
@@ -51,7 +51,7 @@ func (r *RCU) snapshot() rcuState {
 func (r *RCU) restore(s *rcuState) {
 	r.rcuScalars = s.rcuScalars
 	r.rcuSlabs.copyFrom(&s.rcuSlabs)
-	r.outQ.restore(s.outQ)
+	r.outQ.Restore(s.outQ)
 }
 
 // cpmState is one manager's saved state, including its private memory
@@ -76,7 +76,7 @@ func (c *CPM) snapshot() cpmState {
 		prog:       c.prog,
 		onDone:     c.onDone,
 		result:     cloneResult(c.result),
-		instrBuf:   c.instrBuf.live(),
+		instrBuf:   c.instrBuf.AppendTo(nil),
 		alo:        c.alo.State(),
 		snackALO:   c.snackALO.State(),
 		mem:        c.mem.State(),
@@ -91,7 +91,7 @@ func (c *CPM) restore(s *cpmState) {
 	c.prog = s.prog
 	c.onDone = s.onDone
 	c.result = cloneResult(s.result)
-	c.instrBuf.restore(s.instrBuf)
+	c.instrBuf.Restore(s.instrBuf)
 	c.alo.Restore(s.alo)
 	c.snackALO.Restore(s.snackALO)
 	c.mem.Restore(s.mem)

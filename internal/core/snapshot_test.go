@@ -31,13 +31,12 @@ func slabLayout(p *Platform) string {
 		b.WriteString("\n")
 	}
 	for _, r := range p.RCUs {
-		fmt.Fprintf(&b, "%s exec %d inbox %v cells %v free %d sb %v %v %v wait %v %v out %v\n",
-			r.Name(), r.exec, r.inbox, r.nodes, r.nodeFree, r.sbSlots, r.sbFree, r.sbActive,
-			r.waitSlots, r.waitFree, r.outQ.live())
+		fmt.Fprintf(&b, "%s exec %d inbox %v cells %v free %d sb %v %v wait %v out %v\n",
+			r.Name(), r.exec, r.inbox, r.nodes, r.nodeFree, r.sbs, r.sbActive, r.waits, r.outQ.AppendTo(nil))
 	}
 	for _, c := range p.CPMs {
 		fmt.Fprintf(&b, "%s staged %d %v buf %v offload %v %v %v\n", c.Name(), c.staged, c.stagedTok,
-			c.instrBuf.live(), c.offload, c.offloadPending, c.offloadMem)
+			c.instrBuf.AppendTo(nil), c.offload, c.offloadPending, c.offloadMem)
 	}
 	return b.String()
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"snacknoc/internal/fixed"
+	"snacknoc/internal/flat"
 	"snacknoc/internal/noc"
 )
 
@@ -137,6 +138,19 @@ type InstrToken struct {
 // String formats the instruction for traces.
 func (it *InstrToken) String() string {
 	return fmt.Sprintf("instr{#%d %s @%d sb=%d emit=%v}", it.Seq, it.Op, it.Dst, it.SubBlock, it.Emit)
+}
+
+// TokenPool recycles the instruction and data tokens of the compute
+// components on one engine. A pooled token exists only in flight: it is
+// minted as it enters the network (a CPM sends an entry or re-injects a
+// spilled token, an RCU's port takes a result) and goes back the moment
+// it leaves (an RCU copies an instruction into a slot; a data token's
+// last dependent consumes it, or the CPM collects or spills it). Every
+// other holder keeps tokens by value, so a checkpoint copies them
+// plainly and never sees a pool.
+type TokenPool struct {
+	instr flat.Pool[InstrToken]
+	data  flat.Pool[DataToken]
 }
 
 // DataToken is the dependency token ⟨S,N,V⟩ of §III-A. N is decremented

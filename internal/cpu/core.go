@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"snacknoc/internal/cache"
+	"snacknoc/internal/flat"
 	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/traffic"
@@ -42,6 +43,12 @@ type Core struct {
 	// largest allocation site in whole-sweep profiles.
 	onMissFn func(int64)
 
+	coreScalars
+}
+
+// coreScalars is a core's mutable state outside its reference stream; a
+// checkpoint copies it whole.
+type coreScalars struct {
 	retired     int64
 	outstanding int
 	blocked     bool
@@ -179,8 +186,8 @@ type coreGroup struct {
 	// runnable has bit i set when cores[i] issues at its next turn; idle
 	// when cores[i] is inside a synchronization stall, which ends at the
 	// earliest at cycle idleWake (MaxInt64 when no core idles).
-	runnable sim.IndexSet
-	idle     sim.IndexSet
+	runnable flat.IndexSet
+	idle     flat.IndexSet
 	idleWake int64
 	finished int // cores that have retired their budget
 

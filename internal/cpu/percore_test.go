@@ -106,11 +106,11 @@ func TestStallCyclesMidRun(t *testing.T) {
 		eng.Step()
 		for i, c := range work.Cores {
 			st := c.State()
-			if !wasFinished[i] && c.Retired() == retired[i] && st.IdleUntil == idleUntil[i] {
+			if !wasFinished[i] && c.Retired() == retired[i] && st.idleUntil == idleUntil[i] {
 				stalled[i]++
 			}
-			retired[i], idleUntil[i] = c.Retired(), st.IdleUntil
-			sawBlocked = sawBlocked || st.Blocked
+			retired[i], idleUntil[i] = c.Retired(), st.idleUntil
+			sawBlocked = sawBlocked || st.blocked
 			sawIdle = sawIdle || st.Idle
 			if c.StallCycles() != stalled[i] {
 				t.Fatalf("after cycle %d: %s reports %d stall cycles, counted %d",

@@ -14,52 +14,24 @@ import (
 
 // CoreState is one core's saved state.
 type CoreState struct {
-	Stream      traffic.StreamState
-	Retired     int64
-	Outstanding int
-	Blocked     bool
-	Idle        bool // inside a synchronization stall, until IdleUntil
-	IdleUntil   int64
-	SinceStall  int
-	Finished    bool
-	FinishCycle int64
-	StallAt     int
-	StallCycles int64 // of the stalls that had ended
-	StallFrom   int64 // first cycle of the stall still open, if any
+	Stream traffic.StreamState
+	Idle   bool // inside a synchronization stall, until idleUntil
+	coreScalars
 }
+
+// Blocked reports whether the core was waiting on a miss.
+func (s *CoreState) Blocked() bool { return s.blocked }
 
 // State captures the core.
 func (c *Core) State() CoreState {
-	return CoreState{
-		Stream:      c.stream.State(),
-		Retired:     c.retired,
-		Outstanding: c.outstanding,
-		Blocked:     c.blocked,
-		Idle:        c.g.idle.Has(c.slot),
-		IdleUntil:   c.idleUntil,
-		SinceStall:  c.sinceStall,
-		Finished:    c.finished,
-		FinishCycle: c.finishCycle,
-		StallAt:     c.stallAt,
-		StallCycles: c.stallCycles,
-		StallFrom:   c.stallFrom,
-	}
+	return CoreState{Stream: c.stream.State(), Idle: c.g.idle.Has(c.slot), coreScalars: c.coreScalars}
 }
 
 // Restore writes a saved state back; Workload.Restore then puts the core
 // into its group's sets.
 func (c *Core) Restore(s CoreState) {
 	c.stream.Restore(s.Stream)
-	c.retired = s.Retired
-	c.outstanding = s.Outstanding
-	c.blocked = s.Blocked
-	c.idleUntil = s.IdleUntil
-	c.sinceStall = s.SinceStall
-	c.finished = s.Finished
-	c.finishCycle = s.FinishCycle
-	c.stallAt = s.StallAt
-	c.stallCycles = s.StallCycles
-	c.stallFrom = s.StallFrom
+	c.coreScalars = s.coreScalars
 }
 
 // WorkloadState is a workload's saved state: one entry per core, and the
@@ -91,12 +63,12 @@ func (w *Workload) Restore(s *WorkloadState) {
 		cs := &s.Cores[i]
 		c.Restore(*cs)
 		switch g := c.g; {
-		case cs.Finished:
+		case cs.finished:
 			g.finished++
-		case cs.Blocked:
+		case cs.blocked:
 		case cs.Idle:
 			g.idle.Add(c.slot)
-			g.idleWake = min(g.idleWake, cs.IdleUntil)
+			g.idleWake = min(g.idleWake, cs.idleUntil)
 		default:
 			g.runnable.Add(c.slot)
 		}

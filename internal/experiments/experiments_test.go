@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"snacknoc/internal/cpu"
+	"snacknoc/internal/noc"
 	"snacknoc/internal/traffic"
 )
 
@@ -255,5 +256,14 @@ func TestCompileKernelProducesValidPrograms(t *testing.T) {
 		if prog.Name != string(k) {
 			t.Errorf("%s: program named %q", k, prog.Name)
 		}
+	}
+}
+
+// TestRunBenchmarkRejectsMeshPastTheSharerSets: snacksim -bench on a
+// 16x9 mesh reports the directory's 128-node bound as an error.
+func TestRunBenchmarkRejectsMeshPastTheSharerSets(t *testing.T) {
+	_, err := RunBenchmark(noc.DAPPER(16, 9), traffic.ByName("Graph500"), Scale(0.01))
+	if err == nil || !strings.Contains(err.Error(), "128") {
+		t.Fatalf("16x9 Graph500: err = %v, want the 128-node bound", err)
 	}
 }

@@ -1,0 +1,76 @@
+package flat
+
+import "slices"
+
+// Ring is a FIFO over one backing array: Pop advances the head, O(1) at
+// any length, and the array at least doubles, only when a Push finds it
+// full. The zero value is an empty ring.
+//
+// Where the oldest entry sits in the array is unobservable: a snapshot
+// copies the entries out oldest first (AppendTo or At, neither of which
+// allocates) and Restore writes them back from the front.
+type Ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+// RingOver returns an empty ring over a carved window, its initial
+// capacity.
+func RingOver[T any](buf []T) Ring[T] { return Ring[T]{buf: buf} }
+
+// Len returns the number of entries.
+func (q *Ring[T]) Len() int { return q.n }
+
+// Cap returns the length of the backing array.
+func (q *Ring[T]) Cap() int { return len(q.buf) }
+
+// Push appends v.
+func (q *Ring[T]) Push(v T) {
+	if q.n == len(q.buf) {
+		// Twice the length, rounded up to the allocator's size class as
+		// append rounds, so a ring grows no more often than a slice.
+		buf := slices.Grow([]T(nil), max(2*len(q.buf), 8))
+		buf = buf[:cap(buf)]
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.n++
+}
+
+// Pop removes and returns the oldest entry, zeroing its slot.
+func (q *Ring[T]) Pop() (v T) {
+	v, q.buf[q.head] = q.buf[q.head], v
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return v
+}
+
+// At returns the i-th oldest entry.
+func (q *Ring[T]) At(i int) T { return q.buf[(q.head+i)%len(q.buf)] }
+
+// AppendTo appends the entries to dst, oldest first, and returns it.
+func (q *Ring[T]) AppendTo(dst []T) []T {
+	if q.n == 0 {
+		return dst
+	}
+	if q.head+q.n <= len(q.buf) {
+		return append(dst, q.buf[q.head:q.head+q.n]...)
+	}
+	dst = append(dst, q.buf[q.head:]...)
+	return append(dst, q.buf[:q.head+q.n-len(q.buf)]...)
+}
+
+// Restore makes the ring hold entries, oldest first, from the front of
+// its array, and zeroes the rest of the array.
+func (q *Ring[T]) Restore(entries []T) {
+	if len(q.buf) < len(entries) {
+		q.buf = make([]T, len(entries))
+	}
+	q.head, q.n = 0, copy(q.buf, entries)
+	clear(q.buf[q.n:])
+}

@@ -1,0 +1,82 @@
+package flat
+
+import "slices"
+
+// Slots is a slot array with a LIFO free stack: records that something
+// else names by slot number, an int32 (a table value, a chain link, the
+// argument of a pending engine event). A freed slot is the next one
+// Alloc hands out, and a slot never moves, so its number stays valid
+// until it is freed; a pointer from At stays valid until the next Alloc
+// that grows the array. The zero value is empty.
+//
+// A snapshot copies the array and the free stack slot for slot, because
+// pending events and chains name slots.
+type Slots[T any] struct {
+	recs []T
+	free []int32
+}
+
+// SlotsOver returns an empty Slots over carved windows, its initial
+// capacity: recs for the records and free for the free stack.
+func SlotsOver[T any](recs []T, free []int32) Slots[T] {
+	return Slots[T]{recs: recs[:0], free: free[:0]}
+}
+
+// Alloc takes a slot and returns its number. The slot holds whatever its
+// last holder left there (zero after Take, not after Free), so a record
+// that owns storage, such as a slice, keeps it for its next holder.
+func (s *Slots[T]) Alloc() int32 {
+	if k := len(s.free); k > 0 {
+		i := s.free[k-1]
+		s.free = s.free[:k-1]
+		return i
+	}
+	var zero T
+	s.recs = append(s.recs, zero)
+	return int32(len(s.recs) - 1)
+}
+
+// At returns the record in slot i.
+func (s *Slots[T]) At(i int32) *T { return &s.recs[i] }
+
+// Free returns slot i to the free stack as it is.
+func (s *Slots[T]) Free(i int32) { s.free = append(s.free, i) }
+
+// Park stores r in a fresh slot and returns its number.
+func (s *Slots[T]) Park(r T) int32 {
+	i := s.Alloc()
+	s.recs[i] = r
+	return i
+}
+
+// Take frees slot i, zeroing it, and returns the record it held.
+func (s *Slots[T]) Take(i int32) (r T) {
+	r, s.recs[i] = s.recs[i], r
+	s.Free(i)
+	return r
+}
+
+// Len returns the number of slots, live or free: At is valid below it.
+func (s *Slots[T]) Len() int { return len(s.recs) }
+
+// Live returns the number of slots in use.
+func (s *Slots[T]) Live() int { return len(s.recs) - len(s.free) }
+
+// FreeSlots returns the free stack, bottom first, for inspection only.
+func (s *Slots[T]) FreeSlots() []int32 { return s.free }
+
+// CopyFrom makes s a slot-for-slot copy of o, reusing s's storage. With
+// deep nil the records are copied as values; otherwise deep copies each
+// record into the storage s's slot already owns, for a record that owns
+// a slice.
+func (s *Slots[T]) CopyFrom(o *Slots[T], deep func(dst, src *T)) {
+	if deep == nil {
+		s.recs = append(s.recs[:0], o.recs...)
+	} else {
+		s.recs = slices.Grow(s.recs[:0], len(o.recs))[:len(o.recs)]
+		for i := range o.recs {
+			deep(&s.recs[i], &o.recs[i])
+		}
+	}
+	s.free = append(s.free[:0], o.free...)
+}

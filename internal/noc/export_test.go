@@ -5,7 +5,7 @@ import "fmt"
 // QueueLen returns the number of packets queued or mid-injection at the
 // NI for the given vnet; test injectors throttle themselves on it.
 func (ni *NI) QueueLen(vnet int) int {
-	n := ni.waiting[vnet].len()
+	n := ni.waiting[vnet].Len()
 	for _, t := range ni.active {
 		if int(t.vnet) == vnet {
 			n++
@@ -23,8 +23,8 @@ func (ni *NI) QueueLen(vnet int) int {
 // and the packet envelopes currently out of them.
 func (n *Network) Outstanding() (flits, envelopes int) {
 	for i := range n.pools {
-		flits += n.pools[i].flits.out
-		envelopes += n.pools[i].pkts.out
+		flits += n.pools[i].flits.Out()
+		envelopes += n.pools[i].pkts.Out()
 	}
 	return flits, envelopes
 }
@@ -42,7 +42,7 @@ func (n *Network) CheckDrained() error {
 		ni := &n.nis[i]
 		waiting := 0
 		for v := range ni.waiting {
-			waiting += ni.waiting[v].len()
+			waiting += ni.waiting[v].Len()
 		}
 		if len(ni.incoming) != 0 || waiting != 0 || ni.waitingCount != 0 || len(ni.active) != 0 {
 			return fmt.Errorf("noc: %s holds %d incoming, %d waiting (count %d) and %d active packets at drain",
@@ -88,9 +88,9 @@ func (n *Network) Payloads() []any {
 		for _, r := range ni.incoming {
 			add(r.pkt.Payload)
 		}
-		for _, w := range ni.waiting {
-			for _, p := range w.q[w.head:] {
-				add(p.Payload)
+		for v := range ni.waiting {
+			for j := range ni.waiting[v].Len() {
+				add(ni.waiting[v].At(j).Payload)
 			}
 		}
 		for _, t := range ni.active {

@@ -1,6 +1,10 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+
+	"snacknoc/internal/flat"
+)
 
 // FlitType distinguishes the positions of a flit within a packet under
 // wormhole switching.
@@ -79,62 +83,21 @@ func (f *Flit) String() string {
 		f.PacketID, f.Type, f.Src, f.Dst, f.VNet, f.VC, f.SeqInPkt+1, f.PktFlits)
 }
 
-// flitPool recycles Flit objects and Packet envelopes within one shard
-// of a network (the whole network when unsharded). Each shard runs on at
-// most one goroutine at a time, so plain free-lists need no locking and
-// — unlike sync.Pool — are fully deterministic. A flit that crosses a
-// shard boundary retires into the destination shard's pool. Flits are
-// returned when they leave the network: consumed by a compute unit,
-// drained into the CPM overflow path, or reassembled at an ejection NI;
-// an envelope is returned by its source NI when the packet's tail flit
-// is minted.
+// flitPool holds the flits and packet envelopes of one shard of a
+// network (the whole network when unsharded). A flit that crosses a shard
+// boundary retires into the destination shard's pool. Flits are returned
+// when they leave the network: consumed by a compute unit, drained into
+// the CPM overflow path, or reassembled at an ejection NI; an envelope is
+// returned by its source NI when the packet's tail flit is minted.
 type flitPool struct {
-	flits freeList[Flit]
-	pkts  freeList[Packet]
-}
-
-// freeList is a stack of zeroed objects. It refills a chunk at a time (a
-// network's first traffic costs a few allocations, not one per object in
-// flight) and put zeroes what it takes back, so which object a get hands
-// out is unobservable and nothing pooled retains a payload reference.
-type freeList[T any] struct {
-	free []*T
-	// out is gets minus puts. Summed over a network's pools it is 0 once
-	// the network has drained.
-	out int
-}
-
-// poolChunk is how many objects an empty free-list allocates at once.
-const poolChunk = 32
-
-func (l *freeList[T]) get() *T {
-	if len(l.free) == 0 {
-		chunk := make([]T, poolChunk)
-		if cap(l.free) < poolChunk {
-			l.free = make([]*T, 0, 2*poolChunk)
-		}
-		for i := range chunk {
-			l.free = append(l.free, &chunk[i])
-		}
-	}
-	n := len(l.free) - 1
-	x := l.free[n]
-	l.free = l.free[:n]
-	l.out++
-	return x
-}
-
-func (l *freeList[T]) put(x *T) {
-	var zero T
-	*x = zero
-	l.free = append(l.free, x)
-	l.out--
+	flits flat.Pool[Flit]
+	pkts  flat.Pool[Packet]
 }
 
 // envelope returns a pooled copy of p, its payload through clone (nil
 // shares it).
 func (p *flitPool) envelope(src *Packet, clone func(any) any) *Packet {
-	e := p.pkts.get()
+	e := p.pkts.Get()
 	*e = clonePacket(src, clone)
 	return e
 }
@@ -143,7 +106,7 @@ func (p *flitPool) envelope(src *Packet, clone func(any) any) *Packet {
 // router's local input VC vc. The head carries the payload, which leaves
 // the envelope with it: from then on the flit is its only holder.
 func mintFlit(p *Packet, i, n int32, vc int8, pool *flitPool) *Flit {
-	f := pool.flits.get()
+	f := pool.flits.Get()
 	switch {
 	case n == 1:
 		f.Type = HeadTailFlit

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"snacknoc/internal/attrib"
+	"snacknoc/internal/flat"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
 	"snacknoc/internal/trace"
@@ -38,7 +39,7 @@ type Network struct {
 	vcs     []inputVC // per router: port-major, then vnet, then vc
 	bufSlab []*Flit   // the VCs' ring buffers, in vcs order
 	reasm   []*Flit   // the NIs' reassembly slots
-	waiting []pktQueue
+	waiting []flat.Ring[*Packet]
 	staged  []credit // routers' staged-credit lists at their bound, then the crossing links' stubs
 	// The NIs' injection queues start as windows of these (seedIncoming
 	// requests per NI, seedWaiting packets and one transmission per NI per
@@ -94,14 +95,6 @@ const seedIncoming, seedWaiting = 2, 4
 
 // bufHistBuckets is the resolution of the Fig 3 occupancy histogram.
 const bufHistBuckets = 20
-
-// carve cuts the next n elements off the front of *slab as a full-
-// capacity window.
-func carve[T any](slab *[]T, n int) []T {
-	w := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return w
-}
 
 // slabPlan is what New counts from a Config before it allocates: the
 // size of one port and of the whole mesh.
@@ -203,7 +196,7 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	n.vcs = make([]inputVC, p.nVCs)
 	n.bufSlab = make([]*Flit, p.nOut*p.portSlots+nodes*p.snackSlots)
 	n.reasm = make([]*Flit, nodes*p.portVCs)
-	n.waiting = make([]pktQueue, nodes*p.nv)
+	n.waiting = make([]flat.Ring[*Packet], nodes*p.nv)
 	n.staged = make([]credit, 2*p.nIn+stubCredits*p.crossing)
 	n.reqSeed = make([]injectReq, nodes*seedIncoming)
 	n.pktSeed = make([]*Packet, nodes*p.nv*seedWaiting)
@@ -246,7 +239,7 @@ func (n *Network) layOut(p *slabPlan) {
 	reqSeed, pktSeed, txnSeed := n.reqSeed, n.pktSeed, n.txnSeed
 	tables, credits, counts, work := n.tables, n.credits, n.counts, n.work
 
-	vnetOff, depthOf, nvcOf := carve(&tables, p.nv), carve(&tables, p.nv), carve(&tables, p.nv)
+	vnetOff, depthOf, nvcOf := flat.Carve(&tables, p.nv), flat.Carve(&tables, p.nv), flat.Carve(&tables, p.nv)
 	off := int32(0)
 	for v, vn := range cfg.VNets {
 		vnetOff[v], depthOf[v], nvcOf[v] = off, int32(vn.BufDepth), int32(vn.VCs)
@@ -271,17 +264,17 @@ func (n *Network) layOut(p *slabPlan) {
 			}
 		}
 		inBase := len(n.inPorts) - len(inPorts) // r.inList[0]'s index in n.inPorts
-		r.inList = carve(&inPorts, deg+1+p.compute)
-		r.outList = carve(&outPorts, deg+1)
-		r.vcs = carve(&vcs, (deg+1)*p.portVCs+p.snackVCs)
-		r.bufSlab = carve(&bufSlab, p.slots(deg))
-		r.stagedCredits = carve(&staged, 2*len(r.inList))[:0]
-		r.needRoute = carve(&work, len(r.vcs))[:0]
-		r.waitVA = carve(&work, len(r.vcs))[:0]
-		r.vaScratch = carve(&work, len(r.vcs))[:0]
-		r.bufHist = stats.MakeHistogram(1.0, carve(&counts, bufHistBuckets))
+		r.inList = flat.Carve(&inPorts, deg+1+p.compute)
+		r.outList = flat.Carve(&outPorts, deg+1)
+		r.vcs = flat.Carve(&vcs, (deg+1)*p.portVCs+p.snackVCs)
+		r.bufSlab = flat.Carve(&bufSlab, p.slots(deg))
+		r.stagedCredits = flat.Carve(&staged, 2*len(r.inList))[:0]
+		r.needRoute = flat.Carve(&work, len(r.vcs))[:0]
+		r.waitVA = flat.Carve(&work, len(r.vcs))[:0]
+		r.vaScratch = flat.Carve(&work, len(r.vcs))[:0]
+		r.bufHist = stats.MakeHistogram(1.0, flat.Carve(&counts, bufHistBuckets))
 		if bucketOf[deg] == nil {
-			t := carve(&tables, len(r.bufSlab)+1)
+			t := flat.Carve(&tables, len(r.bufSlab)+1)
 			for occ := range t {
 				t[occ] = int32(r.bufHist.BucketIndex(float64(occ) / float64(len(r.bufSlab))))
 			}
@@ -300,7 +293,7 @@ func (n *Network) layOut(p *slabPlan) {
 			ip := &r.inList[in]
 			*ip = inputPort{
 				dir: d, in: &n.flitWires[inBase+in],
-				snackOnly: d == Compute, refBase: carve(&tables, p.nv),
+				snackOnly: d == Compute, refBase: flat.Carve(&tables, p.nv),
 			}
 			in++
 			r.inputs[d] = ip
@@ -330,11 +323,11 @@ func (n *Network) layOut(p *slabPlan) {
 			out++
 			*op = outputPort{
 				dir: d, ejection: d == Local,
-				credits: carve(&credits, p.portVCs), vcRR: carve(&credits, p.nv),
+				credits: flat.Carve(&credits, p.portVCs), vcRR: flat.Carve(&credits, p.nv),
 			}
 			r.outputs[d] = op
-			r.saCand[d][classComm] = carve(&work, p.portVCs-p.snackClass)[:0]
-			r.saCand[d][classSnack] = carve(&work, p.snackClass)[:0]
+			r.saCand[d][classComm] = flat.Carve(&work, p.portVCs-p.snackClass)[:0]
+			r.saCand[d][classSnack] = flat.Carve(&work, p.snackClass)[:0]
 		}
 	}
 
@@ -353,13 +346,13 @@ func (n *Network) layOut(p *slabPlan) {
 			node: r.id, cfg: cfg, pool: r.pool,
 			toRouter: r.inputs[Local].in, fromRouter: &n.flitWires[eject+i],
 			vnetOff: vnetOff, nvcOf: nvcOf,
-			credits: carve(&credits, p.portVCs), vcRR: carve(&credits, p.nv),
-			waiting: carve(&waiting, p.nv), reasm: carve(&reasm, p.portVCs),
-			latSum: carve(&counts, p.nv), latCount: carve(&counts, p.nv),
-			incoming: carve(&reqSeed, seedIncoming)[:0], active: carve(&txnSeed, p.nv)[:0],
+			credits: flat.Carve(&credits, p.portVCs), vcRR: flat.Carve(&credits, p.nv),
+			waiting: flat.Carve(&waiting, p.nv), reasm: flat.Carve(&reasm, p.portVCs),
+			latSum: flat.Carve(&counts, p.nv), latCount: flat.Carve(&counts, p.nv),
+			incoming: flat.Carve(&reqSeed, seedIncoming)[:0], active: flat.Carve(&txnSeed, p.nv)[:0],
 		}
 		for v := range ni.waiting {
-			ni.waiting[v].q = carve(&pktSeed, seedWaiting)[:0]
+			ni.waiting[v] = flat.RingOver(flat.Carve(&pktSeed, seedWaiting))
 		}
 		for j := range r.outList {
 			op := &r.outList[j]
@@ -371,7 +364,7 @@ func (n *Network) layOut(p *slabPlan) {
 				op.out, down.credit = down.in, sink(op.credits, r.id, op.dir)
 				if n.shardOf[nb] != n.shardOf[i] {
 					n.flitB = append(n.flitB, interpose(&op.out, &n.flitWires[stub]))
-					down.credit.stub = carve(&staged, stubCredits)[:0]
+					down.credit.stub = flat.Carve(&staged, stubCredits)[:0]
 					n.credB = append(n.credB, &down.credit)
 					stub++
 				}
@@ -400,7 +393,7 @@ func (n *Network) layOut(p *slabPlan) {
 		in := n.routers[i].inputs[Compute]
 		n.ports[i] = InjectPort{
 			node: NodeID(i), vnet: int8(cfg.SnackVNet), pool: n.routers[i].pool, out: in.in,
-			credits: carve(&credits, p.snackVCs), landed: carve(&credits, p.snackVCs),
+			credits: flat.Carve(&credits, p.snackVCs), landed: flat.Carve(&credits, p.snackVCs),
 		}
 		for c := range n.ports[i].credits {
 			n.ports[i].credits[c] = depthOf[cfg.SnackVNet]
@@ -679,7 +672,7 @@ func (p *InjectPort) Send(dst NodeID, payload any, loop bool, cycle int64) bool 
 		p.credits[c]--
 		p.rr = c + 1
 		p.seq++
-		f := p.pool.flits.get()
+		f := p.pool.flits.Get()
 		f.PacketID = injectPortTag | uint64(p.node+1)<<32 | p.seq
 		f.Type = HeadTailFlit
 		f.Src = p.node

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"snacknoc/internal/attrib"
+	"snacknoc/internal/flat"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
 	"snacknoc/internal/trace"
@@ -67,8 +68,8 @@ type NI struct {
 	// Network's queue slabs and grow past them by plain append; every
 	// packet in them is an envelope from pool.
 	incoming []injectReq
-	waiting  []pktQueue // per-vnet FIFO of packets awaiting a VC
-	active   []txn      // in VC-grant order
+	waiting  []flat.Ring[*Packet] // per-vnet FIFO of packets awaiting a VC
+	active   []txn                // in VC-grant order
 	staged   *Flit
 
 	client Client
@@ -110,34 +111,6 @@ type niScalars struct {
 	flitsOut  stats.Counter
 	maxQueued int
 	attrib    attrib.Counts // one reason per cycle, injection side
-}
-
-// pktQueue is a FIFO of packets over one backing array: pop advances head,
-// O(1) at any length, and q[head:] moves back to the front only when a push
-// finds the array full, which therefore grows only when the packets fill it.
-type pktQueue struct {
-	q    []*Packet
-	head int
-}
-
-func (w *pktQueue) len() int { return len(w.q) - w.head }
-
-func (w *pktQueue) push(p *Packet) {
-	if w.head > 0 && len(w.q) == cap(w.q) {
-		n := copy(w.q, w.q[w.head:])
-		clear(w.q[n:])
-		w.q, w.head = w.q[:n], 0
-	}
-	w.q = append(w.q, p)
-}
-
-func (w *pktQueue) pop() *Packet {
-	p := w.q[w.head]
-	w.q[w.head] = nil
-	if w.head++; w.head == len(w.q) {
-		w.q, w.head = w.q[:0], 0
-	}
-	return p
 }
 
 // Name implements sim.Component.
@@ -227,7 +200,7 @@ func (ni *NI) Evaluate(cycle int64) {
 	keep := ni.incoming[:0]
 	for _, req := range ni.incoming {
 		if req.stamp < cycle {
-			ni.waiting[req.pkt.VNet].push(req.pkt)
+			ni.waiting[req.pkt.VNet].Push(req.pkt)
 			ni.waitingCount++
 			ni.injected.Inc()
 		} else {
@@ -243,7 +216,7 @@ func (ni *NI) Evaluate(cycle int64) {
 	// VC on the router's local input port. The count check skips the
 	// per-vnet scan entirely when nothing waits.
 	for v := 0; ni.waitingCount > 0 && v < len(ni.waiting); v++ {
-		if ni.waiting[v].len() == 0 {
+		if ni.waiting[v].Len() == 0 {
 			continue
 		}
 		nvc, off := ni.nvcOf[v], ni.vnetOff[v]
@@ -252,7 +225,7 @@ func (ni *NI) Evaluate(cycle int64) {
 			if ni.vcBusy&(1<<uint(off+c)) != 0 {
 				continue
 			}
-			p := ni.waiting[v].pop()
+			p := ni.waiting[v].Pop()
 			ni.waitingCount--
 			ni.vcBusy |= 1 << uint(off+c)
 			ni.vcRR[v] = c + 1
@@ -291,7 +264,7 @@ func (ni *NI) Evaluate(cycle int64) {
 				// Tail sent: free the VC and the envelope; the removal keeps
 				// list order, which txRR's positions count on.
 				ni.vcBusy &^= 1 << uint(slot)
-				ni.pool.pkts.put(t.pkt)
+				ni.pool.pkts.Put(t.pkt)
 				ni.active = slices.Delete(ni.active, k, k+1)
 			}
 			break
@@ -337,7 +310,7 @@ func (ni *NI) Evaluate(cycle int64) {
 			if head == nil {
 				*st = f
 			} else {
-				ni.pool.flits.put(f)
+				ni.pool.flits.Put(f)
 			}
 			continue
 		}
@@ -345,13 +318,13 @@ func (ni *NI) Evaluate(cycle int64) {
 			head = f
 		} else {
 			*st = nil
-			ni.pool.flits.put(f)
+			ni.pool.flits.Put(f)
 		}
 		ni.pkt = Packet{
 			ID: head.PacketID, Src: head.Src, Dst: head.Dst, VNet: int(head.VNet),
 			Payload: head.Payload, Loop: head.Loop, InjectCycle: head.InjectCycle,
 		}
-		ni.pool.flits.put(head)
+		ni.pool.flits.Put(head)
 		p := &ni.pkt
 		ni.ejected.Inc()
 		ni.latSum[p.VNet] += cycle - p.InjectCycle

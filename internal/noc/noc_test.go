@@ -426,8 +426,8 @@ func TestFlitize(t *testing.T) {
 	if p.Payload != nil {
 		t.Fatal("the head flit takes the payload out of the envelope")
 	}
-	if pool.flits.out != int(n) {
-		t.Fatalf("pool counts %d flits out, want %d", pool.flits.out, n)
+	if pool.flits.Out() != int(n) {
+		t.Fatalf("pool counts %d flits out, want %d", pool.flits.Out(), n)
 	}
 }
 

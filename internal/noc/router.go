@@ -469,7 +469,7 @@ func (r *Router) ingestArrivals(cycle int64) {
 						r.tr.Emit(r.flitRecord(trace.KindConsume, cycle, cycle, f, in.dir))
 					}
 					r.stagedCredits = append(r.stagedCredits, credit{port: in.dir, vnet: f.VNet, vc: f.VC})
-					r.pool.flits.put(f)
+					r.pool.flits.Put(f)
 					continue
 				}
 				if f.Loop {
@@ -562,7 +562,7 @@ func (r *Router) tryAllocVC(idx int32, cycle int64) bool {
 		if !f.IsTail() {
 			panic(fmt.Sprintf("%s: drained a multi-flit loop packet", r.Name()))
 		}
-		r.pool.flits.put(f)
+		r.pool.flits.Put(f)
 		if ivc.count > 0 {
 			ivc.state = vcRoute
 			r.needRoute = append(r.needRoute, idx)

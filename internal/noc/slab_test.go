@@ -173,8 +173,8 @@ func TestSlabWindowsAreExact(t *testing.T) {
 			exact("ni active seed", i, len(ni.active), 0)
 			exact("ni active seed", i, cap(ni.active), len(cfg.VNets))
 			for v := range ni.waiting {
-				exact("ni waiting seed", i, len(ni.waiting[v].q), 0)
-				exact("ni waiting seed", i, cap(ni.waiting[v].q), seedWaiting)
+				exact("ni waiting seed", i, ni.waiting[v].Len(), 0)
+				exact("ni waiting seed", i, ni.waiting[v].Cap(), seedWaiting)
 			}
 		}
 		for i := range net.ports {
@@ -211,7 +211,9 @@ func TestSlabWindowsDoNotAlias(t *testing.T) {
 			v = append(v, append([]injectReq(nil), nextNI.incoming[:cap(nextNI.incoming)]...),
 				append([]txn(nil), nextNI.active[:cap(nextNI.active)]...))
 			for _, w := range nextNI.waiting {
-				v = append(v, append([]*Packet(nil), w.q[:cap(w.q)]...))
+				for k := range w.Cap() { // At wraps, so this reads the whole window
+					v = append(v, w.At(k))
+				}
 			}
 			return v
 		}
@@ -239,8 +241,8 @@ func TestSlabWindowsDoNotAlias(t *testing.T) {
 			ni.active = append(ni.active, txn{pkt: &Packet{}, n: 1})
 		}
 		for v := range ni.waiting {
-			for k, past := 0, cap(ni.waiting[v].q)+8; k < past; k++ {
-				ni.waiting[v].push(&Packet{})
+			for k, past := 0, ni.waiting[v].Cap()+8; k < past; k++ {
+				ni.waiting[v].Push(&Packet{})
 			}
 		}
 		if !reflect.DeepEqual(before, view()) {

@@ -193,10 +193,11 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 		for _, req := range ni.incoming {
 			s.reqs = append(s.reqs, reqState{pkt: clonePacket(req.pkt, clone), stamp: req.stamp})
 		}
-		for _, w := range ni.waiting {
-			s.lens = append(s.lens, int32(w.len()))
-			for _, p := range w.q[w.head:] {
-				s.reqs = append(s.reqs, reqState{pkt: clonePacket(p, clone)})
+		for v := range ni.waiting {
+			w := &ni.waiting[v]
+			s.lens = append(s.lens, int32(w.Len()))
+			for j := range w.Len() {
+				s.reqs = append(s.reqs, reqState{pkt: clonePacket(w.At(j), clone)})
 			}
 		}
 		for _, t := range ni.active {
@@ -234,11 +235,11 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 	for k := range n.flitWires {
 		fw := &n.flitWires[k]
 		for _, e := range fw.q {
-			pool.flits.put(e.f)
+			pool.flits.Put(e.f)
 		}
 		fw.q = fw.q[:0]
 		for _, e := range flitQ[:next()] {
-			fw.q = append(fw.q, wireEntry{f: cloneFlit(pool.flits.get(), e.f, clone), arrive: e.arrive})
+			fw.q = append(fw.q, wireEntry{f: cloneFlit(pool.flits.Get(), e.f, clone), arrive: e.arrive})
 		}
 		flitQ = flitQ[len(fw.q):]
 		fw.sync()
@@ -269,7 +270,7 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 		ni.staged = nil
 		nIncoming, nActive := next(), next()
 		for _, req := range ni.incoming {
-			ni.pool.pkts.put(req.pkt)
+			ni.pool.pkts.Put(req.pkt)
 		}
 		ni.incoming = ni.incoming[:0]
 		for j := range reqs[:nIncoming] {
@@ -278,18 +279,17 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 		reqs = reqs[nIncoming:]
 		for v := range ni.waiting {
 			w := &ni.waiting[v]
-			for _, p := range w.q[w.head:] {
-				ni.pool.pkts.put(p)
+			for w.Len() > 0 {
+				ni.pool.pkts.Put(w.Pop())
 			}
-			w.q, w.head = w.q[:0], 0
 			k := next()
 			for j := range reqs[:k] {
-				w.q = append(w.q, ni.pool.envelope(&reqs[j].pkt, clone))
+				w.Push(ni.pool.envelope(&reqs[j].pkt, clone))
 			}
 			reqs = reqs[k:]
 		}
 		for _, t := range ni.active {
-			ni.pool.pkts.put(t.pkt)
+			ni.pool.pkts.Put(t.pkt)
 		}
 		ni.active = ni.active[:0]
 		for j := range txns[:nActive] {
@@ -305,17 +305,17 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 	}
 }
 
-// restoreFlits makes slab hold clones of exactly the saved flits, through
+// restoreFlits makes slots hold clones of exactly the saved flits, through
 // pool both ways.
-func restoreFlits(slab []*Flit, saved []flitAt, clone func(any) any, pool *flitPool) {
-	for _, f := range slab {
+func restoreFlits(slots []*Flit, saved []flitAt, clone func(any) any, pool *flitPool) {
+	for _, f := range slots {
 		if f != nil {
-			pool.flits.put(f)
+			pool.flits.Put(f)
 		}
 	}
-	clear(slab)
+	clear(slots)
 	for _, e := range saved {
-		slab[e.at] = cloneFlit(pool.flits.get(), e.f, clone)
+		slots[e.at] = cloneFlit(pool.flits.Get(), e.f, clone)
 	}
 }
 

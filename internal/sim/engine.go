@@ -103,10 +103,15 @@ type Settler interface {
 // inert, so wiring code can attach wakers unconditionally. Handles live in
 // engine-owned slabs (see Reserve), never individually on the heap.
 type Handle struct {
-	e       *Engine
-	c       Component
-	q       Quiescer // nil when the component never sleeps
-	idx     int      // registration index; the active list stays sorted by it
+	e   *Engine
+	c   Component
+	q   Quiescer // nil when the component never sleeps
+	idx int      // registration index; the active list stays sorted by it
+	sleep
+}
+
+// sleep is a component's sleep bookkeeping; a checkpoint copies it whole.
+type sleep struct {
 	asleep  bool
 	sleptAt int64 // last cycle executed before sleeping
 	wakeAt  int64 // earliest pending wake event (0 = none)

@@ -25,18 +25,11 @@ type EngineState struct {
 	seq         int64
 	fnScheduled int64
 	stopped     bool
-	comps       []compSnap
+	comps       []sleep
 	activeIdx   []int
 	events      []eventSnap
 	attrib      attrib.Counts
 	subs        []*EngineState
-}
-
-// compSnap is one component's sleep bookkeeping.
-type compSnap struct {
-	asleep  bool
-	sleptAt int64
-	wakeAt  int64
 }
 
 // eventSnap is one pending event by value: a callback's closure (shared
@@ -62,12 +55,12 @@ func (e *Engine) SnapshotState() *EngineState {
 		seq:         e.seq,
 		fnScheduled: e.fnScheduled,
 		stopped:     e.stopped,
-		comps:       make([]compSnap, len(e.comps)),
+		comps:       make([]sleep, len(e.comps)),
 		activeIdx:   make([]int, len(e.active)),
 		attrib:      e.attrib,
 	}
 	for i, st := range e.comps {
-		s.comps[i] = compSnap{asleep: st.asleep, sleptAt: st.sleptAt, wakeAt: st.wakeAt}
+		s.comps[i] = st.sleep
 	}
 	// The active list's order is history-dependent (in-place compaction
 	// plus registration-order merges), so it is saved as an ordered index
@@ -112,8 +105,7 @@ func (e *Engine) RestoreState(s *EngineState) {
 	e.fnScheduled = s.fnScheduled
 	e.stopped = s.stopped
 	for i, st := range e.comps {
-		cs := s.comps[i]
-		st.asleep, st.sleptAt, st.wakeAt = cs.asleep, cs.sleptAt, cs.wakeAt
+		st.sleep = s.comps[i]
 	}
 	// Rebuild the active list in its saved order.
 	e.active = e.active[:0]

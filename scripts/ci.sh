@@ -36,6 +36,18 @@ go vet ./...
 echo "== go build ./... =="
 go build ./...
 
+# One implementation of each container the flat hot state is built from
+# (internal/flat: Table, Pool, Ring, Slots, Carve, IndexSet). The copies
+# noc, core and cache each kept before it must not come back, under
+# their old names or as a new hand-rolled carve or backward-shift table.
+echo "== one implementation per container (internal/flat) =="
+flat_srcs=$(ls internal/noc/*.go internal/core/*.go internal/cache/*.go internal/sim/*.go internal/cpu/*.go | grep -v '_test\.go$')
+# shellcheck disable=SC2086
+if grep -nE 'func carve|backward-shift|u32Table|blockTable|freeList|msgPool|pktQueue|(^|[^.[:alnum:]_])(ring|slab)\[' $flat_srcs; then
+    echo "ERROR: a container internal/flat provides is re-implemented above; use internal/flat" >&2
+    exit 1
+fi
+
 echo "== go test ./... =="
 go test ./...
 

@@ -2,6 +2,7 @@ package snacknoc_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"snacknoc"
@@ -269,5 +270,20 @@ func TestContextReusableAfterExecute(t *testing.T) {
 	}
 	if out2[0] != 6 {
 		t.Fatalf("second execute = %v", out2[0])
+	}
+}
+
+// TestNewPlatformRejectsCPMNodeOutsideMesh: a CPM node outside the mesh
+// is an error at the public API, not an index panic while the platform
+// is wired.
+func TestNewPlatformRejectsCPMNodeOutsideMesh(t *testing.T) {
+	for _, node := range []int{-1, 16, 99} {
+		if _, err := snacknoc.NewPlatform(snacknoc.WithCPMNode(node)); err == nil ||
+			!strings.Contains(err.Error(), "outside mesh") {
+			t.Errorf("CPM node %d on a 4x4: err = %v, want an outside-mesh error", node, err)
+		}
+	}
+	if _, err := snacknoc.NewPlatform(snacknoc.WithCPMNode(15)); err != nil {
+		t.Fatalf("CPM node 15 on a 4x4: %v", err)
 	}
 }
