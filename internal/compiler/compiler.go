@@ -61,7 +61,6 @@ func (e elemRef) operand() core.Operand {
 type compilation struct {
 	cfg     Config
 	prog    *core.Program
-	seq     uint32
 	sb      uint32
 	dep     core.DepID
 	rr      int
@@ -80,7 +79,7 @@ func Compile(g *dataflow.Graph, cfg Config) (*core.Program, error) {
 		cfg.MinChunk = 1
 	}
 	order := g.PostOrder()
-	entries, datas := entryBound(order, len(cfg.RCUs))
+	entries, datas, blocks := entryBound(order, len(cfg.RCUs))
 	if entries > math.MaxInt32 {
 		return nil, fmt.Errorf("compiler: graph may emit %d entries, past the int32 index of a ProgEntry", entries)
 	}
@@ -89,7 +88,8 @@ func Compile(g *dataflow.Graph, cfg Config) (*core.Program, error) {
 		prog: &core.Program{
 			Name:       "graph",
 			Entries:    make([]core.ProgEntry, 0, entries),
-			Instrs:     make([]core.InstrToken, 0, entries-datas),
+			Ops:        make([]core.ProgOp, 0, entries-datas),
+			Blocks:     make([]core.ProgBlock, 0, blocks),
 			Datas:      make([]core.DataToken, 0, datas),
 			OutputSlot: make(map[core.DepID]int, g.Root.Elems()),
 		},
@@ -109,29 +109,33 @@ func Compile(g *dataflow.Graph, cfg Config) (*core.Program, error) {
 	return c.prog, nil
 }
 
-// entryBound returns upper bounds on the command-stream length and on
-// the input data tokens in it, so Entries, Datas and Instrs (the
-// difference) are each sized once: append's regrowth cost five times the
-// final slice in garbage on a 10^5-entry kernel. Both are exact for a
-// MatMul.
-func entryBound(order []*dataflow.Node, rcus int) (n, datas int) {
+// entryBound returns upper bounds on the command-stream length, on the
+// input data tokens in it and on the sub-blocks, so Entries, Datas, Ops
+// (the difference) and Blocks are each sized once: append's regrowth
+// cost five times the final slice in garbage on a 10^5-entry kernel. All
+// are exact for a MatMul.
+func entryBound(order []*dataflow.Node, rcus int) (n, datas, blocks int) {
 	for _, nd := range order {
 		switch nd.Kind {
 		case dataflow.KindMatMul:
 			n += nd.Elems() * nd.Inputs[0].Cols
+			blocks += nd.Elems()
 		case dataflow.KindAdd, dataflow.KindSub, dataflow.KindScale:
 			n += nd.Elems()
+			blocks += nd.Elems()
 		case dataflow.KindReduce, dataflow.KindDot:
 			// The chains, plus the final reduction over one partial per RCU.
 			n += nd.Inputs[0].Elems() + rcus
+			blocks += rcus + 1
 		case dataflow.KindSpMV:
 			// One MAC per nonzero, a zero per empty row, and the vector's
-			// injected tokens.
+			// injected tokens; one chain per row.
 			n += nd.Sp.NNZ() + nd.Rows + nd.Inputs[0].Elems()
 			datas += nd.Inputs[0].Elems()
+			blocks += nd.Rows
 		}
 	}
-	return n, datas
+	return n, datas, blocks
 }
 
 // countUses performs the liveness lookahead of §IV-B1: each element's
@@ -218,36 +222,28 @@ func (c *compilation) nextRCUExcept(avoid noc.NodeID) noc.NodeID {
 }
 
 func (c *compilation) newDep() core.DepID { c.dep++; return c.dep }
-func (c *compilation) newSB() uint32      { c.sb++; return c.sb }
 
-// emit appends an instruction with the next sequence number.
-func (c *compilation) emit(it core.InstrToken) {
-	c.seq++
-	it.Seq = c.seq
-	c.prog.Entries = append(c.prog.Entries, core.ProgEntry(len(c.prog.Instrs)))
-	c.prog.Instrs = append(c.prog.Instrs, it)
+// block opens a sub-block on rcu under a fresh sub-block ID: the ops
+// emitted until the next block call execute there in order (§III-D1).
+func (c *compilation) block(rcu noc.NodeID) *core.ProgBlock {
+	c.sb++
+	return c.prog.AddBlock(rcu, c.sb)
 }
 
-// emitData schedules a CPM-injected input token.
-func (c *compilation) emitData(dep core.DepID, v fixed.Q, n int) {
-	c.prog.Entries = append(c.prog.Entries, ^core.ProgEntry(len(c.prog.Datas)))
-	c.prog.Datas = append(c.prog.Datas, core.DataToken{Dep: dep, Dependents: uint16(n), V: v})
-}
-
-// resultDisposition fills the Emit metadata for the element produced for
-// node n at index e, allocating its dependency ID.
-func (c *compilation) resultDisposition(n *dataflow.Node, e int, it *core.InstrToken) core.DepID {
+// resultDisposition fills the Emit metadata of sub-block b, whose last
+// op produces node n's element e, allocating its dependency ID.
+func (c *compilation) resultDisposition(n *dataflow.Node, e int, b *core.ProgBlock) core.DepID {
 	d := c.newDep()
-	it.Emit = true
-	it.EmitDep = d
+	b.Emit = true
+	b.EmitDep = d
 	if n == c.root {
-		it.ToCPM = true
-		it.Dependents = 1
+		b.ToCPM = true
+		b.Dependents = 1
 		c.prog.OutputSlot[d] = e
 		c.prog.NumOutputs++
 		return d
 	}
-	it.Dependents = uint16(c.uses[n][e])
+	b.Dependents = uint16(c.uses[n][e])
 	return d
 }
 
@@ -291,20 +287,11 @@ func (c *compilation) lowerMatMul(n *dataflow.Node) error {
 	for i := 0; i < n.Rows; i++ {
 		for j := 0; j < p; j++ {
 			e := i*p + j
-			rcu := c.nextRCU()
-			sb := c.newSB()
+			b := c.block(c.nextRCU())
 			for k := 0; k < m; k++ {
-				it := core.InstrToken{
-					Op: core.OpMAC, Dst: rcu, SubBlock: sb, SBIdx: int32(k),
-					L: x[i*m+k].operand(), R: y[k*p+j].operand(),
-					AccInit: k == 0,
-				}
-				if k == m-1 {
-					it.EndSB = true
-					refs[e] = elemRef{dep: c.resultDisposition(n, e, &it)}
-				}
-				c.emit(it)
+				c.prog.AddOp(core.OpMAC, x[i*m+k].operand(), y[k*p+j].operand(), k == 0)
 			}
+			refs[e] = elemRef{dep: c.resultDisposition(n, e, b)}
 		}
 	}
 	c.results[n] = refs
@@ -320,12 +307,9 @@ func (c *compilation) lowerElementwise(n *dataflow.Node) error {
 	}
 	refs := make([]elemRef, n.Elems())
 	for e := 0; e < n.Elems(); e++ {
-		it := core.InstrToken{
-			Op: op, Dst: c.nextRCU(), SubBlock: c.newSB(), EndSB: true,
-			L: x[e].operand(), R: y[e].operand(),
-		}
-		refs[e] = elemRef{dep: c.resultDisposition(n, e, &it)}
-		c.emit(it)
+		b := c.block(c.nextRCU())
+		c.prog.AddOp(op, x[e].operand(), y[e].operand(), false)
+		refs[e] = elemRef{dep: c.resultDisposition(n, e, b)}
 	}
 	c.results[n] = refs
 	return nil
@@ -338,12 +322,9 @@ func (c *compilation) lowerScale(n *dataflow.Node) error {
 	x := c.results[n.Inputs[1]]
 	refs := make([]elemRef, n.Elems())
 	for e := 0; e < n.Elems(); e++ {
-		it := core.InstrToken{
-			Op: core.OpMul, Dst: c.nextRCU(), SubBlock: c.newSB(), EndSB: true,
-			L: x[e].operand(), R: s.operand(),
-		}
-		refs[e] = elemRef{dep: c.resultDisposition(n, e, &it)}
-		c.emit(it)
+		b := c.block(c.nextRCU())
+		c.prog.AddOp(core.OpMul, x[e].operand(), s.operand(), false)
+		refs[e] = elemRef{dep: c.resultDisposition(n, e, b)}
 	}
 	c.results[n] = refs
 	return nil
@@ -372,7 +353,8 @@ func (c *compilation) lowerChain(n *dataflow.Node, xs, ys []elemRef) error {
 
 	if chunks == 1 {
 		// Single chain: the final element is the root/result directly.
-		c.emitChainSlice(n, xs, ys, 0, total, true)
+		b := c.emitChain(c.nextRCU(), xs, ys, 0, total)
+		c.results[n] = []elemRef{{dep: c.resultDisposition(n, 0, b)}}
 		return nil
 	}
 	nChunks := (total + per - 1) / per
@@ -380,67 +362,35 @@ func (c *compilation) lowerChain(n *dataflow.Node, xs, ys []elemRef) error {
 	for i := range partial {
 		partial[i] = elemRef{dep: c.newDep()}
 	}
-	finalRCU := c.emitChainSlice(n, partial, nil, 0, len(partial), true)
+	finalRCU := c.nextRCU()
+	b := c.emitChain(finalRCU, partial, nil, 0, len(partial))
+	c.results[n] = []elemRef{{dep: c.resultDisposition(n, 0, b)}}
 	for i, lo := 0, 0; lo < total; i, lo = i+1, lo+per {
 		hi := lo + per
 		if hi > total {
 			hi = total
 		}
-		c.emitPartialChain(xs, ys, lo, hi, partial[i].dep, finalRCU)
+		// A partial sum is a transient token with a single dependent:
+		// the final reduction, whose already-issued op references it.
+		b := c.emitChain(c.nextRCUExcept(finalRCU), xs, ys, lo, hi)
+		b.Emit, b.EmitDep, b.Dependents = true, partial[i].dep, 1
 	}
 	return nil
 }
 
-// emitPartialChain emits one accumulator chain over xs[lo:hi] whose
-// result is a transient token with a single dependent (the final
-// reduction, whose already-issued instruction references dep).
-func (c *compilation) emitPartialChain(xs, ys []elemRef, lo, hi int, dep core.DepID, avoid noc.NodeID) {
-	rcu := c.nextRCUExcept(avoid)
-	sb := c.newSB()
+// emitChain emits the accumulator chain over xs[lo:hi] — acc += x, or
+// acc += x*y for a dot product — as one sub-block on rcu, and returns the
+// block for its result disposition.
+func (c *compilation) emitChain(rcu noc.NodeID, xs, ys []elemRef, lo, hi int) *core.ProgBlock {
+	b := c.block(rcu)
 	for k := lo; k < hi; k++ {
-		it := core.InstrToken{Dst: rcu, SubBlock: sb, SBIdx: int32(k - lo), AccInit: k == lo}
 		if ys == nil {
-			it.Op = core.OpAccAdd
-			it.L = xs[k].operand()
+			c.prog.AddOp(core.OpAccAdd, xs[k].operand(), core.Operand{}, k == lo)
 		} else {
-			it.Op = core.OpMAC
-			it.L = xs[k].operand()
-			it.R = ys[k].operand()
+			c.prog.AddOp(core.OpMAC, xs[k].operand(), ys[k].operand(), k == lo)
 		}
-		if k == hi-1 {
-			it.EndSB = true
-			it.Emit = true
-			it.EmitDep = dep
-			it.Dependents = 1
-		}
-		c.emit(it)
 	}
-}
-
-// emitChainSlice emits the chain whose final value is node n's single
-// element, returning the RCU it mapped to.
-func (c *compilation) emitChainSlice(n *dataflow.Node, xs, ys []elemRef, lo, hi int, isResult bool) noc.NodeID {
-	rcu := c.nextRCU()
-	sb := c.newSB()
-	refs := make([]elemRef, 1)
-	for k := lo; k < hi; k++ {
-		it := core.InstrToken{Dst: rcu, SubBlock: sb, SBIdx: int32(k - lo), AccInit: k == lo}
-		if ys == nil {
-			it.Op = core.OpAccAdd
-			it.L = xs[k].operand()
-		} else {
-			it.Op = core.OpMAC
-			it.L = xs[k].operand()
-			it.R = ys[k].operand()
-		}
-		if k == hi-1 {
-			it.EndSB = true
-			refs[0] = elemRef{dep: c.resultDisposition(n, 0, &it)}
-		}
-		c.emit(it)
-	}
-	c.results[n] = refs
-	return rcu
+	return b
 }
 
 // lowerSpMV compiles y = A·x: the dense vector's elements become
@@ -463,7 +413,7 @@ func (c *compilation) lowerSpMV(n *dataflow.Node) error {
 		}
 		if r.isImm {
 			d := c.newDep()
-			c.emitData(d, r.imm, colUses[j])
+			c.prog.AddData(core.DataToken{Dep: d, Dependents: uint16(colUses[j]), V: r.imm})
 			tokRefs[j] = elemRef{dep: d}
 		} else {
 			tokRefs[j] = r
@@ -475,27 +425,16 @@ func (c *compilation) lowerSpMV(n *dataflow.Node) error {
 		lo, hi := n.Sp.RowPtr[i], n.Sp.RowPtr[i+1]
 		if lo == hi {
 			// Empty row: produce an explicit zero.
-			it := core.InstrToken{
-				Op: core.OpAdd, Dst: c.nextRCU(), SubBlock: c.newSB(), EndSB: true,
-				L: core.Imm32(0), R: core.Imm32(0),
-			}
-			refs[i] = elemRef{dep: c.resultDisposition(n, i, &it)}
-			c.emit(it)
+			b := c.block(c.nextRCU())
+			c.prog.AddOp(core.OpAdd, core.Imm32(0), core.Imm32(0), false)
+			refs[i] = elemRef{dep: c.resultDisposition(n, i, b)}
 			continue
 		}
-		rcu := c.nextRCU()
-		sb := c.newSB()
+		b := c.block(c.nextRCU())
 		for k := lo; k < hi; k++ {
-			it := core.InstrToken{
-				Op: core.OpMAC, Dst: rcu, SubBlock: sb, SBIdx: int32(k - lo), AccInit: k == lo,
-				L: core.Imm32(n.Sp.Val[k]), R: tokRefs[n.Sp.ColIdx[k]].operand(),
-			}
-			if k == hi-1 {
-				it.EndSB = true
-				refs[i] = elemRef{dep: c.resultDisposition(n, i, &it)}
-			}
-			c.emit(it)
+			c.prog.AddOp(core.OpMAC, core.Imm32(n.Sp.Val[k]), tokRefs[n.Sp.ColIdx[k]].operand(), k == lo)
 		}
+		refs[i] = elemRef{dep: c.resultDisposition(n, i, b)}
 	}
 	c.results[n] = refs
 	return nil

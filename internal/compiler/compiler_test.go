@@ -237,10 +237,10 @@ func TestIntermediateTokensCarryDependentCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := 0
-	for _, it := range prog.Instrs {
-		if it.Emit && !it.ToCPM {
-			if it.Dependents != 4 {
-				t.Fatalf("intermediate dependents = %d, want 4", it.Dependents)
+	for _, b := range prog.Blocks {
+		if b.Emit && !b.ToCPM {
+			if b.Dependents != 4 {
+				t.Fatalf("intermediate dependents = %d, want 4", b.Dependents)
 			}
 			found++
 		}
@@ -263,8 +263,8 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	perRCU := map[int]int{}
-	for _, it := range prog.Instrs {
-		perRCU[int(it.Dst)]++
+	for _, o := range prog.Ops {
+		perRCU[int(prog.Blocks[o.Block].Dst)]++
 	}
 	if len(perRCU) != 16 {
 		t.Fatalf("mapped to %d RCUs, want all 16", len(perRCU))
@@ -296,7 +296,7 @@ func sgemmGraph(t *testing.T, n int) *dataflow.Graph {
 }
 
 // TestCompileAllocatesPerGraphNotPerToken pins the value-array command
-// stream: Entries, Instrs and Datas are each allocated once at their
+// stream: Entries, Ops, Blocks and Datas are each allocated once at their
 // bound, so a program's object count depends on its graph's shape, not
 // its size — an SGEMM 24 costs what an SGEMM 12 does — and, the bounds
 // being exact for a MatMul, nothing is left over.
@@ -314,18 +314,18 @@ func TestCompileAllocatesPerGraphNotPerToken(t *testing.T) {
 			}
 		})
 		entries := len(prog.Entries)
-		if entries != n*n*n || len(prog.Instrs) != entries || len(prog.Datas) != 0 {
-			t.Fatalf("SGEMM %d compiled to %d entries, %d instructions and %d input tokens, want %d, %d and 0",
-				n, entries, len(prog.Instrs), len(prog.Datas), n*n*n, n*n*n)
+		if entries != n*n*n || len(prog.Ops) != entries || len(prog.Blocks) != n*n || len(prog.Datas) != 0 {
+			t.Fatalf("SGEMM %d compiled to %d entries, %d instructions, %d sub-blocks and %d input tokens, want %d, %d, %d and 0",
+				n, entries, len(prog.Ops), len(prog.Blocks), len(prog.Datas), n*n*n, n*n*n, n*n)
 		}
-		if cap(prog.Entries) != entries || cap(prog.Instrs) != entries {
-			t.Errorf("SGEMM %d: capacities %d entries and %d instructions for %d: the bounds are exact for a MatMul",
-				n, cap(prog.Entries), cap(prog.Instrs), entries)
+		if cap(prog.Entries) != entries || cap(prog.Ops) != entries || cap(prog.Blocks) != n*n {
+			t.Errorf("SGEMM %d: capacities %d entries, %d instructions and %d sub-blocks for %d and %d: the bounds are exact for a MatMul",
+				n, cap(prog.Entries), cap(prog.Ops), cap(prog.Blocks), entries, n*n)
 		}
 		for i, e := range prog.Entries {
-			if e != core.ProgEntry(i) || prog.Instrs[i].Seq != uint32(i+1) {
+			if seq := prog.Token(i).Seq; e != core.ProgEntry(i) || seq != uint32(i+1) {
 				t.Fatalf("entry %d names %d, sequence %d: want instruction %d, sequence %d",
-					i, e, prog.Instrs[i].Seq, i, i+1)
+					i, e, seq, i, i+1)
 			}
 		}
 		t.Logf("SGEMM %d: %d entries, %.0f allocations", n, entries, allocs[k])

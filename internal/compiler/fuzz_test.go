@@ -81,44 +81,50 @@ func TestRandomGraphsMatchReference(t *testing.T) {
 		iterations = 10
 	}
 	for seed := 0; seed < iterations; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := traffic.NewRNG(uint64(seed) + 1000)
-			g, err := randomGraph(rng)
-			if err != nil {
-				t.Fatalf("graph construction: %v", err)
-			}
-			prog, err := Compile(g, DefaultConfig(16))
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			if bound, _ := entryBound(g.PostOrder(), 16); len(prog.Entries) > bound {
-				t.Fatalf("%d entries emitted, entryBound said at most %d", len(prog.Entries), bound)
-			}
-			eng := sim.NewEngine()
-			plat, err := core.NewStandalone(eng, 4, 4, seed%2 == 0, core.DefaultPlatformConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := plat.Run(prog, 5_000_000)
-			if err != nil {
-				t.Fatalf("run (%d entries): %v", len(prog.Entries), err)
-			}
-			want := g.Eval()
-			if len(res.Values) != len(want) {
-				t.Fatalf("%d results, want %d", len(res.Values), len(want))
-			}
-			for i := range want {
-				if res.Values[i] != want[i] {
-					t.Fatalf("element %d: platform %v, reference %v",
-						i, res.Values[i].Float(), want[i].Float())
-				}
-			}
-			eng.Run(2000)
-			if !plat.Quiesced() {
-				t.Fatal("platform left residual state after the kernel")
-			}
+			checkRandomGraph(t, uint64(seed)+1000)
 		})
+	}
+}
+
+// FuzzCompile runs TestRandomGraphsMatchReference's property on the
+// seeds the fuzzer picks: go test -fuzz FuzzCompile ./internal/compiler.
+// Its corpus is in testdata/fuzz/FuzzCompile.
+func FuzzCompile(f *testing.F) {
+	f.Add(uint64(1000))
+	f.Fuzz(checkRandomGraph)
+}
+
+// checkRandomGraph compiles the random graph seed picks onto 16 RCUs,
+// runs it on a 4×4 platform (with the priority arbiter on even seeds),
+// and requires results bit-equal to Graph.Eval and a quiesced platform
+// afterwards.
+func checkRandomGraph(t *testing.T, seed uint64) {
+	g, err := randomGraph(traffic.NewRNG(seed))
+	if err != nil {
+		t.Fatalf("graph construction: %v", err)
+	}
+	prog, err := Compile(g, DefaultConfig(16))
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if bound, _, blocks := entryBound(g.PostOrder(), 16); len(prog.Entries) > bound || len(prog.Blocks) > blocks {
+		t.Fatalf("%d entries and %d sub-blocks emitted, entryBound said at most %d and %d",
+			len(prog.Entries), len(prog.Blocks), bound, blocks)
+	}
+	eng := sim.NewEngine()
+	plat, err := core.NewStandalone(eng, 4, 4, seed%2 == 0, core.DefaultPlatformConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := plat.Run(prog, 5_000_000)
+	if err != nil {
+		t.Fatalf("run (%d entries): %v", len(prog.Entries), err)
+	}
+	checkEqual(t, "platform", res.Values, g.Eval())
+	eng.Run(2000)
+	if !plat.Quiesced() {
+		t.Fatal("platform left residual state after the kernel")
 	}
 }
 

@@ -23,7 +23,6 @@ func newPlatform(t *testing.T) (*sim.Engine, *Platform) {
 // progBuilder helps tests assemble valid programs.
 type progBuilder struct {
 	prog    *Program
-	seq     uint32
 	nextSB  uint32
 	nextDep DepID
 }
@@ -33,25 +32,37 @@ func newProg(name string) *progBuilder {
 }
 
 func (b *progBuilder) dep() DepID { b.nextDep++; return b.nextDep }
-func (b *progBuilder) sb() uint32 { b.nextSB++; return b.nextSB }
 
-// instr appends an instruction; the token it returns stays valid until
-// the next instr call.
-func (b *progBuilder) instr(it InstrToken) *InstrToken {
-	b.seq++
-	it.Seq = b.seq
-	if it.SubBlock == 0 {
-		it.SubBlock = b.sb()
-		it.EndSB = true
-	}
-	b.prog.Entries = append(b.prog.Entries, ProgEntry(len(b.prog.Instrs)))
-	b.prog.Instrs = append(b.prog.Instrs, it)
-	return &b.prog.Instrs[len(b.prog.Instrs)-1]
+// block opens a sub-block on dst under the next sub-block ID; the ops
+// that follow belong to it. The block it returns takes the result
+// disposition and stays valid until the next block.
+func (b *progBuilder) block(dst noc.NodeID) *ProgBlock {
+	b.nextSB++
+	return b.prog.AddBlock(dst, b.nextSB)
+}
+
+// instr appends a one-instruction sub-block on dst.
+func (b *progBuilder) instr(dst noc.NodeID, op Op, l, r Operand) *ProgBlock {
+	blk := b.block(dst)
+	b.prog.AddOp(op, l, r, false)
+	return blk
+}
+
+// emit gives blk's result to n consumers as the loop token dep.
+func emit(blk *ProgBlock, dep DepID, n int) {
+	blk.Emit, blk.EmitDep, blk.Dependents = true, dep, uint16(n)
+}
+
+// result makes blk's result the kernel's next output, dep.
+func (b *progBuilder) result(blk *ProgBlock, dep DepID) *ProgBlock {
+	emit(blk, dep, 1)
+	blk.ToCPM = true
+	b.output(dep)
+	return blk
 }
 
 func (b *progBuilder) data(dep DepID, v float64, n int) {
-	b.prog.Entries = append(b.prog.Entries, ^ProgEntry(len(b.prog.Datas)))
-	b.prog.Datas = append(b.prog.Datas, DataToken{Dep: dep, Dependents: uint16(n), V: fixed.FromFloat(v)})
+	b.prog.AddData(DataToken{Dep: dep, Dependents: uint16(n), V: fixed.FromFloat(v)})
 }
 
 func (b *progBuilder) output(dep DepID) {
@@ -71,9 +82,7 @@ func TestSingleAddImmediate(t *testing.T) {
 	_, p := newPlatform(t)
 	b := newProg("add")
 	out := b.dep()
-	b.instr(InstrToken{Op: OpAdd, Dst: 5, L: Imm32(fixed.FromFloat(2)), R: Imm32(fixed.FromFloat(3)),
-		Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
-	b.output(out)
+	b.result(b.instr(5, OpAdd, Imm32(fixed.FromFloat(2)), Imm32(fixed.FromFloat(3))), out)
 	res, err := p.Run(b.build(t), 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -104,9 +113,7 @@ func TestAllOpsCompute(t *testing.T) {
 		_ = eng
 		b := newProg(tc.op.String())
 		out := b.dep()
-		b.instr(InstrToken{Op: tc.op, Dst: 9, L: Imm32(fixed.FromFloat(tc.l)), R: Imm32(fixed.FromFloat(tc.r)),
-			Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
-		b.output(out)
+		b.result(b.instr(9, tc.op, Imm32(fixed.FromFloat(tc.l)), Imm32(fixed.FromFloat(tc.r))), out)
 		res, err := p.Run(b.build(t), 100000)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.op, err)
@@ -123,24 +130,11 @@ func TestMACSubBlockDotProduct(t *testing.T) {
 	_ = eng
 	b := newProg("dot")
 	out := b.dep()
-	sb := b.sb()
-	vals := [][2]float64{{1, 2}, {3, 4}, {5, 6}}
-	for i, v := range vals {
-		it := InstrToken{Op: OpMAC, Dst: 10, SubBlock: sb, SBIdx: int32(i),
-			L: Imm32(fixed.FromFloat(v[0])), R: Imm32(fixed.FromFloat(v[1]))}
-		if i == 0 {
-			it.AccInit = true
-		}
-		if i == len(vals)-1 {
-			it.EndSB = true
-			it.Emit = true
-			it.EmitDep = out
-			it.Dependents = 1
-			it.ToCPM = true
-		}
-		b.instr(it)
+	blk := b.block(10)
+	for i, v := range [][2]float64{{1, 2}, {3, 4}, {5, 6}} {
+		b.prog.AddOp(OpMAC, Imm32(fixed.FromFloat(v[0])), Imm32(fixed.FromFloat(v[1])), i == 0)
 	}
-	b.output(out)
+	b.result(blk, out)
 	res, err := p.Run(b.build(t), 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -159,9 +153,7 @@ func TestTransientTokenFromCPM(t *testing.T) {
 	x := b.dep()
 	out := b.dep()
 	b.data(x, 7, 1)
-	b.instr(InstrToken{Op: OpMul, Dst: 12, L: Ref(x), R: Imm32(fixed.FromFloat(6)),
-		Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
-	b.output(out)
+	b.result(b.instr(12, OpMul, Ref(x), Imm32(fixed.FromFloat(6))), out)
 	res, err := p.Run(b.build(t), 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -185,9 +177,7 @@ func TestTokenWithMultipleDependents(t *testing.T) {
 	outs := make([]DepID, 3)
 	for i, node := range []noc.NodeID{3, 9, 14} {
 		outs[i] = b.dep()
-		b.instr(InstrToken{Op: OpMul, Dst: node, L: Ref(x), R: Imm32(fixed.FromFloat(float64(i + 1))),
-			Emit: true, EmitDep: outs[i], Dependents: 1, ToCPM: true})
-		b.output(outs[i])
+		b.result(b.instr(node, OpMul, Ref(x), Imm32(fixed.FromFloat(float64(i+1)))), outs[i])
 	}
 	res, err := p.Run(b.build(t), 200000)
 	if err != nil {
@@ -208,11 +198,8 @@ func TestProducerConsumerAcrossRCUs(t *testing.T) {
 	b := newProg("chain")
 	mid := b.dep()
 	out := b.dep()
-	b.instr(InstrToken{Op: OpMul, Dst: 6, L: Imm32(fixed.FromFloat(3)), R: Imm32(fixed.FromFloat(4)),
-		Emit: true, EmitDep: mid, Dependents: 1})
-	b.instr(InstrToken{Op: OpAdd, Dst: 11, L: Ref(mid), R: Imm32(fixed.FromFloat(1)),
-		Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
-	b.output(out)
+	emit(b.instr(6, OpMul, Imm32(fixed.FromFloat(3)), Imm32(fixed.FromFloat(4))), mid, 1)
+	b.result(b.instr(11, OpAdd, Ref(mid), Imm32(fixed.FromFloat(1))), out)
 	res, err := p.Run(b.build(t), 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -233,11 +220,8 @@ func TestLocalDeliveryAvoidsNetwork(t *testing.T) {
 	b := newProg("local")
 	mid := b.dep()
 	out := b.dep()
-	b.instr(InstrToken{Op: OpMul, Dst: 8, L: Imm32(fixed.FromFloat(3)), R: Imm32(fixed.FromFloat(4)),
-		Emit: true, EmitDep: mid, Dependents: 1})
-	b.instr(InstrToken{Op: OpAdd, Dst: 8, L: Ref(mid), R: Imm32(fixed.FromFloat(2)),
-		Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
-	b.output(out)
+	emit(b.instr(8, OpMul, Imm32(fixed.FromFloat(3)), Imm32(fixed.FromFloat(4))), mid, 1)
+	b.result(b.instr(8, OpAdd, Ref(mid), Imm32(fixed.FromFloat(2))), out)
 	res, err := p.Run(b.build(t), 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -254,24 +238,41 @@ func TestLocalDeliveryAvoidsNetwork(t *testing.T) {
 	}
 }
 
+// TestChainWaitingOnColocatedProducer: RCU 5 holds an Add waiting on an
+// input token and a two-op MAC chain whose second op consumes the Add's
+// result. The chain's first op is ready and opens the accumulator; the
+// Add, once its input arrives, must still run ahead of the open chain,
+// or each would wait on the other forever.
+func TestChainWaitingOnColocatedProducer(t *testing.T) {
+	_, p := newPlatform(t)
+	b := newProg("colocated")
+	x, mid, out := b.dep(), b.dep(), b.dep()
+	emit(b.instr(5, OpAdd, Ref(x), Imm32(fixed.FromInt(1))), mid, 1)
+	blk := b.block(5)
+	b.prog.AddOp(OpMAC, Imm32(fixed.FromInt(2)), Imm32(fixed.FromInt(3)), true)
+	b.prog.AddOp(OpMAC, Ref(mid), Imm32(fixed.FromInt(10)), false)
+	b.result(blk, out)
+	b.data(x, 4, 1)
+	res, err := p.Run(b.build(t), 100000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Values[0].Int(); got != 2*3+(4+1)*10 {
+		t.Fatalf("2·3 + (4+1)·10 = %d", got)
+	}
+}
+
 func TestAccAddReduction(t *testing.T) {
 	// Sum 1..6 on one RCU with the adder-only accumulator path.
 	eng, p := newPlatform(t)
 	_ = eng
 	b := newProg("reduce")
 	out := b.dep()
-	sb := b.sb()
+	blk := b.block(7)
 	for i := 1; i <= 6; i++ {
-		it := InstrToken{Op: OpAccAdd, Dst: 7, SubBlock: sb, SBIdx: int32(i - 1), L: Imm32(fixed.FromInt(i))}
-		if i == 1 {
-			it.AccInit = true
-		}
-		if i == 6 {
-			it.EndSB, it.Emit, it.EmitDep, it.Dependents, it.ToCPM = true, true, out, 1, true
-		}
-		b.instr(it)
+		b.prog.AddOp(OpAccAdd, Imm32(fixed.FromInt(i)), Operand{}, i == 1)
 	}
-	b.output(out)
+	b.result(blk, out)
 	res, err := p.Run(b.build(t), 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -288,23 +289,15 @@ func TestInterleavedSubBlocksKeepAccumulatorsSeparate(t *testing.T) {
 	_ = eng
 	b := newProg("two-chains")
 	outA, outB := b.dep(), b.dep()
-	sbA, sbB := b.sb(), b.sb()
-	mk := func(sb uint32, out DepID, vals []float64) {
+	mk := func(out DepID, vals []float64) {
+		blk := b.block(4)
 		for i, v := range vals {
-			it := InstrToken{Op: OpAccAdd, Dst: 4, SubBlock: sb, SBIdx: int32(i), L: Imm32(fixed.FromFloat(v))}
-			if i == 0 {
-				it.AccInit = true
-			}
-			if i == len(vals)-1 {
-				it.EndSB, it.Emit, it.EmitDep, it.Dependents, it.ToCPM = true, true, out, 1, true
-			}
-			b.instr(it)
+			b.prog.AddOp(OpAccAdd, Imm32(fixed.FromFloat(v)), Operand{}, i == 0)
 		}
+		b.result(blk, out)
 	}
-	mk(sbA, outA, []float64{1, 2, 3})
-	mk(sbB, outB, []float64{10, 20, 30})
-	b.output(outA)
-	b.output(outB)
+	mk(outA, []float64{1, 2, 3})
+	mk(outB, []float64{10, 20, 30})
 	res, err := p.Run(b.build(t), 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -321,9 +314,7 @@ func TestPlatformQuiescesAfterKernel(t *testing.T) {
 	eng, p := newPlatform(t)
 	b := newProg("q")
 	out := b.dep()
-	b.instr(InstrToken{Op: OpAdd, Dst: 15, L: Imm32(fixed.FromInt(1)), R: Imm32(fixed.FromInt(1)),
-		Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
-	b.output(out)
+	b.result(b.instr(15, OpAdd, Imm32(fixed.FromInt(1)), Imm32(fixed.FromInt(1))), out)
 	if _, err := p.Run(b.build(t), 100000); err != nil {
 		t.Fatal(err)
 	}
@@ -337,9 +328,7 @@ func TestSubmitWhileBusyIsRejected(t *testing.T) {
 	eng, p := newPlatform(t)
 	b := newProg("busy")
 	out := b.dep()
-	b.instr(InstrToken{Op: OpAdd, Dst: 15, L: Imm32(fixed.FromInt(1)), R: Imm32(fixed.FromInt(1)),
-		Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
-	b.output(out)
+	b.result(b.instr(15, OpAdd, Imm32(fixed.FromInt(1)), Imm32(fixed.FromInt(1))), out)
 	prog := b.build(t)
 	if !p.CPM.Submit(prog, eng.Cycle(), nil) {
 		t.Fatal("first submit rejected")
@@ -361,9 +350,7 @@ func TestKernelDeterminism(t *testing.T) {
 		b.data(x, 2, 4)
 		for i := 0; i < 4; i++ {
 			out := b.dep()
-			b.instr(InstrToken{Op: OpMul, Dst: noc.NodeID(3 + i*4), L: Ref(x),
-				R: Imm32(fixed.FromInt(i + 1)), Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
-			b.output(out)
+			b.result(b.instr(noc.NodeID(3+i*4), OpMul, Ref(x), Imm32(fixed.FromInt(i+1))), out)
 		}
 		res, err := p.Run(b.build(t), 200000)
 		if err != nil {
@@ -385,9 +372,7 @@ func TestIssueRateIsOnePerCycle(t *testing.T) {
 	n := 200
 	for i := 0; i < n; i++ {
 		out := b.dep()
-		b.instr(InstrToken{Op: OpAdd, Dst: noc.NodeID(i % 16), L: Imm32(fixed.FromInt(i)),
-			R: Imm32(fixed.FromInt(1)), Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
-		b.output(out)
+		b.result(b.instr(noc.NodeID(i%16), OpAdd, Imm32(fixed.FromInt(i)), Imm32(fixed.FromInt(1))), out)
 	}
 	res, err := p.Run(b.build(t), 1_000_000)
 	if err != nil {
@@ -403,15 +388,23 @@ func TestIssueRateIsOnePerCycle(t *testing.T) {
 	}
 }
 
-// TestTokenSizes pins the compiled-program layout: a program is one
-// 56-byte token per instruction plus a 4-byte entry per command, so a
-// new token field is a conscious choice, made here.
+// TestTokenSizes pins the compiled-program layout — a 16-byte op per
+// instruction (the InstrBytes the model charges), a block of at most 24
+// bytes per sub-block and a 4-byte entry per command — and the 56-byte
+// in-flight token the CPM builds from them, so a new field in any of
+// them is a conscious choice, made here.
 func TestTokenSizes(t *testing.T) {
-	if n := unsafe.Sizeof(InstrToken{}); n != 56 {
-		t.Errorf("InstrToken is %d bytes, want 56", n)
+	if n := unsafe.Sizeof(ProgOp{}); n != InstrBytes {
+		t.Errorf("ProgOp is %d bytes, want %d", n, InstrBytes)
+	}
+	if n := unsafe.Sizeof(ProgBlock{}); n > 24 {
+		t.Errorf("ProgBlock is %d bytes, want at most 24", n)
 	}
 	if n := unsafe.Sizeof(ProgEntry(0)); n != 4 {
 		t.Errorf("ProgEntry is %d bytes, want 4", n)
+	}
+	if n := unsafe.Sizeof(InstrToken{}); n != 56 {
+		t.Errorf("InstrToken is %d bytes, want 56", n)
 	}
 }
 

@@ -134,7 +134,7 @@ func (b *offloadBufs) copyFrom(o *offloadBufs) {
 	b.offloadMem = append(b.offloadMem[:0], o.offloadMem...)
 }
 
-// staged values other than an instruction's index in prog.Instrs.
+// staged values other than an instruction's index in prog.Ops.
 const (
 	stageNone = -1 // nothing awaits injection
 	stageData = -2 // the data token in stagedTok does
@@ -145,9 +145,9 @@ const (
 type cpmScalars struct {
 	state KernelState
 	// staged is what Advance injects next: an instruction of prog, by its
-	// Instrs index, assembled as it is sent, or stageData for stagedTok — an input
-	// token assembled when it was staged, or a spilled token on its way
-	// back.
+	// Ops index, assembled as it is sent, or stageData for stagedTok — an
+	// input token assembled when it was staged, or a spilled token on its
+	// way back.
 	staged      int32
 	stagedTok   DataToken
 	fetched     int // entries whose memory read has been issued
@@ -213,13 +213,17 @@ func (c *CPM) BusyReplies() int64 { return c.busyReplies.Value() }
 // CongestedCycles counts cycles the ALO detector reported congestion.
 func (c *CPM) CongestedCycles() int64 { return c.congestedCy.Value() }
 
-// admit validates p unless it is the program this CPM validated last;
-// programs are immutable, so once is enough.
+// admit validates p, and checks that every sub-block maps into this
+// CPM's mesh, unless it is the program this CPM admitted last; programs
+// are immutable, so once is enough.
 func (c *CPM) admit(p *Program) error {
 	if c.validated == p {
 		return nil
 	}
 	if err := p.Validate(); err != nil {
+		return err
+	}
+	if err := p.checkMesh(c.net.Cfg().Nodes()); err != nil {
 		return err
 	}
 	c.validated = p
@@ -267,17 +271,17 @@ func (c *CPM) Submit(p *Program, cycle int64, onDone func(*Result)) bool {
 	return true
 }
 
-// assemble builds in it the private, executable copy of an instruction
-// entry, as the paper's CPM assembles an instruction flit from the values
-// DDR3 returns (§III-C1). Execution fills operand references in place, so
-// the shared program's tokens are never issued themselves. The copy is
+// assemble builds in it the private, executable token of instruction i,
+// as the paper's CPM assembles an instruction flit from the values DDR3
+// returns (§III-C1): the op and its sub-block's shared fields
+// (Program.Token), which execution then fills in place. The token is
 // stamped with this CPM's identity: its node as the result home, and its
 // namespace on dependency and sub-block IDs (Program.Validate keeps those
 // below nsLimit) so concurrently executing kernels from decentralized
 // CPMs (§VII) can never alias each other's tokens at the RCUs. An input
 // token is stamped the same way as it is staged (see Evaluate).
-func (c *CPM) assemble(it, e *InstrToken) {
-	*it = *e
+func (c *CPM) assemble(it *InstrToken, i int32) {
+	*it = c.prog.Token(int(i))
 	it.Home = c.cfg.Node
 	it.SubBlock |= uint32(c.nsBase)
 	if it.L.IsRef {
@@ -360,7 +364,7 @@ func (c *CPM) Advance(cycle int64) {
 		c.port.Send(c.loop.Next(c.cfg.Node), d, true, cycle)
 	} else {
 		it := c.pool.instr.Get()
-		c.assemble(it, &c.prog.Instrs[c.staged])
+		c.assemble(it, c.staged)
 		c.port.Send(it.Dst, it, false, cycle)
 	}
 	c.staged = stageNone

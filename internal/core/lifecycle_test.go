@@ -19,68 +19,83 @@ func sgemmProg(n int) *Program {
 	b := newProg("sgemm")
 	for e := 0; e < n*n; e++ {
 		out := b.dep()
-		sb := b.sb()
+		blk := b.block(noc.NodeID(e % 16))
 		for k := 0; k < n; k++ {
-			it := InstrToken{Op: OpMAC, Dst: noc.NodeID(e % 16), SubBlock: sb, SBIdx: int32(k), AccInit: k == 0,
-				L: Imm32(fixed.FromInt(k%5 + 1)), R: Imm32(fixed.FromInt(e%3 + 1))}
-			if k == n-1 {
-				it.EndSB, it.Emit, it.EmitDep, it.Dependents, it.ToCPM = true, true, out, 1, true
-			}
-			b.instr(it)
+			b.prog.AddOp(OpMAC, Imm32(fixed.FromInt(k%5+1)), Imm32(fixed.FromInt(e%3+1)), k == 0)
 		}
-		b.output(out)
+		b.result(blk, out)
 	}
 	return b.prog
 }
 
 // TestInvalidProgramIsAnErrorNotAPanic covers the bounds that used to
-// be panics inside CPM.Submit: with entries stamped as they are fetched,
-// an unchecked ID would otherwise blow up inside an engine event.
+// be panics inside CPM.Submit or inside an engine event: an unchecked ID
+// is stamped as its entry is issued, and a sub-block mapped off the mesh
+// has no route. Validate catches what a program alone shows; the mesh
+// check needs the platform, so CPM.admit makes it. Either way Run
+// returns the error and the platform stays usable.
 func TestInvalidProgramIsAnErrorNotAPanic(t *testing.T) {
-	valid := func() (*progBuilder, *InstrToken) {
+	valid := func() (*progBuilder, *ProgBlock) {
 		b := newProg("bad")
 		in, out := b.dep(), b.dep()
 		b.data(in, 2, 1)
-		it := b.instr(InstrToken{Op: OpMul, Dst: 3, L: Ref(in), R: Imm32(fixed.FromInt(2)),
-			Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
-		b.output(out)
-		return b, it
+		blk := b.result(b.instr(3, OpMul, Ref(in), Imm32(fixed.FromInt(2))), out)
+		return b, blk
 	}
 	cases := []struct {
 		name   string
-		mutate func(b *progBuilder, it *InstrToken)
+		mutate func(b *progBuilder, blk *ProgBlock)
 		want   string
+		// onMesh marks a program only the platform can reject.
+		onMesh bool
 	}{
-		{"sub-block id", func(_ *progBuilder, it *InstrToken) { it.SubBlock = nsLimit }, "sub-block id"},
-		{"left operand dep", func(_ *progBuilder, it *InstrToken) { it.L.Dep = nsLimit }, "dependency id"},
-		{"right operand dep", func(_ *progBuilder, it *InstrToken) { it.R = Ref(nsLimit + 7) }, "dependency id"},
-		{"emitted dep", func(b *progBuilder, it *InstrToken) {
-			delete(b.prog.OutputSlot, it.EmitDep)
-			it.EmitDep = nsLimit
-			b.prog.OutputSlot[it.EmitDep] = 0
-		}, "dependency id"},
-		{"input token dep", func(b *progBuilder, _ *InstrToken) { b.prog.Datas[0].Dep = nsLimit }, "dependency id"},
-		{"output slot", func(b *progBuilder, it *InstrToken) { b.prog.OutputSlot[it.EmitDep] = 1 }, "output slot 1 outside"},
-		{"entry past its array", func(b *progBuilder, _ *InstrToken) { b.prog.Entries[1] = 1 }, "out of order"},
-		{"token without an entry", func(b *progBuilder, it *InstrToken) { b.prog.Instrs = append(b.prog.Instrs, *it) }, "entries for"},
+		{"sub-block id", func(_ *progBuilder, blk *ProgBlock) { blk.SubBlock = nsLimit }, "sub-block id", false},
+		{"left operand dep", func(b *progBuilder, _ *ProgBlock) { b.prog.Ops[0].L = nsLimit }, "dependency id", false},
+		{"right operand dep", func(b *progBuilder, _ *ProgBlock) {
+			b.prog.Ops[0].R, b.prog.Ops[0].RRef = nsLimit+7, true
+		}, "dependency id", false},
+		{"emitted dep", func(b *progBuilder, blk *ProgBlock) {
+			delete(b.prog.OutputSlot, blk.EmitDep)
+			blk.EmitDep = nsLimit
+			b.prog.OutputSlot[blk.EmitDep] = 0
+		}, "dependency id", false},
+		{"input token dep", func(b *progBuilder, _ *ProgBlock) { b.prog.Datas[0].Dep = nsLimit }, "dependency id", false},
+		{"output slot", func(b *progBuilder, blk *ProgBlock) { b.prog.OutputSlot[blk.EmitDep] = 1 }, "output slot 1 outside", false},
+		{"entry past its array", func(b *progBuilder, _ *ProgBlock) { b.prog.Entries[1] = 1 }, "out of order", false},
+		{"token without an entry", func(b *progBuilder, _ *ProgBlock) { b.prog.Ops = append(b.prog.Ops, b.prog.Ops[0]) }, "entries for", false},
+		{"op naming another sub-block", func(b *progBuilder, _ *ProgBlock) { b.prog.Ops[0].Block = 1 }, "names sub-block 1", false},
+		{"empty sub-block", func(b *progBuilder, _ *ProgBlock) {
+			b.prog.Blocks = append(b.prog.Blocks, ProgBlock{Dst: 3, First: 1})
+		}, "spans ops 1..1", false},
+		{"op in no sub-block", func(b *progBuilder, _ *ProgBlock) { b.prog.Blocks = nil }, "lie in no sub-block", false},
+		{"RCU off the mesh", func(_ *progBuilder, blk *ProgBlock) { blk.Dst = 16 }, "outside the 16-node mesh", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b, it := valid()
+			b, blk := valid()
 			if err := b.prog.Validate(); err != nil {
 				t.Fatalf("the unbroken program is invalid: %v", err)
 			}
-			tc.mutate(b, it)
-			if err := b.prog.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			tc.mutate(b, blk)
+			err := b.prog.Validate()
+			if tc.onMesh {
+				if err != nil {
+					t.Fatalf("Validate = %v, want only the platform to reject it", err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Validate = %v, want an error naming the %s", err, tc.want)
 			}
 			eng, p := newPlatform(t)
 			res, err := p.Run(b.prog, 100000)
-			if err == nil || res != nil {
-				t.Fatalf("Run = (%v, %v), want the validation error", res, err)
+			if err == nil || res != nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run = (%v, %v), want an error naming the %s", res, err, tc.want)
 			}
 			if p.CPM.Busy() || eng.Cycle() != 0 {
 				t.Fatalf("rejected program reached the CPM (busy=%v, cycle %d)", p.CPM.Busy(), eng.Cycle())
+			}
+			good, _ := valid()
+			if res, err := p.Run(good.prog, 100000); err != nil || res.Values[0] != fixed.FromInt(4) {
+				t.Fatalf("the platform after the rejected program: Run = (%v, %v), want 2·2", res, err)
 			}
 		})
 	}
@@ -184,9 +199,7 @@ func TestKernelsReturnEveryToken(t *testing.T) {
 		b.data(x, 2, 4)
 		for i := 0; i < 4; i++ {
 			out := b.dep()
-			b.instr(InstrToken{Op: OpMul, Dst: noc.NodeID(3 + i*4), L: Ref(x),
-				R: Imm32(fixed.FromInt(i + 1)), Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
-			b.output(out)
+			b.result(b.instr(noc.NodeID(3+i*4), OpMul, Ref(x), Imm32(fixed.FromInt(i+1))), out)
 		}
 		return b.build(t)
 	}

@@ -19,31 +19,23 @@ func buildReduce(vals []float64, rcus []noc.NodeID) *Program {
 		partialDeps = append(partialDeps, b.dep())
 	}
 	// Final chain first (consumers before producers).
-	sb := b.sb()
+	blk := b.block(final)
 	for i, d := range partialDeps {
-		it := InstrToken{Op: OpAccAdd, Dst: final, SubBlock: sb, SBIdx: int32(i), L: Ref(d), AccInit: i == 0}
-		if i == len(partialDeps)-1 {
-			it.EndSB, it.Emit, it.EmitDep, it.Dependents, it.ToCPM = true, true, out, 1, true
-		}
-		b.instr(it)
+		b.prog.AddOp(OpAccAdd, Ref(d), Operand{}, i == 0)
 	}
+	b.result(blk, out)
 	for ci, rcu := range rcus[1:] {
 		lo := ci * chunk
 		hi := lo + chunk
 		if hi > len(vals) {
 			hi = len(vals)
 		}
-		sb := b.sb()
+		blk := b.block(rcu)
 		for i := lo; i < hi; i++ {
-			it := InstrToken{Op: OpAccAdd, Dst: rcu, SubBlock: sb, SBIdx: int32(i - lo),
-				L: Imm32(fixed.FromFloat(vals[i])), AccInit: i == lo}
-			if i == hi-1 {
-				it.EndSB, it.Emit, it.EmitDep, it.Dependents = true, true, partialDeps[ci], 1
-			}
-			b.instr(it)
+			b.prog.AddOp(OpAccAdd, Imm32(fixed.FromFloat(vals[i])), Operand{}, i == lo)
 		}
+		emit(blk, partialDeps[ci], 1)
 	}
-	b.output(out)
 	return b.prog
 }
 

@@ -22,10 +22,7 @@ func buildTokenStorm(nTokens int) *Program {
 	}
 	for i, d := range deps {
 		out := b.dep()
-		b.instr(InstrToken{Op: OpMul, Dst: noc.NodeID(i % 16),
-			L: Ref(d), R: Imm32(fixed.FromInt(2)),
-			Emit: true, EmitDep: out, Dependents: 1, ToCPM: true})
-		b.output(out)
+		b.result(b.instr(noc.NodeID(i%16), OpMul, Ref(d), Imm32(fixed.FromInt(2))), out)
 	}
 	return b.prog
 }
@@ -84,10 +81,7 @@ func TestOverflowDisabledOnQuietKernels(t *testing.T) {
 	pairs := make([]pair, 64)
 	for i := range pairs {
 		pairs[i] = pair{dep: b.dep(), out: b.dep(), val: float64(i + 1)}
-		b.instr(InstrToken{Op: OpMul, Dst: noc.NodeID(i % 16),
-			L: Ref(pairs[i].dep), R: Imm32(fixed.FromInt(3)),
-			Emit: true, EmitDep: pairs[i].out, Dependents: 1, ToCPM: true})
-		b.output(pairs[i].out)
+		b.result(b.instr(noc.NodeID(i%16), OpMul, Ref(pairs[i].dep), Imm32(fixed.FromInt(3))), pairs[i].out)
 	}
 	for _, pr := range pairs {
 		b.data(pr.dep, pr.val, 1)

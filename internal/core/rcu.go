@@ -548,20 +548,26 @@ func (r *RCU) sbHeadReady(si int32) bool {
 }
 
 // dispatch picks the next instruction under the §III-D1 partial order:
-// while an accumulator chain is open only its own sub-block may issue;
+// while an accumulator chain is open only its own sub-block may issue
+// (unless it waits on a producer stuck behind it; see unblock);
 // otherwise the lowest-sequence ready head across sub-blocks wins (ties
 // broken by arrival order).
 func (r *RCU) dispatch(cycle int64) {
 	pick := int32(-1)
 	if r.accOpen {
 		si, ok := r.sbTab.Get(r.accSB)
-		if !ok || !r.sbHeadReady(si) {
+		switch {
+		case ok && r.sbHeadReady(si):
+			pick = si
+		case ok:
+			pick = r.unblock(si)
+		}
+		if pick < 0 {
 			if len(r.sbActive) > 0 {
 				r.stallCount.Inc()
 			}
 			return
 		}
-		pick = si
 	} else {
 		var pickSeq uint32
 		for _, si := range r.sbActive {
@@ -601,6 +607,51 @@ func (r *RCU) dispatch(cycle int64) {
 	r.busyUntil = cycle + it.Op.Latency()
 	r.execStart = cycle
 	r.execVal = r.compute(it)
+}
+
+// unblock breaks the one deadlock the partial order builds on a single
+// RCU: the open chain in slot si waits on a value whose producer is
+// buffered here, behind the chain, so neither could ever run. Only then
+// may an instruction that leaves the accumulator alone run ahead of the
+// chain — the lowest-sequence ready one, which is the producer or a
+// local instruction it waits on. A run that never reaches that state is
+// unchanged. It returns the slot to dispatch, or -1.
+func (r *RCU) unblock(si int32) int32 {
+	sb := r.sbs.At(si)
+	if sb.head < 0 {
+		return -1
+	}
+	it := r.instrAt(sb.head)
+	if int(it.SBIdx) != sb.executed || (!r.producedHere(&it.L) && !r.producedHere(&it.R)) {
+		return -1
+	}
+	pick := int32(-1)
+	var pickSeq uint32
+	for _, sj := range r.sbActive {
+		if !r.sbHeadReady(sj) {
+			continue
+		}
+		if h := r.instrAt(r.sbs.At(sj).head); !h.Op.usesAcc() && (pick < 0 || h.Seq < pickSeq) {
+			pick, pickSeq = sj, h.Seq
+		}
+	}
+	return pick
+}
+
+// producedHere reports whether o waits on a value that an instruction at
+// the head of one of this RCU's sub-blocks emits.
+func (r *RCU) producedHere(o *Operand) bool {
+	if o.ready() {
+		return false
+	}
+	for _, sj := range r.sbActive {
+		if h := r.sbs.At(sj).head; h >= 0 {
+			if p := r.instrAt(h); p.Emit && p.EmitDep == o.Dep {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func operandsReady(it *InstrToken) bool {

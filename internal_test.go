@@ -20,17 +20,10 @@ func TestInvalidProgramIsAnErrorAtTheRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	const out = core.DepID(1 << 24)
-	bad := &core.Program{
-		Name:    "overflow",
-		Entries: []core.ProgEntry{0},
-		Instrs: []core.InstrToken{{
-			Seq: 1, Op: core.OpAdd, Dst: 3, SubBlock: 1, EndSB: true,
-			L: core.Imm32(fixed.FromInt(1)), R: core.Imm32(fixed.FromInt(2)),
-			Emit: true, EmitDep: out, Dependents: 1, ToCPM: true,
-		}},
-		OutputSlot: map[core.DepID]int{out: 0},
-		NumOutputs: 1,
-	}
+	bad := &core.Program{Name: "overflow", OutputSlot: map[core.DepID]int{out: 0}, NumOutputs: 1}
+	blk := bad.AddBlock(3, 1)
+	bad.AddOp(core.OpAdd, core.Imm32(fixed.FromInt(1)), core.Imm32(fixed.FromInt(2)), false)
+	blk.Emit, blk.EmitDep, blk.Dependents, blk.ToCPM = true, out, 1, true
 	res, err := p.core.Run(bad, maxKernelCycles(bad))
 	if err == nil || res != nil || !strings.Contains(err.Error(), "exceeds the namespace") {
 		t.Fatalf("Run = (%v, %v), want a namespace error", res, err)

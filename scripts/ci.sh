@@ -51,6 +51,13 @@ fi
 echo "== go test ./... =="
 go test ./...
 
+# The compile → RCU path under the fuzzer: ten seconds of random graphs,
+# each compiled, run on a 4×4 platform and checked against Graph.Eval,
+# beyond the checked-in corpus the plain pass above replays. A failing
+# input lands in internal/compiler/testdata/fuzz/FuzzCompile.
+echo "== go test -fuzz FuzzCompile (10 s) =="
+go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s ./internal/compiler
+
 # The race pass uses -short so the full-scale figure regenerations (which
 # the plain pass above already ran) are not repeated at the race
 # detector's ~10x slowdown. It covers the two concurrent subsystems: the
@@ -252,11 +259,12 @@ echo "attribution smoke: byte-identical"
 # the co-run at or under 12 (11.3; 12.9 with credit wires; 20.5).
 #
 # alloc_mb_per_pass on kernels_zero_load and dse_fork_sweep: a compiled
-# kernel is three pointer-free arrays sized once (a 4-byte entry per
-# command, a 56-byte token per instruction) and a flit is one 64-byte
-# line, so a kernels pass stays under 28 MB (25.0 when this was written;
-# 36.7 with 80-byte tokens in chunked slabs behind 16-byte pointer-pair
-# entries) and a DSE pass under 38 MB (33.8 with legs shared across
+# kernel is four pointer-free arrays sized once (a 4-byte entry per
+# command, a 16-byte op per instruction, a 20-byte block per sub-block)
+# and a flit is one 64-byte line, so a kernels pass stays under 16 MB
+# (12.7 when this was written; 24.8 with a 56-byte token per
+# instruction; 36.7 with 80-byte tokens in chunked slabs behind 16-byte
+# pointer-pair entries) and a DSE pass under 38 MB (33.8 with legs shared across
 # channel widths; 61.7 with two legs per cell, 67.3 with 80-byte
 # tokens). The grep below keeps the slab and the token pointers out of
 # the compiled program.
@@ -279,7 +287,7 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 6500, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 28, dse_fork_sweep <= 22, mesh_saturation <= 3.8; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 6500, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 16, dse_fork_sweep <= 22, mesh_saturation <= 3.8; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
 if grep -n '\.Schedule(\|\.ScheduleAfter(' $(ls internal/cache/*.go internal/mem/*.go | grep -v _test.go); then
     echo "ERROR: internal/cache and internal/mem file typed events (ScheduleCall), not closures" >&2
     exit 1
@@ -296,7 +304,7 @@ if grep -n 'TokenCloner\|copyMsg\|map\[any\]any' $(ls internal/core/*.go interna
     exit 1
 fi
 if grep -n 'slab\[\|\*InstrToken\|\*DataToken' $(ls internal/compiler/*.go | grep -v _test.go) internal/core/program.go; then
-    echo "ERROR: a compiled program holds its tokens by value in three flat arrays, not in slabs behind pointers" >&2
+    echo "ERROR: a compiled program holds its records by value in four flat arrays, not in slabs behind pointers" >&2
     exit 1
 fi
 # Attribution counts are component state that a recorder only reads, and
@@ -314,7 +322,7 @@ bench_bound dse_fork_sweep 0 allocs_per_pass 6500
 bench_bound mesh_saturation 0 allocs_per_pass 3000
 bench_bound cmp_sparse_traffic 0 allocs_per_pass 25000
 bench_bound corun_interference 0 allocs_per_pass 10000
-bench_bound kernels_zero_load 0 alloc_mb_per_pass 28
+bench_bound kernels_zero_load 0 alloc_mb_per_pass 16
 bench_bound dse_fork_sweep 0 alloc_mb_per_pass 22
 bench_bound mesh_saturation 0 alloc_mb_per_pass 3.8
 bench_bound cmp_sparse_traffic 1 sim.evals_per_cycle 8.5
