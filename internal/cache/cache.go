@@ -53,8 +53,14 @@ func flagIf(on bool, flag int64) int64 {
 
 // Cache is a set-associative, write-back, LRU cache tag store.
 type Cache struct {
-	sets  int
-	ways  int
+	sets int
+	ways int
+	tags
+}
+
+// tags is a tag store's mutable state; a checkpoint copies it with
+// copyFrom.
+type tags struct {
 	lines []line // sets*ways
 	tick  int64  // LRU clock
 
@@ -69,7 +75,7 @@ func NewCache(sizeBytes, ways int) *Cache {
 		panic(fmt.Sprintf("cache: bad geometry size=%d ways=%d", sizeBytes, ways))
 	}
 	sets := blocks / ways
-	return &Cache{sets: sets, ways: ways, lines: make([]line, blocks)}
+	return &Cache{sets: sets, ways: ways, tags: tags{lines: make([]line, blocks)}}
 }
 
 // Sets returns the number of sets.

@@ -63,20 +63,27 @@ type L1 struct {
 	// eng is the engine of the shard this node lives on; all L1 events
 	// must be scheduled here so sharded runs never touch the root wheel
 	// from a shard goroutine.
-	eng   *sim.Engine
-	cache *Cache
-	pool  *flat.Pool[Msg]
-
-	mshrHead [l1MSHRSets]int32 // per-set chain heads, -1 when empty
-	mshrSlab []mshrEntry
-	mshrFree int32 // slab free-list head, -1 when empty
-	mshrN    int
+	eng  *sim.Engine
+	pool *flat.Pool[Msg]
 
 	// fill scratch: waiters and retries are copied here before their
 	// MSHR is released, so callbacks that recursively Access (and
 	// allocate fresh MSHRs) cannot invalidate the iteration.
 	waitScratch  []waiter
 	retryScratch []retryReq
+
+	l1State
+}
+
+// l1State is an L1 controller's mutable state, its tag store included; a
+// checkpoint takes and restores it with copyFrom.
+type l1State struct {
+	cache Cache
+
+	mshrHead [l1MSHRSets]int32 // per-set chain heads, -1 when empty
+	mshrSlab []mshrEntry
+	mshrFree int32 // slab free-list head, -1 when empty
+	mshrN    int
 
 	parked flat.Slots[parkedAccess]
 
@@ -95,12 +102,11 @@ type L1 struct {
 func newL1(sys *System, node int) *L1 {
 	eng := sys.Net.EngFor(noc.NodeID(node))
 	l := &L1{
-		sys:      sys,
-		node:     node,
-		eng:      eng,
-		cache:    NewCache(sys.cfg.L1Bytes, sys.cfg.L1Ways),
-		pool:     sys.poolFor(eng),
-		mshrFree: -1,
+		sys:     sys,
+		node:    node,
+		eng:     eng,
+		pool:    sys.poolFor(eng),
+		l1State: l1State{cache: *NewCache(sys.cfg.L1Bytes, sys.cfg.L1Ways), mshrFree: -1},
 	}
 	for i := range l.mshrHead {
 		l.mshrHead[i] = -1
@@ -109,7 +115,7 @@ func newL1(sys *System, node int) *L1 {
 }
 
 // Cache exposes the tag store for inspection in tests and reports.
-func (l *L1) Cache() *Cache { return l.cache }
+func (l *L1) Cache() *Cache { return &l.cache }
 
 // Outstanding returns the number of misses in flight.
 func (l *L1) Outstanding() int { return l.mshrN }

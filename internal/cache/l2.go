@@ -40,9 +40,16 @@ type L2Bank struct {
 	node noc.NodeID
 	// eng is the shard engine of the bank's node; lookup-latency events
 	// are filed here so sharded runs stay race-free.
-	eng   *sim.Engine
-	cache *Cache
-	pool  *flat.Pool[Msg]
+	eng  *sim.Engine
+	pool *flat.Pool[Msg]
+
+	l2State
+}
+
+// l2State is a bank's mutable state, its tag store included; a
+// checkpoint takes and restores it with copyFrom.
+type l2State struct {
+	cache Cache
 
 	dirTab    flat.Table[uint64] // block -> dirSlots index
 	dirSlots  []dirEntry
@@ -59,16 +66,16 @@ type L2Bank struct {
 func newL2Bank(sys *System, node noc.NodeID) *L2Bank {
 	eng := sys.Net.EngFor(node)
 	return &L2Bank{
-		sys:   sys,
-		node:  node,
-		eng:   eng,
-		cache: NewCache(sys.cfg.L2BankBytes, sys.cfg.L2Ways),
-		pool:  sys.poolFor(eng),
+		sys:     sys,
+		node:    node,
+		eng:     eng,
+		pool:    sys.poolFor(eng),
+		l2State: l2State{cache: *NewCache(sys.cfg.L2BankBytes, sys.cfg.L2Ways)},
 	}
 }
 
 // Cache exposes the bank's tag store.
-func (b *L2Bank) Cache() *Cache { return b.cache }
+func (b *L2Bank) Cache() *Cache { return &b.cache }
 
 // Hits returns L2 data-array hits observed while serving transactions.
 func (b *L2Bank) Hits() int64 { return b.hits.Value() }

@@ -3,47 +3,26 @@ package cache
 import (
 	"slices"
 
-	"snacknoc/internal/attrib"
 	"snacknoc/internal/flat"
 	"snacknoc/internal/mem"
-	"snacknoc/internal/stats"
 )
 
-// Checkpoint support. The hierarchy's mutable state is the tag stores,
-// the L1 MSHR files and parked accesses, the L2 directory and
-// transaction slabs, the memory nodes' reads in flight and the DRAM
-// controllers. Pending events live in the engine snapshot as (callee,
-// argument) pairs — a controller and a block or slab slot — and every
-// held message is a value in a slab (messages are recycled by the
-// handler that receives them), so a snapshot copies the slabs, their
-// lookup tables and free lists slot for slot and a restore copies them
-// back. A slot that owns a slice (an MSHR's waiters and retries, a home
-// transaction's pending requests) is copied into that slot's own
-// storage. Waiters are records copied by value; a waiter's done callback
-// is the caller's.
+// Checkpoint support. The hierarchy's mutable state is each L1's and
+// each bank's block (l1State, l2State, each with its tag store), the
+// memory nodes' reads in flight and the DRAM controllers. Pending events
+// live in the engine snapshot as (callee, argument) pairs — a controller
+// and a block or slab slot — and every held message is a value in a slab
+// (messages are recycled by the handler that receives them), so one
+// copyFrom per block both takes and restores it, slot for slot, lookup
+// tables and free lists included. A slot that owns a slice (an MSHR's
+// waiters and retries, a home transaction's pending requests) is copied
+// into that slot's own storage. Waiters are records copied by value; a
+// waiter's done callback is the caller's.
 
-// CacheState is a tag store's saved state.
-type CacheState struct {
-	Lines        []line
-	Tick         int64
-	Hits, Misses int64
-}
-
-// State captures the tag store.
-func (c *Cache) State() CacheState {
-	return CacheState{
-		Lines:  append([]line(nil), c.lines...),
-		Tick:   c.tick,
-		Hits:   c.hits,
-		Misses: c.misses,
-	}
-}
-
-// Restore writes a saved state back (geometry must match).
-func (c *Cache) Restore(s CacheState) {
-	copy(c.lines, s.Lines)
-	c.tick = s.Tick
-	c.hits, c.misses = s.Hits, s.Misses
+// copyFrom makes t a copy of o, reusing t's storage.
+func (t *tags) copyFrom(o *tags) {
+	t.lines = append(t.lines[:0], o.lines...)
+	t.tick, t.hits, t.misses = o.tick, o.hits, o.misses
 }
 
 // copyFrom makes e a copy of o, its waiters and retries in e's own
@@ -62,108 +41,29 @@ func (t *l2txn) copyFrom(o *l2txn) {
 	t.pending = append(p, o.pending...)
 }
 
-// copySlots makes dst a slot-for-slot copy of src, each slot copied into
-// the storage dst's slot already owns, and returns it.
-func copySlots[T any, P interface {
-	*T
-	copyFrom(*T)
-}](dst, src []T) []T {
-	dst = slices.Grow(dst[:0], len(src))[:len(src)]
-	for i := range src {
-		P(&dst[i]).copyFrom(&src[i])
+// copyFrom makes s a copy of o, reusing s's storage.
+func (s *l1State) copyFrom(o *l1State) {
+	s.cache.tags.copyFrom(&o.cache.tags)
+	s.mshrHead = o.mshrHead
+	s.mshrSlab = slices.Grow(s.mshrSlab[:0], len(o.mshrSlab))[:len(o.mshrSlab)]
+	for i := range o.mshrSlab {
+		s.mshrSlab[i].copyFrom(&o.mshrSlab[i])
 	}
-	return dst
+	s.mshrFree, s.mshrN = o.mshrFree, o.mshrN
+	s.parked.CopyFrom(&o.parked, nil)
+	s.hits, s.misses, s.latSum, s.latCount = o.hits, o.misses, o.latSum, o.latCount
+	s.attrib, s.attribLast = o.attrib, o.attribLast
 }
 
-// l1State is one L1 controller's saved state.
-type l1State struct {
-	cache    CacheState
-	mshrHead [l1MSHRSets]int32
-	mshrSlab []mshrEntry
-	mshrFree int32
-	mshrN    int
-	parked   flat.Slots[parkedAccess]
-	hits     int64
-	misses   int64
-	latSum   int64
-	latCount int64
-
-	attrib     attrib.Counts
-	attribLast int64
-}
-
-func (l *L1) state() l1State {
-	s := l1State{
-		cache:      l.cache.State(),
-		mshrHead:   l.mshrHead,
-		mshrSlab:   copySlots(nil, l.mshrSlab),
-		mshrFree:   l.mshrFree,
-		mshrN:      l.mshrN,
-		hits:       l.hits.Value(),
-		misses:     l.misses.Value(),
-		latSum:     l.latSum,
-		latCount:   l.latCount,
-		attrib:     l.attrib,
-		attribLast: l.attribLast,
-	}
-	s.parked.CopyFrom(&l.parked, nil)
-	return s
-}
-
-func (l *L1) restore(s *l1State) {
-	l.cache.Restore(s.cache)
-	l.mshrHead = s.mshrHead
-	l.mshrSlab = copySlots(l.mshrSlab, s.mshrSlab)
-	l.mshrFree, l.mshrN = s.mshrFree, s.mshrN
-	l.parked.CopyFrom(&s.parked, nil)
-	l.hits.Restore(stats.CounterState{N: s.hits})
-	l.misses.Restore(stats.CounterState{N: s.misses})
-	l.latSum, l.latCount = s.latSum, s.latCount
-	l.attrib = s.attrib
-	l.attribLast = s.attribLast
-}
-
-// l2State is one bank's saved state.
-type l2State struct {
-	cache     CacheState
-	dirTab    flat.Table[uint64]
-	dirSlots  []dirEntry
-	dirBlocks []uint64
-	txnTab    flat.Table[uint64]
-	txns      flat.Slots[l2txn]
-
-	hits, misses int64
-	recalls      int64
-	invs         int64
-}
-
-func (b *L2Bank) state() l2State {
-	s := l2State{
-		cache:     b.cache.State(),
-		dirSlots:  slices.Clone(b.dirSlots),
-		dirBlocks: slices.Clone(b.dirBlocks),
-		hits:      b.hits.Value(),
-		misses:    b.misses.Value(),
-		recalls:   b.recalls.Value(),
-		invs:      b.invs.Value(),
-	}
-	s.dirTab.CopyFrom(&b.dirTab)
-	s.txnTab.CopyFrom(&b.txnTab)
-	s.txns.CopyFrom(&b.txns, (*l2txn).copyFrom)
-	return s
-}
-
-func (b *L2Bank) restore(s *l2State) {
-	b.cache.Restore(s.cache)
-	b.dirTab.CopyFrom(&s.dirTab)
-	b.dirSlots = append(b.dirSlots[:0], s.dirSlots...)
-	b.dirBlocks = append(b.dirBlocks[:0], s.dirBlocks...)
-	b.txnTab.CopyFrom(&s.txnTab)
-	b.txns.CopyFrom(&s.txns, (*l2txn).copyFrom)
-	b.hits.Restore(stats.CounterState{N: s.hits})
-	b.misses.Restore(stats.CounterState{N: s.misses})
-	b.recalls.Restore(stats.CounterState{N: s.recalls})
-	b.invs.Restore(stats.CounterState{N: s.invs})
+// copyFrom makes s a copy of o, reusing s's storage.
+func (s *l2State) copyFrom(o *l2State) {
+	s.cache.tags.copyFrom(&o.cache.tags)
+	s.dirTab.CopyFrom(&o.dirTab)
+	s.dirSlots = append(s.dirSlots[:0], o.dirSlots...)
+	s.dirBlocks = append(s.dirBlocks[:0], o.dirBlocks...)
+	s.txnTab.CopyFrom(&o.txnTab)
+	s.txns.CopyFrom(&o.txns, (*l2txn).copyFrom)
+	s.hits, s.misses, s.recalls, s.invs = o.hits, o.misses, o.recalls, o.invs
 }
 
 // SystemState is the whole hierarchy's saved state. Memory nodes are
@@ -180,16 +80,17 @@ func (s *System) State() *SystemState {
 	st := &SystemState{
 		l1s:   make([]l1State, len(s.L1s)),
 		l2s:   make([]l2State, len(s.L2s)),
+		mems:  make([]mem.ControllerState, len(s.memNodes)),
 		reads: make([]flat.Slots[Msg], len(s.memNodes)),
 	}
 	for i, l := range s.L1s {
-		st.l1s[i] = l.state()
+		st.l1s[i].copyFrom(&l.l1State)
 	}
 	for i, b := range s.L2s {
-		st.l2s[i] = b.state()
+		st.l2s[i].copyFrom(&b.l2State)
 	}
 	for i, mn := range s.memNodes {
-		st.mems = append(st.mems, s.Mems[mn].ctrl.State())
+		st.mems[i].CopyFrom(&s.Mems[mn].ctrl.ControllerState)
 		st.reads[i].CopyFrom(&s.Mems[mn].reads, nil)
 	}
 	return st
@@ -198,13 +99,13 @@ func (s *System) State() *SystemState {
 // Restore writes a saved state back onto the same system.
 func (s *System) Restore(st *SystemState) {
 	for i, l := range s.L1s {
-		l.restore(&st.l1s[i])
+		l.l1State.copyFrom(&st.l1s[i])
 	}
 	for i, b := range s.L2s {
-		b.restore(&st.l2s[i])
+		b.l2State.copyFrom(&st.l2s[i])
 	}
 	for i, mn := range s.memNodes {
-		s.Mems[mn].ctrl.Restore(st.mems[i])
+		s.Mems[mn].ctrl.CopyFrom(&st.mems[i])
 		s.Mems[mn].reads.CopyFrom(&st.reads[i], nil)
 	}
 }

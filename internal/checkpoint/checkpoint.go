@@ -14,17 +14,24 @@
 // number of runs; the warm sweeps and the platform pool build on that.
 // Forks of one snapshot share a platform and therefore serialize.
 //
-// Every layer keeps its state in slabs and holds tokens and cache
-// messages by value or by slab index, so a snapshot is slab copies; the
-// only pointers saved are the payloads of packets in flight.
+// Every layer follows one idiom: a component keeps its mutable state in
+// one embedded block, and the block's copyFrom assigns its scalars and
+// copies its owned slices and flat containers into its own storage, so
+// the same method takes (saved.copyFrom(&live.block)) and restores
+// (live.block.copyFrom(&saved)). Tokens and cache messages are held by
+// value or by slab index, so the only pointers saved are the payloads
+// of packets in flight. The network packs what its buffers, wires, work
+// lists and NI queues hold rather than copying their slabs whole, and
+// the engine saves its pending events as a list.
 //
 // What is deliberately NOT captured: free pools (the mesh's flit and
 // packet-envelope pools, the engine's event pool and the cache-message
 // and token pools are unobservable — a pooled object is zeroed before
 // reuse; restoring the mesh returns what it overwrites to its pool and
 // draws what it restores from it), tracers and metrics registries (warm
-// sweeps run cold while observability is on), and the immutable
-// configuration and wiring.
+// sweeps run cold while observability is on), the immutable
+// configuration and wiring, and the derived sets a restore rebuilds
+// (the cores' and RCUs' runnable sets, the wires' pending bits).
 package checkpoint
 
 import (

@@ -48,6 +48,13 @@ func buildCoRunProf(t testing.TB, shards int, prof *traffic.Profile) *coRunSim {
 	t.Helper()
 	cfg := noc.SnackPlatform(4, 4, true)
 	cfg.Shards = shards
+	return buildCoRunOn(t, cfg, prof, testSeed)
+}
+
+// buildCoRunOn builds the co-run on a given mesh configuration, with
+// seed drawing both the cores' reference streams and the kernel's data.
+func buildCoRunOn(t testing.TB, cfg *noc.Config, prof *traffic.Profile, seed uint64) *coRunSim {
+	t.Helper()
 	eng := sim.NewEngine()
 	net, err := noc.New(eng, cfg)
 	if err != nil {
@@ -58,7 +65,7 @@ func buildCoRunProf(t testing.TB, shards int, prof *traffic.Profile) *coRunSim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	work, err := cpu.NewWorkload(eng, sys, prof, testSeed)
+	work, err := cpu.NewWorkload(eng, sys, prof, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +73,7 @@ func buildCoRunProf(t testing.TB, shards int, prof *traffic.Profile) *coRunSim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := experiments.CompileKernel(cpu.KernelReduction, experiments.DefaultKernelDims(), 16, testSeed)
+	prog, err := experiments.CompileKernel(cpu.KernelReduction, experiments.DefaultKernelDims(), 16, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,14 +79,12 @@ func DefaultCPMConfig(node noc.NodeID) CPMConfig {
 // The CPM holds no pooled token: its instruction buffer names program
 // entries by index, an entry is assembled into a token only as it is
 // staged or sent, and spilled tokens are kept by value. A checkpoint
-// copies the buffer, offloadBufs and cpmScalars.
+// copies cpmState and the memory channel's ControllerState.
 type CPM struct {
-	cfg      CPMConfig
-	net      *noc.Network
-	mem      *mem.Controller
-	loop     *noc.LoopRoute
-	alo      *noc.ALODetector
-	snackALO *noc.SnackALODetector
+	cfg  CPMConfig
+	net  *noc.Network
+	mem  *mem.Controller
+	loop *noc.LoopRoute
 	// port is the CPM's own connection into its router (Fig 5 shows the
 	// CPM attached beside the router, not behind the node's network
 	// interface). It shares the compute input port with the co-located
@@ -95,13 +93,6 @@ type CPM struct {
 	port *noc.InjectPort
 	pool *TokenPool // its engine's; the Platform wires it
 
-	// prog is the submitted program itself — immutable and shared, never
-	// a copy; entries become private tokens as they are sent.
-	prog     *Program
-	onDone   func(*Result)
-	result   *Result
-	instrBuf flat.Ring[int32] // fetched, unstaged entries of prog, by index
-
 	// nsBase is this CPM's namespace, OR-ed into every dependency and
 	// sub-block ID it issues (see assemble).
 	nsBase DepID
@@ -109,29 +100,27 @@ type CPM struct {
 	// pattern resubmits one immutable program many times).
 	validated *Program
 
-	offloadBufs
-
 	// tr records scheduling decisions; nil disables tracing.
 	tr *trace.Tracer
 
-	cpmScalars
+	cpmState
 }
 
-// offloadBufs is the overflow path of §III-C2, every token by value.
-type offloadBufs struct {
+// cpmState is a CPM's mutable state: the instruction buffer, the kernel's
+// result so far, the overflow path of §III-C2 (every token by value) and
+// the scalars. A checkpoint takes and restores it with copyFrom.
+type cpmState struct {
+	instrBuf flat.Ring[int32] // fetched, unstaged entries of prog, by index
+	result   *Result
+
 	offload []DataToken // captured into the Offload Data Memory Buffer
 	// offloadPending holds flushed batches whose memory write is still in
 	// flight, oldest first; the write completion (cpmOffloadDone) moves
 	// the front batch on.
 	offloadPending []DataToken
 	offloadMem     []DataToken // parked in main memory, next to re-inject first
-}
 
-// copyFrom makes b a copy of o, reusing b's storage.
-func (b *offloadBufs) copyFrom(o *offloadBufs) {
-	b.offload = append(b.offload[:0], o.offload...)
-	b.offloadPending = append(b.offloadPending[:0], o.offloadPending...)
-	b.offloadMem = append(b.offloadMem[:0], o.offloadMem...)
+	cpmScalars
 }
 
 // staged values other than an instruction's index in prog.Ops.
@@ -143,6 +132,17 @@ const (
 // cpmScalars is a CPM's mutable state outside its buffers; a checkpoint
 // copies it whole.
 type cpmScalars struct {
+	// prog is the submitted program itself — immutable and shared, never
+	// a copy; entries become private tokens as they are sent. onDone is
+	// the submitter's callback.
+	prog   *Program
+	onDone func(*Result)
+
+	// The congestion detectors hold their router and thresholds beside
+	// their state; a copy over the same CPM leaves those as they were.
+	alo      noc.ALODetector
+	snackALO noc.SnackALODetector
+
 	state KernelState
 	// staged is what Advance injects next: an instruction of prog, by its
 	// Ops index, assembled as it is sent, or stageData for stagedTok — an
@@ -171,17 +171,21 @@ type cpmScalars struct {
 func NewCPM(cfg CPMConfig, net *noc.Network, ctrl *mem.Controller) *CPM {
 	r := net.Router(cfg.Node)
 	return &CPM{
-		cfg:      cfg,
-		net:      net,
-		mem:      ctrl,
-		nsBase:   (DepID(cfg.Node) + 1) * nsLimit,
-		loop:     net.Loop(),
-		alo:      noc.NewALODetector(r, cfg.ALOThreshold, cfg.ALOHysteresis),
-		snackALO: noc.NewSnackALODetector(r, net.Loop().Next(cfg.Node), cfg.SnackALOThreshold, cfg.ALOHysteresis),
-		// refill keeps the buffer under InstrBufCap entries counting the
-		// reads in flight, so one transaction past it never overflows.
-		instrBuf:   flat.RingOver(make([]int32, cfg.InstrBufCap+cfg.EntriesPerTxn)),
-		cpmScalars: cpmScalars{staged: stageNone},
+		cfg:    cfg,
+		net:    net,
+		mem:    ctrl,
+		nsBase: (DepID(cfg.Node) + 1) * nsLimit,
+		loop:   net.Loop(),
+		cpmState: cpmState{
+			// refill keeps the buffer under InstrBufCap entries counting the
+			// reads in flight, so one transaction past it never overflows.
+			instrBuf: flat.RingOver(make([]int32, cfg.InstrBufCap+cfg.EntriesPerTxn)),
+			cpmScalars: cpmScalars{
+				alo:      *noc.NewALODetector(r, cfg.ALOThreshold, cfg.ALOHysteresis),
+				snackALO: *noc.NewSnackALODetector(r, net.Loop().Next(cfg.Node), cfg.SnackALOThreshold, cfg.ALOHysteresis),
+				staged:   stageNone,
+			},
+		},
 	}
 }
 
@@ -251,7 +255,7 @@ func (c *CPM) Submit(p *Program, cycle int64, onDone func(*Result)) bool {
 	c.state = StateLoading
 	c.fetched = 0
 	c.inflight = 0
-	c.instrBuf.Restore(nil)
+	c.instrBuf.Clear()
 	c.resultsGot = 0
 	c.writesOut = 0
 	c.pendingWB = 0

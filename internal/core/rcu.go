@@ -113,18 +113,6 @@ func (s *instrSlab) release(i int32) {
 	s.free = i
 }
 
-// copyFrom makes s a slot-for-slot copy of o, reusing s's chunks.
-func (s *instrSlab) copyFrom(o *instrSlab) {
-	used := (int(o.n) + instrChunk - 1) / instrChunk
-	for len(s.chunks) < used {
-		s.chunks = append(s.chunks, make([]instrSlot, instrChunk))
-	}
-	for i := range used {
-		copy(s.chunks[i], o.chunks[i])
-	}
-	s.n, s.free = o.n, o.free
-}
-
 // RCU is the Router Compute Unit of §III-D: flit decode, an ordered
 // instruction buffer with sub-block partial ordering, a dependency-
 // capture path fed by transient loop tokens, a fixed-point ALU with an
@@ -136,8 +124,7 @@ func (s *instrSlab) copyFrom(o *instrSlab) {
 // shrinks on the dispatch path. The RCU holds every instruction by
 // value, in a slot of its engine's instrSlab, from the cycle its flit
 // arrives until it retires; the inbox, the cells and exec name slots. A
-// checkpoint is therefore a copy of the slab, rcuSlabs, the ring and
-// rcuScalars.
+// checkpoint is therefore a copy of the slab and of rcuState.
 //
 // On a Platform the engine does not see RCUs one by one: an rcuGroup
 // steps those that hold work (see group.go).
@@ -157,17 +144,17 @@ type RCU struct {
 	parkedFrom int64
 
 	instrs *instrSlab // shared with the RCUs of the same engine
-	rcuSlabs
-	outQ flat.Ring[outToken]
 
 	// tr records operand/compute events; nil disables tracing.
 	tr *trace.Tracer
 
-	rcuScalars
+	rcuState
 }
 
-// rcuSlabs holds the flat structures an RCU indexes its instructions with.
-type rcuSlabs struct {
+// rcuState is an RCU's mutable state: the flat structures it indexes its
+// instructions with, its result ring and its scalars. A checkpoint takes
+// and restores it with copyFrom.
+type rcuState struct {
 	inbox []inboxEntry
 	nodes []instrNode // shared slab for sub-block queues and waiting lists
 
@@ -176,17 +163,9 @@ type rcuSlabs struct {
 	sbTab    flat.Table[uint32] // SubBlock id -> sbs slot
 	waits    flat.Slots[waitList]
 	waitTab  flat.Table[uint32] // DepID -> waits slot
-}
+	outQ     flat.Ring[outToken]
 
-// copyFrom makes s a slot-for-slot copy of o, reusing s's storage.
-func (s *rcuSlabs) copyFrom(o *rcuSlabs) {
-	s.inbox = append(s.inbox[:0], o.inbox...)
-	s.nodes = append(s.nodes[:0], o.nodes...)
-	s.sbs.CopyFrom(&o.sbs, nil)
-	s.sbActive = append(s.sbActive[:0], o.sbActive...)
-	s.sbTab.CopyFrom(&o.sbTab)
-	s.waits.CopyFrom(&o.waits, nil)
-	s.waitTab.CopyFrom(&o.waitTab)
+	rcuScalars
 }
 
 // rcuScalars is an RCU's mutable state outside its slabs and ring; a
@@ -219,13 +198,13 @@ type rcuScalars struct {
 // it its injection port.
 func NewRCU(cfg RCUConfig, node noc.NodeID, loop *noc.LoopRoute, cpmNode noc.NodeID) *RCU {
 	return &RCU{
-		cfg:        cfg,
-		node:       node,
-		loop:       loop,
-		cpmNode:    cpmNode,
-		pool:       new(TokenPool),
-		instrs:     &instrSlab{free: -1},
-		rcuScalars: rcuScalars{nodeFree: -1, exec: -1},
+		cfg:      cfg,
+		node:     node,
+		loop:     loop,
+		cpmNode:  cpmNode,
+		pool:     new(TokenPool),
+		instrs:   &instrSlab{free: -1},
+		rcuState: rcuState{rcuScalars: rcuScalars{nodeFree: -1, exec: -1}},
 	}
 }
 
@@ -267,17 +246,17 @@ func newRCUs(cfg RCUConfig, nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) 
 	for i := range rcus {
 		rcus[i] = RCU{
 			cfg: cfg, node: noc.NodeID(i), loop: loop, cpmNode: cpmNode,
-			rcuSlabs: rcuSlabs{
-				inbox:    flat.Carve(&inbox, rcuInboxCap)[:0],
-				nodes:    flat.Carve(&cells, rcuCellCap)[:0],
-				sbs:      flat.SlotsOver(flat.Carve(&sbSlots, rcuSBCap), flat.Carve(&idx, rcuSBCap)),
-				sbActive: flat.Carve(&idx, rcuSBCap)[:0],
-				sbTab:    tab(rcuSBTabCap),
-				waits:    flat.SlotsOver(flat.Carve(&waitSlots, rcuWaitCap), flat.Carve(&idx, rcuWaitCap)),
-				waitTab:  tab(rcuWaitTabCap),
+			rcuState: rcuState{
+				inbox:      flat.Carve(&inbox, rcuInboxCap)[:0],
+				nodes:      flat.Carve(&cells, rcuCellCap)[:0],
+				sbs:        flat.SlotsOver(flat.Carve(&sbSlots, rcuSBCap), flat.Carve(&idx, rcuSBCap)),
+				sbActive:   flat.Carve(&idx, rcuSBCap)[:0],
+				sbTab:      tab(rcuSBTabCap),
+				waits:      flat.SlotsOver(flat.Carve(&waitSlots, rcuWaitCap), flat.Carve(&idx, rcuWaitCap)),
+				waitTab:    tab(rcuWaitTabCap),
+				outQ:       flat.RingOver(flat.Carve(&outQ, rcuOutQCap)),
+				rcuScalars: rcuScalars{nodeFree: -1, exec: -1},
 			},
-			outQ:       flat.RingOver(flat.Carve(&outQ, rcuOutQCap)),
-			rcuScalars: rcuScalars{nodeFree: -1, exec: -1},
 		}
 	}
 	return rcus

@@ -3,98 +3,62 @@ package core
 import (
 	"snacknoc/internal/fixed"
 	"snacknoc/internal/mem"
-	"snacknoc/internal/noc"
 )
 
 // Checkpoint support. Outside the network every token has one holder,
 // which keeps it by value: an RCU in a slot of its engine's instruction
 // slab or in its result ring, a CPM as a program-entry index or a spilled
-// token. So a snapshot of the compute layer is a copy of those flat
-// slices plus the scalar blocks, and a restore copies them back slot for
-// slot: the slabs, the cells and every free list come back exactly as
-// they were. Only positions nothing observes are not kept: a ring is
-// saved as its live entries in order, and an empty lookup table as empty.
+// token. So the compute layer's state is the instruction slabs, each
+// RCU's rcuState and each CPM's cpmState and memory channel, and one
+// copyFrom per block both takes and restores it, slot for slot: the
+// slabs, the cells and every free list come back exactly as they were.
 // Tokens in flight ride the network snapshot.
 //
 // The program a CPM streams is immutable, so a snapshot shares it by
 // pointer and its size does not depend on the program's length. The
 // CPM's onDone callback is shared too: it closes over the submitter's
-// state, which lives outside the platform. Pending memory completions
-// are typed engine events naming the CPM itself (see cpmFetchDone),
-// carried by the engine snapshot.
+// state, which lives outside the platform, and a fork re-fires it when
+// the fork finishes. Pending memory completions are typed engine events
+// naming the CPM itself (see cpmFetchDone), carried by the engine
+// snapshot.
 
-func cloneResult(r *Result) *Result {
-	if r == nil {
-		return nil
+// copyFrom makes s a slot-for-slot copy of o, reusing s's chunks.
+func (s *instrSlab) copyFrom(o *instrSlab) {
+	used := (int(o.n) + instrChunk - 1) / instrChunk
+	for len(s.chunks) < used {
+		s.chunks = append(s.chunks, make([]instrSlot, instrChunk))
 	}
-	return &Result{
-		Values:     append([]fixed.Q(nil), r.Values...),
-		StartCycle: r.StartCycle,
-		DoneCycle:  r.DoneCycle,
+	for i := range used {
+		copy(s.chunks[i], o.chunks[i])
 	}
+	s.n, s.free = o.n, o.free
 }
 
-// rcuState is one RCU's saved state. Its compute port belongs to the
-// network and rides the network snapshot.
-type rcuState struct {
-	rcuScalars
-	rcuSlabs
-	outQ []outToken
+// copyFrom makes s a copy of o, reusing s's storage.
+func (s *rcuState) copyFrom(o *rcuState) {
+	s.inbox = append(s.inbox[:0], o.inbox...)
+	s.nodes = append(s.nodes[:0], o.nodes...)
+	s.sbs.CopyFrom(&o.sbs, nil)
+	s.sbActive = append(s.sbActive[:0], o.sbActive...)
+	s.sbTab.CopyFrom(&o.sbTab)
+	s.waits.CopyFrom(&o.waits, nil)
+	s.waitTab.CopyFrom(&o.waitTab)
+	s.outQ.CopyFrom(&o.outQ)
+	s.rcuScalars = o.rcuScalars
 }
 
-func (r *RCU) snapshot() rcuState {
-	s := rcuState{rcuScalars: r.rcuScalars, outQ: r.outQ.AppendTo(nil)}
-	s.rcuSlabs.copyFrom(&r.rcuSlabs)
-	return s
-}
-
-func (r *RCU) restore(s *rcuState) {
-	r.rcuScalars = s.rcuScalars
-	r.rcuSlabs.copyFrom(&s.rcuSlabs)
-	r.outQ.Restore(s.outQ)
-}
-
-// cpmState is one manager's saved state, including its private memory
-// channel. prog is the shared immutable program and onDone the
-// submitter's callback: a fork re-fires it when the fork finishes.
-type cpmState struct {
-	cpmScalars
-	offloadBufs
-	prog     *Program
-	onDone   func(*Result)
-	result   *Result
-	instrBuf []int32
-
-	alo      noc.ALODetectorState
-	snackALO noc.SnackALOState
-	mem      mem.ControllerState
-}
-
-func (c *CPM) snapshot() cpmState {
-	s := cpmState{
-		cpmScalars: c.cpmScalars,
-		prog:       c.prog,
-		onDone:     c.onDone,
-		result:     cloneResult(c.result),
-		instrBuf:   c.instrBuf.AppendTo(nil),
-		alo:        c.alo.State(),
-		snackALO:   c.snackALO.State(),
-		mem:        c.mem.State(),
+// copyFrom makes s a copy of o, reusing s's storage. The result is
+// cloned, not reused: the one a kernel finishes with is handed to onDone.
+func (s *cpmState) copyFrom(o *cpmState) {
+	s.instrBuf.CopyFrom(&o.instrBuf)
+	s.result = nil
+	if r := o.result; r != nil {
+		s.result = &Result{Values: append([]fixed.Q(nil), r.Values...), StartCycle: r.StartCycle, DoneCycle: r.DoneCycle}
 	}
-	s.offloadBufs.copyFrom(&c.offloadBufs)
-	return s
-}
-
-func (c *CPM) restore(s *cpmState) {
-	c.cpmScalars = s.cpmScalars
-	c.offloadBufs.copyFrom(&s.offloadBufs)
-	c.prog = s.prog
-	c.onDone = s.onDone
-	c.result = cloneResult(s.result)
-	c.instrBuf.Restore(s.instrBuf)
-	c.alo.Restore(s.alo)
-	c.snackALO.Restore(s.snackALO)
-	c.mem.Restore(s.mem)
+	s.offload = append(s.offload[:0], o.offload...)
+	s.offloadPending = append(s.offloadPending[:0], o.offloadPending...)
+	s.offloadMem = append(s.offloadMem[:0], o.offloadMem...)
+	s.cpmScalars = o.cpmScalars
 }
 
 // PlatformState is the whole SnackNoC's saved state: every instruction
@@ -109,6 +73,7 @@ type PlatformState struct {
 	instrs []instrSlab // per RCU group
 	rcus   []rcuState
 	cpms   []cpmState
+	mems   []mem.ControllerState // per CPM
 }
 
 // SnapshotState captures the platform's compute layer.
@@ -126,15 +91,17 @@ func (p *Platform) SnapshotState() *PlatformState {
 		instrs: make([]instrSlab, len(p.groups)),
 		rcus:   make([]rcuState, len(p.RCUs)),
 		cpms:   make([]cpmState, len(p.CPMs)),
+		mems:   make([]mem.ControllerState, len(p.CPMs)),
 	}
 	for i := range p.groups {
 		s.instrs[i].copyFrom(&p.groups[i].instrs)
 	}
 	for i, r := range p.RCUs {
-		s.rcus[i] = r.snapshot()
+		s.rcus[i].copyFrom(&r.rcuState)
 	}
 	for i, c := range p.CPMs {
-		s.cpms[i] = c.snapshot()
+		s.cpms[i].copyFrom(&c.cpmState)
+		s.mems[i].CopyFrom(&c.mem.ControllerState)
 	}
 	return s
 }
@@ -146,7 +113,7 @@ func (p *Platform) RestoreState(s *PlatformState) {
 		p.groups[i].turn = s.cycle
 	}
 	for i, r := range p.RCUs {
-		r.restore(&s.rcus[i])
+		r.rcuState.copyFrom(&s.rcus[i])
 		if r.parkable() {
 			r.g.runnable.Remove(i)
 			r.parkedFrom = s.cycle
@@ -155,6 +122,7 @@ func (p *Platform) RestoreState(s *PlatformState) {
 		}
 	}
 	for i, c := range p.CPMs {
-		c.restore(&s.cpms[i])
+		c.cpmState.copyFrom(&s.cpms[i])
+		c.mem.CopyFrom(&s.mems[i])
 	}
 }

@@ -30,7 +30,6 @@ const IssuePerCycle = 2
 type Core struct {
 	id     int
 	prof   *traffic.Profile
-	stream *traffic.Stream
 	l1     *cache.L1
 	ncores int
 
@@ -46,9 +45,11 @@ type Core struct {
 	coreScalars
 }
 
-// coreScalars is a core's mutable state outside its reference stream; a
-// checkpoint copies it whole.
+// coreScalars is a core's mutable state, its reference stream included;
+// a checkpoint copies it whole.
 type coreScalars struct {
+	stream traffic.Stream
+
 	retired     int64
 	outstanding int
 	blocked     bool
@@ -69,11 +70,11 @@ type coreScalars struct {
 // newCore binds a core to its L1 and workload profile.
 func newCore(id int, prof *traffic.Profile, l1 *cache.L1, ncores int, seed uint64) *Core {
 	c := &Core{
-		id:     id,
-		prof:   prof,
-		stream: traffic.NewStream(prof, id, seed),
-		l1:     l1,
-		ncores: ncores,
+		id:          id,
+		prof:        prof,
+		l1:          l1,
+		ncores:      ncores,
+		coreScalars: coreScalars{stream: traffic.NewStream(prof, id, seed)},
 	}
 	c.onMissFn = c.onMiss
 	return c

@@ -1,21 +1,18 @@
 package cpu
 
-import (
-	"math"
+import "math"
 
-	"snacknoc/internal/traffic"
-)
-
-// Checkpoint support. A core's mutable state is a handful of scalars
-// plus its reference stream; onMissFn is a method value bound to the
-// core itself and never changes. The groups' runnable and idle sets are
-// saved per core (a core neither finished, blocked nor idle is runnable)
-// and Workload.Restore rebuilds them.
+// Checkpoint support. A core's mutable state is coreScalars, its
+// reference stream and that stream's generator included, so a checkpoint
+// copies the block by assignment; onMissFn is a method value bound to
+// the core itself and never changes. The groups' runnable and idle sets
+// are derived: a snapshot records per core whether it was idle (a core
+// neither finished, blocked nor idle is runnable) and Workload.Restore
+// rebuilds them.
 
 // CoreState is one core's saved state.
 type CoreState struct {
-	Stream traffic.StreamState
-	Idle   bool // inside a synchronization stall, until idleUntil
+	Idle bool // inside a synchronization stall, until idleUntil
 	coreScalars
 }
 
@@ -24,14 +21,7 @@ func (s *CoreState) Blocked() bool { return s.blocked }
 
 // State captures the core.
 func (c *Core) State() CoreState {
-	return CoreState{Stream: c.stream.State(), Idle: c.g.idle.Has(c.slot), coreScalars: c.coreScalars}
-}
-
-// Restore writes a saved state back; Workload.Restore then puts the core
-// into its group's sets.
-func (c *Core) Restore(s CoreState) {
-	c.stream.Restore(s.Stream)
-	c.coreScalars = s.coreScalars
+	return CoreState{Idle: c.g.idle.Has(c.slot), coreScalars: c.coreScalars}
 }
 
 // WorkloadState is a workload's saved state: one entry per core, and the
@@ -61,7 +51,7 @@ func (w *Workload) Restore(s *WorkloadState) {
 	}
 	for i, c := range w.Cores {
 		cs := &s.Cores[i]
-		c.Restore(*cs)
+		c.coreScalars = cs.coreScalars
 		switch g := c.g; {
 		case cs.finished:
 			g.finished++

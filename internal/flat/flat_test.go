@@ -76,8 +76,8 @@ func checkTableMatchesMap[K uint32 | uint64](t *testing.T) {
 // TestRingKeepsFIFOOrder drives a ring over a carved window of four
 // against a slice: pushes and pops wrap its head around the window, and
 // pushes onto the full window, its head mid-array, grow it. The
-// neighbouring window is never written. A copy-out restored into another
-// ring pops the same entries.
+// neighbouring window is never written. Another ring, its head
+// mid-array, made a copy with CopyFrom pops the same entries.
 func TestRingKeepsFIFOOrder(t *testing.T) {
 	slab := make([]int, 8)
 	q := RingOver(Carve(&slab, 4))
@@ -119,7 +119,7 @@ func TestRingKeepsFIFOOrder(t *testing.T) {
 	var r Ring[int]
 	r.Push(-1)
 	r.Pop() // the head is now mid-array
-	r.Restore(out)
+	r.CopyFrom(&q)
 	if got := r.AppendTo(make([]int, 0, len(out))); !slices.Equal(got, ref) {
 		t.Fatalf("restored ring holds %v, want %v", got, ref)
 	}

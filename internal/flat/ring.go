@@ -6,9 +6,8 @@ import "slices"
 // any length, and the array at least doubles, only when a Push finds it
 // full. The zero value is an empty ring.
 //
-// Where the oldest entry sits in the array is unobservable: a snapshot
-// copies the entries out oldest first (AppendTo or At, neither of which
-// allocates) and Restore writes them back from the front.
+// Where the oldest entry sits in the array is unobservable: CopyFrom
+// copies the entries oldest first to the front of its own array.
 type Ring[T any] struct {
 	buf  []T
 	head int
@@ -65,12 +64,8 @@ func (q *Ring[T]) AppendTo(dst []T) []T {
 	return append(dst, q.buf[:q.head+q.n-len(q.buf)]...)
 }
 
-// Restore makes the ring hold entries, oldest first, from the front of
-// its array, and zeroes the rest of the array.
-func (q *Ring[T]) Restore(entries []T) {
-	if len(q.buf) < len(entries) {
-		q.buf = make([]T, len(entries))
-	}
-	q.head, q.n = 0, copy(q.buf, entries)
-	clear(q.buf[q.n:])
+// Clear empties the ring, zeroing its array.
+func (q *Ring[T]) Clear() {
+	clear(q.buf)
+	q.head, q.n = 0, 0
 }

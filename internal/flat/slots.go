@@ -1,7 +1,5 @@
 package flat
 
-import "slices"
-
 // Slots is a slot array with a LIFO free stack: records that something
 // else names by slot number, an int32 (a table value, a chain link, the
 // argument of a pending engine event). A freed slot is the next one
@@ -64,19 +62,3 @@ func (s *Slots[T]) Live() int { return len(s.recs) - len(s.free) }
 
 // FreeSlots returns the free stack, bottom first, for inspection only.
 func (s *Slots[T]) FreeSlots() []int32 { return s.free }
-
-// CopyFrom makes s a slot-for-slot copy of o, reusing s's storage. With
-// deep nil the records are copied as values; otherwise deep copies each
-// record into the storage s's slot already owns, for a record that owns
-// a slice.
-func (s *Slots[T]) CopyFrom(o *Slots[T], deep func(dst, src *T)) {
-	if deep == nil {
-		s.recs = append(s.recs[:0], o.recs...)
-	} else {
-		s.recs = slices.Grow(s.recs[:0], len(o.recs))[:len(o.recs)]
-		for i := range o.recs {
-			deep(&s.recs[i], &o.recs[i])
-		}
-	}
-	s.free = append(s.free[:0], o.free...)
-}

@@ -1,0 +1,51 @@
+package flat
+
+import "slices"
+
+// Checkpoint support: each container copies itself into its own storage,
+// so one method both takes a snapshot (saved.CopyFrom(&live)) and
+// restores it (live.CopyFrom(&saved)), and a repeat restore allocates
+// nothing.
+
+// CopyFrom makes t a copy of o, reusing t's storage. An empty o clears
+// t instead, keeping its capacity.
+func (t *Table[K]) CopyFrom(o *Table[K]) {
+	if o.n == 0 {
+		clear(t.live)
+		t.n = 0
+		return
+	}
+	t.keys = append(t.keys[:0], o.keys...)
+	t.vals = append(t.vals[:0], o.vals...)
+	t.live = append(t.live[:0], o.live...)
+	t.n = o.n
+}
+
+// CopyFrom makes s a slot-for-slot copy of o, reusing s's storage. With
+// deep nil the records are copied as values; otherwise deep copies each
+// record into the storage s's slot already owns, for a record that owns
+// a slice.
+func (s *Slots[T]) CopyFrom(o *Slots[T], deep func(dst, src *T)) {
+	if deep == nil {
+		s.recs = append(s.recs[:0], o.recs...)
+	} else {
+		s.recs = slices.Grow(s.recs[:0], len(o.recs))[:len(o.recs)]
+		for i := range o.recs {
+			deep(&s.recs[i], &o.recs[i])
+		}
+	}
+	s.free = append(s.free[:0], o.free...)
+}
+
+// CopyFrom makes q hold o's entries, oldest first, from the front of its
+// own array, which grows only when o holds more than it fits, and zeroes
+// the rest of the array.
+func (q *Ring[T]) CopyFrom(o *Ring[T]) {
+	if len(q.buf) < o.n {
+		q.buf = make([]T, o.n)
+	}
+	k := copy(q.buf[:o.n], o.buf[o.head:])
+	copy(q.buf[k:o.n], o.buf)
+	q.head, q.n = 0, o.n
+	clear(q.buf[o.n:])
+}

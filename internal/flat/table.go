@@ -96,20 +96,6 @@ func (t *Table[K]) Del(key K) {
 	t.n--
 }
 
-// CopyFrom makes t a copy of o, reusing t's storage. An empty o clears
-// t instead, keeping its capacity.
-func (t *Table[K]) CopyFrom(o *Table[K]) {
-	if o.n == 0 {
-		clear(t.live)
-		t.n = 0
-		return
-	}
-	t.keys = append(t.keys[:0], o.keys...)
-	t.vals = append(t.vals[:0], o.vals...)
-	t.live = append(t.live[:0], o.live...)
-	t.n = o.n
-}
-
 // grow doubles the capacity (16 at least) and re-inserts every key.
 func (t *Table[K]) grow() {
 	n := max(2*len(t.keys), 16)

@@ -69,8 +69,16 @@ type bank struct {
 // Controller is one memory channel shared by a node's cache traffic and,
 // when the node hosts the CPM, SnackNoC command/overflow streams.
 type Controller struct {
-	cfg       Config
-	eng       *sim.Engine
+	cfg Config
+	eng *sim.Engine
+	ControllerState
+}
+
+// ControllerState is a controller's mutable state: the bank and bus
+// timing and the statistics. Pending access completions are engine
+// events (the ScheduleCall in AccessCall), which the engine's snapshot
+// carries.
+type ControllerState struct {
 	banks     []bank
 	busFreeAt int64
 
@@ -85,9 +93,9 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	return &Controller{
-		cfg:   cfg,
-		eng:   eng,
-		banks: make([]bank, cfg.Ranks*cfg.BanksPerRank),
+		cfg:             cfg,
+		eng:             eng,
+		ControllerState: ControllerState{banks: make([]bank, cfg.Ranks*cfg.BanksPerRank)},
 	}, nil
 }
 

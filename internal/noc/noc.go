@@ -150,6 +150,21 @@ func (c *Config) Validate() error {
 	if c.SnackVNet >= len(c.VNets) {
 		return fmt.Errorf("noc: snack vnet %d out of range", c.SnackVNet)
 	}
+	// A router's VC rings index its buffer slots with int32 base and
+	// depth, so a router's slots (at most five full ports and a compute
+	// port) must fit one. The sum is in float64, which no depth overflows.
+	slots := 0.0
+	for i, v := range c.VNets {
+		ports := 5.0
+		if c.ComputePort && i == c.SnackVNet {
+			ports++
+		}
+		slots += ports * float64(v.VCs) * float64(v.BufDepth)
+	}
+	if slots > math.MaxInt32 {
+		return fmt.Errorf("noc: a router would hold %.0f buffer slots, more than an int32 ring index reaches (%d)",
+			slots, math.MaxInt32)
+	}
 	if c.ComputePort && c.SnackVNet < 0 {
 		return fmt.Errorf("noc: compute port requires a snack vnet")
 	}

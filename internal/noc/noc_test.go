@@ -61,6 +61,7 @@ func TestConfigValidate(t *testing.T) {
 		{Width: 4, Height: 4, ChannelWidthBytes: 16, RouterLatency: 1, LinkLatency: 1, VNets: commVNets(0, 2), SnackVNet: -1},
 		{Width: 4, Height: 4, ChannelWidthBytes: 16, RouterLatency: 1, LinkLatency: 1, VNets: commVNets(2, 2), SnackVNet: 7},
 		{Width: 3, Height: 3, ChannelWidthBytes: 16, RouterLatency: 1, LinkLatency: 1, VNets: commVNets(2, 2), SnackVNet: 0},
+		{Width: 4, Height: 4, ChannelWidthBytes: 16, RouterLatency: 1, LinkLatency: 1, VNets: commVNets(2, 1_000_000_000), SnackVNet: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -177,7 +177,6 @@ type Router struct {
 	// sampleEvery is the series' window in cycles, 0 until EnableSampling.
 	sampleEvery int64
 	xbarSeries  *stats.TimeSeries
-	bufHist     stats.Histogram // buckets are a window of the Network's counts slab
 	// bufBucket maps occupancy (0..buffer slots) straight to its
 	// histogram bucket, replacing a float divide per cycle with a table
 	// lookup; routers with the same port count share one table.
@@ -218,6 +217,9 @@ type routerScalars struct {
 	classMoves [2]stats.Counter
 	// attrib classifies every cycle into the attribution taxonomy.
 	attrib attrib.Counts
+	// bufHist's buckets are a window of the Network's counts slab, which
+	// a checkpoint copies whole; the block carries its total.
+	bufHist stats.Histogram
 }
 
 // ID returns the router's node id.

@@ -50,13 +50,12 @@ type NetworkState struct {
 	reqs  []reqState // incoming, then waiting (stamp unused), per NI
 	txns  []txnState
 
-	histTotals []int64
-	series     []stats.TimeSeriesState // when sampling is on
+	series []stats.TimeSeries // when sampling is on
 }
 
 // flitAt is one held flit and its index in Network.bufSlab or .reasm.
 type flitAt struct {
-	at int32
+	at int
 	f  *Flit
 }
 
@@ -137,29 +136,28 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 	}
 
 	s := &NetworkState{
-		vcs:        append([]inputVC(nil), n.vcs...),
-		flits:      make([]flitAt, 0, nFlits),
-		reasm:      make([]flitAt, 0, nReasm),
-		credits:    append([]int32(nil), n.credits...),
-		counts:     append([]int64(nil), n.counts...),
-		routers:    make([]routerScalars, len(n.routers)),
-		outs:       make([]outScalars, len(n.outPorts)),
-		nis:        make([]niScalars, len(n.nis)),
-		ports:      make([]injScalars, len(n.ports)),
-		lens:       make([]int32, 0, nLens),
-		flitQ:      make([]wireEntry, 0, nFlitQ),
-		reqs:       make([]reqState, 0, nReqs),
-		txns:       make([]txnState, 0, nTxns),
-		histTotals: make([]int64, len(n.routers)),
+		vcs:     append([]inputVC(nil), n.vcs...),
+		flits:   make([]flitAt, 0, nFlits),
+		reasm:   make([]flitAt, 0, nReasm),
+		credits: append([]int32(nil), n.credits...),
+		counts:  append([]int64(nil), n.counts...),
+		routers: make([]routerScalars, len(n.routers)),
+		outs:    make([]outScalars, len(n.outPorts)),
+		nis:     make([]niScalars, len(n.nis)),
+		ports:   make([]injScalars, len(n.ports)),
+		lens:    make([]int32, 0, nLens),
+		flitQ:   make([]wireEntry, 0, nFlitQ),
+		reqs:    make([]reqState, 0, nReqs),
+		txns:    make([]txnState, 0, nTxns),
 	}
 	for at, f := range n.bufSlab {
 		if f != nil {
-			s.flits = append(s.flits, flitAt{at: int32(at), f: cloneFlit(new(Flit), f, clone)})
+			s.flits = append(s.flits, flitAt{at: at, f: cloneFlit(new(Flit), f, clone)})
 		}
 	}
 	for at, f := range n.reasm {
 		if f != nil {
-			s.reasm = append(s.reasm, flitAt{at: int32(at), f: cloneFlit(new(Flit), f, clone)})
+			s.reasm = append(s.reasm, flitAt{at: at, f: cloneFlit(new(Flit), f, clone)})
 		}
 	}
 	for k := range n.flitWires {
@@ -180,7 +178,6 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 	for i := range n.routers {
 		r := &n.routers[i]
 		s.routers[i] = r.routerScalars
-		s.histTotals[i] = r.bufHist.Total()
 		for _, l := range r.workLists() {
 			s.lens = append(s.lens, int32(len(*l)))
 			s.lens = append(s.lens, *l...)
@@ -207,9 +204,9 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 		}
 	}
 	if n.series != nil {
-		s.series = make([]stats.TimeSeriesState, len(n.series))
+		s.series = make([]stats.TimeSeries, len(n.series))
 		for i := range n.series {
-			s.series[i] = n.series[i].State()
+			s.series[i].CopyFrom(&n.series[i])
 		}
 	}
 	return s
@@ -254,7 +251,6 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 	for i := range n.routers {
 		r := &n.routers[i]
 		r.routerScalars = s.routers[i]
-		r.bufHist.Restore(stats.HistogramState{Total: s.histTotals[i]}) // buckets came back with counts
 		r.stagedCount = 0
 		r.stagedCredits = r.stagedCredits[:0]
 		for _, l := range r.workLists() {
@@ -301,7 +297,7 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 		txns = txns[nActive:]
 	}
 	for i := range s.series {
-		n.series[i].Restore(s.series[i])
+		n.series[i].CopyFrom(&s.series[i])
 	}
 }
 
@@ -317,30 +313,4 @@ func restoreFlits(slots []*Flit, saved []flitAt, clone func(any) any, pool *flit
 	for _, e := range saved {
 		slots[e.at] = cloneFlit(pool.flits.Get(), e.f, clone)
 	}
-}
-
-// ALODetectorState is an ALO congestion detector's saved state.
-type ALODetectorState struct{ LastBusy int64 }
-
-// State captures the detector.
-func (d *ALODetector) State() ALODetectorState { return ALODetectorState{LastBusy: d.lastBusy} }
-
-// Restore writes a saved state back.
-func (d *ALODetector) Restore(s ALODetectorState) { d.lastBusy = s.LastBusy }
-
-// SnackALOState is the snack-vnet detector's saved state.
-type SnackALOState struct {
-	LastBusy   int64
-	Streak     int64
-	LastSample int64
-}
-
-// State captures the detector.
-func (d *SnackALODetector) State() SnackALOState {
-	return SnackALOState{LastBusy: d.lastBusy, Streak: d.streak, LastSample: d.lastSample}
-}
-
-// Restore writes a saved state back.
-func (d *SnackALODetector) Restore(s SnackALOState) {
-	d.lastBusy, d.streak, d.lastSample = s.LastBusy, s.Streak, s.LastSample
 }

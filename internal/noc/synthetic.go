@@ -107,16 +107,17 @@ func NewSyntheticInjector(net *Network, pattern Pattern, rate float64, sizeBytes
 	// One sink per node: on a sharded network, deliveries at different
 	// nodes run on different shard goroutines, so the latency statistics
 	// accumulate per node and aggregate only on read.
-	const buckets = 50
 	inj.sinks = make([]synSink, net.Cfg().Nodes())
-	inj.counts = make([]int64, buckets*len(inj.sinks))
+	inj.counts = make([]int64, synBuckets*len(inj.sinks))
 	for i := range inj.sinks {
-		inj.sinks[i].hist = stats.MakeHistogram(500, inj.counts[i*buckets:(i+1)*buckets:(i+1)*buckets])
 		net.AttachClient(NodeID(i), &inj.sinks[i])
 	}
 	inj.reset(rate, seed)
 	return inj
 }
+
+// synBuckets is the resolution of a sink's latency histogram.
+const synBuckets = 50
 
 // synSink records delivered-packet latency at one node.
 type synSink struct {
@@ -182,7 +183,7 @@ func (s *SyntheticInjector) reset(rate float64, seed uint64) {
 	for i := range s.sinks {
 		sk := &s.sinks[i]
 		sk.received, sk.latSum, sk.latMax = 0, 0, 0
-		sk.hist.Restore(stats.HistogramState{}) // the buckets were cleared above
+		sk.hist = stats.MakeHistogram(500, s.counts[i*synBuckets:(i+1)*synBuckets:(i+1)*synBuckets])
 	}
 	s.tape, s.replay, s.replaying = nil, nil, false
 }

@@ -142,7 +142,7 @@ func (h *Handle) WakeAt(at int64) {
 
 // Engine owns global simulated time and the registered components.
 type Engine struct {
-	cycle int64
+	engineScalars
 	// slab is the unused tail of the current handle chunk; Register
 	// carves from it.
 	slab  []Handle
@@ -156,22 +156,13 @@ type Engine struct {
 	// merges it into active (restoring registration order) before the
 	// Evaluate phase, so N wakes cost one merge instead of N insertions.
 	woken []*Handle
-	seq   int64
-	// fnScheduled counts Schedule and ScheduleCall events only (not
-	// wake-ups), so the exported event metric is identical for any shard
-	// count: barrier delivery wakes components directly where the serial
-	// kernel would schedule a wake event, but callbacks are model
-	// behaviour.
-	fnScheduled int64
-	wheel       timeWheel
+	wheel timeWheel
 	// eventPool recycles event records; Schedule runs on per-miss and
 	// per-wake paths, so the allocation shows up in whole-sweep profiles.
 	eventPool []*event
 	// quiesce gates the active list; disabled it reproduces the classic
 	// evaluate-everything kernel (used by equivalence tests).
 	quiesce bool
-	// StopRequested lets a component or sampler end Run early.
-	stopped bool
 
 	// subs are the shard sub-engines of a partitioned root (see
 	// Partition); empty on an ordinary engine and on the subs themselves.
@@ -182,7 +173,21 @@ type Engine struct {
 	// serialShards forces the shard phase onto the calling goroutine
 	// (used when a shared observer such as a tracer is attached).
 	serialShards bool
+}
 
+// engineScalars is an engine's mutable state outside its component
+// handles and event wheel; a checkpoint copies it whole.
+type engineScalars struct {
+	cycle int64
+	seq   int64
+	// fnScheduled counts Schedule and ScheduleCall events only (not
+	// wake-ups), so the exported event metric is identical for any shard
+	// count: barrier delivery wakes components directly where the serial
+	// kernel would schedule a wake event, but callbacks are model
+	// behaviour.
+	fnScheduled int64
+	// stopped lets a component or sampler end Run early.
+	stopped bool
 	// attrib counts per-step evaluation volume for attribution. Each
 	// engine (root and every shard) owns its own counts, so sharded writes
 	// stay goroutine-local behind the step barrier.

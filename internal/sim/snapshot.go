@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"snacknoc/internal/attrib"
-)
+import "fmt"
 
 // Checkpoint support. SnapshotState captures everything the engine will
 // consult on future cycles — the clock, the per-component sleep states,
@@ -21,15 +17,11 @@ import (
 
 // EngineState is a saved engine, including shard sub-engines.
 type EngineState struct {
-	cycle       int64
-	seq         int64
-	fnScheduled int64
-	stopped     bool
-	comps       []sleep
-	activeIdx   []int
-	events      []eventSnap
-	attrib      attrib.Counts
-	subs        []*EngineState
+	engineScalars
+	comps     []sleep
+	activeIdx []int
+	events    []eventSnap
+	subs      []*EngineState
 }
 
 // eventSnap is one pending event by value: a callback's closure (shared
@@ -51,13 +43,9 @@ func (e *Engine) SnapshotState() *EngineState {
 		panic("sim: SnapshotState with unmerged wake-ups (snapshot only between runs)")
 	}
 	s := &EngineState{
-		cycle:       e.cycle,
-		seq:         e.seq,
-		fnScheduled: e.fnScheduled,
-		stopped:     e.stopped,
-		comps:       make([]sleep, len(e.comps)),
-		activeIdx:   make([]int, len(e.active)),
-		attrib:      e.attrib,
+		engineScalars: e.engineScalars,
+		comps:         make([]sleep, len(e.comps)),
+		activeIdx:     make([]int, len(e.active)),
 	}
 	for i, st := range e.comps {
 		s.comps[i] = st.sleep
@@ -100,10 +88,7 @@ func (e *Engine) RestoreState(s *EngineState) {
 	if len(s.subs) != len(e.subs) {
 		panic("sim: RestoreState shard count mismatch")
 	}
-	e.cycle = s.cycle
-	e.seq = s.seq
-	e.fnScheduled = s.fnScheduled
-	e.stopped = s.stopped
+	e.engineScalars = s.engineScalars
 	for i, st := range e.comps {
 		st.sleep = s.comps[i]
 	}
@@ -135,7 +120,6 @@ func (e *Engine) RestoreState(s *EngineState) {
 		}
 		e.wheel.schedule(e.cycle, ev)
 	}
-	e.attrib = s.attrib
 	for i, sub := range e.subs {
 		sub.RestoreState(s.subs[i])
 	}

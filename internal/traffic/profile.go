@@ -101,11 +101,13 @@ func (p *Profile) PhaseAt(progress float64) *Phase {
 // Stream generates the memory reference stream for one core running a
 // profile. Private accesses fall in a per-core region; shared accesses
 // fall in a region common to all cores, which is what creates coherence
-// traffic (recalls, invalidations) between them.
+// traffic (recalls, invalidations) between them. A Stream is a plain
+// value, its generator included, so a checkpoint copies it by
+// assignment.
 type Stream struct {
 	prof *Profile
 	core int
-	rng  *RNG
+	rng  RNG
 	seq  uint64
 	rep  int
 }
@@ -121,11 +123,11 @@ const privateRegionBlocks = 1 << 22 // 256 MB per core, ample for any WS
 
 // NewStream creates the reference stream for a core. Streams with the
 // same (profile, core, seed) generate identical sequences.
-func NewStream(prof *Profile, core int, seed uint64) *Stream {
-	return &Stream{
+func NewStream(prof *Profile, core int, seed uint64) Stream {
+	return Stream{
 		prof: prof,
 		core: core,
-		rng:  NewRNG(seed ^ uint64(core)*0xA24BAED4963EE407),
+		rng:  *NewRNG(seed ^ uint64(core)*0xA24BAED4963EE407),
 	}
 }
 
@@ -152,4 +154,4 @@ func (s *Stream) Next(ph *Phase, ncores int) (block uint64, write bool) {
 
 // RNG exposes the stream's generator for the core's other draws, keeping
 // one deterministic sequence per core.
-func (s *Stream) RNG() *RNG { return s.rng }
+func (s *Stream) RNG() *RNG { return &s.rng }

@@ -48,6 +48,16 @@ if grep -nE 'func carve|backward-shift|u32Table|blockTable|freeList|msgPool|pktQ
     exit 1
 fi
 
+# One snapshot idiom: a checkpointed component keeps its mutable state
+# in one block whose copyFrom both takes and restores it. The per-type
+# State/Restore mirrors that idiom replaced must not come back.
+echo "== one snapshot idiom (block copyFrom) =="
+# shellcheck disable=SC2046
+if grep -nE 'CounterState|HistogramState|TimeSeriesState|RNGState|StreamState|ALODetectorState|SnackALOState|CacheState' $(find internal -name '*.go' ! -name '*_test.go'); then
+    echo "ERROR: a per-type snapshot mirror is back; copy the component's block with copyFrom" >&2
+    exit 1
+fi
+
 echo "== go test ./... =="
 go test ./...
 
@@ -57,6 +67,14 @@ go test ./...
 # input lands in internal/compiler/testdata/fuzz/FuzzCompile.
 echo "== go test -fuzz FuzzCompile (10 s) =="
 go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s ./internal/compiler
+
+# The fork property under the fuzzer: ten seconds of co-runs on a 4×4
+# (snapshot cycle, horizon, profile, seed, arbiter, buffer depth and VCs
+# drawn), each required to replay the same digest after a restore and
+# after a restore that follows a partial fork. A failing input lands in
+# internal/checkpoint/testdata/fuzz/FuzzFork.
+echo "== go test -fuzz FuzzFork (10 s) =="
+go test -run '^$' -fuzz '^FuzzFork$' -fuzztime 10s ./internal/checkpoint
 
 # The race pass uses -short so the full-scale figure regenerations (which
 # the plain pass above already ran) are not repeated at the race
