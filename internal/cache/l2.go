@@ -51,9 +51,8 @@ type L2Bank struct {
 type l2State struct {
 	cache Cache
 
-	dirTab    flat.Table[uint64] // block -> dirSlots index
-	dirSlots  []dirEntry
-	dirBlocks []uint64 // block of each slot, for deterministic snapshots
+	dirTab   flat.Table[uint64] // block -> dirSlots index
+	dirSlots []dirEntry
 
 	txnTab flat.Table[uint64] // block -> txns slot
 	txns   flat.Slots[l2txn]
@@ -90,7 +89,6 @@ func (b *L2Bank) entry(block uint64) *dirEntry {
 		return &b.dirSlots[i]
 	}
 	b.dirSlots = append(b.dirSlots, dirEntry{})
-	b.dirBlocks = append(b.dirBlocks, block)
 	i := int32(len(b.dirSlots) - 1)
 	b.dirTab.Put(block, i)
 	return &b.dirSlots[i]

@@ -60,7 +60,6 @@ func (s *l2State) copyFrom(o *l2State) {
 	s.cache.tags.copyFrom(&o.cache.tags)
 	s.dirTab.CopyFrom(&o.dirTab)
 	s.dirSlots = append(s.dirSlots[:0], o.dirSlots...)
-	s.dirBlocks = append(s.dirBlocks[:0], o.dirBlocks...)
 	s.txnTab.CopyFrom(&o.txnTab)
 	s.txns.CopyFrom(&o.txns, (*l2txn).copyFrom)
 	s.hits, s.misses, s.recalls, s.invs = o.hits, o.misses, o.recalls, o.invs

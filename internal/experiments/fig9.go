@@ -73,7 +73,7 @@ func RunFig9(dims KernelDims, cpuCfg cpu.CPUConfig) (*Fig9Result, error) {
 			plat.SetTracer(tr)
 			plat.SetAttrib(rec)
 		})
-		r, err := plat.Run(prog, 1_000_000_000)
+		r, err := plat.Run(prog, maxRunCycles)
 		if err != nil {
 			return fmt.Errorf("fig9 %s: %w", k, err)
 		}

@@ -22,6 +22,11 @@ type Scale float64
 // Seed is the deterministic seed all experiment runs use.
 const Seed uint64 = 2020
 
+// maxRunCycles caps every simulation this package runs. Each completes
+// orders of magnitude sooner; one that reaches the cap has wedged and
+// fails with an error instead of spinning on.
+const maxRunCycles = 2_000_000_000
+
 // sampleInterval is the utilization sampling window. The paper samples
 // 10 K-cycle windows over multi-billion-cycle runs; scaled runs use 2 K
 // windows to retain comparable series lengths.
@@ -78,7 +83,7 @@ func RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scale) (*BenchRu
 	if err != nil {
 		return nil, err
 	}
-	rt, ok := cpu.Run(eng, w, 2_000_000_000)
+	rt, ok := cpu.Run(eng, w, maxRunCycles)
 	if !ok {
 		return nil, fmt.Errorf("experiments: %s on %s did not complete", prof.Name, cfg.Name)
 	}
@@ -288,7 +293,7 @@ func RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
 			zeroPlat.SetTracer(tr)
 			zeroPlat.SetAttrib(rec)
 		})
-		zr, err := zeroPlat.Run(prog, 500_000_000)
+		zr, err := zeroPlat.Run(prog, maxRunCycles)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: zero-load %s: %w", spec.Kernel, err)
 		}
@@ -371,7 +376,7 @@ func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRun
 		}
 		sys.SetAttrib(rec)
 	})
-	if _, ok := cpu.Run(eng, w, 2_000_000_000); !ok {
+	if _, ok := cpu.Run(eng, w, maxRunCycles); !ok {
 		return nil, fmt.Errorf("experiments: co-run %s did not complete", spec.Bench.Name)
 	}
 	if plat != nil {

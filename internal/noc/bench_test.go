@@ -6,28 +6,35 @@ import (
 	"snacknoc/internal/sim"
 )
 
-// BenchmarkRouterEvaluate measures the per-cycle cost of a 4x4 DAPPER
-// mesh at three operating points, so router hot-path regressions show up
+// BenchmarkRouterEvaluate measures the per-cycle cost of a 4x4 mesh at
+// four operating points, so router hot-path regressions show up
 // independently of the full figure benchmarks:
 //
-//   - 1-flit: a single packet in flight — the single-flit bypass and
-//     occupancy-gating path, the paper's dominant (§II mostly idle) case.
-//   - half-load: uniform random at roughly half the saturation rate.
-//   - saturated: uniform random past saturation, allocators always busy.
+//   - 1-flit: a single packet in flight on DAPPER — the single-flit VA
+//     bypass and occupancy gating, the paper's dominant (§II mostly idle)
+//     case, on a 3-cycle router whose flits wait out the pipeline.
+//   - 1-flit-snack: the same on the SnackNoC platform (priority
+//     arbitration), whose 1-cycle router moves a lone flit in the one
+//     step of the zero-load fast path.
+//   - half-load: DAPPER, uniform random at roughly half saturation.
+//   - saturated: DAPPER, uniform random past saturation, allocators
+//     always busy.
 func BenchmarkRouterEvaluate(b *testing.B) {
+	snack := func(w, h int) *Config { return SnackPlatform(w, h, true) }
 	cases := []struct {
 		name string
+		cfg  func(w, h int) *Config
 		rate float64 // injected packets per node per cycle
 	}{
-		{"1-flit", 0},
-		{"half-load", 0.15},
-		{"saturated", 0.60},
+		{"1-flit", DAPPER, 0},
+		{"1-flit-snack", snack, 0},
+		{"half-load", DAPPER, 0.15},
+		{"saturated", DAPPER, 0.60},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			eng := sim.NewEngine()
-			cfg := DAPPER(4, 4)
-			net, err := New(eng, cfg)
+			net, err := New(eng, tc.cfg(4, 4))
 			if err != nil {
 				b.Fatal(err)
 			}

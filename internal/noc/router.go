@@ -423,7 +423,9 @@ func (r *Router) freeSnackOn(out *outputPort) int {
 func (r *Router) Evaluate(cycle int64) {
 	r.ingestArrivals(cycle)
 	moves := 0
-	if r.occupancy > 0 {
+	if r.occupancy == 1 && r.oneStep(cycle) {
+		moves = 1
+	} else if r.occupancy > 0 {
 		if len(r.needRoute) > 0 {
 			r.routeCompute(cycle)
 		}
@@ -433,6 +435,75 @@ func (r *Router) Evaluate(cycle int64) {
 		moves = r.allocateSwitch(cycle)
 	}
 	r.observe(cycle, moves)
+}
+
+// oneStep is the zero-load fast path. When the router's one buffered
+// flit is a single-flit packet at the head of a VC awaiting route
+// computation, no other VC waits for or holds an output VC, the flit is
+// eligible this cycle, it is not a loop token the drainer would be
+// offered, and its route has a free output VC with a downstream credit,
+// oneStep routes, allocates and traverses it in one straight-line step.
+// It leaves exactly the state and trace records that routeCompute,
+// allocateVCs and allocateSwitch leave for that flit; in any other state
+// it changes nothing and reports false.
+func (r *Router) oneStep(cycle int64) bool {
+	if len(r.needRoute) != 1 || len(r.waitVA) != 0 || r.saMask[classComm]|r.saMask[classSnack] != 0 {
+		return false
+	}
+	ivc := &r.vcs[r.needRoute[0]]
+	f := r.front(ivc)
+	if !f.IsHead() || !f.IsTail() || f.eligibleAt > cycle ||
+		(r.drainer != nil && ivc.vnet == r.snackVNet && f.Loop) {
+		return false
+	}
+	d := routeXY(r.cfg, r.id, f.Dst)
+	out := r.outputs[d]
+	if out == nil {
+		return false
+	}
+	vn := ivc.vnet
+	off := r.vnetOff[vn]
+	c := r.freeVC(out, vn)
+	if c < 0 || out.credits[off+c] <= 0 {
+		return false
+	}
+	// Route and VC grant. The tail's traversal releases the output VC in
+	// the same cycle, so its busy bit and switch candidacy net to nothing.
+	r.needRoute = r.needRoute[:0]
+	r.vaPtr++
+	out.vcRR[vn] = c + 1
+	ivc.outPort, ivc.outVC = d, int8(c)
+	if r.tr != nil {
+		rec := r.flitRecord(trace.KindVCAlloc, cycle, cycle, f, d)
+		rec.VC = int8(c)
+		r.tr.Emit(rec)
+	}
+	// Switch allocation: the lone candidate wins its output.
+	if r.cfg.PriorityArb {
+		r.saRound++
+	} else {
+		r.saPtr[d]++
+	}
+	// Traversal, as traverse does it for a tail flit leaving its VC empty.
+	r.popFront(ivc)
+	r.occupancy--
+	ivc.state = vcIdle
+	r.classMoves[ivc.class].Inc()
+	if r.tr != nil {
+		rec := r.flitRecord(trace.KindSwitch, cycle, f.eligibleAt-r.routerLatM1, f, d)
+		rec.VC = int8(c)
+		r.tr.Emit(rec)
+	}
+	f.VC = int8(c)
+	out.credits[off+c]--
+	out.staged = f
+	r.stagedCount++
+	r.stagedCredits = append(r.stagedCredits, credit{port: ivc.port, vnet: ivc.vnet, vc: ivc.vc})
+	out.linkBusy.Inc()
+	if out.series != nil {
+		out.series.MarkBusy()
+	}
+	return true
 }
 
 // Advance commits staged flits to their wires and credits to their sinks.
@@ -577,26 +648,33 @@ func (r *Router) tryAllocVC(idx int32, cycle int64) bool {
 		return false
 	}
 	out := r.outputs[ivc.outPort]
-	vn := int(ivc.vnet)
-	off := r.vnetOff[vn]
-	nvc := r.nvcOf[vn]
+	c := r.freeVC(out, ivc.vnet)
+	if c < 0 {
+		return false
+	}
+	out.busy |= 1 << uint(r.vnetOff[ivc.vnet]+c)
+	out.vcRR[ivc.vnet] = c + 1
+	ivc.outVC = int8(c)
+	ivc.state = vcActive
+	r.addSACand(ivc.outPort, int(ivc.class), idx)
+	if r.tr != nil {
+		rec := r.flitRecord(trace.KindVCAlloc, cycle, cycle, r.front(ivc), ivc.outPort)
+		rec.VC = int8(c)
+		r.tr.Emit(rec)
+	}
+	return true
+}
+
+// freeVC returns the first output VC of vnet on out that no packet
+// holds, scanning round-robin from the vnet's pointer, or -1.
+func (r *Router) freeVC(out *outputPort, vnet int8) int32 {
+	off, nvc, rr := r.vnetOff[vnet], r.nvcOf[vnet], out.vcRR[vnet]
 	for j := int32(0); j < nvc; j++ {
-		c := (out.vcRR[vn] + j) % nvc
-		if out.busy&(1<<uint(off+c)) == 0 {
-			out.busy |= 1 << uint(off+c)
-			out.vcRR[vn] = c + 1
-			ivc.outVC = int8(c)
-			ivc.state = vcActive
-			r.addSACand(ivc.outPort, int(ivc.class), idx)
-			if r.tr != nil {
-				rec := r.flitRecord(trace.KindVCAlloc, cycle, cycle, r.front(ivc), ivc.outPort)
-				rec.VC = int8(c)
-				r.tr.Emit(rec)
-			}
-			return true
+		if c := (rr + j) % nvc; out.busy&(1<<uint(off+c)) == 0 {
+			return c
 		}
 	}
-	return false
+	return -1
 }
 
 // allocateSwitch performs switch allocation and crossbar traversal,

@@ -122,12 +122,18 @@ type sleep struct {
 // redundant or superseded wake-ups are deduplicated. Producers call it
 // whenever they hand a sleeping consumer work that becomes visible at a
 // future cycle.
+//
+// A wake-up for the next cycle aimed at a component that Step put to
+// sleep earlier in this cycle's Advance phase (sleptAt is the current
+// cycle only then) files no event: the component has missed no cycle, so
+// it rejoins the active list at the next merge with nothing to catch up —
+// exactly what the event would have done one cycle later.
 func (h *Handle) WakeAt(at int64) {
 	if h == nil || !h.asleep {
 		return
 	}
 	e := h.e
-	if at <= e.cycle {
+	if at <= e.cycle || (at == e.cycle+1 && h.sleptAt == e.cycle) {
 		e.wake(h)
 		return
 	}

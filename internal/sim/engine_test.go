@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 type recorder struct {
 	name     string
@@ -195,8 +198,9 @@ func TestResumeClearsStopLatch(t *testing.T) {
 // cycles so tests can check the skipped-cycle accounting exactly.
 type sleeper struct {
 	recorder
-	pending int
-	idle    int64
+	pending  int
+	idle     int64
+	catchUps int
 }
 
 func (s *sleeper) Advance(cycle int64) {
@@ -206,7 +210,7 @@ func (s *sleeper) Advance(cycle int64) {
 	}
 }
 func (s *sleeper) Quiescent() bool    { return s.pending == 0 }
-func (s *sleeper) CatchUp(idle int64) { s.idle += idle }
+func (s *sleeper) CatchUp(idle int64) { s.idle += idle; s.catchUps++ }
 
 func TestQuiescentComponentIsSkipped(t *testing.T) {
 	e := NewEngine()
@@ -251,6 +255,68 @@ func TestWakeAtResumesWithExactCatchUp(t *testing.T) {
 	// Every one of the 8 cycles must be either evaluated or replayed once.
 	if got := int64(len(s.evals)) + s.idle; got != 8 {
 		t.Fatalf("evaluated+idle = %d cycles, want 8 (evals=%v idle=%d)", got, s.evals, s.idle)
+	}
+}
+
+// waker hands each of its targets one work item in its Advance at cycle
+// at, waking it for the cycle its item becomes visible.
+type waker struct {
+	recorder
+	at      int64
+	targets []*sleeper
+	handles []*Handle
+	visible []int64 // cycles after at
+}
+
+func (w *waker) Advance(cycle int64) {
+	w.recorder.Advance(cycle)
+	if cycle != w.at {
+		return
+	}
+	for i, s := range w.targets {
+		s.pending = 1
+		w.handles[i].WakeAt(cycle + w.visible[i])
+	}
+}
+
+// TestSameAdvanceWakeFilesNoEvent pins the same-phase wake: a component
+// that Step put to sleep earlier in this Advance phase and is handed work
+// for the next cycle rejoins the active list directly. It files no wheel
+// event, never has CatchUp called, and is evaluated next cycle. A wake
+// further out, or aimed at a component that slept in an earlier cycle,
+// still goes through the wheel and catches up exactly.
+func TestSameAdvanceWakeFilesNoEvent(t *testing.T) {
+	e := NewEngine()
+	a := &sleeper{recorder: recorder{name: "a"}, pending: 4}    // sleeps after cycle 3
+	b := &sleeper{recorder: recorder{name: "b"}, pending: 4}    // sleeps after cycle 3
+	l := &sleeper{recorder: recorder{name: "long"}, pending: 1} // sleeps after cycle 0
+	ha, hb, hl := e.Register(a), e.Register(b), e.Register(l)
+	w := &waker{recorder: recorder{name: "w"}, at: 3,
+		targets: []*sleeper{a, b, l}, handles: []*Handle{ha, hb, hl}, visible: []int64{1, 2, 1}}
+	e.Register(w)
+	for range 4 {
+		e.Step()
+	}
+	if ha.asleep || ha.wakeAt != 0 || len(e.woken) != 1 || e.woken[0] != ha {
+		t.Fatalf("after cycle 3: a asleep=%v wakeAt=%d, woken=%d; want awake, no wake-up pending, queued on woken",
+			ha.asleep, ha.wakeAt, len(e.woken))
+	}
+	// b (two cycles out) and long (slept at cycle 0) each file one event.
+	if e.wheel.pending != 2 || e.seq != 2 || !hb.asleep || !hl.asleep {
+		t.Fatalf("after cycle 3: %d events pending (seq %d), b asleep=%v, long asleep=%v; want 2 events for b and long only",
+			e.wheel.pending, e.seq, hb.asleep, hl.asleep)
+	}
+	e.Step() // cycle 4
+	e.Step() // cycle 5
+	want := map[*sleeper][]int64{a: {0, 1, 2, 3, 4}, b: {0, 1, 2, 3, 5}, l: {0, 4}}
+	idle := map[*sleeper]int64{a: 0, b: 1, l: 3}
+	for s, ev := range want {
+		if fmt.Sprint(s.evals) != fmt.Sprint(ev) || s.idle != idle[s] {
+			t.Errorf("%s: evals %v idle %d, want %v idle %d", s.name, s.evals, s.idle, ev, idle[s])
+		}
+	}
+	if a.catchUps != 0 {
+		t.Errorf("a: CatchUp called %d times, want never", a.catchUps)
 	}
 }
 

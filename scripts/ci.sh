@@ -76,6 +76,15 @@ go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s ./internal/compiler
 echo "== go test -fuzz FuzzFork (10 s) =="
 go test -run '^$' -fuzz '^FuzzFork$' -fuzztime 10s ./internal/checkpoint
 
+# The command-line shape parsers under the fuzzer: five seconds each of
+# -mesh and -grid strings. Neither parser may panic, and whatever one
+# accepts must be well formed (sides of at least 2; axes non-empty,
+# positive and without repeats) and parse back to itself from its
+# rendering. Failing inputs land in internal/experiments/testdata/fuzz.
+echo "== go test -fuzz FuzzParseMesh, FuzzParseGrid (5 s each) =="
+go test -run '^$' -fuzz '^FuzzParseMesh$' -fuzztime 5s ./internal/experiments
+go test -run '^$' -fuzz '^FuzzParseGrid$' -fuzztime 5s ./internal/experiments
+
 # The race pass uses -short so the full-scale figure regenerations (which
 # the plain pass above already ran) are not repeated at the race
 # detector's ~10x slowdown. It covers the two concurrent subsystems: the
