@@ -124,7 +124,7 @@ func fromKernel(name, meshSpec, dimsName string, priority bool) {
 	}
 	rec := attrib.NewRecorder()
 	plat.SetAttrib(rec)
-	if _, err := plat.Run(prog, 1_000_000_000); err != nil {
+	if _, err := plat.Run(prog, experiments.MaxRunCycles); err != nil {
 		cli.Fatalf("%v", err)
 	}
 	values := rec.Fold()

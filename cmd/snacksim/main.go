@@ -93,16 +93,7 @@ func benchmark(name, nocName string, w, h int, scale float64) {
 	fmt.Printf("link median / peak:      %5.2f%% / %5.2f%%\n", run.LinkMedianPct, run.LinkMaxPct)
 	fmt.Printf("L1 hit rate:             %5.3f\n", run.L1HitRate)
 	fmt.Printf("L2 hit rate:             %5.3f\n", run.L2HitRate)
-	zero, p99 := 0.0, 0.0
-	if len(run.BufferCDF) > 0 {
-		zero = run.BufferCDF[0].Prob * 100
-		for _, pt := range run.BufferCDF {
-			if pt.Prob >= 0.99 {
-				p99 = pt.Value * 100
-				break
-			}
-		}
-	}
+	zero, p99 := run.BufferSummary()
 	fmt.Printf("buffers empty:           %5.2f%% of cycles (p99 occupancy %.1f%%)\n", zero, p99)
 }
 
@@ -124,7 +115,7 @@ func runKernel(k cpu.KernelName, w, h int, priority bool) {
 	})
 	fmt.Printf("running %s on a zero-load %dx%d SnackNoC (%d entries)...\n",
 		k, w, h, len(prog.Entries))
-	res, err := plat.Run(prog, 1_000_000_000)
+	res, err := plat.Run(prog, experiments.MaxRunCycles)
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}

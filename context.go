@@ -11,7 +11,8 @@ import (
 // program declaratively builds one or more dataflow computations, with
 // coarse-grained control over their execution. Computations registered
 // with GetValue run when the context is passed to Platform.Execute (or
-// ExecuteAll, which orders contexts by priority).
+// ExecuteAll, which orders contexts by priority, or ExecuteConcurrent)
+// of the platform that made it.
 type Context struct {
 	platform *Platform
 	builder  *dataflow.Builder

@@ -66,10 +66,7 @@ func CoRun(benchmark string, kernel Kernel, scale float64, opts ...Option) (*CoR
 	if prof == nil {
 		return nil, fmt.Errorf("snacknoc: unknown benchmark %q (see Benchmarks())", benchmark)
 	}
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := configure(opts)
 	if !(scale > 0) || math.IsInf(scale, 1) {
 		return nil, fmt.Errorf("snacknoc: scale must be positive and finite, got %g", scale)
 	}

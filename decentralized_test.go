@@ -177,3 +177,38 @@ func TestExecuteConcurrentFailureKeepsRequests(t *testing.T) {
 		t.Fatal("a context ran twice: its requests were not consumed by the successful call")
 	}
 }
+
+// TestExecuteConcurrentRejectsAnotherPlatformsContext: a context runs
+// only on the platform that made it, through ExecuteConcurrent as
+// through Execute, and the refusal leaves its requests in place.
+func TestExecuteConcurrentRejectsAnotherPlatformsContext(t *testing.T) {
+	p, err := snacknoc.NewDecentralizedPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := snacknoc.NewDecentralizedPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reduce := func(c *snacknoc.Context) []float64 {
+		x, _ := c.Input([]float64{1, 2, 3}, 1, 3)
+		r, _ := c.Reduce(x)
+		out := make([]float64, 1)
+		if err := c.GetValue(r, out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	mine, foreign := p.NewContext(), other.NewContext()
+	reduce(mine)
+	out := reduce(foreign)
+	if _, err := p.ExecuteConcurrent(mine, foreign); err == nil || !strings.Contains(err.Error(), "different platform") {
+		t.Fatalf("another platform's context: err = %v, want a different-platform error", err)
+	}
+	if p.Cycle() != 0 {
+		t.Fatalf("the refused call ran %d cycles", p.Cycle())
+	}
+	if _, err := other.ExecuteConcurrent(foreign); err != nil || out[0] != 6 {
+		t.Fatalf("on its own platform: err = %v, result %v, want 6", err, out[0])
+	}
+}

@@ -158,7 +158,7 @@ func TestRandomGraphsOnMultiCPM(t *testing.T) {
 		}
 
 		eng := sim.NewEngine()
-		plat, err := core.NewStandaloneMulti(eng, 4, 4, true, core.DefaultRCUConfig(), []noc.NodeID{0, 15})
+		plat, err := core.NewStandaloneMulti(eng, 4, 4, true, []noc.NodeID{0, 15})
 		if err != nil {
 			t.Fatal(err)
 		}

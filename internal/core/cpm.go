@@ -28,46 +28,46 @@ func (s KernelState) String() string {
 	return [...]string{"idle", "loading", "running", "done"}[s]
 }
 
-// CPMConfig sizes the Central Packet Manager.
+// CPMConfig places and tunes the Central Packet Manager.
 type CPMConfig struct {
 	Node noc.NodeID
-	// InstrBufCap bounds the instruction buffer; the paper sizes it
-	// against the peak rate values stream from a two-rank DDR3 (§III-C1).
-	InstrBufCap int
 	// FetchAhead is the number of outstanding 64 B command-stream reads.
 	FetchAhead int
-	// EntriesPerTxn is how many command-stream entries one DDR3
-	// transaction carries (64 B / 16 B instruction).
-	EntriesPerTxn int
 	// ALOThreshold is the free-VC floor below which the CPM treats the
-	// NoC as congested (§III-C2); ALOHysteresis holds the state.
-	ALOThreshold  int
-	ALOHysteresis int64
+	// NoC as congested (§III-C2).
+	ALOThreshold int
 	// SnackALOThreshold is the free snack-VC floor below which the CPM
 	// vacuums transient tokens off the loop into the offload buffer.
 	SnackALOThreshold int
-	// OffloadBufFlits is the Offload Data Memory Buffer capacity: four
-	// flits, one DDR3 64 B transaction (§III-C2).
-	OffloadBufFlits int
-	// ResultBatch is how many results share one write-back transaction.
-	ResultBatch int
-	// ProgBase is the command buffer's physical base address.
-	ProgBase uint64
 }
+
+// The CPM's fixed sizing.
+const (
+	// instrBufCap bounds the instruction buffer; the paper sizes it
+	// against the peak rate values stream from a two-rank DDR3 (§III-C1).
+	instrBufCap = 512
+	// entriesPerTxn is how many command-stream entries one DDR3
+	// transaction carries (64 B / 16 B instruction).
+	entriesPerTxn = 4
+	// aloHysteresis holds both congestion detectors' state.
+	aloHysteresis = 32
+	// offloadBufFlits is the Offload Data Memory Buffer capacity: four
+	// flits, one DDR3 64 B transaction (§III-C2).
+	offloadBufFlits = 4
+	// resultBatch is how many results share one write-back transaction.
+	resultBatch = 4
+	// progBase is the command buffer's physical base address, far from
+	// any cache-substrate address.
+	progBase uint64 = 1 << 40
+)
 
 // DefaultCPMConfig returns the paper's sizing at the given node.
 func DefaultCPMConfig(node noc.NodeID) CPMConfig {
 	return CPMConfig{
 		Node:              node,
-		InstrBufCap:       512,
 		FetchAhead:        48,
-		EntriesPerTxn:     4,
 		ALOThreshold:      6,
-		ALOHysteresis:     32,
 		SnackALOThreshold: 1,
-		OffloadBufFlits:   4,
-		ResultBatch:       4,
-		ProgBase:          1 << 40, // far from any cache-substrate address
 	}
 }
 
@@ -96,7 +96,7 @@ type CPM struct {
 	// nsBase is this CPM's namespace, OR-ed into every dependency and
 	// sub-block ID it issues (see assemble).
 	nsBase DepID
-	// validated is the program that last passed admit (the fig9/fig12
+	// validated is the program that last passed Admit (the fig9/fig12
 	// pattern resubmits one immutable program many times).
 	validated *Program
 
@@ -177,12 +177,12 @@ func NewCPM(cfg CPMConfig, net *noc.Network, ctrl *mem.Controller) *CPM {
 		nsBase: (DepID(cfg.Node) + 1) * nsLimit,
 		loop:   net.Loop(),
 		cpmState: cpmState{
-			// refill keeps the buffer under InstrBufCap entries counting the
+			// refill keeps the buffer under instrBufCap entries counting the
 			// reads in flight, so one transaction past it never overflows.
-			instrBuf: flat.RingOver(make([]int32, cfg.InstrBufCap+cfg.EntriesPerTxn)),
+			instrBuf: flat.RingOver(make([]int32, instrBufCap+entriesPerTxn)),
 			cpmScalars: cpmScalars{
-				alo:      *noc.NewALODetector(r, cfg.ALOThreshold, cfg.ALOHysteresis),
-				snackALO: *noc.NewSnackALODetector(r, net.Loop().Next(cfg.Node), cfg.SnackALOThreshold, cfg.ALOHysteresis),
+				alo:      *noc.NewALODetector(r, cfg.ALOThreshold, aloHysteresis),
+				snackALO: *noc.NewSnackALODetector(r, net.Loop().Next(cfg.Node), cfg.SnackALOThreshold, aloHysteresis),
 				staged:   stageNone,
 			},
 		},
@@ -217,10 +217,10 @@ func (c *CPM) BusyReplies() int64 { return c.busyReplies.Value() }
 // CongestedCycles counts cycles the ALO detector reported congestion.
 func (c *CPM) CongestedCycles() int64 { return c.congestedCy.Value() }
 
-// admit validates p, and checks that every sub-block maps into this
+// Admit validates p, and checks that every sub-block maps into this
 // CPM's mesh, unless it is the program this CPM admitted last; programs
 // are immutable, so once is enough.
-func (c *CPM) admit(p *Program) error {
+func (c *CPM) Admit(p *Program) error {
 	if c.validated == p {
 		return nil
 	}
@@ -236,14 +236,14 @@ func (c *CPM) admit(p *Program) error {
 
 // Submit starts a kernel. It returns false (a "busy response") if one is
 // already loading or running. onDone fires when all results are in main
-// memory. An invalid program panics; Platform.Run checks first and
-// returns the error instead.
+// memory. An invalid program panics; Admit it first to get the error
+// instead, as Platform.Run does.
 func (c *CPM) Submit(p *Program, cycle int64, onDone func(*Result)) bool {
 	if c.Busy() {
 		c.busyReplies.Inc()
 		return false
 	}
-	if err := c.admit(p); err != nil {
+	if err := c.Admit(p); err != nil {
 		panic(fmt.Sprintf("cpm: invalid program: %v", err))
 	}
 	// The program is streamed, not copied: the instruction buffer holds
@@ -381,20 +381,20 @@ func (c *CPM) Advance(cycle int64) {
 }
 
 // refill streams the command buffer from main memory in 64 B
-// transactions, each carrying EntriesPerTxn entries (§III-C1).
+// transactions, each carrying entriesPerTxn entries (§III-C1).
 func (c *CPM) refill(cycle int64) {
 	total := len(c.prog.Entries)
 	for c.inflight < c.cfg.FetchAhead &&
 		c.fetched < total &&
-		c.instrBuf.Len()+c.inflight*c.cfg.EntriesPerTxn < c.cfg.InstrBufCap {
+		c.instrBuf.Len()+c.inflight*entriesPerTxn < instrBufCap {
 		lo := c.fetched
-		hi := lo + c.cfg.EntriesPerTxn
+		hi := lo + entriesPerTxn
 		if hi > total {
 			hi = total
 		}
 		c.fetched = hi
 		c.inflight++
-		addr := c.cfg.ProgBase + uint64(lo*InstrBytes)
+		addr := progBase + uint64(lo*InstrBytes)
 		c.mem.AccessCall(addr, false, (*cpmFetchDone)(c), int64(lo))
 	}
 }
@@ -414,7 +414,7 @@ type (
 func (f *cpmFetchDone) OnCall(lo, _ int64) {
 	c := (*CPM)(f)
 	c.inflight--
-	hi := min(int(lo)+c.cfg.EntriesPerTxn, len(c.prog.Entries))
+	hi := min(int(lo)+entriesPerTxn, len(c.prog.Entries))
 	for i := int32(lo); i < int32(hi); i++ {
 		c.instrBuf.Push(i)
 	}
@@ -458,10 +458,10 @@ func (c *CPM) Deliver(p *noc.Packet, cycle int64) {
 	c.pool.data.Put(tok) // the result is recorded; the token is consumed
 	c.resultsGot++
 	c.pendingWB++
-	if c.pendingWB >= c.cfg.ResultBatch || c.resultsGot == c.prog.NumOutputs {
+	if c.pendingWB >= resultBatch || c.resultsGot == c.prog.NumOutputs {
 		c.pendingWB = 0
 		c.writesOut++
-		addr := c.cfg.ProgBase + uint64(1<<20) + uint64(slot*4)
+		addr := progBase + uint64(1<<20) + uint64(slot*4)
 		c.mem.AccessCall(addr, true, (*cpmWriteDone)(c), 0)
 	}
 }
@@ -514,10 +514,10 @@ func (c *CPM) CaptureOverflow(tok *DataToken, cycle int64) {
 	c.offload = append(c.offload, *tok)
 	c.pool.data.Put(tok)
 	c.offloaded.Inc()
-	if n := len(c.offload); n >= c.cfg.OffloadBufFlits {
+	if n := len(c.offload); n >= offloadBufFlits {
 		c.offloadPending = append(c.offloadPending, c.offload...)
 		c.offload = c.offload[:0]
-		addr := c.cfg.ProgBase + uint64(2<<20)
+		addr := progBase + uint64(2<<20)
 		c.mem.AccessCall(addr, true, (*cpmOffloadDone)(c), int64(n))
 	}
 }

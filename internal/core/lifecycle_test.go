@@ -32,7 +32,7 @@ func sgemmProg(n int) *Program {
 // be panics inside CPM.Submit or inside an engine event: an unchecked ID
 // is stamped as its entry is issued, and a sub-block mapped off the mesh
 // has no route. Validate catches what a program alone shows; the mesh
-// check needs the platform, so CPM.admit makes it. Either way Run
+// check needs the platform, so CPM.Admit makes it. Either way Run
 // returns the error and the platform stays usable.
 func TestInvalidProgramIsAnErrorNotAPanic(t *testing.T) {
 	valid := func() (*progBuilder, *ProgBlock) {
@@ -144,7 +144,7 @@ func TestTokenPoolRecyclesWithinOneKernel(t *testing.T) {
 	// Every token is back in the pool once the kernel is done, so the
 	// free lists are at their high-water mark.
 	pool := p.CPM.pool
-	bound := 4 * p.CPM.cfg.InstrBufCap
+	bound := 4 * instrBufCap
 	if bound >= flat.PoolCap {
 		t.Fatalf("test bound %d does not sit under flat.PoolCap %d", bound, flat.PoolCap)
 	}

@@ -42,7 +42,7 @@ func buildReduce(vals []float64, rcus []noc.NodeID) *Program {
 func TestDecentralizedCPMsRunConcurrently(t *testing.T) {
 	eng := sim.NewEngine()
 	corners := []noc.NodeID{0, 3, 12, 15}
-	p, err := NewStandaloneMulti(eng, 4, 4, true, DefaultRCUConfig(), corners)
+	p, err := NewStandaloneMulti(eng, 4, 4, true, corners)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDecentralizedThroughputScales(t *testing.T) {
 
 	multi := func() int64 {
 		eng := sim.NewEngine()
-		p, err := NewStandaloneMulti(eng, 4, 4, true, DefaultRCUConfig(), []noc.NodeID{0, 3, 12, 15})
+		p, err := NewStandaloneMulti(eng, 4, 4, true, []noc.NodeID{0, 3, 12, 15})
 		if err != nil {
 			t.Fatal(err)
 		}

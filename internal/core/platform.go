@@ -54,7 +54,6 @@ func (a *nodeAttachment) DrainLoopFlit(f *noc.Flit, cycle int64) bool {
 
 // PlatformConfig assembles a SnackNoC platform.
 type PlatformConfig struct {
-	RCU RCUConfig
 	CPM CPMConfig
 	// ShareMemChannel makes the CPM compete with CMP cache traffic for
 	// the memory controller at its node instead of using the dedicated
@@ -64,7 +63,7 @@ type PlatformConfig struct {
 	ShareMemChannel bool
 	// Shards partitions the standalone mesh into that many column-slice
 	// sub-engines (noc.Config.Shards); 0 or 1 keeps the serial kernel.
-	// Only NewStandalone consults it — Attach/AttachToSystem run on
+	// Only the standalone builders consult it — AttachToSystem runs on
 	// whatever network the caller built.
 	Shards int
 }
@@ -73,10 +72,7 @@ type PlatformConfig struct {
 // memory-controller node, §III-C: "The CPM is located on a memory
 // controller to benefit from low-latency accesses").
 func DefaultPlatformConfig() PlatformConfig {
-	return PlatformConfig{
-		RCU: DefaultRCUConfig(),
-		CPM: DefaultCPMConfig(0),
-	}
+	return PlatformConfig{CPM: DefaultCPMConfig(0)}
 }
 
 // Platform is a complete SnackNoC: one RCU per router plus one or more
@@ -111,44 +107,48 @@ func NewStandalone(eng *sim.Engine, width, height int, priority bool, cfg Platfo
 // resources; nc is copied before the shard clamp so the caller's
 // configuration survives.
 func NewStandaloneOn(eng *sim.Engine, nc *noc.Config, cfg PlatformConfig) (*Platform, error) {
-	c := *nc
-	c.Shards = cfg.Shards
-	if c.Shards > c.Width {
-		c.Shards = c.Width
+	return newStandalone(eng, nc, cfg.Shards, []CPMConfig{cfg.CPM})
+}
+
+// NewStandaloneMulti builds a zero-load platform with a decentralized
+// CPM at every listed node (§VII: "a CPM would be placed within each
+// memory controller module operating in parallel"), each with its own
+// DDR3 channel. Concurrent kernels are namespaced per CPM, so they share
+// the RCUs and the transient-token loop safely.
+func NewStandaloneMulti(eng *sim.Engine, width, height int, priority bool, nodes []noc.NodeID) (*Platform, error) {
+	cpms := make([]CPMConfig, len(nodes))
+	for i, n := range nodes {
+		cpms[i] = DefaultCPMConfig(n)
 	}
-	if err := checkCPMNode(&c, cfg.CPM.Node); err != nil {
-		return nil, err
+	return newStandalone(eng, noc.SnackPlatform(width, height, priority), 0, cpms)
+}
+
+// newStandalone is every standalone builder: a fresh network from a copy
+// of nc, one private memory channel per CPM, the SnackNoC attached, and
+// each CPM as its node's NI client (there is no cache substrate).
+func newStandalone(eng *sim.Engine, nc *noc.Config, shards int, cpms []CPMConfig) (*Platform, error) {
+	if len(cpms) == 0 {
+		return nil, fmt.Errorf("core: no CPM nodes given")
+	}
+	c := *nc
+	c.Shards = min(shards, c.Width)
+	for _, cc := range cpms {
+		if err := checkCPMNode(&c, cc.Node); err != nil {
+			return nil, err
+		}
 	}
 	net, err := noc.New(eng, &c)
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := mem.New(net.EngFor(cfg.CPM.Node), mem.DefaultConfig())
+	p, err := attach(eng, net, cpms, nil)
 	if err != nil {
 		return nil, err
 	}
-	p, err := Attach(eng, net, ctrl, cfg)
-	if err != nil {
-		return nil, err
+	for _, cpm := range p.CPMs {
+		net.AttachClient(cpm.Node(), cpm)
 	}
-	// With no cache substrate, the CPM is the node's NI client directly.
-	net.AttachClient(cfg.CPM.Node, p.CPM)
 	return p, nil
-}
-
-// Attach builds the SnackNoC on an existing snack-enabled network using
-// the given memory controller for the CPM's command/overflow streams.
-// The caller is responsible for routing ejected snack packets at the CPM
-// node to CPM.Deliver (NewStandalone and AttachToSystem handle this).
-func Attach(eng *sim.Engine, net *noc.Network, ctrl *mem.Controller, cfg PlatformConfig) (*Platform, error) {
-	nc := net.Cfg()
-	if nc.SnackVNet < 0 || !nc.ComputePort {
-		return nil, fmt.Errorf("core: network %q lacks a snack vnet or compute ports", nc.Name)
-	}
-	if err := checkCPMNode(nc, cfg.CPM.Node); err != nil {
-		return nil, err
-	}
-	return attach(eng, net, cfg.RCU, []CPMConfig{cfg.CPM}, []*mem.Controller{ctrl})
 }
 
 // checkCPMNode rejects a CPM node outside the mesh, before anything
@@ -160,21 +160,26 @@ func checkCPMNode(nc *noc.Config, node noc.NodeID) error {
 	return nil
 }
 
-// attach wires RCUs at every node and one CPM (with its own memory
-// channel) at each configured node, and registers one RCU group per
-// engine and the CPMs.
-func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfig, ctrls []*mem.Controller) (*Platform, error) {
+// attach builds the SnackNoC on an existing snack-enabled network: RCUs
+// at every node and one CPM at each configured node. A CPM streams its
+// commands and overflow through ctrl or, when ctrl is nil, through a
+// private DDR3 channel of its own. It registers one RCU group per engine
+// and the CPMs. The caller routes the snack packets ejected at each CPM
+// node to that CPM.
+func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Controller) (*Platform, error) {
 	nc := net.Cfg()
+	if nc.SnackVNet < 0 || !nc.ComputePort {
+		return nil, fmt.Errorf("core: network %q lacks a snack vnet or compute ports", nc.Name)
+	}
 	p := &Platform{
 		Eng:  eng,
 		Net:  net,
 		RCUs: make([]*RCU, nc.Nodes()),
-		Mem:  ctrls[0],
 	}
 	byNode := make(map[noc.NodeID]*CPM, len(cpms))
-	for i, cc := range cpms {
-		if int(cc.Node) < 0 || int(cc.Node) >= nc.Nodes() {
-			return nil, fmt.Errorf("core: CPM node %d outside mesh", cc.Node)
+	for _, cc := range cpms {
+		if err := checkCPMNode(nc, cc.Node); err != nil {
+			return nil, err
 		}
 		if _, dup := byNode[cc.Node]; dup {
 			return nil, fmt.Errorf("core: two CPMs at node %d", cc.Node)
@@ -186,11 +191,18 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 			return nil, fmt.Errorf("core: CPM at node %d has ALO threshold %d, but its router offers at most %d free communication VCs",
 				cc.Node, cc.ALOThreshold, free)
 		}
-		cpm := NewCPM(cc, net, ctrls[i])
+		mc := ctrl
+		if mc == nil {
+			var err error
+			if mc, err = mem.New(net.EngFor(cc.Node), mem.DefaultConfig()); err != nil {
+				return nil, err
+			}
+		}
+		cpm := NewCPM(cc, net, mc)
 		byNode[cc.Node] = cpm
 		p.CPMs = append(p.CPMs, cpm)
 	}
-	p.CPM = p.CPMs[0]
+	p.CPM, p.Mem = p.CPMs[0], p.CPMs[0].mem
 	// One token pool per shard engine: every component schedules token
 	// allocation and release on its own shard's goroutine, so the pools
 	// need no locking (the per-shard flit-pool rule of the sharded NoC).
@@ -219,7 +231,7 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 	for e, res := range shard {
 		e.Reserve(res.comps)
 	}
-	rcus := newRCUs(rcuCfg, nc.Nodes(), net.Loop(), p.CPM.Node())
+	rcus := newRCUs(nc.Nodes(), net.Loop(), p.CPM.Node())
 	// Every group's runnable set spans the whole slab, so an RCU's bit is
 	// its node whatever the shard; the sets are carved from one array.
 	words := (len(rcus) + 63) / 64
@@ -262,41 +274,6 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 	return p, nil
 }
 
-// NewStandaloneMulti builds a zero-load platform with a decentralized
-// CPM at every listed node (§VII: "a CPM would be placed within each
-// memory controller module operating in parallel"), each with its own
-// DDR3 channel. Concurrent kernels are namespaced per CPM, so they share
-// the RCUs and the transient-token loop safely.
-func NewStandaloneMulti(eng *sim.Engine, width, height int, priority bool, rcu RCUConfig, nodes []noc.NodeID) (*Platform, error) {
-	net, err := noc.New(eng, noc.SnackPlatform(width, height, priority))
-	if err != nil {
-		return nil, err
-	}
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("core: no CPM nodes given")
-	}
-	cfgs := make([]CPMConfig, len(nodes))
-	ctrls := make([]*mem.Controller, len(nodes))
-	for i, n := range nodes {
-		if err := checkCPMNode(net.Cfg(), n); err != nil {
-			return nil, err
-		}
-		cfgs[i] = DefaultCPMConfig(n)
-		ctrls[i], err = mem.New(net.EngFor(n), mem.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-	}
-	p, err := attach(eng, net, rcu, cfgs, ctrls)
-	if err != nil {
-		return nil, err
-	}
-	for _, cpm := range p.CPMs {
-		net.AttachClient(cpm.Node(), cpm)
-	}
-	return p, nil
-}
-
 // AttachToSystem builds the SnackNoC on a network already carrying a CMP
 // cache hierarchy (the Fig 11/12/13 co-run context). The CPM shares the
 // memory controller at its node, and snack packets ejected there reach
@@ -314,7 +291,7 @@ func AttachToSystem(eng *sim.Engine, sys *cache.System, cfg PlatformConfig) (*Pl
 			return nil, err
 		}
 	}
-	p, err := Attach(eng, sys.Net, ctrl, cfg)
+	p, err := attach(eng, sys.Net, []CPMConfig{cfg.CPM}, ctrl)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +303,7 @@ func AttachToSystem(eng *sim.Engine, sys *cache.System, cfg PlatformConfig) (*Pl
 // returning the kernel result. maxCycles bounds the wait. An invalid
 // program is rejected here, before any cycle runs.
 func (p *Platform) Run(prog *Program, maxCycles int64) (*Result, error) {
-	if err := p.CPM.admit(prog); err != nil {
+	if err := p.CPM.Admit(prog); err != nil {
 		return nil, err
 	}
 	var res *Result

@@ -142,7 +142,7 @@ const nsLimit = 1 << 24
 // including the namespace bounds — everything that would otherwise
 // surface as a panic inside an engine event once the kernel is running.
 // The mesh the sub-blocks map to is the one thing it cannot know; the
-// CPM checks that as it admits the program (CPM.admit).
+// CPM checks that as it admits the program (CPM.Admit).
 func (p *Program) Validate() error {
 	if len(p.Entries) == 0 {
 		return fmt.Errorf("core: program %q has no entries", p.Name)

@@ -11,18 +11,10 @@ import (
 	"snacknoc/internal/trace"
 )
 
-// RCUConfig sizes one Router Compute Unit.
-type RCUConfig struct {
-	// EnqueueLat is the extra pipeline stage between a flit arriving at
-	// the router and the instruction becoming schedulable (§III-D2: "this
-	// action adds an additional router pipeline stage").
-	EnqueueLat int64
-}
-
-// DefaultRCUConfig matches the paper's router integration.
-func DefaultRCUConfig() RCUConfig {
-	return RCUConfig{EnqueueLat: 1}
-}
+// enqueueLat is the extra pipeline stage between a flit arriving at the
+// router and the instruction becoming schedulable (§III-D2: "this action
+// adds an additional router pipeline stage").
+const enqueueLat = 1
 
 // inboxEntry is an instruction awaiting its enqueue stage.
 type inboxEntry struct {
@@ -129,7 +121,6 @@ func (s *instrSlab) release(i int32) {
 // On a Platform the engine does not see RCUs one by one: an rcuGroup
 // steps those that hold work (see group.go).
 type RCU struct {
-	cfg     RCUConfig
 	node    noc.NodeID
 	port    *noc.InjectPort
 	loop    *noc.LoopRoute
@@ -196,9 +187,8 @@ type rcuScalars struct {
 // NewRCU builds the compute unit for one router. The Network's
 // AttachCompute must be called separately (or via the Platform) to give
 // it its injection port.
-func NewRCU(cfg RCUConfig, node noc.NodeID, loop *noc.LoopRoute, cpmNode noc.NodeID) *RCU {
+func NewRCU(node noc.NodeID, loop *noc.LoopRoute, cpmNode noc.NodeID) *RCU {
 	return &RCU{
-		cfg:      cfg,
 		node:     node,
 		loop:     loop,
 		cpmNode:  cpmNode,
@@ -229,7 +219,7 @@ const (
 // — an RCU that outgrows one reallocates it privately, as a directly
 // constructed NewRCU grows from empty. The caller hands each RCU its
 // engine's instrSlab.
-func newRCUs(cfg RCUConfig, nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) []RCU {
+func newRCUs(nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) []RCU {
 	const tabCap = rcuSBTabCap + rcuWaitTabCap
 	rcus := make([]RCU, nodes)
 	cells := make([]instrNode, nodes*rcuCellCap)
@@ -245,7 +235,7 @@ func newRCUs(cfg RCUConfig, nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) 
 	}
 	for i := range rcus {
 		rcus[i] = RCU{
-			cfg: cfg, node: noc.NodeID(i), loop: loop, cpmNode: cpmNode,
+			node: noc.NodeID(i), loop: loop, cpmNode: cpmNode,
 			rcuState: rcuState{
 				inbox:      flat.Carve(&inbox, rcuInboxCap)[:0],
 				nodes:      flat.Carve(&cells, rcuCellCap)[:0],
@@ -495,7 +485,7 @@ func (r *RCU) sbInsert(sb *sbState, slot int32) {
 // their sub-block queues and indexes their unresolved operands.
 func (r *RCU) drainInbox(cycle int64) {
 	n := 0
-	for n < len(r.inbox) && cycle-r.inbox[n].stamp >= r.cfg.EnqueueLat {
+	for n < len(r.inbox) && cycle-r.inbox[n].stamp >= enqueueLat {
 		s := r.inbox[n].slot
 		it := &r.instrs.at(s).it
 		r.sbInsert(r.sbFor(it.SubBlock), s)

@@ -24,7 +24,7 @@ func step(r *RCU, cycle int64) {
 }
 
 func TestRCUReordersSubBlock(t *testing.T) {
-	r := NewRCU(DefaultRCUConfig(), 3, nil, 0)
+	r := NewRCU(3, nil, 0)
 	// Deliver a 3-MAC chain REVERSED: idx 2, 1, 0.
 	mk := func(idx int, l, rr float64, last bool) *InstrToken {
 		it := &InstrToken{
@@ -56,7 +56,7 @@ func TestRCUReordersSubBlock(t *testing.T) {
 }
 
 func TestRCUWaitsForMissingOperand(t *testing.T) {
-	r := NewRCU(DefaultRCUConfig(), 3, nil, 0)
+	r := NewRCU(3, nil, 0)
 	it := &InstrToken{Op: OpAdd, Dst: 3, Seq: 1, SubBlock: 1, SBIdx: 0, EndSB: true,
 		L: Ref(42), R: Imm32(fixed.FromInt(1)),
 		Emit: true, EmitDep: 50, Dependents: 1, ToCPM: true}
@@ -84,7 +84,7 @@ func TestRCUWaitsForMissingOperand(t *testing.T) {
 }
 
 func TestRCUForwardsUnwantedTokens(t *testing.T) {
-	r := NewRCU(DefaultRCUConfig(), 3, nil, 0)
+	r := NewRCU(3, nil, 0)
 	tok := &DataToken{Dep: 77, Dependents: 2, V: fixed.FromInt(1)}
 	if r.OnArrival(&noc.Flit{Payload: tok, Loop: true}, 0) {
 		t.Fatal("consumed a token nothing waits for")
@@ -95,7 +95,7 @@ func TestRCUForwardsUnwantedTokens(t *testing.T) {
 }
 
 func TestRCUPartialCapture(t *testing.T) {
-	r := NewRCU(DefaultRCUConfig(), 3, nil, 0)
+	r := NewRCU(3, nil, 0)
 	it := &InstrToken{Op: OpAdd, Dst: 3, Seq: 1, SubBlock: 1, SBIdx: 0, EndSB: true,
 		L: Ref(5), R: Imm32(fixed.FromInt(0)), Emit: true, EmitDep: 6, Dependents: 1, ToCPM: true}
 	feedInstr(r, it, 0)
@@ -122,7 +122,7 @@ func TestRCUExecLatencyMatchesOps(t *testing.T) {
 }
 
 func TestRCUEnqueueStageDelaysDispatch(t *testing.T) {
-	r := NewRCU(DefaultRCUConfig(), 3, nil, 0)
+	r := NewRCU(3, nil, 0)
 	it := &InstrToken{Op: OpAdd, Dst: 3, Seq: 1, SubBlock: 1, SBIdx: 0, EndSB: true,
 		L: Imm32(fixed.FromInt(1)), R: Imm32(fixed.FromInt(1)),
 		Emit: true, EmitDep: 9, Dependents: 1, ToCPM: true}
@@ -143,7 +143,7 @@ func TestRCUEnqueueStageDelaysDispatch(t *testing.T) {
 // for that fill — which still consumes a dependent — and the fill frees
 // it.
 func TestAccAddFreesItsSlotOnTheLateFill(t *testing.T) {
-	r := NewRCU(DefaultRCUConfig(), 3, nil, 0)
+	r := NewRCU(3, nil, 0)
 	feedInstr(r, &InstrToken{Op: OpAccAdd, Dst: 3, Seq: 1, SubBlock: 1, EndSB: true, AccInit: true,
 		L: Imm32(fixed.FromInt(5)), R: Ref(42)}, 0)
 	for c := int64(1); c < 5; c++ {

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"snacknoc/internal/compiler"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/stats"
 )
@@ -52,15 +51,8 @@ func ResetCompileCache() {
 }
 
 // registerCompileCacheMetrics names the cache counters in a per-run
-// registry, folding in the compiler's content-keyed cache (the public
-// API path). The values are process-cumulative, not per-run.
+// registry. The values are process-cumulative, not per-run.
 func registerCompileCacheMetrics(reg *stats.Registry) {
-	reg.AddGauge("compiler.cache.hits", func() float64 {
-		h, _ := compiler.CacheStats()
-		return float64(compileHits.Load() + h)
-	})
-	reg.AddGauge("compiler.cache.misses", func() float64 {
-		_, m := compiler.CacheStats()
-		return float64(compileMisses.Load() + m)
-	})
+	reg.AddGauge("compiler.cache.hits", func() float64 { return float64(compileHits.Load()) })
+	reg.AddGauge("compiler.cache.misses", func() float64 { return float64(compileMisses.Load()) })
 }

@@ -222,7 +222,7 @@ func (a DSEAxes) cellAt(i int) (buf, ch, vc, rcu int) {
 // may have depended on the width, and runLeg fails it rather than let it
 // be shared.
 func runLeg(plat *core.Platform, prog *core.Program) (int64, error) {
-	r, err := plat.Run(prog, maxRunCycles)
+	r, err := plat.Run(prog, MaxRunCycles)
 	if err != nil {
 		return 0, err
 	}

@@ -62,7 +62,7 @@ func RunFig3(scale Scale) (*Fig3Result, error) {
 		return nil, err
 	}
 	res := &Fig3Result{Run: run}
-	res.ZeroOccupancyPct, res.P99OccupancyPct = cdfSummary(run.BufferCDF)
+	res.ZeroOccupancyPct, res.P99OccupancyPct = run.BufferSummary()
 	return res, nil
 }
 

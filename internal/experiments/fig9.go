@@ -73,7 +73,7 @@ func RunFig9(dims KernelDims, cpuCfg cpu.CPUConfig) (*Fig9Result, error) {
 			plat.SetTracer(tr)
 			plat.SetAttrib(rec)
 		})
-		r, err := plat.Run(prog, maxRunCycles)
+		r, err := plat.Run(prog, MaxRunCycles)
 		if err != nil {
 			return fmt.Errorf("fig9 %s: %w", k, err)
 		}

@@ -22,10 +22,10 @@ type Scale float64
 // Seed is the deterministic seed all experiment runs use.
 const Seed uint64 = 2020
 
-// maxRunCycles caps every simulation this package runs. Each completes
-// orders of magnitude sooner; one that reaches the cap has wedged and
-// fails with an error instead of spinning on.
-const maxRunCycles = 2_000_000_000
+// MaxRunCycles caps every simulation this package and the commands run.
+// Each completes orders of magnitude sooner; one that reaches the cap
+// has wedged and fails with an error instead of spinning on.
+const MaxRunCycles = 2_000_000_000
 
 // sampleInterval is the utilization sampling window. The paper samples
 // 10 K-cycle windows over multi-billion-cycle runs; scaled runs use 2 K
@@ -59,6 +59,12 @@ type BenchRun struct {
 	L2HitRate float64
 }
 
+// BufferSummary returns the share of cycles the input buffers sat empty
+// and their 99th-percentile occupancy, both in percent (Fig 3).
+func (r *BenchRun) BufferSummary() (zeroPct, p99Pct float64) {
+	return cdfSummary(r.BufferCDF)
+}
+
 // RunBenchmark executes one Table III benchmark to completion on the
 // given NoC configuration and collects the paper's measurements.
 func RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scale) (*BenchRun, error) {
@@ -83,7 +89,7 @@ func RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scale) (*BenchRu
 	if err != nil {
 		return nil, err
 	}
-	rt, ok := cpu.Run(eng, w, maxRunCycles)
+	rt, ok := cpu.Run(eng, w, MaxRunCycles)
 	if !ok {
 		return nil, fmt.Errorf("experiments: %s on %s did not complete", prof.Name, cfg.Name)
 	}
@@ -293,7 +299,7 @@ func RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
 			zeroPlat.SetTracer(tr)
 			zeroPlat.SetAttrib(rec)
 		})
-		zr, err := zeroPlat.Run(prog, maxRunCycles)
+		zr, err := zeroPlat.Run(prog, MaxRunCycles)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: zero-load %s: %w", spec.Kernel, err)
 		}
@@ -376,7 +382,7 @@ func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRun
 		}
 		sys.SetAttrib(rec)
 	})
-	if _, ok := cpu.Run(eng, w, maxRunCycles); !ok {
+	if _, ok := cpu.Run(eng, w, MaxRunCycles); !ok {
 		return nil, fmt.Errorf("experiments: co-run %s did not complete", spec.Bench.Name)
 	}
 	if plat != nil {

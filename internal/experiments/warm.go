@@ -164,7 +164,7 @@ func warmBaselineLeg(spec CoRunSpec) (*legResult, error) {
 	g.snap.Restore()
 	b := g.base
 	if !b.w.Done() {
-		if _, ok := b.eng.RunUntil(b.w.Done, maxRunCycles); !ok {
+		if _, ok := b.eng.RunUntil(b.w.Done, MaxRunCycles); !ok {
 			return nil, fmt.Errorf("experiments: warm baseline %s did not complete", spec.Bench.Name)
 		}
 	}
@@ -231,7 +231,7 @@ func warmZeroLoad(spec CoRunSpec, prog *core.Program) (int64, error) {
 			e.err = err
 			return
 		}
-		zr, err := zeroPlat.Run(prog, maxRunCycles)
+		zr, err := zeroPlat.Run(prog, MaxRunCycles)
 		if err != nil {
 			e.err = fmt.Errorf("experiments: zero-load %s: %w", spec.Kernel, err)
 			return

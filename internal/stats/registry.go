@@ -118,6 +118,13 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// jsonString quotes s by JSON's rules. Go's %q is not JSON for a control
+// byte or invalid UTF-8: it writes \x01 where JSON needs \u0001.
+func jsonString(s string) string {
+	b, _ := json.Marshal(s) // a string always marshals
+	return string(b)
+}
+
 // WriteSnapshotsJSON writes snapshots as one deterministic JSON document:
 // {"snapshots":[{"label":...,"metrics":{sorted keys}}]}.
 func WriteSnapshotsJSON(w io.Writer, snaps []Snapshot) error {
@@ -127,12 +134,12 @@ func WriteSnapshotsJSON(w io.Writer, snaps []Snapshot) error {
 		if i > 0 {
 			bw.WriteString(",")
 		}
-		fmt.Fprintf(bw, "\n  {\"label\": %q, \"metrics\": {", s.Label)
+		fmt.Fprintf(bw, "\n  {\"label\": %s, \"metrics\": {", jsonString(s.Label))
 		for j, k := range s.Keys() {
 			if j > 0 {
 				bw.WriteString(",")
 			}
-			fmt.Fprintf(bw, "\n    %q: %s", k, formatValue(s.Values[k]))
+			fmt.Fprintf(bw, "\n    %s: %s", jsonString(k), formatValue(s.Values[k]))
 		}
 		bw.WriteString("\n  }}")
 	}

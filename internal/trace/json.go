@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -75,7 +76,7 @@ func (t *Tracer) writeEvents(bw *bufio.Writer, pid int, first *bool) error {
 	if t.dropped > 0 {
 		name = fmt.Sprintf("%s (ring: %d events dropped)", name, t.dropped)
 	}
-	emit(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%q}}`, pid, name)
+	emit(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}}`, pid, jsonString(name))
 
 	// Name every (node, unit) track that appears. Counter samples live on
 	// named process-level counter tracks, not (node, unit) threads.
@@ -102,21 +103,28 @@ func (t *Tracer) writeEvents(bw *bufio.Writer, pid int, first *bool) error {
 			if track == "" {
 				track = "counter"
 			}
-			emit(`{"name":%q,"ph":"C","ts":%d,"pid":%d,"args":{"value":%d}}`,
-				track, r.Cycle, pid, r.Packet)
+			emit(`{"name":%s,"ph":"C","ts":%d,"pid":%d,"args":{"value":%d}}`,
+				jsonString(track), r.Cycle, pid, r.Packet)
 		case KindSwitch, KindDeliver, KindRCUExec:
 			dur := r.Cycle - r.Start
 			if dur < 0 {
 				dur = 0
 			}
-			emit(`{"name":%q,"ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{%s}}`,
-				spanName(r), r.Start, dur, pid, tid(r.Node, u), args(r))
+			emit(`{"name":%s,"ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{%s}}`,
+				jsonString(spanName(r)), r.Start, dur, pid, tid(r.Node, u), args(r))
 		default:
-			emit(`{"name":%q,"ph":"i","ts":%d,"pid":%d,"tid":%d,"s":"t","args":{%s}}`,
-				r.Kind.String(), r.Cycle, pid, tid(r.Node, u), args(r))
+			emit(`{"name":%s,"ph":"i","ts":%d,"pid":%d,"tid":%d,"s":"t","args":{%s}}`,
+				jsonString(r.Kind.String()), r.Cycle, pid, tid(r.Node, u), args(r))
 		}
 	}
 	return nil
+}
+
+// jsonString quotes s by JSON's rules. Go's %q is not JSON for a control
+// byte or invalid UTF-8: it writes \x01 where JSON needs \u0001.
+func jsonString(s string) string {
+	b, _ := json.Marshal(s) // a string always marshals
+	return string(b)
 }
 
 // spanName labels a duration event: flit spans by packet.seq so one

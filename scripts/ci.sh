@@ -58,6 +58,18 @@ if grep -nE 'CounterState|HistogramState|TimeSeriesState|RNGState|StreamState|AL
     exit 1
 fi
 
+# One SnackNoC platform: snacknoc.Platform runs one context or several
+# concurrent ones through one submit path, and programs compile with
+# plain compiler.Compile. The second platform type, its copy of the
+# run loop, the content-hashed compile cache and the one-value RCU knob
+# must not come back.
+echo "== one platform, one execute path, one compile cache =="
+# shellcheck disable=SC2046
+if grep -nE 'CompileCached|Fingerprint\(|(^|[^[:alnum:]_])(DecentralizedPlatform|RCUConfig)' $(find . -name '*.go' ! -name '*_test.go'); then
+    echo "ERROR: a second platform type, compile cache or RCU knob is back; use snacknoc.Platform and compiler.Compile" >&2
+    exit 1
+fi
+
 echo "== go test ./... =="
 go test ./...
 
@@ -84,6 +96,16 @@ go test -run '^$' -fuzz '^FuzzFork$' -fuzztime 10s ./internal/checkpoint
 echo "== go test -fuzz FuzzParseMesh, FuzzParseGrid (5 s each) =="
 go test -run '^$' -fuzz '^FuzzParseMesh$' -fuzztime 5s ./internal/experiments
 go test -run '^$' -fuzz '^FuzzParseGrid$' -fuzztime 5s ./internal/experiments
+
+# The two JSON readers under the fuzzer: ten seconds each. Neither the
+# metrics-snapshot reader nor the trace validator (nor DroppedFromJSON)
+# may panic; a snapshot document the reader accepts must re-read equal
+# once written back, and a tracer of any name must write a dump that
+# validates. Failing inputs land in internal/stats/testdata/fuzz and
+# internal/trace/testdata/fuzz.
+echo "== go test -fuzz FuzzReadSnapshots, FuzzValidateTrace (10 s each) =="
+go test -run '^$' -fuzz '^FuzzReadSnapshots$' -fuzztime 10s ./internal/stats
+go test -run '^$' -fuzz '^FuzzValidateTrace$' -fuzztime 10s ./internal/trace
 
 # The race pass uses -short so the full-scale figure regenerations (which
 # the plain pass above already ran) are not repeated at the race
@@ -153,6 +175,16 @@ echo "== DSE smoke (tiny grid vs results/dse-smoke.txt) =="
     -dims smoke -j 1 -out "$ci_tmp/dse.txt" 2>/dev/null
 cmp "$ci_tmp/dse.txt" results/dse-smoke.txt
 echo "dse smoke: byte-identical"
+
+# The public API's output: the five examples run single-CPM Execute,
+# four-CPM ExecuteConcurrent and CoRun, and print cycles, Stats and
+# verified results. Byte-compare them against the committed run.
+echo "== examples (go run ./examples/* vs results/examples.txt) =="
+for ex in quickstart gemm spmv decentralized corun; do
+    go run "./examples/$ex"
+done >"$ci_tmp/examples.txt"
+cmp "$ci_tmp/examples.txt" results/examples.txt
+echo "examples: byte-identical"
 
 # -heavy (or CI_HEAVY=1) additionally regenerates the fig12/fig13 full
 # sweeps (minutes each) and byte-compares them against results/.

@@ -28,6 +28,7 @@ package snacknoc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"snacknoc/internal/compiler"
@@ -74,7 +75,7 @@ func WithCPMNode(node int) Option {
 }
 
 // Platform is a standalone SnackNoC instance: the simulated mesh, its
-// RCUs and CPM, ready to execute contexts.
+// RCUs and one or more CPMs, ready to execute contexts.
 type Platform struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -82,17 +83,35 @@ type Platform struct {
 }
 
 // NewPlatform builds a zero-load platform (the Fig 9 measurement
-// context). Use CoRun for the multiprogram scenario where kernels share
-// the NoC with CMP applications.
+// context) with one CPM. Use CoRun for the multiprogram scenario where
+// kernels share the NoC with CMP applications.
 func NewPlatform(opts ...Option) (*Platform, error) {
+	cfg := configure(opts)
+	return newPlatform(cfg, noc.NodeID(cfg.CPMNode))
+}
+
+// NewDecentralizedPlatform implements the paper's §VII proposal: one
+// Central Packet Manager per memory-controller node — the four mesh
+// corners — operating in parallel, so ExecuteConcurrent can stream
+// several kernels into the communication layer at once. It ignores
+// WithCPMNode.
+func NewDecentralizedPlatform(opts ...Option) (*Platform, error) {
+	cfg := configure(opts)
+	w, h := cfg.Width, cfg.Height
+	return newPlatform(cfg, 0, noc.NodeID(w-1), noc.NodeID(w*(h-1)), noc.NodeID(w*h-1))
+}
+
+func configure(opts []Option) Config {
 	cfg := DefaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
+	return cfg
+}
+
+func newPlatform(cfg Config, cpms ...noc.NodeID) (*Platform, error) {
 	eng := sim.NewEngine()
-	pc := core.DefaultPlatformConfig()
-	pc.CPM = core.DefaultCPMConfig(noc.NodeID(cfg.CPMNode))
-	cp, err := core.NewStandalone(eng, cfg.Width, cfg.Height, cfg.PriorityArbitration, pc)
+	cp, err := core.NewStandaloneMulti(eng, cfg.Width, cfg.Height, cfg.PriorityArbitration, cpms)
 	if err != nil {
 		return nil, err
 	}
@@ -105,24 +124,32 @@ func (p *Platform) Cfg() Config { return p.cfg }
 // RCUs returns the number of Router Compute Units.
 func (p *Platform) RCUs() int { return p.cfg.Width * p.cfg.Height }
 
+// CPMs returns the number of packet managers.
+func (p *Platform) CPMs() int { return len(p.core.CPMs) }
+
 // Cycle returns the current simulated NoC cycle.
 func (p *Platform) Cycle() int64 { return p.eng.Cycle() }
 
-// Stats summarizes one context execution.
+// Stats summarizes one context's execution.
 type Stats struct {
 	// Cycles is the total kernel completion latency: from CPM submission
 	// to the last result landing in main memory, summed over the
 	// context's graphs.
 	Cycles int64
-	// Instructions is the number of instruction flits executed.
+	// Instructions is the number of instruction flits the context's
+	// compiled graphs hold, each executed once.
 	Instructions int64
+	// TokensCaptured, TokensOffloaded and CongestedCycles are
+	// platform-wide counts over the call, so contexts run by one
+	// ExecuteConcurrent call report the same values.
+	//
 	// TokensCaptured counts dependency values taken from transient loop
 	// tokens across all RCUs.
 	TokensCaptured int64
-	// TokensOffloaded counts transient tokens the CPM spilled to main
+	// TokensOffloaded counts transient tokens the CPMs spilled to main
 	// memory under NoC congestion (§III-C2).
 	TokensOffloaded int64
-	// CongestedCycles counts cycles the CPM's ALO detector held issue.
+	// CongestedCycles counts cycles the CPMs' ALO detectors held issue.
 	CongestedCycles int64
 	// Graphs is the number of dataflow graphs executed.
 	Graphs int
@@ -133,64 +160,16 @@ type Stats struct {
 // statistics. Graphs within one context run back to back and compete for
 // the same platform resources (§IV-A2).
 func (p *Platform) Execute(ctx *Context) (*Stats, error) {
-	return p.executeLocked(ctx)
+	st, err := p.execute([]*Context{ctx})
+	if err != nil {
+		return nil, err
+	}
+	return st[0], nil
 }
 
-func (p *Platform) executeLocked(ctx *Context) (*Stats, error) {
-	if ctx.platform != p {
-		return nil, fmt.Errorf("snacknoc: context belongs to a different platform")
-	}
-	if len(ctx.requests) == 0 {
-		return nil, fmt.Errorf("snacknoc: context has no GetValue requests")
-	}
-	ccfg := compiler.DefaultConfig(p.RCUs())
-	if p.cfg.MinChunk > 0 {
-		ccfg.MinChunk = p.cfg.MinChunk
-	}
-	st := &Stats{}
-	execBase := p.core.TotalExecuted()
-	capBase := capturedTotal(p.core)
-	offBase := p.core.CPM.Offloaded()
-	congBase := p.core.CPM.CongestedCycles()
-	for _, req := range ctx.requests {
-		g, err := ctx.builder.Build(req.value.node)
-		if err != nil {
-			return nil, err
-		}
-		cached, err := compiler.CompileCached(g, ccfg)
-		if err != nil {
-			return nil, err
-		}
-		// The cached program is shared and immutable; relabel a shallow
-		// copy (the CPM copies each entry as it fetches it, so the
-		// command stream itself stays shared).
-		prog := new(core.Program)
-		*prog = *cached
-		prog.Name = ctx.name
-		res, err := p.core.Run(prog, maxKernelCycles(prog))
-		if err != nil {
-			return nil, err
-		}
-		if len(req.out) < len(res.Values) {
-			return nil, fmt.Errorf("snacknoc: output buffer holds %d values, result has %d",
-				len(req.out), len(res.Values))
-		}
-		for i, v := range res.Values {
-			req.out[i] = v.Float()
-		}
-		st.Cycles += res.Cycles()
-		st.Graphs++
-	}
-	st.Instructions = p.core.TotalExecuted() - execBase
-	st.TokensCaptured = capturedTotal(p.core) - capBase
-	st.TokensOffloaded = p.core.CPM.Offloaded() - offBase
-	st.CongestedCycles = p.core.CPM.CongestedCycles() - congBase
-	ctx.requests = nil
-	return st, nil
-}
-
-// ExecuteAll runs several contexts, highest Priority first (ties in
-// submission order) — the lock-acquisition policy of §IV-C.
+// ExecuteAll runs several contexts one after another, highest Priority
+// first (ties in submission order) — the lock-acquisition policy of
+// §IV-C.
 func (p *Platform) ExecuteAll(ctxs ...*Context) ([]*Stats, error) {
 	order := make([]int, len(ctxs))
 	for i := range order {
@@ -210,19 +189,165 @@ func (p *Platform) ExecuteAll(ctxs ...*Context) ([]*Stats, error) {
 	return out, nil
 }
 
-func capturedTotal(cp *core.Platform) int64 {
-	var n int64
-	for _, r := range cp.RCUs {
-		n += r.Captured()
-	}
-	return n
+// ExecuteConcurrent runs up to CPMs() contexts simultaneously, one per
+// packet manager, each mapped onto a disjoint slice of the RCUs —
+// concurrent kernels must not share accumulator chains. It returns
+// per-context statistics in input order.
+func (p *Platform) ExecuteConcurrent(ctxs ...*Context) ([]*Stats, error) {
+	return p.execute(ctxs)
 }
 
-// maxKernelCycles bounds a kernel run generously: issue takes at least
-// one cycle per entry, and transient capture can multiply that under
-// contention.
-func maxKernelCycles(prog *core.Program) int64 {
-	n := int64(len(prog.Entries))
-	bound := n*200 + 2_000_000
-	return bound
+// job is one context's share of an execution: its packet manager, its
+// compiled graphs with their output buffers, and its statistics.
+type job struct {
+	cpm   *core.CPM
+	progs []*core.Program
+	outs  [][]float64
+	next  int // the graph submitted next or running
+	stats Stats
+}
+
+// execute is the one path every Execute call takes. Context i runs on
+// CPM i over the i-th equal slice of the RCUs. Every context is checked
+// and compiled, and every program admitted, before any is submitted, so
+// a call that fails there leaves every context's requests in place for a
+// retry.
+func (p *Platform) execute(ctxs []*Context) ([]*Stats, error) {
+	if len(ctxs) == 0 {
+		return nil, fmt.Errorf("snacknoc: no contexts")
+	}
+	if len(ctxs) > len(p.core.CPMs) {
+		return nil, fmt.Errorf("snacknoc: %d contexts exceed %d packet managers", len(ctxs), len(p.core.CPMs))
+	}
+	per := p.RCUs() / len(ctxs)
+	jobs := make([]*job, len(ctxs))
+	for i, ctx := range ctxs {
+		switch k := slices.Index(ctxs, ctx); {
+		case ctx.platform != p:
+			return nil, fmt.Errorf("snacknoc: context %d belongs to a different platform", i)
+		case len(ctx.requests) == 0:
+			return nil, fmt.Errorf("snacknoc: context %d has no GetValue requests", i)
+		case k < i:
+			return nil, fmt.Errorf("snacknoc: context %d repeats context %d", i, k)
+		}
+		cc := compiler.DefaultConfig(p.RCUs())
+		cc.RCUs = cc.RCUs[i*per : (i+1)*per]
+		if p.cfg.MinChunk > 0 {
+			cc.MinChunk = p.cfg.MinChunk
+		}
+		j := &job{cpm: p.core.CPMs[i]}
+		for _, req := range ctx.requests {
+			g, err := ctx.builder.Build(req.value.node)
+			if err != nil {
+				return nil, err
+			}
+			prog, err := compiler.Compile(g, cc)
+			if err != nil {
+				return nil, err
+			}
+			if len(req.out) < prog.NumOutputs {
+				return nil, fmt.Errorf("snacknoc: context %d: output buffer holds %d values, result has %d",
+					i, len(req.out), prog.NumOutputs)
+			}
+			prog.Name = ctx.name
+			j.progs = append(j.progs, prog)
+			j.outs = append(j.outs, req.out)
+			j.stats.Instructions += int64(prog.Instructions())
+		}
+		jobs[i] = j
+	}
+	before := p.counts()
+	if err := p.start(jobs); err != nil {
+		return nil, err
+	}
+	for _, ctx := range ctxs {
+		ctx.requests = nil
+	}
+	if err := p.wait(jobs); err != nil {
+		return nil, err
+	}
+	after := p.counts()
+	stats := make([]*Stats, len(jobs))
+	for i, j := range jobs {
+		j.stats.TokensCaptured = after.TokensCaptured - before.TokensCaptured
+		j.stats.TokensOffloaded = after.TokensOffloaded - before.TokensOffloaded
+		j.stats.CongestedCycles = after.CongestedCycles - before.CongestedCycles
+		stats[i] = &j.stats
+	}
+	return stats, nil
+}
+
+// start checks that every job's CPM is free and admits every program,
+// then submits each job's first graph. Nothing is submitted unless all
+// of that holds.
+func (p *Platform) start(jobs []*job) error {
+	for _, j := range jobs {
+		if j.cpm.Busy() {
+			return fmt.Errorf("snacknoc: %s is still running an earlier kernel", j.cpm.Name())
+		}
+		for _, prog := range j.progs {
+			if err := j.cpm.Admit(prog); err != nil {
+				return err
+			}
+		}
+	}
+	for _, j := range jobs {
+		p.submit(j)
+	}
+	return nil
+}
+
+// submit hands job j's next graph to its CPM, which start found free or
+// which has just finished j's previous graph, so it cannot refuse. The
+// completion copies the results out and submits the following graph a
+// cycle later.
+func (p *Platform) submit(j *job) {
+	j.cpm.Submit(j.progs[j.next], p.eng.Cycle(), func(r *core.Result) {
+		for i, v := range r.Values {
+			j.outs[j.next][i] = v.Float()
+		}
+		j.stats.Cycles += r.Cycles()
+		j.stats.Graphs++
+		if j.next++; j.next < len(j.progs) {
+			p.eng.ScheduleAfter(1, func() { p.submit(j) })
+		}
+	})
+}
+
+// wait runs the engine until every job's last graph is done, under one
+// cycle budget for the call: generous per command-stream entry, since
+// transient capture can multiply issue time under contention.
+func (p *Platform) wait(jobs []*job) error {
+	var budget int64
+	for _, j := range jobs {
+		for _, prog := range j.progs {
+			budget += int64(len(prog.Entries))*400 + 2_000_000
+		}
+	}
+	done := func() bool {
+		for _, j := range jobs {
+			if j.next < len(j.progs) {
+				return false
+			}
+		}
+		return true
+	}
+	if _, ok := p.eng.RunUntil(done, budget); !ok {
+		return fmt.Errorf("snacknoc: execution did not complete within %d cycles", budget)
+	}
+	return nil
+}
+
+// counts reads the platform-wide counters Stats reports as a call's
+// deltas.
+func (p *Platform) counts() Stats {
+	var n Stats
+	for _, r := range p.core.RCUs {
+		n.TokensCaptured += r.Captured()
+	}
+	for _, cpm := range p.core.CPMs {
+		n.TokensOffloaded += cpm.Offloaded()
+		n.CongestedCycles += cpm.CongestedCycles()
+	}
+	return n
 }

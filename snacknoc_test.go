@@ -2,6 +2,7 @@ package snacknoc_test
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -285,5 +286,122 @@ func TestNewPlatformRejectsCPMNodeOutsideMesh(t *testing.T) {
 	}
 	if _, err := snacknoc.NewPlatform(snacknoc.WithCPMNode(15)); err != nil {
 		t.Fatalf("CPM node 15 on a 4x4: %v", err)
+	}
+}
+
+// buildThreeGraphs registers three graphs in ctx — D = 1.5·A·B + C on
+// 6×6 matrices, a 40-element reduction and a 4×4 SpMV — with inputs
+// shifted by k, and returns their output buffers.
+func buildThreeGraphs(t *testing.T, ctx *snacknoc.Context, k int) [][]float64 {
+	t.Helper()
+	const n = 6
+	a, b, c := make([]float64, n*n), make([]float64, n*n), make([]float64, n*n)
+	for i := range a {
+		a[i] = float64((i*7+k)%5) * 0.5
+		b[i] = float64((i*3+2*k)%7) * 0.25
+		c[i] = float64(i%4) - 1
+	}
+	v := make([]float64, 40)
+	for i := range v {
+		v[i] = float64(i%9+k) * 0.125
+	}
+	must := func(x *snacknoc.Value, err error) *snacknoc.Value {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	A, B, C := must(ctx.Input(a, n, n)), must(ctx.Input(b, n, n)), must(ctx.Input(c, n, n))
+	d := must(ctx.Add(must(ctx.Scale(ctx.Scalar(1.5), must(ctx.MatMul(A, B)))), C))
+	r := must(ctx.Reduce(must(ctx.Input(v, 1, 40))))
+	csr := snacknoc.CSR{Rows: 4, Cols: 4, RowPtr: []int{0, 2, 3, 5, 6},
+		ColIdx: []int{0, 3, 1, 0, 2, 3}, Val: []float64{1, 2, 3, 4, 5, 6}}
+	y := must(ctx.SpMV(csr, must(ctx.Input([]float64{1, 2, 3, float64(k)}, 4, 1))))
+	outs := [][]float64{make([]float64, n*n), make([]float64, 1), make([]float64, 4)}
+	for i, root := range []*snacknoc.Value{d, r, y} {
+		if err := ctx.GetValue(root, outs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return outs
+}
+
+// TestMultiGraphContextRecorded pins a three-graph context end to end:
+// on one CPM through Execute, and three such contexts at once through
+// ExecuteConcurrent on the four-corner platform. Every Stats field, every
+// output and the end cycle were recorded from the runtime that ran
+// Execute and ExecuteConcurrent as two separate loops, with one
+// exception: that runtime left a concurrent context's Instructions,
+// TokensCaptured, TokensOffloaded and CongestedCycles at zero, so those
+// expectations are its platform-wide counts over the call (1 017
+// instructions executed, 249 tokens captured, 135 offloaded).
+func TestMultiGraphContextRecorded(t *testing.T) {
+	p, err := snacknoc.NewPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := p.NewContext()
+	outs := buildThreeGraphs(t, ctx, 1)
+	st, err := p.Execute(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snacknoc.Stats{Cycles: 802, Instructions: 339, TokensCaptured: 83, Graphs: 3}
+	if *st != want || p.Cycle() != 805 {
+		t.Errorf("Execute: stats %+v, end cycle %d; want %+v, end cycle 805", *st, p.Cycle(), want)
+	}
+	wantOuts := [][]float64{
+		{5.9375, 3.9375, 8.5, 9.125, 5.75, 5.0625, 4.5625, 11.5625, 5.375, 8.4375, 8.875, 8,
+			5.75, 5.8125, 7.1875, 9.875, 3.3125, 6, 7.1875, 9.6875, 6.875, 5.4375, 9.25, 5.1875,
+			5.5625, 10.5, 4.9375, 12.5, 5.5625, 7.875, 7.9375, 5.9375, 6.5, 7.125, 7.75, 7.0625},
+		{23.75}, {3, 6, 19, 6},
+	}
+	if !reflect.DeepEqual(outs, wantOuts) {
+		t.Errorf("Execute outputs %v, want %v", outs, wantOuts)
+	}
+
+	dp, err := snacknoc.NewDecentralizedPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxs := []*snacknoc.Context{dp.NewContext(), dp.NewContext(), dp.NewContext()}
+	var couts [][][]float64
+	for i, c := range ctxs {
+		couts = append(couts, buildThreeGraphs(t, c, i+2))
+	}
+	sts, err := dp.ExecuteConcurrent(ctxs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var instrs int64
+	for i, cycles := range []int64{818, 832, 833} {
+		s := *sts[i]
+		instrs += s.Instructions
+		if s.Cycles != cycles || s.Graphs != 3 || s.TokensCaptured != 249 ||
+			s.TokensOffloaded != 135 || s.CongestedCycles != 0 {
+			t.Errorf("context %d: stats %+v, want %d cycles, 3 graphs, 249 captured, 135 offloaded, 0 congested",
+				i, s, cycles)
+		}
+	}
+	if instrs != 1017 || dp.Cycle() != 836 {
+		t.Errorf("ExecuteConcurrent: %d instructions, end cycle %d; want 1017, end cycle 836", instrs, dp.Cycle())
+	}
+	wantCouts := [][][]float64{
+		{{4.4375, 8.25, 4.1875, 10.625, 5.1875, 7.6875, 11.5, 8.5625, 6.875, 9.1875, 7.5625, 12.5,
+			6.125, 6.75, 6.0625, 8, 5.9375, 3.9375, 9.4375, 9.875, 5, 9.375, 4.5625, 11.5625,
+			6.875, 4.3125, 7, 4.4375, 5.75, 5.8125, 6.4375, 10.25, 2.1875, 8.625, 7.1875, 9.6875},
+			{28.75}, {5, 6, 19, 12}},
+		{{8.375, 3.5625, 10.5625, 8.375, 7.4375, 7.875, 3.4375, 8.75, 4.8125, 6.1875, 8.875, 6.3125,
+			7.625, 6.1875, 8.6875, 9.875, 4.4375, 8.25, 10.1875, 8.5625, 9.5, 3.9375, 11.5, 8.5625,
+			5, 6.9375, 4.9375, 9.5, 6.125, 6.75, 10.375, 5.5625, 8.5625, 6.375, 9.4375, 9.875},
+			{33.75}, {7, 6, 19, 18}},
+		{{2.9375, 10.5, 7.5625, 9.875, 8.1875, 6.5625, 8.5, 9.125, 5.75, 5.0625, 7, 8.9375,
+			5.375, 8.4375, 8.875, 8, 8.375, 3.5625, 7.1875, 9.875, 3.3125, 6, 3.4375, 8.75,
+			6.875, 5.4375, 9.25, 5.1875, 7.625, 6.1875, 4.9375, 12.5, 5.5625, 7.875, 10.1875, 8.5625},
+			{38.75}, {9, 6, 19, 24}},
+	}
+	if !reflect.DeepEqual(couts, wantCouts) {
+		t.Errorf("ExecuteConcurrent outputs %v, want %v", couts, wantCouts)
 	}
 }
