@@ -61,25 +61,25 @@ func main() {
 		case "tableV":
 			experiments.RenderTableV(os.Stdout, experiments.TableV())
 		case "fig1":
-			res, err := experiments.RunFig1(benches, scale)
+			res, err := c.Run.RunFig1(benches, scale)
 			check(err)
 			experiments.RenderFig1(os.Stdout, res)
 		case "fig2":
-			res, err := experiments.RunFig2(scale)
+			res, err := c.Run.RunFig2(scale)
 			check(err)
 			experiments.RenderFig2(os.Stdout, res)
 		case "fig3":
-			res, err := experiments.RunFig3(scale)
+			res, err := c.Run.RunFig3(scale)
 			check(err)
 			experiments.RenderFig3(os.Stdout, res)
 		case "fig9":
-			res, err := experiments.RunFig9(dims, cpu.DefaultCPUConfig())
+			res, err := c.Run.RunFig9(dims, cpu.DefaultCPUConfig())
 			check(err)
 			experiments.RenderFig9(os.Stdout, res)
 		case "fig10":
 			experiments.RenderFig10(os.Stdout, experiments.Fig10())
 		case "fig11", "corun":
-			res, err := experiments.RunCoRun(experiments.CoRunSpec{
+			res, err := c.Run.RunCoRun(experiments.CoRunSpec{
 				Bench: traffic.LULESH(), Kernel: cpu.KernelSPMV, Dims: dims,
 				Width: 4, Height: 4, Priority: c.Priority, Scale: scale,
 			})
@@ -87,11 +87,11 @@ func main() {
 			experiments.RenderFig11(os.Stdout, res)
 		case "fig12":
 			kernels := cpu.Kernels()
-			res, err := experiments.RunFig12(benches, kernels, dims, scale, []bool{false, true})
+			res, err := c.Run.RunFig12(benches, kernels, dims, scale, []bool{false, true})
 			check(err)
 			experiments.RenderFig12(os.Stdout, res, kernels)
 		case "fig13":
-			res, err := experiments.RunFig13(benches, dims, scale)
+			res, err := c.Run.RunFig13(benches, dims, scale)
 			check(err)
 			experiments.RenderFig13(os.Stdout, res, benches)
 		default:

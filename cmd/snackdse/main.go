@@ -60,9 +60,9 @@ func main() {
 
 	nCells := cfg.Axes.Cells()
 	fmt.Fprintf(os.Stderr, "snackdse: %d cells x %d kernels, %d workers\n",
-		nCells, len(cfg.Kernels), experiments.Workers())
+		nCells, len(cfg.Kernels), c.Run.WorkerCount())
 	start := time.Now()
-	res, err := experiments.RunDSE(cfg)
+	res, err := c.Run.RunDSE(cfg)
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}

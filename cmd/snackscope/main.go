@@ -60,7 +60,7 @@ func main() {
 	case *metricsPath != "":
 		fromJSON(*metricsPath)
 	case *kernel != "":
-		fromKernel(*kernel, *mesh, *dims, c.Priority)
+		fromKernel(*kernel, *mesh, *dims, c.Priority, c.Run.PlatformConfig())
 	default:
 		cli.Usage()
 	}
@@ -98,7 +98,7 @@ func fromJSON(path string) {
 // fromKernel compiles and runs one kernel on a zero-load standalone
 // platform with attribution attached, checks the per-cycle sum
 // invariant, and reports.
-func fromKernel(name, meshSpec, dimsName string, priority bool) {
+func fromKernel(name, meshSpec, dimsName string, priority bool, pc core.PlatformConfig) {
 	w, h, err := experiments.ParseMesh(meshSpec)
 	if err != nil {
 		cli.Fatalf("%v", err)
@@ -116,8 +116,6 @@ func fromKernel(name, meshSpec, dimsName string, priority bool) {
 		cli.Fatalf("compile: %v", err)
 	}
 	eng := sim.NewEngine()
-	pc := core.DefaultPlatformConfig()
-	pc.Shards = experiments.Shards()
 	plat, err := core.NewStandalone(eng, w, h, priority, pc)
 	if err != nil {
 		cli.Fatalf("%v", err)

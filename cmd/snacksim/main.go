@@ -45,11 +45,11 @@ func main() {
 	case *synthetic != "":
 		loadLatency(*synthetic, *nocName, w, h)
 	case *bench != "" && *kernel != "":
-		corun(*bench, kernelByName(*kernel), w, h, c.Priority, c.Scale)
+		corun(c.Run, *bench, kernelByName(*kernel), w, h, c.Priority, c.Scale)
 	case *bench != "":
-		benchmark(*bench, *nocName, w, h, c.Scale)
+		benchmark(c.Run, *bench, *nocName, w, h, c.Scale)
 	case *kernel != "":
-		runKernel(kernelByName(*kernel), w, h, c.Priority)
+		runKernel(c.Run, kernelByName(*kernel), w, h, c.Priority)
 	default:
 		cli.Usage()
 	}
@@ -77,14 +77,14 @@ func nocConfig(name string, w, h int) *noc.Config {
 	return nil
 }
 
-func benchmark(name, nocName string, w, h int, scale float64) {
+func benchmark(spec experiments.RunSpec, name, nocName string, w, h int, scale float64) {
 	prof := traffic.ByName(name)
 	if prof == nil {
 		cli.Fatalf("unknown benchmark %q; available: %v", name, benchNames())
 	}
 	cfg := nocConfig(nocName, w, h)
 	fmt.Printf("running %s on %s (%dx%d mesh, scale %.2f)...\n", name, cfg.Name, w, h, scale)
-	run, err := experiments.RunBenchmark(cfg, prof, experiments.Scale(scale))
+	run, err := spec.RunBenchmark(cfg, prof, experiments.Scale(scale))
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}
@@ -97,19 +97,17 @@ func benchmark(name, nocName string, w, h int, scale float64) {
 	fmt.Printf("buffers empty:           %5.2f%% of cycles (p99 occupancy %.1f%%)\n", zero, p99)
 }
 
-func runKernel(k cpu.KernelName, w, h int, priority bool) {
+func runKernel(spec experiments.RunSpec, k cpu.KernelName, w, h int, priority bool) {
 	prog, err := experiments.CompileKernel(k, experiments.DefaultKernelDims(), w*h, experiments.Seed)
 	if err != nil {
 		cli.Fatalf("compile: %v", err)
 	}
 	eng := sim.NewEngine()
-	pc := core.DefaultPlatformConfig()
-	pc.Shards = experiments.Shards()
-	plat, err := core.NewStandalone(eng, w, h, priority, pc)
+	plat, err := core.NewStandalone(eng, w, h, priority, spec.PlatformConfig())
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}
-	obs := experiments.Observe(fmt.Sprintf("kernel/%s@%dx%d", k, w, h), eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
+	obs := spec.Observe(fmt.Sprintf("kernel/%s@%dx%d", k, w, h), eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
 		plat.SetTracer(tr)
 		plat.SetAttrib(rec)
 	})
@@ -137,14 +135,14 @@ func runKernel(k cpu.KernelName, w, h int, priority bool) {
 	fmt.Printf("tokens offloaded:    %d\n", plat.CPM.Offloaded())
 }
 
-func corun(benchName string, k cpu.KernelName, w, h int, priority bool, scale float64) {
+func corun(spec experiments.RunSpec, benchName string, k cpu.KernelName, w, h int, priority bool, scale float64) {
 	prof := traffic.ByName(benchName)
 	if prof == nil {
 		cli.Fatalf("unknown benchmark %q; available: %v", benchName, benchNames())
 	}
 	fmt.Printf("co-running %s with %s on a %dx%d mesh (priority=%v, scale %.2f)...\n",
 		benchName, k, w, h, priority, scale)
-	r, err := experiments.RunCoRun(experiments.CoRunSpec{
+	r, err := spec.RunCoRun(experiments.CoRunSpec{
 		Bench: prof, Kernel: k,
 		Dims: experiments.DefaultKernelDims(), Width: w, Height: h,
 		Priority: priority, Scale: experiments.Scale(scale),

@@ -60,7 +60,9 @@ type CoRunReport struct {
 // benchmark on the CMP cores with the given kernel executing continually
 // in the communication layer. Scale trades benchmark length for
 // wall-clock time: it must be positive and finite, 0 < scale ≤ 1 is
-// typical, and 1.0 is the report-quality (hours-long) run.
+// typical, and 1.0 is the report-quality (hours-long) run. It runs
+// serial kernels, cold legs and no observers, whatever else the process
+// runs.
 func CoRun(benchmark string, kernel Kernel, scale float64, opts ...Option) (*CoRunReport, error) {
 	prof := traffic.ByName(benchmark)
 	if prof == nil {
@@ -79,7 +81,7 @@ func CoRun(benchmark string, kernel Kernel, scale float64, opts ...Option) (*CoR
 		Priority: cfg.PriorityArbitration,
 		Scale:    experiments.Scale(scale),
 	}
-	r, err := experiments.RunCoRun(spec)
+	r, err := experiments.RunSpec{}.RunCoRun(spec)
 	if err != nil {
 		return nil, err
 	}

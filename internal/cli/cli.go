@@ -1,7 +1,7 @@
 // Package cli is the front end the snack* commands share: one set of
 // flag groups, of which each command registers those it honours, and one
-// process lifecycle around its run. Start checks the flags, applies the
-// sweep settings, switches on the requested observability and starts
+// process lifecycle around its run. Start checks the flags, builds the
+// run's experiments.RunSpec with the requested observability and starts
 // the profiles; Finish writes the trace and metrics files, prints the
 // attribution reports and stops the profiles; Fatalf and Usage stop the
 // profiles too, since a run that fails is the one whose profile is
@@ -20,6 +20,7 @@ import (
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/experiments"
 	"snacknoc/internal/stats"
+	"snacknoc/internal/trace"
 )
 
 // Group selects shared flags for a command to register.
@@ -43,15 +44,15 @@ const (
 	Observe = Trace | Metrics | Attrib | AttribInterval
 )
 
-// Command is one process's shared flags. Start applies them; a command
-// reads Scale and Priority itself once Start has parsed the command
-// line. Scale is 1 for a command that does not register -scale.
+// Command is one process's shared flags. Once Start has parsed the
+// command line, a command runs its experiments through Run and reads
+// Scale and Priority itself. Scale is 1 for a command that does not
+// register -scale.
 type Command struct {
+	Run      experiments.RunSpec
 	Scale    float64
 	Priority bool
 
-	jobs, shards   int
-	warm           bool
 	tracePath      string
 	traceLast      int
 	metricsPath    string
@@ -79,13 +80,13 @@ func New(name string, groups Group) *Command {
 func register(fs *flag.FlagSet, g Group) *Command {
 	c := &Command{Scale: 1}
 	if g&Jobs != 0 {
-		fs.IntVar(&c.jobs, "j", 0, "parallel sweep workers (0 = all CPUs, 1 = serial)")
+		fs.IntVar(&c.Run.Workers, "j", 0, "parallel sweep workers (0 = all CPUs, 1 = serial)")
 	}
 	if g&Shards != 0 {
-		fs.IntVar(&c.shards, "shards", 0, "simulation-kernel shards per mesh (<=1 = serial; results are identical for any value)")
+		fs.IntVar(&c.Run.Shards, "shards", 0, "simulation-kernel shards per mesh (<=1 = serial; results are identical for any value)")
 	}
 	if g&WarmSweeps != 0 {
-		fs.BoolVar(&c.warm, "warm-sweeps", false, "fork checkpointed baseline platforms and memoize zero-load legs across co-run cells (byte-identical output, faster fig12/fig13; ignored while -trace/-metrics are active)")
+		fs.BoolVar(&c.Run.Warm, "warm-sweeps", false, "fork checkpointed baseline platforms and memoize zero-load legs across co-run cells (byte-identical output, faster fig12/fig13; ignored while -trace/-metrics are active)")
 	}
 	if g&Scale != 0 {
 		fs.Float64Var(&c.Scale, "scale", 1.0, "benchmark instruction-budget scale (1.0 = reference)")
@@ -144,17 +145,11 @@ func (c *Command) start() {
 	if err := c.check(); err != nil {
 		Fatalf("%v", err)
 	}
-	experiments.SetWorkers(c.jobs)
-	experiments.SetShards(c.shards)
-	experiments.SetWarmSweeps(c.warm)
-	if c.tracePath != "" {
-		experiments.EnableTracing(c.traceLast)
-	}
-	if c.metricsPath != "" {
-		experiments.EnableMetrics()
-	}
-	if c.attribOn {
-		experiments.EnableAttribution(c.attribInterval)
+	if c.tracePath != "" || c.metricsPath != "" || c.attribOn {
+		c.Run.Obs = &experiments.Observer{Metrics: c.metricsPath != "", Attrib: c.attribOn, AttribInterval: c.attribInterval}
+		if c.tracePath != "" {
+			c.Run.Obs.Trace = trace.NewCollector(c.traceLast)
+		}
 	}
 	stop, err := c.startProfiling()
 	if err != nil {
@@ -168,7 +163,7 @@ func (c *Command) start() {
 // stops the profiles.
 func (c *Command) Finish() {
 	if c.tracePath != "" {
-		if err := writeFile(c.tracePath, experiments.TraceCollector().WriteJSON); err != nil {
+		if err := writeFile(c.tracePath, c.Run.Obs.Trace.WriteJSON); err != nil {
 			Fatalf("%v", err)
 		}
 	}
@@ -177,13 +172,13 @@ func (c *Command) Finish() {
 		if strings.HasSuffix(c.metricsPath, ".csv") {
 			write = stats.WriteSnapshotsCSV
 		}
-		snaps := experiments.MetricsSnapshots()
+		snaps := c.Run.Obs.Snapshots()
 		if err := writeFile(c.metricsPath, func(w io.Writer) error { return write(w, snaps) }); err != nil {
 			Fatalf("%v", err)
 		}
 	}
 	if c.attribOn {
-		for _, s := range experiments.MetricsSnapshots() {
+		for _, s := range c.Run.Obs.Snapshots() {
 			if sum := attrib.Summarize(s.Values); len(sum.Layers) > 0 {
 				sum.Render(os.Stderr, s.Label)
 				fmt.Fprintln(os.Stderr)

@@ -7,8 +7,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"testing"
-
-	"snacknoc/internal/experiments"
 )
 
 // TestFlagRules pins every rule Start enforces before a run begins: each
@@ -59,7 +57,6 @@ func TestFatalfWritesProfile(t *testing.T) {
 	t.Cleanup(func() {
 		pprof.StopCPUProfile()
 		exit, stopProfiles = os.Exit, func() {}
-		experiments.DisableObservability()
 	})
 	path := filepath.Join(t.TempDir(), "cpu.prof")
 	c := &Command{Scale: 1, cpuProfile: path}

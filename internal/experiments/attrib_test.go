@@ -20,17 +20,15 @@ import (
 // attribution (and interval sampling) enabled renders byte-identically
 // to the plain run. Counters only observe cycles, never perturb them.
 func TestAttribByteIdentityFig2(t *testing.T) {
-	DisableObservability()
-	res, err := RunFig2(Scale(0.1))
+	res, err := RunSpec{}.RunFig2(Scale(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var plain bytes.Buffer
 	RenderFig2(&plain, res)
 
-	EnableAttribution(5000)
-	defer DisableObservability()
-	res, err = RunFig2(Scale(0.1))
+	obs := &Observer{Attrib: true, AttribInterval: 5000}
+	res, err = RunSpec{Obs: obs}.RunFig2(Scale(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +39,7 @@ func TestAttribByteIdentityFig2(t *testing.T) {
 		t.Fatalf("fig2 output diverges under -attrib:\nplain:\n%s\nattributed:\n%s",
 			plain.String(), attributed.String())
 	}
-	sums := attribSummaries()
+	sums := attribSummaries(obs)
 	if len(sums) != len(Fig2Benchmarks()) {
 		t.Fatalf("got %d attribution summaries, want %d", len(sums), len(Fig2Benchmarks()))
 	}
@@ -51,17 +49,15 @@ func TestAttribByteIdentityFig2(t *testing.T) {
 // path (fig9's RCU/CPM kernels), and checks the kernel runs produce
 // summaries with a CPM verdict — fig9's cells are zero-load.
 func TestAttribByteIdentityCompute(t *testing.T) {
-	DisableObservability()
-	res, err := RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
+	res, err := RunSpec{}.RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var plain bytes.Buffer
 	RenderFig9(&plain, res)
 
-	EnableAttribution(0)
-	defer DisableObservability()
-	res, err = RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
+	obs := &Observer{Attrib: true}
+	res, err = RunSpec{Obs: obs}.RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +68,7 @@ func TestAttribByteIdentityCompute(t *testing.T) {
 		t.Fatalf("fig9 output diverges under -attrib:\nplain:\n%s\nattributed:\n%s",
 			plain.String(), attributed.String())
 	}
-	if len(attribSummaries()) == 0 {
+	if len(attribSummaries(obs)) == 0 {
 		t.Fatal("attributed fig9 produced no summaries")
 	}
 }
@@ -86,18 +82,16 @@ func TestAttribByteIdentityCompute(t *testing.T) {
 func TestAttribIntervalSampling(t *testing.T) {
 	run := func(t *testing.T, ringLimit int) (map[string]float64, []byte) {
 		t.Helper()
-		DisableObservability()
-		EnableTracing(ringLimit)
-		EnableAttribution(2000)
-		if _, err := RunBenchmark(noc.DAPPER(4, 4), traffic.LULESH(), Scale(0.05)); err != nil {
+		obs := &Observer{Trace: trace.NewCollector(ringLimit), Attrib: true, AttribInterval: 2000}
+		if _, err := (RunSpec{Obs: obs}).RunBenchmark(noc.DAPPER(4, 4), traffic.LULESH(), Scale(0.05)); err != nil {
 			t.Fatal(err)
 		}
-		snaps := MetricsSnapshots()
+		snaps := obs.Snapshots()
 		if len(snaps) != 1 {
 			t.Fatalf("got %d snapshots, want 1", len(snaps))
 		}
 		var buf bytes.Buffer
-		if err := TraceCollector().WriteJSON(&buf); err != nil {
+		if err := obs.Trace.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if err := trace.Validate(buf.Bytes()); err != nil {
@@ -105,7 +99,6 @@ func TestAttribIntervalSampling(t *testing.T) {
 		}
 		return snaps[0].Values, buf.Bytes()
 	}
-	defer DisableObservability()
 
 	// Unbounded ring: interval deltas land in the snapshot as
 	// attrib.series.* and in the trace as counter tracks.
@@ -140,19 +133,17 @@ func TestAttribIntervalSampling(t *testing.T) {
 	}
 }
 
-// runAttributedKernel runs one zero-load standalone kernel with a live
-// recorder — the cmd/snackscope -kernel path — and returns the folded
-// values plus the engine's final cycle.
-func runAttributedKernel(t *testing.T, k cpu.KernelName, dims KernelDims) (map[string]float64, int64) {
+// runAttributedKernel runs one zero-load standalone kernel on a mesh cut
+// into shards with a live recorder — the cmd/snackscope -kernel path —
+// and returns the folded values plus the engine's final cycle.
+func runAttributedKernel(t *testing.T, k cpu.KernelName, dims KernelDims, shards int) (map[string]float64, int64) {
 	t.Helper()
 	prog, err := CompileKernel(k, dims, 16, Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	pc := core.DefaultPlatformConfig()
-	pc.Shards = Shards()
-	plat, err := core.NewStandalone(eng, 4, 4, true, pc)
+	plat, err := core.NewStandalone(eng, 4, 4, true, RunSpec{Shards: shards}.PlatformConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +161,7 @@ func runAttributedKernel(t *testing.T, k cpu.KernelName, dims KernelDims) (map[s
 func TestAttribSumsToCycles(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			withShards(t, shards)
-			values, cycles := runAttributedKernel(t, cpu.KernelSGEMM, DefaultKernelDims())
+			values, cycles := runAttributedKernel(t, cpu.KernelSGEMM, DefaultKernelDims(), shards)
 			if cycles <= 0 {
 				t.Fatal("no simulated cycles")
 			}
@@ -187,7 +177,7 @@ func TestAttribSumsToCycles(t *testing.T) {
 // is CPM-issue-bound (the CPM's one-entry-per-cycle issue port is the
 // limiter, not the mesh).
 func TestScopeSGEMMGolden(t *testing.T) {
-	values, cycles := runAttributedKernel(t, cpu.KernelSGEMM, DefaultKernelDims())
+	values, cycles := runAttributedKernel(t, cpu.KernelSGEMM, DefaultKernelDims(), 0)
 	if err := attrib.CheckTotals(values, cycles); err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +195,12 @@ type labelledSummary struct {
 	sum   *attrib.Summary
 }
 
-// attribSummaries folds every collected snapshot that carries
+// attribSummaries folds every snapshot obs collected that carries
 // attribution counters, in label order: the reports the commands print
 // after an attributed run.
-func attribSummaries() []labelledSummary {
+func attribSummaries(obs *Observer) []labelledSummary {
 	var out []labelledSummary
-	for _, s := range MetricsSnapshots() {
+	for _, s := range obs.Snapshots() {
 		if sum := attrib.Summarize(s.Values); len(sum.Layers) > 0 {
 			out = append(out, labelledSummary{s.Label, sum})
 		}
@@ -218,13 +208,13 @@ func attribSummaries() []labelledSummary {
 	return out
 }
 
-// attribDigest renders every collected summary, optionally dropping the
-// engine layer (its per-shard split legitimately depends on -shards;
+// attribDigest renders every summary obs collected, optionally dropping
+// the engine layer (its per-shard split legitimately depends on -shards;
 // everything else must not).
-func attribDigest(t *testing.T, dropEngine bool) string {
+func attribDigest(t *testing.T, obs *Observer, dropEngine bool) string {
 	t.Helper()
 	var b strings.Builder
-	for _, s := range attribSummaries() {
+	for _, s := range attribSummaries(obs) {
 		text := s.sum.RenderString(s.label)
 		if dropEngine {
 			var kept []string
@@ -244,51 +234,36 @@ func attribDigest(t *testing.T, dropEngine bool) string {
 // TestAttribDeterminismAcrossScheduling pins counter determinism over
 // every execution strategy the sweep runners offer: worker count, warm
 // (checkpoint-forked) vs cold sweeps, and shard count. Warm sweeps fall
-// back to cold while attribution is on (warmActive), so the warm run
-// must match exactly; sharding may only re-split the engine layer.
+// back to cold while a spec observes (newWarmMemo), so the warm run must
+// match exactly; sharding may only re-split the engine layer.
 func TestAttribDeterminismAcrossScheduling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a reduced fig12 sweep four times")
 	}
 	benches := []*traffic.Profile{traffic.LULESH()}
 	kernels := []cpu.KernelName{cpu.KernelMAC}
-	sweep := func(t *testing.T) {
+	sweep := func(t *testing.T, run RunSpec) *Observer {
 		t.Helper()
-		DisableObservability()
-		EnableAttribution(0)
-		if _, err := RunFig12(benches, kernels, DefaultKernelDims(), Scale(0.05), []bool{true}); err != nil {
+		run.Obs = &Observer{Attrib: true}
+		if _, err := run.RunFig12(benches, kernels, DefaultKernelDims(), Scale(0.05), []bool{true}); err != nil {
 			t.Fatal(err)
 		}
+		return run.Obs
 	}
-	defer SetWorkers(0)
-	defer DisableObservability()
 
-	SetWorkers(1)
-	sweep(t)
-	want := attribDigest(t, false)
-	wantNoEngine := attribDigest(t, true)
+	serial := sweep(t, RunSpec{Workers: 1})
+	want := attribDigest(t, serial, false)
+	wantNoEngine := attribDigest(t, serial, true)
 	if want == "" {
 		t.Fatal("baseline sweep collected no attribution summaries")
 	}
-
-	SetWorkers(4)
-	sweep(t)
-	if got := attribDigest(t, false); got != want {
+	if got := attribDigest(t, sweep(t, RunSpec{Workers: 4}), false); got != want {
 		t.Fatal("-j 4 attribution diverged from -j 1")
 	}
-
-	SetWarmSweeps(true)
-	t.Cleanup(func() { SetWarmSweeps(false) })
-	sweep(t)
-	if got := attribDigest(t, false); got != want {
+	if got := attribDigest(t, sweep(t, RunSpec{Workers: 4, Warm: true}), false); got != want {
 		t.Fatal("warm-sweep attribution diverged from cold")
 	}
-	SetWarmSweeps(false)
-
-	SetWorkers(1)
-	withShards(t, 2)
-	sweep(t)
-	if got := attribDigest(t, true); got != wantNoEngine {
+	if got := attribDigest(t, sweep(t, RunSpec{Workers: 1, Shards: 2}), true); got != wantNoEngine {
 		t.Fatal("-shards 2 attribution diverged outside the engine layer")
 	}
 }
@@ -300,11 +275,9 @@ func TestAttribDeterminismAcrossScheduling(t *testing.T) {
 // (counters rewind with the checkpoint, fold before release).
 func TestDSEAttribVerdicts(t *testing.T) {
 	cfg := dseTestConfig()
-	EnableAttribution(0)
-	defer DisableObservability()
-	render := func(t *testing.T) []byte {
+	render := func(t *testing.T, workers int) []byte {
 		t.Helper()
-		res, err := RunDSE(cfg)
+		res, err := RunSpec{Workers: workers, Obs: &Observer{Attrib: true}}.RunDSE(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,27 +291,22 @@ func TestDSEAttribVerdicts(t *testing.T) {
 		RenderDSE(&buf, res)
 		return buf.Bytes()
 	}
-	defer SetWorkers(0)
-	SetWorkers(1)
-	want := render(t)
+	want := render(t, 1)
 	if !bytes.Contains(want, []byte("verdict")) {
 		t.Fatal("attributed DSE report lacks the verdict column")
 	}
 
-	SetWorkers(4)
-	if got := render(t); !bytes.Equal(got, want) {
+	if got := render(t, 4); !bytes.Equal(got, want) {
 		t.Fatal("-j 4 attributed DSE report diverged")
 	}
 	cfg.PoolDepth = -1
-	if got := render(t); !bytes.Equal(got, want) {
+	if got := render(t, 4); !bytes.Equal(got, want) {
 		t.Fatal("pool-disabled attributed DSE report diverged")
 	}
 
 	// Without attribution the column must not appear — the committed
 	// dse-smoke.txt golden is unchanged by it.
-	DisableObservability()
-	plain := dseTestConfig()
-	res, err := RunDSE(plain)
+	res, err := RunSpec{}.RunDSE(dseTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

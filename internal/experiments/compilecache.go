@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"snacknoc/internal/cpu"
-	"snacknoc/internal/stats"
 )
 
 // Compiled-program cache. Kernel compilation is pure — the program is a
@@ -17,8 +16,9 @@ import (
 // immutable: execution fills operands in the private token copy the CPM
 // assembles as it fetches each entry, never in the program.
 //
-// Counters are atomics (sweep cells compile concurrently) and surface
-// in metrics registries as compiler.cache.hits / compiler.cache.misses.
+// Counters are atomics (sweep cells compile concurrently). They are
+// process-cumulative, so no per-run snapshot carries them; the
+// benchmark reads them through CompileCacheStats.
 
 // compileKey identifies one compiled program.
 type compileKey struct {
@@ -48,11 +48,4 @@ func ResetCompileCache() {
 	})
 	compileHits.Store(0)
 	compileMisses.Store(0)
-}
-
-// registerCompileCacheMetrics names the cache counters in a per-run
-// registry. The values are process-cumulative, not per-run.
-func registerCompileCacheMetrics(reg *stats.Registry) {
-	reg.AddGauge("compiler.cache.hits", func() float64 { return float64(compileHits.Load()) })
-	reg.AddGauge("compiler.cache.misses", func() float64 { return float64(compileMisses.Load()) })
 }

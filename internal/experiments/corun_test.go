@@ -23,7 +23,7 @@ func TestCoRunInterferenceSmall(t *testing.T) {
 				Bench: bench, Kernel: cpu.KernelSGEMM, Dims: dims,
 				Width: 4, Height: 4, Priority: pri, Scale: 0.25,
 			}
-			r, err := RunCoRun(spec)
+			r, err := RunSpec{}.RunCoRun(spec)
 			if err != nil {
 				t.Fatalf("%s pri=%v: %v", bench.Name, pri, err)
 			}

@@ -238,11 +238,11 @@ func runLeg(plat *core.Platform, prog *core.Program) (int64, error) {
 // adjacent in the queue so the platform pool converges to one build per
 // group per worker. The zero-load probe's network is likewise built once
 // per leg group, and each of the group's cells is one point on it.
-func RunDSE(cfg DSEConfig) (*DSEResult, error) { return runDSE(cfg, nil) }
+func (s RunSpec) RunDSE(cfg DSEConfig) (*DSEResult, error) { return s.runDSE(cfg, nil) }
 
 // runDSE is RunDSE with an observer called after every leg (tests watch
 // the platform pool through it).
-func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) {
+func (s RunSpec) runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) {
 	if len(cfg.Kernels) == 0 || cfg.Axes.Cells() == 0 {
 		return nil, fmt.Errorf("experiments: empty DSE grid")
 	}
@@ -257,7 +257,7 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 	poolDepth := cfg.PoolDepth
 	usePool := poolDepth >= 0
 	if poolDepth == 0 {
-		poolDepth = Workers() + 1
+		poolDepth = s.WorkerCount() + 1
 	}
 	pool := checkpoint.NewPool(poolDepth)
 
@@ -273,7 +273,6 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 		cells           []int
 		unstarted, idle int
 	}
-	shards := Shards()
 	var groups []legGroup
 	groupOf := make([]int, nCells)
 	groupIdx := make(map[string]int)
@@ -290,8 +289,8 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 			BufDepth: buf, ChanWidth: ch, VCs: vc, RCUs: rcu,
 			Width: w, Height: h,
 		}
-		shape := fmt.Sprintf("dse/%dx%d/vc%d/buf%d/pri%v/sh%d",
-			w, h, vc, buf, cfg.Priority, shards)
+		shape := fmt.Sprintf("dse/%dx%d/vc%d/buf%d/pri%v",
+			w, h, vc, buf, cfg.Priority)
 		g, ok := groupIdx[shape]
 		if !ok {
 			g = len(groups)
@@ -320,19 +319,19 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 
 	// Per-leg results, indexed like the leg items (group-major) and
 	// copied to every cell of the group after the sweep. With attribution
-	// on (EnableAttribution), every group's platform gets counters before
+	// on (Observer.Attrib), every group's platform gets counters before
 	// the pool seals it, so forks rewind them, and each cell is stamped
 	// with its group's folded bottleneck verdict. The folds are merged (in
 	// kernel order) after the sweep, so worker scheduling cannot reorder
 	// the accumulation.
 	legCycles := make([]int64, nLegs)
-	attribOn := AttribEnabled()
+	attribOn := s.Obs != nil && s.Obs.Attrib
 	var legAttrib []map[string]float64
 	if attribOn {
 		legAttrib = make([]map[string]float64, nLegs)
 	}
 
-	err := forEach(nLegs+len(groups), func(item int) error {
+	err := s.forEach(nLegs+len(groups), func(item int) error {
 		if item >= nLegs {
 			grp := &groups[item-nLegs]
 			points := make([]noc.ProbePoint, len(grp.cells))
@@ -342,7 +341,7 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 			cell := &res.Cells[grp.cells[0]]
 			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
 				cell.VCs, cell.BufDepth, cell.ChanWidth)
-			pts, err := noc.LoadLatencyPoints(applyShards(nc), noc.UniformRandom(),
+			pts, err := noc.LoadLatencyPoints(s.applyShards(nc), noc.UniformRandom(),
 				points, noc.DataBytes, dseProbeCycles, Seed)
 			if err != nil {
 				return err
@@ -363,7 +362,7 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 			eng := sim.NewEngine()
 			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
 				cell.VCs, cell.BufDepth, cell.ChanWidth)
-			plat, err := core.NewStandaloneOn(eng, nc, platformCfg())
+			plat, err := core.NewStandaloneOn(eng, nc, s.PlatformConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -455,10 +454,10 @@ func runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) 
 
 	res.PoolHits, res.PoolMisses = pool.Hits(), pool.Misses()
 	res.Forks, res.AvgForkNs = pool.Forks(), pool.AvgForkNs()
-	if MetricsEnabled() {
+	if s.Obs != nil && s.Obs.Metrics {
 		reg := stats.NewRegistry()
 		pool.RegisterMetrics(reg, "dse")
-		RecordSnapshot(reg.Snapshot("dse/pool"))
+		s.Obs.record(reg.Snapshot("dse/pool"))
 	}
 	return res, nil
 }

@@ -13,7 +13,6 @@ import (
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
-	"snacknoc/internal/traffic"
 )
 
 // dseTestConfig is the tiny 3×2×2 grid shared by the golden test and
@@ -35,7 +34,7 @@ func dseTestConfig() DSEConfig {
 // TestDSEGoldenByteIdentical pins the rendered report for the tiny grid
 // against the committed artifact.
 func TestDSEGoldenByteIdentical(t *testing.T) {
-	res, err := RunDSE(dseTestConfig())
+	res, err := RunSpec{}.RunDSE(dseTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +51,8 @@ func TestDSEGoldenByteIdentical(t *testing.T) {
 // across goroutines).
 func TestDSEInvariantToSchedulingAndPooling(t *testing.T) {
 	cfg := dseTestConfig()
-	render := func() []byte {
-		res, err := RunDSE(cfg)
+	render := func(run RunSpec) []byte {
+		res, err := run.RunDSE(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,24 +60,19 @@ func TestDSEInvariantToSchedulingAndPooling(t *testing.T) {
 		RenderDSE(&buf, res)
 		return buf.Bytes()
 	}
-	defer SetWorkers(0)
-	SetWorkers(1)
-	want := render()
+	want := render(RunSpec{Workers: 1})
 
 	for _, j := range []int{2, 4} {
-		SetWorkers(j)
-		if got := render(); !bytes.Equal(got, want) {
+		if got := render(RunSpec{Workers: j}); !bytes.Equal(got, want) {
 			t.Fatalf("-j %d report diverged from -j 1", j)
 		}
 	}
 	cfg.PoolDepth = -1 // every leg builds cold
-	if got := render(); !bytes.Equal(got, want) {
+	if got := render(RunSpec{Workers: 4}); !bytes.Equal(got, want) {
 		t.Fatal("pool-disabled report diverged from pooled report")
 	}
 	cfg.PoolDepth = 0
-	SetWorkers(1)
-	withShards(t, 2)
-	if got := render(); !bytes.Equal(got, want) {
+	if got := render(RunSpec{Workers: 1, Shards: 2}); !bytes.Equal(got, want) {
 		t.Fatal("-shards 2 report diverged from -shards 1")
 	}
 }
@@ -95,9 +89,7 @@ func legGroups(a DSEAxes) int {
 func TestDSEPoolTraffic(t *testing.T) {
 	cfg := dseTestConfig()
 	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction}
-	defer SetWorkers(0)
-	SetWorkers(1)
-	res, err := RunDSE(cfg)
+	res, err := RunSpec{Workers: 1}.RunDSE(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +118,8 @@ func TestDSELegsSharedAcrossChannelWidths(t *testing.T) {
 	}
 	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelSGEMM}
 	cfg.Dims = DSESmokeDims()
-	defer SetWorkers(0)
-	SetWorkers(1)
-	res, err := RunDSE(cfg)
+	run := RunSpec{Workers: 1}
+	res, err := run.RunDSE(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +133,7 @@ func TestDSELegsSharedAcrossChannelWidths(t *testing.T) {
 	for i, c := range res.Cells {
 		one := cfg
 		one.Axes = DSEAxes{[]int{c.BufDepth}, []int{c.ChanWidth}, []int{c.VCs}, []int{c.RCUs}}
-		ref, err := RunDSE(one)
+		ref, err := run.RunDSE(one)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,10 +157,8 @@ func TestDSENetworkBuilds(t *testing.T) {
 	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelSGEMM}
 	cfg.Dims = DSESmokeDims()
 	cfg.Axes.BufDepths = []int{2, 8}
-	defer SetWorkers(0)
-	SetWorkers(1)
 	before := noc.Built()
-	res, err := RunDSE(cfg)
+	res, err := RunSpec{Workers: 1}.RunDSE(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +174,7 @@ func TestDSENetworkBuilds(t *testing.T) {
 func TestDSERejectsRepeatedKernel(t *testing.T) {
 	cfg := dseTestConfig()
 	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelMAC}
-	if _, err := RunDSE(cfg); err == nil {
+	if _, err := (RunSpec{}).RunDSE(cfg); err == nil {
 		t.Fatal("RunDSE accepted MAC listed twice")
 	}
 }
@@ -197,7 +186,7 @@ func TestDSERejectsRepeatedKernel(t *testing.T) {
 func TestDSERejectsUnreachableALOThreshold(t *testing.T) {
 	cfg := dseTestConfig()
 	cfg.Axes.VCCounts = []int{1}
-	_, err := RunDSE(cfg)
+	_, err := RunSpec{}.RunDSE(cfg)
 	if err == nil || !strings.Contains(err.Error(), "ALO threshold 6") {
 		t.Fatalf("RunDSE at vc=1: err = %v, want the ALO threshold rejection", err)
 	}
@@ -207,7 +196,7 @@ func TestDSERejectsUnreachableALOThreshold(t *testing.T) {
 // an NI may have read the channel width, so runLeg must fail it rather
 // than return cycles the whole leg group would share.
 func TestRunLegGuardsNIInjection(t *testing.T) {
-	plat, err := core.NewStandalone(sim.NewEngine(), 4, 4, true, platformCfg())
+	plat, err := core.NewStandalone(sim.NewEngine(), 4, 4, true, core.DefaultPlatformConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,28 +289,6 @@ func TestParetoFrontierProperties(t *testing.T) {
 	}
 }
 
-// TestWarmSweepStateDrains pins the memo-growth fix: warmed baseline
-// platforms and zero-load memos are scoped to the sweep that created
-// them, so nothing survives the sweep's return — two distinct figure
-// sweeps in one process no longer accumulate each other's platforms.
-func TestWarmSweepStateDrains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a reduced warm fig12 sweep")
-	}
-	SetWarmSweeps(true)
-	t.Cleanup(func() { SetWarmSweeps(false) })
-	benches := []*traffic.Profile{traffic.LULESH()}
-	kernels := []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction}
-	if _, err := RunFig12(benches, kernels, DefaultKernelDims(), Scale(0.05), []bool{true}); err != nil {
-		t.Fatal(err)
-	}
-	// Warm mode is still ON — the drain must come from the sweep scope
-	// closing, not from SetWarmSweeps(false).
-	if g, z := warmStateSize(); g != 0 || z != 0 {
-		t.Fatalf("warm state after sweep: %d groups, %d zero-load memos; want a full drain", g, z)
-	}
-}
-
 // TestDSEPoolHoldsWorkersNotCells pins the retention fix: every leg
 // group has its own pool shape, so a platform released after its group's
 // last leg would sit in the pool until the final Drain — live heap
@@ -331,12 +298,10 @@ func TestWarmSweepStateDrains(t *testing.T) {
 func TestDSEPoolHoldsWorkersNotCells(t *testing.T) {
 	cfg := dseTestConfig()
 	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction, cpu.KernelSPMV}
-	defer SetWorkers(0)
 	for _, j := range []int{1, 4} {
-		SetWorkers(j)
 		var mu sync.Mutex
 		legs, peak := 0, 0
-		res, err := runDSE(cfg, func(pool *checkpoint.Pool) {
+		res, err := RunSpec{Workers: j}.runDSE(cfg, func(pool *checkpoint.Pool) {
 			mu.Lock()
 			defer mu.Unlock()
 			legs++

@@ -43,7 +43,7 @@ func TestFig2RegenerationByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale fig2 regeneration takes tens of seconds")
 	}
-	res, err := RunFig2(Scale(1.0))
+	res, err := RunSpec{}.RunFig2(Scale(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFig9RegenerationByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig9 regeneration runs every kernel on four core counts")
 	}
-	res, err := RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
+	res, err := RunSpec{}.RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFig3RegenerationByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale fig3 regeneration simulates Raytrace end to end")
 	}
-	res, err := RunFig3(Scale(1.0))
+	res, err := RunSpec{}.RunFig3(Scale(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFig1RegenerationByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale fig1 regeneration sweeps 16 benchmarks x 8 NoC variants")
 	}
-	res, err := RunFig1(traffic.All(), Scale(1.0))
+	res, err := RunSpec{}.RunFig1(traffic.All(), Scale(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestFig11RegenerationByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig11 regeneration runs the three-leg co-run experiment")
 	}
-	res, err := RunCoRun(CoRunSpec{
+	res, err := RunSpec{}.RunCoRun(CoRunSpec{
 		Bench: traffic.LULESH(), Kernel: cpu.KernelSPMV,
 		Dims: DefaultKernelDims(), Width: 4, Height: 4,
 		Priority: true, Scale: Scale(1.0),
@@ -136,7 +136,7 @@ func TestFig12RegenerationByteIdentical(t *testing.T) {
 		t.Skip("set SNACKNOC_EQUIV_HEAVY=1 to run the fig12 full regeneration")
 	}
 	kernels := cpu.Kernels()
-	res, err := RunFig12(traffic.All(), kernels, DefaultKernelDims(), Scale(1.0), []bool{false, true})
+	res, err := RunSpec{}.RunFig12(traffic.All(), kernels, DefaultKernelDims(), Scale(1.0), []bool{false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +156,8 @@ func TestWarmSweepByteIdentical(t *testing.T) {
 	}
 	benches := []*traffic.Profile{traffic.LULESH(), traffic.FMM()}
 	kernels := []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction}
-	render := func(t *testing.T) []byte {
-		res, err := RunFig12(benches, kernels, DefaultKernelDims(), Scale(0.05), []bool{false, true})
+	render := func(t *testing.T, run RunSpec) []byte {
+		res, err := run.RunFig12(benches, kernels, DefaultKernelDims(), Scale(0.05), []bool{false, true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,13 +167,8 @@ func TestWarmSweepByteIdentical(t *testing.T) {
 	}
 	for _, shards := range []int{0, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			if shards != 0 {
-				withShards(t, shards)
-			}
-			cold := render(t)
-			SetWarmSweeps(true)
-			t.Cleanup(func() { SetWarmSweeps(false) })
-			warm := render(t)
+			cold := render(t, RunSpec{Shards: shards})
+			warm := render(t, RunSpec{Shards: shards, Warm: true})
 			if !bytes.Equal(cold, warm) {
 				t.Fatalf("warm sweep diverged from cold sweep:\ncold:\n%s\nwarm:\n%s", cold, warm)
 			}
@@ -185,7 +180,7 @@ func TestFig13RegenerationByteIdentical(t *testing.T) {
 	if os.Getenv("SNACKNOC_EQUIV_HEAVY") != "1" {
 		t.Skip("set SNACKNOC_EQUIV_HEAVY=1 to run the fig13 full regeneration")
 	}
-	res, err := RunFig13(traffic.All(), DefaultKernelDims(), Scale(1.0))
+	res, err := RunSpec{}.RunFig13(traffic.All(), DefaultKernelDims(), Scale(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestFig1SmallSubset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig1 subset skipped in -short")
 	}
-	res, err := RunFig1([]*traffic.Profile{traffic.FMM()}, 0.1)
+	res, err := RunSpec{}.RunFig1([]*traffic.Profile{traffic.FMM()}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFig2QuartilesOrdered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig2 skipped in -short")
 	}
-	res, err := RunFig2(0.25)
+	res, err := RunSpec{}.RunFig2(0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFig3RaytraceBuffersMostlyEmpty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig3 skipped in -short")
 	}
-	res, err := RunFig3(0.25)
+	res, err := RunSpec{}.RunFig3(0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestCommandLineShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DSEConfig{Axes: axes, Kernels: []cpu.KernelName{cpu.KernelMAC}, Dims: DSESmokeDims()}
-	if _, err := RunDSE(cfg); err == nil || !strings.Contains(err.Error(), "ALO threshold 6") {
+	if _, err := (RunSpec{}).RunDSE(cfg); err == nil || !strings.Contains(err.Error(), "ALO threshold 6") {
 		t.Errorf("RunDSE on -grid vc=1: err = %v, want the ALO threshold rejection", err)
 	}
 }
@@ -262,7 +262,7 @@ func TestCompileKernelProducesValidPrograms(t *testing.T) {
 // TestRunBenchmarkRejectsMeshPastTheSharerSets: snacksim -bench on a
 // 16x9 mesh reports the directory's 128-node bound as an error.
 func TestRunBenchmarkRejectsMeshPastTheSharerSets(t *testing.T) {
-	_, err := RunBenchmark(noc.DAPPER(16, 9), traffic.ByName("Graph500"), Scale(0.01))
+	_, err := RunSpec{}.RunBenchmark(noc.DAPPER(16, 9), traffic.ByName("Graph500"), Scale(0.01))
 	if err == nil || !strings.Contains(err.Error(), "128") {
 		t.Fatalf("16x9 Graph500: err = %v, want the 128-node bound", err)
 	}

@@ -49,7 +49,7 @@ type Fig1Result struct {
 // relative to BiNoCHS across the Table III benchmarks. The benchmark ×
 // variant cells (including each benchmark's BiNoCHS baseline) run on the
 // sweep worker pool; slowdowns are assembled afterwards in row order.
-func RunFig1(benchmarks []*traffic.Profile, scale Scale) (*Fig1Result, error) {
+func (s RunSpec) RunFig1(benchmarks []*traffic.Profile, scale Scale) (*Fig1Result, error) {
 	variants := Fig1Variants(4, 4)
 	res := &Fig1Result{}
 	for _, v := range variants[1:] {
@@ -57,9 +57,9 @@ func RunFig1(benchmarks []*traffic.Profile, scale Scale) (*Fig1Result, error) {
 	}
 	nv := len(variants)
 	runs := make([]*BenchRun, len(benchmarks)*nv)
-	err := forEach(len(runs), func(i int) error {
+	err := s.forEach(len(runs), func(i int) error {
 		prof, v := benchmarks[i/nv], variants[i%nv]
-		run, err := RunBenchmark(v.Cfg, prof, scale)
+		run, err := s.RunBenchmark(v.Cfg, prof, scale)
 		if err != nil {
 			if i%nv == 0 {
 				return fmt.Errorf("fig1 baseline: %w", err)

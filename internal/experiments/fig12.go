@@ -41,14 +41,14 @@ type Fig12Result struct {
 // every benchmark × kernel × mode co-run is an independent simulation,
 // so the flattened matrix runs on the sweep worker pool and the rows
 // (and the Fig 11 pick) are assembled afterwards in serial order.
-func RunFig12(benchmarks []*traffic.Profile, kernels []cpu.KernelName, dims KernelDims, scale Scale, priorityModes []bool) (*Fig12Result, error) {
+func (s RunSpec) RunFig12(benchmarks []*traffic.Profile, kernels []cpu.KernelName, dims KernelDims, scale Scale, priorityModes []bool) (*Fig12Result, error) {
 	// Warm-sweep memos (baseline forks, zero-load legs) are scoped to
 	// this sweep: shared across its cells, dropped when it returns.
-	defer beginSweepScope()()
+	memo := s.newWarmMemo()
 	np := len(priorityModes)
 	nk := len(kernels) * np
 	cells := make([]*CoRunResult, len(benchmarks)*nk)
-	err := forEach(len(cells), func(i int) error {
+	err := s.forEach(len(cells), func(i int) error {
 		prof := benchmarks[i/nk]
 		k := kernels[(i%nk)/np]
 		pri := priorityModes[i%np]
@@ -56,7 +56,7 @@ func RunFig12(benchmarks []*traffic.Profile, kernels []cpu.KernelName, dims Kern
 			Bench: prof, Kernel: k, Dims: dims,
 			Width: 4, Height: 4, Priority: pri, Scale: scale,
 		}
-		r, err := RunCoRun(spec)
+		r, err := s.runCoRun(spec, memo)
 		if err != nil {
 			return fmt.Errorf("fig12 %s × %s (pri=%v): %w", prof.Name, k, pri, err)
 		}
@@ -138,22 +138,22 @@ func Fig13Meshes() [][2]int {
 
 // RunFig13 reproduces Fig 13 for the given benchmarks. The mesh ×
 // benchmark cells run on the sweep worker pool.
-func RunFig13(benchmarks []*traffic.Profile, dims KernelDims, scale Scale) (*Fig13Result, error) {
-	defer beginSweepScope()()
+func (s RunSpec) RunFig13(benchmarks []*traffic.Profile, dims KernelDims, scale Scale) (*Fig13Result, error) {
+	memo := s.newWarmMemo()
 	meshes := Fig13Meshes()
 	nb := len(benchmarks)
 	points := make([]Fig13Point, len(meshes)*nb)
-	err := forEach(len(points), func(i int) error {
+	err := s.forEach(len(points), func(i int) error {
 		mesh := meshes[i/nb]
 		prof := benchmarks[i%nb]
 		nodes := mesh[0] * mesh[1]
 		// Keep total simulated work bounded as the mesh grows.
-		s := scale * Scale(16.0/float64(nodes))
+		cellScale := scale * Scale(16.0/float64(nodes))
 		spec := CoRunSpec{
 			Bench: prof, Kernel: cpu.KernelSGEMM, Dims: dims,
-			Width: mesh[0], Height: mesh[1], Priority: true, Scale: s,
+			Width: mesh[0], Height: mesh[1], Priority: true, Scale: cellScale,
 		}
-		r, err := RunCoRun(spec)
+		r, err := s.runCoRun(spec, memo)
 		if err != nil {
 			return fmt.Errorf("fig13 %s at %d nodes: %w", prof.Name, nodes, err)
 		}

@@ -24,11 +24,11 @@ type Fig2Result struct {
 
 // RunFig2 reproduces Fig 2 (both panels). The four benchmark runs are
 // independent simulations and execute on the sweep worker pool.
-func RunFig2(scale Scale) (*Fig2Result, error) {
+func (s RunSpec) RunFig2(scale Scale) (*Fig2Result, error) {
 	benches := Fig2Benchmarks()
 	runs := make([]*BenchRun, len(benches))
-	err := forEach(len(benches), func(i int) error {
-		run, err := RunBenchmark(noc.DAPPER(4, 4), benches[i], scale)
+	err := s.forEach(len(benches), func(i int) error {
+		run, err := s.RunBenchmark(noc.DAPPER(4, 4), benches[i], scale)
 		if err != nil {
 			return err
 		}
@@ -56,8 +56,8 @@ type Fig3Result struct {
 }
 
 // RunFig3 reproduces Fig 3 on the DAPPER NoC.
-func RunFig3(scale Scale) (*Fig3Result, error) {
-	run, err := RunBenchmark(noc.DAPPER(4, 4), traffic.Raytrace(), scale)
+func (s RunSpec) RunFig3(scale Scale) (*Fig3Result, error) {
+	run, err := s.RunBenchmark(noc.DAPPER(4, 4), traffic.Raytrace(), scale)
 	if err != nil {
 		return nil, err
 	}

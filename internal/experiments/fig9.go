@@ -38,14 +38,14 @@ type Fig9Result struct {
 // (the analytic model costs nothing to scale); the SnackNoC comparison
 // point divides the modeled single-core cycles by the simulated kernel
 // latency at the same reproduction-scale input.
-func RunFig9(dims KernelDims, cpuCfg cpu.CPUConfig) (*Fig9Result, error) {
+func (s RunSpec) RunFig9(dims KernelDims, cpuCfg cpu.CPUConfig) (*Fig9Result, error) {
 	res := &Fig9Result{Dims: dims}
 	paper := PaperKernelDims()
 	kernels := cpu.Kernels()
 	rows := make([]Fig9Row, len(kernels))
 	// Each kernel's compile + zero-load simulation is self-contained, so
 	// the rows run on the sweep worker pool.
-	err := forEach(len(kernels), func(ki int) error {
+	err := s.forEach(len(kernels), func(ki int) error {
 		k := kernels[ki]
 		row := Fig9Row{Kernel: k, RCUsUsed: 16}
 		for i, threads := range []int{1, 2, 4, 8} {
@@ -65,11 +65,11 @@ func RunFig9(dims KernelDims, cpuCfg cpu.CPUConfig) (*Fig9Result, error) {
 		row.InputTokens = prog.InputTokens()
 
 		eng := sim.NewEngine()
-		plat, err := core.NewStandalone(eng, 4, 4, true, platformCfg())
+		plat, err := core.NewStandalone(eng, 4, 4, true, s.PlatformConfig())
 		if err != nil {
 			return err
 		}
-		obs := Observe("fig9/"+string(k), eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
+		obs := s.Observe("fig9/"+string(k), eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
 			plat.SetTracer(tr)
 			plat.SetAttrib(rec)
 		})

@@ -11,7 +11,7 @@ import (
 // the right performance region relative to the modeled cores.
 func TestFig9SmallScale(t *testing.T) {
 	dims := KernelDims{SGEMMDim: 24, ReduceLen: 4000, MACLen: 4000, SPMVDim: 48, SPMVDensity: 0.3}
-	res, err := RunFig9(dims, cpu.DefaultCPUConfig())
+	res, err := RunSpec{}.RunFig9(dims, cpu.DefaultCPUConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

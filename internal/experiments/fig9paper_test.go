@@ -19,7 +19,7 @@ var paper9 = map[cpu.KernelName][4]float64{
 // reproduction scale and checks every bar lands within 20% of the
 // published value.
 func TestFig9MatchesPaperShape(t *testing.T) {
-	res, err := RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
+	res, err := RunSpec{}.RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestInterferenceNoiseFloor(t *testing.T) {
 			label string
 			dims  KernelDims
 		}{{"null", tiny}, {"sgemm", real}} {
-			r, err := RunCoRun(CoRunSpec{
+			r, err := RunSpec{}.RunCoRun(CoRunSpec{
 				Bench: bench, Kernel: cpu.KernelSGEMM, Dims: tc.dims,
 				Width: 4, Height: 4, Priority: true, Scale: 1.0,
 			})

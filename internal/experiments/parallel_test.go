@@ -11,11 +11,9 @@ import (
 // TestForEachCoversAllIndices: every index runs exactly once at any
 // worker count.
 func TestForEachCoversAllIndices(t *testing.T) {
-	defer SetWorkers(0)
 	for _, j := range []int{1, 2, 7} {
-		SetWorkers(j)
 		var hits [100]int32
-		if err := forEach(len(hits), func(i int) error {
+		if err := (RunSpec{Workers: j}).forEach(len(hits), func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		}); err != nil {
@@ -32,10 +30,8 @@ func TestForEachCoversAllIndices(t *testing.T) {
 // TestForEachReturnsLowestIndexedError: the reported failure must not
 // depend on goroutine scheduling.
 func TestForEachReturnsLowestIndexedError(t *testing.T) {
-	defer SetWorkers(0)
 	for _, j := range []int{1, 4} {
-		SetWorkers(j)
-		err := forEach(20, func(i int) error {
+		err := RunSpec{Workers: j}.forEach(20, func(i int) error {
 			if i == 7 || i == 13 {
 				return fmt.Errorf("cell %d failed", i)
 			}
@@ -45,10 +41,9 @@ func TestForEachReturnsLowestIndexedError(t *testing.T) {
 			t.Fatalf("j=%d: err = %v, want cell 7's error", j, err)
 		}
 	}
-	SetWorkers(1)
 	ran := 0
 	boom := errors.New("boom")
-	err := forEach(10, func(i int) error {
+	err := RunSpec{Workers: 1}.forEach(10, func(i int) error {
 		ran++
 		if i == 3 {
 			return boom
@@ -69,14 +64,11 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two reduced Fig 2 sweeps")
 	}
-	defer SetWorkers(0)
-	SetWorkers(1)
-	serial, err := RunFig2(0.05)
+	serial, err := RunSpec{Workers: 1}.RunFig2(0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetWorkers(4)
-	parallel, err := RunFig2(0.05)
+	parallel, err := RunSpec{Workers: 4}.RunFig2(0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

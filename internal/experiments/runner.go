@@ -67,8 +67,8 @@ func (r *BenchRun) BufferSummary() (zeroPct, p99Pct float64) {
 
 // RunBenchmark executes one Table III benchmark to completion on the
 // given NoC configuration and collects the paper's measurements.
-func RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scale) (*BenchRun, error) {
-	cfg = applyShards(cfg)
+func (s RunSpec) RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scale) (*BenchRun, error) {
+	cfg = s.applyShards(cfg)
 	eng := sim.NewEngine()
 	net, err := noc.New(eng, cfg)
 	if err != nil {
@@ -79,7 +79,7 @@ func RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scale) (*BenchRu
 	if err != nil {
 		return nil, err
 	}
-	obs := Observe(prof.Name+"@"+cfg.Name, eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
+	obs := s.Observe(prof.Name+"@"+cfg.Name, eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
 		net.SetTracer(tr)
 		net.SetAttrib(rec)
 		sys.SetAttrib(rec)
@@ -244,11 +244,13 @@ func (r *CoRunResult) KernelSlowdownPct() float64 {
 
 // RunCoRun executes the full interference experiment: the benchmark
 // alone, the kernel alone at zero load, and the two together.
-func RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
-	// Each co-run participates in a warm-memo scope: nested inside a
-	// sweep driver's scope the memos outlive the cell (that is the warm
-	// win), standalone they are dropped on return instead of leaking.
-	defer beginSweepScope()()
+func (s RunSpec) RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
+	return s.runCoRun(spec, s.newWarmMemo())
+}
+
+// runCoRun is RunCoRun with the calling sweep's warm memo (nil: every
+// leg runs cold).
+func (s RunSpec) runCoRun(spec CoRunSpec, memo *warmMemo) (*CoRunResult, error) {
 	if spec.Width == 0 {
 		spec.Width, spec.Height = 4, 4
 	}
@@ -268,13 +270,13 @@ func RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
 	// mode leg 1 forks a checkpointed baseline platform and leg 2 is
 	// memoized (see warm.go). Leg 3 genuinely differs per cell and
 	// always runs cold.
-	if warmActive() {
-		base, err := warmBaselineLeg(spec)
+	if memo != nil {
+		base, err := memo.baselineLeg(spec)
 		if err != nil {
 			return nil, err
 		}
 		res.BaselineRuntime = base.runtime
-		zc, err := warmZeroLoad(spec, prog)
+		zc, err := memo.zeroLoad(spec, prog)
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +285,7 @@ func RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
 		// Leg 1: benchmark alone on the snack-capable NoC (RCUs present
 		// but idle), the Fig 12 baseline.
 		baseCfg := noc.SnackPlatform(spec.Width, spec.Height, spec.Priority)
-		base, err := runCoRunLeg(baseCfg, spec, nil, nil, cell+"/base")
+		base, err := s.runCoRunLeg(baseCfg, spec, nil, nil, cell+"/base")
 		if err != nil {
 			return nil, err
 		}
@@ -291,11 +293,11 @@ func RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
 
 		// Leg 2: kernel alone at zero load.
 		zeroEng := sim.NewEngine()
-		zeroPlat, err := core.NewStandalone(zeroEng, spec.Width, spec.Height, spec.Priority, platformCfg())
+		zeroPlat, err := core.NewStandalone(zeroEng, spec.Width, spec.Height, spec.Priority, s.PlatformConfig())
 		if err != nil {
 			return nil, err
 		}
-		obs := Observe(cell+"/zero", zeroEng, func(tr *trace.Tracer, rec *attrib.Recorder) {
+		obs := s.Observe(cell+"/zero", zeroEng, func(tr *trace.Tracer, rec *attrib.Recorder) {
 			zeroPlat.SetTracer(tr)
 			zeroPlat.SetAttrib(rec)
 		})
@@ -304,14 +306,11 @@ func RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
 			return nil, fmt.Errorf("experiments: zero-load %s: %w", spec.Kernel, err)
 		}
 		res.ZeroLoadCycles = zr.Cycles()
-		obs.Record(func(reg *stats.Registry) {
-			zeroPlat.RegisterMetrics(reg)
-			registerCompileCacheMetrics(reg)
-		})
+		obs.Record(zeroPlat.RegisterMetrics)
 	}
 
 	// Leg 3: co-run.
-	co, err := runCoRunLeg(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority), spec, prog, res, cell+"/corun")
+	co, err := s.runCoRunLeg(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority), spec, prog, res, cell+"/corun")
 	if err != nil {
 		return nil, err
 	}
@@ -329,8 +328,8 @@ type legResult struct {
 
 // runCoRunLeg runs the benchmark, optionally with kernels resubmitted
 // continually. When prog is non-nil, kernel stats accumulate into out.
-func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRunResult, label string) (*legResult, error) {
-	cfg = applyShards(cfg)
+func (s RunSpec) runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRunResult, label string) (*legResult, error) {
+	cfg = s.applyShards(cfg)
 	eng := sim.NewEngine()
 	net, err := noc.New(eng, cfg)
 	if err != nil {
@@ -370,7 +369,7 @@ func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRun
 		}
 		resubmit(nil)
 	}
-	obs := Observe(label, eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
+	obs := s.Observe(label, eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
 		if plat != nil {
 			plat.SetTracer(tr)
 			plat.SetAttrib(rec)
@@ -391,7 +390,6 @@ func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRun
 	obs.Record(func(reg *stats.Registry) {
 		if plat != nil {
 			plat.RegisterMetrics(reg)
-			registerCompileCacheMetrics(reg)
 		} else {
 			net.RegisterMetrics(reg)
 			eng.RegisterMetrics(reg)

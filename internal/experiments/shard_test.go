@@ -10,15 +10,6 @@ import (
 	"snacknoc/internal/traffic"
 )
 
-// withShards sets the package shard count for one test and restores the
-// serial default afterwards. SetShards is process-global, so these tests
-// must not run in parallel with anything that builds networks.
-func withShards(t *testing.T, n int) {
-	t.Helper()
-	SetShards(n)
-	t.Cleanup(func() { SetShards(0) })
-}
-
 // TestShardedFig2ByteIdentical pins the tentpole correctness bar: the
 // sharded kernel regenerates the committed Fig 2 artifact byte for byte
 // at every shard count. Any conservatism violation — a flit or credit
@@ -30,8 +21,7 @@ func TestShardedFig2ByteIdentical(t *testing.T) {
 	}
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			withShards(t, shards)
-			res, err := RunFig2(Scale(1.0))
+			res, err := RunSpec{Shards: shards}.RunFig2(Scale(1.0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,8 +41,7 @@ func TestShardedFig9ByteIdentical(t *testing.T) {
 	}
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			withShards(t, shards)
-			res, err := RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
+			res, err := RunSpec{Shards: shards}.RunFig9(DefaultKernelDims(), cpu.DefaultCPUConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,8 +58,8 @@ func TestShardedFig9ByteIdentical(t *testing.T) {
 // it stays enabled under -short, so the ci.sh race-detector pass drives
 // the sharded kernel through the full platform stack.
 func TestShardedCoRunMatchesSerial(t *testing.T) {
-	run := func(t *testing.T) string {
-		r, err := RunCoRun(CoRunSpec{
+	run := func(t *testing.T, shards int) string {
+		r, err := RunSpec{Shards: shards}.RunCoRun(CoRunSpec{
 			Bench: traffic.FMM(), Kernel: cpu.KernelReduction,
 			Dims: DefaultKernelDims(), Width: 4, Height: 4,
 			Priority: true, Scale: Scale(0.02),
@@ -80,11 +69,10 @@ func TestShardedCoRunMatchesSerial(t *testing.T) {
 		}
 		return fmt.Sprintf("%+v", *r)
 	}
-	serial := run(t)
+	serial := run(t, 0)
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			withShards(t, shards)
-			if got := run(t); got != serial {
+			if got := run(t, shards); got != serial {
 				t.Fatalf("sharded co-run diverged:\n got %s\nwant %s", got, serial)
 			}
 		})
@@ -95,8 +83,7 @@ func TestShardedCoRunMatchesSerial(t *testing.T) {
 // clamped, not rejected, so one -shards flag can serve sweeps that mix
 // mesh sizes.
 func TestShardsClampedToMeshWidth(t *testing.T) {
-	withShards(t, 64)
-	cfg := applyShards(noc.DAPPER(4, 4))
+	cfg := RunSpec{Shards: 64}.applyShards(noc.DAPPER(4, 4))
 	if cfg.Shards != 4 {
 		t.Fatalf("applyShards clamped to %d, want 4", cfg.Shards)
 	}

@@ -26,9 +26,13 @@ import (
 // zero-load run has no benchmark in it). Leg 3 — the co-run itself —
 // genuinely differs per cell and always runs cold.
 //
-// Warm mode silently falls back to cold runs while tracing or metrics
-// collection is enabled: observability sinks are per-run, and sharing a
-// platform across labelled runs would misattribute events.
+// A warm memo lives exactly as long as the RunFig12, RunFig13 or
+// RunCoRun call that made it, so distinct sweeps in one process never
+// accumulate each other's platforms. A spec with an Observer gets none:
+// observability sinks are per-run, and sharing a platform across
+// labelled runs would misattribute events — attribution counters
+// included, since a forked platform's counters belong to another cell's
+// timeline.
 
 // WarmupCycles is the warmup boundary at which warm sweeps checkpoint
 // the baseline platform. Correctness does not depend on the value —
@@ -37,91 +41,42 @@ import (
 // it only sets how much simulation the forks skip.
 const WarmupCycles = 8192
 
-var (
-	warmMu    sync.Mutex
-	warmOn    bool
-	warmDepth int // nested/concurrent sweep scopes currently open
-)
-
-// beginSweepScope opens a warm-memo scope and returns its closer. The
-// warmed platforms and zero-load memos live exactly as long as some
-// scope is open: every sweep driver (and each co-run, which nests
-// inside a sweep's scope or stands alone) brackets itself, and when the
-// last scope closes the memos are dropped. Without this, distinct
-// figure sweeps in one process would accumulate each other's platforms
-// unbounded — the groups are keyed by (bench, mesh, ...), so a fig12
-// run's 4x4 groups would sit in memory for the whole of a following
-// fig13 run that can never hit them.
-func beginSweepScope() func() {
-	warmMu.Lock()
-	warmDepth++
-	warmMu.Unlock()
-	return endSweepScope
+// warmMemo is one sweep call's warmed baseline groups and zero-load
+// memos, all built under the spec that made it.
+type warmMemo struct {
+	run    RunSpec
+	mu     sync.Mutex
+	groups map[warmKey]*warmGroup
+	zeros  map[zeroKey]*zeroEntry
 }
 
-func endSweepScope() {
-	warmMu.Lock()
-	warmDepth--
-	last := warmDepth == 0
-	warmMu.Unlock()
-	if last {
-		resetWarmState()
+// newWarmMemo returns a memo for one sweep call, or nil when the spec
+// runs every leg cold.
+func (s RunSpec) newWarmMemo() *warmMemo {
+	if !s.Warm || s.Obs != nil {
+		return nil
 	}
+	return &warmMemo{run: s, groups: map[warmKey]*warmGroup{}, zeros: map[zeroKey]*zeroEntry{}}
 }
 
-// warmStateSize reports how many baseline groups and zero-load memos
-// are currently cached (test hook for the drain guarantee).
-func warmStateSize() (groups, zeros int) {
-	warmGroups.Range(func(_, _ any) bool { groups++; return true })
-	zeroCache.Range(func(_, _ any) bool { zeros++; return true })
-	return
-}
-
-// SetWarmSweeps toggles warm sweep mode for subsequent co-run sweeps.
-// Turning it off releases every cached platform and zero-load result.
-func SetWarmSweeps(on bool) {
-	warmMu.Lock()
-	warmOn = on
-	warmMu.Unlock()
-	if !on {
-		resetWarmState()
+// memoEntry returns m[k], adding a zero entry first if there is none.
+func memoEntry[K comparable, V any](mu *sync.Mutex, m map[K]*V, k K) *V {
+	mu.Lock()
+	defer mu.Unlock()
+	v := m[k]
+	if v == nil {
+		v = new(V)
+		m[k] = v
 	}
-}
-
-// WarmSweeps reports whether warm sweep mode is enabled.
-func WarmSweeps() bool {
-	warmMu.Lock()
-	defer warmMu.Unlock()
-	return warmOn
-}
-
-// warmActive reports whether the next co-run may take the warm path:
-// the mode is on and no observability sink is attached. Attribution
-// counts as a sink: warm legs fork memoized platforms whose counters
-// belong to another cell's timeline, so attributed sweeps run cold.
-func warmActive() bool {
-	return WarmSweeps() && TraceCollector() == nil && !MetricsEnabled() && !AttribEnabled()
-}
-
-// resetWarmState drops all warmed platforms and memoized results.
-func resetWarmState() {
-	warmGroups.Range(func(k, _ any) bool {
-		warmGroups.Delete(k)
-		return true
-	})
-	zeroCache.Range(func(k, _ any) bool {
-		zeroCache.Delete(k)
-		return true
-	})
+	return v
 }
 
 // warmKey identifies one baseline (leg 1) platform group.
 type warmKey struct {
-	bench  string
-	w, h   int
-	pri    bool
-	shards int
-	scale  Scale
+	bench string
+	w, h  int
+	pri   bool
+	scale Scale
 }
 
 // warmBase is a built baseline simulation: the platform every fork of
@@ -142,21 +97,18 @@ type warmGroup struct {
 	snap *checkpoint.State
 }
 
-var warmGroups sync.Map // warmKey -> *warmGroup
-
-// warmBaselineLeg produces the leg-1 result for spec by forking the
+// baselineLeg produces the leg-1 result for spec by forking the
 // group's warmup checkpoint and running the tail.
-func warmBaselineLeg(spec CoRunSpec) (*legResult, error) {
+func (m *warmMemo) baselineLeg(spec CoRunSpec) (*legResult, error) {
 	key := warmKey{
 		bench: spec.Bench.Name, w: spec.Width, h: spec.Height,
-		pri: spec.Priority, shards: Shards(), scale: spec.Scale,
+		pri: spec.Priority, scale: spec.Scale,
 	}
-	gi, _ := warmGroups.LoadOrStore(key, &warmGroup{})
-	g := gi.(*warmGroup)
+	g := memoEntry(&m.mu, m.groups, key)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.err == nil && g.snap == nil {
-		g.err = g.build(spec)
+		g.err = g.build(m.run, spec)
 	}
 	if g.err != nil {
 		return nil, g.err
@@ -173,8 +125,8 @@ func warmBaselineLeg(spec CoRunSpec) (*legResult, error) {
 
 // build constructs the group's platform (the same way the cold leg
 // does), runs it to the warmup boundary, and checkpoints it.
-func (g *warmGroup) build(spec CoRunSpec) error {
-	cfg := applyShards(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority))
+func (g *warmGroup) build(run RunSpec, spec CoRunSpec) error {
+	cfg := run.applyShards(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority))
 	eng := sim.NewEngine()
 	net, err := noc.New(eng, cfg)
 	if err != nil {
@@ -204,7 +156,6 @@ type zeroKey struct {
 	dims   KernelDims
 	w, h   int
 	pri    bool
-	shards int
 }
 
 // zeroEntry memoizes one zero-load run.
@@ -214,19 +165,16 @@ type zeroEntry struct {
 	err    error
 }
 
-var zeroCache sync.Map // zeroKey -> *zeroEntry
-
-// warmZeroLoad returns the memoized zero-load kernel latency for spec.
-func warmZeroLoad(spec CoRunSpec, prog *core.Program) (int64, error) {
+// zeroLoad returns the memoized zero-load kernel latency for spec.
+func (m *warmMemo) zeroLoad(spec CoRunSpec, prog *core.Program) (int64, error) {
 	key := zeroKey{
 		kernel: spec.Kernel, dims: spec.Dims, w: spec.Width, h: spec.Height,
-		pri: spec.Priority, shards: Shards(),
+		pri: spec.Priority,
 	}
-	ei, _ := zeroCache.LoadOrStore(key, &zeroEntry{})
-	e := ei.(*zeroEntry)
+	e := memoEntry(&m.mu, m.zeros, key)
 	e.once.Do(func() {
 		zeroEng := sim.NewEngine()
-		zeroPlat, err := core.NewStandalone(zeroEng, spec.Width, spec.Height, spec.Priority, platformCfg())
+		zeroPlat, err := core.NewStandalone(zeroEng, spec.Width, spec.Height, spec.Priority, m.run.PlatformConfig())
 		if err != nil {
 			e.err = err
 			return

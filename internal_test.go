@@ -89,14 +89,21 @@ func TestConcurrentInstructionsAreEachContexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := p.RCUs() / len(ctxs)
 	for i, st := range sts {
+		lo, hi := rcuSlice(p.RCUs(), len(ctxs), i)
 		var executed int64
-		for _, r := range p.core.RCUs[i*per : (i+1)*per] {
+		for _, r := range p.core.RCUs[lo:hi] {
 			executed += r.Executed()
 		}
 		if executed == 0 || st.Instructions != executed {
 			t.Errorf("context %d: Stats.Instructions %d, its RCUs executed %d", i, st.Instructions, executed)
+		}
+	}
+	// Three contexts on 16 RCUs: the one left over goes to context 0, so
+	// no RCU sits idle.
+	for n, r := range p.core.RCUs {
+		if r.Executed() == 0 {
+			t.Errorf("RCU %d executed nothing", n)
 		}
 	}
 }

@@ -70,6 +70,21 @@ if grep -nE 'CompileCached|Fingerprint\(|(^|[^[:alnum:]_])(DecentralizedPlatform
     exit 1
 fi
 
+# One run description: how a run executes is the experiments.RunSpec
+# its caller passes, not process-wide state. Outside the repository
+# benchmark's shims (benchshim.go) and the compile cache, a pure memo
+# (compilecache.go), internal/experiments holds no package-level
+# variable, no sync.Map and no sweep scope; the commands and internal/cli
+# switch nothing on through the package's setters.
+echo "== one run description (experiments.RunSpec) =="
+exp_srcs=$(ls internal/experiments/*.go | grep -v '_test\.go$' | grep -v '/benchshim\.go$' | grep -v '/compilecache\.go$')
+# shellcheck disable=SC2086
+if grep -nE '^var|sync\.Map|beginSweepScope|warmDepth' $exp_srcs ||
+    grep -rnE 'experiments\.(Set|Enable)[A-Z]' internal/cli cmd; then
+    echo "ERROR: run settings are RunSpec fields; no package-level state in internal/experiments, no setter calls from internal/cli or cmd" >&2
+    exit 1
+fi
+
 echo "== go test ./... =="
 go test ./...
 

@@ -208,7 +208,7 @@ type job struct {
 }
 
 // execute is the one path every Execute call takes. Context i runs on
-// CPM i over the i-th equal slice of the RCUs. Every context is checked
+// CPM i over the i-th slice of the RCUs (see rcuSlice). Every context is checked
 // and compiled, and every program admitted, before any is submitted, so
 // a call that fails there leaves every context's requests in place for a
 // retry.
@@ -219,7 +219,6 @@ func (p *Platform) execute(ctxs []*Context) ([]*Stats, error) {
 	if len(ctxs) > len(p.core.CPMs) {
 		return nil, fmt.Errorf("snacknoc: %d contexts exceed %d packet managers", len(ctxs), len(p.core.CPMs))
 	}
-	per := p.RCUs() / len(ctxs)
 	jobs := make([]*job, len(ctxs))
 	for i, ctx := range ctxs {
 		switch k := slices.Index(ctxs, ctx); {
@@ -231,7 +230,8 @@ func (p *Platform) execute(ctxs []*Context) ([]*Stats, error) {
 			return nil, fmt.Errorf("snacknoc: context %d repeats context %d", i, k)
 		}
 		cc := compiler.DefaultConfig(p.RCUs())
-		cc.RCUs = cc.RCUs[i*per : (i+1)*per]
+		lo, hi := rcuSlice(p.RCUs(), len(ctxs), i)
+		cc.RCUs = cc.RCUs[lo:hi]
 		if p.cfg.MinChunk > 0 {
 			cc.MinChunk = p.cfg.MinChunk
 		}
@@ -275,6 +275,19 @@ func (p *Platform) execute(ctxs []*Context) ([]*Stats, error) {
 		stats[i] = &j.stats
 	}
 	return stats, nil
+}
+
+// rcuSlice is the RCU range [lo, hi) of context i of k sharing n RCUs:
+// n/k each, and the n%k left over go one each to the first contexts, so
+// every RCU serves some context.
+func rcuSlice(n, k, i int) (lo, hi int) {
+	per, extra := n/k, n%k
+	lo = i*per + min(i, extra)
+	hi = lo + per
+	if i < extra {
+		hi++
+	}
+	return lo, hi
 }
 
 // start checks that every job's CPM is free and admits every program,
