@@ -30,9 +30,7 @@ import (
 
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/cli"
-	"snacknoc/internal/core"
 	"snacknoc/internal/experiments"
-	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
 	"snacknoc/internal/trace"
 )
@@ -60,7 +58,7 @@ func main() {
 	case *metricsPath != "":
 		fromJSON(*metricsPath)
 	case *kernel != "":
-		fromKernel(*kernel, *mesh, *dims, c.Priority, c.Run.PlatformConfig())
+		fromKernel(*kernel, *mesh, *dims, c.Priority, c.Run)
 	default:
 		cli.Usage()
 	}
@@ -98,7 +96,7 @@ func fromJSON(path string) {
 // fromKernel compiles and runs one kernel on a zero-load standalone
 // platform with attribution attached, checks the per-cycle sum
 // invariant, and reports.
-func fromKernel(name, meshSpec, dimsName string, priority bool, pc core.PlatformConfig) {
+func fromKernel(name, meshSpec, dimsName string, priority bool, run experiments.RunSpec) {
 	w, h, err := experiments.ParseMesh(meshSpec)
 	if err != nil {
 		cli.Fatalf("%v", err)
@@ -115,21 +113,16 @@ func fromKernel(name, meshSpec, dimsName string, priority bool, pc core.Platform
 	if err != nil {
 		cli.Fatalf("compile: %v", err)
 	}
-	eng := sim.NewEngine()
-	plat, err := core.NewStandalone(eng, w, h, priority, pc)
+	label := fmt.Sprintf("kernel/%s@%dx%d dims=%s", k, w, h, dimsName)
+	run.Obs = &experiments.Observer{Attrib: true}
+	_, plat, err := run.RunKernel(label, prog, w, h, priority)
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}
-	rec := attrib.NewRecorder()
-	plat.SetAttrib(rec)
-	if _, err := plat.Run(prog, experiments.MaxRunCycles); err != nil {
+	values := run.Obs.Snapshots()[0].Values
+	if err := attrib.CheckTotals(values, plat.Eng.Cycle()); err != nil {
 		cli.Fatalf("%v", err)
 	}
-	values := rec.Fold()
-	if err := attrib.CheckTotals(values, eng.Cycle()); err != nil {
-		cli.Fatalf("%v", err)
-	}
-	label := fmt.Sprintf("kernel/%s@%dx%d dims=%s", k, w, h, dimsName)
 	attrib.Summarize(values).Render(os.Stdout, label)
 }
 

@@ -17,14 +17,10 @@ import (
 	"fmt"
 	"strings"
 
-	"snacknoc/internal/attrib"
 	"snacknoc/internal/cli"
-	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/experiments"
 	"snacknoc/internal/noc"
-	"snacknoc/internal/sim"
-	"snacknoc/internal/trace"
 	"snacknoc/internal/traffic"
 )
 
@@ -102,22 +98,12 @@ func runKernel(spec experiments.RunSpec, k cpu.KernelName, w, h int, priority bo
 	if err != nil {
 		cli.Fatalf("compile: %v", err)
 	}
-	eng := sim.NewEngine()
-	plat, err := core.NewStandalone(eng, w, h, priority, spec.PlatformConfig())
-	if err != nil {
-		cli.Fatalf("%v", err)
-	}
-	obs := spec.Observe(fmt.Sprintf("kernel/%s@%dx%d", k, w, h), eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
-		plat.SetTracer(tr)
-		plat.SetAttrib(rec)
-	})
 	fmt.Printf("running %s on a zero-load %dx%d SnackNoC (%d entries)...\n",
 		k, w, h, len(prog.Entries))
-	res, err := plat.Run(prog, experiments.MaxRunCycles)
+	res, plat, err := spec.RunKernel(fmt.Sprintf("kernel/%s@%dx%d", k, w, h), prog, w, h, priority)
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}
-	obs.Record(plat.RegisterMetrics)
 	fmt.Printf("kernel latency:      %d cycles (%.2f cycles/entry)\n",
 		res.Cycles(), float64(res.Cycles())/float64(len(prog.Entries)))
 	fmt.Printf("instructions issued: %d\n", plat.CPM.Issued())

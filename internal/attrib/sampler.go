@@ -98,12 +98,3 @@ func (s *Sampler) Evaluate(cycle int64) {
 
 // Advance implements sim.Component; the sampler commits nothing.
 func (s *Sampler) Advance(int64) {}
-
-// Series returns the window series for one reason (nil when the reason
-// was absent or sampling was off).
-func (s *Sampler) Series(r Reason) *stats.TimeSeries {
-	if s == nil {
-		return nil
-	}
-	return s.series[r]
-}

@@ -109,9 +109,6 @@ func (e *Entry) Fork() {
 	e.pool.forks.Add(1)
 }
 
-// Shape returns the key the entry is pooled under.
-func (e *Entry) Shape() string { return e.shape }
-
 // Payload returns the component roots stored at Seal time, typed by the
 // caller.
 func (e *Entry) Payload() any { return e.payload }

@@ -7,10 +7,8 @@ import (
 	"testing"
 
 	"snacknoc/internal/attrib"
-	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/noc"
-	"snacknoc/internal/sim"
 	"snacknoc/internal/trace"
 	"snacknoc/internal/traffic"
 )
@@ -134,25 +132,20 @@ func TestAttribIntervalSampling(t *testing.T) {
 }
 
 // runAttributedKernel runs one zero-load standalone kernel on a mesh cut
-// into shards with a live recorder — the cmd/snackscope -kernel path —
-// and returns the folded values plus the engine's final cycle.
+// into shards with attribution on, as cmd/snackscope -kernel does, and
+// returns its snapshot's values plus the engine's final cycle.
 func runAttributedKernel(t *testing.T, k cpu.KernelName, dims KernelDims, shards int) (map[string]float64, int64) {
 	t.Helper()
 	prog, err := CompileKernel(k, dims, 16, Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine()
-	plat, err := core.NewStandalone(eng, 4, 4, true, RunSpec{Shards: shards}.PlatformConfig())
+	run := RunSpec{Shards: shards, Obs: &Observer{Attrib: true}}
+	_, plat, err := run.RunKernel("kernel", prog, 4, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := attrib.NewRecorder()
-	plat.SetAttrib(rec)
-	if _, err := plat.Run(prog, 1_000_000_000); err != nil {
-		t.Fatal(err)
-	}
-	return rec.Fold(), eng.Cycle()
+	return run.Obs.Snapshots()[0].Values, plat.Eng.Cycle()
 }
 
 // TestAttribSumsToCycles is the acceptance-criteria invariant: every

@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"snacknoc/internal/attrib"
-	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
-	"snacknoc/internal/sim"
-	"snacknoc/internal/trace"
 )
 
 // Fig9Row is one kernel's bars in Fig 9: speedups over a single CPU
@@ -64,20 +60,10 @@ func (s RunSpec) RunFig9(dims KernelDims, cpuCfg cpu.CPUConfig) (*Fig9Result, er
 		row.Instructions = prog.Instructions()
 		row.InputTokens = prog.InputTokens()
 
-		eng := sim.NewEngine()
-		plat, err := core.NewStandalone(eng, 4, 4, true, s.PlatformConfig())
-		if err != nil {
-			return err
-		}
-		obs := s.Observe("fig9/"+string(k), eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
-			plat.SetTracer(tr)
-			plat.SetAttrib(rec)
-		})
-		r, err := plat.Run(prog, MaxRunCycles)
+		r, _, err := s.RunKernel("fig9/"+string(k), prog, 4, 4, true)
 		if err != nil {
 			return fmt.Errorf("fig9 %s: %w", k, err)
 		}
-		obs.Record(plat.RegisterMetrics)
 		row.SnackCycles = r.Cycles()
 		row.SnackSpeedup = float64(row.CPUOneCycles) / float64(row.SnackCycles)
 

@@ -5,9 +5,14 @@ import (
 	"sync"
 
 	"snacknoc/internal/attrib"
+	"snacknoc/internal/cache"
+	"snacknoc/internal/core"
+	"snacknoc/internal/cpu"
+	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
 	"snacknoc/internal/trace"
+	"snacknoc/internal/traffic"
 )
 
 // Observer is what a RunSpec observes. Tracing, metrics export and
@@ -78,46 +83,126 @@ func RegisterRunMetrics(reg *stats.Registry, rec *attrib.Recorder, tr *trace.Tra
 	}
 }
 
-// Observation is one simulation's share of its spec's Observer: its
-// labelled tracer and attribution recorder, each nil while off.
+// stack is one simulation's layer aggregates: the engine and network of
+// every run, the cache hierarchy and cores of a CMP run, and the SnackNoC
+// platform of a kernel run or a co-run leg. newCMPStack and RunKernel
+// build the runners' stacks; Observe decides which aggregates a run
+// attaches and Record which it registers. The fields are
+// checkpoint.Target's, so a warm baseline converts its stack to one.
+type stack struct {
+	Eng  *sim.Engine
+	Net  *noc.Network
+	Sys  *cache.System
+	Work *cpu.Workload
+	Plat *core.Platform
+}
+
+// newCMPStack builds the CMP simulation a benchmark run, a co-run leg and
+// a warm baseline group run on: the network for cfg, cut into the spec's
+// shards, with utilization sampling on; the cache hierarchy; and prof's
+// cores at scale, seeded with Seed.
+func (s RunSpec) newCMPStack(cfg *noc.Config, prof *traffic.Profile, scale Scale) (stack, error) {
+	eng := sim.NewEngine()
+	net, err := noc.New(eng, s.applyShards(cfg))
+	if err != nil {
+		return stack{}, err
+	}
+	net.EnableSampling(sampleInterval)
+	sys, err := cache.NewSystem(eng, net, cache.DefaultSystemConfig())
+	if err != nil {
+		return stack{}, err
+	}
+	w, err := cpu.NewWorkload(eng, sys, traffic.Scale(prof, float64(scale)), Seed)
+	if err != nil {
+		return stack{}, err
+	}
+	return stack{Eng: eng, Net: net, Sys: sys, Work: w}, nil
+}
+
+// RunKernel runs prog once on a zero-load w×h standalone SnackNoC built
+// on the spec's PlatformConfig, observed under label and capped at
+// MaxRunCycles, and returns the result and the platform it ran on.
+func (s RunSpec) RunKernel(label string, prog *core.Program, w, h int, priority bool) (*core.Result, *core.Platform, error) {
+	eng := sim.NewEngine()
+	plat, err := core.NewStandalone(eng, w, h, priority, s.PlatformConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	obs := s.Observe(label, stack{Eng: eng, Net: plat.Net, Plat: plat})
+	r, err := plat.Run(prog, MaxRunCycles)
+	if err != nil {
+		return nil, nil, err
+	}
+	obs.Record()
+	return r, plat, nil
+}
+
+// Observation is one simulation's share of its spec's Observer: the
+// stack it observes and its labelled tracer and attribution recorder,
+// each nil while off.
 type Observation struct {
 	obs   *Observer
 	label string
+	st    stack
 	tr    *trace.Tracer
 	rec   *attrib.Recorder
 }
 
-// Observe starts observing the simulation on eng: attach installs the
-// run's tracer and recorder on its components — nil while tracing or
-// attribution is off, the disabled value every SetTracer and SetAttrib
-// accepts — and the interval sampler is then registered on eng. Call it
-// once the components are built and before the run, and Record once it
-// has run. With Obs nil it allocates nothing.
-func (s RunSpec) Observe(label string, eng *sim.Engine, attach func(*trace.Tracer, *attrib.Recorder)) Observation {
-	o := Observation{obs: s.Obs, label: label, rec: s.Obs.recorder()}
+// Observe starts observing the simulation st. It installs the run's
+// tracer and recorder on the platform, whose walk covers the mesh and
+// the engine, or on the network and engine of a run without one, and on
+// the cache hierarchy when there is one; the interval sampler is then
+// registered on the engine. Call it once the stack is built and before
+// the run, and Record once it has run. With Obs nil it attaches nothing
+// and allocates nothing.
+func (s RunSpec) Observe(label string, st stack) Observation {
+	o := Observation{obs: s.Obs, label: label, st: st, rec: s.Obs.recorder()}
 	if s.Obs != nil && s.Obs.Trace != nil {
 		o.tr = s.Obs.Trace.NewTracer(label)
 	}
-	attach(o.tr, o.rec)
+	if o.tr == nil && o.rec == nil {
+		return o
+	}
+	if st.Plat != nil {
+		st.Plat.SetTracer(o.tr)
+		st.Plat.SetAttrib(o.rec)
+	} else {
+		st.Net.SetTracer(o.tr)
+		st.Net.SetAttrib(o.rec)
+		st.Eng.SetAttrib(o.rec)
+	}
+	if st.Sys != nil {
+		st.Sys.SetAttrib(o.rec)
+	}
 	if o.rec != nil {
-		// After the SetAttrib walk: the sampler freezes the attached
+		// After the SetAttrib walks: the sampler freezes the attached
 		// reason set.
-		if smp := o.rec.StartSampling(s.Obs.AttribInterval, eng.Settle, o.tr); smp != nil {
-			eng.Register(smp)
+		if smp := o.rec.StartSampling(s.Obs.AttribInterval, st.Eng.Settle, o.tr); smp != nil {
+			st.Eng.Register(smp)
 		}
 	}
 	return o
 }
 
 // Record adds the finished run's snapshot to the export set when metrics
-// or attribution is on: register names the run's own statistics, and the
-// recorder's counters and the tracer's health follow them.
-func (o Observation) Record(register func(*stats.Registry)) {
+// or attribution is on: the statistics of the aggregates Observe
+// attached, the L1 and L2 hit rates of a CMP run, then the recorder's
+// counters and the tracer's health.
+func (o Observation) Record() {
 	if o.obs == nil || !o.obs.Metrics && o.rec == nil {
 		return
 	}
 	reg := stats.NewRegistry()
-	register(reg)
+	if o.st.Plat != nil {
+		o.st.Plat.RegisterMetrics(reg)
+	} else {
+		o.st.Net.RegisterMetrics(reg)
+		o.st.Eng.RegisterMetrics(reg)
+	}
+	if sys := o.st.Sys; sys != nil {
+		reg.AddGauge("cache.l1.hitrate", sys.L1HitRate)
+		reg.AddGauge("cache.l2.hitrate", sys.L2HitRate)
+	}
 	RegisterRunMetrics(reg, o.rec, o.tr)
 	o.obs.record(reg.Snapshot(o.label))
 }

@@ -5,8 +5,9 @@ import (
 	"sort"
 	"testing"
 
-	"snacknoc/internal/attrib"
+	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
+	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/trace"
 	"snacknoc/internal/traffic"
@@ -74,21 +75,32 @@ func TestTraceDisabledByteIdentityCompute(t *testing.T) {
 }
 
 // TestObserveOffAllocatesNothing pins the disabled path every runner
-// takes once per simulation: with no Observer, Observe hands the attach
-// step nil sinks and Record returns without building a registry, so
-// neither allocates.
+// takes once per simulation: with no Observer, Observe attaches nothing
+// to a platform-less CMP stack or to a standalone platform's stack, and
+// Record returns without building a registry, so neither allocates.
 func TestObserveOffAllocatesNothing(t *testing.T) {
+	cmp, err := RunSpec{}.newCMPStack(noc.DAPPER(4, 4), traffic.FMM(), Scale(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := sim.NewEngine()
-	attached := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		obs := RunSpec{}.Observe("run", eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
-			eng.SetAttrib(rec)
-			attached++
+	plat, err := core.NewStandalone(eng, 4, 4, true, core.DefaultPlatformConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		st   stack
+	}{
+		{"cmp", cmp},
+		{"platform", stack{Eng: eng, Net: plat.Net, Plat: plat}},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			RunSpec{}.Observe(tc.name, tc.st).Record()
 		})
-		obs.Record(eng.RegisterMetrics)
-	})
-	if allocs != 0 || attached == 0 {
-		t.Fatalf("Observe+Record with observability off: %v allocations, %d attaches; want 0 and some", allocs, attached)
+		if allocs != 0 {
+			t.Errorf("%s stack: Observe+Record with observability off made %v allocations, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -3,14 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"snacknoc/internal/attrib"
 	"snacknoc/internal/cache"
 	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/noc"
-	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
-	"snacknoc/internal/trace"
 	"snacknoc/internal/traffic"
 )
 
@@ -68,43 +65,17 @@ func (r *BenchRun) BufferSummary() (zeroPct, p99Pct float64) {
 // RunBenchmark executes one Table III benchmark to completion on the
 // given NoC configuration and collects the paper's measurements.
 func (s RunSpec) RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scale) (*BenchRun, error) {
-	cfg = s.applyShards(cfg)
-	eng := sim.NewEngine()
-	net, err := noc.New(eng, cfg)
+	st, err := s.newCMPStack(cfg, prof, scale)
 	if err != nil {
 		return nil, err
 	}
-	net.EnableSampling(sampleInterval)
-	sys, err := cache.NewSystem(eng, net, cache.DefaultSystemConfig())
-	if err != nil {
-		return nil, err
-	}
-	obs := s.Observe(prof.Name+"@"+cfg.Name, eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
-		net.SetTracer(tr)
-		net.SetAttrib(rec)
-		sys.SetAttrib(rec)
-		eng.SetAttrib(rec)
-	})
-	w, err := cpu.NewWorkload(eng, sys, traffic.Scale(prof, float64(scale)), Seed)
-	if err != nil {
-		return nil, err
-	}
-	rt, ok := cpu.Run(eng, w, MaxRunCycles)
+	obs := s.Observe(prof.Name+"@"+cfg.Name, st)
+	rt, ok := cpu.Run(st.Eng, st.Work, MaxRunCycles)
 	if !ok {
 		return nil, fmt.Errorf("experiments: %s on %s did not complete", prof.Name, cfg.Name)
 	}
-	obs.Record(func(reg *stats.Registry) {
-		net.RegisterMetrics(reg)
-		eng.RegisterMetrics(reg)
-		registerHitRates(reg, sys)
-	})
-	return collect(prof.Name, cfg.Name, rt, net, sys), nil
-}
-
-// registerHitRates names a CMP run's L1 and L2 hit rates in reg.
-func registerHitRates(reg *stats.Registry, sys *cache.System) {
-	reg.AddGauge("cache.l1.hitrate", sys.L1HitRate)
-	reg.AddGauge("cache.l2.hitrate", sys.L2HitRate)
+	obs.Record()
+	return collect(prof.Name, cfg.Name, rt, st.Net, st.Sys), nil
 }
 
 func collect(bench, nocName string, rt int64, net *noc.Network, sys *cache.System) *BenchRun {
@@ -136,10 +107,8 @@ func collect(bench, nocName string, rt int64, net *noc.Network, sys *cache.Syste
 	r.XbarMedianPct = stats.Median(xbarMedians)
 	r.LinkMedianPct = stats.Median(linkMedians)
 	r.BufferCDF = bufHist.CDF()
-	if sys != nil {
-		r.L1HitRate = sys.L1HitRate()
-		r.L2HitRate = sys.L2HitRate()
-	}
+	r.L1HitRate = sys.L1HitRate()
+	r.L2HitRate = sys.L2HitRate()
 	return r
 }
 
@@ -270,47 +239,33 @@ func (s RunSpec) runCoRun(spec CoRunSpec, memo *warmMemo) (*CoRunResult, error) 
 	// mode leg 1 forks a checkpointed baseline platform and leg 2 is
 	// memoized (see warm.go). Leg 3 genuinely differs per cell and
 	// always runs cold.
+	var base *legResult
 	if memo != nil {
-		base, err := memo.baselineLeg(spec)
-		if err != nil {
-			return nil, err
-		}
-		res.BaselineRuntime = base.runtime
-		zc, err := memo.zeroLoad(spec, prog)
-		if err != nil {
-			return nil, err
-		}
-		res.ZeroLoadCycles = zc
+		base, err = memo.baselineLeg(spec)
 	} else {
 		// Leg 1: benchmark alone on the snack-capable NoC (RCUs present
 		// but idle), the Fig 12 baseline.
-		baseCfg := noc.SnackPlatform(spec.Width, spec.Height, spec.Priority)
-		base, err := s.runCoRunLeg(baseCfg, spec, nil, nil, cell+"/base")
-		if err != nil {
-			return nil, err
-		}
-		res.BaselineRuntime = base.runtime
+		base, err = s.runCoRunLeg(spec, nil, nil, cell+"/base")
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.BaselineRuntime = base.runtime
 
-		// Leg 2: kernel alone at zero load.
-		zeroEng := sim.NewEngine()
-		zeroPlat, err := core.NewStandalone(zeroEng, spec.Width, spec.Height, spec.Priority, s.PlatformConfig())
+	// Leg 2: kernel alone at zero load.
+	res.ZeroLoadCycles, err = memo.zeroLoad(spec, func() (int64, error) {
+		r, _, err := s.RunKernel(cell+"/zero", prog, spec.Width, spec.Height, spec.Priority)
 		if err != nil {
-			return nil, err
+			return 0, fmt.Errorf("experiments: zero-load %s: %w", spec.Kernel, err)
 		}
-		obs := s.Observe(cell+"/zero", zeroEng, func(tr *trace.Tracer, rec *attrib.Recorder) {
-			zeroPlat.SetTracer(tr)
-			zeroPlat.SetAttrib(rec)
-		})
-		zr, err := zeroPlat.Run(prog, MaxRunCycles)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: zero-load %s: %w", spec.Kernel, err)
-		}
-		res.ZeroLoadCycles = zr.Cycles()
-		obs.Record(zeroPlat.RegisterMetrics)
+		return r.Cycles(), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Leg 3: co-run.
-	co, err := s.runCoRunLeg(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority), spec, prog, res, cell+"/corun")
+	co, err := s.runCoRunLeg(spec, prog, res, cell+"/corun")
 	if err != nil {
 		return nil, err
 	}
@@ -326,30 +281,20 @@ type legResult struct {
 	xbarSeries [][]float64
 }
 
-// runCoRunLeg runs the benchmark, optionally with kernels resubmitted
-// continually. When prog is non-nil, kernel stats accumulate into out.
-func (s RunSpec) runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRunResult, label string) (*legResult, error) {
-	cfg = s.applyShards(cfg)
-	eng := sim.NewEngine()
-	net, err := noc.New(eng, cfg)
+// runCoRunLeg runs the benchmark on the snack-capable NoC, with the
+// kernel resubmitted continually when prog is non-nil; its stats then
+// accumulate into out.
+func (s RunSpec) runCoRunLeg(spec CoRunSpec, prog *core.Program, out *CoRunResult, label string) (*legResult, error) {
+	st, err := s.newCMPStack(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority), spec.Bench, spec.Scale)
 	if err != nil {
 		return nil, err
 	}
-	net.EnableSampling(sampleInterval)
-	sys, err := cache.NewSystem(eng, net, cache.DefaultSystemConfig())
-	if err != nil {
-		return nil, err
-	}
-	w, err := cpu.NewWorkload(eng, sys, traffic.Scale(spec.Bench, float64(spec.Scale)), Seed)
-	if err != nil {
-		return nil, err
-	}
-	var plat *core.Platform
 	if prog != nil {
-		plat, err = core.AttachToSystem(eng, sys, core.DefaultPlatformConfig())
+		st.Plat, err = core.AttachToSystem(st.Eng, st.Sys, core.DefaultPlatformConfig())
 		if err != nil {
 			return nil, err
 		}
+		eng, plat, w := st.Eng, st.Plat, st.Work
 		var kernelCycles int64
 		var resubmit func(r *core.Result)
 		resubmit = func(r *core.Result) {
@@ -369,34 +314,15 @@ func (s RunSpec) runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program
 		}
 		resubmit(nil)
 	}
-	obs := s.Observe(label, eng, func(tr *trace.Tracer, rec *attrib.Recorder) {
-		if plat != nil {
-			plat.SetTracer(tr)
-			plat.SetAttrib(rec)
-		} else {
-			// No platform walk covers the mesh and engine for this leg.
-			net.SetTracer(tr)
-			net.SetAttrib(rec)
-			eng.SetAttrib(rec)
-		}
-		sys.SetAttrib(rec)
-	})
-	if _, ok := cpu.Run(eng, w, MaxRunCycles); !ok {
+	obs := s.Observe(label, st)
+	if _, ok := cpu.Run(st.Eng, st.Work, MaxRunCycles); !ok {
 		return nil, fmt.Errorf("experiments: co-run %s did not complete", spec.Bench.Name)
 	}
-	if plat != nil {
-		out.Offloaded = plat.CPM.Offloaded()
+	if st.Plat != nil {
+		out.Offloaded = st.Plat.CPM.Offloaded()
 	}
-	obs.Record(func(reg *stats.Registry) {
-		if plat != nil {
-			plat.RegisterMetrics(reg)
-		} else {
-			net.RegisterMetrics(reg)
-			eng.RegisterMetrics(reg)
-		}
-		registerHitRates(reg, sys)
-	})
-	return collectLegStats(net, w), nil
+	obs.Record()
+	return collectLegStats(st.Net, st.Work), nil
 }
 
 // collectLegStats reads one finished leg's measurements off the

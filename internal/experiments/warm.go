@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"sync"
 
-	"snacknoc/internal/cache"
 	"snacknoc/internal/checkpoint"
-	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/noc"
-	"snacknoc/internal/sim"
-	"snacknoc/internal/traffic"
 )
 
 // Warm sweeps. The fig12/fig13 co-run matrices repeat two expensive
@@ -79,21 +75,12 @@ type warmKey struct {
 	scale Scale
 }
 
-// warmBase is a built baseline simulation: the platform every fork of
-// the group replays on.
-type warmBase struct {
-	eng *sim.Engine
-	net *noc.Network
-	sys *cache.System
-	w   *cpu.Workload
-}
-
 // warmGroup is one group's warmed platform plus its checkpoint. Forks
 // share the platform instance, so they serialize on mu.
 type warmGroup struct {
 	mu   sync.Mutex
 	err  error
-	base *warmBase
+	base stack
 	snap *checkpoint.State
 }
 
@@ -115,37 +102,26 @@ func (m *warmMemo) baselineLeg(spec CoRunSpec) (*legResult, error) {
 	}
 	g.snap.Restore()
 	b := g.base
-	if !b.w.Done() {
-		if _, ok := b.eng.RunUntil(b.w.Done, MaxRunCycles); !ok {
+	if !b.Work.Done() {
+		if _, ok := b.Eng.RunUntil(b.Work.Done, MaxRunCycles); !ok {
 			return nil, fmt.Errorf("experiments: warm baseline %s did not complete", spec.Bench.Name)
 		}
 	}
-	return collectLegStats(b.net, b.w), nil
+	return collectLegStats(b.Net, b.Work), nil
 }
 
 // build constructs the group's platform (the same way the cold leg
 // does), runs it to the warmup boundary, and checkpoints it.
 func (g *warmGroup) build(run RunSpec, spec CoRunSpec) error {
-	cfg := run.applyShards(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority))
-	eng := sim.NewEngine()
-	net, err := noc.New(eng, cfg)
-	if err != nil {
-		return err
-	}
-	net.EnableSampling(sampleInterval)
-	sys, err := cache.NewSystem(eng, net, cache.DefaultSystemConfig())
-	if err != nil {
-		return err
-	}
-	w, err := cpu.NewWorkload(eng, sys, traffic.Scale(spec.Bench, float64(spec.Scale)), Seed)
+	st, err := run.newCMPStack(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority), spec.Bench, spec.Scale)
 	if err != nil {
 		return err
 	}
 	// A run shorter than the boundary settles at completion instead;
 	// its forks then collect results without stepping another cycle.
-	eng.RunUntil(w.Done, WarmupCycles)
-	g.base = &warmBase{eng: eng, net: net, sys: sys, w: w}
-	g.snap = checkpoint.Take(checkpoint.Target{Eng: eng, Net: net, Sys: sys, Work: w})
+	st.Eng.RunUntil(st.Work.Done, WarmupCycles)
+	g.base = st
+	g.snap = checkpoint.Take(checkpoint.Target(st))
 	return nil
 }
 
@@ -165,26 +141,18 @@ type zeroEntry struct {
 	err    error
 }
 
-// zeroLoad returns the memoized zero-load kernel latency for spec.
-func (m *warmMemo) zeroLoad(spec CoRunSpec, prog *core.Program) (int64, error) {
+// zeroLoad returns the zero-load kernel latency for spec that run
+// measures: once per key in a warm memo, every time in a cold sweep (a
+// nil memo).
+func (m *warmMemo) zeroLoad(spec CoRunSpec, run func() (int64, error)) (int64, error) {
+	if m == nil {
+		return run()
+	}
 	key := zeroKey{
 		kernel: spec.Kernel, dims: spec.Dims, w: spec.Width, h: spec.Height,
 		pri: spec.Priority,
 	}
 	e := memoEntry(&m.mu, m.zeros, key)
-	e.once.Do(func() {
-		zeroEng := sim.NewEngine()
-		zeroPlat, err := core.NewStandalone(zeroEng, spec.Width, spec.Height, spec.Priority, m.run.PlatformConfig())
-		if err != nil {
-			e.err = err
-			return
-		}
-		zr, err := zeroPlat.Run(prog, MaxRunCycles)
-		if err != nil {
-			e.err = fmt.Errorf("experiments: zero-load %s: %w", spec.Kernel, err)
-			return
-		}
-		e.cycles = zr.Cycles()
-	})
+	e.once.Do(func() { e.cycles, e.err = run() })
 	return e.cycles, e.err
 }

@@ -30,9 +30,6 @@ func (d *ALODetector) Congested(cycle int64) bool {
 	return cycle-d.lastBusy < d.hysteresis && d.lastBusy > 0
 }
 
-// FreeVCs exposes the raw measurement for diagnostics.
-func (d *ALODetector) FreeVCs() int { return d.router.FreeOutputVCs(true) }
-
 // SnackALODetector is the same ALO estimator pointed at the snack
 // virtual network: the CPM's overflow management watches the output port
 // that carries the transient-token loop out of its node, because that is

@@ -594,20 +594,6 @@ func (n *Network) AvgPacketLatency(vnet int) float64 {
 	return float64(sum) / float64(count)
 }
 
-// MeshLinkUtils returns the cumulative utilization fraction of every mesh
-// link (excluding local/ejection links), keyed by "router->dir".
-func (n *Network) MeshLinkUtils() map[string]float64 {
-	m := make(map[string]float64)
-	for _, r := range n.rptrs {
-		for d := North; d <= West; d++ {
-			if u := r.LinkUtil(d); u != nil {
-				m[fmt.Sprintf("r%d->%s", r.id, d)] = u.Fraction()
-			}
-		}
-	}
-	return m
-}
-
 // InjectPort lets a compute unit push single-flit snack packets directly
 // into its router's compute input port, subject to credit flow control.
 // Update must be called from the unit's Evaluate on every cycle it

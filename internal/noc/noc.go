@@ -114,6 +114,15 @@ type Config struct {
 // Nodes returns the node count.
 func (c *Config) Nodes() int { return c.Width * c.Height }
 
+// meshSlotBudget bounds the buffer slots Validate lets one mesh plan: a
+// slot is a flit pointer, so 2^26 of them are 512 MB of buffer slab, and
+// the wire queues New sizes beside them grow with the same depths. The
+// largest mesh an experiment builds, the default DSE grid at 256 RCUs
+// (16 VCs of 16 flits in three vnets on a 16x16 mesh), plans 2^20. The
+// budget also keeps each router's slots inside the int32 base and depth
+// its VC rings index them with.
+const meshSlotBudget = 1 << 26
+
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
 	if c.Width < 2 || c.Height < 2 {
@@ -150,9 +159,9 @@ func (c *Config) Validate() error {
 	if c.SnackVNet >= len(c.VNets) {
 		return fmt.Errorf("noc: snack vnet %d out of range", c.SnackVNet)
 	}
-	// A router's VC rings index its buffer slots with int32 base and
-	// depth, so a router's slots (at most five full ports and a compute
-	// port) must fit one. The sum is in float64, which no depth overflows.
+	// New allocates every buffer slot of the mesh up front, so the slots
+	// (at most five full ports and a compute port per router) must fit
+	// meshSlotBudget. The sum is in float64, which no depth overflows.
 	slots := 0.0
 	for i, v := range c.VNets {
 		ports := 5.0
@@ -161,9 +170,9 @@ func (c *Config) Validate() error {
 		}
 		slots += ports * float64(v.VCs) * float64(v.BufDepth)
 	}
-	if slots > math.MaxInt32 {
-		return fmt.Errorf("noc: a router would hold %.0f buffer slots, more than an int32 ring index reaches (%d)",
-			slots, math.MaxInt32)
+	if slots *= float64(c.Nodes()); slots > meshSlotBudget {
+		return fmt.Errorf("noc: a %dx%d mesh would hold %.0f buffer slots, more than the %d a mesh may allocate",
+			c.Width, c.Height, slots, meshSlotBudget)
 	}
 	if c.ComputePort && c.SnackVNet < 0 {
 		return fmt.Errorf("noc: compute port requires a snack vnet")

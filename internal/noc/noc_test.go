@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -77,6 +78,9 @@ func TestConfigValidate(t *testing.T) {
 
 // TestConfigValidateBoundsNodeIDs: a NodeID is an int32, so a mesh with
 // more nodes than that is an error, even where Width*Height overflows.
+// Meshes inside that range but past the buffer budget fail on the budget
+// instead (TestConfigValidateBoundsMemory), so ok names only whether the
+// NodeID check lets the mesh through.
 func TestConfigValidateBoundsNodeIDs(t *testing.T) {
 	cases := []struct {
 		w, h int
@@ -93,8 +97,50 @@ func TestConfigValidateBoundsNodeIDs(t *testing.T) {
 	for _, tc := range cases {
 		c := DAPPER(4, 4)
 		c.Width, c.Height = tc.w, tc.h
-		if err := c.Validate(); (err == nil) != tc.ok {
-			t.Errorf("%dx%d: Validate = %v, want ok=%v", tc.w, tc.h, err, tc.ok)
+		err := c.Validate()
+		if named := err != nil && strings.Contains(err.Error(), "NodeID"); named == tc.ok {
+			t.Errorf("%dx%d: Validate = %v, want NodeID check ok=%v", tc.w, tc.h, err, tc.ok)
+		}
+	}
+	if err := DAPPER(4, 4).Validate(); err != nil {
+		t.Errorf("4x4: %v", err)
+	}
+}
+
+// TestConfigValidateBoundsMemory: New allocates every buffer slot of a
+// mesh up front, so a config that plans more than meshSlotBudget of them
+// is an error before anything is allocated, while every configuration
+// the experiments build stays inside it. Only Validate runs here: New on
+// an oversized config without the budget would try to allocate it.
+func TestConfigValidateBoundsMemory(t *testing.T) {
+	over := []*Config{
+		SnackPlatformCustom(4, 4, true, 2, 10_000_000, 16), // snackdse -grid 'buf=10000000:vc=2:rcu=16'
+		SnackPlatformCustom(16, 16, true, 16, 1<<12, 64),
+		DAPPER(4096, 4096),
+	}
+	for _, c := range over {
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "buffer slots") {
+			t.Errorf("%s %dx%d (%d VCs of %d): Validate = %v, want the buffer budget error",
+				c.Name, c.Width, c.Height, c.VNets[0].VCs, c.VNets[0].BufDepth, err)
+		}
+	}
+	// The presets and the Fig 1 reductions on every Fig 13 and DSE mesh,
+	// and the default DSE grid's router resources at every RCU count.
+	for _, m := range [][2]int{{2, 2}, {4, 2}, {4, 4}, {8, 4}, {8, 8}, {16, 8}, {16, 16}} {
+		w, h := m[0], m[1]
+		ok := []*Config{DAPPER(w, h), AxNoC(w, h), BiNoCHS(w, h), SnackPlatform(w, h, true)}
+		for _, c := range ok[:3] {
+			ok = append(ok, Reduce(c, 2, 1, 1), Reduce(c, 1, 2, 1), Reduce(c, 1, 1, 2))
+		}
+		for _, vcs := range []int{2, 4, 8, 16} {
+			for _, buf := range []int{1, 2, 3, 4, 6, 8, 12, 16} {
+				ok = append(ok, SnackPlatformCustom(w, h, true, vcs, buf, 64))
+			}
+		}
+		for _, c := range ok {
+			if err := c.Validate(); err != nil {
+				t.Errorf("%s %dx%d (%d VCs of %d): %v", c.Name, w, h, c.VNets[0].VCs, c.VNets[0].BufDepth, err)
+			}
 		}
 	}
 }

@@ -288,9 +288,6 @@ func (r *Router) LinkSeries(d Direction) *stats.TimeSeries {
 	return r.outputs[d].series
 }
 
-// ConsumedSnackFlits returns how many snack flits the compute unit consumed.
-func (r *Router) ConsumedSnackFlits() int64 { return r.consumed.Value() }
-
 // attachCompute installs the RCU/CPM hook, caching its optional drain
 // capability so the allocator does not repeat the type assertion per cycle.
 func (r *Router) attachCompute(cu ComputeUnit) {
@@ -373,21 +370,6 @@ func (r *Router) freeOutputVCs(commOnly bool, limit int) int {
 					}
 				}
 			}
-		}
-	}
-	return free
-}
-
-// FreeSnackVCs counts free snack-vnet virtual output channels across the
-// router's mesh output ports.
-func (r *Router) FreeSnackVCs() int {
-	if r.cfg.SnackVNet < 0 {
-		return 0
-	}
-	free := 0
-	for d := North; d <= West; d++ {
-		if r.outputs[d] != nil {
-			free += r.freeSnackOn(r.outputs[d])
 		}
 	}
 	return free

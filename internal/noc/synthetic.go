@@ -123,7 +123,6 @@ const synBuckets = 50
 type synSink struct {
 	received int64
 	latSum   int64
-	latMax   int64
 	hist     stats.Histogram
 }
 
@@ -132,9 +131,6 @@ func (s *synSink) Deliver(p *Packet, cycle int64) {
 	lat := cycle - p.InjectCycle
 	s.received++
 	s.latSum += lat
-	if lat > s.latMax {
-		s.latMax = lat
-	}
 	s.hist.Observe(float64(lat))
 }
 
@@ -182,7 +178,7 @@ func (s *SyntheticInjector) reset(rate float64, seed uint64) {
 	clear(s.counts)
 	for i := range s.sinks {
 		sk := &s.sinks[i]
-		sk.received, sk.latSum, sk.latMax = 0, 0, 0
+		sk.received, sk.latSum = 0, 0
 		sk.hist = stats.MakeHistogram(500, s.counts[i*synBuckets:(i+1)*synBuckets:(i+1)*synBuckets])
 	}
 	s.tape, s.replay, s.replaying = nil, nil, false
@@ -214,15 +210,6 @@ func (s *SyntheticInjector) AvgLatency() float64 {
 		return 0
 	}
 	return float64(sum) / float64(n)
-}
-
-// MaxLatency returns the worst delivered-packet latency.
-func (s *SyntheticInjector) MaxLatency() int64 {
-	var worst int64
-	for i := range s.sinks {
-		worst = max(worst, s.sinks[i].latMax)
-	}
-	return worst
 }
 
 // LoadPoint is one point of a load-latency curve.

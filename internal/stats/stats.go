@@ -3,11 +3,7 @@
 // (Fig 3), scalar counters, and distribution summaries.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "sort"
 
 // Counter is a monotonically increasing event count.
 type Counter struct {
@@ -279,52 +275,4 @@ func Median(vs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// Mean returns the arithmetic mean of vs (0 if empty).
-func Mean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vs {
-		sum += v
-	}
-	return sum / float64(len(vs))
-}
-
-// GeoMean returns the geometric mean of vs, which must all be positive.
-func GeoMean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vs {
-		if v <= 0 {
-			panic(fmt.Sprintf("stats: GeoMean with non-positive value %v", v))
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vs)))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of vs using
-// nearest-rank on a sorted copy (0 if empty).
-func Percentile(vs []float64, p float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return s[rank]
 }

@@ -169,28 +169,6 @@ func TestMedianDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestMeanGeoMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("mean = %v, want 2", got)
-	}
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("geomean = %v, want 2", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	vs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(vs, 50); got != 5 {
-		t.Fatalf("p50 = %v, want 5", got)
-	}
-	if got := Percentile(vs, 100); got != 10 {
-		t.Fatalf("p100 = %v, want 10", got)
-	}
-	if got := Percentile(vs, 0); got != 1 {
-		t.Fatalf("p0 = %v, want 1", got)
-	}
-}
-
 func TestCDFMonotonicProperty(t *testing.T) {
 	// Property: any observation stream yields a non-decreasing CDF that
 	// ends at probability 1.

@@ -85,6 +85,23 @@ if grep -nE '^var|sync\.Map|beginSweepScope|warmDepth' $exp_srcs ||
     exit 1
 fi
 
+# One observed run: which layer aggregates a simulation attaches its
+# tracer and recorder to, and which register its metrics, is decided in
+# internal/experiments/observe.go (RunSpec.Observe, Observation.Record),
+# and the commands run a zero-load kernel through RunSpec.RunKernel. No
+# runner or command hand-wires the observe calls again; the DSE's pooled
+# platforms keep their one attach, and the pool its statistics, until
+# the pool goes.
+echo "== one observed run (experiments observe.go) =="
+obs_srcs=$(find internal/experiments cmd -name '*.go' ! -name '*_test.go' ! -path internal/experiments/observe.go)
+# shellcheck disable=SC2086
+if grep -nE '\.(SetTracer|SetAttrib|RegisterMetrics)\(' $obs_srcs /dev/null |
+    grep -vE '^internal/experiments/dse\.go:[0-9]+:[[:space:]]*(plat\.SetAttrib\(rec\)|pool\.RegisterMetrics\(reg, "dse"\))$' ||
+    grep -rn 'core\.NewStandalone' cmd; then
+    echo "ERROR: observe a run through RunSpec.Observe/Record and run a kernel through RunSpec.RunKernel" >&2
+    exit 1
+fi
+
 echo "== go test ./... =="
 go test ./...
 
@@ -247,6 +264,20 @@ echo "== observability smoke (traced+attributed Reduction kernel) =="
     -attrib -attrib-interval 2000 -metrics "$ci_tmp/metrics.json" >/dev/null 2>/dev/null
 "$ci_tmp/snackscope" check-trace "$ci_tmp/trace.json"
 "$ci_tmp/snackscope" diff "$ci_tmp/metrics.json" results/smoke-metrics.json
+
+# The CMP and co-run observe paths: an attributed, metered and traced
+# FMM run, alone and co-run with Reduction (its /base, /zero and /corun
+# legs), diffed against results/. The snapshots pin which components
+# each run attaches and registers; a snapshot's trace.dropped gauge plus
+# the 4096 events the ring keeps is that tracer's event count.
+echo "== observability pins (FMM; FMM x Reduction vs results/cmp-metrics.json, corun-metrics.json) =="
+"$ci_tmp/snacksim" -bench FMM -scale 0.02 -trace "$ci_tmp/cmp-trace.json" -trace-last 4096 \
+    -attrib -attrib-interval 2000 -metrics "$ci_tmp/cmp-metrics.json" >/dev/null 2>/dev/null
+"$ci_tmp/snacksim" -bench FMM -kernel Reduction -scale 0.02 -trace "$ci_tmp/corun-trace.json" -trace-last 4096 \
+    -attrib -attrib-interval 2000 -metrics "$ci_tmp/corun-metrics.json" >/dev/null 2>/dev/null
+"$ci_tmp/snackscope" check-trace "$ci_tmp/cmp-trace.json" "$ci_tmp/corun-trace.json"
+"$ci_tmp/snackscope" diff "$ci_tmp/cmp-metrics.json" results/cmp-metrics.json
+"$ci_tmp/snackscope" diff "$ci_tmp/corun-metrics.json" results/corun-metrics.json
 
 # A run that fails is the one whose profile is wanted: the profilers are
 # stopped on the error exit too, so the CPU profile is not left empty.
