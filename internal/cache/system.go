@@ -137,13 +137,26 @@ func (s *System) Cfg() SystemConfig { return s.cfg }
 func (s *System) MemNodes() []noc.NodeID { return s.memNodes }
 
 // SetAttrib attaches every L1's event-driven attribution counts to rec
-// (nil attaches nothing). Each L1 first advances its miss integral to
+// (nil returns at once). Each L1 first advances its miss integral to
 // the current cycle, which changes no total; the integral then restarts
 // at that cycle, so an attached recorder reads only the cycles after it.
 func (s *System) SetAttrib(rec *attrib.Recorder) {
+	if rec == nil {
+		return
+	}
+	s.SettleAttrib()
 	for i, l := range s.L1s {
-		l.attribTick()
 		rec.Attach(attrib.KindCache, fmt.Sprintf("l1.%d", i), &l.attrib)
+	}
+}
+
+// SettleAttrib advances every L1's miss-cycle integral to the current
+// cycle, which changes no total. An attribution window read after it
+// counts every outstanding miss up to the boundary, whether the L1s'
+// cores evaluate before or after the reader in that cycle.
+func (s *System) SettleAttrib() {
+	for _, l := range s.L1s {
+		l.attribTick()
 	}
 }
 

@@ -332,8 +332,11 @@ func (p *Platform) SetTracer(t *trace.Tracer) {
 
 // SetAttrib attaches the attribution counts of the whole platform to rec
 // — every router and NI of the mesh, every RCU, every CPM, and the
-// engine (plus its shard sub-engines). A nil recorder attaches nothing.
+// engine (plus its shard sub-engines). A nil recorder returns at once.
 func (p *Platform) SetAttrib(rec *attrib.Recorder) {
+	if rec == nil {
+		return
+	}
 	p.Net.SetAttrib(rec)
 	for _, r := range p.RCUs {
 		rec.Attach(attrib.KindRCU, fmt.Sprintf("rcu%d", r.node), &r.attrib)

@@ -3,12 +3,15 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
 	"snacknoc/internal/attrib"
+	"snacknoc/internal/cache"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/noc"
+	"snacknoc/internal/sim"
 	"snacknoc/internal/trace"
 	"snacknoc/internal/traffic"
 )
@@ -128,6 +131,63 @@ func TestAttribIntervalSampling(t *testing.T) {
 	}
 	if got := trace.DroppedFromJSON(dump); got != int64(dropped) {
 		t.Fatalf("DroppedFromJSON = %d, metric says %v", got, dropped)
+	}
+}
+
+// TestAttribWindowsIgnoreSamplerOrder: the interval sampler's windows do
+// not depend on whether it evaluates before or after the cores in a
+// boundary cycle. Two FMM runs sized and sampled as the
+// results/cmp-metrics.json pin's register the sampler before and after
+// the cores; every attrib.series.* value must be identical, and the
+// cache's miss-cycle windows must have been sampled at all.
+func TestAttribWindowsIgnoreSamplerOrder(t *testing.T) {
+	run := func(samplerFirst bool) map[string]float64 {
+		t.Helper()
+		spec := RunSpec{Obs: &Observer{Attrib: true, AttribInterval: 2000}}
+		cfg, prof := noc.DAPPER(4, 4), traffic.Scale(traffic.FMM(), 0.02)
+		eng := sim.NewEngine()
+		net, err := noc.New(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := cache.NewSystem(eng, net, cache.DefaultSystemConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := stack{Eng: eng, Net: net, Sys: sys}
+		var obs Observation
+		if samplerFirst {
+			obs = spec.Observe("fmm", st)
+		}
+		w, err := cpu.NewWorkload(eng, sys, prof, Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samplerFirst {
+			obs = spec.Observe("fmm", st)
+		}
+		if _, ok := cpu.Run(eng, w, MaxRunCycles); !ok {
+			t.Fatal("FMM did not complete")
+		}
+		obs.Record()
+		series := map[string]float64{}
+		for k, v := range spec.Obs.Snapshots()[0].Values {
+			if strings.HasPrefix(k, "attrib.series.") {
+				series[k] = v
+			}
+		}
+		return series
+	}
+	first, last := run(true), run(false)
+	if first["attrib.series.cache.miss-cycles.samples"] == 0 {
+		t.Fatalf("no cache miss-cycle windows sampled: %v", first)
+	}
+	if !maps.Equal(first, last) {
+		for k, v := range first {
+			if last[k] != v {
+				t.Errorf("%s: %v with the sampler before the cores, %v after", k, v, last[k])
+			}
+		}
 	}
 }
 

@@ -176,8 +176,14 @@ func (s RunSpec) Observe(label string, st stack) Observation {
 	}
 	if o.rec != nil {
 		// After the SetAttrib walks: the sampler freezes the attached
-		// reason set.
-		if smp := o.rec.StartSampling(s.Obs.AttribInterval, st.Eng.Settle, o.tr); smp != nil {
+		// reason set. Its settle hook also brings the L1s' miss integrals
+		// to the boundary, so a window does not depend on whether the
+		// sampler was registered before or after the cores.
+		settle := st.Eng.Settle
+		if st.Sys != nil {
+			settle = func() { st.Eng.Settle(); st.Sys.SettleAttrib() }
+		}
+		if smp := o.rec.StartSampling(s.Obs.AttribInterval, settle, o.tr); smp != nil {
 			st.Eng.Register(smp)
 		}
 	}

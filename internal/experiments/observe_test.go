@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"snacknoc/internal/attrib"
 	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/noc"
@@ -100,6 +101,37 @@ func TestObserveOffAllocatesNothing(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s stack: Observe+Record with observability off made %v allocations, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestNilRecorderWalksAllocateNothing pins the disabled attribution walk
+// a caller makes when it hands every aggregate the nil recorder: the
+// network, platform, cache system and engine return before naming any
+// component, so none allocates. The stacks are cut in two shards, so the
+// engine walk would also name its sub-engines.
+func TestNilRecorderWalksAllocateNothing(t *testing.T) {
+	spec := RunSpec{Shards: 2}
+	cmp, err := spec.newCMPStack(noc.DAPPER(4, 4), traffic.FMM(), Scale(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine()
+	plat, err := core.NewStandalone(eng, 4, 4, true, spec.PlatformConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		walk func(*attrib.Recorder)
+	}{
+		{"Network", cmp.Net.SetAttrib},
+		{"System", cmp.Sys.SetAttrib},
+		{"Engine", cmp.Eng.SetAttrib},
+		{"Platform", plat.SetAttrib},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { tc.walk(nil) }); allocs != 0 {
+			t.Errorf("%s.SetAttrib(nil) made %v allocations, want 0", tc.name, allocs)
 		}
 	}
 }

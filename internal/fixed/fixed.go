@@ -8,8 +8,8 @@
 package fixed
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // FracBits is the number of fractional bits in the Q16.16 format.
@@ -64,8 +64,13 @@ func (q Q) MAC(r, acc Q) Q { return acc.Add(q.Mul(r)) }
 // Neg returns -q.
 func (q Q) Neg() Q { return Q(-int32(q)) }
 
-// String formats the value in decimal with its raw bits.
-func (q Q) String() string { return fmt.Sprintf("%g", q.Float()) }
+// String formats the value in decimal as %g does, the shortest form
+// that reads back to the same float. The digits go to a buffer on the
+// stack, so the returned string is the one allocation.
+func (q Q) String() string {
+	var buf [32]byte
+	return string(strconv.AppendFloat(buf[:0], q.Float(), 'g', -1, 64))
+}
 
 // ApproxEqual reports whether q and r are within eps (a float tolerance)
 // of each other. Fixed-point truncation makes exact float comparisons

@@ -1,7 +1,9 @@
 package fixed
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -133,5 +135,25 @@ func TestApproxEqual(t *testing.T) {
 	}
 	if FromFloat(1.0).ApproxEqual(FromFloat(2.0), 1e-3) {
 		t.Error("distinct values reported equal")
+	}
+}
+
+// TestStringMatchesPercentG holds String to the bytes fmt's %g prints
+// for the same value, over the edges of the format and seeded random
+// bit patterns, and to one allocation, the string itself.
+func TestStringMatchesPercentG(t *testing.T) {
+	qs := []Q{0, One, -One, 1, -1, math.MaxInt32, math.MinInt32}
+	rng := rand.New(rand.NewSource(1))
+	for range 100_000 {
+		qs = append(qs, Q(int32(rng.Uint32())))
+	}
+	for _, q := range qs {
+		if got, want := q.String(), fmt.Sprintf("%g", q.Float()); got != want {
+			t.Fatalf("Q(%d).String() = %q, %%g prints %q", int32(q), got, want)
+		}
+	}
+	q := FromFloat(-1234.56789)
+	if allocs := testing.AllocsPerRun(100, func() { _ = q.String() }); allocs != 1 {
+		t.Errorf("String made %v allocations, want 1", allocs)
 	}
 }

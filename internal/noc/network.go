@@ -90,8 +90,9 @@ func Built() int64 { return built.Load() }
 const stubCredits = 4
 
 // seedIncoming and seedWaiting are the carved capacities of an NI's
-// incoming list and of each of its per-vnet waiting queues.
-const seedIncoming, seedWaiting = 2, 4
+// incoming list and of each of its per-vnet waiting queues; its active
+// list gets one transmission per vnet, and never fewer than seedActive.
+const seedIncoming, seedWaiting, seedActive = 2, 4, 2
 
 // bufHistBuckets is the resolution of the Fig 3 occupancy histogram.
 const bufHistBuckets = 20
@@ -200,7 +201,7 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	n.staged = make([]credit, 2*p.nIn+stubCredits*p.crossing)
 	n.reqSeed = make([]injectReq, nodes*seedIncoming)
 	n.pktSeed = make([]*Packet, nodes*p.nv*seedWaiting)
-	n.txnSeed = make([]txn, nodes*p.nv)
+	n.txnSeed = make([]txn, nodes*max(p.nv, seedActive))
 	n.tables = make([]int32, 3*p.nv+p.nBuckets+p.nIn*p.nv)
 	n.credits = make([]int32, (p.nOut+nodes)*(p.portVCs+p.nv)+2*nodes*p.snackVCs)
 	n.counts = make([]int64, nodes*(bufHistBuckets+2*p.nv))
@@ -349,7 +350,7 @@ func (n *Network) layOut(p *slabPlan) {
 			credits: flat.Carve(&credits, p.portVCs), vcRR: flat.Carve(&credits, p.nv),
 			waiting: flat.Carve(&waiting, p.nv), reasm: flat.Carve(&reasm, p.portVCs),
 			latSum: flat.Carve(&counts, p.nv), latCount: flat.Carve(&counts, p.nv),
-			incoming: flat.Carve(&reqSeed, seedIncoming)[:0], active: flat.Carve(&txnSeed, p.nv)[:0],
+			incoming: flat.Carve(&reqSeed, seedIncoming)[:0], active: flat.Carve(&txnSeed, max(p.nv, seedActive))[:0],
 		}
 		for v := range ni.waiting {
 			ni.waiting[v] = flat.RingOver(flat.Carve(&pktSeed, seedWaiting))
@@ -529,11 +530,14 @@ func (n *Network) SetTracer(t *trace.Tracer) {
 }
 
 // SetAttrib attaches every router's and then every NI's attribution
-// counts to rec (nil attaches nothing). Unlike a tracer the counts are
-// component state, so sharded execution stays parallel: each shard
-// writes only its own components' counts, and the step barrier orders
-// those writes before the root reads them.
+// counts to rec (nil returns at once, naming no component). Unlike a
+// tracer the counts are component state, so sharded execution stays
+// parallel: each shard writes only its own components' counts, and the
+// step barrier orders those writes before the root reads them.
 func (n *Network) SetAttrib(rec *attrib.Recorder) {
+	if rec == nil {
+		return
+	}
 	for i := range n.routers {
 		r := &n.routers[i]
 		rec.Attach(attrib.KindRouter, r.Name(), &r.attrib)

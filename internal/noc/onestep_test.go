@@ -40,27 +40,46 @@ func (r *Router) evaluateStaged(cycle int64) {
 	r.observe(cycle, moves)
 }
 
-// plantLoneFlit gives r the state ingest leaves for one buffered flit on
-// a random input VC that was idle, with random flit kind, destination,
-// loop bit and pipeline eligibility, and randomizes every allocator input
-// the one-step path reads: output credits, busy masks, round-robin
-// pointers and arbitration counters. Sometimes it also leaves an empty
-// VC holding an output VC (a head-only packet awaiting its body), which
-// the one-step path must decline.
-func plantLoneFlit(rng *rand.Rand, r *Router, cycle int64) {
+// Lone-flit states plantLoneFlit draws from.
+const (
+	plantRoute  = iota // a head awaiting route computation
+	plantActive        // a body or tail on a VC that holds an output VC
+	numPlants
+)
+
+// plantLoneFlit gives r one buffered flit on a random input VC that was
+// idle, in state kind, with random destination, loop bit and pipeline
+// eligibility, and randomizes every allocator input the one-step path
+// reads: output credits, busy masks, round-robin pointers and
+// arbitration counters. A plantRoute flit is a single-flit packet, a
+// loop token or the head of a longer packet, on a VC awaiting route
+// computation, as ingest leaves it. A plantActive flit is a body or tail
+// on a VC that holds an output VC, as the head's traversal leaves it.
+// Sometimes it also leaves up to three empty VCs holding output VCs
+// (heads that crossed ahead of their bodies): switch candidates that
+// cannot win. It returns the flit and how many such VCs it left.
+func plantLoneFlit(rng *rand.Rand, r *Router, cycle int64, kind int) (f *Flit, holders int) {
 	idx := int32(rng.Intn(len(r.vcs)))
 	ivc := &r.vcs[idx]
-	f := r.pool.flits.Get()
+	f = r.pool.flits.Get()
 	*f = Flit{
 		PacketID: rng.Uint64(), Type: HeadTailFlit, VNet: ivc.vnet, VC: ivc.vc,
 		Src: NodeID(rng.Intn(r.cfg.Nodes())), Dst: NodeID(rng.Intn(r.cfg.Nodes())),
 		PktFlits: 1, InjectCycle: cycle - int64(rng.Intn(50)),
 		eligibleAt: cycle + int64(rng.Intn(3)) - 1,
 	}
-	// Loop tokens are single-flit packets.
-	if ivc.vnet == r.snackVNet && rng.Intn(2) == 0 {
+	switch {
+	case kind == plantActive:
+		f.PktFlits = 3
+		f.SeqInPkt = 1 + rng.Int31n(2)
+		f.Type = BodyFlit
+		if f.SeqInPkt == 2 {
+			f.Type = TailFlit
+		}
+	case ivc.vnet == r.snackVNet && rng.Intn(2) == 0:
+		// Loop tokens are single-flit packets.
 		f.Loop = true
-	} else if rng.Intn(4) == 0 {
+	case rng.Intn(2) == 0:
 		f.Type, f.PktFlits = HeadFlit, 3
 	}
 	if rng.Intn(3) == 0 {
@@ -69,8 +88,6 @@ func plantLoneFlit(rng *rand.Rand, r *Router, cycle int64) {
 	r.pushBack(ivc, f)
 	ivc.arrived++
 	r.occupancy++
-	ivc.state = vcRoute
-	r.needRoute = append(r.needRoute, idx)
 	// The sender spent the slot the flit occupies.
 	s := &r.inputs[ivc.port].credit
 	if slot := s.base + s.vnetOff[f.VNet] + int32(f.VC); s.to[slot] >= s.depthOf[f.VNet] {
@@ -94,19 +111,38 @@ func plantLoneFlit(rng *rand.Rand, r *Router, cycle int64) {
 	}
 	r.saRound, r.vaPtr = rng.Intn(100), rng.Intn(100)
 
-	if rng.Intn(6) == 0 {
-		// An empty VC of another port holding an output VC.
-		j := int32(rng.Intn(len(r.vcs)))
+	// hold gives VC j output VC c on a random output, as a granted head
+	// leaves it; two VCs never hold one output VC.
+	held := map[[2]int32]bool{}
+	hold := func(j int32) {
 		h := &r.vcs[j]
-		if h.port == ivc.port {
-			return
-		}
 		out := &r.outList[rng.Intn(len(r.outList))]
 		c := int32(rng.Intn(int(r.nvcOf[h.vnet])))
+		if held[[2]int32{int32(out.dir), r.vnetOff[h.vnet] + c}] {
+			return
+		}
+		held[[2]int32{int32(out.dir), r.vnetOff[h.vnet] + c}] = true
 		h.state, h.outPort, h.outVC = vcActive, out.dir, int8(c)
 		out.busy |= 1 << uint(r.vnetOff[h.vnet]+c)
 		r.addSACand(out.dir, int(h.class), j)
 	}
+	if kind == plantActive {
+		hold(idx)
+	} else {
+		ivc.state = vcRoute
+		r.needRoute = append(r.needRoute, idx)
+	}
+	if rng.Intn(3) == 0 {
+		for range 1 + rng.Intn(3) {
+			if j := int32(rng.Intn(len(r.vcs))); r.vcs[j].state == vcIdle {
+				hold(j)
+				if r.vcs[j].state == vcActive {
+					holders++
+				}
+			}
+		}
+	}
+	return f, holders
 }
 
 // TestOneStepMatchesStagedPath drives random lone-flit router states
@@ -115,8 +151,10 @@ func plantLoneFlit(rng *rand.Rand, r *Router, cycle int64) {
 // directly, and requires the same network state (every slab, router and
 // port scalar block, work list, wire queue and series), the same trace
 // records and the same drain offers. It covers the four presets, priority
-// arbitration on and off, tracing on and off, sampled series, head-only
-// and head-and-tail packets, and the CPM's router with loop tokens.
+// arbitration on and off, tracing on and off, sampled series, a head
+// awaiting route (single-flit, loop token, or the head of a longer
+// packet), a body or tail on a VC holding an output VC, empty VCs
+// holding output VCs beside either, and the CPM's router.
 func TestOneStepMatchesStagedPath(t *testing.T) {
 	presets := []func(w, h int) *Config{
 		DAPPER, AxNoC, BiNoCHS,
@@ -153,7 +191,10 @@ func checkOneStep(t *testing.T, cfg *Config, traced bool, trials int) {
 	}
 	clean := net.SnapshotState(nil)
 	rng := rand.New(rand.NewSource(int64(len(cfg.Name))*31 + int64(cfg.RouterLatency)))
-	var took, declined, offers int
+	// took counts one-step moves by the lone flit's position in its
+	// packet: a whole packet, the head of a longer one, a body or tail.
+	var took [3]int
+	var declined, offers, tookPastHolders int
 	for trial := range trials {
 		net.RestoreState(clean, nil)
 		id := NodeID(rng.Intn(cfg.Nodes()))
@@ -162,7 +203,14 @@ func checkOneStep(t *testing.T, cfg *Config, traced bool, trials int) {
 		}
 		r := net.Router(id)
 		cycle := int64(100 + rng.Intn(100))
-		plantLoneFlit(rng, r, cycle)
+		f, holders := plantLoneFlit(rng, r, cycle, trial%numPlants)
+		pos := 2
+		if f.IsHead() {
+			pos = 0
+			if !f.IsTail() {
+				pos = 1
+			}
+		}
 		cpm.drain = rng.Intn(2) == 0
 		before := net.SnapshotState(nil)
 
@@ -176,7 +224,10 @@ func checkOneStep(t *testing.T, cfg *Config, traced bool, trials int) {
 			switch {
 			case oneStep && r.occupancy == 1 && r.oneStep(cycle):
 				r.observe(cycle, 1)
-				took++
+				took[pos]++
+				if holders > 0 {
+					tookPastHolders++
+				}
 			case oneStep:
 				r.evaluateStaged(cycle)
 				declined++
@@ -203,9 +254,11 @@ func checkOneStep(t *testing.T, cfg *Config, traced bool, trials int) {
 			t.Fatalf("trial %d (router %d): %d drain offers on the one-step path, %d staged", trial, id, fastOffers, stagedOffers)
 		}
 	}
-	// Both branches must be exercised, or the comparison proves nothing.
-	if took < trials/5 || declined < trials/5 {
-		t.Fatalf("one-step path taken in %d and declined in %d of %d trials; want at least %d each", took, declined, trials, trials/5)
+	// Both branches must be exercised, in every state the one-step path
+	// takes, or the comparison proves nothing.
+	if min(took[0], took[1], took[2]) < trials/20 || declined < trials/5 || tookPastHolders < trials/20 {
+		t.Fatalf("one-step path taken %v times (whole packet, head, body or tail; %d of them past empty holders) and declined %d times in %d trials; want at least %d, %d, and %d",
+			took, tookPastHolders, declined, trials, trials/20, trials/20, trials/5)
 	}
 	if cfg.SnackVNet >= 0 && offers == 0 {
 		t.Fatal("no loop token was offered to the CPM's drainer")

@@ -419,22 +419,34 @@ func (r *Router) Evaluate(cycle int64) {
 	r.observe(cycle, moves)
 }
 
-// oneStep is the zero-load fast path. When the router's one buffered
-// flit is a single-flit packet at the head of a VC awaiting route
-// computation, no other VC waits for or holds an output VC, the flit is
-// eligible this cycle, it is not a loop token the drainer would be
-// offered, and its route has a free output VC with a downstream credit,
-// oneStep routes, allocates and traverses it in one straight-line step.
-// It leaves exactly the state and trace records that routeCompute,
-// allocateVCs and allocateSwitch leave for that flit; in any other state
-// it changes nothing and reports false.
+// oneStep is the zero-load fast path. When the router holds one
+// buffered flit, no VC waits for an output VC, and the flit is eligible
+// this cycle, oneStep moves it in one straight-line step in two states:
+//
+//   - the flit heads a packet on a VC awaiting route computation, is not
+//     a loop token the drainer would be offered, and its route has a
+//     free output VC with a downstream credit: oneStep routes, allocates
+//     and traverses it;
+//   - the flit is a body or tail on a VC that holds an output VC with a
+//     downstream credit: oneStep traverses it.
+//
+// Other VCs may hold output VCs with no flit buffered; they are switch
+// candidates that cannot win, but under the plain arbiter their outputs
+// still advance their pointers, and oneStep does the same. It leaves
+// exactly the state and trace records that routeCompute, allocateVCs
+// and allocateSwitch leave for the flit; in any other state it changes
+// nothing and reports false.
 func (r *Router) oneStep(cycle int64) bool {
-	if len(r.needRoute) != 1 || len(r.waitVA) != 0 || r.saMask[classComm]|r.saMask[classSnack] != 0 {
+	if len(r.waitVA) != 0 {
 		return false
 	}
-	ivc := &r.vcs[r.needRoute[0]]
+	if len(r.needRoute) != 1 {
+		return r.oneStepActive(cycle)
+	}
+	idx := r.needRoute[0]
+	ivc := &r.vcs[idx]
 	f := r.front(ivc)
-	if !f.IsHead() || !f.IsTail() || f.eligibleAt > cycle ||
+	if !f.IsHead() || f.eligibleAt > cycle ||
 		(r.drainer != nil && ivc.vnet == r.snackVNet && f.Loop) {
 		return false
 	}
@@ -449,43 +461,82 @@ func (r *Router) oneStep(cycle int64) bool {
 	if c < 0 || out.credits[off+c] <= 0 {
 		return false
 	}
-	// Route and VC grant. The tail's traversal releases the output VC in
-	// the same cycle, so its busy bit and switch candidacy net to nothing.
+	// Route and VC grant. A single-flit packet's traversal releases the
+	// output VC in the same cycle, so its busy bit and switch candidacy
+	// net to nothing; a longer packet keeps both.
 	r.needRoute = r.needRoute[:0]
 	r.vaPtr++
 	out.vcRR[vn] = c + 1
-	ivc.outPort, ivc.outVC = d, int8(c)
+	ivc.outPort, ivc.outVC, ivc.state = d, int8(c), vcActive
 	if r.tr != nil {
 		rec := r.flitRecord(trace.KindVCAlloc, cycle, cycle, f, d)
 		rec.VC = int8(c)
 		r.tr.Emit(rec)
 	}
-	// Switch allocation: the lone candidate wins its output.
-	if r.cfg.PriorityArb {
-		r.saRound++
-	} else {
-		r.saPtr[d]++
+	tail := f.IsTail()
+	if !tail {
+		out.busy |= 1 << uint(off+c)
+		r.addSACand(d, int(ivc.class), idx)
 	}
-	// Traversal, as traverse does it for a tail flit leaving its VC empty.
-	r.popFront(ivc)
-	r.occupancy--
-	ivc.state = vcIdle
-	r.classMoves[ivc.class].Inc()
-	if r.tr != nil {
-		rec := r.flitRecord(trace.KindSwitch, cycle, f.eligibleAt-r.routerLatM1, f, d)
-		rec.VC = int8(c)
-		r.tr.Emit(rec)
-	}
-	f.VC = int8(c)
-	out.credits[off+c]--
-	out.staged = f
-	r.stagedCount++
-	r.stagedCredits = append(r.stagedCredits, credit{port: ivc.port, vnet: ivc.vnet, vc: ivc.vc})
-	out.linkBusy.Inc()
-	if out.series != nil {
-		out.series.MarkBusy()
+	r.soleGrant(d)
+	r.cross(d, ivc, cycle)
+	if tail {
+		ivc.state = vcIdle
 	}
 	return true
+}
+
+// oneStepActive is oneStep for a router with nothing on needRoute: its
+// one flit, if a body or tail on a VC that holds an output VC, crosses
+// when it is eligible and its output VC has a downstream credit.
+func (r *Router) oneStepActive(cycle int64) bool {
+	idx := r.loneActiveVC()
+	if idx < 0 {
+		return false
+	}
+	ivc := &r.vcs[idx]
+	d := ivc.outPort
+	bit := uint(r.vnetOff[ivc.vnet] + int32(ivc.outVC))
+	if r.front(ivc).eligibleAt > cycle || r.outputs[d].credits[bit] <= 0 {
+		return false
+	}
+	r.soleGrant(d)
+	if r.cross(d, ivc, cycle).IsTail() {
+		ivc.state = vcIdle
+		r.outputs[d].busy &^= 1 << bit
+		r.removeSACand(d, int(ivc.class), idx)
+	}
+	return true
+}
+
+// soleGrant advances the switch arbiter as allocateSwitch does when the
+// one flit it can move wins output d: the shared round under priority
+// arbitration, or else the pointer of every output with candidates, d
+// among them.
+func (r *Router) soleGrant(d Direction) {
+	if r.cfg.PriorityArb {
+		r.saRound++
+		return
+	}
+	for m := r.saMask[classComm] | r.saMask[classSnack] | 1<<uint(d); m != 0; m &= m - 1 {
+		r.saPtr[bits.TrailingZeros32(m)]++
+	}
+}
+
+// loneActiveVC returns the vcs index of the switch candidate holding a
+// flit, or -1. On a router that buffers one flit and has no VC awaiting
+// route computation or an output VC, that is the lone flit's VC.
+func (r *Router) loneActiveVC() int32 {
+	for cl := range r.saMask {
+		for m := r.saMask[cl]; m != 0; m &= m - 1 {
+			for _, idx := range r.saCand[bits.TrailingZeros32(m)][cl] {
+				if r.vcs[idx].count > 0 {
+					return idx
+				}
+			}
+		}
+	}
+	return -1
 }
 
 // Advance commits staged flits to their wires and credits to their sinks.
@@ -709,8 +760,28 @@ func (r *Router) allocateSwitch(cycle int64) int {
 // traverse moves the winning VC's head flit through the crossbar toward
 // output d, handling credits, VC release, and statistics.
 func (r *Router) traverse(d Direction, win int32, cycle int64, granted *[numDirections]bool) {
-	out := r.outputs[d]
 	ivc := &r.vcs[win]
+	f := r.cross(d, ivc, cycle)
+	granted[ivc.port] = true
+	if f.IsTail() {
+		r.outputs[d].busy &^= 1 << uint(r.vnetOff[ivc.vnet]+int32(ivc.outVC))
+		r.removeSACand(d, int(ivc.class), win)
+		if ivc.count > 0 {
+			// The next packet's head is already queued.
+			ivc.state = vcRoute
+			r.needRoute = append(r.needRoute, win)
+		} else {
+			ivc.state = vcIdle
+		}
+	}
+}
+
+// cross moves ivc's front flit through the crossbar onto its output VC
+// on output d: the credit it spends, the credit it returns upstream, the
+// staged flit, and the class, link and trace records of the move. It
+// returns the flit.
+func (r *Router) cross(d Direction, ivc *inputVC, cycle int64) *Flit {
+	out := r.outputs[d]
 	f := r.popFront(ivc)
 	r.occupancy--
 	r.classMoves[ivc.class].Inc()
@@ -726,22 +797,11 @@ func (r *Router) traverse(d Direction, win int32, cycle int64, granted *[numDire
 	out.staged = f
 	r.stagedCount++
 	r.stagedCredits = append(r.stagedCredits, credit{port: ivc.port, vnet: ivc.vnet, vc: ivc.vc})
-	granted[ivc.port] = true
-	if f.IsTail() {
-		out.busy &^= 1 << uint(r.vnetOff[ivc.vnet]+int32(ivc.outVC))
-		r.removeSACand(d, int(ivc.class), win)
-		if ivc.count > 0 {
-			// The next packet's head is already queued.
-			ivc.state = vcRoute
-			r.needRoute = append(r.needRoute, win)
-		} else {
-			ivc.state = vcIdle
-		}
-	}
 	out.linkBusy.Inc()
 	if out.series != nil {
 		out.series.MarkBusy()
 	}
+	return f
 }
 
 // pickSwitchWinner selects the input VC (by vcs index) that wins output

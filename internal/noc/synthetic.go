@@ -248,11 +248,17 @@ type ProbePoint struct {
 // order. Every point equals a fresh single-rate LoadLatencyCurve on its
 // own configuration, bit for bit; cfg itself is not modified.
 //
-// It builds one network for all of them. The channel width shapes no part
-// of a network — New sizes nothing from it (TestNetworkShapeIgnoresChannelWidth)
-// and only NI injection reads it, through FlitsFor — so the network is
-// built once on a private copy of cfg, snapshotted while pristine, and
-// restored before each later point, whose width is then set on the copy.
+// It builds one network for all of them, on a private copy of cfg that
+// keeps only the request vnet: the probe's packets travel on VNetReq
+// alone, and no LoadPoint field can observe a router's other vnets, its
+// snack class or its compute port, so the copy drops them (SnackVNet -1,
+// ComputePort false) and the network holds one vnet's buffers instead
+// of two or three (TestLoadLatencyPointsMatchFullNetwork). The
+// channel width shapes no part of a network either — New sizes nothing
+// from it (TestNetworkShapeIgnoresChannelWidth) and only NI injection
+// reads it, through FlitsFor — so the network is built once,
+// snapshotted while pristine, and restored before each later point,
+// whose width is then set on the copy.
 // A single point takes no snapshot, and the last point runs after the
 // snapshot is released. The injector is reset per point. A rate an
 // earlier point already ran replays that point's draws instead of
@@ -265,6 +271,12 @@ func LoadLatencyPoints(cfg *Config, pattern Pattern, points []ProbePoint, sizeBy
 	}
 	own := *cfg
 	own.ChannelWidthBytes = points[0].ChannelWidthBytes
+	// The full configuration must be valid, as if the probe built it.
+	if err := own.Validate(); err != nil {
+		return nil, err
+	}
+	own.VNets = []VNetConfig{cfg.VNets[VNetReq]}
+	own.SnackVNet, own.ComputePort = -1, false
 	eng := sim.NewEngine()
 	net, err := New(eng, &own)
 	if err != nil {

@@ -255,11 +255,14 @@ func (e *Engine) Reserve(n int) {
 func (e *Engine) Cycle() int64 { return e.cycle }
 
 // SetAttrib attaches the per-engine evaluation-volume counts to rec (nil
-// attaches nothing): this engine's ("engine") plus one per shard
+// returns at once): this engine's ("engine") plus one per shard
 // sub-engine ("engine.shardK"). Call it after Partition. The per-engine
 // split depends on the shard count; only the layer total (awake
 // component-evaluations per run) is shard-invariant.
 func (e *Engine) SetAttrib(rec *attrib.Recorder) {
+	if rec == nil {
+		return
+	}
 	rec.Attach(attrib.KindEngine, "engine", &e.attrib)
 	for i, s := range e.subs {
 		rec.Attach(attrib.KindEngine, fmt.Sprintf("engine.shard%d", i), &s.attrib)

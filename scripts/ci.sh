@@ -318,9 +318,11 @@ echo "attribution smoke: byte-identical"
 # kernels_zero_load: the kernel lifecycle (compile -> submit -> fetch ->
 # issue -> retire) is slab- and pool-fed and the platform is built from
 # slabs, so one pass — eight compiled-and-run kernels, ~300k
-# instructions — stays under 20000 allocations (16.8k when this was
-# written, 35.6k before the network was slab-built); a per-instruction
-# allocation anywhere on that path costs 300k.
+# instructions — stays under 12800 allocations (11.2k when this bound
+# was set; 16.4k while a nil attribution walk still formatted every
+# component label and fixed.Q.String went through fmt, 35.6k before the
+# network was slab-built); a per-instruction allocation anywhere on that
+# path costs 300k.
 #
 # dse_fork_sweep: a DSE cell is mostly set-up — a platform build, its
 # pristine snapshot, a probe-mesh build — and the network, the RCUs and
@@ -369,9 +371,11 @@ echo "attribution smoke: byte-identical"
 # and a flit is one 64-byte line, so a kernels pass stays under 16 MB
 # (12.7 when this was written; 24.8 with a 56-byte token per
 # instruction; 36.7 with 80-byte tokens in chunked slabs behind 16-byte
-# pointer-pair entries) and a DSE pass under 38 MB (33.8 with legs shared across
-# channel widths; 61.7 with two legs per cell, 67.3 with 80-byte
-# tokens). The grep below keeps the slab and the token pointers out of
+# pointer-pair entries) and a DSE pass under 15 MB (13.5 when this bound
+# was set, with the zero-load probe's network holding only the request
+# vnet; 17.4 with all three vnets and the compute ports; 33.8 before
+# legs were shared across channel widths; 61.7 with two legs per cell,
+# 67.3 with 80-byte tokens). The grep below keeps the slab and the token pointers out of
 # the compiled program.
 #
 # bench_bound <workload> <trace: 0 end to end, 1 per layer> <metric> <max>
@@ -392,7 +396,7 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 20000, dse_fork_sweep <= 6500, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 16, dse_fork_sweep <= 22, mesh_saturation <= 3.8; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 12800, dse_fork_sweep <= 6500, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 16, dse_fork_sweep <= 15, mesh_saturation <= 3.8; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
 if grep -n '\.Schedule(\|\.ScheduleAfter(' $(ls internal/cache/*.go internal/mem/*.go | grep -v _test.go); then
     echo "ERROR: internal/cache and internal/mem file typed events (ScheduleCall), not closures" >&2
     exit 1
@@ -422,13 +426,13 @@ if grep -n '\*attrib\.Counters\|CountersState\|\.at != nil' $attrib_src ||
     echo "ERROR: components count attribution in their own state; only Network, Platform, System and Engine attach probes" >&2
     exit 1
 fi
-bench_bound kernels_zero_load 0 allocs_per_pass 20000
+bench_bound kernels_zero_load 0 allocs_per_pass 12800
 bench_bound dse_fork_sweep 0 allocs_per_pass 6500
 bench_bound mesh_saturation 0 allocs_per_pass 3000
 bench_bound cmp_sparse_traffic 0 allocs_per_pass 25000
 bench_bound corun_interference 0 allocs_per_pass 10000
 bench_bound kernels_zero_load 0 alloc_mb_per_pass 16
-bench_bound dse_fork_sweep 0 alloc_mb_per_pass 22
+bench_bound dse_fork_sweep 0 alloc_mb_per_pass 15
 bench_bound mesh_saturation 0 alloc_mb_per_pass 3.8
 bench_bound cmp_sparse_traffic 1 sim.evals_per_cycle 8.5
 bench_bound kernels_zero_load 1 sim.evals_per_cycle 8
