@@ -10,8 +10,7 @@
 //	snackdse -grid buf=1,2,4:chan=16,32:vc=2,4:rcu=16 -j 4
 //	snackdse -kernels SGEMM,MAC -dims smoke -out results/dse.txt
 //
-// The rendered report is byte-identical for any -j and -shards value
-// and whether or not platforms are pool-recycled; the number of kernel
+// The rendered report is byte-identical for any -j value and whether or not platforms are pool-recycled; the number of kernel
 // legs simulated and wall-clock throughput (cells/second, pool hit/miss
 // traffic) go to stderr only.
 package main
@@ -29,7 +28,7 @@ import (
 )
 
 func main() {
-	c := cli.New("snackdse", cli.Jobs|cli.Shards|cli.Priority|cli.Metrics|cli.Attrib)
+	c := cli.New("snackdse", cli.Jobs|cli.Priority|cli.Metrics|cli.Attrib)
 	grid := flag.String("grid", "", "axes as buf=..:chan=..:vc=..:rcu=.. with comma-separated values (default: the 256-cell standard grid)")
 	kernelList := flag.String("kernels", "", "comma-separated kernel subset (default: all four Table III kernels)")
 	dims := flag.String("dims", "default", "kernel input sizes: default, paper, or smoke")

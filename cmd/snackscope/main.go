@@ -6,8 +6,8 @@
 //	snackscope -kernel SGEMM -mesh 4x4        # run a kernel live and report it
 //
 // The report is a pure function of the counters, so for a fixed kernel,
-// mesh, and dims the output is byte-identical across runs, -shards
-// values, and machines — scripts/ci.sh pins a golden copy.
+// mesh, and dims the output is byte-identical across runs and machines —
+// scripts/ci.sh pins a golden copy.
 //
 // Two subcommands check the files themselves:
 //
@@ -46,7 +46,7 @@ func main() {
 			os.Exit(sub(os.Args[2:], os.Stdout, os.Stderr))
 		}
 	}
-	c := cli.New("snackscope", cli.Shards|cli.Priority)
+	c := cli.New("snackscope", cli.Priority)
 	metricsPath := flag.String("metrics", "", "fold attribution counters out of this metrics JSON (written with -attrib -metrics)")
 	kernel := flag.String("kernel", "", "run this SnackNoC kernel live: SGEMM, Reduction, MAC, SPMV")
 	mesh := flag.String("mesh", "4x4", "mesh dimensions WxH for -kernel")

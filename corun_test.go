@@ -1,10 +1,7 @@
 package snacknoc_test
 
 import (
-	"bytes"
 	"math"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -38,39 +35,24 @@ func TestCoRunAPI(t *testing.T) {
 	}
 }
 
-// TestCoRunRejectsBadScale: a scale that is not positive and finite is an
-// error, not a silent full-length run; 0.25 runs (TestCoRunAPI).
 // TestCoRunIgnoresBenchmarkDefaults: CoRun runs under the zero
 // experiments.RunSpec, whatever else the process has set. With the
-// experiments package's benchmark default attributing, recording
-// metrics and cutting meshes into two shards, a co-run records no
-// snapshot there, and no goroutine blocks in a sharded engine's
-// per-cycle barrier (the block profile would show runShards).
+// experiments package's benchmark default attributing and recording
+// metrics, a co-run records no snapshot there.
 func TestCoRunIgnoresBenchmarkDefaults(t *testing.T) {
-	experiments.SetShards(2)
 	experiments.EnableAttribution(0)
 	experiments.EnableMetrics()
-	runtime.SetBlockProfileRate(1)
-	t.Cleanup(func() {
-		runtime.SetBlockProfileRate(0)
-		experiments.SetShards(0)
-		experiments.DisableObservability()
-	})
+	t.Cleanup(experiments.DisableObservability)
 	if _, err := snacknoc.CoRun("FMM", snacknoc.Reduction, 0.02); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(experiments.MetricsSnapshots()); n != 0 {
 		t.Errorf("CoRun recorded %d snapshots into the benchmark default's Observer", n)
 	}
-	var prof bytes.Buffer
-	if err := pprof.Lookup("block").WriteTo(&prof, 1); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(prof.String(), "runShards") {
-		t.Error("CoRun ran a sharded engine under the benchmark default's shard count")
-	}
 }
 
+// TestCoRunRejectsBadScale: a scale that is not positive and finite is an
+// error, not a silent full-length run; 0.25 runs (TestCoRunAPI).
 func TestCoRunRejectsBadScale(t *testing.T) {
 	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		if rep, err := snacknoc.CoRun("CoMD", snacknoc.Reduction, scale); err == nil || rep != nil {

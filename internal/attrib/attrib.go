@@ -31,8 +31,9 @@ type Kind uint8
 // "MSHR full" stall to count; instead the layer records allocation
 // volume, an occupancy-weighted miss-outstanding integral, and the
 // high-water mark). Engine counters are per-step component-evaluation
-// volume — a deterministic load proxy per shard; wall-clock barrier
-// wait is nondeterministic and is measured with -blockprofile instead.
+// volume — a deterministic load proxy per shard of a bare sharded
+// network; wall-clock barrier wait is nondeterministic and is not
+// counted.
 const (
 	KindRouter Kind = iota
 	KindNI

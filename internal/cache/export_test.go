@@ -4,15 +4,11 @@ import "fmt"
 
 // CheckDrained is the drain-conservation check (ROADMAP 6e, cache half):
 // on a system that has run to quiescence without a checkpoint restore,
-// every pooled message is back in a pool, every home transaction slot
+// every pooled message is back in the pool, every home transaction slot
 // and every parked-event slot is free, and no L1 has a miss outstanding.
 // It returns the first leak found.
 func (s *System) CheckDrained() error {
-	out := 0
-	for _, p := range s.pools {
-		out += p.Out()
-	}
-	if out != 0 {
+	if out := s.pool.Out(); out != 0 {
 		return fmt.Errorf("cache: %d pooled messages outstanding at drain", out)
 	}
 	for i, l := range s.L1s {

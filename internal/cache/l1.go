@@ -6,7 +6,6 @@ import (
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/flat"
 	"snacknoc/internal/noc"
-	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
 )
 
@@ -60,11 +59,6 @@ type parkedAccess struct {
 type L1 struct {
 	sys  *System
 	node int
-	// eng is the engine of the shard this node lives on; all L1 events
-	// must be scheduled here so sharded runs never touch the root wheel
-	// from a shard goroutine.
-	eng  *sim.Engine
-	pool *flat.Pool[Msg]
 
 	// fill scratch: waiters and retries are copied here before their
 	// MSHR is released, so callbacks that recursively Access (and
@@ -100,12 +94,9 @@ type l1State struct {
 }
 
 func newL1(sys *System, node int) *L1 {
-	eng := sys.Net.EngFor(noc.NodeID(node))
 	l := &L1{
 		sys:     sys,
 		node:    node,
-		eng:     eng,
-		pool:    sys.poolFor(eng),
 		l1State: l1State{cache: *NewCache(sys.cfg.L1Bytes, sys.cfg.L1Ways), mshrFree: -1},
 	}
 	for i := range l.mshrHead {
@@ -171,7 +162,7 @@ func (l *L1) mshrAlloc(block uint64, write bool) *mshrEntry {
 // every mshrN change so each interval is weighted by the count that
 // held across it.
 func (l *L1) attribTick() {
-	now := l.eng.Cycle()
+	now := l.sys.Eng.Cycle()
 	l.attrib.Add(attrib.CacheMissCycles, (now-l.attribLast)*int64(l.mshrN))
 	l.attribLast = now
 }
@@ -224,7 +215,7 @@ func (l *L1) access(block uint64, write bool, w waiter) bool {
 
 // park files p's event delay cycles on.
 func (l *L1) park(delay int64, p parkedAccess) {
-	l.eng.ScheduleCall(l.eng.Cycle()+delay, l, int64(l.parked.Park(p)))
+	l.sys.Eng.ScheduleCall(l.sys.Eng.Cycle()+delay, l, int64(l.parked.Park(p)))
 }
 
 // OnCall implements sim.Callee: the parked access in slot is due.
@@ -250,7 +241,7 @@ func (l *L1) AccessFast(block uint64, write bool, onMiss func(cycle int64)) bool
 
 func (l *L1) missPath(block uint64, write bool, w waiter) bool {
 	l.misses.Inc()
-	start := l.eng.Cycle()
+	start := l.sys.Eng.Cycle()
 	w.starts += start
 	w.misses++
 	if n := l.mshrFind(block); n >= 0 {
@@ -270,7 +261,7 @@ func (l *L1) missPath(block uint64, write bool, w waiter) bool {
 	if write {
 		t = GetX
 	}
-	req := l.pool.Get()
+	req := l.sys.pool.Get()
 	req.Type, req.To, req.Block, req.Req = t, RoleL2, block, l.nodeID()
 	send(l.sys.Net, l.nodeID(), l.sys.Home(block), req, start)
 	return false
@@ -302,7 +293,7 @@ func (l *L1) handle(m *Msg, cycle int64) {
 		l.mshrRelease(m.Block, n)
 		writable := m.Type == DataRespX
 		if v, evicted := l.cache.Fill(m.Block, writable, wasWrite); evicted && v.Dirty {
-			wb := l.pool.Get()
+			wb := l.sys.pool.Get()
 			wb.Type, wb.To, wb.Block, wb.Req = PutData, RoleL2, v.Block, l.nodeID()
 			send(l.sys.Net, l.nodeID(), l.sys.Home(v.Block), wb, cycle)
 		}
@@ -315,26 +306,26 @@ func (l *L1) handle(m *Msg, cycle int64) {
 
 	case Recall:
 		_, dirty := l.cache.Downgrade(m.Block)
-		ack := l.pool.Get()
+		ack := l.sys.pool.Get()
 		ack.Type, ack.To, ack.Block, ack.Req, ack.WithData = RecallAck, RoleL2, m.Block, m.Req, dirty
 		send(l.sys.Net, l.nodeID(), l.sys.Home(m.Block), ack, cycle)
 
 	case RecallInv:
 		_, dirty := l.cache.Invalidate(m.Block)
-		ack := l.pool.Get()
+		ack := l.sys.pool.Get()
 		ack.Type, ack.To, ack.Block, ack.Req, ack.WithData = RecallAck, RoleL2, m.Block, m.Req, dirty
 		send(l.sys.Net, l.nodeID(), l.sys.Home(m.Block), ack, cycle)
 
 	case Inv:
 		l.cache.Invalidate(m.Block)
-		ack := l.pool.Get()
+		ack := l.sys.pool.Get()
 		ack.Type, ack.To, ack.Block, ack.Req = InvAck, RoleL2, m.Block, m.Req
 		send(l.sys.Net, l.nodeID(), l.sys.Home(m.Block), ack, cycle)
 
 	default:
 		panic(fmt.Sprintf("l1 %d: unexpected message %s", l.node, m.Type))
 	}
-	l.pool.Put(m)
+	l.sys.pool.Put(m)
 }
 
 func (l *L1) nodeID() noc.NodeID { return noc.NodeID(l.node) }

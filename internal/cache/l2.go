@@ -5,7 +5,6 @@ import (
 
 	"snacknoc/internal/flat"
 	"snacknoc/internal/noc"
-	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
 )
 
@@ -38,10 +37,6 @@ type l2txn struct {
 type L2Bank struct {
 	sys  *System
 	node noc.NodeID
-	// eng is the shard engine of the bank's node; lookup-latency events
-	// are filed here so sharded runs stay race-free.
-	eng  *sim.Engine
-	pool *flat.Pool[Msg]
 
 	l2State
 }
@@ -63,12 +58,9 @@ type l2State struct {
 }
 
 func newL2Bank(sys *System, node noc.NodeID) *L2Bank {
-	eng := sys.Net.EngFor(node)
 	return &L2Bank{
 		sys:     sys,
 		node:    node,
-		eng:     eng,
-		pool:    sys.poolFor(eng),
 		l2State: l2State{cache: *NewCache(sys.cfg.L2BankBytes, sys.cfg.L2Ways)},
 	}
 }
@@ -169,7 +161,7 @@ func (b *L2Bank) handle(m *Msg, cycle int64) {
 	default:
 		panic(fmt.Sprintf("l2 %d: unexpected message %s", b.node, m.Type))
 	}
-	b.pool.Put(m)
+	b.sys.pool.Put(m)
 }
 
 // start begins a transaction after the bank's lookup latency, reusing a
@@ -179,7 +171,7 @@ func (b *L2Bank) start(m *Msg) {
 	t := b.txns.At(i)
 	*t = l2txn{req: *m, pending: t.pending[:0]}
 	b.txnTab.Put(m.Block, i)
-	b.eng.ScheduleCall(b.eng.Cycle()+b.sys.cfg.L2Lat, b, int64(m.Block))
+	b.sys.Eng.ScheduleCall(b.sys.Eng.Cycle()+b.sys.cfg.L2Lat, b, int64(m.Block))
 }
 
 // OnCall implements sim.Callee: the lookup of block's transaction is
@@ -205,7 +197,7 @@ func (b *L2Bank) advance(block uint64, cycle int64) {
 		}
 		b.recalls.Inc()
 		t.waitRecall = true
-		rc := b.pool.Get()
+		rc := b.sys.pool.Get()
 		rc.Type, rc.To, rc.Block, rc.Req = kind, RoleL1, block, req.Req
 		send(b.sys.Net, b.node, e.owner, rc, cycle)
 		return
@@ -218,7 +210,7 @@ func (b *L2Bank) advance(block uint64, cycle int64) {
 			}
 			b.invs.Inc()
 			pending++
-			inv := b.pool.Get()
+			inv := b.sys.pool.Get()
 			inv.Type, inv.To, inv.Block, inv.Req = Inv, RoleL1, block, req.Req
 			send(b.sys.Net, b.node, s, inv, cycle)
 			e.sharers.del(s)
@@ -234,7 +226,7 @@ func (b *L2Bank) advance(block uint64, cycle int64) {
 		b.misses.Inc()
 		t.waitMem = true
 		t.wentToMem = true
-		rd := b.pool.Get()
+		rd := b.sys.pool.Get()
 		rd.Type, rd.To, rd.Block, rd.Req = MemRead, RoleMem, block, req.Req
 		send(b.sys.Net, b.node, b.sys.MemFor(block), rd, cycle)
 		return
@@ -250,13 +242,13 @@ func (b *L2Bank) advance(block uint64, cycle int64) {
 		if e.hasOwner && e.owner == req.Req {
 			e.hasOwner = false
 		}
-		resp := b.pool.Get()
+		resp := b.sys.pool.Get()
 		resp.Type, resp.To, resp.Block, resp.Req = DataResp, RoleL1, block, req.Req
 		send(b.sys.Net, b.node, req.Req, resp, cycle)
 	} else {
 		e.owner, e.hasOwner = req.Req, true
 		e.sharers.clear()
-		resp := b.pool.Get()
+		resp := b.sys.pool.Get()
 		resp.Type, resp.To, resp.Block, resp.Req = DataRespX, RoleL1, block, req.Req
 		send(b.sys.Net, b.node, req.Req, resp, cycle)
 	}
@@ -279,13 +271,13 @@ func (b *L2Bank) complete(block uint64) {
 	t.req = t.pending[0]
 	t.pending = t.pending[:copy(t.pending, t.pending[1:])]
 	t.needAcks, t.waitRecall, t.waitMem, t.wentToMem = 0, false, false, false
-	b.eng.ScheduleCall(b.eng.Cycle()+b.sys.cfg.L2Lat, b, int64(block))
+	b.sys.Eng.ScheduleCall(b.sys.Eng.Cycle()+b.sys.cfg.L2Lat, b, int64(block))
 }
 
 // fill installs a block in the data array, writing back a dirty victim.
 func (b *L2Bank) fill(block uint64, dirty bool, cycle int64) {
 	if v, evicted := b.cache.Fill(block, true, dirty); evicted && v.Dirty {
-		wb := b.pool.Get()
+		wb := b.sys.pool.Get()
 		wb.Type, wb.To, wb.Block, wb.Req = MemWrite, RoleMem, v.Block, noc.NodeID(b.node)
 		send(b.sys.Net, b.node, b.sys.MemFor(v.Block), wb, cycle)
 	}

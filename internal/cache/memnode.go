@@ -14,13 +14,11 @@ type MemNode struct {
 	sys   *System
 	node  noc.NodeID
 	ctrl  *mem.Controller
-	pool  *flat.Pool[Msg]
 	reads flat.Slots[Msg] // the MemReads whose DRAM access is in flight
 }
 
 func newMemNode(sys *System, node noc.NodeID, ctrl *mem.Controller) *MemNode {
-	return &MemNode{sys: sys, node: node, ctrl: ctrl,
-		pool: sys.poolFor(sys.Net.EngFor(node))}
+	return &MemNode{sys: sys, node: node, ctrl: ctrl}
 }
 
 // Controller returns the underlying DRAM model (shared with a co-located
@@ -39,14 +37,14 @@ func (m *MemNode) handle(msg *Msg, cycle int64) {
 	default:
 		panic(fmt.Sprintf("mem %d: unexpected message %s", m.node, msg.Type))
 	}
-	m.pool.Put(msg)
+	m.sys.pool.Put(msg)
 }
 
 // OnCall implements sim.Callee: the DRAM read parked in slot has its
 // data, which goes back to the requesting bank.
 func (m *MemNode) OnCall(slot, at int64) {
 	r := m.reads.Take(int32(slot))
-	resp := m.pool.Get()
+	resp := m.sys.pool.Get()
 	resp.Type, resp.To, resp.Block, resp.Req = MemResp, RoleL2, r.Block, r.Req
 	send(m.sys.Net, m.node, r.From, resp, at)
 }

@@ -43,9 +43,8 @@ func DefaultSystemConfig() SystemConfig {
 // L2 bank per node, memory controllers at the configured nodes, and one
 // Hub per node registered as the NoC client.
 //
-// Eng is the root engine driving the whole simulation. Each node-resident
-// controller schedules its events on the engine of the node's shard
-// (Net.EngFor), which is Eng itself when the network is unsharded.
+// Eng drives the whole simulation: every controller schedules its events
+// on it, so the network must be unsharded.
 type System struct {
 	Eng *sim.Engine
 	Net *noc.Network
@@ -58,39 +57,27 @@ type System struct {
 
 	memNodes []noc.NodeID
 
-	// pools holds one protocol-message pool per shard engine; every
-	// controller allocates and frees through the pool of the engine it
-	// runs on, so no pool is ever shared between goroutines. A message
-	// migrates between pools (an L1 gets a GetS its home bank puts) and
+	// pool recycles the protocol messages of every controller. A message
 	// has one holder at a time: the receiving handler puts it when it
 	// returns, and whatever keeps one longer keeps a copy, so between
 	// deliveries the packet carrying it is its only holder.
-	pools map[*sim.Engine]*flat.Pool[Msg]
+	pool flat.Pool[Msg]
 }
 
-// poolFor returns the message pool of one shard engine, creating it on
-// first use.
-func (s *System) poolFor(eng *sim.Engine) *flat.Pool[Msg] {
-	if p, ok := s.pools[eng]; ok {
-		return p
-	}
-	p := &flat.Pool[Msg]{}
-	s.pools[eng] = p
-	return p
-}
-
-// NewSystem builds the hierarchy on an existing network.
+// NewSystem builds the hierarchy on an existing unsharded network.
 func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, error) {
+	if err := net.CheckUnsharded("cache"); err != nil {
+		return nil, err
+	}
 	nodes := net.Cfg().Nodes()
 	if nodes > maxNodes {
 		return nil, fmt.Errorf("cache: a %d-node mesh exceeds the directory's %d-node sharer sets", nodes, maxNodes)
 	}
 	s := &System{
-		Eng:   eng,
-		Net:   net,
-		cfg:   cfg,
-		Mems:  make(map[noc.NodeID]*MemNode),
-		pools: make(map[*sim.Engine]*flat.Pool[Msg]),
+		Eng:  eng,
+		Net:  net,
+		cfg:  cfg,
+		Mems: make(map[noc.NodeID]*MemNode),
 	}
 	s.memNodes = cfg.MemNodes
 	if len(s.memNodes) == 0 {
@@ -117,7 +104,7 @@ func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, er
 		s.Hubs[i] = &Hub{L1: s.L1s[i], L2: s.L2s[i]}
 	}
 	for _, mn := range s.memNodes {
-		ctrl, err := mem.New(net.EngFor(mn), cfg.MemCfg)
+		ctrl, err := mem.New(eng, cfg.MemCfg)
 		if err != nil {
 			return nil, err
 		}

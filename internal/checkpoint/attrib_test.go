@@ -14,33 +14,31 @@ import (
 // contract: attribution counters are part of a snapshot's identity.
 // Restoring rewinds every slab to its value at Take, and a replayed leg
 // accumulates exactly the counters of the original — across every layer
-// (routers, NIs, RCUs, CPM, L1 MSHR integrals, engine) and shard count.
+// (routers, NIs, RCUs, CPM, L1 MSHR integrals, engine).
 func TestAttribCheckpointRoundTrip(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		s := buildCoRun(t, shards)
-		rec := attrib.NewRecorder()
-		s.plat.SetAttrib(rec)
-		s.sys.SetAttrib(rec)
+	s := buildCoRun(t)
+	rec := attrib.NewRecorder()
+	s.plat.SetAttrib(rec)
+	s.sys.SetAttrib(rec)
 
-		s.eng.Run(4096)
-		st := checkpoint.Take(s.target())
-		atTake := rec.Fold()
+	s.eng.Run(4096)
+	st := checkpoint.Take(s.target())
+	atTake := rec.Fold()
 
-		s.eng.Run(4096)
-		firstLeg := rec.Fold()
-		if reflect.DeepEqual(firstLeg, atTake) {
-			t.Fatal("second leg accumulated nothing; the round trip would be vacuous")
-		}
+	s.eng.Run(4096)
+	firstLeg := rec.Fold()
+	if reflect.DeepEqual(firstLeg, atTake) {
+		t.Fatal("second leg accumulated nothing; the round trip would be vacuous")
+	}
 
-		st.Restore()
-		if got := rec.Fold(); !reflect.DeepEqual(got, atTake) {
-			t.Fatalf("shards=%d: restore did not rewind attribution counters", shards)
-		}
+	st.Restore()
+	if got := rec.Fold(); !reflect.DeepEqual(got, atTake) {
+		t.Fatal("restore did not rewind attribution counters")
+	}
 
-		s.eng.Run(4096)
-		if got := rec.Fold(); !reflect.DeepEqual(got, firstLeg) {
-			t.Fatalf("shards=%d: replayed leg diverged from the original counters", shards)
-		}
+	s.eng.Run(4096)
+	if got := rec.Fold(); !reflect.DeepEqual(got, firstLeg) {
+		t.Fatal("replayed leg diverged from the original counters")
 	}
 }
 
@@ -64,7 +62,7 @@ func TestAttachMidRunReadsTheDelta(t *testing.T) {
 	}
 	missKey := func(i int) string { return fmt.Sprintf("l1.%d.attrib.cache.miss-cycles", i) }
 
-	full := buildCoRun(t, 1)
+	full := buildCoRun(t)
 	fullRec := attrib.NewRecorder()
 	attach(full, fullRec)
 	integral := make([]int64, len(full.sys.L1s))
@@ -89,7 +87,7 @@ func TestAttachMidRunReadsTheDelta(t *testing.T) {
 	full.eng.Run(half)
 	atEnd := fullRec.Fold()
 
-	mid := buildCoRun(t, 1)
+	mid := buildCoRun(t)
 	mid.eng.Run(half)
 	midRec := attrib.NewRecorder()
 	attach(mid, midRec)

@@ -38,17 +38,15 @@ type coRunSim struct {
 // every ~200 instructions, so that a few thousand cycles in — a cold
 // core retires well under one instruction in ten cycles — some cores are
 // blocked on misses and others are inside a synchronization stall.
-func buildCoRun(t testing.TB, shards int) *coRunSim {
+func buildCoRun(t testing.TB) *coRunSim {
 	prof := traffic.Scale(traffic.LULESH(), 0.05)
 	prof.Phases[0].StallEvery, prof.Phases[0].StallCycles = 200, 600
-	return buildCoRunProf(t, shards, prof)
+	return buildCoRunProf(t, prof)
 }
 
-func buildCoRunProf(t testing.TB, shards int, prof *traffic.Profile) *coRunSim {
+func buildCoRunProf(t testing.TB, prof *traffic.Profile) *coRunSim {
 	t.Helper()
-	cfg := noc.SnackPlatform(4, 4, true)
-	cfg.Shards = shards
-	return buildCoRunOn(t, cfg, prof, testSeed)
+	return buildCoRunOn(t, noc.SnackPlatform(4, 4, true), prof, testSeed)
 }
 
 // buildCoRunOn builds the co-run on a given mesh configuration, with
@@ -146,91 +144,86 @@ func TestForkDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fork determinism runs a co-run leg to completion three times")
 	}
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := buildCoRun(t, shards)
-			s.eng.Run(4096)
-			if !s.plat.CPM.Busy() {
-				t.Fatal("kernel not in flight at the snapshot point; the test would not cover token state")
+	// Mixed-stall leg: cores blocked and idling, RCUs parked and
+	// runnable, and the CPM mid-stream at the snapshot point.
+	t.Run("mixed-stalls", func(t *testing.T) {
+		s := buildCoRun(t)
+		s.eng.Run(4096)
+		if !s.plat.CPM.Busy() {
+			t.Fatal("kernel not in flight at the snapshot point; the test would not cover token state")
+		}
+		// Mid-stream: part of the program is still in memory, part is
+		// fetched entries in the instruction buffer, and reads are in
+		// flight as typed engine events — a fork must resume all three.
+		if c := s.plat.CPM; c.Fetched() >= len(s.prog.Entries) || c.InstrBufLen() == 0 || c.Inflight() == 0 {
+			t.Fatalf("CPM not mid-stream at the snapshot point: fetched %d of %d, %d buffered, %d reads in flight",
+				c.Fetched(), len(s.prog.Entries), c.InstrBufLen(), c.Inflight())
+		}
+		// The cores' runnable and idle sets are rebuilt by a restore, and
+		// a core mid-stall carries the start of the stall: the fork must
+		// begin with cores in both kinds of stall.
+		blocked, idle := 0, 0
+		for _, c := range s.work.State().Cores {
+			if c.Blocked() {
+				blocked++
 			}
-			// Mid-stream: part of the program is still in memory, part is
-			// fetched entries in the instruction buffer, and reads are in
-			// flight as typed engine events — a fork must resume all three.
-			if c := s.plat.CPM; c.Fetched() >= len(s.prog.Entries) || c.InstrBufLen() == 0 || c.Inflight() == 0 {
-				t.Fatalf("CPM not mid-stream at the snapshot point: fetched %d of %d, %d buffered, %d reads in flight",
-					c.Fetched(), len(s.prog.Entries), c.InstrBufLen(), c.Inflight())
+			if c.Idle {
+				idle++
 			}
-			// The sharded legs snapshot with flits on the wires that cross a
-			// shard boundary: the slab checkpoint must carry those too.
-			if shards > 1 && s.net.BoundaryFlits() == 0 {
-				t.Fatal("no flit on a shard-boundary wire at the snapshot point")
+		}
+		if blocked == 0 || idle == 0 {
+			t.Fatalf("%d cores blocked and %d idling at the snapshot point, want at least one of each", blocked, idle)
+		}
+		// Likewise the RCUs' runnable sets, and a parked RCU is owed its
+		// cycles from the snapshot cycle on: the fork must begin with
+		// RCUs parked on an operand, parked idle and runnable.
+		waiting, parked, runnable := 0, 0, 0
+		for _, r := range s.plat.RCUs {
+			switch {
+			case !r.Parked():
+				runnable++
+			case r.Idle():
+				parked++
+			default:
+				waiting++
 			}
-			// The cores' runnable and idle sets are rebuilt by a restore, and
-			// a core mid-stall carries the start of the stall: the fork must
-			// begin with cores in both kinds of stall.
-			blocked, idle := 0, 0
-			for _, c := range s.work.State().Cores {
-				if c.Blocked() {
-					blocked++
-				}
-				if c.Idle {
-					idle++
-				}
-			}
-			if blocked == 0 || idle == 0 {
-				t.Fatalf("%d cores blocked and %d idling at the snapshot point, want at least one of each", blocked, idle)
-			}
-			// Likewise the RCUs' runnable sets, and a parked RCU is owed its
-			// cycles from the snapshot cycle on: the fork must begin with
-			// RCUs parked on an operand, parked idle and runnable.
-			waiting, parked, runnable := 0, 0, 0
-			for _, r := range s.plat.RCUs {
-				switch {
-				case !r.Parked():
-					runnable++
-				case r.Idle():
-					parked++
-				default:
-					waiting++
-				}
-			}
-			if waiting == 0 || parked == 0 || runnable == 0 {
-				t.Fatalf("%d RCUs parked on an operand, %d parked idle and %d runnable at the snapshot point, want at least one of each",
-					waiting, parked, runnable)
-			}
-			st := checkpoint.Take(s.target())
-			if st.Cycle() != 4096 {
-				t.Fatalf("snapshot cycle %d, want 4096", st.Cycle())
-			}
+		}
+		if waiting == 0 || parked == 0 || runnable == 0 {
+			t.Fatalf("%d RCUs parked on an operand, %d parked idle and %d runnable at the snapshot point, want at least one of each",
+				waiting, parked, runnable)
+		}
+		st := checkpoint.Take(s.target())
+		if st.Cycle() != 4096 {
+			t.Fatalf("snapshot cycle %d, want 4096", st.Cycle())
+		}
 
-			want := s.runToEnd(t)
+		want := s.runToEnd(t)
 
-			// Fork 1: plain restore.
-			st.Restore()
-			s.kernelRuns, s.lastResult = 0, nil
-			if got := s.runToEnd(t); got != want {
-				t.Error("first fork diverged from the original run")
-			}
+		// Fork 1: plain restore.
+		st.Restore()
+		s.kernelRuns, s.lastResult = 0, nil
+		if got := s.runToEnd(t); got != want {
+			t.Error("first fork diverged from the original run")
+		}
 
-			// Fork 2: restore, run partway, restore again from the same
-			// state, then complete — the snapshot must be unscathed by
-			// earlier forks.
-			st.Restore()
-			s.eng.Run(3000)
-			st.Restore()
-			s.kernelRuns, s.lastResult = 0, nil
-			if got := s.runToEnd(t); got != want {
-				t.Error("fork after a partial run diverged from the original run")
-			}
-		})
-	}
+		// Fork 2: restore, run partway, restore again from the same
+		// state, then complete — the snapshot must be unscathed by
+		// earlier forks.
+		st.Restore()
+		s.eng.Run(3000)
+		st.Restore()
+		s.kernelRuns, s.lastResult = 0, nil
+		if got := s.runToEnd(t); got != want {
+			t.Error("fork after a partial run diverged from the original run")
+		}
+	})
 
 	// Cache-heavy leg: a miss-dominated workload keeps the MSHR files,
 	// the home banks' transaction slots (recalls, invalidations, pending
 	// queues) and the pooled-message paths densely populated at the
 	// snapshot point, so a fork replays token AND protocol state.
 	t.Run("cache-heavy", func(t *testing.T) {
-		s := buildCoRunProf(t, 2, traffic.Scale(traffic.Graph500(), 0.2))
+		s := buildCoRunProf(t, traffic.Scale(traffic.Graph500(), 0.2))
 		s.eng.Run(4096)
 		if !s.plat.CPM.Busy() {
 			t.Fatal("kernel not in flight at the snapshot point")
@@ -296,20 +289,16 @@ func TestSnapshotSizeIndependentOfProgramLength(t *testing.T) {
 }
 
 // TestStandaloneRoundTrip forks a zero-load kernel run (the fig13 leg2
-// shape) and checks the completion cycle and result values replay —
-// serially, and on a two-shard compute-port mesh snapshotted with flits
-// on the wires that cross the shard boundary.
+// shape) and checks the completion cycle and result values replay. Its
+// one leg keeps the name it had when the platform's mesh could also be
+// cut into shards.
 func TestStandaloneRoundTrip(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { standaloneRoundTrip(t, shards) })
-	}
+	t.Run("shards=1", standaloneRoundTrip)
 }
 
-func standaloneRoundTrip(t *testing.T, shards int) {
+func standaloneRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
-	pc := core.DefaultPlatformConfig()
-	pc.Shards = shards
-	plat, err := core.NewStandalone(eng, 4, 4, true, pc)
+	plat, err := core.NewStandalone(eng, 4, 4, true, core.DefaultPlatformConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,12 +311,6 @@ func standaloneRoundTrip(t *testing.T, shards int) {
 		t.Fatal("CPM busy")
 	}
 	eng.Run(2000)
-	for n := 0; shards > 1 && plat.Net.BoundaryFlits() == 0; n++ {
-		if n == 1000 {
-			t.Fatal("no flit crossed the shard boundary in 1000 cycles")
-		}
-		eng.Run(1)
-	}
 	if !plat.CPM.Busy() {
 		t.Fatal("kernel finished before the snapshot point")
 	}

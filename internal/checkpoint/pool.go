@@ -20,7 +20,7 @@ import (
 //
 // Entries are keyed by an opaque shape string; callers must fold every
 // parameter that changes the component graph into it (mesh dimensions,
-// VC/buffer/channel configuration, shard count, priority mode, RCU/CPM
+// VC/buffer/channel configuration, priority mode, RCU/CPM
 // placement...). Two shapes that collide would hand a cell a platform
 // wired for a different design point.
 //

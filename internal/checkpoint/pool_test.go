@@ -129,7 +129,7 @@ func TestPoolBoundsAndShapes(t *testing.T) {
 // flight: 36 objects. A count that creeps means a restore path grew an
 // allocation.
 func TestPooledForkAllocations(t *testing.T) {
-	s := buildCoRun(t, 1)
+	s := buildCoRun(t)
 	s.eng.Run(8192)
 	pool := checkpoint.NewPool(1)
 	const shape = "corun/4x4"

@@ -28,7 +28,6 @@ type Group uint
 
 const (
 	Jobs           Group = 1 << iota // -j
-	Shards                           // -shards
 	WarmSweeps                       // -warm-sweeps
 	Scale                            // -scale
 	Priority                         // -priority
@@ -36,11 +35,11 @@ const (
 	Metrics                          // -metrics, an output file
 	Attrib                           // -attrib
 	AttribInterval                   // -attrib-interval
-	Profile                          // -cpuprofile, -memprofile, -blockprofile, -mutexprofile
+	Profile                          // -cpuprofile, -memprofile
 
 	// Sweep and Observe are the whole groups of the commands that honour
 	// every member.
-	Sweep   = Jobs | Shards | WarmSweeps
+	Sweep   = Jobs | WarmSweeps
 	Observe = Trace | Metrics | Attrib | AttribInterval
 )
 
@@ -60,8 +59,6 @@ type Command struct {
 	attribInterval int64
 	cpuProfile     string
 	memProfile     string
-	blockProfile   string
-	mutexProfile   string
 }
 
 var (
@@ -81,9 +78,6 @@ func register(fs *flag.FlagSet, g Group) *Command {
 	c := &Command{Scale: 1}
 	if g&Jobs != 0 {
 		fs.IntVar(&c.Run.Workers, "j", 0, "parallel sweep workers (0 = all CPUs, 1 = serial)")
-	}
-	if g&Shards != 0 {
-		fs.IntVar(&c.Run.Shards, "shards", 0, "simulation-kernel shards per mesh (<=1 = serial; results are identical for any value)")
 	}
 	if g&WarmSweeps != 0 {
 		fs.BoolVar(&c.Run.Warm, "warm-sweeps", false, "fork checkpointed baseline platforms and memoize zero-load legs across co-run cells (byte-identical output, faster fig12/fig13; ignored while -trace/-metrics are active)")
@@ -110,8 +104,6 @@ func register(fs *flag.FlagSet, g Group) *Command {
 	if g&Profile != 0 {
 		fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 		fs.StringVar(&c.memProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
-		fs.StringVar(&c.blockProfile, "blockprofile", "", "write a pprof goroutine-blocking profile to this file on exit (shard-barrier waits)")
-		fs.StringVar(&c.mutexProfile, "mutexprofile", "", "write a pprof contended-mutex profile to this file on exit")
 	}
 	return c
 }

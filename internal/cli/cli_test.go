@@ -25,7 +25,7 @@ func TestFlagRules(t *testing.T) {
 		{all, []string{"-scale", "-1"}, "-scale must be positive"},
 		{all, []string{"-scale", "NaN"}, "-scale must be positive"},
 		{all, []string{"-scale", "+Inf"}, "-scale must be positive"},
-		{Shards | Priority, nil, ""}, // no -scale registered: nothing to check
+		{Priority, nil, ""}, // no -scale registered: nothing to check
 		{all, []string{"-trace", "t.json", "-trace-last", "5"}, ""},
 		{all, []string{"-trace", "t.json", "-trace-last", "-1"}, "-trace-last requires a non-negative count"},
 		{all, []string{"-trace-last", "5"}, "-trace-last requires -trace"},

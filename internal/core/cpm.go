@@ -91,7 +91,7 @@ type CPM struct {
 	// RCU so instruction issue never serializes against the memory
 	// controller's response traffic at the node's NI.
 	port *noc.InjectPort
-	pool *TokenPool // its engine's; the Platform wires it
+	pool *TokenPool // its platform's; the Platform wires it
 
 	// nsBase is this CPM's namespace, OR-ed into every dependency and
 	// sub-block ID it issues (see assemble).

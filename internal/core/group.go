@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
-
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/flat"
 )
 
-// rcuGroup steps the RCUs of one engine as a single component, so a
+// rcuGroup steps every RCU of a platform as a single component, so a
 // cycle costs the RCUs that hold work in it, not every RCU: an RCU that
 // ends a cycle with nothing executing, an empty inbox and an empty
 // result ring — idle, or waiting for an operand only an arrival can
@@ -24,13 +22,11 @@ import (
 // are paid in one addition when it resumes or when the engine settles.
 // RCUs are stepped in node order, the order they were registered in.
 type rcuGroup struct {
-	id int // among the platform's groups, in order of their first node
 	// rcus is the platform's RCU slab and runnable is indexed like it, by
-	// node: the group of one shard leaves the bits of the other shards'
-	// nodes clear.
+	// node.
 	rcus     []RCU
 	runnable flat.IndexSet
-	// instrs holds the instructions of the group's RCUs.
+	// instrs holds the instructions of every RCU.
 	instrs instrSlab
 	// turn is the next cycle the group's RCUs are stepped in: the current
 	// cycle until the group's Evaluate has run, the one after from then
@@ -41,7 +37,7 @@ type rcuGroup struct {
 }
 
 // Name implements sim.Component.
-func (g *rcuGroup) Name() string { return fmt.Sprintf("rcus%d", g.id) }
+func (g *rcuGroup) Name() string { return "rcus0" }
 
 // Evaluate steps every runnable RCU, in node order.
 func (g *rcuGroup) Evaluate(cycle int64) {
@@ -67,8 +63,8 @@ func (g *rcuGroup) Advance(cycle int64) {
 // group's turn.
 func (g *rcuGroup) Settle() {
 	for i := range g.rcus {
-		if r := &g.rcus[i]; r.g == g && !g.runnable.Has(i) {
-			r.payParked()
+		if !g.runnable.Has(i) {
+			g.rcus[i].payParked()
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 // RCU was an engine component of its own that counted one stall and one
 // attribution reason per cycle. Stepping only the RCUs that hold work
 // and paying a parked RCU's cycles when it resumes must reproduce every
-// line, at any shard count.
+// line.
 
 // recordSeed is the kernel-data seed the goldens were recorded with.
 const recordSeed = 2020
@@ -47,12 +47,10 @@ func observe(eng *sim.Engine, plat *core.Platform) *rcuSim {
 	return s
 }
 
-func newStandalone(t testing.TB, w, h, shards int) *rcuSim {
+func newStandalone(t testing.TB, w, h int) *rcuSim {
 	t.Helper()
 	eng := sim.NewEngine()
-	cfg := core.DefaultPlatformConfig()
-	cfg.Shards = shards
-	plat, err := core.NewStandalone(eng, w, h, true, cfg)
+	plat, err := core.NewStandalone(eng, w, h, true, core.DefaultPlatformConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +107,11 @@ var meshes = [][2]int{{4, 4}, {8, 8}}
 
 // oneShotKernels runs the four Table III kernels at DSESmokeDims on both
 // meshes, each to completion in one Run.
-func oneShotKernels(t testing.TB, shards int) string {
+func oneShotKernels(t testing.TB) string {
 	var b strings.Builder
 	for _, m := range meshes {
 		for _, k := range cpu.Kernels() {
-			s := newStandalone(t, m[0], m[1], shards)
+			s := newStandalone(t, m[0], m[1])
 			res, err := s.plat.Run(compile(t, k, m[0]*m[1]), 1_000_000)
 			if err != nil {
 				t.Fatal(err)
@@ -128,11 +126,11 @@ func oneShotKernels(t testing.TB, shards int) string {
 // slicedKernels runs the same kernels in sliceLen-cycle slices, each of
 // which ends in the engine's Settle, and returns the per-slice lines and
 // the final state in oneShotKernels' format.
-func slicedKernels(t testing.TB, shards int) (slices, final string) {
+func slicedKernels(t testing.TB) (slices, final string) {
 	var sb, fb strings.Builder
 	for _, m := range meshes {
 		for _, k := range cpu.Kernels() {
-			s := newStandalone(t, m[0], m[1], shards)
+			s := newStandalone(t, m[0], m[1])
 			var res *core.Result
 			if !s.plat.CPM.Submit(compile(t, k, m[0]*m[1]), s.eng.Cycle(), func(r *core.Result) { res = r }) {
 				t.Fatal("CPM busy")
@@ -155,11 +153,9 @@ func slicedKernels(t testing.TB, shards int) (slices, final string) {
 // coRun runs CoMD at scale 0.02 on the cores with SPMV kernels
 // resubmitted back to back on the NoC (the Fig 12 leg) and returns the
 // RCU counts at the end.
-func coRun(t testing.TB, shards int) string {
-	cfg := noc.SnackPlatform(4, 4, true)
-	cfg.Shards = shards
+func coRun(t testing.TB) string {
 	eng := sim.NewEngine()
-	net, err := noc.New(eng, cfg)
+	net, err := noc.New(eng, noc.SnackPlatform(4, 4, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,19 +218,20 @@ func diffGolden(t *testing.T, file, got string) {
 	t.Fatalf("%s: measured %d lines, recorded %d", file, len(gl), len(wl))
 }
 
-var shardCounts = []int{1, 2, 4}
+// oneEngineLeg names the one leg of the recorded-count tests. It keeps
+// the name it had when the platform's mesh could also be cut into
+// shards, so the leg's history in test reports stays unbroken.
+const oneEngineLeg = "shards=1"
 
 // TestRCUCountsMatchRecorded holds every RCU's executed, captured,
 // emitted, stall and buffer-high-water counts and its four attribution
 // reasons to the recorded ones, for the four kernels on 4x4 and 8x8 and
 // for one CoMD x SPMV co-run.
 func TestRCUCountsMatchRecorded(t *testing.T) {
-	for _, shards := range shardCounts {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			diffGolden(t, "testdata/rcu_kernels.golden", oneShotKernels(t, shards))
-			diffGolden(t, "testdata/rcu_corun.golden", coRun(t, shards))
-		})
-	}
+	t.Run(oneEngineLeg, func(t *testing.T) {
+		diffGolden(t, "testdata/rcu_kernels.golden", oneShotKernels(t))
+		diffGolden(t, "testdata/rcu_corun.golden", coRun(t))
+	})
 }
 
 // TestRCUCountsMatchRecordedInSlices reads the deferred counts in the
@@ -242,18 +239,15 @@ func TestRCUCountsMatchRecorded(t *testing.T) {
 // count and attribution reasons where counting them cycle by cycle did,
 // and the kernel must finish in the state of the one-shot run.
 func TestRCUCountsMatchRecordedInSlices(t *testing.T) {
-	for _, shards := range shardCounts {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			slices, final := slicedKernels(t, shards)
-			diffGolden(t, "testdata/rcu_slices.golden", slices)
-			diffGolden(t, "testdata/rcu_kernels.golden", final)
-		})
-	}
+	t.Run(oneEngineLeg, func(t *testing.T) {
+		slices, final := slicedKernels(t)
+		diffGolden(t, "testdata/rcu_slices.golden", slices)
+		diffGolden(t, "testdata/rcu_kernels.golden", final)
+	})
 }
 
 // TestRunnableSetsTrackWork steps kernels one cycle at a time and checks
-// after every cycle, at every shard count, that the groups' runnable
-// sets agree with the RCUs (Platform.CheckGroups) — on a one-word set
+// after every cycle that the group's runnable set agrees with the RCUs (Platform.CheckGroups) — on a one-word set
 // (4x4) and a two-word one (16x8) — that the attribution reasons of
 // every component sum to the cycles run after a Settle in the middle of
 // the kernel, and that a checkpoint restored there rebuilds the sets and
@@ -263,67 +257,65 @@ func TestRunnableSetsTrackWork(t *testing.T) {
 		w, h int
 		k    cpu.KernelName
 	}{{4, 4, cpu.KernelReduction}, {4, 4, cpu.KernelSPMV}, {16, 8, cpu.KernelReduction}}
-	for _, shards := range shardCounts {
-		for _, leg := range legs {
-			t.Run(fmt.Sprintf("shards=%d/%s@%dx%d", shards, leg.k, leg.w, leg.h), func(t *testing.T) {
-				prog := compile(t, leg.k, leg.w*leg.h)
-				straight := newStandalone(t, leg.w, leg.h, shards)
-				res, err := straight.plat.Run(prog, 1_000_000)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mid := res.Cycles() / 2
+	for _, leg := range legs {
+		t.Run(fmt.Sprintf("%s@%dx%d", leg.k, leg.w, leg.h), func(t *testing.T) {
+			prog := compile(t, leg.k, leg.w*leg.h)
+			straight := newStandalone(t, leg.w, leg.h)
+			res, err := straight.plat.Run(prog, 1_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mid := res.Cycles() / 2
 
-				s := newStandalone(t, leg.w, leg.h, shards)
-				done := false
-				if !s.plat.CPM.Submit(prog, s.eng.Cycle(), func(*core.Result) { done = true }) {
-					t.Fatal("CPM busy")
+			s := newStandalone(t, leg.w, leg.h)
+			done := false
+			if !s.plat.CPM.Submit(prog, s.eng.Cycle(), func(*core.Result) { done = true }) {
+				t.Fatal("CPM busy")
+			}
+			target := checkpoint.Target{Eng: s.eng, Net: s.plat.Net, Plat: s.plat}
+			var st *checkpoint.State
+			restored := false
+			var sawWaiting, sawIdle, sawRunnable int
+			for !done {
+				s.eng.Step()
+				cycle := s.eng.Cycle()
+				waiting, idle, runnable, err := s.plat.CheckGroups()
+				if err != nil {
+					t.Fatalf("after cycle %d: %v", cycle-1, err)
 				}
-				target := checkpoint.Target{Eng: s.eng, Net: s.plat.Net, Plat: s.plat}
-				var st *checkpoint.State
-				restored := false
-				var sawWaiting, sawIdle, sawRunnable int
-				for !done {
-					s.eng.Step()
-					cycle := s.eng.Cycle()
-					waiting, idle, runnable, err := s.plat.CheckGroups()
-					if err != nil {
-						t.Fatalf("after cycle %d: %v", cycle-1, err)
+				sawWaiting += waiting
+				sawIdle += idle
+				sawRunnable += runnable
+				switch {
+				case cycle == mid && st == nil:
+					s.eng.Settle()
+					if err := attrib.CheckTotals(s.rec.Fold(), cycle); err != nil {
+						t.Fatalf("after a Settle at cycle %d: %v", cycle, err)
 					}
-					sawWaiting += waiting
-					sawIdle += idle
-					sawRunnable += runnable
-					switch {
-					case cycle == mid && st == nil:
-						s.eng.Settle()
-						if err := attrib.CheckTotals(s.rec.Fold(), cycle); err != nil {
-							t.Fatalf("after a Settle at cycle %d: %v", cycle, err)
-						}
-						st = checkpoint.Take(target)
-					case cycle == mid+50 && !restored:
-						st.Restore()
-						restored = true
-						if _, _, _, err := s.plat.CheckGroups(); err != nil {
-							t.Fatalf("after restoring cycle %d: %v", mid, err)
-						}
-					}
-					if cycle > 1_000_000 {
-						t.Fatal("kernel did not complete")
+					st = checkpoint.Take(target)
+				case cycle == mid+50 && !restored:
+					st.Restore()
+					restored = true
+					if _, _, _, err := s.plat.CheckGroups(); err != nil {
+						t.Fatalf("after restoring cycle %d: %v", mid, err)
 					}
 				}
-				if sawWaiting == 0 || sawIdle == 0 || sawRunnable == 0 {
-					t.Fatalf("RCU-cycles parked on an operand %d, parked idle %d, runnable %d: want all three",
-						sawWaiting, sawIdle, sawRunnable)
+				if cycle > 1_000_000 {
+					t.Fatal("kernel did not complete")
 				}
-				s.eng.Settle()
-				var want, got strings.Builder
-				straight.writeCounts(&want)
-				s.writeCounts(&got)
-				if got.String() != want.String() {
-					t.Fatalf("stepped, settled and restored run ends with different counts:\n%s\nwant\n%s", got.String(), want.String())
-				}
-			})
-		}
+			}
+			if sawWaiting == 0 || sawIdle == 0 || sawRunnable == 0 {
+				t.Fatalf("RCU-cycles parked on an operand %d, parked idle %d, runnable %d: want all three",
+					sawWaiting, sawIdle, sawRunnable)
+			}
+			s.eng.Settle()
+			var want, got strings.Builder
+			straight.writeCounts(&want)
+			s.writeCounts(&got)
+			if got.String() != want.String() {
+				t.Fatalf("stepped, settled and restored run ends with different counts:\n%s\nwant\n%s", got.String(), want.String())
+			}
+		})
 	}
 }
 

@@ -188,10 +188,9 @@ func TestFirstRunAllocatesLikeARepeat(t *testing.T) {
 }
 
 // TestKernelsReturnEveryToken runs kernels back to back on fresh
-// platforms, unsharded and at two shards — a dependency fan-out and an
-// SGEMM, then a token storm that spills through the CPM's overflow path
-// — and requires every pooled token to be back in a pool after each
-// kernel.
+// platforms — a dependency fan-out and an SGEMM, then a token storm that
+// spills through the CPM's overflow path — and requires every pooled
+// token to be back in the pool after each kernel.
 func TestKernelsReturnEveryToken(t *testing.T) {
 	fanOut := func() *Program {
 		b := newProg("fanout")
@@ -203,21 +202,17 @@ func TestKernelsReturnEveryToken(t *testing.T) {
 		}
 		return b.build(t)
 	}
-	for _, shards := range []int{1, 2} {
-		for _, run := range [][]*Program{{fanOut(), sgemmProg(8), fanOut()}, {buildTokenStorm(600), fanOut()}} {
-			cfg := DefaultPlatformConfig()
-			cfg.Shards = shards
-			p, err := NewStandalone(sim.NewEngine(), 4, 4, true, cfg)
-			if err != nil {
+	for _, run := range [][]*Program{{fanOut(), sgemmProg(8), fanOut()}, {buildTokenStorm(600), fanOut()}} {
+		p, err := NewStandalone(sim.NewEngine(), 4, 4, true, DefaultPlatformConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prog := range run {
+			if _, err := p.Run(prog, 5_000_000); err != nil {
 				t.Fatal(err)
 			}
-			for _, prog := range run {
-				if _, err := p.Run(prog, 5_000_000); err != nil {
-					t.Fatal(err)
-				}
-				if err := p.CheckDrained(); err != nil {
-					t.Fatalf("shards %d, after %s: %v", shards, prog.Name, err)
-				}
+			if err := p.CheckDrained(); err != nil {
+				t.Fatalf("after %s: %v", prog.Name, err)
 			}
 		}
 	}

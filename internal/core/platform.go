@@ -61,11 +61,6 @@ type PlatformConfig struct {
 	// Command-buffer streaming runs near full channel bandwidth, so
 	// sharing is an ablation, not the default.
 	ShareMemChannel bool
-	// Shards partitions the standalone mesh into that many column-slice
-	// sub-engines (noc.Config.Shards); 0 or 1 keeps the serial kernel.
-	// Only the standalone builders consult it — AttachToSystem runs on
-	// whatever network the caller built.
-	Shards int
 }
 
 // DefaultPlatformConfig places the CPM at node 0 (a corner
@@ -90,7 +85,7 @@ type Platform struct {
 	CPMs []*CPM
 	Mem  *mem.Controller
 
-	groups []rcuGroup // by id: one per engine
+	group rcuGroup // steps every RCU
 }
 
 // NewStandalone builds a zero-load platform (the Fig 9 measurement
@@ -103,11 +98,10 @@ func NewStandalone(eng *sim.Engine, width, height int, priority bool, cfg Platfo
 
 // NewStandaloneOn is NewStandalone over an explicit mesh configuration
 // (it must carry a snack vnet and compute ports — see
-// noc.SnackPlatformCustom). The DSE driver uses it to sweep router
-// resources; nc is copied before the shard clamp so the caller's
-// configuration survives.
+// noc.SnackPlatformCustom) on one engine: a sharded nc is an error. The
+// DSE driver uses it to sweep router resources.
 func NewStandaloneOn(eng *sim.Engine, nc *noc.Config, cfg PlatformConfig) (*Platform, error) {
-	return newStandalone(eng, nc, cfg.Shards, []CPMConfig{cfg.CPM})
+	return newStandalone(eng, nc, []CPMConfig{cfg.CPM})
 }
 
 // NewStandaloneMulti builds a zero-load platform with a decentralized
@@ -120,25 +114,26 @@ func NewStandaloneMulti(eng *sim.Engine, width, height int, priority bool, nodes
 	for i, n := range nodes {
 		cpms[i] = DefaultCPMConfig(n)
 	}
-	return newStandalone(eng, noc.SnackPlatform(width, height, priority), 0, cpms)
+	return newStandalone(eng, noc.SnackPlatform(width, height, priority), cpms)
 }
 
-// newStandalone is every standalone builder: a fresh network from a copy
-// of nc, one private memory channel per CPM, the SnackNoC attached, and
-// each CPM as its node's NI client (there is no cache substrate).
-func newStandalone(eng *sim.Engine, nc *noc.Config, shards int, cpms []CPMConfig) (*Platform, error) {
+// newStandalone is every standalone builder: a fresh network for nc, one
+// private memory channel per CPM, the SnackNoC attached, and each CPM as
+// its node's NI client (there is no cache substrate).
+func newStandalone(eng *sim.Engine, nc *noc.Config, cpms []CPMConfig) (*Platform, error) {
 	if len(cpms) == 0 {
 		return nil, fmt.Errorf("core: no CPM nodes given")
 	}
-	c := *nc
-	c.Shards = min(shards, c.Width)
 	for _, cc := range cpms {
-		if err := checkCPMNode(&c, cc.Node); err != nil {
+		if err := checkCPMNode(nc, cc.Node); err != nil {
 			return nil, err
 		}
 	}
-	net, err := noc.New(eng, &c)
+	net, err := noc.New(eng, nc)
 	if err != nil {
+		return nil, err
+	}
+	if err := net.CheckUnsharded("core"); err != nil {
 		return nil, err
 	}
 	p, err := attach(eng, net, cpms, nil)
@@ -163,9 +158,9 @@ func checkCPMNode(nc *noc.Config, node noc.NodeID) error {
 // attach builds the SnackNoC on an existing snack-enabled network: RCUs
 // at every node and one CPM at each configured node. A CPM streams its
 // commands and overflow through ctrl or, when ctrl is nil, through a
-// private DDR3 channel of its own. It registers one RCU group per engine
-// and the CPMs. The caller routes the snack packets ejected at each CPM
-// node to that CPM.
+// private DDR3 channel of its own. It registers the RCU group and the
+// CPMs on eng, which drives the whole unsharded net. The caller routes
+// the snack packets ejected at each CPM node to that CPM.
 func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Controller) (*Platform, error) {
 	nc := net.Cfg()
 	if nc.SnackVNet < 0 || !nc.ComputePort {
@@ -194,7 +189,7 @@ func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Contr
 		mc := ctrl
 		if mc == nil {
 			var err error
-			if mc, err = mem.New(net.EngFor(cc.Node), mem.DefaultConfig()); err != nil {
+			if mc, err = mem.New(eng, mem.DefaultConfig()); err != nil {
 				return nil, err
 			}
 		}
@@ -203,40 +198,14 @@ func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Contr
 		p.CPMs = append(p.CPMs, cpm)
 	}
 	p.CPM, p.Mem = p.CPMs[0], p.CPMs[0].mem
-	// One token pool per shard engine: every component schedules token
-	// allocation and release on its own shard's goroutine, so the pools
-	// need no locking (the per-shard flit-pool rule of the sharded NoC).
-	// The engine's record also names the group that steps its RCUs, and
-	// the same walk counts its registrations for Reserve: that group, and
-	// its CPMs.
-	type shardRes struct {
-		pool  *TokenPool
-		group *rcuGroup
-		comps int
-	}
-	shard := make(map[*sim.Engine]*shardRes)
-	resFor := func(node noc.NodeID) *shardRes {
-		e := net.EngFor(node)
-		if shard[e] == nil {
-			shard[e] = &shardRes{pool: new(TokenPool), comps: 1}
-		}
-		return shard[e]
-	}
-	for i := 0; i < nc.Nodes(); i++ {
-		resFor(noc.NodeID(i))
-	}
-	for _, cc := range cpms {
-		resFor(cc.Node).comps++
-	}
-	for e, res := range shard {
-		e.Reserve(res.comps)
-	}
+	// Every RCU and CPM draws its tokens from one pool and the group steps
+	// the RCUs; the group and the CPMs are the components eng reserves.
+	eng.Reserve(1 + len(cpms))
+	pool := new(TokenPool)
 	rcus := newRCUs(nc.Nodes(), net.Loop(), p.CPM.Node())
-	// Every group's runnable set spans the whole slab, so an RCU's bit is
-	// its node whatever the shard; the sets are carved from one array.
-	words := (len(rcus) + 63) / 64
-	sets := make([]uint64, len(shard)*words)
-	p.groups = make([]rcuGroup, 0, len(shard))
+	// Every RCU starts parked, with no work.
+	p.group = rcuGroup{rcus: rcus, runnable: make(flat.IndexSet, (len(rcus)+63)/64),
+		instrs: instrSlab{free: -1}, turn: eng.Cycle()}
 	for i := range rcus {
 		node := noc.NodeID(i)
 		rcu := &rcus[i]
@@ -246,8 +215,7 @@ func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Contr
 		}
 		port := net.AttachCompute(node, hook)
 		rcu.SetPort(port)
-		res := resFor(node)
-		rcu.pool = res.pool
+		rcu.pool = pool
 		if cpm := byNode[node]; cpm != nil {
 			// A CPM shares its router's compute port with the local RCU
 			// (Fig 5): instruction issue enters the crossbar directly
@@ -255,21 +223,12 @@ func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Contr
 			cpm.SetPort(port)
 		}
 		p.RCUs[i] = rcu
-		// The group is registered on the node's shard engine, where its
-		// first RCU was: an RCU touches its router's compute port, which
-		// belongs to that shard. Every RCU starts parked, with no work.
-		if res.group == nil { // this engine's first node
-			e := net.EngFor(node)
-			p.groups = append(p.groups, rcuGroup{id: len(p.groups), rcus: rcus,
-				runnable: flat.Carve(&sets, words), instrs: instrSlab{free: -1}, turn: e.Cycle()})
-			res.group = &p.groups[len(p.groups)-1]
-			e.Register(res.group)
-		}
-		rcu.g, rcu.parkedFrom, rcu.instrs = res.group, res.group.turn, &res.group.instrs
+		rcu.g, rcu.parkedFrom, rcu.instrs = &p.group, p.group.turn, &p.group.instrs
 	}
+	eng.Register(&p.group)
 	for _, cpm := range p.CPMs {
-		cpm.pool = resFor(cpm.Node()).pool
-		net.EngFor(cpm.Node()).Register(cpm)
+		cpm.pool = pool
+		eng.Register(cpm)
 	}
 	return p, nil
 }
@@ -277,8 +236,12 @@ func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Contr
 // AttachToSystem builds the SnackNoC on a network already carrying a CMP
 // cache hierarchy (the Fig 11/12/13 co-run context). The CPM shares the
 // memory controller at its node, and snack packets ejected there reach
-// the CPM through the cache hub's Extra route.
+// the CPM through the cache hub's Extra route. The network must be
+// unsharded.
 func AttachToSystem(eng *sim.Engine, sys *cache.System, cfg PlatformConfig) (*Platform, error) {
+	if err := sys.Net.CheckUnsharded("core"); err != nil {
+		return nil, err
+	}
 	mn, ok := sys.Mems[cfg.CPM.Node]
 	if !ok {
 		return nil, fmt.Errorf("core: CPM node %d hosts no memory controller", cfg.CPM.Node)
@@ -286,7 +249,7 @@ func AttachToSystem(eng *sim.Engine, sys *cache.System, cfg PlatformConfig) (*Pl
 	ctrl := mn.Controller()
 	if !cfg.ShareMemChannel {
 		var err error
-		ctrl, err = mem.New(sys.Net.EngFor(cfg.CPM.Node), ctrl.Cfg())
+		ctrl, err = mem.New(eng, ctrl.Cfg())
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +295,7 @@ func (p *Platform) SetTracer(t *trace.Tracer) {
 
 // SetAttrib attaches the attribution counts of the whole platform to rec
 // — every router and NI of the mesh, every RCU, every CPM, and the
-// engine (plus its shard sub-engines). A nil recorder returns at once.
+// engine. A nil recorder returns at once.
 func (p *Platform) SetAttrib(rec *attrib.Recorder) {
 	if rec == nil {
 		return

@@ -70,7 +70,7 @@ type instrSlot struct {
 // instrChunk is how many slots an instrSlab adds at a time.
 const instrChunk = 64
 
-// instrSlab holds by value every instruction the RCUs of one engine
+// instrSlab holds by value every instruction the RCUs of a platform
 // hold, from the cycle its flit arrives until it retires; an RCU names
 // its instructions by slot. It grows a chunk at a time, so growth never
 // moves a slot, and free slots are chained through next, so recycling
@@ -114,7 +114,7 @@ func (s *instrSlab) release(i int32) {
 // are open-addressed tables over index-linked slab cells, sized once and
 // reused across kernels, and the result queue is a ring. No map grows or
 // shrinks on the dispatch path. The RCU holds every instruction by
-// value, in a slot of its engine's instrSlab, from the cycle its flit
+// value, in a slot of its platform's instrSlab, from the cycle its flit
 // arrives until it retires; the inbox, the cells and exec name slots. A
 // checkpoint is therefore a copy of the slab and of rcuState.
 //
@@ -125,7 +125,7 @@ type RCU struct {
 	port    *noc.InjectPort
 	loop    *noc.LoopRoute
 	cpmNode noc.NodeID
-	pool    *TokenPool // its engine's, wired by the Platform
+	pool    *TokenPool // its platform's, wired by the Platform
 
 	// g steps this RCU; nil for one built by NewRCU and driven directly,
 	// which never parks. While the RCU is out of g's runnable set,
@@ -134,7 +134,7 @@ type RCU struct {
 	g          *rcuGroup
 	parkedFrom int64
 
-	instrs *instrSlab // shared with the RCUs of the same engine
+	instrs *instrSlab // shared with the platform's other RCUs
 
 	// tr records operand/compute events; nil disables tracing.
 	tr *trace.Tracer
@@ -217,8 +217,8 @@ const (
 // RCUs themselves and each flat structure as one slab, carved into
 // full-capacity windows. The windows are initial capacities, not limits
 // — an RCU that outgrows one reallocates it privately, as a directly
-// constructed NewRCU grows from empty. The caller hands each RCU its
-// engine's instrSlab.
+// constructed NewRCU grows from empty. The caller hands each RCU the
+// platform's instrSlab.
 func newRCUs(nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) []RCU {
 	const tabCap = rcuSBTabCap + rcuWaitTabCap
 	rcus := make([]RCU, nodes)

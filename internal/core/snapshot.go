@@ -6,7 +6,7 @@ import (
 )
 
 // Checkpoint support. Outside the network every token has one holder,
-// which keeps it by value: an RCU in a slot of its engine's instruction
+// which keeps it by value: an RCU in a slot of the platform's instruction
 // slab or in its result ring, a CPM as a program-entry index or a spilled
 // token. So the compute layer's state is the instruction slabs, each
 // RCU's rcuState and each CPM's cpmState and memory channel, and one
@@ -61,16 +61,16 @@ func (s *cpmState) copyFrom(o *cpmState) {
 	s.cpmScalars = o.cpmScalars
 }
 
-// PlatformState is the whole SnackNoC's saved state: every instruction
-// slab, RCU and CPM (with its memory channel), and the cycle it was
+// PlatformState is the whole SnackNoC's saved state: the instruction
+// slab, every RCU and CPM (with its memory channel), and the cycle it was
 // taken at.
 // The network and engine are saved separately by internal/checkpoint.
-// The RCU groups' runnable sets are not saved: a snapshot is settled, so
+// The RCU group's runnable set is not saved: a snapshot is settled, so
 // which RCUs are parked, and since when, follows from the RCUs and the
 // cycle.
 type PlatformState struct {
 	cycle  int64
-	instrs []instrSlab // per RCU group
+	instrs instrSlab
 	rcus   []rcuState
 	cpms   []cpmState
 	mems   []mem.ControllerState // per CPM
@@ -87,15 +87,12 @@ func (p *Platform) SnapshotState() *PlatformState {
 		}
 	}
 	s := &PlatformState{
-		cycle:  p.RCUs[0].g.turn,
-		instrs: make([]instrSlab, len(p.groups)),
-		rcus:   make([]rcuState, len(p.RCUs)),
-		cpms:   make([]cpmState, len(p.CPMs)),
-		mems:   make([]mem.ControllerState, len(p.CPMs)),
+		cycle: p.group.turn,
+		rcus:  make([]rcuState, len(p.RCUs)),
+		cpms:  make([]cpmState, len(p.CPMs)),
+		mems:  make([]mem.ControllerState, len(p.CPMs)),
 	}
-	for i := range p.groups {
-		s.instrs[i].copyFrom(&p.groups[i].instrs)
-	}
+	s.instrs.copyFrom(&p.group.instrs)
 	for i, r := range p.RCUs {
 		s.rcus[i].copyFrom(&r.rcuState)
 	}
@@ -108,17 +105,15 @@ func (p *Platform) SnapshotState() *PlatformState {
 
 // RestoreState writes a saved state back onto the same platform.
 func (p *Platform) RestoreState(s *PlatformState) {
-	for i := range p.groups {
-		p.groups[i].instrs.copyFrom(&s.instrs[i])
-		p.groups[i].turn = s.cycle
-	}
+	p.group.instrs.copyFrom(&s.instrs)
+	p.group.turn = s.cycle
 	for i, r := range p.RCUs {
 		r.rcuState.copyFrom(&s.rcus[i])
 		if r.parkable() {
-			r.g.runnable.Remove(i)
+			p.group.runnable.Remove(i)
 			r.parkedFrom = s.cycle
 		} else {
-			r.g.runnable.Add(i)
+			p.group.runnable.Add(i)
 		}
 	}
 	for i, c := range p.CPMs {

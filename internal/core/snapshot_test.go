@@ -21,15 +21,13 @@ func freeLen(head int32, next func(int32) int32) int {
 // in chain order: what a snapshot has to carry unchanged.
 func slabLayout(p *Platform) string {
 	var b strings.Builder
-	for gi := range p.groups {
-		s := &p.groups[gi].instrs
-		fmt.Fprintf(&b, "group%d free %d:", gi, s.free)
-		for i := int32(0); i < s.n; i++ {
-			sl := s.at(i)
-			fmt.Fprintf(&b, " {%d %v %v %v %d}", sl.it.Seq, sl.it.L, sl.it.R, sl.retired, sl.next)
-		}
-		b.WriteString("\n")
+	s := &p.group.instrs
+	fmt.Fprintf(&b, "group0 free %d:", s.free)
+	for i := int32(0); i < s.n; i++ {
+		sl := s.at(i)
+		fmt.Fprintf(&b, " {%d %v %v %v %d}", sl.it.Seq, sl.it.L, sl.it.R, sl.retired, sl.next)
 	}
+	b.WriteString("\n")
 	for _, r := range p.RCUs {
 		fmt.Fprintf(&b, "%s exec %d inbox %v cells %v free %d sb %v %v wait %v out %v\n",
 			r.Name(), r.exec, r.inbox, r.nodes, r.nodeFree, r.sbs, r.sbActive, r.waits, r.outQ.AppendTo(nil))
@@ -60,7 +58,7 @@ func TestMidKernelCheckpointRestoresSlabs(t *testing.T) {
 	if !p.CPM.Submit(buildTokenStorm(600), eng.Cycle(), func(r *Result) { res = r }) {
 		t.Fatal("CPM busy")
 	}
-	slab := &p.groups[0].instrs
+	slab := &p.group.instrs
 	ready := func() bool {
 		free := freeLen(slab.free, func(i int32) int32 { return slab.at(i).next })
 		if free < 2 || int(slab.n) == free || len(p.CPM.offloadMem)+len(p.CPM.offloadPending) == 0 {

@@ -140,8 +140,8 @@ func (it *InstrToken) String() string {
 	return fmt.Sprintf("instr{#%d %s @%d sb=%d emit=%v}", it.Seq, it.Op, it.Dst, it.SubBlock, it.Emit)
 }
 
-// TokenPool recycles the instruction and data tokens of the compute
-// components on one engine. A pooled token exists only in flight: it is
+// TokenPool recycles the instruction and data tokens of a platform's
+// compute components. A pooled token exists only in flight: it is
 // minted as it enters the network (a CPM sends an entry or re-injects a
 // spilled token, an RCU's port takes a result) and goes back the moment
 // it leaves (an RCU copies an instruction into a slot; a data token's

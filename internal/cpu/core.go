@@ -12,7 +12,6 @@ import (
 
 	"snacknoc/internal/cache"
 	"snacknoc/internal/flat"
-	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/traffic"
 )
@@ -174,7 +173,7 @@ func (c *Core) onMiss(cycle int64) {
 	}
 }
 
-// coreGroup steps the cores of one engine as a single component, so a
+// coreGroup steps every core of a workload as a single component, so a
 // cycle costs the cores that can issue in it, not every core: a core
 // that blocks, idles or finishes leaves the runnable set, onMiss and the
 // end of its synchronization stall put it back, and the cycles in
@@ -276,47 +275,32 @@ type Workload struct {
 	Profile *traffic.Profile
 	Cores   []*Core
 
-	groups []*coreGroup // one per engine, in order of their first node
+	group coreGroup // steps every core
 }
 
 // NewWorkload creates one core per node of the system, all running the
-// given profile. The cores of one shard are stepped by one group
-// registered on that shard's engine — a core drives its private L1, so
-// on a sharded network it must evaluate inside that shard's goroutine.
+// given profile, stepped by one group registered on eng. The system's
+// network must be unsharded.
 func NewWorkload(eng *sim.Engine, sys *cache.System, prof *traffic.Profile, seed uint64) (*Workload, error) {
+	if err := sys.Net.CheckUnsharded("cpu"); err != nil {
+		return nil, err
+	}
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(sys.L1s)
 	w := &Workload{Profile: prof, Cores: make([]*Core, n)}
-	byEng := make(map[*sim.Engine]*coreGroup)
+	w.group = coreGroup{name: fmt.Sprintf("cores0(%s)", prof.Name), idleWake: math.MaxInt64, turn: eng.Cycle(), cur: -1}
 	for i := 0; i < n; i++ {
 		w.Cores[i] = newCore(i, prof, sys.L1s[i], n, seed)
-		se := sys.Net.EngFor(noc.NodeID(i))
-		g := byEng[se]
-		if g == nil {
-			g = &coreGroup{
-				name:     fmt.Sprintf("cores%d(%s)", len(w.groups), prof.Name),
-				idleWake: math.MaxInt64, turn: se.Cycle(), cur: -1,
-			}
-			byEng[se] = g
-			w.groups = append(w.groups, g)
-			se.Register(g)
-		}
-		g.add(w.Cores[i])
+		w.group.add(w.Cores[i])
 	}
+	eng.Register(&w.group)
 	return w, nil
 }
 
 // Done reports whether every core has retired its budget.
-func (w *Workload) Done() bool {
-	for _, g := range w.groups {
-		if g.finished < len(g.cores) {
-			return false
-		}
-	}
-	return true
-}
+func (w *Workload) Done() bool { return w.group.finished >= len(w.group.cores) }
 
 // Runtime returns the benchmark runtime: the cycle the last core
 // finished. It panics if the workload has not completed.

@@ -5,7 +5,7 @@ import "math"
 // Checkpoint support. A core's mutable state is coreScalars, its
 // reference stream and that stream's generator included, so a checkpoint
 // copies the block by assignment; onMissFn is a method value bound to
-// the core itself and never changes. The groups' runnable and idle sets
+// the core itself and never changes. The group's runnable and idle sets
 // are derived: a snapshot records per core whether it was idle (a core
 // neither finished, blocked nor idle is runnable) and Workload.Restore
 // rebuilds them.
@@ -25,8 +25,7 @@ func (c *Core) State() CoreState {
 }
 
 // WorkloadState is a workload's saved state: one entry per core, and the
-// cycle of the groups' next turn (between cycles every group is at the
-// same one).
+// cycle of the group's next turn.
 type WorkloadState struct {
 	Cores []CoreState
 	Turn  int64
@@ -34,7 +33,7 @@ type WorkloadState struct {
 
 // State captures every core.
 func (w *Workload) State() *WorkloadState {
-	s := &WorkloadState{Cores: make([]CoreState, len(w.Cores)), Turn: w.groups[0].turn}
+	s := &WorkloadState{Cores: make([]CoreState, len(w.Cores)), Turn: w.group.turn}
 	for i, c := range w.Cores {
 		s.Cores[i] = c.State()
 	}
@@ -42,17 +41,16 @@ func (w *Workload) State() *WorkloadState {
 }
 
 // Restore writes a saved state back onto the same workload and rebuilds
-// the groups' sets.
+// the group's sets.
 func (w *Workload) Restore(s *WorkloadState) {
-	for _, g := range w.groups {
-		g.turn, g.cur, g.finished, g.idleWake = s.Turn, -1, 0, math.MaxInt64
-		clear(g.runnable)
-		clear(g.idle)
-	}
+	g := &w.group
+	g.turn, g.cur, g.finished, g.idleWake = s.Turn, -1, 0, math.MaxInt64
+	clear(g.runnable)
+	clear(g.idle)
 	for i, c := range w.Cores {
 		cs := &s.Cores[i]
 		c.coreScalars = cs.coreScalars
-		switch g := c.g; {
+		switch {
 		case cs.finished:
 			g.finished++
 		case cs.blocked:

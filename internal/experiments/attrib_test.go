@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"maps"
 	"strings"
 	"testing"
@@ -191,16 +190,16 @@ func TestAttribWindowsIgnoreSamplerOrder(t *testing.T) {
 	}
 }
 
-// runAttributedKernel runs one zero-load standalone kernel on a mesh cut
-// into shards with attribution on, as cmd/snackscope -kernel does, and
-// returns its snapshot's values plus the engine's final cycle.
-func runAttributedKernel(t *testing.T, k cpu.KernelName, dims KernelDims, shards int) (map[string]float64, int64) {
+// runAttributedKernel runs one zero-load standalone kernel with
+// attribution on, as cmd/snackscope -kernel does, and returns its
+// snapshot's values plus the engine's final cycle.
+func runAttributedKernel(t *testing.T, k cpu.KernelName, dims KernelDims) (map[string]float64, int64) {
 	t.Helper()
 	prog, err := CompileKernel(k, dims, 16, Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := RunSpec{Shards: shards, Obs: &Observer{Attrib: true}}
+	run := RunSpec{Obs: &Observer{Attrib: true}}
 	_, plat, err := run.RunKernel("kernel", prog, 4, 4, true)
 	if err != nil {
 		t.Fatal(err)
@@ -209,20 +208,19 @@ func runAttributedKernel(t *testing.T, k cpu.KernelName, dims KernelDims, shards
 }
 
 // TestAttribSumsToCycles is the acceptance-criteria invariant: every
-// per-cycle component's reasons sum to the total simulated cycles, on
-// both the serial and the sharded kernel.
+// per-cycle component's reasons sum to the total simulated cycles. Its
+// one leg keeps the name it had when the kernel's mesh could also be cut
+// into shards.
 func TestAttribSumsToCycles(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			values, cycles := runAttributedKernel(t, cpu.KernelSGEMM, DefaultKernelDims(), shards)
-			if cycles <= 0 {
-				t.Fatal("no simulated cycles")
-			}
-			if err := attrib.CheckTotals(values, cycles); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	t.Run("shards=1", func(t *testing.T) {
+		values, cycles := runAttributedKernel(t, cpu.KernelSGEMM, DefaultKernelDims())
+		if cycles <= 0 {
+			t.Fatal("no simulated cycles")
+		}
+		if err := attrib.CheckTotals(values, cycles); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestScopeSGEMMGolden pins cmd/snackscope's SGEMM report against the
@@ -230,7 +228,7 @@ func TestAttribSumsToCycles(t *testing.T) {
 // is CPM-issue-bound (the CPM's one-entry-per-cycle issue port is the
 // limiter, not the mesh).
 func TestScopeSGEMMGolden(t *testing.T) {
-	values, cycles := runAttributedKernel(t, cpu.KernelSGEMM, DefaultKernelDims(), 0)
+	values, cycles := runAttributedKernel(t, cpu.KernelSGEMM, DefaultKernelDims())
 	if err := attrib.CheckTotals(values, cycles); err != nil {
 		t.Fatal(err)
 	}
@@ -261,37 +259,24 @@ func attribSummaries(obs *Observer) []labelledSummary {
 	return out
 }
 
-// attribDigest renders every summary obs collected, optionally dropping
-// the engine layer (its per-shard split legitimately depends on -shards;
-// everything else must not).
-func attribDigest(t *testing.T, obs *Observer, dropEngine bool) string {
+// attribDigest renders every summary obs collected.
+func attribDigest(t *testing.T, obs *Observer) string {
 	t.Helper()
 	var b strings.Builder
 	for _, s := range attribSummaries(obs) {
-		text := s.sum.RenderString(s.label)
-		if dropEngine {
-			var kept []string
-			for _, line := range strings.Split(text, "\n") {
-				if strings.Contains(line, "engine") {
-					continue
-				}
-				kept = append(kept, line)
-			}
-			text = strings.Join(kept, "\n")
-		}
-		b.WriteString(text)
+		b.WriteString(s.sum.RenderString(s.label))
 	}
 	return b.String()
 }
 
 // TestAttribDeterminismAcrossScheduling pins counter determinism over
-// every execution strategy the sweep runners offer: worker count, warm
-// (checkpoint-forked) vs cold sweeps, and shard count. Warm sweeps fall
-// back to cold while a spec observes (newWarmMemo), so the warm run must
-// match exactly; sharding may only re-split the engine layer.
+// every execution strategy the sweep runners offer: worker count and
+// warm (checkpoint-forked) vs cold sweeps. Warm sweeps fall back to cold
+// while a spec observes (newWarmMemo), so the warm run must match
+// exactly.
 func TestAttribDeterminismAcrossScheduling(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a reduced fig12 sweep four times")
+		t.Skip("runs a reduced fig12 sweep three times")
 	}
 	benches := []*traffic.Profile{traffic.LULESH()}
 	kernels := []cpu.KernelName{cpu.KernelMAC}
@@ -305,19 +290,15 @@ func TestAttribDeterminismAcrossScheduling(t *testing.T) {
 	}
 
 	serial := sweep(t, RunSpec{Workers: 1})
-	want := attribDigest(t, serial, false)
-	wantNoEngine := attribDigest(t, serial, true)
+	want := attribDigest(t, serial)
 	if want == "" {
 		t.Fatal("baseline sweep collected no attribution summaries")
 	}
-	if got := attribDigest(t, sweep(t, RunSpec{Workers: 4}), false); got != want {
+	if got := attribDigest(t, sweep(t, RunSpec{Workers: 4})); got != want {
 		t.Fatal("-j 4 attribution diverged from -j 1")
 	}
-	if got := attribDigest(t, sweep(t, RunSpec{Workers: 4, Warm: true}), false); got != want {
+	if got := attribDigest(t, sweep(t, RunSpec{Workers: 4, Warm: true})); got != want {
 		t.Fatal("warm-sweep attribution diverged from cold")
-	}
-	if got := attribDigest(t, sweep(t, RunSpec{Workers: 1, Shards: 2}), true); got != wantNoEngine {
-		t.Fatal("-shards 2 attribution diverged outside the engine layer")
 	}
 }
 

@@ -17,8 +17,10 @@ import (
 var benchRun RunSpec
 
 func SetWorkers(n int)      { benchRun.Workers = n }
-func SetShards(n int)       { benchRun.Shards = n }
 func SetWarmSweeps(on bool) { benchRun.Warm = on }
+
+// SetShards does nothing: every run above a bare network is serial.
+func SetShards(int) {}
 
 // EnableAttribution attaches attribution counters to subsequent runs
 // (see Observer.AttribInterval).

@@ -341,7 +341,7 @@ func (s RunSpec) runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSERes
 			cell := &res.Cells[grp.cells[0]]
 			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
 				cell.VCs, cell.BufDepth, cell.ChanWidth)
-			pts, err := noc.LoadLatencyPoints(s.applyShards(nc), noc.UniformRandom(),
+			pts, err := noc.LoadLatencyPoints(nc, noc.UniformRandom(),
 				points, noc.DataBytes, dseProbeCycles, Seed)
 			if err != nil {
 				return err
@@ -362,7 +362,7 @@ func (s RunSpec) runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSERes
 			eng := sim.NewEngine()
 			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
 				cell.VCs, cell.BufDepth, cell.ChanWidth)
-			plat, err := core.NewStandaloneOn(eng, nc, s.PlatformConfig())
+			plat, err := core.NewStandaloneOn(eng, nc, core.DefaultPlatformConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -475,7 +475,7 @@ func dominates(a, b *DSECell) bool {
 
 // paretoFrontier returns the indices of the non-dominated cells in
 // ascending order. Membership is a pure function of the cells' scores —
-// evaluation order, worker count, and shard count cannot change it.
+// evaluation order and worker count cannot change it.
 func paretoFrontier(cells []DSECell) []int {
 	var out []int
 	for i := range cells {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"testing"
 
@@ -147,12 +146,12 @@ func TestFig12RegenerationByteIdentical(t *testing.T) {
 
 // TestWarmSweepByteIdentical pins the warm-sweep guarantee: a sweep run
 // with checkpoint-forked baselines, memoized zero-load legs, and cached
-// compiles renders byte-identically to the same sweep run cold —
-// including on sharded engines, where forks must restore shard-boundary
-// state exactly.
+// compiles renders byte-identically to the same sweep run cold. Its one
+// leg keeps the name it had when a sweep could also run on sharded
+// engines (0 meant one engine).
 func TestWarmSweepByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("warm equivalence renders a reduced fig12 sweep twice per shard count")
+		t.Skip("warm equivalence renders a reduced fig12 sweep twice")
 	}
 	benches := []*traffic.Profile{traffic.LULESH(), traffic.FMM()}
 	kernels := []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction}
@@ -165,15 +164,13 @@ func TestWarmSweepByteIdentical(t *testing.T) {
 		RenderFig12(&buf, res, kernels)
 		return buf.Bytes()
 	}
-	for _, shards := range []int{0, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cold := render(t, RunSpec{Shards: shards})
-			warm := render(t, RunSpec{Shards: shards, Warm: true})
-			if !bytes.Equal(cold, warm) {
-				t.Fatalf("warm sweep diverged from cold sweep:\ncold:\n%s\nwarm:\n%s", cold, warm)
-			}
-		})
-	}
+	t.Run("shards=0", func(t *testing.T) {
+		cold := render(t, RunSpec{})
+		warm := render(t, RunSpec{Warm: true})
+		if !bytes.Equal(cold, warm) {
+			t.Fatalf("warm sweep diverged from cold sweep:\ncold:\n%s\nwarm:\n%s", cold, warm)
+		}
+	})
 }
 
 func TestFig13RegenerationByteIdentical(t *testing.T) {

@@ -98,12 +98,12 @@ type stack struct {
 }
 
 // newCMPStack builds the CMP simulation a benchmark run, a co-run leg and
-// a warm baseline group run on: the network for cfg, cut into the spec's
-// shards, with utilization sampling on; the cache hierarchy; and prof's
-// cores at scale, seeded with Seed.
-func (s RunSpec) newCMPStack(cfg *noc.Config, prof *traffic.Profile, scale Scale) (stack, error) {
+// a warm baseline group run on: the network for cfg with utilization
+// sampling on, the cache hierarchy, and prof's cores at scale, seeded
+// with Seed.
+func newCMPStack(cfg *noc.Config, prof *traffic.Profile, scale Scale) (stack, error) {
 	eng := sim.NewEngine()
-	net, err := noc.New(eng, s.applyShards(cfg))
+	net, err := noc.New(eng, cfg)
 	if err != nil {
 		return stack{}, err
 	}
@@ -120,11 +120,11 @@ func (s RunSpec) newCMPStack(cfg *noc.Config, prof *traffic.Profile, scale Scale
 }
 
 // RunKernel runs prog once on a zero-load w×h standalone SnackNoC built
-// on the spec's PlatformConfig, observed under label and capped at
+// on core.DefaultPlatformConfig, observed under label and capped at
 // MaxRunCycles, and returns the result and the platform it ran on.
 func (s RunSpec) RunKernel(label string, prog *core.Program, w, h int, priority bool) (*core.Result, *core.Platform, error) {
 	eng := sim.NewEngine()
-	plat, err := core.NewStandalone(eng, w, h, priority, s.PlatformConfig())
+	plat, err := core.NewStandalone(eng, w, h, priority, core.DefaultPlatformConfig())
 	if err != nil {
 		return nil, nil, err
 	}

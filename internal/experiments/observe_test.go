@@ -80,7 +80,7 @@ func TestTraceDisabledByteIdentityCompute(t *testing.T) {
 // to a platform-less CMP stack or to a standalone platform's stack, and
 // Record returns without building a registry, so neither allocates.
 func TestObserveOffAllocatesNothing(t *testing.T) {
-	cmp, err := RunSpec{}.newCMPStack(noc.DAPPER(4, 4), traffic.FMM(), Scale(0.01))
+	cmp, err := newCMPStack(noc.DAPPER(4, 4), traffic.FMM(), Scale(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +108,14 @@ func TestObserveOffAllocatesNothing(t *testing.T) {
 // TestNilRecorderWalksAllocateNothing pins the disabled attribution walk
 // a caller makes when it hands every aggregate the nil recorder: the
 // network, platform, cache system and engine return before naming any
-// component, so none allocates. The stacks are cut in two shards, so the
-// engine walk would also name its sub-engines.
+// component, so none allocates.
 func TestNilRecorderWalksAllocateNothing(t *testing.T) {
-	spec := RunSpec{Shards: 2}
-	cmp, err := spec.newCMPStack(noc.DAPPER(4, 4), traffic.FMM(), Scale(0.01))
+	cmp, err := newCMPStack(noc.DAPPER(4, 4), traffic.FMM(), Scale(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	plat, err := core.NewStandalone(eng, 4, 4, true, spec.PlatformConfig())
+	plat, err := core.NewStandalone(eng, 4, 4, true, core.DefaultPlatformConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func (r *BenchRun) BufferSummary() (zeroPct, p99Pct float64) {
 // RunBenchmark executes one Table III benchmark to completion on the
 // given NoC configuration and collects the paper's measurements.
 func (s RunSpec) RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scale) (*BenchRun, error) {
-	st, err := s.newCMPStack(cfg, prof, scale)
+	st, err := newCMPStack(cfg, prof, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +285,7 @@ type legResult struct {
 // kernel resubmitted continually when prog is non-nil; its stats then
 // accumulate into out.
 func (s RunSpec) runCoRunLeg(spec CoRunSpec, prog *core.Program, out *CoRunResult, label string) (*legResult, error) {
-	st, err := s.newCMPStack(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority), spec.Bench, spec.Scale)
+	st, err := newCMPStack(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority), spec.Bench, spec.Scale)
 	if err != nil {
 		return nil, err
 	}

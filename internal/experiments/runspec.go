@@ -3,28 +3,20 @@ package experiments
 import (
 	"runtime"
 	"sync"
-
-	"snacknoc/internal/core"
-	"snacknoc/internal/noc"
 )
 
 // RunSpec says how the runners execute: how many sweep cells run at
-// once, how many shards each simulation's mesh is cut into, whether
-// co-run sweeps reuse their repeated legs, and what is observed. None
-// of it changes a simulated result — the equivalence tests pin every
-// figure byte for byte across worker counts, shard counts and warm
+// once, whether co-run sweeps reuse their repeated legs, and what is
+// observed. None of it changes a simulated result — the equivalence
+// tests pin every figure byte for byte across worker counts and warm
 // sweeps — so two specs can run side by side in one process and each
-// renders what it would alone. The zero RunSpec runs on every CPU,
-// serial kernels, cold legs, nothing observed.
+// renders what it would alone. The zero RunSpec runs on every CPU, cold
+// legs, nothing observed. Every simulation runs on one engine.
 type RunSpec struct {
 	// Workers is the sweep fan-out: <= 0 means runtime.NumCPU(), 1
 	// reproduces the serial runner bit for bit, including its error
 	// short-circuit.
 	Workers int
-	// Shards cuts every network a runner builds into this many
-	// column-slice sub-engines (noc.Config.Shards), clamped to the mesh
-	// width; <= 1 keeps the serial kernel.
-	Shards int
 	// Warm lets RunFig12, RunFig13 and RunCoRun fork a checkpointed
 	// baseline platform and memoize zero-load legs across the cells of
 	// one call (see warm.go). It is ignored while Obs is set.
@@ -93,26 +85,4 @@ func (s RunSpec) forEach(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// applyShards returns cfg with the spec's shard count set, copying the
-// config so shared presets (noc.DAPPER, noc.SnackPlatform results reused
-// across cells) are never mutated. Counts are clamped to the mesh width,
-// the maximum number of column slices.
-func (s RunSpec) applyShards(cfg *noc.Config) *noc.Config {
-	n := min(s.Shards, cfg.Width)
-	if n <= 1 || cfg.Shards == n {
-		return cfg
-	}
-	cp := *cfg
-	cp.Shards = n
-	return &cp
-}
-
-// PlatformConfig is core.DefaultPlatformConfig plus the spec's shard
-// count, for the runners and commands that build standalone platforms.
-func (s RunSpec) PlatformConfig() core.PlatformConfig {
-	pc := core.DefaultPlatformConfig()
-	pc.Shards = max(s.Shards, 0)
-	return pc
 }

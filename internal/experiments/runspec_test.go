@@ -12,15 +12,14 @@ import (
 
 // TestRunSpecsConcurrent: a RunSpec carries everything that decides how
 // a run executes, so two specs run side by side in one process each
-// render exactly what they render alone. A cuts its meshes into two
-// shards and attributes a serial Fig 2; B runs a warm Fig 12 on two
-// workers. It does not skip under -short, so ci.sh's race pass drives
+// render exactly what they render alone. A attributes a serial Fig 2;
+// B runs a warm Fig 12 on two workers. It does not skip under -short, so ci.sh's race pass drives
 // both at once.
 func TestRunSpecsConcurrent(t *testing.T) {
 	kernels := []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction}
 	runA := func() (fig, snaps []byte) {
 		obs := &Observer{Metrics: true, Attrib: true}
-		res, err := RunSpec{Workers: 1, Shards: 2, Obs: obs}.RunFig2(Scale(0.01))
+		res, err := RunSpec{Workers: 1, Obs: obs}.RunFig2(Scale(0.01))
 		if err != nil {
 			t.Error(err)
 			return nil, nil
@@ -78,17 +77,15 @@ func TestRunSpecsConcurrent(t *testing.T) {
 func TestBenchShims(t *testing.T) {
 	t.Cleanup(func() {
 		SetWorkers(0)
-		SetShards(0)
 		SetWarmSweeps(false)
 		DisableObservability()
 	})
 	SetWorkers(1)
-	SetShards(2)
 	SetWarmSweeps(true)
 	EnableAttribution(0)
 	EnableMetrics()
-	if benchRun.Workers != 1 || benchRun.Shards != 2 || !benchRun.Warm {
-		t.Fatalf("default spec %+v after the setters, want 1 worker, 2 shards, warm", benchRun)
+	if benchRun.Workers != 1 || !benchRun.Warm {
+		t.Fatalf("default spec %+v after the setters, want 1 worker, warm", benchRun)
 	}
 	if !AttribEnabled() || !MetricsEnabled() || TraceCollector() != nil || ObserveRecorder() == nil {
 		t.Fatal("EnableAttribution and EnableMetrics did not switch the default Observer")

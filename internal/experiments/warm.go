@@ -38,9 +38,8 @@ import (
 const WarmupCycles = 8192
 
 // warmMemo is one sweep call's warmed baseline groups and zero-load
-// memos, all built under the spec that made it.
+// memos.
 type warmMemo struct {
-	run    RunSpec
 	mu     sync.Mutex
 	groups map[warmKey]*warmGroup
 	zeros  map[zeroKey]*zeroEntry
@@ -52,7 +51,7 @@ func (s RunSpec) newWarmMemo() *warmMemo {
 	if !s.Warm || s.Obs != nil {
 		return nil
 	}
-	return &warmMemo{run: s, groups: map[warmKey]*warmGroup{}, zeros: map[zeroKey]*zeroEntry{}}
+	return &warmMemo{groups: map[warmKey]*warmGroup{}, zeros: map[zeroKey]*zeroEntry{}}
 }
 
 // memoEntry returns m[k], adding a zero entry first if there is none.
@@ -95,7 +94,7 @@ func (m *warmMemo) baselineLeg(spec CoRunSpec) (*legResult, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.err == nil && g.snap == nil {
-		g.err = g.build(m.run, spec)
+		g.err = g.build(spec)
 	}
 	if g.err != nil {
 		return nil, g.err
@@ -112,8 +111,8 @@ func (m *warmMemo) baselineLeg(spec CoRunSpec) (*legResult, error) {
 
 // build constructs the group's platform (the same way the cold leg
 // does), runs it to the warmup boundary, and checkpoints it.
-func (g *warmGroup) build(run RunSpec, spec CoRunSpec) error {
-	st, err := run.newCMPStack(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority), spec.Bench, spec.Scale)
+func (g *warmGroup) build(spec CoRunSpec) error {
+	st, err := newCMPStack(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority), spec.Bench, spec.Scale)
 	if err != nil {
 		return err
 	}

@@ -36,7 +36,7 @@ func TestALOEarlyExitAgreesWithFullCount(t *testing.T) {
 		c.report()
 	})
 	t.Run("co-run", func(t *testing.T) {
-		eng, target := buildCoRun(t, 1, traffic.Scale(traffic.Graph500(), 0.2))
+		eng, target := buildCoRun(t, traffic.Scale(traffic.Graph500(), 0.2))
 		c := &aloCheck{t: t, net: target.Net, th: th}
 		eng.Register(c)
 		eng.Run(8000)

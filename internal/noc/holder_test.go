@@ -18,25 +18,23 @@ import (
 // the network holds is held once — by one buffered, parked or wired flit
 // or one queued envelope — so copying each holder's payload aliases
 // nothing. It is checked at the snapshot points of the checkpoint fork
-// tests (a co-run with a kernel in flight, serial and sharded, and a
-// cache-heavy one), after running on, and after each restore.
+// tests (a co-run with a kernel in flight and a cache-heavy one), after
+// running on, and after each restore. A co-run is never sharded: the
+// caches, cores and SnackNoC run on one engine.
 func TestInFlightPayloadsHaveOneHolder(t *testing.T) {
 	lulesh := traffic.Scale(traffic.LULESH(), 0.05)
 	lulesh.Phases[0].StallEvery, lulesh.Phases[0].StallCycles = 200, 600
 	legs := []struct {
-		name   string
-		shards int
-		prof   *traffic.Profile
+		name string
+		prof *traffic.Profile
 	}{
-		{"shards=1", 1, lulesh},
-		{"shards=2", 2, lulesh},
-		{"shards=4", 4, lulesh},
-		{"cache-heavy", 2, traffic.Scale(traffic.Graph500(), 0.2)},
+		{"mixed-stalls", lulesh},
+		{"cache-heavy", traffic.Scale(traffic.Graph500(), 0.2)},
 	}
 	var tokens, msgs int
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
-			eng, target := buildCoRun(t, leg.shards, leg.prof)
+			eng, target := buildCoRun(t, leg.prof)
 			eng.Run(4096)
 			if oneHolder(t, target.Net, &tokens, &msgs) == 0 {
 				t.Fatal("nothing in flight at the snapshot point")
@@ -78,12 +76,10 @@ func oneHolder(t *testing.T, net *noc.Network, tokens, msgs *int) int {
 
 // buildCoRun is the checkpoint tests' co-run: a CMP benchmark on the
 // cores with a Reduction kernel submitted at cycle 1.
-func buildCoRun(t *testing.T, shards int, prof *traffic.Profile) (*sim.Engine, checkpoint.Target) {
+func buildCoRun(t *testing.T, prof *traffic.Profile) (*sim.Engine, checkpoint.Target) {
 	t.Helper()
-	cfg := noc.SnackPlatform(4, 4, true)
-	cfg.Shards = shards
 	eng := sim.NewEngine()
-	net, err := noc.New(eng, cfg)
+	net, err := noc.New(eng, noc.SnackPlatform(4, 4, true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,7 +328,7 @@ func TestPendingMasksTrackWires(t *testing.T) {
 				port := net.AttachCompute(NodeID(i), consumeAll{&consumedAt[i]})
 				// Each compute port sends a token to the node across the mesh
 				// every few cycles; tokens are consumed on arrival.
-				net.EngFor(NodeID(i)).Register(&portPump{port: port, dst: NodeID(cfg.Nodes() - 1 - i), every: int64(3 + i%4)})
+				net.engFor(NodeID(i)).Register(&portPump{port: port, dst: NodeID(cfg.Nodes() - 1 - i), every: int64(3 + i%4)})
 			}
 			rng := uint64(99)
 			// Injection runs on the root engine, after the barrier, where it

@@ -212,7 +212,7 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 		n.ports = make([]InjectPort, nodes)
 	}
 	if cfg.SnackVNet >= 0 {
-		n.loop = NewLoopRoute(cfg)
+		n.loop = newLoopRoute(cfg)
 	}
 	for k := range n.flitWires {
 		n.flitWires[k].q = n.flitQ[k*p.wireCap : k*p.wireCap : (k+1)*p.wireCap]
@@ -220,7 +220,7 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	n.layOut(&p)
 
 	for i := range n.routers {
-		se := n.engs[n.shardOf[i]]
+		se := n.engFor(NodeID(i))
 		n.routers[i].setHandle(se.Register(&n.routers[i]))
 		n.nis[i].setHandle(se.Register(&n.nis[i]))
 	}
@@ -424,22 +424,21 @@ func (n *Network) exchange(int64) {
 	}
 }
 
-// BoundaryFlits counts the flits in flight on links that cross a shard
-// boundary (always 0 on an unsharded network). Checkpoint tests use it to
-// snapshot with the boundary wires occupied.
-func (n *Network) BoundaryFlits() int {
-	c := 0
-	for i := range n.flitB {
-		c += len(n.flitB[i].real.q)
-	}
-	return c
+// engFor returns the sub-engine driving the given node's shard. A
+// component co-located with a node must register on this engine so it
+// evaluates on the same goroutine as the node's router.
+func (n *Network) engFor(id NodeID) *sim.Engine {
+	return n.engs[n.shardOf[id]]
 }
 
-// EngFor returns the sub-engine driving the given node's shard. Components
-// co-located with a node (caches, cores, compute units) must register on
-// this engine so they evaluate on the same goroutine as the node's router.
-func (n *Network) EngFor(id NodeID) *sim.Engine {
-	return n.engs[n.shardOf[id]]
+// CheckUnsharded returns an error, prefixed with layer, when the network
+// is cut into shards. Only a bare network may be: the caches, cores and
+// SnackNoC above it register on the one engine handed to New.
+func (n *Network) CheckUnsharded(layer string) error {
+	if len(n.engs) > 1 {
+		return fmt.Errorf("%s: network %q is cut into %d shards; only a bare network may be sharded", layer, n.cfg.Name, len(n.engs))
+	}
+	return nil
 }
 
 // Cfg returns the network configuration.

@@ -321,7 +321,7 @@ func TestLoopRouteVisitsAllNodesOnce(t *testing.T) {
 	for _, dims := range [][2]int{{4, 4}, {4, 3}, {3, 4}, {8, 8}, {2, 2}, {6, 4}} {
 		cfg := &Config{Width: dims[0], Height: dims[1], ChannelWidthBytes: 16,
 			RouterLatency: 1, LinkLatency: 1, VNets: commVNets(2, 2), SnackVNet: -1}
-		lr := NewLoopRoute(cfg)
+		lr := newLoopRoute(cfg)
 		seen := make(map[NodeID]bool)
 		n := NodeID(0)
 		for i := 0; i < lr.Len(); i++ {
@@ -349,7 +349,7 @@ func TestLoopRouteVisitsAllNodesOnce(t *testing.T) {
 
 func TestLoopRoutePositions(t *testing.T) {
 	cfg := SnackPlatform(4, 4, false)
-	lr := NewLoopRoute(cfg)
+	lr := newLoopRoute(cfg)
 	n := NodeID(0)
 	start := lr.Pos(n)
 	for i := 0; i < lr.Len(); i++ {

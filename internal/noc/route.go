@@ -33,9 +33,10 @@ type LoopRoute struct {
 	pos  []int    // position of each node along the loop
 }
 
-// NewLoopRoute builds the loop for the given mesh. It requires an even
-// width or height (guaranteed by Config.Validate for snack networks).
-func NewLoopRoute(cfg *Config) *LoopRoute {
+// newLoopRoute builds the loop for the given mesh. Its one caller is New,
+// after Config.Validate has rejected a snack network without an even
+// width or height, so the odd×odd panic guards that invariant only.
+func newLoopRoute(cfg *Config) *LoopRoute {
 	w, h := cfg.Width, cfg.Height
 	order := make([]NodeID, 0, w*h)
 	if h%2 == 0 {
@@ -72,7 +73,7 @@ func NewLoopRoute(cfg *Config) *LoopRoute {
 			order = append(order, cfg.Node(x, 0))
 		}
 	} else {
-		panic(fmt.Sprintf("noc: no Hamiltonian cycle on odd×odd mesh %dx%d", w, h))
+		panic(fmt.Sprintf("noc: newLoopRoute on odd×odd mesh %dx%d, which Config.Validate rejects for a snack network", w, h))
 	}
 
 	lr := &LoopRoute{

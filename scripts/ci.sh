@@ -102,6 +102,21 @@ if grep -nE '\.(SetTracer|SetAttrib|RegisterMetrics)\(' $obs_srcs /dev/null |
     exit 1
 fi
 
+# Shards stop at the NoC: a bare network may still be cut into column
+# slices (internal/noc, internal/sim, and the benchmark that times it),
+# but the caches, cores and SnackNoC above it run on one engine, and no
+# runner or command cuts a network. Outside those directories no
+# non-test Go names the per-shard engine lookup, the boundary-flit count
+# or the old shard clamp, or sets a Shards field; the benchmark's no-op
+# experiments.SetShards shim is the one exception.
+echo "== shards stop at the NoC =="
+shard_srcs=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/noc/*' ! -path './internal/sim/*' ! -path './benchmark/*')
+# shellcheck disable=SC2086
+if grep -nE 'EngFor|BoundaryFlits|applyShards|\.Shards([^[:alnum:]_]|$)' $shard_srcs; then
+    echo "ERROR: only a bare network is sharded; the layers above internal/noc run on one engine" >&2
+    exit 1
+fi
+
 echo "== go test ./... =="
 go test ./...
 
@@ -110,7 +125,7 @@ go test ./...
 # beyond the checked-in corpus the plain pass above replays. A failing
 # input lands in internal/compiler/testdata/fuzz/FuzzCompile.
 echo "== go test -fuzz FuzzCompile (10 s) =="
-go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s ./internal/compiler
+go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -fuzzminimizetime 1s ./internal/compiler
 
 # The fork property under the fuzzer: ten seconds of co-runs on a 4×4
 # (snapshot cycle, horizon, profile, seed, arbiter, buffer depth and VCs
@@ -118,7 +133,7 @@ go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s ./internal/compiler
 # after a restore that follows a partial fork. A failing input lands in
 # internal/checkpoint/testdata/fuzz/FuzzFork.
 echo "== go test -fuzz FuzzFork (10 s) =="
-go test -run '^$' -fuzz '^FuzzFork$' -fuzztime 10s ./internal/checkpoint
+go test -run '^$' -fuzz '^FuzzFork$' -fuzztime 10s -fuzzminimizetime 1s ./internal/checkpoint
 
 # The command-line shape parsers under the fuzzer: five seconds each of
 # -mesh and -grid strings. Neither parser may panic, and whatever one
@@ -126,8 +141,8 @@ go test -run '^$' -fuzz '^FuzzFork$' -fuzztime 10s ./internal/checkpoint
 # positive and without repeats) and parse back to itself from its
 # rendering. Failing inputs land in internal/experiments/testdata/fuzz.
 echo "== go test -fuzz FuzzParseMesh, FuzzParseGrid (5 s each) =="
-go test -run '^$' -fuzz '^FuzzParseMesh$' -fuzztime 5s ./internal/experiments
-go test -run '^$' -fuzz '^FuzzParseGrid$' -fuzztime 5s ./internal/experiments
+go test -run '^$' -fuzz '^FuzzParseMesh$' -fuzztime 5s -fuzzminimizetime 1s ./internal/experiments
+go test -run '^$' -fuzz '^FuzzParseGrid$' -fuzztime 5s -fuzzminimizetime 1s ./internal/experiments
 
 # The two JSON readers under the fuzzer: ten seconds each. Neither the
 # metrics-snapshot reader nor the trace validator (nor DroppedFromJSON)
@@ -136,38 +151,31 @@ go test -run '^$' -fuzz '^FuzzParseGrid$' -fuzztime 5s ./internal/experiments
 # validates. Failing inputs land in internal/stats/testdata/fuzz and
 # internal/trace/testdata/fuzz.
 echo "== go test -fuzz FuzzReadSnapshots, FuzzValidateTrace (10 s each) =="
-go test -run '^$' -fuzz '^FuzzReadSnapshots$' -fuzztime 10s ./internal/stats
-go test -run '^$' -fuzz '^FuzzValidateTrace$' -fuzztime 10s ./internal/trace
+go test -run '^$' -fuzz '^FuzzReadSnapshots$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stats
+go test -run '^$' -fuzz '^FuzzValidateTrace$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 
 # The race pass uses -short so the full-scale figure regenerations (which
 # the plain pass above already ran) are not repeated at the race
 # detector's ~10x slowdown. It covers the two concurrent subsystems: the
 # parallel sweep runner (traced parallel-sweep test ignores -short) and
-# the sharded simulation kernel (the shard determinism tests in sim, noc,
-# and the sharded co-run in experiments drive shard goroutines through
-# the full platform stack). core and cache ride along for the pooled
-# token/message paths: their pools are engine-local by design, and the
-# sharded co-run legs under race verify no pool is touched cross-shard.
-# checkpoint rides along for the platform pool: the DSE invariance test
-# in experiments drives pooled forks from 4 workers, and the pool's own
-# tests cover the Get/Release/Seal paths. core's runnable-set invariant
-# (checked after every cycle) and its sliced kernel runs, which read the
-# RCUs' deferred counts from the root goroutine between slices, do not
-# skip under -short: the RCU groups step on shard goroutines at shards 2
-# and 4 there.
+# the sharded simulation kernel, which only a bare network uses (the
+# shard determinism tests in sim and noc drive its goroutines). core and
+# cache ride along for the pooled token/message paths. checkpoint rides
+# along for the platform pool: the DSE invariance test in experiments
+# drives pooled forks from 4 workers, and the pool's own tests cover the
+# Get/Release/Seal paths. core's runnable-set invariant (checked after
+# every cycle) and its sliced kernel runs do not skip under -short.
 echo "== go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./internal/core ./internal/cache ./internal/checkpoint =="
 go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./internal/core ./internal/cache ./internal/checkpoint
-# The core and RCU groups step on shard goroutines, the pending masks
-# are set and the boundary credits landed from the barrier: the fork test
-# (skipped by -short above) runs them at shards 2 and 4 with cores
-# blocked and idling and RCUs parked and runnable at the snapshot, and
-# the mask and credit-conservation invariants are checked after every
-# cycle (a boundary credit landed before the barrier is a data race
-# here and a counter that differs from the serial run's there). The two
-# credit-timing pins ride along, and so do the checks a checkpoint's
-# plain slab copies rest on: every payload in flight has one holder (at
-# the fork test's snapshot points, sharded included), and a mid-flight
-# restore gives the cache back its slabs slot for slot.
+# The fork test (skipped by -short above) forks co-runs with cores
+# blocked and idling and RCUs parked and runnable at the snapshot; the
+# pending-mask and credit-conservation invariants are checked after
+# every cycle on bare networks in one, two and four shards (a boundary
+# credit landed before the barrier is a data race here and a counter
+# that differs from the serial run's there). The two credit-timing pins
+# ride along, and so do the checks a checkpoint's plain slab copies rest
+# on: every payload in flight has one holder, and a mid-flight restore
+# gives the cache back its slabs slot for slot.
 echo "== go test -race: fork determinism + pending-mask and credit invariants + credit-timing pins + one payload holder + mid-flight slab restore =="
 go test -race -run 'TestForkDeterminism|TestPendingMasksTrackWires|TestInjectPortCreditTiming|TestNIWaitingPacketNeedsAnEvent|TestInFlightPayloadsHaveOneHolder|TestMidFlightCheckpointReplays' -count=1 ./internal/checkpoint ./internal/noc ./internal/cache
 
