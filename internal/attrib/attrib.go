@@ -260,7 +260,7 @@ func (rec *Recorder) RegisterMetrics(reg *stats.Registry) {
 	}
 	if rec.sampler != nil {
 		for _, r := range rec.sampler.reasons {
-			reg.AddTimeSeries("attrib.series."+reasonNames[r], rec.sampler.series[r])
+			reg.AddSeries("attrib.series."+reasonNames[r], &rec.sampler.samples, int(r))
 		}
 	}
 }

@@ -7,8 +7,9 @@ import (
 
 // Sampler closes attribution windows every interval cycles: it reads
 // the per-(kind,reason) aggregate deltas since the previous window into
-// stats.TimeSeries and, when tracing is on, emits them as Perfetto
-// counter tracks so phase behavior is visible on the timeline.
+// a stats.SampleSlab, a column per reason, and, when tracing is on,
+// emits them as Perfetto counter tracks so phase behavior is visible on
+// the timeline.
 //
 // It satisfies sim.Component structurally (this package must not import
 // sim) and is registered on the ROOT engine only: under a sharded mesh
@@ -30,7 +31,7 @@ type Sampler struct {
 	tr       *trace.Tracer
 
 	reasons []Reason // reasons present among the attached components
-	series  [NumReasons]*stats.TimeSeries
+	samples stats.SampleSlab
 	last    [NumReasons]int64
 	tracks  [NumReasons]int32
 }
@@ -45,7 +46,7 @@ func (rec *Recorder) StartSampling(interval int64, settle func(), tr *trace.Trac
 	if rec == nil || interval <= 0 {
 		return nil
 	}
-	s := &Sampler{rec: rec, interval: interval, settle: settle, tr: tr}
+	s := &Sampler{rec: rec, interval: interval, settle: settle, tr: tr, samples: stats.MakeSampleSlab(int(NumReasons))}
 	var seen [NumReasons]bool
 	for _, c := range rec.comps {
 		for _, r := range kindReasons[c.kind] {
@@ -57,7 +58,6 @@ func (rec *Recorder) StartSampling(interval int64, settle func(), tr *trace.Trac
 			continue
 		}
 		s.reasons = append(s.reasons, r)
-		s.series[r] = new(stats.TimeSeries)
 		if tr != nil {
 			s.tracks[r] = tr.CounterTrack("attrib." + reasonNames[r])
 		}
@@ -86,7 +86,7 @@ func (s *Sampler) Evaluate(cycle int64) {
 	for _, r := range s.reasons {
 		d := totals[r] - s.last[r]
 		s.last[r] = totals[r]
-		s.series[r].Record(float64(d))
+		s.samples.Record(int(r), float64(d))
 		if s.tr != nil {
 			rec := trace.Instant(trace.KindCounter, cycle, -1)
 			rec.Aux = s.tracks[r]

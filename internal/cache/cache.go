@@ -78,12 +78,6 @@ func NewCache(sizeBytes, ways int) *Cache {
 	return &Cache{sets: sets, ways: ways, tags: tags{lines: make([]line, blocks)}}
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 func (c *Cache) setOf(block uint64) int { return int(block % uint64(c.sets)) }
 
 func (c *Cache) find(block uint64) *line {
@@ -179,15 +173,3 @@ func (c *Cache) Downgrade(block uint64) (present, dirty bool) {
 	l.meta &^= lineDirty | lineWritable
 	return true, d
 }
-
-// HitRate returns hits/(hits+misses), 0 before any lookup.
-func (c *Cache) HitRate() float64 {
-	t := c.hits + c.misses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(t)
-}
-
-// Accesses returns the number of lookups performed.
-func (c *Cache) Accesses() int64 { return c.hits + c.misses }

@@ -4,9 +4,9 @@ import "fmt"
 
 // CheckDrained is the drain-conservation check (ROADMAP 6e, cache half):
 // on a system that has run to quiescence without a checkpoint restore,
-// every pooled message is back in the pool, every home transaction slot
-// and every parked-event slot is free, and no L1 has a miss outstanding.
-// It returns the first leak found.
+// every pooled message is back in the pool, every home transaction slot,
+// pending request and parked-event slot is free, and no L1 has a miss
+// or a queued access outstanding. It returns the first leak found.
 func (s *System) CheckDrained() error {
 	if out := s.pool.Out(); out != 0 {
 		return fmt.Errorf("cache: %d pooled messages outstanding at drain", out)
@@ -18,12 +18,16 @@ func (s *System) CheckDrained() error {
 		if n := l.parked.Live(); n != 0 {
 			return fmt.Errorf("cache: l1 %d has %d parked accesses at drain", i, n)
 		}
-	}
-	for i, b := range s.L2s {
-		if b.txns.Live() != 0 || b.txnTab.Len() != 0 {
-			return fmt.Errorf("cache: l2 %d has %d of %d transaction slots live (%d blocks busy) at drain",
-				i, b.txns.Live(), b.txns.Len(), b.txnTab.Len())
+		if n := len(l.waits.recs) - freeLen(&l.waits); n != 0 {
+			return fmt.Errorf("cache: l1 %d has %d queued accesses at drain", i, n)
 		}
+	}
+	if s.txns.Live() != 0 || s.txnTab.Len() != 0 {
+		return fmt.Errorf("cache: %d of %d transaction slots live (%d blocks busy) at drain",
+			s.txns.Live(), s.txns.Len(), s.txnTab.Len())
+	}
+	if n := len(s.pending.recs) - freeLen(&s.pending); n != 0 {
+		return fmt.Errorf("cache: %d pending requests at drain", n)
 	}
 	for _, mn := range s.memNodes {
 		if n := s.Mems[mn].reads.Live(); n != 0 {
@@ -32,3 +36,48 @@ func (s *System) CheckDrained() error {
 	}
 	return nil
 }
+
+// freeLen returns the length of l's free list.
+func freeLen[T any](l *links[T]) int {
+	n := 0
+	for i := l.free; i != 0; i = l.recs[i-1].next {
+		n++
+	}
+	return n
+}
+
+// OutstandingMisses sums in-flight L1 misses across the system; a fully
+// drained system returns 0.
+func (s *System) OutstandingMisses() int {
+	n := 0
+	for _, l := range s.L1s {
+		n += l.Outstanding()
+	}
+	return n
+}
+
+// AvgMissLatency returns the mean L1-miss service time in cycles.
+func (l *L1) AvgMissLatency() float64 {
+	if l.latCount == 0 {
+		return 0
+	}
+	return float64(l.latSum) / float64(l.latCount)
+}
+
+// Sets returns the number of sets.
+func (c *Cache) Sets() int { return c.sets }
+
+// Ways returns the associativity.
+func (c *Cache) Ways() int { return c.ways }
+
+// HitRate returns hits/(hits+misses), 0 before any lookup.
+func (c *Cache) HitRate() float64 {
+	t := c.hits + c.misses
+	if t == 0 {
+		return 0
+	}
+	return float64(c.hits) / float64(t)
+}
+
+// Accesses returns the number of lookups performed.
+func (c *Cache) Accesses() int64 { return c.hits + c.misses }

@@ -16,15 +16,15 @@ const l1MSHRSets = 64
 
 // mshrEntry tracks one outstanding L1 miss. Entries live in a flat slab
 // chained per set (block & mask) with a free list — the miss path and
-// the fill path never touch a map.
+// the fill path never touch a map. Its accesses are chains in the L1's
+// waits slab: waiters complete at the fill, and retry holds conflicting
+// accesses (e.g. a write arriving while a read miss is outstanding)
+// re-issued once the fill completes.
 type mshrEntry struct {
-	block   uint64
-	write   bool
-	waiters []waiter
-	// retry holds conflicting accesses (e.g. a write arriving while a
-	// read miss is outstanding) re-issued once the fill completes.
-	retry []retryReq
-	next  int32
+	block          uint64
+	write          bool
+	waiters, retry chain
+	next           int32
 }
 
 // waiter is one access parked until a fill: a record, not a closure, so
@@ -39,14 +39,10 @@ type waiter struct {
 	done   func(cycle int64) // may be nil
 }
 
-type retryReq struct {
-	write bool
-	waiter
-}
-
 // parkedAccess is an access waiting on an engine event: a hit's
 // completion L1HitLat cycles on, or (retry) a parked write's re-issue
-// the cycle after its block's fill.
+// the cycle after its block's fill. On an MSHR's chains it waits for the
+// fill, and only a retry's write is read.
 type parkedAccess struct {
 	block        uint64
 	write, retry bool
@@ -60,12 +56,6 @@ type L1 struct {
 	sys  *System
 	node int
 
-	// fill scratch: waiters and retries are copied here before their
-	// MSHR is released, so callbacks that recursively Access (and
-	// allocate fresh MSHRs) cannot invalidate the iteration.
-	waitScratch  []waiter
-	retryScratch []retryReq
-
 	l1State
 }
 
@@ -78,6 +68,7 @@ type l1State struct {
 	mshrSlab []mshrEntry
 	mshrFree int32 // slab free-list head, -1 when empty
 	mshrN    int
+	waits    links[parkedAccess] // every MSHR's waiters and retries
 
 	parked flat.Slots[parkedAccess]
 
@@ -110,14 +101,6 @@ func (l *L1) Cache() *Cache { return &l.cache }
 
 // Outstanding returns the number of misses in flight.
 func (l *L1) Outstanding() int { return l.mshrN }
-
-// AvgMissLatency returns the mean L1-miss service time in cycles.
-func (l *L1) AvgMissLatency() float64 {
-	if l.latCount == 0 {
-		return 0
-	}
-	return float64(l.latSum) / float64(l.latCount)
-}
 
 // Hits returns the L1 hit count.
 func (l *L1) Hits() int64 { return l.hits.Value() }
@@ -168,7 +151,7 @@ func (l *L1) attribTick() {
 }
 
 // mshrRelease unlinks block's MSHR from its set chain and recycles the
-// slab cell, keeping the waiter/retry slice capacity.
+// slab cell. Its chains must have been detached.
 func (l *L1) mshrRelease(block uint64, n int32) {
 	set := block & (l1MSHRSets - 1)
 	if l.mshrHead[set] == n {
@@ -181,13 +164,7 @@ func (l *L1) mshrRelease(block uint64, n int32) {
 			}
 		}
 	}
-	e := &l.mshrSlab[n]
-	clear(e.waiters)
-	e.waiters = e.waiters[:0]
-	clear(e.retry)
-	e.retry = e.retry[:0]
-	e.block, e.write = 0, false
-	e.next = l.mshrFree
+	l.mshrSlab[n] = mshrEntry{next: l.mshrFree}
 	l.mshrFree = n
 	l.attribTick()
 	l.mshrN--
@@ -249,14 +226,14 @@ func (l *L1) missPath(block uint64, write bool, w waiter) bool {
 		if write && !m.write {
 			// A write cannot merge into a read miss: it needs exclusive
 			// permission. Park it and re-issue after the fill.
-			m.retry = append(m.retry, retryReq{write: true, waiter: w})
+			l.waits.push(&m.retry, parkedAccess{write: true, waiter: w})
 		} else {
-			m.waiters = append(m.waiters, w)
+			l.waits.push(&m.waiters, parkedAccess{waiter: w})
 		}
 		return false
 	}
 	e := l.mshrAlloc(block, write)
-	e.waiters = append(e.waiters, w)
+	l.waits.push(&e.waiters, parkedAccess{waiter: w})
 	t := GetS
 	if write {
 		t = GetX
@@ -286,10 +263,11 @@ func (l *L1) handle(m *Msg, cycle int64) {
 		if n < 0 {
 			panic(fmt.Sprintf("l1 %d: fill for block %d with no MSHR", l.node, m.Block))
 		}
+		// The chains are detached and the MSHR released before any
+		// callback runs: a waiter's recursive Access may allocate MSHRs
+		// and push waiters, never onto these chains' slots.
 		msh := &l.mshrSlab[n]
-		wasWrite := msh.write
-		l.waitScratch = append(l.waitScratch[:0], msh.waiters...)
-		l.retryScratch = append(l.retryScratch[:0], msh.retry...)
+		wasWrite, waiters, retry := msh.write, msh.waiters, msh.retry
 		l.mshrRelease(m.Block, n)
 		writable := m.Type == DataRespX
 		if v, evicted := l.cache.Fill(m.Block, writable, wasWrite); evicted && v.Dirty {
@@ -297,11 +275,13 @@ func (l *L1) handle(m *Msg, cycle int64) {
 			wb.Type, wb.To, wb.Block, wb.Req = PutData, RoleL2, v.Block, l.nodeID()
 			send(l.sys.Net, l.nodeID(), l.sys.Home(v.Block), wb, cycle)
 		}
-		for _, w := range l.waitScratch {
-			l.complete(w, cycle)
+		for !waiters.empty() {
+			l.complete(l.waits.pop(&waiters).waiter, cycle)
 		}
-		for _, r := range l.retryScratch {
-			l.park(1, parkedAccess{block: m.Block, write: r.write, retry: true, waiter: r.waiter})
+		for !retry.empty() {
+			r := l.waits.pop(&retry)
+			r.block, r.retry = m.Block, true
+			l.park(1, r)
 		}
 
 	case Recall:

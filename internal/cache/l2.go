@@ -8,10 +8,9 @@ import (
 	"snacknoc/internal/stats"
 )
 
-// dirEntry is the directory state for one block at its home bank.
-// Entries live in a flat slab indexed by an open-addressed block table;
-// once created they persist for the run (directory state is permanent),
-// so slab pointers are stable except across a creating entry() call.
+// dirEntry is the directory state for one block at its home bank, in
+// homeState's slab. Once created an entry persists for the run, so slab
+// pointers are stable except across a creating entry() call.
 type dirEntry struct {
 	sharers  nodeSet
 	owner    noc.NodeID
@@ -20,20 +19,20 @@ type dirEntry struct {
 
 // l2txn is the in-flight transaction for one block; the home bank
 // serializes transactions per block, which keeps the protocol race-free.
-// pending holds requests that arrived while the transaction was busy,
-// in arrival order (the per-block queue map folded into the slot). Both
-// are copies: the messages themselves were recycled on arrival.
+// pending chains the requests that arrived while the transaction was
+// busy, in arrival order, through the system's pending slab. Both are
+// copies: the messages themselves were recycled on arrival.
 type l2txn struct {
 	req        Msg
-	pending    []Msg
+	pending    chain
 	needAcks   int
 	waitRecall bool
 	waitMem    bool
 	wentToMem  bool
 }
 
-// L2Bank is one slice of the shared distributed L2 plus the directory for
-// the blocks homed at this node.
+// L2Bank is one slice of the shared distributed L2 and the home of the
+// blocks homed at this node (their directory in the system's homeState).
 type L2Bank struct {
 	sys  *System
 	node noc.NodeID
@@ -45,12 +44,6 @@ type L2Bank struct {
 // checkpoint takes and restores it with copyFrom.
 type l2State struct {
 	cache Cache
-
-	dirTab   flat.Table[uint64] // block -> dirSlots index
-	dirSlots []dirEntry
-
-	txnTab flat.Table[uint64] // block -> txns slot
-	txns   flat.Slots[l2txn]
 
 	hits, misses stats.Counter
 	recalls      stats.Counter
@@ -74,22 +67,34 @@ func (b *L2Bank) Hits() int64 { return b.hits.Value() }
 // Misses returns L2 misses that went to memory.
 func (b *L2Bank) Misses() int64 { return b.misses.Value() }
 
+// homeState is every home bank's directory and transaction file, keyed
+// by block (a block has one home, and nothing iterates them); a
+// checkpoint takes and restores it with copyFrom.
+type homeState struct {
+	dirTab flat.Table[uint64] // block -> dir index
+	dir    []dirEntry
+
+	txnTab  flat.Table[uint64] // block -> txns slot
+	txns    flat.Slots[l2txn]
+	pending links[Msg] // every transaction's pending requests
+}
+
 // entry returns the directory slot for block, creating it on first use.
 // The returned pointer is invalidated by the next creating entry call.
-func (b *L2Bank) entry(block uint64) *dirEntry {
-	if i, ok := b.dirTab.Get(block); ok {
-		return &b.dirSlots[i]
+func (h *homeState) entry(block uint64) *dirEntry {
+	if i, ok := h.dirTab.Get(block); ok {
+		return &h.dir[i]
 	}
-	b.dirSlots = append(b.dirSlots, dirEntry{})
-	i := int32(len(b.dirSlots) - 1)
-	b.dirTab.Put(block, i)
-	return &b.dirSlots[i]
+	h.dir = append(h.dir, dirEntry{})
+	i := int32(len(h.dir) - 1)
+	h.dirTab.Put(block, i)
+	return &h.dir[i]
 }
 
 // txn returns the active transaction for block, or nil.
-func (b *L2Bank) txn(block uint64) *l2txn {
-	if i, ok := b.txnTab.Get(block); ok {
-		return b.txns.At(i)
+func (h *homeState) txn(block uint64) *l2txn {
+	if i, ok := h.txnTab.Get(block); ok {
+		return h.txns.At(i)
 	}
 	return nil
 }
@@ -100,15 +105,15 @@ func (b *L2Bank) txn(block uint64) *l2txn {
 func (b *L2Bank) handle(m *Msg, cycle int64) {
 	switch m.Type {
 	case GetS, GetX:
-		if t := b.txn(m.Block); t != nil {
-			t.pending = append(t.pending, *m)
+		if t := b.sys.txn(m.Block); t != nil {
+			b.sys.pending.push(&t.pending, *m)
 		} else {
 			b.start(m)
 		}
 
 	case PutData:
-		e := b.entry(m.Block)
-		if t := b.txn(m.Block); t != nil && t.waitRecall && e.hasOwner && e.owner == m.From {
+		e := b.sys.entry(m.Block)
+		if t := b.sys.txn(m.Block); t != nil && t.waitRecall && e.hasOwner && e.owner == m.From {
 			// The owner's voluntary writeback crossed our recall; accept
 			// it as the recall's answer.
 			b.fill(m.Block, true, cycle)
@@ -123,7 +128,7 @@ func (b *L2Bank) handle(m *Msg, cycle int64) {
 		b.fill(m.Block, true, cycle)
 
 	case RecallAck:
-		t := b.txn(m.Block)
+		t := b.sys.txn(m.Block)
 		if t == nil || !t.waitRecall {
 			// A stale ack from a recall answered by a crossing PutData.
 			break
@@ -134,7 +139,7 @@ func (b *L2Bank) handle(m *Msg, cycle int64) {
 		t.waitRecall = false
 		// Ownership ends with the recall either way; a GetS recall leaves
 		// the previous owner as a sharer, a GetX recall does not.
-		e := b.entry(m.Block)
+		e := b.sys.entry(m.Block)
 		e.hasOwner = false
 		if t.req.Type == GetS {
 			e.sharers.add(m.From)
@@ -142,7 +147,7 @@ func (b *L2Bank) handle(m *Msg, cycle int64) {
 		b.advance(m.Block, cycle)
 
 	case InvAck:
-		t := b.txn(m.Block)
+		t := b.sys.txn(m.Block)
 		if t == nil || t.needAcks == 0 {
 			break
 		}
@@ -150,7 +155,7 @@ func (b *L2Bank) handle(m *Msg, cycle int64) {
 		b.advance(m.Block, cycle)
 
 	case MemResp:
-		t := b.txn(m.Block)
+		t := b.sys.txn(m.Block)
 		if t == nil || !t.waitMem {
 			break
 		}
@@ -167,10 +172,7 @@ func (b *L2Bank) handle(m *Msg, cycle int64) {
 // start begins a transaction after the bank's lookup latency, reusing a
 // free transaction slot.
 func (b *L2Bank) start(m *Msg) {
-	i := b.txns.Alloc()
-	t := b.txns.At(i)
-	*t = l2txn{req: *m, pending: t.pending[:0]}
-	b.txnTab.Put(m.Block, i)
+	b.sys.txnTab.Put(m.Block, b.sys.txns.Park(l2txn{req: *m}))
 	b.sys.Eng.ScheduleCall(b.sys.Eng.Cycle()+b.sys.cfg.L2Lat, b, int64(m.Block))
 }
 
@@ -182,11 +184,11 @@ func (b *L2Bank) OnCall(block, cycle int64) { b.advance(uint64(block), cycle) }
 // advance drives the transaction state machine for a block until it
 // blocks on a remote event or completes.
 func (b *L2Bank) advance(block uint64, cycle int64) {
-	t := b.txn(block)
+	t := b.sys.txn(block)
 	if t == nil || t.waitRecall || t.waitMem || t.needAcks > 0 {
 		return
 	}
-	e := b.entry(block)
+	e := b.sys.entry(block)
 	req := t.req
 
 	// Step 1: strip conflicting copies.
@@ -258,18 +260,18 @@ func (b *L2Bank) advance(block uint64, cycle int64) {
 // complete retires the active transaction; the oldest pending request
 // (if any) restarts the slot in place.
 func (b *L2Bank) complete(block uint64) {
-	i, ok := b.txnTab.Get(block)
+	h := &b.sys.homeState
+	i, ok := h.txnTab.Get(block)
 	if !ok {
 		return
 	}
-	t := b.txns.At(i)
-	if len(t.pending) == 0 {
-		b.txnTab.Del(block)
-		b.txns.Free(i)
+	t := h.txns.At(i)
+	if t.pending.empty() {
+		h.txnTab.Del(block)
+		h.txns.Free(i)
 		return
 	}
-	t.req = t.pending[0]
-	t.pending = t.pending[:copy(t.pending, t.pending[1:])]
+	t.req = h.pending.pop(&t.pending)
 	t.needAcks, t.waitRecall, t.waitMem, t.wentToMem = 0, false, false, false
 	b.sys.Eng.ScheduleCall(b.sys.Eng.Cycle()+b.sys.cfg.L2Lat, b, int64(block))
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -82,23 +83,27 @@ func TestDowngradeIdempotent(t *testing.T) {
 	}
 }
 
-// TestL2DirectoryMatchesMapProperty: the flat directory (slab + block
-// table, entries never deleted) behaves exactly like the map-based
-// directory it replaced under a random request stream — every lookup
-// reaches the same entry, mutations through returned pointers stick,
-// and the table maps every block, and only those, to its own slot.
+// TestL2DirectoryMatchesMapProperty: the system-wide flat directory
+// (slab + block table, entries never deleted) behaves exactly like the
+// map-based directory it replaced under a random request stream — every
+// lookup reaches the same entry, mutations through returned pointers
+// stick, and the table maps every block, and only those, to its own
+// slot. Halfway through, the home state is taken; after the rest of
+// the stream it is restored and must match the map as it was then.
 func TestL2DirectoryMatchesMapProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		b := &L2Bank{} // entry() touches only the flat directory state
-		ref := make(map[uint64]*dirEntry)
-		for _, op := range ops {
-			block := uint64(op % 251)
-			e := b.entry(block)
-			re, ok := ref[block]
-			if !ok {
-				re = &dirEntry{}
-				ref[block] = re
+		s := &System{} // entry() touches only the flat directory state
+		ref := make(map[uint64]dirEntry)
+		var saved homeState
+		var savedRef map[uint64]dirEntry
+		for k, op := range ops {
+			if k == len(ops)/2 {
+				saved.copyFrom(&s.homeState)
+				savedRef = maps.Clone(ref)
 			}
+			block := uint64(op % 251)
+			e := s.entry(block)
+			re := ref[block]
 			// Mirror a directory mutation on both.
 			node := noc.NodeID(op % 16)
 			switch op % 4 {
@@ -115,17 +120,25 @@ func TestL2DirectoryMatchesMapProperty(t *testing.T) {
 				e.hasOwner = false
 				re.hasOwner = false
 			}
+			ref[block] = re
 		}
-		if len(b.dirSlots) != len(ref) || b.dirTab.Len() != len(ref) {
-			return false
-		}
-		for block, re := range ref {
-			i, ok := b.dirTab.Get(block)
-			if !ok || b.dirSlots[i] != *re {
+		matches := func(ref map[uint64]dirEntry) bool {
+			if len(s.dir) != len(ref) || s.dirTab.Len() != len(ref) {
 				return false
 			}
+			for block, re := range ref {
+				i, ok := s.dirTab.Get(block)
+				if !ok || s.dir[i] != re {
+					return false
+				}
+			}
+			return true
 		}
-		return true
+		if !matches(ref) {
+			return false
+		}
+		s.homeState.copyFrom(&saved)
+		return savedRef == nil || matches(savedRef)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

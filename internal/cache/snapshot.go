@@ -1,23 +1,19 @@
 package cache
 
 import (
-	"slices"
-
 	"snacknoc/internal/flat"
 	"snacknoc/internal/mem"
 )
 
 // Checkpoint support. The hierarchy's mutable state is each L1's and
 // each bank's block (l1State, l2State, each with its tag store), the
-// memory nodes' reads in flight and the DRAM controllers. Pending events
-// live in the engine snapshot as (callee, argument) pairs — a controller
-// and a block or slab slot — and every held message is a value in a slab
-// (messages are recycled by the handler that receives them), so one
-// copyFrom per block both takes and restores it, slot for slot, lookup
-// tables and free lists included. A slot that owns a slice (an MSHR's
-// waiters and retries, a home transaction's pending requests) is copied
-// into that slot's own storage. Waiters are records copied by value; a
-// waiter's done callback is the caller's.
+// system's homeState, the memory nodes' reads in flight and the DRAM
+// controllers. Pending events live in the engine snapshot as (callee,
+// argument) pairs — a controller and a block or slab slot — and every
+// held message or waiter is a value in a slab, chains and free lists
+// linked by slot, so one copyFrom per block both takes and restores it
+// with a plain copy of each slab and table. A waiter's done callback is
+// the caller's.
 
 // copyFrom makes t a copy of o, reusing t's storage.
 func (t *tags) copyFrom(o *tags) {
@@ -25,32 +21,20 @@ func (t *tags) copyFrom(o *tags) {
 	t.tick, t.hits, t.misses = o.tick, o.hits, o.misses
 }
 
-// copyFrom makes e a copy of o, its waiters and retries in e's own
-// storage.
-func (e *mshrEntry) copyFrom(o *mshrEntry) {
-	w, r := e.waiters[:0], e.retry[:0]
-	*e = *o
-	e.waiters = append(w, o.waiters...)
-	e.retry = append(r, o.retry...)
-}
-
-// copyFrom makes t a copy of o, its pending requests in t's own storage.
-func (t *l2txn) copyFrom(o *l2txn) {
-	p := t.pending[:0]
-	*t = *o
-	t.pending = append(p, o.pending...)
+// copyFrom makes l a copy of o, slot for slot, reusing l's storage.
+func (l *links[T]) copyFrom(o *links[T]) {
+	l.recs = append(l.recs[:0], o.recs...)
+	l.free = o.free
 }
 
 // copyFrom makes s a copy of o, reusing s's storage.
 func (s *l1State) copyFrom(o *l1State) {
 	s.cache.tags.copyFrom(&o.cache.tags)
 	s.mshrHead = o.mshrHead
-	s.mshrSlab = slices.Grow(s.mshrSlab[:0], len(o.mshrSlab))[:len(o.mshrSlab)]
-	for i := range o.mshrSlab {
-		s.mshrSlab[i].copyFrom(&o.mshrSlab[i])
-	}
+	s.mshrSlab = append(s.mshrSlab[:0], o.mshrSlab...)
 	s.mshrFree, s.mshrN = o.mshrFree, o.mshrN
-	s.parked.CopyFrom(&o.parked, nil)
+	s.waits.copyFrom(&o.waits)
+	s.parked.CopyFrom(&o.parked)
 	s.hits, s.misses, s.latSum, s.latCount = o.hits, o.misses, o.latSum, o.latCount
 	s.attrib, s.attribLast = o.attrib, o.attribLast
 }
@@ -58,11 +42,16 @@ func (s *l1State) copyFrom(o *l1State) {
 // copyFrom makes s a copy of o, reusing s's storage.
 func (s *l2State) copyFrom(o *l2State) {
 	s.cache.tags.copyFrom(&o.cache.tags)
-	s.dirTab.CopyFrom(&o.dirTab)
-	s.dirSlots = append(s.dirSlots[:0], o.dirSlots...)
-	s.txnTab.CopyFrom(&o.txnTab)
-	s.txns.CopyFrom(&o.txns, (*l2txn).copyFrom)
 	s.hits, s.misses, s.recalls, s.invs = o.hits, o.misses, o.recalls, o.invs
+}
+
+// copyFrom makes h a copy of o, reusing h's storage.
+func (h *homeState) copyFrom(o *homeState) {
+	h.dirTab.CopyFrom(&o.dirTab)
+	h.dir = append(h.dir[:0], o.dir...)
+	h.txnTab.CopyFrom(&o.txnTab)
+	h.txns.CopyFrom(&o.txns)
+	h.pending.copyFrom(&o.pending)
 }
 
 // SystemState is the whole hierarchy's saved state. Memory nodes are
@@ -70,6 +59,7 @@ func (s *l2State) copyFrom(o *l2State) {
 type SystemState struct {
 	l1s   []l1State
 	l2s   []l2State
+	home  homeState
 	mems  []mem.ControllerState
 	reads []flat.Slots[Msg]
 }
@@ -88,9 +78,10 @@ func (s *System) State() *SystemState {
 	for i, b := range s.L2s {
 		st.l2s[i].copyFrom(&b.l2State)
 	}
+	st.home.copyFrom(&s.homeState)
 	for i, mn := range s.memNodes {
 		st.mems[i].CopyFrom(&s.Mems[mn].ctrl.ControllerState)
-		st.reads[i].CopyFrom(&s.Mems[mn].reads, nil)
+		st.reads[i].CopyFrom(&s.Mems[mn].reads)
 	}
 	return st
 }
@@ -103,8 +94,9 @@ func (s *System) Restore(st *SystemState) {
 	for i, b := range s.L2s {
 		b.l2State.copyFrom(&st.l2s[i])
 	}
+	s.homeState.copyFrom(&st.home)
 	for i, mn := range s.memNodes {
 		s.Mems[mn].ctrl.CopyFrom(&st.mems[i])
-		s.Mems[mn].reads.CopyFrom(&st.reads[i], nil)
+		s.Mems[mn].reads.CopyFrom(&st.reads[i])
 	}
 }

@@ -28,9 +28,41 @@ func parkedEvents(s *System) (l1, dram, l1Free, dramFree int) {
 	return
 }
 
-// slabLayout prints every parked-event, MSHR and home-transaction slab
-// slot for slot, free lists in order: what a snapshot has to carry
-// unchanged.
+// chainState reports the chains at a snapshot point: the most waiters
+// and the most retries on one MSHR (waiters counted on an MSHR with a
+// retry), the most pending requests on one transaction, the longest
+// free list of an L1's waiter slab and that of the pending slab.
+func chainState(s *System) (waiters, retries, pending, waitFree, pendFree int) {
+	length := func(l *links[parkedAccess], c chain) int {
+		n := 0
+		for i := c.head; i != 0; i = l.recs[i-1].next {
+			n++
+		}
+		return n
+	}
+	for _, l := range s.L1s {
+		for n := range l.mshrHead {
+			for i := l.mshrHead[n]; i >= 0; i = l.mshrSlab[i].next {
+				if r := length(&l.waits, l.mshrSlab[i].retry); r > 0 {
+					waiters, retries = max(waiters, length(&l.waits, l.mshrSlab[i].waiters)), max(retries, r)
+				}
+			}
+		}
+		waitFree = max(waitFree, freeLen(&l.waits))
+	}
+	for k := range int32(s.txns.Len()) {
+		n := 0
+		for i := s.txns.At(k).pending.head; i != 0; i = s.pending.recs[i-1].next {
+			n++
+		}
+		pending = max(pending, n)
+	}
+	return waiters, retries, pending, waitFree, freeLen(&s.pending)
+}
+
+// slabLayout prints every parked-event, MSHR, waiter, home-transaction
+// and pending-request slab slot for slot, chain links and free lists in
+// order: what a snapshot has to carry unchanged.
 func slabLayout(s *System) string {
 	var out string
 	for i, l := range s.L1s {
@@ -41,18 +73,20 @@ func slabLayout(s *System) string {
 		}
 		out += fmt.Sprintf(" free %v\n mshr %v", l.parked.FreeSlots(), l.mshrHead)
 		for _, m := range l.mshrSlab {
-			out += fmt.Sprintf(" {%d %v %d %d %d}", m.block, m.write, len(m.waiters), len(m.retry), m.next)
+			out += fmt.Sprintf(" %v", m)
 		}
-		out += fmt.Sprintf(" free %d\n", l.mshrFree)
-	}
-	for i, b := range s.L2s {
-		out += fmt.Sprintf("l2.%d", i)
-		for k := range int32(b.txns.Len()) {
-			t := b.txns.At(k)
-			out += fmt.Sprintf(" {%v %v %t%t%t %d}", t.req, t.pending, t.waitRecall, t.waitMem, t.wentToMem, t.needAcks)
+		out += fmt.Sprintf(" free %d\n waits", l.mshrFree)
+		for _, w := range l.waits.recs {
+			out += fmt.Sprintf(" {%v %d %d %v %d}", w.v.write, w.v.starts, w.v.misses, w.v.done != nil, w.next)
 		}
-		out += fmt.Sprintf(" free %v\n", b.txns.FreeSlots())
+		out += fmt.Sprintf(" free %d\n", l.waits.free)
 	}
+	out += "txns"
+	for k := range int32(s.txns.Len()) {
+		t := s.txns.At(k)
+		out += fmt.Sprintf(" {%v %v %t%t%t %d}", t.req, t.pending, t.waitRecall, t.waitMem, t.wentToMem, t.needAcks)
+	}
+	out += fmt.Sprintf(" free %v\npending %v free %d\n", s.txns.FreeSlots(), s.pending.recs, s.pending.free)
 	for _, mn := range s.memNodes {
 		out += fmt.Sprintf("mem.%d %v\n", mn, s.Mems[mn].reads)
 	}
@@ -60,15 +94,18 @@ func slabLayout(s *System) string {
 }
 
 // TestMidFlightCheckpointReplays snapshots the hierarchy while typed
-// events are pending — asserted: a DRAM read slot and an L1 parked access
-// live, each beside a free list of two or more slots — runs on so the
-// live slabs and free lists are recycled in a different order, restores,
-// and requires the restored slabs to be the saved ones slot for slot and
-// the replay to repeat the first run exactly: every access's completion
-// cycle, the miss-latency and hit-rate statistics, the engine's and the
-// network's counts, and the slabs' final layout. The pending events name
-// slab slots, so a restore that dropped a slab, renumbered it or
-// reordered its free list fails here.
+// events are pending and chains are live — asserted: a DRAM read slot
+// and an L1 parked access live, each beside a free list of two or more
+// slots; an MSHR with two waiters and a retry; a transaction with a
+// pending request; free lists of two or more in an L1's waiter slab and
+// in the pending slab — runs on so the live slabs and free lists are
+// recycled in a different order, restores, and requires the restored
+// slabs to be the saved ones slot for slot and the replay to repeat the
+// first run exactly: every access's completion cycle, the miss-latency
+// and hit-rate statistics, the engine's and the network's counts, and
+// the slabs' final layout. The pending events and the chains name slab
+// slots, so a restore that dropped a slab, renumbered it or reordered
+// its free list fails here.
 func TestMidFlightCheckpointReplays(t *testing.T) {
 	eng, sys := newSystem(t)
 	reg := stats.NewRegistry()
@@ -142,19 +179,45 @@ func TestMidFlightCheckpointReplays(t *testing.T) {
 
 	warm := []int64{}
 	doneAt = &warm
-	const resident = 1<<20 + 3 // outside the stressed range: stays in node 3's L1
+	// Blocks outside the stressed range: resident stays in node 3's L1;
+	// the others are cold.
+	const resident, merged, pended, retried = 1<<20 + 3, 1<<20 + 100, 1<<20 + 200, 1<<20 + 300
 	access(t, eng, sys, 3, resident, false)
 	for i := 0; i < 3; i++ { // three hit completions at once: three slots
 		issue(3, resident, false)
 	}
+	// Grow the chain slabs' free lists: five readers merge on one MSHR
+	// at node 7 and five nodes read one block, four of them pending at
+	// its home; all of it completes.
+	for i := 0; i < 5; i++ {
+		issue(7, merged, false)
+		issue(8+i, pended, false)
+	}
+	drain()
+	for n := 8; n < 11; n++ { // two of the three wait as pending requests
+		issue(n, pended+16, false)
+	}
 	stress(40)
 	// Stop where the DRAM queues have partly drained — reads in flight
-	// beside freed slots — and park a hit completion at node 3.
-	eng.RunUntil(func() bool { _, dram, _, free := parkedEvents(sys); return dram > 0 && free >= 2 }, 10_000)
+	// beside freed slots — while a request is pending, and park a hit
+	// completion at node 3, two readers and a write on one block at
+	// node 7.
+	eng.RunUntil(func() bool {
+		_, dram, _, free := parkedEvents(sys)
+		_, _, pending, _, pendFree := chainState(sys)
+		return dram > 0 && free >= 2 && pending > 0 && pendFree >= 2
+	}, 10_000)
 	issue(3, resident, false)
+	issue(7, retried, false)
+	issue(7, retried, false)
+	issue(7, retried, true)
 	if l1, dram, l1Free, dramFree := parkedEvents(sys); l1 < 1 || dram < 1 || l1Free < 2 || dramFree < 2 {
 		t.Fatalf("snapshot point has %d L1 parked accesses (longest free list beside one %d) and %d DRAM reads (%d) live, want 1, 2, 1, 2 or more",
 			l1, l1Free, dram, dramFree)
+	}
+	if waiters, retries, pending, waitFree, pendFree := chainState(sys); waiters < 2 || retries < 1 || pending < 1 || waitFree < 2 || pendFree < 2 {
+		t.Fatalf("snapshot point has an MSHR with %d waiters and %d retries, a transaction with %d pending requests, free lists of %d waiter and %d pending slots; want 2, 1, 1, 2, 2 or more",
+			waiters, retries, pending, waitFree, pendFree)
 	}
 	clone := func(v any) any {
 		if m, ok := v.(*Msg); ok {

@@ -62,7 +62,14 @@ type System struct {
 	// returns, and whatever keeps one longer keeps a copy, so between
 	// deliveries the packet carrying it is its only holder.
 	pool flat.Pool[Msg]
+
+	homeState
 }
+
+// Each L1's MSHR and waiter slabs start as windows of one system-wide
+// slab each: an L1 that keeps this many misses and queued accesses
+// outstanding never grows its own.
+const seedMSHRs, seedWaits = 8, 8
 
 // NewSystem builds the hierarchy on an existing unsharded network.
 func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, error) {
@@ -98,8 +105,10 @@ func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, er
 	s.L1s = make([]*L1, nodes)
 	s.L2s = make([]*L2Bank, nodes)
 	s.Hubs = make([]*Hub, nodes)
+	mshrs, waits := make([]mshrEntry, nodes*seedMSHRs), make([]link[parkedAccess], nodes*seedWaits)
 	for i := 0; i < nodes; i++ {
 		s.L1s[i] = newL1(s, i)
+		s.L1s[i].mshrSlab, s.L1s[i].waits.recs = flat.Carve(&mshrs, seedMSHRs)[:0], flat.Carve(&waits, seedWaits)[:0]
 		s.L2s[i] = newL2Bank(s, noc.NodeID(i))
 		s.Hubs[i] = &Hub{L1: s.L1s[i], L2: s.L2s[i]}
 	}
@@ -184,14 +193,4 @@ func (s *System) L2HitRate() float64 {
 		return 0
 	}
 	return float64(hits) / float64(total)
-}
-
-// OutstandingMisses sums in-flight L1 misses across the system; a fully
-// drained system returns 0, which tests use as a quiescence check.
-func (s *System) OutstandingMisses() int {
-	n := 0
-	for _, l := range s.L1s {
-		n += l.Outstanding()
-	}
-	return n
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -59,9 +61,9 @@ func TestSecondReaderServedByL2(t *testing.T) {
 	eng, sys := newSystem(t)
 	block := uint64(70)
 	access(t, eng, sys, 2, block, false)
-	memBefore := memAccesses(sys)
+	memBefore := l2Misses(sys)
 	access(t, eng, sys, 5, block, false)
-	if memAccesses(sys) != memBefore {
+	if l2Misses(sys) != memBefore {
 		t.Fatal("second reader went to memory despite L2 copy")
 	}
 	if !sys.L1s[5].Cache().Contains(block) {
@@ -264,10 +266,11 @@ func TestHitRatesAggregate(t *testing.T) {
 	}
 }
 
-func memAccesses(sys *System) int64 {
+// l2Misses counts the home banks' misses, each a DRAM read.
+func l2Misses(sys *System) int64 {
 	var n int64
-	for _, m := range sys.Mems {
-		n += m.Controller().Accesses()
+	for _, b := range sys.L2s {
+		n += b.Misses()
 	}
 	return n
 }
@@ -316,12 +319,12 @@ func TestL1MissAllocatesNoClosure(t *testing.T) {
 	}
 	access(t, eng, sys, 2, hit, false)
 	misses++
-	memBefore := memAccesses(sys)
+	memBefore := l2Misses(sys)
 	for i := 0; i < 10; i++ { // warm every pool, slab and table
 		step()
 	}
-	if got := memAccesses(sys) - memBefore; got < 4*10 {
-		t.Fatalf("%d DRAM accesses in 10 rounds, want every streamed block to miss at its home bank", got)
+	if got := l2Misses(sys) - memBefore; got < 4*10 {
+		t.Fatalf("%d home-bank misses in 10 rounds, want every streamed block to miss there", got)
 	}
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 		t.Errorf("a miss round trip allocated %v objects per round, want 0", allocs)
@@ -332,6 +335,100 @@ func TestL1MissAllocatesNoClosure(t *testing.T) {
 	if err := sys.CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMergedMissesAllocateNothing pins the chains: after one warm-up
+// round, rounds in which three reads and a write to one block merge at
+// node 2 (the write parks as a retry and re-issues as an upgrade), then
+// three nodes read the block while its home recalls it from node 2 (two
+// of the reads wait as pending requests), then node 4 writes it (so the
+// next round misses again), allocate nothing. Node 2 first misses on
+// zero to three other blocks, so the merged block's MSHR moves between
+// slab cells from round to round; the warm-up round takes the most.
+// testing.AllocsPerRun would run a warm-up round of its own and
+// truncate the mean, so every allocation of eight rounds is counted,
+// on each of three fresh systems, and the fewest is read (an allocation
+// elsewhere in the process only adds).
+func TestMergedMissesAllocateNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fewest := uint64(math.MaxUint64)
+	for range 3 {
+		fewest = min(fewest, mergedMissRounds(t))
+	}
+	if fewest != 0 {
+		t.Errorf("eight rounds of merged misses allocated %d objects, want 0", fewest)
+	}
+}
+
+// mergedMissRounds builds a system, runs TestMergedMissesAllocateNothing's
+// warm-up round and returns what its next eight rounds allocate.
+func mergedMissRounds(t *testing.T) uint64 {
+	eng, sys := newSystem(t)
+	const block = uint64(1<<20 + 9)
+	resolved, want, round := 0, 0, 0
+	done := func(int64) { resolved++ }
+	var uses [3]int
+	var waiters, retries, pending int
+	drained := func() bool {
+		w, r, p, _, _ := chainState(sys)
+		waiters, retries, pending = max(waiters, w), max(retries, r), max(pending, p)
+		return resolved == want
+	}
+	phase := func(issue func()) {
+		issue()
+		if _, ok := eng.RunUntil(drained, 100_000); !ok {
+			t.Fatalf("%d of %d accesses completed", resolved, want)
+		}
+	}
+	step := func() {
+		phase(func() {
+			// Fillers in node 2's other L1 sets, each a miss: each set
+			// cycles through five blocks with four ways.
+			for f := range 3 - round%4 {
+				sys.L1s[2].Access(block+uint64(1+f)+128*uint64(uses[f]%5), false, done)
+				uses[f]++
+				want++
+			}
+			for i := 0; i < 3; i++ {
+				sys.L1s[2].Access(block, false, done)
+			}
+			sys.L1s[2].Access(block, true, done)
+			want += 4
+		})
+		phase(func() {
+			for n := 4; n < 7; n++ {
+				sys.L1s[n].AccessFast(block, false, done)
+			}
+			want += 3
+		})
+		phase(func() {
+			sys.L1s[4].Access(block, true, done)
+			want++
+		})
+		round++
+	}
+	// Every filler block has a directory entry before the warm-up round.
+	for f := range uint64(3) {
+		for k := range uint64(5) {
+			access(t, eng, sys, 2, block+1+f+128*k, false)
+		}
+	}
+	step()
+	if waiters < 3 || retries < 1 || pending < 2 {
+		t.Fatalf("the round held %d waiters and %d retries on one MSHR and %d pending requests on one transaction, want 3, 1, 2",
+			waiters, retries, pending)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 8 {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	eng.Run(5000)
+	if err := sys.CheckDrained(); err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
 }
 
 // TestNewSystemBoundsTheMesh: a sharer set covers 128 nodes, so Fig

@@ -131,7 +131,7 @@ func (s *coRunSim) digest() string {
 		fmt.Fprintf(&b, "rcu%d: stalls=%.0f\n", i, vals[fmt.Sprintf("rcu%d.stalls.count", i)])
 	}
 	for _, r := range s.net.Routers() {
-		fmt.Fprintf(&b, "%v\n", r.XbarSeries().Samples())
+		fmt.Fprintf(&b, "%v\n", s.net.Samples().Column(int(r.ID())))
 	}
 	return b.String()
 }
@@ -228,7 +228,11 @@ func TestForkDeterminism(t *testing.T) {
 		if !s.plat.CPM.Busy() {
 			t.Fatal("kernel not in flight at the snapshot point")
 		}
-		if s.sys.OutstandingMisses() == 0 {
+		outstanding := 0
+		for _, l := range s.sys.L1s {
+			outstanding += l.Outstanding()
+		}
+		if outstanding == 0 {
 			t.Fatal("no misses in flight at the snapshot point; the leg would not cover MSHR state")
 		}
 		st := checkpoint.Take(s.target())

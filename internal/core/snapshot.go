@@ -38,10 +38,10 @@ func (s *instrSlab) copyFrom(o *instrSlab) {
 func (s *rcuState) copyFrom(o *rcuState) {
 	s.inbox = append(s.inbox[:0], o.inbox...)
 	s.nodes = append(s.nodes[:0], o.nodes...)
-	s.sbs.CopyFrom(&o.sbs, nil)
+	s.sbs.CopyFrom(&o.sbs)
 	s.sbActive = append(s.sbActive[:0], o.sbActive...)
 	s.sbTab.CopyFrom(&o.sbTab)
-	s.waits.CopyFrom(&o.waits, nil)
+	s.waits.CopyFrom(&o.waits)
 	s.waitTab.CopyFrom(&o.waitTab)
 	s.outQ.CopyFrom(&o.outQ)
 	s.rcuScalars = o.rcuScalars

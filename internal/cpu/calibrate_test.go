@@ -112,8 +112,10 @@ func TestWorkloadCompletesAndQuiesces(t *testing.T) {
 		}
 	}
 	eng.Run(200000)
-	if sys.OutstandingMisses() != 0 {
-		t.Fatalf("system did not quiesce: %d outstanding", sys.OutstandingMisses())
+	for i, l := range sys.L1s {
+		if l.Outstanding() != 0 {
+			t.Fatalf("system did not quiesce: l1 %d has %d outstanding", i, l.Outstanding())
+		}
 	}
 }
 

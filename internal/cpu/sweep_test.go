@@ -67,7 +67,7 @@ func TestParameterSweep(t *testing.T) {
 func SteadyStateXbar(net *noc.Network, skip float64) (medianPct, maxPct float64) {
 	var medians []float64
 	for _, r := range net.Routers() {
-		s := r.XbarSeries().Samples()
+		s := net.Samples().Column(int(r.ID()))
 		if len(s) == 0 {
 			continue
 		}

@@ -80,28 +80,26 @@ func (s RunSpec) RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scal
 
 func collect(bench, nocName string, rt int64, net *noc.Network, sys *cache.System) *BenchRun {
 	r := &BenchRun{Benchmark: bench, NoC: nocName, Runtime: rt}
-	var xbarMedians, linkMedians []float64
+	routers := net.Routers()
+	r.XbarSeries, r.LinkSeries = xbarSeries(net), meanLinkSeries(net)
+	xbarMedians, linkMedians := make([]float64, 0, len(routers)), make([]float64, 0, len(routers))
 	bufHist := stats.NewHistogram(1.0, 20)
-	for _, router := range net.Routers() {
-		xs := router.XbarSeries().Samples()
-		r.XbarSeries = append(r.XbarSeries, xs)
-		med, max := seriesStats(xs)
+	for i, router := range routers {
+		med, max := seriesStats(r.XbarSeries[i])
 		xbarMedians = append(xbarMedians, med)
 		if max > r.XbarMaxPct {
 			r.XbarMaxPct = max
 		}
 
-		ls := meanLinkSeries(router)
-		r.LinkSeries = append(r.LinkSeries, ls)
-		med, max = seriesStats(ls)
+		med, max = seriesStats(r.LinkSeries[i])
 		linkMedians = append(linkMedians, med)
 		if max > r.LinkMaxPct {
 			r.LinkMaxPct = max
 		}
 
-		for i, c := range router.BufferHistogram().Buckets() {
+		for b, c := range router.BufferHistogram().Buckets() {
 			// Re-observe at the bucket's midpoint to aggregate.
-			bufHist.ObserveN((float64(i)+0.5)/20, c)
+			bufHist.ObserveN((float64(b)+0.5)/20, c)
 		}
 	}
 	r.XbarMedianPct = stats.Median(xbarMedians)
@@ -110,6 +108,33 @@ func collect(bench, nocName string, rt int64, net *noc.Network, sys *cache.Syste
 	r.L1HitRate = sys.L1HitRate()
 	r.L2HitRate = sys.L2HitRate()
 	return r
+}
+
+// carve returns one full-capacity window of n(r) samples per router,
+// all cut from a single allocation.
+func carve(routers []*noc.Router, n func(*noc.Router) int) [][]float64 {
+	total := 0
+	for _, r := range routers {
+		total += n(r)
+	}
+	slab, out := make([]float64, total), make([][]float64, len(routers))
+	for i, r := range routers {
+		k := n(r)
+		out[i], slab = slab[:k:k], slab[k:]
+	}
+	return out
+}
+
+// xbarSeries returns each router's sampled crossbar usage (Fig 2a).
+func xbarSeries(net *noc.Network) [][]float64 {
+	s, routers := net.Samples(), net.Routers()
+	out := carve(routers, func(r *noc.Router) int { return s.Windows(int(r.ID())) })
+	for i, r := range routers {
+		for k := range out[i] {
+			out[i][k] = s.At(int(r.ID()), k)
+		}
+	}
+	return out
 }
 
 // seriesStats returns the steady-state median and maximum of a sample
@@ -132,31 +157,37 @@ func seriesStats(s []float64) (medianPct, maxPct float64) {
 	return stats.Median(tail) * 100, max * 100
 }
 
-// meanLinkSeries averages the sampled usage of a router's mesh output
-// links (the per-router line of Fig 2b).
-func meanLinkSeries(r *noc.Router) []float64 {
-	var series [][]float64
-	for d := noc.North; d <= noc.West; d++ {
-		if s := r.LinkSeries(d); s != nil {
-			series = append(series, s.Samples())
+// meanLinkSeries averages the sampled usage of each router's mesh
+// output links (the per-router lines of Fig 2b); a router without one
+// has none.
+func meanLinkSeries(net *noc.Network) [][]float64 {
+	s, routers := net.Samples(), net.Routers()
+	links := func(r *noc.Router) (cols [4]int, n int) {
+		for d := noc.North; d <= noc.West; d++ {
+			if c := r.LinkColumn(d); c >= 0 {
+				cols[n], n = c, n+1
+			}
 		}
+		return cols, n
 	}
-	if len(series) == 0 {
-		return nil
-	}
-	n := len(series[0])
-	for _, s := range series {
-		if len(s) < n {
-			n = len(s)
+	out := carve(routers, func(r *noc.Router) int {
+		_, n := links(r)
+		return min(n, 1) * s.Windows(int(r.ID()))
+	})
+	for i, r := range routers {
+		all, n := links(r)
+		cols := all[:n]
+		if n == 0 {
+			out[i] = nil
+			continue
 		}
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		for _, s := range series {
-			sum += s[i]
+		for k := range out[i] {
+			sum := 0.0
+			for _, c := range cols {
+				sum += s.At(c, k)
+			}
+			out[i][k] = sum / float64(len(cols))
 		}
-		out[i] = sum / float64(len(series))
 	}
 	return out
 }
@@ -332,11 +363,9 @@ func collectLegStats(net *noc.Network, w *cpu.Workload) *legResult {
 	// Interference is measured on the mean per-core finish time; see
 	// cpu.Workload.MeanFinish for why the maximum is too noisy at
 	// reproduction scale.
-	leg := &legResult{runtime: int64(w.MeanFinish() * 16)}
-	var medians []float64
-	for _, r := range net.Routers() {
-		s := r.XbarSeries().Samples()
-		leg.xbarSeries = append(leg.xbarSeries, s)
+	leg := &legResult{runtime: int64(w.MeanFinish() * 16), xbarSeries: xbarSeries(net)}
+	medians := make([]float64, 0, len(leg.xbarSeries))
+	for _, s := range leg.xbarSeries {
 		med, _ := seriesStats(s)
 		medians = append(medians, med)
 	}

@@ -21,8 +21,7 @@ func SlotsOver[T any](recs []T, free []int32) Slots[T] {
 }
 
 // Alloc takes a slot and returns its number. The slot holds whatever its
-// last holder left there (zero after Take, not after Free), so a record
-// that owns storage, such as a slice, keeps it for its next holder.
+// last holder left there: zero after Take, not after Free.
 func (s *Slots[T]) Alloc() int32 {
 	if k := len(s.free); k > 0 {
 		i := s.free[k-1]

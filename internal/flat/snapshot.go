@@ -1,7 +1,5 @@
 package flat
 
-import "slices"
-
 // Checkpoint support: each container copies itself into its own storage,
 // so one method both takes a snapshot (saved.CopyFrom(&live)) and
 // restores it (live.CopyFrom(&saved)), and a repeat restore allocates
@@ -21,19 +19,10 @@ func (t *Table[K]) CopyFrom(o *Table[K]) {
 	t.n = o.n
 }
 
-// CopyFrom makes s a slot-for-slot copy of o, reusing s's storage. With
-// deep nil the records are copied as values; otherwise deep copies each
-// record into the storage s's slot already owns, for a record that owns
-// a slice.
-func (s *Slots[T]) CopyFrom(o *Slots[T], deep func(dst, src *T)) {
-	if deep == nil {
-		s.recs = append(s.recs[:0], o.recs...)
-	} else {
-		s.recs = slices.Grow(s.recs[:0], len(o.recs))[:len(o.recs)]
-		for i := range o.recs {
-			deep(&s.recs[i], &o.recs[i])
-		}
-	}
+// CopyFrom makes s a slot-for-slot copy of o, its records copied as
+// values, reusing s's storage.
+func (s *Slots[T]) CopyFrom(o *Slots[T]) {
+	s.recs = append(s.recs[:0], o.recs...)
 	s.free = append(s.free[:0], o.free...)
 }
 

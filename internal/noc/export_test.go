@@ -102,3 +102,17 @@ func (n *Network) Payloads() []any {
 
 // FreeOutputVCsAtLeast exposes the ALO detector's early-exit count.
 func (r *Router) FreeOutputVCsAtLeast(n int) bool { return r.freeOutputVCsAtLeast(n) }
+
+// xbarSamples returns a copy of r's crossbar samples.
+func xbarSamples(r *Router) []float64 {
+	if r.samples == nil {
+		return nil
+	}
+	return r.samples.Column(int(r.id))
+}
+
+// XbarMoves returns the cumulative count of crossbar traversals.
+func (r *Router) XbarMoves() int64 { return r.xbarMoves.Value() }
+
+// Pos returns n's position along the loop (0-based).
+func (lr *LoopRoute) Pos(n NodeID) int { return lr.pos[n] }

@@ -207,7 +207,7 @@ func TestQuiescenceEquivalence(t *testing.T) {
 					rq.Name(), d, lq.Busy(), lq.Total(), lr.Busy(), lr.Total())
 			}
 		}
-		sq, sr := rq.XbarSeries().Samples(), rr.XbarSeries().Samples()
+		sq, sr := xbarSamples(rq), xbarSamples(rr)
 		if len(sq) != len(sr) {
 			t.Fatalf("%s: %d series samples vs %d", rq.Name(), len(sq), len(sr))
 		}

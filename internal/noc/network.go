@@ -59,7 +59,7 @@ type Network struct {
 	counts  []int64
 	work    []int32
 
-	series []stats.TimeSeries // EnableSampling: one per router, then one per output port
+	samples stats.SampleSlab // a column per router, then one per output port
 
 	// pools recycle flits and packet envelopes per shard (one pool for the
 	// whole network when unsharded); see flitPool.
@@ -494,19 +494,27 @@ func (n *Network) InjectMsg(src, dst NodeID, vnet, sizeBytes int, payload any, c
 	n.Inject(&p, cycle)
 }
 
+// Samples returns the sampled series once EnableSampling ran: router
+// r's crossbar is column r.ID(), its links' columns are LinkColumn's.
+func (n *Network) Samples() *stats.SampleSlab { return &n.samples }
+
 // EnableSampling turns on time-series sampling (crossbar and links) on
-// every router with the given interval in cycles.
+// every router with the given interval in cycles, into one slab, which
+// a sharded network's concurrently stepped routers could not share.
 func (n *Network) EnableSampling(interval int64) {
 	if interval <= 0 {
 		panic("noc: EnableSampling interval must be positive")
 	}
-	n.series = make([]stats.TimeSeries, len(n.routers)+len(n.outPorts))
+	if len(n.engs) > 1 {
+		panic("noc: EnableSampling on a sharded network")
+	}
+	n.samples = stats.MakeSampleSlab(len(n.routers) + len(n.outPorts))
 	for i := range n.routers {
-		n.routers[i].sampleEvery = interval
-		n.routers[i].xbarSeries = &n.series[i]
+		r := &n.routers[i]
+		r.sampleEvery, r.samples = interval, &n.samples
 	}
 	for i := range n.outPorts {
-		n.outPorts[i].series = &n.series[len(n.routers)+i]
+		n.outPorts[i].col = len(n.routers) + i
 	}
 }
 

@@ -2,6 +2,8 @@ package noc
 
 import (
 	"math"
+	"math/bits"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -360,6 +362,47 @@ func TestLoopRoutePositions(t *testing.T) {
 	}
 }
 
+// TestSamplingAllocatesLogWindows: a network's sampled series share one
+// slab that grows by doubling its rows, so a run over W windows makes
+// O(log W) sampling allocations, as many on an 8x8 mesh (352 series) as
+// on a 4x4 (80). Sampling allocations are the difference between a
+// sampled and an unsampled run, each the fewest of three (an allocation
+// elsewhere in the process only adds); quiescence is off, so every
+// router closes every window as it passes.
+func TestSamplingAllocatesLogWindows(t *testing.T) {
+	const interval = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocs := func(side int, windows int64, sampled bool) int64 {
+		fewest := int64(math.MaxInt64)
+		for range 3 {
+			eng, net := build(t, DAPPER(side, side))
+			eng.SetQuiescence(false)
+			if sampled {
+				net.EnableSampling(interval)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			eng.Run(windows * interval)
+			runtime.ReadMemStats(&after)
+			if sampled && net.Samples().Windows(0) != int(windows) {
+				t.Fatalf("%dx%d: %d windows closed, want %d", side, side, net.Samples().Windows(0), windows)
+			}
+			fewest = min(fewest, int64(after.Mallocs-before.Mallocs))
+		}
+		return fewest
+	}
+	for _, windows := range []int64{64, 1024} {
+		var got [2]int64
+		for i, side := range []int{4, 8} {
+			got[i] = allocs(side, windows, true) - allocs(side, windows, false)
+		}
+		if bound := int64(bits.Len64(uint64(windows))); got[0] != got[1] || got[0] > bound {
+			t.Errorf("%d windows: sampling made %d allocations on a 4x4 and %d on an 8x8, want equal and at most %d",
+				windows, got[0], got[1], bound)
+		}
+	}
+}
+
 func TestCrossbarStatsAccumulate(t *testing.T) {
 	cfg := BiNoCHS(4, 4)
 	eng, net := build(t, cfg)
@@ -377,8 +420,8 @@ func TestCrossbarStatsAccumulate(t *testing.T) {
 	if r0.XbarUtil().Fraction() <= 0 {
 		t.Fatal("router 0 crossbar utilization is zero")
 	}
-	if len(r0.XbarSeries().Samples()) != 10 {
-		t.Fatalf("expected 10 samples, got %d", len(r0.XbarSeries().Samples()))
+	if len(xbarSamples(r0)) != 10 {
+		t.Fatalf("expected 10 samples, got %d", len(xbarSamples(r0)))
 	}
 	// Router 5 is off the XY path from 0 to 3; it must be idle.
 	if net.Router(5).XbarMoves() != 0 {

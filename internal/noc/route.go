@@ -91,9 +91,5 @@ func newLoopRoute(cfg *Config) *LoopRoute {
 // mesh neighbors, so one XY hop reaches them.
 func (lr *LoopRoute) Next(n NodeID) NodeID { return lr.next[n] }
 
-// Pos returns n's position along the loop (0-based), useful for mapping
-// heuristics that want loop distance.
-func (lr *LoopRoute) Pos(n NodeID) int { return lr.pos[n] }
-
 // Len returns the number of nodes on the loop.
 func (lr *LoopRoute) Len() int { return len(lr.next) }

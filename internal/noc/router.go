@@ -99,7 +99,7 @@ type outputPort struct {
 	credits  []int32 // [vnetOff[v]+c] free downstream slots
 	vcRR     []int32 // per-vnet round-robin pointer for output-VC allocation
 	staged   *Flit   // flit leaving on this port, committed in Advance
-	series   *stats.TimeSeries
+	col      int     // the link's column of the sample slab
 
 	outScalars
 }
@@ -174,9 +174,10 @@ type Router struct {
 	linkLat     int64
 
 	// statistics (the counters and the clock are in routerScalars).
-	// sampleEvery is the series' window in cycles, 0 until EnableSampling.
+	// sampleEvery is the series' window in cycles, 0 until EnableSampling;
+	// samples is the network's slab, the crossbar's column the router ID.
 	sampleEvery int64
-	xbarSeries  *stats.TimeSeries
+	samples     *stats.SampleSlab
 	// bufBucket maps occupancy (0..buffer slots) straight to its
 	// histogram bucket, replacing a float divide per cycle with a table
 	// lookup; routers with the same port count share one table.
@@ -256,16 +257,10 @@ func (r *Router) pushBack(v *inputVC, f *Flit) {
 	v.count++
 }
 
-// XbarSeries returns the crossbar-usage time series, if sampling is on.
-func (r *Router) XbarSeries() *stats.TimeSeries { return r.xbarSeries }
-
 // XbarUtil returns cumulative crossbar utilization.
 func (r *Router) XbarUtil() *stats.Utilization {
 	return stats.NewUtilization(&r.xbarBusy, &r.clock)
 }
-
-// XbarMoves returns the cumulative count of crossbar traversals.
-func (r *Router) XbarMoves() int64 { return r.xbarMoves.Value() }
 
 // BufferHistogram returns the per-cycle buffer-occupancy histogram
 // (fraction of total input slots in use), the Fig 3 measurement.
@@ -280,12 +275,13 @@ func (r *Router) LinkUtil(d Direction) *stats.Utilization {
 	return stats.NewUtilization(&r.outputs[d].linkBusy, &r.clock)
 }
 
-// LinkSeries returns the sampled usage series for an output link, if any.
-func (r *Router) LinkSeries(d Direction) *stats.TimeSeries {
+// LinkColumn returns the Samples column of the output link in
+// direction d, or -1 when the router has no such link.
+func (r *Router) LinkColumn(d Direction) int {
 	if r.outputs[d] == nil {
-		return nil
+		return -1
 	}
-	return r.outputs[d].series
+	return r.outputs[d].col
 }
 
 // attachCompute installs the RCU/CPM hook, caching its optional drain
@@ -317,9 +313,9 @@ func (r *Router) Quiescent() bool {
 // closeWindows completes n sampling windows of the crossbar's and every
 // link's series together; n-1 of them passed while the router slept.
 func (r *Router) closeWindows(n int64) {
-	r.xbarSeries.Close(r.sampleEvery, n)
+	r.samples.Close(int(r.id), n, r.sampleEvery)
 	for i := range r.outList {
-		r.outList[i].series.Close(r.sampleEvery, n)
+		r.samples.Close(r.outList[i].col, n, r.sampleEvery)
 	}
 }
 
@@ -798,8 +794,8 @@ func (r *Router) cross(d Direction, ivc *inputVC, cycle int64) *Flit {
 	r.stagedCount++
 	r.stagedCredits = append(r.stagedCredits, credit{port: ivc.port, vnet: ivc.vnet, vc: ivc.vc})
 	out.linkBusy.Inc()
-	if out.series != nil {
-		out.series.MarkBusy()
+	if r.samples != nil {
+		r.samples.MarkBusy(out.col)
 	}
 	return f
 }
@@ -890,8 +886,8 @@ func (r *Router) removeSACand(d Direction, class int, idx int32) {
 func (r *Router) observe(cycle int64, moves int) {
 	if moves > 0 {
 		r.xbarBusy.Inc()
-		if r.xbarSeries != nil {
-			r.xbarSeries.MarkBusy()
+		if r.samples != nil {
+			r.samples.MarkBusy(int(r.id))
 		}
 		r.xbarMoves.Add(int64(moves))
 	}
@@ -950,15 +946,15 @@ func (r *Router) registerMetrics(reg *stats.Registry) {
 	reg.AddCounter(p+"xbar.moves.snack", &r.classMoves[classSnack])
 	reg.AddHistogram(p+"buf.occupancy", &r.bufHist)
 	reg.AddCounter(p+"compute.consumed", &r.consumed)
-	if r.xbarSeries != nil {
-		reg.AddTimeSeries(p+"xbar.series", r.xbarSeries)
+	if r.samples != nil {
+		reg.AddSeries(p+"xbar.series", r.samples, int(r.id))
 	}
 	for i := range r.outList {
 		out := &r.outList[i]
 		lp := fmt.Sprintf("%slink.%s", p, out.dir)
 		reg.AddUtilization(lp, r.LinkUtil(out.dir))
-		if out.series != nil {
-			reg.AddTimeSeries(lp+".series", out.series)
+		if r.samples != nil {
+			reg.AddSeries(lp+".series", r.samples, out.col)
 		}
 	}
 	// vcs is laid out port-major, then vnet, then vc.

@@ -272,7 +272,7 @@ func shapeOf(t *testing.T, cfg *Config) networkShape {
 			len(n.routers), len(n.nis), len(n.ports), len(n.rptrs), len(n.inPorts), len(n.outPorts),
 			len(n.flitWires), len(n.flitQ), len(n.vcs), len(n.bufSlab), len(n.reasm), len(n.waiting),
 			len(n.staged), len(n.reqSeed), len(n.pktSeed), len(n.txnSeed), len(n.tables),
-			len(n.credits), len(n.counts), len(n.work), len(n.series), len(n.pools), len(n.engs),
+			len(n.credits), len(n.counts), len(n.work), len(n.pools), len(n.engs),
 			len(n.shardOf), cap(n.flitB), cap(n.credB),
 		},
 		tables:  slices.Clone(n.tables),

@@ -50,7 +50,7 @@ type NetworkState struct {
 	reqs  []reqState // incoming, then waiting (stamp unused), per NI
 	txns  []txnState
 
-	series []stats.TimeSeries // when sampling is on
+	samples stats.SampleSlab // when sampling is on
 }
 
 // flitAt is one held flit and its index in Network.bufSlab or .reasm.
@@ -203,12 +203,7 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 			})
 		}
 	}
-	if n.series != nil {
-		s.series = make([]stats.TimeSeries, len(n.series))
-		for i := range n.series {
-			s.series[i].CopyFrom(&n.series[i])
-		}
-	}
+	s.samples.CopyFrom(&n.samples)
 	return s
 }
 
@@ -296,9 +291,7 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 		}
 		txns = txns[nActive:]
 	}
-	for i := range s.series {
-		n.series[i].CopyFrom(&s.series[i])
-	}
+	n.samples.CopyFrom(&s.samples)
 }
 
 // restoreFlits makes slots hold clones of exactly the saved flits, through

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -26,7 +27,8 @@ type entry struct {
 	counter *Counter
 	util    *Utilization
 	hist    *Histogram
-	series  *TimeSeries
+	series  *SampleSlab
+	col     int // series column
 	gauge   func() float64
 }
 
@@ -55,9 +57,12 @@ func (r *Registry) AddUtilization(name string, u *Utilization) { r.add(name, ent
 // AddHistogram registers a histogram under name.
 func (r *Registry) AddHistogram(name string, h *Histogram) { r.add(name, entry{hist: h}) }
 
-// AddTimeSeries registers a sampled series under name. Snapshots summarize
-// it (count, median, max) rather than exporting every sample.
-func (r *Registry) AddTimeSeries(name string, t *TimeSeries) { r.add(name, entry{series: t}) }
+// AddSeries registers column col of s, a sampled series, under name.
+// Snapshots summarize it (count, median, max) rather than exporting
+// every sample.
+func (r *Registry) AddSeries(name string, s *SampleSlab, col int) {
+	r.add(name, entry{series: s, col: col})
+}
 
 // AddGauge registers a derived value computed at snapshot time.
 func (r *Registry) AddGauge(name string, f func() float64) { r.add(name, entry{gauge: f}) }
@@ -85,10 +90,10 @@ func (r *Registry) Snapshot(label string) Snapshot {
 				s.Values[fmt.Sprintf("%s.bucket%02d", name, i)] = float64(c)
 			}
 		case e.series != nil:
-			samples := e.series.Samples()
+			samples := e.series.Column(e.col)
 			s.Values[name+".samples"] = float64(len(samples))
 			s.Values[name+".median"] = Median(samples)
-			s.Values[name+".max"] = e.series.Max()
+			s.Values[name+".max"] = slices.Max(append(samples, 0))
 		case e.gauge != nil:
 			s.Values[name] = e.gauge()
 		}

@@ -2,11 +2,12 @@ package stats
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func buildRegistry() (*Registry, *Counter, *Histogram, *TimeSeries) {
+func buildRegistry() (*Registry, *Counter, *Histogram, *SampleSlab) {
 	reg := NewRegistry()
 	var c Counter
 	c.Add(7)
@@ -17,17 +18,20 @@ func buildRegistry() (*Registry, *Counter, *Histogram, *TimeSeries) {
 	h := NewHistogram(1.0, 4)
 	h.Observe(0.1)
 	h.Observe(0.9)
-	ts := new(TimeSeries)
-	for i := 0; i < 3; i++ {
-		ts.MarkBusy()
-		ts.Close(2, 1)
+	ts := MakeSampleSlab(2)
+	for range 3 {
+		ts.MarkBusy(0)
+		ts.Close(0, 1, 2)
+		ts.MarkBusy(1)
+		ts.MarkBusy(1)
+		ts.Close(1, 1, 2)
 	}
 	reg.AddCounter("c", &c)
 	reg.AddUtilization("u", NewUtilization(&busy, &clock))
 	reg.AddHistogram("h", h)
-	reg.AddTimeSeries("ts", ts)
+	reg.AddSeries("ts", &ts, 0)
 	reg.AddGauge("g", func() float64 { return 42 })
-	return reg, &c, h, ts
+	return reg, &c, h, &ts
 }
 
 func TestRegistrySnapshotFlattens(t *testing.T) {
@@ -166,16 +170,17 @@ func TestHistogramBucketsReturnsCopy(t *testing.T) {
 }
 
 func TestTimeSeriesSamplesReturnsCopy(t *testing.T) {
-	var ts TimeSeries
-	ts.MarkBusy()
-	ts.Close(1, 1)
-	snap := ts.Samples()
-	ts.Close(1, 2)
+	ts := MakeSampleSlab(3)
+	ts.MarkBusy(2)
+	ts.Close(2, 1, 1)
+	snap := ts.Column(2)
+	ts.Close(2, 2, 1)
+	ts.Record(2, 0.25)
 	if len(snap) != 1 || snap[0] != 1 {
 		t.Fatalf("snapshot mutated by later observations: %v", snap)
 	}
 	snap[0] = 99
-	if ts.Samples()[0] != 1 {
-		t.Fatal("mutating the returned slice corrupted the series")
+	if got := ts.Column(2); !slices.Equal(got, []float64{1, 0, 0, 0.25}) {
+		t.Fatalf("mutating the returned slice corrupted the series: %v", got)
 	}
 }

@@ -24,9 +24,6 @@ func (c *Counter) Add(delta int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // Clock is the observation clock of one component: how many cycles it has
 // observed and how far into the current sampling window they reach. All
 // of a component's utilizations and series are read against its one
@@ -46,7 +43,7 @@ func (c *Clock) Observed() int64 { return c.observed }
 
 // Tick observes one cycle and reports whether it completed a sampling
 // window, in which case the owner closes the window of each of its
-// series (TimeSeries.Close).
+// series (SampleSlab.Close).
 func (c *Clock) Tick(interval int64) bool {
 	c.observed++
 	if interval == 0 {
@@ -104,61 +101,65 @@ func (u *Utilization) Fraction() float64 {
 	return float64(u.Busy()) / float64(u.Total())
 }
 
-// Percent returns utilization as a percentage.
-func (u *Utilization) Percent() float64 { return u.Fraction() * 100 }
-
-// TimeSeries samples a utilization-style signal once per sampling window
-// of its owner's Clock, mirroring the paper's "each sample collected over
-// 10K cycles": it counts the busy cycles of the open window, and the
-// owner closes the window when the clock says so. The zero value is an
-// empty series.
-type TimeSeries struct {
-	samples []float64
-	busy    int64
+// SampleSlab holds series sampled per window (the paper's "each sample
+// collected over 10K cycles") in one window-major slab, window k of
+// column c at k*cols+c, and counts each column's closed windows and open
+// window's busy cycles. Rows grow by doubling, so W windows cost
+// O(log W) allocations however many columns share the slab.
+type SampleSlab struct {
+	vals   []float64
+	cols   int
+	counts []int64 // column c's busy cycles in its open window at c, its windows at cols+c
 }
 
-// MarkBusy records one busy cycle in the open window.
-func (t *TimeSeries) MarkBusy() { t.busy++ }
+// MakeSampleSlab returns an empty slab of cols columns.
+func MakeSampleSlab(cols int) SampleSlab {
+	return SampleSlab{cols: cols, counts: make([]int64, 2*cols)}
+}
 
-// Close completes n windows of the given length at once: the open one
-// with the busy cycles marked in it, and n-1 further windows in which
-// nothing was busy (a component that slept across several windows).
-func (t *TimeSeries) Close(interval, n int64) {
-	t.samples = append(t.samples, float64(t.busy)/float64(interval))
-	t.busy = 0
+// MarkBusy records one busy cycle in column col's open window.
+func (s *SampleSlab) MarkBusy(col int) { s.counts[col]++ }
+
+// Close completes n windows of column col at once: the open one with
+// its busy cycles out of interval, and n-1 further windows in which
+// nothing was busy (an owner that slept across several windows).
+func (s *SampleSlab) Close(col int, n, interval int64) {
+	s.Record(col, float64(s.counts[col])/float64(interval))
+	s.counts[col] = 0
 	for ; n > 1; n-- {
-		t.samples = append(t.samples, 0)
+		s.Record(col, 0)
 	}
 }
 
-// Record appends one completed sample directly. It is for series whose
-// samples are computed by an external sampler (the attribution interval
-// sampler) rather than by counting busy cycles; do not mix Record with
-// MarkBusy and Close on one series.
-func (t *TimeSeries) Record(v float64) {
-	t.samples = append(t.samples, v)
-}
-
-// Samples returns a copy of the completed samples as fractions in [0,1].
-// Returning a copy keeps snapshots taken mid-run (registry exports, the
-// figure collectors) immune to later observations growing or rewriting
-// the internal buffer.
-func (t *TimeSeries) Samples() []float64 {
-	return append([]float64(nil), t.samples...)
-}
-
-// Median returns the median of completed samples (0 if none).
-func (t *TimeSeries) Median() float64 { return Median(t.samples) }
-
-// Max returns the maximum completed sample (0 if none).
-func (t *TimeSeries) Max() float64 {
-	m := 0.0
-	for _, s := range t.samples {
-		if s > m {
-			m = s
+// Record appends v to column col as its next window, for a series an
+// external sampler computes (the attribution interval sampler).
+func (s *SampleSlab) Record(col int, v float64) {
+	k := int(s.counts[s.cols+col])
+	if need := (k + 1) * s.cols; need > len(s.vals) {
+		if need > cap(s.vals) {
+			s.vals = append(make([]float64, 0, max(need, 2*cap(s.vals), 8*s.cols)), s.vals...)
 		}
+		old := len(s.vals)
+		s.vals = s.vals[:need]
+		clear(s.vals[old:])
 	}
-	return m
+	s.vals[k*s.cols+col] = v
+	s.counts[s.cols+col]++
+}
+
+// Windows returns the number of windows column col has closed.
+func (s *SampleSlab) Windows(col int) int { return int(s.counts[s.cols+col]) }
+
+// At returns window k < Windows(col) of column col.
+func (s *SampleSlab) At(col, k int) float64 { return s.vals[k*s.cols+col] }
+
+// Column returns a copy of column col's windows, immune to later ones.
+func (s *SampleSlab) Column(col int) []float64 {
+	out := make([]float64, s.Windows(col))
+	for k := range out {
+		out[k] = s.At(col, k)
+	}
+	return out
 }
 
 // Histogram counts observations into fixed-width buckets over [0, max).
@@ -171,9 +172,6 @@ type Histogram struct {
 
 // NewHistogram returns a histogram with n buckets spanning [0, max).
 func NewHistogram(max float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: NewHistogram needs positive max and bucket count")
-	}
 	h := MakeHistogram(max, make([]int64, n))
 	return &h
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -30,29 +31,42 @@ func TestCounterNegativePanics(t *testing.T) {
 }
 
 // clocked is one resource observed the way a router observes its
-// crossbar: a busy counter and a series read against one clock.
+// crossbar: a busy counter and a series read against one clock, the
+// series a column of a slab beside another owner's (column 0, never
+// closed).
 type clocked struct {
 	interval int64
 	clock    Clock
 	busy     Counter
-	series   TimeSeries
+	slab     SampleSlab
+}
+
+func (c *clocked) series() *SampleSlab {
+	if c.slab.cols == 0 {
+		c.slab = MakeSampleSlab(2)
+	}
+	return &c.slab
 }
 
 func (c *clocked) observe(busy bool) {
 	if busy {
 		c.busy.Inc()
-		c.series.MarkBusy()
+		c.series().MarkBusy(1)
 	}
 	if c.clock.Tick(c.interval) {
-		c.series.Close(c.interval, 1)
+		c.close(1)
 	}
 }
 
 func (c *clocked) skip(n int64) {
 	if closed := c.clock.Skip(n, c.interval); closed > 0 {
-		c.series.Close(c.interval, closed)
+		c.close(closed)
 	}
 }
+
+func (c *clocked) close(n int64) { c.series().Close(1, n, c.interval) }
+
+func (c *clocked) samples() []float64 { return c.series().Column(1) }
 
 func (c *clocked) util() *Utilization { return NewUtilization(&c.busy, &c.clock) }
 
@@ -85,7 +99,7 @@ func TestTimeSeriesSampling(t *testing.T) {
 	for i := 0; i < 35; i++ {
 		c.observe(i%2 == 0) // 50% duty
 	}
-	s := c.series.Samples()
+	s := c.samples()
 	if len(s) != 3 {
 		t.Fatalf("got %d samples, want 3 (35 obs / 10)", len(s))
 	}
@@ -103,10 +117,10 @@ func TestTimeSeriesMedianMax(t *testing.T) {
 		c.observe(b)
 	}
 	// samples: 1.0, 0.0, 0.5
-	if got := c.series.Median(); math.Abs(got-0.5) > 1e-12 {
+	if got := Median(c.samples()); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("median = %v, want 0.5", got)
 	}
-	if got := c.series.Max(); math.Abs(got-1.0) > 1e-12 {
+	if got := slices.Max(c.samples()); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("max = %v, want 1.0", got)
 	}
 }
@@ -248,7 +262,7 @@ func TestClockedMatchesPerCycleProperty(t *testing.T) {
 		if ref.total > 0 && u.Fraction() != float64(ref.busy)/float64(ref.total) {
 			return false
 		}
-		got := c.series.Samples()
+		got := c.samples()
 		if len(got) != len(ref.samples) {
 			return false
 		}
@@ -266,7 +280,7 @@ func TestClockedMatchesPerCycleProperty(t *testing.T) {
 	var c clocked
 	c.observe(true)
 	c.skip(1000)
-	if u := c.util(); u.Busy() != 1 || u.Total() != 1001 || len(c.series.Samples()) != 0 {
-		t.Fatalf("unsampled: busy %d total %d samples %d", u.Busy(), u.Total(), len(c.series.Samples()))
+	if u := c.util(); u.Busy() != 1 || u.Total() != 1001 || len(c.samples()) != 0 {
+		t.Fatalf("unsampled: busy %d total %d samples %d", u.Busy(), u.Total(), len(c.samples()))
 	}
 }

@@ -404,7 +404,7 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 12800, dse_fork_sweep <= 6500, cmp_sparse_traffic <= 25000, corun_interference <= 10000, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 16, dse_fork_sweep <= 15, mesh_saturation <= 3.8; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 12800, dse_fork_sweep <= 6500, cmp_sparse_traffic <= 9600, corun_interference <= 2550, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 16, dse_fork_sweep <= 15, mesh_saturation <= 3.8, cmp_sparse_traffic <= 9.8, corun_interference <= 5.3; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
 if grep -n '\.Schedule(\|\.ScheduleAfter(' $(ls internal/cache/*.go internal/mem/*.go | grep -v _test.go); then
     echo "ERROR: internal/cache and internal/mem file typed events (ScheduleCall), not closures" >&2
     exit 1
@@ -437,11 +437,17 @@ fi
 bench_bound kernels_zero_load 0 allocs_per_pass 12800
 bench_bound dse_fork_sweep 0 allocs_per_pass 6500
 bench_bound mesh_saturation 0 allocs_per_pass 3000
-bench_bound cmp_sparse_traffic 0 allocs_per_pass 25000
-bench_bound corun_interference 0 allocs_per_pass 10000
+# The CMP legs' waiters, pending requests, directory and sampled series
+# live in a few system- and network-wide slabs: a per-MSHR, per-slot or
+# per-series slice comes back as thousands of allocations, and a slab
+# that trades the count for bytes trips the MB bounds.
+bench_bound cmp_sparse_traffic 0 allocs_per_pass 9600
+bench_bound corun_interference 0 allocs_per_pass 2550
 bench_bound kernels_zero_load 0 alloc_mb_per_pass 16
 bench_bound dse_fork_sweep 0 alloc_mb_per_pass 15
 bench_bound mesh_saturation 0 alloc_mb_per_pass 3.8
+bench_bound cmp_sparse_traffic 0 alloc_mb_per_pass 9.8
+bench_bound corun_interference 0 alloc_mb_per_pass 5.3
 bench_bound cmp_sparse_traffic 1 sim.evals_per_cycle 8.5
 bench_bound kernels_zero_load 1 sim.evals_per_cycle 8
 bench_bound corun_interference 1 sim.evals_per_cycle 12
