@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	c := cli.New("snackbench", cli.Sweep|cli.Scale|cli.Priority|cli.Observe|cli.Profile)
+	c := cli.New("snackbench", cli.Jobs|cli.Scale|cli.Priority|cli.Observe|cli.Profile)
 	exp := flag.String("exp", "", "experiment to run (tableI, tableII, tableV, fig1, fig2, fig3, fig9, fig10, fig11, fig12, fig13, corun, all)")
 	benchList := flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 16)")
 	c.Start()

@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	c := cli.New("snacksim", cli.Sweep|cli.Scale|cli.Priority|cli.Observe|cli.Profile)
+	c := cli.New("snacksim", cli.Jobs|cli.Scale|cli.Priority|cli.Observe|cli.Profile)
 	bench := flag.String("bench", "", "Table III benchmark to run on the CMP cores")
 	synthetic := flag.String("synthetic", "", "synthetic pattern: uniform, transpose, bitcomp, hotspot")
 	kernel := flag.String("kernel", "", "SnackNoC kernel: SGEMM, Reduction, MAC, SPMV")

@@ -178,12 +178,6 @@ type Counters struct {
 	n     *Counts
 }
 
-// Value returns the count under r.
-func (c Counters) Value(r Reason) int64 { return c.n[slotOf[r]] }
-
-// Kind returns the component class.
-func (c Counters) Kind() Kind { return c.kind }
-
 // Recorder reads the Counts of one run (or one sweep/DSE cell). It is
 // attached single-threaded at platform build time; under a sharded
 // engine each Counts is written only by its owner component's shard
@@ -207,27 +201,6 @@ func (rec *Recorder) Attach(kind Kind, label string, n *Counts) {
 	}
 	*n = Counts{}
 	rec.comps = append(rec.comps, Counters{kind: kind, label: label, n: n})
-}
-
-// Components returns the attached components in attach order.
-func (rec *Recorder) Components() []Counters {
-	if rec == nil {
-		return nil
-	}
-	return rec.comps
-}
-
-// Fold flattens every attached count into metric-style keys
-// ("<label>.attrib.<layer>.<reason>"), the shape Summarize consumes.
-// Reading it is only safe once the engine is settled (between runs, or
-// after the shard barrier).
-func (rec *Recorder) Fold() map[string]float64 {
-	if rec == nil {
-		return nil
-	}
-	m := make(map[string]float64, len(rec.comps)*4)
-	rec.FoldInto(m)
-	return m
 }
 
 // FoldInto accumulates the flattened counters into m, summing with any

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // The report folder. Summarize consumes the flat key space produced by
-// both Recorder.Fold (live counters) and stats.ReadSnapshots (a metrics
+// both Recorder.FoldInto (live counters) and stats.ReadSnapshots (a metrics
 // JSON written with -attrib -metrics), so cmd/snackscope's two modes
 // share one code path. Everything here is a pure function of the input
 // map — the rendered report is deterministic and byte-pinnable.
@@ -210,11 +209,4 @@ func (s *Summary) Render(w io.Writer, title string) {
 			}
 		}
 	}
-}
-
-// RenderString is Render into a string.
-func (s *Summary) RenderString(title string) string {
-	var b strings.Builder
-	s.Render(&b, title)
-	return b.String()
 }

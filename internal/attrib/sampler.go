@@ -66,9 +66,6 @@ func (rec *Recorder) StartSampling(interval int64, settle func(), tr *trace.Trac
 	return s
 }
 
-// Name implements sim.Component.
-func (s *Sampler) Name() string { return "attrib.sampler" }
-
 // Evaluate closes a window on its last cycle.
 func (s *Sampler) Evaluate(cycle int64) {
 	if (cycle+1)%s.interval != 0 {

@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"snacknoc/internal/flat"
+)
 
 // CheckDrained is the drain-conservation check (ROADMAP 6e, cache half):
 // on a system that has run to quiescence without a checkpoint restore,
@@ -15,22 +19,22 @@ func (s *System) CheckDrained() error {
 		if n := l.Outstanding(); n != 0 {
 			return fmt.Errorf("cache: l1 %d has %d misses outstanding at drain", i, n)
 		}
-		if n := l.parked.Live(); n != 0 {
+		if n := live(&l.parked); n != 0 {
 			return fmt.Errorf("cache: l1 %d has %d parked accesses at drain", i, n)
 		}
 		if n := len(l.waits.recs) - freeLen(&l.waits); n != 0 {
 			return fmt.Errorf("cache: l1 %d has %d queued accesses at drain", i, n)
 		}
 	}
-	if s.txns.Live() != 0 || s.txnTab.Len() != 0 {
+	if live(&s.txns) != 0 || s.txnTab.Len() != 0 {
 		return fmt.Errorf("cache: %d of %d transaction slots live (%d blocks busy) at drain",
-			s.txns.Live(), s.txns.Len(), s.txnTab.Len())
+			live(&s.txns), s.txns.Len(), s.txnTab.Len())
 	}
 	if n := len(s.pending.recs) - freeLen(&s.pending); n != 0 {
 		return fmt.Errorf("cache: %d pending requests at drain", n)
 	}
 	for _, mn := range s.memNodes {
-		if n := s.Mems[mn].reads.Live(); n != 0 {
+		if n := live(&s.Mems[mn].reads); n != 0 {
 			return fmt.Errorf("cache: mem %d has %d reads in flight at drain", mn, n)
 		}
 	}
@@ -81,3 +85,19 @@ func (c *Cache) HitRate() float64 {
 
 // Accesses returns the number of lookups performed.
 func (c *Cache) Accesses() int64 { return c.hits + c.misses }
+
+// Access issues one memory operation for the given cache block. done is
+// invoked when the operation completes (hit latency later on a hit, after
+// the fill on a miss). It reports whether the access hit.
+func (l *L1) Access(block uint64, write bool, done func(cycle int64)) bool {
+	return l.access(block, write, waiter{done: done})
+}
+
+// Cache exposes the tag store for inspection in tests and reports.
+func (l *L1) Cache() *Cache { return &l.cache }
+
+// Cache exposes the bank's tag store.
+func (b *L2Bank) Cache() *Cache { return &b.cache }
+
+// live returns how many of s's slots are in use.
+func live[T any](s *flat.Slots[T]) int { return s.Len() - len(s.FreeSlots()) }

@@ -96,9 +96,6 @@ func newL1(sys *System, node int) *L1 {
 	return l
 }
 
-// Cache exposes the tag store for inspection in tests and reports.
-func (l *L1) Cache() *Cache { return &l.cache }
-
 // Outstanding returns the number of misses in flight.
 func (l *L1) Outstanding() int { return l.mshrN }
 
@@ -168,13 +165,6 @@ func (l *L1) mshrRelease(block uint64, n int32) {
 	l.mshrFree = n
 	l.attribTick()
 	l.mshrN--
-}
-
-// Access issues one memory operation for the given cache block. done is
-// invoked when the operation completes (hit latency later on a hit, after
-// the fill on a miss). It reports whether the access hit.
-func (l *L1) Access(block uint64, write bool, done func(cycle int64)) bool {
-	return l.access(block, write, waiter{done: done})
 }
 
 // access is Access for a waiter record; a re-issued retry arrives here

@@ -58,9 +58,6 @@ func newL2Bank(sys *System, node noc.NodeID) *L2Bank {
 	}
 }
 
-// Cache exposes the bank's tag store.
-func (b *L2Bank) Cache() *Cache { return &b.cache }
-
 // Hits returns L2 data-array hits observed while serving transactions.
 func (b *L2Bank) Hits() int64 { return b.hits.Value() }
 

@@ -19,11 +19,11 @@ func parkedEvents(s *System) (l1, dram, l1Free, dramFree int) {
 		}
 	}
 	for _, l := range s.L1s {
-		count(l.parked.Live(), len(l.parked.FreeSlots()), &l1, &l1Free)
+		count(live(&l.parked), len(l.parked.FreeSlots()), &l1, &l1Free)
 	}
 	for _, mn := range s.memNodes {
 		r := &s.Mems[mn].reads
-		count(r.Live(), len(r.FreeSlots()), &dram, &dramFree)
+		count(live(r), len(r.FreeSlots()), &dram, &dramFree)
 	}
 	return
 }

@@ -126,12 +126,6 @@ func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, er
 	return s, nil
 }
 
-// Cfg returns the hierarchy configuration.
-func (s *System) Cfg() SystemConfig { return s.cfg }
-
-// MemNodes returns the memory-controller node list.
-func (s *System) MemNodes() []noc.NodeID { return s.memNodes }
-
 // SetAttrib attaches every L1's event-driven attribution counts to rec
 // (nil returns at once). Each L1 first advances its miss integral to
 // the current cycle, which changes no total; the integral then restarts

@@ -10,6 +10,13 @@ import (
 	"snacknoc/internal/checkpoint"
 )
 
+// fold returns rec's counts under their metric keys.
+func fold(rec *attrib.Recorder) map[string]float64 {
+	m := map[string]float64{}
+	rec.FoldInto(m)
+	return m
+}
+
 // TestAttribCheckpointRoundTrip pins the tentpole's checkpoint
 // contract: attribution counters are part of a snapshot's identity.
 // Restoring rewinds every slab to its value at Take, and a replayed leg
@@ -23,21 +30,21 @@ func TestAttribCheckpointRoundTrip(t *testing.T) {
 
 	s.eng.Run(4096)
 	st := checkpoint.Take(s.target())
-	atTake := rec.Fold()
+	atTake := fold(rec)
 
 	s.eng.Run(4096)
-	firstLeg := rec.Fold()
+	firstLeg := fold(rec)
 	if reflect.DeepEqual(firstLeg, atTake) {
 		t.Fatal("second leg accumulated nothing; the round trip would be vacuous")
 	}
 
 	st.Restore()
-	if got := rec.Fold(); !reflect.DeepEqual(got, atTake) {
+	if got := fold(rec); !reflect.DeepEqual(got, atTake) {
 		t.Fatal("restore did not rewind attribution counters")
 	}
 
 	s.eng.Run(4096)
-	if got := rec.Fold(); !reflect.DeepEqual(got, firstLeg) {
+	if got := fold(rec); !reflect.DeepEqual(got, firstLeg) {
 		t.Fatal("replayed leg diverged from the original counters")
 	}
 }
@@ -73,7 +80,7 @@ func TestAttachMidRunReadsTheDelta(t *testing.T) {
 		}
 	}
 	full.eng.Settle()
-	atHalf := fullRec.Fold()
+	atHalf := fold(fullRec)
 	lagged := 0
 	for i, v := range integral {
 		if atHalf[missKey(i)] != float64(v) {
@@ -85,14 +92,14 @@ func TestAttachMidRunReadsTheDelta(t *testing.T) {
 		t.Fatal("no L1 had a miss outstanding across the attach cycle; the re-base check would be vacuous")
 	}
 	full.eng.Run(half)
-	atEnd := fullRec.Fold()
+	atEnd := fold(fullRec)
 
 	mid := buildCoRun(t)
 	mid.eng.Run(half)
 	midRec := attrib.NewRecorder()
 	attach(mid, midRec)
 	mid.eng.Run(half)
-	got := midRec.Fold()
+	got := fold(midRec)
 
 	if len(got) != len(atEnd) {
 		t.Fatalf("mid-run recorder folded %d keys, from-start %d", len(got), len(atEnd))

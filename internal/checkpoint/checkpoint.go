@@ -11,7 +11,7 @@
 // pending events name the live components, so the component graph is
 // part of a snapshot's identity. A State is immutable once taken (every
 // Restore copies out of it again), so one warmed snapshot forks any
-// number of runs; the warm sweeps and the platform pool build on that.
+// number of runs; the platform pool builds on that.
 // Forks of one snapshot share a platform and therefore serialize.
 //
 // Every layer follows one idiom: a component keeps its mutable state in
@@ -28,8 +28,8 @@
 // packet-envelope pools, the engine's event pool and the cache-message
 // and token pools are unobservable — a pooled object is zeroed before
 // reuse; restoring the mesh returns what it overwrites to its pool and
-// draws what it restores from it), tracers and metrics registries (warm
-// sweeps run cold while observability is on), the immutable
+// draws what it restores from it), tracers and metrics registries
+// (observability is per run), the immutable
 // configuration and wiring, and the derived sets a restore rebuilds
 // (the cores' and RCUs' runnable sets, the wires' pending bits).
 package checkpoint
@@ -110,9 +110,6 @@ func Take(t Target) *State {
 	}
 	return s
 }
-
-// Cycle returns the simulated time the state was taken at.
-func (s *State) Cycle() int64 { return s.cycle }
 
 // Restore rewinds the captured target to the saved state. The state
 // itself is untouched, so Restore can be called again — each call is an

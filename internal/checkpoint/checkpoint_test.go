@@ -120,13 +120,24 @@ func (s *coRunSim) digest() string {
 			i, s.sys.L1s[i].Hits(), s.sys.L1s[i].Misses(),
 			s.sys.L2s[i].Hits(), s.sys.L2s[i].Misses())
 	}
-	fmt.Fprintf(&b, "rcu.executed=%d cpm: issued=%d offloaded=%d busy=%d\n",
-		s.plat.TotalExecuted(), s.plat.CPM.Issued(), s.plat.CPM.Offloaded(),
-		s.plat.CPM.BusyReplies())
+	vals := s.reg.Snapshot("").Values
+	val := func(key string) float64 {
+		v, ok := vals[key]
+		if !ok {
+			panic("digest: no metric " + key)
+		}
+		return v
+	}
+	executed := 0.0
+	for i := range s.plat.RCUs {
+		executed += val(fmt.Sprintf("rcu%d.executed.count", i))
+	}
+	fmt.Fprintf(&b, "rcu.executed=%.0f cpm: issued=%d offloaded=%d busy=%.0f\n",
+		executed, s.plat.CPM.Issued(), s.plat.CPM.Offloaded(),
+		val(fmt.Sprintf("cpm%d.busy.replies.count", s.plat.CPM.Node())))
 	// The stall counts are paid when a parked RCU resumes or the engine
 	// settles, so they replay only if a fork restores who is parked and
 	// since when.
-	vals := s.reg.Snapshot("").Values
 	for i := range s.plat.RCUs {
 		fmt.Fprintf(&b, "rcu%d: stalls=%.0f\n", i, vals[fmt.Sprintf("rcu%d.stalls.count", i)])
 	}

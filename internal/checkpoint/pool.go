@@ -113,10 +113,6 @@ func (e *Entry) Fork() {
 // caller.
 func (e *Entry) Payload() any { return e.payload }
 
-// State exposes the entry's pristine snapshot (for callers that need
-// the warmed cycle, etc.).
-func (e *Entry) State() *State { return e.state }
-
 // Drain drops every idle entry and returns how many were released.
 // Checked-out entries are unaffected; Release after a Drain simply
 // repools them.
@@ -142,11 +138,10 @@ func (p *Pool) Idle() int {
 	return n
 }
 
-// Hits, Misses, Drops, and Forks report cumulative pool traffic;
+// Hits, Misses and Forks report cumulative pool traffic;
 // AvgForkNs the mean wall-clock cost of one Restore walk.
 func (p *Pool) Hits() int64   { return p.hits.Load() }
 func (p *Pool) Misses() int64 { return p.misses.Load() }
-func (p *Pool) Drops() int64  { return p.drops.Load() }
 func (p *Pool) Forks() int64  { return p.forks.Load() }
 
 func (p *Pool) AvgForkNs() float64 {

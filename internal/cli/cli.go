@@ -28,7 +28,6 @@ type Group uint
 
 const (
 	Jobs           Group = 1 << iota // -j
-	WarmSweeps                       // -warm-sweeps
 	Scale                            // -scale
 	Priority                         // -priority
 	Trace                            // -trace, -trace-last
@@ -37,9 +36,8 @@ const (
 	AttribInterval                   // -attrib-interval
 	Profile                          // -cpuprofile, -memprofile
 
-	// Sweep and Observe are the whole groups of the commands that honour
-	// every member.
-	Sweep   = Jobs | WarmSweeps
+	// Observe is the whole group of the commands that honour every
+	// member.
 	Observe = Trace | Metrics | Attrib | AttribInterval
 )
 
@@ -78,9 +76,6 @@ func register(fs *flag.FlagSet, g Group) *Command {
 	c := &Command{Scale: 1}
 	if g&Jobs != 0 {
 		fs.IntVar(&c.Run.Workers, "j", 0, "parallel sweep workers (0 = all CPUs, 1 = serial)")
-	}
-	if g&WarmSweeps != 0 {
-		fs.BoolVar(&c.Run.Warm, "warm-sweeps", false, "fork checkpointed baseline platforms and memoize zero-load legs across co-run cells (byte-identical output, faster fig12/fig13; ignored while -trace/-metrics are active)")
 	}
 	if g&Scale != 0 {
 		fs.Float64Var(&c.Scale, "scale", 1.0, "benchmark instruction-budget scale (1.0 = reference)")

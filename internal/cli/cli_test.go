@@ -13,7 +13,7 @@ import (
 // rejected row names the rule's message, and each accepted row is the
 // nearest combination the rule lets through.
 func TestFlagRules(t *testing.T) {
-	all := Sweep | Scale | Priority | Observe | Profile
+	all := Jobs | Scale | Priority | Observe | Profile
 	for _, tc := range []struct {
 		groups Group
 		args   []string

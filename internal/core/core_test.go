@@ -247,17 +247,17 @@ func TestChainWaitingOnColocatedProducer(t *testing.T) {
 	_, p := newPlatform(t)
 	b := newProg("colocated")
 	x, mid, out := b.dep(), b.dep(), b.dep()
-	emit(b.instr(5, OpAdd, Ref(x), Imm32(fixed.FromInt(1))), mid, 1)
+	emit(b.instr(5, OpAdd, Ref(x), Imm32(fixed.FromFloat(1))), mid, 1)
 	blk := b.block(5)
-	b.prog.AddOp(OpMAC, Imm32(fixed.FromInt(2)), Imm32(fixed.FromInt(3)), true)
-	b.prog.AddOp(OpMAC, Ref(mid), Imm32(fixed.FromInt(10)), false)
+	b.prog.AddOp(OpMAC, Imm32(fixed.FromFloat(2)), Imm32(fixed.FromFloat(3)), true)
+	b.prog.AddOp(OpMAC, Ref(mid), Imm32(fixed.FromFloat(10)), false)
 	b.result(blk, out)
 	b.data(x, 4, 1)
 	res, err := p.Run(b.build(t), 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Values[0].Int(); got != 2*3+(4+1)*10 {
+	if got := int(res.Values[0].Float()); got != 2*3+(4+1)*10 {
 		t.Fatalf("2·3 + (4+1)·10 = %d", got)
 	}
 }
@@ -270,7 +270,7 @@ func TestAccAddReduction(t *testing.T) {
 	out := b.dep()
 	blk := b.block(7)
 	for i := 1; i <= 6; i++ {
-		b.prog.AddOp(OpAccAdd, Imm32(fixed.FromInt(i)), Operand{}, i == 1)
+		b.prog.AddOp(OpAccAdd, Imm32(fixed.FromFloat(float64(i))), Operand{}, i == 1)
 	}
 	b.result(blk, out)
 	res, err := p.Run(b.build(t), 100000)
@@ -314,7 +314,7 @@ func TestPlatformQuiescesAfterKernel(t *testing.T) {
 	eng, p := newPlatform(t)
 	b := newProg("q")
 	out := b.dep()
-	b.result(b.instr(15, OpAdd, Imm32(fixed.FromInt(1)), Imm32(fixed.FromInt(1))), out)
+	b.result(b.instr(15, OpAdd, Imm32(fixed.FromFloat(1)), Imm32(fixed.FromFloat(1))), out)
 	if _, err := p.Run(b.build(t), 100000); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestSubmitWhileBusyIsRejected(t *testing.T) {
 	eng, p := newPlatform(t)
 	b := newProg("busy")
 	out := b.dep()
-	b.result(b.instr(15, OpAdd, Imm32(fixed.FromInt(1)), Imm32(fixed.FromInt(1))), out)
+	b.result(b.instr(15, OpAdd, Imm32(fixed.FromFloat(1)), Imm32(fixed.FromFloat(1))), out)
 	prog := b.build(t)
 	if !p.CPM.Submit(prog, eng.Cycle(), nil) {
 		t.Fatal("first submit rejected")
@@ -350,7 +350,7 @@ func TestKernelDeterminism(t *testing.T) {
 		b.data(x, 2, 4)
 		for i := 0; i < 4; i++ {
 			out := b.dep()
-			b.result(b.instr(noc.NodeID(3+i*4), OpMul, Ref(x), Imm32(fixed.FromInt(i+1))), out)
+			b.result(b.instr(noc.NodeID(3+i*4), OpMul, Ref(x), Imm32(fixed.FromFloat(float64(i+1)))), out)
 		}
 		res, err := p.Run(b.build(t), 200000)
 		if err != nil {
@@ -372,7 +372,7 @@ func TestIssueRateIsOnePerCycle(t *testing.T) {
 	n := 200
 	for i := 0; i < n; i++ {
 		out := b.dep()
-		b.result(b.instr(noc.NodeID(i%16), OpAdd, Imm32(fixed.FromInt(i)), Imm32(fixed.FromInt(1))), out)
+		b.result(b.instr(noc.NodeID(i%16), OpAdd, Imm32(fixed.FromFloat(float64(i))), Imm32(fixed.FromFloat(1))), out)
 	}
 	res, err := p.Run(b.build(t), 1_000_000)
 	if err != nil {
@@ -382,7 +382,7 @@ func TestIssueRateIsOnePerCycle(t *testing.T) {
 		t.Fatalf("%d instructions completed in %d cycles — faster than the 1 IPC issue bound", n, res.Cycles())
 	}
 	for i := 0; i < n; i++ {
-		if got := res.Values[i].Int(); got != i+1 {
+		if got := int(res.Values[i].Float()); got != i+1 {
 			t.Fatalf("slot %d = %d, want %d", i, got, i+1)
 		}
 	}

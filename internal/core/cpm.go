@@ -211,9 +211,6 @@ func (c *CPM) Issued() int64 { return c.issued.Value() }
 // Offloaded returns tokens spilled to memory under congestion.
 func (c *CPM) Offloaded() int64 { return c.offloaded.Value() }
 
-// BusyReplies counts requests rejected while the platform was occupied.
-func (c *CPM) BusyReplies() int64 { return c.busyReplies.Value() }
-
 // CongestedCycles counts cycles the ALO detector reported congestion.
 func (c *CPM) CongestedCycles() int64 { return c.congestedCy.Value() }
 

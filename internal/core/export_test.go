@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"snacknoc/internal/noc"
+)
 
 // CheckGroups verifies, between cycles, that the group's runnable set
 // agrees with its RCUs: an RCU is out of the set exactly when nothing is
@@ -44,3 +48,28 @@ func (p *Platform) CheckDrained() error {
 	}
 	return nil
 }
+
+// BusyReplies counts requests rejected while the platform was occupied.
+func (c *CPM) BusyReplies() int64 { return c.busyReplies.Value() }
+
+// NewRCU builds a lone compute unit for one router, outside a platform
+// and without an injection port.
+func NewRCU(node noc.NodeID, loop *noc.LoopRoute, cpmNode noc.NodeID) *RCU {
+	return &RCU{
+		node:     node,
+		loop:     loop,
+		cpmNode:  cpmNode,
+		pool:     new(TokenPool),
+		instrs:   &instrSlab{free: -1},
+		rcuState: rcuState{rcuScalars: rcuScalars{nodeFree: -1, exec: -1}},
+	}
+}
+
+// Emitted returns the number of data tokens produced.
+func (r *RCU) Emitted() int64 { return r.emitted.Value() }
+
+// Name names the group in CheckGroups' errors.
+func (g *rcuGroup) Name() string { return "rcus0" }
+
+// Executed returns the number of instructions completed.
+func (r *RCU) Executed() int64 { return r.executed.Value() }

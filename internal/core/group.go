@@ -36,9 +36,6 @@ type rcuGroup struct {
 	turn int64
 }
 
-// Name implements sim.Component.
-func (g *rcuGroup) Name() string { return "rcus0" }
-
 // Evaluate steps every runnable RCU, in node order.
 func (g *rcuGroup) Evaluate(cycle int64) {
 	for i := g.runnable.Next(0); i >= 0; i = g.runnable.Next(i + 1) {

@@ -66,12 +66,21 @@ func compile(t testing.TB, k cpu.KernelName, nRCU int) *core.Program {
 	return prog
 }
 
-// rcuAttrib returns the RCUs' attribution counts in node order.
-func (s *rcuSim) rcuAttrib() []attrib.Counters {
-	var out []attrib.Counters
-	for _, c := range s.rec.Components() {
-		if c.Kind() == attrib.KindRCU {
-			out = append(out, c)
+// attribCounts returns every attribution count under its metric key.
+func (s *rcuSim) attribCounts() map[string]float64 {
+	m := map[string]float64{}
+	s.rec.FoldInto(m)
+	return m
+}
+
+// rcuAttrib returns each RCU's exec, operand-wait, output-backpressure
+// and idle counts, in node order.
+func (s *rcuSim) rcuAttrib() [][4]int64 {
+	m := s.attribCounts()
+	out := make([][4]int64, len(s.plat.RCUs))
+	for i, r := range s.plat.RCUs {
+		for j, reason := range []attrib.Reason{attrib.RCUExec, attrib.RCUOperandWait, attrib.RCUOutputBackpressure, attrib.RCUIdle} {
+			out[i][j] = int64(m[r.Name()+".attrib."+reason.String()])
 		}
 	}
 	return out
@@ -85,8 +94,7 @@ func (s *rcuSim) writeCounts(b *strings.Builder) {
 	for i, r := range s.plat.RCUs {
 		fmt.Fprintf(b, "rcu%d executed=%d captured=%d emitted=%d stalls=%.0f maxbuf=%d exec=%d wait=%d backpressure=%d idle=%d\n",
 			i, r.Executed(), r.Captured(), r.Emitted(), vals[fmt.Sprintf("rcu%d.stalls.count", i)], r.MaxBuffered(),
-			at[i].Value(attrib.RCUExec), at[i].Value(attrib.RCUOperandWait),
-			at[i].Value(attrib.RCUOutputBackpressure), at[i].Value(attrib.RCUIdle))
+			at[i][0], at[i][1], at[i][2], at[i][3])
 	}
 }
 
@@ -96,9 +104,7 @@ func (s *rcuSim) writeSlice(b *strings.Builder, n int) {
 	vals := s.reg.Snapshot("").Values
 	fmt.Fprintf(b, "slice%d cycle=%d", n, s.eng.Cycle())
 	for i, at := range s.rcuAttrib() {
-		fmt.Fprintf(b, " %.0f/%d/%d/%d/%d", vals[fmt.Sprintf("rcu%d.stalls.count", i)],
-			at.Value(attrib.RCUExec), at.Value(attrib.RCUOperandWait),
-			at.Value(attrib.RCUOutputBackpressure), at.Value(attrib.RCUIdle))
+		fmt.Fprintf(b, " %.0f/%d/%d/%d/%d", vals[fmt.Sprintf("rcu%d.stalls.count", i)], at[0], at[1], at[2], at[3])
 	}
 	b.WriteByte('\n')
 }
@@ -289,7 +295,7 @@ func TestRunnableSetsTrackWork(t *testing.T) {
 				switch {
 				case cycle == mid && st == nil:
 					s.eng.Settle()
-					if err := attrib.CheckTotals(s.rec.Fold(), cycle); err != nil {
+					if err := attrib.CheckTotals(s.attribCounts(), cycle); err != nil {
 						t.Fatalf("after a Settle at cycle %d: %v", cycle, err)
 					}
 					st = checkpoint.Take(target)

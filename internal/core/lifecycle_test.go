@@ -21,7 +21,7 @@ func sgemmProg(n int) *Program {
 		out := b.dep()
 		blk := b.block(noc.NodeID(e % 16))
 		for k := 0; k < n; k++ {
-			b.prog.AddOp(OpMAC, Imm32(fixed.FromInt(k%5+1)), Imm32(fixed.FromInt(e%3+1)), k == 0)
+			b.prog.AddOp(OpMAC, Imm32(fixed.FromFloat(float64(k%5+1))), Imm32(fixed.FromFloat(float64(e%3+1))), k == 0)
 		}
 		b.result(blk, out)
 	}
@@ -39,7 +39,7 @@ func TestInvalidProgramIsAnErrorNotAPanic(t *testing.T) {
 		b := newProg("bad")
 		in, out := b.dep(), b.dep()
 		b.data(in, 2, 1)
-		blk := b.result(b.instr(3, OpMul, Ref(in), Imm32(fixed.FromInt(2))), out)
+		blk := b.result(b.instr(3, OpMul, Ref(in), Imm32(fixed.FromFloat(2))), out)
 		return b, blk
 	}
 	cases := []struct {
@@ -94,7 +94,7 @@ func TestInvalidProgramIsAnErrorNotAPanic(t *testing.T) {
 				t.Fatalf("rejected program reached the CPM (busy=%v, cycle %d)", p.CPM.Busy(), eng.Cycle())
 			}
 			good, _ := valid()
-			if res, err := p.Run(good.prog, 100000); err != nil || res.Values[0] != fixed.FromInt(4) {
+			if res, err := p.Run(good.prog, 100000); err != nil || res.Values[0] != fixed.FromFloat(4) {
 				t.Fatalf("the platform after the rejected program: Run = (%v, %v), want 2·2", res, err)
 			}
 		})
@@ -198,7 +198,7 @@ func TestKernelsReturnEveryToken(t *testing.T) {
 		b.data(x, 2, 4)
 		for i := 0; i < 4; i++ {
 			out := b.dep()
-			b.result(b.instr(noc.NodeID(3+i*4), OpMul, Ref(x), Imm32(fixed.FromInt(i+1))), out)
+			b.result(b.instr(noc.NodeID(3+i*4), OpMul, Ref(x), Imm32(fixed.FromFloat(float64(i+1)))), out)
 		}
 		return b.build(t)
 	}

@@ -22,7 +22,7 @@ func buildTokenStorm(nTokens int) *Program {
 	}
 	for i, d := range deps {
 		out := b.dep()
-		b.result(b.instr(noc.NodeID(i%16), OpMul, Ref(d), Imm32(fixed.FromInt(2))), out)
+		b.result(b.instr(noc.NodeID(i%16), OpMul, Ref(d), Imm32(fixed.FromFloat(2))), out)
 	}
 	return b.prog
 }
@@ -81,7 +81,7 @@ func TestOverflowDisabledOnQuietKernels(t *testing.T) {
 	pairs := make([]pair, 64)
 	for i := range pairs {
 		pairs[i] = pair{dep: b.dep(), out: b.dep(), val: float64(i + 1)}
-		b.result(b.instr(noc.NodeID(i%16), OpMul, Ref(pairs[i].dep), Imm32(fixed.FromInt(3))), pairs[i].out)
+		b.result(b.instr(noc.NodeID(i%16), OpMul, Ref(pairs[i].dep), Imm32(fixed.FromFloat(3))), pairs[i].out)
 	}
 	for _, pr := range pairs {
 		b.data(pr.dep, pr.val, 1)

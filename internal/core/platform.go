@@ -323,15 +323,6 @@ func (p *Platform) RegisterMetrics(reg *stats.Registry) {
 	p.Eng.RegisterMetrics(reg)
 }
 
-// TotalExecuted sums instructions executed across all RCUs.
-func (p *Platform) TotalExecuted() int64 {
-	var n int64
-	for _, r := range p.RCUs {
-		n += r.Executed()
-	}
-	return n
-}
-
 // Quiesced reports whether every RCU is drained and the CPM idle.
 func (p *Platform) Quiesced() bool {
 	if p.CPM.Busy() {

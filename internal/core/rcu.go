@@ -184,20 +184,6 @@ type rcuScalars struct {
 	attrib     attrib.Counts // one reason per cycle
 }
 
-// NewRCU builds the compute unit for one router. The Network's
-// AttachCompute must be called separately (or via the Platform) to give
-// it its injection port.
-func NewRCU(node noc.NodeID, loop *noc.LoopRoute, cpmNode noc.NodeID) *RCU {
-	return &RCU{
-		node:     node,
-		loop:     loop,
-		cpmNode:  cpmNode,
-		pool:     new(TokenPool),
-		instrs:   &instrSlab{free: -1},
-		rcuState: rcuState{rcuScalars: rcuScalars{nodeFree: -1, exec: -1}},
-	}
-}
-
 // Initial per-RCU capacities: the high-water marks of the Table III
 // kernels at DSE smoke size on a 4×4 mesh — one live sub-block, two
 // inbox entries, eight queued results, 63 chain cells (MAC) and 16
@@ -258,17 +244,8 @@ func (r *RCU) SetPort(p *noc.InjectPort) { r.port = p }
 // Name implements sim.Component.
 func (r *RCU) Name() string { return fmt.Sprintf("rcu%d", r.node) }
 
-// Node returns the RCU's mesh node.
-func (r *RCU) Node() noc.NodeID { return r.node }
-
-// Executed returns the number of instructions completed.
-func (r *RCU) Executed() int64 { return r.executed.Value() }
-
 // Captured returns the number of dependency values taken from the loop.
 func (r *RCU) Captured() int64 { return r.captured.Value() }
-
-// Emitted returns the number of data tokens produced.
-func (r *RCU) Emitted() int64 { return r.emitted.Value() }
 
 // MaxBuffered returns the high-water mark of the instruction buffer.
 func (r *RCU) MaxBuffered() int { return r.maxBuffer }

@@ -58,7 +58,7 @@ func TestRCUReordersSubBlock(t *testing.T) {
 func TestRCUWaitsForMissingOperand(t *testing.T) {
 	r := NewRCU(3, nil, 0)
 	it := &InstrToken{Op: OpAdd, Dst: 3, Seq: 1, SubBlock: 1, SBIdx: 0, EndSB: true,
-		L: Ref(42), R: Imm32(fixed.FromInt(1)),
+		L: Ref(42), R: Imm32(fixed.FromFloat(1)),
 		Emit: true, EmitDep: 50, Dependents: 1, ToCPM: true}
 	feedInstr(r, it, 0)
 	for c := int64(1); c < 10; c++ {
@@ -68,7 +68,7 @@ func TestRCUWaitsForMissingOperand(t *testing.T) {
 		t.Fatal("fired without its dependency")
 	}
 	// The dependency arrives as a loop token; the RCU captures and fires.
-	tok := &DataToken{Dep: 42, Dependents: 1, V: fixed.FromInt(9)}
+	tok := &DataToken{Dep: 42, Dependents: 1, V: fixed.FromFloat(9)}
 	if !r.OnArrival(&noc.Flit{Payload: tok, Loop: true}, 10) {
 		t.Fatal("token with one dependent should be consumed on capture")
 	}
@@ -85,7 +85,7 @@ func TestRCUWaitsForMissingOperand(t *testing.T) {
 
 func TestRCUForwardsUnwantedTokens(t *testing.T) {
 	r := NewRCU(3, nil, 0)
-	tok := &DataToken{Dep: 77, Dependents: 2, V: fixed.FromInt(1)}
+	tok := &DataToken{Dep: 77, Dependents: 2, V: fixed.FromFloat(1)}
 	if r.OnArrival(&noc.Flit{Payload: tok, Loop: true}, 0) {
 		t.Fatal("consumed a token nothing waits for")
 	}
@@ -97,10 +97,10 @@ func TestRCUForwardsUnwantedTokens(t *testing.T) {
 func TestRCUPartialCapture(t *testing.T) {
 	r := NewRCU(3, nil, 0)
 	it := &InstrToken{Op: OpAdd, Dst: 3, Seq: 1, SubBlock: 1, SBIdx: 0, EndSB: true,
-		L: Ref(5), R: Imm32(fixed.FromInt(0)), Emit: true, EmitDep: 6, Dependents: 1, ToCPM: true}
+		L: Ref(5), R: Imm32(fixed.FromFloat(0)), Emit: true, EmitDep: 6, Dependents: 1, ToCPM: true}
 	feedInstr(r, it, 0)
 	step(r, 2) // drain inbox so the waiting index exists
-	tok := &DataToken{Dep: 5, Dependents: 3, V: fixed.FromInt(4)}
+	tok := &DataToken{Dep: 5, Dependents: 3, V: fixed.FromFloat(4)}
 	if r.OnArrival(&noc.Flit{Payload: tok, Loop: true}, 3) {
 		t.Fatal("token with remaining dependents was consumed")
 	}
@@ -124,7 +124,7 @@ func TestRCUExecLatencyMatchesOps(t *testing.T) {
 func TestRCUEnqueueStageDelaysDispatch(t *testing.T) {
 	r := NewRCU(3, nil, 0)
 	it := &InstrToken{Op: OpAdd, Dst: 3, Seq: 1, SubBlock: 1, SBIdx: 0, EndSB: true,
-		L: Imm32(fixed.FromInt(1)), R: Imm32(fixed.FromInt(1)),
+		L: Imm32(fixed.FromFloat(1)), R: Imm32(fixed.FromFloat(1)),
 		Emit: true, EmitDep: 9, Dependents: 1, ToCPM: true}
 	feedInstr(r, it, 5)
 	step(r, 5) // same cycle as arrival: still in the enqueue stage
@@ -145,7 +145,7 @@ func TestRCUEnqueueStageDelaysDispatch(t *testing.T) {
 func TestAccAddFreesItsSlotOnTheLateFill(t *testing.T) {
 	r := NewRCU(3, nil, 0)
 	feedInstr(r, &InstrToken{Op: OpAccAdd, Dst: 3, Seq: 1, SubBlock: 1, EndSB: true, AccInit: true,
-		L: Imm32(fixed.FromInt(5)), R: Ref(42)}, 0)
+		L: Imm32(fixed.FromFloat(5)), R: Ref(42)}, 0)
 	for c := int64(1); c < 5; c++ {
 		step(r, c)
 	}
@@ -155,7 +155,7 @@ func TestAccAddFreesItsSlotOnTheLateFill(t *testing.T) {
 	if !r.instrs.at(0).retired || r.instrs.free >= 0 {
 		t.Fatal("the slot was freed while a waiting-list cell still names it")
 	}
-	tok := &DataToken{Dep: 42, Dependents: 2, V: fixed.FromInt(1)}
+	tok := &DataToken{Dep: 42, Dependents: 2, V: fixed.FromFloat(1)}
 	if r.OnArrival(&noc.Flit{Payload: tok, Loop: true}, 5) || tok.Dependents != 1 {
 		t.Fatalf("the late fill left %d dependents, want 1", tok.Dependents)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"snacknoc/internal/flat"
 	"snacknoc/internal/sim"
 )
 
@@ -30,11 +31,11 @@ func slabLayout(p *Platform) string {
 	b.WriteString("\n")
 	for _, r := range p.RCUs {
 		fmt.Fprintf(&b, "%s exec %d inbox %v cells %v free %d sb %v %v wait %v out %v\n",
-			r.Name(), r.exec, r.inbox, r.nodes, r.nodeFree, r.sbs, r.sbActive, r.waits, r.outQ.AppendTo(nil))
+			r.Name(), r.exec, r.inbox, r.nodes, r.nodeFree, r.sbs, r.sbActive, r.waits, ringItems(&r.outQ))
 	}
 	for _, c := range p.CPMs {
 		fmt.Fprintf(&b, "%s staged %d %v buf %v offload %v %v %v\n", c.Name(), c.staged, c.stagedTok,
-			c.instrBuf.AppendTo(nil), c.offload, c.offloadPending, c.offloadMem)
+			ringItems(&c.instrBuf), c.offload, c.offloadPending, c.offloadMem)
 	}
 	return b.String()
 }
@@ -107,4 +108,13 @@ func TestMidKernelCheckpointRestoresSlabs(t *testing.T) {
 	if replay := finish(); replay != first {
 		t.Errorf("the first run ended\n%sthe replay\n%s", first, replay)
 	}
+}
+
+// ringItems returns q's entries, oldest first.
+func ringItems[T any](q *flat.Ring[T]) []T {
+	out := make([]T, q.Len())
+	for i := range out {
+		out[i] = q.At(i)
+	}
+	return out
 }

@@ -168,10 +168,7 @@ func (d *DataToken) String() string {
 	return fmt.Sprintf("data{%d n=%d v=%s}", d.Dep, d.Dependents, d.V)
 }
 
-// Message sizes in bytes: ⟨O,P,Vl,Vr,N⟩ packs op+dest+two 32-bit operands
-// +count+metadata into 16 bytes; a data token is smaller but still one
-// flit. Both fit a single flit on the Table IV 32 B channel.
-const (
-	InstrBytes = 16
-	DataBytes  = 12
-)
+// InstrBytes is an instruction token's size: ⟨O,P,Vl,Vr,N⟩ packs
+// op+dest+two 32-bit operands+count+metadata into 16 bytes, one flit on
+// the Table IV 32 B channel.
+const InstrBytes = 16

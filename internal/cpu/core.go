@@ -7,7 +7,6 @@
 package cpu
 
 import (
-	"fmt"
 	"math"
 
 	"snacknoc/internal/cache"
@@ -78,9 +77,6 @@ func newCore(id int, prof *traffic.Profile, l1 *cache.L1, ncores int, seed uint6
 	c.onMissFn = c.onMiss
 	return c
 }
-
-// Name identifies the core in messages.
-func (c *Core) Name() string { return fmt.Sprintf("core%d(%s)", c.id, c.prof.Name) }
 
 // Finished reports whether the core has retired its budget.
 func (c *Core) Finished() bool { return c.finished }
@@ -181,7 +177,6 @@ func (c *Core) onMiss(cycle int64) {
 // one per cycle. Cores are stepped in id order, the order they had as
 // separately registered components.
 type coreGroup struct {
-	name  string
 	cores []*Core
 	// runnable has bit i set when cores[i] issues at its next turn; idle
 	// when cores[i] is inside a synchronization stall, which ends at the
@@ -207,9 +202,6 @@ func (g *coreGroup) add(c *Core) {
 	}
 	g.runnable.Add(c.slot)
 }
-
-// Name implements sim.Component.
-func (g *coreGroup) Name() string { return g.name }
 
 // nextTurn returns the cycle of cores[i]'s next turn. A miss can resolve
 // before the group's Evaluate in a cycle (the event phase, an NI) or
@@ -290,7 +282,7 @@ func NewWorkload(eng *sim.Engine, sys *cache.System, prof *traffic.Profile, seed
 	}
 	n := len(sys.L1s)
 	w := &Workload{Profile: prof, Cores: make([]*Core, n)}
-	w.group = coreGroup{name: fmt.Sprintf("cores0(%s)", prof.Name), idleWake: math.MaxInt64, turn: eng.Cycle(), cur: -1}
+	w.group = coreGroup{idleWake: math.MaxInt64, turn: eng.Cycle(), cur: -1}
 	for i := 0; i < n; i++ {
 		w.Cores[i] = newCore(i, prof, sys.L1s[i], n, seed)
 		w.group.add(w.Cores[i])

@@ -16,11 +16,16 @@ import (
 // RunSpec deletes this file.
 var benchRun RunSpec
 
-func SetWorkers(n int)      { benchRun.Workers = n }
-func SetWarmSweeps(on bool) { benchRun.Warm = on }
+func SetWorkers(n int) { benchRun.Workers = n }
 
 // SetShards does nothing: every run above a bare network is serial.
 func SetShards(int) {}
+
+// SetWarmSweeps does nothing: co-run sweeps always memoize legs 1 and 2.
+func SetWarmSweeps(bool) {}
+
+// WarmupCycles is how far the benchmark runs the co-run it checkpoints.
+const WarmupCycles = 8192
 
 // EnableAttribution attaches attribution counters to subsequent runs
 // (see Observer.AttribInterval).

@@ -144,31 +144,79 @@ func TestFig12RegenerationByteIdentical(t *testing.T) {
 	compareArtifact(t, "../../results/fig12.txt", buf.Bytes())
 }
 
-// TestWarmSweepByteIdentical pins the warm-sweep guarantee: a sweep run
-// with checkpoint-forked baselines, memoized zero-load legs, and cached
-// compiles renders byte-identically to the same sweep run cold. Its one
-// leg keeps the name it had when a sweep could also run on sharded
-// engines (0 meant one engine).
-func TestWarmSweepByteIdentical(t *testing.T) {
+// TestLegMemoByteIdentical pins the leg memo: a reduced fig12 sweep and
+// a reduced fig13 sweep, their legs 1 and 2 memoized, render the bytes
+// the same sweeps render with every leg run (an Observer that observes
+// nothing switches the memo off). The fig12 cells, driven one by one
+// through one memo, then show each leg key ran exactly once.
+func TestLegMemoByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("warm equivalence renders a reduced fig12 sweep twice")
+		t.Skip("renders a reduced fig12 and fig13 sweep twice each")
 	}
 	benches := []*traffic.Profile{traffic.LULESH(), traffic.FMM()}
 	kernels := []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction}
-	render := func(t *testing.T, run RunSpec) []byte {
-		res, err := run.RunFig12(benches, kernels, DefaultKernelDims(), Scale(0.05), []bool{false, true})
-		if err != nil {
-			t.Fatal(err)
+	pris := []bool{false, true}
+	dims := DSESmokeDims()
+	cold := RunSpec{Obs: &Observer{}}
+	t.Run("fig12", func(t *testing.T) {
+		render := func(run RunSpec) []byte {
+			res, err := run.RunFig12(benches, kernels, dims, Scale(0.01), pris)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			RenderFig12(&buf, res, kernels)
+			return buf.Bytes()
 		}
-		var buf bytes.Buffer
-		RenderFig12(&buf, res, kernels)
-		return buf.Bytes()
-	}
-	t.Run("shards=0", func(t *testing.T) {
-		cold := render(t, RunSpec{})
-		warm := render(t, RunSpec{Warm: true})
-		if !bytes.Equal(cold, warm) {
-			t.Fatalf("warm sweep diverged from cold sweep:\ncold:\n%s\nwarm:\n%s", cold, warm)
+		if got, want := render(RunSpec{}), render(cold); !bytes.Equal(got, want) {
+			t.Fatalf("memoized sweep diverged from every leg run:\nmemo:\n%s\ncold:\n%s", got, want)
+		}
+	})
+	t.Run("fig13", func(t *testing.T) {
+		render := func(run RunSpec) []byte {
+			res, err := run.RunFig13(benches[:1], dims, Scale(0.01))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			RenderFig13(&buf, res, benches[:1])
+			return buf.Bytes()
+		}
+		if got, want := render(RunSpec{}), render(cold); !bytes.Equal(got, want) {
+			t.Fatalf("memoized sweep diverged from every leg run:\nmemo:\n%s\ncold:\n%s", got, want)
+		}
+	})
+	t.Run("once", func(t *testing.T) {
+		run := RunSpec{Workers: 1}
+		memo := run.newLegMemo()
+		for _, b := range benches {
+			for _, k := range kernels {
+				for _, pri := range pris {
+					spec := CoRunSpec{Bench: b, Kernel: k, Dims: dims, Width: 4, Height: 4, Priority: pri, Scale: 0.01}
+					if _, err := run.runCoRun(spec, memo); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		var bases, zeros int
+		for key := range memo.legs {
+			switch key.(type) {
+			case baseKey:
+				bases++
+			case zeroKey:
+				zeros++
+			}
+			memo.leg(key, func() (int64, error) {
+				t.Errorf("leg %+v ran a second time", key)
+				return 0, nil
+			})
+		}
+		if want := len(benches) * len(pris); bases != want {
+			t.Errorf("%d leg-1 keys ran, want %d", bases, want)
+		}
+		if want := len(kernels) * len(pris); zeros != want {
+			t.Errorf("%d leg-2 keys ran, want %d", zeros, want)
 		}
 	})
 }

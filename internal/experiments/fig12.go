@@ -42,9 +42,9 @@ type Fig12Result struct {
 // so the flattened matrix runs on the sweep worker pool and the rows
 // (and the Fig 11 pick) are assembled afterwards in serial order.
 func (s RunSpec) RunFig12(benchmarks []*traffic.Profile, kernels []cpu.KernelName, dims KernelDims, scale Scale, priorityModes []bool) (*Fig12Result, error) {
-	// Warm-sweep memos (baseline forks, zero-load legs) are scoped to
-	// this sweep: shared across its cells, dropped when it returns.
-	memo := s.newWarmMemo()
+	// The leg memo (legmemo.go) is this sweep's: shared across its
+	// cells, dropped when it returns.
+	memo := s.newLegMemo()
 	np := len(priorityModes)
 	nk := len(kernels) * np
 	cells := make([]*CoRunResult, len(benchmarks)*nk)
@@ -139,7 +139,7 @@ func Fig13Meshes() [][2]int {
 // RunFig13 reproduces Fig 13 for the given benchmarks. The mesh ×
 // benchmark cells run on the sweep worker pool.
 func (s RunSpec) RunFig13(benchmarks []*traffic.Profile, dims KernelDims, scale Scale) (*Fig13Result, error) {
-	memo := s.newWarmMemo()
+	memo := s.newLegMemo()
 	meshes := Fig13Meshes()
 	nb := len(benchmarks)
 	points := make([]Fig13Point, len(meshes)*nb)

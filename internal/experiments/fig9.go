@@ -88,13 +88,3 @@ func (s RunSpec) RunFig9(dims KernelDims, cpuCfg cpu.CPUConfig) (*Fig9Result, er
 	res.Rows = rows
 	return res, nil
 }
-
-// Row returns the entry for one kernel, or nil.
-func (r *Fig9Result) Row(k cpu.KernelName) *Fig9Row {
-	for i := range r.Rows {
-		if r.Rows[i].Kernel == k {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}

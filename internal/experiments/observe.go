@@ -87,8 +87,7 @@ func RegisterRunMetrics(reg *stats.Registry, rec *attrib.Recorder, tr *trace.Tra
 // every run, the cache hierarchy and cores of a CMP run, and the SnackNoC
 // platform of a kernel run or a co-run leg. newCMPStack and RunKernel
 // build the runners' stacks; Observe decides which aggregates a run
-// attaches and Record which it registers. The fields are
-// checkpoint.Target's, so a warm baseline converts its stack to one.
+// attaches and Record which it registers.
 type stack struct {
 	Eng  *sim.Engine
 	Net  *noc.Network
@@ -97,8 +96,8 @@ type stack struct {
 	Plat *core.Platform
 }
 
-// newCMPStack builds the CMP simulation a benchmark run, a co-run leg and
-// a warm baseline group run on: the network for cfg with utilization
+// newCMPStack builds the CMP simulation a benchmark run and a co-run leg
+// run on: the network for cfg with utilization
 // sampling on, the cache hierarchy, and prof's cores at scale, seeded
 // with Seed.
 func newCMPStack(cfg *noc.Config, prof *traffic.Profile, scale Scale) (stack, error) {

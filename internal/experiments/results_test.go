@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"snacknoc/internal/cpu"
@@ -103,15 +104,35 @@ func TestSeriesStatsSkipsWarmup(t *testing.T) {
 			s[i] = 0.1
 		}
 	}
-	med, max := seriesStats(s)
+	var scratch []float64
+	med, max := seriesStats(s, &scratch)
 	if med != 10 {
 		t.Fatalf("median %v%%, want 10 (steady state)", med)
 	}
 	if max != 10 {
 		t.Fatalf("max %v%%, want 10 after warmup exclusion", max)
 	}
-	if m, _ := seriesStats(nil); m != 0 {
+	if m, _ := seriesStats(nil, &scratch); m != 0 {
 		t.Fatal("empty series should be 0")
+	}
+}
+
+// TestSeriesStatsReusesScratch: with a warm scratch a series' median
+// allocates nothing, and the series keeps its sample order (callers hand
+// it on as Fig 2a's and Fig 11's time series).
+func TestSeriesStatsReusesScratch(t *testing.T) {
+	s := make([]float64, 64)
+	for i := range s {
+		s[i] = float64(i*37%64) / 64
+	}
+	want := append([]float64(nil), s...)
+	var scratch []float64
+	seriesStats(s, &scratch)
+	if n := testing.AllocsPerRun(100, func() { seriesStats(s, &scratch) }); n != 0 {
+		t.Fatalf("seriesStats with a warm scratch allocates %v times per call, want 0", n)
+	}
+	if !slices.Equal(s, want) {
+		t.Fatal("seriesStats reordered the series it summarized")
 	}
 }
 

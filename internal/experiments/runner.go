@@ -80,30 +80,16 @@ func (s RunSpec) RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scal
 
 func collect(bench, nocName string, rt int64, net *noc.Network, sys *cache.System) *BenchRun {
 	r := &BenchRun{Benchmark: bench, NoC: nocName, Runtime: rt}
-	routers := net.Routers()
 	r.XbarSeries, r.LinkSeries = xbarSeries(net), meanLinkSeries(net)
-	xbarMedians, linkMedians := make([]float64, 0, len(routers)), make([]float64, 0, len(routers))
+	r.XbarMedianPct, r.XbarMaxPct = seriesSummary(r.XbarSeries)
+	r.LinkMedianPct, r.LinkMaxPct = seriesSummary(r.LinkSeries)
 	bufHist := stats.NewHistogram(1.0, 20)
-	for i, router := range routers {
-		med, max := seriesStats(r.XbarSeries[i])
-		xbarMedians = append(xbarMedians, med)
-		if max > r.XbarMaxPct {
-			r.XbarMaxPct = max
-		}
-
-		med, max = seriesStats(r.LinkSeries[i])
-		linkMedians = append(linkMedians, med)
-		if max > r.LinkMaxPct {
-			r.LinkMaxPct = max
-		}
-
+	for _, router := range net.Routers() {
 		for b, c := range router.BufferHistogram().Buckets() {
 			// Re-observe at the bucket's midpoint to aggregate.
 			bufHist.ObserveN((float64(b)+0.5)/20, c)
 		}
 	}
-	r.XbarMedianPct = stats.Median(xbarMedians)
-	r.LinkMedianPct = stats.Median(linkMedians)
 	r.BufferCDF = bufHist.CDF()
 	r.L1HitRate = sys.L1HitRate()
 	r.L2HitRate = sys.L2HitRate()
@@ -137,9 +123,26 @@ func xbarSeries(net *noc.Network) [][]float64 {
 	return out
 }
 
+// seriesSummary returns the median across routers of each series'
+// steady-state median, and the largest steady-state maximum, as
+// percentages. It leaves the series as they are.
+func seriesSummary(series [][]float64) (medianPct, maxPct float64) {
+	medians := make([]float64, 0, len(series))
+	var scratch []float64
+	for _, s := range series {
+		med, max := seriesStats(s, &scratch)
+		medians = append(medians, med)
+		if max > maxPct {
+			maxPct = max
+		}
+	}
+	return stats.MedianInPlace(medians), maxPct
+}
+
 // seriesStats returns the steady-state median and maximum of a sample
-// series, as percentages.
-func seriesStats(s []float64) (medianPct, maxPct float64) {
+// series, as percentages. The median sorts a copy of the tail in
+// *scratch, which it grows as needed, so s keeps its order.
+func seriesStats(s []float64, scratch *[]float64) (medianPct, maxPct float64) {
 	if len(s) == 0 {
 		return 0, 0
 	}
@@ -154,7 +157,8 @@ func seriesStats(s []float64) (medianPct, maxPct float64) {
 			max = v
 		}
 	}
-	return stats.Median(tail) * 100, max * 100
+	*scratch = append((*scratch)[:0], tail...)
+	return stats.MedianInPlace(*scratch) * 100, max * 100
 }
 
 // meanLinkSeries averages the sampled usage of each router's mesh
@@ -245,12 +249,12 @@ func (r *CoRunResult) KernelSlowdownPct() float64 {
 // RunCoRun executes the full interference experiment: the benchmark
 // alone, the kernel alone at zero load, and the two together.
 func (s RunSpec) RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
-	return s.runCoRun(spec, s.newWarmMemo())
+	return s.runCoRun(spec, s.newLegMemo())
 }
 
-// runCoRun is RunCoRun with the calling sweep's warm memo (nil: every
-// leg runs cold).
-func (s RunSpec) runCoRun(spec CoRunSpec, memo *warmMemo) (*CoRunResult, error) {
+// runCoRun is RunCoRun with the calling sweep's leg memo (nil: every
+// leg runs).
+func (s RunSpec) runCoRun(spec CoRunSpec, memo *legMemo) (*CoRunResult, error) {
 	if spec.Width == 0 {
 		spec.Width, spec.Height = 4, 4
 	}
@@ -266,25 +270,20 @@ func (s RunSpec) runCoRun(spec CoRunSpec, memo *warmMemo) (*CoRunResult, error) 
 	}
 	cell += fmt.Sprintf("@%dx%d", spec.Width, spec.Height)
 
-	// Legs 1 and 2 repeat identically across many sweep cells; in warm
-	// mode leg 1 forks a checkpointed baseline platform and leg 2 is
-	// memoized (see warm.go). Leg 3 genuinely differs per cell and
-	// always runs cold.
-	var base *legResult
-	if memo != nil {
-		base, err = memo.baselineLeg(spec)
-	} else {
-		// Leg 1: benchmark alone on the snack-capable NoC (RCUs present
-		// but idle), the Fig 12 baseline.
-		base, err = s.runCoRunLeg(spec, nil, nil, cell+"/base")
-	}
+	// Leg 1: benchmark alone on the snack-capable NoC (RCUs present but
+	// idle), the Fig 12 baseline.
+	base := baseKey{bench: spec.Bench, w: spec.Width, h: spec.Height, pri: spec.Priority, scale: spec.Scale}
+	res.BaselineRuntime, err = memo.leg(base, func() (int64, error) {
+		rt, _, err := s.runCoRunLeg(spec, nil, nil, cell+"/base")
+		return rt, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.BaselineRuntime = base.runtime
 
 	// Leg 2: kernel alone at zero load.
-	res.ZeroLoadCycles, err = memo.zeroLoad(spec, func() (int64, error) {
+	zero := zeroKey{kernel: spec.Kernel, dims: spec.Dims, w: spec.Width, h: spec.Height, pri: spec.Priority}
+	res.ZeroLoadCycles, err = memo.leg(zero, func() (int64, error) {
 		r, _, err := s.RunKernel(cell+"/zero", prog, spec.Width, spec.Height, spec.Priority)
 		if err != nil {
 			return 0, fmt.Errorf("experiments: zero-load %s: %w", spec.Kernel, err)
@@ -296,34 +295,29 @@ func (s RunSpec) runCoRun(spec CoRunSpec, memo *warmMemo) (*CoRunResult, error) 
 	}
 
 	// Leg 3: co-run.
-	co, err := s.runCoRunLeg(spec, prog, res, cell+"/corun")
+	rt, net, err := s.runCoRunLeg(spec, prog, res, cell+"/corun")
 	if err != nil {
 		return nil, err
 	}
-	res.Runtime = co.runtime
-	res.XbarMedianPct = co.xbarMedian
-	res.XbarSeries = co.xbarSeries
+	res.Runtime = rt
+	res.XbarSeries = xbarSeries(net)
+	res.XbarMedianPct, _ = seriesSummary(res.XbarSeries)
 	return res, nil
-}
-
-type legResult struct {
-	runtime    int64
-	xbarMedian float64
-	xbarSeries [][]float64
 }
 
 // runCoRunLeg runs the benchmark on the snack-capable NoC, with the
 // kernel resubmitted continually when prog is non-nil; its stats then
-// accumulate into out.
-func (s RunSpec) runCoRunLeg(spec CoRunSpec, prog *core.Program, out *CoRunResult, label string) (*legResult, error) {
+// accumulate into out. It returns the benchmark's runtime and the
+// network it ran on.
+func (s RunSpec) runCoRunLeg(spec CoRunSpec, prog *core.Program, out *CoRunResult, label string) (int64, *noc.Network, error) {
 	st, err := newCMPStack(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority), spec.Bench, spec.Scale)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if prog != nil {
 		st.Plat, err = core.AttachToSystem(st.Eng, st.Sys, core.DefaultPlatformConfig())
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		eng, plat, w := st.Eng, st.Plat, st.Work
 		var kernelCycles int64
@@ -347,28 +341,14 @@ func (s RunSpec) runCoRunLeg(spec CoRunSpec, prog *core.Program, out *CoRunResul
 	}
 	obs := s.Observe(label, st)
 	if _, ok := cpu.Run(st.Eng, st.Work, MaxRunCycles); !ok {
-		return nil, fmt.Errorf("experiments: co-run %s did not complete", spec.Bench.Name)
+		return 0, nil, fmt.Errorf("experiments: co-run %s did not complete", spec.Bench.Name)
 	}
 	if st.Plat != nil {
 		out.Offloaded = st.Plat.CPM.Offloaded()
 	}
 	obs.Record()
-	return collectLegStats(st.Net, st.Work), nil
-}
-
-// collectLegStats reads one finished leg's measurements off the
-// platform. Both the cold path and warm forks end here, so the two
-// produce identical results from identical simulations.
-func collectLegStats(net *noc.Network, w *cpu.Workload) *legResult {
 	// Interference is measured on the mean per-core finish time; see
 	// cpu.Workload.MeanFinish for why the maximum is too noisy at
 	// reproduction scale.
-	leg := &legResult{runtime: int64(w.MeanFinish() * 16), xbarSeries: xbarSeries(net)}
-	medians := make([]float64, 0, len(leg.xbarSeries))
-	for _, s := range leg.xbarSeries {
-		med, _ := seriesStats(s)
-		medians = append(medians, med)
-	}
-	leg.xbarMedian = stats.Median(medians)
-	return leg
+	return int64(st.Work.MeanFinish() * 16), st.Net, nil
 }

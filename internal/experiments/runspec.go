@@ -6,23 +6,20 @@ import (
 )
 
 // RunSpec says how the runners execute: how many sweep cells run at
-// once, whether co-run sweeps reuse their repeated legs, and what is
-// observed. None of it changes a simulated result — the equivalence
-// tests pin every figure byte for byte across worker counts and warm
-// sweeps — so two specs can run side by side in one process and each
-// renders what it would alone. The zero RunSpec runs on every CPU, cold
-// legs, nothing observed. Every simulation runs on one engine.
+// once and what is observed. Neither changes a simulated result — the
+// equivalence tests pin every figure byte for byte across worker counts
+// and with observers on — so two specs can run side by side in one
+// process and each renders what it would alone. The zero RunSpec runs
+// on every CPU and observes nothing. Every simulation runs on one
+// engine.
 type RunSpec struct {
 	// Workers is the sweep fan-out: <= 0 means runtime.NumCPU(), 1
 	// reproduces the serial runner bit for bit, including its error
 	// short-circuit.
 	Workers int
-	// Warm lets RunFig12, RunFig13 and RunCoRun fork a checkpointed
-	// baseline platform and memoize zero-load legs across the cells of
-	// one call (see warm.go). It is ignored while Obs is set.
-	Warm bool
 	// Obs collects traces, metrics snapshots and cycle attribution from
-	// every simulation; nil observes nothing and allocates nothing.
+	// every simulation; nil observes nothing and allocates nothing. While
+	// it is set, a co-run sweep runs every cell's legs (legmemo.go).
 	Obs *Observer
 }
 

@@ -13,8 +13,8 @@ import (
 // TestRunSpecsConcurrent: a RunSpec carries everything that decides how
 // a run executes, so two specs run side by side in one process each
 // render exactly what they render alone. A attributes a serial Fig 2;
-// B runs a warm Fig 12 on two workers. It does not skip under -short, so ci.sh's race pass drives
-// both at once.
+// B runs a Fig 12, its legs memoized, on two workers. It does not skip
+// under -short, so ci.sh's race pass drives both at once.
 func TestRunSpecsConcurrent(t *testing.T) {
 	kernels := []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction}
 	runA := func() (fig, snaps []byte) {
@@ -32,7 +32,7 @@ func TestRunSpecsConcurrent(t *testing.T) {
 		return f.Bytes(), s.Bytes()
 	}
 	runB := func() []byte {
-		res, err := RunSpec{Workers: 2, Warm: true}.RunFig12([]*traffic.Profile{traffic.FMM()},
+		res, err := RunSpec{Workers: 2}.RunFig12([]*traffic.Profile{traffic.FMM()},
 			kernels, DefaultKernelDims(), Scale(0.02), []bool{true})
 		if err != nil {
 			t.Error(err)
@@ -73,19 +73,24 @@ func TestRunSpecsConcurrent(t *testing.T) {
 
 // TestBenchShims drives the package-level names the repository
 // benchmark still calls: each reads or writes the package-default
-// RunSpec, and the runners they front run under it.
+// RunSpec, and the runners they front run under it. SetWarmSweeps and
+// SetShards change nothing.
 func TestBenchShims(t *testing.T) {
 	t.Cleanup(func() {
 		SetWorkers(0)
-		SetWarmSweeps(false)
 		DisableObservability()
 	})
 	SetWorkers(1)
+	before := benchRun
 	SetWarmSweeps(true)
+	SetShards(2)
+	if benchRun != before {
+		t.Fatalf("default spec %+v after SetWarmSweeps and SetShards, want %+v", benchRun, before)
+	}
 	EnableAttribution(0)
 	EnableMetrics()
-	if benchRun.Workers != 1 || !benchRun.Warm {
-		t.Fatalf("default spec %+v after the setters, want 1 worker, warm", benchRun)
+	if benchRun.Workers != 1 {
+		t.Fatalf("default spec %+v after the setters, want 1 worker", benchRun)
 	}
 	if !AttribEnabled() || !MetricsEnabled() || TraceCollector() != nil || ObserveRecorder() == nil {
 		t.Fatal("EnableAttribution and EnableMetrics did not switch the default Observer")

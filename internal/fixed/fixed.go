@@ -21,10 +21,6 @@ const One Q = 1 << FracBits
 // Q is a Q16.16 fixed-point number stored in 32 bits.
 type Q int32
 
-// FromInt converts an integer to fixed point (wrapping like the hardware
-// if it exceeds the 15-bit integer range).
-func FromInt(i int) Q { return Q(int32(i) << FracBits) }
-
 // FromFloat converts a float64 to the nearest representable fixed-point
 // value, saturating at the representable range the way a converter front
 // end would before handing data to the datapath.
@@ -42,9 +38,6 @@ func FromFloat(f float64) Q {
 // Float returns the value as a float64.
 func (q Q) Float() float64 { return float64(q) / float64(One) }
 
-// Int returns the integer part, truncating toward zero.
-func (q Q) Int() int { return int(int32(q) / int32(One)) }
-
 // Add returns q + r with 32-bit wraparound.
 func (q Q) Add(r Q) Q { return Q(int32(q) + int32(r)) }
 
@@ -61,20 +54,10 @@ func (q Q) Mul(r Q) Q {
 // MAC returns acc + q*r, the multiply-accumulate primitive of the RCU.
 func (q Q) MAC(r, acc Q) Q { return acc.Add(q.Mul(r)) }
 
-// Neg returns -q.
-func (q Q) Neg() Q { return Q(-int32(q)) }
-
 // String formats the value in decimal as %g does, the shortest form
 // that reads back to the same float. The digits go to a buffer on the
 // stack, so the returned string is the one allocation.
 func (q Q) String() string {
 	var buf [32]byte
 	return string(strconv.AppendFloat(buf[:0], q.Float(), 'g', -1, 64))
-}
-
-// ApproxEqual reports whether q and r are within eps (a float tolerance)
-// of each other. Fixed-point truncation makes exact float comparisons
-// inappropriate in tests.
-func (q Q) ApproxEqual(r Q, eps float64) bool {
-	return math.Abs(q.Float()-r.Float()) <= eps
 }

@@ -52,18 +52,6 @@ func (q *Ring[T]) Pop() (v T) {
 // At returns the i-th oldest entry.
 func (q *Ring[T]) At(i int) T { return q.buf[(q.head+i)%len(q.buf)] }
 
-// AppendTo appends the entries to dst, oldest first, and returns it.
-func (q *Ring[T]) AppendTo(dst []T) []T {
-	if q.n == 0 {
-		return dst
-	}
-	if q.head+q.n <= len(q.buf) {
-		return append(dst, q.buf[q.head:q.head+q.n]...)
-	}
-	dst = append(dst, q.buf[q.head:]...)
-	return append(dst, q.buf[:q.head+q.n-len(q.buf)]...)
-}
-
 // Clear empties the ring, zeroing its array.
 func (q *Ring[T]) Clear() {
 	clear(q.buf)

@@ -56,8 +56,5 @@ func (s *Slots[T]) Take(i int32) (r T) {
 // Len returns the number of slots, live or free: At is valid below it.
 func (s *Slots[T]) Len() int { return len(s.recs) }
 
-// Live returns the number of slots in use.
-func (s *Slots[T]) Live() int { return len(s.recs) - len(s.free) }
-
 // FreeSlots returns the free stack, bottom first, for inspection only.
 func (s *Slots[T]) FreeSlots() []int32 { return s.free }

@@ -176,13 +176,5 @@ func (c *Controller) issue(addr uint64, write bool) (doneAt, ackAt int64) {
 	return doneAt, doneAt
 }
 
-// AvgLatency returns the mean access latency in cycles.
-func (c *Controller) AvgLatency() float64 {
-	if c.accesses.Value() == 0 {
-		return 0
-	}
-	return float64(c.latSum) / float64(c.accesses.Value())
-}
-
 // Cfg returns the controller configuration.
 func (c *Controller) Cfg() Config { return c.cfg }

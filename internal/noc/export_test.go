@@ -116,3 +116,9 @@ func (r *Router) XbarMoves() int64 { return r.xbarMoves.Value() }
 
 // Pos returns n's position along the loop (0-based).
 func (lr *LoopRoute) Pos(n NodeID) int { return lr.pos[n] }
+
+// Len returns the number of nodes on the loop.
+func (lr *LoopRoute) Len() int { return len(lr.next) }
+
+// NI returns the network interface at the given node.
+func (n *Network) NI(id NodeID) *NI { return &n.nis[id] }

@@ -450,9 +450,6 @@ func (n *Network) Loop() *LoopRoute { return n.loop }
 // Router returns the router at the given node.
 func (n *Network) Router(id NodeID) *Router { return &n.routers[id] }
 
-// NI returns the network interface at the given node.
-func (n *Network) NI(id NodeID) *NI { return &n.nis[id] }
-
 // Routers returns all routers in node order.
 func (n *Network) Routers() []*Router { return n.rptrs }
 
@@ -632,9 +629,6 @@ type injScalars struct {
 // injectPortTag distinguishes compute-port packet IDs from NI packet IDs,
 // which share the node-tag-plus-sequence layout (see Network.Inject).
 const injectPortTag = uint64(1) << 63
-
-// Node returns the node this port injects at.
-func (p *InjectPort) Node() NodeID { return p.node }
 
 // Update makes the credits returned in earlier cycles usable (k cycles'
 // worth at once for a unit that sat k out); call it before CanSend.

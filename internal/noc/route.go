@@ -90,6 +90,3 @@ func newLoopRoute(cfg *Config) *LoopRoute {
 // Next returns the successor of node n on the loop; successors are always
 // mesh neighbors, so one XY hop reaches them.
 func (lr *LoopRoute) Next(n NodeID) NodeID { return lr.next[n] }
-
-// Len returns the number of nodes on the loop.
-func (lr *LoopRoute) Len() int { return len(lr.next) }

@@ -134,9 +134,6 @@ func (s *synSink) Deliver(p *Packet, cycle int64) {
 	s.hist.Observe(float64(lat))
 }
 
-// Name implements sim.Component.
-func (s *SyntheticInjector) Name() string { return "synthetic-" + s.pattern.Name }
-
 func (s *SyntheticInjector) next() uint64 {
 	s.rng = s.rng*6364136223846793005 + 1442695040888963407
 	return s.rng >> 11

@@ -201,20 +201,8 @@ func withName(c Cost, name string) Cost {
 	return c
 }
 
-// RCUOverheadPerRouter returns the RCU's area as a fraction of one
-// baseline router (the paper reports 9.3% per router).
-func RCUOverheadPerRouter(p RouterParams) float64 {
-	return RCUTotal().AreaMM / RouterCost(p).AreaMM
-}
-
 // XeonE52660v3 returns the Table V comparison point: the Haswell EP
 // package the kernels were measured on.
 func XeonE52660v3() Cost {
 	return Cost{Name: "Intel Xeon E5 2660 v3", PowerW: 105, AreaMM: 492}
-}
-
-// TeraflopsProcessor returns the §III-F comparison point (Intel
-// Teraflops Research processor, low end of its 65-265 W range).
-func TeraflopsProcessor() Cost {
-	return Cost{Name: "Intel Teraflops (80-tile)", PowerW: 65, AreaMM: 275}
 }

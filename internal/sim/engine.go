@@ -67,8 +67,6 @@ import (
 // Component is a hardware block driven by the engine. Evaluate must not
 // modify state observable by other components; Advance commits it.
 type Component interface {
-	// Name identifies the component in traces and error messages.
-	Name() string
 	// Evaluate computes the component's next state from committed inputs.
 	Evaluate(cycle int64)
 	// Advance commits the state computed by Evaluate.
@@ -334,19 +332,6 @@ func (e *Engine) ScheduleAfter(delay int64, fn func()) {
 	e.Schedule(e.cycle+delay, fn)
 }
 
-// Stop makes Run return after the current cycle completes. The stop latch
-// stays set — further Run calls return immediately — until Resume clears
-// it.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Resume clears the stop latch so the engine can run again. Stop/Resume
-// make an engine reusable across measurement windows: stop, read
-// statistics, resume.
-func (e *Engine) Resume() { e.stopped = false }
-
-// Stopped reports whether Stop has been called without a matching Resume.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // SetQuiescence enables or disables the active list. It is enabled by
 // default; disabling it forces every component to be evaluated every cycle
 // (waking and catching up current sleepers), which the equivalence tests
@@ -484,9 +469,6 @@ func (e *Engine) AtBarrier(fn func(cycle int64)) {
 // cannot observe each other within a cycle — so this exists for observers
 // that are shared across shards and not synchronized, such as a tracer.
 func (e *Engine) SetSerialShards(on bool) { e.serialShards = on }
-
-// Sharded reports whether the engine has been partitioned.
-func (e *Engine) Sharded() bool { return len(e.subs) > 0 }
 
 // runShards executes the current cycle on every sub-engine, then runs the
 // barrier hooks. The WaitGroup barrier orders everything a shard wrote

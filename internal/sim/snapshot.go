@@ -8,7 +8,7 @@ import "fmt"
 // writes it back onto the same engine, rewinding simulated time. The
 // state is immutable once taken (restore copies out of it), so one
 // snapshot restores any number of times: that is the fork primitive
-// internal/checkpoint builds warm sweeps on.
+// internal/checkpoint builds its platform pool on.
 //
 // Restore must target the engine the snapshot came from: pending
 // callbacks are closures over the registered components and pending

@@ -67,9 +67,6 @@ func (r *Registry) AddSeries(name string, s *SampleSlab, col int) {
 // AddGauge registers a derived value computed at snapshot time.
 func (r *Registry) AddGauge(name string, f func() float64) { r.add(name, entry{gauge: f}) }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.names) }
-
 // Snapshot flattens every registered metric into scalar key/value pairs.
 // Counters export .count; utilizations .busy/.total/.fraction; histograms
 // .total and .bucketNN; series .samples/.median/.max; gauges their value.

@@ -263,14 +263,18 @@ type CDFPoint struct {
 
 // Median returns the median of vs without modifying it (0 if empty).
 func Median(vs []float64) float64 {
+	return MedianInPlace(append([]float64(nil), vs...))
+}
+
+// MedianInPlace returns the median of vs (0 if empty), sorting vs.
+func MedianInPlace(vs []float64) float64 {
 	if len(vs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	n := len(s)
+	sort.Float64s(vs)
+	n := len(vs)
 	if n%2 == 1 {
-		return s[n/2]
+		return vs[n/2]
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return (vs[n/2-1] + vs[n/2]) / 2
 }

@@ -30,19 +30,6 @@ func className(c int8) string {
 	return classNames[ClassComm]
 }
 
-// WriteJSON dumps the tracer's records as trace-event JSON under the
-// given process id. Records are emitted in timestamp order.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")
-	first := true
-	if err := t.writeEvents(bw, 1, &first); err != nil {
-		return err
-	}
-	fmt.Fprintf(bw, "\n]}\n")
-	return bw.Flush()
-}
-
 // writeEvents emits one tracer's metadata and events under pid, keeping
 // the shared first-comma state for merged dumps.
 func (t *Tracer) writeEvents(bw *bufio.Writer, pid int, first *bool) error {
@@ -194,15 +181,6 @@ func (c *Collector) Tracers() []*Tracer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]*Tracer(nil), c.tracers...)
-}
-
-// Events returns the total number of records held across tracers.
-func (c *Collector) Events() int {
-	n := 0
-	for _, t := range c.Tracers() {
-		n += t.Len()
-	}
-	return n
 }
 
 // WriteJSON dumps every registered tracer into one trace-event JSON

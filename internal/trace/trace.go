@@ -168,14 +168,6 @@ func New(name string, limit int) *Tracer {
 	return &Tracer{name: name, limit: limit}
 }
 
-// Name returns the tracer's label (the process track name in the dump).
-func (t *Tracer) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
-
 // Emit appends one record. Nil-safe: a nil tracer discards the event
 // after a single comparison, which is the disabled fast path.
 func (t *Tracer) Emit(r Record) {
@@ -193,14 +185,6 @@ func (t *Tracer) Emit(r Record) {
 		return
 	}
 	t.recs = append(t.recs, r)
-}
-
-// Len returns the number of records currently held.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.recs)
 }
 
 // Dropped returns how many records the ring overwrote.

@@ -6,6 +6,7 @@ import (
 
 	"snacknoc/internal/core"
 	"snacknoc/internal/fixed"
+	"snacknoc/internal/stats"
 )
 
 // onePlusTwo builds by hand a one-instruction program that adds 1 and 2
@@ -13,7 +14,7 @@ import (
 func onePlusTwo(name string, out core.DepID) *core.Program {
 	prog := &core.Program{Name: name, OutputSlot: map[core.DepID]int{out: 0}, NumOutputs: 1}
 	blk := prog.AddBlock(3, 1)
-	prog.AddOp(core.OpAdd, core.Imm32(fixed.FromInt(1)), core.Imm32(fixed.FromInt(2)), false)
+	prog.AddOp(core.OpAdd, core.Imm32(fixed.FromFloat(1)), core.Imm32(fixed.FromFloat(2)), false)
 	blk.Emit, blk.EmitDep, blk.Dependents, blk.ToCPM = true, out, 1, true
 	return prog
 }
@@ -89,11 +90,15 @@ func TestConcurrentInstructionsAreEachContexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := stats.NewRegistry()
+	p.core.RegisterMetrics(reg)
+	vals := reg.Snapshot("").Values
+	rcuExecuted := func(r *core.RCU) int64 { return int64(vals[r.Name()+".executed.count"]) }
 	for i, st := range sts {
 		lo, hi := rcuSlice(p.RCUs(), len(ctxs), i)
 		var executed int64
 		for _, r := range p.core.RCUs[lo:hi] {
-			executed += r.Executed()
+			executed += rcuExecuted(r)
 		}
 		if executed == 0 || st.Instructions != executed {
 			t.Errorf("context %d: Stats.Instructions %d, its RCUs executed %d", i, st.Instructions, executed)
@@ -102,7 +107,7 @@ func TestConcurrentInstructionsAreEachContexts(t *testing.T) {
 	// Three contexts on 16 RCUs: the one left over goes to context 0, so
 	// no RCU sits idle.
 	for n, r := range p.core.RCUs {
-		if r.Executed() == 0 {
+		if rcuExecuted(r) == 0 {
 			t.Errorf("RCU %d executed nothing", n)
 		}
 	}

@@ -85,6 +85,18 @@ if grep -nE '^var|sync\.Map|beginSweepScope|warmDepth' $exp_srcs ||
     exit 1
 fi
 
+# Co-run legs 1 and 2 are plain per-sweep memos (legmemo.go; ROADMAP
+# item 16), not forks of a checkpointed warm baseline: outside the DSE's
+# platform pool (dse.go) no non-test file in internal/experiments
+# imports internal/checkpoint.
+echo "== co-run legs are memos, not checkpoint forks (internal/experiments) =="
+ckpt_srcs=$(ls internal/experiments/*.go | grep -v '_test\.go$' | grep -v '/dse\.go$')
+# shellcheck disable=SC2086
+if grep -n '"snacknoc/internal/checkpoint"' $ckpt_srcs; then
+    echo "ERROR: only dse.go forks checkpoints in internal/experiments; co-run legs are memoized (legmemo.go)" >&2
+    exit 1
+fi
+
 # One observed run: which layer aggregates a simulation attaches its
 # tracer and recorder to, and which register its metrics, is decided in
 # internal/experiments/observe.go (RunSpec.Observe, Observation.Record),
