@@ -31,9 +31,7 @@ type Kind uint8
 // "MSHR full" stall to count; instead the layer records allocation
 // volume, an occupancy-weighted miss-outstanding integral, and the
 // high-water mark). Engine counters are per-step component-evaluation
-// volume — a deterministic load proxy per shard of a bare sharded
-// network; wall-clock barrier wait is nondeterministic and is not
-// counted.
+// volume, a deterministic load proxy.
 const (
 	KindRouter Kind = iota
 	KindNI
@@ -179,10 +177,8 @@ type Counters struct {
 }
 
 // Recorder reads the Counts of one run (or one sweep/DSE cell). It is
-// attached single-threaded at platform build time; under a sharded
-// engine each Counts is written only by its owner component's shard
-// goroutine, and the shard barrier orders those writes before any
-// root-side read, so the recorder needs no locks.
+// attached at platform build time, and the run's one engine writes and
+// reads every Counts on one goroutine, so the recorder needs no locks.
 type Recorder struct {
 	comps   []Counters
 	sampler *Sampler

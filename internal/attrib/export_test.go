@@ -4,8 +4,7 @@ import "strings"
 
 // Fold flattens every attached count into metric-style keys
 // ("<label>.attrib.<layer>.<reason>"), the shape Summarize consumes.
-// Reading it is only safe once the engine is settled (between runs, or
-// after the shard barrier).
+// Reading it is only safe once the engine is settled (between runs).
 func (rec *Recorder) Fold() map[string]float64 {
 	if rec == nil {
 		return nil

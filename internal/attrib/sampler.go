@@ -12,10 +12,8 @@ import (
 // the timeline.
 //
 // It satisfies sim.Component structurally (this package must not import
-// sim) and is registered on the ROOT engine only: under a sharded mesh
-// the shard barrier has already ordered every shard-side counter write
-// before root components evaluate, so the reads here are race-free. It
-// never implements Quiescer — staying on the active list costs one
+// sim) and is registered on the engine that drives the attached
+// components. It never implements Quiescer — staying on the active list costs one
 // modulus per cycle and keeps window boundaries exact.
 //
 // Before reading, the sampler settles the engine so sleeping
@@ -38,7 +36,7 @@ type Sampler struct {
 
 // StartSampling attaches a window sampler to the recorder. Call it
 // after every component has been attached (the reason set is frozen
-// here), register the returned component on the root engine, and pass
+// here), register the returned component on the run's engine, and pass
 // the run's settle hook (typically the engine's Settle). A nil recorder
 // or non-positive interval returns nil. tr may be nil (no counter
 // tracks).

@@ -43,8 +43,8 @@ func DefaultSystemConfig() SystemConfig {
 // L2 bank per node, memory controllers at the configured nodes, and one
 // Hub per node registered as the NoC client.
 //
-// Eng drives the whole simulation: every controller schedules its events
-// on it, so the network must be unsharded.
+// Eng drives the whole simulation, the network included: every
+// controller schedules its events on it.
 type System struct {
 	Eng *sim.Engine
 	Net *noc.Network
@@ -71,11 +71,9 @@ type System struct {
 // outstanding never grows its own.
 const seedMSHRs, seedWaits = 8, 8
 
-// NewSystem builds the hierarchy on an existing unsharded network.
+// NewSystem builds the hierarchy on an existing network, registered on
+// the engine the network was built on.
 func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, error) {
-	if err := net.CheckUnsharded("cache"); err != nil {
-		return nil, err
-	}
 	nodes := net.Cfg().Nodes()
 	if nodes > maxNodes {
 		return nil, fmt.Errorf("cache: a %d-node mesh exceeds the directory's %d-node sharer sets", nodes, maxNodes)

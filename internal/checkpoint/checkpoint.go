@@ -44,8 +44,7 @@ import (
 
 // Target names the components of one simulation. Eng and Net are
 // required; the rest are optional and saved only when non-nil. Eng must
-// be the root engine driving Net (shard sub-engines are captured
-// through it).
+// be the engine driving Net.
 type Target struct {
 	Eng  *sim.Engine
 	Net  *noc.Network

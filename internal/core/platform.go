@@ -98,8 +98,8 @@ func NewStandalone(eng *sim.Engine, width, height int, priority bool, cfg Platfo
 
 // NewStandaloneOn is NewStandalone over an explicit mesh configuration
 // (it must carry a snack vnet and compute ports — see
-// noc.SnackPlatformCustom) on one engine: a sharded nc is an error. The
-// DSE driver uses it to sweep router resources.
+// noc.SnackPlatformCustom). The DSE driver uses it to sweep router
+// resources.
 func NewStandaloneOn(eng *sim.Engine, nc *noc.Config, cfg PlatformConfig) (*Platform, error) {
 	return newStandalone(eng, nc, []CPMConfig{cfg.CPM})
 }
@@ -133,9 +133,6 @@ func newStandalone(eng *sim.Engine, nc *noc.Config, cpms []CPMConfig) (*Platform
 	if err != nil {
 		return nil, err
 	}
-	if err := net.CheckUnsharded("core"); err != nil {
-		return nil, err
-	}
 	p, err := attach(eng, net, cpms, nil)
 	if err != nil {
 		return nil, err
@@ -159,7 +156,7 @@ func checkCPMNode(nc *noc.Config, node noc.NodeID) error {
 // at every node and one CPM at each configured node. A CPM streams its
 // commands and overflow through ctrl or, when ctrl is nil, through a
 // private DDR3 channel of its own. It registers the RCU group and the
-// CPMs on eng, which drives the whole unsharded net. The caller routes
+// CPMs on eng, which drives the whole net. The caller routes
 // the snack packets ejected at each CPM node to that CPM.
 func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Controller) (*Platform, error) {
 	nc := net.Cfg()
@@ -236,12 +233,8 @@ func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Contr
 // AttachToSystem builds the SnackNoC on a network already carrying a CMP
 // cache hierarchy (the Fig 11/12/13 co-run context). The CPM shares the
 // memory controller at its node, and snack packets ejected there reach
-// the CPM through the cache hub's Extra route. The network must be
-// unsharded.
+// the CPM through the cache hub's Extra route.
 func AttachToSystem(eng *sim.Engine, sys *cache.System, cfg PlatformConfig) (*Platform, error) {
-	if err := sys.Net.CheckUnsharded("core"); err != nil {
-		return nil, err
-	}
 	mn, ok := sys.Mems[cfg.CPM.Node]
 	if !ok {
 		return nil, fmt.Errorf("core: CPM node %d hosts no memory controller", cfg.CPM.Node)

@@ -271,12 +271,9 @@ type Workload struct {
 }
 
 // NewWorkload creates one core per node of the system, all running the
-// given profile, stepped by one group registered on eng. The system's
-// network must be unsharded.
+// given profile, stepped by one group registered on eng, the engine
+// that drives the system.
 func NewWorkload(eng *sim.Engine, sys *cache.System, prof *traffic.Profile, seed uint64) (*Workload, error) {
-	if err := sys.Net.CheckUnsharded("cpu"); err != nil {
-		return nil, err
-	}
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}

@@ -31,19 +31,20 @@ import (
 // identifier stays exported with no non-test use. Each is read by the
 // tests of another package, which an export_test.go cannot reach.
 var allowed = map[string]string{
-	"cache.L1.Outstanding":   "cpu's and checkpoint's tests check misses in flight",
-	"core.CPM.Fetched":       "checkpoint's fork test checks the CPM is mid-stream at the snapshot",
-	"core.CPM.Inflight":      "checkpoint's fork test checks the CPM is mid-stream at the snapshot",
-	"core.CPM.InstrBufLen":   "checkpoint's fork test checks the CPM is mid-stream at the snapshot",
-	"core.Platform.Quiesced": "compiler's fuzz test checks the platform drained",
-	"cpu.CoreState.Blocked":  "checkpoint's fork test checks cores are blocked at the snapshot",
-	"flat.Pool.Idle":         "core's tests bound the token pools",
-	"flat.Pool.Out":          "cache's, core's and noc's drain checks",
-	"flat.Ring.Cap":          "noc's slab test checks the NI queues' seeded windows",
-	"flat.Slots.FreeSlots":   "cache's slab and snapshot tests",
-	"flat.Slots.Len":         "cache's slab and snapshot tests",
-	"flat.Table.Len":         "cache's drain and directory tests",
-	"noc.Built":              "experiments' TestDSENetworkBuilds counts a sweep's network builds",
+	"cache.L1.Outstanding":     "cpu's and checkpoint's tests check misses in flight",
+	"core.CPM.Fetched":         "checkpoint's fork test checks the CPM is mid-stream at the snapshot",
+	"core.CPM.Inflight":        "checkpoint's fork test checks the CPM is mid-stream at the snapshot",
+	"core.CPM.InstrBufLen":     "checkpoint's fork test checks the CPM is mid-stream at the snapshot",
+	"core.Platform.Quiesced":   "compiler's fuzz test checks the platform drained",
+	"cpu.CoreState.Blocked":    "checkpoint's fork test checks cores are blocked at the snapshot",
+	"flat.Pool.Idle":           "core's tests bound the token pools",
+	"flat.Pool.Out":            "cache's, core's and noc's drain checks",
+	"flat.Ring.Cap":            "noc's slab test checks the NI queues' seeded windows",
+	"flat.Slots.FreeSlots":     "cache's slab and snapshot tests",
+	"flat.Slots.Len":           "cache's slab and snapshot tests",
+	"flat.Table.Len":           "cache's drain and directory tests",
+	"noc.Built":                "experiments' TestDSENetworkBuilds counts a sweep's network builds",
+	"sim.Engine.SetQuiescence": "noc's quiescence-equivalence tests run the evaluate-everything reference",
 }
 
 // module is the module's non-test packages, type-checked on demand.

@@ -36,7 +36,7 @@ func fullProbe(t *testing.T, cfg *noc.Config, pt noc.ProbePoint, cycles int64, s
 // network to the full configuration's, bit for bit: every preset and
 // Fig 1 reduction across zero load, the knee and saturation, and every
 // default-grid DSE group at the DSE probe's rate and widths, with
-// priority arbitration on and off, unsharded and in two shards.
+// priority arbitration on and off.
 func TestLoadLatencyPointsMatchFullNetwork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the full-network sweep is skipped in -short")
@@ -79,21 +79,18 @@ func TestLoadLatencyPointsMatchFullNetwork(t *testing.T) {
 			}
 		}
 	}
-	for _, shards := range []int{1, 2} {
-		for _, p := range probes {
-			cfg := *p.cfg
-			cfg.Shards = shards
-			label := fmt.Sprintf("%s %dx%d vc %d buf %d prio %v shards %d", cfg.Name, cfg.Width, cfg.Height,
-				cfg.VNets[0].VCs, cfg.VNets[0].BufDepth, cfg.PriorityArb, shards)
-			got, err := noc.LoadLatencyPoints(&cfg, noc.UniformRandom(), p.points, noc.DataBytes, p.cycles, Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, pt := range p.points {
-				if want := fullProbe(t, &cfg, pt, p.cycles, Seed); got[i] != want {
-					t.Errorf("%s point %d (rate %v, width %d): %+v, the full network measures %+v",
-						label, i, pt.Rate, pt.ChannelWidthBytes, got[i], want)
-				}
+	for _, p := range probes {
+		cfg := p.cfg
+		label := fmt.Sprintf("%s %dx%d vc %d buf %d prio %v", cfg.Name, cfg.Width, cfg.Height,
+			cfg.VNets[0].VCs, cfg.VNets[0].BufDepth, cfg.PriorityArb)
+		got, err := noc.LoadLatencyPoints(cfg, noc.UniformRandom(), p.points, noc.DataBytes, p.cycles, Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pt := range p.points {
+			if want := fullProbe(t, cfg, pt, p.cycles, Seed); got[i] != want {
+				t.Errorf("%s point %d (rate %v, width %d): %+v, the full network measures %+v",
+					label, i, pt.Rate, pt.ChannelWidthBytes, got[i], want)
 			}
 		}
 	}

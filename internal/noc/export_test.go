@@ -19,14 +19,10 @@ func (ni *NI) QueueLen(vnet int) int {
 	return n
 }
 
-// Outstanding sums gets minus puts over the network's pools: the flits
-// and the packet envelopes currently out of them.
+// Outstanding returns gets minus puts on the network's pool: the flits
+// and the packet envelopes currently out of it.
 func (n *Network) Outstanding() (flits, envelopes int) {
-	for i := range n.pools {
-		flits += n.pools[i].flits.Out()
-		envelopes += n.pools[i].pkts.Out()
-	}
-	return flits, envelopes
+	return n.pool.flits.Out(), n.pool.pkts.Out()
 }
 
 // CheckDrained is the drain-conservation check (ROADMAP 6e, noc half): on

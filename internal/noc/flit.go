@@ -83,12 +83,11 @@ func (f *Flit) String() string {
 		f.PacketID, f.Type, f.Src, f.Dst, f.VNet, f.VC, f.SeqInPkt+1, f.PktFlits)
 }
 
-// flitPool holds the flits and packet envelopes of one shard of a
-// network (the whole network when unsharded). A flit that crosses a shard
-// boundary retires into the destination shard's pool. Flits are returned
-// when they leave the network: consumed by a compute unit, drained into
-// the CPM overflow path, or reassembled at an ejection NI; an envelope is
-// returned by its source NI when the packet's tail flit is minted.
+// flitPool holds the flits and packet envelopes of a network. Flits are
+// returned when they leave the network: consumed by a compute unit,
+// drained into the CPM overflow path, or reassembled at an ejection NI;
+// an envelope is returned by its source NI when the packet's tail flit is
+// minted.
 type flitPool struct {
 	flits flat.Pool[Flit]
 	pkts  flat.Pool[Packet]

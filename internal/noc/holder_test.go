@@ -19,8 +19,7 @@ import (
 // or one queued envelope — so copying each holder's payload aliases
 // nothing. It is checked at the snapshot points of the checkpoint fork
 // tests (a co-run with a kernel in flight and a cache-heavy one), after
-// running on, and after each restore. A co-run is never sharded: the
-// caches, cores and SnackNoC run on one engine.
+// running on, and after each restore.
 func TestInFlightPayloadsHaveOneHolder(t *testing.T) {
 	lulesh := traffic.Scale(traffic.LULESH(), 0.05)
 	lulesh.Phases[0].StallEvery, lulesh.Phases[0].StallCycles = 200, 600

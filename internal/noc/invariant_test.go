@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"fmt"
 	"testing"
 
 	"snacknoc/internal/sim"
@@ -258,10 +257,9 @@ func checkPendingMasks(t *testing.T, net *Network, cycle int64) {
 // for each VC of each input port, the slots its sender may still use (for
 // an inject port, those landed since its last Update too), the flits of
 // that VC on the wire and the flits buffered in it add up to the VC's
-// depth — no slot is lost, returned twice, or left waiting for a barrier.
-// The sender's counters are found from the topology, not through the
-// port's credit sink. It returns a hash of every counter, which is the
-// same after every cycle at any shard count.
+// depth — no slot is lost or returned twice. The sender's counters are
+// found from the topology, not through the port's credit sink. It returns
+// a hash of every counter.
 func checkCredits(t *testing.T, net *Network, cycle int64) (hash uint64) {
 	t.Helper()
 	for i := range net.routers {
@@ -303,100 +301,92 @@ func checkCredits(t *testing.T, net *Network, cycle int64) (hash uint64) {
 
 // TestPendingMasksTrackWires steps a mesh carrying request/response
 // traffic and snack tokens from the compute ports one cycle at a time
-// and checks, after every cycle and at every shard count, that the
-// pending masks the routers and NIs poll instead of their wires agree
-// with the wires — across shard boundaries too, where the barrier drain
-// (not the writer) sets the bit — and that every link conserves its
-// credits, with the counters of the sharded runs equal to the serial
-// run's after every cycle (a credit crossing a shard boundary lands at
-// the barrier, never earlier); and both again after a checkpoint restore.
+// and checks, after every cycle, that the pending masks the routers and
+// NIs poll instead of their wires agree with the wires and that every
+// link conserves its credits; and both again after a checkpoint restore,
+// whose replay must reach the first run's credit counters cycle for
+// cycle. Its one leg keeps the name it had when the mesh could also be
+// cut into shards.
 func TestPendingMasksTrackWires(t *testing.T) {
-	var serial []uint64 // the credit counters' hash after each step at shards=1
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := *SnackPlatform(4, 4, true)
-			cfg.Shards = shards
-			eng := sim.NewEngine()
-			net, err := New(eng, &cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Counted per node: nodes of different shards deliver concurrently.
-			deliveredAt, consumedAt := make([]int, cfg.Nodes()), make([]int, cfg.Nodes())
-			for i := 0; i < cfg.Nodes(); i++ {
-				net.AttachClient(NodeID(i), countClient{&deliveredAt[i]})
-				port := net.AttachCompute(NodeID(i), consumeAll{&consumedAt[i]})
-				// Each compute port sends a token to the node across the mesh
-				// every few cycles; tokens are consumed on arrival.
-				net.engFor(NodeID(i)).Register(&portPump{port: port, dst: NodeID(cfg.Nodes() - 1 - i), every: int64(3 + i%4)})
-			}
-			rng := uint64(99)
-			// Injection runs on the root engine, after the barrier, where it
-			// may touch any shard's NI.
-			eng.Register(injectEach(func(cycle int64) {
-				if cycle >= 600 {
-					return // let the mesh drain: the masks must return to zero
+	t.Run("shards=1", pendingMasksTrackWires)
+}
+
+func pendingMasksTrackWires(t *testing.T) {
+	cfg := SnackPlatform(4, 4, true)
+	eng := sim.NewEngine()
+	net, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delivered, consumed int
+	for i := 0; i < cfg.Nodes(); i++ {
+		net.AttachClient(NodeID(i), countClient{&delivered})
+		port := net.AttachCompute(NodeID(i), consumeAll{&consumed})
+		// Each compute port sends a token to the node across the mesh
+		// every few cycles; tokens are consumed on arrival.
+		eng.Register(&portPump{port: port, dst: NodeID(cfg.Nodes() - 1 - i), every: int64(3 + i%4)})
+	}
+	rng := uint64(99)
+	eng.Register(injectEach(func(cycle int64) {
+		if cycle >= 600 {
+			return // let the mesh drain: the masks must return to zero
+		}
+		for n := 0; n < cfg.Nodes(); n++ {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			if rng>>11%100 < 25 {
+				dst := NodeID(rng >> 33 % uint64(cfg.Nodes()))
+				if dst == NodeID(n) {
+					continue
 				}
-				for n := 0; n < cfg.Nodes(); n++ {
-					rng = rng*6364136223846793005 + 1442695040888963407
-					if rng>>11%100 < 25 {
-						dst := NodeID(rng >> 33 % uint64(cfg.Nodes()))
-						if dst == NodeID(n) {
-							continue
-						}
-						size := CtrlBytes
-						if rng>>20&1 == 0 {
-							size = DataBytes
-						}
-						net.InjectMsg(NodeID(n), dst, int(rng>>21&1), size, nil, cycle)
-					}
+				size := CtrlBytes
+				if rng>>20&1 == 0 {
+					size = DataBytes
 				}
-			}))
-			var snap *NetworkState
-			var snapEng *sim.EngineState
-			busy, steps := 0, 0
-			step := func(cycle int64) {
-				eng.Step()
-				checkPendingMasks(t, net, cycle)
-				if h := checkCredits(t, net, cycle); shards == 1 {
-					serial = append(serial, h)
-				} else if h != serial[steps] {
-					t.Fatalf("cycle %d (step %d): the credit counters differ from the serial run's", cycle, steps)
-				}
-				steps++
+				net.InjectMsg(NodeID(n), dst, int(rng>>21&1), size, nil, cycle)
 			}
-			for cycle := int64(0); cycle < 1200; cycle++ {
-				step(cycle)
-				for i := range net.routers {
-					if net.routers[i].rd.pending != 0 {
-						busy++
-					}
-				}
-				if cycle == 300 {
-					eng.Settle()
-					snap, snapEng = net.SnapshotState(nil), eng.SnapshotState()
-				}
+		}
+	}))
+	var snap *NetworkState
+	var snapEng *sim.EngineState
+	var snapRNG uint64
+	// step runs one cycle, checks both invariants and returns the credit
+	// counters' hash.
+	step := func(cycle int64) uint64 {
+		eng.Step()
+		checkPendingMasks(t, net, cycle)
+		return checkCredits(t, net, cycle)
+	}
+	hashes := make([]uint64, 0, 1200) // after each cycle of the first run
+	busy := 0
+	for cycle := int64(0); cycle < 1200; cycle++ {
+		hashes = append(hashes, step(cycle))
+		for i := range net.routers {
+			if net.routers[i].rd.pending != 0 {
+				busy++
 			}
-			delivered, consumed := 0, 0
-			for i := range deliveredAt {
-				delivered += deliveredAt[i]
-				consumed += consumedAt[i]
-			}
-			if delivered == 0 || consumed == 0 || busy == 0 {
-				t.Fatalf("delivered %d packets, consumed %d tokens, %d router-cycles with pending wires: the run exercised nothing",
-					delivered, consumed, busy)
-			}
-			// Restoring rewinds wires, masks and counters together.
-			net.RestoreState(snap, nil)
-			eng.RestoreState(snapEng)
-			checkPendingMasks(t, net, 300)
-			if checkCredits(t, net, 300) != serial[300] {
-				t.Fatal("the restored credit counters are not those of the snapshot cycle")
-			}
-			for cycle := int64(301); cycle < 400; cycle++ {
-				step(cycle)
-			}
-		})
+		}
+		if cycle == 300 {
+			eng.Settle()
+			snap, snapEng, snapRNG = net.SnapshotState(nil), eng.SnapshotState(), rng
+		}
+	}
+	if delivered == 0 || consumed == 0 || busy == 0 {
+		t.Fatalf("delivered %d packets, consumed %d tokens, %d router-cycles with pending wires: the run exercised nothing",
+			delivered, consumed, busy)
+	}
+	// Restoring rewinds wires, masks and counters together; the injector's
+	// draws rewind with them.
+	net.RestoreState(snap, nil)
+	eng.RestoreState(snapEng)
+	rng = snapRNG
+	checkPendingMasks(t, net, 300)
+	if checkCredits(t, net, 300) != hashes[300] {
+		t.Fatal("the restored credit counters are not those of the snapshot cycle")
+	}
+	for cycle := int64(301); cycle < 400; cycle++ {
+		if step(cycle) != hashes[cycle] {
+			t.Fatalf("cycle %d: the credit counters after the restore differ from the first run's", cycle)
+		}
 	}
 }
 
@@ -408,7 +398,6 @@ type portPump struct {
 	every int64
 }
 
-func (p *portPump) Name() string         { return "port-pump" }
 func (p *portPump) Evaluate(cycle int64) { p.port.Update(cycle) }
 func (p *portPump) Advance(cycle int64) {
 	if cycle < 600 && cycle%p.every == 0 {

@@ -32,7 +32,7 @@ type Network struct {
 	inPorts  []inputPort  // per router, in direction order
 	outPorts []outputPort // likewise
 	// flitWires holds every wire — wire k belongs to inPorts[k], then one
-	// per ejection link, then the shard-boundary stubs — in checkpoint order.
+	// per ejection link — in checkpoint order.
 	flitWires []wire
 	flitQ     []wireEntry // queue storage, wireCap entries per wire
 
@@ -40,7 +40,7 @@ type Network struct {
 	bufSlab []*Flit   // the VCs' ring buffers, in vcs order
 	reasm   []*Flit   // the NIs' reassembly slots
 	waiting []flat.Ring[*Packet]
-	staged  []credit // routers' staged-credit lists at their bound, then the crossing links' stubs
+	staged  []credit // routers' staged-credit lists at their bound
 	// The NIs' injection queues start as windows of these (seedIncoming
 	// requests per NI, seedWaiting packets and one transmission per NI per
 	// vnet), so a lightly loaded NI never grows one.
@@ -61,21 +61,8 @@ type Network struct {
 
 	samples stats.SampleSlab // a column per router, then one per output port
 
-	// pools recycle flits and packet envelopes per shard (one pool for the
-	// whole network when unsharded); see flitPool.
-	pools []flitPool
-
-	// root is the engine handed to New; engs[s] is the engine driving
-	// shard s (engs[0] == root when unsharded) and shardOf maps a node to
-	// its shard (column slices: shard = x*Shards/Width).
-	root    *sim.Engine
-	engs    []*sim.Engine
-	shardOf []int
-
-	// flitB/credB are the cross-shard wire boundaries and the same links'
-	// credit sinks in construction order, drained by the barrier hook.
-	flitB []boundary
-	credB []*creditSink
+	// pool recycles the network's flits and packet envelopes; see flitPool.
+	pool flitPool
 }
 
 // built counts the networks New has built in this process.
@@ -84,10 +71,6 @@ var built atomic.Int64
 // Built returns how many networks New has built in this process, so a
 // caller can pin how many builds a sweep costs.
 func Built() int64 { return built.Load() }
-
-// stubCredits is the carved capacity of a crossing link's credit stub: a
-// port returns two slots a cycle at most, unless the CPM drains tokens.
-const stubCredits = 4
 
 // seedIncoming and seedWaiting are the carved capacities of an NI's
 // incoming list and of each of its per-vnet waiting queues; its active
@@ -105,13 +88,13 @@ type slabPlan struct {
 	snackClass           int // VCs per port in the snack priority class
 	compute              int // compute ports per router (0 or 1)
 	snackVCs, snackSlots int // VCs and slots on a compute port (snack vnet only)
-	links, crossing      int // directed mesh links; those whose ends are on different shards
+	links                int // directed mesh links
 	nIn, nOut, nVCs      int // input ports, output ports, input VCs
 	nWires, wireCap      int // wires, queue entries per wire
 	nBuckets             int // entries of all occupancy->bucket tables
 }
 
-func planSlabs(cfg *Config, shardOf []int) slabPlan {
+func planSlabs(cfg *Config) slabPlan {
 	p := slabPlan{nv: len(cfg.VNets)}
 	maxDepth := 0
 	for _, vn := range cfg.VNets {
@@ -133,11 +116,8 @@ func planSlabs(cfg *Config, shardOf []int) slabPlan {
 	for i := 0; i < nodes; i++ {
 		deg := 0
 		for d := North; d <= West; d++ {
-			if nb, ok := cfg.neighbor(NodeID(i), d); ok {
+			if _, ok := cfg.neighbor(NodeID(i), d); ok {
 				deg++
-				if shardOf[nb] != shardOf[i] {
-					p.crossing++
-				}
 			}
 		}
 		p.links += deg
@@ -148,10 +128,10 @@ func planSlabs(cfg *Config, shardOf []int) slabPlan {
 	}
 	p.nIn, p.nOut = p.links+nodes*(1+p.compute), p.links+nodes
 	p.nVCs = p.nOut*p.portVCs + nodes*p.snackVCs
-	// One wire per input port, one per ejection link, one stub per
-	// crossing link. A wire holds what its reader has not yet drained:
-	// bounded by the reader's buffer (credits) plus what the link carries.
-	p.nWires = p.nIn + nodes + p.crossing
+	// One wire per input port and one per ejection link. A wire holds what
+	// its reader has not yet drained: bounded by the reader's buffer
+	// (credits) plus what the link carries.
+	p.nWires = p.nIn + nodes
 	p.wireCap = maxDepth + cfg.LinkLatency
 	return p
 }
@@ -160,33 +140,20 @@ func planSlabs(cfg *Config, shardOf []int) slabPlan {
 func (p *slabPlan) slots(deg int) int { return (deg+1)*p.portSlots + p.snackSlots }
 
 // New constructs the mesh described by cfg and registers every router and
-// network interface with the engine (partitioning it into cfg.Shards
-// sub-engines first when sharding is requested). It counts ports, VCs,
-// buffer slots and wires from cfg, allocates each slab once, and carves
-// the routers' and NIs' windows out of them — the allocation count does
-// not depend on the mesh size.
+// network interface with the engine. It counts ports, VCs, buffer slots
+// and wires from cfg, allocates each slab once, and carves the routers'
+// and NIs' windows out of them — the allocation count does not depend on
+// the mesh size.
 func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	built.Add(1)
-	n := &Network{cfg: cfg, root: eng}
+	n := &Network{cfg: cfg}
 	nodes := cfg.Nodes()
-	shards := max(cfg.Shards, 1)
-	n.engs = eng.Partition(shards)
-	n.pools = make([]flitPool, shards)
-	n.shardOf = make([]int, nodes)
-	perShard := make([]int, shards)
-	for i := range n.shardOf {
-		x, _ := cfg.XY(NodeID(i))
-		n.shardOf[i] = x * shards / cfg.Width
-		perShard[n.shardOf[i]]++
-	}
-	for s, e := range n.engs {
-		e.Reserve(2 * perShard[s])
-	}
+	eng.Reserve(2 * nodes)
 
-	p := planSlabs(cfg, n.shardOf)
+	p := planSlabs(cfg)
 	n.routers = make([]Router, nodes)
 	n.nis = make([]NI, nodes)
 	n.rptrs = make([]*Router, nodes)
@@ -198,7 +165,7 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	n.bufSlab = make([]*Flit, p.nOut*p.portSlots+nodes*p.snackSlots)
 	n.reasm = make([]*Flit, nodes*p.portVCs)
 	n.waiting = make([]flat.Ring[*Packet], nodes*p.nv)
-	n.staged = make([]credit, 2*p.nIn+stubCredits*p.crossing)
+	n.staged = make([]credit, 2*p.nIn)
 	n.reqSeed = make([]injectReq, nodes*seedIncoming)
 	n.pktSeed = make([]*Packet, nodes*p.nv*seedWaiting)
 	n.txnSeed = make([]txn, nodes*max(p.nv, seedActive))
@@ -206,8 +173,6 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	n.credits = make([]int32, (p.nOut+nodes)*(p.portVCs+p.nv)+2*nodes*p.snackVCs)
 	n.counts = make([]int64, nodes*(bufHistBuckets+2*p.nv))
 	n.work = make([]int32, 3*p.nVCs+p.nOut*p.portVCs)
-	n.flitB = make([]boundary, 0, p.crossing)
-	n.credB = make([]*creditSink, 0, p.crossing)
 	if cfg.ComputePort {
 		n.ports = make([]InjectPort, nodes)
 	}
@@ -220,12 +185,8 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	n.layOut(&p)
 
 	for i := range n.routers {
-		se := n.engFor(NodeID(i))
-		n.routers[i].setHandle(se.Register(&n.routers[i]))
-		n.nis[i].setHandle(se.Register(&n.nis[i]))
-	}
-	if shards > 1 {
-		eng.AtBarrier(n.exchange)
+		n.routers[i].setHandle(eng.Register(&n.routers[i]))
+		n.nis[i].setHandle(eng.Register(&n.nis[i]))
 	}
 	return n, nil
 }
@@ -252,7 +213,7 @@ func (n *Network) layOut(p *slabPlan) {
 		r := &n.routers[i]
 		n.rptrs[i] = r
 		*r = Router{
-			id: NodeID(i), cfg: cfg, loop: n.loop, pool: &n.pools[n.shardOf[i]],
+			id: NodeID(i), cfg: cfg, loop: n.loop, pool: &n.pool,
 			vnetOff: vnetOff, depthOf: depthOf, nvcOf: nvcOf,
 			snackVNet:   int8(cfg.SnackVNet),
 			routerLatM1: int64(cfg.RouterLatency - 1),
@@ -334,17 +295,16 @@ func (n *Network) layOut(p *slabPlan) {
 
 	// Second pass, now that every input port has its wire: point each
 	// output at the downstream input's wire, fill its credits and make them
-	// that input's credit sink. A link that crosses shards gets a stub on both
-	// writer sides (flits down, credits back): no shard touches another's.
+	// that input's credit sink.
 	sink := func(to []int32, node NodeID, dir Direction) creditSink {
 		return creditSink{to: to, vnetOff: vnetOff, depthOf: depthOf, node: node, dir: dir}
 	}
-	eject, stub := p.nIn, p.nIn+len(n.nis)
+	eject := p.nIn
 	for i := range n.routers {
 		r := &n.routers[i]
 		ni := &n.nis[i]
 		*ni = NI{
-			node: r.id, cfg: cfg, pool: r.pool,
+			node: r.id, cfg: cfg, pool: &n.pool,
 			toRouter: r.inputs[Local].in, fromRouter: &n.flitWires[eject+i],
 			vnetOff: vnetOff, nvcOf: nvcOf,
 			credits: flat.Carve(&credits, p.portVCs), vcRR: flat.Carve(&credits, p.nv),
@@ -363,12 +323,6 @@ func (n *Network) layOut(p *slabPlan) {
 				nb, _ := cfg.neighbor(r.id, op.dir)
 				down := n.routers[nb].inputs[op.dir.opposite()]
 				op.out, down.credit = down.in, sink(op.credits, r.id, op.dir)
-				if n.shardOf[nb] != n.shardOf[i] {
-					n.flitB = append(n.flitB, interpose(&op.out, &n.flitWires[stub]))
-					down.credit.stub = flat.Carve(&staged, stubCredits)[:0]
-					n.credB = append(n.credB, &down.credit)
-					stub++
-				}
 			}
 			for v := range cfg.VNets {
 				room := depthOf[v]
@@ -393,7 +347,7 @@ func (n *Network) layOut(p *slabPlan) {
 	for i := range n.ports {
 		in := n.routers[i].inputs[Compute]
 		n.ports[i] = InjectPort{
-			node: NodeID(i), vnet: int8(cfg.SnackVNet), pool: n.routers[i].pool, out: in.in,
+			node: NodeID(i), vnet: int8(cfg.SnackVNet), pool: &n.pool, out: in.in,
 			credits: flat.Carve(&credits, p.snackVCs), landed: flat.Carve(&credits, p.snackVCs),
 		}
 		for c := range n.ports[i].credits {
@@ -404,41 +358,9 @@ func (n *Network) layOut(p *slabPlan) {
 	}
 	if len(inPorts)+len(outPorts)+len(vcs)+len(bufSlab)+len(reasm)+len(waiting)+len(staged)+
 		len(reqSeed)+len(pktSeed)+len(txnSeed)+
-		len(tables)+len(credits)+len(counts)+len(work) != 0 || stub != p.nWires {
+		len(tables)+len(credits)+len(counts)+len(work) != 0 {
 		panic("noc: slab layout does not match its carve")
 	}
-}
-
-// exchange drains every cross-shard boundary — flits first, then the
-// credits coming back — in construction order. It runs serially at the
-// per-cycle barrier, after all shard goroutines have finished the cycle.
-func (n *Network) exchange(int64) {
-	for i := range n.flitB {
-		n.flitB[i].drain()
-	}
-	for _, s := range n.credB {
-		for _, c := range s.stub {
-			s.land(c)
-		}
-		s.stub = s.stub[:0]
-	}
-}
-
-// engFor returns the sub-engine driving the given node's shard. A
-// component co-located with a node must register on this engine so it
-// evaluates on the same goroutine as the node's router.
-func (n *Network) engFor(id NodeID) *sim.Engine {
-	return n.engs[n.shardOf[id]]
-}
-
-// CheckUnsharded returns an error, prefixed with layer, when the network
-// is cut into shards. Only a bare network may be: the caches, cores and
-// SnackNoC above it register on the one engine handed to New.
-func (n *Network) CheckUnsharded(layer string) error {
-	if len(n.engs) > 1 {
-		return fmt.Errorf("%s: network %q is cut into %d shards; only a bare network may be sharded", layer, n.cfg.Name, len(n.engs))
-	}
-	return nil
 }
 
 // Cfg returns the network configuration.
@@ -471,9 +393,8 @@ func (n *Network) AttachCompute(id NodeID, cu ComputeUnit) *InjectPort {
 // phase; the packet enters the network on a later cycle.
 //
 // Packet IDs are allocated per source node (node tag in the high half, a
-// local sequence number in the low), so the IDs a simulation assigns do not
-// depend on the global interleaving of injections — a requirement for
-// sharded runs to be byte-identical to serial ones.
+// local sequence number in the low), so a packet's ID names where it came
+// from; trace dumps name packets by it.
 func (n *Network) Inject(p *Packet, cycle int64) {
 	if p.Src < 0 || int(p.Src) >= len(n.nis) {
 		panic(fmt.Sprintf("noc: inject from invalid node %d", p.Src))
@@ -496,14 +417,10 @@ func (n *Network) InjectMsg(src, dst NodeID, vnet, sizeBytes int, payload any, c
 func (n *Network) Samples() *stats.SampleSlab { return &n.samples }
 
 // EnableSampling turns on time-series sampling (crossbar and links) on
-// every router with the given interval in cycles, into one slab, which
-// a sharded network's concurrently stepped routers could not share.
+// every router with the given interval in cycles, into one slab.
 func (n *Network) EnableSampling(interval int64) {
 	if interval <= 0 {
 		panic("noc: EnableSampling interval must be positive")
-	}
-	if len(n.engs) > 1 {
-		panic("noc: EnableSampling on a sharded network")
 	}
 	n.samples = stats.MakeSampleSlab(len(n.routers) + len(n.outPorts))
 	for i := range n.routers {
@@ -518,15 +435,7 @@ func (n *Network) EnableSampling(interval int64) {
 // SetTracer installs the lifecycle-event tracer on every router and
 // network interface (nil removes it). Tracing must be configured before
 // the run whose events are wanted; it does not alter simulated behavior.
-//
-// A tracer is shared mutable state, so on a sharded network installing one
-// drops the shard phase to serial execution (the decomposition and barrier
-// protocol — and hence the simulated behavior — are unchanged; only the
-// goroutine fan-out is suppressed).
 func (n *Network) SetTracer(t *trace.Tracer) {
-	if len(n.engs) > 1 {
-		n.root.SetSerialShards(t != nil)
-	}
 	for i := range n.routers {
 		n.routers[i].tr = t
 		n.nis[i].tr = t
@@ -534,10 +443,7 @@ func (n *Network) SetTracer(t *trace.Tracer) {
 }
 
 // SetAttrib attaches every router's and then every NI's attribution
-// counts to rec (nil returns at once, naming no component). Unlike a
-// tracer the counts are component state, so sharded execution stays
-// parallel: each shard writes only its own components' counts, and the
-// step barrier orders those writes before the root reads them.
+// counts to rec (nil returns at once, naming no component).
 func (n *Network) SetAttrib(rec *attrib.Recorder) {
 	if rec == nil {
 		return

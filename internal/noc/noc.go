@@ -102,12 +102,9 @@ type Config struct {
 	// ComputePort adds the RCU injection input port to every router.
 	ComputePort bool
 
-	// Shards partitions the mesh into that many column slices, each driven
-	// by its own sub-engine and synchronized at per-cycle barriers (the
-	// credit return path's one-cycle latency is the conservative-sync
-	// lookahead). 0 or 1 keeps the classic single-engine kernel. Simulated
-	// behaviour — figures, metrics, arbitration — is identical for every
-	// value; see DESIGN.md §9.
+	// Shards is read by nothing: every network runs on the one engine
+	// handed to New, whatever its value. It stays only because the
+	// repository benchmark (benchmark/extras.go) still sets it.
 	Shards int
 }
 
@@ -180,10 +177,6 @@ func (c *Config) Validate() error {
 	if c.SnackVNet >= 0 && c.Width%2 != 0 && c.Height%2 != 0 {
 		return fmt.Errorf("noc: transient-data loop route needs an even mesh dimension, got %dx%d",
 			c.Width, c.Height)
-	}
-	if c.Shards < 0 || c.Shards > c.Width {
-		return fmt.Errorf("noc: shards must be between 0 and the mesh width %d, got %d",
-			c.Width, c.Shards)
 	}
 	return nil
 }

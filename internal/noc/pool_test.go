@@ -122,6 +122,12 @@ func TestInjectRoundTripAllocatesNothing(t *testing.T) {
 	}
 }
 
+// injectEach is a component whose Evaluate is a function of the cycle.
+type injectEach func(cycle int64)
+
+func (f injectEach) Evaluate(cycle int64) { f(cycle) }
+func (f injectEach) Advance(int64)        {}
+
 // arrival is one packet's arrival at its destination.
 type arrival struct {
 	id      uint64
@@ -136,93 +142,89 @@ type arrival struct {
 // the first run did, with the same NI counters and latencies.
 func TestMidInjectionCheckpoint(t *testing.T) {
 	const snapAt, stopAt, endAt = 120, 200, 3000
-	for _, base := range []*Config{BiNoCHS(4, 4), DAPPER(4, 4)} {
-		for _, shards := range []int{1, 2} {
-			cfg := *base
-			cfg.Shards = shards
-			label := fmt.Sprintf("%s/shards=%d", cfg.Name, shards)
-			eng := sim.NewEngine()
-			net, err := New(eng, &cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// One log per node: nodes of different shards deliver concurrently.
-			logs := make([][]arrival, cfg.Nodes())
-			for i := range logs {
-				i := i
-				net.AttachClient(NodeID(i), clientFunc(func(p *Packet, cycle int64) {
-					logs[i] = append(logs[i], arrival{p.ID, cycle, p.Payload})
-				}))
-			}
-			// The injector is a function of the cycle alone, so a rewound
-			// engine replays it without any state of its own to restore.
-			eng.Register(injectEach(func(cycle int64) {
-				if cycle >= stopAt {
-					return
-				}
-				for n := 0; n < cfg.Nodes(); n++ {
-					h := (uint64(cycle)*64 + uint64(n) + 1) * 0x9E3779B97F4A7C15
-					h ^= h >> 29
-					if h%100 < 45 {
-						dst := NodeID(h >> 8 % uint64(cfg.Nodes()))
-						if dst == NodeID(n) {
-							dst = NodeID((n + 1) % cfg.Nodes())
-						}
-						size := CtrlBytes
-						if h>>40&3 != 0 {
-							size = 4 * DataBytes
-						}
-						net.InjectMsg(NodeID(n), dst, int(h>>50&1), size, h, cycle)
-					}
-				}
+	for _, cfg := range []*Config{BiNoCHS(4, 4), DAPPER(4, 4)} {
+		label := cfg.Name
+		eng := sim.NewEngine()
+		net, err := New(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One log per node, so a difference names the node.
+		logs := make([][]arrival, cfg.Nodes())
+		for i := range logs {
+			i := i
+			net.AttachClient(NodeID(i), clientFunc(func(p *Packet, cycle int64) {
+				logs[i] = append(logs[i], arrival{p.ID, cycle, p.Payload})
 			}))
-			eng.Run(snapAt)
-			half, waiting, incoming := niLoad(net)
-			if half == 0 || waiting == 0 || incoming == 0 {
-				t.Fatalf("%s: %d half-sent, %d waiting, %d incoming packets at the snapshot: want all three",
-					label, half, waiting, incoming)
+		}
+		// The injector is a function of the cycle alone, so a rewound
+		// engine replays it without any state of its own to restore.
+		eng.Register(injectEach(func(cycle int64) {
+			if cycle >= stopAt {
+				return
 			}
-			st, es := net.SnapshotState(nil), eng.SnapshotState()
-			before := make([]int, len(logs))
+			for n := 0; n < cfg.Nodes(); n++ {
+				h := (uint64(cycle)*64 + uint64(n) + 1) * 0x9E3779B97F4A7C15
+				h ^= h >> 29
+				if h%100 < 45 {
+					dst := NodeID(h >> 8 % uint64(cfg.Nodes()))
+					if dst == NodeID(n) {
+						dst = NodeID((n + 1) % cfg.Nodes())
+					}
+					size := CtrlBytes
+					if h>>40&3 != 0 {
+						size = 4 * DataBytes
+					}
+					net.InjectMsg(NodeID(n), dst, int(h>>50&1), size, h, cycle)
+				}
+			}
+		}))
+		eng.Run(snapAt)
+		half, waiting, incoming := niLoad(net)
+		if half == 0 || waiting == 0 || incoming == 0 {
+			t.Fatalf("%s: %d half-sent, %d waiting, %d incoming packets at the snapshot: want all three",
+				label, half, waiting, incoming)
+		}
+		st, es := net.SnapshotState(nil), eng.SnapshotState()
+		before := make([]int, len(logs))
+		for i := range logs {
+			before[i] = len(logs[i])
+		}
+		type outcome struct {
+			logs      [][]arrival
+			nis       []niScalars
+			latencies []float64
+		}
+		finish := func() (o outcome) {
+			eng.Run(endAt - eng.Cycle())
+			if err := net.CheckDrained(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
 			for i := range logs {
-				before[i] = len(logs[i])
-			}
-			type outcome struct {
-				logs      [][]arrival
-				nis       []niScalars
-				latencies []float64
-			}
-			finish := func() (o outcome) {
-				eng.Run(endAt - eng.Cycle())
-				if err := net.CheckDrained(); err != nil {
-					t.Fatalf("%s: %v", label, err)
+				o.logs = append(o.logs, slices.Clone(logs[i][before[i]:]))
+				logs[i] = logs[i][:before[i]]
+				o.nis = append(o.nis, net.nis[i].niScalars)
+				for v := range cfg.VNets {
+					o.latencies = append(o.latencies, net.nis[i].AvgLatency(v))
 				}
-				for i := range logs {
-					o.logs = append(o.logs, slices.Clone(logs[i][before[i]:]))
-					logs[i] = logs[i][:before[i]]
-					o.nis = append(o.nis, net.nis[i].niScalars)
-					for v := range cfg.VNets {
-						o.latencies = append(o.latencies, net.nis[i].AvgLatency(v))
-					}
+			}
+			return o
+		}
+		first := finish()
+		net.RestoreState(st, nil)
+		eng.RestoreState(es)
+		replay := finish()
+		if net.TotalEjected() != net.TotalInjected() || len(first.logs[0]) == 0 {
+			t.Fatalf("%s: %d injected, %d ejected, %d at node 0 after the snapshot",
+				label, net.TotalInjected(), net.TotalEjected(), len(first.logs[0]))
+		}
+		if !reflect.DeepEqual(first, replay) {
+			for i := range first.logs {
+				if !reflect.DeepEqual(first.logs[i], replay.logs[i]) {
+					t.Errorf("%s: node %d deliveries differ:\n first  %v\n replay %v", label, i, first.logs[i], replay.logs[i])
 				}
-				return o
 			}
-			first := finish()
-			net.RestoreState(st, nil)
-			eng.RestoreState(es)
-			replay := finish()
-			if net.TotalEjected() != net.TotalInjected() || len(first.logs[0]) == 0 {
-				t.Fatalf("%s: %d injected, %d ejected, %d at node 0 after the snapshot",
-					label, net.TotalInjected(), net.TotalEjected(), len(first.logs[0]))
-			}
-			if !reflect.DeepEqual(first, replay) {
-				for i := range first.logs {
-					if !reflect.DeepEqual(first.logs[i], replay.logs[i]) {
-						t.Errorf("%s: node %d deliveries differ:\n first  %v\n replay %v", label, i, first.logs[i], replay.logs[i])
-					}
-				}
-				t.Fatalf("%s: the replay from the mid-injection snapshot differs from the first run", label)
-			}
+			t.Fatalf("%s: the replay from the mid-injection snapshot differs from the first run", label)
 		}
 	}
 }

@@ -140,7 +140,7 @@ type Router struct {
 	compute ComputeUnit
 	drainer LoopDrainer // compute's drain hook, cached off the hot path
 	loop    *LoopRoute
-	pool    *flitPool // shard-local flit free-list
+	pool    *flitPool // the network's flit free-list
 
 	// vcs is the flat input-VC table (see inputVC); bufSlab backs every
 	// VC's ring queue. Both are windows of the Network's slabs.

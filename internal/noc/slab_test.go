@@ -8,29 +8,27 @@ import (
 	"testing"
 
 	"snacknoc/internal/sim"
+	"snacknoc/internal/stats"
 )
 
 // slabConfigs are the mesh variants the slab tests cover: two sizes,
-// with and without compute ports, serial and sharded.
+// with and without compute ports.
 func slabConfigs() []*Config {
 	var out []*Config
 	for _, size := range [][2]int{{4, 4}, {8, 8}} {
 		for _, compute := range []bool{false, true} {
-			for _, shards := range []int{1, 2} {
-				cfg := DAPPER(size[0], size[1])
-				if compute {
-					cfg = SnackPlatform(size[0], size[1], true)
-				}
-				cfg.Shards = shards
-				out = append(out, cfg)
+			cfg := DAPPER(size[0], size[1])
+			if compute {
+				cfg = SnackPlatform(size[0], size[1], true)
 			}
+			out = append(out, cfg)
 		}
 	}
 	return out
 }
 
 func cfgLabel(cfg *Config) string {
-	return fmt.Sprintf("%dx%d/compute=%v/shards=%d", cfg.Width, cfg.Height, cfg.ComputePort, cfg.Shards)
+	return fmt.Sprintf("%dx%d/compute=%v", cfg.Width, cfg.Height, cfg.ComputePort)
 }
 
 // TestNetworkBuildAllocations pins the tentpole: New allocates its slabs
@@ -52,7 +50,7 @@ func TestNetworkBuildAllocations(t *testing.T) {
 		if got > budget {
 			t.Errorf("%s: New allocated %.0f objects, budget %d", cfgLabel(cfg), got, budget)
 		}
-		variant := fmt.Sprintf("compute=%v/shards=%d", cfg.ComputePort, cfg.Shards)
+		variant := fmt.Sprintf("compute=%v", cfg.ComputePort)
 		if prev, seen := counts[variant]; seen && prev != got {
 			t.Errorf("%s: %.0f objects, but %.0f on the other mesh size", cfgLabel(cfg), got, prev)
 		}
@@ -253,30 +251,55 @@ func TestSlabWindowsDoNotAlias(t *testing.T) {
 
 // networkShape is what New sized from a Config: the slab plan, the length
 // of every slab, and the contents of the read-only geometry tables and of
-// the initial credits.
+// the initial credits, and how many components New registered on the
+// engine.
 type networkShape struct {
 	plan            slabPlan
 	lens            []int
 	tables, credits []int32
+	components      float64
 }
 
 func shapeOf(t *testing.T, cfg *Config) networkShape {
 	t.Helper()
-	n, err := New(sim.NewEngine(), cfg)
+	eng := sim.NewEngine()
+	n, err := New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := stats.NewRegistry()
+	eng.RegisterMetrics(reg)
 	return networkShape{
-		plan: planSlabs(cfg, n.shardOf),
+		plan: planSlabs(cfg),
 		lens: []int{
 			len(n.routers), len(n.nis), len(n.ports), len(n.rptrs), len(n.inPorts), len(n.outPorts),
 			len(n.flitWires), len(n.flitQ), len(n.vcs), len(n.bufSlab), len(n.reasm), len(n.waiting),
 			len(n.staged), len(n.reqSeed), len(n.pktSeed), len(n.txnSeed), len(n.tables),
-			len(n.credits), len(n.counts), len(n.work), len(n.pools), len(n.engs),
-			len(n.shardOf), cap(n.flitB), cap(n.credB),
+			len(n.credits), len(n.counts), len(n.work),
 		},
-		tables:  slices.Clone(n.tables),
-		credits: slices.Clone(n.credits),
+		tables:     slices.Clone(n.tables),
+		credits:    slices.Clone(n.credits),
+		components: reg.Snapshot("").Values["engine.components"],
+	}
+}
+
+// TestShardsFieldIsInert pins that Config.Shards changes nothing: the
+// repository benchmark still sets it to 2 and times the result against
+// an unset config, so on every slab variant a Shards = 2 config must
+// build exactly the Shards = 0 network, with the same components on the
+// one engine.
+func TestShardsFieldIsInert(t *testing.T) {
+	for _, cfg := range slabConfigs() {
+		sharded := *cfg
+		sharded.Shards = 2
+		ref, got := shapeOf(t, cfg), shapeOf(t, &sharded)
+		if ref.components != float64(2*cfg.Nodes()) {
+			t.Errorf("%s: %v components on the engine, want a router and an NI per node (%d)",
+				cfgLabel(cfg), ref.components, 2*cfg.Nodes())
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s: with Shards = 2 the network's shape is %+v, without %+v", cfgLabel(cfg), got, ref)
+		}
 	}
 }
 
@@ -285,12 +308,10 @@ func shapeOf(t *testing.T, cfg *Config) networkShape {
 // width (only NI injection reads it, through FlitsFor, while running). For
 // every width from 8 to 64 bytes the network's shape equals the one at 16.
 func TestNetworkShapeIgnoresChannelWidth(t *testing.T) {
-	sharded := DAPPER(4, 4)
-	sharded.Shards = 2
 	for _, base := range []*Config{
 		SnackPlatformCustom(4, 4, true, 2, 8, 16),
 		SnackPlatformCustom(8, 4, false, 16, 1, 16),
-		sharded,
+		DAPPER(4, 4),
 	} {
 		ref := shapeOf(t, base)
 		for w := 8; w <= 64; w++ {

@@ -25,10 +25,8 @@ import (
 // carrying it, so a clone need only copy it.
 //
 // Snapshots must be taken at a settled point — between engine runs, when
-// every staged output has been committed by Advance and, on a sharded
-// network, the boundary stubs have been drained by the barrier. The
-// snapshot asserts these invariants rather than trying to save
-// mid-cycle transients.
+// every staged output has been committed by Advance. The snapshot
+// asserts this rather than trying to save mid-cycle transients.
 
 // NetworkState is a saved network.
 type NetworkState struct {
@@ -102,11 +100,6 @@ func (r *Router) workLists() (lists [2 + 2*numDirections]*[]int32) {
 // SnapshotState captures the network. clone copies flit/packet payloads
 // (nil shares them).
 func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
-	for i := range n.flitB {
-		if len(n.flitB[i].stub.q) != 0 || len(n.credB[i].stub) != 0 {
-			panic("noc: SnapshotState with undrained shard boundary (snapshot only between cycles)")
-		}
-	}
 	// Size the packed arrays first so each is allocated once.
 	nLens, nFlitQ, nFlits, nReasm, nReqs, nTxns := len(n.flitWires), 0, 0, 0, 0, 0
 	for _, f := range n.reasm {
@@ -210,9 +203,7 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 // RestoreState writes a saved network state back. clone copies payloads
 // out of the state, as the snapshot's clone copied them in.
 func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
-	// Flits go back to and come from one pool: restore is serial, and flits
-	// migrate between the shards' pools anyway. Envelopes stay with their NI's.
-	pool := &n.pools[0]
+	pool := &n.pool
 	copy(n.vcs, s.vcs)
 	copy(n.credits, s.credits)
 	copy(n.counts, s.counts)

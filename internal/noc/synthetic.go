@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"snacknoc/internal/sim"
-	"snacknoc/internal/stats"
 )
 
 // Pattern maps an injecting node to a destination for one synthetic
@@ -82,8 +81,7 @@ type SyntheticInjector struct {
 
 	rng      uint64
 	injected int64
-	sinks    []synSink
-	counts   []int64 // the sinks' histogram buckets, end to end
+	sink     synSink // the client at every node
 
 	// tape, when set, records every draw Evaluate makes; replaying, when
 	// set, makes Evaluate inject replay's draws instead of drawing. Only
@@ -100,38 +98,27 @@ type synDraw struct {
 	src, dst NodeID
 }
 
-// NewSyntheticInjector attaches sinks at every node and returns the
+// NewSyntheticInjector attaches its sink at every node and returns the
 // injector (register it with the engine to start traffic).
 func NewSyntheticInjector(net *Network, pattern Pattern, rate float64, sizeBytes, vnet int, seed uint64) *SyntheticInjector {
 	inj := &SyntheticInjector{net: net, pattern: pattern, SizeBytes: sizeBytes, vnet: vnet}
-	// One sink per node: on a sharded network, deliveries at different
-	// nodes run on different shard goroutines, so the latency statistics
-	// accumulate per node and aggregate only on read.
-	inj.sinks = make([]synSink, net.Cfg().Nodes())
-	inj.counts = make([]int64, synBuckets*len(inj.sinks))
-	for i := range inj.sinks {
-		net.AttachClient(NodeID(i), &inj.sinks[i])
+	for i := range net.Cfg().Nodes() {
+		net.AttachClient(NodeID(i), &inj.sink)
 	}
 	inj.reset(rate, seed)
 	return inj
 }
 
-// synBuckets is the resolution of a sink's latency histogram.
-const synBuckets = 50
-
-// synSink records delivered-packet latency at one node.
+// synSink counts delivered packets and sums their latencies.
 type synSink struct {
 	received int64
 	latSum   int64
-	hist     stats.Histogram
 }
 
 // Deliver implements Client.
 func (s *synSink) Deliver(p *Packet, cycle int64) {
-	lat := cycle - p.InjectCycle
 	s.received++
-	s.latSum += lat
-	s.hist.Observe(float64(lat))
+	s.latSum += cycle - p.InjectCycle
 }
 
 func (s *SyntheticInjector) next() uint64 {
@@ -172,12 +159,7 @@ func (s *SyntheticInjector) reset(rate float64, seed uint64) {
 	s.Rate = rate
 	s.rng = seed*0x9E3779B97F4A7C15 + 1
 	s.injected = 0
-	clear(s.counts)
-	for i := range s.sinks {
-		sk := &s.sinks[i]
-		sk.received, sk.latSum = 0, 0
-		sk.hist = stats.MakeHistogram(500, s.counts[i*synBuckets:(i+1)*synBuckets:(i+1)*synBuckets])
-	}
+	s.sink = synSink{}
 	s.tape, s.replay, s.replaying = nil, nil, false
 }
 
@@ -188,25 +170,14 @@ func (s *SyntheticInjector) Advance(int64) {}
 func (s *SyntheticInjector) Injected() int64 { return s.injected }
 
 // Received returns the packets delivered so far.
-func (s *SyntheticInjector) Received() int64 {
-	var n int64
-	for i := range s.sinks {
-		n += s.sinks[i].received
-	}
-	return n
-}
+func (s *SyntheticInjector) Received() int64 { return s.sink.received }
 
 // AvgLatency returns mean delivered-packet latency in cycles.
 func (s *SyntheticInjector) AvgLatency() float64 {
-	var sum, n int64
-	for i := range s.sinks {
-		sum += s.sinks[i].latSum
-		n += s.sinks[i].received
-	}
-	if n == 0 {
+	if s.sink.received == 0 {
 		return 0
 	}
-	return float64(sum) / float64(n)
+	return float64(s.sink.latSum) / float64(s.sink.received)
 }
 
 // LoadPoint is one point of a load-latency curve.

@@ -129,8 +129,8 @@ func TestLoadLatencyCurveShape(t *testing.T) {
 // single-point LoadLatencyCurve on that point's own configuration, and
 // the caller's configuration is left as it was. The mini-grid is the DSE
 // probe's case (one rate, four channel widths, so later points replay
-// the first point's draws); the DAPPER rows restore after a saturated
-// point and replay a rate two points back, serial and sharded.
+// the first point's draws); the DAPPER row restores after a saturated
+// point and replays a rate two points back.
 func TestLoadLatencyPointsMatchFreshCurves(t *testing.T) {
 	type probe struct {
 		cfg    *Config
@@ -149,15 +149,12 @@ func TestLoadLatencyPointsMatchFreshCurves(t *testing.T) {
 			}
 		}
 	}
-	for _, shards := range []int{1, 2} {
-		cfg := DAPPER(4, 4)
-		cfg.Shards = shards
-		w := cfg.ChannelWidthBytes
-		probes = append(probes, probe{cfg, []ProbePoint{{0.02, w}, {0.30, w}, {0.02, w}}, 1500})
-	}
+	dapper := DAPPER(4, 4)
+	w := dapper.ChannelWidthBytes
+	probes = append(probes, probe{dapper, []ProbePoint{{0.02, w}, {0.30, w}, {0.02, w}}, 1500})
 	for _, p := range probes {
-		label := fmt.Sprintf("%s %dx%d vc %d buf %d shards %d", p.cfg.Name, p.cfg.Width, p.cfg.Height,
-			p.cfg.VNets[0].VCs, p.cfg.VNets[0].BufDepth, p.cfg.Shards)
+		label := fmt.Sprintf("%s %dx%d vc %d buf %d", p.cfg.Name, p.cfg.Width, p.cfg.Height,
+			p.cfg.VNets[0].VCs, p.cfg.VNets[0].BufDepth)
 		before, vnets := *p.cfg, slices.Clone(p.cfg.VNets)
 		got, err := LoadLatencyPoints(p.cfg, UniformRandom(), p.points, DataBytes, p.cycles, 11)
 		if err != nil {

@@ -19,7 +19,7 @@ import (
 // sets it and wakes the reader no later than the entry's arrival cycle —
 // which is what lets routers and NIs sleep safely — and the reader walks
 // the set bits instead of polling every wire it owns, and sleeps when
-// none is set. Shard-boundary stubs have no reading end.
+// none is set.
 //
 // Wires live in the Network's wire slab and their queues are carved from
 // its queue slab at the credit bound (see Network), so a push never
@@ -49,10 +49,8 @@ type wireEntry struct {
 // naturally for constant-latency links.
 func (w *wire) push(f *Flit, arrive int64) {
 	w.q = append(w.q, wireEntry{f: f, arrive: arrive})
-	if w.rd != nil {
-		w.rd.pending |= w.bit
-		w.rd.handle.WakeAt(arrive)
-	}
+	w.rd.pending |= w.bit
+	w.rd.handle.WakeAt(arrive)
 }
 
 // ready returns the entries that have arrived by now, in order. The
@@ -78,46 +76,11 @@ func (w *wire) consume(n int) {
 // sync sets or clears the wire's pending bit by whether it holds
 // entries; a restore calls it after writing the queue back.
 func (w *wire) sync() {
-	switch {
-	case w.rd == nil:
-	case len(w.q) == 0:
+	if len(w.q) == 0 {
 		w.rd.pending &^= w.bit
-	default:
+	} else {
 		w.rd.pending |= w.bit
 	}
-}
-
-// boundary interposes on a wire that crosses a shard boundary. The writer
-// is handed the stub — a wire with no reading end, local to the writer's
-// shard — while the reader keeps the real wire. The barrier hook drains
-// every boundary serially between cycles, so neither the slice append nor
-// the reader-engine wake-up ever races a shard goroutine. Delivery order
-// within one wire is preserved, and the drain order of different boundaries
-// is immaterial: distinct wires feed distinct reader state, and a wake-up
-// at the barrier lands on the same cycle as the wake event the serial
-// kernel would have scheduled — so sharded runs match serial (DESIGN.md §9).
-type boundary struct {
-	stub, real *wire
-}
-
-// interpose points *slot (a wire the remote writer pushes into) at stub
-// and returns the boundary pairing it with the real wire.
-func interpose(slot **wire, stub *wire) boundary {
-	b := boundary{stub: stub, real: *slot}
-	*slot = stub
-	return b
-}
-
-// drain pushes every staged entry onto the real wire, which sets the
-// reader's pending bit and fires its wake-up. Called only from the
-// barrier hook.
-func (b *boundary) drain() {
-	q := b.stub.q
-	for i := range q {
-		b.real.push(q[i].f, q[i].arrive)
-	}
-	clear(q)
-	b.stub.q = q[:0]
 }
 
 // credit is one buffer slot a router hands back.
@@ -134,30 +97,20 @@ type credit struct {
 // first sees the slot a cycle later — the link's one-cycle credit latency,
 // with nothing queued and no wake-up (DESIGN.md §9). An inject port reads
 // its counters in Send, in its user's Advance: to is its landed window,
-// which Update folds into them in the next Evaluate. A sender on another
-// shard is not written mid-cycle: Network.exchange lands what waits on stub.
+// which Update folds into them in the next Evaluate.
 type creditSink struct {
 	to       []int32 // [base+vnetOff[v]+c], the sender's free slots
 	vnetOff  []int32 // the network's shared per-vnet geometry
 	depthOf  []int32
 	base     int32     // -vnetOff[snack] where to holds the snack vnet only
 	credited *bool     // the sending NI's flag (see niScalars), set by a landing
-	stub     []credit  // non-nil iff the sender is on another shard
 	node     NodeID    // the sender's node, for the overflow panic
 	dir      Direction // its output port there (L: the NI, C: the inject port)
 }
 
-// put returns one slot to the sender.
+// put returns one slot to the sender, counting it free there; past the
+// VC's depth is a bug.
 func (s *creditSink) put(c credit) {
-	if s.stub != nil {
-		s.stub = append(s.stub, c)
-		return
-	}
-	s.land(c)
-}
-
-// land counts the slot free at the sender; past the VC's depth is a bug.
-func (s *creditSink) land(c credit) {
 	slot := s.base + s.vnetOff[c.vnet] + int32(c.vc)
 	s.to[slot]++
 	if s.to[slot] > s.depthOf[c.vnet] {

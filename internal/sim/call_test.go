@@ -52,23 +52,21 @@ func TestScheduleCallPastPanics(t *testing.T) {
 	e.ScheduleCall(5, &callLog{}, 0)
 }
 
-// TestRestoreRefilesCallEvents forks a sharded engine with call events
-// pending on a shard, in the ring and in the overflow heap, interleaved
-// with callbacks due the same cycles: every fork must fire them in the
+// TestRestoreRefilesCallEvents forks an engine with call events
+// pending in the ring and in the overflow heap, interleaved with
+// callbacks due the same cycles: every fork must fire them in the
 // original schedule order (the saved seq), whatever was filed since.
 func TestRestoreRefilesCallEvents(t *testing.T) {
 	e := NewEngine()
-	subs := e.Partition(2)
 	var log []string
 	callee := &callLog{log: &log}
-	sh := subs[1]
 	far := int64(3 * wheelSize)
-	sh.ScheduleCall(far, callee, 1) // overflow heap
-	sh.ScheduleCall(4, callee, 2)
-	sh.Schedule(4, func() { log = append(log, "fn@4") })
-	sh.ScheduleCall(4, callee, 3)
-	sh.Schedule(far, func() { log = append(log, "fn@far") })
-	e.ScheduleCall(4, callee, 4) // the root's own wheel
+	e.ScheduleCall(far, callee, 1) // overflow heap
+	e.ScheduleCall(4, callee, 2)
+	e.Schedule(4, func() { log = append(log, "fn@4") })
+	e.ScheduleCall(4, callee, 3)
+	e.Schedule(far, func() { log = append(log, "fn@far") })
+	e.ScheduleCall(4, callee, 4)
 	e.Run(2)
 	st := e.SnapshotState()
 	scheduled := scheduledGauge(e)
@@ -78,7 +76,7 @@ func TestRestoreRefilesCallEvents(t *testing.T) {
 		e.Run(far + 2 - e.Cycle())
 		return fmt.Sprint(log)
 	}
-	want := fmt.Sprintf("[call4@4 call2@4 fn@4 call3@4 call1@%d fn@far]", far)
+	want := fmt.Sprintf("[call2@4 fn@4 call3@4 call4@4 call1@%d fn@far]", far)
 	if got := finish(); got != want {
 		t.Fatalf("uninterrupted run fired %s, want %s", got, want)
 	}
@@ -89,8 +87,8 @@ func TestRestoreRefilesCallEvents(t *testing.T) {
 		}
 		// A later schedule takes a later seq: it must fire after the
 		// re-filed events due the same cycle.
-		sh.ScheduleCall(4, callee, 9)
-		wantFork := fmt.Sprintf("[call4@4 call2@4 fn@4 call3@4 call9@4 call1@%d fn@far]", far)
+		e.ScheduleCall(4, callee, 9)
+		wantFork := fmt.Sprintf("[call2@4 fn@4 call3@4 call4@4 call9@4 call1@%d fn@far]", far)
 		if got := finish(); got != wantFork {
 			t.Fatalf("fork %d fired %s, want %s", fork, got, wantFork)
 		}

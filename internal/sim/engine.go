@@ -39,26 +39,13 @@
 // so a burst of wakes costs one merge instead of one sorted insertion
 // each (the insertion scan dominated whole-run profiles before).
 //
-// # Sharding
-//
-// An engine can be partitioned into K sub-engines (Partition), each owning
-// a disjoint set of components and its own time wheel. The root engine
-// then drives a conservatively synchronized step: its own events run
-// first, every sub-engine executes one full cycle (in parallel goroutines
-// unless SetSerialShards is on), and registered barrier hooks exchange
-// whatever crossed a shard boundary before the next cycle starts. The
-// synchronization horizon is one cycle because the NoC's credit return
-// path has a fixed one-cycle latency — that latency is the lookahead that
-// makes the conservative protocol correct (see DESIGN.md §9). A returned
-// credit needs no wake-up, here or on one engine: it is a counter the
-// receiver's Advance (or the barrier hook) increments and the sender reads
-// in its next Evaluate, whenever a flit next gives it one. Components
-// registered on the root itself still run, serially, after the barrier.
+// One engine drives one simulation, on the calling goroutine: every
+// component of a run registers on it, so nothing a component touches is
+// shared with another thread.
 package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"snacknoc/internal/attrib"
 	"snacknoc/internal/stats"
@@ -167,16 +154,6 @@ type Engine struct {
 	// quiesce gates the active list; disabled it reproduces the classic
 	// evaluate-everything kernel (used by equivalence tests).
 	quiesce bool
-
-	// subs are the shard sub-engines of a partitioned root (see
-	// Partition); empty on an ordinary engine and on the subs themselves.
-	subs []*Engine
-	// barrierFns run serially after every sharded cycle, between the
-	// sub-engine steps and the root's own components.
-	barrierFns []func(cycle int64)
-	// serialShards forces the shard phase onto the calling goroutine
-	// (used when a shared observer such as a tracer is attached).
-	serialShards bool
 }
 
 // engineScalars is an engine's mutable state outside its component
@@ -184,17 +161,13 @@ type Engine struct {
 type engineScalars struct {
 	cycle int64
 	seq   int64
-	// fnScheduled counts Schedule and ScheduleCall events only (not
-	// wake-ups), so the exported event metric is identical for any shard
-	// count: barrier delivery wakes components directly where the serial
-	// kernel would schedule a wake event, but callbacks are model
-	// behaviour.
+	// fnScheduled counts Schedule and ScheduleCall events only, not
+	// wake-ups: callbacks are model behaviour, while whether a wake-up
+	// files an event depends on when the woken component last slept.
 	fnScheduled int64
 	// stopped lets a component or sampler end Run early.
 	stopped bool
-	// attrib counts per-step evaluation volume for attribution. Each
-	// engine (root and every shard) owns its own counts, so sharded writes
-	// stay goroutine-local behind the step barrier.
+	// attrib counts per-step evaluation volume for attribution.
 	attrib attrib.Counts
 }
 
@@ -252,19 +225,13 @@ func (e *Engine) Reserve(n int) {
 // the cycle being executed; after Run it is the next cycle to execute.
 func (e *Engine) Cycle() int64 { return e.cycle }
 
-// SetAttrib attaches the per-engine evaluation-volume counts to rec (nil
-// returns at once): this engine's ("engine") plus one per shard
-// sub-engine ("engine.shardK"). Call it after Partition. The per-engine
-// split depends on the shard count; only the layer total (awake
-// component-evaluations per run) is shard-invariant.
+// SetAttrib attaches the engine's evaluation-volume counts to rec as
+// one "engine" component (nil returns at once).
 func (e *Engine) SetAttrib(rec *attrib.Recorder) {
 	if rec == nil {
 		return
 	}
 	rec.Attach(attrib.KindEngine, "engine", &e.attrib)
-	for i, s := range e.subs {
-		rec.Attach(attrib.KindEngine, fmt.Sprintf("engine.shard%d", i), &s.attrib)
-	}
 }
 
 // Callee receives the typed events filed with ScheduleCall.
@@ -346,9 +313,6 @@ func (e *Engine) SetQuiescence(on bool) {
 		}
 		e.mergeWoken()
 	}
-	for _, s := range e.subs {
-		s.SetQuiescence(on)
-	}
 }
 
 // wake marks a sleeping component awake, replaying the statistics of the
@@ -422,89 +386,14 @@ func (e *Engine) Settle() {
 			st.sleptAt = e.cycle - 1
 		}
 	}
-	for _, s := range e.subs {
-		s.Settle()
-	}
-}
-
-// Partition splits the engine into k shard sub-engines and returns them.
-// Components registered on a sub-engine are stepped by the root's Step:
-// every sub executes the root's current cycle (concurrently unless
-// SetSerialShards is on), then the AtBarrier hooks run serially, then
-// components registered on the root itself. Sub-engines must not be run
-// directly, and every cross-shard interaction must be deferred to a
-// barrier hook — within a cycle a shard may only touch its own state.
-// Partition must be called before the first cycle; k <= 1 returns the
-// engine itself and changes nothing.
-func (e *Engine) Partition(k int) []*Engine {
-	if k <= 1 {
-		return []*Engine{e}
-	}
-	if len(e.subs) > 0 {
-		panic("sim: Partition called twice")
-	}
-	if e.cycle != 0 {
-		panic("sim: Partition after the engine has run")
-	}
-	for i := 0; i < k; i++ {
-		s := NewEngine()
-		s.quiesce = e.quiesce
-		e.subs = append(e.subs, s)
-	}
-	return e.subs
-}
-
-// AtBarrier registers fn to run serially after each sharded cycle, once
-// every sub-engine has finished the cycle. Boundary-exchange hooks use it
-// to deliver cross-shard wire traffic before the next cycle begins.
-func (e *Engine) AtBarrier(fn func(cycle int64)) {
-	if len(e.subs) == 0 {
-		panic("sim: AtBarrier on an unpartitioned engine")
-	}
-	e.barrierFns = append(e.barrierFns, fn)
-}
-
-// SetSerialShards forces the shard phase to run on the calling goroutine,
-// one sub-engine after another. Simulated behaviour is identical — shards
-// cannot observe each other within a cycle — so this exists for observers
-// that are shared across shards and not synchronized, such as a tracer.
-func (e *Engine) SetSerialShards(on bool) { e.serialShards = on }
-
-// runShards executes the current cycle on every sub-engine, then runs the
-// barrier hooks. The WaitGroup barrier orders everything a shard wrote
-// before everything the hooks (and the next cycle) read.
-func (e *Engine) runShards() {
-	if e.serialShards {
-		for _, s := range e.subs {
-			s.Step()
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(e.subs))
-		for _, s := range e.subs {
-			go func(s *Engine) {
-				defer wg.Done()
-				s.Step()
-			}(s)
-		}
-		wg.Wait()
-	}
-	for _, fn := range e.barrierFns {
-		fn(e.cycle)
-	}
 }
 
 // Step executes exactly one cycle: pending events, then Evaluate on all
 // active components, then Advance. Components whose Quiescent reports no
-// pending work leave the active list after their Advance. On a
-// partitioned engine the shard phase runs between the event phase and the
-// root's own components.
+// pending work leave the active list after their Advance.
 func (e *Engine) Step() {
 	if e.wheel.pending > 0 {
 		e.runEvents()
-	}
-	if len(e.subs) > 0 {
-		e.runShards()
 	}
 	if len(e.woken) > 0 {
 		e.mergeWoken()
@@ -558,33 +447,13 @@ func (e *Engine) runEvents() {
 
 // RegisterMetrics names the engine's own state in reg: the simulated
 // cycle, registered and awake component counts, and how many callbacks
-// were ever scheduled. On a partitioned engine the counts aggregate over
-// the shard sub-engines, so snapshots are identical for any shard count.
-// All are gauges read at snapshot time, so registration adds no per-cycle
-// cost.
+// were ever scheduled. All are gauges read at snapshot time, so
+// registration adds no per-cycle cost.
 func (e *Engine) RegisterMetrics(reg *stats.Registry) {
 	reg.AddGauge("engine.cycle", func() float64 { return float64(e.cycle) })
-	reg.AddGauge("engine.components", func() float64 {
-		n := len(e.comps)
-		for _, s := range e.subs {
-			n += len(s.comps)
-		}
-		return float64(n)
-	})
-	reg.AddGauge("engine.awake", func() float64 {
-		n := len(e.active) + len(e.woken)
-		for _, s := range e.subs {
-			n += len(s.active) + len(s.woken)
-		}
-		return float64(n)
-	})
-	reg.AddGauge("engine.events.scheduled", func() float64 {
-		n := e.fnScheduled
-		for _, s := range e.subs {
-			n += s.fnScheduled
-		}
-		return float64(n)
-	})
+	reg.AddGauge("engine.components", func() float64 { return float64(len(e.comps)) })
+	reg.AddGauge("engine.awake", func() float64 { return float64(len(e.active) + len(e.woken)) })
+	reg.AddGauge("engine.events.scheduled", func() float64 { return float64(e.fnScheduled) })
 }
 
 // Run executes up to n cycles, stopping early if Stop is called.

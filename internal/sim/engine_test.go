@@ -405,25 +405,24 @@ func (d *deferrer) Settle() {
 }
 
 // TestSettleReachesSettlers: Run, RunUntil and an explicit Settle all
-// have a Settler pay what it deferred, on the root engine and on shard
-// sub-engines, and a component that is not one costs nothing.
+// have every Settler pay what it deferred, and a component that is not
+// one costs nothing.
 func TestSettleReachesSettlers(t *testing.T) {
 	e := NewEngine()
-	subs := e.Partition(2)
-	root, shard := &deferrer{recorder: recorder{name: "root"}}, &deferrer{recorder: recorder{name: "shard"}}
-	e.Register(root)
-	subs[1].Register(shard)
-	subs[0].Register(&sleeper{recorder: recorder{name: "s"}})
+	a, b := &deferrer{recorder: recorder{name: "a"}}, &deferrer{recorder: recorder{name: "b"}}
+	e.Register(a)
+	e.Register(&sleeper{recorder: recorder{name: "s"}})
+	e.Register(b)
 	e.Run(5)
 	e.RunUntil(func() bool { return e.Cycle() == 8 }, 100)
-	for _, d := range []*deferrer{root, shard} {
+	for _, d := range []*deferrer{a, b} {
 		if d.paid != 8 || d.settles != 2 {
 			t.Fatalf("%s: paid %d cycles in %d settles after Run(5) and RunUntil(cycle 8), want 8 in 2", d.name, d.paid, d.settles)
 		}
 	}
 	e.Step()
 	e.Settle()
-	if root.paid != 9 || shard.paid != 9 {
-		t.Fatalf("after Step and Settle: root paid %d, shard paid %d, want 9", root.paid, shard.paid)
+	if a.paid != 9 || b.paid != 9 {
+		t.Fatalf("after Step and Settle: a paid %d, b paid %d, want 9", a.paid, b.paid)
 	}
 }

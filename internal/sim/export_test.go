@@ -12,6 +12,3 @@ func (e *Engine) Resume() { e.stopped = false }
 
 // Stopped reports whether Stop has been called without a matching Resume.
 func (e *Engine) Stopped() bool { return e.stopped }
-
-// Sharded reports whether the engine has been partitioned.
-func (e *Engine) Sharded() bool { return len(e.subs) > 0 }

@@ -15,13 +15,12 @@ import "fmt"
 // calls name their callee by pointer, so the component set (and
 // registration order) is part of the snapshot's identity.
 
-// EngineState is a saved engine, including shard sub-engines.
+// EngineState is a saved engine.
 type EngineState struct {
 	engineScalars
 	comps     []sleep
 	activeIdx []int
 	events    []eventSnap
-	subs      []*EngineState
 }
 
 // eventSnap is one pending event by value: a callback's closure (shared
@@ -64,9 +63,6 @@ func (e *Engine) SnapshotState() *EngineState {
 	for _, ev := range e.wheel.overflow {
 		s.events = append(s.events, snapEvent(ev))
 	}
-	for _, sub := range e.subs {
-		s.subs = append(s.subs, sub.SnapshotState())
-	}
 	return s
 }
 
@@ -84,9 +80,6 @@ func (e *Engine) RestoreState(s *EngineState) {
 	if len(s.comps) != len(e.comps) {
 		panic(fmt.Sprintf("sim: RestoreState component count %d, snapshot has %d",
 			len(e.comps), len(s.comps)))
-	}
-	if len(s.subs) != len(e.subs) {
-		panic("sim: RestoreState shard count mismatch")
 	}
 	e.engineScalars = s.engineScalars
 	for i, st := range e.comps {
@@ -119,8 +112,5 @@ func (e *Engine) RestoreState(s *EngineState) {
 			ev.wake = e.comps[es.wakeIdx]
 		}
 		e.wheel.schedule(e.cycle, ev)
-	}
-	for i, sub := range e.subs {
-		sub.RestoreState(s.subs[i])
 	}
 }

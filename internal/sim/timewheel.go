@@ -5,9 +5,9 @@ import "container/heap"
 // The event queue is a calendar queue: a power-of-two ring of slots, one
 // per cycle within the horizon, plus a min-heap for events scheduled
 // further out. The ring starts empty and doubles until it covers the
-// furthest in-horizon event it has been handed (most engines — shard
-// sub-engines, short probe runs — never look more than a few cycles
-// ahead, and a full ring is 24 KiB of slot headers); growth re-files
+// furthest in-horizon event it has been handed (many engines — short
+// probe runs — never look more than a few cycles ahead, and a full ring
+// is 24 KiB of slot headers); growth re-files
 // whole slots, so the events due at a cycle and their order are the
 // same for every ring size. NoC event densities make this the right trade — almost
 // every event (wire arrivals, wake-ups, DRAM returns) lands within a few

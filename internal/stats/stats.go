@@ -185,10 +185,9 @@ func MakeHistogram(max float64, buckets []int64) Histogram {
 	return Histogram{max: max, buckets: buckets}
 }
 
-// BucketIndex returns the bucket Observe(v) would increment. Hot loops
+// BucketIndex returns the bucket that records the value v. Hot loops
 // that observe a small set of discrete values can precompute indices once
-// and use ObserveBucket, skipping the float divide per observation; the
-// arithmetic here is exactly Observe's, so the mapping is identical.
+// and use ObserveBucket, skipping the float divide per observation.
 func (h *Histogram) BucketIndex(v float64) int {
 	if v < 0 {
 		v = 0
@@ -216,13 +215,7 @@ func (h *Histogram) ObserveBucketN(i int, n int64) {
 	h.total += n
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.buckets[h.BucketIndex(v)]++
-	h.total++
-}
-
-// ObserveN records the same value n times, equivalent to n Observe calls.
+// ObserveN records the value v n times.
 func (h *Histogram) ObserveN(v float64, n int64) {
 	h.ObserveBucketN(h.BucketIndex(v), n)
 }

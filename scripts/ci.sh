@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 gate: formatting, vet, build, the full test suite, race-detector
-# passes over the concurrent sweep runner and the sharded simulation
-# kernel, CLI smokes byte-compared against results/, and exact counts on
+# passes over the concurrent sweep runner and the pooled simulation
+# paths, CLI smokes byte-compared against results/, and exact counts on
 # the repo benchmark (go run ./benchmark). No step compares host time, so
 # none has a skip switch. Run from the repo root.
 #
@@ -114,18 +114,18 @@ if grep -nE '\.(SetTracer|SetAttrib|RegisterMetrics)\(' $obs_srcs /dev/null |
     exit 1
 fi
 
-# Shards stop at the NoC: a bare network may still be cut into column
-# slices (internal/noc, internal/sim, and the benchmark that times it),
-# but the caches, cores and SnackNoC above it run on one engine, and no
-# runner or command cuts a network. Outside those directories no
-# non-test Go names the per-shard engine lookup, the boundary-flit count
-# or the old shard clamp, or sets a Shards field; the benchmark's no-op
-# experiments.SetShards shim is the one exception.
-echo "== shards stop at the NoC =="
-shard_srcs=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/noc/*' ! -path './internal/sim/*' ! -path './benchmark/*')
+# One engine: every simulation, a bare network included, runs on the
+# one sim.Engine its builder is handed, on the calling goroutine. The
+# column-shard seam must not come back: no non-test Go outside the
+# repository benchmark names the engine partition, the barrier hook, the
+# serial-shard switch, the unsharded check, the per-node engine lookup,
+# the boundary interposer or the node-to-shard map, or reads
+# noc.Config.Shards, which only the benchmark still sets.
+echo "== one engine (no shard seam) =="
+engine_srcs=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*')
 # shellcheck disable=SC2086
-if grep -nE 'EngFor|BoundaryFlits|applyShards|\.Shards([^[:alnum:]_]|$)' $shard_srcs; then
-    echo "ERROR: only a bare network is sharded; the layers above internal/noc run on one engine" >&2
+if grep -nE 'Partition\(|AtBarrier|SetSerialShards|CheckUnsharded|engFor|interpose|shardOf|\.Shards([^[:alnum:]_]|$)' $engine_srcs; then
+    echo "ERROR: the shard seam is back; a simulation runs on one engine" >&2
     exit 1
 fi
 
@@ -168,11 +168,10 @@ go test -run '^$' -fuzz '^FuzzValidateTrace$' -fuzztime 10s -fuzzminimizetime 1s
 
 # The race pass uses -short so the full-scale figure regenerations (which
 # the plain pass above already ran) are not repeated at the race
-# detector's ~10x slowdown. It covers the two concurrent subsystems: the
-# parallel sweep runner (traced parallel-sweep test ignores -short) and
-# the sharded simulation kernel, which only a bare network uses (the
-# shard determinism tests in sim and noc drive its goroutines). core and
-# cache ride along for the pooled token/message paths. checkpoint rides
+# detector's ~10x slowdown. It covers the concurrent sweep runner (the
+# traced parallel-sweep test ignores -short); sim and noc ride along for
+# the engine and the network every worker builds its own of, and core
+# and cache for the pooled token/message paths. checkpoint rides
 # along for the platform pool: the DSE invariance test in experiments
 # drives pooled forks from 4 workers, and the pool's own tests cover the
 # Get/Release/Seal paths. core's runnable-set invariant (checked after
@@ -182,9 +181,8 @@ go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./inte
 # The fork test (skipped by -short above) forks co-runs with cores
 # blocked and idling and RCUs parked and runnable at the snapshot; the
 # pending-mask and credit-conservation invariants are checked after
-# every cycle on bare networks in one, two and four shards (a boundary
-# credit landed before the barrier is a data race here and a counter
-# that differs from the serial run's there). The two credit-timing pins
+# every cycle on a bare network, and again through a restore's replay.
+# The two credit-timing pins
 # ride along, and so do the checks a checkpoint's plain slab copies rest
 # on: every payload in flight has one holder, and a mid-flight restore
 # gives the cache back its slabs slot for slot.
@@ -245,7 +243,7 @@ if [ "$heavy" = "1" ]; then
     SNACKNOC_EQUIV_HEAVY=1 go test -run 'TestFig1[23]Regeneration' -timeout 60m ./internal/experiments
 fi
 
-# Benchmark smoke: one iteration of the scheduler, router and shard-seam
+# Benchmark smoke: one iteration of the scheduler and router
 # micro-benchmarks, so a panic or hang in the hot paths breaks the gate
 # even when no correctness test exercises the perf-only code. go test
 # exits 0 when -bench matches nothing, so each name must print its line.
@@ -269,7 +267,7 @@ bench_smoke() {
 }
 echo "== benchmark smoke (1 iteration) =="
 bench_smoke ./internal/sim BenchmarkEngineSchedule BenchmarkEngineStepIdle
-bench_smoke ./internal/noc BenchmarkRouterEvaluate BenchmarkBoundaryExchange BenchmarkShardBarrier
+bench_smoke ./internal/noc BenchmarkRouterEvaluate
 
 # Observability smoke: trace, attribute, and snapshot a tiny
 # deterministic kernel run, validate the trace-event JSON, and diff the
