@@ -67,15 +67,21 @@ type tags struct {
 	hits, misses int64
 }
 
-// NewCache builds a cache of the given total size and associativity with
-// 64 B blocks. Size must divide evenly into sets.
-func NewCache(sizeBytes, ways int) *Cache {
+// geometry returns the number of sets of a tag store of the given total
+// size and associativity with 64 B blocks, or an error when the size
+// does not divide evenly into sets.
+func geometry(sizeBytes, ways int) (int, error) {
 	blocks := sizeBytes / BlockBytes
 	if blocks <= 0 || ways <= 0 || blocks%ways != 0 {
-		panic(fmt.Sprintf("cache: bad geometry size=%d ways=%d", sizeBytes, ways))
+		return 0, fmt.Errorf("bad geometry size=%d ways=%d", sizeBytes, ways)
 	}
-	sets := blocks / ways
-	return &Cache{sets: sets, ways: ways, tags: tags{lines: make([]line, blocks)}}
+	return blocks / ways, nil
+}
+
+// newCache returns a tag store of the given geometry over lines, a
+// window of sets*ways lines carved from its system's line slab.
+func newCache(sets, ways int, lines []line) Cache {
+	return Cache{sets: sets, ways: ways, tags: tags{lines: lines}}
 }
 
 func (c *Cache) setOf(block uint64) int { return int(block % uint64(c.sets)) }

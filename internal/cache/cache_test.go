@@ -1,6 +1,12 @@
 package cache
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"snacknoc/internal/noc"
+	"snacknoc/internal/sim"
+)
 
 func TestCacheGeometry(t *testing.T) {
 	c := NewCache(32*1024, 4)
@@ -9,13 +15,29 @@ func TestCacheGeometry(t *testing.T) {
 	}
 }
 
-func TestCacheBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad geometry did not panic")
+// TestCacheBadGeometryIsAnError: a size that does not divide into sets
+// is an error, not a panic, for the bare geometry and for an L1 or an L2
+// bank of a system.
+func TestCacheBadGeometryIsAnError(t *testing.T) {
+	if _, err := geometry(100, 3); err == nil {
+		t.Fatal("bad geometry accepted")
+	}
+	for _, bad := range []func(*SystemConfig){
+		func(c *SystemConfig) { c.L1Bytes, c.L1Ways = 100, 3 },
+		func(c *SystemConfig) { c.L2BankBytes = 3 * BlockBytes },
+	} {
+		cfg := DefaultSystemConfig()
+		bad(&cfg)
+		eng := sim.NewEngine()
+		net, err := noc.New(eng, noc.DAPPER(4, 4))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	NewCache(100, 3)
+		if _, err := NewSystem(eng, net, cfg); err == nil || !strings.Contains(err.Error(), "bad geometry") {
+			t.Fatalf("L1 %d B %d-way, L2 bank %d B %d-way: NewSystem error %v, want a bad geometry",
+				cfg.L1Bytes, cfg.L1Ways, cfg.L2BankBytes, cfg.L2Ways, err)
+		}
+	}
 }
 
 func TestFillThenHit(t *testing.T) {

@@ -68,6 +68,17 @@ func (l *L1) AvgMissLatency() float64 {
 	return float64(l.latSum) / float64(l.latCount)
 }
 
+// NewCache builds a standalone tag store of the given total size and
+// associativity with 64 B blocks; the geometry must be valid.
+func NewCache(sizeBytes, ways int) *Cache {
+	sets, err := geometry(sizeBytes, ways)
+	if err != nil {
+		panic(err)
+	}
+	c := newCache(sets, ways, make([]line, sets*ways))
+	return &c
+}
+
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
@@ -90,8 +101,13 @@ func (c *Cache) Accesses() int64 { return c.hits + c.misses }
 // invoked when the operation completes (hit latency later on a hit, after
 // the fill on a miss). It reports whether the access hit.
 func (l *L1) Access(block uint64, write bool, done func(cycle int64)) bool {
-	return l.access(block, write, waiter{done: done})
+	return l.access(block, write, waiter{done: doneFunc(done)})
 }
+
+// doneFunc adapts a test's callback to a MissWaiter.
+type doneFunc func(cycle int64)
+
+func (f doneFunc) MissDone(cycle int64) { f(cycle) }
 
 // Cache exposes the tag store for inspection in tests and reports.
 func (l *L1) Cache() *Cache { return &l.cache }

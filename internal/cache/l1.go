@@ -36,7 +36,14 @@ type mshrEntry struct {
 type waiter struct {
 	starts int64
 	misses int64
-	done   func(cycle int64) // may be nil
+	done   MissWaiter // may be nil
+}
+
+// MissWaiter hears when an access that missed completes: AccessFast's
+// callback. The waiter record holds it as an interface, not a closure, so
+// a pointer receiver costs no allocation per access or per requester.
+type MissWaiter interface {
+	MissDone(cycle int64)
 }
 
 // parkedAccess is an access waiting on an engine event: a hit's
@@ -82,18 +89,6 @@ type l1State struct {
 	// integral was last advanced to.
 	attrib     attrib.Counts
 	attribLast int64
-}
-
-func newL1(sys *System, node int) *L1 {
-	l := &L1{
-		sys:     sys,
-		node:    node,
-		l1State: l1State{cache: *NewCache(sys.cfg.L1Bytes, sys.cfg.L1Ways), mshrFree: -1},
-	}
-	for i := range l.mshrHead {
-		l.mshrHead[i] = -1
-	}
-	return l
 }
 
 // Outstanding returns the number of misses in flight.
@@ -196,14 +191,14 @@ func (l *L1) OnCall(slot, cycle int64) {
 }
 
 // AccessFast is the core-facing fast path: hits complete inline with no
-// event scheduling (the pipeline hides L1 hit latency), and onMiss fires
-// only when a miss resolves. It reports whether the access hit.
-func (l *L1) AccessFast(block uint64, write bool, onMiss func(cycle int64)) bool {
+// event scheduling (the pipeline hides L1 hit latency), and w hears only
+// when a miss resolves. It reports whether the access hit.
+func (l *L1) AccessFast(block uint64, write bool, w MissWaiter) bool {
 	if hit, _ := l.cache.Lookup(block, write); hit {
 		l.hits.Inc()
 		return true
 	}
-	return l.missPath(block, write, waiter{done: onMiss})
+	return l.missPath(block, write, waiter{done: w})
 }
 
 func (l *L1) missPath(block uint64, write bool, w waiter) bool {
@@ -240,7 +235,7 @@ func (l *L1) complete(w waiter, cycle int64) {
 	l.latSum += w.misses*cycle - w.starts
 	l.latCount += w.misses
 	if w.done != nil {
-		w.done(cycle)
+		w.done.MissDone(cycle)
 	}
 }
 

@@ -50,14 +50,6 @@ type l2State struct {
 	invs         stats.Counter
 }
 
-func newL2Bank(sys *System, node noc.NodeID) *L2Bank {
-	return &L2Bank{
-		sys:     sys,
-		node:    node,
-		l2State: l2State{cache: *NewCache(sys.cfg.L2BankBytes, sys.cfg.L2Ways)},
-	}
-}
-
 // Hits returns L2 data-array hits observed while serving transactions.
 func (b *L2Bank) Hits() int64 { return b.hits.Value() }
 

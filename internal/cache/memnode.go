@@ -17,10 +17,6 @@ type MemNode struct {
 	reads flat.Slots[Msg] // the MemReads whose DRAM access is in flight
 }
 
-func newMemNode(sys *System, node noc.NodeID, ctrl *mem.Controller) *MemNode {
-	return &MemNode{sys: sys, node: node, ctrl: ctrl}
-}
-
 // Controller returns the underlying DRAM model (shared with a co-located
 // CPM when the SnackNoC platform is attached).
 func (m *MemNode) Controller() *mem.Controller { return m.ctrl }

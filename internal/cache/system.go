@@ -66,17 +66,37 @@ type System struct {
 	homeState
 }
 
-// Each L1's MSHR and waiter slabs start as windows of one system-wide
-// slab each: an L1 that keeps this many misses and queued accesses
-// outstanding never grows its own.
-const seedMSHRs, seedWaits = 8, 8
+// Every per-node table starts as a window of one system-wide slab, so a
+// build costs a fixed number of allocations whatever the mesh size. Each
+// window is the high-water mark of a reproduction-size run (the Table III
+// benchmarks and the Fig 12 co-run at scale 0.1 on a 4×4 mesh): an L1's
+// MSHRs, queued and parked accesses (at most 8, 8 and 7), a memory
+// node's DRAM reads in flight (at most 40), and per node of the mesh the
+// home directory's entries (at most 6 084 over 16 nodes) and live home
+// transactions (at most 52). A table that outgrows its window
+// reallocates on its own.
+const (
+	seedMSHRs, seedWaits, seedParked = 8, 8, 8
+	seedReads                        = 48
+	seedDir, seedTxns                = 384, 4
+)
 
 // NewSystem builds the hierarchy on an existing network, registered on
-// the engine the network was built on.
+// the engine the network was built on. The controllers are values in
+// one slab per kind, and every tag store's lines are a window of one
+// line slab.
 func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, error) {
 	nodes := net.Cfg().Nodes()
 	if nodes > maxNodes {
 		return nil, fmt.Errorf("cache: a %d-node mesh exceeds the directory's %d-node sharer sets", nodes, maxNodes)
+	}
+	l1Sets, err := geometry(cfg.L1Bytes, cfg.L1Ways)
+	if err != nil {
+		return nil, fmt.Errorf("cache: L1: %w", err)
+	}
+	l2Sets, err := geometry(cfg.L2BankBytes, cfg.L2Ways)
+	if err != nil {
+		return nil, fmt.Errorf("cache: L2 bank: %w", err)
 	}
 	s := &System{
 		Eng:  eng,
@@ -100,28 +120,64 @@ func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, er
 		}
 	}
 
-	s.L1s = make([]*L1, nodes)
-	s.L2s = make([]*L2Bank, nodes)
-	s.Hubs = make([]*Hub, nodes)
+	l1Lines, l2Lines := l1Sets*cfg.L1Ways, l2Sets*cfg.L2Ways
+	lines := make([]line, nodes*(l1Lines+l2Lines))
 	mshrs, waits := make([]mshrEntry, nodes*seedMSHRs), make([]link[parkedAccess], nodes*seedWaits)
-	for i := 0; i < nodes; i++ {
-		s.L1s[i] = newL1(s, i)
-		s.L1s[i].mshrSlab, s.L1s[i].waits.recs = flat.Carve(&mshrs, seedMSHRs)[:0], flat.Carve(&waits, seedWaits)[:0]
-		s.L2s[i] = newL2Bank(s, noc.NodeID(i))
-		s.Hubs[i] = &Hub{L1: s.L1s[i], L2: s.L2s[i]}
+	parked, reads := make([]parkedAccess, nodes*seedParked), make([]Msg, len(s.memNodes)*seedReads)
+	free := make([]int32, nodes*(seedParked+seedTxns)+len(s.memNodes)*seedReads)
+	l1s, l2s, hubs := make([]L1, nodes), make([]L2Bank, nodes), make([]Hub, nodes)
+	s.L1s, s.L2s, s.Hubs = make([]*L1, nodes), make([]*L2Bank, nodes), make([]*Hub, nodes)
+	for i := range nodes {
+		l := &l1s[i]
+		*l = L1{sys: s, node: i, l1State: l1State{
+			cache:    newCache(l1Sets, cfg.L1Ways, flat.Carve(&lines, l1Lines)),
+			mshrSlab: flat.Carve(&mshrs, seedMSHRs)[:0],
+			mshrFree: -1,
+			waits:    links[parkedAccess]{recs: flat.Carve(&waits, seedWaits)[:0]},
+			parked:   flat.SlotsOver(flat.Carve(&parked, seedParked), flat.Carve(&free, seedParked)),
+		}}
+		for k := range l.mshrHead {
+			l.mshrHead[k] = -1
+		}
+		l2s[i] = L2Bank{sys: s, node: noc.NodeID(i),
+			l2State: l2State{cache: newCache(l2Sets, cfg.L2Ways, flat.Carve(&lines, l2Lines))}}
+		hubs[i] = Hub{L1: l, L2: &l2s[i]}
+		s.L1s[i], s.L2s[i], s.Hubs[i] = l, &l2s[i], &hubs[i]
 	}
-	for _, mn := range s.memNodes {
+	dirTab, txnTab := tableCap(nodes*seedDir), tableCap(nodes*seedTxns)
+	ents := make([]flat.Entry[uint64], dirTab+txnTab)
+	s.homeState = homeState{
+		dirTab: flat.TableOver(flat.Carve(&ents, dirTab)),
+		dir:    make([]dirEntry, 0, nodes*seedDir),
+		txnTab: flat.TableOver(ents),
+		txns:   flat.SlotsOver(make([]l2txn, nodes*seedTxns), flat.Carve(&free, nodes*seedTxns)),
+	}
+	mems := make([]MemNode, len(s.memNodes))
+	for k, mn := range s.memNodes {
 		ctrl, err := mem.New(eng, cfg.MemCfg)
 		if err != nil {
 			return nil, err
 		}
-		s.Mems[mn] = newMemNode(s, mn, ctrl)
-		s.Hubs[mn].Mem = s.Mems[mn]
+		m := &mems[k]
+		*m = MemNode{sys: s, node: mn, ctrl: ctrl,
+			reads: flat.SlotsOver(flat.Carve(&reads, seedReads), flat.Carve(&free, seedReads))}
+		s.Mems[mn] = m
+		s.Hubs[mn].Mem = m
 	}
 	for i := 0; i < nodes; i++ {
 		net.AttachClient(noc.NodeID(i), s.Hubs[i])
 	}
 	return s, nil
+}
+
+// tableCap returns the smallest power-of-two table capacity that holds n
+// keys without growing.
+func tableCap(n int) int {
+	c := 16
+	for c*3 < n*4 {
+		c *= 2
+	}
+	return c
 }
 
 // SetAttrib attaches every L1's event-driven attribution counts to rec

@@ -299,7 +299,7 @@ func TestL1MissAllocatesNoClosure(t *testing.T) {
 	round, misses := 0, int64(0)
 	step := func() {
 		for i := 0; i < 4; i++ {
-			if l1.AccessFast(base+1024*uint64((4*round+i)%8), false, done) {
+			if l1.AccessFast(base+1024*uint64((4*round+i)%8), false, doneFunc(done)) {
 				t.Fatalf("round %d: streamed block hit, want an L1 miss", round)
 			}
 		}
@@ -397,7 +397,7 @@ func mergedMissRounds(t *testing.T) uint64 {
 		})
 		phase(func() {
 			for n := 4; n < 7; n++ {
-				sys.L1s[n].AccessFast(block, false, done)
+				sys.L1s[n].AccessFast(block, false, doneFunc(done))
 			}
 			want += 3
 		})

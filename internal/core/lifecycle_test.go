@@ -160,9 +160,10 @@ func TestTokenPoolRecyclesWithinOneKernel(t *testing.T) {
 
 // TestFirstRunAllocatesLikeARepeat: a platform is built at its working
 // size — wire queues at the credit bound, RCU cells and tables for a
-// mesh-wide reduction, pools and event records refilled a chunk at a
-// time — so a fresh platform's first kernel allocates tens of objects,
-// like any later one, not one per queue that has to grow (~690 before).
+// mesh-wide reduction, pools refilled a chunk at a time and an event
+// slab that doubles — so a fresh platform's first kernel allocates tens
+// of objects, like any later one, not one per queue that has to grow
+// (~690 before).
 func TestFirstRunAllocatesLikeARepeat(t *testing.T) {
 	prog := sgemmProg(16)
 	var p *Platform

@@ -186,15 +186,17 @@ type rcuScalars struct {
 
 // Initial per-RCU capacities: the high-water marks of the Table III
 // kernels at DSE smoke size on a 4×4 mesh — one live sub-block, two
-// inbox entries, eight queued results, 63 chain cells (MAC) and 16
-// awaited dependencies (the reduction root). Reproduction-size MAC and
-// SPMV chains, and the reduction root of a larger mesh, outgrow them.
+// inbox entries, eight queued results and 63 chain cells (MAC) — except
+// the awaited dependencies, sized for the Fig 12 co-run's SPMV at
+// reproduction size, where every RCU awaits 26 to 39 at once.
+// Reproduction-size MAC and SPMV chains, and the reduction root of a
+// larger mesh, outgrow them.
 const (
 	rcuCellCap    = 64
 	rcuSBCap      = 4
 	rcuSBTabCap   = 16
-	rcuWaitCap    = 16
-	rcuWaitTabCap = 32
+	rcuWaitCap    = 40
+	rcuWaitTabCap = 64
 	rcuInboxCap   = 4
 	rcuOutQCap    = 8
 )
@@ -211,14 +213,11 @@ func newRCUs(nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) []RCU {
 	cells := make([]instrNode, nodes*rcuCellCap)
 	sbSlots := make([]sbState, nodes*rcuSBCap)
 	waitSlots := make([]waitList, nodes*rcuWaitCap)
-	idx := make([]int32, nodes*(2*rcuSBCap+rcuWaitCap+tabCap))
-	keys := make([]uint32, nodes*tabCap)
-	live := make([]bool, nodes*tabCap)
+	idx := make([]int32, nodes*(2*rcuSBCap+rcuWaitCap))
+	ents := make([]flat.Entry[uint32], nodes*tabCap)
 	inbox := make([]inboxEntry, nodes*rcuInboxCap)
 	outQ := make([]outToken, nodes*rcuOutQCap)
-	tab := func(n int) flat.Table[uint32] {
-		return flat.TableOver(flat.Carve(&keys, n), flat.Carve(&idx, n), flat.Carve(&live, n))
-	}
+	tab := func(n int) flat.Table[uint32] { return flat.TableOver(flat.Carve(&ents, n)) }
 	for i := range rcus {
 		rcus[i] = RCU{
 			node: noc.NodeID(i), loop: loop, cpmNode: cpmNode,

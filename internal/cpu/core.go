@@ -35,11 +35,6 @@ type Core struct {
 	g    *coreGroup
 	slot int
 
-	// onMissFn caches the onMiss method value: passing c.onMiss directly
-	// would allocate a fresh closure on every L1 access, the single
-	// largest allocation site in whole-sweep profiles.
-	onMissFn func(int64)
-
 	coreScalars
 }
 
@@ -63,19 +58,6 @@ type coreScalars struct {
 	// StallCycles).
 	stallCycles int64
 	stallFrom   int64
-}
-
-// newCore binds a core to its L1 and workload profile.
-func newCore(id int, prof *traffic.Profile, l1 *cache.L1, ncores int, seed uint64) *Core {
-	c := &Core{
-		id:          id,
-		prof:        prof,
-		l1:          l1,
-		ncores:      ncores,
-		coreScalars: coreScalars{stream: traffic.NewStream(prof, id, seed)},
-	}
-	c.onMissFn = c.onMiss
-	return c
 }
 
 // Finished reports whether the core has retired its budget.
@@ -126,7 +108,7 @@ func (c *Core) issue(cycle int64) {
 			continue // pure compute slot
 		}
 		block, write := c.stream.Next(ph, c.ncores)
-		if c.l1.AccessFast(block, write, c.onMissFn) {
+		if c.l1.AccessFast(block, write, c) {
 			continue
 		}
 		c.outstanding++
@@ -158,10 +140,10 @@ func (c *Core) retire(cycle int64) {
 	}
 }
 
-// onMiss runs when one of the core's misses resolves — in the event
-// phase or inside an NI's Evaluate — and lets a blocked core issue again
-// from its next turn.
-func (c *Core) onMiss(cycle int64) {
+// MissDone implements cache.MissWaiter: it runs when one of the core's
+// misses resolves — in the event phase or inside an NI's Evaluate — and
+// lets a blocked core issue again from its next turn.
+func (c *Core) MissDone(cycle int64) {
 	c.outstanding--
 	if c.blocked {
 		c.blocked = false
@@ -171,7 +153,7 @@ func (c *Core) onMiss(cycle int64) {
 
 // coreGroup steps every core of a workload as a single component, so a
 // cycle costs the cores that can issue in it, not every core: a core
-// that blocks, idles or finishes leaves the runnable set, onMiss and the
+// that blocks, idles or finishes leaves the runnable set, MissDone and the
 // end of its synchronization stall put it back, and the cycles in
 // between are added to its stall count when the stall ends instead of
 // one per cycle. Cores are stepped in id order, the order they had as
@@ -191,16 +173,6 @@ type coreGroup struct {
 	// together they tell whether a core's turn in this cycle has passed.
 	turn int64
 	cur  int
-}
-
-func (g *coreGroup) add(c *Core) {
-	c.g, c.slot = g, len(g.cores)
-	g.cores = append(g.cores, c)
-	if c.slot%64 == 0 {
-		g.runnable = append(g.runnable, 0)
-		g.idle = append(g.idle, 0)
-	}
-	g.runnable.Add(c.slot)
 }
 
 // nextTurn returns the cycle of cores[i]'s next turn. A miss can resolve
@@ -272,17 +244,34 @@ type Workload struct {
 
 // NewWorkload creates one core per node of the system, all running the
 // given profile, stepped by one group registered on eng, the engine
-// that drives the system.
+// that drives the system. The cores are values in one slab, and the
+// group's sets are carved from one more, every core starting runnable.
 func NewWorkload(eng *sim.Engine, sys *cache.System, prof *traffic.Profile, seed uint64) (*Workload, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(sys.L1s)
 	w := &Workload{Profile: prof, Cores: make([]*Core, n)}
-	w.group = coreGroup{idleWake: math.MaxInt64, turn: eng.Cycle(), cur: -1}
-	for i := 0; i < n; i++ {
-		w.Cores[i] = newCore(i, prof, sys.L1s[i], n, seed)
-		w.group.add(w.Cores[i])
+	words := (n + 63) / 64
+	sets := make([]uint64, 2*words)
+	w.group = coreGroup{
+		cores:    w.Cores,
+		runnable: flat.Carve(&sets, words),
+		idle:     sets,
+		idleWake: math.MaxInt64,
+		turn:     eng.Cycle(),
+		cur:      -1,
+	}
+	cores := make([]Core, n)
+	for i := range cores {
+		c := &cores[i]
+		*c = Core{
+			id: i, prof: prof, l1: sys.L1s[i], ncores: n,
+			g: &w.group, slot: i,
+			coreScalars: coreScalars{stream: traffic.NewStream(prof, i, seed)},
+		}
+		w.Cores[i] = c
+		w.group.runnable.Add(i)
 	}
 	eng.Register(&w.group)
 	return w, nil

@@ -4,8 +4,7 @@ import "math"
 
 // Checkpoint support. A core's mutable state is coreScalars, its
 // reference stream and that stream's generator included, so a checkpoint
-// copies the block by assignment; onMissFn is a method value bound to
-// the core itself and never changes. The group's runnable and idle sets
+// copies the block by assignment. The group's runnable and idle sets
 // are derived: a snapshot records per core whether it was idle (a core
 // neither finished, blocked nor idle is runnable) and Workload.Restore
 // rebuilds them.

@@ -1,7 +1,9 @@
 package flat
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -19,7 +21,7 @@ func TestTableMatchesMapProperty(t *testing.T) {
 
 func checkTableMatchesMap[K uint32 | uint64](t *testing.T) {
 	f := func(ops []uint16) bool {
-		tab := TableOver(make([]K, 16), make([]int32, 16), make([]bool, 16))
+		tab := TableOver(make([]Entry[K], 16))
 		ref := make(map[K]int32)
 		for i, op := range ops {
 			key := K(op % 97)
@@ -168,6 +170,62 @@ func TestSlotsReuseLIFO(t *testing.T) {
 	if (*s.At(a))[0] != 1 || s.Len() != 3 || !slices.Equal(s.FreeSlots(), []int32{b}) {
 		t.Fatalf("changing a copy changed its source: slot %d holds %v, free %v of %d",
 			a, *s.At(a), s.FreeSlots(), s.Len())
+	}
+}
+
+// fewestMallocs returns the objects the measured half of a try allocates,
+// the fewest over three tries: each try sets up afresh and returns the
+// work to measure, and an allocation elsewhere in the process only adds.
+func fewestMallocs(try func() (measure func())) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fewest := uint64(math.MaxUint64)
+	for range 3 {
+		measure := try()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		measure()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+// TestTableGrowsInOneAllocation: the Put that doubles a table allocates
+// one object, its new entry array.
+func TestTableGrowsInOneAllocation(t *testing.T) {
+	got := fewestMallocs(func() func() {
+		tab := TableOver(make([]Entry[uint64], 64))
+		for k := range uint64(48) {
+			tab.Put(k, int32(k)) // 48 keys fill 64 entries to the 0.75 load
+		}
+		return func() { tab.Put(48, 48) }
+	})
+	if got != 1 {
+		t.Fatalf("a growing Put allocated %d objects, want 1", got)
+	}
+}
+
+// TestSlotsFreeAllocatesNothing: the free stack grows with the records,
+// so freeing every slot of a Slots that grew far past its window
+// allocates nothing, and the slots come back most recently freed first.
+func TestSlotsFreeAllocatesNothing(t *testing.T) {
+	var s Slots[int]
+	got := fewestMallocs(func() func() {
+		s = SlotsOver(make([]int, 2), make([]int32, 2))
+		for range 1000 {
+			s.Alloc()
+		}
+		return func() {
+			for i := range int32(1000) {
+				s.Free(i)
+			}
+		}
+	})
+	if got != 0 {
+		t.Fatalf("freeing 1000 slots allocated %d objects, want 0", got)
+	}
+	if i := s.Alloc(); i != 999 {
+		t.Fatalf("Alloc after the frees gave slot %d, want 999", i)
 	}
 }
 

@@ -9,13 +9,17 @@ package flat
 //
 // A snapshot copies the array and the free stack slot for slot, because
 // pending events and chains name slots.
+//
+// The free stack's capacity keeps up with the records' (it can never
+// hold more entries than there are slots), so Free never allocates.
 type Slots[T any] struct {
 	recs []T
 	free []int32
 }
 
 // SlotsOver returns an empty Slots over carved windows, its initial
-// capacity: recs for the records and free for the free stack.
+// capacity: recs for the records and free, at least as long, for the
+// free stack.
 func SlotsOver[T any](recs []T, free []int32) Slots[T] {
 	return Slots[T]{recs: recs[:0], free: free[:0]}
 }
@@ -30,7 +34,15 @@ func (s *Slots[T]) Alloc() int32 {
 	}
 	var zero T
 	s.recs = append(s.recs, zero)
+	s.fitFree()
 	return int32(len(s.recs) - 1)
+}
+
+// fitFree gives an empty free stack room for every slot.
+func (s *Slots[T]) fitFree() {
+	if cap(s.free) < cap(s.recs) {
+		s.free = make([]int32, 0, cap(s.recs))
+	}
 }
 
 // At returns the record in slot i.

@@ -9,13 +9,11 @@ package flat
 // t instead, keeping its capacity.
 func (t *Table[K]) CopyFrom(o *Table[K]) {
 	if o.n == 0 {
-		clear(t.live)
+		clear(t.ents)
 		t.n = 0
 		return
 	}
-	t.keys = append(t.keys[:0], o.keys...)
-	t.vals = append(t.vals[:0], o.vals...)
-	t.live = append(t.live[:0], o.live...)
+	t.ents = append(t.ents[:0], o.ents...)
 	t.n = o.n
 }
 
@@ -23,7 +21,9 @@ func (t *Table[K]) CopyFrom(o *Table[K]) {
 // values, reusing s's storage.
 func (s *Slots[T]) CopyFrom(o *Slots[T]) {
 	s.recs = append(s.recs[:0], o.recs...)
-	s.free = append(s.free[:0], o.free...)
+	s.free = s.free[:0]
+	s.fitFree()
+	s.free = append(s.free, o.free...)
 }
 
 // CopyFrom makes q hold o's entries, oldest first, from the front of its

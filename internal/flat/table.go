@@ -6,20 +6,27 @@ package flat
 // which leaves no tombstones, so lookups stay short-probed however much
 // the keys churn. The zero value is an empty table.
 //
-// Where a key sits in the arrays is unobservable: nothing iterates a
-// table, so a snapshot copies it whole and an empty one resets.
+// Where a key sits in the array is unobservable: nothing iterates a
+// table, so a snapshot copies it whole and an empty one resets. The
+// entries are one array, so a grow is one allocation.
 type Table[K uint32 | uint64] struct {
-	keys []K
-	vals []int32
-	live []bool
+	ents []Entry[K]
 	n    int
 }
 
-// TableOver returns an empty table over carved windows of one
-// power-of-two length. The windows are its initial capacity; the table
-// grows past them into storage of its own.
-func TableOver[K uint32 | uint64](keys []K, vals []int32, live []bool) Table[K] {
-	return Table[K]{keys: keys, vals: vals, live: live}
+// Entry is one cell of a Table's array; it is exported only so a
+// builder can carve tables' windows from one slab (see TableOver).
+type Entry[K uint32 | uint64] struct {
+	key  K
+	val  int32
+	live bool
+}
+
+// TableOver returns an empty table over a carved window of power-of-two
+// length, its initial capacity; the table grows past it into storage of
+// its own.
+func TableOver[K uint32 | uint64](ents []Entry[K]) Table[K] {
+	return Table[K]{ents: ents}
 }
 
 func hash[K uint32 | uint64](k K) uint64 {
@@ -35,10 +42,10 @@ func (t *Table[K]) Get(key K) (int32, bool) {
 	if t.n == 0 {
 		return 0, false
 	}
-	mask := uint64(len(t.keys) - 1)
-	for i := hash(key) & mask; t.live[i]; i = (i + 1) & mask {
-		if t.keys[i] == key {
-			return t.vals[i], true
+	mask := uint64(len(t.ents) - 1)
+	for i := hash(key) & mask; t.ents[i].live; i = (i + 1) & mask {
+		if t.ents[i].key == key {
+			return t.ents[i].val, true
 		}
 	}
 	return 0, false
@@ -46,19 +53,19 @@ func (t *Table[K]) Get(key K) (int32, bool) {
 
 // Put inserts or overwrites key.
 func (t *Table[K]) Put(key K, val int32) {
-	if len(t.keys) == 0 || t.n*4 >= len(t.keys)*3 {
+	if len(t.ents) == 0 || t.n*4 >= len(t.ents)*3 {
 		t.grow()
 	}
-	mask := uint64(len(t.keys) - 1)
+	mask := uint64(len(t.ents) - 1)
 	i := hash(key) & mask
-	for t.live[i] {
-		if t.keys[i] == key {
-			t.vals[i] = val
+	for t.ents[i].live {
+		if t.ents[i].key == key {
+			t.ents[i].val = val
 			return
 		}
 		i = (i + 1) & mask
 	}
-	t.keys[i], t.vals[i], t.live[i] = key, val, true
+	t.ents[i] = Entry[K]{key: key, val: val, live: true}
 	t.n++
 }
 
@@ -68,13 +75,13 @@ func (t *Table[K]) Del(key K) {
 	if t.n == 0 {
 		return
 	}
-	mask := uint64(len(t.keys) - 1)
+	mask := uint64(len(t.ents) - 1)
 	i := hash(key) & mask
 	for {
-		if !t.live[i] {
+		if !t.ents[i].live {
 			return
 		}
-		if t.keys[i] == key {
+		if t.ents[i].key == key {
 			break
 		}
 		i = (i + 1) & mask
@@ -83,30 +90,27 @@ func (t *Table[K]) Del(key K) {
 	// not lie cyclically in (i, j].
 	for j := i; ; {
 		j = (j + 1) & mask
-		if !t.live[j] {
+		if !t.ents[j].live {
 			break
 		}
-		h := hash(t.keys[j]) & mask
+		h := hash(t.ents[j].key) & mask
 		if (j-h)&mask >= (j-i)&mask {
-			t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
+			t.ents[i] = t.ents[j]
 			i = j
 		}
 	}
-	t.live[i] = false
+	t.ents[i].live = false
 	t.n--
 }
 
 // grow doubles the capacity (16 at least) and re-inserts every key.
 func (t *Table[K]) grow() {
-	n := max(2*len(t.keys), 16)
-	keys, vals, live := t.keys, t.vals, t.live
-	t.keys = make([]K, n)
-	t.vals = make([]int32, n)
-	t.live = make([]bool, n)
+	old := t.ents
+	t.ents = make([]Entry[K], max(2*len(old), 16))
 	t.n = 0
-	for i, ok := range live {
-		if ok {
-			t.Put(keys[i], vals[i])
+	for _, e := range old {
+		if e.live {
+			t.Put(e.key, e.val)
 		}
 	}
 }

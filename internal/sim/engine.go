@@ -48,6 +48,7 @@ import (
 	"fmt"
 
 	"snacknoc/internal/attrib"
+	"snacknoc/internal/flat"
 	"snacknoc/internal/stats"
 )
 
@@ -148,9 +149,6 @@ type Engine struct {
 	// Evaluate phase, so N wakes cost one merge instead of N insertions.
 	woken []*Handle
 	wheel timeWheel
-	// eventPool recycles event records; Schedule runs on per-miss and
-	// per-wake paths, so the allocation shows up in whole-sweep profiles.
-	eventPool []*event
 	// quiesce gates the active list; disabled it reproduces the classic
 	// evaluate-everything kernel (used by equivalence tests).
 	quiesce bool
@@ -202,23 +200,26 @@ func (e *Engine) Register(c Component) *Handle {
 // once.
 const registerChunk = 8
 
-// Reserve makes room for n more Register calls in one allocation per
-// table (the handle slab, the component list, the active list), so a
-// builder that knows its component count — a mesh registers two per
-// node — does not pay two objects per component.
+// Reserve makes room for n more Register calls in two allocations: the
+// handle slab, and one slab of handle pointers carved into the component
+// list, the active list and the wake buffer. A builder that knows its
+// component count — a mesh registers two per node — does not pay two
+// objects per component.
 func (e *Engine) Reserve(n int) {
 	if n <= len(e.slab) {
 		return
 	}
 	e.slab = make([]Handle, n)
 	need := len(e.comps) + n
-	if need > cap(e.comps) {
-		e.comps = append(make([]*Handle, 0, need), e.comps...)
+	if need <= cap(e.comps) {
+		return
 	}
-	// The active list never holds more than every registered component.
-	if need > cap(e.active) {
-		e.active = append(make([]*Handle, 0, need), e.active...)
-	}
+	// The active list and the wake buffer never hold more than every
+	// registered component.
+	ptrs := make([]*Handle, 3*need)
+	e.comps = append(flat.Carve(&ptrs, need)[:0], e.comps...)
+	e.active = append(flat.Carve(&ptrs, need)[:0], e.active...)
+	e.woken = append(ptrs[:0], e.woken...)
 }
 
 // Cycle returns the current simulated cycle. During Evaluate/Advance it is
@@ -267,31 +268,10 @@ func (e *Engine) fileEvent(at int64, fn func(), callee Callee, arg int64, wake *
 		panic(fmt.Sprintf("sim: Schedule(%d) at or before current cycle %d", at, e.cycle))
 	}
 	e.seq++
-	ev := e.newEvent()
+	i := e.wheel.alloc()
+	ev := e.wheel.at(i)
 	ev.cycle, ev.seq, ev.fn, ev.callee, ev.arg, ev.wake = at, e.seq, fn, callee, arg, wake
-	e.wheel.schedule(e.cycle, ev)
-}
-
-// eventChunk is how many event records an empty pool allocates at once.
-const eventChunk = 32
-
-// newEvent takes a cleared record off the event pool, refilling it a
-// chunk at a time: an engine's first run then costs a few allocations,
-// not one per event in flight.
-func (e *Engine) newEvent() *event {
-	if len(e.eventPool) == 0 {
-		chunk := make([]event, eventChunk)
-		if cap(e.eventPool) < eventChunk {
-			e.eventPool = make([]*event, 0, 2*eventChunk)
-		}
-		for i := range chunk {
-			e.eventPool = append(e.eventPool, &chunk[i])
-		}
-	}
-	n := len(e.eventPool)
-	ev := e.eventPool[n-1]
-	e.eventPool = e.eventPool[:n-1]
-	return ev
+	e.wheel.schedule(e.cycle, i)
 }
 
 // ScheduleAfter runs fn delay cycles from now (delay must be >= 1).
@@ -425,14 +405,16 @@ func (e *Engine) Step() {
 }
 
 // runEvents executes every event due at the current cycle, in schedule
-// order, returning their records to the pool.
+// order. Each record is copied out and freed before its event runs: the
+// event may file others, and a slab doubling moves every record.
 func (e *Engine) runEvents() {
-	due := e.wheel.collect(e.cycle)
-	for i, ev := range due {
-		fn, callee, arg, wake := ev.fn, ev.callee, ev.arg, ev.wake
-		ev.fn, ev.callee, ev.wake = nil, nil, nil
-		e.eventPool = append(e.eventPool, ev)
-		due[i] = nil
+	w := &e.wheel
+	for i := w.collect(e.cycle); i != 0; {
+		ev := w.at(i)
+		fn, callee, arg, wake, next := ev.fn, ev.callee, ev.arg, ev.wake, ev.next
+		w.release(i)
+		w.pending--
+		i = next
 		switch {
 		case wake != nil:
 			e.wake(wake)
@@ -442,7 +424,6 @@ func (e *Engine) runEvents() {
 			fn()
 		}
 	}
-	e.wheel.release(due)
 }
 
 // RegisterMetrics names the engine's own state in reg: the simulated

@@ -41,10 +41,12 @@ func (e *Engine) SnapshotState() *EngineState {
 	if len(e.woken) != 0 {
 		panic("sim: SnapshotState with unmerged wake-ups (snapshot only between runs)")
 	}
+	w := &e.wheel
 	s := &EngineState{
 		engineScalars: e.engineScalars,
 		comps:         make([]sleep, len(e.comps)),
 		activeIdx:     make([]int, len(e.active)),
+		events:        make([]eventSnap, 0, w.pending),
 	}
 	for i, st := range e.comps {
 		s.comps[i] = st.sleep
@@ -55,13 +57,13 @@ func (e *Engine) SnapshotState() *EngineState {
 	for i, st := range e.active {
 		s.activeIdx[i] = st.idx
 	}
-	for _, slot := range e.wheel.slots {
-		for _, ev := range slot {
-			s.events = append(s.events, snapEvent(ev))
+	for _, slot := range w.slots {
+		for i := slot.head; i != 0; i = w.at(i).next {
+			s.events = append(s.events, snapEvent(w.at(i)))
 		}
 	}
-	for _, ev := range e.wheel.overflow {
-		s.events = append(s.events, snapEvent(ev))
+	for _, i := range w.overflow {
+		s.events = append(s.events, snapEvent(w.at(i)))
 	}
 	return s
 }
@@ -96,21 +98,18 @@ func (e *Engine) RestoreState(s *EngineState) {
 	e.woken = e.woken[:0]
 	// Drop whatever the live run filed and re-file the saved events with
 	// their original sequence numbers, so tie-breaking (and therefore
-	// execution order) replays exactly.
-	for i, slot := range e.wheel.slots {
-		if slot != nil {
-			e.wheel.release(slot)
-			e.wheel.slots[i] = nil
-		}
-	}
-	e.wheel.overflow = e.wheel.overflow[:0]
-	e.wheel.pending = 0
+	// execution order) replays exactly. The slab, ring and heap keep
+	// their size, so restoring onto an engine that has run allocates
+	// nothing.
+	w := &e.wheel
+	w.reset()
 	for _, es := range s.events {
-		ev := e.newEvent()
+		i := w.alloc()
+		ev := w.at(i)
 		ev.cycle, ev.seq, ev.fn, ev.callee, ev.arg = es.cycle, es.seq, es.fn, es.callee, es.arg
 		if es.wakeIdx >= 0 {
 			ev.wake = e.comps[es.wakeIdx]
 		}
-		e.wheel.schedule(e.cycle, ev)
+		w.schedule(e.cycle, i)
 	}
 }

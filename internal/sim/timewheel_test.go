@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -159,3 +162,113 @@ func TestTimeWheelGrowsLazily(t *testing.T) {
 		t.Fatalf("near-horizon engine grew its ring to %d slots, want %d", len(near.wheel.slots), wheelMin)
 	}
 }
+
+// fewestMallocs returns the objects the measured half of a try allocates,
+// the fewest over three tries: each try sets up afresh and returns the
+// work to measure, and an allocation elsewhere in the process only adds.
+func fewestMallocs(try func() (measure func())) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fewest := uint64(math.MaxUint64)
+	for range 3 {
+		measure := try()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		measure()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+// hopper is an event chain that refiles itself at the next of a cycle of
+// horizons each time it fires, with the same callee and argument.
+type hopper struct {
+	e        *Engine
+	horizons []int64
+	k        int
+}
+
+func (h *hopper) OnCall(arg, cycle int64) {
+	h.k = (h.k + 1) % len(h.horizons)
+	h.e.ScheduleCall(cycle+h.horizons[h.k], h, arg)
+}
+
+// TestEventSlabSteadyStateAllocatesNothing pins the event slab: once an
+// engine has run through every horizon, 10 000 cycles of scheduling —
+// eight chains, so up to eight events due in one cycle, hopping between
+// near, in-ring and overflow-heap horizons — allocate nothing.
+func TestEventSlabSteadyStateAllocatesNothing(t *testing.T) {
+	horizons := []int64{1, 2, 3, 5, 8, 700, wheelSize + 3, 3 * wheelSize}
+	got := fewestMallocs(func() func() {
+		e := NewEngine()
+		for i := range 8 {
+			e.ScheduleCall(1, &hopper{e: e, horizons: horizons, k: i}, int64(i))
+		}
+		e.Run(40 * wheelSize)
+		return func() { e.Run(10_000) }
+	})
+	if got != 0 {
+		t.Fatalf("10 000 steady-state cycles allocated %d objects, want 0", got)
+	}
+}
+
+// TestFilingEventsGrowsTheSlabGeometrically: filing M events on a fresh
+// engine costs the ring once and the event slab once per doubling from
+// its first 32 records — at most log2(M/32)+2 objects, not one per
+// event or per chunk of events.
+func TestFilingEventsGrowsTheSlabGeometrically(t *testing.T) {
+	for _, m := range []int{32, 100, 1024, 5000} {
+		var e *Engine
+		calls := &callCounter{}
+		got := fewestMallocs(func() func() {
+			e = NewEngine()
+			return func() {
+				for i := range m {
+					e.ScheduleCall(1+int64(i%8), calls, 0)
+				}
+			}
+		})
+		limit := uint64(bits.Len(uint((m-1)/eventChunk))) + 2
+		if got > limit {
+			t.Errorf("filing %d events allocated %d objects, want at most %d", m, got, limit)
+		}
+		if e.wheel.pending != m {
+			t.Fatalf("%d events pending, want %d", e.wheel.pending, m)
+		}
+	}
+}
+
+// TestRestoreOntoGrownEngineAllocatesNothing: restoring a snapshot with
+// events in the ring and the overflow heap, and components asleep with
+// wake-ups pending, onto the engine it came from, after that engine has
+// run on and filed more, allocates nothing.
+func TestRestoreOntoGrownEngineAllocatesNothing(t *testing.T) {
+	calls := &callCounter{}
+	got := fewestMallocs(func() func() {
+		e := NewEngine()
+		for range 4 {
+			h := e.Register(&sleeper{pending: 1})
+			e.Run(2)
+			h.WakeAt(e.Cycle() + 50)
+		}
+		for i := range 40 {
+			e.ScheduleCall(e.Cycle()+1+int64(i%5)*300, calls, int64(i))
+		}
+		e.ScheduleCall(e.Cycle()+4*wheelSize, calls, 40)
+		snap := e.SnapshotState()
+		for i := range 200 {
+			e.ScheduleCall(e.Cycle()+1+int64(i), calls, 0)
+		}
+		e.Run(100)
+		e.RestoreState(snap)
+		return func() { e.RestoreState(snap) }
+	})
+	if got != 0 {
+		t.Fatalf("RestoreState onto a grown engine allocated %d objects, want 0", got)
+	}
+}
+
+// callCounter counts the calls it receives.
+type callCounter struct{ n int }
+
+func (c *callCounter) OnCall(arg, cycle int64) { c.n++ }

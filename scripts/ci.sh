@@ -414,7 +414,7 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 12800, dse_fork_sweep <= 6500, cmp_sparse_traffic <= 9600, corun_interference <= 2550, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 16, dse_fork_sweep <= 15, mesh_saturation <= 3.8, cmp_sparse_traffic <= 9.8, corun_interference <= 5.3; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 12800, dse_fork_sweep <= 3900, cmp_sparse_traffic <= 7300, corun_interference <= 1280, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 16, dse_fork_sweep <= 15, mesh_saturation <= 3.8, cmp_sparse_traffic <= 9.8, corun_interference <= 5.3; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
 if grep -n '\.Schedule(\|\.ScheduleAfter(' $(ls internal/cache/*.go internal/mem/*.go | grep -v _test.go); then
     echo "ERROR: internal/cache and internal/mem file typed events (ScheduleCall), not closures" >&2
     exit 1
@@ -445,14 +445,16 @@ if grep -n '\*attrib\.Counters\|CountersState\|\.at != nil' $attrib_src ||
     exit 1
 fi
 bench_bound kernels_zero_load 0 allocs_per_pass 12800
-bench_bound dse_fork_sweep 0 allocs_per_pass 6500
+bench_bound dse_fork_sweep 0 allocs_per_pass 3900
 bench_bound mesh_saturation 0 allocs_per_pass 3000
-# The CMP legs' waiters, pending requests, directory and sampled series
-# live in a few system- and network-wide slabs: a per-MSHR, per-slot or
-# per-series slice comes back as thousands of allocations, and a slab
-# that trades the count for bytes trips the MB bounds.
-bench_bound cmp_sparse_traffic 0 allocs_per_pass 9600
-bench_bound corun_interference 0 allocs_per_pass 2550
+# The CMP legs' controllers, tag stores, waiters, pending requests,
+# directory, slot arrays and sampled series live in a few system- and
+# network-wide slabs, and the engine's events in one event slab: a
+# per-node, per-slot or per-series allocation comes back as hundreds or
+# thousands of objects, and a slab that trades the count for bytes trips
+# the MB bounds.
+bench_bound cmp_sparse_traffic 0 allocs_per_pass 7300
+bench_bound corun_interference 0 allocs_per_pass 1280
 bench_bound kernels_zero_load 0 alloc_mb_per_pass 16
 bench_bound dse_fork_sweep 0 alloc_mb_per_pass 15
 bench_bound mesh_saturation 0 alloc_mb_per_pass 3.8
