@@ -2,6 +2,7 @@ package snacknoc
 
 import (
 	"fmt"
+	"math"
 
 	"snacknoc/internal/dataflow"
 	"snacknoc/internal/fixed"
@@ -19,6 +20,9 @@ type Context struct {
 	name     string
 	priority int
 	requests []getRequest
+	// err is the first non-finite Scalar, which cannot return it: the
+	// context then fails at execute.
+	err error
 }
 
 // getRequest pairs a requested root value with its user output buffer.
@@ -66,27 +70,41 @@ func (c *Context) own(v *Value, op string) error {
 	return nil
 }
 
-func toFixed(data []float64) []fixed.Q {
+// toFixed converts data to Q16.16. A finite value out of range saturates,
+// as the datapath does; NaN and ±Inf have no fixed-point value, so they
+// are an error rather than whatever Go's float-to-int conversion gives.
+func toFixed(op string, data []float64) ([]fixed.Q, error) {
 	out := make([]fixed.Q, len(data))
 	for i, v := range data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("snacknoc: %s: element %d is %v, not a finite value", op, i, v)
+		}
 		out[i] = fixed.FromFloat(v)
 	}
-	return out
+	return out, nil
 }
 
 // Input creates a rows×cols immediate array from row-major data
 // (create_input in the paper's API). Values are converted to the
-// platform's Q16.16 fixed-point format.
+// platform's Q16.16 fixed-point format; NaN and ±Inf are an error.
 func (c *Context) Input(data []float64, rows, cols int) (*Value, error) {
-	n, err := c.builder.Input(toFixed(data), rows, cols)
+	q, err := toFixed("Input", data)
+	if err != nil {
+		return nil, err
+	}
+	n, err := c.builder.Input(q, rows, cols)
 	if err != nil {
 		return nil, err
 	}
 	return &Value{ctx: c, node: n}, nil
 }
 
-// Scalar creates a 1×1 input.
+// Scalar creates a 1×1 input. A NaN or ±Inf v makes the context fail
+// when it executes.
 func (c *Context) Scalar(v float64) *Value {
+	if (math.IsNaN(v) || math.IsInf(v, 0)) && c.err == nil {
+		c.err = fmt.Errorf("snacknoc: Scalar: %v is not a finite value", v)
+	}
 	return &Value{ctx: c, node: c.builder.Scalar(fixed.FromFloat(v))}
 }
 
@@ -193,12 +211,16 @@ func (c *Context) SpMV(a CSR, x *Value) (*Value, error) {
 	if err := c.own(x, "SpMV"); err != nil {
 		return nil, err
 	}
+	val, err := toFixed("SpMV", a.Val)
+	if err != nil {
+		return nil, err
+	}
 	sp := &dataflow.Sparse{
 		Rows:   a.Rows,
 		Cols:   a.Cols,
 		RowPtr: a.RowPtr,
 		ColIdx: a.ColIdx,
-		Val:    toFixed(a.Val),
+		Val:    val,
 	}
 	n, err := c.builder.SpMV(sp, x.node)
 	if err != nil {

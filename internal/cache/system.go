@@ -153,13 +153,13 @@ func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, er
 		txns:   flat.SlotsOver(make([]l2txn, nodes*seedTxns), flat.Carve(&free, nodes*seedTxns)),
 	}
 	mems := make([]MemNode, len(s.memNodes))
+	ctrls, err := mem.NewSlab(eng, cfg.MemCfg, len(s.memNodes))
+	if err != nil {
+		return nil, err
+	}
 	for k, mn := range s.memNodes {
-		ctrl, err := mem.New(eng, cfg.MemCfg)
-		if err != nil {
-			return nil, err
-		}
 		m := &mems[k]
-		*m = MemNode{sys: s, node: mn, ctrl: ctrl,
+		*m = MemNode{sys: s, node: mn, ctrl: &ctrls[k],
 			reads: flat.SlotsOver(flat.Carve(&reads, seedReads), flat.Carve(&free, seedReads))}
 		s.Mems[mn] = m
 		s.Hubs[mn].Mem = m

@@ -39,7 +39,7 @@ var allowed = map[string]string{
 	"cpu.CoreState.Blocked":    "checkpoint's fork test checks cores are blocked at the snapshot",
 	"flat.Pool.Idle":           "core's tests bound the token pools",
 	"flat.Pool.Out":            "cache's, core's and noc's drain checks",
-	"flat.Ring.Cap":            "noc's slab test checks the NI queues' seeded windows",
+	"flat.Ring.At":             "core's snapshot test lists the RCU and CPM rings",
 	"flat.Slots.FreeSlots":     "cache's slab and snapshot tests",
 	"flat.Slots.Len":           "cache's slab and snapshot tests",
 	"flat.Table.Len":           "cache's drain and directory tests",

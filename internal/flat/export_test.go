@@ -1,5 +1,8 @@
 package flat
 
+// Cap returns the length of the backing array.
+func (q *Ring[T]) Cap() int { return len(q.buf) }
+
 // AppendTo appends the entries to dst, oldest first, and returns it.
 func (q *Ring[T]) AppendTo(dst []T) []T {
 	if q.n == 0 {

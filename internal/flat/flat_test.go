@@ -266,6 +266,32 @@ func TestPoolCountsAndCaps(t *testing.T) {
 	np.Put(a)
 }
 
+// TestPoolGrowsInProportion: a pool with nothing left allocates an
+// eighth of what it has made, never fewer than PoolChunk, so M gets cost
+// a logarithmic number of objects — at most ceil(log_{9/8}(M/32)) + 8 —
+// and make at most an eighth, or one PoolChunk, more than M. A pool that
+// has made 256 or fewer grows PoolChunk at a time.
+func TestPoolGrowsInProportion(t *testing.T) {
+	var p Pool[[4]int]
+	for _, m := range []int{32, 100, 256, 257, 1000, 10_000, 100_000} {
+		allocs := testing.AllocsPerRun(1, func() {
+			p = Pool[[4]int]{}
+			for range m {
+				p.Get()
+			}
+		})
+		if bound := math.Ceil(math.Log(float64(m)/PoolChunk)/math.Log(9.0/8)) + 8; allocs > bound {
+			t.Errorf("%d gets allocated %.0f objects, want at most %.0f", m, allocs, bound)
+		}
+		if most := max(m*9/8, m+PoolChunk); p.made > most {
+			t.Errorf("%d gets made %d objects, want at most %d", m, p.made, most)
+		}
+		if m <= 256 && p.made != (m+PoolChunk-1)/PoolChunk*PoolChunk {
+			t.Errorf("%d gets made %d objects, want whole chunks of %d", m, p.made, PoolChunk)
+		}
+	}
+}
+
 // TestCarveCutsFullCapacityWindows: appending past a carved window
 // reallocates instead of writing into the next one.
 func TestCarveCutsFullCapacityWindows(t *testing.T) {

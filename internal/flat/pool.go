@@ -6,8 +6,14 @@ package flat
 // unlike sync.Pool; an object may retire into another engine's pool, as
 // a flit retires where it leaves the network.
 //
-// An empty pool allocates PoolChunk objects at once, so a first run
-// costs a few allocations rather than one per object in flight. Put
+// Get takes the most recently returned object, else the next unused one
+// of the pool's newest chunk; with neither, it allocates a chunk of
+// PoolChunk objects, or of an eighth of what the pool has made so far if
+// that is more. A first run costs a few allocations rather than one per
+// object in flight, and a pool that must hold tens of thousands (a
+// saturated source queue's envelopes) grows geometrically, to at most an
+// eighth past its high-water mark, rather than by one fixed chunk at a
+// time. Put
 // zeroes what it takes back, so which object Get hands out is
 // unobservable and nothing pooled keeps a reference alive. A free list
 // holds at most PoolCap objects and the garbage collector takes the
@@ -16,13 +22,18 @@ package flat
 // that many per restore. A nil pool allocates every Get and drops every
 // Put.
 type Pool[T any] struct {
-	free []*T
-	out  int
+	free  []*T
+	fresh []T // what the newest chunk has not handed out yet
+	out   int
+	made  int
 }
 
 const (
-	// PoolChunk is how many objects an empty pool allocates at once.
+	// PoolChunk is the fewest objects a pool allocates at once.
 	PoolChunk = 32
+	// A chunk is 1/poolGrowth of the objects the pool has made, when that
+	// is more than PoolChunk.
+	poolGrowth = 8
 	// PoolCap bounds a pool's free list.
 	PoolCap = 1 << 15
 )
@@ -32,19 +43,18 @@ func (p *Pool[T]) Get() *T {
 	if p == nil {
 		return new(T)
 	}
-	if len(p.free) == 0 {
-		chunk := make([]T, PoolChunk)
-		if cap(p.free) < PoolChunk {
-			p.free = make([]*T, 0, 2*PoolChunk)
-		}
-		for i := range chunk {
-			p.free = append(p.free, &chunk[i])
-		}
-	}
-	n := len(p.free) - 1
-	x := p.free[n]
-	p.free = p.free[:n]
 	p.out++
+	if n := len(p.free) - 1; n >= 0 {
+		x := p.free[n]
+		p.free = p.free[:n]
+		return x
+	}
+	if len(p.fresh) == 0 {
+		p.fresh = make([]T, min(max(PoolChunk, p.made/poolGrowth), PoolCap))
+		p.made += len(p.fresh)
+	}
+	x := &p.fresh[0]
+	p.fresh = p.fresh[1:]
 	return x
 }
 
@@ -56,6 +66,10 @@ func (p *Pool[T]) Put(x *T) {
 	var zero T
 	*x = zero
 	p.out--
+	if p.free == nil {
+		// Room for two chunks' worth of returns in one allocation.
+		p.free = make([]*T, 0, 2*PoolChunk)
+	}
 	if len(p.free) < PoolCap {
 		p.free = append(p.free, x)
 	}

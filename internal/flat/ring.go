@@ -21,9 +21,6 @@ func RingOver[T any](buf []T) Ring[T] { return Ring[T]{buf: buf} }
 // Len returns the number of entries.
 func (q *Ring[T]) Len() int { return q.n }
 
-// Cap returns the length of the backing array.
-func (q *Ring[T]) Cap() int { return len(q.buf) }
-
 // Push appends v.
 func (q *Ring[T]) Push(v T) {
 	if q.n == len(q.buf) {

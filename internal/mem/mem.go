@@ -13,6 +13,7 @@ package mem
 import (
 	"fmt"
 
+	"snacknoc/internal/flat"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
 )
@@ -89,14 +90,26 @@ type ControllerState struct {
 
 // New creates a controller bound to the engine's clock.
 func New(eng *sim.Engine, cfg Config) (*Controller, error) {
+	cs, err := NewSlab(eng, cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &cs[0], nil
+}
+
+// NewSlab creates n controllers of one configuration as one value slab,
+// their banks full-capacity windows of one bank slab, so a system's
+// memory nodes cost two allocations rather than two each.
+func NewSlab(eng *sim.Engine, cfg Config, n int) ([]Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Controller{
-		cfg:             cfg,
-		eng:             eng,
-		ControllerState: ControllerState{banks: make([]bank, cfg.Ranks*cfg.BanksPerRank)},
-	}, nil
+	nb := cfg.Ranks * cfg.BanksPerRank
+	banks, cs := make([]bank, n*nb), make([]Controller, n)
+	for i := range cs {
+		cs[i] = Controller{cfg: cfg, eng: eng, ControllerState: ControllerState{banks: flat.Carve(&banks, nb)}}
+	}
+	return cs, nil
 }
 
 // bankOf maps an address to its bank with row-granularity interleaving:

@@ -37,6 +37,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestSlabControllersAreIndependent: NewSlab's controllers share one
+// bank slab and one validated config but no state. Traffic on one
+// leaves its neighbour a fresh controller, and restoring a checkpoint
+// into a window stays inside it.
+func TestSlabControllersAreIndependent(t *testing.T) {
+	eng := sim.NewEngine()
+	if _, err := NewSlab(eng, Config{}, 3); err == nil {
+		t.Fatal("NewSlab accepted an invalid config")
+	}
+	cs, err := NewSlab(eng, DefaultConfig(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fresh := newCtrl(t)
+	var saved ControllerState
+	saved.CopyFrom(&cs[1].ControllerState)
+	for k := range 64 {
+		cs[1].Access(uint64(k)*2048, k%2 == 0)
+	}
+	cs[1].CopyFrom(&saved)
+	cs[1].Access(4096, false)
+	for _, i := range []int{0, 2} {
+		if c := &cs[i]; len(c.banks) != cap(c.banks) || fmt.Sprint(c.ControllerState) != fmt.Sprint(fresh.ControllerState) {
+			t.Errorf("controller %d changed with its neighbour's traffic: %+v", i, c.ControllerState)
+		}
+	}
+}
+
 func TestReadCompletes(t *testing.T) {
 	eng, c := newCtrl(t)
 	var got completions

@@ -5,7 +5,7 @@ import "fmt"
 // QueueLen returns the number of packets queued or mid-injection at the
 // NI for the given vnet; test injectors throttle themselves on it.
 func (ni *NI) QueueLen(vnet int) int {
-	n := ni.waiting[vnet].Len()
+	n := ni.waiting[vnet].count()
 	for _, t := range ni.active {
 		if int(t.vnet) == vnet {
 			n++
@@ -15,6 +15,15 @@ func (ni *NI) QueueLen(vnet int) int {
 		if r.pkt.VNet == vnet {
 			n++
 		}
+	}
+	return n
+}
+
+// count walks the chain and returns its length.
+func (q *chain) count() int {
+	n := 0
+	for e := q.head; e != nil; e = e.next {
+		n++
 	}
 	return n
 }
@@ -38,7 +47,7 @@ func (n *Network) CheckDrained() error {
 		ni := &n.nis[i]
 		waiting := 0
 		for v := range ni.waiting {
-			waiting += ni.waiting[v].Len()
+			waiting += ni.waiting[v].count()
 		}
 		if len(ni.incoming) != 0 || waiting != 0 || ni.waitingCount != 0 || len(ni.active) != 0 {
 			return fmt.Errorf("noc: %s holds %d incoming, %d waiting (count %d) and %d active packets at drain",
@@ -85,8 +94,8 @@ func (n *Network) Payloads() []any {
 			add(r.pkt.Payload)
 		}
 		for v := range ni.waiting {
-			for j := range ni.waiting[v].Len() {
-				add(ni.waiting[v].At(j).Payload)
+			for e := ni.waiting[v].head; e != nil; e = e.next {
+				add(e.Payload)
 			}
 		}
 		for _, t := range ni.active {

@@ -90,14 +90,48 @@ func (f *Flit) String() string {
 // minted.
 type flitPool struct {
 	flits flat.Pool[Flit]
-	pkts  flat.Pool[Packet]
+	pkts  flat.Pool[envelope]
 }
 
-// envelope returns a pooled copy of p, its payload through clone (nil
-// shares it).
-func (p *flitPool) envelope(src *Packet, clone func(any) any) *Packet {
+// envelope is a pooled packet held by its source NI from Inject until its
+// tail flit is minted. While it waits for a VC, next links it into its
+// vnet's waiting chain, so a source queue of any length is its envelopes
+// and nothing else.
+type envelope struct {
+	Packet
+	next *envelope
+}
+
+// wrap returns a pooled copy of p, its payload through clone (nil shares
+// it).
+func (p *flitPool) wrap(src *Packet, clone func(any) any) *envelope {
 	e := p.pkts.Get()
-	*e = clonePacket(src, clone)
+	e.Packet = clonePacket(src, clone)
+	return e
+}
+
+// chain is a FIFO of envelopes linked through next: one vnet's waiting
+// queue at an NI.
+type chain struct{ head, tail *envelope }
+
+// push appends e.
+func (q *chain) push(e *envelope) {
+	if q.tail == nil {
+		q.head = e
+	} else {
+		q.tail.next = e
+	}
+	q.tail = e
+}
+
+// pop unlinks and returns the oldest envelope; the chain must not be
+// empty.
+func (q *chain) pop() *envelope {
+	e := q.head
+	q.head, e.next = e.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
 	return e
 }
 

@@ -39,13 +39,12 @@ type Network struct {
 	vcs     []inputVC // per router: port-major, then vnet, then vc
 	bufSlab []*Flit   // the VCs' ring buffers, in vcs order
 	reasm   []*Flit   // the NIs' reassembly slots
-	waiting []flat.Ring[*Packet]
-	staged  []credit // routers' staged-credit lists at their bound
-	// The NIs' injection queues start as windows of these (seedIncoming
-	// requests per NI, seedWaiting packets and one transmission per NI per
-	// vnet), so a lightly loaded NI never grows one.
+	waiting []chain   // the NIs' per-vnet waiting chains
+	staged  []credit  // routers' staged-credit lists at their bound
+	// The NIs' incoming and active lists start as windows of these
+	// (seedIncoming requests per NI, one transmission per NI per vnet), so
+	// a lightly loaded NI never grows one.
 	reqSeed []injectReq
-	pktSeed []*Packet
 	txnSeed []txn
 
 	// tables is read-only after New: the per-vnet geometry every router
@@ -72,10 +71,10 @@ var built atomic.Int64
 // caller can pin how many builds a sweep costs.
 func Built() int64 { return built.Load() }
 
-// seedIncoming and seedWaiting are the carved capacities of an NI's
-// incoming list and of each of its per-vnet waiting queues; its active
-// list gets one transmission per vnet, and never fewer than seedActive.
-const seedIncoming, seedWaiting, seedActive = 2, 4, 2
+// seedIncoming is the carved capacity of an NI's incoming list; its
+// active list gets one transmission per vnet, and never fewer than
+// seedActive.
+const seedIncoming, seedActive = 2, 2
 
 // bufHistBuckets is the resolution of the Fig 3 occupancy histogram.
 const bufHistBuckets = 20
@@ -164,10 +163,9 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	n.vcs = make([]inputVC, p.nVCs)
 	n.bufSlab = make([]*Flit, p.nOut*p.portSlots+nodes*p.snackSlots)
 	n.reasm = make([]*Flit, nodes*p.portVCs)
-	n.waiting = make([]flat.Ring[*Packet], nodes*p.nv)
+	n.waiting = make([]chain, nodes*p.nv)
 	n.staged = make([]credit, 2*p.nIn)
 	n.reqSeed = make([]injectReq, nodes*seedIncoming)
-	n.pktSeed = make([]*Packet, nodes*p.nv*seedWaiting)
 	n.txnSeed = make([]txn, nodes*max(p.nv, seedActive))
 	n.tables = make([]int32, 3*p.nv+p.nBuckets+p.nIn*p.nv)
 	n.credits = make([]int32, (p.nOut+nodes)*(p.portVCs+p.nv)+2*nodes*p.snackVCs)
@@ -198,7 +196,7 @@ func (n *Network) layOut(p *slabPlan) {
 	cfg := n.cfg
 	inPorts, outPorts, vcs, bufSlab := n.inPorts, n.outPorts, n.vcs, n.bufSlab
 	reasm, waiting, staged := n.reasm, n.waiting, n.staged
-	reqSeed, pktSeed, txnSeed := n.reqSeed, n.pktSeed, n.txnSeed
+	reqSeed, txnSeed := n.reqSeed, n.txnSeed
 	tables, credits, counts, work := n.tables, n.credits, n.counts, n.work
 
 	vnetOff, depthOf, nvcOf := flat.Carve(&tables, p.nv), flat.Carve(&tables, p.nv), flat.Carve(&tables, p.nv)
@@ -312,9 +310,6 @@ func (n *Network) layOut(p *slabPlan) {
 			latSum: flat.Carve(&counts, p.nv), latCount: flat.Carve(&counts, p.nv),
 			incoming: flat.Carve(&reqSeed, seedIncoming)[:0], active: flat.Carve(&txnSeed, max(p.nv, seedActive))[:0],
 		}
-		for v := range ni.waiting {
-			ni.waiting[v] = flat.RingOver(flat.Carve(&pktSeed, seedWaiting))
-		}
 		for j := range r.outList {
 			op := &r.outList[j]
 			if op.ejection {
@@ -357,7 +352,7 @@ func (n *Network) layOut(p *slabPlan) {
 		in.credit.base = -vnetOff[cfg.SnackVNet]
 	}
 	if len(inPorts)+len(outPorts)+len(vcs)+len(bufSlab)+len(reasm)+len(waiting)+len(staged)+
-		len(reqSeed)+len(pktSeed)+len(txnSeed)+
+		len(reqSeed)+len(txnSeed)+
 		len(tables)+len(credits)+len(counts)+len(work) != 0 {
 		panic("noc: slab layout does not match its carve")
 	}
@@ -402,7 +397,7 @@ func (n *Network) Inject(p *Packet, cycle int64) {
 	ni := &n.nis[p.Src]
 	p.ID = ni.nextPktID()
 	p.InjectCycle = cycle
-	ni.inject(ni.pool.envelope(p, nil), cycle)
+	ni.inject(ni.pool.wrap(p, nil), cycle)
 }
 
 // InjectMsg is Inject for callers that have no use for the stamped

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"snacknoc/internal/attrib"
-	"snacknoc/internal/flat"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/stats"
 	"snacknoc/internal/trace"
@@ -26,7 +25,7 @@ type Client interface {
 // have been minted and sent (flit next is minted the cycle it leaves) and
 // the router input VC it holds.
 type txn struct {
-	pkt      *Packet
+	pkt      *envelope
 	next, n  int32
 	vnet, vc int32
 }
@@ -35,7 +34,7 @@ type txn struct {
 // visible to the NI on the cycle after it was issued, keeping client/NI
 // ordering deterministic.
 type injectReq struct {
-	pkt   *Packet
+	pkt   *envelope
 	stamp int64
 }
 
@@ -64,12 +63,12 @@ type NI struct {
 	credits []int32
 	vcRR    []int32
 
-	// incoming, each waiting queue and active start as windows of the
-	// Network's queue slabs and grow past them by plain append; every
-	// packet in them is an envelope from pool.
+	// incoming and active start as windows of the Network's queue slabs
+	// and grow past them by plain append; waiting is a window of its chain
+	// heads. Every packet in them is an envelope from pool.
 	incoming []injectReq
-	waiting  []flat.Ring[*Packet] // per-vnet FIFO of packets awaiting a VC
-	active   []txn                // in VC-grant order
+	waiting  []chain // per-vnet FIFO of packets awaiting a VC
+	active   []txn   // in VC-grant order
 	staged   *Flit
 
 	client Client
@@ -138,7 +137,7 @@ func (ni *NI) AttachClient(c Client) { ni.client = c }
 // by the Network, for injection. The queue is unbounded (clients model
 // their own back-pressure); the packet enters NI processing on the
 // following cycle.
-func (ni *NI) inject(p *Packet, cycle int64) {
+func (ni *NI) inject(p *envelope, cycle int64) {
 	ni.incoming = append(ni.incoming, injectReq{pkt: p, stamp: cycle})
 	if ni.tr != nil {
 		rec := ni.pktRecord(trace.KindInject, cycle, cycle, p.ID, p.VNet)
@@ -200,7 +199,7 @@ func (ni *NI) Evaluate(cycle int64) {
 	keep := ni.incoming[:0]
 	for _, req := range ni.incoming {
 		if req.stamp < cycle {
-			ni.waiting[req.pkt.VNet].Push(req.pkt)
+			ni.waiting[req.pkt.VNet].push(req.pkt)
 			ni.waitingCount++
 			ni.injected.Inc()
 		} else {
@@ -216,7 +215,7 @@ func (ni *NI) Evaluate(cycle int64) {
 	// VC on the router's local input port. The count check skips the
 	// per-vnet scan entirely when nothing waits.
 	for v := 0; ni.waitingCount > 0 && v < len(ni.waiting); v++ {
-		if ni.waiting[v].Len() == 0 {
+		if ni.waiting[v].head == nil {
 			continue
 		}
 		nvc, off := ni.nvcOf[v], ni.vnetOff[v]
@@ -225,7 +224,7 @@ func (ni *NI) Evaluate(cycle int64) {
 			if ni.vcBusy&(1<<uint(off+c)) != 0 {
 				continue
 			}
-			p := ni.waiting[v].Pop()
+			p := ni.waiting[v].pop()
 			ni.waitingCount--
 			ni.vcBusy |= 1 << uint(off+c)
 			ni.vcRR[v] = c + 1
@@ -248,7 +247,7 @@ func (ni *NI) Evaluate(cycle int64) {
 			if ni.credits[slot] <= 0 {
 				continue
 			}
-			f := mintFlit(t.pkt, t.next, t.n, int8(t.vc), ni.pool)
+			f := mintFlit(&t.pkt.Packet, t.next, t.n, int8(t.vc), ni.pool)
 			t.next++
 			ni.credits[slot]--
 			ni.staged = f

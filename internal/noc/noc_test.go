@@ -546,8 +546,9 @@ func TestFreeOutputVCsIdleNetwork(t *testing.T) {
 
 // TestHotRecordSizes pins the layout of the records a network allocates
 // by the hundred thousand: a flit is one cache line, an input VC half
-// of one, a packet envelope one. A new field in any of them is a
-// conscious choice, made here.
+// of one, a packet one, and its pooled envelope the packet and the
+// waiting chain's link. A new field in any of them is a conscious
+// choice, made here.
 func TestHotRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(Flit{}); n > 64 {
 		t.Errorf("Flit is %d bytes, want at most 64", n)
@@ -557,5 +558,8 @@ func TestHotRecordSizes(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(Packet{}); n != 64 {
 		t.Errorf("Packet is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(envelope{}); n != 72 {
+		t.Errorf("envelope is %d bytes, want 72", n)
 	}
 }

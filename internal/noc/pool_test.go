@@ -2,7 +2,9 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -120,6 +122,46 @@ func TestInjectRoundTripAllocatesNothing(t *testing.T) {
 	if err := net.CheckDrained(); err != nil || got != 22*24 {
 		t.Fatalf("measured bursts: %d of %d delivered, %v", got, 22*24, err)
 	}
+}
+
+// TestSaturatedSourceQueueAllocatesLogarithmically: N packets queued at
+// one NI of a fresh network, with nothing drained, wait as a chain
+// through their pooled envelopes, and the pool grows in proportion to
+// what it has made, so queueing them costs O(log N) objects.
+func TestSaturatedSourceQueueAllocatesLogarithmically(t *testing.T) {
+	for _, n := range []int{100, 1000, 10_000, 40_000} {
+		eng := sim.NewEngine()
+		net, err := New(eng, DAPPER(4, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := mallocs(func() {
+			for range n {
+				net.InjectMsg(0, 15, VNetReq, DataBytes, nil, eng.Cycle())
+			}
+			eng.Run(2) // the packets leave incoming for the waiting chain
+		})
+		if ni := net.NI(0); ni.waitingCount < n-len(DAPPER(4, 4).VNets) {
+			t.Fatalf("%d packets: only %d wait at the NI", n, ni.waitingCount)
+		}
+		if bound := 8 * uint64(math.Ceil(math.Log2(float64(n)))); allocs > bound {
+			t.Errorf("queueing %d packets allocated %d objects, want at most %d", n, allocs, bound)
+		}
+		t.Logf("%d packets: %d objects", n, allocs)
+	}
+}
+
+// mallocs returns how many heap objects one call of f allocates, read
+// on one P as testing.AllocsPerRun reads them, but without a warm-up
+// run: the first call is the one that matters on a fresh network.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	f()
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs - before
 }
 
 // injectEach is a component whose Evaluate is a function of the cycle.

@@ -181,18 +181,19 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 		s.nis[i] = ni.niScalars
 		s.lens = append(s.lens, int32(len(ni.incoming)), int32(len(ni.active)))
 		for _, req := range ni.incoming {
-			s.reqs = append(s.reqs, reqState{pkt: clonePacket(req.pkt, clone), stamp: req.stamp})
+			s.reqs = append(s.reqs, reqState{pkt: clonePacket(&req.pkt.Packet, clone), stamp: req.stamp})
 		}
 		for v := range ni.waiting {
-			w := &ni.waiting[v]
-			s.lens = append(s.lens, int32(w.Len()))
-			for j := range w.Len() {
-				s.reqs = append(s.reqs, reqState{pkt: clonePacket(w.At(j), clone)})
+			at := len(s.lens)
+			s.lens = append(s.lens, 0)
+			for e := ni.waiting[v].head; e != nil; e = e.next {
+				s.reqs = append(s.reqs, reqState{pkt: clonePacket(&e.Packet, clone)})
+				s.lens[at]++
 			}
 		}
 		for _, t := range ni.active {
 			s.txns = append(s.txns, txnState{
-				pkt: clonePacket(t.pkt, clone), next: t.next, n: t.n, vnet: t.vnet, vc: t.vc,
+				pkt: clonePacket(&t.pkt.Packet, clone), next: t.next, n: t.n, vnet: t.vnet, vc: t.vc,
 			})
 		}
 	}
@@ -256,17 +257,17 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 		}
 		ni.incoming = ni.incoming[:0]
 		for j := range reqs[:nIncoming] {
-			ni.incoming = append(ni.incoming, injectReq{pkt: ni.pool.envelope(&reqs[j].pkt, clone), stamp: reqs[j].stamp})
+			ni.incoming = append(ni.incoming, injectReq{pkt: ni.pool.wrap(&reqs[j].pkt, clone), stamp: reqs[j].stamp})
 		}
 		reqs = reqs[nIncoming:]
 		for v := range ni.waiting {
 			w := &ni.waiting[v]
-			for w.Len() > 0 {
-				ni.pool.pkts.Put(w.Pop())
+			for w.head != nil {
+				ni.pool.pkts.Put(w.pop())
 			}
 			k := next()
 			for j := range reqs[:k] {
-				w.Push(ni.pool.envelope(&reqs[j].pkt, clone))
+				w.push(ni.pool.wrap(&reqs[j].pkt, clone))
 			}
 			reqs = reqs[k:]
 		}
@@ -277,7 +278,7 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 		for j := range txns[:nActive] {
 			ts := &txns[j]
 			ni.active = append(ni.active, txn{
-				pkt: ni.pool.envelope(&ts.pkt, clone), next: ts.next, n: ts.n, vnet: ts.vnet, vc: ts.vc,
+				pkt: ni.pool.wrap(&ts.pkt, clone), next: ts.next, n: ts.n, vnet: ts.vnet, vc: ts.vc,
 			})
 		}
 		txns = txns[nActive:]

@@ -182,7 +182,7 @@ func (e *Engine) Register(c Component) *Handle {
 		panic("sim: Register called with nil component")
 	}
 	if len(e.slab) == 0 {
-		e.Reserve(registerChunk)
+		e.Reserve(max(registerChunk, len(e.comps)/8))
 	}
 	st := &e.slab[0]
 	e.slab = e.slab[1:]
@@ -196,8 +196,11 @@ func (e *Engine) Register(c Component) *Handle {
 	return st
 }
 
-// registerChunk is how many handles an unreserved Register allocates at
-// once.
+// registerChunk is the fewest handles an unreserved Register allocates at
+// once; past 8·registerChunk components it reserves an eighth of those
+// registered, so growth is geometric, as a flat.Pool's is. (Reserving as
+// many again as are registered costs a mesh engine 128 spare handles for
+// the one injector registered after the network.)
 const registerChunk = 8
 
 // Reserve makes room for n more Register calls in two allocations: the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -351,6 +352,31 @@ func TestSetQuiescenceOffEvaluatesEveryCycle(t *testing.T) {
 	}
 	if got := int64(len(s.evals)) + s.idle; got != 6 {
 		t.Fatalf("evaluated+idle = %d cycles, want 6", got)
+	}
+}
+
+// TestUnreservedRegisterGrowsGeometrically: Register past every
+// reservation reserves an eighth of the registered components, never
+// fewer than registerChunk, so n unreserved registrations cost two
+// slabs per growth step and O(log n) steps, not two per eight.
+func TestUnreservedRegisterGrowsGeometrically(t *testing.T) {
+	const n = 4000
+	comps := make([]*sleeper, n)
+	for i := range comps {
+		comps[i] = &sleeper{}
+	}
+	base := testing.AllocsPerRun(5, func() { NewEngine() })
+	got := testing.AllocsPerRun(5, func() {
+		e := NewEngine()
+		for _, c := range comps {
+			e.Register(c)
+		}
+	})
+	// Eight chunks reach 8·registerChunk; from there each step adds an
+	// eighth, rounded down, so allow two steps for the rounding.
+	steps := 10 + math.Ceil(math.Log(n/(8*registerChunk))/math.Log(9.0/8))
+	if got-base > 2*steps {
+		t.Fatalf("%d unreserved Register calls allocated %.0f objects, want at most %.0f", n, got-base, 2*steps)
 	}
 }
 

@@ -355,12 +355,16 @@ echo "attribution smoke: byte-identical"
 # misses of the traced run count the platform builds: at most 16 (16
 # when this was written, 64 with one pool shape per cell).
 #
-# mesh_saturation: the NI holds packets in pooled envelopes refilled a
-# chunk at a time and mints a flit the cycle it leaves, so one pass of
-# the load-latency curve — ~23k packets backed up in the source queues at
-# the saturated point — stays under 3000 allocations (1.7k when this was
-# written; 26.7k with one heap object per queued packet). The grep below
-# keeps the per-packet forms from coming back.
+# mesh_saturation: the NI holds packets in pooled envelopes, a packet
+# waiting for a VC is a link in its vnet's envelope chain (no queue
+# array), a pool with nothing left allocates an eighth of what it has
+# made (never fewer than 32), and a flit is minted the cycle it leaves,
+# so one pass of the load-latency curve — ~22k packets backed up in the
+# source queues at the saturated point, 47 envelope chunks — stays under
+# 375 allocations and 3.5 MB (287 and 2.69 MB when this was written; 1.45k
+# and 2.92 MB with fixed 32-envelope chunks and per-vnet rings, 26.7k
+# with one heap object per queued packet). The grep below keeps the
+# per-packet forms from coming back.
 #
 # cmp_sparse_traffic, corun_interference: every cache and DRAM event is a
 # typed call on a controller (an L1 miss parks a waiter record, a DRAM
@@ -414,12 +418,12 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 12800, dse_fork_sweep <= 3900, cmp_sparse_traffic <= 7300, corun_interference <= 1280, mesh_saturation <= 3000; alloc_mb_per_pass: kernels_zero_load <= 16, dse_fork_sweep <= 15, mesh_saturation <= 3.8, cmp_sparse_traffic <= 9.8, corun_interference <= 5.3; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 12800, dse_fork_sweep <= 3900, cmp_sparse_traffic <= 7300, corun_interference <= 1265, mesh_saturation <= 375; alloc_mb_per_pass: kernels_zero_load <= 16, dse_fork_sweep <= 15, mesh_saturation <= 3.5, cmp_sparse_traffic <= 9.8, corun_interference <= 5.3; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
 if grep -n '\.Schedule(\|\.ScheduleAfter(' $(ls internal/cache/*.go internal/mem/*.go | grep -v _test.go); then
     echo "ERROR: internal/cache and internal/mem file typed events (ScheduleCall), not closures" >&2
     exit 1
 fi
-if grep -n '&Packet{\|&txn{\|flitize(' $(ls internal/noc/*.go | grep -v _test.go); then
+if grep -n '&Packet{\|&envelope{\|&txn{\|flitize(' $(ls internal/noc/*.go | grep -v _test.go); then
     echo "ERROR: internal/noc holds packets in pooled envelopes and value txns and mints flits at send" >&2
     exit 1
 fi
@@ -446,7 +450,7 @@ if grep -n '\*attrib\.Counters\|CountersState\|\.at != nil' $attrib_src ||
 fi
 bench_bound kernels_zero_load 0 allocs_per_pass 12800
 bench_bound dse_fork_sweep 0 allocs_per_pass 3900
-bench_bound mesh_saturation 0 allocs_per_pass 3000
+bench_bound mesh_saturation 0 allocs_per_pass 375
 # The CMP legs' controllers, tag stores, waiters, pending requests,
 # directory, slot arrays and sampled series live in a few system- and
 # network-wide slabs, and the engine's events in one event slab: a
@@ -454,10 +458,10 @@ bench_bound mesh_saturation 0 allocs_per_pass 3000
 # thousands of objects, and a slab that trades the count for bytes trips
 # the MB bounds.
 bench_bound cmp_sparse_traffic 0 allocs_per_pass 7300
-bench_bound corun_interference 0 allocs_per_pass 1280
+bench_bound corun_interference 0 allocs_per_pass 1265
 bench_bound kernels_zero_load 0 alloc_mb_per_pass 16
 bench_bound dse_fork_sweep 0 alloc_mb_per_pass 15
-bench_bound mesh_saturation 0 alloc_mb_per_pass 3.8
+bench_bound mesh_saturation 0 alloc_mb_per_pass 3.5
 bench_bound cmp_sparse_traffic 0 alloc_mb_per_pass 9.8
 bench_bound corun_interference 0 alloc_mb_per_pass 5.3
 bench_bound cmp_sparse_traffic 1 sim.evals_per_cycle 8.5

@@ -171,6 +171,9 @@ func (p *Platform) Execute(ctx *Context) (*Stats, error) {
 // first (ties in submission order) — the lock-acquisition policy of
 // §IV-C.
 func (p *Platform) ExecuteAll(ctxs ...*Context) ([]*Stats, error) {
+	if i := slices.Index(ctxs, nil); i >= 0 {
+		return nil, fmt.Errorf("snacknoc: context %d is nil", i)
+	}
 	order := make([]int, len(ctxs))
 	for i := range order {
 		order[i] = i
@@ -222,12 +225,16 @@ func (p *Platform) execute(ctxs []*Context) ([]*Stats, error) {
 	jobs := make([]*job, len(ctxs))
 	for i, ctx := range ctxs {
 		switch k := slices.Index(ctxs, ctx); {
+		case ctx == nil:
+			return nil, fmt.Errorf("snacknoc: context %d is nil", i)
 		case ctx.platform != p:
 			return nil, fmt.Errorf("snacknoc: context %d belongs to a different platform", i)
 		case len(ctx.requests) == 0:
 			return nil, fmt.Errorf("snacknoc: context %d has no GetValue requests", i)
 		case k < i:
 			return nil, fmt.Errorf("snacknoc: context %d repeats context %d", i, k)
+		case ctx.err != nil:
+			return nil, fmt.Errorf("snacknoc: context %d: %w", i, ctx.err)
 		}
 		cc := compiler.DefaultConfig(p.RCUs())
 		lo, hi := rcuSlice(p.RCUs(), len(ctxs), i)

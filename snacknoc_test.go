@@ -227,6 +227,81 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsNilContext: a nil context is an error from every
+// execute entry point, alone or among valid contexts, not a nil
+// dereference.
+func TestExecuteRejectsNilContext(t *testing.T) {
+	p, err := snacknoc.NewDecentralizedPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := p.NewContext()
+	x, _ := ctx.Input([]float64{1, 2}, 1, 2)
+	r, _ := ctx.Reduce(x)
+	out := make([]float64, 1)
+	if err := ctx.GetValue(r, out); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Execute(nil); err == nil {
+		t.Error("Execute(nil) accepted")
+	}
+	for _, ctxs := range [][]*snacknoc.Context{{nil}, {ctx, nil}} {
+		if _, err := p.ExecuteAll(ctxs...); err == nil {
+			t.Errorf("ExecuteAll of %d contexts with a nil accepted", len(ctxs))
+		}
+		if _, err := p.ExecuteConcurrent(ctxs...); err == nil {
+			t.Errorf("ExecuteConcurrent of %d contexts with a nil accepted", len(ctxs))
+		}
+	}
+	// The refused calls left the valid context's request in place.
+	if _, err := p.Execute(ctx); err != nil || out[0] != 3 {
+		t.Fatalf("Execute after the refusals: %v, sum %v, want 3", err, out[0])
+	}
+}
+
+// TestNonFiniteInputsRejected: NaN and ±Inf have no Q16.16 value, so
+// Input, SpMV's values and Scalar refuse them (Scalar at execute, as it
+// returns no error). A finite value out of range still saturates, as
+// the datapath does.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	p, _ := snacknoc.NewPlatform()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ctx := p.NewContext()
+		if _, err := ctx.Input([]float64{bad, 1}, 1, 2); err == nil {
+			t.Errorf("Input of %v accepted", bad)
+		}
+		x, _ := ctx.Input([]float64{1, 1}, 2, 1)
+		a := snacknoc.CSR{Rows: 1, Cols: 2, RowPtr: []int{0, 2}, ColIdx: []int{0, 1}, Val: []float64{1, bad}}
+		if _, err := ctx.SpMV(a, x); err == nil {
+			t.Errorf("SpMV with a %v value accepted", bad)
+		}
+		s, y := ctx.Scalar(bad), ctx.Scalar(2)
+		prod, _ := ctx.Scale(s, y)
+		if err := ctx.GetValue(prod, make([]float64, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Execute(ctx); err == nil {
+			t.Errorf("Execute of a context with Scalar(%v) accepted", bad)
+		}
+	}
+	ctx := p.NewContext()
+	x, err := ctx.Input([]float64{1e12, -1}, 1, 2)
+	if err != nil {
+		t.Fatalf("a finite out-of-range input: %v", err)
+	}
+	r, _ := ctx.Reduce(x)
+	out := make([]float64, 1)
+	if err := ctx.GetValue(r, out); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Execute(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if want := 32767.0 + 65535.0/65536 - 1; out[0] != want {
+		t.Fatalf("Reduce{1e12, -1} = %v, want the saturated maximum less one, %v", out[0], want)
+	}
+}
+
 func TestPlatformOptions(t *testing.T) {
 	p, err := snacknoc.NewPlatform(
 		snacknoc.WithMesh(4, 8),
