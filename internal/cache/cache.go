@@ -13,7 +13,11 @@
 // links and crossbars as the gem5 Ruby protocol the paper used.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // BlockBytes is the cache line size used throughout the platform.
 const BlockBytes = 64
@@ -59,42 +63,70 @@ type Cache struct {
 }
 
 // tags is a tag store's mutable state; a checkpoint copies it with
-// copyFrom.
+// copyFrom. A set holds no lines until its first fill: dir maps each
+// filled set to its group of ways lines, so a run's bytes follow the sets
+// it touches, not the sets the geometry has.
 type tags struct {
-	lines []line // sets*ways
-	tick  int64  // LRU clock
+	dir   []uint16 // per set: 0 before its first fill, else 1 + its group
+	lines []line   // the filled sets' groups, in first-fill order
+	tick  int64    // LRU clock
 
 	hits, misses int64
 }
 
 // geometry returns the number of sets of a tag store of the given total
 // size and associativity with 64 B blocks, or an error when the size
-// does not divide evenly into sets.
+// does not divide evenly into sets or has more sets than the set
+// directory can index.
 func geometry(sizeBytes, ways int) (int, error) {
 	blocks := sizeBytes / BlockBytes
 	if blocks <= 0 || ways <= 0 || blocks%ways != 0 {
 		return 0, fmt.Errorf("bad geometry size=%d ways=%d", sizeBytes, ways)
 	}
-	return blocks / ways, nil
+	sets := blocks / ways
+	if sets > math.MaxUint16 {
+		return 0, fmt.Errorf("bad geometry size=%d ways=%d: %d sets exceed the set directory's %d",
+			sizeBytes, ways, sets, math.MaxUint16)
+	}
+	return sets, nil
 }
 
-// newCache returns a tag store of the given geometry over lines, a
-// window of sets*ways lines carved from its system's line slab.
-func newCache(sets, ways int, lines []line) Cache {
-	return Cache{sets: sets, ways: ways, tags: tags{lines: lines}}
+// newCache returns a tag store of the given geometry over dir, a window
+// of sets zero entries, and lines, a window whose capacity is the groups
+// it holds before it grows.
+func newCache(sets, ways int, dir []uint16, lines []line) Cache {
+	return Cache{sets: sets, ways: ways, tags: tags{dir: dir, lines: lines[:0]}}
 }
 
 func (c *Cache) setOf(block uint64) int { return int(block % uint64(c.sets)) }
 
 func (c *Cache) find(block uint64) *line {
-	set := c.setOf(block)
-	for i := 0; i < c.ways; i++ {
-		l := &c.lines[set*c.ways+i]
-		if l.valid() && l.tag == block {
-			return l
+	g := int(c.dir[c.setOf(block)])
+	if g == 0 {
+		return nil
+	}
+	set := c.lines[(g-1)*c.ways : g*c.ways]
+	for i := range set {
+		if set[i].valid() && set[i].tag == block {
+			return &set[i]
 		}
 	}
 	return nil
+}
+
+// group returns set's ways, giving the set a zeroed group on its first
+// fill. The group is cleared because a restore can leave stale lines
+// beyond len(lines).
+func (c *Cache) group(set int) []line {
+	g := int(c.dir[set])
+	if g == 0 {
+		n := len(c.lines)
+		c.lines = slices.Grow(c.lines, c.ways)[:n+c.ways]
+		clear(c.lines[n:])
+		g = n/c.ways + 1
+		c.dir[set] = uint16(g)
+	}
+	return c.lines[(g-1)*c.ways : g*c.ways]
 }
 
 // Lookup probes for a block. On a hit it refreshes LRU state and, when
@@ -136,10 +168,10 @@ func (c *Cache) Fill(block uint64, writable, dirty bool) (Victim, bool) {
 		l.touch(c.tick, flags)
 		return Victim{}, false
 	}
-	set := c.setOf(block)
+	set := c.group(c.setOf(block))
 	var lru *line
-	for i := 0; i < c.ways; i++ {
-		l := &c.lines[set*c.ways+i]
+	for i := range set {
+		l := &set[i]
 		if !l.valid() {
 			lru = l
 			break

@@ -15,16 +15,25 @@ func TestCacheGeometry(t *testing.T) {
 	}
 }
 
-// TestCacheBadGeometryIsAnError: a size that does not divide into sets
-// is an error, not a panic, for the bare geometry and for an L1 or an L2
-// bank of a system.
+// TestCacheBadGeometryIsAnError: a size that does not divide into sets,
+// or that has more sets than the set directory's 16-bit entries index,
+// is an error, not a panic or a wrapped index, for the bare geometry and
+// for an L1 or an L2 bank of a system.
 func TestCacheBadGeometryIsAnError(t *testing.T) {
 	if _, err := geometry(100, 3); err == nil {
 		t.Fatal("bad geometry accepted")
 	}
+	if sets, err := geometry(65535*BlockBytes, 1); err != nil || sets != 65535 {
+		t.Fatalf("65535 sets: %d, %v; want the largest geometry the directory indexes", sets, err)
+	}
+	if _, err := geometry(65536*BlockBytes, 1); err == nil {
+		t.Fatal("65536 sets accepted")
+	}
 	for _, bad := range []func(*SystemConfig){
 		func(c *SystemConfig) { c.L1Bytes, c.L1Ways = 100, 3 },
 		func(c *SystemConfig) { c.L2BankBytes = 3 * BlockBytes },
+		func(c *SystemConfig) { c.L2BankBytes, c.L2Ways = 65536*BlockBytes, 1 },
+		func(c *SystemConfig) { c.L1Bytes, c.L1Ways = 2*65536*BlockBytes, 2 },
 	} {
 		cfg := DefaultSystemConfig()
 		bad(&cfg)

@@ -75,7 +75,7 @@ func NewCache(sizeBytes, ways int) *Cache {
 	if err != nil {
 		panic(err)
 	}
-	c := newCache(sets, ways, make([]line, sets*ways))
+	c := newCache(sets, ways, make([]uint16, sets), nil)
 	return &c
 }
 
@@ -84,6 +84,20 @@ func (c *Cache) Sets() int { return c.sets }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
+
+// FilledSets returns how many sets have been given lines by a fill.
+func (c *Cache) FilledSets() int {
+	n := 0
+	for _, g := range c.dir {
+		if g != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// HeldLines returns how many lines the tag store holds.
+func (c *Cache) HeldLines() int { return len(c.lines) }
 
 // HitRate returns hits/(hits+misses), 0 before any lookup.
 func (c *Cache) HitRate() float64 {

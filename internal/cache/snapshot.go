@@ -15,8 +15,10 @@ import (
 // with a plain copy of each slab and table. A waiter's done callback is
 // the caller's.
 
-// copyFrom makes t a copy of o, reusing t's storage.
+// copyFrom makes t a copy of o, reusing t's storage: the set directory
+// and the filled sets' groups only.
 func (t *tags) copyFrom(o *tags) {
+	t.dir = append(t.dir[:0], o.dir...)
 	t.lines = append(t.lines[:0], o.lines...)
 	t.tick, t.hits, t.misses = o.tick, o.hits, o.misses
 }

@@ -71,20 +71,23 @@ type System struct {
 // window is the high-water mark of a reproduction-size run (the Table III
 // benchmarks and the Fig 12 co-run at scale 0.1 on a 4×4 mesh): an L1's
 // MSHRs, queued and parked accesses (at most 8, 8 and 7), a memory
-// node's DRAM reads in flight (at most 40), and per node of the mesh the
-// home directory's entries (at most 6 084 over 16 nodes) and live home
-// transactions (at most 52). A table that outgrows its window
+// node's DRAM reads in flight (at most 40), an L2 bank's filled sets (at
+// most 53; a 4×4 bank can reach only 64, those of its home's blocks), and
+// per node of the mesh the home directory's entries (at most 6 084 over
+// 16 nodes) and live home transactions (at most 52). An L1 fills every
+// set, so its window holds them all. A table that outgrows its window
 // reallocates on its own.
 const (
 	seedMSHRs, seedWaits, seedParked = 8, 8, 8
 	seedReads                        = 48
+	seedL2Sets                       = 64
 	seedDir, seedTxns                = 384, 4
 )
 
 // NewSystem builds the hierarchy on an existing network, registered on
 // the engine the network was built on. The controllers are values in
-// one slab per kind, and every tag store's lines are a window of one
-// line slab.
+// one slab per kind, and every tag store's set directory and lines are
+// windows of one directory slab and one line slab.
 func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, error) {
 	nodes := net.Cfg().Nodes()
 	if nodes > maxNodes {
@@ -120,8 +123,8 @@ func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, er
 		}
 	}
 
-	l1Lines, l2Lines := l1Sets*cfg.L1Ways, l2Sets*cfg.L2Ways
-	lines := make([]line, nodes*(l1Lines+l2Lines))
+	l1Lines, l2Lines := l1Sets*cfg.L1Ways, min(l2Sets, seedL2Sets)*cfg.L2Ways
+	dirs, lines := make([]uint16, nodes*(l1Sets+l2Sets)), make([]line, nodes*(l1Lines+l2Lines))
 	mshrs, waits := make([]mshrEntry, nodes*seedMSHRs), make([]link[parkedAccess], nodes*seedWaits)
 	parked, reads := make([]parkedAccess, nodes*seedParked), make([]Msg, len(s.memNodes)*seedReads)
 	free := make([]int32, nodes*(seedParked+seedTxns)+len(s.memNodes)*seedReads)
@@ -130,7 +133,7 @@ func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, er
 	for i := range nodes {
 		l := &l1s[i]
 		*l = L1{sys: s, node: i, l1State: l1State{
-			cache:    newCache(l1Sets, cfg.L1Ways, flat.Carve(&lines, l1Lines)),
+			cache:    newCache(l1Sets, cfg.L1Ways, flat.Carve(&dirs, l1Sets), flat.Carve(&lines, l1Lines)),
 			mshrSlab: flat.Carve(&mshrs, seedMSHRs)[:0],
 			mshrFree: -1,
 			waits:    links[parkedAccess]{recs: flat.Carve(&waits, seedWaits)[:0]},
@@ -140,7 +143,7 @@ func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, er
 			l.mshrHead[k] = -1
 		}
 		l2s[i] = L2Bank{sys: s, node: noc.NodeID(i),
-			l2State: l2State{cache: newCache(l2Sets, cfg.L2Ways, flat.Carve(&lines, l2Lines))}}
+			l2State: l2State{cache: newCache(l2Sets, cfg.L2Ways, flat.Carve(&dirs, l2Sets), flat.Carve(&lines, l2Lines))}}
 		hubs[i] = Hub{L1: l, L2: &l2s[i]}
 		s.L1s[i], s.L2s[i], s.Hubs[i] = l, &l2s[i], &hubs[i]
 	}

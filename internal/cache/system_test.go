@@ -10,7 +10,7 @@ import (
 	"snacknoc/internal/sim"
 )
 
-func newSystem(t *testing.T) (*sim.Engine, *System) {
+func newSystem(t testing.TB) (*sim.Engine, *System) {
 	t.Helper()
 	eng := sim.NewEngine()
 	net, err := noc.New(eng, noc.BiNoCHS(4, 4))
@@ -25,7 +25,7 @@ func newSystem(t *testing.T) (*sim.Engine, *System) {
 }
 
 // access issues one access from a node and waits for completion.
-func access(t *testing.T, eng *sim.Engine, sys *System, node int, block uint64, write bool) int64 {
+func access(t testing.TB, eng *sim.Engine, sys *System, node int, block uint64, write bool) int64 {
 	t.Helper()
 	done := int64(-1)
 	sys.L1s[node].Access(block, write, func(cycle int64) { done = cycle })
@@ -448,5 +448,33 @@ func TestNewSystemBoundsTheMesh(t *testing.T) {
 		if h == 9 && (err == nil || !strings.Contains(err.Error(), "128")) {
 			t.Fatalf("16x9: err = %v, want the 128-node bound", err)
 		}
+	}
+}
+
+// TestNewSystemAllocatesForFilledSetsOnly: a 4×4 build zeroes lines for
+// every L1 set but only a seed window of each L2 bank's sets, so it
+// allocates well under the 1.18 MB that every way of every set would
+// take. Other goroutines can only add to the delta, so the least of
+// three builds is read.
+func TestNewSystemAllocatesForFilledSetsOnly(t *testing.T) {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		eng := sim.NewEngine()
+		net, err := noc.New(eng, noc.DAPPER(4, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewSystem(eng, net, DefaultSystemConfig()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	mb := float64(least) / 1e6
+	t.Logf("a 4x4 NewSystem allocated %.3f MB", mb)
+	if mb > 0.6 {
+		t.Errorf("a 4x4 NewSystem allocated %.2f MB, want at most 0.6", mb)
 	}
 }
