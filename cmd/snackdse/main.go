@@ -10,9 +10,9 @@
 //	snackdse -grid buf=1,2,4:chan=16,32:vc=2,4:rcu=16 -j 4
 //	snackdse -kernels SGEMM,MAC -dims smoke -out results/dse.txt
 //
-// The rendered report is byte-identical for any -j value and whether or not platforms are pool-recycled; the number of kernel
-// legs simulated and wall-clock throughput (cells/second, pool hit/miss
-// traffic) go to stderr only.
+// The rendered report is byte-identical for any -j value; the number of
+// kernel legs simulated, the platform builds and resets, and wall-clock
+// throughput (cells/second) go to stderr only.
 package main
 
 import (
@@ -80,8 +80,8 @@ func main() {
 		"snackdse: %d cells x %d kernels: %d legs simulated (cells differing only in channel width share theirs)\n",
 		nCells, len(cfg.Kernels), res.Legs)
 	fmt.Fprintf(os.Stderr,
-		"snackdse: %d cells in %.2fs (%.2f cells/s); pool %d hits / %d misses, %d forks avg %.0f ns\n",
+		"snackdse: %d cells in %.2fs (%.2f cells/s); %d platform builds, %d resets avg %.0f ns\n",
 		nCells, wall.Seconds(), float64(nCells)/wall.Seconds(),
-		res.PoolHits, res.PoolMisses, res.Forks, res.AvgForkNs)
+		res.PoolMisses, res.Forks, res.AvgForkNs)
 	c.Finish()
 }

@@ -12,15 +12,15 @@ import (
 )
 
 // standaloneEntry builds a zero-load platform and seals it into the
-// pool at its pristine (never-run) state — the DSE cell shape.
-func standaloneEntry(t *testing.T, pool *checkpoint.Pool, shape string) *checkpoint.Entry {
+// pool at its pristine (never-run) state.
+func standaloneEntry(t *testing.T, pool *checkpoint.Pool, shape string) (*checkpoint.Entry, *core.Platform) {
 	t.Helper()
 	eng := sim.NewEngine()
 	plat, err := core.NewStandalone(eng, 4, 4, true, core.DefaultPlatformConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pool.Seal(shape, checkpoint.Target{Eng: eng, Net: plat.Net, Plat: plat}, plat)
+	return pool.Seal(shape, checkpoint.Target{Eng: eng, Net: plat.Net, Plat: plat}, nil), plat
 }
 
 func runMAC(t *testing.T, plat *core.Platform) *core.Result {
@@ -53,8 +53,8 @@ func TestPoolForkDeterminism(t *testing.T) {
 	if pool.Get(shape) != nil {
 		t.Fatal("an empty pool returned an entry")
 	}
-	first := standaloneEntry(t, pool, shape)
-	got := runMAC(t, first.Payload().(*core.Platform))
+	first, plat := standaloneEntry(t, pool, shape)
+	got := runMAC(t, plat)
 	if got.DoneCycle != want.DoneCycle || fmt.Sprint(got.Values) != fmt.Sprint(want.Values) {
 		t.Fatalf("sealed-entry run diverged from cold run: done %d vs %d", got.DoneCycle, want.DoneCycle)
 	}
@@ -67,27 +67,15 @@ func TestPoolForkDeterminism(t *testing.T) {
 			t.Fatalf("recycle %d missed the pool or returned a different entry", i)
 		}
 		e.Fork()
-		got := runMAC(t, e.Payload().(*core.Platform))
+		got := runMAC(t, plat)
 		if got.DoneCycle != want.DoneCycle || fmt.Sprint(got.Values) != fmt.Sprint(want.Values) {
 			t.Fatalf("recycle %d diverged: done %d vs %d", i, got.DoneCycle, want.DoneCycle)
 		}
 		e.Release()
 	}
 
-	if h, m, f := pool.Hits(), pool.Misses(), pool.Forks(); h != 3 || m != 1 || f != 3 {
-		t.Fatalf("pool traffic hits=%d misses=%d forks=%d, want 3/1/3", h, m, f)
-	}
-	if pool.AvgForkNs() <= 0 {
-		t.Fatal("AvgForkNs not recorded")
-	}
-	if n := pool.Idle(); n != 1 {
-		t.Fatalf("idle entries = %d, want 1", n)
-	}
-	if n := pool.Drain(); n != 1 {
-		t.Fatalf("Drain released %d entries, want 1", n)
-	}
-	if n := pool.Idle(); n != 0 {
-		t.Fatalf("idle after drain = %d, want 0", n)
+	if pool.Get(shape) != first || pool.Get(shape) != nil {
+		t.Fatal("the pool does not hold exactly the one released entry")
 	}
 }
 
@@ -95,18 +83,12 @@ func TestPoolForkDeterminism(t *testing.T) {
 // shapes never cross.
 func TestPoolBoundsAndShapes(t *testing.T) {
 	pool := checkpoint.NewPool(1)
-	a1 := standaloneEntry(t, pool, "a")
-	a2 := standaloneEntry(t, pool, "a")
-	b1 := standaloneEntry(t, pool, "b")
+	a1, _ := standaloneEntry(t, pool, "a")
+	a2, _ := standaloneEntry(t, pool, "a")
+	b1, _ := standaloneEntry(t, pool, "b")
 	a1.Release()
 	a2.Release() // over the bound: dropped
 	b1.Release()
-	if n := pool.Idle(); n != 2 {
-		t.Fatalf("idle = %d, want 2 (one per shape)", n)
-	}
-	if d := pool.Drops(); d != 1 {
-		t.Fatalf("drops = %d, want 1", d)
-	}
 	if e := pool.Get("b"); e != b1 {
 		t.Fatal("shape b returned a foreign entry")
 	}
@@ -114,10 +96,10 @@ func TestPoolBoundsAndShapes(t *testing.T) {
 		t.Fatal("shape a should keep the first released entry")
 	}
 	if e := pool.Get("a"); e != nil {
-		t.Fatal("drained shape returned an entry")
+		t.Fatal("shape a kept the entry released past its bound")
 	}
-	if h, m := pool.Hits(), pool.Misses(); h != 2 || m != 1 {
-		t.Fatalf("hits=%d misses=%d, want 2/1", h, m)
+	if e := pool.Get("b"); e != nil {
+		t.Fatal("drained shape returned an entry")
 	}
 }
 

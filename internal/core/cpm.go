@@ -169,8 +169,7 @@ type cpmScalars struct {
 // together with the node's RCU, as the router compute hook) before
 // running; the Platform does this wiring.
 func NewCPM(cfg CPMConfig, net *noc.Network, ctrl *mem.Controller) *CPM {
-	r := net.Router(cfg.Node)
-	return &CPM{
+	c := &CPM{
 		cfg:    cfg,
 		net:    net,
 		mem:    ctrl,
@@ -180,12 +179,25 @@ func NewCPM(cfg CPMConfig, net *noc.Network, ctrl *mem.Controller) *CPM {
 			// refill keeps the buffer under instrBufCap entries counting the
 			// reads in flight, so one transaction past it never overflows.
 			instrBuf: flat.RingOver(make([]int32, instrBufCap+entriesPerTxn)),
-			cpmScalars: cpmScalars{
-				alo:      *noc.NewALODetector(r, cfg.ALOThreshold, aloHysteresis),
-				snackALO: *noc.NewSnackALODetector(r, net.Loop().Next(cfg.Node), cfg.SnackALOThreshold, aloHysteresis),
-				staged:   stageNone,
-			},
 		},
+	}
+	c.reset()
+	return c
+}
+
+// reset writes the CPM's built state: no kernel, nothing buffered,
+// staged or spilled, detectors that have seen no congestion and zeroed
+// counts. NewCPM runs it once and a platform Reset again; the memory
+// channel is reset beside it.
+func (c *CPM) reset() {
+	r := c.net.Router(c.cfg.Node)
+	c.instrBuf.Clear()
+	c.result = nil
+	c.offload, c.offloadPending, c.offloadMem = c.offload[:0], c.offloadPending[:0], c.offloadMem[:0]
+	c.cpmScalars = cpmScalars{
+		alo:      *noc.NewALODetector(r, c.cfg.ALOThreshold, aloHysteresis),
+		snackALO: *noc.NewSnackALODetector(r, c.loop.Next(c.cfg.Node), c.cfg.SnackALOThreshold, aloHysteresis),
+		staged:   stageNone,
 	}
 }
 

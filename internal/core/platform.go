@@ -200,9 +200,7 @@ func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Contr
 	eng.Reserve(1 + len(cpms))
 	pool := new(TokenPool)
 	rcus := newRCUs(nc.Nodes(), net.Loop(), p.CPM.Node())
-	// Every RCU starts parked, with no work.
-	p.group = rcuGroup{rcus: rcus, runnable: make(flat.IndexSet, (len(rcus)+63)/64),
-		instrs: instrSlab{free: -1}, turn: eng.Cycle()}
+	p.group = rcuGroup{rcus: rcus, runnable: make(flat.IndexSet, (len(rcus)+63)/64)}
 	for i := range rcus {
 		node := noc.NodeID(i)
 		rcu := &rcus[i]
@@ -220,14 +218,46 @@ func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Contr
 			cpm.SetPort(port)
 		}
 		p.RCUs[i] = rcu
-		rcu.g, rcu.parkedFrom, rcu.instrs = &p.group, p.group.turn, &p.group.instrs
+		rcu.g, rcu.instrs = &p.group, &p.group.instrs
 	}
+	p.init()
 	eng.Register(&p.group)
 	for _, cpm := range p.CPMs {
 		cpm.pool = pool
 		eng.Register(cpm)
 	}
 	return p, nil
+}
+
+// init writes the RCUs' built state: an empty instruction slab and
+// every RCU empty and parked from the engine's current cycle. attach
+// runs it once and Reset again, so a built platform and a reset one come
+// from the same code, as NewCPM's state and a reset CPM's do.
+func (p *Platform) init() {
+	g := &p.group
+	clear(g.runnable)
+	g.instrs.n, g.instrs.free = 0, -1
+	g.turn = p.Eng.Cycle()
+	for i := range g.rcus {
+		r := &g.rcus[i]
+		r.reset()
+		r.parkedFrom = g.turn
+	}
+}
+
+// Reset rewinds the compute layer to its built state in place: the RCUs,
+// the CPMs and the CPMs' memory channels. Storage, wiring and the tracer
+// stay, and attached attribution counts read zero. It rewinds this layer
+// only: on a standalone platform call Eng.Reset and Net.Reset first.
+// Mid-kernel, the tokens in flight go with the network's flits, to the
+// garbage collector rather than back to the token pool. It allocates
+// nothing.
+func (p *Platform) Reset() {
+	p.init()
+	for _, c := range p.CPMs {
+		c.reset()
+		c.mem.Reset()
+	}
 }
 
 // AttachToSystem builds the SnackNoC on a network already carrying a CMP

@@ -206,7 +206,7 @@ const (
 // full-capacity windows. The windows are initial capacities, not limits
 // — an RCU that outgrows one reallocates it privately, as a directly
 // constructed NewRCU grows from empty. The caller hands each RCU the
-// platform's instrSlab.
+// platform's instrSlab and writes its initial state (reset).
 func newRCUs(nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) []RCU {
 	const tabCap = rcuSBTabCap + rcuWaitTabCap
 	rcus := make([]RCU, nodes)
@@ -222,19 +222,32 @@ func newRCUs(nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) []RCU {
 		rcus[i] = RCU{
 			node: noc.NodeID(i), loop: loop, cpmNode: cpmNode,
 			rcuState: rcuState{
-				inbox:      flat.Carve(&inbox, rcuInboxCap)[:0],
-				nodes:      flat.Carve(&cells, rcuCellCap)[:0],
-				sbs:        flat.SlotsOver(flat.Carve(&sbSlots, rcuSBCap), flat.Carve(&idx, rcuSBCap)),
-				sbActive:   flat.Carve(&idx, rcuSBCap)[:0],
-				sbTab:      tab(rcuSBTabCap),
-				waits:      flat.SlotsOver(flat.Carve(&waitSlots, rcuWaitCap), flat.Carve(&idx, rcuWaitCap)),
-				waitTab:    tab(rcuWaitTabCap),
-				outQ:       flat.RingOver(flat.Carve(&outQ, rcuOutQCap)),
-				rcuScalars: rcuScalars{nodeFree: -1, exec: -1},
+				inbox:    flat.Carve(&inbox, rcuInboxCap)[:0],
+				nodes:    flat.Carve(&cells, rcuCellCap)[:0],
+				sbs:      flat.SlotsOver(flat.Carve(&sbSlots, rcuSBCap), flat.Carve(&idx, rcuSBCap)),
+				sbActive: flat.Carve(&idx, rcuSBCap)[:0],
+				sbTab:    tab(rcuSBTabCap),
+				waits:    flat.SlotsOver(flat.Carve(&waitSlots, rcuWaitCap), flat.Carve(&idx, rcuWaitCap)),
+				waitTab:  tab(rcuWaitTabCap),
+				outQ:     flat.RingOver(flat.Carve(&outQ, rcuOutQCap)),
 			},
 		}
 	}
 	return rcus
+}
+
+// reset empties every structure and writes the built scalars; storage,
+// grown or not, is kept. A Platform runs it on every RCU as it builds
+// and again when it resets.
+func (r *RCU) reset() {
+	s := &r.rcuState
+	s.inbox, s.nodes, s.sbActive = s.inbox[:0], s.nodes[:0], s.sbActive[:0]
+	s.sbs.Reset()
+	s.sbTab.Reset()
+	s.waits.Reset()
+	s.waitTab.Reset()
+	s.outQ.Clear()
+	s.rcuScalars = rcuScalars{nodeFree: -1, exec: -1}
 }
 
 // SetPort installs the compute-port handle returned by AttachCompute.

@@ -7,10 +7,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
+	"time"
 
 	"snacknoc/internal/attrib"
-	"snacknoc/internal/checkpoint"
 	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/noc"
@@ -30,19 +29,16 @@ import (
 // width (see runLeg), so cells that differ only in channel width form one
 // leg group and its legs run once, on the group's first cell; the width
 // shapes no part of the zero-load probe's network either, so the group's
-// cells are points on one probe network (noc.LoadLatencyPoints). And the
-// pooled forking path: the work queue is one item per (group, kernel)
-// leg, group-major so legs sharing a platform shape are adjacent, and a
-// checkpoint.Pool recycles built platforms between legs — a steady-state
-// leg rewinds a pooled platform with one Restore walk instead of building
-// a mesh, caches, and compute layer from scratch. A pooled platform dies
-// with its shape: a finishing leg releases its entry only while more legs
-// of the shape are waiting than platforms are already pooled for it, so
-// the sweep holds O(workers) platforms, not O(groups).
-// Outputs are deterministic: a forked platform replays exactly like a
-// fresh one (the checkpoint determinism guarantee), results are
-// assembled by index, and nothing wall-clock-dependent reaches the
-// rendered artifact.
+// cells are points on one probe network (noc.LoadLatencyPoints). And a
+// group's legs share one platform: the group's work item builds the
+// platform, runs its kernel legs in kernel order, and between legs
+// rewinds it to its built state in place (sim.Engine.Reset,
+// noc.Network.Reset, core.Platform.Reset) instead of building a mesh and
+// compute layer from scratch. A worker holds one platform at a time, and
+// a group's platform dies with its item.
+// Outputs are deterministic: a reset platform replays exactly like a
+// fresh one, results are assembled by index, and nothing
+// wall-clock-dependent reaches the rendered artifact.
 
 // DSEAxes are the swept router/platform resource values.
 type DSEAxes struct {
@@ -74,9 +70,9 @@ type DSEConfig struct {
 	Dims    KernelDims
 	// Priority selects §III-D3 priority arbitration on every cell.
 	Priority bool
-	// PoolDepth bounds idle pooled platforms per shape: 0 means one per
-	// worker (the steady-state need), < 0 disables pooling entirely so
-	// every leg builds cold (the A side of the determinism tests).
+	// PoolDepth < 0 builds every leg cold (the reference side of the
+	// determinism tests); otherwise a group's platform is reset between
+	// legs. No other value means anything.
 	PoolDepth int
 }
 
@@ -145,13 +141,14 @@ type DSEResult struct {
 	Frontier []int     // indices of frontier cells, ascending
 
 	// Legs is how many kernel legs were simulated: one per kernel per leg
-	// group (cells differing only in channel width share theirs), pooled
-	// or not.
+	// group (cells differing only in channel width share theirs).
 	Legs int
 
-	// Scheduler/pool traffic. Wall-clock and scheduling dependent —
-	// reported on stderr and as stats gauges, never rendered into the
-	// deterministic artifact.
+	// How the legs got their platforms, under the names the benchmark
+	// reads: PoolMisses counts platform builds, PoolHits the legs run on
+	// a reset platform, Forks the resets and AvgForkNs their mean wall
+	// time. Reported on stderr and as stats gauges, never rendered into
+	// the deterministic artifact.
 	PoolHits   int64
 	PoolMisses int64
 	Forks      int64
@@ -187,16 +184,6 @@ func dseMesh(rcus int) (w, h int, err error) {
 	return 0, 0, fmt.Errorf("experiments: no mesh shape for %d RCUs (want 4/8/16/32/64/128/256)", rcus)
 }
 
-// dsePlatform is the payload a pool entry carries.
-type dsePlatform struct {
-	eng  *sim.Engine
-	plat *core.Platform
-	// rec reads the platform's attribution counts (nil when off). It is
-	// attached, zeroing them, before Seal, so every fork rewinds them to
-	// zero and a post-run fold reads exactly one leg's counts.
-	rec *attrib.Recorder
-}
-
 // cellAt decodes a flat grid index (rcu-major, then vc, chan, buf — so
 // consecutive indices share a mesh and mostly a shape prefix).
 func (a DSEAxes) cellAt(i int) (buf, ch, vc, rcu int) {
@@ -211,7 +198,7 @@ func (a DSEAxes) cellAt(i int) (buf, ch, vc, rcu int) {
 	return
 }
 
-// runLeg runs one kernel leg on a built or forked standalone platform
+// runLeg runs one kernel leg on a built or reset standalone platform
 // and returns its completion cycles.
 //
 // Every cell of a leg group shares the leg, which is sound only while a
@@ -232,17 +219,14 @@ func runLeg(plat *core.Platform, prog *core.Program) (int64, error) {
 	return r.Cycles(), nil
 }
 
-// RunDSE evaluates the grid and computes its Pareto frontier. Legs run
-// on the sweep worker pool (-j N), one per kernel per leg group — the
-// cells that differ only in channel width — and a group's legs are
-// adjacent in the queue so the platform pool converges to one build per
-// group per worker. The zero-load probe's network is likewise built once
-// per leg group, and each of the group's cells is one point on it.
-func (s RunSpec) RunDSE(cfg DSEConfig) (*DSEResult, error) { return s.runDSE(cfg, nil) }
-
-// runDSE is RunDSE with an observer called after every leg (tests watch
-// the platform pool through it).
-func (s RunSpec) runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSEResult, error) {
+// RunDSE evaluates the grid and computes its Pareto frontier. Work
+// items run on the sweep worker pool (-j N): one per leg group — the
+// cells that differ only in channel width — which builds the group's
+// platform and runs its kernel legs on it, resetting it between them,
+// and one per leg group for the zero-load probe, whose network is
+// likewise built once per group, each of the group's cells one point on
+// it.
+func (s RunSpec) RunDSE(cfg DSEConfig) (*DSEResult, error) {
 	if len(cfg.Kernels) == 0 || cfg.Axes.Cells() == 0 {
 		return nil, fmt.Errorf("experiments: empty DSE grid")
 	}
@@ -254,29 +238,18 @@ func (s RunSpec) runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSERes
 	nCells := cfg.Axes.Cells()
 	nK := len(cfg.Kernels)
 
-	poolDepth := cfg.PoolDepth
-	usePool := poolDepth >= 0
-	if poolDepth == 0 {
-		poolDepth = s.WorkerCount() + 1
-	}
-	pool := checkpoint.NewPool(poolDepth)
-
 	// Cells map to leg groups: the platform shape with the channel width
-	// left out, which is also the group's pool key. A group's cells are in
-	// grid order, and its first is its representative, the cell whose
-	// platform is built. Per group, unstarted counts the legs not yet
-	// handed a platform and idle the platforms idle in the pool; mu makes
-	// a leg's count update and its pool Get or Release one step, so idle
-	// never exceeds unstarted and a spent group pools nothing.
+	// left out. A group's cells are in grid order, and its first is its
+	// representative, the cell whose platform is built.
 	type legGroup struct {
-		shape           string
-		cells           []int
-		unstarted, idle int
+		cells []int
+		// resetNs is the wall time the group's platform spent in Reset.
+		resetNs int64
 	}
+	type shape struct{ w, h, vc, buf int }
 	var groups []legGroup
 	groupOf := make([]int, nCells)
-	groupIdx := make(map[string]int)
-	var mu sync.Mutex
+	groupIdx := make(map[shape]int)
 
 	res := &DSEResult{Cfg: cfg, Cells: make([]DSECell, nCells)}
 	for i := range res.Cells {
@@ -289,19 +262,19 @@ func (s RunSpec) runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSERes
 			BufDepth: buf, ChanWidth: ch, VCs: vc, RCUs: rcu,
 			Width: w, Height: h,
 		}
-		shape := fmt.Sprintf("dse/%dx%d/vc%d/buf%d/pri%v",
-			w, h, vc, buf, cfg.Priority)
-		g, ok := groupIdx[shape]
+		key := shape{w, h, vc, buf}
+		g, ok := groupIdx[key]
 		if !ok {
 			g = len(groups)
-			groupIdx[shape] = g
-			groups = append(groups, legGroup{shape: shape, unstarted: nK})
+			groupIdx[key] = g
+			groups = append(groups, legGroup{})
 		}
 		groupOf[i] = g
 		groups[g].cells = append(groups[g].cells, i)
 	}
-	nLegs := len(groups) * nK
-	res.Legs = nLegs
+	nG := len(groups)
+	res.Legs = nG * nK
+	cold := cfg.PoolDepth < 0
 
 	// Modeled single-core CPU cycles per kernel (NoC-independent).
 	cpuCfg := cpu.DefaultCPUConfig()
@@ -312,28 +285,27 @@ func (s RunSpec) runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSERes
 
 	// Per-cell zero-load probe latency, measured by one work item per leg
 	// group after the legs. The probe is its own tiny bare-NoC simulation,
-	// independent of the pooled platform, and the channel width shapes no
+	// independent of the group's platform, and the channel width shapes no
 	// part of its network either, so a group's cells share one probe
 	// network and its draws (noc.LoadLatencyPoints), one point per cell.
 	cellLat := make([]float64, nCells)
 
-	// Per-leg results, indexed like the leg items (group-major) and
-	// copied to every cell of the group after the sweep. With attribution
-	// on (Observer.Attrib), every group's platform gets counters before
-	// the pool seals it, so forks rewind them, and each cell is stamped
-	// with its group's folded bottleneck verdict. The folds are merged (in
-	// kernel order) after the sweep, so worker scheduling cannot reorder
-	// the accumulation.
-	legCycles := make([]int64, nLegs)
+	// Per-leg results, group-major, copied to every cell of the group
+	// after the sweep. With attribution on (Observer.Attrib), every
+	// group's platform gets counters, which Reset zeroes with the rest of
+	// its state, and each cell is stamped with its group's folded
+	// bottleneck verdict. The folds are merged (in kernel order) after
+	// the sweep, so worker scheduling cannot reorder the accumulation.
+	legCycles := make([]int64, res.Legs)
 	attribOn := s.Obs != nil && s.Obs.Attrib
 	var legAttrib []map[string]float64
 	if attribOn {
-		legAttrib = make([]map[string]float64, nLegs)
+		legAttrib = make([]map[string]float64, res.Legs)
 	}
 
-	err := s.forEach(nLegs+len(groups), func(item int) error {
-		if item >= nLegs {
-			grp := &groups[item-nLegs]
+	err := s.forEach(2*nG, func(item int) error {
+		if item >= nG {
+			grp := &groups[item-nG]
 			points := make([]noc.ProbePoint, len(grp.cells))
 			for j, ci := range grp.cells {
 				points[j] = noc.ProbePoint{Rate: dseProbeRate, ChannelWidthBytes: res.Cells[ci].ChanWidth}
@@ -351,63 +323,42 @@ func (s RunSpec) runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSERes
 			}
 			return nil
 		}
-		grp := &groups[item/nK]
+		grp := &groups[item]
 		cell := &res.Cells[grp.cells[0]]
-		prog, err := CompileKernel(cfg.Kernels[item%nK], cfg.Dims, cell.RCUs, Seed)
-		if err != nil {
-			return err
-		}
-		shape := grp.shape
-		build := func() (*checkpoint.Entry, error) {
-			eng := sim.NewEngine()
-			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
-				cell.VCs, cell.BufDepth, cell.ChanWidth)
-			plat, err := core.NewStandaloneOn(eng, nc, core.DefaultPlatformConfig())
+		var plat *core.Platform
+		var rec *attrib.Recorder
+		for ki, k := range cfg.Kernels {
+			prog, err := CompileKernel(k, cfg.Dims, cell.RCUs, Seed)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			var rec *attrib.Recorder
-			if attribOn {
-				rec = attrib.NewRecorder()
-				plat.SetAttrib(rec)
+			if plat == nil || cold {
+				eng := sim.NewEngine()
+				nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
+					cell.VCs, cell.BufDepth, cell.ChanWidth)
+				if plat, err = core.NewStandaloneOn(eng, nc, core.DefaultPlatformConfig()); err != nil {
+					return err
+				}
+				if attribOn {
+					rec = attrib.NewRecorder()
+					plat.SetAttrib(rec)
+				}
+			} else {
+				start := time.Now()
+				plat.Eng.Reset()
+				plat.Net.Reset()
+				plat.Reset()
+				grp.resetNs += time.Since(start).Nanoseconds()
 			}
-			return pool.Seal(shape, checkpoint.Target{Eng: eng, Net: plat.Net, Plat: plat},
-				&dsePlatform{eng: eng, plat: plat, rec: rec}), nil
-		}
-		var entry *checkpoint.Entry
-		if usePool {
-			mu.Lock()
-			grp.unstarted--
-			if entry = pool.Get(shape); entry != nil {
-				grp.idle--
+			leg := item*nK + ki
+			if legCycles[leg], err = runLeg(plat, prog); err != nil {
+				return fmt.Errorf("dse cell %d (%dx%d vc%d buf%d): %w",
+					grp.cells[0], cell.Width, cell.Height, cell.VCs, cell.BufDepth, err)
 			}
-			mu.Unlock()
-		}
-		if entry != nil {
-			entry.Fork()
-		} else if entry, err = build(); err != nil {
-			return err
-		}
-		dp := entry.Payload().(*dsePlatform)
-		if legCycles[item], err = runLeg(dp.plat, prog); err != nil {
-			return fmt.Errorf("dse cell %d (%s): %w", grp.cells[0], shape, err)
-		}
-		if dp.rec != nil {
-			// Fold before Release: once pooled again, another worker may
-			// rewind and rerun this platform concurrently.
-			m := make(map[string]float64)
-			dp.rec.FoldInto(m)
-			legAttrib[item] = m
-		}
-		if usePool {
-			mu.Lock()
-			if grp.idle < grp.unstarted {
-				grp.idle++
-				entry.Release()
-			} // else no leg is left to use it: drop the platform
-			mu.Unlock()
-			if afterLeg != nil {
-				afterLeg(pool)
+			if rec != nil {
+				m := make(map[string]float64)
+				rec.FoldInto(m)
+				legAttrib[leg] = m
 			}
 		}
 		return nil
@@ -415,7 +366,23 @@ func (s RunSpec) runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSERes
 	if err != nil {
 		return nil, err
 	}
-	pool.Drain()
+
+	// A group builds its platform once and resets it for each later leg;
+	// with PoolDepth < 0 every leg builds.
+	if cold {
+		res.PoolMisses = int64(res.Legs)
+	} else {
+		res.PoolMisses = int64(nG)
+		res.PoolHits = int64(nG * (nK - 1))
+		res.Forks = res.PoolHits
+	}
+	if res.Forks > 0 {
+		var ns int64
+		for _, g := range groups {
+			ns += g.resetNs
+		}
+		res.AvgForkNs = float64(ns) / float64(res.Forks)
+	}
 
 	// Fold each cell's group legs into its scores.
 	for ci := range res.Cells {
@@ -452,12 +419,11 @@ func (s RunSpec) runDSE(cfg DSEConfig, afterLeg func(*checkpoint.Pool)) (*DSERes
 		res.Cells[i].Frontier = true
 	}
 
-	res.PoolHits, res.PoolMisses = pool.Hits(), pool.Misses()
-	res.Forks, res.AvgForkNs = pool.Forks(), pool.AvgForkNs()
 	if s.Obs != nil && s.Obs.Metrics {
-		reg := stats.NewRegistry()
-		pool.RegisterMetrics(reg, "dse")
-		s.Obs.record(reg.Snapshot("dse/pool"))
+		s.Obs.record(stats.Snapshot{Label: "dse/pool", Values: map[string]float64{
+			"dse.pool.hits": float64(res.PoolHits), "dse.pool.misses": float64(res.PoolMisses),
+			"dse.pool.forks": float64(res.Forks), "dse.pool.fork.avg.ns": res.AvgForkNs,
+		}})
 	}
 	return res, nil
 }

@@ -5,10 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
-	"snacknoc/internal/checkpoint"
 	"snacknoc/internal/core"
 	"snacknoc/internal/cpu"
 	"snacknoc/internal/noc"
@@ -45,10 +43,9 @@ func TestDSEGoldenByteIdentical(t *testing.T) {
 
 // TestDSEInvariantToSchedulingAndPooling is the tentpole determinism
 // bar: the rendered report must be byte-identical across worker counts
-// and with the platform pool disabled (every leg building
-// cold). This is also the race-detector's route through the pooled fork
-// path and the DSE work-queue scheduler (-j 4 legs share pool entries
-// across goroutines).
+// and with platform reuse disabled (every leg building cold). This is
+// also the race detector's route through the reset path and the DSE
+// work-queue scheduler (-j 4 runs four groups' platforms at once).
 func TestDSEInvariantToSchedulingAndPooling(t *testing.T) {
 	cfg := dseTestConfig()
 	render := func(run RunSpec) []byte {
@@ -69,7 +66,7 @@ func TestDSEInvariantToSchedulingAndPooling(t *testing.T) {
 	}
 	cfg.PoolDepth = -1 // every leg builds cold
 	if got := render(RunSpec{Workers: 4}); !bytes.Equal(got, want) {
-		t.Fatal("pool-disabled report diverged from pooled report")
+		t.Fatal("every-leg-cold report diverged from the reset report")
 	}
 }
 
@@ -79,9 +76,9 @@ func legGroups(a DSEAxes) int {
 	return len(a.BufDepths) * len(a.VCCounts) * len(a.RCUCounts)
 }
 
-// TestDSEPoolTraffic checks that the leg scheduler actually recycles
-// platforms: with K kernels per leg group and serial workers, every
-// group after its first leg must hit the pool.
+// TestDSEPoolTraffic checks that a leg group's platform is reused:
+// with K kernels per leg group and serial workers, every group builds
+// once and resets its platform for each later leg.
 func TestDSEPoolTraffic(t *testing.T) {
 	cfg := dseTestConfig()
 	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction}
@@ -146,22 +143,25 @@ func TestDSELegsSharedAcrossChannelWidths(t *testing.T) {
 
 // TestDSENetworkBuilds pins what the benchmark's dse_fork_sweep grid
 // (64 cells in 16 leg groups, two kernels) costs in network builds at
-// -j 1: one platform per leg group, which the pool then forks for the
-// group's second leg, and one probe network per leg group: 32 builds.
+// -j 1, 2 and 4: one platform per leg group, reset for the group's
+// second leg, and one probe network per leg group: 32 builds. A group is
+// one work item, so no worker count builds a group twice.
 func TestDSENetworkBuilds(t *testing.T) {
 	cfg := DefaultDSEConfig()
 	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelSGEMM}
 	cfg.Dims = DSESmokeDims()
 	cfg.Axes.BufDepths = []int{2, 8}
-	before := noc.Built()
-	res, err := RunSpec{Workers: 1}.RunDSE(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	groups := legGroups(cfg.Axes)
-	if got := noc.Built() - before; got != 32 || res.PoolMisses != int64(groups) {
-		t.Errorf("%d networks built, %d of them platforms; want 32: %d platforms and %d probes",
-			got, res.PoolMisses, groups, groups)
+	for _, j := range []int{1, 2, 4} {
+		before := noc.Built()
+		res, err := RunSpec{Workers: j}.RunDSE(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := noc.Built() - before; got != 2*int64(groups) || res.PoolMisses != int64(groups) {
+			t.Errorf("-j %d: %d networks built, %d of them platforms; want %d: %d platforms and %d probes",
+				j, got, res.PoolMisses, 2*groups, groups, groups)
+		}
 	}
 }
 
@@ -285,35 +285,30 @@ func TestParetoFrontierProperties(t *testing.T) {
 	}
 }
 
-// TestDSEPoolHoldsWorkersNotCells pins the retention fix: every leg
-// group has its own pool shape, so a platform released after its group's
-// last leg would sit in the pool until the final Drain — live heap
-// proportional to the grid. A spent group's platforms are dropped
-// instead, and mid-sweep the pool never holds more idle platforms than
-// there are workers.
+// TestDSEPoolHoldsWorkersNotCells: a leg group is one work item that
+// builds its platform, runs every kernel leg on it and drops it, so a
+// worker holds one platform at a time and a spent group holds none. The
+// test pins the builds that shape costs at -j 1 and -j 4 with three
+// kernels: one platform and one probe network per group, and a reset
+// for every later leg.
 func TestDSEPoolHoldsWorkersNotCells(t *testing.T) {
 	cfg := dseTestConfig()
 	cfg.Kernels = []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction, cpu.KernelSPMV}
+	groups := legGroups(cfg.Axes)
 	for _, j := range []int{1, 4} {
-		var mu sync.Mutex
-		legs, peak := 0, 0
-		res, err := RunSpec{Workers: j}.runDSE(cfg, func(pool *checkpoint.Pool) {
-			mu.Lock()
-			defer mu.Unlock()
-			legs++
-			peak = max(peak, pool.Idle())
-		})
+		before := noc.Built()
+		res, err := RunSpec{Workers: j}.RunDSE(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := legGroups(cfg.Axes) * len(cfg.Kernels); legs != want || res.Legs != want {
-			t.Fatalf("-j %d: observed %d legs (Legs %d), want %d", j, legs, res.Legs, want)
+		if got := noc.Built() - before; got != 2*int64(groups) {
+			t.Errorf("-j %d: %d networks built, want %d (a platform and a probe per group)", j, got, 2*groups)
 		}
-		if peak > j {
-			t.Errorf("-j %d: %d platforms idle in the pool mid-sweep, want <= %d (one per worker)", j, peak, j)
-		}
-		if got := res.PoolHits + res.PoolMisses; got != int64(legs) {
-			t.Errorf("-j %d: %d pool lookups for %d legs", j, got, legs)
+		resets := int64(groups * (len(cfg.Kernels) - 1))
+		if res.Legs != groups*len(cfg.Kernels) || res.PoolMisses != int64(groups) ||
+			res.PoolHits != resets || res.Forks != resets {
+			t.Errorf("-j %d: %d legs, %d builds, %d legs on a reset platform, %d resets; want %d, %d, %d, %d",
+				j, res.Legs, res.PoolMisses, res.PoolHits, res.Forks, groups*len(cfg.Kernels), groups, resets, resets)
 		}
 	}
 }

@@ -65,6 +65,12 @@ func (s *Slots[T]) Take(i int32) (r T) {
 	return r
 }
 
+// Reset frees every slot at once: the next Alloc hands out slot 0, as on
+// an empty Slots, and the storage is kept.
+func (s *Slots[T]) Reset() {
+	s.recs, s.free = s.recs[:0], s.free[:0]
+}
+
 // Len returns the number of slots, live or free: At is valid below it.
 func (s *Slots[T]) Len() int { return len(s.recs) }
 

@@ -9,8 +9,7 @@ package flat
 // t instead, keeping its capacity.
 func (t *Table[K]) CopyFrom(o *Table[K]) {
 	if o.n == 0 {
-		clear(t.ents)
-		t.n = 0
+		t.Reset()
 		return
 	}
 	t.ents = append(t.ents[:0], o.ents...)

@@ -37,6 +37,12 @@ func hash[K uint32 | uint64](k K) uint64 {
 // Len returns the number of keys.
 func (t *Table[K]) Len() int { return t.n }
 
+// Reset removes every key, keeping the capacity.
+func (t *Table[K]) Reset() {
+	clear(t.ents)
+	t.n = 0
+}
+
 // Get returns the value for key.
 func (t *Table[K]) Get(key K) (int32, bool) {
 	if t.n == 0 {

@@ -112,6 +112,14 @@ func NewSlab(eng *sim.Engine, cfg Config, n int) ([]Controller, error) {
 	return cs, nil
 }
 
+// Reset returns the controller to its built state: every bank free with
+// no open row, the bus free and the statistics zeroed. Completions still
+// pending are engine events, which the engine's Reset drops.
+func (c *Controller) Reset() {
+	clear(c.banks)
+	c.ControllerState = ControllerState{banks: c.banks}
+}
+
 // bankOf maps an address to its bank with row-granularity interleaving:
 // consecutive transactions stream within one open row, and consecutive
 // rows rotate across the ranks and banks, the layout that lets sequential

@@ -70,3 +70,32 @@ func BenchmarkRouterEvaluate(b *testing.B) {
 type delivered func(cycle int64)
 
 func (d delivered) Deliver(p *Packet, cycle int64) { d(cycle) }
+
+// BenchmarkNetworkReset times rewinding a 4x4 SnackNoC network to its
+// built state after a loaded run, the two ways it can be done: Reset in
+// place, against restoring a snapshot taken while the network was
+// pristine (what a just-built network's rewind cost before Reset).
+func BenchmarkNetworkReset(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		restore bool
+	}{{"reset", false}, {"restore-pristine", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			r := newResetRun(b, SnackPlatform(4, 4, true))
+			es, ns := r.eng.SnapshotState(), r.net.SnapshotState(nil)
+			r.inj.reset(0.05, 5)
+			r.eng.Run(500)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if tc.restore {
+					r.net.RestoreState(ns, nil)
+					r.eng.RestoreState(es)
+				} else {
+					r.eng.Reset()
+					r.net.Reset()
+				}
+			}
+		})
+	}
+}

@@ -36,12 +36,17 @@ func (n *Network) Outstanding() (flits, envelopes int) {
 
 // CheckDrained is the drain-conservation check (ROADMAP 6e, noc half): on
 // a network that has run to quiescence — whether or not it restored a
-// checkpoint on the way — every pooled flit and envelope is back in a
-// pool, no NI holds a packet and no reassembly slot a head flit. It
-// returns the first leak found.
+// checkpoint or reset on the way — every pooled flit and envelope is
+// back in a pool, no buffer slot holds a flit, no NI holds a packet and
+// no reassembly slot a head flit. It returns the first leak found.
 func (n *Network) CheckDrained() error {
 	if flits, envelopes := n.Outstanding(); flits != 0 || envelopes != 0 {
 		return fmt.Errorf("noc: %d pooled flits and %d packet envelopes outstanding at drain", flits, envelopes)
+	}
+	for slot, f := range n.bufSlab {
+		if f != nil {
+			return fmt.Errorf("noc: buffer slot %d still holds %s at drain", slot, f)
+		}
 	}
 	for i := range n.nis {
 		ni := &n.nis[i]

@@ -182,11 +182,132 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	}
 	n.layOut(&p)
 
+	n.init()
+
 	for i := range n.routers {
 		n.routers[i].setHandle(eng.Register(&n.routers[i]))
 		n.nis[i].setHandle(eng.Register(&n.nis[i]))
 	}
 	return n, nil
+}
+
+// init writes the built value into every mutable slab and block: empty
+// buffers, wires, work lists and queues, zeroed counts and scalars, and
+// every credit counter at its VC's buffer depth (1<<30 toward an NI,
+// whose ejection buffers are unbounded). New runs it once over the fresh
+// slabs and Reset again over used ones, so a built network and a reset
+// one come from the same code. Every flit and envelope the network held
+// must be back in the pool first.
+func (n *Network) init() {
+	clear(n.bufSlab)
+	clear(n.reasm)
+	clear(n.credits)
+	clear(n.counts)
+	for k := range n.flitWires {
+		n.flitWires[k].q = n.flitWires[k].q[:0]
+	}
+	for i := range n.vcs {
+		v := &n.vcs[i]
+		v.state, v.outPort, v.outVC, v.head, v.count, v.arrived = vcIdle, 0, 0, 0, 0, 0
+	}
+	for i := range n.routers {
+		r := &n.routers[i]
+		r.routerScalars = routerScalars{bufHist: r.bufHist}
+		r.bufHist.Reset()
+		r.rd.pending = 0
+		r.stagedCount, r.stagedCredits = 0, r.stagedCredits[:0]
+		for _, l := range r.workLists() {
+			*l = (*l)[:0]
+		}
+		for j := range r.outList {
+			op := &r.outList[j]
+			op.outScalars, op.staged = outScalars{}, nil
+			for v, off := range r.vnetOff {
+				room := r.depthOf[v]
+				if op.ejection {
+					room = 1 << 30
+				}
+				for c := range r.nvcOf[v] {
+					op.credits[off+c] = room
+				}
+			}
+		}
+	}
+	for i := range n.nis {
+		ni := &n.nis[i]
+		ni.niScalars = niScalars{}
+		ni.rd.pending = 0
+		ni.staged = nil
+		ni.incoming, ni.active = ni.incoming[:0], ni.active[:0]
+		for v, off := range ni.vnetOff {
+			for c := range ni.nvcOf[v] {
+				ni.credits[off+c] = n.routers[i].depthOf[v]
+			}
+		}
+	}
+	for i := range n.ports {
+		p := &n.ports[i]
+		p.injScalars = injScalars{}
+		for c := range p.credits {
+			p.credits[c] = n.routers[i].depthOf[p.vnet]
+		}
+	}
+	n.samples.Reset()
+}
+
+// Reset rewinds the network to its built state in place: it returns
+// every flit and envelope it holds to the pool (release) and runs init
+// again. The wiring stays: handles, attached clients and compute units,
+// the loop route and every carved window, and so do the tracer and the
+// sampling interval. Attached attribution counts and sampled series
+// restart at zero, as on a fresh build. Payloads in flight are dropped,
+// not returned to their owners' pools. The engine is reset separately
+// (sim.Engine.Reset); Reset allocates nothing once the pool's free
+// lists have held what was in flight.
+func (n *Network) Reset() {
+	n.release()
+	n.init()
+}
+
+// release returns every flit and envelope the network holds to the
+// pool: buffered, awaiting reassembly, on a wire, or queued, waiting or
+// mid-injection at an NI. It empties the waiting chains and leaves the
+// other slots and queues for the caller to rewrite.
+func (n *Network) release() {
+	pool := &n.pool
+	for i := range n.routers {
+		if r := &n.routers[i]; r.occupancy > 0 {
+			for _, f := range r.bufSlab {
+				if f != nil {
+					pool.flits.Put(f)
+				}
+			}
+		}
+	}
+	for _, f := range n.reasm {
+		if f != nil {
+			pool.flits.Put(f)
+		}
+	}
+	for k := range n.flitWires {
+		for _, e := range n.flitWires[k].q {
+			pool.flits.Put(e.f)
+		}
+	}
+	for i := range n.nis {
+		ni := &n.nis[i]
+		for _, req := range ni.incoming {
+			pool.pkts.Put(req.pkt)
+		}
+		for v := range ni.waiting {
+			for w := &ni.waiting[v]; w.head != nil; {
+				pool.pkts.Put(w.pop())
+			}
+		}
+		for _, t := range ni.active {
+			pool.pkts.Put(t.pkt)
+		}
+	}
 }
 
 // layOut hands every router, NI and inject port its windows of the slabs
@@ -292,8 +413,8 @@ func (n *Network) layOut(p *slabPlan) {
 	}
 
 	// Second pass, now that every input port has its wire: point each
-	// output at the downstream input's wire, fill its credits and make them
-	// that input's credit sink.
+	// output at the downstream input's wire and make its credits that
+	// input's credit sink (init fills them).
 	sink := func(to []int32, node NodeID, dir Direction) creditSink {
 		return creditSink{to: to, vnetOff: vnetOff, depthOf: depthOf, node: node, dir: dir}
 	}
@@ -319,22 +440,6 @@ func (n *Network) layOut(p *slabPlan) {
 				down := n.routers[nb].inputs[op.dir.opposite()]
 				op.out, down.credit = down.in, sink(op.credits, r.id, op.dir)
 			}
-			for v := range cfg.VNets {
-				room := depthOf[v]
-				if op.ejection {
-					// Network interfaces sink flits as fast as they arrive;
-					// model their ejection buffers as unbounded.
-					room = 1 << 30
-				}
-				for c := int32(0); c < nvcOf[v]; c++ {
-					op.credits[vnetOff[v]+c] = room
-				}
-			}
-		}
-		for v := range cfg.VNets {
-			for c := int32(0); c < nvcOf[v]; c++ {
-				ni.credits[vnetOff[v]+c] = depthOf[v]
-			}
 		}
 		r.inputs[Local].credit = sink(ni.credits, r.id, Local)
 		r.inputs[Local].credit.credited = &ni.credited
@@ -344,9 +449,6 @@ func (n *Network) layOut(p *slabPlan) {
 		n.ports[i] = InjectPort{
 			node: NodeID(i), vnet: int8(cfg.SnackVNet), pool: &n.pool, out: in.in,
 			credits: flat.Carve(&credits, p.snackVCs), landed: flat.Carve(&credits, p.snackVCs),
-		}
-		for c := range n.ports[i].credits {
-			n.ports[i].credits[c] = depthOf[cfg.SnackVNet]
 		}
 		in.credit = sink(n.ports[i].landed, NodeID(i), Compute)
 		in.credit.base = -vnetOff[cfg.SnackVNet]

@@ -56,7 +56,9 @@ const (
 // router live contiguously in Router.vcs (indexed port-major, then vnet,
 // then vc) and their flit queues are fixed rings over Router.bufSlab —
 // both windows of the Network's slabs — so the per-cycle allocator loops
-// walk flat arrays instead of chasing a per-port pointer forest.
+// walk flat arrays instead of chasing a per-port pointer forest. class,
+// port, vnet, vc, base and depth are fixed by layOut; Network.init
+// rewrites every other field.
 type inputVC struct {
 	state   vcState
 	class   int8

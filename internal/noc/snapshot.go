@@ -205,6 +205,7 @@ func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 // out of the state, as the snapshot's clone copied them in.
 func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 	pool := &n.pool
+	n.release()
 	copy(n.vcs, s.vcs)
 	copy(n.credits, s.credits)
 	copy(n.counts, s.counts)
@@ -218,9 +219,6 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 	}
 	for k := range n.flitWires {
 		fw := &n.flitWires[k]
-		for _, e := range fw.q {
-			pool.flits.Put(e.f)
-		}
 		fw.q = fw.q[:0]
 		for _, e := range flitQ[:next()] {
 			fw.q = append(fw.q, wireEntry{f: cloneFlit(pool.flits.Get(), e.f, clone), arrive: e.arrive})
@@ -252,9 +250,6 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 		ni.niScalars = s.nis[i]
 		ni.staged = nil
 		nIncoming, nActive := next(), next()
-		for _, req := range ni.incoming {
-			ni.pool.pkts.Put(req.pkt)
-		}
 		ni.incoming = ni.incoming[:0]
 		for j := range reqs[:nIncoming] {
 			ni.incoming = append(ni.incoming, injectReq{pkt: ni.pool.wrap(&reqs[j].pkt, clone), stamp: reqs[j].stamp})
@@ -262,17 +257,11 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 		reqs = reqs[nIncoming:]
 		for v := range ni.waiting {
 			w := &ni.waiting[v]
-			for w.head != nil {
-				ni.pool.pkts.Put(w.pop())
-			}
 			k := next()
 			for j := range reqs[:k] {
 				w.push(ni.pool.wrap(&reqs[j].pkt, clone))
 			}
 			reqs = reqs[k:]
-		}
-		for _, t := range ni.active {
-			ni.pool.pkts.Put(t.pkt)
 		}
 		ni.active = ni.active[:0]
 		for j := range txns[:nActive] {
@@ -286,14 +275,9 @@ func (n *Network) RestoreState(s *NetworkState, clone func(any) any) {
 	n.samples.CopyFrom(&s.samples)
 }
 
-// restoreFlits makes slots hold clones of exactly the saved flits, through
-// pool both ways.
+// restoreFlits makes slots, whose flits release returned, hold clones of
+// exactly the saved flits, drawn from pool.
 func restoreFlits(slots []*Flit, saved []flitAt, clone func(any) any, pool *flitPool) {
-	for _, f := range slots {
-		if f != nil {
-			pool.flits.Put(f)
-		}
-	}
 	clear(slots)
 	for _, e := range saved {
 		slots[e.at] = cloneFlit(pool.flits.Get(), e.f, clone)

@@ -224,11 +224,10 @@ type ProbePoint struct {
 // of two or three (TestLoadLatencyPointsMatchFullNetwork). The
 // channel width shapes no part of a network either — New sizes nothing
 // from it (TestNetworkShapeIgnoresChannelWidth) and only NI injection
-// reads it, through FlitsFor — so the network is built once,
-// snapshotted while pristine, and restored before each later point,
-// whose width is then set on the copy.
-// A single point takes no snapshot, and the last point runs after the
-// snapshot is released. The injector is reset per point. A rate an
+// reads it, through FlitsFor — so the network is built once, and before
+// each later point the engine, the network and the injector are reset
+// to their built state in place (Engine.Reset, Network.Reset) and the
+// point's width is set on the copy. A rate an
 // earlier point already ran replays that point's draws instead of
 // drawing them again: the draws depend on the seed, the rate and the
 // pattern over the mesh shape, none of which a point changes, provided
@@ -252,11 +251,6 @@ func LoadLatencyPoints(cfg *Config, pattern Pattern, points []ProbePoint, sizeBy
 	}
 	inj := NewSyntheticInjector(net, pattern, points[0].Rate, sizeBytes, VNetReq, seed)
 	eng.Register(inj)
-	var engSnap *sim.EngineState
-	var netSnap *NetworkState
-	if len(points) > 1 {
-		engSnap, netSnap = eng.SnapshotState(), net.SnapshotState(nil)
-	}
 	// tapes[i] holds point i's draws when a later point repeats its rate.
 	tapes := make([][]synDraw, len(points))
 	out := make([]LoadPoint, len(points))
@@ -266,12 +260,9 @@ func LoadLatencyPoints(cfg *Config, pattern Pattern, points []ProbePoint, sizeBy
 			if err := own.Validate(); err != nil {
 				return nil, err
 			}
-			net.RestoreState(netSnap, nil)
-			eng.RestoreState(engSnap)
+			eng.Reset()
+			net.Reset()
 			inj.reset(pt.Rate, seed)
-		}
-		if i == len(points)-1 {
-			engSnap, netSnap = nil, nil
 		}
 		if j := slices.IndexFunc(points[:i], func(p ProbePoint) bool { return p.Rate == pt.Rate }); j >= 0 {
 			inj.replay, inj.replaying = tapes[j], true

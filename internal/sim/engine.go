@@ -174,6 +174,24 @@ func NewEngine() *Engine {
 	return &Engine{quiesce: true}
 }
 
+// Reset rewinds the engine to the state its builders left it in: cycle
+// 0, no pending event, zeroed counts and every registered component
+// awake in the active list, in registration order — what NewEngine and
+// the same Register calls produce. Components, their handles and the
+// quiescence setting stay; the components' own state is their layers'
+// to reset. It allocates nothing.
+func (e *Engine) Reset() {
+	e.engineScalars = engineScalars{}
+	e.active = e.active[:0]
+	for _, st := range e.comps {
+		st.sleep = sleep{}
+		e.active = append(e.active, st)
+	}
+	clear(e.woken)
+	e.woken = e.woken[:0]
+	e.wheel.reset()
+}
+
 // Register adds a component to the engine and returns its wake handle.
 // Components are evaluated in registration order, but two-phase update
 // makes the order immaterial to simulated behaviour.

@@ -147,6 +147,12 @@ func (s *SampleSlab) Record(col int, v float64) {
 	s.counts[s.cols+col]++
 }
 
+// Reset empties every column, keeping the slab's storage and shape.
+func (s *SampleSlab) Reset() {
+	s.vals = s.vals[:0]
+	clear(s.counts)
+}
+
 // Windows returns the number of windows column col has closed.
 func (s *SampleSlab) Windows(col int) int { return int(s.counts[s.cols+col]) }
 
@@ -218,6 +224,12 @@ func (h *Histogram) ObserveBucketN(i int, n int64) {
 // ObserveN records the value v n times.
 func (h *Histogram) ObserveN(v float64, n int64) {
 	h.ObserveBucketN(h.BucketIndex(v), n)
+}
+
+// Reset empties the histogram, keeping its bucket storage.
+func (h *Histogram) Reset() {
+	clear(h.buckets)
+	h.total = 0
 }
 
 // Total returns the number of observations.

@@ -86,14 +86,19 @@ if grep -nE '^var|sync\.Map|beginSweepScope|warmDepth' $exp_srcs ||
 fi
 
 # Co-run legs 1 and 2 are plain per-sweep memos (legmemo.go; ROADMAP
-# item 16), not forks of a checkpointed warm baseline: outside the DSE's
-# platform pool (dse.go) no non-test file in internal/experiments
-# imports internal/checkpoint.
-echo "== co-run legs are memos, not checkpoint forks (internal/experiments) =="
-ckpt_srcs=$(ls internal/experiments/*.go | grep -v '_test\.go$' | grep -v '/dse\.go$')
+# item 16), not forks of a checkpointed warm baseline, and a DSE leg
+# group resets its just-built platform in place: no non-test file in
+# internal/experiments imports internal/checkpoint. Nor does the
+# zero-load probe snapshot its network between points: it resets it.
+echo "== co-run legs are memos, just-built simulations reset (internal/experiments, internal/noc) =="
+ckpt_srcs=$(ls internal/experiments/*.go | grep -v '_test\.go$')
 # shellcheck disable=SC2086
 if grep -n '"snacknoc/internal/checkpoint"' $ckpt_srcs; then
-    echo "ERROR: only dse.go forks checkpoints in internal/experiments; co-run legs are memoized (legmemo.go)" >&2
+    echo "ERROR: internal/experiments takes no checkpoint; co-run legs are memoized (legmemo.go) and DSE platforms reset" >&2
+    exit 1
+fi
+if grep -nE 'SnapshotState|RestoreState' internal/noc/synthetic.go; then
+    echo "ERROR: LoadLatencyPoints rewinds its probe network with Reset, not a snapshot" >&2
     exit 1
 fi
 
@@ -101,14 +106,13 @@ fi
 # tracer and recorder to, and which register its metrics, is decided in
 # internal/experiments/observe.go (RunSpec.Observe, Observation.Record),
 # and the commands run a zero-load kernel through RunSpec.RunKernel. No
-# runner or command hand-wires the observe calls again; the DSE's pooled
-# platforms keep their one attach, and the pool its statistics, until
-# the pool goes.
+# runner or command hand-wires the observe calls again; the DSE's leg
+# groups keep their one attach, which Reset zeroes between legs.
 echo "== one observed run (experiments observe.go) =="
 obs_srcs=$(find internal/experiments cmd -name '*.go' ! -name '*_test.go' ! -path internal/experiments/observe.go)
 # shellcheck disable=SC2086
 if grep -nE '\.(SetTracer|SetAttrib|RegisterMetrics)\(' $obs_srcs /dev/null |
-    grep -vE '^internal/experiments/dse\.go:[0-9]+:[[:space:]]*(plat\.SetAttrib\(rec\)|pool\.RegisterMetrics\(reg, "dse"\))$' ||
+    grep -vE '^internal/experiments/dse\.go:[0-9]+:[[:space:]]*plat\.SetAttrib\(rec\)$' ||
     grep -rn 'core\.NewStandalone' cmd; then
     echo "ERROR: observe a run through RunSpec.Observe/Record and run a kernel through RunSpec.RunKernel" >&2
     exit 1
@@ -171,10 +175,10 @@ go test -run '^$' -fuzz '^FuzzValidateTrace$' -fuzztime 10s -fuzzminimizetime 1s
 # detector's ~10x slowdown. It covers the concurrent sweep runner (the
 # traced parallel-sweep test ignores -short); sim and noc ride along for
 # the engine and the network every worker builds its own of, and core
-# and cache for the pooled token/message paths. checkpoint rides
-# along for the platform pool: the DSE invariance test in experiments
-# drives pooled forks from 4 workers, and the pool's own tests cover the
-# Get/Release/Seal paths. core's runnable-set invariant (checked after
+# and cache for the pooled token/message paths. The DSE invariance test
+# in experiments resets four groups' platforms at once from 4 workers.
+# checkpoint rides along for the platform pool's own tests, which cover
+# the Get/Release/Seal paths. core's runnable-set invariant (checked after
 # every cycle) and its sliced kernel runs do not skip under -short.
 echo "== go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./internal/core ./internal/cache ./internal/checkpoint =="
 go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./internal/core ./internal/cache ./internal/checkpoint
@@ -267,7 +271,7 @@ bench_smoke() {
 }
 echo "== benchmark smoke (1 iteration) =="
 bench_smoke ./internal/sim BenchmarkEngineSchedule BenchmarkEngineStepIdle
-bench_smoke ./internal/noc BenchmarkRouterEvaluate
+bench_smoke ./internal/noc BenchmarkRouterEvaluate BenchmarkNetworkReset
 bench_smoke ./internal/cache BenchmarkL1AccessFast
 
 # Observability smoke: trace, attribute, and snapshot a tiny
@@ -343,15 +347,17 @@ echo "attribution smoke: byte-identical"
 # network was slab-built); a per-instruction allocation anywhere on that
 # path costs 300k.
 #
-# dse_fork_sweep: a DSE cell is mostly set-up — a platform build, its
-# pristine snapshot, a probe-mesh build — and the network, the RCUs and
-# the engine's handles are slabs and the NIs' queues start as windows of
-# them, and the cells that differ only in channel width share their
-# kernel legs (16 leg groups of 4 cells: 16 platform builds and 32 legs
-# for 64 cells), so one 64-cell pass stays under 8000 allocations (6.7k
-# when this was written; 12.7k with a platform and two legs per cell,
-# 23.4k with NI queues grown on first use, 24.7k with credit wires; it
-# was 441912 with per-router construction, and a mesh built router by
+# dse_fork_sweep: a DSE cell is mostly set-up — a platform build, reset
+# in place between its leg group's legs, and a probe-mesh build, reset
+# between its points — and the network, the RCUs and the engine's
+# handles are slabs and the NIs' queues start as windows of them, and
+# the cells that differ only in channel width share their kernel legs
+# (16 leg groups of 4 cells: 16 platform builds and 32 legs for 64
+# cells), so one 64-cell pass stays under 3200 allocations (2.9k when
+# this was written; 3.5k with a snapshot of every just-built platform
+# and probe network; 12.7k with a platform and two legs per cell, 23.4k
+# with NI queues grown on first use, 24.7k with credit wires; it was
+# 441912 with per-router construction, and a mesh built router by
 # router again costs ~1200 objects per build, 150k per pass). The pool
 # misses of the traced run count the platform builds: at most 16 (16
 # when this was written, 64 with one pool shape per cell).
@@ -394,9 +400,11 @@ echo "attribution smoke: byte-identical"
 # and a flit is one 64-byte line, so a kernels pass stays under 16 MB
 # (12.7 when this was written; 24.8 with a 56-byte token per
 # instruction; 36.7 with 80-byte tokens in chunked slabs behind 16-byte
-# pointer-pair entries) and a DSE pass under 15 MB (13.5 when this bound
-# was set, with the zero-load probe's network holding only the request
-# vnet; 17.4 with all three vnets and the compute ports; 33.8 before
+# pointer-pair entries) and a DSE pass under 11.5 MB (10.4 when this
+# bound was set, with just-built simulations reset in place; 13.2 with
+# a snapshot of each; 13.5 with the zero-load probe's network holding
+# only the request vnet; 17.4 with all three vnets and the compute
+# ports; 33.8 before
 # legs were shared across channel widths; 61.7 with two legs per cell,
 # 67.3 with 80-byte tokens). The grep below keeps the slab and the token pointers out of
 # the compiled program.
@@ -419,7 +427,7 @@ bench_bound() {
     fi
     echo "benchmark bound: $1 $3 $bb_v <= $4"
 }
-echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 12800, dse_fork_sweep <= 3900, cmp_sparse_traffic <= 7300, corun_interference <= 1265, mesh_saturation <= 375; alloc_mb_per_pass: kernels_zero_load <= 16, dse_fork_sweep <= 15, mesh_saturation <= 3.5, cmp_sparse_traffic <= 4.2, corun_interference <= 2.6; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
+echo "== exact benchmark counts (allocs_per_pass: kernels_zero_load <= 12800, dse_fork_sweep <= 3200, cmp_sparse_traffic <= 7300, corun_interference <= 1265, mesh_saturation <= 375; alloc_mb_per_pass: kernels_zero_load <= 16, dse_fork_sweep <= 11.5, mesh_saturation <= 3.5, cmp_sparse_traffic <= 4.2, corun_interference <= 2.6; sim.evals_per_cycle: cmp_sparse_traffic <= 8.5, kernels_zero_load <= 8, corun_interference <= 12; checkpoint.pool_misses: dse_fork_sweep <= 16; no closure events in cache or mem; no per-packet objects in noc; no pointer-graph cloning in core, cache or checkpoint; no slab or token pointers in a compiled program; no attribution pointers or per-component probe setters) =="
 if grep -n '\.Schedule(\|\.ScheduleAfter(' $(ls internal/cache/*.go internal/mem/*.go | grep -v _test.go); then
     echo "ERROR: internal/cache and internal/mem file typed events (ScheduleCall), not closures" >&2
     exit 1
@@ -450,7 +458,7 @@ if grep -n '\*attrib\.Counters\|CountersState\|\.at != nil' $attrib_src ||
     exit 1
 fi
 bench_bound kernels_zero_load 0 allocs_per_pass 12800
-bench_bound dse_fork_sweep 0 allocs_per_pass 3900
+bench_bound dse_fork_sweep 0 allocs_per_pass 3200
 bench_bound mesh_saturation 0 allocs_per_pass 375
 # The CMP legs' controllers, tag stores, waiters, pending requests,
 # directory, slot arrays and sampled series live in a few system- and
@@ -465,7 +473,7 @@ bench_bound mesh_saturation 0 allocs_per_pass 375
 bench_bound cmp_sparse_traffic 0 allocs_per_pass 7300
 bench_bound corun_interference 0 allocs_per_pass 1265
 bench_bound kernels_zero_load 0 alloc_mb_per_pass 16
-bench_bound dse_fork_sweep 0 alloc_mb_per_pass 15
+bench_bound dse_fork_sweep 0 alloc_mb_per_pass 11.5
 bench_bound mesh_saturation 0 alloc_mb_per_pass 3.5
 bench_bound cmp_sparse_traffic 0 alloc_mb_per_pass 4.2
 bench_bound corun_interference 0 alloc_mb_per_pass 2.6
