@@ -81,10 +81,9 @@ func DefaultCPMConfig(node noc.NodeID) CPMConfig {
 // staged or sent, and spilled tokens are kept by value. A checkpoint
 // copies cpmState and the memory channel's ControllerState.
 type CPM struct {
-	cfg  CPMConfig
-	net  *noc.Network
-	mem  *mem.Controller
-	loop *noc.LoopRoute
+	cfg CPMConfig
+	net *noc.Network
+	mem *mem.Controller
 	// port is the CPM's own connection into its router (Fig 5 shows the
 	// CPM attached beside the router, not behind the node's network
 	// interface). It shares the compute input port with the co-located
@@ -141,7 +140,7 @@ type cpmScalars struct {
 	// The congestion detectors hold their router and thresholds beside
 	// their state; a copy over the same CPM leaves those as they were.
 	alo      noc.ALODetector
-	snackALO noc.SnackALODetector
+	snackALO noc.ALODetector
 
 	state KernelState
 	// staged is what Advance injects next: an instruction of prog, by its
@@ -174,7 +173,6 @@ func NewCPM(cfg CPMConfig, net *noc.Network, ctrl *mem.Controller) *CPM {
 		net:    net,
 		mem:    ctrl,
 		nsBase: (DepID(cfg.Node) + 1) * nsLimit,
-		loop:   net.Loop(),
 		cpmState: cpmState{
 			// refill keeps the buffer under instrBufCap entries counting the
 			// reads in flight, so one transaction past it never overflows.
@@ -195,8 +193,8 @@ func (c *CPM) reset() {
 	c.result = nil
 	c.offload, c.offloadPending, c.offloadMem = c.offload[:0], c.offloadPending[:0], c.offloadMem[:0]
 	c.cpmScalars = cpmScalars{
-		alo:      *noc.NewALODetector(r, c.cfg.ALOThreshold, aloHysteresis),
-		snackALO: *noc.NewSnackALODetector(r, c.loop.Next(c.cfg.Node), c.cfg.SnackALOThreshold, aloHysteresis),
+		alo:      noc.NewALODetector(r, c.cfg.ALOThreshold, aloHysteresis),
+		snackALO: noc.NewLoopALODetector(r, c.cfg.SnackALOThreshold, aloHysteresis),
 		staged:   stageNone,
 	}
 }
@@ -374,11 +372,11 @@ func (c *CPM) Advance(cycle int64) {
 	if c.staged == stageData {
 		d := c.pool.data.Get()
 		*d = c.stagedTok
-		c.port.Send(c.loop.Next(c.cfg.Node), d, true, cycle)
+		c.port.SendLoop(d, cycle)
 	} else {
 		it := c.pool.instr.Get()
 		c.assemble(it, c.staged)
-		c.port.Send(it.Dst, it, false, cycle)
+		c.port.Send(it.Dst, it, cycle)
 	}
 	c.staged = stageNone
 	c.issued.Inc()

@@ -54,10 +54,9 @@ func (c *CPM) BusyReplies() int64 { return c.busyReplies.Value() }
 
 // NewRCU builds a lone compute unit for one router, outside a platform
 // and without an injection port.
-func NewRCU(node noc.NodeID, loop *noc.LoopRoute, cpmNode noc.NodeID) *RCU {
+func NewRCU(node, cpmNode noc.NodeID) *RCU {
 	return &RCU{
 		node:     node,
-		loop:     loop,
 		cpmNode:  cpmNode,
 		pool:     new(TokenPool),
 		instrs:   &instrSlab{free: -1},

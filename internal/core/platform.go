@@ -179,7 +179,7 @@ func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Contr
 		// The platform is attached before the network runs, while every VC
 		// is free, so this is the most the CPM's router can ever offer: a
 		// higher floor would hold issue forever.
-		if free := net.Router(cc.Node).FreeOutputVCs(true); cc.ALOThreshold > free {
+		if free := net.Router(cc.Node).FreeOutputVCs(); cc.ALOThreshold > free {
 			return nil, fmt.Errorf("core: CPM at node %d has ALO threshold %d, but its router offers at most %d free communication VCs",
 				cc.Node, cc.ALOThreshold, free)
 		}
@@ -199,7 +199,7 @@ func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Contr
 	// the RCUs; the group and the CPMs are the components eng reserves.
 	eng.Reserve(1 + len(cpms))
 	pool := new(TokenPool)
-	rcus := newRCUs(nc.Nodes(), net.Loop(), p.CPM.Node())
+	rcus := newRCUs(nc.Nodes(), p.CPM.Node())
 	p.group = rcuGroup{rcus: rcus, runnable: make(flat.IndexSet, (len(rcus)+63)/64)}
 	for i := range rcus {
 		node := noc.NodeID(i)

@@ -52,6 +52,8 @@ type waitList struct {
 
 // outToken is a result awaiting injection through the compute port. It
 // is minted into a pooled token only once the port has a credit for it.
+// A loop token rides the loop from the port's successor; any other goes
+// to dst.
 type outToken struct {
 	dst  noc.NodeID
 	tok  DataToken
@@ -123,7 +125,6 @@ func (s *instrSlab) release(i int32) {
 type RCU struct {
 	node    noc.NodeID
 	port    *noc.InjectPort
-	loop    *noc.LoopRoute
 	cpmNode noc.NodeID
 	pool    *TokenPool // its platform's, wired by the Platform
 
@@ -207,7 +208,7 @@ const (
 // — an RCU that outgrows one reallocates it privately, as a directly
 // constructed NewRCU grows from empty. The caller hands each RCU the
 // platform's instrSlab and writes its initial state (reset).
-func newRCUs(nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) []RCU {
+func newRCUs(nodes int, cpmNode noc.NodeID) []RCU {
 	const tabCap = rcuSBTabCap + rcuWaitTabCap
 	rcus := make([]RCU, nodes)
 	cells := make([]instrNode, nodes*rcuCellCap)
@@ -220,7 +221,7 @@ func newRCUs(nodes int, loop *noc.LoopRoute, cpmNode noc.NodeID) []RCU {
 	tab := func(n int) flat.Table[uint32] { return flat.TableOver(flat.Carve(&ents, n)) }
 	for i := range rcus {
 		rcus[i] = RCU{
-			node: noc.NodeID(i), loop: loop, cpmNode: cpmNode,
+			node: noc.NodeID(i), cpmNode: cpmNode,
 			rcuState: rcuState{
 				inbox:    flat.Carve(&inbox, rcuInboxCap)[:0],
 				nodes:    flat.Carve(&cells, rcuCellCap)[:0],
@@ -424,7 +425,11 @@ func (r *RCU) Advance(cycle int64) {
 	o := r.outQ.Pop()
 	tok := r.pool.data.Get()
 	*tok = o.tok
-	r.port.Send(o.dst, tok, o.loop, cycle)
+	if o.loop {
+		r.port.SendLoop(tok, cycle)
+	} else {
+		r.port.Send(o.dst, tok, cycle)
+	}
 }
 
 // sbFor returns the sub-block slot for id, creating it on first use.
@@ -695,7 +700,7 @@ func (r *RCU) complete(cycle int64) {
 		o.tok.Dependents -= uint16(fills)
 	}
 	if o.tok.Dependents > 0 {
-		o.dst, o.loop = r.loop.Next(r.node), true
+		o.loop = true
 		r.outQ.Push(o)
 	}
 }

@@ -59,7 +59,7 @@ func (c *aloCheck) Name() string { return "alo-check" }
 func (c *aloCheck) Evaluate(cycle int64) {
 	c.cycles++
 	for _, r := range c.net.Routers() {
-		full := r.FreeOutputVCs(true)
+		full := r.FreeOutputVCs()
 		for _, n := range []int{c.th, full, full + 1} {
 			if got := r.FreeOutputVCsAtLeast(n); got != (full >= n) {
 				c.t.Fatalf("cycle %d, %s: %d free VCs, at-least-%d says %v", cycle, r.Name(), full, n, got)

@@ -19,7 +19,7 @@ type portUser struct {
 func (u *portUser) Name() string         { return "port-user" }
 func (u *portUser) Evaluate(cycle int64) { u.port.Update(cycle) }
 func (u *portUser) Advance(cycle int64) {
-	if u.port.Send(u.dst, nil, false, cycle) {
+	if u.port.Send(u.dst, nil, cycle) {
 		u.sent = append(u.sent, cycle)
 	}
 }

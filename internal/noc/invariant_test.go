@@ -401,6 +401,6 @@ type portPump struct {
 func (p *portPump) Evaluate(cycle int64) { p.port.Update(cycle) }
 func (p *portPump) Advance(cycle int64) {
 	if cycle < 600 && cycle%p.every == 0 {
-		p.port.Send(p.dst, nil, false, cycle)
+		p.port.Send(p.dst, nil, cycle)
 	}
 }

@@ -21,8 +21,7 @@ import (
 // is a copy of the mutable slabs (see snapshot.go). DESIGN.md §9 has the
 // layout.
 type Network struct {
-	cfg  *Config
-	loop *LoopRoute
+	cfg *Config
 
 	routers []Router
 	nis     []NI
@@ -174,9 +173,6 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	if cfg.ComputePort {
 		n.ports = make([]InjectPort, nodes)
 	}
-	if cfg.SnackVNet >= 0 {
-		n.loop = newLoopRoute(cfg)
-	}
 	for k := range n.flitWires {
 		n.flitWires[k].q = n.flitQ[k*p.wireCap : k*p.wireCap : (k+1)*p.wireCap]
 	}
@@ -258,7 +254,7 @@ func (n *Network) init() {
 // Reset rewinds the network to its built state in place: it returns
 // every flit and envelope it holds to the pool (release) and runs init
 // again. The wiring stays: handles, attached clients and compute units,
-// the loop route and every carved window, and so do the tracer and the
+// the loop successors and every carved window, and so do the tracer and the
 // sampling interval. Attached attribution counts and sampled series
 // restart at zero, as on a fresh build. Payloads in flight are dropped,
 // not returned to their owners' pools. The engine is reset separately
@@ -332,7 +328,7 @@ func (n *Network) layOut(p *slabPlan) {
 		r := &n.routers[i]
 		n.rptrs[i] = r
 		*r = Router{
-			id: NodeID(i), cfg: cfg, loop: n.loop, pool: &n.pool,
+			id: NodeID(i), cfg: cfg, pool: &n.pool,
 			vnetOff: vnetOff, depthOf: depthOf, nvcOf: nvcOf,
 			snackVNet:   int8(cfg.SnackVNet),
 			routerLatM1: int64(cfg.RouterLatency - 1),
@@ -412,6 +408,10 @@ func (n *Network) layOut(p *slabPlan) {
 		}
 	}
 
+	if cfg.SnackVNet >= 0 {
+		wireLoop(cfg, n.routers)
+	}
+
 	// Second pass, now that every input port has its wire: point each
 	// output at the downstream input's wire and make its credits that
 	// input's credit sink (init fills them).
@@ -447,7 +447,7 @@ func (n *Network) layOut(p *slabPlan) {
 	for i := range n.ports {
 		in := n.routers[i].inputs[Compute]
 		n.ports[i] = InjectPort{
-			node: NodeID(i), vnet: int8(cfg.SnackVNet), pool: &n.pool, out: in.in,
+			node: NodeID(i), loopNext: n.routers[i].loopNext, vnet: int8(cfg.SnackVNet), pool: &n.pool, out: in.in,
 			credits: flat.Carve(&credits, p.snackVCs), landed: flat.Carve(&credits, p.snackVCs),
 		}
 		in.credit = sink(n.ports[i].landed, NodeID(i), Compute)
@@ -462,9 +462,6 @@ func (n *Network) layOut(p *slabPlan) {
 
 // Cfg returns the network configuration.
 func (n *Network) Cfg() *Config { return n.cfg }
-
-// Loop returns the transient-data loop route (nil without a snack vnet).
-func (n *Network) Loop() *LoopRoute { return n.loop }
 
 // Router returns the router at the given node.
 func (n *Network) Router(id NodeID) *Router { return &n.routers[id] }
@@ -610,10 +607,11 @@ func (n *Network) AvgPacketLatency(vnet int) float64 {
 // Update must be called from the unit's Evaluate on every cycle it
 // evaluates; Send must be called from the unit's Advance phase.
 type InjectPort struct {
-	node NodeID
-	vnet int8
-	pool *flitPool
-	out  *wire
+	node     NodeID
+	loopNext NodeID // the node's successor on the loop, where SendLoop sends
+	vnet     int8
+	pool     *flitPool
+	out      *wire
 	// Windows of the Network's credits slab: the free slots Send may use,
 	// and those returned since the last Update (see creditSink).
 	credits []int32
@@ -654,9 +652,19 @@ func (p *InjectPort) FreeSlots() int {
 // CanSend reports whether at least one flit can be sent this cycle.
 func (p *InjectPort) CanSend() bool { return p.FreeSlots() > 0 }
 
-// Send injects a single-flit snack packet carrying the given payload.
-// It returns false when no credit is available. Call during Advance.
-func (p *InjectPort) Send(dst NodeID, payload any, loop bool, cycle int64) bool {
+// Send injects a single-flit snack packet carrying the given payload to
+// dst. It returns false when no credit is available. Call during Advance.
+func (p *InjectPort) Send(dst NodeID, payload any, cycle int64) bool {
+	return p.send(dst, payload, false, cycle)
+}
+
+// SendLoop is Send for a transient token: it rides the loop, starting at
+// the node's successor.
+func (p *InjectPort) SendLoop(payload any, cycle int64) bool {
+	return p.send(p.loopNext, payload, true, cycle)
+}
+
+func (p *InjectPort) send(dst NodeID, payload any, loop bool, cycle int64) bool {
 	nvc := len(p.credits)
 	for i := 0; i < nvc; i++ {
 		c := (p.rr + i) % nvc

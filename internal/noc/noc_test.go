@@ -319,46 +319,38 @@ func TestHeavyRandomTrafficAllDelivered(t *testing.T) {
 	}
 }
 
+// TestLoopRouteVisitsAllNodesOnce checks the loop as built networks wire
+// it, in both serpentine orientations: the routers' successors form one
+// cycle through every node, each successor is a mesh neighbour, and each
+// router's loop output is the XY output toward it.
 func TestLoopRouteVisitsAllNodesOnce(t *testing.T) {
-	for _, dims := range [][2]int{{4, 4}, {4, 3}, {3, 4}, {8, 8}, {2, 2}, {6, 4}} {
-		cfg := &Config{Width: dims[0], Height: dims[1], ChannelWidthBytes: 16,
-			RouterLatency: 1, LinkLatency: 1, VNets: commVNets(2, 2), SnackVNet: -1}
-		lr := newLoopRoute(cfg)
-		seen := make(map[NodeID]bool)
-		n := NodeID(0)
-		for i := 0; i < lr.Len(); i++ {
-			if seen[n] {
-				t.Fatalf("%v: node %d visited twice", dims, n)
+	for _, dims := range [][2]int{{4, 4}, {8, 8}, {4, 3}, {3, 4}, {2, 6}, {6, 2}} {
+		for _, prio := range []bool{false, true} {
+			cfg := SnackPlatform(dims[0], dims[1], prio)
+			_, net := build(t, cfg)
+			seen := make(map[NodeID]bool)
+			n := NodeID(0)
+			for i := 0; i < cfg.Nodes(); i++ {
+				if seen[n] {
+					t.Fatalf("%v: node %d visited twice", dims, n)
+				}
+				seen[n] = true
+				r := net.Router(n)
+				nxt := r.LoopNext()
+				x1, y1 := cfg.XY(n)
+				x2, y2 := cfg.XY(nxt)
+				if dx, dy := x2-x1, y2-y1; dx*dx+dy*dy != 1 {
+					t.Fatalf("%v: %d -> %d not neighbors", dims, n, nxt)
+				}
+				if out := r.loopOut; out != routeXY(cfg, n, nxt) || r.outputs[out] == nil {
+					t.Fatalf("%v: router %d loop output %v, want an existing %v", dims, n, out, routeXY(cfg, n, nxt))
+				}
+				n = nxt
 			}
-			seen[n] = true
-			nxt := lr.Next(n)
-			// successor must be a mesh neighbor
-			x1, y1 := cfg.XY(n)
-			x2, y2 := cfg.XY(nxt)
-			if dx, dy := x2-x1, y2-y1; dx*dx+dy*dy != 1 {
-				t.Fatalf("%v: %d -> %d not neighbors", dims, n, nxt)
+			if n != 0 {
+				t.Fatalf("%v: loop did not close (ended at %d)", dims, n)
 			}
-			n = nxt
 		}
-		if n != 0 {
-			t.Fatalf("%v: loop did not close (ended at %d)", dims, n)
-		}
-		if len(seen) != cfg.Nodes() {
-			t.Fatalf("%v: visited %d of %d nodes", dims, len(seen), cfg.Nodes())
-		}
-	}
-}
-
-func TestLoopRoutePositions(t *testing.T) {
-	cfg := SnackPlatform(4, 4, false)
-	lr := newLoopRoute(cfg)
-	n := NodeID(0)
-	start := lr.Pos(n)
-	for i := 0; i < lr.Len(); i++ {
-		if got := lr.Pos(n); got != (start+i)%lr.Len() {
-			t.Fatalf("pos of %d = %d, want %d", n, got, (start+i)%lr.Len())
-		}
-		n = lr.Next(n)
 	}
 }
 
@@ -535,12 +527,8 @@ func TestFreeOutputVCsIdleNetwork(t *testing.T) {
 	eng, net := build(t, cfg)
 	eng.Run(5)
 	// Corner router 0 has 2 mesh outputs × 2 comm vnets × 4 VCs = 16.
-	if got := net.Router(0).FreeOutputVCs(true); got != 16 {
+	if got := net.Router(0).FreeOutputVCs(); got != 16 {
 		t.Fatalf("free comm VCs = %d, want 16", got)
-	}
-	// Including snack vnet: 2 × 3 × 4 = 24.
-	if got := net.Router(0).FreeOutputVCs(false); got != 24 {
-		t.Fatalf("free total VCs = %d, want 24", got)
 	}
 }
 

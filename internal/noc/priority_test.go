@@ -61,7 +61,7 @@ func (p *contentionPump) Evaluate(cycle int64) {
 	}
 }
 func (p *contentionPump) Advance(cycle int64) {
-	p.port.Send(3, "instr", false, cycle)
+	p.port.Send(3, "instr", cycle)
 }
 
 // TestPriorityArbitrationFavorsCommFlits checks the §III-D3 mechanism:
@@ -130,7 +130,7 @@ func (p *loopPump) Name() string { return "loopPump" }
 func (p *loopPump) Evaluate(cycle int64) {
 	if !p.done {
 		p.net.Inject(&Packet{
-			Src: 0, Dst: p.net.Loop().Next(0),
+			Src: 0, Dst: p.net.Router(0).LoopNext(),
 			VNet: p.net.Cfg().SnackVNet, SizeBytes: 12, Loop: true,
 			Payload: "token",
 		}, cycle)

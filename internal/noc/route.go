@@ -23,20 +23,26 @@ func routeXY(cfg *Config, here NodeID, dst NodeID) Direction {
 	}
 }
 
-// LoopRoute is the static path that visits every node in a single cycle,
-// used as the storage medium for transient data tokens (§III-E: "a static
-// path route that visits every node in a single loop"). On a W×H mesh
-// with an even dimension this is a Hamiltonian cycle: serpentine through
-// columns 1..W-1, then return along column 0.
-type LoopRoute struct {
-	next []NodeID // next[node] = successor on the loop
-	pos  []int    // position of each node along the loop
+// wireLoop hands each router its successor on the transient-data loop
+// and the output toward it. Its one caller is layOut, on a snack network.
+func wireLoop(cfg *Config, routers []Router) {
+	order := loopOrder(cfg)
+	for k, id := range order {
+		r := &routers[id]
+		r.loopNext = order[(k+1)%len(order)]
+		r.loopOut = routeXY(cfg, id, r.loopNext)
+	}
 }
 
-// newLoopRoute builds the loop for the given mesh. Its one caller is New,
-// after Config.Validate has rejected a snack network without an even
-// width or height, so the odd×odd panic guards that invariant only.
-func newLoopRoute(cfg *Config) *LoopRoute {
+// loopOrder is the static path that visits every node in a single cycle,
+// the storage medium for transient data tokens (§III-E: "a static path
+// route that visits every node in a single loop"), as the node sequence
+// whose last node's successor is the first. On a W×H mesh with an even
+// dimension this is a Hamiltonian cycle: serpentine through columns
+// 1..W-1, then return along column 0. Config.Validate has rejected a
+// snack network without an even width or height, so the odd×odd panic
+// guards that invariant only.
+func loopOrder(cfg *Config) []NodeID {
 	w, h := cfg.Width, cfg.Height
 	order := make([]NodeID, 0, w*h)
 	if h%2 == 0 {
@@ -73,20 +79,7 @@ func newLoopRoute(cfg *Config) *LoopRoute {
 			order = append(order, cfg.Node(x, 0))
 		}
 	} else {
-		panic(fmt.Sprintf("noc: newLoopRoute on odd×odd mesh %dx%d, which Config.Validate rejects for a snack network", w, h))
+		panic(fmt.Sprintf("noc: loopOrder on odd×odd mesh %dx%d, which Config.Validate rejects for a snack network", w, h))
 	}
-
-	lr := &LoopRoute{
-		next: make([]NodeID, w*h),
-		pos:  make([]int, w*h),
-	}
-	for i, n := range order {
-		lr.next[n] = order[(i+1)%len(order)]
-		lr.pos[n] = i
-	}
-	return lr
+	return order
 }
-
-// Next returns the successor of node n on the loop; successors are always
-// mesh neighbors, so one XY hop reaches them.
-func (lr *LoopRoute) Next(n NodeID) NodeID { return lr.next[n] }

@@ -141,8 +141,12 @@ type Router struct {
 
 	compute ComputeUnit
 	drainer LoopDrainer // compute's drain hook, cached off the hot path
-	loop    *LoopRoute
-	pool    *flitPool // the network's flit free-list
+	pool    *flitPool   // the network's flit free-list
+
+	// loopNext is the router's successor on the transient-data loop and
+	// loopOut the output toward it, set once by layOut on a snack network.
+	loopNext NodeID
+	loopOut  Direction
 
 	// vcs is the flat input-VC table (see inputVC); bufSlab backs every
 	// VC's ring queue. Both are windows of the Network's slabs.
@@ -336,20 +340,20 @@ func (r *Router) CatchUp(idle int64) {
 	r.attrib.Add(attrib.RouterEmpty, idle)
 }
 
-// FreeOutputVCs counts free useful virtual output channels across the
-// router's mesh output ports, the quantity tracked by the ALO congestion
-// estimator of Baydal et al. used by the CPM (§III-C2). When commOnly is
-// true the snack vnet is excluded.
-func (r *Router) FreeOutputVCs(commOnly bool) int { return r.freeOutputVCs(commOnly, math.MaxInt) }
+// FreeOutputVCs counts free useful communication-vnet virtual output
+// channels across the router's mesh output ports, the quantity tracked by
+// the ALO congestion estimator of Baydal et al. used by the CPM
+// (§III-C2).
+func (r *Router) FreeOutputVCs() int { return r.freeOutputVCs(math.MaxInt) }
 
-// freeOutputVCsAtLeast reports FreeOutputVCs(true) >= n. The ALO detector
+// freeOutputVCsAtLeast reports FreeOutputVCs() >= n. The ALO detector
 // asks this of the CPM's router every cycle and needs only the
 // comparison, so the count stops at n.
-func (r *Router) freeOutputVCsAtLeast(n int) bool { return r.freeOutputVCs(true, n) >= n }
+func (r *Router) freeOutputVCsAtLeast(n int) bool { return r.freeOutputVCs(n) >= n }
 
 // freeOutputVCs is FreeOutputVCs, except that it returns as soon as the
 // count reaches limit.
-func (r *Router) freeOutputVCs(commOnly bool, limit int) int {
+func (r *Router) freeOutputVCs(limit int) int {
 	free := 0
 	for d := North; d <= West; d++ {
 		out := r.outputs[d]
@@ -357,7 +361,7 @@ func (r *Router) freeOutputVCs(commOnly bool, limit int) int {
 			continue
 		}
 		for v := range r.cfg.VNets {
-			if commOnly && v == r.cfg.SnackVNet {
+			if v == r.cfg.SnackVNet {
 				continue
 			}
 			off := r.vnetOff[v]
@@ -373,20 +377,10 @@ func (r *Router) freeOutputVCs(commOnly bool, limit int) int {
 	return free
 }
 
-// FreeSnackVCsToward counts free snack-vnet VCs on the output port that
-// XY-routes toward dst (the overflow detector's measurement).
-func (r *Router) FreeSnackVCsToward(dst NodeID) int {
-	if r.cfg.SnackVNet < 0 {
-		return 0
-	}
-	d := routeXY(r.cfg, r.id, dst)
-	if d == Local || r.outputs[d] == nil {
-		return 0
-	}
-	return r.freeSnackOn(r.outputs[d])
-}
-
-func (r *Router) freeSnackOn(out *outputPort) int {
+// freeLoopVCs counts free snack-vnet VCs on the router's loop output
+// (the overflow detector's measurement).
+func (r *Router) freeLoopVCs() int {
+	out := r.outputs[r.loopOut]
 	off := r.vnetOff[r.cfg.SnackVNet]
 	free := 0
 	for c := int32(0); c < r.nvcOf[r.cfg.SnackVNet]; c++ {
@@ -578,7 +572,7 @@ func (r *Router) ingestArrivals(cycle int64) {
 				}
 				if f.Loop {
 					// Transient token continues to the next loop node.
-					f.Dst = r.loop.Next(r.id)
+					f.Dst = r.loopNext
 				}
 			}
 			f.eligibleAt = cycle + r.routerLatM1

@@ -133,6 +133,24 @@ if grep -nE 'Partition\(|AtBarrier|SetSerialShards|CheckUnsharded|engFor|interpo
     exit 1
 fi
 
+# One route: the transient-data loop and the ALO readings live in
+# internal/noc. noc.New gives each router its loop successor and the
+# output toward it, a compute unit sends onto the loop with
+# InjectPort.SendLoop, and the CPM's two readings are one ALODetector
+# type. No non-test Go outside internal/noc names a route object, the
+# network's accessor for it, a second detector type or its per-call
+# lookup; and routeXY, the one XY definition, is called only from
+# route.go and router.go.
+echo "== one route (internal/noc) =="
+route_srcs=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/noc/*')
+xy_srcs=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/noc/route.go' ! -path './internal/noc/router.go')
+# shellcheck disable=SC2086
+if grep -nE 'LoopRoute|\.Loop\(\)|SnackALODetector|FreeSnackVCsToward' $route_srcs ||
+    grep -nE 'routeXY\(' $xy_srcs; then
+    echo "ERROR: the loop route or an ALO reading is decided outside internal/noc, or routeXY is called outside route.go/router.go" >&2
+    exit 1
+fi
+
 echo "== go test ./... =="
 go test ./...
 
