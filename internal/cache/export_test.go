@@ -22,7 +22,7 @@ func (s *System) CheckDrained() error {
 		if n := live(&l.parked); n != 0 {
 			return fmt.Errorf("cache: l1 %d has %d parked accesses at drain", i, n)
 		}
-		if n := len(l.waits.recs) - freeLen(&l.waits); n != 0 {
+		if n := l.waits.Len() - l.waits.Idle(); n != 0 {
 			return fmt.Errorf("cache: l1 %d has %d queued accesses at drain", i, n)
 		}
 	}
@@ -30,7 +30,7 @@ func (s *System) CheckDrained() error {
 		return fmt.Errorf("cache: %d of %d transaction slots live (%d blocks busy) at drain",
 			live(&s.txns), s.txns.Len(), s.txnTab.Len())
 	}
-	if n := len(s.pending.recs) - freeLen(&s.pending); n != 0 {
+	if n := s.pending.Len() - s.pending.Idle(); n != 0 {
 		return fmt.Errorf("cache: %d pending requests at drain", n)
 	}
 	for _, mn := range s.memNodes {
@@ -39,15 +39,6 @@ func (s *System) CheckDrained() error {
 		}
 	}
 	return nil
-}
-
-// freeLen returns the length of l's free list.
-func freeLen[T any](l *links[T]) int {
-	n := 0
-	for i := l.free; i != 0; i = l.recs[i-1].next {
-		n++
-	}
-	return n
 }
 
 // OutstandingMisses sums in-flight L1 misses across the system; a fully

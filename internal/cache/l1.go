@@ -9,22 +9,15 @@ import (
 	"snacknoc/internal/stats"
 )
 
-// l1MSHRSets is the number of MSHR hash chains; a power of two so the
-// set index is a mask. Outstanding misses per L1 are bounded by the
-// core's access window, so chains stay short.
-const l1MSHRSets = 64
-
-// mshrEntry tracks one outstanding L1 miss. Entries live in a flat slab
-// chained per set (block & mask) with a free list — the miss path and
-// the fill path never touch a map. Its accesses are chains in the L1's
-// waits slab: waiters complete at the fill, and retry holds conflicting
+// mshrEntry tracks one outstanding L1 miss: a slot of the L1's MSHR
+// file, which its table names by block, so the miss path and the fill
+// path never touch a map. Its accesses are chains in the L1's waits
+// slab: waiters complete at the fill, and retry holds conflicting
 // accesses (e.g. a write arriving while a read miss is outstanding)
 // re-issued once the fill completes.
 type mshrEntry struct {
-	block          uint64
 	write          bool
-	waiters, retry chain
-	next           int32
+	waiters, retry flat.Chain
 }
 
 // waiter is one access parked until a fill: a record, not a closure, so
@@ -71,11 +64,9 @@ type L1 struct {
 type l1State struct {
 	cache Cache
 
-	mshrHead [l1MSHRSets]int32 // per-set chain heads, -1 when empty
-	mshrSlab []mshrEntry
-	mshrFree int32 // slab free-list head, -1 when empty
-	mshrN    int
-	waits    links[parkedAccess] // every MSHR's waiters and retries
+	mshrTab flat.Table[uint64] // block -> mshrs slot
+	mshrs   flat.Slots[mshrEntry]
+	waits   flat.Links[parkedAccess] // every MSHR's waiters and retries
 
 	parked flat.Slots[parkedAccess]
 
@@ -92,7 +83,7 @@ type l1State struct {
 }
 
 // Outstanding returns the number of misses in flight.
-func (l *L1) Outstanding() int { return l.mshrN }
+func (l *L1) Outstanding() int { return l.mshrTab.Len() }
 
 // Hits returns the L1 hit count.
 func (l *L1) Hits() int64 { return l.hits.Value() }
@@ -100,66 +91,37 @@ func (l *L1) Hits() int64 { return l.hits.Value() }
 // Misses returns the L1 miss count (upgrades included).
 func (l *L1) Misses() int64 { return l.misses.Value() }
 
-// mshrFind returns the slab index of block's MSHR, or -1.
-func (l *L1) mshrFind(block uint64) int32 {
-	for n := l.mshrHead[block&(l1MSHRSets-1)]; n >= 0; n = l.mshrSlab[n].next {
-		if l.mshrSlab[n].block == block {
-			return n
-		}
-	}
-	return -1
-}
-
-// mshrAlloc allocates an MSHR for block off the free list. The returned
-// pointer is invalidated by the next mshrAlloc.
+// mshrAlloc allocates an MSHR for block. The returned pointer is
+// invalidated by the next mshrAlloc.
 func (l *L1) mshrAlloc(block uint64, write bool) *mshrEntry {
-	var n int32
-	if l.mshrFree >= 0 {
-		n = l.mshrFree
-		l.mshrFree = l.mshrSlab[n].next
-	} else {
-		l.mshrSlab = append(l.mshrSlab, mshrEntry{})
-		n = int32(len(l.mshrSlab) - 1)
-	}
-	e := &l.mshrSlab[n]
-	set := block & (l1MSHRSets - 1)
-	e.block, e.write, e.next = block, write, l.mshrHead[set]
-	l.mshrHead[set] = n
 	l.attribTick()
+	i := l.mshrs.Park(mshrEntry{write: write})
+	l.mshrTab.Put(block, i)
 	l.attrib.Inc(attrib.CacheMSHRAlloc)
-	l.attrib.Max(attrib.CacheMSHRPeak, int64(l.mshrN+1))
-	l.mshrN++
-	return e
+	l.attrib.Max(attrib.CacheMSHRPeak, int64(l.mshrTab.Len()))
+	return l.mshrs.At(i)
 }
 
 // attribTick advances the occupancy-weighted miss integral to the
 // current cycle at the outgoing outstanding-miss count. Called before
-// every mshrN change so each interval is weighted by the count that
+// every MSHR count change so each interval is weighted by the count that
 // held across it.
 func (l *L1) attribTick() {
 	now := l.sys.Eng.Cycle()
-	l.attrib.Add(attrib.CacheMissCycles, (now-l.attribLast)*int64(l.mshrN))
+	l.attrib.Add(attrib.CacheMissCycles, (now-l.attribLast)*int64(l.mshrTab.Len()))
 	l.attribLast = now
 }
 
-// mshrRelease unlinks block's MSHR from its set chain and recycles the
-// slab cell. Its chains must have been detached.
-func (l *L1) mshrRelease(block uint64, n int32) {
-	set := block & (l1MSHRSets - 1)
-	if l.mshrHead[set] == n {
-		l.mshrHead[set] = l.mshrSlab[n].next
-	} else {
-		for p := l.mshrHead[set]; p >= 0; p = l.mshrSlab[p].next {
-			if l.mshrSlab[p].next == n {
-				l.mshrSlab[p].next = l.mshrSlab[n].next
-				break
-			}
-		}
+// mshrTake frees block's MSHR, if it has one, and returns it: the
+// caller owns its chains.
+func (l *L1) mshrTake(block uint64) (e mshrEntry, ok bool) {
+	i, ok := l.mshrTab.Get(block)
+	if !ok {
+		return e, false
 	}
-	l.mshrSlab[n] = mshrEntry{next: l.mshrFree}
-	l.mshrFree = n
 	l.attribTick()
-	l.mshrN--
+	l.mshrTab.Del(block)
+	return l.mshrs.Take(i), true
 }
 
 // access is Access for a waiter record; a re-issued retry arrives here
@@ -206,19 +168,19 @@ func (l *L1) missPath(block uint64, write bool, w waiter) bool {
 	start := l.sys.Eng.Cycle()
 	w.starts += start
 	w.misses++
-	if n := l.mshrFind(block); n >= 0 {
-		m := &l.mshrSlab[n]
+	if i, ok := l.mshrTab.Get(block); ok {
+		m := l.mshrs.At(i)
 		if write && !m.write {
 			// A write cannot merge into a read miss: it needs exclusive
 			// permission. Park it and re-issue after the fill.
-			l.waits.push(&m.retry, parkedAccess{write: true, waiter: w})
+			l.waits.Push(&m.retry, parkedAccess{write: true, waiter: w})
 		} else {
-			l.waits.push(&m.waiters, parkedAccess{waiter: w})
+			l.waits.Push(&m.waiters, parkedAccess{waiter: w})
 		}
 		return false
 	}
 	e := l.mshrAlloc(block, write)
-	l.waits.push(&e.waiters, parkedAccess{waiter: w})
+	l.waits.Push(&e.waiters, parkedAccess{waiter: w})
 	t := GetS
 	if write {
 		t = GetX
@@ -244,27 +206,24 @@ func (l *L1) complete(w waiter, cycle int64) {
 func (l *L1) handle(m *Msg, cycle int64) {
 	switch m.Type {
 	case DataResp, DataRespX:
-		n := l.mshrFind(m.Block)
-		if n < 0 {
-			panic(fmt.Sprintf("l1 %d: fill for block %d with no MSHR", l.node, m.Block))
-		}
 		// The chains are detached and the MSHR released before any
 		// callback runs: a waiter's recursive Access may allocate MSHRs
 		// and push waiters, never onto these chains' slots.
-		msh := &l.mshrSlab[n]
-		wasWrite, waiters, retry := msh.write, msh.waiters, msh.retry
-		l.mshrRelease(m.Block, n)
+		msh, ok := l.mshrTake(m.Block)
+		if !ok {
+			panic(fmt.Sprintf("l1 %d: fill for block %d with no MSHR", l.node, m.Block))
+		}
 		writable := m.Type == DataRespX
-		if v, evicted := l.cache.Fill(m.Block, writable, wasWrite); evicted && v.Dirty {
+		if v, evicted := l.cache.Fill(m.Block, writable, msh.write); evicted && v.Dirty {
 			wb := l.sys.pool.Get()
 			wb.Type, wb.To, wb.Block, wb.Req = PutData, RoleL2, v.Block, l.nodeID()
 			send(l.sys.Net, l.nodeID(), l.sys.Home(v.Block), wb, cycle)
 		}
-		for !waiters.empty() {
-			l.complete(l.waits.pop(&waiters).waiter, cycle)
+		for !msh.waiters.Empty() {
+			l.complete(l.waits.Pop(&msh.waiters).waiter, cycle)
 		}
-		for !retry.empty() {
-			r := l.waits.pop(&retry)
+		for !msh.retry.Empty() {
+			r := l.waits.Pop(&msh.retry)
 			r.block, r.retry = m.Block, true
 			l.park(1, r)
 		}

@@ -24,7 +24,7 @@ type dirEntry struct {
 // copies: the messages themselves were recycled on arrival.
 type l2txn struct {
 	req        Msg
-	pending    chain
+	pending    flat.Chain
 	needAcks   int
 	waitRecall bool
 	waitMem    bool
@@ -65,7 +65,7 @@ type homeState struct {
 
 	txnTab  flat.Table[uint64] // block -> txns slot
 	txns    flat.Slots[l2txn]
-	pending links[Msg] // every transaction's pending requests
+	pending flat.Links[Msg] // every transaction's pending requests
 }
 
 // entry returns the directory slot for block, creating it on first use.
@@ -95,7 +95,7 @@ func (b *L2Bank) handle(m *Msg, cycle int64) {
 	switch m.Type {
 	case GetS, GetX:
 		if t := b.sys.txn(m.Block); t != nil {
-			b.sys.pending.push(&t.pending, *m)
+			b.sys.pending.Push(&t.pending, *m)
 		} else {
 			b.start(m)
 		}
@@ -255,12 +255,12 @@ func (b *L2Bank) complete(block uint64) {
 		return
 	}
 	t := h.txns.At(i)
-	if t.pending.empty() {
+	if t.pending.Empty() {
 		h.txnTab.Del(block)
 		h.txns.Free(i)
 		return
 	}
-	t.req = h.pending.pop(&t.pending)
+	t.req = h.pending.Pop(&t.pending)
 	t.needAcks, t.waitRecall, t.waitMem, t.wentToMem = 0, false, false, false
 	b.sys.Eng.ScheduleCall(b.sys.Eng.Cycle()+b.sys.cfg.L2Lat, b, int64(block))
 }

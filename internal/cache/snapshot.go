@@ -23,19 +23,12 @@ func (t *tags) copyFrom(o *tags) {
 	t.tick, t.hits, t.misses = o.tick, o.hits, o.misses
 }
 
-// copyFrom makes l a copy of o, slot for slot, reusing l's storage.
-func (l *links[T]) copyFrom(o *links[T]) {
-	l.recs = append(l.recs[:0], o.recs...)
-	l.free = o.free
-}
-
 // copyFrom makes s a copy of o, reusing s's storage.
 func (s *l1State) copyFrom(o *l1State) {
 	s.cache.tags.copyFrom(&o.cache.tags)
-	s.mshrHead = o.mshrHead
-	s.mshrSlab = append(s.mshrSlab[:0], o.mshrSlab...)
-	s.mshrFree, s.mshrN = o.mshrFree, o.mshrN
-	s.waits.copyFrom(&o.waits)
+	s.mshrTab.CopyFrom(&o.mshrTab)
+	s.mshrs.CopyFrom(&o.mshrs)
+	s.waits.CopyFrom(&o.waits)
 	s.parked.CopyFrom(&o.parked)
 	s.hits, s.misses, s.latSum, s.latCount = o.hits, o.misses, o.latSum, o.latCount
 	s.attrib, s.attribLast = o.attrib, o.attribLast
@@ -53,7 +46,7 @@ func (h *homeState) copyFrom(o *homeState) {
 	h.dir = append(h.dir[:0], o.dir...)
 	h.txnTab.CopyFrom(&o.txnTab)
 	h.txns.CopyFrom(&o.txns)
-	h.pending.copyFrom(&o.pending)
+	h.pending.CopyFrom(&o.pending)
 }
 
 // SystemState is the whole hierarchy's saved state. Memory nodes are

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"snacknoc/internal/flat"
 	"snacknoc/internal/stats"
 )
 
@@ -33,31 +34,28 @@ func parkedEvents(s *System) (l1, dram, l1Free, dramFree int) {
 // retry), the most pending requests on one transaction, the longest
 // free list of an L1's waiter slab and that of the pending slab.
 func chainState(s *System) (waiters, retries, pending, waitFree, pendFree int) {
-	length := func(l *links[parkedAccess], c chain) int {
-		n := 0
-		for i := c.head; i != 0; i = l.recs[i-1].next {
-			n++
-		}
-		return n
-	}
 	for _, l := range s.L1s {
-		for n := range l.mshrHead {
-			for i := l.mshrHead[n]; i >= 0; i = l.mshrSlab[i].next {
-				if r := length(&l.waits, l.mshrSlab[i].retry); r > 0 {
-					waiters, retries = max(waiters, length(&l.waits, l.mshrSlab[i].waiters)), max(retries, r)
-				}
+		// A free MSHR slot holds empty chains, so every slot is read.
+		for k := range int32(l.mshrs.Len()) {
+			if r := length(&l.waits, l.mshrs.At(k).retry); r > 0 {
+				waiters, retries = max(waiters, length(&l.waits, l.mshrs.At(k).waiters)), max(retries, r)
 			}
 		}
-		waitFree = max(waitFree, freeLen(&l.waits))
+		waitFree = max(waitFree, l.waits.Idle())
 	}
 	for k := range int32(s.txns.Len()) {
-		n := 0
-		for i := s.txns.At(k).pending.head; i != 0; i = s.pending.recs[i-1].next {
-			n++
-		}
-		pending = max(pending, n)
+		pending = max(pending, length(&s.pending, s.txns.At(k).pending))
 	}
-	return waiters, retries, pending, waitFree, freeLen(&s.pending)
+	return waiters, retries, pending, waitFree, s.pending.Idle()
+}
+
+// length returns the number of records in c.
+func length[T any](l *flat.Links[T], c flat.Chain) int {
+	n := 0
+	for i := c.Head(); i >= 0; i = l.Next(i) {
+		n++
+	}
+	return n
 }
 
 // slabLayout prints every parked-event, MSHR, waiter, home-transaction
@@ -71,22 +69,23 @@ func slabLayout(s *System) string {
 			p := l.parked.At(k)
 			out += fmt.Sprintf(" {%d %v %v %d %d %v}", p.block, p.write, p.retry, p.starts, p.misses, p.done != nil)
 		}
-		out += fmt.Sprintf(" free %v\n mshr %v", l.parked.FreeSlots(), l.mshrHead)
-		for _, m := range l.mshrSlab {
-			out += fmt.Sprintf(" %v", m)
+		out += fmt.Sprintf(" free %v\n mshr %v", l.parked.FreeSlots(), l.mshrTab)
+		for k := range int32(l.mshrs.Len()) {
+			out += fmt.Sprintf(" %v", *l.mshrs.At(k))
 		}
-		out += fmt.Sprintf(" free %d\n waits", l.mshrFree)
-		for _, w := range l.waits.recs {
-			out += fmt.Sprintf(" {%v %d %d %v %d}", w.v.write, w.v.starts, w.v.misses, w.v.done != nil, w.next)
+		out += fmt.Sprintf(" free %v\n waits", l.mshrs.FreeSlots())
+		for k := range int32(l.waits.Len()) {
+			w := l.waits.At(k)
+			out += fmt.Sprintf(" {%v %d %d %v %d}", w.write, w.starts, w.misses, w.done != nil, l.waits.Next(k))
 		}
-		out += fmt.Sprintf(" free %d\n", l.waits.free)
+		out += fmt.Sprintf(" free %d\n", l.waits.Idle())
 	}
 	out += "txns"
 	for k := range int32(s.txns.Len()) {
 		t := s.txns.At(k)
 		out += fmt.Sprintf(" {%v %v %t%t%t %d}", t.req, t.pending, t.waitRecall, t.waitMem, t.wentToMem, t.needAcks)
 	}
-	out += fmt.Sprintf(" free %v\npending %v free %d\n", s.txns.FreeSlots(), s.pending.recs, s.pending.free)
+	out += fmt.Sprintf(" free %v\npending %v\n", s.txns.FreeSlots(), s.pending)
 	for _, mn := range s.memNodes {
 		out += fmt.Sprintf("mem.%d %v\n", mn, s.Mems[mn].reads)
 	}

@@ -125,30 +125,27 @@ func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, er
 
 	l1Lines, l2Lines := l1Sets*cfg.L1Ways, min(l2Sets, seedL2Sets)*cfg.L2Ways
 	dirs, lines := make([]uint16, nodes*(l1Sets+l2Sets)), make([]line, nodes*(l1Lines+l2Lines))
-	mshrs, waits := make([]mshrEntry, nodes*seedMSHRs), make([]link[parkedAccess], nodes*seedWaits)
+	mshrs, waits := make([]mshrEntry, nodes*seedMSHRs), make([]flat.Link[parkedAccess], nodes*seedWaits)
 	parked, reads := make([]parkedAccess, nodes*seedParked), make([]Msg, len(s.memNodes)*seedReads)
-	free := make([]int32, nodes*(seedParked+seedTxns)+len(s.memNodes)*seedReads)
+	free := make([]int32, nodes*(seedMSHRs+seedParked+seedTxns)+len(s.memNodes)*seedReads)
+	mshrTab, dirTab, txnTab := tableCap(seedMSHRs), tableCap(nodes*seedDir), tableCap(nodes*seedTxns)
+	ents := make([]flat.Entry[uint64], nodes*mshrTab+dirTab+txnTab)
 	l1s, l2s, hubs := make([]L1, nodes), make([]L2Bank, nodes), make([]Hub, nodes)
 	s.L1s, s.L2s, s.Hubs = make([]*L1, nodes), make([]*L2Bank, nodes), make([]*Hub, nodes)
 	for i := range nodes {
 		l := &l1s[i]
 		*l = L1{sys: s, node: i, l1State: l1State{
-			cache:    newCache(l1Sets, cfg.L1Ways, flat.Carve(&dirs, l1Sets), flat.Carve(&lines, l1Lines)),
-			mshrSlab: flat.Carve(&mshrs, seedMSHRs)[:0],
-			mshrFree: -1,
-			waits:    links[parkedAccess]{recs: flat.Carve(&waits, seedWaits)[:0]},
-			parked:   flat.SlotsOver(flat.Carve(&parked, seedParked), flat.Carve(&free, seedParked)),
+			cache:   newCache(l1Sets, cfg.L1Ways, flat.Carve(&dirs, l1Sets), flat.Carve(&lines, l1Lines)),
+			mshrTab: flat.TableOver(flat.Carve(&ents, mshrTab)),
+			mshrs:   flat.SlotsOver(flat.Carve(&mshrs, seedMSHRs), flat.Carve(&free, seedMSHRs)),
+			waits:   flat.LinksOver(flat.Carve(&waits, seedWaits)),
+			parked:  flat.SlotsOver(flat.Carve(&parked, seedParked), flat.Carve(&free, seedParked)),
 		}}
-		for k := range l.mshrHead {
-			l.mshrHead[k] = -1
-		}
 		l2s[i] = L2Bank{sys: s, node: noc.NodeID(i),
 			l2State: l2State{cache: newCache(l2Sets, cfg.L2Ways, flat.Carve(&dirs, l2Sets), flat.Carve(&lines, l2Lines))}}
 		hubs[i] = Hub{L1: l, L2: &l2s[i]}
 		s.L1s[i], s.L2s[i], s.Hubs[i] = l, &l2s[i], &hubs[i]
 	}
-	dirTab, txnTab := tableCap(nodes*seedDir), tableCap(nodes*seedTxns)
-	ents := make([]flat.Entry[uint64], dirTab+txnTab)
 	s.homeState = homeState{
 		dirTab: flat.TableOver(flat.Carve(&ents, dirTab)),
 		dir:    make([]dirEntry, 0, nodes*seedDir),

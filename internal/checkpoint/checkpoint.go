@@ -22,11 +22,12 @@
 // value or by slab index, so the only pointers saved are the payloads
 // of packets in flight. The network packs what its buffers, wires, work
 // lists and NI queues hold rather than copying their slabs whole, and
-// the engine saves its pending events as a list.
+// the engine copies its event wheel (slab, ring and overflow heap) slot
+// for slot.
 //
 // What is deliberately NOT captured: free pools (the mesh's flit and
-// packet-envelope pools, the engine's event pool and the cache-message
-// and token pools are unobservable — a pooled object is zeroed before
+// packet-envelope pools and the cache-message and token pools are
+// unobservable — a pooled object is zeroed before
 // reuse; restoring the mesh returns what it overwrites to its pool and
 // draws what it restores from it), tracers and metrics registries
 // (observability is per run), the immutable
@@ -124,7 +125,8 @@ func (s *State) Restore() {
 	if s.plat != nil {
 		s.target.Plat.RestoreState(s.plat)
 	}
-	// The engine goes last: RestoreState re-files saved events, and the
-	// component state above must already be in place when they fire.
+	// The engine goes last: RestoreState brings back the saved events,
+	// and the component state above must already be in place when they
+	// fire.
 	s.target.Eng.RestoreState(s.eng)
 }

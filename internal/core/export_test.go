@@ -60,7 +60,7 @@ func NewRCU(node, cpmNode noc.NodeID) *RCU {
 		cpmNode:  cpmNode,
 		pool:     new(TokenPool),
 		instrs:   &instrSlab{free: -1},
-		rcuState: rcuState{rcuScalars: rcuScalars{nodeFree: -1, exec: -1}},
+		rcuState: rcuState{rcuScalars: rcuScalars{exec: -1}},
 	}
 }
 

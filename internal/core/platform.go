@@ -97,7 +97,7 @@ func NewStandalone(eng *sim.Engine, width, height int, priority bool, cfg Platfo
 }
 
 // NewStandaloneOn is NewStandalone over an explicit mesh configuration
-// (it must carry a snack vnet and compute ports — see
+// (it must carry a snack vnet — see
 // noc.SnackPlatformCustom). The DSE driver uses it to sweep router
 // resources.
 func NewStandaloneOn(eng *sim.Engine, nc *noc.Config, cfg PlatformConfig) (*Platform, error) {
@@ -160,8 +160,8 @@ func checkCPMNode(nc *noc.Config, node noc.NodeID) error {
 // the snack packets ejected at each CPM node to that CPM.
 func attach(eng *sim.Engine, net *noc.Network, cpms []CPMConfig, ctrl *mem.Controller) (*Platform, error) {
 	nc := net.Cfg()
-	if nc.SnackVNet < 0 || !nc.ComputePort {
-		return nil, fmt.Errorf("core: network %q lacks a snack vnet or compute ports", nc.Name)
+	if nc.SnackVNet < 0 {
+		return nil, fmt.Errorf("core: network %q lacks a snack vnet", nc.Name)
 	}
 	p := &Platform{
 		Eng:  eng,

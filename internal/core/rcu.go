@@ -22,32 +22,14 @@ type inboxEntry struct {
 	stamp int64
 }
 
-// instrNode is one linked-list cell of the RCU's shared node slab. Both
-// the per-sub-block instruction queues and the per-dependency waiting
-// lists are singly linked chains of these, so an instruction buffered
-// in a sub-block and indexed under two unresolved operands occupies
-// three cells, all naming its one slot. Free cells are chained through
-// next.
-type instrNode struct {
-	slot, next int32
-}
-
 // sbState is one active sub-block: an intra-dependent chain executed
-// strictly in SBIdx order (§III-D1). Queued instructions live as
-// index-linked slab cells kept sorted on SBIdx; the head fires only
-// when it is the next unexecuted index, so chains survive NoC
-// reordering.
+// strictly in SBIdx order (§III-D1). Its queued instructions are a chain
+// of the RCU's cells kept sorted on SBIdx; the head fires only when it
+// is the next unexecuted index, so chains survive NoC reordering.
 type sbState struct {
 	id       uint32
-	executed int   // instructions of this sub-block already dispatched
-	head     int32 // first queued slab cell, -1 when empty
-	tail     int32 // last queued slab cell, -1 when empty
-	count    int32
-}
-
-// waitList heads one dependency's waiting-instruction chain.
-type waitList struct {
-	head, tail int32
+	executed int // instructions of this sub-block already dispatched
+	q        flat.Chain
 }
 
 // outToken is a result awaiting injection through the compute port. It
@@ -113,12 +95,13 @@ func (s *instrSlab) release(i int32) {
 // accumulator register, and result re-encoding back onto the NoC.
 //
 // The state is flat: sub-block queues and the dependency-capture index
-// are open-addressed tables over index-linked slab cells, sized once and
-// reused across kernels, and the result queue is a ring. No map grows or
-// shrinks on the dispatch path. The RCU holds every instruction by
-// value, in a slot of its platform's instrSlab, from the cycle its flit
-// arrives until it retires; the inbox, the cells and exec name slots. A
-// checkpoint is therefore a copy of the slab and of rcuState.
+// are open-addressed tables over chains of cells in one flat.Links,
+// sized once and reused across kernels, and the result queue is a ring.
+// No map grows or shrinks on the dispatch path. The RCU holds every
+// instruction by value, in a slot of its platform's instrSlab, from the
+// cycle its flit arrives until it retires; the inbox, the cells and exec
+// name slots. A checkpoint is therefore a copy of the slab and of
+// rcuState.
 //
 // On a Platform the engine does not see RCUs one by one: an rcuGroup
 // steps those that hold work (see group.go).
@@ -148,12 +131,16 @@ type RCU struct {
 // and restores it with copyFrom.
 type rcuState struct {
 	inbox []inboxEntry
-	nodes []instrNode // shared slab for sub-block queues and waiting lists
+	// cells holds the sub-block queues and the dependency wait lists,
+	// each cell an instruction slot, so an instruction buffered in a
+	// sub-block and indexed under two unresolved operands occupies three
+	// cells.
+	cells flat.Links[int32]
 
 	sbs      flat.Slots[sbState]
 	sbActive []int32            // live sub-block slots, in arrival order
 	sbTab    flat.Table[uint32] // SubBlock id -> sbs slot
-	waits    flat.Slots[waitList]
+	waits    flat.Slots[flat.Chain]
 	waitTab  flat.Table[uint32] // DepID -> waits slot
 	outQ     flat.Ring[outToken]
 
@@ -167,7 +154,6 @@ type rcuScalars struct {
 	// queues, whose high-water mark is maxBuffer.
 	buffered  int
 	maxBuffer int
-	nodeFree  int32 // slab free-list head, -1 when empty
 
 	acc     fixed.Q
 	accSB   uint32
@@ -211,9 +197,9 @@ const (
 func newRCUs(nodes int, cpmNode noc.NodeID) []RCU {
 	const tabCap = rcuSBTabCap + rcuWaitTabCap
 	rcus := make([]RCU, nodes)
-	cells := make([]instrNode, nodes*rcuCellCap)
+	cells := make([]flat.Link[int32], nodes*rcuCellCap)
 	sbSlots := make([]sbState, nodes*rcuSBCap)
-	waitSlots := make([]waitList, nodes*rcuWaitCap)
+	waitSlots := make([]flat.Chain, nodes*rcuWaitCap)
 	idx := make([]int32, nodes*(2*rcuSBCap+rcuWaitCap))
 	ents := make([]flat.Entry[uint32], nodes*tabCap)
 	inbox := make([]inboxEntry, nodes*rcuInboxCap)
@@ -224,7 +210,7 @@ func newRCUs(nodes int, cpmNode noc.NodeID) []RCU {
 			node: noc.NodeID(i), cpmNode: cpmNode,
 			rcuState: rcuState{
 				inbox:    flat.Carve(&inbox, rcuInboxCap)[:0],
-				nodes:    flat.Carve(&cells, rcuCellCap)[:0],
+				cells:    flat.LinksOver(flat.Carve(&cells, rcuCellCap)),
 				sbs:      flat.SlotsOver(flat.Carve(&sbSlots, rcuSBCap), flat.Carve(&idx, rcuSBCap)),
 				sbActive: flat.Carve(&idx, rcuSBCap)[:0],
 				sbTab:    tab(rcuSBTabCap),
@@ -242,13 +228,14 @@ func newRCUs(nodes int, cpmNode noc.NodeID) []RCU {
 // and again when it resets.
 func (r *RCU) reset() {
 	s := &r.rcuState
-	s.inbox, s.nodes, s.sbActive = s.inbox[:0], s.nodes[:0], s.sbActive[:0]
+	s.inbox, s.sbActive = s.inbox[:0], s.sbActive[:0]
+	s.cells.Reset()
 	s.sbs.Reset()
 	s.sbTab.Reset()
 	s.waits.Reset()
 	s.waitTab.Reset()
 	s.outQ.Clear()
-	s.rcuScalars = rcuScalars{nodeFree: -1, exec: -1}
+	s.rcuScalars = rcuScalars{exec: -1}
 }
 
 // SetPort installs the compute-port handle returned by AttachCompute.
@@ -268,26 +255,8 @@ func (r *RCU) Idle() bool {
 	return r.exec < 0 && len(r.inbox) == 0 && len(r.sbActive) == 0 && r.outQ.Len() == 0
 }
 
-// newNode takes a slab cell off the free list.
-func (r *RCU) newNode(slot int32) int32 {
-	if r.nodeFree >= 0 {
-		n := r.nodeFree
-		r.nodeFree = r.nodes[n].next
-		r.nodes[n] = instrNode{slot: slot, next: -1}
-		return n
-	}
-	r.nodes = append(r.nodes, instrNode{slot: slot, next: -1})
-	return int32(len(r.nodes) - 1)
-}
-
-// freeNode returns a slab cell to the free list.
-func (r *RCU) freeNode(n int32) {
-	r.nodes[n] = instrNode{next: r.nodeFree}
-	r.nodeFree = n
-}
-
 // instrAt returns the instruction cell n names.
-func (r *RCU) instrAt(n int32) *InstrToken { return &r.instrs.at(r.nodes[n].slot).it }
+func (r *RCU) instrAt(n int32) *InstrToken { return &r.instrs.at(*r.cells.At(n)).it }
 
 // retire frees a completed instruction's slot. An instruction with an
 // unfilled reference operand is still named by a waiting-list cell (only
@@ -350,9 +319,10 @@ func (r *RCU) deliver(dep DepID, v fixed.Q) int {
 	if !ok {
 		return 0
 	}
+	r.waitTab.Del(uint32(dep))
 	fills := 0
-	for n := r.waits.At(wi).head; n >= 0; {
-		s := r.nodes[n].slot
+	for c := r.waits.Take(wi); !c.Empty(); {
+		s := r.cells.Pop(&c)
 		sl := r.instrs.at(s)
 		it := &sl.it
 		if it.L.IsRef && !it.L.filled && it.L.Dep == dep {
@@ -366,26 +336,20 @@ func (r *RCU) deliver(dep DepID, v fixed.Q) int {
 		if sl.retired {
 			r.retire(s)
 		}
-		next := r.nodes[n].next
-		r.freeNode(n)
-		n = next
 	}
-	r.waits.Free(wi)
-	r.waitTab.Del(uint32(dep))
 	return fills
 }
 
 // waitAdd indexes an unresolved operand: the instruction joins dep's
 // chain at the tail, preserving arrival order.
 func (r *RCU) waitAdd(dep DepID, slot int32) {
-	n := r.newNode(slot)
 	if wi, ok := r.waitTab.Get(uint32(dep)); ok {
-		w := r.waits.At(wi)
-		r.nodes[w.tail].next = n
-		w.tail = n
+		r.cells.Push(r.waits.At(wi), slot)
 		return
 	}
-	r.waitTab.Put(uint32(dep), r.waits.Park(waitList{head: n, tail: n}))
+	var c flat.Chain
+	r.cells.Push(&c, slot)
+	r.waitTab.Put(uint32(dep), r.waits.Park(c))
 }
 
 // Evaluate implements sim.Component: enqueue arrived instructions,
@@ -438,7 +402,7 @@ func (r *RCU) sbFor(id uint32) *sbState {
 	if si, ok := r.sbTab.Get(id); ok {
 		return r.sbs.At(si)
 	}
-	si := r.sbs.Park(sbState{id: id, head: -1, tail: -1})
+	si := r.sbs.Park(sbState{id: id})
 	r.sbTab.Put(id, si)
 	r.sbActive = append(r.sbActive, si)
 	return r.sbs.At(si)
@@ -448,31 +412,19 @@ func (r *RCU) sbFor(id uint32) *sbState {
 // sorted on SBIdx (flits may arrive out of order); equal indices keep
 // arrival order.
 func (r *RCU) sbInsert(sb *sbState, slot int32) {
-	n := r.newNode(slot)
 	idx := r.instrs.at(slot).it.SBIdx
 	// Flits usually arrive in sub-block order, so appending at the tail
 	// is the hot case; the head-walk below only runs for the stragglers.
-	if sb.tail >= 0 && r.instrAt(sb.tail).SBIdx <= idx {
-		r.nodes[n].next = -1
-		r.nodes[sb.tail].next = n
-		sb.tail = n
-		sb.count++
-		return
+	prev := sb.q.Tail()
+	if prev >= 0 && r.instrAt(prev).SBIdx > idx {
+		prev = -1
+		for c := sb.q.Head(); r.instrAt(c).SBIdx <= idx; c = r.cells.Next(c) {
+			prev = c
+		}
 	}
-	prev, cur := int32(-1), sb.head
-	for cur >= 0 && r.instrAt(cur).SBIdx <= idx {
-		prev, cur = cur, r.nodes[cur].next
-	}
-	r.nodes[n].next = cur
-	if prev < 0 {
-		sb.head = n
-	} else {
-		r.nodes[prev].next = n
-	}
-	if cur < 0 {
-		sb.tail = n
-	}
-	sb.count++
+	n := r.cells.Park()
+	*r.cells.At(n) = slot
+	r.cells.InsertAfter(&sb.q, prev, n)
 }
 
 // drainInbox moves instructions that have passed the enqueue stage into
@@ -503,10 +455,10 @@ func (r *RCU) drainInbox(cycle int64) {
 // in sub-block order with every operand available.
 func (r *RCU) sbHeadReady(si int32) bool {
 	sb := r.sbs.At(si)
-	if sb.head < 0 {
+	if sb.q.Empty() {
 		return false
 	}
-	it := r.instrAt(sb.head)
+	it := r.instrAt(sb.q.Head())
 	return int(it.SBIdx) == sb.executed && operandsReady(it)
 }
 
@@ -537,7 +489,7 @@ func (r *RCU) dispatch(cycle int64) {
 			if !r.sbHeadReady(si) {
 				continue
 			}
-			seq := r.instrAt(r.sbs.At(si).head).Seq
+			seq := r.instrAt(r.sbs.At(si).q.Head()).Seq
 			if pick < 0 || seq < pickSeq {
 				pick, pickSeq = si, seq
 			}
@@ -550,19 +502,12 @@ func (r *RCU) dispatch(cycle int64) {
 		}
 	}
 	sb := r.sbs.At(pick)
-	n := sb.head
-	r.exec = r.nodes[n].slot
-	it := r.instrAt(n)
-	sb.head = r.nodes[n].next
-	if sb.head < 0 {
-		sb.tail = -1
-	}
-	r.freeNode(n)
-	sb.count--
+	r.exec = r.cells.Pop(&sb.q)
+	it := &r.instrs.at(r.exec).it
 	r.buffered--
 	sb.executed++
 	if it.EndSB {
-		if sb.head >= 0 {
+		if !sb.q.Empty() {
 			panic(fmt.Sprintf("%s: sub-block %d has instructions beyond EndSB", r.Name(), sb.id))
 		}
 		r.removeSB(pick)
@@ -581,10 +526,10 @@ func (r *RCU) dispatch(cycle int64) {
 // unchanged. It returns the slot to dispatch, or -1.
 func (r *RCU) unblock(si int32) int32 {
 	sb := r.sbs.At(si)
-	if sb.head < 0 {
+	if sb.q.Empty() {
 		return -1
 	}
-	it := r.instrAt(sb.head)
+	it := r.instrAt(sb.q.Head())
 	if int(it.SBIdx) != sb.executed || (!r.producedHere(&it.L) && !r.producedHere(&it.R)) {
 		return -1
 	}
@@ -594,7 +539,7 @@ func (r *RCU) unblock(si int32) int32 {
 		if !r.sbHeadReady(sj) {
 			continue
 		}
-		if h := r.instrAt(r.sbs.At(sj).head); !h.Op.usesAcc() && (pick < 0 || h.Seq < pickSeq) {
+		if h := r.instrAt(r.sbs.At(sj).q.Head()); !h.Op.usesAcc() && (pick < 0 || h.Seq < pickSeq) {
 			pick, pickSeq = sj, h.Seq
 		}
 	}
@@ -608,7 +553,7 @@ func (r *RCU) producedHere(o *Operand) bool {
 		return false
 	}
 	for _, sj := range r.sbActive {
-		if h := r.sbs.At(sj).head; h >= 0 {
+		if h := r.sbs.At(sj).q.Head(); h >= 0 {
 			if p := r.instrAt(h); p.Emit && p.EmitDep == o.Dep {
 				return true
 			}

@@ -37,7 +37,7 @@ func (s *instrSlab) copyFrom(o *instrSlab) {
 // copyFrom makes s a copy of o, reusing s's storage.
 func (s *rcuState) copyFrom(o *rcuState) {
 	s.inbox = append(s.inbox[:0], o.inbox...)
-	s.nodes = append(s.nodes[:0], o.nodes...)
+	s.cells.CopyFrom(&o.cells)
 	s.sbs.CopyFrom(&o.sbs)
 	s.sbActive = append(s.sbActive[:0], o.sbActive...)
 	s.sbTab.CopyFrom(&o.sbTab)

@@ -30,8 +30,8 @@ func slabLayout(p *Platform) string {
 	}
 	b.WriteString("\n")
 	for _, r := range p.RCUs {
-		fmt.Fprintf(&b, "%s exec %d inbox %v cells %v free %d sb %v %v wait %v out %v\n",
-			r.Name(), r.exec, r.inbox, r.nodes, r.nodeFree, r.sbs, r.sbActive, r.waits, ringItems(&r.outQ))
+		fmt.Fprintf(&b, "%s exec %d inbox %v cells %v sb %v %v wait %v out %v\n",
+			r.Name(), r.exec, r.inbox, r.cells, r.sbs, r.sbActive, r.waits, ringItems(&r.outQ))
 	}
 	for _, c := range p.CPMs {
 		fmt.Fprintf(&b, "%s staged %d %v buf %v offload %v %v %v\n", c.Name(), c.staged, c.stagedTok,
@@ -66,8 +66,7 @@ func TestMidKernelCheckpointRestoresSlabs(t *testing.T) {
 			return false
 		}
 		for _, r := range p.RCUs {
-			free := freeLen(r.nodeFree, func(n int32) int32 { return r.nodes[n].next })
-			if free >= 2 && len(r.nodes) > free {
+			if free := r.cells.Idle(); free >= 2 && r.cells.Len() > free {
 				return true
 			}
 		}

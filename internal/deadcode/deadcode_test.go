@@ -37,12 +37,13 @@ var allowed = map[string]string{
 	"core.CPM.InstrBufLen":     "checkpoint's fork test checks the CPM is mid-stream at the snapshot",
 	"core.Platform.Quiesced":   "compiler's fuzz test checks the platform drained",
 	"cpu.CoreState.Blocked":    "checkpoint's fork test checks cores are blocked at the snapshot",
+	"flat.Links.Idle":          "cache's drain and snapshot tests",
+	"flat.Links.Len":           "cache's drain and snapshot tests",
 	"flat.Pool.Idle":           "core's tests bound the token pools",
 	"flat.Pool.Out":            "cache's, core's and noc's drain checks",
 	"flat.Ring.At":             "core's snapshot test lists the RCU and CPM rings",
 	"flat.Slots.FreeSlots":     "cache's slab and snapshot tests",
 	"flat.Slots.Len":           "cache's slab and snapshot tests",
-	"flat.Table.Len":           "cache's drain and directory tests",
 	"noc.Built":                "experiments' TestDSENetworkBuilds counts a sweep's network builds",
 	"sim.Engine.SetQuiescence": "noc's quiescence-equivalence tests run the evaluate-everything reference",
 }

@@ -1,9 +1,9 @@
 // Package flat holds the containers the simulator's hot state is built
 // from: an open-addressed table, a free-list pool, a FIFO ring, a slot
-// array with a free stack and a bit set of small indices. Each is one
-// implementation shared by the noc, core, cache, sim and cpu layers, so
-// each invariant the checkpoint layer relies on (DESIGN §11) is written
-// and tested once.
+// array with a free stack, a slab of records linked into FIFO chains
+// and a bit set of small indices. Each is one implementation shared by
+// the noc, core, cache, sim and cpu layers, so each invariant the
+// checkpoint layer relies on (DESIGN §11) is written and tested once.
 //
 // None of them locks: every container is owned by one engine, and an
 // engine runs on at most one goroutine at a time.

@@ -25,6 +25,17 @@ func (s *Slots[T]) CopyFrom(o *Slots[T]) {
 	s.free = append(s.free, o.free...)
 }
 
+// CopyFrom makes l a record-for-record copy of o, values copied as
+// values, reusing l's storage; records past o's are zeroed.
+func (l *Links[T]) CopyFrom(o *Links[T]) {
+	n := len(l.recs)
+	l.recs = append(l.recs[:0], o.recs...)
+	if n > len(l.recs) {
+		clear(l.recs[len(l.recs):n])
+	}
+	l.free = o.free
+}
+
 // CopyFrom makes q hold o's entries, oldest first, from the front of its
 // own array, which grows only when o holds more than it fits, and zeroes
 // the rest of the array.

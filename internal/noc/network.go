@@ -102,8 +102,6 @@ func planSlabs(cfg *Config) slabPlan {
 	}
 	if cfg.SnackVNet >= 0 {
 		p.snackClass = cfg.VNets[cfg.SnackVNet].VCs
-	}
-	if cfg.ComputePort {
 		p.compute, p.snackVCs = 1, p.snackClass
 		p.snackSlots = p.snackVCs * cfg.VNets[cfg.SnackVNet].BufDepth
 	}
@@ -170,7 +168,7 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	n.credits = make([]int32, (p.nOut+nodes)*(p.portVCs+p.nv)+2*nodes*p.snackVCs)
 	n.counts = make([]int64, nodes*(bufHistBuckets+2*p.nv))
 	n.work = make([]int32, 3*p.nVCs+p.nOut*p.portVCs)
-	if cfg.ComputePort {
+	if cfg.SnackVNet >= 0 {
 		n.ports = make([]InjectPort, nodes)
 	}
 	for k := range n.flitWires {
@@ -364,7 +362,7 @@ func (n *Network) layOut(p *slabPlan) {
 		in, out, vc, slot := 0, 0, int32(0), int32(0)
 		for d := Direction(0); d < numDirections; d++ {
 			_, mesh := cfg.neighbor(r.id, d)
-			if !mesh && d != Local && !(d == Compute && cfg.ComputePort) {
+			if !mesh && d != Local && !(d == Compute && cfg.SnackVNet >= 0) {
 				continue
 			}
 			ip := &r.inList[in]
@@ -475,7 +473,7 @@ func (n *Network) AttachClient(id NodeID, c Client) { n.nis[id].AttachClient(c) 
 // AttachCompute installs a compute unit on a router and returns the
 // injection port it uses to push result flits into the crossbar.
 func (n *Network) AttachCompute(id NodeID, cu ComputeUnit) *InjectPort {
-	if !n.cfg.ComputePort {
+	if n.cfg.SnackVNet < 0 {
 		panic("noc: AttachCompute on a network without compute ports")
 	}
 	n.routers[id].attachCompute(cu)

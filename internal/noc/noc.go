@@ -38,7 +38,7 @@ const (
 	South
 	West
 	Local
-	Compute // RCU injection port (present only when Config.ComputePort)
+	Compute // RCU injection port (present only with a snack vnet)
 
 	numDirections = 6
 )
@@ -92,15 +92,13 @@ type Config struct {
 	// SnackVNet is the index into VNets of the dedicated SnackNoC virtual
 	// network, or -1 when the platform is not present (§III-B: "A
 	// dedicated virtual network is used to distribute SnackNoC
-	// instruction packets").
+	// instruction packets"). A snack vnet also gives every router the
+	// RCU injection input port (Compute).
 	SnackVNet int
 
 	// PriorityArb arbitrates communication flits ahead of snack flits at
 	// the VC and switch allocators (§III-D3).
 	PriorityArb bool
-
-	// ComputePort adds the RCU injection input port to every router.
-	ComputePort bool
 
 	// Shards is read by nothing: every network runs on the one engine
 	// handed to New, whatever its value. It stays only because the
@@ -162,7 +160,7 @@ func (c *Config) Validate() error {
 	slots := 0.0
 	for i, v := range c.VNets {
 		ports := 5.0
-		if c.ComputePort && i == c.SnackVNet {
+		if i == c.SnackVNet {
 			ports++
 		}
 		slots += ports * float64(v.VCs) * float64(v.BufDepth)
@@ -170,9 +168,6 @@ func (c *Config) Validate() error {
 	if slots *= float64(c.Nodes()); slots > meshSlotBudget {
 		return fmt.Errorf("noc: a %dx%d mesh would hold %.0f buffer slots, more than the %d a mesh may allocate",
 			c.Width, c.Height, slots, meshSlotBudget)
-	}
-	if c.ComputePort && c.SnackVNet < 0 {
-		return fmt.Errorf("noc: compute port requires a snack vnet")
 	}
 	if c.SnackVNet >= 0 && c.Width%2 != 0 && c.Height%2 != 0 {
 		return fmt.Errorf("noc: transient-data loop route needs an even mesh dimension, got %dx%d",

@@ -132,6 +132,5 @@ func SnackPlatformCustom(width, height int, priority bool, vcs, bufDepth, chanBy
 		VNets:             vnets,
 		SnackVNet:         len(vnets) - 1,
 		PriorityArb:       priority,
-		ComputePort:       true,
 	}
 }

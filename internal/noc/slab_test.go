@@ -28,7 +28,7 @@ func slabConfigs() []*Config {
 }
 
 func cfgLabel(cfg *Config) string {
-	return fmt.Sprintf("%dx%d/compute=%v", cfg.Width, cfg.Height, cfg.ComputePort)
+	return fmt.Sprintf("%dx%d/snackvnet=%d", cfg.Width, cfg.Height, cfg.SnackVNet)
 }
 
 // TestNetworkBuildAllocations pins the tentpole: New allocates its slabs
@@ -50,7 +50,7 @@ func TestNetworkBuildAllocations(t *testing.T) {
 		if got > budget {
 			t.Errorf("%s: New allocated %.0f objects, budget %d", cfgLabel(cfg), got, budget)
 		}
-		variant := fmt.Sprintf("compute=%v", cfg.ComputePort)
+		variant := fmt.Sprintf("snackvnet=%d", cfg.SnackVNet)
 		if prev, seen := counts[variant]; seen && prev != got {
 			t.Errorf("%s: %.0f objects, but %.0f on the other mesh size", cfgLabel(cfg), got, prev)
 		}

@@ -219,8 +219,8 @@ type ProbePoint struct {
 // It builds one network for all of them, on a private copy of cfg that
 // keeps only the request vnet: the probe's packets travel on VNetReq
 // alone, and no LoadPoint field can observe a router's other vnets, its
-// snack class or its compute port, so the copy drops them (SnackVNet -1,
-// ComputePort false) and the network holds one vnet's buffers instead
+// snack class or its compute port, so the copy drops them (SnackVNet -1)
+// and the network holds one vnet's buffers instead
 // of two or three (TestLoadLatencyPointsMatchFullNetwork). The
 // channel width shapes no part of a network either — New sizes nothing
 // from it (TestNetworkShapeIgnoresChannelWidth) and only NI injection
@@ -243,7 +243,7 @@ func LoadLatencyPoints(cfg *Config, pattern Pattern, points []ProbePoint, sizeBy
 		return nil, err
 	}
 	own.VNets = []VNetConfig{cfg.VNets[VNetReq]}
-	own.SnackVNet, own.ComputePort = -1, false
+	own.SnackVNet = -1
 	eng := sim.NewEngine()
 	net, err := New(eng, &own)
 	if err != nil {

@@ -1,5 +1,7 @@
 package sim
 
+import "snacknoc/internal/flat"
+
 // Stop makes Run return after the current cycle completes. The stop latch
 // stays set — further Run calls return immediately — until Resume clears
 // it.
@@ -12,3 +14,6 @@ func (e *Engine) Resume() { e.stopped = false }
 
 // Stopped reports whether Stop has been called without a matching Resume.
 func (e *Engine) Stopped() bool { return e.stopped }
+
+// eventChunk is the event slab's first size; it doubles from there.
+const eventChunk = flat.LinksChunk

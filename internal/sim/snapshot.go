@@ -15,23 +15,15 @@ import "fmt"
 // calls name their callee by pointer, so the component set (and
 // registration order) is part of the snapshot's identity.
 
-// EngineState is a saved engine.
+// EngineState is a saved engine. Its wheel is the live one's copy, slot
+// for slot: the event slab with its free list, the ring and the overflow
+// heap. A restore onto the same engine keeps every record's wake handle
+// and callee valid.
 type EngineState struct {
 	engineScalars
 	comps     []sleep
 	activeIdx []int
-	events    []eventSnap
-}
-
-// eventSnap is one pending event by value: a callback's closure (shared
-// with the live engine), a call's callee and argument, or — wakeIdx >= 0
-// — the registration index of a wake target.
-type eventSnap struct {
-	cycle, seq int64
-	fn         func()
-	callee     Callee
-	arg        int64
-	wakeIdx    int
+	wheel     timeWheel
 }
 
 // SnapshotState captures the engine at a settled point (immediately
@@ -41,12 +33,10 @@ func (e *Engine) SnapshotState() *EngineState {
 	if len(e.woken) != 0 {
 		panic("sim: SnapshotState with unmerged wake-ups (snapshot only between runs)")
 	}
-	w := &e.wheel
 	s := &EngineState{
 		engineScalars: e.engineScalars,
 		comps:         make([]sleep, len(e.comps)),
 		activeIdx:     make([]int, len(e.active)),
-		events:        make([]eventSnap, 0, w.pending),
 	}
 	for i, st := range e.comps {
 		s.comps[i] = st.sleep
@@ -57,23 +47,8 @@ func (e *Engine) SnapshotState() *EngineState {
 	for i, st := range e.active {
 		s.activeIdx[i] = st.idx
 	}
-	for _, slot := range w.slots {
-		for i := slot.head; i != 0; i = w.at(i).next {
-			s.events = append(s.events, snapEvent(w.at(i)))
-		}
-	}
-	for _, i := range w.overflow {
-		s.events = append(s.events, snapEvent(w.at(i)))
-	}
+	s.wheel.copyFrom(&e.wheel)
 	return s
-}
-
-func snapEvent(ev *event) eventSnap {
-	es := eventSnap{cycle: ev.cycle, seq: ev.seq, fn: ev.fn, callee: ev.callee, arg: ev.arg, wakeIdx: -1}
-	if ev.wake != nil {
-		es.wakeIdx = ev.wake.idx
-	}
-	return es
 }
 
 // RestoreState rewinds the engine to a saved state. The component set
@@ -96,20 +71,14 @@ func (e *Engine) RestoreState(s *EngineState) {
 		e.woken[i] = nil
 	}
 	e.woken = e.woken[:0]
-	// Drop whatever the live run filed and re-file the saved events with
-	// their original sequence numbers, so tie-breaking (and therefore
-	// execution order) replays exactly. The slab, ring and heap keep
-	// their size, so restoring onto an engine that has run allocates
-	// nothing.
-	w := &e.wheel
-	w.reset()
-	for _, es := range s.events {
-		i := w.alloc()
-		ev := w.at(i)
-		ev.cycle, ev.seq, ev.fn, ev.callee, ev.arg = es.cycle, es.seq, es.fn, es.callee, es.arg
-		if es.wakeIdx >= 0 {
-			ev.wake = e.comps[es.wakeIdx]
-		}
-		w.schedule(e.cycle, i)
-	}
+	e.wheel.copyFrom(&s.wheel)
+}
+
+// copyFrom makes w a slot-for-slot copy of o, reusing w's storage, so
+// restoring onto an engine that has run allocates nothing.
+func (w *timeWheel) copyFrom(o *timeWheel) {
+	w.evs.CopyFrom(&o.evs)
+	w.slots = append(w.slots[:0], o.slots...)
+	w.overflow = append(w.overflow[:0], o.overflow...)
+	w.pending = o.pending
 }

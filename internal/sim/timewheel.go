@@ -1,5 +1,7 @@
 package sim
 
+import "snacknoc/internal/flat"
+
 // The event queue is a calendar queue: a power-of-two ring of slots, one
 // per cycle within the horizon, plus a min-heap for events scheduled
 // further out. The ring starts empty and doubles until it covers the
@@ -14,13 +16,11 @@ package sim
 // wake-ups, end-of-warmup callbacks) go to the overflow heap and migrate
 // into the ring once they come within the horizon.
 //
-// Every pending event is a record in one engine-owned slab, named by its
-// index plus one (0 is "none"), so the zero wheel is empty. A ring slot
-// is a chain of records through their next field, in seq order; the
-// overflow heap holds record numbers; freed records form a free list
-// through the same field. The slab doubles when the free list runs dry,
-// so an engine's whole event traffic costs a handful of allocations and
-// its steady state none.
+// Every pending event is a record in one engine-owned flat.Links slab.
+// A ring slot is a chain of records in seq order; the overflow heap
+// holds the numbers of records that no chain holds. The slab doubles
+// when its free list runs dry, so an engine's whole event traffic costs
+// a handful of allocations and its steady state none.
 //
 // Slot aliasing cannot deliver an event early: an in-ring event satisfies
 // at-now < len(slots) when placed, and a slot is only drained at cycles
@@ -30,8 +30,6 @@ package sim
 const (
 	wheelSize = 1 << 10 // horizon in cycles, and the ring's largest size
 	wheelMin  = 16      // the ring's first size
-	// eventChunk is the event slab's first size; it doubles from there.
-	eventChunk = 32
 )
 
 // event is a scheduled callback (fn), typed call (callee, arg) or
@@ -45,53 +43,22 @@ type event struct {
 	callee Callee
 	arg    int64
 	wake   *Handle
-	next   int32 // next record of its slot chain or the free list, 0 at the end
 }
 
-// slotChain is a ring slot's events, oldest seq first: its first and last
-// record numbers, 0 when empty.
-type slotChain struct{ head, tail int32 }
-
 type timeWheel struct {
-	evs      []event
-	free     int32 // first free record, 0 when none
-	slots    []slotChain
-	overflow []int32 // min-heap of record numbers, by (cycle, seq)
+	evs      flat.Links[event]
+	slots    []flat.Chain // each slot's events, oldest seq first
+	overflow []int32      // min-heap of record numbers, by (cycle, seq)
 	// pending counts events everywhere (ring + overflow); the engine skips
 	// the whole event phase when it is zero.
 	pending int
-}
-
-// at returns the record numbered i.
-func (w *timeWheel) at(i int32) *event { return &w.evs[i-1] }
-
-// alloc takes a record off the free list, doubling the slab when it is
-// dry. The record's fields are zero.
-func (w *timeWheel) alloc() int32 {
-	if w.free == 0 {
-		old := len(w.evs)
-		evs := make([]event, max(2*old, eventChunk))
-		copy(evs, w.evs)
-		w.evs = evs
-		w.freeFrom(old)
-	}
-	i := w.free
-	w.free = w.at(i).next
-	w.at(i).next = 0
-	return i
-}
-
-// release zeroes record i, dropping its references, and frees it.
-func (w *timeWheel) release(i int32) {
-	*w.at(i) = event{next: w.free}
-	w.free = i
 }
 
 // schedule files record i, due at its cycle, given the current cycle now.
 // The cycle must be strictly after now (the engine enforces this).
 func (w *timeWheel) schedule(now int64, i int32) {
 	w.pending++
-	if w.at(i).cycle-now < wheelSize {
+	if w.evs.At(i).cycle-now < wheelSize {
 		w.place(now, i)
 		return
 	}
@@ -100,69 +67,66 @@ func (w *timeWheel) schedule(now int64, i int32) {
 
 // place links record i into its ring slot's chain in seq order. A direct
 // schedule carries the newest seq and appends at the tail; a migrated
-// overflow event or a restored one may belong further forward.
+// overflow event may belong further forward.
 func (w *timeWheel) place(now int64, i int32) {
-	ev := w.at(i)
+	ev := w.evs.At(i)
 	if int(ev.cycle-now) >= len(w.slots) {
 		w.grow(int(ev.cycle - now))
 	}
 	s := &w.slots[int(ev.cycle)&(len(w.slots)-1)]
-	switch {
-	case s.head == 0:
-		s.head, s.tail = i, i
-	case w.at(s.tail).seq < ev.seq:
-		w.at(s.tail).next = i
-		s.tail = i
-	default:
-		var prev int32
-		c := s.head
-		for w.at(c).seq < ev.seq {
-			prev, c = c, w.at(c).next
-		}
-		ev.next = c
-		if prev == 0 {
-			s.head = i
-		} else {
-			w.at(prev).next = i
+	prev := s.Tail()
+	if prev >= 0 && w.evs.At(prev).seq > ev.seq {
+		prev = -1
+		for c := s.Head(); w.evs.At(c).seq < ev.seq; c = w.evs.Next(c) {
+			prev = c
 		}
 	}
+	w.evs.InsertAfter(s, prev, i)
 }
 
-// grow doubles the ring until it spans distance d. Every occupied slot
-// holds events of a single cycle, so it moves to its new index whole.
+// grow doubles the ring until it spans distance d, in place when its
+// array has room (a restore can shrink a grown ring). Every occupied
+// slot holds events of a single cycle, so it moves to its new index
+// whole; that index is congruent to the old one modulo the old size, so
+// it lies past the old slots and nothing is overwritten.
 func (w *timeWheel) grow(d int) {
-	n := max(len(w.slots), wheelMin)
+	old := len(w.slots)
+	n := max(old, wheelMin)
 	for n <= d {
 		n *= 2
 	}
-	slots := make([]slotChain, n)
-	for _, s := range w.slots {
-		if s.head != 0 {
-			slots[int(w.at(s.head).cycle)&(n-1)] = s
+	if n > cap(w.slots) {
+		w.slots = append(make([]flat.Chain, 0, n), w.slots...)
+	}
+	w.slots = w.slots[:n]
+	clear(w.slots[old:])
+	for k := range old {
+		if s := w.slots[k]; !s.Empty() {
+			if j := int(w.evs.At(s.Head()).cycle) & (n - 1); j != k {
+				w.slots[j], w.slots[k] = s, flat.Chain{}
+			}
 		}
 	}
-	w.slots = slots
 }
 
 // collect migrates newly in-horizon overflow events into the ring, then
 // detaches and returns the chain of events due at cycle now, in seq
-// order. The caller runs and releases them, counting each off pending.
-func (w *timeWheel) collect(now int64) int32 {
-	for len(w.overflow) > 0 && w.at(w.overflow[0]).cycle-now < wheelSize {
+// order. The caller pops and runs them, counting each off pending.
+func (w *timeWheel) collect(now int64) (c flat.Chain) {
+	for len(w.overflow) > 0 && w.evs.At(w.overflow[0]).cycle-now < wheelSize {
 		w.place(now, w.pop())
 	}
 	if len(w.slots) == 0 {
-		return 0
+		return c
 	}
 	s := &w.slots[int(now)&(len(w.slots)-1)]
-	head := s.head
-	*s = slotChain{}
-	return head
+	c, *s = *s, c
+	return c
 }
 
 // less orders records i and j by (cycle, seq).
 func (w *timeWheel) less(i, j int32) bool {
-	a, b := w.at(i), w.at(j)
+	a, b := w.evs.At(i), w.evs.At(j)
 	if a.cycle != b.cycle {
 		return a.cycle < b.cycle
 	}
@@ -208,20 +172,9 @@ func (w *timeWheel) pop() int32 {
 	return top
 }
 
-// freeFrom puts every record from index k on, all zero, on the free
-// list, lowest first.
-func (w *timeWheel) freeFrom(k int) {
-	for n := len(w.evs); n > k; n-- {
-		w.evs[n-1].next = w.free
-		w.free = int32(n)
-	}
-}
-
-// reset releases every pending event, keeping the slab, ring and heap.
+// reset drops every pending event, keeping the slab, ring and heap.
 func (w *timeWheel) reset() {
-	clear(w.evs)
-	w.free = 0
-	w.freeFrom(0)
+	w.evs.Reset()
 	clear(w.slots)
 	w.overflow = w.overflow[:0]
 	w.pending = 0

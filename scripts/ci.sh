@@ -37,14 +37,34 @@ echo "== go build ./... =="
 go build ./...
 
 # One implementation of each container the flat hot state is built from
-# (internal/flat: Table, Pool, Ring, Slots, Carve, IndexSet). The copies
-# noc, core and cache each kept before it must not come back, under
-# their old names or as a new hand-rolled carve or backward-shift table.
+# (internal/flat: Table, Pool, Ring, Slots, Links, Carve, IndexSet). The
+# copies noc, core and cache each kept before it must not come back,
+# under their old names or as a new hand-rolled carve or backward-shift
+# table.
 echo "== one implementation per container (internal/flat) =="
 flat_srcs=$(ls internal/noc/*.go internal/core/*.go internal/cache/*.go internal/sim/*.go internal/cpu/*.go | grep -v '_test\.go$')
 # shellcheck disable=SC2086
 if grep -nE 'func carve|backward-shift|u32Table|blockTable|freeList|msgPool|pktQueue|(^|[^.[:alnum:]_])(ring|slab)\[' $flat_srcs; then
     echo "ERROR: a container internal/flat provides is re-implemented above; use internal/flat" >&2
+    exit 1
+fi
+
+# One free list: records chained into FIFOs with their free slots
+# threaded through the same link field are a flat.Links, and a slot
+# array with a free stack is a flat.Slots. Outside internal/flat only
+# core.instrSlab threads its own free list (its fixed chunks never move,
+# so an RCU's pointer into a slot survives growth; DESIGN §11). The
+# hand-threaded lists the event wheel, the RCU cells and the L1 MSHR
+# file kept before must not come back, under their old names or as a
+# new free int32 field of a struct.
+echo "== one free list (flat.Links, flat.Slots) =="
+free_srcs=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/flat/*' ! -path './benchmark/*')
+# shellcheck disable=SC2086
+if grep -nE 'nodeFree|mshrFree|freeFrom|newNode|freeNode' $free_srcs ||
+    awk '/^type [[:alnum:]_]+(\[.*\])? struct/ { t = $2; sub(/\[.*/, "", t) } /^}/ { t = "" }
+        t != "" && t != "instrSlab" && /^[[:space:]]+free[[:space:]]+int32/ { print FILENAME ":" FNR ": " t ": " $0; found = 1 }
+        END { exit !found }' $free_srcs; then
+    echo "ERROR: a free list is threaded by hand outside internal/flat; use flat.Links or flat.Slots" >&2
     exit 1
 fi
 
